@@ -140,7 +140,7 @@ fn main() {
         let key = rng.gen_range(0..values) * 2;
         let q = HapQuery::Q1 { v: key, k: 1 };
         let t = Instant::now();
-        d.execute_governed(&q, &ctx).expect("governed point read");
+        d.execute_with(&q, &ctx).expect("governed point read");
         sweep_lat.push(t.elapsed().as_secs_f64() * 1e6);
         max_resident = max_resident.max(d.resident_bytes());
     }
@@ -154,7 +154,7 @@ fn main() {
             let key = ((c * span + (round + 1) * 16) / 2) * 2 % (2 * values);
             let q = HapQuery::Q1 { v: key, k: 1 };
             let t = Instant::now();
-            d.execute_governed(&q, &ctx).expect("thrash read");
+            d.execute_with(&q, &ctx).expect("thrash read");
             thrash_lat.push(t.elapsed().as_secs_f64() * 1e6);
             max_resident = max_resident.max(d.resident_bytes());
         }
@@ -207,18 +207,16 @@ fn main() {
     ));
 
     // --- 2. Clean-path overhead: governor engaged but never binding. -----
-    let run_stream = |d: &mut DurableTable, governed: bool| -> Vec<f64> {
+    // Same call on both tables: whether it is governed is decided by the
+    // `DurableOptions.governor` each was opened with.
+    let run_stream = |d: &mut DurableTable| -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(11);
         let mut lat = Vec::with_capacity(queries);
         for _ in 0..queries {
             let key = rng.gen_range(0..values) * 2;
             let q = HapQuery::Q1 { v: key, k: 1 };
             let t = Instant::now();
-            if governed {
-                d.execute_governed(&q, &ctx).expect("governed read");
-            } else {
-                d.execute(&q).expect("read");
-            }
+            d.execute_with(&q, &ctx).expect("point read");
             lat.push(t.elapsed().as_secs_f64() * 1e6);
         }
         lat
@@ -231,7 +229,7 @@ fn main() {
         DurableOptions::default(),
     );
     plain.hydrate_all().expect("hydrate");
-    let lat_off = run_stream(&mut plain, false);
+    let lat_off = run_stream(&mut plain);
     drop(plain);
     let roomy = GovernorConfig {
         memory_budget_bytes: working_set * 2, // accounted, never binding
@@ -250,7 +248,7 @@ fn main() {
         },
     );
     governed.hydrate_all().expect("hydrate");
-    let lat_on = run_stream(&mut governed, true);
+    let lat_on = run_stream(&mut governed);
     let shed_free = governed.governor_stats().expect("governor").shed;
     assert_eq!(shed_free, 0, "a roomy gate must never shed");
     drop(governed);
@@ -335,7 +333,7 @@ fn main() {
                     barrier.wait();
                     // Phase 1: the gate is pinned — every attempt sheds.
                     for _ in 0..per_thread {
-                        match handle.execute_governed(&storm_q(&mut rng), &ctx) {
+                        match handle.execute_with(&storm_q(&mut rng), &ctx) {
                             Err(QueryError::Overloaded { .. }) => {}
                             Ok(_) => panic!("admitted through a pinned gate"),
                             Err(e) => panic!("storm error: {e}"),
@@ -349,7 +347,7 @@ fn main() {
                     while ok.len() < per_thread {
                         let q = storm_q(&mut rng);
                         let started = Instant::now();
-                        match handle.execute_governed(&q, &ctx) {
+                        match handle.execute_with(&q, &ctx) {
                             Ok(_) => ok.push(started.elapsed().as_secs_f64() * 1e6),
                             Err(QueryError::Overloaded { .. }) => {}
                             Err(e) => panic!("storm error: {e}"),

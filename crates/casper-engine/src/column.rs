@@ -20,12 +20,13 @@
 //! refcounting — the last pin of a superseded snapshot frees it. See
 //! `docs/concurrency.md` for the full protocol.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::exec::{parallel_for_each_mut, parallel_map};
 use crate::governor::QueryCtx;
 use crate::modes::{EngineConfig, LayoutMode};
+use crate::table::{QueryOutput, QueryResult};
 use casper_core::Segmentation;
 use casper_obs::{CounterDef, HistogramDef};
 use casper_storage::ghost::GhostPlan;
@@ -253,20 +254,20 @@ pub struct ColumnSnapshot {
 }
 
 impl ColumnSnapshot {
-    fn view(&self) -> View<'_> {
+    pub(crate) fn view<'a>(&'a self, ctx: &'a QueryCtx) -> View<'a> {
         View {
             chunks: &self.chunks,
             fences: self.fences.as_deref(),
             config: &self.config,
-            ctx: None,
+            payload_width: self.payload_width,
+            ctx,
         }
     }
 
-    fn view_ctx<'a>(&'a self, ctx: &'a QueryCtx) -> View<'a> {
-        View {
-            ctx: Some(ctx),
-            ..self.view()
-        }
+    /// Execute read query `q` (Q1–Q3) against the snapshot; `ctx` is
+    /// checked at every chunk boundary. See [`ChunkedColumn::read`].
+    pub fn read(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, StorageError> {
+        self.view(ctx).read(q)
     }
 
     /// Total live rows at the publish point.
@@ -287,87 +288,6 @@ impl ColumnSnapshot {
     /// Payload column count.
     pub fn payload_width(&self) -> usize {
         self.payload_width
-    }
-
-    /// Q1 against the snapshot (see [`ChunkedColumn::q1_point`]).
-    pub fn q1_point(
-        &self,
-        v: u64,
-        cols: &[usize],
-    ) -> Result<(Vec<Vec<u32>>, OpCost), StorageError> {
-        self.view().q1_point(v, cols)
-    }
-
-    /// Q2 against the snapshot (see [`ChunkedColumn::q2_count`]).
-    pub fn q2_count(&self, lo: u64, hi: u64) -> Result<(u64, OpCost), StorageError> {
-        self.view().q2_count(lo, hi)
-    }
-
-    /// Q3 against the snapshot (see [`ChunkedColumn::q3_sum`]).
-    pub fn q3_sum(&self, lo: u64, hi: u64, cols: &[usize]) -> Result<(u64, OpCost), StorageError> {
-        self.view().q3_sum(lo, hi, cols)
-    }
-
-    /// Multi-column predicated sum against the snapshot (see
-    /// [`ChunkedColumn::q3_sum_where`]).
-    pub fn q3_sum_where(
-        &self,
-        lo: u64,
-        hi: u64,
-        sum_cols: &[usize],
-        pred_col: usize,
-        pred_lo: u32,
-        pred_hi: u32,
-    ) -> Result<(u64, OpCost), StorageError> {
-        self.view()
-            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)
-    }
-
-    /// Q1 with a deadline/cancel context checked at chunk boundaries.
-    pub fn q1_point_ctx(
-        &self,
-        v: u64,
-        cols: &[usize],
-        ctx: &QueryCtx,
-    ) -> Result<(Vec<Vec<u32>>, OpCost), StorageError> {
-        self.view_ctx(ctx).q1_point(v, cols)
-    }
-
-    /// Q2 with a deadline/cancel context checked at chunk boundaries.
-    pub fn q2_count_ctx(
-        &self,
-        lo: u64,
-        hi: u64,
-        ctx: &QueryCtx,
-    ) -> Result<(u64, OpCost), StorageError> {
-        self.view_ctx(ctx).q2_count(lo, hi)
-    }
-
-    /// Q3 with a deadline/cancel context checked at chunk boundaries.
-    pub fn q3_sum_ctx(
-        &self,
-        lo: u64,
-        hi: u64,
-        cols: &[usize],
-        ctx: &QueryCtx,
-    ) -> Result<(u64, OpCost), StorageError> {
-        self.view_ctx(ctx).q3_sum(lo, hi, cols)
-    }
-
-    /// Predicated sum with a deadline/cancel context checked at chunk
-    /// boundaries.
-    pub fn q3_sum_where_ctx(
-        &self,
-        lo: u64,
-        hi: u64,
-        sum_cols: &[usize],
-        pred_col: usize,
-        pred_lo: u32,
-        pred_hi: u32,
-        ctx: &QueryCtx,
-    ) -> Result<(u64, OpCost), StorageError> {
-        self.view_ctx(ctx)
-            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)
     }
 }
 
@@ -641,28 +561,19 @@ impl ChunkedColumn {
         Ok(())
     }
 
-    /// Hydrate exactly the chunks `q` routes to: the owning chunk for
-    /// point-shaped operations, the overlapping chunks for ranges, every
-    /// chunk when the column broadcasts (`NoOrder`). Called by
-    /// [`crate::table::Table::execute`] before dispatch, which is what
-    /// makes restore-time laziness invisible to query code.
+    /// Pre-flight for all-or-nothing callers (a transaction's write set):
+    /// hydrate the chunks write `q` routes to, so decode damage surfaces
+    /// before anything is applied. Single queries need no pre-flight —
+    /// reads hydrate the slots they scan and writes the chunk they mutate.
     pub fn hydrate_for_query(&self, q: &HapQuery) -> Result<(), StorageError> {
-        if self.chunks.iter().all(|c| c.is_hydrated()) {
-            return Ok(());
-        }
         use casper_core::Op;
         match q.key_op() {
             Op::Point(v) | Op::Insert(v) | Op::Delete(v) => self.hydrate_key(v),
-            Op::Range(lo, hi) => {
-                for c in self.view().chunk_range_for(lo, hi) {
-                    self.hydrate_chunk(c)?;
-                }
-                Ok(())
-            }
             Op::Update(old, new) => {
                 self.hydrate_key(old)?;
                 self.hydrate_key(new)
             }
+            Op::Range(..) => Ok(()),
         }
     }
 
@@ -806,119 +717,41 @@ impl ChunkedColumn {
         }
     }
 
-    fn view(&self) -> View<'_> {
+    pub(crate) fn view<'a>(&'a self, ctx: &'a QueryCtx) -> View<'a> {
         View {
             chunks: &self.chunks,
             fences: self.fences.as_deref(),
             config: &self.config,
-            ctx: None,
+            payload_width: self.payload_width,
+            ctx,
         }
     }
 
-    fn view_ctx<'a>(&'a self, ctx: &'a QueryCtx) -> View<'a> {
-        View {
-            ctx: Some(ctx),
-            ..self.view()
-        }
+    /// Execute read query `q` against the live column: Q1 gathers the
+    /// first `k` payload attributes of every row with key `v` (ordered
+    /// modes probe exactly one chunk; `NoOrder` broadcasts), Q2 counts and
+    /// Q3 sums the first `k` payload columns over rows with key in
+    /// `[vs, ve)`, chunk-parallel when the range spans several chunks.
+    /// `ctx` is checked at every chunk boundary; a write query is rejected
+    /// with [`StorageError::InvalidSpec`].
+    pub fn read(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, StorageError> {
+        self.view(ctx).read(q)
     }
 
-    /// Q1: gather `cols` payload attributes of every row with key `v`.
-    /// Ordered modes probe exactly one chunk; `NoOrder` must broadcast to
-    /// every chunk, which runs chunk-parallel like the range scans.
-    pub fn q1_point(
-        &self,
-        v: u64,
-        cols: &[usize],
-    ) -> Result<(Vec<Vec<u32>>, OpCost), StorageError> {
-        self.view().q1_point(v, cols)
-    }
-
-    /// Q2: count rows with key in `[lo, hi)`. Chunk-parallel when the
-    /// range spans several chunks.
-    pub fn q2_count(&self, lo: u64, hi: u64) -> Result<(u64, OpCost), StorageError> {
-        self.view().q2_count(lo, hi)
-    }
-
-    /// Q3: sum the given payload columns over rows with key in `[lo, hi)`.
-    pub fn q3_sum(&self, lo: u64, hi: u64, cols: &[usize]) -> Result<(u64, OpCost), StorageError> {
-        self.view().q3_sum(lo, hi, cols)
-    }
-
-    /// Multi-column range query (§6.4, the TPC-H Q6 shape): sum `sum_cols`
-    /// over rows whose key lies in `[lo, hi)` *and* whose `pred_col`
-    /// payload value lies in `[pred_lo, pred_hi)`.
-    ///
-    /// "Casper evaluates the first (typically the most selective) filter
-    /// and retrieves the qualifying positions to evaluate the subsequent
-    /// filters."
-    pub fn q3_sum_where(
-        &self,
-        lo: u64,
-        hi: u64,
-        sum_cols: &[usize],
-        pred_col: usize,
-        pred_lo: u32,
-        pred_hi: u32,
-    ) -> Result<(u64, OpCost), StorageError> {
-        self.view()
-            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)
-    }
-
-    /// Q1 with a deadline/cancel context checked at chunk boundaries.
-    pub fn q1_point_ctx(
-        &self,
-        v: u64,
-        cols: &[usize],
-        ctx: &QueryCtx,
-    ) -> Result<(Vec<Vec<u32>>, OpCost), StorageError> {
-        self.view_ctx(ctx).q1_point(v, cols)
-    }
-
-    /// Q2 with a deadline/cancel context checked at chunk boundaries.
-    pub fn q2_count_ctx(
-        &self,
-        lo: u64,
-        hi: u64,
-        ctx: &QueryCtx,
-    ) -> Result<(u64, OpCost), StorageError> {
-        self.view_ctx(ctx).q2_count(lo, hi)
-    }
-
-    /// Q3 with a deadline/cancel context checked at chunk boundaries.
-    pub fn q3_sum_ctx(
-        &self,
-        lo: u64,
-        hi: u64,
-        cols: &[usize],
-        ctx: &QueryCtx,
-    ) -> Result<(u64, OpCost), StorageError> {
-        self.view_ctx(ctx).q3_sum(lo, hi, cols)
-    }
-
-    /// Predicated sum with a deadline/cancel context checked at chunk
-    /// boundaries.
-    pub fn q3_sum_where_ctx(
-        &self,
-        lo: u64,
-        hi: u64,
-        sum_cols: &[usize],
-        pred_col: usize,
-        pred_lo: u32,
-        pred_hi: u32,
-        ctx: &QueryCtx,
-    ) -> Result<(u64, OpCost), StorageError> {
-        self.view_ctx(ctx)
-            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)
-    }
-
-    /// Q4: insert a row.
-    pub fn q4_insert(&mut self, key: u64, payload: &[u32]) -> Result<OpCost, StorageError> {
-        let cost = self.q4_insert_inner(key, payload)?;
+    /// Apply one write (Q4/Q5/Q6) and publish it to readers, returning
+    /// `(rows_affected, cost)`. Q6 moves the first row with key `old`:
+    /// cross-chunk updates take exactly one row out of the source chunk
+    /// and re-insert it under the new key, matching the single-chunk
+    /// path's first-match semantics even under duplicate keys.
+    pub(crate) fn apply_write(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
+        let out = self.apply_write_serial(op)?;
         self.publish();
-        Ok(cost)
+        Ok(out)
     }
 
-    fn q4_insert_inner(&mut self, key: u64, payload: &[u32]) -> Result<OpCost, StorageError> {
+    /// Q4: insert a row (unpublished, like the two below —
+    /// [`Self::apply_write`] and the batch path publish).
+    fn q4_insert(&mut self, key: u64, payload: &[u32]) -> Result<OpCost, StorageError> {
         let chunk = self.route(key).unwrap_or_else(|| {
             // NoOrder: append to the last chunk with capacity.
             self.chunks
@@ -936,13 +769,7 @@ impl ChunkedColumn {
     }
 
     /// Q5: delete every row with key `v`.
-    pub fn q5_delete(&mut self, v: u64) -> Result<(u64, OpCost), StorageError> {
-        let out = self.q5_delete_inner(v)?;
-        self.publish();
-        Ok(out)
-    }
-
-    fn q5_delete_inner(&mut self, v: u64) -> Result<(u64, OpCost), StorageError> {
+    fn q5_delete(&mut self, v: u64) -> Result<(u64, OpCost), StorageError> {
         let targets: Vec<usize> = match self.route(v) {
             Some(c) => vec![c],
             None => (0..self.chunks.len()).collect(),
@@ -961,16 +788,8 @@ impl ChunkedColumn {
     }
 
     /// Q6: update the first row with key `old` to key `new`, carrying its
-    /// payload. Cross-chunk updates take exactly one row out of the source
-    /// chunk and re-insert it under the new key, matching the single-chunk
-    /// path's first-match semantics even under duplicate keys.
-    pub fn q6_update(&mut self, old: u64, new: u64) -> Result<(u64, OpCost), StorageError> {
-        let out = self.q6_update_inner(old, new)?;
-        self.publish();
-        Ok(out)
-    }
-
-    fn q6_update_inner(&mut self, old: u64, new: u64) -> Result<(u64, OpCost), StorageError> {
+    /// payload.
+    fn q6_update(&mut self, old: u64, new: u64) -> Result<(u64, OpCost), StorageError> {
         let (from, to) = match (self.route(old), self.route(new)) {
             (Some(a), Some(b)) => (a, b),
             _ => {
@@ -1000,13 +819,15 @@ impl ChunkedColumn {
         }
         // Cross-chunk: move exactly one row — take the first match out of
         // the source chunk (duplicates stay put) and re-insert it under the
-        // new key.
+        // new key. The target hydrates first: once the row has left the
+        // source, a target that fails to decode would lose it.
+        self.chunks[to].get()?;
         let (row, mut cost) = store_take_one(self.chunk_mut(from)?, old);
         let Some(row) = row else {
             return Ok((0, cost));
         };
         self.touch(from);
-        let c2 = self.q4_insert_inner(new, &row)?;
+        let c2 = self.q4_insert(new, &row)?;
         cost.absorb(c2);
         Ok((1, cost))
     }
@@ -1074,7 +895,7 @@ impl ChunkedColumn {
                     if from != to {
                         // Barrier: the move touches two chunks.
                         self.flush_write_groups(&mut pending, &mut pending_count, &mut results)?;
-                        results[i] = self.q6_update_inner(old, new)?;
+                        results[i] = self.q6_update(old, new)?;
                         continue;
                     }
                     from
@@ -1091,9 +912,9 @@ impl ChunkedColumn {
     /// (publication is the batch's responsibility).
     fn apply_write_serial(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
         match op {
-            WriteOp::Insert { key, payload } => self.q4_insert_inner(key, payload).map(|c| (1, c)),
-            WriteOp::Delete { key } => self.q5_delete_inner(key),
-            WriteOp::Update { old, new } => self.q6_update_inner(old, new),
+            WriteOp::Insert { key, payload } => self.q4_insert(key, payload).map(|c| (1, c)),
+            WriteOp::Delete { key } => self.q5_delete(key),
+            WriteOp::Update { old, new } => self.q6_update(old, new),
         }
     }
 
@@ -1213,13 +1034,14 @@ impl ChunkedColumn {
 /// and pinned [`ColumnSnapshot`]s scan through this view, so the two paths
 /// cannot drift. Every method hydrates the slots it routes to (serially,
 /// before the parallel scan) and surfaces decode damage as a typed error.
-struct View<'a> {
+pub(crate) struct View<'a> {
     chunks: &'a [Arc<ChunkSlot>],
     fences: Option<&'a [u64]>,
     config: &'a EngineConfig,
-    /// Deadline/cancel context, checked once per chunk boundary (`None`
-    /// on the ungoverned paths — a single branch of overhead).
-    ctx: Option<&'a QueryCtx>,
+    payload_width: usize,
+    /// Deadline/cancel context, checked once per chunk boundary (a default
+    /// context is two `None` tests).
+    ctx: &'a QueryCtx,
 }
 
 impl View<'_> {
@@ -1228,34 +1050,36 @@ impl View<'_> {
             .map(|f| f.partition_point(|&b| b < key).min(f.len() - 1))
     }
 
-    /// Chunk-boundary interrupt check (no-op without a context).
-    #[inline]
-    fn check_interrupt(&self) -> Result<(), StorageError> {
-        match self.ctx {
-            Some(ctx) => ctx.check(),
-            None => Ok(()),
-        }
-    }
-
-    /// Indices of the chunks overlapping `[lo, hi)` (mirrors the target
-    /// selection of `scan_chunks`).
-    fn chunk_range_for(&self, lo: u64, hi: u64) -> std::ops::Range<usize> {
-        match (self.fences, self.route(lo)) {
-            (Some(fences), Some(first)) => {
-                let mut end = first + 1;
-                while end < self.chunks.len() && fences[end - 1] < hi {
-                    end += 1;
-                }
-                first..end
+    /// The one Q1/Q2/Q3 dispatcher (projectivity `k` selects the first `k`
+    /// payload columns, clamped to the column's arity).
+    pub(crate) fn read(&self, q: &HapQuery) -> Result<QueryOutput, StorageError> {
+        let cols = |k: usize| (0..k.min(self.payload_width)).collect::<Vec<usize>>();
+        let (result, cost) = match q {
+            HapQuery::Q1 { v, k } => {
+                let (rows, cost) = self.q1_point(*v, &cols(*k))?;
+                (QueryResult::Rows(rows), cost)
             }
-            _ => 0..self.chunks.len(),
-        }
+            HapQuery::Q2 { vs, ve } => {
+                let (n, cost) = self.q2_count(*vs, *ve)?;
+                (QueryResult::Count(n), cost)
+            }
+            HapQuery::Q3 { vs, ve, k } => {
+                let (sum, cost) = self.q3_sum(*vs, *ve, &cols(*k))?;
+                (QueryResult::Sum(sum), cost)
+            }
+            HapQuery::Q4 { .. } | HapQuery::Q5 { .. } | HapQuery::Q6 { .. } => {
+                return Err(StorageError::InvalidSpec {
+                    reason: "write query on a read-only path".to_string(),
+                })
+            }
+        };
+        Ok(QueryOutput { result, cost })
     }
 
     fn q1_point(&self, v: u64, cols: &[usize]) -> Result<(Vec<Vec<u32>>, OpCost), StorageError> {
         let targets: Vec<&ChunkStore> = match self.route(v) {
             Some(c) => {
-                self.check_interrupt()?;
+                self.ctx.check()?;
                 note_routed(c, 1, self.chunks.len());
                 vec![self.chunks[c].get()?]
             }
@@ -1263,7 +1087,7 @@ impl View<'_> {
                 note_routed(0, self.chunks.len(), self.chunks.len());
                 let mut t = Vec::with_capacity(self.chunks.len());
                 for s in self.chunks {
-                    self.check_interrupt()?;
+                    self.ctx.check()?;
                     t.push(s.get()?);
                 }
                 t
@@ -1296,36 +1120,29 @@ impl View<'_> {
     }
 
     fn q2_count(&self, lo: u64, hi: u64) -> Result<(u64, OpCost), StorageError> {
-        let results = self.scan_chunks(lo, hi, |store| match store {
+        self.scan_chunks(lo, hi, |store| match store {
             ChunkStore::Partitioned(p) => p.range_count(lo, hi),
             ChunkStore::Sorted(s) => s.range_count(lo, hi),
             ChunkStore::Delta(d) => d.range_count(lo, hi),
-        })?;
-        let mut total = 0u64;
-        let mut cost = OpCost::default();
-        for (n, c) in results {
-            total += n;
-            cost.absorb(c);
-        }
-        Ok((total, cost))
+        })
     }
 
     fn q3_sum(&self, lo: u64, hi: u64, cols: &[usize]) -> Result<(u64, OpCost), StorageError> {
-        let results = self.scan_chunks(lo, hi, |store| match store {
+        self.scan_chunks(lo, hi, |store| match store {
             ChunkStore::Partitioned(p) => p.range_sum_payload(lo, hi, cols),
             ChunkStore::Sorted(s) => s.range_sum_payload(lo, hi, cols),
             ChunkStore::Delta(d) => d.range_sum_payload(lo, hi, cols),
-        })?;
-        let mut total = 0u64;
-        let mut cost = OpCost::default();
-        for (n, c) in results {
-            total += n;
-            cost.absorb(c);
-        }
-        Ok((total, cost))
+        })
     }
 
-    fn q3_sum_where(
+    /// Multi-column range query (§6.4, the TPC-H Q6 shape): sum `sum_cols`
+    /// over rows whose key lies in `[lo, hi)` *and* whose `pred_col`
+    /// payload value lies in `[pred_lo, pred_hi)`.
+    ///
+    /// "Casper evaluates the first (typically the most selective) filter
+    /// and retrieves the qualifying positions to evaluate the subsequent
+    /// filters."
+    pub(crate) fn q3_sum_where(
         &self,
         lo: u64,
         hi: u64,
@@ -1334,7 +1151,7 @@ impl View<'_> {
         pred_lo: u32,
         pred_hi: u32,
     ) -> Result<(u64, OpCost), StorageError> {
-        let results = self.scan_chunks(lo, hi, |store| match store {
+        self.scan_chunks(lo, hi, |store| match store {
             ChunkStore::Partitioned(p) => {
                 let mut pc = casper_storage::ops::PositionsConsumer::default();
                 let r = p.range_query(lo, hi, &mut pc);
@@ -1393,28 +1210,21 @@ impl View<'_> {
                 sum += d.replay_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi);
                 (sum.max(0) as u64, cost)
             }
-        })?;
-        let mut total = 0u64;
-        let mut cost = OpCost::default();
-        for (n, c) in results {
-            total += n;
-            cost.absorb(c);
-        }
-        Ok((total, cost))
+        })
     }
 
     /// Run `f` over every chunk overlapping `[lo, hi)`, in parallel when
-    /// profitable. Routed slots hydrate serially before the parallel scan.
-    /// Deadline/cancel contexts are honored at both kinds of chunk
-    /// boundary: once per slot in the serial hydration loop, and once per
-    /// chunk inside the parallel phase (a sticky flag makes every worker
-    /// stand down as soon as one observes the interrupt).
-    fn scan_chunks<R: Send>(
+    /// profitable, and total the per-chunk `(value, cost)` pairs. Routed
+    /// slots hydrate serially before the parallel scan. The deadline/cancel
+    /// context is honored at both kinds of chunk boundary: once per slot
+    /// in the serial hydration loop, and once per chunk inside the
+    /// parallel phase.
+    fn scan_chunks(
         &self,
         lo: u64,
         hi: u64,
-        f: impl Fn(&ChunkStore) -> R + Sync,
-    ) -> Result<Vec<R>, StorageError> {
+        f: impl Fn(&ChunkStore) -> (u64, OpCost) + Sync,
+    ) -> Result<(u64, OpCost), StorageError> {
         let mut targets: Vec<&ChunkStore> = Vec::new();
         match (self.fences, self.route(lo)) {
             (Some(fences), Some(first)) => {
@@ -1424,39 +1234,31 @@ impl View<'_> {
                     if c > first && fences[c - 1] >= hi {
                         break;
                     }
-                    self.check_interrupt()?;
+                    self.ctx.check()?;
                     targets.push(self.chunks[c].get()?);
                 }
                 note_routed(first, targets.len(), self.chunks.len());
             }
             _ => {
                 for s in self.chunks {
-                    self.check_interrupt()?;
+                    self.ctx.check()?;
                     targets.push(s.get()?);
                 }
                 note_routed(0, self.chunks.len(), self.chunks.len());
             }
         }
-        let Some(ctx) = self.ctx else {
-            return Ok(parallel_map(&targets, self.config.threads, |_, store| {
-                f(store)
-            }));
-        };
-        let interrupted = AtomicBool::new(false);
+        // Expiry and cancellation are sticky, so once one worker observes
+        // the interrupt every later chunk stands down at its own check.
         let results = parallel_map(&targets, self.config.threads, |_, store| {
-            if interrupted.load(Ordering::Relaxed) || ctx.check().is_err() {
-                interrupted.store(true, Ordering::Relaxed);
-                return None;
-            }
-            Some(f(store))
+            self.ctx.check().map(|()| f(store))
         });
-        if interrupted.load(Ordering::Relaxed) {
-            // Re-derive the typed interrupt (expiry and cancellation are
-            // both sticky, so the re-check reproduces the worker's error).
-            ctx.check()?;
-            return Err(StorageError::Cancelled);
+        let mut total = (0u64, OpCost::default());
+        for r in results {
+            let (n, cost) = r?;
+            total.0 += n;
+            total.1.absorb(cost);
         }
-        Ok(results.into_iter().flatten().collect())
+        Ok(total)
     }
 }
 
@@ -1484,6 +1286,22 @@ pub enum WriteOp<'a> {
         /// Replacement key.
         new: u64,
     },
+}
+
+impl<'a> WriteOp<'a> {
+    /// The write a query performs, borrowing its payload; `None` for the
+    /// read queries Q1–Q3.
+    pub fn from_query(q: &'a HapQuery) -> Option<Self> {
+        match q {
+            HapQuery::Q4 { key, payload } => Some(WriteOp::Insert { key: *key, payload }),
+            HapQuery::Q5 { v } => Some(WriteOp::Delete { key: *v }),
+            HapQuery::Q6 { v, vnew } => Some(WriteOp::Update {
+                old: *v,
+                new: *vnew,
+            }),
+            HapQuery::Q1 { .. } | HapQuery::Q2 { .. } | HapQuery::Q3 { .. } => None,
+        }
+    }
 }
 
 /// Insert into one chunk store, growing a full partitioned chunk once
@@ -1679,6 +1497,35 @@ pub(crate) fn chunk_block_fences(store: &ChunkStore, block_bytes: usize) -> Vec<
 mod tests {
     use super::*;
 
+    /// Read/write shorthands over the two entry points under test.
+    fn q1(col: &ChunkedColumn, v: u64) -> Vec<Vec<u32>> {
+        match col.read(&HapQuery::Q1 { v, k: 1 }, &QueryCtx::default()) {
+            Ok(QueryOutput {
+                result: QueryResult::Rows(rows),
+                ..
+            }) => rows,
+            other => panic!("Q1 returned {other:?}"),
+        }
+    }
+
+    fn q2(col: &ChunkedColumn, vs: u64, ve: u64) -> u64 {
+        let out = col.read(&HapQuery::Q2 { vs, ve }, &QueryCtx::default());
+        out.unwrap().result.scalar()
+    }
+
+    fn snap_q2(snap: &ColumnSnapshot, vs: u64, ve: u64) -> u64 {
+        let out = snap.read(&HapQuery::Q2 { vs, ve }, &QueryCtx::default());
+        out.unwrap().result.scalar()
+    }
+
+    fn insert(col: &mut ChunkedColumn, key: u64, payload: &[u32]) {
+        col.apply_write(WriteOp::Insert { key, payload }).unwrap();
+    }
+
+    fn update(col: &mut ChunkedColumn, old: u64, new: u64) -> u64 {
+        col.apply_write(WriteOp::Update { old, new }).unwrap().0
+    }
+
     fn load(mode: LayoutMode, rows: u64) -> ChunkedColumn {
         let keys: Vec<u64> = (0..rows).map(|i| i * 2).collect();
         let payload: Vec<u32> = keys.iter().map(|&k| (k % 1000) as u32).collect();
@@ -1712,10 +1559,10 @@ mod tests {
     fn q1_finds_rows_in_every_mode() {
         for mode in LayoutMode::all() {
             let col = load(mode, 4000);
-            let (rows, _) = col.q1_point(2468, &[0]).unwrap();
+            let rows = q1(&col, 2468);
             assert_eq!(rows.len(), 1, "{mode:?}");
             assert_eq!(rows[0], vec![(2468 % 1000) as u32], "{mode:?}");
-            let (rows, _) = col.q1_point(2469, &[0]).unwrap();
+            let rows = q1(&col, 2469);
             assert!(rows.is_empty(), "{mode:?}");
         }
     }
@@ -1724,9 +1571,9 @@ mod tests {
     fn q2_counts_match_in_every_mode() {
         for mode in LayoutMode::all() {
             let col = load(mode, 4000);
-            let (n, _) = col.q2_count(100, 300).unwrap();
+            let n = q2(&col, 100, 300);
             assert_eq!(n, 100, "{mode:?}"); // even keys in [100, 300)
-            let (n, _) = col.q2_count(0, 8000).unwrap();
+            let n = q2(&col, 0, 8000);
             assert_eq!(n, 4000, "{mode:?}");
         }
     }
@@ -1735,7 +1582,12 @@ mod tests {
     fn q3_sums_payload_in_every_mode() {
         for mode in LayoutMode::all() {
             let col = load(mode, 4000);
-            let (sum, _) = col.q3_sum(0, 20, &[0]).unwrap();
+            let q = HapQuery::Q3 {
+                vs: 0,
+                ve: 20,
+                k: 1,
+            };
+            let sum = col.read(&q, &QueryCtx::default()).unwrap().result.scalar();
             // Keys 0..18 even: payloads k % 1000 = k.
             let want: u64 = (0..10).map(|i| i * 2).sum();
             assert_eq!(sum, want, "{mode:?}");
@@ -1746,15 +1598,15 @@ mod tests {
     fn q4_q5_q6_round_trip_in_every_mode() {
         for mode in LayoutMode::all() {
             let mut col = load(mode, 4000);
-            col.q4_insert(101, &[7]).unwrap();
-            let (rows, _) = col.q1_point(101, &[0]).unwrap();
+            insert(&mut col, 101, &[7]);
+            let rows = q1(&col, 101);
             assert_eq!(rows, vec![vec![7]], "{mode:?} insert");
-            let (n, _) = col.q5_delete(101).unwrap();
+            let (n, _) = col.apply_write(WriteOp::Delete { key: 101 }).unwrap();
             assert_eq!(n, 1, "{mode:?} delete");
-            assert!(col.q1_point(101, &[0]).unwrap().0.is_empty(), "{mode:?}");
-            let (n, _) = col.q6_update(200, 201).unwrap();
+            assert!(q1(&col, 101).is_empty(), "{mode:?}");
+            let n = update(&mut col, 200, 201);
             assert_eq!(n, 1, "{mode:?} update");
-            let (rows, _) = col.q1_point(201, &[0]).unwrap();
+            let rows = q1(&col, 201);
             assert_eq!(rows.len(), 1, "{mode:?} updated row");
             assert_eq!(rows[0], vec![200], "{mode:?} payload follows update");
             assert_eq!(col.len(), 4000, "{mode:?} len conserved");
@@ -1766,10 +1618,10 @@ mod tests {
         for mode in LayoutMode::all() {
             let mut col = load(mode, 4000);
             // Key 10 lives in chunk 0; 7001 belongs to the last chunk.
-            let (n, _) = col.q6_update(10, 7001).unwrap();
+            let n = update(&mut col, 10, 7001);
             assert_eq!(n, 1, "{mode:?}");
-            assert!(col.q1_point(10, &[0]).unwrap().0.is_empty(), "{mode:?}");
-            let (rows, _) = col.q1_point(7001, &[0]).unwrap();
+            assert!(q1(&col, 10).is_empty(), "{mode:?}");
+            let rows = q1(&col, 7001);
             assert_eq!(rows.len(), 1, "{mode:?}");
             assert_eq!(rows[0], vec![10], "{mode:?} payload moved");
         }
@@ -1783,14 +1635,14 @@ mod tests {
     fn cross_chunk_update_preserves_duplicate_keys() {
         for mode in LayoutMode::all() {
             let mut col = load_with_duplicates(mode, 4000);
-            assert_eq!(col.q1_point(10, &[0]).unwrap().0.len(), 3, "{mode:?}");
+            assert_eq!(q1(&col, 10).len(), 3, "{mode:?}");
             let before = col.len();
             // Key 10 lives in chunk 0; 7001 belongs to the last chunk.
-            let (n, _) = col.q6_update(10, 7001).unwrap();
+            let n = update(&mut col, 10, 7001);
             assert_eq!(n, 1, "{mode:?} affected");
-            let (survivors, _) = col.q1_point(10, &[0]).unwrap();
+            let survivors = q1(&col, 10);
             assert_eq!(survivors.len(), 2, "{mode:?} duplicates must survive");
-            let (moved, _) = col.q1_point(7001, &[0]).unwrap();
+            let moved = q1(&col, 7001);
             assert_eq!(moved.len(), 1, "{mode:?} exactly one row moved");
             assert_eq!(moved[0], vec![10], "{mode:?} payload moved");
             assert_eq!(col.len(), before, "{mode:?} row count conserved");
@@ -1817,9 +1669,9 @@ mod tests {
             ];
             let results = col.apply_write_batch(&ops).unwrap();
             assert_eq!(results[1].0, 1, "{mode:?} update affected");
-            let (survivors, _) = col.q1_point(10, &[0]).unwrap();
+            let survivors = q1(&col, 10);
             assert_eq!(survivors.len(), 2, "{mode:?} duplicates must survive");
-            assert_eq!(col.q1_point(7001, &[0]).unwrap().0.len(), 1, "{mode:?}");
+            assert_eq!(q1(&col, 7001).len(), 1, "{mode:?}");
             assert_eq!(col.len(), before, "{mode:?} row count conserved");
         }
     }
@@ -1828,8 +1680,8 @@ mod tests {
     fn inserts_above_all_fences_route_to_last_chunk() {
         for mode in LayoutMode::all() {
             let mut col = load(mode, 4000);
-            col.q4_insert(1_000_001, &[9]).unwrap();
-            let (rows, _) = col.q1_point(1_000_001, &[0]).unwrap();
+            insert(&mut col, 1_000_001, &[9]);
+            let rows = q1(&col, 1_000_001);
             assert_eq!(rows.len(), 1, "{mode:?}");
         }
     }
@@ -1837,7 +1689,7 @@ mod tests {
     #[test]
     fn q2_spanning_all_chunks_uses_parallel_path() {
         let col = load(LayoutMode::Casper, 8000);
-        let (n, _) = col.q2_count(0, u64::MAX).unwrap();
+        let n = q2(&col, 0, u64::MAX);
         assert_eq!(n, 8000);
     }
 
@@ -1848,14 +1700,16 @@ mod tests {
             let cell = col.snapshot_cell();
             let v0 = cell.version();
             let before = cell.pin();
-            col.q4_insert(101, &[7]).unwrap();
+            insert(&mut col, 101, &[7]);
             // The old pin still counts the pre-write state...
-            assert_eq!(before.q2_count(0, u64::MAX).unwrap().0, 4000, "{mode:?}");
+            assert_eq!(snap_q2(&before, 0, u64::MAX), 4000, "{mode:?}");
             // ...while a fresh pin observes the published write.
             assert!(cell.version() > v0, "{mode:?} publish ticked");
             let after = cell.pin();
-            assert_eq!(after.q2_count(0, u64::MAX).unwrap().0, 4001, "{mode:?}");
-            assert_eq!(after.q1_point(101, &[0]).unwrap().0, vec![vec![7]]);
+            assert_eq!(snap_q2(&after, 0, u64::MAX), 4001, "{mode:?}");
+            let q = HapQuery::Q1 { v: 101, k: 1 };
+            let out = after.read(&q, &QueryCtx::default()).unwrap();
+            assert_eq!(out.result, QueryResult::Rows(vec![vec![7]]));
         }
     }
 
@@ -1873,7 +1727,7 @@ mod tests {
             .collect();
         col.apply_write_batch(&ops).unwrap();
         assert_eq!(cell.version(), v0 + 1, "one publish per batch");
-        assert_eq!(cell.pin().q2_count(0, u64::MAX).unwrap().0, 4010);
+        assert_eq!(snap_q2(&cell.pin(), 0, u64::MAX), 4010);
     }
 
     #[test]

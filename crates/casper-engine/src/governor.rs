@@ -14,9 +14,10 @@
 //! 3. **Admission control** — a bounded slot gate with a short wait for
 //!    reads (load shedding) and a longer wait for writes (backpressure);
 //!    exhaustion surfaces as [`QueryError::Overloaded`].
-//! 4. **Panic isolation** — `catch_unwind` around governed execution
-//!    converts a panicking query into [`QueryError::Panicked`] carrying
-//!    the implicated chunk so callers can quarantine it.
+//! 4. **Panic isolation** — [`Governor::run`] wraps governed execution in
+//!    `catch_unwind`, converting a panicking query into
+//!    [`QueryError::Panicked`] carrying the implicated chunk so callers
+//!    can quarantine it.
 //!
 //! See `docs/resource-governance.md` for the full escalation ladder.
 
@@ -274,8 +275,8 @@ impl Gate {
     }
 }
 
-/// RAII query slot: released on drop, panic-safe by construction (the
-/// governed execution path holds the permit across `catch_unwind`, so a
+/// RAII query slot: released on drop, panic-safe by construction
+/// ([`Governor::run`] holds the permit across `catch_unwind`, so a
 /// panicking query still returns its slot).
 pub struct AdmitPermit<'a> {
     gate: Option<&'a Gate>,
@@ -297,8 +298,8 @@ impl Drop for AdmitPermit<'_> {
     }
 }
 
-/// The shared resource-governor handle threaded through `DurableTable`,
-/// `Table` and `TableReader` (one per table, `Arc`-shared with readers).
+/// The shared resource-governor handle threaded through `DurableTable`
+/// and `TableReader` (one per table, `Arc`-shared with readers).
 pub struct Governor {
     cfg: GovernorConfig,
     gate: Gate,
@@ -374,9 +375,34 @@ impl Governor {
         }
     }
 
-    /// Classify a governed outcome into the interrupt counters. Returns
-    /// the error unchanged for ergonomic `map_err` use.
-    pub fn note_outcome(&self, e: QueryError) -> QueryError {
+    /// Run one query under governance: admission through the slot gate,
+    /// then `f` inside `catch_unwind`, its outcome classified into the
+    /// interrupt counters. A panic surfaces as [`QueryError::Panicked`]
+    /// carrying `chunk_hint` — the chunk the query routes to, when the
+    /// caller can name one — so the owner can quarantine it; the serving
+    /// loop, and the query slot (released by RAII), survive.
+    pub fn run<T>(
+        &self,
+        is_write: bool,
+        chunk_hint: Option<usize>,
+        f: impl FnOnce() -> Result<T, StorageError>,
+    ) -> Result<T, QueryError> {
+        let _permit = self.admit(is_write)?;
+        // AssertUnwindSafe: a panic can leave the routed chunk's in-memory
+        // state half-mutated, which is exactly why the caller quarantines
+        // the implicated chunk — nothing else is reachable mid-query.
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+            Ok(Ok(out)) => Ok(out),
+            Ok(Err(e)) => Err(self.note_outcome(e.into())),
+            Err(payload) => Err(self.note_outcome(QueryError::Panicked {
+                detail: panic_detail(payload),
+                chunk: chunk_hint,
+            })),
+        }
+    }
+
+    /// Classify a governed outcome into the interrupt counters.
+    fn note_outcome(&self, e: QueryError) -> QueryError {
         match &e {
             QueryError::DeadlineExceeded => {
                 self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
@@ -469,7 +495,7 @@ impl std::fmt::Debug for Governor {
 
 /// Stringify a panic payload (`&str` and `String` payloads verbatim,
 /// anything else by type opacity).
-pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -370,19 +370,16 @@ mod tests {
             .into_iter()
             .filter(|q| q.is_read())
             .collect();
-        let before: Vec<u64> = {
-            let outs = table.execute_all(&probes).unwrap();
-            outs.iter().map(|o| o.result.scalar()).collect()
+        let scalars = |table: &mut Table| -> Vec<u64> {
+            let outs = probes.iter().map(|q| table.execute(q).unwrap());
+            outs.map(|o| o.result.scalar()).collect()
         };
+        let before = scalars(&mut table);
         let report = optimize_table(&mut table, &sample, &OptimizeOptions::default());
         assert_eq!(report.chunks.len(), table.column().chunk_count());
         assert!(report.total_partitions() >= table.column().chunk_count());
         // Logical results unchanged by a physical re-layout.
-        let after: Vec<u64> = {
-            let outs = table.execute_all(&probes).unwrap();
-            outs.iter().map(|o| o.result.scalar()).collect()
-        };
-        assert_eq!(before, after);
+        assert_eq!(before, scalars(&mut table));
     }
 
     #[test]
@@ -395,8 +392,8 @@ mod tests {
         assert_eq!(table.len(), len);
         assert_eq!(table.column().config().mode, LayoutMode::Casper);
         // Point queries still correct after conversion.
-        let (rows, _) = table.column().q1_point(100, &[0]).unwrap();
-        assert_eq!(rows.len(), 1);
+        let out = table.execute(&HapQuery::Q1 { v: 100, k: 1 }).unwrap();
+        assert_eq!(out.result.scalar(), 1);
     }
 
     #[test]
@@ -412,9 +409,13 @@ mod tests {
         let encoded: usize = report.chunks.iter().map(|c| c.encoded_bytes).sum();
         assert!(encoded > 0);
         // Reads over the mixed-mode table are bit-exact.
-        let (rows, _) = table.column().q1_point(100, &[0]).unwrap();
-        assert_eq!(rows.len(), 1);
-        let (n, _) = table.column().q2_count(0, u64::MAX).unwrap();
+        let out = table.execute(&HapQuery::Q1 { v: 100, k: 1 }).unwrap();
+        assert_eq!(out.result.scalar(), 1);
+        let all = HapQuery::Q2 {
+            vs: 0,
+            ve: u64::MAX,
+        };
+        let n = table.execute(&all).unwrap().result.scalar();
         assert_eq!(n as usize, table.len());
         // Writes transparently decode-on-write.
         let mut col_writes = 0usize;
@@ -425,9 +426,9 @@ mod tests {
         }
         assert!(col_writes > 0);
         let payload = vec![7u32; table.column().payload_width()];
-        table.column_mut().q4_insert(101, &payload).unwrap();
-        let (rows, _) = table.column().q1_point(101, &[0]).unwrap();
-        assert_eq!(rows.len(), 1);
+        table.execute(&HapQuery::Q4 { key: 101, payload }).unwrap();
+        let out = table.execute(&HapQuery::Q1 { v: 101, k: 1 }).unwrap();
+        assert_eq!(out.result.scalar(), 1);
     }
 
     #[test]

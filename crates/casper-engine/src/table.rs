@@ -9,14 +9,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::column::{ChunkedColumn, ColumnSnapshot, SnapshotCell};
-use crate::governor::{panic_detail, Governor, QueryCtx, QueryError};
+use crate::column::{ChunkedColumn, ColumnSnapshot, SnapshotCell, WriteOp};
+use crate::governor::{Governor, QueryCtx, QueryError};
 use crate::modes::EngineConfig;
 use casper_obs::{CounterDef, HistogramDef, SpanDef};
 use casper_storage::{OpCost, StorageError};
 use casper_workload::{HapQuery, HapSchema, WorkloadGenerator};
 
-// Per-query-class telemetry families, indexed by `class_idx`. Inert
+// Per-query-class telemetry families, indexed by `HapQuery::index`. Inert
 // (one relaxed load) while telemetry is disengaged.
 static OBS_TABLE_SPAN: SpanDef = SpanDef::new("table_execute");
 static OBS_QUERY_LATENCY: [HistogramDef; 6] = [
@@ -35,18 +35,6 @@ static OBS_QUERY_ROWS: [CounterDef; 6] = [
     CounterDef::new("casper_query_rows_scanned_total{class=\"q5\"}"),
     CounterDef::new("casper_query_rows_scanned_total{class=\"q6\"}"),
 ];
-
-/// 0-based query-class index into the metric families above.
-fn class_idx(q: &HapQuery) -> usize {
-    match q {
-        HapQuery::Q1 { .. } => 0,
-        HapQuery::Q2 { .. } => 1,
-        HapQuery::Q3 { .. } => 2,
-        HapQuery::Q4 { .. } => 3,
-        HapQuery::Q5 { .. } => 4,
-        HapQuery::Q6 { .. } => 5,
-    }
-}
 
 /// Per-query timer, armed only while telemetry is engaged: records the
 /// class latency histogram and rows-scanned counter on completion.
@@ -78,7 +66,7 @@ impl QueryTimer {
     fn start(q: &HapQuery) -> Option<Self> {
         casper_obs::enabled().then(|| Self {
             start: Instant::now(),
-            class: class_idx(q),
+            class: q.index(),
             scale: 1,
         })
     }
@@ -97,7 +85,7 @@ impl QueryTimer {
         });
         due.then(|| Self {
             start: Instant::now(),
-            class: class_idx(q),
+            class: q.index(),
             scale: u64::from(READ_SAMPLE),
         })
     }
@@ -229,149 +217,48 @@ impl Table {
     pub fn reader(&self) -> TableReader {
         TableReader {
             cell: self.column.snapshot_cell(),
-            schema: self.schema,
             governor: None,
         }
     }
 
-    /// Execute one HAP query. On a lazily-restored table (mmap recovery)
-    /// the chunks the query routes to are hydrated first, so restore-time
-    /// laziness is invisible here — a chunk pays its decode exactly once,
-    /// on the first query that touches it.
+    /// Execute one HAP query with a context that never interrupts. On a
+    /// lazily-restored table (mmap recovery) restore-time laziness is
+    /// invisible here: a chunk pays its decode exactly once, on the first
+    /// query that touches it.
     pub fn execute(&mut self, q: &HapQuery) -> Result<QueryOutput, StorageError> {
-        let _span = OBS_TABLE_SPAN.start();
-        let timer = QueryTimer::start(q);
-        let out = self.execute_inner(q, None)?;
-        QueryTimer::finish(timer, &out);
-        Ok(out)
+        self.execute_with(q, &QueryCtx::default())
     }
 
-    /// [`Table::execute`] with a deadline/cancel context checked at chunk
-    /// boundaries. Expiry unwinds as [`StorageError::DeadlineExceeded`] /
+    /// Execute one HAP query under a deadline/cancel context. Expiry
+    /// unwinds as [`StorageError::DeadlineExceeded`] /
     /// [`StorageError::Cancelled`] without touching shared state: reads
-    /// abandon their scan, and writes are checked *before* dispatch (a
-    /// point write that has started is cheaper to finish than to abort
-    /// half-applied).
-    pub fn execute_ctx(
+    /// check at every chunk boundary and abandon their scan, writes are
+    /// checked *before* dispatch (a point write that has started is
+    /// cheaper to finish than to abort half-applied).
+    ///
+    /// The table is the ungoverned core: admission control and panic
+    /// isolation attach one layer up, where a governor can be observed
+    /// ([`TableReader::with_governor`], `DurableOptions.governor`).
+    pub fn execute_with(
         &mut self,
         q: &HapQuery,
         ctx: &QueryCtx,
     ) -> Result<QueryOutput, StorageError> {
         let _span = OBS_TABLE_SPAN.start();
         let timer = QueryTimer::start(q);
-        let out = self.execute_inner(q, Some(ctx))?;
+        let out = match WriteOp::from_query(q) {
+            None => self.column.read(q, ctx)?,
+            Some(op) => {
+                ctx.check()?;
+                let (affected, cost) = self.column.apply_write(op)?;
+                QueryOutput {
+                    result: QueryResult::Affected(affected),
+                    cost,
+                }
+            }
+        };
         QueryTimer::finish(timer, &out);
         Ok(out)
-    }
-
-    /// Fully governed execution: admission through `gov`'s slot gate,
-    /// deadline/cancel checks from `ctx`, and `catch_unwind` panic
-    /// isolation. A panicking query surfaces as [`QueryError::Panicked`]
-    /// carrying the implicated chunk (point-shaped operations route to
-    /// exactly one) so the caller can quarantine it; the serving loop —
-    /// and the query slot, released by RAII — survive.
-    pub fn execute_governed(
-        &mut self,
-        q: &HapQuery,
-        gov: &Governor,
-        ctx: &QueryCtx,
-    ) -> Result<QueryOutput, QueryError> {
-        let is_write = matches!(
-            q,
-            HapQuery::Q4 { .. } | HapQuery::Q5 { .. } | HapQuery::Q6 { .. }
-        );
-        let _permit = gov.admit(is_write)?;
-        // AssertUnwindSafe: a panic can leave the routed chunk's in-memory
-        // state half-mutated, which is exactly why the caller quarantines
-        // the implicated chunk — nothing else is reachable mid-query.
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute_ctx(q, ctx)));
-        match result {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => Err(gov.note_outcome(QueryError::from(e))),
-            Err(payload) => Err(gov.note_outcome(QueryError::Panicked {
-                detail: panic_detail(payload),
-                chunk: self.implicated_chunk(q),
-            })),
-        }
-    }
-
-    /// The chunk a panicked query was operating on, when attributable:
-    /// point-shaped operations route to exactly one chunk; range scans and
-    /// broadcast columns report `None` (no single suspect).
-    fn implicated_chunk(&self, q: &HapQuery) -> Option<usize> {
-        use casper_core::Op;
-        match q.key_op() {
-            Op::Point(v) | Op::Insert(v) | Op::Delete(v) => self.column.route_for(v),
-            Op::Update(old, _) => self.column.route_for(old),
-            Op::Range(..) => None,
-        }
-    }
-
-    fn execute_inner(
-        &mut self,
-        q: &HapQuery,
-        ctx: Option<&QueryCtx>,
-    ) -> Result<QueryOutput, StorageError> {
-        if let Some(c) = ctx {
-            c.check()?;
-        }
-        self.column.hydrate_for_query(q)?;
-        Ok(match q {
-            HapQuery::Q1 { v, k } => {
-                let cols: Vec<usize> = (0..(*k).min(self.schema.payload_cols)).collect();
-                let (rows, cost) = match ctx {
-                    Some(c) => self.column.q1_point_ctx(*v, &cols, c)?,
-                    None => self.column.q1_point(*v, &cols)?,
-                };
-                QueryOutput {
-                    result: QueryResult::Rows(rows),
-                    cost,
-                }
-            }
-            HapQuery::Q2 { vs, ve } => {
-                let (n, cost) = match ctx {
-                    Some(c) => self.column.q2_count_ctx(*vs, *ve, c)?,
-                    None => self.column.q2_count(*vs, *ve)?,
-                };
-                QueryOutput {
-                    result: QueryResult::Count(n),
-                    cost,
-                }
-            }
-            HapQuery::Q3 { vs, ve, k } => {
-                let cols: Vec<usize> = (0..(*k).min(self.schema.payload_cols)).collect();
-                let (sum, cost) = match ctx {
-                    Some(c) => self.column.q3_sum_ctx(*vs, *ve, &cols, c)?,
-                    None => self.column.q3_sum(*vs, *ve, &cols)?,
-                };
-                QueryOutput {
-                    result: QueryResult::Sum(sum),
-                    cost,
-                }
-            }
-            HapQuery::Q4 { key, payload } => {
-                let cost = self.column.q4_insert(*key, payload)?;
-                QueryOutput {
-                    result: QueryResult::Affected(1),
-                    cost,
-                }
-            }
-            HapQuery::Q5 { v } => {
-                let (n, cost) = self.column.q5_delete(*v)?;
-                QueryOutput {
-                    result: QueryResult::Affected(n),
-                    cost,
-                }
-            }
-            HapQuery::Q6 { v, vnew } => {
-                let (n, cost) = self.column.q6_update(*v, *vnew)?;
-                QueryOutput {
-                    result: QueryResult::Affected(n),
-                    cost,
-                }
-            }
-        })
     }
 
     /// Multi-column range query (§6.4, the TPC-H Q6 shape): sum `sum_cols`
@@ -392,12 +279,9 @@ impl Table {
         pred_lo: u32,
         pred_hi: u32,
     ) -> Result<QueryOutput, StorageError> {
-        // Same contract as `execute`: hydrate the chunks the key range
-        // routes to, so lazily-restored tables serve this path too.
-        self.column
-            .hydrate_for_query(&HapQuery::Q2 { vs: lo, ve: hi })?;
         let (sum, cost) = self
             .column
+            .view(&QueryCtx::default())
             .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)?;
         Ok(QueryOutput {
             result: QueryResult::Sum(sum),
@@ -405,22 +289,16 @@ impl Table {
         })
     }
 
-    /// Execute a batch, returning per-query outputs.
-    pub fn execute_all(&mut self, queries: &[HapQuery]) -> Result<Vec<QueryOutput>, StorageError> {
-        queries.iter().map(|q| self.execute(q)).collect()
-    }
-
     /// Execute a batch with **chunk-parallel write batching**: consecutive
     /// runs of Q4/Q5/Q6 are grouped by target chunk and applied in parallel
     /// through [`ChunkedColumn::apply_write_batch`]; reads execute in
     /// stream position, so every query observes exactly the writes that
-    /// preceded it. Per-query outputs are identical to [`Table::execute_all`]
-    /// on streams that do not hit a capacity error.
+    /// preceded it. Per-query outputs are identical to serial
+    /// [`Table::execute`] on streams that do not hit a capacity error.
     pub fn execute_batch(
         &mut self,
         queries: &[HapQuery],
     ) -> Result<Vec<QueryOutput>, StorageError> {
-        use crate::column::WriteOp;
         // Batched streams fan writes out chunk-parallel; hydrate everything
         // up front rather than threading lazy-decode through the workers.
         self.column.hydrate_all()?;
@@ -429,23 +307,9 @@ impl Table {
         // buffering a run allocates nothing per operation.
         let mut run: Vec<(usize, WriteOp<'_>)> = Vec::new();
         for (i, q) in queries.iter().enumerate() {
-            match q {
-                HapQuery::Q4 { key, payload } => {
-                    run.push((i, WriteOp::Insert { key: *key, payload }));
-                }
-                HapQuery::Q5 { v } => {
-                    run.push((i, WriteOp::Delete { key: *v }));
-                }
-                HapQuery::Q6 { v, vnew } => {
-                    run.push((
-                        i,
-                        WriteOp::Update {
-                            old: *v,
-                            new: *vnew,
-                        },
-                    ));
-                }
-                _ => {
+            match WriteOp::from_query(q) {
+                Some(op) => run.push((i, op)),
+                None => {
                     self.flush_write_run(&mut run, &mut outputs)?;
                     outputs[i] = Some(self.execute(q)?);
                 }
@@ -461,13 +325,13 @@ impl Table {
     /// Apply a buffered write run through the chunk-parallel batch path.
     fn flush_write_run(
         &mut self,
-        run: &mut Vec<(usize, crate::column::WriteOp<'_>)>,
+        run: &mut Vec<(usize, WriteOp<'_>)>,
         outputs: &mut [Option<QueryOutput>],
     ) -> Result<(), StorageError> {
         if run.is_empty() {
             return Ok(());
         }
-        let (idxs, ops): (Vec<usize>, Vec<crate::column::WriteOp<'_>>) = run.drain(..).unzip();
+        let (idxs, ops): (Vec<usize>, Vec<WriteOp<'_>>) = run.drain(..).unzip();
         let results = self.column.apply_write_batch(&ops)?;
         for (i, (affected, cost)) in idxs.into_iter().zip(results) {
             outputs[i] = Some(QueryOutput {
@@ -484,21 +348,19 @@ impl Table {
 /// per query and scans it lock-free while the owning table keeps writing.
 ///
 /// Only read queries (Q1/Q2/Q3) execute here — write queries return
-/// [`StorageError::InvalidSpec`], since a snapshot is immutable by
-/// construction.
+/// [`StorageError::InvalidSpec`] (inside [`QueryError::Storage`]), since a
+/// snapshot is immutable by construction.
 #[derive(Debug, Clone)]
 pub struct TableReader {
     cell: Arc<SnapshotCell>,
-    schema: HapSchema,
-    /// Attached by [`TableReader::with_governor`]: when present,
-    /// [`TableReader::execute_governed`] admits through its slot gate and
-    /// isolates panics.
+    /// Attached by [`TableReader::with_governor`]: when present, every
+    /// query is admitted through its slot gate and panic-isolated.
     governor: Option<Arc<Governor>>,
 }
 
 impl TableReader {
-    /// Attach a shared [`Governor`] so [`TableReader::execute_governed`]
-    /// participates in admission control and panic isolation.
+    /// Attach a shared [`Governor`]: from here on every query on this
+    /// handle takes part in admission control and panic isolation.
     pub fn with_governor(mut self, governor: Arc<Governor>) -> Self {
         self.governor = Some(governor);
         self
@@ -520,100 +382,32 @@ impl TableReader {
         self.cell.version()
     }
 
-    /// Execute one read query against the current snapshot.
-    pub fn execute(&self, q: &HapQuery) -> Result<QueryOutput, StorageError> {
-        // No span here: a snapshot read can be sub-microsecond and the
-        // guard's bookkeeping would dominate it — the sampled timer and
-        // the routed/pruned counters carry the read-path telemetry.
-        let timer = QueryTimer::start_sampled(q);
-        let out = self.execute_inner(q, None)?;
-        QueryTimer::finish(timer, &out);
-        Ok(out)
+    /// Execute one read query against the current snapshot with a context
+    /// that never interrupts.
+    pub fn execute(&self, q: &HapQuery) -> Result<QueryOutput, QueryError> {
+        self.execute_with(q, &QueryCtx::default())
     }
 
-    /// [`TableReader::execute`] with a deadline/cancel context checked at
-    /// chunk boundaries.
-    pub fn execute_ctx(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, StorageError> {
-        let timer = QueryTimer::start_sampled(q);
-        let out = self.execute_inner(q, Some(ctx))?;
-        QueryTimer::finish(timer, &out);
-        Ok(out)
-    }
-
-    /// Governed snapshot read: admission through the attached governor's
-    /// slot gate (a reader without one passes straight through), ctx
-    /// interrupts, and panic isolation. Snapshot reads cannot attribute a
-    /// panic to a chunk the live column could quarantine, so
-    /// [`QueryError::Panicked::chunk`] is `None` here.
-    pub fn execute_governed(
-        &self,
-        q: &HapQuery,
-        ctx: &QueryCtx,
-    ) -> Result<QueryOutput, QueryError> {
-        let Some(gov) = &self.governor else {
-            return self.execute_ctx(q, ctx).map_err(QueryError::from);
+    /// Execute one read query against the current snapshot, `ctx` checked
+    /// at chunk boundaries. With a governor attached the query is admitted
+    /// through its slot gate (shed as [`QueryError::Overloaded`]) and
+    /// panic-isolated; a snapshot read cannot attribute a panic to a chunk
+    /// the live column could quarantine, so [`QueryError::Panicked::chunk`]
+    /// is `None` here. Without one it passes straight through.
+    pub fn execute_with(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, QueryError> {
+        let read = || {
+            // No span here: a snapshot read can be sub-microsecond and the
+            // guard's bookkeeping would dominate it — the sampled timer and
+            // the routed/pruned counters carry the read-path telemetry.
+            let timer = QueryTimer::start_sampled(q);
+            let out = self.pin().read(q, ctx)?;
+            QueryTimer::finish(timer, &out);
+            Ok(out)
         };
-        let _permit = gov.admit(false)?;
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute_ctx(q, ctx)));
-        match result {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => Err(gov.note_outcome(QueryError::from(e))),
-            Err(payload) => Err(gov.note_outcome(QueryError::Panicked {
-                detail: panic_detail(payload),
-                chunk: None,
-            })),
+        match &self.governor {
+            Some(gov) => gov.run(false, None, read),
+            None => read().map_err(QueryError::from),
         }
-    }
-
-    fn execute_inner(
-        &self,
-        q: &HapQuery,
-        ctx: Option<&QueryCtx>,
-    ) -> Result<QueryOutput, StorageError> {
-        if let Some(c) = ctx {
-            c.check()?;
-        }
-        let snap = self.pin();
-        Ok(match q {
-            HapQuery::Q1 { v, k } => {
-                let cols: Vec<usize> = (0..(*k).min(self.schema.payload_cols)).collect();
-                let (rows, cost) = match ctx {
-                    Some(c) => snap.q1_point_ctx(*v, &cols, c)?,
-                    None => snap.q1_point(*v, &cols)?,
-                };
-                QueryOutput {
-                    result: QueryResult::Rows(rows),
-                    cost,
-                }
-            }
-            HapQuery::Q2 { vs, ve } => {
-                let (n, cost) = match ctx {
-                    Some(c) => snap.q2_count_ctx(*vs, *ve, c)?,
-                    None => snap.q2_count(*vs, *ve)?,
-                };
-                QueryOutput {
-                    result: QueryResult::Count(n),
-                    cost,
-                }
-            }
-            HapQuery::Q3 { vs, ve, k } => {
-                let cols: Vec<usize> = (0..(*k).min(self.schema.payload_cols)).collect();
-                let (sum, cost) = match ctx {
-                    Some(c) => snap.q3_sum_ctx(*vs, *ve, &cols, c)?,
-                    None => snap.q3_sum(*vs, *ve, &cols)?,
-                };
-                QueryOutput {
-                    result: QueryResult::Sum(sum),
-                    cost,
-                }
-            }
-            HapQuery::Q4 { .. } | HapQuery::Q5 { .. } | HapQuery::Q6 { .. } => {
-                return Err(StorageError::InvalidSpec {
-                    reason: "write query on a read-only snapshot handle".to_string(),
-                })
-            }
-        })
     }
 
     /// Multi-column predicated sum against the current snapshot (see
@@ -629,6 +423,7 @@ impl TableReader {
     ) -> Result<QueryOutput, StorageError> {
         let (sum, cost) = self
             .pin()
+            .view(&QueryCtx::default())
             .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)?;
         Ok(QueryOutput {
             result: QueryResult::Sum(sum),
@@ -646,6 +441,10 @@ mod tests {
     fn table(mode: LayoutMode) -> Table {
         let gen = WorkloadGenerator::new(HapSchema::narrow(), 2000, KeyDist::Uniform);
         Table::load_from_generator(&gen, EngineConfig::small(mode))
+    }
+
+    fn execute_serial(t: &mut Table, queries: &[HapQuery]) -> Vec<QueryOutput> {
+        queries.iter().map(|q| t.execute(q).unwrap()).collect()
     }
 
     #[test]
@@ -710,7 +509,7 @@ mod tests {
         let mut outputs: Vec<Vec<u64>> = Vec::new();
         for mode in LayoutMode::all() {
             let mut t = table(mode);
-            let outs = t.execute_all(&queries).unwrap();
+            let outs = execute_serial(&mut t, &queries);
             outputs.push(outs.iter().map(|o| o.result.scalar()).collect());
         }
         for pair in outputs.windows(2) {
@@ -770,7 +569,7 @@ mod tests {
             for mode in LayoutMode::all() {
                 let mut serial = multi_chunk_table(mode);
                 let mut batched = multi_chunk_table(mode);
-                let a = serial.execute_all(&queries).unwrap();
+                let a = execute_serial(&mut serial, &queries);
                 let b = batched.execute_batch(&queries).unwrap();
                 assert_eq!(a.len(), b.len());
                 for (i, (x, y)) in a.iter().zip(&b).enumerate() {
@@ -816,7 +615,7 @@ mod tests {
                 queries.push(HapQuery::Q5 { v: i * 14 });
             }
         }
-        let a = serial.execute_all(&queries).unwrap();
+        let a = execute_serial(&mut serial, &queries);
         let b = batched.execute_batch(&queries).unwrap();
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(x.result, y.result, "query {i}");
@@ -867,7 +666,7 @@ mod tests {
         assert_eq!(out.result.scalar(), 1);
         assert!(matches!(
             reader.execute(&HapQuery::Q5 { v: key }),
-            Err(StorageError::InvalidSpec { .. })
+            Err(QueryError::Storage(StorageError::InvalidSpec { .. }))
         ));
     }
 

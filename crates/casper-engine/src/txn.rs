@@ -17,9 +17,12 @@
 //! insert immediately prefetches ghost slots into the target partition, and
 //! that prefetch persists even when the transaction aborts.
 
+use crate::column::WriteOp;
+use crate::governor::QueryCtx;
 use crate::table::Table;
 use casper_obs::{CounterDef, SpanDef};
 use casper_storage::StorageError;
+use casper_workload::HapQuery;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -114,14 +117,12 @@ impl Transaction {
     /// write-ahead log must record before the commit applies them.
     ///
     /// Invariant (durability depends on it): Q4/Q5/Q6 produced here map
-    /// 1:1 onto the `q4_insert`/`q5_delete`/`q6_update` calls
-    /// [`TxnManager::commit`] makes for the same writes, and
-    /// `Table::execute` routes those queries to those same calls — so a
-    /// log replayed through `execute` reproduces exactly the applied
-    /// state. Any new `TxnWrite` kind must extend this mapping and
-    /// `commit` together.
-    pub fn as_queries(&self) -> Vec<casper_workload::HapQuery> {
-        use casper_workload::HapQuery;
+    /// 1:1 onto the `WriteOp`s [`TxnManager::commit`] applies for the same
+    /// writes, and `Table::execute` turns those queries into those same
+    /// `WriteOp`s — so a log replayed through `execute` reproduces
+    /// exactly the applied state. Any new `TxnWrite` kind must extend
+    /// this mapping and `commit` together.
+    pub fn as_queries(&self) -> Vec<HapQuery> {
         self.writes
             .iter()
             .map(|w| match w {
@@ -233,8 +234,9 @@ impl TxnManager {
         table: &Table,
         key: u64,
     ) -> Result<u64, StorageError> {
-        let (rows, _) = table.column().q1_point(key, &[])?;
-        let mut n = rows.len() as i64;
+        let q = HapQuery::Q1 { v: key, k: 0 };
+        let out = table.column().read(&q, &QueryCtx::default())?;
+        let mut n = out.result.scalar() as i64;
         let inner = self.inner.lock();
         for rec in inner.log.iter().rev() {
             if rec.ts <= txn.begin_ts {
@@ -267,8 +269,9 @@ impl TxnManager {
         lo: u64,
         hi: u64,
     ) -> Result<u64, StorageError> {
-        let (n, _) = table.column().q2_count(lo, hi)?;
-        let mut n = n as i64;
+        let q = HapQuery::Q2 { vs: lo, ve: hi };
+        let out = table.column().read(&q, &QueryCtx::default())?;
+        let mut n = out.result.scalar() as i64;
         let in_range = |k: u64| lo <= k && k < hi;
         let inner = self.inner.lock();
         for rec in inner.log.iter().rev() {
@@ -314,24 +317,18 @@ impl TxnManager {
         // Apply while holding the coordinator lock (single-writer apply
         // phase; reads remain concurrent thanks to the version log).
         for w in &txn.writes {
-            let result = match w {
-                TxnWrite::Insert(k, payload) => table
-                    .column_mut()
-                    .q4_insert(*k, payload)
-                    .map(|_| ())
-                    .map_err(|e| TxnError::Storage(e.to_string())),
-                TxnWrite::Delete(k) => table
-                    .column_mut()
-                    .q5_delete(*k)
-                    .map(|_| ())
-                    .map_err(|e| TxnError::Storage(e.to_string())),
-                TxnWrite::Update(a, b) => table
-                    .column_mut()
-                    .q6_update(*a, *b)
-                    .map(|_| ())
-                    .map_err(|e| TxnError::Storage(e.to_string())),
+            let op = match w {
+                TxnWrite::Insert(key, payload) => WriteOp::Insert { key: *key, payload },
+                TxnWrite::Delete(key) => WriteOp::Delete { key: *key },
+                TxnWrite::Update(old, new) => WriteOp::Update {
+                    old: *old,
+                    new: *new,
+                },
             };
-            result?;
+            table
+                .column_mut()
+                .apply_write(op)
+                .map_err(|e| TxnError::Storage(e.to_string()))?;
             for key in w.keys().into_iter().flatten() {
                 inner.last_writer.insert(key, commit_ts);
             }

@@ -71,12 +71,12 @@ use crate::snapshot::decode_snapshot;
 use crate::vfs::{Vfs, VfsHandle};
 use crate::wal::{replay, scan, Wal, WalOp};
 use crate::PersistError;
-use casper_core::FrequencyModel;
+use casper_core::{FrequencyModel, Op};
 use casper_engine::adapt::{AdaptDecision, AdaptiveController};
 use casper_engine::optimize::{capture_per_chunk, optimize_table, OptimizeOptions, OptimizeReport};
 use casper_engine::{
-    Governor, GovernorConfig, GovernorStats, QueryCtx, QueryError, QueryOutput, Table, TableReader,
-    Transaction, TxnError, TxnManager,
+    ChunkedColumn, Governor, GovernorConfig, GovernorStats, QueryCtx, QueryError, QueryOutput,
+    Table, TableReader, Transaction, TxnError, TxnManager,
 };
 use casper_obs::{CounterDef, GaugeDef};
 use casper_storage::StorageError;
@@ -166,9 +166,12 @@ pub struct DurableOptions {
     /// Throttle: microseconds the scrubber sleeps between records so a
     /// pass never competes with the commit path for I/O bandwidth.
     pub scrub_pause_per_record_us: u64,
-    /// Resource-governor configuration (`None` = ungoverned: no memory
-    /// budget, no admission control; [`DurableTable::execute_governed`]
-    /// still honors deadlines/cancellation). See
+    /// Resource-governor configuration. `Some` governs every query on the
+    /// table and on the readers it hands out: admission through the slot
+    /// gate, panic isolation with heal-or-quarantine, and the memory
+    /// budget. `None` = ungoverned: none of that runs (no gate, no
+    /// `catch_unwind` on the query path); deadlines and cancellation are
+    /// honored either way, they come from the query's own context. See
     /// `docs/resource-governance.md`.
     pub governor: Option<GovernorConfig>,
     /// Archive policy (`None` = archiving off: checkpoint pruning deletes
@@ -350,6 +353,16 @@ fn corrupt(reason: impl Into<String>) -> PersistError {
     PersistError::Storage(StorageError::Corrupt {
         reason: reason.into(),
     })
+}
+
+/// The chunk a panicking query was operating on, when attributable:
+/// point-shaped operations route to exactly one chunk; range scans and
+/// broadcast columns report `None` (no single suspect).
+fn implicated_chunk(column: &ChunkedColumn, q: &HapQuery) -> Option<usize> {
+    match q.key_op() {
+        Op::Point(v) | Op::Insert(v) | Op::Delete(v) | Op::Update(v, _) => column.route_for(v),
+        Op::Range(..) => None,
+    }
 }
 
 fn snap_path(dir: &Path, generation: u64) -> PathBuf {
@@ -1027,35 +1040,24 @@ impl DurableTable {
         self.sync_obs_gauges();
     }
 
+    /// Execute one query with a context that never interrupts; see
+    /// [`DurableTable::execute_with`].
+    pub fn execute(&mut self, q: &HapQuery) -> Result<QueryOutput, PersistError> {
+        self.execute_with(q, &QueryCtx::default())
+    }
+
     /// Execute one query. Writes are staged into the WAL's open batch
     /// after they apply; the batch seals (one write + fsync) every
     /// `group_commit` records. Reads pass straight through (hydrating any
     /// lazily-restored chunk they route to). On a degraded table reads
-    /// keep working; writes fail with [`PersistError::Degraded`].
-    pub fn execute(&mut self, q: &HapQuery) -> Result<QueryOutput, PersistError> {
-        let logged = WalOp::from_query(q);
-        if logged.is_some() {
-            self.ensure_active()?;
-        }
-        let out = self.table.execute(q)?;
-        if let Some(op) = logged {
-            self.wal.stage(&op);
-            if self.wal.staged_records() >= self.opts.group_commit as u64 {
-                self.seal_and_maybe_checkpoint()?;
-            }
-        }
-        self.govern_memory();
-        Ok(out)
-    }
-
-    /// Execute one query under full resource governance: admission
-    /// through the table's governor (if one is configured), `ctx`
-    /// deadline/cancel checks at chunk boundaries, and `catch_unwind`
-    /// panic isolation. Writes still flow WAL-first exactly as in
-    /// [`DurableTable::execute`]; a write's deadline is checked before
-    /// dispatch only (a started point write is cheaper to finish than to
-    /// abort half-applied).
+    /// keep working; writes fail with [`PersistError::Degraded`]. `ctx`
+    /// deadline/cancel checks happen at chunk boundaries for reads and
+    /// before dispatch only for writes (a started point write is cheaper
+    /// to finish than to abort half-applied); an interrupted write stages
+    /// nothing.
     ///
+    /// A table opened with `DurableOptions.governor` additionally admits
+    /// every query through the governor's slot gate and isolates panics.
     /// Panic containment: a panic attributed to a *clean, persisted*
     /// chunk **heals** — the suspect in-memory state is dropped and the
     /// chunk re-points at its last durable record, from which the next
@@ -1065,49 +1067,57 @@ impl DurableTable {
     /// table on reopen, and checkpoints never re-encode the suspect
     /// memory. Either way the serving loop — and the query slot — stay
     /// alive.
-    pub fn execute_governed(
+    pub fn execute_with(
         &mut self,
         q: &HapQuery,
         ctx: &QueryCtx,
+    ) -> Result<QueryOutput, PersistError> {
+        let out = self.apply_logged(q, ctx, self.opts.group_commit as u64)?;
+        self.govern_memory();
+        Ok(out)
+    }
+
+    /// The one write-ahead step every entry point shares: reject a write
+    /// on a degraded table, apply the query (governed iff a governor is
+    /// attached), stage a write's WAL image, and seal once `seal_at`
+    /// records are staged.
+    fn apply_logged(
+        &mut self,
+        q: &HapQuery,
+        ctx: &QueryCtx,
+        seal_at: u64,
     ) -> Result<QueryOutput, PersistError> {
         let logged = WalOp::from_query(q);
         if logged.is_some() {
             self.ensure_active()?;
         }
-        let out = match &self.governor {
+        let result = match &self.governor {
+            None => self.table.execute_with(q, ctx).map_err(QueryError::from),
             Some(gov) => {
-                let gov = Arc::clone(gov);
-                match self.table.execute_governed(q, &gov, ctx) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        if let QueryError::Panicked {
-                            chunk: Some(i),
-                            detail,
-                        } = &e
-                        {
-                            self.contain_panic(*i, detail);
-                        }
-                        return Err(e.into());
-                    }
-                }
+                let suspect = implicated_chunk(self.table.column(), q);
+                let table = &mut self.table;
+                gov.run(logged.is_some(), suspect, || table.execute_with(q, ctx))
             }
-            None => self
-                .table
-                .execute_ctx(q, ctx)
-                .map_err(|e| PersistError::from(QueryError::from(e)))?,
         };
+        if let Err(QueryError::Panicked {
+            chunk: Some(i),
+            detail,
+        }) = &result
+        {
+            self.contain_panic(*i, detail);
+        }
+        let out = result?;
         if let Some(op) = logged {
             self.wal.stage(&op);
-            if self.wal.staged_records() >= self.opts.group_commit as u64 {
+            if self.wal.staged_records() >= seal_at {
                 self.seal_and_maybe_checkpoint()?;
             }
         }
-        self.govern_memory();
         Ok(out)
     }
 
     /// Contain a query panic attributed to chunk `i` (see
-    /// [`DurableTable::execute_governed`] for the heal-vs-quarantine
+    /// [`DurableTable::execute_with`] for the heal-vs-quarantine
     /// contract).
     fn contain_panic(&mut self, i: usize, detail: &str) {
         let versions = self.table.column().versions();
@@ -1276,8 +1286,8 @@ impl DurableTable {
     }
 
     /// A cheap read-only handle over the table's published snapshot,
-    /// sharing the table's governor (if any): `execute_governed` on the
-    /// reader goes through the same slot gate and interrupt counters.
+    /// sharing the table's governor (if any): queries on the reader go
+    /// through the same slot gate and interrupt counters.
     pub fn reader(&self) -> TableReader {
         let r = self.table.reader();
         match &self.governor {
@@ -1320,18 +1330,11 @@ impl DurableTable {
     /// Execute a batch under one group commit: all writes seal (and fsync)
     /// together.
     pub fn execute_all(&mut self, queries: &[HapQuery]) -> Result<Vec<QueryOutput>, PersistError> {
-        if queries.iter().any(|q| WalOp::from_query(q).is_some()) {
-            self.ensure_active()?;
-        }
-        let mut outs = Vec::with_capacity(queries.len());
-        for q in queries {
-            let logged = WalOp::from_query(q);
-            let out = self.table.execute(q)?;
-            if let Some(op) = logged {
-                self.wal.stage(&op);
-            }
-            outs.push(out);
-        }
+        let ctx = QueryCtx::default();
+        let outs = queries
+            .iter()
+            .map(|q| self.apply_logged(q, &ctx, u64::MAX))
+            .collect::<Result<Vec<_>, _>>()?;
         self.seal_and_maybe_checkpoint()?;
         self.govern_memory();
         Ok(outs)
@@ -1344,9 +1347,10 @@ impl DurableTable {
         self.ensure_active()?;
         let queries = txn.as_queries();
         // The manager applies through the column directly; hydrate the
-        // chunks its write set routes to first.
+        // chunks its write set routes to first, so a corrupt chunk fails
+        // the commit before any of it applies.
         for q in &queries {
-            self.table.column_mut().hydrate_for_query(q)?;
+            self.table.column().hydrate_for_query(q)?;
         }
         let ts = match mgr.commit(txn, &mut self.table) {
             Ok(ts) => ts,

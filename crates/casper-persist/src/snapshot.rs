@@ -563,7 +563,8 @@ fn mode_from_tag(tag: u8) -> Result<LayoutMode, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casper_workload::{KeyDist, WorkloadGenerator};
+    use casper_engine::QueryCtx;
+    use casper_workload::{HapQuery, KeyDist, WorkloadGenerator};
 
     fn table(mode: LayoutMode) -> Table {
         let gen = WorkloadGenerator::new(HapSchema::narrow(), 2000, KeyDist::Uniform);
@@ -579,8 +580,12 @@ mod tests {
             assert_eq!(restored.generation, 3);
             assert_eq!(restored.durable_lsn, 17);
             assert_eq!(restored.table.len(), t.len(), "{mode:?}");
-            let (n, _) = restored.table.column().q2_count(0, u64::MAX).unwrap();
-            assert_eq!(n as usize, t.len(), "{mode:?}");
+            let all = HapQuery::Q2 {
+                vs: 0,
+                ve: u64::MAX,
+            };
+            let out = restored.table.column().read(&all, &QueryCtx::default());
+            assert_eq!(out.unwrap().result.scalar() as usize, t.len(), "{mode:?}");
         }
     }
 

@@ -46,11 +46,8 @@ fn probes(rows: u64) -> Vec<HapQuery> {
 }
 
 fn fingerprint(table: &mut Table, qs: &[HapQuery]) -> Vec<u64> {
-    table
-        .execute_all(qs)
-        .expect("probes")
-        .iter()
-        .map(|o| o.result.scalar())
+    qs.iter()
+        .map(|q| table.execute(q).expect("probe").result.scalar())
         .collect()
 }
 

@@ -113,7 +113,7 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
     // never escalates).
     let ctx = QueryCtx::unbounded();
     for v in (0..rows * 2).step_by(513) {
-        dt.execute_governed(&HapQuery::Q2 { vs: v, ve: v + 200 }, &ctx)
+        dt.execute_with(&HapQuery::Q2 { vs: v, ve: v + 200 }, &ctx)
             .expect("governed q2");
     }
     let tiny_dir = test_dir("observability_e2e_evict");
@@ -129,7 +129,7 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
     let mut tiny =
         DurableTable::create_from_table(&tiny_dir, seed_table(1_000), tiny_opts).expect("create");
     for v in (0..2_000).step_by(401) {
-        tiny.execute_governed(&HapQuery::Q1 { v, k: 1 }, &ctx)
+        tiny.execute_with(&HapQuery::Q1 { v, k: 1 }, &ctx)
             .expect("governed q1");
     }
 

@@ -15,6 +15,7 @@ pub use casper_workload as workload;
 
 /// The types most applications need, in one import.
 pub mod prelude {
+    pub use casper_engine::{QueryCtx, Table};
     pub use casper_persist::{DurableOptions, DurableTable};
     pub use casper_storage::{
         BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk, UpdatePolicy,

@@ -17,7 +17,7 @@
 //! - `CASPER_STRESS_SEEDS`   — comma-separated RNG seeds (default "1,2")
 //! - `CASPER_STRESS_BATCHES` — write batches per seed/mode (default 60)
 
-use casper::engine::{EngineConfig, LayoutMode, Table};
+use casper::engine::{ColumnSnapshot, EngineConfig, LayoutMode, QueryCtx, Table};
 use casper::workload::{HapQuery, HapSchema};
 use rand::prelude::*;
 use std::collections::VecDeque;
@@ -47,6 +47,16 @@ fn env_seeds() -> Vec<u64> {
         })
         .filter(|v| !v.is_empty())
         .unwrap_or_else(|| vec![1, 2])
+}
+
+/// Row count of one pinned snapshot.
+fn count_all(snap: &ColumnSnapshot) -> u64 {
+    let q = HapQuery::Q2 {
+        vs: 0,
+        ve: u64::MAX,
+    };
+    let out = snap.read(&q, &QueryCtx::default()).expect("pinned count");
+    out.result.scalar()
 }
 
 fn build_table(mode: LayoutMode) -> Table {
@@ -128,8 +138,8 @@ fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, batches: usize) {
                     );
                     // A single pinned snapshot must be internally stable.
                     let snap = handle.pin();
-                    let (a, _) = snap.q2_count(0, u64::MAX).expect("pinned count");
-                    let (b, _) = snap.q2_count(0, u64::MAX).expect("pinned recount");
+                    let a = count_all(&snap);
+                    let b = count_all(&snap);
                     assert_eq!(a, b, "pinned snapshot changed underneath a reader");
                     // Publish counter is monotone.
                     let v = handle.version();
@@ -224,14 +234,13 @@ fn pinned_snapshot_is_stable_while_writer_advances() {
         .expect("insert batch");
 
     // The old pin still answers from the pre-batch world...
-    let (n_before, _) = before.q2_count(0, u64::MAX).unwrap();
-    assert_eq!(n_before, BASE_ROWS as u64);
-    let (rows, _) = before.q1_point(key, &[0]).unwrap();
-    assert!(rows.is_empty(), "old pin must not see the new row");
+    assert_eq!(count_all(&before), BASE_ROWS as u64);
+    let point = HapQuery::Q1 { v: key, k: 1 };
+    let out = before.read(&point, &QueryCtx::default()).unwrap();
+    assert_eq!(out.result.scalar(), 0, "old pin must not see the new row");
 
     // ...while a fresh pin sees the whole batch, and the version ticked.
     let after = reader.pin();
-    let (n_after, _) = after.q2_count(0, u64::MAX).unwrap();
-    assert_eq!(n_after, BASE_ROWS as u64 + 1);
+    assert_eq!(count_all(&after), BASE_ROWS as u64 + 1);
     assert!(reader.version() > v0, "publish must tick the version");
 }

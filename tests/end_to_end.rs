@@ -142,8 +142,8 @@ fn sla_constrained_optimization_bounds_partitions() {
         assert!(c.partitions <= 3, "chunk {} exceeded the SLA cap", c.chunk);
     }
     // The table still answers correctly.
-    let (rows, _) = table.column().q1_point(2048, &[0]).unwrap();
-    assert_eq!(rows.len(), 1);
+    let out = table.execute(&HapQuery::Q1 { v: 2048, k: 1 }).unwrap();
+    assert_eq!(out.result.scalar(), 1);
 }
 
 #[test]

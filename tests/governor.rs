@@ -1,7 +1,10 @@
 //! Resource-governor integration tests: memory-budgeted eviction with
 //! bit-exact rehydration, deadline/cancellation mid-scan, load shedding
 //! under admission control, and panic isolation — the four guarantees of
-//! PR 9's serving-survival layer.
+//! PR 9's serving-survival layer — plus the contract that makes them
+//! cheap to reason about: `Table`, `TableReader` and `DurableTable` each
+//! answer through one path, whether entered by `execute` or
+//! `execute_with`.
 //!
 //! The concurrency stress follows the `tests/concurrency.rs` pattern and
 //! is parameterized by environment for the CI `governor-smoke` matrix:
@@ -11,8 +14,8 @@
 //! - `CASPER_GOV_ROUNDS`     — governed queries per seed (default 150)
 
 use casper::engine::{
-    CancelToken, EngineConfig, Governor, GovernorConfig, LayoutMode, QueryCtx, QueryError,
-    QueryResult, Table,
+    CancelToken, ColumnSnapshot, EngineConfig, Governor, GovernorConfig, LayoutMode, QueryCtx,
+    QueryError, QueryOutput, QueryResult, Table,
 };
 use casper::persist::{DurableOptions, DurableTable, PersistError};
 use casper::storage::StorageError;
@@ -21,7 +24,7 @@ use rand::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CHUNK_VALUES: usize = 64;
 const CHUNKS: usize = 8;
@@ -62,19 +65,19 @@ fn payload_row(key: u64) -> Vec<u32> {
     vec![(key % 251) as u32, (key % 83) as u32]
 }
 
-fn engine_config() -> EngineConfig {
-    let mut config = EngineConfig::small(LayoutMode::Casper);
-    config.chunk_values = CHUNK_VALUES;
-    config.threads = 1;
-    config
+fn seed_table() -> Table {
+    seed_table_in(LayoutMode::Casper)
 }
 
-fn seed_table() -> Table {
+fn seed_table_in(mode: LayoutMode) -> Table {
+    let mut config = EngineConfig::small(mode);
+    config.chunk_values = CHUNK_VALUES;
+    config.threads = 1;
     let keys: Vec<u64> = (0..ROWS).map(|i| i * 2).collect();
     let cols: Vec<Vec<u32>> = (0..2)
         .map(|c| keys.iter().map(|&k| payload_row(k)[c]).collect())
         .collect();
-    Table::load(schema(), keys, cols, engine_config())
+    Table::load(schema(), keys, cols, config)
 }
 
 fn point(key: u64) -> HapQuery {
@@ -88,7 +91,13 @@ fn count_all() -> HapQuery {
     }
 }
 
-fn expect_rows(out: &casper::engine::QueryOutput, key: u64) {
+/// Row count of one pinned snapshot.
+fn pinned_count(snap: &ColumnSnapshot) -> u64 {
+    let out = snap.read(&count_all(), &QueryCtx::default());
+    out.expect("pinned count").result.scalar()
+}
+
+fn expect_rows(out: &QueryOutput, key: u64) {
     match &out.result {
         QueryResult::Rows(rows) => {
             assert_eq!(rows.len(), 1, "key {key} must resolve to one row");
@@ -139,11 +148,11 @@ fn memory_budget_holds_with_bit_exact_rehydration() {
     let mut max_resident = 0usize;
     for i in 0..rounds {
         let key = (i as u64 % ROWS) * 2;
-        let out = t.execute_governed(&point(key), &ctx).expect("point read");
+        let out = t.execute_with(&point(key), &ctx).expect("point read");
         expect_rows(&out, key);
         max_resident = max_resident.max(t.resident_bytes());
     }
-    let out = t.execute_governed(&count_all(), &ctx).expect("count");
+    let out = t.execute_with(&count_all(), &ctx).expect("count");
     assert_eq!(out.result.scalar(), ROWS, "no rows lost to eviction");
 
     assert!(
@@ -224,9 +233,11 @@ fn stress_round(seed: u64, readers: usize, rounds: usize) {
                     // A pinned snapshot must stay internally stable even
                     // while the governor evicts underneath it.
                     let snap = handle.pin();
-                    let (a, _) = snap.q2_count(0, u64::MAX).expect("pinned count");
-                    let (b, _) = snap.q2_count(0, u64::MAX).expect("pinned recount");
-                    assert_eq!(a, b, "pinned snapshot changed underneath a reader");
+                    assert_eq!(
+                        pinned_count(&snap),
+                        pinned_count(&snap),
+                        "pinned snapshot changed underneath a reader"
+                    );
                     observations.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -240,7 +251,7 @@ fn stress_round(seed: u64, readers: usize, rounds: usize) {
             // Governed point reads sweep the key space, hydrating evicted
             // chunks and pushing residency against the budget.
             let key = (rng.gen_range(0..ROWS)) * 2;
-            let out = t.execute_governed(&point(key), &ctx).expect("point read");
+            let out = t.execute_with(&point(key), &ctx).expect("point read");
             expect_rows(&out, key);
             // Every few rounds, a count-neutral move dirties a chunk so
             // the governor's checkpoint-then-evict ladder gets exercised.
@@ -251,7 +262,7 @@ fn stress_round(seed: u64, readers: usize, rounds: usize) {
                 let from = extras[idx];
                 extras[idx] = to;
                 let out = t
-                    .execute_governed(&HapQuery::Q6 { v: from, vnew: to }, &ctx)
+                    .execute_with(&HapQuery::Q6 { v: from, vnew: to }, &ctx)
                     .expect("key move");
                 assert_eq!(out.result.scalar(), 1, "move must touch one row");
             }
@@ -269,18 +280,13 @@ fn stress_round(seed: u64, readers: usize, rounds: usize) {
     );
 }
 
-/// Deadline expiry mid-scan surfaces typed, without poisoning anything: a
-/// chunk whose (evicted) loader sleeps past the deadline forces the
-/// boundary check after it to fire, and the very next unbounded query
-/// over the same column returns the exact count.
-#[test]
-fn deadline_interrupts_mid_scan_without_poisoning() {
+/// A hydrated seed table whose chunk 1 is demoted to a lazy slot that
+/// takes 30ms to hydrate — far past a 10ms deadline, so a full scan is
+/// *guaranteed* to observe expiry at a chunk boundary rather than at
+/// dispatch.
+fn slow_chunk_table() -> Table {
     let mut table = seed_table();
     table.hydrate_all().expect("hydrate");
-
-    // Demote chunk 1 to a lazy slot whose hydration takes 30ms — far past
-    // the 10ms deadline below, so the scan is *guaranteed* to observe
-    // expiry at a chunk boundary rather than at dispatch.
     let store = table.column().chunks()[1]
         .get()
         .expect("hydrated chunk")
@@ -291,22 +297,226 @@ fn deadline_interrupts_mid_scan_without_poisoning() {
     });
     assert!(table.column_mut().evict_chunk(1, slow), "chunk 1 evictable");
     table.column().republish();
+    table
+}
 
-    let ctx = QueryCtx::unbounded().with_timeout(Duration::from_millis(10));
-    let err = table.execute_ctx(&count_all(), &ctx).expect_err("deadline");
-    assert_eq!(err, StorageError::DeadlineExceeded);
+/// The interrupt contract, on whichever surface `run` wraps: `deadline`
+/// expires typed, cancellation is equally typed, and neither poisons
+/// anything — the next unbounded query over the same column is exact.
+fn assert_interrupts_are_typed(
+    mut run: impl FnMut(&HapQuery, &QueryCtx) -> Result<QueryOutput, QueryError>,
+    deadline: QueryCtx,
+) {
+    let err = run(&count_all(), &deadline).expect_err("deadline");
+    assert_eq!(err, QueryError::DeadlineExceeded);
 
-    // Cancellation is equally typed (and wins over any deadline).
     let token = CancelToken::new();
     token.cancel();
     let ctx = QueryCtx::unbounded().with_cancel(token);
-    let err = table.execute_ctx(&count_all(), &ctx).expect_err("cancel");
-    assert_eq!(err, StorageError::Cancelled);
+    let err = run(&count_all(), &ctx).expect_err("cancel");
+    assert_eq!(err, QueryError::Cancelled);
 
-    // Nothing was poisoned: the slow loader completed its hydration and
-    // an unbounded query sees every row.
-    let out = table.execute(&count_all()).expect("post-deadline count");
+    let out = run(&count_all(), &QueryCtx::unbounded()).expect("post-interrupt count");
     assert_eq!(out.result.scalar(), ROWS);
+}
+
+/// Deadline expiry mid-scan and cancellation surface typed on all three
+/// surfaces, without poisoning anything. `Table` and `TableReader` scan
+/// over the slow chunk; `DurableTable` owns its chunks, so there the
+/// deadline has already expired at the first chunk boundary.
+#[test]
+fn interrupts_surface_typed_on_every_surface_without_poisoning() {
+    let mid_scan = || QueryCtx::unbounded().with_timeout(Duration::from_millis(10));
+
+    let mut table = slow_chunk_table();
+    assert_interrupts_are_typed(
+        |q, ctx| table.execute_with(q, ctx).map_err(QueryError::from),
+        mid_scan(),
+    );
+
+    let table = slow_chunk_table();
+    let reader = table.reader();
+    assert_interrupts_are_typed(|q, ctx| reader.execute_with(q, ctx), mid_scan());
+
+    let dir = test_dir("gov_interrupts");
+    let mut durable =
+        DurableTable::create_from_table(&dir, seed_table(), DurableOptions::default())
+            .expect("create");
+    assert_interrupts_are_typed(
+        |q, ctx| match durable.execute_with(q, ctx) {
+            Ok(out) => Ok(out),
+            Err(PersistError::Query(e)) => Err(e),
+            Err(other) => panic!("interrupts must surface as PersistError::Query, got {other}"),
+        },
+        QueryCtx::unbounded().with_timeout(Duration::ZERO),
+    );
+}
+
+/// A write is checked before dispatch: an already-expired deadline on a
+/// Q4 applies nothing and stages nothing.
+#[test]
+fn expired_deadline_on_a_durable_write_applies_and_stages_nothing() {
+    let dir = test_dir("gov_expired_write");
+    let mut opts = DurableOptions::default();
+    opts.group_commit = 8; // keep the first insert staged, unsealed
+    let mut t = DurableTable::create_from_table(&dir, seed_table(), opts).expect("create");
+    let insert = |key: u64| HapQuery::Q4 {
+        key,
+        payload: payload_row(key),
+    };
+    t.execute(&insert(131)).expect("staged insert");
+    let before = (t.len(), t.stats().staged_records);
+    assert_eq!(before, (ROWS as usize + 1, 1));
+
+    let expired = QueryCtx::unbounded().with_timeout(Duration::ZERO);
+    let err = t.execute_with(&insert(133), &expired).expect_err("expired");
+    assert!(
+        matches!(err, PersistError::Query(QueryError::DeadlineExceeded)),
+        "got {err}"
+    );
+    assert_eq!((t.len(), t.stats().staged_records), before);
+    let out = t.execute(&point(133)).expect("probe");
+    assert_eq!(
+        out.result.scalar(),
+        0,
+        "the interrupted insert never applied"
+    );
+}
+
+/// One Q1–Q6 stream over the fixture's key space, cross-chunk Q6 moves
+/// included. Odd keys are minted by Q4 and consumed by Q5/Q6.
+fn mixed_stream(seed: u64, len: usize) -> Vec<HapQuery> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut minted: Vec<u64> = Vec::new();
+    let mut next_odd = 1u64;
+    (0..len)
+        .map(|_| {
+            let even = rng.gen_range(0..ROWS) * 2;
+            match rng.gen_range(0..6) {
+                0 => point(even),
+                1 => HapQuery::Q2 {
+                    vs: even,
+                    ve: even + rng.gen_range(1..400u64),
+                },
+                2 => HapQuery::Q3 {
+                    vs: even,
+                    ve: even + rng.gen_range(1..400u64),
+                    k: 2,
+                },
+                3 => {
+                    let key = next_odd;
+                    next_odd += 2 * rng.gen_range(1..40u64);
+                    minted.push(key);
+                    HapQuery::Q4 {
+                        key,
+                        payload: payload_row(key),
+                    }
+                }
+                4 if !minted.is_empty() => HapQuery::Q5 {
+                    v: minted.swap_remove(rng.gen_range(0..minted.len())),
+                },
+                _ if !minted.is_empty() => {
+                    let i = rng.gen_range(0..minted.len());
+                    let v = minted[i];
+                    // Far enough to hop chunks most of the time; odd plus
+                    // even stays odd, also modulo the even bound.
+                    minted[i] = (v + 2 * rng.gen_range(1..300u64)) % (4 * ROWS);
+                    HapQuery::Q6 { v, vnew: minted[i] }
+                }
+                _ => point(even),
+            }
+        })
+        .collect()
+}
+
+/// Surface equivalence: in every layout mode, one generated stream gives
+/// the same `QueryResult` *and* the same `OpCost` on `Table`,
+/// `DurableTable` and — for the reads — `TableReader`, whether entered
+/// through `execute(q)` or `execute_with(q, ctx)` with a deadline that
+/// never fires.
+#[test]
+fn every_surface_and_entry_point_agrees_on_result_and_cost() {
+    let far = QueryCtx::unbounded().with_deadline(Instant::now() + Duration::from_secs(3600));
+    let stream = mixed_stream(7, 400);
+    for kind in 0..6 {
+        assert!(
+            stream.iter().any(|q| q.index() == kind),
+            "Q{} absent",
+            kind + 1
+        );
+    }
+    for mode in LayoutMode::all() {
+        let mut plain = seed_table_in(mode);
+        let mut with_ctx = seed_table_in(mode);
+        let (reader, reader_ctx) = (plain.reader(), with_ctx.reader());
+        let dir = |name: &str| test_dir(&format!("gov_equiv_{mode:?}_{name}"));
+        let opts = DurableOptions::default;
+        let mut durable =
+            DurableTable::create_from_table(&dir("plain"), seed_table_in(mode), opts())
+                .expect("create");
+        let mut durable_ctx =
+            DurableTable::create_from_table(&dir("ctx"), seed_table_in(mode), opts())
+                .expect("create");
+        for (i, q) in stream.iter().enumerate() {
+            let want = plain.execute(q).expect("Table::execute");
+            let mut got = vec![
+                with_ctx.execute_with(q, &far).expect("Table::execute_with"),
+                durable.execute(q).expect("DurableTable::execute"),
+                durable_ctx
+                    .execute_with(q, &far)
+                    .expect("DurableTable::execute_with"),
+            ];
+            if q.is_read() {
+                got.push(reader.execute(q).expect("TableReader::execute"));
+                got.push(
+                    reader_ctx
+                        .execute_with(q, &far)
+                        .expect("TableReader::execute_with"),
+                );
+            }
+            for (surface, out) in got.iter().enumerate() {
+                assert_eq!(
+                    (&out.result, out.cost),
+                    (&want.result, want.cost),
+                    "{mode:?} query {i} {q:?} diverges on surface {surface}"
+                );
+            }
+        }
+        assert_eq!(plain.len(), durable_ctx.len(), "{mode:?} final row count");
+    }
+}
+
+/// A cross-chunk Q6 hydrates its *target* chunk before the row leaves the
+/// source: when the target's persisted record is corrupt the update fails
+/// typed and the source row — key and payload — is still there.
+#[test]
+fn cross_chunk_update_into_a_corrupt_chunk_keeps_the_source_row() {
+    let ordered = LayoutMode::all()
+        .into_iter()
+        .filter(|&m| m != LayoutMode::NoOrder);
+    for mode in ordered {
+        let mut table = seed_table_in(mode);
+        table.column_mut().repoint_chunk(
+            5,
+            CHUNK_VALUES,
+            Box::new(|| {
+                Err(StorageError::Corrupt {
+                    reason: "checksum mismatch (injected)".to_string(),
+                })
+            }),
+        );
+        // Key 2 lives in chunk 0; 701 routes to chunk 5 (keys 640..768).
+        let err = table
+            .execute(&HapQuery::Q6 { v: 2, vnew: 701 })
+            .expect_err("corrupt target");
+        assert!(
+            matches!(err, StorageError::Corrupt { ref reason } if reason.contains("injected")),
+            "{mode:?}: got {err}"
+        );
+        let out = table.execute(&point(2)).expect("source chunk still serves");
+        expect_rows(&out, 2);
+        assert_eq!(table.len(), ROWS as usize, "{mode:?} row count conserved");
+    }
 }
 
 /// Admission control sheds with a typed `Overloaded` error when the slot
@@ -327,7 +537,7 @@ fn overload_sheds_with_typed_error() {
     // Deterministic shed: the only slot is held.
     let permit = gov.admit(false).expect("slot");
     let err = reader
-        .execute_governed(&count_all(), &ctx)
+        .execute_with(&count_all(), &ctx)
         .expect_err("full gate");
     assert!(matches!(err, QueryError::Overloaded { .. }), "got {err}");
 
@@ -341,7 +551,7 @@ fn overload_sheds_with_typed_error() {
             let sheds = &sheds;
             scope.spawn(move || {
                 for _ in 0..25 {
-                    match handle.execute_governed(&count_all(), &ctx) {
+                    match handle.execute_with(&count_all(), &ctx) {
                         Err(QueryError::Overloaded { waited_ms }) => {
                             assert!(waited_ms >= 1, "shed must report its wait");
                             sheds.fetch_add(1, Ordering::Relaxed);
@@ -358,17 +568,16 @@ fn overload_sheds_with_typed_error() {
 
     // The storm passes, the permit drops, service resumes exactly.
     drop(permit);
-    let out = reader
-        .execute_governed(&count_all(), &ctx)
-        .expect("slot freed");
+    let out = reader.execute_with(&count_all(), &ctx).expect("slot freed");
     assert_eq!(out.result.scalar(), ROWS);
 }
 
-/// Engine-level panic isolation: a chunk whose loader panics takes down
-/// neither the process nor its neighbors — the error is typed, carries
-/// the implicated chunk, and every other chunk keeps serving.
+/// Reader-level panic isolation: a chunk whose loader panics takes down
+/// neither the process nor its neighbors — the error is typed (a snapshot
+/// read names no chunk; attribution is the durable tests' subject below)
+/// and every other chunk keeps serving.
 #[test]
-fn panic_is_isolated_to_the_implicated_chunk() {
+fn panic_is_isolated_from_the_serving_loop() {
     let mut table = seed_table();
     table.hydrate_all().expect("hydrate");
     table
@@ -376,23 +585,19 @@ fn panic_is_isolated_to_the_implicated_chunk() {
         .repoint_chunk(1, CHUNK_VALUES, Box::new(|| panic!("injected chunk fault")));
     table.column().republish();
 
-    let gov = Governor::new(GovernorConfig::default());
-    let ctx = QueryCtx::unbounded();
+    let gov = Arc::new(Governor::new(GovernorConfig::default()));
+    let reader = table.reader().with_governor(Arc::clone(&gov));
     // Key 130 routes to chunk 1 (keys 128..256 with 64-key chunks).
-    let err = table
-        .execute_governed(&point(130), &gov, &ctx)
-        .expect_err("chunk 1 panics");
+    let err = reader.execute(&point(130)).expect_err("chunk 1 panics");
     match err {
         QueryError::Panicked { chunk, ref detail } => {
-            assert_eq!(chunk, Some(1), "panic must be attributed to chunk 1");
+            assert_eq!(chunk, None, "snapshot reads attribute no chunk");
             assert!(detail.contains("injected"), "payload preserved: {detail}");
         }
         other => panic!("expected Panicked, got {other}"),
     }
     // The serving loop survives: chunk 0 answers exactly.
-    let out = table
-        .execute_governed(&point(2), &gov, &ctx)
-        .expect("chunk 0");
+    let out = reader.execute(&point(2)).expect("chunk 0");
     expect_rows(&out, 2);
     assert_eq!(gov.stats().panics, 1);
 }
@@ -409,16 +614,16 @@ fn durable_panic_on_clean_chunk_heals_from_record() {
     let ctx = QueryCtx::unbounded();
 
     t.inject_chunk_panic(1);
-    let err = t.execute_governed(&point(130), &ctx).expect_err("panics");
+    let err = t.execute_with(&point(130), &ctx).expect_err("panics");
     match err {
         PersistError::Query(QueryError::Panicked { chunk, .. }) => assert_eq!(chunk, Some(1)),
         other => panic!("expected typed panic, got {other}"),
     }
 
     // Healed: the same query now answers from the rehydrated record.
-    let out = t.execute_governed(&point(130), &ctx).expect("healed read");
+    let out = t.execute_with(&point(130), &ctx).expect("healed read");
     expect_rows(&out, 130);
-    let out = t.execute_governed(&count_all(), &ctx).expect("count");
+    let out = t.execute_with(&count_all(), &ctx).expect("count");
     assert_eq!(out.result.scalar(), ROWS);
     assert!(
         t.quarantined_chunks().is_empty(),
@@ -444,7 +649,7 @@ fn durable_panic_on_dirty_chunk_quarantines_and_reopen_recovers() {
 
     // Dirty chunk 1 with a committed (sealed, group_commit=1) insert.
     let fresh = 131; // odd, routes into chunk 1's key range
-    t.execute_governed(
+    t.execute_with(
         &HapQuery::Q4 {
             key: fresh,
             payload: payload_row(fresh),
@@ -454,7 +659,7 @@ fn durable_panic_on_dirty_chunk_quarantines_and_reopen_recovers() {
     .expect("dirtying insert");
 
     t.inject_chunk_panic(1);
-    let err = t.execute_governed(&point(130), &ctx).expect_err("panics");
+    let err = t.execute_with(&point(130), &ctx).expect_err("panics");
     assert!(matches!(
         err,
         PersistError::Query(QueryError::Panicked { chunk: Some(1), .. })
