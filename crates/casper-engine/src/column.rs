@@ -462,8 +462,10 @@ impl ChunkedColumn {
 
     /// Publish the current state to readers. A no-op until
     /// [`ChunkedColumn::snapshot_cell`] has engaged snapshot mode; after
-    /// that it is one `Vec` of `Arc` clones plus a pointer store.
-    pub(crate) fn publish(&self) {
+    /// that it is one `Vec` of `Arc` clones plus a pointer store. Writes
+    /// publish on their own; callers of [`ChunkedColumn::evict_chunk`] /
+    /// [`ChunkedColumn::repoint_chunk`] publish once per pass.
+    pub fn publish(&self) {
         if let Some(cell) = self.snapshots.get() {
             cell.publish(self.make_snapshot());
         }
@@ -510,7 +512,7 @@ impl ChunkedColumn {
     /// bumped (its logical content is unchanged; eviction must not dirty
     /// it for the incremental checkpointer). Callers are responsible for
     /// eligibility (clean + persisted + not quarantined) and must
-    /// [`ChunkedColumn::republish`] once per eviction pass so new pins
+    /// [`ChunkedColumn::publish`] once per eviction pass so new pins
     /// stop holding the hydrated copies.
     pub fn evict_chunk(&mut self, i: usize, loader: ChunkLoader) -> bool {
         if !self.chunks[i].is_hydrated() {
@@ -532,18 +534,13 @@ impl ChunkedColumn {
         self.chunks[i] = Arc::new(ChunkSlot::new_lazy(live, loader));
     }
 
-    /// Publish the current chunk set to readers (used after an eviction
-    /// pass; writes publish on their own). No-op until snapshot mode is
-    /// engaged.
-    pub fn republish(&self) {
-        self.publish();
-    }
-
     /// Route a key to its owning chunk (`None` = broadcast column).
-    /// Exposed for panic attribution: a governed query that panics on a
+    /// Public for panic attribution: a governed query that panics on a
     /// point-shaped operation reports the chunk it routed to.
     pub fn route_for(&self, key: u64) -> Option<usize> {
-        self.route(key)
+        self.fences
+            .as_ref()
+            .map(|f| f.partition_point(|&b| b < key).min(f.len() - 1))
     }
 
     /// Decode chunk `i` from its segment if it has not hydrated yet.
@@ -579,7 +576,7 @@ impl ChunkedColumn {
 
     /// Hydrate the chunk owning `v` (all chunks for broadcast columns).
     fn hydrate_key(&self, v: u64) -> Result<(), StorageError> {
-        match self.route(v) {
+        match self.route_for(v) {
             Some(c) => self.hydrate_chunk(c),
             None => self.hydrate_all(),
         }
@@ -674,7 +671,7 @@ impl ChunkedColumn {
     /// transactional insert must not mark the whole table dirty for the
     /// incremental checkpointer.
     pub(crate) fn prefetch_ghosts_for_key(&mut self, key: u64, count: usize) {
-        let target = match self.route(key) {
+        let target = match self.route_for(key) {
             // Ordered column: prefetch only into the owning chunk, and only
             // if it is a hydrated partitioned store — planting ghosts for
             // an out-of-range key in some other chunk would dirty (and
@@ -700,13 +697,6 @@ impl ChunkedColumn {
                 self.publish();
             }
         }
-    }
-
-    /// Route a key to its owning chunk; `None` means broadcast.
-    fn route(&self, key: u64) -> Option<usize> {
-        self.fences
-            .as_ref()
-            .map(|f| f.partition_point(|&b| b < key).min(f.len() - 1))
     }
 
     fn maybe_raise_fence(&mut self, chunk: usize, key: u64) {
@@ -752,7 +742,7 @@ impl ChunkedColumn {
     /// Q4: insert a row (unpublished, like the two below —
     /// [`Self::apply_write`] and the batch path publish).
     fn q4_insert(&mut self, key: u64, payload: &[u32]) -> Result<OpCost, StorageError> {
-        let chunk = self.route(key).unwrap_or_else(|| {
+        let chunk = self.route_for(key).unwrap_or_else(|| {
             // NoOrder: append to the last chunk with capacity.
             self.chunks
                 .iter()
@@ -770,7 +760,7 @@ impl ChunkedColumn {
 
     /// Q5: delete every row with key `v`.
     fn q5_delete(&mut self, v: u64) -> Result<(u64, OpCost), StorageError> {
-        let targets: Vec<usize> = match self.route(v) {
+        let targets: Vec<usize> = match self.route_for(v) {
             Some(c) => vec![c],
             None => (0..self.chunks.len()).collect(),
         };
@@ -790,7 +780,7 @@ impl ChunkedColumn {
     /// Q6: update the first row with key `old` to key `new`, carrying its
     /// payload.
     fn q6_update(&mut self, old: u64, new: u64) -> Result<(u64, OpCost), StorageError> {
-        let (from, to) = match (self.route(old), self.route(new)) {
+        let (from, to) = match (self.route_for(old), self.route_for(new)) {
             (Some(a), Some(b)) => (a, b),
             _ => {
                 // NoOrder: the single-partition chunks make update local to
@@ -882,7 +872,7 @@ impl ChunkedColumn {
         // it typed rather than panicking — a panic inside a governed batch
         // would quarantine a chunk that holds perfectly good data.
         let routed = |col: &Self, key: u64| {
-            col.route(key).ok_or(StorageError::Corrupt {
+            col.route_for(key).ok_or(StorageError::Corrupt {
                 reason: format!("ordered column failed to route key {key}"),
             })
         };

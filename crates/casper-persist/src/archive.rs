@@ -38,19 +38,19 @@
 //! commit point. The result is itself a valid durable-table directory
 //! ([`verify_backup`] checks it end to end).
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{frame, unframe, ByteReader, ByteWriter};
 use crate::crc::crc32;
 use crate::incremental::{
-    decode_manifest, manifest_path, numbered_file, prune_stale, restore_table_from, segment_path,
-    verify_segment_header, Manifest,
+    decode_manifest, numbered_file, prune_stale, read_current, read_manifest, restore_table,
+    segment_path, verify_segment_header, Manifest,
 };
 use crate::vfs::{Vfs, VfsHandle};
-use crate::wal::{replay_upto, scan};
-use crate::{DurableOptions, PersistError};
+use crate::wal::{replay_upto, scan, walk_chain};
+use crate::PersistError;
 use casper_engine::Table;
 use casper_obs::{CounterDef, GaugeDef, HistogramDef};
 use casper_storage::StorageError;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -224,57 +224,21 @@ impl ArchiveIndex {
             body.u32(w.crc);
             body.u64(w.retired_unix);
         }
-        let body = body.into_bytes();
-        let mut out = ByteWriter::new();
-        for b in ARCHIVE_INDEX_MAGIC {
-            out.u8(b);
-        }
-        out.u32(ARCHIVE_INDEX_VERSION);
-        out.u64(body.len() as u64);
-        out.u32(crc32(&body));
-        let mut bytes = out.into_bytes();
-        bytes.extend_from_slice(&body);
-        bytes
+        frame(
+            ARCHIVE_INDEX_MAGIC,
+            ARCHIVE_INDEX_VERSION,
+            &body.into_bytes(),
+        )
     }
 
     /// Decode, verifying magic, version and checksum.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
-        let mut header = ByteReader::new(bytes);
-        let magic = [header.u8()?, header.u8()?, header.u8()?, header.u8()?];
-        if magic != ARCHIVE_INDEX_MAGIC {
-            return Err(StorageError::Corrupt {
-                reason: format!("bad archive index magic {magic:02x?}"),
-            });
-        }
-        let version = header.u32()?;
-        if version != ARCHIVE_INDEX_VERSION {
-            return Err(StorageError::Corrupt {
-                reason: format!(
-                    "unsupported archive index version {version} \
-                     (this build reads {ARCHIVE_INDEX_VERSION})"
-                ),
-            });
-        }
-        let body_len = header.len_u64()?;
-        let want_crc = header.u32()?;
-        if header.remaining() != body_len {
-            return Err(StorageError::Corrupt {
-                reason: format!(
-                    "archive index body length {body_len} but {} bytes follow the header",
-                    header.remaining()
-                ),
-            });
-        }
-        let body = &bytes[bytes.len() - body_len..];
-        let got_crc = crc32(body);
-        if got_crc != want_crc {
-            return Err(StorageError::Corrupt {
-                reason: format!(
-                    "archive index checksum mismatch: stored {want_crc:#010x}, \
-                     computed {got_crc:#010x}"
-                ),
-            });
-        }
+        let body = unframe(
+            bytes,
+            ARCHIVE_INDEX_MAGIC,
+            ARCHIVE_INDEX_VERSION,
+            "archive index",
+        )?;
         let mut r = ByteReader::new(body);
         let mut index = ArchiveIndex::default();
         let n = r.len_u64()?;
@@ -533,7 +497,7 @@ fn archive_retire(
             if w < manifest.generation && !pins.keep_wal(w) {
                 stale_wals.push((w, path));
             }
-        } else if name.starts_with("snap-") || name.ends_with(".tmp") {
+        } else if name.ends_with(".tmp") {
             garbage.push(path);
         }
     }
@@ -885,12 +849,7 @@ pub struct PointInTime {
 
 /// Restore the newest state at or before `lsn`. See
 /// [`crate::DurableTable::open_at`] for the full contract.
-pub(crate) fn open_at(
-    vfs: &VfsHandle,
-    dir: &Path,
-    lsn: u64,
-    opts: DurableOptions,
-) -> Result<PointInTime, PersistError> {
+pub(crate) fn open_at(vfs: &VfsHandle, dir: &Path, lsn: u64) -> Result<PointInTime, PersistError> {
     let start = Instant::now();
     let adir = archive_dir(dir);
     // Candidate bases: every decodable manifest, archived or live. The
@@ -932,57 +891,30 @@ pub(crate) fn open_at(
     let Some(manifest) = best else {
         return Err(corrupt(format!(
             "no manifest at or before LSN {lsn}: the retention horizon has \
-             passed it (or the directory holds no v2 checkpoint)"
+             passed it (or the directory holds no checkpoint)"
         )));
     };
-    let dirs = [dir.to_path_buf(), adir.clone()];
-    let mut table = restore_table_from(vfs, &dirs, &manifest, !opts.mmap_restore)?;
+    let mut table = restore_table(vfs, &[dir, &adir], &manifest)?;
 
     // Replay the archived + live WAL chain from the base generation up to
     // the target. Chain links live wherever retire left them.
-    let resolve = |seq: u64| -> Option<PathBuf> {
-        let live = dir.join(wal_name(seq));
-        if live.exists() {
-            return Some(live);
-        }
-        let archived = adir.join(wal_name(seq));
-        archived.exists().then_some(archived)
+    let resolve = |seq: u64| {
+        [dir, adir.as_path()]
+            .into_iter()
+            .map(|d| d.join(wal_name(seq)))
+            .find(|p| p.exists())
     };
-    let mut seq = manifest.generation;
     let mut ops_replayed = 0u64;
     let mut restored_lsn = manifest.durable_lsn;
-    while let Some(path) = resolve(seq) {
-        let bytes = vfs.read(&path)?;
-        let s = scan(&bytes);
-        let has_successor = resolve(seq + 1).is_some();
-        // Same rule as live recovery: a link with a successor was fully
-        // sealed before rotation, so a short scan is damage, not a torn
-        // tail — replaying only its prefix would punch a hole in history.
-        if has_successor && s.valid_len != bytes.len() {
-            return Err(corrupt(format!(
-                "WAL chain link {} is damaged: only {} of {} bytes form \
-                 sealed batches, yet a successor link exists",
-                path.display(),
-                s.valid_len,
-                bytes.len()
-            )));
-        }
-        let (n, _) = replay_upto(&s, &mut table, manifest.durable_lsn, lsn)?;
+    walk_chain(vfs, manifest.generation, resolve, |link| {
+        let (n, _) = replay_upto(&link.scan, &mut table, manifest.durable_lsn, lsn)?;
         ops_replayed += n;
-        if let Some(last) = s
-            .batches
-            .iter()
-            .map(|b| b.commit_lsn)
-            .filter(|&l| l <= lsn)
-            .max()
-        {
+        let reached = link.scan.batches.iter().map(|b| b.commit_lsn);
+        if let Some(last) = reached.filter(|&l| l <= lsn).max() {
             restored_lsn = restored_lsn.max(last);
         }
-        if s.last_lsn >= lsn || !has_successor {
-            break;
-        }
-        seq += 1;
-    }
+        Ok(link.scan.last_lsn < lsn)
+    })?;
     OBS_RESTORES.inc();
     OBS_RESTORE_NS.record(start.elapsed().as_nanos() as u64);
     Ok(PointInTime {
@@ -1023,17 +955,20 @@ pub struct BackupReport {
 /// the table keeps serving reads and writes.
 #[derive(Debug)]
 pub struct BackupJob {
-    vfs: VfsHandle,
-    src: PathBuf,
-    dest: PathBuf,
-    generation: u64,
-    /// `(seq, byte limit)`: `None` copies the whole (sealed) link; the
-    /// last link carries `Some(durable bytes at fence time)` — the live
-    /// WAL keeps growing underneath, and everything past the fence was
-    /// not acknowledged when the backup began.
-    wal_specs: Vec<(u64, Option<u64>)>,
-    backup_lsn: u64,
-    _pin: PinGuard,
+    pub(crate) vfs: VfsHandle,
+    pub(crate) src: PathBuf,
+    pub(crate) dest: PathBuf,
+    pub(crate) generation: u64,
+    /// The chain to copy is `wal-<generation> ..= wal-<last_wal>`. Every
+    /// link before the last is sealed and copied whole; the last is the
+    /// live one, which keeps growing underneath —
+    pub(crate) last_wal: u64,
+    /// — so it is cut at its durable length at fence time: everything
+    /// past it was not acknowledged when the backup began.
+    pub(crate) fence_bytes: u64,
+    pub(crate) backup_lsn: u64,
+    /// Held, never read: dropping the job releases the source files.
+    pub(crate) _pin: PinGuard,
 }
 
 fn write_file(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
@@ -1044,26 +979,6 @@ fn write_file(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> Result<(), PersistE
 }
 
 impl BackupJob {
-    pub(crate) fn new(
-        vfs: VfsHandle,
-        src: PathBuf,
-        dest: PathBuf,
-        generation: u64,
-        wal_specs: Vec<(u64, Option<u64>)>,
-        backup_lsn: u64,
-        pin: PinGuard,
-    ) -> Self {
-        Self {
-            vfs,
-            src,
-            dest,
-            generation,
-            wal_specs,
-            backup_lsn,
-            _pin: pin,
-        }
-    }
-
     /// Generation the backup will be based on.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -1091,89 +1006,56 @@ impl BackupJob {
         }
         let mut files = 0u64;
         let mut bytes_total = 0u64;
+        let mut copy = |name: String, bytes: &[u8]| -> Result<(), PersistError> {
+            write_file(&self.vfs, &self.dest.join(name), bytes)?;
+            files += 1;
+            bytes_total += bytes.len() as u64;
+            Ok(())
+        };
 
-        let mbytes = self.vfs.read(&manifest_path(&self.src, self.generation))?;
-        let manifest = decode_manifest(&mbytes)?;
-        if manifest.generation != self.generation {
-            return Err(corrupt(format!(
-                "pinned manifest says generation {} but the backup pinned {}",
-                manifest.generation, self.generation
-            )));
-        }
-        write_file(
-            &self.vfs,
-            &self.dest.join(manifest_name(self.generation)),
-            &mbytes,
-        )?;
-        files += 1;
-        bytes_total += mbytes.len() as u64;
+        let (manifest, mbytes) = read_manifest(&self.vfs, &self.src, self.generation)?;
+        copy(manifest_name(self.generation), &mbytes)?;
 
         // Segments: read whole files, verify the header and every record
-        // the manifest points at against the copied bytes (not the source
-        // file — a fault between read and write must be caught here).
-        let mut per_seg: BTreeMap<u64, Vec<&crate::incremental::ChunkEntry>> = BTreeMap::new();
-        for e in &manifest.entries {
-            per_seg.entry(e.seg).or_default().push(e);
-        }
-        let n_segments = per_seg.len() as u64;
-        for (seg, entries) in per_seg {
+        // the manifest points at against the bytes about to be written
+        // (not the source file — a fault between read and write must be
+        // caught here).
+        let segments = manifest.referenced_segments();
+        for &seg in &segments {
             let sbytes = self.vfs.read(&segment_path(&self.src, seg))?;
             verify_segment_header(&sbytes, seg)?;
-            for e in entries {
-                let start = usize::try_from(e.offset)
-                    .map_err(|_| corrupt("record offset overflows usize"))?;
-                let len =
-                    usize::try_from(e.len).map_err(|_| corrupt("record length overflows usize"))?;
-                let record = sbytes.get(start..start + len).ok_or_else(|| {
-                    corrupt(format!(
-                        "segment {seg} is {} bytes but a record claims {start}..{}",
-                        sbytes.len(),
-                        start + len
-                    ))
-                })?;
-                let got = crc32(record);
-                if got != e.crc {
-                    return Err(corrupt(format!(
-                        "segment {seg} record at {start} fails its checksum during \
-                         backup (stored {:#010x}, computed {got:#010x})",
-                        e.crc
-                    )));
-                }
+            for e in manifest.entries.iter().filter(|e| e.seg == seg) {
+                e.verified(&sbytes)?;
             }
-            write_file(&self.vfs, &self.dest.join(segment_name(seg)), &sbytes)?;
-            files += 1;
-            bytes_total += sbytes.len() as u64;
+            copy(segment_name(seg), &sbytes)?;
         }
 
-        let wal_links = self.wal_specs.len() as u64;
-        for (seq, limit) in &self.wal_specs {
-            let wbytes = self.vfs.read(&self.src.join(wal_name(*seq)))?;
-            let slice = match limit {
-                None => &wbytes[..],
-                Some(l) => {
-                    let l = usize::try_from(*l).map_err(|_| corrupt("WAL limit overflow"))?;
-                    wbytes.get(..l).ok_or_else(|| {
+        // The fenced chain: every link but the last is copied whole (the
+        // walk proves it sealed); the last is cut at the fence, which must
+        // itself fall on a sealed-batch boundary.
+        let wal_links = self.last_wal + 1 - self.generation;
+        let resolve = |seq| (seq <= self.last_wal).then(|| self.src.join(wal_name(seq)));
+        walk_chain(&self.vfs, self.generation, resolve, |link| {
+            let slice = if link.seq < self.last_wal {
+                &link.bytes[..]
+            } else {
+                usize::try_from(self.fence_bytes)
+                    .ok()
+                    .and_then(|fence| link.bytes.get(..fence))
+                    .filter(|fenced| scan(fenced).valid_len == fenced.len())
+                    .ok_or_else(|| {
                         corrupt(format!(
-                            "live WAL link {seq} shrank below its fenced durable \
-                             boundary ({} bytes on disk, fence at {l})",
-                            wbytes.len()
+                            "live WAL link {} no longer holds the {} sealed bytes \
+                             the backup fenced ({} bytes on disk)",
+                            link.seq,
+                            self.fence_bytes,
+                            link.bytes.len()
                         ))
                     })?
-                }
             };
-            let s = scan(slice);
-            if s.valid_len != slice.len() {
-                return Err(corrupt(format!(
-                    "WAL link {seq} is torn inside its sealed prefix: only {} of \
-                     {} bytes form sealed batches",
-                    s.valid_len,
-                    slice.len()
-                )));
-            }
-            write_file(&self.vfs, &self.dest.join(wal_name(*seq)), slice)?;
-            files += 1;
-            bytes_total += slice.len() as u64;
-        }
+            copy(wal_name(link.seq), slice)?;
+            Ok(true)
+        })?;
 
         // Make the data dirents durable, then commit with CURRENT.
         self.vfs.fsync_dir(&self.dest)?;
@@ -1191,7 +1073,7 @@ impl BackupJob {
             backup_lsn: self.backup_lsn,
             files,
             bytes: bytes_total,
-            segments: n_segments,
+            segments: segments.len() as u64,
             wal_links,
         })
     }
@@ -1234,83 +1116,43 @@ pub(crate) fn verify_backup(
     stop: Option<&AtomicBool>,
 ) -> Result<BackupVerifyReport, PersistError> {
     let stopped = || stop.is_some_and(|s| s.load(Ordering::Relaxed));
-    let current_bytes = vfs.read(&crate::durable::current_path(dir))?;
-    let current = String::from_utf8_lossy(&current_bytes).into_owned();
-    let generation: u64 = current
-        .trim()
-        .parse()
-        .map_err(|_| corrupt(format!("CURRENT holds {current:?}, not a generation")))?;
-    let mbytes = vfs.read(&manifest_path(dir, generation))?;
-    let manifest = decode_manifest(&mbytes)?;
-    if manifest.generation != generation {
-        return Err(corrupt(format!(
-            "manifest says generation {} but CURRENT says {generation}",
-            manifest.generation
-        )));
-    }
+    let (generation, manifest, mbytes) = read_current(vfs, dir)?;
     let mut bytes_total = mbytes.len() as u64;
     let mut records = 0u64;
-    let mut seg_bytes: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    for seg in manifest.referenced_segments() {
-        let b = vfs.read(&segment_path(dir, seg))?;
-        verify_segment_header(&b, seg)?;
-        bytes_total += b.len() as u64;
-        seg_bytes.insert(seg, b);
-    }
-    for (chunk, e) in manifest.entries.iter().enumerate() {
-        if stopped() {
-            return Err(corrupt("backup verification interrupted"));
-        }
-        let b = seg_bytes
-            .get(&e.seg)
-            .expect("referenced segments read above");
-        let start = usize::try_from(e.offset).map_err(|_| corrupt("record offset overflow"))?;
-        let len = usize::try_from(e.len).map_err(|_| corrupt("record length overflow"))?;
-        let record = b.get(start..start + len).ok_or_else(|| {
-            corrupt(format!(
-                "segment {} is {} bytes but chunk {chunk} claims {start}..{}",
-                e.seg,
-                b.len(),
-                start + len
-            ))
-        })?;
-        let got = crc32(record);
-        if got != e.crc {
-            return Err(corrupt(format!(
-                "chunk {chunk} record in segment {} fails its checksum \
-                 (stored {:#010x}, computed {got:#010x})",
-                e.seg, e.crc
-            )));
-        }
-        records += 1;
-        if !pause.is_zero() {
-            std::thread::sleep(pause);
+    let segments = manifest.referenced_segments();
+    for &seg in &segments {
+        let sbytes = vfs.read(&segment_path(dir, seg))?;
+        verify_segment_header(&sbytes, seg)?;
+        bytes_total += sbytes.len() as u64;
+        for e in manifest.entries.iter().filter(|e| e.seg == seg) {
+            if stopped() {
+                return Err(corrupt("backup verification interrupted"));
+            }
+            e.verified(&sbytes)?;
+            records += 1;
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
+            }
         }
     }
-    let segments = seg_bytes.len() as u64;
-    drop(seg_bytes);
 
-    let mut seq = generation;
     let mut wal_links = 0u64;
     let mut batches = 0u64;
     let mut last_lsn = manifest.durable_lsn;
     let mut expected_first = manifest.durable_lsn + 1;
-    loop {
-        let path = dir.join(wal_name(seq));
-        if !path.exists() {
-            break;
-        }
+    let resolve = |seq| Some(dir.join(wal_name(seq))).filter(|p| p.exists());
+    walk_chain(vfs, generation, resolve, |link| {
         if stopped() {
             return Err(corrupt("backup verification interrupted"));
         }
-        let wbytes = vfs.read(&path)?;
-        let s = scan(&wbytes);
-        if s.valid_len != wbytes.len() {
+        let (seq, s) = (link.seq, &link.scan);
+        // A backup's last link was cut at the fence: it is sealed too.
+        if s.valid_len != link.bytes.len() {
             return Err(corrupt(format!(
                 "backup WAL link {seq} is torn: only {} of {} bytes form \
                  sealed batches",
                 s.valid_len,
-                wbytes.len()
+                link.bytes.len()
             )));
         }
         if let Some(first) = s.batches.first() {
@@ -1325,10 +1167,10 @@ pub(crate) fn verify_backup(
             last_lsn = s.last_lsn;
         }
         batches += s.batches.len() as u64;
-        bytes_total += wbytes.len() as u64;
+        bytes_total += link.bytes.len() as u64;
         wal_links += 1;
-        seq += 1;
-    }
+        Ok(true)
+    })?;
     if wal_links == 0 {
         return Err(corrupt(format!(
             "backup holds no WAL link for generation {generation}"
@@ -1339,7 +1181,7 @@ pub(crate) fn verify_backup(
         durable_lsn: manifest.durable_lsn,
         last_lsn,
         records,
-        segments,
+        segments: segments.len() as u64,
         wal_links,
         batches,
         bytes: bytes_total,

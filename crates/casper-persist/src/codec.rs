@@ -1,5 +1,5 @@
-//! Little-endian byte encoding primitives shared by the snapshot format and
-//! the WAL record format.
+//! Little-endian byte encoding primitives shared by the checkpoint formats
+//! and the WAL record format.
 //!
 //! [`ByteWriter`] appends fixed-width primitives and length-prefixed arrays
 //! into a growable buffer; [`ByteReader`] mirrors it with bounds-checked
@@ -9,6 +9,7 @@
 //! byte budget before any allocation, so a corrupt length prefix cannot
 //! trigger a multi-gigabyte `Vec` reservation.
 
+use crate::crc::crc32;
 use casper_storage::StorageError;
 
 /// Append-only little-endian encoder.
@@ -241,6 +242,56 @@ impl<'a> ByteReader<'a> {
     pub fn vec_f64(&mut self) -> Result<Vec<f64>, StorageError> {
         Ok(self.vec_u64()?.into_iter().map(f64::from_bits).collect())
     }
+}
+
+/// Wrap `body` in the framing every checksummed metadata file uses
+/// (manifests, the archive index):
+/// `magic | version:u32 | body_len:u64 | crc32(body):u32 | body`.
+pub(crate) fn frame(magic: [u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
+    let mut out = ByteWriter::new();
+    out.buf.extend_from_slice(&magic);
+    out.u32(version);
+    out.u64(body.len() as u64);
+    out.u32(crc32(body));
+    out.buf.extend_from_slice(body);
+    out.into_bytes()
+}
+
+/// Undo [`frame`]: the body is returned only after magic, version, length
+/// and checksum all hold. `what` names the file kind in the error.
+pub(crate) fn unframe<'a>(
+    bytes: &'a [u8],
+    magic: [u8; 4],
+    version: u32,
+    what: &str,
+) -> Result<&'a [u8], StorageError> {
+    let mut header = ByteReader::new(bytes);
+    let got_magic = header.take(4)?;
+    if got_magic != magic {
+        return Err(corrupt(format!("bad {what} magic {got_magic:02x?}")));
+    }
+    let got_version = header.u32()?;
+    if got_version != version {
+        return Err(corrupt(format!(
+            "unsupported {what} version {got_version} (this build reads {version})"
+        )));
+    }
+    let body_len = header.len_u64()?;
+    let want_crc = header.u32()?;
+    if header.remaining() != body_len {
+        return Err(corrupt(format!(
+            "{what} body length {body_len} but {} bytes follow the header",
+            header.remaining()
+        )));
+    }
+    let body = &bytes[bytes.len() - body_len..];
+    let got_crc = crc32(body);
+    if got_crc != want_crc {
+        return Err(corrupt(format!(
+            "{what} checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
+        )));
+    }
+    Ok(body)
 }
 
 #[cfg(test)]

@@ -4,18 +4,16 @@
 //!
 //! ```text
 //! CURRENT              – ASCII generation number, replaced atomically
-//! manifest-<gen>.casper – chunk id → (segment, offset, len, crc) map (v2)
+//! manifest-<gen>.casper – chunk id → (segment, offset, len, crc) map
 //! seg-<seq>.casper     – append-once segments of encoded chunk records
 //! wal-<seq>.log        – append-only redo log(s) since the manifest
-//! snap-<gen>.casper    – legacy v1 whole-table snapshot (still readable)
 //! ```
 //!
 //! Writes flow WAL-first in the group-commit sense: an executed write is
 //! staged into the open WAL batch and becomes durable (write + fsync) when
-//! the batch seals. Recovery loads the manifest (metadata only under mmap
-//! restore — chunks hydrate lazily from mapped segments, checksum-verified
-//! at first touch), truncates the WAL chain's torn tail, and replays the
-//! committed batches.
+//! the batch seals. Recovery loads the manifest (metadata only — chunks
+//! hydrate lazily from mapped segments, checksum-verified at first touch),
+//! truncates the WAL chain's torn tail, and replays the committed batches.
 //!
 //! A **checkpoint** is *incremental*: the engine's per-chunk modification
 //! counters identify exactly the chunks dirtied since the last checkpoint,
@@ -63,13 +61,12 @@
 use crate::archive::{BackupJob, BackupReport, BackupVerifyReport, PointInTime};
 use crate::checkpointer::{run_with_retry, Checkpointer, Completion, RetryPolicy};
 use crate::incremental::{
-    decode_manifest, manifest_path, numbered_file, record_loader, restore_table, CheckpointJob,
-    ChunkEntry, RecordSource,
+    numbered_file, read_current, record_loader, restore_table, CheckpointJob, ChunkEntry, Manifest,
+    RecordSource,
 };
 use crate::scrub::{ScrubFinding, ScrubReport, ScrubStats, Scrubber};
-use crate::snapshot::decode_snapshot;
 use crate::vfs::{Vfs, VfsHandle};
-use crate::wal::{replay, scan, Wal, WalOp};
+use crate::wal::{replay, walk_chain, Wal, WalOp};
 use crate::PersistError;
 use casper_core::{FrequencyModel, Op};
 use casper_engine::adapt::{AdaptDecision, AdaptiveController};
@@ -142,11 +139,6 @@ pub struct DurableOptions {
     /// the next checkpoint rewrites every live record into one fresh
     /// segment (clean records byte-copied, not re-encoded).
     pub max_segments: usize,
-    /// Restore through mapped segments with per-chunk lazy hydration
-    /// (`open` becomes metadata-only work; each chunk decodes — checksum
-    /// verified — on the first query that routes to it). Disable to decode
-    /// everything eagerly at open.
-    pub mmap_restore: bool,
     /// Total attempts per checkpoint job (1 = no retry). Transient I/O
     /// failures are retried with doubling backoff; whole-job retry is safe
     /// because every attempt re-creates the segment with a fresh
@@ -189,7 +181,6 @@ impl Default for DurableOptions {
             wal_checkpoint_bytes: 0,
             background_checkpointer: true,
             max_segments: 6,
-            mmap_restore: true,
             checkpoint_retries: 3,
             checkpoint_backoff_ms: 10,
             degrade_after: 8,
@@ -206,7 +197,7 @@ impl Default for DurableOptions {
 pub struct DurableStats {
     /// Current durable checkpoint generation.
     pub generation: u64,
-    /// Highest LSN folded into the current manifest/snapshot.
+    /// Highest LSN folded into the current manifest.
     pub durable_lsn: u64,
     /// LSN the next staged record will receive.
     pub next_lsn: u64,
@@ -217,8 +208,7 @@ pub struct DurableStats {
     /// Chunks dirtied since the last captured checkpoint — what the next
     /// incremental checkpoint would serialize.
     pub dirty_chunks: u64,
-    /// Distinct segment files the current manifest references (0 for a
-    /// not-yet-upgraded v1 directory).
+    /// Distinct segment files the current manifest references.
     pub segments: u64,
     /// Whether a background checkpoint is currently in flight.
     pub checkpoint_in_flight: bool,
@@ -304,8 +294,8 @@ pub struct DurableTable {
     durable_lsn: u64,
     fms: Vec<FrequencyModel>,
     opts: DurableOptions,
-    /// Current durable manifest entries (empty until a v1 directory takes
-    /// its first — necessarily full — v2 checkpoint).
+    /// Current durable manifest entries (emptied by a re-layout until its
+    /// — necessarily full — checkpoint commits).
     entries: Vec<ChunkEntry>,
     /// Column version counters at the last *captured* checkpoint; a chunk
     /// is dirty iff its live counter differs. `u64::MAX` is a sentinel no
@@ -363,10 +353,6 @@ fn implicated_chunk(column: &ChunkedColumn, q: &HapQuery) -> Option<usize> {
         Op::Point(v) | Op::Insert(v) | Op::Delete(v) | Op::Update(v, _) => column.route_for(v),
         Op::Range(..) => None,
     }
-}
-
-fn snap_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("snap-{generation:06}.casper"))
 }
 
 pub(crate) fn wal_path(dir: &Path, seq: u64) -> PathBuf {
@@ -494,8 +480,6 @@ impl DurableTable {
             .enumerate()
             .map(|(i, store)| (i, RecordSource::Encode(store.clone())))
             .collect();
-        let pins = crate::archive::SharedPins::default();
-        let watched = Arc::new(Mutex::new(Vec::new()));
         let job = CheckpointJob {
             vfs: vfs.clone(),
             dir: dir.to_path_buf(),
@@ -510,139 +494,49 @@ impl DurableTable {
             fresh,
             reused: Vec::new(),
             archive: opts.archive,
-            pins: pins.clone(),
+            // No backup can pin a table that does not exist yet.
+            pins: crate::archive::SharedPins::default(),
         };
         let manifest = crate::incremental::run_checkpoint(&job)?;
         let clean_versions = table.column().versions().to_vec();
-        Ok(Self {
+        Self::assemble(
+            vfs,
+            dir,
+            opts,
             table,
-            dir: dir.to_path_buf(),
+            clean_versions,
+            manifest,
             wal,
             generation,
-            wal_seq: generation,
-            durable_lsn: 0,
-            fms: Vec::new(),
-            entries: manifest.entries,
-            clean_versions,
-            next_seg: 2,
-            worker: spawn_worker(&opts)?,
-            inflight: None,
-            background_error: None,
-            mode: TableMode::Active,
-            cp_stats: CheckpointStats::default(),
-            scrubber: spawn_scrubber(&opts, &vfs, dir, Arc::clone(&watched))?,
-            manual_scrub: ScrubStats::default(),
-            quarantined: BTreeMap::new(),
-            governor: opts.governor.map(|cfg| Arc::new(Governor::new(cfg))),
-            pins,
-            watched_backups: watched,
-            vfs,
-            opts,
-        })
+        )
     }
 
-    /// Reopen a durable table. A v2 directory restores through mapped
-    /// segments — metadata-only work; chunks hydrate (checksum-verified)
-    /// on first touch — then recovers the WAL chain (torn-tail truncation
-    /// on the last link) and replays its committed batches. A v1 directory
-    /// decodes its whole-table snapshot exactly as before; its first
-    /// checkpoint upgrades it to the v2 format.
-    pub fn open(dir: &Path, opts: DurableOptions) -> Result<Self, PersistError> {
-        Self::open_with_vfs(VfsHandle::default(), dir, opts)
-    }
-
-    /// As [`DurableTable::open`], routing all I/O through `vfs`.
-    pub fn open_with_vfs(
+    /// The one place a `DurableTable` is put together: `table` holds
+    /// exactly `manifest` plus the replayed chain up to and including
+    /// `wal` (link `wal_seq`), and `clean_versions` are the column's
+    /// version counters as of `manifest`.
+    fn assemble(
         vfs: VfsHandle,
         dir: &Path,
         opts: DurableOptions,
+        table: Table,
+        clean_versions: Vec<u64>,
+        manifest: Manifest,
+        wal: Wal,
+        wal_seq: u64,
     ) -> Result<Self, PersistError> {
-        casper_obs::enable_from_env();
-        let current_bytes = vfs.read(&current_path(dir))?;
-        let current = String::from_utf8_lossy(&current_bytes).into_owned();
-        let generation: u64 = current
-            .trim()
-            .parse()
-            .map_err(|_| corrupt(format!("CURRENT holds {current:?}, not a generation")))?;
-        if manifest_path(dir, generation).exists() {
-            Self::open_v2(vfs, dir, generation, opts)
-        } else {
-            Self::open_v1(vfs, dir, generation, opts)
-        }
-    }
-
-    fn open_v2(
-        vfs: VfsHandle,
-        dir: &Path,
-        generation: u64,
-        opts: DurableOptions,
-    ) -> Result<Self, PersistError> {
-        let manifest = decode_manifest(&vfs.read(&manifest_path(dir, generation))?)?;
-        if manifest.generation != generation {
-            return Err(corrupt(format!(
-                "manifest says generation {} but CURRENT says {generation}",
-                manifest.generation
-            )));
-        }
-        let mut table = restore_table(&vfs, dir, &manifest, !opts.mmap_restore)?;
-        // Versions are zero on a fresh restore; snapshotting them *before*
-        // replay is what marks replayed-into chunks dirty for the next
-        // incremental checkpoint.
-        let clean_versions = vec![0u64; manifest.entries.len()];
-
-        // Replay the WAL chain wal-<gen> .. wal-<highest>. Only the last
-        // link can be torn (rotation seals its predecessor first), so the
-        // middle links replay from a plain scan and the last one goes
-        // through full recovery (truncation + writer positioning).
-        let first = wal_path(dir, generation);
-        if !first.exists() {
-            Wal::create(&vfs, &first, manifest.durable_lsn + 1)?;
-            sync_dir(&vfs, dir);
-        }
-        let mut seq = generation;
-        let mut chain_last = manifest.durable_lsn;
-        while wal_path(dir, seq + 1).exists() {
-            let bytes = vfs.read(&wal_path(dir, seq))?;
-            let s = scan(&bytes);
-            // A middle link was fully sealed before the rotation that
-            // created its successor, so it must scan to its exact end —
-            // anything else is damage, and silently replaying only its
-            // prefix (while later links still apply) would punch a hole
-            // in the committed history.
-            if s.valid_len != bytes.len() {
-                return Err(corrupt(format!(
-                    "WAL chain link {} is damaged: only {} of {} bytes \
-                     form sealed batches, yet a successor link exists",
-                    wal_path(dir, seq).display(),
-                    s.valid_len,
-                    bytes.len()
-                )));
-            }
-            replay(&s, &mut table, manifest.durable_lsn)?;
-            chain_last = chain_last.max(s.last_lsn);
-            seq += 1;
-        }
-        let (mut wal, s) = Wal::recover(&vfs, &wal_path(dir, seq))?;
-        replay(&s, &mut table, manifest.durable_lsn)?;
-        chain_last = chain_last.max(s.last_lsn);
-        wal.ensure_lsn_at_least(chain_last + 1);
-
+        // Fresh segments must never collide with leftovers of a checkpoint
+        // that died before its manifest committed.
         let next_seg = Self::max_segment_on_disk(dir)
             .max(manifest.referenced_segments().last().copied().unwrap_or(0))
             + 1;
-        let pins = crate::archive::SharedPins::default();
         let watched = Arc::new(Mutex::new(Vec::new()));
-        // Clear leftovers of interrupted checkpoints (unreferenced
-        // segments, orphaned manifests) — but never the WAL chain at or
-        // above the durable generation. With archiving on this also
-        // completes any retire a crash interrupted (the reconcile pass).
-        crate::archive::retire_stale(&vfs, dir, &manifest, opts.archive.as_ref(), &pins);
         Ok(Self {
             table,
             dir: dir.to_path_buf(),
             wal,
-            generation,
-            wal_seq: seq,
+            generation: manifest.generation,
+            wal_seq,
             durable_lsn: manifest.durable_lsn,
             fms: manifest.fms,
             entries: manifest.entries,
@@ -657,78 +551,84 @@ impl DurableTable {
             manual_scrub: ScrubStats::default(),
             quarantined: BTreeMap::new(),
             governor: opts.governor.map(|cfg| Arc::new(Governor::new(cfg))),
-            pins,
+            pins: crate::archive::SharedPins::default(),
             watched_backups: watched,
             vfs,
             opts,
         })
     }
 
-    fn open_v1(
-        vfs: VfsHandle,
-        dir: &Path,
-        generation: u64,
-        opts: DurableOptions,
-    ) -> Result<Self, PersistError> {
-        let snapshot_bytes = vfs.read(&snap_path(dir, generation))?;
-        let restored = decode_snapshot(&snapshot_bytes)?;
-        if restored.generation != generation {
-            return Err(corrupt(format!(
-                "snapshot says generation {} but CURRENT says {generation}",
-                restored.generation
-            )));
-        }
-        let mut table = restored.table;
-        let n = table.column().chunks().len();
-        let wp = wal_path(dir, generation);
-        if !wp.exists() {
-            // A crash can theoretically land between snapshot rename and
-            // WAL creation of a checkpoint; an absent WAL simply means no
-            // writes since the snapshot.
-            Wal::create(&vfs, &wp, restored.durable_lsn + 1)?;
-            sync_dir(&vfs, dir);
-        }
-        let (mut wal, s) = Wal::recover(&vfs, &wp)?;
-        replay(&s, &mut table, restored.durable_lsn)?;
-        // An empty post-checkpoint WAL starts numbering after the LSNs the
-        // snapshot already folded in; otherwise fresh records would replay
-        // as already-applied.
-        wal.ensure_lsn_at_least(restored.durable_lsn.max(s.last_lsn) + 1);
-        let watched = Arc::new(Mutex::new(Vec::new()));
-        let this = Self {
-            table,
-            dir: dir.to_path_buf(),
-            wal,
-            generation,
-            wal_seq: generation,
-            durable_lsn: restored.durable_lsn,
-            fms: restored.fms,
-            // No manifest yet: the first checkpoint is a full one and
-            // writes the v2 files (the upgrade path).
-            entries: Vec::new(),
-            clean_versions: vec![0; n],
-            next_seg: Self::max_segment_on_disk(dir) + 1,
-            worker: spawn_worker(&opts)?,
-            inflight: None,
-            background_error: None,
-            mode: TableMode::Active,
-            cp_stats: CheckpointStats::default(),
-            scrubber: spawn_scrubber(&opts, &vfs, dir, Arc::clone(&watched))?,
-            manual_scrub: ScrubStats::default(),
-            quarantined: BTreeMap::new(),
-            governor: opts.governor.map(|cfg| Arc::new(Governor::new(cfg))),
-            pins: crate::archive::SharedPins::default(),
-            watched_backups: watched,
-            vfs,
-            opts,
-        };
-        this.remove_stale_v1_generations();
-        Ok(this)
+    /// Reopen a durable table: resolve `CURRENT` to its manifest, restore
+    /// through mapped segments — metadata-only work; chunks hydrate
+    /// (checksum-verified) on first touch, or all at once with
+    /// [`DurableTable::hydrate_all`] — then recover the WAL chain
+    /// (torn-tail truncation on the last link) and replay its committed
+    /// batches.
+    pub fn open(dir: &Path, opts: DurableOptions) -> Result<Self, PersistError> {
+        Self::open_with_vfs(VfsHandle::default(), dir, opts)
     }
 
-    /// Highest `seg-*.casper` number present in the directory (0 if none):
-    /// fresh segments must never collide with leftovers of a checkpoint
-    /// that died before its manifest committed.
+    /// As [`DurableTable::open`], routing all I/O through `vfs`.
+    pub fn open_with_vfs(
+        vfs: VfsHandle,
+        dir: &Path,
+        opts: DurableOptions,
+    ) -> Result<Self, PersistError> {
+        casper_obs::enable_from_env();
+        let (generation, manifest, _) = read_current(&vfs, dir)?;
+        let mut table = restore_table(&vfs, &[dir], &manifest)?;
+        // Versions are zero on a fresh restore; snapshotting them *before*
+        // replay is what marks replayed-into chunks dirty for the next
+        // incremental checkpoint.
+        let clean_versions = vec![0u64; manifest.entries.len()];
+
+        // Replay the WAL chain wal-<gen> .. wal-<highest>. Only the last
+        // link can be torn (rotation seals its predecessor first); it is
+        // the one the writer resumes on.
+        let first = wal_path(dir, generation);
+        if !first.exists() {
+            Wal::create(&vfs, &first, manifest.durable_lsn + 1)?;
+            sync_dir(&vfs, dir);
+        }
+        let resolve = |seq| Some(wal_path(dir, seq)).filter(|p| p.exists());
+        let mut chain_last = manifest.durable_lsn;
+        let last = walk_chain(&vfs, generation, resolve, |link| {
+            replay(&link.scan, &mut table, manifest.durable_lsn)?;
+            chain_last = chain_last.max(link.scan.last_lsn);
+            Ok(true)
+        })?
+        .expect("the chain's first link exists");
+        let mut wal = Wal::resume(&vfs, &last)?;
+        // An empty last link continues numbering after the LSNs the
+        // manifest and the earlier links already hold; otherwise fresh
+        // records would replay as already-applied.
+        wal.ensure_lsn_at_least(chain_last + 1);
+
+        // Clear leftovers of interrupted checkpoints (unreferenced
+        // segments, orphaned manifests) — but never the WAL chain at or
+        // above the durable generation. With archiving on this also
+        // completes any retire a crash interrupted (the reconcile pass).
+        // Nothing can be pinned: backups pin through a live table.
+        crate::archive::retire_stale(
+            &vfs,
+            dir,
+            &manifest,
+            opts.archive.as_ref(),
+            &crate::archive::SharedPins::default(),
+        );
+        Self::assemble(
+            vfs,
+            dir,
+            opts,
+            table,
+            clean_versions,
+            manifest,
+            wal,
+            last.seq,
+        )
+    }
+
+    /// Highest `seg-*.casper` number present in the directory (0 if none).
     fn max_segment_on_disk(dir: &Path) -> u64 {
         let Ok(entries) = fs::read_dir(dir) else {
             return 0;
@@ -741,7 +641,7 @@ impl DurableTable {
     }
 
     /// The wrapped table (read-only; mutations must flow through
-    /// [`DurableTable::execute`] so they are logged). On an mmap restore
+    /// [`DurableTable::execute`] so they are logged). After an `open`
     /// some chunks may still be unhydrated — call
     /// [`DurableTable::hydrate_all`] first if you need direct column
     /// access.
@@ -1131,7 +1031,7 @@ impl DurableTable {
             let live = entry.live as usize;
             let loader = self.governed_loader(entry);
             self.table.column_mut().repoint_chunk(i, live, loader);
-            self.table.column().republish();
+            self.table.column().publish();
             warn_rate_limited(&format!(
                 "query panicked in clean chunk {i} ({detail}); \
                  chunk re-pointed at its durable record"
@@ -1225,8 +1125,8 @@ impl DurableTable {
         }
         let n = self.table.column().chunks().len();
         if self.entries.len() != n {
-            // No v2 manifest yet (fresh v1 upgrade): nothing has a
-            // per-chunk record to re-point at.
+            // A re-layout's full checkpoint has not committed yet: no
+            // chunk has a current record to re-point at.
             return resident;
         }
         // Coldest-first victim order from the per-slot access stamps.
@@ -1261,7 +1161,7 @@ impl DurableTable {
             }
         }
         if evicted > 0 {
-            self.table.column().republish();
+            self.table.column().publish();
             gov.note_evictions(evicted);
         }
         let after = self.table.column().resident_bytes();
@@ -1305,7 +1205,7 @@ impl DurableTable {
         self.table
             .column_mut()
             .repoint_chunk(i, live, Box::new(|| panic!("injected chunk fault")));
-        self.table.column().republish();
+        self.table.column().publish();
     }
 
     /// Multi-column predicated sum (the TPC-H Q6 shape); read-only — and
@@ -1478,15 +1378,17 @@ impl DurableTable {
         Self::open_at_with_vfs(VfsHandle::default(), dir, lsn, opts)
     }
 
-    /// As [`DurableTable::open_at`], routing all I/O through `vfs`.
+    /// As [`DurableTable::open_at`], routing all I/O through `vfs`. The
+    /// restored table is detached (no WAL, checkpointer, scrubber or
+    /// governor), so nothing in `_opts` applies to it.
     pub fn open_at_with_vfs(
         vfs: VfsHandle,
         dir: &Path,
         lsn: u64,
-        opts: DurableOptions,
+        _opts: DurableOptions,
     ) -> Result<PointInTime, PersistError> {
         casper_obs::enable_from_env();
-        crate::archive::open_at(&vfs, dir, lsn, opts)
+        crate::archive::open_at(&vfs, dir, lsn)
     }
 
     /// Take a consistent online backup into `dest`: pin the current
@@ -1508,11 +1410,6 @@ impl DurableTable {
     /// thread while this table serves reads *and writes* concurrently.
     pub fn begin_backup(&mut self, dest: &Path) -> Result<BackupJob, PersistError> {
         self.ensure_active()?;
-        if self.entries.len() != self.table.column().chunks().len() {
-            // A not-yet-upgraded v1 directory has no per-chunk records to
-            // copy; its first v2 checkpoint creates them.
-            self.checkpoint()?;
-        }
         // The fence against the checkpointer's capture/execute split: a
         // job captured before this point has fully committed (or failed)
         // once finish_inflight returns, and any later capture happens on
@@ -1532,21 +1429,16 @@ impl DurableTable {
             segments,
             min_wal: self.generation,
         });
-        let mut wal_specs: Vec<(u64, Option<u64>)> =
-            (self.generation..self.wal_seq).map(|s| (s, None)).collect();
-        // The live link keeps growing under concurrent writes; cut it at
-        // the durable boundary of the fence.
-        wal_specs.push((self.wal_seq, Some(self.wal.durable_bytes())));
-        let backup_lsn = self.wal.next_lsn().saturating_sub(1);
-        Ok(BackupJob::new(
-            self.vfs.clone(),
-            self.dir.clone(),
-            dest.to_path_buf(),
-            self.generation,
-            wal_specs,
-            backup_lsn,
-            pin,
-        ))
+        Ok(BackupJob {
+            vfs: self.vfs.clone(),
+            src: self.dir.clone(),
+            dest: dest.to_path_buf(),
+            generation: self.generation,
+            last_wal: self.wal_seq,
+            fence_bytes: self.wal.durable_bytes(),
+            backup_lsn: self.wal.next_lsn().saturating_sub(1),
+            _pin: pin,
+        })
     }
 
     /// Verify a backup directory end to end: `CURRENT` → manifest checksum
@@ -1940,29 +1832,6 @@ impl DurableTable {
             self.checkpoint()?;
         }
         Ok(decision)
-    }
-
-    /// Best-effort removal of files from other v1 generations (leftovers
-    /// of a v1 checkpoint interrupted between the `CURRENT` swing and the
-    /// cleanup).
-    fn remove_stale_v1_generations(&self) {
-        let keep = [
-            snap_path(&self.dir, self.generation),
-            wal_path(&self.dir, self.generation),
-            current_path(&self.dir),
-        ];
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let p = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let ours = name.starts_with("snap-") || name.starts_with("wal-");
-            if ours && !keep.contains(&p) {
-                let _ = self.vfs.remove(&p);
-            }
-        }
     }
 }
 

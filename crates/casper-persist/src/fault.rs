@@ -62,7 +62,7 @@ impl FaultErr {
 /// Operation kinds a [`FaultRule`] can match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VfsOp {
-    /// Whole-file reads, positional reads, and mmap.
+    /// Whole-file reads and mmap.
     Read,
     /// File writes.
     Write,
@@ -403,14 +403,6 @@ impl FaultVfs {
         st.durable.insert(path.to_path_buf(), bytes);
         Ok(())
     }
-
-    pub(crate) fn check_read(&self, path: &Path) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
-        if let Some((err, _)) = st.arm(VfsOp::Read, path) {
-            return Err(err.to_io());
-        }
-        Ok(())
-    }
 }
 
 /// The [`Vfs`] implementation lives on `Arc<FaultVfs>` (not `FaultVfs`
@@ -465,16 +457,6 @@ impl Vfs for Arc<FaultVfs> {
         drop(st);
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         Ok(VfsFile::faulted(file, path, Arc::clone(self)))
-    }
-
-    fn open_read(&self, path: &Path) -> io::Result<VfsFile> {
-        let mut st = self.state.lock().unwrap();
-        if let Some((err, _)) = st.arm(VfsOp::Open, path) {
-            return Err(err.to_io());
-        }
-        st.track_existing(path);
-        drop(st);
-        Ok(VfsFile::faulted(File::open(path)?, path, Arc::clone(self)))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {

@@ -1,24 +1,23 @@
-//! Snapshot format v2: incremental, segment-based checkpoints.
+//! The on-disk checkpoint format: incremental, segment-based.
 //!
-//! v1 (`snapshot.rs`) re-serializes the entire table on every checkpoint.
-//! v2 splits the snapshot into two pieces so a checkpoint writes only what
-//! changed:
+//! A checkpoint is split into two pieces so it writes only what changed:
 //!
 //! * **Segments** (`seg-<seq>.casper`) are append-once files holding one
-//!   encoded chunk record per dirty chunk (the same per-store byte layout
-//!   as v1, via `snapshot::encode_store`). A segment is written, fsynced
-//!   and never touched again; older segments are retained while any live
-//!   manifest entry still points into them.
+//!   encoded chunk record per dirty chunk (the per-store byte layout of
+//!   `record::encode_store`). A segment is written, fsynced and never
+//!   touched again; older segments are retained while any live manifest
+//!   entry still points into them.
 //! * **Manifests** (`manifest-<gen>.casper`) are small CRC-checksummed
 //!   files mapping every chunk id to `(segment, offset, len, crc, live)`
 //!   plus the table-level metadata (engine config, fences, FM state, WAL
 //!   watermark). A checkpoint re-encodes *only dirty chunks* into a new
 //!   segment and re-points the clean ones at their existing records.
 //!
-//! `CURRENT` still swings atomically and still holds a bare generation
-//! number; recovery first looks for `manifest-<gen>` and falls back to the
-//! v1 `snap-<gen>` — v1 directories stay readable, and their first v2
-//! checkpoint upgrades them (all chunks dirty).
+//! `CURRENT` swings atomically and holds a bare generation number naming
+//! the live manifest. Every reader of a table directory — open, scrub,
+//! backup verification — resolves it through [`read_current`], and no
+//! record byte is believed before [`ChunkEntry::verified`] has checked it
+//! against the manifest's CRC.
 //!
 //! **Compaction**: once a manifest references more than a configured
 //! number of segments, the next checkpoint rewrites every live record into
@@ -26,14 +25,14 @@
 //! re-encoded) and the chain collapses.
 //!
 //! **Restore** maps segments ([`crate::mmap::Mmap`]) and hands each chunk
-//! to the engine as a [`LazyChunk`]: `DurableTable::open` does metadata
-//! work only, and a chunk verifies its record CRC and decodes on the first
+//! to the engine as a lazy slot: `DurableTable::open` does metadata work
+//! only, and a chunk verifies its record CRC and decodes on the first
 //! query that routes to it.
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{frame, unframe, ByteReader, ByteWriter};
 use crate::crc::crc32;
 use crate::mmap::Mmap;
-use crate::snapshot::{decode_config, decode_store, encode_config, encode_store};
+use crate::record::{decode_config, decode_store, encode_config, encode_store};
 use crate::vfs::{Vfs, VfsHandle};
 use crate::PersistError;
 use casper_core::FrequencyModel;
@@ -44,7 +43,6 @@ use casper_storage::StorageError;
 use casper_workload::HapSchema;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -52,7 +50,7 @@ use std::sync::Arc;
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CSPM";
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"CSPS";
-/// Manifest format version (the v2 of the snapshot subsystem).
+/// Manifest (and segment) format version.
 pub const MANIFEST_VERSION: u32 = 2;
 /// Byte length of a segment file header (`magic | version | seq`).
 pub const SEGMENT_HEADER_LEN: u64 = 16;
@@ -87,6 +85,39 @@ pub struct ChunkEntry {
     pub live: u64,
     /// Checkpoint generation that wrote the record (compaction telemetry).
     pub written_gen: u64,
+}
+
+impl ChunkEntry {
+    /// The one record check: slice this entry's record out of its
+    /// segment's bytes — bounds-checked — and compare its CRC32 with the
+    /// one the manifest stored. Every consumer of record bytes (lazy
+    /// hydration, compaction copy, scrub, backup copy, backup
+    /// verification) gets them from here, so nothing decodes or copies a
+    /// record the manifest does not vouch for.
+    pub(crate) fn verified<'a>(&self, segment: &'a [u8]) -> Result<&'a [u8], StorageError> {
+        let record = usize::try_from(self.offset)
+            .ok()
+            .zip(usize::try_from(self.len).ok())
+            .and_then(|(start, len)| segment.get(start..start.checked_add(len)?))
+            .ok_or_else(|| {
+                corrupt(format!(
+                    "segment {} is {} bytes but a record claims {} bytes at offset {}",
+                    self.seg,
+                    segment.len(),
+                    self.len,
+                    self.offset
+                ))
+            })?;
+        let got = crc32(record);
+        if got != self.crc {
+            return Err(corrupt(format!(
+                "chunk record at offset {} of segment {} fails its checksum \
+                 (stored {:#010x}, computed {got:#010x})",
+                self.offset, self.seg, self.crc
+            )));
+        }
+        Ok(record)
+    }
 }
 
 /// A decoded manifest: everything `DurableTable::open` needs before any
@@ -152,49 +183,12 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
             body.vec_f64(hist);
         }
     }
-    let body = body.into_bytes();
-
-    let mut out = ByteWriter::new();
-    for b in MANIFEST_MAGIC {
-        out.u8(b);
-    }
-    out.u32(MANIFEST_VERSION);
-    out.u64(body.len() as u64);
-    out.u32(crc32(&body));
-    let mut bytes = out.into_bytes();
-    bytes.extend_from_slice(&body);
-    bytes
+    frame(MANIFEST_MAGIC, MANIFEST_VERSION, &body.into_bytes())
 }
 
 /// Decode a manifest, verifying magic, version and checksum.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
-    let mut header = ByteReader::new(bytes);
-    let magic = [header.u8()?, header.u8()?, header.u8()?, header.u8()?];
-    if magic != MANIFEST_MAGIC {
-        return Err(corrupt(format!("bad manifest magic {magic:02x?}")));
-    }
-    let version = header.u32()?;
-    if version != MANIFEST_VERSION {
-        return Err(corrupt(format!(
-            "unsupported manifest version {version} (this build reads {MANIFEST_VERSION})"
-        )));
-    }
-    let body_len = header.len_u64()?;
-    let want_crc = header.u32()?;
-    if header.remaining() != body_len {
-        return Err(corrupt(format!(
-            "manifest body length {body_len} but {} bytes follow the header",
-            header.remaining()
-        )));
-    }
-    let body = &bytes[bytes.len() - body_len..];
-    let got_crc = crc32(body);
-    if got_crc != want_crc {
-        return Err(corrupt(format!(
-            "manifest checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
-        )));
-    }
-
+    let body = unframe(bytes, MANIFEST_MAGIC, MANIFEST_VERSION, "manifest")?;
     let mut r = ByteReader::new(body);
     let generation = r.u64()?;
     let durable_lsn = r.u64()?;
@@ -281,6 +275,73 @@ pub(crate) fn numbered_file(name: &str, prefix: &str, suffix: &str) -> Option<u6
         .strip_suffix(suffix)?
         .parse()
         .ok()
+}
+
+// ---------------------------------------------------------------------
+// Resolving a directory: CURRENT -> manifest
+// ---------------------------------------------------------------------
+
+/// Parse `CURRENT` (the only place that does).
+fn current_generation(vfs: &VfsHandle, dir: &Path) -> Result<u64, PersistError> {
+    let bytes = vfs.read(&crate::durable::current_path(dir))?;
+    let text = String::from_utf8_lossy(&bytes);
+    text.trim()
+        .parse()
+        .map_err(|_| corrupt(format!("CURRENT holds {text:?}, not a generation")).into())
+}
+
+/// Read and decode `manifest-<generation>`, returning it with its raw
+/// bytes (backups copy them verbatim). A missing file is damage — the
+/// caller was told this generation exists — so it is a typed `Corrupt`
+/// naming the file, as is a manifest that claims another generation.
+pub(crate) fn read_manifest(
+    vfs: &VfsHandle,
+    dir: &Path,
+    generation: u64,
+) -> Result<(Manifest, Vec<u8>), PersistError> {
+    let path = manifest_path(dir, generation);
+    let bytes = vfs.read(&path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => PersistError::from(corrupt(format!(
+            "the manifest of generation {generation} is missing: no {}",
+            path.display()
+        ))),
+        _ => e.into(),
+    })?;
+    let manifest = decode_manifest(&bytes)?;
+    if manifest.generation != generation {
+        return Err(corrupt(format!(
+            "{} says it is generation {}",
+            path.display(),
+            manifest.generation
+        ))
+        .into());
+    }
+    Ok((manifest, bytes))
+}
+
+/// The one way into a table directory: `CURRENT` names a generation, and
+/// `manifest-<gen>` must exist, pass its checksum and agree about the
+/// generation. Returns `(generation, manifest, manifest bytes)`.
+///
+/// A reader that shares the directory with a live checkpointer (the
+/// scrubber) can lose the manifest between the two reads — a checkpoint
+/// committed and pruned it. That is the only benign cause, and it shows
+/// as `CURRENT` having moved on: follow it, once. A failure under an
+/// unchanged `CURRENT` is returned as is.
+pub(crate) fn read_current(
+    vfs: &VfsHandle,
+    dir: &Path,
+) -> Result<(u64, Manifest, Vec<u8>), PersistError> {
+    let mut generation = current_generation(vfs, dir)?;
+    let mut read = read_manifest(vfs, dir, generation);
+    if read.is_err() {
+        let now = current_generation(vfs, dir)?;
+        if now != generation {
+            generation = now;
+            read = read_manifest(vfs, dir, generation);
+        }
+    }
+    read.map(|(manifest, bytes)| (generation, manifest, bytes))
 }
 
 // ---------------------------------------------------------------------
@@ -444,33 +505,21 @@ pub(crate) fn run_checkpoint(job: &CheckpointJob) -> Result<Manifest, PersistErr
     Ok(manifest)
 }
 
-/// Read and CRC-verify one persisted record (compaction byte-copy path and
-/// the scrubber's verification pass).
+/// Read and verify one persisted record (compaction byte-copy path and
+/// the scrubber's verification pass). The segment is mapped, not read:
+/// only the record's pages are touched.
 pub(crate) fn read_record(
     vfs: &VfsHandle,
     dir: &Path,
     entry: &ChunkEntry,
 ) -> Result<Vec<u8>, PersistError> {
-    let path = segment_path(dir, entry.seg);
-    let mut f = vfs.open_read(&path)?;
-    f.seek(SeekFrom::Start(entry.offset))?;
-    let mut bytes = vec![0u8; entry.len as usize];
-    f.read_exact(&mut bytes)?;
-    let got = crc32(&bytes);
-    if got != entry.crc {
-        return Err(corrupt(format!(
-            "segment {} record at {} fails its checksum during compaction \
-             (stored {:#010x}, computed {got:#010x})",
-            entry.seg, entry.offset, entry.crc
-        ))
-        .into());
-    }
-    Ok(bytes)
+    let map = vfs.mmap(&segment_path(dir, entry.seg))?;
+    Ok(entry.verified(&map)?.to_vec())
 }
 
 /// Best-effort removal of everything the new manifest no longer needs:
-/// older manifests, v1 snapshots, unreferenced segments, WAL files below
-/// the new generation, and orphaned temp files. Files pinned by an
+/// older manifests, unreferenced segments, WAL files below the new
+/// generation, and orphaned temp files. Files pinned by an
 /// in-flight backup are skipped. A crash mid-prune only leaves garbage
 /// for the next prune: `CURRENT` and its targets were made durable (via
 /// checked directory fsyncs in [`crate::durable::write_atomic`]) *before*
@@ -501,7 +550,7 @@ pub(crate) fn prune_stale(
         } else if let Some(w) = numbered_file(&name, "wal-", ".log") {
             w < manifest.generation && !pins.keep_wal(w)
         } else {
-            name.starts_with("snap-") || name.ends_with(".tmp")
+            name.ends_with(".tmp")
         };
         if stale {
             let _ = vfs.remove(&entry.path());
@@ -514,28 +563,18 @@ pub(crate) fn prune_stale(
 // Restore
 // ---------------------------------------------------------------------
 
-/// Build a table from a manifest: map every referenced segment, verify the
-/// segment headers, and hand each chunk to the engine lazily (or decode
-/// eagerly when `eager` is set — used by tests and as a paranoia switch).
+/// Build a table from a manifest: map every referenced segment, verify
+/// the segment headers, and hand each chunk to the engine as a lazy slot
+/// that verifies and decodes its record on first touch
+/// (`Table::hydrate_all` forces them all). Each segment is taken from the
+/// first of `dirs` that holds it (point-in-time restores mix live and
+/// archived segments — a shared segment may still be live while the base
+/// manifest is archived). A segment found nowhere resolves to the primary
+/// directory so the mmap produces the usual typed error.
 pub(crate) fn restore_table(
     vfs: &VfsHandle,
-    dir: &Path,
+    dirs: &[&Path],
     manifest: &Manifest,
-    eager: bool,
-) -> Result<Table, PersistError> {
-    restore_table_from(vfs, &[dir.to_path_buf()], manifest, eager)
-}
-
-/// [`restore_table`] over a search path: each referenced segment is taken
-/// from the first directory that holds it (point-in-time restores mix live
-/// and archived segments — a shared segment may still be live while the
-/// base manifest is archived). A segment found nowhere resolves to the
-/// primary directory so the mmap produces the usual typed error.
-pub(crate) fn restore_table_from(
-    vfs: &VfsHandle,
-    dirs: &[PathBuf],
-    manifest: &Manifest,
-    eager: bool,
 ) -> Result<Table, PersistError> {
     let mut maps: BTreeMap<u64, Arc<Mmap>> = BTreeMap::new();
     for seg in manifest.referenced_segments() {
@@ -543,7 +582,7 @@ pub(crate) fn restore_table_from(
             .iter()
             .map(|d| segment_path(d, seg))
             .find(|p| p.exists())
-            .unwrap_or_else(|| segment_path(&dirs[0], seg));
+            .unwrap_or_else(|| segment_path(dirs[0], seg));
         let map = Arc::new(vfs.mmap(&path)?);
         verify_segment_header(&map, seg)?;
         maps.insert(seg, map);
@@ -551,17 +590,13 @@ pub(crate) fn restore_table_from(
     let payload_width = manifest.schema.payload_cols;
     let config = manifest.config;
     let mut chunks = Vec::with_capacity(manifest.entries.len());
-    for (i, entry) in manifest.entries.iter().enumerate() {
+    for entry in &manifest.entries {
         let map = Arc::clone(maps.get(&entry.seg).expect("segment mapped above"));
+        let live =
+            usize::try_from(entry.live).map_err(|_| corrupt("live count overflows usize"))?;
         let entry = entry.clone();
         let loader = move || decode_record(&map, &entry, &config, payload_width);
-        if eager {
-            chunks.push(ChunkSlot::new(loader()?));
-        } else {
-            let live = usize::try_from(manifest.entries[i].live)
-                .map_err(|_| corrupt("live count overflows usize"))?;
-            chunks.push(ChunkSlot::new_lazy(live, Box::new(loader)));
-        }
+        chunks.push(ChunkSlot::new_lazy(live, Box::new(loader)));
     }
     let column = ChunkedColumn::from_restored(
         chunks,
@@ -618,33 +653,15 @@ pub(crate) fn verify_segment_header(bytes: &[u8], seq: u64) -> Result<(), Storag
     Ok(())
 }
 
-/// Decode one chunk record out of its mapped segment: bounds check, CRC
-/// verification at first touch, then the shared store decoder.
+/// Decode one chunk record out of its mapped segment — verified at first
+/// touch, then the shared store decoder.
 fn decode_record(
     map: &Mmap,
     entry: &ChunkEntry,
     config: &EngineConfig,
     payload_width: usize,
 ) -> Result<ChunkStore, StorageError> {
-    let start = usize::try_from(entry.offset).map_err(|_| corrupt("record offset overflow"))?;
-    let len = usize::try_from(entry.len).map_err(|_| corrupt("record length overflow"))?;
-    let bytes = map.get(start..start + len).ok_or_else(|| {
-        corrupt(format!(
-            "segment {} is {} bytes but a record claims {start}..{}",
-            entry.seg,
-            map.len(),
-            start + len
-        ))
-    })?;
-    let got = crc32(bytes);
-    if got != entry.crc {
-        return Err(corrupt(format!(
-            "chunk record in segment {} fails its checksum \
-             (stored {:#010x}, computed {got:#010x})",
-            entry.seg, entry.crc
-        )));
-    }
-    let mut r = ByteReader::new(bytes);
+    let mut r = ByteReader::new(entry.verified(map)?);
     let store = decode_store(&mut r, config, payload_width)?;
     r.finish()?;
     Ok(store)
@@ -679,8 +696,15 @@ mod tests {
                     written_gen: 7,
                 },
             ],
-            fms: Vec::new(),
+            fms: vec![fm()],
         }
+    }
+
+    fn fm() -> FrequencyModel {
+        let mut fm = FrequencyModel::new(4);
+        fm.pq = vec![1.0, 2.5, 0.0, 4.0];
+        fm.rs[1] = 3.0;
+        fm
     }
 
     #[test]
@@ -692,7 +716,44 @@ mod tests {
         assert_eq!(d.durable_lsn, 123);
         assert_eq!(d.entries, m.entries);
         assert_eq!(d.fences, m.fences);
+        assert_eq!(d.fms, vec![fm()]);
         assert_eq!(d.referenced_segments(), vec![2, 5]);
+    }
+
+    #[test]
+    fn verified_believes_a_record_only_after_its_crc() {
+        let mut segment = vec![0u8; SEGMENT_HEADER_LEN as usize];
+        let record = b"a chunk record's bytes";
+        segment.extend_from_slice(record);
+        let entry = ChunkEntry {
+            seg: 1,
+            offset: SEGMENT_HEADER_LEN,
+            len: record.len() as u64,
+            crc: crc32(record),
+            live: 0,
+            written_gen: 1,
+        };
+        assert_eq!(entry.verified(&segment).expect("intact"), record);
+        // Any flipped bit inside the record is caught.
+        for i in SEGMENT_HEADER_LEN as usize..segment.len() {
+            let mut damaged = segment.clone();
+            damaged[i] ^= 0x10;
+            assert!(
+                matches!(entry.verified(&damaged), Err(StorageError::Corrupt { .. })),
+                "flip at {i}"
+            );
+        }
+        // A segment too short for the claim, or a claim that overflows, is
+        // typed damage too — never a slice panic.
+        assert!(entry.verified(&segment[..segment.len() - 1]).is_err());
+        let wild = ChunkEntry {
+            offset: u64::MAX - 3,
+            ..entry
+        };
+        assert!(matches!(
+            wild.verified(&segment),
+            Err(StorageError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -10,17 +10,16 @@
 //!
 //! The pieces:
 //!
-//! * [`incremental`] — snapshot format **v2**: append-once *segments* of
+//! * [`incremental`] — the checkpoint format: append-once *segments* of
 //!   per-chunk records plus small CRC-checksummed *manifests* mapping
 //!   chunk id → (segment, offset, len, crc). Checkpoints re-serialize
 //!   **only the chunks dirtied since the last one** (the engine's
 //!   per-chunk version counters enumerate them) and compact the segment
 //!   chain periodically; restore maps segments ([`mmap`]) and hydrates
-//!   chunks lazily, checksum-verified at first touch.
-//! * [`snapshot`] — the original v1 whole-table format, still readable
-//!   (a v1 directory upgrades on its first v2 checkpoint). Restore
-//!   performs **zero layout solves and zero codec re-encodes** on either
-//!   path (asserted via the solver/codec telemetry counters).
+//!   chunks lazily, checksum-verified at first touch, with **zero layout
+//!   solves and zero codec re-encodes** (asserted via the solver/codec
+//!   telemetry counters). It is also the one reader of a table directory:
+//!   `CURRENT` → manifest → CRC-verified records.
 //! * [`wal`] — an append-only redo log of Q4/Q5/Q6 writes with group-commit
 //!   batching, per-record CRC32, and torn-tail truncation on replay.
 //! * [`checkpointer`] — the background checkpoint thread: the foreground
@@ -35,7 +34,7 @@
 //! * [`durable`] — [`DurableTable`], the engine wrapper tying it together:
 //!   WAL staging on every write, watermark-triggered background
 //!   checkpoints, synchronous checkpoints after every optimizer re-layout,
-//!   mmap restore.
+//!   lazy restore.
 //!
 //! Formats are hand-rolled in-repo (CRC32 and mmap included) following the
 //! workspace's offline `crates/shims/` discipline; the byte layouts are
@@ -49,8 +48,8 @@ pub mod durable;
 pub mod fault;
 pub mod incremental;
 pub mod mmap;
+mod record;
 pub mod scrub;
-pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 
@@ -63,7 +62,6 @@ pub use fault::{FaultCounters, FaultErr, FaultRule, FaultVfs, VfsOp};
 pub use incremental::{decode_manifest, encode_manifest, ChunkEntry, Manifest};
 pub use mmap::Mmap;
 pub use scrub::{ScrubFinding, ScrubReport, ScrubStats};
-pub use snapshot::{decode_snapshot, encode_snapshot, RestoredSnapshot};
 pub use vfs::{RealVfs, Vfs, VfsFile, VfsHandle};
 pub use wal::{Wal, WalBatch, WalOp, WalScan};
 

@@ -1,32 +1,26 @@
-//! The versioned, checksummed snapshot format.
+//! The chunk-record codec: the byte form of one [`ChunkStore`].
 //!
-//! A snapshot serializes a whole [`Table`] — chunk slots, partition
-//! boundaries, zone maps, per-partition storage modes *with their encoded
-//! fragment bytes*, ghost accounting, and the captured frequency-model
-//! state — so that [`decode_snapshot`] restores the exact optimized layout
-//! with **no re-solve and no re-compress**: partitioned chunks come back
-//! through `PartitionedChunk::from_state` (bit-exact raw state) and
-//! fragments through the codecs' `from_raw` constructors, which bypass the
-//! encode paths entirely. The solver-invocation and codec-encode telemetry
-//! counters therefore stay flat across a restore — the durability tests
-//! assert exactly that.
+//! A segment record serializes one chunk — partition boundaries, zone
+//! maps, per-partition storage modes *with their encoded fragment bytes*,
+//! ghost accounting, payload columns — so that [`decode_store`] restores
+//! the exact optimized layout with **no re-solve and no re-compress**:
+//! partitioned chunks come back through `PartitionedChunk::from_state`
+//! (bit-exact raw state) and fragments through the codecs' `from_raw`
+//! constructors, which bypass the encode paths entirely. The
+//! solver-invocation and codec-encode telemetry counters therefore stay
+//! flat across a restore — the durability tests assert exactly that.
 //!
-//! ## File layout
-//!
-//! ```text
-//! magic "CSPR" | version u32 | body_len u64 | body_crc32 u32 | body
-//! ```
-//!
-//! The CRC covers the entire body; any mismatch (or any structural length
-//! violation inside the body) surfaces as [`StorageError::Corrupt`] —
-//! never a panic — so recovery can reject a damaged generation. See
-//! `docs/persist-format.md` for the full field-by-field record layout.
+//! A record carries no framing of its own: its length and CRC live in the
+//! manifest's [`crate::incremental::ChunkEntry`], and
+//! `ChunkEntry::verified` is the only way record bytes reach this decoder.
+//! Any structural violation inside a record surfaces as
+//! [`StorageError::Corrupt`] — never a panic. [`encode_config`] /
+//! [`decode_config`] are the engine-config block the manifest embeds. See
+//! `docs/persist-format.md` for the field-by-field layout.
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::crc::crc32;
-use casper_core::FrequencyModel;
-use casper_engine::column::{ChunkSlot, ChunkStore};
-use casper_engine::{ChunkedColumn, EngineConfig, LayoutMode, Table};
+use casper_engine::column::ChunkStore;
+use casper_engine::{EngineConfig, LayoutMode};
 use casper_storage::compress::dictionary::PackedCodes;
 use casper_storage::compress::for_delta::PackedOffsets;
 use casper_storage::compress::{Dictionary, ForBlock, Rle};
@@ -35,12 +29,6 @@ use casper_storage::{
     BlockLayout, ChunkConfig, ChunkState, Fragment, PartitionMeta, PartitionedChunk, SortedColumn,
     SortedDelta, StorageError, UpdatePolicy,
 };
-use casper_workload::HapSchema;
-
-/// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSPR";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
 
 fn corrupt(reason: impl Into<String>) -> StorageError {
     StorageError::Corrupt {
@@ -48,74 +36,9 @@ fn corrupt(reason: impl Into<String>) -> StorageError {
     }
 }
 
-/// Everything a decoded snapshot yields.
-#[derive(Debug)]
-pub struct RestoredSnapshot {
-    /// The table, layout-identical to the one that was saved.
-    pub table: Table,
-    /// Captured per-chunk frequency models (empty when none were saved).
-    pub fms: Vec<FrequencyModel>,
-    /// Checkpoint generation this snapshot belongs to.
-    pub generation: u64,
-    /// Highest WAL LSN already folded into this snapshot; replay skips
-    /// records at or below it (replay idempotence).
-    pub durable_lsn: u64,
-}
-
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
-
-/// Serialize a table (plus captured FM state and WAL watermark) into the
-/// snapshot byte format.
-pub fn encode_snapshot(
-    table: &Table,
-    fms: &[FrequencyModel],
-    generation: u64,
-    durable_lsn: u64,
-) -> Vec<u8> {
-    let mut body = ByteWriter::new();
-    body.u64(generation);
-    body.u64(durable_lsn);
-    body.u64(table.schema().payload_cols as u64);
-    let column = table.column();
-    encode_config(&mut body, column.config());
-    match column.fences() {
-        Some(f) => {
-            body.u8(1);
-            body.vec_u64(f);
-        }
-        None => body.u8(0),
-    }
-    body.u64(column.chunks().len() as u64);
-    for slot in column.chunks() {
-        // Dirty chunks are hydrated by definition, and callers hydrate
-        // before a full snapshot — an unhydrated slot here is a logic bug.
-        let store = slot
-            .store_opt()
-            .expect("cannot serialize an unhydrated chunk");
-        encode_store(&mut body, store);
-    }
-    body.u64(fms.len() as u64);
-    for fm in fms {
-        for (_, hist) in fm.histograms() {
-            body.vec_f64(hist);
-        }
-    }
-    let body = body.into_bytes();
-
-    let mut out = ByteWriter::new();
-    out.u8(SNAPSHOT_MAGIC[0]);
-    out.u8(SNAPSHOT_MAGIC[1]);
-    out.u8(SNAPSHOT_MAGIC[2]);
-    out.u8(SNAPSHOT_MAGIC[3]);
-    out.u32(SNAPSHOT_VERSION);
-    out.u64(body.len() as u64);
-    out.u32(crc32(&body));
-    let mut bytes = out.into_bytes();
-    bytes.extend_from_slice(&body);
-    bytes
-}
 
 pub(crate) fn encode_config(w: &mut ByteWriter, c: &EngineConfig) {
     w.u8(mode_tag(c.mode));
@@ -263,101 +186,6 @@ fn encode_fragment(w: &mut ByteWriter, frag: Option<&Fragment<u64>>) {
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
-
-/// Decode a snapshot, verifying magic, version and the body checksum.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<RestoredSnapshot, StorageError> {
-    let mut header = ByteReader::new(bytes);
-    let magic = [header.u8()?, header.u8()?, header.u8()?, header.u8()?];
-    if magic != SNAPSHOT_MAGIC {
-        return Err(corrupt(format!("bad magic {magic:02x?}")));
-    }
-    let version = header.u32()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(corrupt(format!(
-            "unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
-        )));
-    }
-    let body_len = header.len_u64()?;
-    let want_crc = header.u32()?;
-    if header.remaining() != body_len {
-        return Err(corrupt(format!(
-            "body length {body_len} but {} bytes follow the header",
-            header.remaining()
-        )));
-    }
-    let body = &bytes[bytes.len() - body_len..];
-    let got_crc = crc32(body);
-    if got_crc != want_crc {
-        return Err(corrupt(format!(
-            "body checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
-        )));
-    }
-
-    let mut r = ByteReader::new(body);
-    let generation = r.u64()?;
-    let durable_lsn = r.u64()?;
-    let payload_cols = r.len_u64()?;
-    let schema = HapSchema { payload_cols };
-    let config = decode_config(&mut r)?;
-    let fences = match r.u8()? {
-        0 => None,
-        1 => Some(r.vec_u64()?),
-        t => return Err(corrupt(format!("bad fence tag {t}"))),
-    };
-    // The schema's arity is the single source of truth for payload width;
-    // every chunk store is validated against it during decode.
-    let payload_width = schema.payload_cols;
-    let n_chunks = r.len_u64()?;
-    let mut chunks = Vec::with_capacity(n_chunks.min(1 << 20));
-    for _ in 0..n_chunks {
-        chunks.push(ChunkSlot::new(decode_store(
-            &mut r,
-            &config,
-            payload_width,
-        )?));
-    }
-    if chunks.is_empty() {
-        return Err(corrupt("snapshot holds zero chunks"));
-    }
-    if let Some(f) = &fences {
-        if f.len() != chunks.len() {
-            return Err(corrupt(format!(
-                "{} fences for {} chunks",
-                f.len(),
-                chunks.len()
-            )));
-        }
-    }
-    let n_fms = r.len_u64()?;
-    let mut fms = Vec::with_capacity(n_fms.min(1 << 20));
-    for _ in 0..n_fms {
-        let hists: [Vec<f64>; 10] = [
-            r.vec_f64()?,
-            r.vec_f64()?,
-            r.vec_f64()?,
-            r.vec_f64()?,
-            r.vec_f64()?,
-            r.vec_f64()?,
-            r.vec_f64()?,
-            r.vec_f64()?,
-            r.vec_f64()?,
-            r.vec_f64()?,
-        ];
-        fms.push(
-            FrequencyModel::from_histograms(hists)
-                .map_err(|e| corrupt(format!("frequency model: {e}")))?,
-        );
-    }
-    r.finish()?;
-
-    let column = ChunkedColumn::from_restored(chunks, fences, config, payload_width);
-    Ok(RestoredSnapshot {
-        table: Table::from_restored(schema, column),
-        fms,
-        generation,
-        durable_lsn,
-    })
-}
 
 pub(crate) fn decode_config(r: &mut ByteReader<'_>) -> Result<EngineConfig, StorageError> {
     let mode = mode_from_tag(r.u8()?)?;
@@ -563,68 +391,68 @@ fn mode_from_tag(tag: u8) -> Result<LayoutMode, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casper_engine::QueryCtx;
-    use casper_workload::{HapQuery, KeyDist, WorkloadGenerator};
+    use casper_engine::Table;
+    use casper_workload::{HapSchema, KeyDist, WorkloadGenerator};
 
-    fn table(mode: LayoutMode) -> Table {
-        let gen = WorkloadGenerator::new(HapSchema::narrow(), 2000, KeyDist::Uniform);
-        Table::load_from_generator(&gen, EngineConfig::small(mode))
+    /// One encoded record per chunk of a small table in `mode` (records
+    /// of a few KB, so trying every truncation of one stays fast).
+    fn records(mode: LayoutMode) -> (EngineConfig, Vec<(Vec<u8>, usize)>) {
+        let gen = WorkloadGenerator::new(HapSchema::narrow(), 150, KeyDist::Uniform);
+        let mut config = EngineConfig::small(mode);
+        config.chunk_values = 64;
+        let table = Table::load_from_generator(&gen, config);
+        let records = table
+            .column()
+            .chunks()
+            .iter()
+            .map(|slot| {
+                let store = slot.get().expect("freshly loaded chunk");
+                let mut w = ByteWriter::new();
+                encode_store(&mut w, store);
+                (w.into_bytes(), store.len())
+            })
+            .collect();
+        (config, records)
+    }
+
+    fn decode(bytes: &[u8], config: &EngineConfig) -> Result<ChunkStore, StorageError> {
+        let mut r = ByteReader::new(bytes);
+        let store = decode_store(&mut r, config, HapSchema::narrow().payload_cols)?;
+        r.finish()?;
+        Ok(store)
     }
 
     #[test]
     fn round_trip_every_mode() {
         for mode in LayoutMode::all() {
-            let t = table(mode);
-            let bytes = encode_snapshot(&t, &[], 3, 17);
-            let restored = decode_snapshot(&bytes).expect("decode");
-            assert_eq!(restored.generation, 3);
-            assert_eq!(restored.durable_lsn, 17);
-            assert_eq!(restored.table.len(), t.len(), "{mode:?}");
-            let all = HapQuery::Q2 {
-                vs: 0,
-                ve: u64::MAX,
-            };
-            let out = restored.table.column().read(&all, &QueryCtx::default());
-            assert_eq!(out.unwrap().result.scalar() as usize, t.len(), "{mode:?}");
+            let (config, records) = records(mode);
+            for (bytes, live) in &records {
+                let store = decode(bytes, &config).expect("decode");
+                assert_eq!(store.len(), *live, "{mode:?}");
+                // Re-encoding the decoded store reproduces the record
+                // byte for byte: nothing was re-solved or re-compressed.
+                let mut w = ByteWriter::new();
+                encode_store(&mut w, &store);
+                assert_eq!(&w.into_bytes(), bytes, "{mode:?}");
+            }
         }
     }
 
     #[test]
-    fn checksum_detects_any_flipped_bit_region() {
-        let t = table(LayoutMode::Casper);
-        let mut bytes = encode_snapshot(&t, &[], 1, 0);
-        // Flip one bit somewhere in the body.
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(StorageError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_file_is_corrupt_not_panic() {
-        let t = table(LayoutMode::Casper);
-        let bytes = encode_snapshot(&t, &[], 1, 0);
-        for cut in [0, 3, 7, 11, 15, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                matches!(
-                    decode_snapshot(&bytes[..cut]),
-                    Err(StorageError::Corrupt { .. })
-                ),
-                "cut at {cut}"
-            );
+    fn every_truncated_prefix_is_corrupt_not_panic() {
+        for mode in LayoutMode::all() {
+            let (config, records) = records(mode);
+            let (bytes, _) = &records[0];
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(
+                        decode(&bytes[..cut], &config),
+                        Err(StorageError::Corrupt { .. })
+                    ),
+                    "{mode:?}: cut at {cut} of {}",
+                    bytes.len()
+                );
+            }
         }
-    }
-
-    #[test]
-    fn fm_state_round_trips() {
-        let t = table(LayoutMode::Casper);
-        let mut fm = FrequencyModel::new(4);
-        fm.pq = vec![1.0, 2.5, 0.0, 4.0];
-        fm.rs[1] = 3.0;
-        let bytes = encode_snapshot(&t, &[fm.clone()], 1, 0);
-        let restored = decode_snapshot(&bytes).expect("decode");
-        assert_eq!(restored.fms, vec![fm]);
     }
 }

@@ -15,8 +15,8 @@
 //! A pass is read-only and throttled (an optional pause between records)
 //! so it never competes with the commit path for I/O bandwidth.
 
-use crate::incremental::{manifest_path, read_record, ChunkEntry, Manifest};
-use crate::vfs::{Vfs, VfsHandle};
+use crate::incremental::{read_current, read_record};
+use crate::vfs::VfsHandle;
 use crate::PersistError;
 use casper_obs::CounterDef;
 use std::path::{Path, PathBuf};
@@ -68,8 +68,7 @@ pub struct ScrubFinding {
 /// Outcome of one complete scrub pass.
 #[derive(Debug, Clone, Default)]
 pub struct ScrubReport {
-    /// Manifest generation that was scrubbed (0 when the directory held
-    /// no v2 manifest — nothing to scrub).
+    /// Manifest generation that was scrubbed.
     pub generation: u64,
     /// Records whose bytes were read and CRC-verified.
     pub records_checked: u64,
@@ -92,7 +91,8 @@ pub struct ScrubStats {
     pub records_checked: u64,
     /// Damaged records found across all passes (pre-dedup).
     pub corrupt_records: u64,
-    /// Passes that aborted on an I/O error before completing.
+    /// Passes that aborted before completing: an I/O error, or a
+    /// `CURRENT` / manifest that is missing or damaged.
     pub failed_passes: u64,
     /// Archived files re-verified against the archive index.
     pub archive_files_checked: u64,
@@ -104,58 +104,21 @@ pub struct ScrubStats {
     pub backup_failures: u64,
 }
 
-/// Verify one record's bytes against its manifest entry.
-fn check_entry(
-    vfs: &VfsHandle,
-    dir: &Path,
-    generation: u64,
-    chunk: usize,
-    entry: &ChunkEntry,
-) -> Option<ScrubFinding> {
-    match read_record(vfs, dir, entry) {
-        Ok(_) => None,
-        Err(e) => Some(ScrubFinding {
-            generation,
-            chunk,
-            segment: entry.seg,
-            offset: entry.offset,
-            reason: e.to_string(),
-        }),
-    }
-}
-
 /// Run one synchronous scrub pass over `dir`'s current manifest.
 ///
-/// Reads `CURRENT`, decodes `manifest-<gen>`, then re-reads and
-/// CRC-verifies every chunk record, sleeping `pause_per_record` between
-/// records (the throttle) and stopping early when `stop` flips. A v1
-/// directory (no v2 manifest) yields an empty report — v1 snapshots are
-/// whole-file CRC-checked at open and upgrade to v2 on their first
-/// checkpoint. Damaged records are *reported*, never touched: healing is
-/// the owner's job, where the in-memory table still has the data.
+/// Resolves `CURRENT` to its manifest (a missing or damaged manifest fails
+/// the pass — it is not a clean directory), then re-reads and CRC-verifies
+/// every chunk record, sleeping `pause_per_record` between records (the
+/// throttle) and stopping early when `stop` flips. Damaged records are
+/// *reported*, never touched: healing is the owner's job, where the
+/// in-memory table still has the data.
 pub fn scrub_pass(
     vfs: &VfsHandle,
     dir: &Path,
     pause_per_record: Duration,
     stop: Option<&AtomicBool>,
 ) -> Result<ScrubReport, PersistError> {
-    let current_bytes = vfs.read(&crate::durable::current_path(dir))?;
-    let current = String::from_utf8_lossy(&current_bytes);
-    let generation: u64 = current.trim().parse().map_err(|_| {
-        PersistError::Storage(casper_storage::StorageError::Corrupt {
-            reason: format!(
-                "CURRENT holds {:?}, not a generation number",
-                current.trim()
-            ),
-        })
-    })?;
-    let manifest_bytes = match vfs.read(&manifest_path(dir, generation)) {
-        Ok(b) => b,
-        // v1 directory: generation points at a snap- file, nothing to scrub.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(ScrubReport::default()),
-        Err(e) => return Err(e.into()),
-    };
-    let manifest: Manifest = crate::incremental::decode_manifest(&manifest_bytes)?;
+    let (generation, manifest, _) = read_current(vfs, dir)?;
     let mut report = ScrubReport {
         generation,
         ..Default::default()
@@ -164,8 +127,14 @@ pub fn scrub_pass(
         if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
             break;
         }
-        if let Some(finding) = check_entry(vfs, dir, generation, chunk, entry) {
-            report.findings.push(finding);
+        if let Err(e) = read_record(vfs, dir, entry) {
+            report.findings.push(ScrubFinding {
+                generation,
+                chunk,
+                segment: entry.seg,
+                offset: entry.offset,
+                reason: e.to_string(),
+            });
         }
         report.records_checked += 1;
         if !pause_per_record.is_zero() {

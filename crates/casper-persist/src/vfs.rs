@@ -20,7 +20,7 @@
 use crate::fault::FaultVfs;
 use crate::mmap::Mmap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -37,8 +37,6 @@ pub trait Vfs {
     fn create_new(&self, path: &Path) -> io::Result<VfsFile>;
     /// Open an existing file for reading and writing.
     fn open_rw(&self, path: &Path) -> io::Result<VfsFile>;
-    /// Open an existing file read-only.
-    fn open_read(&self, path: &Path) -> io::Result<VfsFile>;
     /// Atomically rename `from` to `to` (replacing `to` if present).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Remove a file.
@@ -72,10 +70,6 @@ impl Vfs for RealVfs {
     fn open_rw(&self, path: &Path) -> io::Result<VfsFile> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         Ok(VfsFile::real(file, path))
-    }
-
-    fn open_read(&self, path: &Path) -> io::Result<VfsFile> {
-        Ok(VfsFile::real(File::open(path)?, path))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -149,13 +143,6 @@ impl Vfs for VfsHandle {
         match self {
             VfsHandle::Real => RealVfs.open_rw(path),
             VfsHandle::Fault(f) => f.open_rw(path),
-        }
-    }
-
-    fn open_read(&self, path: &Path) -> io::Result<VfsFile> {
-        match self {
-            VfsHandle::Real => RealVfs.open_read(path),
-            VfsHandle::Fault(f) => f.open_read(path),
         }
     }
 
@@ -262,21 +249,5 @@ impl VfsFile {
     /// Reposition the file cursor.
     pub fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
         self.file.seek(pos)
-    }
-
-    /// Read until EOF, honoring read-error injections.
-    pub fn read_to_end(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        if let Some(f) = &self.fault {
-            f.check_read(&self.path)?;
-        }
-        self.file.read_to_end(buf)
-    }
-
-    /// Fill `buf` exactly, honoring read-error injections.
-    pub fn read_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        if let Some(f) = &self.fault {
-            f.check_read(&self.path)?;
-        }
-        self.file.read_exact(buf)
     }
 }

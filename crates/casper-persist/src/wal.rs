@@ -31,7 +31,7 @@ use crate::vfs::{Vfs, VfsFile, VfsHandle};
 use crate::PersistError;
 use casper_engine::Table;
 use casper_obs::{CounterDef, HistogramDef};
-use casper_storage::OpCost;
+use casper_storage::{OpCost, StorageError};
 use casper_workload::HapQuery;
 use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
@@ -276,6 +276,69 @@ pub fn replay_upto(
     Ok((applied, cost))
 }
 
+/// One link of a WAL chain, read and scanned by [`walk_chain`].
+#[derive(Debug)]
+pub(crate) struct ChainLink {
+    pub seq: u64,
+    pub path: PathBuf,
+    pub bytes: Vec<u8>,
+    /// Only the chain's last link can end in a torn tail
+    /// (`scan.valid_len < bytes.len()`).
+    pub scan: WalScan,
+}
+
+/// The one WAL-chain walk. A checkpoint capture rotates the log, so the
+/// writes since a manifest live in a chain `wal-<gen>, wal-<gen+1>, …`;
+/// `resolve` says where link `seq` is (live directory, archive, backup)
+/// or `None` past the end. Each link is read, scanned and handed to
+/// `visit`, which returns `Ok(false)` to stop early. Returns the last
+/// link visited (`None` when link `first` does not exist).
+///
+/// The rule every reader of a chain shares is enforced here: rotation
+/// seals a link before creating its successor, so a link *with* a
+/// successor must scan to its exact end. Anything else is damage, and
+/// using only its sealed prefix while later links still apply would punch
+/// a hole in the committed history.
+pub(crate) fn walk_chain(
+    vfs: &VfsHandle,
+    first: u64,
+    resolve: impl Fn(u64) -> Option<PathBuf>,
+    mut visit: impl FnMut(&ChainLink) -> Result<bool, PersistError>,
+) -> Result<Option<ChainLink>, PersistError> {
+    let mut last = None;
+    let mut next = resolve(first);
+    let mut seq = first;
+    while let Some(path) = next {
+        let bytes = vfs.read(&path)?;
+        let scanned = scan(&bytes);
+        next = resolve(seq + 1);
+        if next.is_some() && scanned.valid_len != bytes.len() {
+            return Err(PersistError::Storage(StorageError::Corrupt {
+                reason: format!(
+                    "WAL chain link {} is damaged: only {} of {} bytes form \
+                     sealed batches, yet a successor link exists",
+                    path.display(),
+                    scanned.valid_len,
+                    bytes.len()
+                ),
+            }));
+        }
+        let link = ChainLink {
+            seq,
+            path,
+            bytes,
+            scan: scanned,
+        };
+        let go_on = visit(&link)?;
+        last = Some(link);
+        if !go_on {
+            break;
+        }
+        seq += 1;
+    }
+    Ok(last)
+}
+
 /// The append side of the log: buffers records in memory and makes them
 /// durable batch-at-a-time (`seal`), with a single write + fsync per batch
 /// — the group-commit discipline.
@@ -312,38 +375,28 @@ impl Wal {
         })
     }
 
-    /// Recover an existing log: scan it, truncate the torn tail, and
-    /// position the writer after the last committed batch. Returns the
-    /// writer plus the scan (for replay).
-    pub fn recover(vfs: &VfsHandle, path: &Path) -> Result<(Self, WalScan), PersistError> {
-        let mut file = vfs.open_rw(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let scan_result = scan(&bytes);
-        if scan_result.valid_len < bytes.len() {
+    /// Resume appending to the last link of a recovered chain (already
+    /// read and scanned by [`walk_chain`]): truncate its torn tail and
+    /// position the writer after the last committed batch.
+    pub(crate) fn resume(vfs: &VfsHandle, link: &ChainLink) -> Result<Self, PersistError> {
+        let valid_len = link.scan.valid_len as u64;
+        let mut file = vfs.open_rw(&link.path)?;
+        if link.scan.valid_len < link.bytes.len() {
             // Torn-tail truncation: drop everything past the last sealed
             // batch so new frames never interleave with damaged ones.
-            file.set_len(scan_result.valid_len as u64)?;
+            file.set_len(valid_len)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(scan_result.valid_len as u64))?;
-        let next_lsn = scan_result
-            .batches
-            .last()
-            .map_or(1, |b| b.commit_lsn + 1)
-            .max(1);
-        Ok((
-            Self {
-                file,
-                path: path.to_path_buf(),
-                next_lsn,
-                staged: Vec::new(),
-                staged_records: 0,
-                bytes_on_disk: scan_result.valid_len as u64,
-                poisoned: false,
-            },
-            scan_result,
-        ))
+        file.seek(SeekFrom::Start(valid_len))?;
+        Ok(Self {
+            file,
+            path: link.path.clone(),
+            next_lsn: link.scan.last_lsn + 1,
+            staged: Vec::new(),
+            staged_records: 0,
+            bytes_on_disk: valid_len,
+            poisoned: false,
+        })
     }
 
     /// Path of the log file.

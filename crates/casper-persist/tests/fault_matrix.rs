@@ -661,3 +661,35 @@ fn scrub_quarantines_unhydrated_damage() {
         "got {err}"
     );
 }
+
+/// A live table whose manifest vanished is damaged, not clean: the pass
+/// fails typed, naming the file. (The background scrubber counts exactly
+/// this `Err` as a failed pass.) The in-memory table keeps serving, and
+/// the next checkpoint writes a fresh manifest the scrubber accepts again.
+#[test]
+fn scrub_reports_a_missing_manifest_as_damage_not_as_clean() {
+    let dir = test_dir("fm_scrub_missing_manifest");
+    let mut t = DurableTable::create_from_table(&dir, seed_table(), sync_opts()).expect("create");
+    let want = fingerprint_durable(&mut t, 0);
+    let clean = t.scrub_now().expect("clean pass");
+    assert_eq!(clean.records_checked, 3);
+
+    let manifest = format!("manifest-{:06}.casper", t.stats().generation);
+    fs::remove_file(dir.join(&manifest)).expect("delete the manifest");
+    match t.scrub_now() {
+        Err(PersistError::Storage(StorageError::Corrupt { reason })) => assert!(
+            reason.contains(&manifest),
+            "the error must name {manifest}, got: {reason}"
+        ),
+        Ok(report) => panic!("a deleted manifest scrubbed clean: {report:?}"),
+        Err(other) => panic!("expected Corrupt, got {other}"),
+    }
+    assert_eq!(t.scrub_stats().passes, 1, "the failed pass is not a pass");
+
+    assert_eq!(fingerprint_durable(&mut t, 0), want, "memory still serves");
+    t.execute(&marker_write(0)).expect("write");
+    t.checkpoint().expect("checkpoint writes a fresh manifest");
+    let healed = t.scrub_now().expect("scrub after the checkpoint");
+    assert!(healed.findings.is_empty());
+    assert_eq!(healed.records_checked, 3);
+}

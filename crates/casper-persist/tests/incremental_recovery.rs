@@ -1,6 +1,6 @@
-//! Crash-window properties of the incremental (v2) checkpoint chain.
+//! Crash-window properties of the incremental checkpoint chain.
 //!
-//! A v2 checkpoint commits in three steps — segment write, manifest write,
+//! A checkpoint commits in three steps — segment write, manifest write,
 //! `CURRENT` swing — with the WAL rotated *before* any of them. These
 //! tests kill the checkpoint between and **inside** each step (truncating
 //! the in-flight file at every byte offset, extending PR 3's
@@ -9,8 +9,7 @@
 //! batch: no data loss past the last sealed batch, ever.
 //!
 //! Also here: replay idempotence across a multi-segment chain, forced
-//! compaction, the v1 → v2 upgrade round trip, and typed corruption
-//! surfacing for damaged segments/manifests.
+//! compaction, and typed corruption surfacing for damaged segments/manifests.
 
 use casper_engine::{EngineConfig, LayoutMode, Table};
 use casper_persist::{DurableOptions, DurableTable, PersistError};
@@ -406,46 +405,6 @@ fn segment_chain_grows_only_by_dirty_chunks() {
     assert!(
         !casper_persist::incremental::segment_path(&dir, 3).exists(),
         "a pure WAL fold must not allocate a segment"
-    );
-}
-
-#[test]
-fn v1_snapshot_still_opens_and_upgrades_to_v2() {
-    let dir = test_dir("incr_v1_upgrade");
-    fs::create_dir_all(&dir).expect("mkdir");
-    // Hand-build a v1-format directory: whole-table snapshot + CURRENT.
-    let table = seed_table();
-    let v1 = casper_persist::encode_snapshot(&table, &[], 1, 0);
-    fs::write(dir.join("snap-000001.casper"), &v1).expect("v1 snapshot");
-    fs::write(dir.join("CURRENT"), b"1\n").expect("current");
-
-    let mut oracle = seed_table();
-    let mut t = DurableTable::open(&dir, DurableOptions::default()).expect("open v1");
-    assert_eq!(
-        fingerprint_durable(&mut t, 3),
-        fingerprint_oracle(&mut oracle, 3),
-        "v1 restore diverged"
-    );
-    // Writes + the upgrade checkpoint (necessarily full: no manifest yet).
-    for q in markers(4) {
-        t.execute(&q).expect("write");
-        oracle.execute(&q).expect("oracle");
-    }
-    t.checkpoint().expect("upgrade checkpoint");
-    drop(t);
-    assert!(
-        dir.join("manifest-000002.casper").exists(),
-        "upgrade must write a v2 manifest"
-    );
-    assert!(
-        !dir.join("snap-000001.casper").exists(),
-        "v1 snapshot pruned after the upgrade"
-    );
-    let mut t = DurableTable::open(&dir, DurableOptions::default()).expect("reopen v2");
-    assert_eq!(
-        fingerprint_durable(&mut t, 4),
-        fingerprint_oracle(&mut oracle, 4),
-        "v2 reopen after upgrade diverged"
     );
 }
 

@@ -24,6 +24,10 @@
 //!   error, never a panic; newer LSNs stay restorable.
 //! * **Scrub** — corrupted archive files become findings + counters;
 //!   serving is never blocked by archive damage.
+//! * **One reader** — `open`, `open_at`, scrub, backup and
+//!   `verify_backup` resolve a directory through the same code, so each
+//!   rejects the same damage with the same typed `Corrupt` (or, where it
+//!   never reads the damaged file, is provably unaffected by it).
 
 use casper_engine::optimize::OptimizeOptions;
 use casper_engine::{EngineConfig, LayoutMode, Table};
@@ -31,6 +35,7 @@ use casper_persist::{
     ArchiveConfig, DurableOptions, DurableTable, FaultErr, FaultRule, FaultVfs, PersistError,
     VfsHandle, VfsOp,
 };
+use casper_storage::StorageError;
 use casper_workload::{HapQuery, HapSchema};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -270,16 +275,14 @@ fn open_at_before_relayout_restores_old_layout_without_solving() {
     t.checkpoint().expect("post-relayout checkpoint");
     drop(t);
 
-    // Eager restore (mmap_restore: false) so every chunk decodes inside
-    // open_at — the telemetry deltas then cover the full restore, not
-    // just the chunks the fingerprint happens to touch.
-    let opts = DurableOptions {
-        mmap_restore: false,
-        ..archive_opts()
-    };
+    // Hydrate every chunk right after open_at — the telemetry deltas then
+    // cover the full restore, not just the chunks the fingerprint happens
+    // to touch.
     let solves_before = casper_core::solver::telemetry::solve_count();
     let encodes_before = casper_storage::compress::telemetry::encode_count();
-    let mut pit = DurableTable::open_at(&dir, pre_lsn, opts).expect("open_at before re-layout");
+    let mut pit =
+        DurableTable::open_at(&dir, pre_lsn, archive_opts()).expect("open_at before re-layout");
+    pit.table.hydrate_all().expect("hydrate the restored table");
     assert_eq!(
         casper_core::solver::telemetry::solve_count(),
         solves_before,
@@ -699,4 +702,224 @@ fn scrub_surfaces_archive_corruption_without_blocking_serving() {
         fingerprint_durable(&mut t, WRITES + 1),
         fingerprint_oracle(&mut oracle, WRITES + 1)
     );
+}
+
+// ---------------------------------------------------------------------------
+// Every reader of a directory rejects the same damage the same way
+// ---------------------------------------------------------------------------
+
+fn copy_dir(src: &Path, dst: &Path) {
+    fs::create_dir_all(dst).expect("mkdir");
+    for entry in fs::read_dir(src).expect("read dir").flatten() {
+        let to = dst.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_dir(&entry.path(), &to);
+        } else {
+            fs::copy(entry.path(), &to).expect("copy");
+        }
+    }
+}
+
+/// The live WAL chain's files, ascending.
+fn wal_links(dir: &Path) -> Vec<PathBuf> {
+    let mut links: Vec<PathBuf> = fs::read_dir(dir)
+        .expect("read dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "log"))
+        .collect();
+    links.sort();
+    links
+}
+
+/// The manifest `CURRENT` names.
+fn current_manifest(dir: &Path) -> PathBuf {
+    let current = fs::read_to_string(dir.join("CURRENT")).expect("CURRENT");
+    let generation: u64 = current.trim().parse().expect("generation");
+    casper_persist::incremental::manifest_path(dir, generation)
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Damage {
+    None,
+    /// Flip one byte inside a chunk record the current manifest points at.
+    RecordByte,
+    /// Cut 5 bytes off a WAL link that has a successor.
+    MiddleWalLink,
+    /// Delete the manifest `CURRENT` names.
+    Manifest,
+    /// `CURRENT` = "x\n".
+    Current,
+}
+
+fn apply_damage(dir: &Path, damage: Damage) {
+    match damage {
+        Damage::None => {}
+        Damage::RecordByte => {
+            // Failed checkpoints leave orphan segments behind: aim at a
+            // record the current manifest actually references.
+            let manifest = fs::read(current_manifest(dir)).expect("manifest bytes");
+            let manifest = casper_persist::decode_manifest(&manifest).expect("manifest");
+            let entry = manifest.entries.last().expect("a chunk");
+            let seg = casper_persist::incremental::segment_path(dir, entry.seg);
+            let mut bytes = fs::read(&seg).expect("segment bytes");
+            bytes[(entry.offset + entry.len / 2) as usize] ^= 0x40;
+            fs::write(&seg, &bytes).expect("damage");
+        }
+        Damage::MiddleWalLink => {
+            let links = wal_links(dir);
+            assert!(links.len() >= 3, "fixture keeps >= 3 live WAL links");
+            let bytes = fs::read(&links[1]).expect("wal bytes");
+            assert!(bytes.len() > 5, "the middle link holds sealed batches");
+            fs::write(&links[1], &bytes[..bytes.len() - 5]).expect("truncate");
+        }
+        Damage::Manifest => fs::remove_file(current_manifest(dir)).expect("delete manifest"),
+        Damage::Current => fs::write(dir.join("CURRENT"), "x\n").expect("scribble CURRENT"),
+    }
+}
+
+/// What a reader must do with a damaged directory.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expect {
+    /// `Err(PersistError::Storage(StorageError::Corrupt))`.
+    Corrupt,
+    /// Scrub only: the pass completes and reports the record as a finding
+    /// (healing or quarantining it is the table's job, not an error).
+    Finding,
+    /// The reader never reads the damaged file (or, for `open_at`, has an
+    /// archived base to restore from instead): it must succeed exactly as
+    /// on the undamaged directory.
+    Unaffected,
+}
+
+/// Readers in column order: open, open_at(tip), scrub_now, backup run,
+/// verify_backup.
+fn expectations(damage: Damage) -> [Expect; 5] {
+    use Expect::{Corrupt, Finding, Unaffected};
+    match damage {
+        Damage::None => [Unaffected; 5],
+        Damage::RecordByte => [Corrupt, Corrupt, Finding, Corrupt, Corrupt],
+        // The scrubber verifies checkpoint records; it does not read WALs.
+        Damage::MiddleWalLink => [Corrupt, Corrupt, Unaffected, Corrupt, Corrupt],
+        // open_at takes its base from any manifest, live or archived: the
+        // archived previous generation plus the WAL chain still reaches
+        // the tip.
+        Damage::Manifest => [Corrupt, Unaffected, Corrupt, Corrupt, Corrupt],
+        // open_at never consults CURRENT, and a backup copies the
+        // generation its live table pinned, not the one CURRENT names.
+        Damage::Current => [Corrupt, Unaffected, Corrupt, Unaffected, Corrupt],
+    }
+}
+
+/// Outcome of one reader, reduced to what the table compares: `Ok` with a
+/// fingerprint where the reader yields a table, plus scrub's findings.
+type Outcome = Result<(Option<Vec<u64>>, usize), PersistError>;
+
+fn check(what: &str, outcome: Outcome, expect: Expect, want: &[u64]) {
+    match (expect, outcome) {
+        (Expect::Corrupt, Err(PersistError::Storage(StorageError::Corrupt { .. }))) => {}
+        (Expect::Finding, Ok((_, findings))) => {
+            assert_eq!(findings, 1, "{what}: the damaged record is one finding")
+        }
+        (Expect::Unaffected, Ok((fingerprint, findings))) => {
+            assert_eq!(findings, 0, "{what}: no findings expected");
+            if let Some(fingerprint) = fingerprint {
+                assert_eq!(fingerprint, want, "{what}: diverged from the oracle");
+            }
+        }
+        (_, Ok(_)) => panic!("{what}: expected {expect:?}, got Ok"),
+        (_, Err(e)) => panic!("{what}: expected {expect:?}, got {e:?}"),
+    }
+}
+
+/// One table-driven case per layout mode and kind of damage: a directory
+/// with three live WAL links (two checkpoints failed after rotating the
+/// log), one committed checkpoint with a retired predecessor, and writes
+/// no checkpoint has folded in.
+#[test]
+fn every_reader_rejects_the_same_damage_the_same_way() {
+    for mode in LayoutMode::all() {
+        let (vfs, handle) = fault_handle(7);
+        let src = test_dir(&format!("pitr_readers_{mode:?}_src"));
+        let mut t = DurableTable::create_from_table_with_vfs(
+            handle,
+            &src,
+            seed_table(mode),
+            archive_opts(),
+        )
+        .expect("create");
+        let mut oracle = seed_table(mode);
+        for i in 0..WRITES {
+            t.execute(&marker_write(i)).expect("write");
+            oracle.execute(&marker_write(i)).expect("oracle");
+            match i {
+                1 => {
+                    t.checkpoint().expect("checkpoint");
+                }
+                3 | 5 => {
+                    // Fails after the capture rotated the WAL: the chain
+                    // grows by a link, the generation stays.
+                    vfs.inject(FaultRule::on_path(VfsOp::Write, "manifest-", FaultErr::Eio));
+                    t.checkpoint().expect_err("manifest write fails");
+                    vfs.clear_faults();
+                }
+                _ => {}
+            }
+        }
+        let tip = t.stats().next_lsn - 1;
+        let want = fingerprint_oracle(&mut oracle, WRITES);
+        drop(t);
+
+        for damage in [
+            Damage::None,
+            Damage::RecordByte,
+            Damage::MiddleWalLink,
+            Damage::Manifest,
+            Damage::Current,
+        ] {
+            let case = format!("{mode:?}/{damage:?}");
+            // `cold` is only ever read; `live` has a table opened on it
+            // before the damage lands, for the readers that hang off one.
+            let cold = test_dir(&format!("pitr_readers_{mode:?}_{damage:?}_cold"));
+            let live = test_dir(&format!("pitr_readers_{mode:?}_{damage:?}_live"));
+            let dest = test_dir(&format!("pitr_readers_{mode:?}_{damage:?}_bkup"));
+            copy_dir(&src, &cold);
+            copy_dir(&src, &live);
+            let mut table = DurableTable::open(&live, archive_opts()).expect("open before damage");
+            apply_damage(&cold, damage);
+            apply_damage(&live, damage);
+            let [open, open_at, scrub, backup, verify] = expectations(damage);
+
+            let outcome = DurableTable::open(&cold, archive_opts()).and_then(|mut t| {
+                t.hydrate_all()?;
+                Ok((Some(fingerprint_durable(&mut t, WRITES)), 0))
+            });
+            check(&format!("{case}: open"), outcome, open, &want);
+
+            let outcome = DurableTable::open_at(&cold, tip, archive_opts()).and_then(|mut pit| {
+                pit.table.hydrate_all()?;
+                assert_eq!(pit.restored_lsn, tip, "{case}: open_at reaches the tip");
+                Ok((Some(fingerprint_oracle(&mut pit.table, WRITES)), 0))
+            });
+            check(&format!("{case}: open_at"), outcome, open_at, &want);
+
+            let outcome = table.scrub_now().map(|r| (None, r.findings.len()));
+            check(&format!("{case}: scrub_now"), outcome, scrub, &want);
+
+            let outcome = table
+                .begin_backup(&dest)
+                .and_then(|job| job.run())
+                .and_then(|_| {
+                    let mut restored = DurableTable::open(&dest, archive_opts())?;
+                    Ok((Some(fingerprint_durable(&mut restored, WRITES)), 0))
+                });
+            check(&format!("{case}: backup"), outcome, backup, &want);
+
+            let outcome = DurableTable::verify_backup(&cold).map(|r| {
+                assert_eq!(r.last_lsn, tip, "{case}: verify walks the whole chain");
+                (None, 0)
+            });
+            check(&format!("{case}: verify_backup"), outcome, verify, &want);
+        }
+    }
 }

@@ -36,19 +36,15 @@ fn marker(i: usize) -> u64 {
     9_000_001 + 2 * i as u64
 }
 
-/// Copy `CURRENT` + the snapshot files (v2 manifest/segments, or a v1
-/// snap), install `wal_bytes` as the generation-1 log.
+/// Copy `CURRENT` + the checkpoint files (manifest, segments), install
+/// `wal_bytes` as the generation-1 log.
 fn install(dir: &Path, src: &Path, wal_bytes: &[u8]) {
     let _ = fs::remove_dir_all(dir);
     fs::create_dir_all(dir).expect("mkdir");
     for entry in fs::read_dir(src).expect("src dir").flatten() {
         let name = entry.file_name();
         let name = name.to_string_lossy().into_owned();
-        if name == "CURRENT"
-            || name.starts_with("manifest-")
-            || name.starts_with("seg-")
-            || name.starts_with("snap-")
-        {
+        if name == "CURRENT" || name.starts_with("manifest-") || name.starts_with("seg-") {
             fs::copy(entry.path(), dir.join(&name)).expect("copy");
         }
     }

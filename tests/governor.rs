@@ -296,7 +296,7 @@ fn slow_chunk_table() -> Table {
         Ok(store)
     });
     assert!(table.column_mut().evict_chunk(1, slow), "chunk 1 evictable");
-    table.column().republish();
+    table.column().publish();
     table
 }
 
@@ -583,7 +583,7 @@ fn panic_is_isolated_from_the_serving_loop() {
     table
         .column_mut()
         .repoint_chunk(1, CHUNK_VALUES, Box::new(|| panic!("injected chunk fault")));
-    table.column().republish();
+    table.column().publish();
 
     let gov = Arc::new(Governor::new(GovernorConfig::default()));
     let reader = table.reader().with_governor(Arc::clone(&gov));
