@@ -173,8 +173,7 @@ fn main() {
     let mut restore_ms = Vec::new();
     for (label, lsn) in targets {
         let t = Instant::now();
-        let mut pit = DurableTable::open_at_with_vfs(vfs.clone(), &dir_hist, lsn, sync_archive)
-            .expect("open_at");
+        let mut pit = DurableTable::open_at_with_vfs(vfs.clone(), &dir_hist, lsn).expect("open_at");
         let hit = pit
             .table
             .execute(&probe)

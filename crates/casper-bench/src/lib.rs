@@ -14,6 +14,7 @@
 //! the *shapes* can be compared directly (EXPERIMENTS.md records both).
 
 pub mod cli;
+pub mod metrics;
 pub mod report;
 pub mod runner;
 pub mod trajectory;

@@ -1,11 +1,12 @@
 //! Shared experiment runner: build a table in a given mode, train Casper on
 //! a workload sample, execute a measured query stream.
 
+use crate::metrics::LatencyRecorder;
 use casper_core::solver::SolverConstraints;
 use casper_core::CostConstants;
 use casper_engine::calibrate::{calibrate, CalibrationConfig};
 use casper_engine::optimize::{optimize_table, OptimizeOptions};
-use casper_engine::{EngineConfig, LatencyRecorder, LayoutMode, Table};
+use casper_engine::{EngineConfig, LayoutMode, Table};
 use casper_workload::{HapQuery, HapSchema, Mix, MixKind};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};

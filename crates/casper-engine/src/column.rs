@@ -97,6 +97,196 @@ impl ChunkStore {
             ChunkStore::Delta(c) => c.resident_bytes(),
         }
     }
+
+    /// Q1: the `cols` payload attributes of every live row with key `v`.
+    fn point_rows(&self, v: u64, cols: &[usize]) -> (Vec<Vec<u32>>, OpCost) {
+        match self {
+            ChunkStore::Partitioned(p) => {
+                let r = p.point_query(v);
+                let rows = r.positions.into_iter();
+                let rows = rows.map(|pos| p.payloads().gather_row(pos, cols));
+                (rows.collect(), r.cost)
+            }
+            ChunkStore::Sorted(s) => {
+                let (range, cost) = s.point_query(v);
+                (range.map(|pos| s.gather_row(pos, cols)).collect(), cost)
+            }
+            ChunkStore::Delta(d) => d.point_rows(v, cols),
+        }
+    }
+
+    /// Q2: count of live rows with key in `[lo, hi)`.
+    fn range_count(&self, lo: u64, hi: u64) -> (u64, OpCost) {
+        match self {
+            ChunkStore::Partitioned(p) => p.range_count(lo, hi),
+            ChunkStore::Sorted(s) => s.range_count(lo, hi),
+            ChunkStore::Delta(d) => d.range_count(lo, hi),
+        }
+    }
+
+    /// Q3: sum of the `cols` payload columns over rows with key in
+    /// `[lo, hi)`.
+    fn range_sum(&self, lo: u64, hi: u64, cols: &[usize]) -> (u64, OpCost) {
+        match self {
+            ChunkStore::Partitioned(p) => p.range_sum_payload(lo, hi, cols),
+            ChunkStore::Sorted(s) => s.range_sum_payload(lo, hi, cols),
+            ChunkStore::Delta(d) => d.range_sum_payload(lo, hi, cols),
+        }
+    }
+
+    /// The §6.4 multi-column scan: sum `sum_cols` over rows whose key lies
+    /// in `[lo, hi)` and whose `pred_col` attribute lies in
+    /// `[pred_lo, pred_hi)`. `block_bytes` prices the payload passes.
+    #[allow(clippy::too_many_arguments)]
+    fn range_sum_where(
+        &self,
+        lo: u64,
+        hi: u64,
+        sum_cols: &[usize],
+        pred_col: usize,
+        pred_lo: u32,
+        pred_hi: u32,
+        block_bytes: usize,
+    ) -> (u64, OpCost) {
+        // A row's contribution, read through an attribute accessor: the
+        // sum of its `sum_cols` when its predicate attribute passes.
+        let qualifying = |attr: &dyn Fn(usize) -> u32| {
+            (pred_lo..pred_hi)
+                .contains(&attr(pred_col))
+                .then(|| sum_cols.iter().map(|&c| u64::from(attr(c))).sum::<u64>())
+        };
+        let sorted_sum = |s: &SortedColumn<u64>, range: std::ops::Range<usize>| -> u64 {
+            let rows = range.filter_map(|pos| qualifying(&|c| s.payload(c, pos)));
+            rows.sum()
+        };
+        match self {
+            ChunkStore::Partitioned(p) => {
+                let mut pc = casper_storage::ops::PositionsConsumer::default();
+                let r = p.range_query(lo, hi, &mut pc);
+                let mut cost = r.cost;
+                let payloads = p.payloads();
+                let positions = pc.positions.iter().copied();
+                let positions = positions.chain(pc.runs.iter().flat_map(|r| r.clone()));
+                let mut passed = 0usize;
+                let mut sum = 0u64;
+                for row in positions.filter_map(|pos| qualifying(&|c| payloads.get(c, pos))) {
+                    passed += 1;
+                    sum += row;
+                }
+                // One sequential pass over the predicate column plus the
+                // summed columns for the qualifying rows.
+                let vpb = (block_bytes / 4).max(1);
+                cost.seq_reads += ((1 + sum_cols.len()) * passed.div_ceil(vpb)) as u64;
+                (sum, cost)
+            }
+            ChunkStore::Sorted(s) => {
+                let (range, mut cost) = s.range_query(lo, hi);
+                cost.seq_reads += cost.seq_reads * (1 + sum_cols.len() as u64);
+                (sorted_sum(s, range), cost)
+            }
+            ChunkStore::Delta(d) => {
+                // Evaluate the main column, then replay the delta buffer —
+                // the read-path overhead delta stores impose (§1).
+                let (range, cost) = d.main().range_query(lo, hi);
+                let sum = i128::from(sorted_sum(d.main(), range))
+                    + d.replay_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi);
+                (sum.max(0) as u64, cost)
+            }
+        }
+    }
+
+    /// Every live row, sorted by key: keys plus column-major payloads (the
+    /// optimizer's input; a delta store is read as if merged).
+    pub(crate) fn live_sorted(&self) -> (Vec<u64>, Vec<Vec<u32>>) {
+        match self {
+            ChunkStore::Partitioned(p) => p.extract_live_sorted(),
+            ChunkStore::Sorted(s) => s.to_parts(),
+            ChunkStore::Delta(d) => {
+                let mut d = d.clone();
+                d.force_merge();
+                d.main().to_parts()
+            }
+        }
+    }
+
+    /// Q4: insert a row, growing a full partitioned chunk once ("if no
+    /// empty slots are available, the column is expanded", §3).
+    fn insert(&mut self, key: u64, payload: &[u32]) -> Result<OpCost, StorageError> {
+        match self {
+            ChunkStore::Partitioned(p) => match p.insert(key, payload) {
+                Ok(r) => Ok(r.cost),
+                Err(StorageError::ChunkFull { capacity }) => {
+                    // Grow by ~10% and retry once.
+                    p.grow((capacity / 10).max(64));
+                    Ok(p.insert(key, payload)?.cost)
+                }
+                Err(e) => Err(e),
+            },
+            ChunkStore::Sorted(s) => Ok(s.insert(key, payload)),
+            ChunkStore::Delta(d) => Ok(d.insert(key, payload)),
+        }
+    }
+
+    /// Q5: delete every row with key `v`.
+    fn delete(&mut self, v: u64) -> (u64, OpCost) {
+        match self {
+            ChunkStore::Partitioned(p) => {
+                let r = p.delete(v);
+                (r.affected, r.cost)
+            }
+            ChunkStore::Sorted(s) => s.delete(v),
+            ChunkStore::Delta(d) => {
+                // One tombstone per live row (a tombstone hides one row).
+                let (n, mut cost) = d.point_count(v);
+                for _ in 0..n {
+                    cost.absorb(d.delete(v));
+                }
+                (n, cost)
+            }
+        }
+    }
+
+    /// Take exactly one row with key `v` out of the store, returning its
+    /// full payload row. Every store removes only one match, so duplicates
+    /// survive a move.
+    fn take_one(&mut self, v: u64) -> (Option<Vec<u32>>, OpCost) {
+        match self {
+            ChunkStore::Partitioned(p) => {
+                let (row, r) = p.take_one(v);
+                (row, r.cost)
+            }
+            ChunkStore::Sorted(s) => s.take_one(v),
+            ChunkStore::Delta(d) => d.take_one(v),
+        }
+    }
+
+    /// Q6, the single definition: move one row with key `old` to key `new`
+    /// inside this store, payload included. A partitioned chunk ripples
+    /// directly between the two partitions (§3); every other store takes
+    /// the row out and places it back under the new key.
+    fn update(&mut self, old: u64, new: u64) -> Result<(u64, OpCost), StorageError> {
+        if let ChunkStore::Partitioned(p) = self {
+            let r = p.update(old, new)?;
+            return Ok((r.affected, r.cost));
+        }
+        let (row, mut cost) = self.take_one(old);
+        let Some(row) = row else {
+            return Ok((0, cost));
+        };
+        cost.absorb(self.insert(new, &row)?);
+        Ok((1, cost))
+    }
+
+    /// Apply one write whose keys all route to this store — the one
+    /// per-chunk applier behind both the serial and the chunk-parallel
+    /// batch path. Returns `(rows_affected, cost)`.
+    fn apply(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
+        match op {
+            WriteOp::Insert { key, payload } => self.insert(key, payload).map(|c| (1, c)),
+            WriteOp::Delete { key } => Ok(self.delete(key)),
+            WriteOp::Update { old, new } => self.update(old, new),
+        }
+    }
 }
 
 /// Global coarse access clock for LRU victim selection: each hydrated-store
@@ -489,11 +679,6 @@ impl ChunkedColumn {
         self.versions[i] += 1;
     }
 
-    /// Number of chunks still awaiting hydration from persisted segments.
-    pub fn unloaded_count(&self) -> usize {
-        self.chunks.iter().filter(|c| !c.is_hydrated()).count()
-    }
-
     /// Resident heap bytes across all hydrated chunk stores (the
     /// governor's budget measure). A cheap walk: unhydrated slots report
     /// zero without decoding anything.
@@ -739,87 +924,79 @@ impl ChunkedColumn {
         Ok(out)
     }
 
-    /// Q4: insert a row (unpublished, like the two below —
-    /// [`Self::apply_write`] and the batch path publish).
-    fn q4_insert(&mut self, key: u64, payload: &[u32]) -> Result<OpCost, StorageError> {
-        let chunk = self.route_for(key).unwrap_or_else(|| {
-            // NoOrder: append to the last chunk with capacity.
-            self.chunks
-                .iter()
-                .rposition(|c| match c.store_opt() {
-                    Some(ChunkStore::Partitioned(p)) => p.tail_free() > 0 || p.ghost_total() > 0,
-                    _ => true,
-                })
-                .unwrap_or(self.chunks.len() - 1)
-        });
-        let cost = store_insert(self.chunk_mut(chunk)?, key, payload)?;
-        self.touch(chunk);
-        self.maybe_raise_fence(chunk, key);
-        Ok(cost)
-    }
-
-    /// Q5: delete every row with key `v`.
-    fn q5_delete(&mut self, v: u64) -> Result<(u64, OpCost), StorageError> {
-        let targets: Vec<usize> = match self.route_for(v) {
-            Some(c) => vec![c],
-            None => (0..self.chunks.len()).collect(),
-        };
-        let mut affected = 0u64;
-        let mut cost = OpCost::default();
-        for c in targets {
-            let (n, oc) = store_delete(self.chunk_mut(c)?, v);
-            if n > 0 {
-                self.touch(c);
+    /// Apply one write operation, unpublished ([`Self::apply_write`] and
+    /// the batch path publish): route it, then hand it to the owning
+    /// chunk's [`ChunkStore::apply`]. Only what spans chunks is decided
+    /// here — the `NoOrder` broadcast and the cross-chunk Q6.
+    fn apply_write_serial(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
+        let (old, new) = match op {
+            WriteOp::Insert { key, .. } => {
+                let chunk = self.route_for(key).unwrap_or_else(|| {
+                    // NoOrder: append to the last chunk with capacity.
+                    self.chunks
+                        .iter()
+                        .rposition(|c| match c.store_opt() {
+                            Some(ChunkStore::Partitioned(p)) => {
+                                p.tail_free() > 0 || p.ghost_total() > 0
+                            }
+                            _ => true,
+                        })
+                        .unwrap_or(self.chunks.len() - 1)
+                });
+                return self.apply_in_chunk(chunk, op);
             }
-            affected += n;
-            cost.absorb(oc);
-        }
-        Ok((affected, cost))
-    }
-
-    /// Q6: update the first row with key `old` to key `new`, carrying its
-    /// payload.
-    fn q6_update(&mut self, old: u64, new: u64) -> Result<(u64, OpCost), StorageError> {
-        let (from, to) = match (self.route_for(old), self.route_for(new)) {
-            (Some(a), Some(b)) => (a, b),
+            // A delete's source and target are the same key.
+            WriteOp::Delete { key } => (key, key),
+            WriteOp::Update { old, new } => (old, new),
+        };
+        match (self.route_for(old), self.route_for(new)) {
+            (Some(from), Some(to)) if from == to => self.apply_in_chunk(from, op),
+            (Some(from), Some(to)) => {
+                // Cross-chunk Q6: move exactly one row — take the first
+                // match out of the source chunk (duplicates stay put) and
+                // insert it under the new key. The target hydrates first:
+                // once the row has left the source, a target that fails to
+                // decode would lose it.
+                self.chunks[to].get()?;
+                let (row, mut cost) = self.chunk_mut(from)?.take_one(old);
+                let Some(row) = row else {
+                    return Ok((0, cost));
+                };
+                self.touch(from);
+                let payload = &row[..];
+                let (_, c2) = self.apply_in_chunk(to, WriteOp::Insert { key: new, payload })?;
+                cost.absorb(c2);
+                Ok((1, cost))
+            }
             _ => {
-                // NoOrder: the single-partition chunks make update local to
-                // whichever chunk holds the key.
-                let mut cost = OpCost::default();
+                // NoOrder broadcasts: a delete visits every chunk; an
+                // update is local to the first chunk that holds the key.
+                let mut total = (0u64, OpCost::default());
                 for c in 0..self.chunks.len() {
-                    if let ChunkStore::Partitioned(p) = self.chunk_mut(c)? {
-                        let r = p.update(old, new)?;
-                        cost.absorb(r.cost);
-                        if r.affected > 0 {
-                            self.touch(c);
-                            return Ok((r.affected, cost));
-                        }
+                    let (n, cost) = self.apply_in_chunk(c, op)?;
+                    total.0 += n;
+                    total.1.absorb(cost);
+                    if n > 0 && matches!(op, WriteOp::Update { .. }) {
+                        break;
                     }
                 }
-                return Ok((0, cost));
+                Ok(total)
             }
-        };
-        if from == to {
-            let (n, cost) = store_update(self.chunk_mut(from)?, old, new)?;
-            if n > 0 {
-                self.touch(from);
-            }
-            self.maybe_raise_fence(from, new);
-            return Ok((n, cost));
         }
-        // Cross-chunk: move exactly one row — take the first match out of
-        // the source chunk (duplicates stay put) and re-insert it under the
-        // new key. The target hydrates first: once the row has left the
-        // source, a target that fails to decode would lose it.
-        self.chunks[to].get()?;
-        let (row, mut cost) = store_take_one(self.chunk_mut(from)?, old);
-        let Some(row) = row else {
-            return Ok((0, cost));
-        };
-        self.touch(from);
-        let c2 = self.q4_insert(new, &row)?;
-        cost.absorb(c2);
-        Ok((1, cost))
+    }
+
+    /// Apply `op`, whose keys all route to chunk `c`, through the chunk's
+    /// [`ChunkStore::apply`]; a chunk whose rows changed is marked dirty
+    /// and its fence follows the largest key placed in it.
+    fn apply_in_chunk(&mut self, c: usize, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
+        let out = self.chunk_mut(c)?.apply(op)?;
+        if out.0 > 0 {
+            self.touch(c);
+        }
+        if let WriteOp::Insert { key, .. } | WriteOp::Update { new: key, .. } = op {
+            self.maybe_raise_fence(c, key);
+        }
+        Ok(out)
     }
 
     /// Apply a stream of write operations, chunk-parallel.
@@ -885,7 +1062,7 @@ impl ChunkedColumn {
                     if from != to {
                         // Barrier: the move touches two chunks.
                         self.flush_write_groups(&mut pending, &mut pending_count, &mut results)?;
-                        results[i] = self.q6_update(old, new)?;
+                        results[i] = self.apply_write_serial(op)?;
                         continue;
                     }
                     from
@@ -896,16 +1073,6 @@ impl ChunkedColumn {
         }
         self.flush_write_groups(&mut pending, &mut pending_count, &mut results)?;
         Ok(results)
-    }
-
-    /// Apply one write operation through the serial Q4/Q5/Q6 paths
-    /// (publication is the batch's responsibility).
-    fn apply_write_serial(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
-        match op {
-            WriteOp::Insert { key, payload } => self.q4_insert(key, payload).map(|c| (1, c)),
-            WriteOp::Delete { key } => self.q5_delete(key),
-            WriteOp::Update { old, new } => self.q6_update(old, new),
-        }
     }
 
     /// Drain the per-chunk groups through the parallel worker pool and
@@ -957,23 +1124,11 @@ impl ChunkedColumn {
         }
         parallel_for_each_mut(&mut jobs, self.config.threads, |_, job| {
             for &(idx, op) in &job.ops {
-                let applied = match op {
-                    WriteOp::Insert { key, payload } => {
-                        store_insert(job.store, key, payload).map(|cost| (1, cost, Some(key)))
-                    }
-                    WriteOp::Delete { key } => {
-                        let (n, cost) = store_delete(job.store, key);
-                        Ok((n, cost, None))
-                    }
-                    WriteOp::Update { old, new } => {
-                        store_update(job.store, old, new).map(|(n, cost)| (n, cost, Some(new)))
-                    }
-                };
-                match applied {
-                    Ok((affected, cost, key)) => {
+                match job.store.apply(op) {
+                    Ok((affected, cost)) => {
                         job.out.push((idx, affected, cost));
-                        if let Some(k) = key {
-                            job.max_key = Some(job.max_key.map_or(k, |m| m.max(k)));
+                        if let WriteOp::Insert { key, .. } | WriteOp::Update { new: key, .. } = op {
+                            job.max_key = Some(job.max_key.map_or(key, |m| m.max(key)));
                         }
                     }
                     Err(e) => {
@@ -1050,11 +1205,12 @@ impl View<'_> {
                 (QueryResult::Rows(rows), cost)
             }
             HapQuery::Q2 { vs, ve } => {
-                let (n, cost) = self.q2_count(*vs, *ve)?;
+                let (n, cost) = self.scan_chunks(*vs, *ve, |s| s.range_count(*vs, *ve))?;
                 (QueryResult::Count(n), cost)
             }
             HapQuery::Q3 { vs, ve, k } => {
-                let (sum, cost) = self.q3_sum(*vs, *ve, &cols(*k))?;
+                let cols = cols(*k);
+                let (sum, cost) = self.scan_chunks(*vs, *ve, |s| s.range_sum(*vs, *ve, &cols))?;
                 (QueryResult::Sum(sum), cost)
             }
             HapQuery::Q4 { .. } | HapQuery::Q5 { .. } | HapQuery::Q6 { .. } => {
@@ -1083,22 +1239,8 @@ impl View<'_> {
                 t
             }
         };
-        let results = parallel_map(&targets, self.config.threads, |_, store| match store {
-            ChunkStore::Partitioned(p) => {
-                let r = p.point_query(v);
-                let rows: Vec<Vec<u32>> = r
-                    .positions
-                    .into_iter()
-                    .map(|pos| p.payloads().gather_row(pos, cols))
-                    .collect();
-                (rows, r.cost)
-            }
-            ChunkStore::Sorted(s) => {
-                let (range, c2) = s.point_query(v);
-                let rows: Vec<Vec<u32>> = range.map(|pos| s.gather_row(pos, cols)).collect();
-                (rows, c2)
-            }
-            ChunkStore::Delta(d) => d.point_rows(v, cols),
+        let results = parallel_map(&targets, self.config.threads, |_, store| {
+            store.point_rows(v, cols)
         });
         let mut cost = OpCost::default();
         let mut rows = Vec::new();
@@ -1107,22 +1249,6 @@ impl View<'_> {
             cost.absorb(c);
         }
         Ok((rows, cost))
-    }
-
-    fn q2_count(&self, lo: u64, hi: u64) -> Result<(u64, OpCost), StorageError> {
-        self.scan_chunks(lo, hi, |store| match store {
-            ChunkStore::Partitioned(p) => p.range_count(lo, hi),
-            ChunkStore::Sorted(s) => s.range_count(lo, hi),
-            ChunkStore::Delta(d) => d.range_count(lo, hi),
-        })
-    }
-
-    fn q3_sum(&self, lo: u64, hi: u64, cols: &[usize]) -> Result<(u64, OpCost), StorageError> {
-        self.scan_chunks(lo, hi, |store| match store {
-            ChunkStore::Partitioned(p) => p.range_sum_payload(lo, hi, cols),
-            ChunkStore::Sorted(s) => s.range_sum_payload(lo, hi, cols),
-            ChunkStore::Delta(d) => d.range_sum_payload(lo, hi, cols),
-        })
     }
 
     /// Multi-column range query (§6.4, the TPC-H Q6 shape): sum `sum_cols`
@@ -1141,65 +1267,9 @@ impl View<'_> {
         pred_lo: u32,
         pred_hi: u32,
     ) -> Result<(u64, OpCost), StorageError> {
-        self.scan_chunks(lo, hi, |store| match store {
-            ChunkStore::Partitioned(p) => {
-                let mut pc = casper_storage::ops::PositionsConsumer::default();
-                let r = p.range_query(lo, hi, &mut pc);
-                let mut cost = r.cost;
-                let payloads = p.payloads();
-                let mut sum = 0u64;
-                let mut qualifying = 0usize;
-                let positions = pc
-                    .positions
-                    .iter()
-                    .copied()
-                    .chain(pc.runs.iter().flat_map(|r| r.clone()));
-                for pos in positions {
-                    let v = payloads.get(pred_col, pos);
-                    if pred_lo <= v && v < pred_hi {
-                        qualifying += 1;
-                        for &c in sum_cols {
-                            sum += u64::from(payloads.get(c, pos));
-                        }
-                    }
-                }
-                // One sequential pass over the predicate column plus the
-                // summed columns for the qualifying rows.
-                let vpb = (self.config.block_bytes / 4).max(1);
-                cost.seq_reads += ((1 + sum_cols.len()) * qualifying.div_ceil(vpb)) as u64;
-                (sum, cost)
-            }
-            ChunkStore::Sorted(s) => {
-                let (range, mut cost) = s.range_query(lo, hi);
-                let mut sum = 0u64;
-                for pos in range {
-                    let v = s.payload(pred_col, pos);
-                    if pred_lo <= v && v < pred_hi {
-                        for &c in sum_cols {
-                            sum += u64::from(s.payload(c, pos));
-                        }
-                    }
-                }
-                cost.seq_reads += cost.seq_reads * (1 + sum_cols.len() as u64);
-                (sum, cost)
-            }
-            ChunkStore::Delta(d) => {
-                // Evaluate the main column, then replay the delta buffer —
-                // the read-path overhead delta stores impose (§1).
-                let s = d.main();
-                let (range, cost) = s.range_query(lo, hi);
-                let mut sum = 0i128;
-                for pos in range {
-                    let v = s.payload(pred_col, pos);
-                    if pred_lo <= v && v < pred_hi {
-                        for &c in sum_cols {
-                            sum += i128::from(s.payload(c, pos));
-                        }
-                    }
-                }
-                sum += d.replay_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi);
-                (sum.max(0) as u64, cost)
-            }
+        let block_bytes = self.config.block_bytes;
+        self.scan_chunks(lo, hi, |store| {
+            store.range_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi, block_bytes)
         })
     }
 
@@ -1294,84 +1364,6 @@ impl<'a> WriteOp<'a> {
     }
 }
 
-/// Insert into one chunk store, growing a full partitioned chunk once
-/// ("if no empty slots are available, the column is expanded", §3).
-fn store_insert(store: &mut ChunkStore, key: u64, payload: &[u32]) -> Result<OpCost, StorageError> {
-    match store {
-        ChunkStore::Partitioned(p) => match p.insert(key, payload) {
-            Ok(r) => Ok(r.cost),
-            Err(StorageError::ChunkFull { capacity }) => {
-                // Grow by ~10% and retry once.
-                p.grow((capacity / 10).max(64));
-                Ok(p.insert(key, payload)?.cost)
-            }
-            Err(e) => Err(e),
-        },
-        ChunkStore::Sorted(s) => Ok(s.insert(key, payload)),
-        ChunkStore::Delta(d) => Ok(d.insert(key, payload)),
-    }
-}
-
-/// Delete every row with key `v` from one chunk store.
-fn store_delete(store: &mut ChunkStore, v: u64) -> (u64, OpCost) {
-    match store {
-        ChunkStore::Partitioned(p) => {
-            let r = p.delete(v);
-            (r.affected, r.cost)
-        }
-        ChunkStore::Sorted(s) => s.delete(v),
-        ChunkStore::Delta(d) => {
-            // Only buffer a delete when the key currently exists.
-            let (n, c0) = d.point_count(v);
-            if n > 0 {
-                let c1 = d.delete(v);
-                let mut c = c0;
-                c.absorb(c1);
-                (n.min(1), c)
-            } else {
-                (0, c0)
-            }
-        }
-    }
-}
-
-/// Update `old` → `new` within one chunk store (both keys must route to
-/// this chunk).
-fn store_update(store: &mut ChunkStore, old: u64, new: u64) -> Result<(u64, OpCost), StorageError> {
-    match store {
-        ChunkStore::Partitioned(p) => {
-            let r = p.update(old, new)?;
-            Ok((r.affected, r.cost))
-        }
-        ChunkStore::Sorted(s) => Ok(s.update(old, new)),
-        ChunkStore::Delta(d) => {
-            let (n, c0) = d.point_count(old);
-            if n > 0 {
-                let c1 = d.update(old, new);
-                let mut c = c0;
-                c.absorb(c1);
-                Ok((1, c))
-            } else {
-                Ok((0, c0))
-            }
-        }
-    }
-}
-
-/// Take exactly one row with key `v` out of a chunk store, returning its
-/// full payload row — the source half of a cross-chunk update. Every store
-/// removes only its first match, so duplicates survive the move.
-fn store_take_one(store: &mut ChunkStore, v: u64) -> (Option<Vec<u32>>, OpCost) {
-    match store {
-        ChunkStore::Partitioned(p) => {
-            let (row, r) = p.take_one(v);
-            (row, r.cost)
-        }
-        ChunkStore::Sorted(s) => s.take_one(v),
-        ChunkStore::Delta(d) => d.take_one(v),
-    }
-}
-
 /// Build one chunk's store for the configured mode.
 fn build_chunk(keys: Vec<u64>, payloads: Vec<Vec<u32>>, config: &EngineConfig) -> ChunkStore {
     let layout = BlockLayout::new::<u64>(config.block_bytes);
@@ -1442,15 +1434,7 @@ pub(crate) fn rebuild_partitioned(
     config: &EngineConfig,
 ) -> ChunkStore {
     let layout = BlockLayout::new::<u64>(config.block_bytes);
-    let (keys, payloads) = match store {
-        ChunkStore::Partitioned(p) => p.extract_live_sorted(),
-        ChunkStore::Sorted(s) => s.to_parts(),
-        ChunkStore::Delta(d) => {
-            let mut d = d.clone();
-            d.force_merge();
-            d.main().to_parts()
-        }
-    };
+    let (keys, payloads) = store.live_sorted();
     let chunk_config = ChunkConfig {
         policy: UpdatePolicy::Ghost,
         capacity_slack: config.capacity_slack,
@@ -1475,11 +1459,7 @@ pub(crate) fn rebuild_partitioned(
 pub(crate) fn chunk_block_fences(store: &ChunkStore, block_bytes: usize) -> Vec<u64> {
     let layout = BlockLayout::new::<u64>(block_bytes);
     let vpb = layout.values_per_block();
-    let keys: Vec<u64> = match store {
-        ChunkStore::Partitioned(p) => p.extract_live_sorted().0,
-        ChunkStore::Sorted(s) => s.values().to_vec(),
-        ChunkStore::Delta(d) => d.main().values().to_vec(),
-    };
+    let (keys, _) = store.live_sorted();
     keys.chunks(vpb).map(|c| c[0]).collect()
 }
 
@@ -1600,6 +1580,35 @@ mod tests {
             assert_eq!(rows.len(), 1, "{mode:?} updated row");
             assert_eq!(rows[0], vec![200], "{mode:?} payload follows update");
             assert_eq!(col.len(), 4000, "{mode:?} len conserved");
+        }
+    }
+
+    /// Q6 carries the row in every mode when it stays inside one chunk and
+    /// crosses partitions — for a pre-loaded row and for a row inserted
+    /// since the last delta merge (`StateOfArt` still buffers it).
+    #[test]
+    fn in_chunk_update_carries_the_row_in_every_mode() {
+        for mode in LayoutMode::all() {
+            let mut col = load(mode, 4000);
+            // Chunk 0 holds keys 0..=2046 in two partitions.
+            assert_eq!(col.route_for(10), col.route_for(2003), "{mode:?}");
+            assert_eq!(update(&mut col, 10, 2001), 1, "{mode:?} pre-loaded");
+            assert_eq!(q1(&col, 2001), vec![vec![10]], "{mode:?} pre-loaded");
+            insert(&mut col, 11, &[77]);
+            assert_eq!(update(&mut col, 11, 2003), 1, "{mode:?} buffered");
+            assert_eq!(q1(&col, 2003), vec![vec![77]], "{mode:?} buffered");
+            assert!(
+                q1(&col, 10).is_empty() && q1(&col, 11).is_empty(),
+                "{mode:?}"
+            );
+            let q = HapQuery::Q3 {
+                vs: 2001,
+                ve: 2004,
+                k: 1,
+            };
+            let sum = col.read(&q, &QueryCtx::default()).unwrap().result.scalar();
+            assert_eq!(sum, 10 + 2 + 77, "{mode:?} sums see the moved rows");
+            assert_eq!(col.len(), 4001, "{mode:?} len conserved");
         }
     }
 

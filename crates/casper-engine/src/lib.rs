@@ -19,8 +19,6 @@
 //!   sliding-window monitoring and benefit-gated re-partitioning.
 //! * [`calibrate`] — the §4.5 micro-benchmark fitting `RR/RW/SR/SW`.
 //! * [`exec`] — scoped-thread helpers for chunk-parallel execution.
-//! * [`metrics`] — latency/throughput recording used by the experiment
-//!   harness.
 
 pub mod adapt;
 pub mod calibrate;
@@ -28,7 +26,6 @@ pub mod column;
 pub mod compression;
 pub mod exec;
 pub mod governor;
-pub mod metrics;
 pub mod modes;
 pub mod optimize;
 pub mod table;
@@ -37,7 +34,6 @@ pub mod txn;
 pub use adapt::{AdaptConfig, AdaptiveController};
 pub use column::{ChunkSlot, ChunkedColumn, ColumnSnapshot, SnapshotCell, WriteOp};
 pub use governor::{CancelToken, Governor, GovernorConfig, GovernorStats, QueryCtx, QueryError};
-pub use metrics::{LatencyRecorder, Summary};
 pub use modes::{EngineConfig, LayoutMode};
 pub use table::{QueryOutput, QueryResult, Table, TableReader};
 pub use txn::{Transaction, TxnError, TxnManager};

@@ -117,17 +117,12 @@ pub fn capture_per_chunk(table: &Table, sample: &[HapQuery]) -> Vec<FrequencyMod
                 .expect("frequency capture requires hydrated chunks")
         })
         .collect();
-    // Per-chunk fences and key coverage.
-    let mut builders: Vec<FmBuilder<u64>> = stores
-        .iter()
-        .map(|s| FmBuilder::from_fences(chunk_block_fences(s, block_bytes)))
-        .collect();
-    // Chunk routing bounds: the first key of each chunk; the next chunk's
-    // first key serves as the exclusive upper limit.
-    let firsts: Vec<u64> = stores
-        .iter()
-        .map(|s| chunk_block_fences(s, block_bytes)[0])
-        .collect();
+    // Per-chunk fences and key coverage. Chunk routing bounds: the first
+    // key of each chunk; the next chunk's first key serves as the
+    // exclusive upper limit.
+    let fences = stores.iter().map(|s| chunk_block_fences(s, block_bytes));
+    let (firsts, mut builders): (Vec<u64>, Vec<FmBuilder<u64>>) =
+        fences.map(|f| (f[0], FmBuilder::from_fences(f))).unzip();
     let route = |key: u64| -> usize {
         match firsts.binary_search(&key) {
             Ok(i) => i,
@@ -194,18 +189,10 @@ pub fn optimize_table(
             .map(|_| Vec::with_capacity(table.len()))
             .collect();
         for slot in table.column().chunks() {
-            let (k, p) = match slot.store_opt() {
-                Some(ChunkStore::Partitioned(c)) => c.extract_live_sorted(),
-                Some(ChunkStore::Sorted(s)) => s.to_parts(),
-                Some(ChunkStore::Delta(d)) => {
-                    let mut d = d.clone();
-                    d.force_merge();
-                    d.main().to_parts()
-                }
-                None => {
-                    unreachable!("optimize_table hydrates the column before converting it")
-                }
-            };
+            let (k, p) = slot
+                .store_opt()
+                .expect("optimize_table hydrates the column before converting it")
+                .live_sorted();
             keys.extend(k);
             for (dst, src) in cols.iter_mut().zip(p) {
                 dst.extend(src);

@@ -68,7 +68,7 @@ pub enum TxnError {
         key: u64,
     },
     /// The underlying storage rejected a write (e.g. a full chunk).
-    Storage(String),
+    Storage(StorageError),
 }
 
 impl fmt::Display for TxnError {
@@ -80,7 +80,14 @@ impl fmt::Display for TxnError {
     }
 }
 
-impl std::error::Error for TxnError {}
+impl std::error::Error for TxnError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TxnError::Conflict { .. } => None,
+            TxnError::Storage(e) => Some(e),
+        }
+    }
+}
 
 /// An open transaction: a snapshot timestamp plus a local write buffer.
 #[derive(Debug)]
@@ -106,11 +113,6 @@ impl Transaction {
     /// Buffer an update.
     pub fn update(&mut self, old: u64, new: u64) {
         self.writes.push(TxnWrite::Update(old, new));
-    }
-
-    /// Number of buffered writes.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
     }
 
     /// The buffered writes as HAP write queries, in buffer order — what a
@@ -328,7 +330,7 @@ impl TxnManager {
             table
                 .column_mut()
                 .apply_write(op)
-                .map_err(|e| TxnError::Storage(e.to_string()))?;
+                .map_err(TxnError::Storage)?;
             for key in w.keys().into_iter().flatten() {
                 inner.last_writer.insert(key, commit_ts);
             }

@@ -1227,19 +1227,6 @@ impl DurableTable {
             .map_err(PersistError::from)
     }
 
-    /// Execute a batch under one group commit: all writes seal (and fsync)
-    /// together.
-    pub fn execute_all(&mut self, queries: &[HapQuery]) -> Result<Vec<QueryOutput>, PersistError> {
-        let ctx = QueryCtx::default();
-        let outs = queries
-            .iter()
-            .map(|q| self.apply_logged(q, &ctx, u64::MAX))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.seal_and_maybe_checkpoint()?;
-        self.govern_memory();
-        Ok(outs)
-    }
-
     /// Commit a transaction durably: validate + apply through the
     /// [`TxnManager`], then seal the transaction's write set as one WAL
     /// batch. A validation conflict stages nothing.
@@ -1370,22 +1357,17 @@ impl DurableTable {
     ///
     /// The result is read-only and detached from the live table, which may
     /// keep serving concurrently (restore never writes to the directory).
-    pub fn open_at(
-        dir: &Path,
-        lsn: u64,
-        opts: DurableOptions,
-    ) -> Result<PointInTime, PersistError> {
-        Self::open_at_with_vfs(VfsHandle::default(), dir, lsn, opts)
+    pub fn open_at(dir: &Path, lsn: u64) -> Result<PointInTime, PersistError> {
+        Self::open_at_with_vfs(VfsHandle::default(), dir, lsn)
     }
 
     /// As [`DurableTable::open_at`], routing all I/O through `vfs`. The
     /// restored table is detached (no WAL, checkpointer, scrubber or
-    /// governor), so nothing in `_opts` applies to it.
+    /// governor), so it takes no [`DurableOptions`].
     pub fn open_at_with_vfs(
         vfs: VfsHandle,
         dir: &Path,
         lsn: u64,
-        _opts: DurableOptions,
     ) -> Result<PointInTime, PersistError> {
         casper_obs::enable_from_env();
         crate::archive::open_at(&vfs, dir, lsn)

@@ -107,14 +107,6 @@ impl VfsHandle {
     pub fn fault(vfs: Arc<FaultVfs>) -> Self {
         VfsHandle::Fault(vfs)
     }
-
-    /// The fault harness behind this handle, if any.
-    pub fn as_fault(&self) -> Option<&Arc<FaultVfs>> {
-        match self {
-            VfsHandle::Real => None,
-            VfsHandle::Fault(f) => Some(f),
-        }
-    }
 }
 
 impl Vfs for VfsHandle {

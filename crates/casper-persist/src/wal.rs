@@ -434,15 +434,6 @@ impl Wal {
         self.staged_records += 1;
     }
 
-    /// Discard the open batch (transaction abort / failed validation):
-    /// nothing of it was written to disk. Staged LSNs are re-used by the
-    /// next batch, keeping the on-disk sequence gapless.
-    pub fn discard_staged(&mut self) {
-        self.next_lsn -= self.staged_records;
-        self.staged.clear();
-        self.staged_records = 0;
-    }
-
     /// Seal the open batch: append a commit marker and make the whole batch
     /// durable with one write + fsync. No-op when nothing is staged.
     /// Returns the commit LSN (0 when empty).

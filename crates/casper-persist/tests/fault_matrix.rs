@@ -693,3 +693,58 @@ fn scrub_reports_a_missing_manifest_as_damage_not_as_clean() {
     assert!(healed.findings.is_empty());
     assert_eq!(healed.records_checked, 3);
 }
+
+/// The background scrubber (`scrub_interval_ms > 0`) does on its own
+/// thread what `scrub_now` does on the caller's: its pass finds the
+/// damaged record, the next write's seal absorbs the finding (the chunk
+/// is resident, so it is re-marked dirty and the next checkpoint heals
+/// it), and dropping the table stops and joins the thread.
+#[test]
+fn background_scrubber_finds_damage_and_the_next_write_absorbs_it() {
+    let dir = test_dir("fm_scrub_thread");
+    let (vfs, handle) = fault_handle(41);
+    let held = Arc::strong_count(&vfs);
+    let opts = DurableOptions {
+        scrub_interval_ms: 5,
+        ..sync_opts()
+    };
+    let mut t = DurableTable::create_from_table_with_vfs(handle.clone(), &dir, seed_table(), opts)
+        .expect("create");
+    assert_eq!(t.stats().dirty_chunks, 0);
+    // The newest segment ends with the last chunk's record.
+    damage_newest_segment(&dir);
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while t.scrub_stats().corrupt_records == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no background pass reported the damage: {:?}",
+            t.scrub_stats()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert!(t.scrub_stats().passes >= 1);
+    assert_eq!(
+        t.stats().dirty_chunks,
+        0,
+        "findings wait for the foreground"
+    );
+
+    // Marker 0 lands in chunk 0; the seal also absorbs the finding.
+    t.execute(&marker_write(0)).expect("write");
+    assert_eq!(t.stats().dirty_chunks, 2, "written chunk + damaged chunk");
+    assert!(
+        t.quarantined_chunks().is_empty(),
+        "resident → no quarantine"
+    );
+    t.checkpoint().expect("healing checkpoint");
+    let report = t.scrub_now().expect("verify pass");
+    assert!(report.findings.is_empty(), "damage must be healed");
+
+    drop(t);
+    assert_eq!(
+        Arc::strong_count(&vfs),
+        held,
+        "drop joins the scrubber, releasing the thread's handle on the vfs"
+    );
+}

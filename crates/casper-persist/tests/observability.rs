@@ -224,7 +224,7 @@ fn pitr_cycle_dump_has_archive_and_backup_signal() {
     dt.backup_to(&backup_dir).expect("backup");
     dt.watch_backup(&backup_dir);
     dt.scrub_now().expect("scrub"); // archive walk + backup re-verify
-    let pit = DurableTable::open_at(&dir, target, opts).expect("open_at");
+    let pit = DurableTable::open_at(&dir, target).expect("open_at");
     assert!(pit.restored_lsn <= target);
 
     let text = dt.metrics_text();

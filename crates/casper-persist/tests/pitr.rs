@@ -204,7 +204,7 @@ fn open_at_matches_oracle_across_modes() {
         let dir = test_dir(&format!("pitr_modes_{mode:?}"));
         let points = build_history(VfsHandle::default(), &dir, mode);
         for (i, p) in points.iter().enumerate() {
-            let mut pit = DurableTable::open_at(&dir, p.lsn, archive_opts())
+            let mut pit = DurableTable::open_at(&dir, p.lsn)
                 .unwrap_or_else(|e| panic!("{mode:?}: open_at({}) failed: {e}", p.lsn));
             assert_eq!(
                 pit.restored_lsn, p.lsn,
@@ -229,7 +229,7 @@ fn open_at_mid_batch_rounds_down_to_commit_boundary() {
     // With group commit = 1 each batch spans two LSNs (op, commit
     // marker), so `commit + 1` lands strictly inside the next batch.
     let p = &points[2];
-    let mut pit = DurableTable::open_at(&dir, p.lsn + 1, archive_opts()).expect("open_at");
+    let mut pit = DurableTable::open_at(&dir, p.lsn + 1).expect("open_at");
     assert_eq!(pit.restored_lsn, p.lsn, "mid-batch target must round down");
     assert_eq!(fingerprint_oracle(&mut pit.table, WRITES), p.fingerprint);
 }
@@ -280,8 +280,7 @@ fn open_at_before_relayout_restores_old_layout_without_solving() {
     // to touch.
     let solves_before = casper_core::solver::telemetry::solve_count();
     let encodes_before = casper_storage::compress::telemetry::encode_count();
-    let mut pit =
-        DurableTable::open_at(&dir, pre_lsn, archive_opts()).expect("open_at before re-layout");
+    let mut pit = DurableTable::open_at(&dir, pre_lsn).expect("open_at before re-layout");
     pit.table.hydrate_all().expect("hydrate the restored table");
     assert_eq!(
         casper_core::solver::telemetry::solve_count(),
@@ -419,9 +418,8 @@ fn archive_retire_fault_matrix() {
         t.checkpoint().expect("reconciling checkpoint");
         t.archive_index()
             .expect("index loads clean after reconcile");
-        let mut pit =
-            DurableTable::open_at_with_vfs(handle.clone(), &dir, last_lsn, archive_opts())
-                .unwrap_or_else(|e| panic!("{name}: open_at({last_lsn}) after crash failed: {e}"));
+        let mut pit = DurableTable::open_at_with_vfs(handle.clone(), &dir, last_lsn)
+            .unwrap_or_else(|e| panic!("{name}: open_at({last_lsn}) after crash failed: {e}"));
         assert_eq!(
             fingerprint_oracle(&mut pit.table, WRITES),
             fingerprint_oracle(&mut oracle, WRITES),
@@ -622,14 +620,13 @@ fn retention_horizon_is_a_typed_error() {
     drop(t);
 
     // LSN 1 (the very first write) is far behind `max_lsns = 4` by now.
-    let err = DurableTable::open_at(&dir, 1, archive_opts())
-        .expect_err("pre-horizon LSN must be unrestorable");
+    let err = DurableTable::open_at(&dir, 1).expect_err("pre-horizon LSN must be unrestorable");
     assert!(
         matches!(err, PersistError::Storage(_)),
         "horizon miss must be typed, got {err}"
     );
     // The newest state is still there.
-    let pit = DurableTable::open_at(&dir, last_lsn, archive_opts()).expect("open_at newest");
+    let pit = DurableTable::open_at(&dir, last_lsn).expect("open_at newest");
     assert_eq!(pit.restored_lsn, last_lsn);
 }
 
@@ -896,7 +893,7 @@ fn every_reader_rejects_the_same_damage_the_same_way() {
             });
             check(&format!("{case}: open"), outcome, open, &want);
 
-            let outcome = DurableTable::open_at(&cold, tip, archive_opts()).and_then(|mut pit| {
+            let outcome = DurableTable::open_at(&cold, tip).and_then(|mut pit| {
                 pit.table.hydrate_all()?;
                 assert_eq!(pit.restored_lsn, tip, "{case}: open_at reaches the tip");
                 Ok((Some(fingerprint_oracle(&mut pit.table, WRITES)), 0))

@@ -298,12 +298,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         self.parts.iter().map(|p| p.ghosts).sum()
     }
 
-    /// Physical slot capacity.
-    #[inline]
-    pub fn physical_capacity(&self) -> usize {
-        self.data.len()
-    }
-
     /// Free slots in the tail beyond the last partition's extent.
     pub fn tail_free(&self) -> usize {
         self.data.len() - self.parts.last().map_or(0, |p| p.extent_end())
@@ -452,20 +446,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             .flatten()
             .map(|f| f.len() * K::WIDTH)
             .sum()
-    }
-
-    /// Smallest live value currently in the chunk, if any.
-    pub fn min_value(&self) -> Option<K> {
-        self.parts
-            .iter()
-            .filter(|p| p.len > 0)
-            .map(|p| {
-                *self.data[p.start..p.live_end()]
-                    .iter()
-                    .min()
-                    .expect("non-empty")
-            })
-            .min()
     }
 
     /// Extract all live rows in sorted key order — used when the optimizer

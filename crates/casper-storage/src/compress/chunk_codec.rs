@@ -105,11 +105,6 @@ impl<K: ColumnValue> CompressedChunk<K> {
         }
         out
     }
-
-    /// Per-fragment encoded widths — the §6.2 synergy made visible.
-    pub fn fragment_widths(&self) -> Vec<super::for_delta::OffsetWidth> {
-        self.fragments.iter().map(ForBlock::width).collect()
-    }
 }
 
 #[cfg(test)]

@@ -128,36 +128,76 @@ impl<K: ColumnValue> SortedDelta<K> {
         cost.values_scanned += touched as u64;
     }
 
-    /// Count of live rows equal to `v`.
-    pub fn point_count(&self, v: K) -> (u64, OpCost) {
+    /// Net effect of the buffered ops in `dr`, replayed in arrival order
+    /// exactly as [`SortedDelta::force_merge`] applies them: a tombstone
+    /// cancels the most recent surviving buffered insert of its key, and
+    /// otherwise hides one more main-column row of that key, front first.
+    /// Returns the surviving inserts (buffer indices) and the main-row
+    /// tombstones (ascending, one entry per hidden row). Every read, the
+    /// single-row take and the merge go through this one replay, so they
+    /// agree on which rows are live.
+    fn net(&self, dr: std::ops::Range<usize>) -> (Vec<usize>, Vec<K>) {
+        let mut inserts: Vec<usize> = Vec::new();
+        let mut hidden = Vec::new();
+        for i in dr {
+            let k = self.delta_keys[i];
+            match self.delta_ops[i] {
+                DeltaOp::Insert(_) => inserts.push(i),
+                // The buffer is key-ordered, so a surviving insert of `k`
+                // can only be the last one collected.
+                DeltaOp::Delete if inserts.last().is_some_and(|&j| self.delta_keys[j] == k) => {
+                    inserts.pop();
+                }
+                DeltaOp::Delete => hidden.push(k),
+            }
+        }
+        (inserts, hidden)
+    }
+
+    /// The buffered insert's payload row at buffer index `i`.
+    fn buffered_row(&self, i: usize) -> &[u32] {
+        match &self.delta_ops[i] {
+            DeltaOp::Insert(row) => row,
+            DeltaOp::Delete => unreachable!("net() lists inserts only"),
+        }
+    }
+
+    /// Main-column positions the tombstones `hidden` (ascending) hide: the
+    /// first `n` rows of a key that has `n` tombstones.
+    fn hidden_positions<'a>(&'a self, hidden: &'a [K]) -> impl Iterator<Item = usize> + 'a {
+        hidden.iter().enumerate().filter_map(move |(n, &k)| {
+            let nth = hidden[..n].iter().rev().take_while(|&&p| p == k).count();
+            let (r, _) = self.main.point_query(k);
+            (r.start + nth < r.end).then_some(r.start + nth)
+        })
+    }
+
+    /// Probe main column and buffer for key `v`: the main-column matches
+    /// no tombstone hides (a position range), the surviving buffered
+    /// inserts of `v` (buffer indices), and what the two probes cost.
+    fn point_probe(&self, v: K) -> (std::ops::Range<usize>, Vec<usize>, OpCost) {
         let (r, mut cost) = self.main.point_query(v);
         let dr = self.delta_equal(v);
         self.charge_delta_probe(dr.len(), &mut cost);
-        let mut count = r.len() as i64;
-        for op in &self.delta_ops[dr] {
-            match op {
-                DeltaOp::Insert(_) => count += 1,
-                DeltaOp::Delete => count -= 1,
-            }
-        }
-        (count.max(0) as u64, cost)
+        let (inserts, hidden) = self.net(dr);
+        ((r.start + hidden.len()).min(r.end)..r.end, inserts, cost)
+    }
+
+    /// Count of live rows equal to `v`.
+    pub fn point_count(&self, v: K) -> (u64, OpCost) {
+        let (main, inserts, cost) = self.point_probe(v);
+        ((main.len() + inserts.len()) as u64, cost)
     }
 
     /// Materialize the selected payload columns of every live row with key
-    /// `v` (HAP Q1): main-column matches plus buffered inserts, with
-    /// buffered deletes hiding the most recent row first.
+    /// `v` (HAP Q1): the main-column matches no tombstone hides, then the
+    /// surviving buffered inserts.
     pub fn point_rows(&self, v: K, cols: &[usize]) -> (Vec<Vec<u32>>, OpCost) {
-        let (r, mut cost) = self.main.point_query(v);
-        let dr = self.delta_equal(v);
-        self.charge_delta_probe(dr.len(), &mut cost);
-        let mut rows: Vec<Vec<u32>> = r.map(|pos| self.main.gather_row(pos, cols)).collect();
-        for op in &self.delta_ops[dr] {
-            match op {
-                DeltaOp::Insert(row) => rows.push(cols.iter().map(|&c| row[c]).collect()),
-                DeltaOp::Delete => {
-                    rows.pop();
-                }
-            }
+        let (main, inserts, cost) = self.point_probe(v);
+        let mut rows: Vec<Vec<u32>> = main.map(|pos| self.main.gather_row(pos, cols)).collect();
+        for i in inserts {
+            let row = self.buffered_row(i);
+            rows.push(cols.iter().map(|&c| row[c]).collect());
         }
         (rows, cost)
     }
@@ -167,14 +207,9 @@ impl<K: ColumnValue> SortedDelta<K> {
         let (n, mut cost) = self.main.range_count(lo, hi);
         let dr = self.delta_range(lo, hi);
         self.charge_delta_probe(dr.len(), &mut cost);
-        let mut count = n as i64;
-        for op in &self.delta_ops[dr] {
-            match op {
-                DeltaOp::Insert(_) => count += 1,
-                DeltaOp::Delete => count -= 1,
-            }
-        }
-        (count.max(0) as u64, cost)
+        let (inserts, hidden) = self.net(dr);
+        let count = (n as usize).saturating_sub(hidden.len()) + inserts.len();
+        (count as u64, cost)
     }
 
     /// Sum payload columns over `[lo, hi)`.
@@ -182,33 +217,15 @@ impl<K: ColumnValue> SortedDelta<K> {
         let (sum, mut cost) = self.main.range_sum_payload(lo, hi, cols);
         let dr = self.delta_range(lo, hi);
         self.charge_delta_probe(dr.len(), &mut cost);
-        let mut total = sum as i128;
-        for (i, op) in dr.clone().zip(&self.delta_ops[dr]) {
-            match op {
-                DeltaOp::Insert(row) => {
-                    for &c in cols {
-                        total += i128::from(row[c]);
-                    }
-                }
-                DeltaOp::Delete => {
-                    let k = self.delta_keys[i];
-                    let (r, _) = self.main.point_query(k);
-                    if !r.is_empty() {
-                        for &c in cols {
-                            total -= i128::from(self.main.payload(c, r.start));
-                        }
-                    }
-                }
-            }
-        }
-        (total.max(0) as u64, cost)
+        let correction =
+            self.replay_sum(dr, |attr| cols.iter().map(|&c| i128::from(attr(c))).sum());
+        ((sum as i128 + correction).max(0) as u64, cost)
     }
 
     /// Signed correction that the delta buffer contributes to a
     /// predicate-filtered payload sum over keys in `[lo, hi)` (the §6.4
-    /// multi-column scan): buffered inserts add their payload when both
-    /// predicates pass; a buffered delete first cancels an earlier buffered
-    /// insert of its key, then hides a main row.
+    /// multi-column scan): surviving buffered inserts add their payload
+    /// and hidden main rows subtract theirs, when the predicate passes.
     pub fn replay_sum_where(
         &self,
         lo: K,
@@ -218,41 +235,33 @@ impl<K: ColumnValue> SortedDelta<K> {
         pred_lo: u32,
         pred_hi: u32,
     ) -> i128 {
-        let dr = self.delta_range(lo, hi);
-        let mut delta_sum = 0i128;
-        let mut pending: Vec<(K, i128)> = Vec::new();
-        for (i, op) in dr.clone().zip(&self.delta_ops[dr]) {
-            let k = self.delta_keys[i];
-            match op {
-                DeltaOp::Insert(row) => {
-                    let v = row[pred_col];
-                    let contribution = if pred_lo <= v && v < pred_hi {
-                        sum_cols.iter().map(|&c| i128::from(row[c])).sum()
-                    } else {
-                        0
-                    };
-                    delta_sum += contribution;
-                    pending.push((k, contribution));
-                }
-                DeltaOp::Delete => {
-                    if let Some(pi) = pending.iter().rposition(|(pk, _)| *pk == k) {
-                        let (_, contribution) = pending.remove(pi);
-                        delta_sum -= contribution;
-                    } else {
-                        let (r, _) = self.main.point_query(k);
-                        if !r.is_empty() {
-                            let v = self.main.payload(pred_col, r.start);
-                            if pred_lo <= v && v < pred_hi {
-                                for &c in sum_cols {
-                                    delta_sum -= i128::from(self.main.payload(c, r.start));
-                                }
-                            }
-                        }
-                    }
-                }
+        self.replay_sum(self.delta_range(lo, hi), |attr| {
+            if (pred_lo..pred_hi).contains(&attr(pred_col)) {
+                sum_cols.iter().map(|&c| i128::from(attr(c))).sum()
+            } else {
+                0
             }
-        }
-        delta_sum
+        })
+    }
+
+    /// `+value(row)` for every surviving buffered insert in `dr` and
+    /// `-value(row)` for every main row its tombstones hide; `value` reads
+    /// a row's attributes through the accessor it is handed.
+    fn replay_sum(
+        &self,
+        dr: std::ops::Range<usize>,
+        value: impl Fn(&dyn Fn(usize) -> u32) -> i128,
+    ) -> i128 {
+        let (inserts, hidden) = self.net(dr);
+        let added: i128 = inserts
+            .into_iter()
+            .map(|i| value(&|c| self.buffered_row(i)[c]))
+            .sum();
+        let removed: i128 = self
+            .hidden_positions(&hidden)
+            .map(|pos| value(&|c| self.main.payload(c, pos)))
+            .sum();
+        added - removed
     }
 
     /// Ordered insertion into the sorted buffer: the shift that keeps the
@@ -285,32 +294,19 @@ impl<K: ColumnValue> SortedDelta<K> {
         cost
     }
 
-    /// Update = buffered delete + buffered insert. The payload of the old
-    /// row is carried over from the main column when available.
-    pub fn update(&mut self, old: K, new: K) -> OpCost {
-        let (r, mut cost) = self.main.point_query(old);
-        let row: Vec<u32> = if r.is_empty() {
-            vec![0; self.payload_width]
-        } else {
-            (0..self.payload_width)
-                .map(|c| self.main.payload(c, r.start))
-                .collect()
-        };
-        cost.absorb(self.buffer(old, DeltaOp::Delete));
-        cost.absorb(self.buffer(new, DeltaOp::Insert(row)));
-        cost.absorb(self.maybe_merge());
-        cost
-    }
-
-    /// Remove one live row equal to `v` and return its full payload row.
-    /// The row returned is the one a buffered tombstone would hide (the
-    /// last row [`SortedDelta::point_rows`] lists), so the take and the
-    /// tombstone agree on which duplicate disappears.
+    /// Remove one live row equal to `v` and return its full payload row:
+    /// the row the tombstone buffered here hides — the most recent
+    /// surviving buffered insert of `v`, else the first main-column row no
+    /// earlier tombstone hides — so the row that moves and the row that
+    /// disappears are the same row.
     pub fn take_one(&mut self, v: K) -> (Option<Vec<u32>>, OpCost) {
-        let cols: Vec<usize> = (0..self.payload_width).collect();
-        let (rows, mut cost) = self.point_rows(v, &cols);
-        let Some(row) = rows.last().cloned() else {
-            return (None, cost);
+        let (main, inserts, mut cost) = self.point_probe(v);
+        let row = match (inserts.last(), main.start) {
+            (Some(&i), _) => self.buffered_row(i).to_vec(),
+            (None, pos) if pos < main.end => (0..self.payload_width)
+                .map(|c| self.main.payload(c, pos))
+                .collect(),
+            _ => return (None, cost),
         };
         cost.absorb(self.delete(v));
         (Some(row), cost)
@@ -325,25 +321,13 @@ impl<K: ColumnValue> SortedDelta<K> {
 
     /// Merge the delta into the main column immediately.
     pub fn force_merge(&mut self) -> OpCost {
-        let keys = std::mem::take(&mut self.delta_keys);
-        let ops = std::mem::take(&mut self.delta_ops);
-        // Net out delete/insert pairs of the same key first (a buffered
-        // delete cancels the most recent buffered insert, mirroring the
-        // read path), so only net effects reach the main column.
-        let mut inserts: Vec<(K, Vec<u32>)> = Vec::new();
-        let mut deletes = Vec::new();
-        for (k, op) in keys.into_iter().zip(ops) {
-            match op {
-                DeltaOp::Insert(row) => inserts.push((k, row)),
-                DeltaOp::Delete => {
-                    if let Some(i) = inserts.iter().rposition(|(ik, _)| *ik == k) {
-                        inserts.remove(i);
-                    } else {
-                        deletes.push(k);
-                    }
-                }
-            }
-        }
+        let (surviving, deletes) = self.net(0..self.delta_keys.len());
+        let inserts = surviving
+            .into_iter()
+            .map(|i| (self.delta_keys[i], self.buffered_row(i).to_vec()))
+            .collect();
+        self.delta_keys.clear();
+        self.delta_ops.clear();
         self.merges += 1;
         self.main.merge(inserts, &deletes)
     }
@@ -384,13 +368,44 @@ mod tests {
 
     #[test]
     fn update_moves_value() {
+        // Q6 on a delta store is take-row → place-row.
         let mut d = sd();
-        d.update(5, 50);
+        let (row, _) = d.take_one(5);
+        d.insert(50, &row.expect("key 5 is live"));
         assert_eq!(d.point_count(5).0, 0);
         assert_eq!(d.point_count(50).0, 1);
         d.force_merge();
         assert!(d.main().values().contains(&50));
         assert!(!d.main().values().contains(&5));
+    }
+
+    /// A row still in the buffer moves with its own payload, and every
+    /// read nets the cancelled insert out instead of charging a main row.
+    #[test]
+    fn take_one_of_a_buffered_row_returns_its_payload() {
+        let mut d = SortedDelta::build(vec![1u64, 2, 3], vec![vec![10, 20, 30]], 2, 100);
+        d.insert(9, &[90]);
+        let (row, _) = d.take_one(9);
+        assert_eq!(row, Some(vec![90]));
+        assert_eq!(d.point_count(9).0, 0);
+        assert_eq!(d.range_sum_payload(0, 100, &[0]).0, 60);
+        d.insert(7, &row.unwrap());
+        assert_eq!(d.point_rows(7, &[0]).0, vec![vec![90]]);
+        assert_eq!(d.take_one(9).0, None);
+    }
+
+    /// Reads, the single-row take and the merge agree on which duplicate a
+    /// tombstone hides: the first main-column row.
+    #[test]
+    fn tombstones_hide_main_duplicates_front_first() {
+        let mut d = SortedDelta::build(vec![5u64, 5, 5], vec![vec![1, 2, 3]], 2, 100);
+        assert_eq!(d.take_one(5).0, Some(vec![1]));
+        assert_eq!(d.take_one(5).0, Some(vec![2]));
+        assert_eq!(d.point_rows(5, &[0]).0, vec![vec![3]]);
+        assert_eq!(d.range_sum_payload(0, 10, &[0]).0, 3);
+        assert_eq!(d.replay_sum_where(0, 10, &[0], 0, 0, u32::MAX), -3);
+        d.force_merge();
+        assert_eq!(d.main().to_parts(), (vec![5], vec![vec![3]]));
     }
 
     #[test]

@@ -1,16 +1,39 @@
 //! Write operations: insert, delete, update (§3, Fig. 4, Fig. 5).
 //!
-//! All three are built on the chunk's slot-transfer primitives:
+//! A row enters or leaves a partition through exactly two private
+//! primitives, both built on the chunk's slot-transfer ripples:
 //!
-//! * **insert** — place the value in its target partition, consuming a
-//!   local ghost slot when one exists; otherwise ripple a slot in from the
-//!   nearest donor (ghost policy) or the column tail (dense policy).
-//! * **delete** — point-query the target partition, swap-fill the matches
-//!   out of the live region, then either leave the freed slots as ghosts
-//!   (ghost policy) or ripple each hole out to the column tail (dense).
-//! * **update** — point-query the source, then ripple *directly* from
-//!   source to target partition, forward or backward — the paper's
-//!   optimization over delete-then-insert.
+//! * **`find_first` → `remove_first`** takes one row out. `find_first` is
+//!   the embedded point query (§4.4): one index probe plus a full scan of
+//!   the covering partition, returning the first live match in slot order.
+//!   `remove_first` *returns the row's full payload*, swap-fills the slot
+//!   with the partition's last live row (one `move_slot`: a random read and
+//!   a random write; a lone random write when the match is already last),
+//!   books the freed slot as a ghost of the source partition, decodes the
+//!   partition's fragment first (decode-on-write) and re-tightens its zone
+//!   map when a boundary value left. Gathering the row is not charged,
+//!   like the payload half of `move_slot`.
+//! * **`place`** puts one row in: key and payload row are written into an
+//!   already-acquired free slot (one random write), the partition's live
+//!   length, covering bounds and zone map grow to include it. It is the
+//!   only write-path code that stores a payload row, so a row that
+//!   `remove_first` handed out cannot reach a slot without its payload.
+//!
+//! The three operations are compositions of those:
+//!
+//! * **insert** — `acquire_slot` (a local ghost when one exists; otherwise
+//!   ripple a slot in from the nearest donor under the ghost policy, or
+//!   from the column tail under the dense policy) → `place`.
+//! * **delete** — point-query the target partition, swap-fill *every*
+//!   match out of the live region, then either leave the freed slots as
+//!   ghosts (ghost policy) or ripple each hole out to the tail (dense).
+//! * **update** — `find_first(old)`; inside one partition the key is
+//!   overwritten in place, otherwise `remove_first` → a slot from the
+//!   target's own ghosts or a *direct* ripple from source to target,
+//!   forward or backward (the paper's optimization over
+//!   delete-then-insert) → `place` with the carried row.
+//! * **take_one** — `find_first` → `remove_first`, then the dense policy's
+//!   hole-to-tail ripple: the source half of a move between chunks.
 
 use crate::chunk::{DonorSide, PartitionedChunk};
 use crate::error::StorageError;
@@ -46,20 +69,28 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         // slots before any slot moves.
         self.decompress_partition(m);
         let slot = self.acquire_slot(m, &mut cost)?;
+        self.place(m, slot, v, payload, &mut cost);
+        Ok(WriteResult {
+            affected: 1,
+            cost,
+            partitions_touched: 1,
+        })
+    }
+
+    /// Write key `v` and its payload `row` into the free slot `slot`, which
+    /// the caller acquired adjacent to partition `m`'s live region, and
+    /// book it live: one random write; `m`'s bounds and zone widen to
+    /// cover `v`.
+    fn place(&mut self, m: usize, slot: usize, v: K, row: &[u32], cost: &mut OpCost) {
         self.data[slot] = v;
         if !self.payloads.is_empty() {
-            self.payloads.set_row(slot, payload);
+            self.payloads.set_row(slot, row);
         }
         cost.random_writes += 1;
         self.parts[m].len += 1;
         self.live += 1;
         self.widen_bounds(m, v);
         self.zones[m].include(v);
-        Ok(WriteResult {
-            affected: 1,
-            cost,
-            partitions_touched: 1,
-        })
     }
 
     /// Acquire a free slot at the end of partition `m`'s live region,
@@ -234,23 +265,57 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         }
     }
 
-    /// Update the first live value equal to `old` to become `new` — the
-    /// direct ripple update of §3 ("the shallow index is probed twice to
-    /// find the source and the destination partitions, followed by a direct
-    /// ripple update between these two partitions").
-    pub fn update(&mut self, old: K, new: K) -> Result<WriteResult, StorageError> {
-        let mut cost = OpCost::default();
-        let m = self.locate(old, &mut cost);
-        self.charge_partition_scan(m, &mut cost);
+    /// The point query embedded in Q6 and in a single-row take (§4.4):
+    /// probe the index for `v`'s partition, scan it, and return it with the
+    /// slot of the first live match.
+    fn find_first(&self, v: K, cost: &mut OpCost) -> (usize, Option<usize>) {
+        let m = self.locate(v, cost);
+        self.charge_partition_scan(m, cost);
         let part = self.parts[m];
-        let mut found: Option<usize> = None;
-        if part.len > 0 && part.covers(old) {
+        let mut found = None;
+        if part.len > 0 && part.covers(v) {
             let live = &self.data[part.start..part.live_end()];
             found = live
                 .iter()
-                .position(|&x| x == old)
+                .position(|&x| x == v)
                 .map(|off| part.start + off);
         }
+        (m, found)
+    }
+
+    /// Take the row `find_first` found at slot `pos` of partition `m` out
+    /// of the live region and return its full payload row: the last live
+    /// row is swapped into its place (the (RR + 2RW) fixed term of
+    /// Eq. 12), the freed slot at the live boundary becomes a ghost of
+    /// `m`, and the zone re-tightens if `v` sat on its boundary.
+    fn remove_first(&mut self, m: usize, pos: usize, v: K, cost: &mut OpCost) -> Vec<u32> {
+        let row = (0..self.payloads.width())
+            .map(|c| self.payloads.get(c, pos))
+            .collect();
+        self.decompress_partition(m);
+        let last = self.parts[m].live_end() - 1;
+        if pos != last {
+            self.move_slot(last, pos, cost);
+        } else {
+            cost.random_writes += 1;
+        }
+        self.parts[m].len -= 1;
+        self.parts[m].ghosts += 1;
+        self.live -= 1;
+        if self.zones[m].on_boundary(v) {
+            self.recompute_zone(m);
+        }
+        row
+    }
+
+    /// Update the first live value equal to `old` to become `new` — the
+    /// direct ripple update of §3 ("the shallow index is probed twice to
+    /// find the source and the destination partitions, followed by a direct
+    /// ripple update between these two partitions"). The row's payload
+    /// moves with it.
+    pub fn update(&mut self, old: K, new: K) -> Result<WriteResult, StorageError> {
+        let mut cost = OpCost::default();
+        let (m, found) = self.find_first(old, &mut cost);
         let Some(pos) = found else {
             return Ok(WriteResult {
                 affected: 0,
@@ -278,20 +343,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 partitions_touched: 1,
             });
         }
-        // Remove `old` from its partition: swap the last live value into
-        // its place, leaving a surplus slot at the live boundary
-        // (the (RR + 2RW) fixed term of Eq. 12).
-        let last = self.parts[m].live_end() - 1;
-        if pos != last {
-            self.move_slot(last, pos, &mut cost);
-        } else {
-            cost.random_writes += 1;
-        }
-        self.parts[m].len -= 1;
-        self.parts[m].ghosts += 1;
-        if self.zones[m].on_boundary(old) {
-            self.recompute_zone(m);
-        }
+        let row = self.remove_first(m, pos, old, &mut cost);
         let slot = match self.config.policy {
             UpdatePolicy::Ghost if self.parts[t].ghosts > 0 => {
                 // Both sides buffered: no ripple at all (the contention
@@ -301,7 +353,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             }
             _ => {
                 // Direct ripple between source and target, consuming the
-                // surplus slot we just created in `m`.
+                // surplus slot the removal just left in `m`.
                 if t > m {
                     let hole = self.pull_slot_from_left(t, m, &mut cost);
                     self.parts[t].start = hole;
@@ -311,11 +363,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 }
             }
         };
-        self.data[slot] = new;
-        cost.random_writes += 1;
-        self.parts[t].len += 1;
-        self.widen_bounds(t, new);
-        self.zones[t].include(new);
+        self.place(t, slot, new, &row, &mut cost);
         Ok(WriteResult {
             affected: 1,
             cost,
@@ -324,24 +372,12 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// Remove the first live row equal to `v` and return its full payload
-    /// row — the single-row half of a cross-chunk update. Mirrors
-    /// [`PartitionedChunk::update`]'s source-side removal (first match only,
-    /// swap-filled out of the live region) rather than
-    /// [`PartitionedChunk::delete`]'s drain-all semantics, so a move between
-    /// chunks affects exactly one row even under duplicate keys.
+    /// row — the source half of a move between chunks. First match only
+    /// (unlike [`PartitionedChunk::delete`], which drains every match), so
+    /// the move affects exactly one row even under duplicate keys.
     pub fn take_one(&mut self, v: K) -> (Option<Vec<u32>>, WriteResult) {
         let mut cost = OpCost::default();
-        let m = self.locate(v, &mut cost);
-        self.charge_partition_scan(m, &mut cost);
-        let part = self.parts[m];
-        let mut found: Option<usize> = None;
-        if part.len > 0 && part.covers(v) {
-            let live = &self.data[part.start..part.live_end()];
-            found = live
-                .iter()
-                .position(|&x| x == v)
-                .map(|off| part.start + off);
-        }
+        let (m, found) = self.find_first(v, &mut cost);
         let Some(pos) = found else {
             return (
                 None,
@@ -352,22 +388,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 },
             );
         };
-        let row: Vec<u32> = (0..self.payloads.width())
-            .map(|c| self.payloads.get(c, pos))
-            .collect();
-        self.decompress_partition(m);
-        let last = self.parts[m].live_end() - 1;
-        if pos != last {
-            self.move_slot(last, pos, &mut cost);
-        } else {
-            cost.random_writes += 1;
-        }
-        self.parts[m].len -= 1;
-        self.parts[m].ghosts += 1;
-        self.live -= 1;
-        if self.zones[m].on_boundary(v) {
-            self.recompute_zone(m);
-        }
+        let row = self.remove_first(m, pos, v, &mut cost);
         let mut partitions_touched = 1u64;
         if self.config.policy == UpdatePolicy::Dense {
             self.push_slot_to_tail(m, &mut cost);

@@ -8,7 +8,6 @@
 //! workloads (Fig. 12).
 
 use crate::ops::OpCost;
-use crate::payload::PayloadSet;
 use crate::value::ColumnValue;
 
 /// A dense, fully sorted column with slot-aligned payload columns.
@@ -197,23 +196,6 @@ impl<K: ColumnValue> SortedColumn<K> {
         (removed as u64, cost)
     }
 
-    /// Update the first value equal to `old` to `new` (delete + insert,
-    /// carrying the payload along).
-    pub fn update(&mut self, old: K, new: K) -> (u64, OpCost) {
-        let (r, mut cost) = self.point_query(old);
-        if r.is_empty() {
-            return (0, cost);
-        }
-        let pos = r.start;
-        let row: Vec<u32> = self.payload_cols.iter().map(|c| c[pos]).collect();
-        self.data.remove(pos);
-        for c in &mut self.payload_cols {
-            c.remove(pos);
-        }
-        cost.absorb(self.insert(new, &row));
-        (1, cost)
-    }
-
     /// Remove the first value equal to `v` and return its full payload row
     /// — the single-row counterpart of [`SortedColumn::delete`] (which
     /// drains every match), used when a row migrates to another chunk.
@@ -285,12 +267,6 @@ impl<K: ColumnValue> SortedColumn<K> {
         cost
     }
 
-    /// Expose the payload columns as a freshly assembled [`PayloadSet`]
-    /// (used when re-loading a sorted column into a partitioned chunk).
-    pub fn to_payload_set(&self) -> PayloadSet {
-        PayloadSet::from_columns(self.payload_cols.clone(), self.data.len())
-    }
-
     /// Clone out keys and payload columns.
     pub fn to_parts(&self) -> (Vec<K>, Vec<Vec<u32>>) {
         (self.data.clone(), self.payload_cols.clone())
@@ -347,9 +323,10 @@ mod tests {
 
     #[test]
     fn update_moves_value_with_payload() {
+        // Q6 on a sorted column is take-row → place-row.
         let mut c = SortedColumn::build(vec![1u64, 2, 3], vec![vec![10, 20, 30]], 2);
-        let (n, _) = c.update(2, 9);
-        assert_eq!(n, 1);
+        let (row, _) = c.take_one(2);
+        c.insert(9, &row.expect("key 2 is live"));
         assert_eq!(c.values(), &[1, 3, 9]);
         assert_eq!(c.payload(0, 2), 20); // payload followed the key
     }

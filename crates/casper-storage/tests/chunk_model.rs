@@ -1,7 +1,9 @@
 //! Model-based property test: a `PartitionedChunk` under arbitrary
 //! interleavings of the five operations must behave exactly like a plain
-//! multiset, for both update policies, arbitrary partitionings and ghost
-//! plans, while never violating its structural invariants.
+//! multiset of rows, for both update policies, arbitrary partitionings and
+//! ghost plans, while never violating its structural invariants. Every row
+//! carries a unique id in its one payload column, so a ripple that moves a
+//! key without its payload shows up as a `(key, id)` mismatch.
 
 use casper_storage::ghost::GhostPlan;
 use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, UpdatePolicy};
@@ -64,55 +66,78 @@ fn run_model(
         capacity_slack: 1.0,
         ghost_fetch_block: 2,
     };
-    let mut chunk = PartitionedChunk::build(initial.clone(), &spec, layout, &ghost_plan, config)
-        .expect("build");
-    let mut model: Vec<u64> = initial;
+    let ids: Vec<u32> = (0..initial.len() as u32).collect();
+    let mut chunk = PartitionedChunk::build_with_payloads(
+        initial.clone(),
+        vec![ids.clone()],
+        &spec,
+        layout,
+        &ghost_plan,
+        config,
+    )
+    .expect("build");
+    let mut model: Vec<(u64, u32)> = initial.into_iter().zip(ids).collect();
+    let mut next_id = model.len() as u32;
 
     for a in actions {
         match a {
             Action::Insert(v) => {
-                if chunk.insert(v, &[]).is_ok() {
-                    model.push(v);
+                if chunk.insert(v, &[next_id]).is_ok() {
+                    model.push((v, next_id));
                 }
+                next_id += 1;
             }
             Action::Delete(v) => {
                 let r = chunk.delete(v);
-                let want = model.iter().filter(|&&x| x == v).count() as u64;
+                let want = model.iter().filter(|&&(k, _)| k == v).count() as u64;
                 prop_assert_eq!(r.affected, want, "delete({}) cardinality", v);
-                model.retain(|&x| x != v);
+                model.retain(|&(k, _)| k != v);
             }
             Action::Update(old, new) => {
+                // Which duplicate moves is the chunk's choice (first in slot
+                // order): read it off as the id that left `old`.
+                let before = ids_at(&chunk, old);
                 let r = chunk.update(old, new).expect("update");
-                let had = model.iter().position(|&x| x == old);
-                match had {
-                    Some(i) => {
-                        prop_assert_eq!(r.affected, 1);
-                        model[i] = new;
+                let after = ids_at(&chunk, old);
+                prop_assert_eq!(r.affected, u64::from(!before.is_empty()));
+                if old != new {
+                    if let Some(&moved) = before.iter().find(|id| !after.contains(id)) {
+                        let row = model.iter_mut().find(|r| **r == (old, moved));
+                        row.expect("moved row is in the model").0 = new;
                     }
-                    None => prop_assert_eq!(r.affected, 0),
                 }
             }
             Action::Point(v) => {
                 let got = chunk.point_query(v).positions.len();
-                let want = model.iter().filter(|&&x| x == v).count();
+                let want = model.iter().filter(|&&(k, _)| k == v).count();
                 prop_assert_eq!(got, want, "point({})", v);
             }
             Action::RangeCount(lo, hi) => {
                 let (got, _) = chunk.range_count(lo, hi);
-                let want = model.iter().filter(|&&x| lo <= x && x < hi).count() as u64;
+                let want = model.iter().filter(|&&(k, _)| lo <= k && k < hi).count() as u64;
                 prop_assert_eq!(got, want, "range[{}, {})", lo, hi);
             }
         }
         if let Err(e) = chunk.validate_invariants() {
             return Err(TestCaseError::fail(format!("invariant violated: {e}")));
         }
+        // Row-for-row equality after every action: keys and their payloads.
+        let (keys, cols) = chunk.extract_live_sorted();
+        let mut live: Vec<(u64, u32)> = keys.into_iter().zip(cols[0].iter().copied()).collect();
+        live.sort_unstable();
+        model.sort_unstable();
+        prop_assert_eq!(&live, &model, "rows diverged after {:?}", a);
     }
-    // Final multiset equality.
-    let (mut live, _) = chunk.extract_live_sorted();
-    model.sort_unstable();
-    live.sort_unstable();
-    prop_assert_eq!(live, model);
     Ok(())
+}
+
+/// Ids (payload column 0) of the live rows with key `v`.
+fn ids_at(chunk: &PartitionedChunk<u64>, v: u64) -> Vec<u32> {
+    let positions = chunk.point_query(v).positions;
+    positions
+        .into_iter()
+        .map(|p| chunk.payloads().get(0, p))
+        .collect()
 }
 
 proptest! {

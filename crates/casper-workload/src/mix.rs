@@ -126,11 +126,6 @@ impl Mix {
         &self.generator
     }
 
-    /// Mutable generator access (to tune selectivity/projectivity).
-    pub fn generator_mut(&mut self) -> &mut WorkloadGenerator {
-        &mut self.generator
-    }
-
     /// Generate a seeded stream of `n` queries following the mix weights.
     pub fn generate(&self, n: usize, seed: u64) -> Vec<HapQuery> {
         let mut rng = StdRng::seed_from_u64(seed);

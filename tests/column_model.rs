@@ -3,62 +3,108 @@
 //! table, must agree with a naive reference model — including payload
 //! contents, which exercises the ripple mirroring across all columns.
 
-use casper::engine::{EngineConfig, LayoutMode, Table};
+use casper::engine::{EngineConfig, LayoutMode, QueryResult, Table};
 use casper::workload::{HapQuery, HapSchema};
 use proptest::prelude::*;
 
+/// A generated key: half the time one that is live in the table when the
+/// act runs (so reads hit, and Q5/Q6 find their row, moved rows included),
+/// otherwise an arbitrary one.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    live: bool,
+    raw: u16,
+}
+
+impl Key {
+    fn resolve(self, rows: &[(u64, Vec<u32>)]) -> u64 {
+        if self.live && !rows.is_empty() {
+            rows[usize::from(self.raw) % rows.len()].0
+        } else {
+            u64::from(self.raw)
+        }
+    }
+}
+
+fn key() -> impl Strategy<Value = Key> {
+    (any::<bool>(), any::<u16>()).prop_map(|(live, raw)| Key { live, raw })
+}
+
 #[derive(Debug, Clone)]
 enum Act {
-    Point(u16),
-    Range(u16, u16),
-    Sum(u16, u16),
-    Insert(u16),
-    Delete(u16),
-    Update(u16, u16),
+    Point(Key),
+    Range(Key, Key),
+    Sum(Key, Key),
+    Insert(Key),
+    Delete(Key),
+    Update(Key, Key),
 }
 
 fn act() -> impl Strategy<Value = Act> {
     prop_oneof![
-        any::<u16>().prop_map(Act::Point),
-        (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Act::Range(a.min(b), a.max(b))),
-        (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Act::Sum(a.min(b), a.max(b))),
-        any::<u16>().prop_map(Act::Insert),
-        any::<u16>().prop_map(Act::Delete),
-        (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Act::Update(a, b)),
+        key().prop_map(Act::Point),
+        (key(), key()).prop_map(|(a, b)| Act::Range(a, b)),
+        (key(), key()).prop_map(|(a, b)| Act::Sum(a, b)),
+        key().prop_map(Act::Insert),
+        key().prop_map(Act::Delete),
+        (key(), key()).prop_map(|(a, b)| Act::Update(a, b)),
     ]
 }
 
-fn to_query(a: &Act, schema: HapSchema) -> HapQuery {
+fn to_query(a: &Act, schema: HapSchema, rows: &[(u64, Vec<u32>)]) -> HapQuery {
+    let k = |key: Key| key.resolve(rows);
     match *a {
-        Act::Point(v) => HapQuery::Q1 {
-            v: u64::from(v),
-            k: 3,
-        },
+        Act::Point(v) => HapQuery::Q1 { v: k(v), k: 3 },
         Act::Range(a, b) => HapQuery::Q2 {
-            vs: u64::from(a),
-            ve: u64::from(b) + 1,
+            vs: k(a).min(k(b)),
+            ve: k(a).max(k(b)) + 1,
         },
         Act::Sum(a, b) => HapQuery::Q3 {
-            vs: u64::from(a),
-            ve: u64::from(b) + 1,
+            vs: k(a).min(k(b)),
+            ve: k(a).max(k(b)) + 1,
             k: 2,
         },
+        // A row's payload is a function of the key it was *inserted*
+        // under, so a Q6 that leaves a stale slot behind is visible.
         Act::Insert(v) => HapQuery::Q4 {
-            key: u64::from(v),
-            payload: schema.payload_row(u64::from(v)),
+            key: k(v),
+            payload: schema.payload_row(k(v)),
         },
-        Act::Delete(v) => HapQuery::Q5 { v: u64::from(v) },
+        Act::Delete(v) => HapQuery::Q5 { v: k(v) },
         Act::Update(a, b) => HapQuery::Q6 {
-            v: u64::from(a),
-            vnew: u64::from(b),
+            v: k(a),
+            vnew: k(b),
         },
     }
 }
 
+/// What the two sides are compared on: Q1 by the sorted multiset of
+/// projected rows, everything else by its scalar.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Rows(Vec<Vec<u32>>),
+    Scalar(u64),
+}
+
+fn answer(result: QueryResult) -> Answer {
+    match result {
+        QueryResult::Rows(mut rows) => {
+            rows.sort_unstable();
+            Answer::Rows(rows)
+        }
+        other => Answer::Scalar(other.scalar()),
+    }
+}
+
 /// Reference: a plain Vec of (key, payload) rows.
-fn reference_execute(rows: &mut Vec<(u64, Vec<u32>)>, q: &HapQuery) -> u64 {
-    match q {
-        HapQuery::Q1 { v, .. } => rows.iter().filter(|(k, _)| k == v).count() as u64,
+fn reference_execute(rows: &mut Vec<(u64, Vec<u32>)>, q: &HapQuery) -> Answer {
+    Answer::Scalar(match q {
+        HapQuery::Q1 { v, k } => {
+            let hits = rows.iter().filter(|(key, _)| key == v);
+            return answer(QueryResult::Rows(
+                hits.map(|(_, p)| p[..*k].to_vec()).collect(),
+            ));
+        }
         HapQuery::Q2 { vs, ve } => {
             rows.iter().filter(|(k, _)| (*vs..*ve).contains(k)).count() as u64
         }
@@ -83,17 +129,30 @@ fn reference_execute(rows: &mut Vec<(u64, Vec<u32>)>, q: &HapQuery) -> u64 {
             }
             None => 0,
         },
-    }
+    })
+}
+
+/// Which of several rows with the same key a Q6 moves is each store's own
+/// choice (first in slot order, first in sort order, newest buffered); the
+/// reference can only follow when those rows are indistinguishable.
+fn q6_source_is_ambiguous(rows: &[(u64, Vec<u32>)], q: &HapQuery) -> bool {
+    let HapQuery::Q6 { v, .. } = q else {
+        return false;
+    };
+    let mut same_key = rows.iter().filter(|(k, _)| k == v).map(|(_, p)| p);
+    let first = same_key.next();
+    same_key.any(|p| Some(p) != first)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn all_modes_agree_with_reference(
         initial in proptest::collection::vec(any::<u16>(), 32..200),
         acts in proptest::collection::vec(act(), 1..60),
         mode_idx in 0usize..6,
+        many_chunks in any::<bool>(),
     ) {
         let schema = HapSchema::narrow();
         let keys: Vec<u64> = initial.iter().map(|&k| u64::from(k)).collect();
@@ -102,14 +161,21 @@ proptest! {
             .collect();
         let mode = LayoutMode::all()[mode_idx];
         let mut config = EngineConfig::small(mode);
-        config.chunk_values = 64; // force many chunks
+        // Many small chunks (almost every Q6 crosses chunks) or a single
+        // chunk (every Q6 stays inside it), at 8 keys per block so that a
+        // chunk has several partitions for a Q6 to cross.
+        config.chunk_values = if many_chunks { 64 } else { 4096 };
+        config.block_bytes = 64;
         config.capacity_slack = 1.0;
         let mut table = Table::load(schema, keys.clone(), payload_cols, config);
         let mut reference: Vec<(u64, Vec<u32>)> =
             keys.iter().map(|&k| (k, schema.payload_row(k))).collect();
         for (i, a) in acts.iter().enumerate() {
-            let q = to_query(a, schema);
-            let got = table.execute(&q).expect("execute").result.scalar();
+            let q = to_query(a, schema, &reference);
+            if q6_source_is_ambiguous(&reference, &q) {
+                continue;
+            }
+            let got = answer(table.execute(&q).expect("execute").result);
             let want = reference_execute(&mut reference, &q);
             prop_assert_eq!(got, want, "{:?} diverged at act {} ({:?})", mode, i, q);
         }
@@ -135,7 +201,7 @@ fn wide_table_160_columns_round_trips() {
         let mut table = Table::load(schema, keys.clone(), payload_cols.clone(), config);
         // Project deep columns on a point read.
         let out = table.execute(&HapQuery::Q1 { v: 100, k: 159 }).expect("q1");
-        if let casper::engine::QueryResult::Rows(rows) = out.result {
+        if let QueryResult::Rows(rows) = out.result {
             assert_eq!(rows.len(), 1, "{mode:?}");
             assert_eq!(rows[0], schema.payload_row(100)[..159].to_vec(), "{mode:?}");
         } else {
@@ -148,7 +214,7 @@ fn wide_table_160_columns_round_trips() {
         let out = table
             .execute(&HapQuery::Q1 { v: 3999, k: 159 })
             .expect("q1 after move");
-        if let casper::engine::QueryResult::Rows(rows) = out.result {
+        if let QueryResult::Rows(rows) = out.result {
             assert_eq!(rows.len(), 1, "{mode:?}");
             assert_eq!(
                 rows[0],

@@ -93,3 +93,26 @@ fn aborted_work_leaves_only_ghost_prefetches() {
     assert_eq!(mgr.point_count(&fresh, &t, 100).unwrap(), 1);
     assert_eq!(mgr.point_count(&fresh, &t, 200).unwrap(), 1);
 }
+
+#[test]
+fn commit_surfaces_the_storage_error_it_hit_typed() {
+    use casper::storage::StorageError;
+    use std::error::Error;
+    let mut t = table();
+    let mgr = TxnManager::new();
+    let mut w = mgr.begin();
+    // The narrow schema carries 15 payload attributes; this row has one.
+    mgr.buffer_insert(&mut w, &mut t, 4001, vec![7]);
+    let err = mgr.commit(w, &mut t).expect_err("wrong payload arity");
+    assert!(
+        matches!(
+            err,
+            TxnError::Storage(StorageError::PayloadArity {
+                expected: 15,
+                got: 1
+            })
+        ),
+        "commit returned {err:?}"
+    );
+    assert!(err.source().is_some_and(|s| s.is::<StorageError>()));
+}
