@@ -12,7 +12,7 @@
 //! predicted speedup exceeds the configured threshold, it re-partitions.
 
 use crate::column::ChunkStore;
-use crate::optimize::{capture_per_chunk, optimize_table, OptimizeOptions};
+use crate::optimize::{capture_per_chunk, optimize_table, OptimizeOptions, OptimizeReport};
 use crate::table::Table;
 use casper_core::cost::{cost_of_segmentation, BlockTerms};
 use casper_core::solver::dp;
@@ -66,6 +66,9 @@ pub struct AdaptiveController {
     recent: VecDeque<HapQuery>,
     /// Number of re-layouts performed.
     pub reoptimizations: u64,
+    /// Report of the most recent re-layout (per-chunk decisions plus the
+    /// Frequency Models it was solved for); `None` until the first one.
+    pub last_report: Option<OptimizeReport>,
 }
 
 impl AdaptiveController {
@@ -75,6 +78,7 @@ impl AdaptiveController {
             recent: VecDeque::with_capacity(config.window),
             config,
             reoptimizations: 0,
+            last_report: None,
         }
     }
 
@@ -128,7 +132,7 @@ impl AdaptiveController {
             };
         }
         let sample: Vec<HapQuery> = self.recent.iter().cloned().collect();
-        optimize_table(table, &sample, &self.config.optimize);
+        self.last_report = Some(optimize_table(table, &sample, &self.config.optimize));
         self.reoptimizations += 1;
         AdaptDecision::Reoptimized {
             predicted_speedup: speedup,

@@ -411,11 +411,15 @@ impl ChunkSlot {
         self.len() == 0
     }
 
-    /// Mutable store access, hydrating first. Requires unique ownership of
-    /// the slot (the column copy-on-writes shared slots before calling).
-    fn store_mut(&mut self) -> Result<&mut ChunkStore, StorageError> {
-        self.get()?;
-        self.store.get_mut().ok_or_else(|| StorageError::Corrupt {
+    /// Mutable store access through a slot `Arc` the column has made
+    /// unique (it copy-on-writes shared slots before calling), hydrating
+    /// first.
+    fn unique_store(slot: &mut Arc<Self>) -> Result<&mut ChunkStore, StorageError> {
+        let slot = Arc::get_mut(slot).ok_or_else(|| StorageError::Corrupt {
+            reason: "chunk slot still shared after copy-on-write".to_string(),
+        })?;
+        slot.get()?;
+        slot.store.get_mut().ok_or_else(|| StorageError::Corrupt {
             reason: "hydrated slot lost its store".to_string(),
         })
     }
@@ -430,137 +434,36 @@ impl std::fmt::Debug for ChunkSlot {
     }
 }
 
-/// An immutable, shareable view of one column at a publish point: the chunk
-/// `Arc`s plus the routing fences frozen at publish time. Readers scan it
-/// lock-free on any number of threads; a writer that has published a newer
-/// snapshot never mutates these chunks (copy-on-write), so the data a pin
-/// observes is stable for the pin's lifetime.
+/// One column's state at a publish point — the chunk `Arc`s, the routing
+/// fences, the engine configuration — and the whole read side over it.
+/// The live [`ChunkedColumn`] holds exactly one of these (and dereferences
+/// to it); publishing clones it. Readers scan a published clone lock-free
+/// on any number of threads; a writer that has published a newer snapshot
+/// never mutates these chunks (copy-on-write), so the data a pin observes
+/// is stable for the pin's lifetime. Every read hydrates the slots it
+/// routes to (serially, before the parallel scan) and surfaces decode
+/// damage as a typed error.
 #[derive(Debug, Clone)]
 pub struct ColumnSnapshot {
-    chunks: Vec<Arc<ChunkSlot>>,
-    fences: Option<Vec<u64>>,
-    config: EngineConfig,
-    payload_width: usize,
-}
-
-impl ColumnSnapshot {
-    pub(crate) fn view<'a>(&'a self, ctx: &'a QueryCtx) -> View<'a> {
-        View {
-            chunks: &self.chunks,
-            fences: self.fences.as_deref(),
-            config: &self.config,
-            payload_width: self.payload_width,
-            ctx,
-        }
-    }
-
-    /// Execute read query `q` (Q1–Q3) against the snapshot; `ctx` is
-    /// checked at every chunk boundary. See [`ChunkedColumn::read`].
-    pub fn read(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, StorageError> {
-        self.view(ctx).read(q)
-    }
-
-    /// Total live rows at the publish point.
-    pub fn len(&self) -> usize {
-        self.chunks.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether the snapshot holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Payload column count.
-    pub fn payload_width(&self) -> usize {
-        self.payload_width
-    }
-}
-
-/// The publication point readers subscribe to: holds the current
-/// [`ColumnSnapshot`] behind a mutex that is only ever held for a pointer
-/// clone (pin) or a pointer store (publish) — an arc-swap built from std
-/// parts, chosen over an epoch scheme because `Arc` refcounts already give
-/// deferred reclamation without a third-party crate (see
-/// `docs/concurrency.md`).
-pub struct SnapshotCell {
-    current: Mutex<Arc<ColumnSnapshot>>,
-    version: AtomicU64,
-}
-
-impl SnapshotCell {
-    fn new(snapshot: ColumnSnapshot) -> Self {
-        Self {
-            current: Mutex::new(Arc::new(snapshot)),
-            version: AtomicU64::new(0),
-        }
-    }
-
-    /// Pin the current snapshot: one mutex-protected pointer clone, after
-    /// which the reader runs entirely lock-free against immutable chunks.
-    pub fn pin(&self) -> Arc<ColumnSnapshot> {
-        self.current.lock().clone()
-    }
-
-    /// Monotone publish counter (one tick per published write batch).
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    fn publish(&self, snapshot: ColumnSnapshot) {
-        *self.current.lock() = Arc::new(snapshot);
-        self.version.fetch_add(1, Ordering::Release);
-        OBS_PUBLISHES.inc();
-    }
-}
-
-impl std::fmt::Debug for SnapshotCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCell")
-            .field("version", &self.version())
-            .finish()
-    }
-}
-
-/// A key column split into range chunks, with slot-aligned payload columns
-/// inside each chunk.
-#[derive(Debug)]
-pub struct ChunkedColumn {
     chunks: Vec<Arc<ChunkSlot>>,
     /// Inclusive upper key fence per chunk (ordered modes); `None` for
     /// `NoOrder`, which broadcasts.
     fences: Option<Vec<u64>>,
     config: EngineConfig,
     payload_width: usize,
-    /// Per-chunk monotone modification counters: every write, ripple,
-    /// compression-mode change or optimizer re-layout that touches a chunk
-    /// bumps its counter, so a persistence layer can diff two counter
-    /// snapshots and enumerate exactly the chunks dirtied in between
-    /// (incremental checkpointing). Hydration does **not** bump — decoding
-    /// a persisted chunk changes nothing logically.
-    versions: Vec<u64>,
-    /// Engaged lazily by the first [`ChunkedColumn::snapshot_cell`] call;
-    /// until then every chunk `Arc` is unique and writes mutate in place
-    /// with zero copy-on-write cost (the serial-execution fast path).
-    snapshots: OnceLock<Arc<SnapshotCell>>,
 }
 
-impl ChunkedColumn {
-    /// Load a column: keys plus column-major payloads (each payload column
-    /// exactly as long as `keys`).
-    pub fn load(mut keys: Vec<u64>, mut payload_cols: Vec<Vec<u32>>, config: EngineConfig) -> Self {
+impl ColumnSnapshot {
+    /// Split rows into `config.chunk_values`-sized stores of the
+    /// configured mode. Ordered modes co-sort globally first, so chunks
+    /// partition the key domain behind one fence each.
+    fn build(mut keys: Vec<u64>, mut payload_cols: Vec<Vec<u32>>, config: EngineConfig) -> Self {
         assert!(!keys.is_empty(), "cannot load an empty column");
         for c in &payload_cols {
             assert_eq!(c.len(), keys.len(), "payload column length mismatch");
         }
-        let payload_width = payload_cols.len();
         let ordered = config.mode != LayoutMode::NoOrder;
         if ordered {
-            // Global co-sort so chunks partition the key domain.
             let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
             perm.sort_by_key(|&i| keys[i as usize]);
             keys = perm.iter().map(|&i| keys[i as usize]).collect();
@@ -588,95 +491,50 @@ impl ChunkedColumn {
             ))));
             start = end;
         }
-        let versions = vec![0; chunks.len()];
         Self {
             chunks,
             fences: ordered.then_some(fences),
             config,
-            payload_width,
-            versions,
-            snapshots: OnceLock::new(),
+            payload_width: payload_cols.len(),
         }
     }
 
-    /// Reassemble a column from restored chunk slots (snapshot recovery).
-    /// The chunks arrive exactly as they were persisted — already
-    /// partitioned, compressed and ghost-buffered — so no re-sort,
-    /// re-partition or re-encode happens here.
-    ///
-    /// # Panics
-    /// Panics when `chunks` is empty or `fences` disagrees with the chunk
-    /// count (persist callers validate first and surface typed errors).
-    pub fn from_restored(
-        chunks: Vec<ChunkSlot>,
-        fences: Option<Vec<u64>>,
-        config: EngineConfig,
-        payload_width: usize,
-    ) -> Self {
-        assert!(!chunks.is_empty(), "a column needs at least one chunk");
-        if let Some(f) = &fences {
-            assert_eq!(f.len(), chunks.len(), "one fence per chunk");
-        }
-        let versions = vec![0; chunks.len()];
-        Self {
-            chunks: chunks.into_iter().map(Arc::new).collect(),
-            fences,
-            config,
-            payload_width,
-            versions,
-            snapshots: OnceLock::new(),
-        }
+    /// Total live rows.
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(|s| s.len()).sum()
     }
 
-    // ------------------------------------------------------------------
-    // Snapshot publication
-    // ------------------------------------------------------------------
-
-    /// The column's publication cell, engaging snapshot mode on first call
-    /// (from then on every write republishes). Readers clone the returned
-    /// `Arc` and [`SnapshotCell::pin`] per query.
-    pub fn snapshot_cell(&self) -> Arc<SnapshotCell> {
-        self.snapshots
-            .get_or_init(|| Arc::new(SnapshotCell::new(self.make_snapshot())))
-            .clone()
+    /// Whether the column holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn make_snapshot(&self) -> ColumnSnapshot {
-        ColumnSnapshot {
-            chunks: self.chunks.clone(),
-            fences: self.fences.clone(),
-            config: self.config,
-            payload_width: self.payload_width,
-        }
+    /// Number of chunks.
+    pub fn chunk_count(&self) -> usize {
+        self.chunks.len()
     }
 
-    /// Publish the current state to readers. A no-op until
-    /// [`ChunkedColumn::snapshot_cell`] has engaged snapshot mode; after
-    /// that it is one `Vec` of `Arc` clones plus a pointer store. Writes
-    /// publish on their own; callers of [`ChunkedColumn::evict_chunk`] /
-    /// [`ChunkedColumn::repoint_chunk`] publish once per pass.
-    pub fn publish(&self) {
-        if let Some(cell) = self.snapshots.get() {
-            cell.publish(self.make_snapshot());
-        }
+    /// Engine configuration.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
     }
 
-    // ------------------------------------------------------------------
-    // Dirty tracking + lazy hydration
-    // ------------------------------------------------------------------
-
-    /// Per-chunk modification counters (parallel to [`Self::chunks`]).
-    /// A persistence layer snapshots this at checkpoint time; a chunk is
-    /// dirty iff its counter differs from the snapshot.
-    pub fn versions(&self) -> &[u64] {
-        &self.versions
+    /// Payload column count.
+    pub fn payload_width(&self) -> usize {
+        self.payload_width
     }
 
-    /// Record a modification of chunk `i` (write, ripple, storage-mode
-    /// change or re-layout).
-    #[inline]
-    fn touch(&mut self, i: usize) {
-        self.versions[i] += 1;
+    /// Immutable chunk access (optimizer, persistence, tests). Slots
+    /// dereference to their store via [`ChunkSlot::get`] (hydrating) or
+    /// [`ChunkSlot::store_opt`].
+    pub fn chunks(&self) -> &[Arc<ChunkSlot>] {
+        &self.chunks
+    }
+
+    /// Inclusive per-chunk upper key fences (`None` for `NoOrder`, which
+    /// broadcasts). Exposed for persistence.
+    pub fn fences(&self) -> Option<&[u64]> {
+        self.fences.as_deref()
     }
 
     /// Resident heap bytes across all hydrated chunk stores (the
@@ -684,39 +542,6 @@ impl ChunkedColumn {
     /// zero without decoding anything.
     pub fn resident_bytes(&self) -> usize {
         self.chunks.iter().map(|c| c.resident_bytes()).sum()
-    }
-
-    /// Demote hydrated chunk `i` back to an unloaded lazy slot re-pointed
-    /// at its persisted record (`loader` decodes it on next touch).
-    /// Returns `false` (consuming nothing) when the slot is not hydrated.
-    ///
-    /// The old `Arc<ChunkSlot>` is only *unlinked*, not freed: published
-    /// snapshots and in-flight pins keep it alive until their refcounts
-    /// drop — which is exactly what keeps concurrent readers correct while
-    /// the governor evicts underneath them. The chunk's version is **not**
-    /// bumped (its logical content is unchanged; eviction must not dirty
-    /// it for the incremental checkpointer). Callers are responsible for
-    /// eligibility (clean + persisted + not quarantined) and must
-    /// [`ChunkedColumn::publish`] once per eviction pass so new pins
-    /// stop holding the hydrated copies.
-    pub fn evict_chunk(&mut self, i: usize, loader: ChunkLoader) -> bool {
-        if !self.chunks[i].is_hydrated() {
-            return false;
-        }
-        let live = self.chunks[i].len();
-        self.chunks[i] = Arc::new(ChunkSlot::new_lazy(live, loader));
-        true
-    }
-
-    /// Replace chunk `i`'s slot with a fresh lazy slot of `live` rows
-    /// backed by `loader`, regardless of the old slot's hydration state.
-    /// This is the panic-containment primitive: after a query panics in a
-    /// clean, persisted chunk, the suspect in-memory state (or a poisoned
-    /// lazy slot) is discarded and the chunk re-points at its last durable
-    /// record. Same version / publish contract as
-    /// [`ChunkedColumn::evict_chunk`].
-    pub fn repoint_chunk(&mut self, i: usize, live: usize, loader: ChunkLoader) {
-        self.chunks[i] = Arc::new(ChunkSlot::new_lazy(live, loader));
     }
 
     /// Route a key to its owning chunk (`None` = broadcast column).
@@ -766,53 +591,237 @@ impl ChunkedColumn {
             None => self.hydrate_all(),
         }
     }
+}
 
-    /// Inclusive per-chunk upper key fences (`None` for `NoOrder`, which
-    /// broadcasts). Exposed for persistence.
-    pub fn fences(&self) -> Option<&[u64]> {
-        self.fences.as_deref()
+/// The publication point readers subscribe to: holds the current
+/// [`ColumnSnapshot`] behind a mutex that is only ever held for a pointer
+/// clone (pin) or a pointer store (publish) — an arc-swap built from std
+/// parts, chosen over an epoch scheme because `Arc` refcounts already give
+/// deferred reclamation without a third-party crate (see
+/// `docs/concurrency.md`).
+pub struct SnapshotCell {
+    current: Mutex<Arc<ColumnSnapshot>>,
+    version: AtomicU64,
+}
+
+impl SnapshotCell {
+    fn new(snapshot: ColumnSnapshot) -> Self {
+        Self {
+            current: Mutex::new(Arc::new(snapshot)),
+            version: AtomicU64::new(0),
+        }
     }
 
-    /// Total live rows.
-    pub fn len(&self) -> usize {
-        self.chunks.iter().map(|s| s.len()).sum()
+    /// Pin the current snapshot: one mutex-protected pointer clone, after
+    /// which the reader runs entirely lock-free against immutable chunks.
+    pub fn pin(&self) -> Arc<ColumnSnapshot> {
+        self.current.lock().clone()
     }
 
-    /// Whether the column is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Monotone publish counter (one tick per published write batch).
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
     }
 
-    /// Number of chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+    fn publish(&self, snapshot: ColumnSnapshot) {
+        *self.current.lock() = Arc::new(snapshot);
+        self.version.fetch_add(1, Ordering::Release);
+        OBS_PUBLISHES.inc();
+    }
+}
+
+impl std::fmt::Debug for SnapshotCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SnapshotCell")
+            .field("version", &self.version())
+            .finish()
+    }
+}
+
+/// A key column split into range chunks, with slot-aligned payload columns
+/// inside each chunk: the current [`ColumnSnapshot`] (which it dereferences
+/// to — the read side is defined once, there) plus the write side.
+#[derive(Debug)]
+pub struct ChunkedColumn {
+    state: ColumnSnapshot,
+    /// Per-chunk modification counters: every write, ripple,
+    /// compression-mode change or optimizer re-layout that touches a chunk
+    /// bumps its counter, so a persistence layer can diff two counter
+    /// snapshots and enumerate exactly the chunks dirtied in between
+    /// (incremental checkpointing). Hydration does **not** bump — decoding
+    /// a persisted chunk changes nothing logically. Monotone for the life
+    /// of the column: a re-layout that changes the chunk count starts every
+    /// new counter above all old ones ([`Self::convert_to_ordered`]).
+    versions: Vec<u64>,
+    /// Engaged lazily by the first [`ChunkedColumn::snapshot_cell`] call;
+    /// until then every chunk `Arc` is unique and writes mutate in place
+    /// with zero copy-on-write cost (the serial-execution fast path).
+    snapshots: OnceLock<Arc<SnapshotCell>>,
+}
+
+impl std::ops::Deref for ChunkedColumn {
+    type Target = ColumnSnapshot;
+
+    fn deref(&self) -> &ColumnSnapshot {
+        &self.state
+    }
+}
+
+impl ChunkedColumn {
+    /// Load a column: keys plus column-major payloads (each payload column
+    /// exactly as long as `keys`).
+    pub fn load(keys: Vec<u64>, payload_cols: Vec<Vec<u32>>, config: EngineConfig) -> Self {
+        let state = ColumnSnapshot::build(keys, payload_cols, config);
+        Self {
+            versions: vec![0; state.chunks.len()],
+            state,
+            snapshots: OnceLock::new(),
+        }
     }
 
-    /// Engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
+    /// Reassemble a column from restored chunk slots (snapshot recovery).
+    /// The chunks arrive exactly as they were persisted — already
+    /// partitioned, compressed and ghost-buffered — so no re-sort,
+    /// re-partition or re-encode happens here.
+    ///
+    /// # Panics
+    /// Panics when `chunks` is empty or `fences` disagrees with the chunk
+    /// count (persist callers validate first and surface typed errors).
+    pub fn from_restored(
+        chunks: Vec<ChunkSlot>,
+        fences: Option<Vec<u64>>,
+        config: EngineConfig,
+        payload_width: usize,
+    ) -> Self {
+        assert!(!chunks.is_empty(), "a column needs at least one chunk");
+        if let Some(f) = &fences {
+            assert_eq!(f.len(), chunks.len(), "one fence per chunk");
+        }
+        Self {
+            versions: vec![0; chunks.len()],
+            state: ColumnSnapshot {
+                chunks: chunks.into_iter().map(Arc::new).collect(),
+                fences,
+                config,
+                payload_width,
+            },
+            snapshots: OnceLock::new(),
+        }
     }
 
-    /// Payload column count.
-    pub fn payload_width(&self) -> usize {
-        self.payload_width
+    /// Re-chunk an unordered (`NoOrder`) column in key order, in place:
+    /// every live row is re-loaded into `Casper`-mode chunks that
+    /// range-partition the key domain. The column keeps its identity —
+    /// the engaged [`SnapshotCell`] (readers see the conversion as one
+    /// more publish) and its version history: whatever the new chunk count
+    /// is, every new counter starts strictly above the largest the column
+    /// has ever held, so each rebuilt chunk reads as written-since against
+    /// any earlier counter snapshot. Same publish contract as
+    /// [`ChunkedColumn::evict_chunk`]: the caller publishes once its pass
+    /// is over (publishing here would share every new slot with a snapshot
+    /// and make the optimizer's rebuild copy-on-write the whole table).
+    pub(crate) fn convert_to_ordered(&mut self) -> Result<(), StorageError> {
+        let rows = self.len();
+        let mut keys = Vec::with_capacity(rows);
+        let mut cols = vec![Vec::with_capacity(rows); self.state.payload_width];
+        for slot in &self.state.chunks {
+            let (k, p) = slot.get()?.live_sorted();
+            keys.extend(k);
+            for (dst, src) in cols.iter_mut().zip(p) {
+                dst.extend(src);
+            }
+        }
+        let mut config = self.state.config;
+        config.mode = LayoutMode::Casper;
+        self.state = ColumnSnapshot::build(keys, cols, config);
+        let floor = self.versions.iter().max().map_or(0, |v| v + 1);
+        self.versions = vec![floor; self.state.chunks.len()];
+        Ok(())
     }
 
-    /// Immutable chunk access (optimizer, persistence, tests). Slots
-    /// dereference to their store via [`ChunkSlot::get`] (hydrating) or
-    /// [`ChunkSlot::store_opt`].
-    pub fn chunks(&self) -> &[Arc<ChunkSlot>] {
-        &self.chunks
+    // ------------------------------------------------------------------
+    // Snapshot publication
+    // ------------------------------------------------------------------
+
+    /// The column's publication cell, engaging snapshot mode on first call
+    /// (from then on every write republishes). Readers clone the returned
+    /// `Arc` and [`SnapshotCell::pin`] per query.
+    pub fn snapshot_cell(&self) -> Arc<SnapshotCell> {
+        self.snapshots
+            .get_or_init(|| Arc::new(SnapshotCell::new(self.state.clone())))
+            .clone()
+    }
+
+    /// Publish the current state to readers. A no-op until
+    /// [`ChunkedColumn::snapshot_cell`] has engaged snapshot mode; after
+    /// that it is one `Vec` of `Arc` clones plus a pointer store. Writes
+    /// publish on their own; callers of [`ChunkedColumn::evict_chunk`] /
+    /// [`ChunkedColumn::repoint_chunk`] publish once per pass.
+    pub fn publish(&self) {
+        if let Some(cell) = self.snapshots.get() {
+            cell.publish(self.state.clone());
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Dirty tracking + lazy hydration
+    // ------------------------------------------------------------------
+
+    /// Per-chunk modification counters (parallel to [`Self::chunks`]).
+    /// A persistence layer snapshots this at checkpoint time; a chunk is
+    /// dirty iff its counter differs from the snapshot.
+    pub fn versions(&self) -> &[u64] {
+        &self.versions
+    }
+
+    /// Record a modification of chunk `i` (write, ripple, storage-mode
+    /// change or re-layout).
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        self.versions[i] += 1;
+    }
+
+    /// Demote hydrated chunk `i` back to an unloaded lazy slot re-pointed
+    /// at its persisted record (`loader` decodes it on next touch).
+    /// Returns `false` (consuming nothing) when the slot is not hydrated.
+    ///
+    /// The old `Arc<ChunkSlot>` is only *unlinked*, not freed: published
+    /// snapshots and in-flight pins keep it alive until their refcounts
+    /// drop — which is exactly what keeps concurrent readers correct while
+    /// the governor evicts underneath them. The chunk's version is **not**
+    /// bumped (its logical content is unchanged; eviction must not dirty
+    /// it for the incremental checkpointer). Callers are responsible for
+    /// eligibility (clean + persisted + not quarantined) and must
+    /// [`ChunkedColumn::publish`] once per eviction pass so new pins
+    /// stop holding the hydrated copies.
+    pub fn evict_chunk(&mut self, i: usize, loader: ChunkLoader) -> bool {
+        if !self.state.chunks[i].is_hydrated() {
+            return false;
+        }
+        let live = self.state.chunks[i].len();
+        self.state.chunks[i] = Arc::new(ChunkSlot::new_lazy(live, loader));
+        true
+    }
+
+    /// Replace chunk `i`'s slot with a fresh lazy slot of `live` rows
+    /// backed by `loader`, regardless of the old slot's hydration state.
+    /// This is the panic-containment primitive: after a query panics in a
+    /// clean, persisted chunk, the suspect in-memory state (or a poisoned
+    /// lazy slot) is discarded and the chunk re-points at its last durable
+    /// record. Same version / publish contract as
+    /// [`ChunkedColumn::evict_chunk`].
+    pub fn repoint_chunk(&mut self, i: usize, live: usize, loader: ChunkLoader) {
+        self.state.chunks[i] = Arc::new(ChunkSlot::new_lazy(live, loader));
     }
 
     /// Make chunk `i` uniquely owned and hydrated: when its `Arc` is shared
     /// with a published snapshot, clone the store into a fresh slot
     /// (copy-on-write) so the snapshot's copy stays frozen.
     fn ensure_unique(&mut self, i: usize) -> Result<(), StorageError> {
-        self.chunks[i].get()?;
-        if Arc::get_mut(&mut self.chunks[i]).is_none() {
-            let cloned = self.chunks[i].get()?.clone();
-            self.chunks[i] = Arc::new(ChunkSlot::new(cloned));
+        self.state.chunks[i].get()?;
+        if Arc::get_mut(&mut self.state.chunks[i]).is_none() {
+            let cloned = self.state.chunks[i].get()?.clone();
+            self.state.chunks[i] = Arc::new(ChunkSlot::new(cloned));
             OBS_COW_COPIES.inc();
         }
         Ok(())
@@ -823,10 +832,7 @@ impl ChunkedColumn {
     /// on logical modification.
     fn chunk_mut(&mut self, i: usize) -> Result<&mut ChunkStore, StorageError> {
         self.ensure_unique(i)?;
-        let slot = Arc::get_mut(&mut self.chunks[i]).ok_or_else(|| StorageError::Corrupt {
-            reason: "chunk slot still shared after copy-on-write".to_string(),
-        })?;
-        slot.store_mut()
+        ChunkSlot::unique_store(&mut self.state.chunks[i])
     }
 
     /// Mutable access to every chunk store (optimizer rebuild).
@@ -834,20 +840,14 @@ impl ChunkedColumn {
     /// stores through the returned borrows, which give no way to observe
     /// which ones it touched.
     pub(crate) fn chunks_mut(&mut self) -> Result<Vec<&mut ChunkStore>, StorageError> {
-        for i in 0..self.chunks.len() {
+        for i in 0..self.state.chunks.len() {
             self.ensure_unique(i)?;
         }
         for v in &mut self.versions {
             *v += 1;
         }
-        let mut out = Vec::with_capacity(self.chunks.len());
-        for slot in &mut self.chunks {
-            let slot = Arc::get_mut(slot).ok_or_else(|| StorageError::Corrupt {
-                reason: "chunk slot still shared after copy-on-write".to_string(),
-            })?;
-            out.push(slot.store_mut()?);
-        }
-        Ok(out)
+        let slots = self.state.chunks.iter_mut();
+        slots.map(ChunkSlot::unique_store).collect()
     }
 
     /// Best-effort ghost prefetch for `key`'s owning chunk (§6.1 decoupled
@@ -862,7 +862,7 @@ impl ChunkedColumn {
             // an out-of-range key in some other chunk would dirty (and
             // re-checkpoint) a chunk that logically did not change.
             Some(routed) => matches!(
-                self.chunks.get(routed).and_then(|s| s.store_opt()),
+                self.state.chunks.get(routed).and_then(|s| s.store_opt()),
                 Some(ChunkStore::Partitioned(_))
             )
             .then_some(routed),
@@ -885,32 +885,11 @@ impl ChunkedColumn {
     }
 
     fn maybe_raise_fence(&mut self, chunk: usize, key: u64) {
-        if let Some(f) = self.fences.as_mut() {
+        if let Some(f) = self.state.fences.as_mut() {
             if key > f[chunk] {
                 f[chunk] = key;
             }
         }
-    }
-
-    pub(crate) fn view<'a>(&'a self, ctx: &'a QueryCtx) -> View<'a> {
-        View {
-            chunks: &self.chunks,
-            fences: self.fences.as_deref(),
-            config: &self.config,
-            payload_width: self.payload_width,
-            ctx,
-        }
-    }
-
-    /// Execute read query `q` against the live column: Q1 gathers the
-    /// first `k` payload attributes of every row with key `v` (ordered
-    /// modes probe exactly one chunk; `NoOrder` broadcasts), Q2 counts and
-    /// Q3 sums the first `k` payload columns over rows with key in
-    /// `[vs, ve)`, chunk-parallel when the range spans several chunks.
-    /// `ctx` is checked at every chunk boundary; a write query is rejected
-    /// with [`StorageError::InvalidSpec`].
-    pub fn read(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, StorageError> {
-        self.view(ctx).read(q)
     }
 
     /// Apply one write (Q4/Q5/Q6) and publish it to readers, returning
@@ -933,7 +912,8 @@ impl ChunkedColumn {
             WriteOp::Insert { key, .. } => {
                 let chunk = self.route_for(key).unwrap_or_else(|| {
                     // NoOrder: append to the last chunk with capacity.
-                    self.chunks
+                    self.state
+                        .chunks
                         .iter()
                         .rposition(|c| match c.store_opt() {
                             Some(ChunkStore::Partitioned(p)) => {
@@ -941,7 +921,7 @@ impl ChunkedColumn {
                             }
                             _ => true,
                         })
-                        .unwrap_or(self.chunks.len() - 1)
+                        .unwrap_or(self.state.chunks.len() - 1)
                 });
                 return self.apply_in_chunk(chunk, op);
             }
@@ -957,7 +937,7 @@ impl ChunkedColumn {
                 // insert it under the new key. The target hydrates first:
                 // once the row has left the source, a target that fails to
                 // decode would lose it.
-                self.chunks[to].get()?;
+                self.state.chunks[to].get()?;
                 let (row, mut cost) = self.chunk_mut(from)?.take_one(old);
                 let Some(row) = row else {
                     return Ok((0, cost));
@@ -972,7 +952,7 @@ impl ChunkedColumn {
                 // NoOrder broadcasts: a delete visits every chunk; an
                 // update is local to the first chunk that holds the key.
                 let mut total = (0u64, OpCost::default());
-                for c in 0..self.chunks.len() {
+                for c in 0..self.state.chunks.len() {
                     let (n, cost) = self.apply_in_chunk(c, op)?;
                     total.0 += n;
                     total.1.absorb(cost);
@@ -1036,13 +1016,13 @@ impl ChunkedColumn {
         ops: &[WriteOp<'_>],
     ) -> Result<Vec<(u64, OpCost)>, StorageError> {
         let mut results = vec![(0u64, OpCost::default()); ops.len()];
-        if self.fences.is_none() || self.chunks.len() <= 1 {
+        if self.state.fences.is_none() || self.state.chunks.len() <= 1 {
             for (i, &op) in ops.iter().enumerate() {
                 results[i] = self.apply_write_serial(op)?;
             }
             return Ok(results);
         }
-        let mut pending: Vec<Vec<(usize, WriteOp<'_>)>> = vec![Vec::new(); self.chunks.len()];
+        let mut pending: Vec<Vec<(usize, WriteOp<'_>)>> = vec![Vec::new(); self.state.chunks.len()];
         let mut pending_count = 0usize;
         // Routing failure on an ordered column is an internal-invariant
         // breach (the fence vector covers the whole key domain); surface
@@ -1089,7 +1069,7 @@ impl ChunkedColumn {
         *pending_count = 0;
         // Hydrate + copy-on-write every routed chunk up front so the
         // parallel phase below holds plain `&mut ChunkStore`s.
-        for ci in 0..self.chunks.len() {
+        for ci in 0..self.state.chunks.len() {
             if !pending[ci].is_empty() {
                 self.ensure_unique(ci)?;
             }
@@ -1105,16 +1085,13 @@ impl ChunkedColumn {
             err: Option<StorageError>,
         }
         let mut jobs: Vec<ChunkJob<'_, '_>> = Vec::new();
-        for (ci, slot) in self.chunks.iter_mut().enumerate() {
+        for (ci, slot) in self.state.chunks.iter_mut().enumerate() {
             let ops = std::mem::take(&mut pending[ci]);
             if !ops.is_empty() {
-                let slot = Arc::get_mut(slot).ok_or_else(|| StorageError::Corrupt {
-                    reason: "chunk slot still shared after copy-on-write".to_string(),
-                })?;
                 let cap = ops.len();
                 jobs.push(ChunkJob {
                     chunk: ci,
-                    store: slot.store_mut()?,
+                    store: ChunkSlot::unique_store(slot)?,
                     ops,
                     out: Vec::with_capacity(cap),
                     max_key: None,
@@ -1122,7 +1099,7 @@ impl ChunkedColumn {
                 });
             }
         }
-        parallel_for_each_mut(&mut jobs, self.config.threads, |_, job| {
+        parallel_for_each_mut(&mut jobs, self.state.config.threads, |_, job| {
             for &(idx, op) in &job.ops {
                 match job.store.apply(op) {
                     Ok((affected, cost)) => {
@@ -1175,42 +1152,32 @@ impl ChunkedColumn {
     }
 }
 
-/// The shared read-path logic: both the live [`ChunkedColumn`] (`&self`)
-/// and pinned [`ColumnSnapshot`]s scan through this view, so the two paths
-/// cannot drift. Every method hydrates the slots it routes to (serially,
-/// before the parallel scan) and surfaces decode damage as a typed error.
-pub(crate) struct View<'a> {
-    chunks: &'a [Arc<ChunkSlot>],
-    fences: Option<&'a [u64]>,
-    config: &'a EngineConfig,
-    payload_width: usize,
-    /// Deadline/cancel context, checked once per chunk boundary (a default
-    /// context is two `None` tests).
-    ctx: &'a QueryCtx,
-}
-
-impl View<'_> {
-    fn route(&self, key: u64) -> Option<usize> {
-        self.fences
-            .map(|f| f.partition_point(|&b| b < key).min(f.len() - 1))
-    }
-
-    /// The one Q1/Q2/Q3 dispatcher (projectivity `k` selects the first `k`
-    /// payload columns, clamped to the column's arity).
-    pub(crate) fn read(&self, q: &HapQuery) -> Result<QueryOutput, StorageError> {
+/// The read path, shared by construction: the live [`ChunkedColumn`] runs
+/// these on its current state and a reader on a published clone of it.
+impl ColumnSnapshot {
+    /// Execute read query `q` — the one Q1/Q2/Q3 dispatcher. Q1 gathers the
+    /// first `k` payload attributes (clamped to the column's arity) of
+    /// every row with key `v` (ordered modes probe exactly one chunk;
+    /// `NoOrder` broadcasts), Q2 counts and Q3 sums the first `k` payload
+    /// columns over rows with key in `[vs, ve)`, chunk-parallel when the
+    /// range spans several chunks. `ctx` is checked at every chunk
+    /// boundary (a default context is two `None` tests); a write query is
+    /// rejected with [`StorageError::InvalidSpec`].
+    pub fn read(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, StorageError> {
         let cols = |k: usize| (0..k.min(self.payload_width)).collect::<Vec<usize>>();
         let (result, cost) = match q {
             HapQuery::Q1 { v, k } => {
-                let (rows, cost) = self.q1_point(*v, &cols(*k))?;
+                let (rows, cost) = self.q1_point(*v, &cols(*k), ctx)?;
                 (QueryResult::Rows(rows), cost)
             }
             HapQuery::Q2 { vs, ve } => {
-                let (n, cost) = self.scan_chunks(*vs, *ve, |s| s.range_count(*vs, *ve))?;
+                let (n, cost) = self.scan_chunks(*vs, *ve, ctx, |s| s.range_count(*vs, *ve))?;
                 (QueryResult::Count(n), cost)
             }
             HapQuery::Q3 { vs, ve, k } => {
                 let cols = cols(*k);
-                let (sum, cost) = self.scan_chunks(*vs, *ve, |s| s.range_sum(*vs, *ve, &cols))?;
+                let (sum, cost) =
+                    self.scan_chunks(*vs, *ve, ctx, |s| s.range_sum(*vs, *ve, &cols))?;
                 (QueryResult::Sum(sum), cost)
             }
             HapQuery::Q4 { .. } | HapQuery::Q5 { .. } | HapQuery::Q6 { .. } => {
@@ -1222,18 +1189,23 @@ impl View<'_> {
         Ok(QueryOutput { result, cost })
     }
 
-    fn q1_point(&self, v: u64, cols: &[usize]) -> Result<(Vec<Vec<u32>>, OpCost), StorageError> {
-        let targets: Vec<&ChunkStore> = match self.route(v) {
+    fn q1_point(
+        &self,
+        v: u64,
+        cols: &[usize],
+        ctx: &QueryCtx,
+    ) -> Result<(Vec<Vec<u32>>, OpCost), StorageError> {
+        let targets: Vec<&ChunkStore> = match self.route_for(v) {
             Some(c) => {
-                self.ctx.check()?;
+                ctx.check()?;
                 note_routed(c, 1, self.chunks.len());
                 vec![self.chunks[c].get()?]
             }
             None => {
                 note_routed(0, self.chunks.len(), self.chunks.len());
                 let mut t = Vec::with_capacity(self.chunks.len());
-                for s in self.chunks {
-                    self.ctx.check()?;
+                for s in &self.chunks {
+                    ctx.check()?;
                     t.push(s.get()?);
                 }
                 t
@@ -1266,10 +1238,15 @@ impl View<'_> {
         pred_col: usize,
         pred_lo: u32,
         pred_hi: u32,
-    ) -> Result<(u64, OpCost), StorageError> {
+        ctx: &QueryCtx,
+    ) -> Result<QueryOutput, StorageError> {
         let block_bytes = self.config.block_bytes;
-        self.scan_chunks(lo, hi, |store| {
+        let (sum, cost) = self.scan_chunks(lo, hi, ctx, |store| {
             store.range_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi, block_bytes)
+        })?;
+        Ok(QueryOutput {
+            result: QueryResult::Sum(sum),
+            cost,
         })
     }
 
@@ -1283,10 +1260,11 @@ impl View<'_> {
         &self,
         lo: u64,
         hi: u64,
+        ctx: &QueryCtx,
         f: impl Fn(&ChunkStore) -> (u64, OpCost) + Sync,
     ) -> Result<(u64, OpCost), StorageError> {
         let mut targets: Vec<&ChunkStore> = Vec::new();
-        match (self.fences, self.route(lo)) {
+        match (&self.fences, self.route_for(lo)) {
             (Some(fences), Some(first)) => {
                 for c in first..self.chunks.len() {
                     // A chunk may overlap if its predecessor's fence is
@@ -1294,14 +1272,14 @@ impl View<'_> {
                     if c > first && fences[c - 1] >= hi {
                         break;
                     }
-                    self.ctx.check()?;
+                    ctx.check()?;
                     targets.push(self.chunks[c].get()?);
                 }
                 note_routed(first, targets.len(), self.chunks.len());
             }
             _ => {
-                for s in self.chunks {
-                    self.ctx.check()?;
+                for s in &self.chunks {
+                    ctx.check()?;
                     targets.push(s.get()?);
                 }
                 note_routed(0, self.chunks.len(), self.chunks.len());
@@ -1310,7 +1288,7 @@ impl View<'_> {
         // Expiry and cancellation are sticky, so once one worker observes
         // the interrupt every later chunk stands down at its own check.
         let results = parallel_map(&targets, self.config.threads, |_, store| {
-            self.ctx.check().map(|()| f(store))
+            ctx.check().map(|()| f(store))
         });
         let mut total = (0u64, OpCost::default());
         for r in results {

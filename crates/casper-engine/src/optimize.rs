@@ -84,6 +84,10 @@ pub struct ChunkReport {
 pub struct OptimizeReport {
     /// Per-chunk details.
     pub chunks: Vec<ChunkReport>,
+    /// The per-chunk Frequency Models the layout was solved for, captured
+    /// against the chunking actually re-laid-out (after any `NoOrder`
+    /// conversion) — what a persistence layer stores beside the layout.
+    pub fms: Vec<FrequencyModel>,
 }
 
 impl OptimizeReport {
@@ -168,8 +172,9 @@ pub fn capture_per_chunk(table: &Table, sample: &[HapQuery]) -> Vec<FrequencyMod
 /// Optimize a table's layout for a workload sample (Fig. 10 A→B→C).
 ///
 /// Converts the table to Casper-mode partitioned chunks regardless of its
-/// previous mode; unordered (`NoOrder`) tables are first re-loaded in key
-/// order.
+/// previous mode; unordered (`NoOrder`) tables are first re-chunked in key
+/// order. Either way the re-layout is an ordinary write: reader handles
+/// stay valid and every rebuilt chunk's version counter moves forward.
 pub fn optimize_table(
     table: &mut Table,
     sample: &[HapQuery],
@@ -182,25 +187,14 @@ pub fn optimize_table(
     table.column_mut().hydrate_all().expect(
         "corrupt persisted chunk surfaced during optimize; open the table eagerly to diagnose",
     );
-    // Unordered columns cannot be range-chunked in place: re-load sorted.
+    // Unordered columns cannot be range-partitioned as they are: re-chunk
+    // in key order first (in place — the column keeps its readers and its
+    // version history).
     if table.column().config().mode == LayoutMode::NoOrder {
-        let mut keys = Vec::with_capacity(table.len());
-        let mut cols: Vec<Vec<u32>> = (0..table.column().payload_width())
-            .map(|_| Vec::with_capacity(table.len()))
-            .collect();
-        for slot in table.column().chunks() {
-            let (k, p) = slot
-                .store_opt()
-                .expect("optimize_table hydrates the column before converting it")
-                .live_sorted();
-            keys.extend(k);
-            for (dst, src) in cols.iter_mut().zip(p) {
-                dst.extend(src);
-            }
-        }
-        let mut config = *table.column().config();
-        config.mode = LayoutMode::Casper;
-        *table = Table::load(table.schema(), keys, cols, config);
+        table
+            .column_mut()
+            .convert_to_ordered()
+            .expect("optimize hydrated the column, so chunk access cannot fail");
     }
 
     let fms = capture_per_chunk(table, sample);
@@ -282,6 +276,7 @@ pub fn optimize_table(
     }
     // Re-layout replaced chunk stores wholesale: hand readers the new ones.
     table.column_mut().publish();
+    report.fms = fms;
     report
 }
 

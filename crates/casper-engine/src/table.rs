@@ -204,7 +204,7 @@ impl Table {
 
     /// Decode every chunk still awaiting hydration from a persisted
     /// segment (no-op on ordinary tables). See
-    /// [`ChunkedColumn::hydrate_all`].
+    /// [`ColumnSnapshot::hydrate_all`].
     pub fn hydrate_all(&self) -> Result<(), StorageError> {
         self.column.hydrate_all()
     }
@@ -279,14 +279,9 @@ impl Table {
         pred_lo: u32,
         pred_hi: u32,
     ) -> Result<QueryOutput, StorageError> {
-        let (sum, cost) = self
-            .column
-            .view(&QueryCtx::default())
-            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)?;
-        Ok(QueryOutput {
-            result: QueryResult::Sum(sum),
-            cost,
-        })
+        let ctx = QueryCtx::default();
+        self.column
+            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi, &ctx)
     }
 
     /// Execute a batch with **chunk-parallel write batching**: consecutive
@@ -421,14 +416,9 @@ impl TableReader {
         pred_lo: u32,
         pred_hi: u32,
     ) -> Result<QueryOutput, StorageError> {
-        let (sum, cost) = self
-            .pin()
-            .view(&QueryCtx::default())
-            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)?;
-        Ok(QueryOutput {
-            result: QueryResult::Sum(sum),
-            cost,
-        })
+        let ctx = QueryCtx::default();
+        self.pin()
+            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi, &ctx)
     }
 }
 

@@ -28,6 +28,14 @@
 //! [`DurableTable::optimize`] still checkpoints synchronously after every
 //! re-layout, so adaptive re-partitioning remains durable at return.
 //!
+//! Per-chunk durable state — each chunk's record, the column version that
+//! record is clean at, its quarantine reason — lives in one
+//! [`crate::ledger::Ledger`], which owns the only definitions of *dirty*,
+//! *encodable*, *repointable* (evictable / healable) and
+//! *checkpoint-freezing*. Nothing here compares version counters itself,
+//! and a re-layout is not a special case: the engine moves every rebuilt
+//! chunk's counter forward, so the next checkpoint finds them all dirty.
+//!
 //! ## Failure model
 //!
 //! All I/O flows through a [`VfsHandle`], so every failure path below is
@@ -53,10 +61,10 @@
 //!   checkpoint before lifting the mode.
 //! * The optional background **scrubber** re-reads checkpoint records at a
 //!   throttled rate and verifies their CRCs; a damaged record whose chunk
-//!   is resident in memory is re-marked dirty (the next checkpoint heals
-//!   it), and a damaged record whose chunk was never hydrated is
-//!   *quarantined* — surfaced as a typed error instead of a surprise CRC
-//!   panic at first touch.
+//!   is resident in memory is marked damaged in the ledger (dirty until
+//!   the next checkpoint replaces the record), and a damaged record whose
+//!   chunk was never hydrated is *quarantined* — surfaced as a typed error
+//!   instead of a surprise CRC panic at first touch.
 
 use crate::archive::{BackupJob, BackupReport, BackupVerifyReport, PointInTime};
 use crate::checkpointer::{run_with_retry, Checkpointer, Completion, RetryPolicy};
@@ -64,13 +72,14 @@ use crate::incremental::{
     numbered_file, read_current, record_loader, restore_table, CheckpointJob, ChunkEntry, Manifest,
     RecordSource,
 };
+use crate::ledger::Ledger;
 use crate::scrub::{ScrubFinding, ScrubReport, ScrubStats, Scrubber};
 use crate::vfs::{Vfs, VfsHandle};
 use crate::wal::{replay, walk_chain, Wal, WalOp};
 use crate::PersistError;
 use casper_core::{FrequencyModel, Op};
 use casper_engine::adapt::{AdaptDecision, AdaptiveController};
-use casper_engine::optimize::{capture_per_chunk, optimize_table, OptimizeOptions, OptimizeReport};
+use casper_engine::optimize::{optimize_table, OptimizeOptions, OptimizeReport};
 use casper_engine::{
     ChunkedColumn, Governor, GovernorConfig, GovernorStats, QueryCtx, QueryError, QueryOutput,
     Table, TableReader, Transaction, TxnError, TxnManager,
@@ -78,7 +87,7 @@ use casper_engine::{
 use casper_obs::{CounterDef, GaugeDef};
 use casper_storage::StorageError;
 use casper_workload::HapQuery;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -268,9 +277,10 @@ enum TableMode {
 }
 
 /// Capture-time bookkeeping for a submitted checkpoint: committed into
-/// `clean_versions` only when the job completes.
+/// the ledger only when the job completes.
 #[derive(Debug)]
 struct Inflight {
+    /// Column version counters at capture.
     versions: Vec<u64>,
     /// Watermark the job is folding in (failure reporting).
     durable_lsn: u64,
@@ -294,14 +304,9 @@ pub struct DurableTable {
     durable_lsn: u64,
     fms: Vec<FrequencyModel>,
     opts: DurableOptions,
-    /// Current durable manifest entries (emptied by a re-layout until its
-    /// — necessarily full — checkpoint commits).
-    entries: Vec<ChunkEntry>,
-    /// Column version counters at the last *captured* checkpoint; a chunk
-    /// is dirty iff its live counter differs. `u64::MAX` is a sentinel no
-    /// live counter ever reaches: the scrubber plants it to force-dirty a
-    /// chunk whose on-disk record it found damaged.
-    clean_versions: Vec<u64>,
+    /// Per chunk: the current manifest's record, the column version it is
+    /// clean at, and any quarantine.
+    ledger: Ledger,
     /// Next segment sequence number to allocate.
     next_seg: u64,
     worker: Option<Checkpointer>,
@@ -319,14 +324,6 @@ pub struct DurableTable {
     /// Scrub counters from manual [`DurableTable::scrub_now`] passes
     /// (background passes accumulate in the scrubber's shared state).
     manual_scrub: ScrubStats,
-    /// Chunks whose in-memory state must not be trusted or whose on-disk
-    /// record is damaged: scrub-quarantined chunks (damaged record, never
-    /// hydrated — hydration would fail a CRC check) and panic-quarantined
-    /// chunks (a query panicked mid-mutation, leaving suspect memory).
-    /// Keyed by chunk index, holding the reason. Checkpoints never
-    /// `Encode` a quarantined chunk — they keep re-pointing at its last
-    /// durable record.
-    quarantined: BTreeMap<usize, String>,
     /// Resource governor (admission gate, memory budget, interrupt
     /// counters), shared with every [`TableReader`] this table hands out.
     governor: Option<Arc<Governor>>,
@@ -498,29 +495,20 @@ impl DurableTable {
             pins: crate::archive::SharedPins::default(),
         };
         let manifest = crate::incremental::run_checkpoint(&job)?;
-        let clean_versions = table.column().versions().to_vec();
-        Self::assemble(
-            vfs,
-            dir,
-            opts,
-            table,
-            clean_versions,
-            manifest,
-            wal,
-            generation,
-        )
+        let versions = table.column().versions().to_vec();
+        Self::assemble(vfs, dir, opts, table, &versions, manifest, wal, generation)
     }
 
     /// The one place a `DurableTable` is put together: `table` holds
     /// exactly `manifest` plus the replayed chain up to and including
-    /// `wal` (link `wal_seq`), and `clean_versions` are the column's
-    /// version counters as of `manifest`.
+    /// `wal` (link `wal_seq`), and `versions` are the column's version
+    /// counters as of `manifest`.
     fn assemble(
         vfs: VfsHandle,
         dir: &Path,
         opts: DurableOptions,
         table: Table,
-        clean_versions: Vec<u64>,
+        versions: &[u64],
         manifest: Manifest,
         wal: Wal,
         wal_seq: u64,
@@ -531,6 +519,8 @@ impl DurableTable {
             .max(manifest.referenced_segments().last().copied().unwrap_or(0))
             + 1;
         let watched = Arc::new(Mutex::new(Vec::new()));
+        let mut ledger = Ledger::default();
+        ledger.commit(manifest.entries, versions);
         Ok(Self {
             table,
             dir: dir.to_path_buf(),
@@ -539,8 +529,7 @@ impl DurableTable {
             wal_seq,
             durable_lsn: manifest.durable_lsn,
             fms: manifest.fms,
-            entries: manifest.entries,
-            clean_versions,
+            ledger,
             next_seg,
             worker: spawn_worker(&opts)?,
             inflight: None,
@@ -549,7 +538,6 @@ impl DurableTable {
             cp_stats: CheckpointStats::default(),
             scrubber: spawn_scrubber(&opts, &vfs, dir, Arc::clone(&watched))?,
             manual_scrub: ScrubStats::default(),
-            quarantined: BTreeMap::new(),
             governor: opts.governor.map(|cfg| Arc::new(Governor::new(cfg))),
             pins: crate::archive::SharedPins::default(),
             watched_backups: watched,
@@ -577,10 +565,10 @@ impl DurableTable {
         casper_obs::enable_from_env();
         let (generation, manifest, _) = read_current(&vfs, dir)?;
         let mut table = restore_table(&vfs, &[dir], &manifest)?;
-        // Versions are zero on a fresh restore; snapshotting them *before*
-        // replay is what marks replayed-into chunks dirty for the next
-        // incremental checkpoint.
-        let clean_versions = vec![0u64; manifest.entries.len()];
+        // Snapshotting the restored column's versions *before* replay is
+        // what marks replayed-into chunks dirty for the next incremental
+        // checkpoint.
+        let versions = table.column().versions().to_vec();
 
         // Replay the WAL chain wal-<gen> .. wal-<highest>. Only the last
         // link can be torn (rotation seals its predecessor first); it is
@@ -616,16 +604,7 @@ impl DurableTable {
             opts.archive.as_ref(),
             &crate::archive::SharedPins::default(),
         );
-        Self::assemble(
-            vfs,
-            dir,
-            opts,
-            table,
-            clean_versions,
-            manifest,
-            wal,
-            last.seq,
-        )
+        Self::assemble(vfs, dir, opts, table, &versions, manifest, wal, last.seq)
     }
 
     /// Highest `seg-*.casper` number present in the directory (0 if none).
@@ -657,33 +636,20 @@ impl DurableTable {
         self.table.hydrate_all().map_err(PersistError::from)
     }
 
-    /// A panic-quarantined chunk whose suspect memory holds writes newer
-    /// than its durable record (its version counter moved past the clean
-    /// snapshot). Checkpointing is unsound while one exists: the
-    /// manifest's WAL watermark would claim those writes while the pinned
-    /// record lacks them — acked-then-lost on the next reopen. Such a
-    /// chunk freezes checkpoint progress instead; the WAL chain keeps
-    /// growing and a reopen reconstructs the chunk from its last good
-    /// record plus replay.
-    fn dirty_quarantined(&self) -> Option<usize> {
-        let versions = self.table.column().versions();
-        if self.entries.len() != versions.len() {
-            return None;
+    fn ensure_no_quarantine(&self) -> Result<(), PersistError> {
+        match self.ledger.quarantined().next() {
+            Some((chunk, reason)) => Err(PersistError::Storage(StorageError::Quarantined {
+                chunk: chunk as u64,
+                reason: reason.to_string(),
+            })),
+            None => Ok(()),
         }
-        self.quarantined
-            .keys()
-            .copied()
-            .find(|&i| i < versions.len() && versions[i] != self.clean_versions[i])
     }
 
-    fn ensure_no_quarantine(&self) -> Result<(), PersistError> {
-        if let Some((chunk, reason)) = self.quarantined.iter().next() {
-            return Err(PersistError::Storage(StorageError::Quarantined {
-                chunk: *chunk as u64,
-                reason: reason.clone(),
-            }));
-        }
-        Ok(())
+    /// The quarantined chunk holding un-checkpointed writes, if any: while
+    /// one exists checkpoint progress is frozen ([`Ledger::freezing`]).
+    fn frozen_by(&self) -> Option<(usize, &str)> {
+        self.ledger.freezing(self.table.column().versions())
     }
 
     fn ensure_active(&self) -> Result<(), PersistError> {
@@ -753,9 +719,8 @@ impl DurableTable {
             return;
         }
         OBS_CP_CONSECUTIVE.set(self.cp_stats.consecutive_failures as f64);
-        let segments: BTreeSet<u64> = self.entries.iter().map(|e| e.seg).collect();
-        OBS_SEGMENT_CHAIN.set(segments.len() as f64);
-        OBS_QUARANTINED.set(self.quarantined.len() as f64);
+        OBS_SEGMENT_CHAIN.set(self.ledger.segments().len() as f64);
+        OBS_QUARANTINED.set(self.ledger.quarantined().count() as f64);
         OBS_DEGRADED_MODE.set(if self.is_degraded() { 1.0 } else { 0.0 });
         if let Some(g) = &self.governor {
             // Refresh the resident gauge so a metrics dump between budget
@@ -797,16 +762,6 @@ impl DurableTable {
     /// Current durability counters.
     pub fn stats(&self) -> DurableStats {
         let versions = self.table.column().versions();
-        let dirty = if self.entries.len() == versions.len() {
-            versions
-                .iter()
-                .zip(&self.clean_versions)
-                .filter(|(v, c)| v != c)
-                .count()
-        } else {
-            versions.len() // no manifest: everything is dirty
-        };
-        let segments: BTreeSet<u64> = self.entries.iter().map(|e| e.seg).collect();
         let scrub = self.scrub_stats();
         DurableStats {
             generation: self.generation,
@@ -814,14 +769,14 @@ impl DurableTable {
             next_lsn: self.wal.next_lsn(),
             wal_bytes: self.wal.durable_bytes(),
             staged_records: self.wal.staged_records(),
-            dirty_chunks: dirty as u64,
-            segments: segments.len() as u64,
+            dirty_chunks: self.ledger.dirty_count(versions) as u64,
+            segments: self.ledger.segments().len() as u64,
             checkpoint_in_flight: self.inflight.is_some(),
             checkpoint_failed: self.background_error.is_some(),
             degraded: self.is_degraded(),
             consecutive_checkpoint_failures: self.cp_stats.consecutive_failures,
             scrub_corrupt_records: scrub.corrupt_records,
-            quarantined_chunks: self.quarantined.len() as u64,
+            quarantined_chunks: self.ledger.quarantined().count() as u64,
         }
     }
 
@@ -835,15 +790,7 @@ impl DurableTable {
     pub fn scrub_stats(&self) -> ScrubStats {
         let mut s = self.manual_scrub;
         if let Some(scrubber) = &self.scrubber {
-            let bg = scrubber.shared.stats();
-            s.passes += bg.passes;
-            s.records_checked += bg.records_checked;
-            s.corrupt_records += bg.corrupt_records;
-            s.failed_passes += bg.failed_passes;
-            s.archive_files_checked += bg.archive_files_checked;
-            s.archive_corrupt_files += bg.archive_corrupt_files;
-            s.backups_checked += bg.backups_checked;
-            s.backup_failures += bg.backup_failures;
+            s.absorb(scrubber.shared.stats());
         }
         s
     }
@@ -851,7 +798,7 @@ impl DurableTable {
     /// Chunk indexes currently quarantined (damaged on disk, no in-memory
     /// copy to heal from).
     pub fn quarantined_chunks(&self) -> Vec<usize> {
-        self.quarantined.keys().copied().collect()
+        self.ledger.quarantined().map(|(i, _)| i).collect()
     }
 
     /// Run one synchronous scrub pass over the current manifest and apply
@@ -863,29 +810,11 @@ impl DurableTable {
     /// rot must not block live serving.
     pub fn scrub_now(&mut self) -> Result<ScrubReport, PersistError> {
         let report = crate::scrub::scrub_pass(&self.vfs, &self.dir, Duration::ZERO, None)?;
-        self.manual_scrub.passes += 1;
-        self.manual_scrub.records_checked += report.records_checked;
-        self.manual_scrub.corrupt_records += report.findings.len() as u64;
-        self.manual_scrub.archive_files_checked += report.archive_files_checked;
-        self.manual_scrub.archive_corrupt_files += report.archive_findings.len() as u64;
+        self.manual_scrub.absorb(ScrubStats::of_pass(&report));
         self.apply_scrub_findings(&report.findings);
-        let watched: Vec<PathBuf> = self
-            .watched_backups
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        for backup in watched {
-            self.manual_scrub.backups_checked += 1;
-            let outcome = crate::archive::verify_backup(&self.vfs, &backup, Duration::ZERO, None);
-            crate::scrub::note_backup_verification(outcome.is_ok());
-            if let Err(e) = outcome {
-                self.manual_scrub.backup_failures += 1;
-                warn_rate_limited(&format!(
-                    "watched backup {} failed verification: {e}",
-                    backup.display()
-                ));
-            }
-        }
+        let backups =
+            crate::scrub::verify_watched(&self.vfs, &self.watched_backups, Duration::ZERO, None);
+        self.manual_scrub.absorb(backups);
         Ok(report)
     }
 
@@ -902,11 +831,13 @@ impl DurableTable {
         }
     }
 
-    /// A damaged record whose chunk is resident: plant the dirty sentinel
-    /// so the next checkpoint re-encodes the chunk from memory into a
-    /// fresh segment (the heal). A damaged record whose chunk was never
-    /// hydrated has no copy to heal from — quarantine it so hydration
-    /// fails typed instead of tripping over the CRC mid-query.
+    /// A damaged record whose chunk is resident is marked damaged in the
+    /// ledger, so the next checkpoint re-encodes the chunk from memory into
+    /// a fresh segment (the heal) — including when a checkpoint in flight
+    /// right now re-points at the damaged record because the chunk looked
+    /// clean at capture. A damaged record whose chunk was never hydrated
+    /// has no copy to heal from — quarantine it so hydration fails typed
+    /// instead of tripping over the CRC mid-query.
     fn apply_scrub_findings(&mut self, findings: &[ScrubFinding]) {
         let chunks = self.table.column().chunks();
         for f in findings {
@@ -914,27 +845,13 @@ impl DurableTable {
             // finding raced past a checkpoint that already superseded its
             // record is stale — the damaged bytes are unreferenced (or
             // about to be pruned).
-            if f.generation != self.generation || f.chunk >= self.clean_versions.len() {
+            if f.generation != self.generation || self.ledger.record(f.chunk).is_none() {
                 continue;
             }
-            let hydrated = match chunks.get(f.chunk) {
-                Some(slot) => slot.is_hydrated(),
-                None => true,
-            };
-            if hydrated {
-                self.clean_versions[f.chunk] = u64::MAX;
-                if let Some(inflight) = &mut self.inflight {
-                    // The in-flight job may re-point at the damaged record
-                    // (the chunk looked clean at capture); keep the dirty
-                    // mark alive across its completion.
-                    if f.chunk < inflight.versions.len() {
-                        inflight.versions[f.chunk] = u64::MAX;
-                    }
-                }
+            if chunks.get(f.chunk).is_none_or(|slot| slot.is_hydrated()) {
+                self.ledger.mark_damaged(f.chunk);
             } else {
-                self.quarantined
-                    .entry(f.chunk)
-                    .or_insert_with(|| f.reason.clone());
+                self.ledger.quarantine(f.chunk, f.reason.clone());
             }
         }
         self.sync_obs_gauges();
@@ -1020,14 +937,10 @@ impl DurableTable {
     /// [`DurableTable::execute_with`] for the heal-vs-quarantine
     /// contract).
     fn contain_panic(&mut self, i: usize, detail: &str) {
-        let versions = self.table.column().versions();
-        let n = versions.len();
-        let healable = self.entries.len() == n
-            && i < n
-            && versions[i] == self.clean_versions[i]
-            && !self.quarantined.contains_key(&i);
-        if healable {
-            let entry = self.entries[i].clone();
+        let Some(&version) = self.table.column().versions().get(i) else {
+            return;
+        };
+        if let Some(entry) = self.ledger.repointable(i, version).cloned() {
             let live = entry.live as usize;
             let loader = self.governed_loader(entry);
             self.table.column_mut().repoint_chunk(i, live, loader);
@@ -1036,10 +949,9 @@ impl DurableTable {
                 "query panicked in clean chunk {i} ({detail}); \
                  chunk re-pointed at its durable record"
             ));
-        } else if i < n {
-            self.quarantined
-                .entry(i)
-                .or_insert_with(|| format!("query panicked in this chunk: {detail}"));
+        } else {
+            self.ledger
+                .quarantine(i, format!("query panicked in this chunk: {detail}"));
             warn_rate_limited(&format!(
                 "query panicked in dirty chunk {i} ({detail}); chunk quarantined \
                  (durable record + WAL reconstruct it on reopen)"
@@ -1093,7 +1005,7 @@ impl DurableTable {
         if resident > budget
             && gov.config().governor_checkpoint
             && !self.is_degraded()
-            && self.dirty_quarantined().is_none()
+            && self.frozen_by().is_none()
         {
             // Dirty chunks are ineligible for eviction (their records are
             // stale); a checkpoint refreshes the records and a second
@@ -1123,38 +1035,25 @@ impl DurableTable {
         if resident <= budget {
             return resident;
         }
-        let n = self.table.column().chunks().len();
-        if self.entries.len() != n {
-            // A re-layout's full checkpoint has not committed yet: no
-            // chunk has a current record to re-point at.
-            return resident;
-        }
         // Coldest-first victim order from the per-slot access stamps.
-        let victims: Vec<(u64, usize, usize)> = {
-            let versions = self.table.column().versions();
-            self.table
-                .column()
-                .chunks()
-                .iter()
-                .enumerate()
-                .filter(|(i, slot)| {
-                    slot.is_hydrated()
-                        && versions[*i] == self.clean_versions[*i]
-                        && !self.quarantined.contains_key(i)
-                })
-                .map(|(i, slot)| (slot.last_access(), i, slot.resident_bytes()))
-                .collect()
-        };
-        let mut victims = victims;
-        victims.sort_unstable();
+        let column = self.table.column();
+        let slots = column.chunks().iter().zip(column.versions()).enumerate();
+        let mut victims: Vec<(u64, usize, usize, ChunkEntry)> = slots
+            .filter(|(_, (slot, _))| slot.is_hydrated())
+            .filter_map(|(i, (slot, &version))| {
+                let record = self.ledger.repointable(i, version)?.clone();
+                Some((slot.last_access(), i, slot.resident_bytes(), record))
+            })
+            .collect();
+        victims.sort_unstable_by_key(|&(stamp, i, ..)| (stamp, i));
         let need = resident - budget;
         let mut freed = 0usize;
         let mut evicted = 0u64;
-        for (_, i, bytes) in victims {
+        for (_, i, bytes, record) in victims {
             if freed >= need {
                 break;
             }
-            let loader = self.governed_loader(self.entries[i].clone());
+            let loader = self.governed_loader(record);
             if self.table.column_mut().evict_chunk(i, loader) {
                 freed += bytes;
                 evicted += 1;
@@ -1306,7 +1205,7 @@ impl DurableTable {
             // A dirty quarantined chunk freezes checkpoint progress (the
             // WAL keeps growing); the write that crossed the watermark
             // still sealed durably, so skipping — not failing — is right.
-            && self.dirty_quarantined().is_none()
+            && self.frozen_by().is_none()
         {
             let job = self.capture(false)?;
             match (&self.worker, self.opts.background_checkpointer) {
@@ -1405,10 +1304,9 @@ impl DurableTable {
             // into a fresh generation; the backup then copies that.
             self.checkpoint_sync(false)?;
         }
-        let segments: BTreeSet<u64> = self.entries.iter().map(|e| e.seg).collect();
         let pin = self.pins.pin(crate::archive::BackupPin {
             generation: self.generation,
-            segments,
+            segments: self.ledger.segments(),
             min_wal: self.generation,
         });
         Ok(BackupJob {
@@ -1512,9 +1410,9 @@ impl DurableTable {
     }
 
     /// Capture a checkpoint under the foreground's pause: rotate the WAL
-    /// (commits continue against the new file immediately), diff the
-    /// column's version counters against the last clean snapshot, and
-    /// clone exactly the dirty chunks. Everything costly — encoding,
+    /// (commits continue against the new file immediately), ask the ledger
+    /// which chunks are dirty at the column's current version counters, and
+    /// clone exactly those. Everything costly — encoding,
     /// segment/manifest writes, fsyncs — lives in the returned job.
     ///
     /// Callers seal first (capture never fsyncs the old WAL itself): on
@@ -1523,14 +1421,13 @@ impl DurableTable {
     fn capture(&mut self, force_full: bool) -> Result<CheckpointJob, PersistError> {
         debug_assert!(self.inflight.is_none(), "one checkpoint at a time");
         // Checked before any side effect (notably the WAL rotation): see
-        // `dirty_quarantined` for why a checkpoint must not proceed.
-        if let Some(chunk) = self.dirty_quarantined() {
+        // `Ledger::freezing` for why a checkpoint must not proceed.
+        if let Some((chunk, reason)) = self.frozen_by() {
             return Err(PersistError::Storage(StorageError::Quarantined {
                 chunk: chunk as u64,
                 reason: format!(
-                    "{}; the chunk holds un-checkpointed writes, so checkpointing \
-                     is frozen until a reopen replays them from the WAL",
-                    self.quarantined[&chunk]
+                    "{reason}; the chunk holds un-checkpointed writes, so checkpointing \
+                     is frozen until a reopen replays them from the WAL"
                 ),
             }));
         }
@@ -1573,79 +1470,43 @@ impl DurableTable {
         self.wal = new_wal;
         self.wal_seq = new_gen;
 
-        let versions = self.table.column().versions().to_vec();
+        // Past the freeze check a quarantined chunk is clean, so every
+        // chunk is either encoded from memory or keeps its record. Dirty
+        // chunks are hydrated by definition (writes hydrate before
+        // mutating, and the scrubber only marks resident chunks damaged),
+        // so the clone cannot hit an unloaded store.
+        let column = self.table.column();
+        let versions = column.versions().to_vec();
         let n = versions.len();
-        let has_manifest = self.entries.len() == n;
-        let mut full = force_full || !has_manifest;
-        if !full {
-            // Compaction trigger: would the incremental manifest reference
-            // too many segments?
-            let mut segs: BTreeSet<u64> = BTreeSet::new();
-            let mut any_dirty = false;
-            for i in 0..n {
-                if versions[i] != self.clean_versions[i] {
-                    any_dirty = true;
-                } else {
-                    segs.insert(self.entries[i].seg);
-                }
-            }
-            if any_dirty {
-                segs.insert(self.next_seg);
-            }
-            if segs.len() > self.opts.max_segments {
-                full = true;
-            }
-        }
-
-        let mut versions = versions;
         let mut fresh: Vec<(usize, RecordSource)> = Vec::new();
         let mut reused: Vec<(usize, ChunkEntry)> = Vec::new();
-        for i in 0..n {
-            // A quarantined chunk is never `Encode`d: scrub-quarantined
-            // chunks were never hydrated (nothing in memory to encode) and
-            // panic-quarantined ones hold suspect memory. Keep re-pointing
-            // at the last durable record, and pin the captured version to
-            // the clean snapshot so the chunk stays Encode-ineligible in
-            // later captures too.
-            if has_manifest && self.quarantined.contains_key(&i) {
-                versions[i] = self.clean_versions[i];
-                if full {
-                    fresh.push((i, RecordSource::Copy(self.entries[i].clone())));
-                } else {
-                    reused.push((i, self.entries[i].clone()));
-                }
-                continue;
-            }
-            let version = &versions[i];
-            let dirty = !has_manifest || *version != self.clean_versions[i];
-            if full && !dirty {
-                // Compaction of a clean chunk: byte-copy its existing
-                // record — no hydration, no re-encode.
-                fresh.push((i, RecordSource::Copy(self.entries[i].clone())));
-            } else if dirty {
-                // Dirty chunks are hydrated by definition (writes hydrate
-                // before mutating, and the scrubber only force-dirties
-                // resident chunks), so the clone cannot hit an unloaded
-                // store.
-                fresh.push((
-                    i,
-                    RecordSource::Encode(self.table.column().chunks()[i].clone()),
-                ));
+        for (i, &version) in versions.iter().enumerate() {
+            if self.ledger.encodable(i, version) {
+                fresh.push((i, RecordSource::Encode(column.chunks()[i].clone())));
             } else {
-                reused.push((i, self.entries[i].clone()));
+                let record = self.ledger.record(i).expect("a clean chunk has a record");
+                reused.push((i, record.clone()));
             }
+        }
+        let dirty = fresh.len();
+        // Compaction: forced, or the incremental manifest would reference
+        // too many segments. Clean chunks then byte-copy their existing
+        // records — no hydration, no re-encode — into the fresh segment.
+        let mut segments: BTreeSet<u64> = reused.iter().map(|(_, e)| e.seg).collect();
+        if dirty > 0 {
+            segments.insert(self.next_seg);
+        }
+        if force_full || segments.len() > self.opts.max_segments {
+            fresh.extend(reused.drain(..).map(|(i, e)| (i, RecordSource::Copy(e))));
+            fresh.sort_unstable_by_key(|&(i, _)| i);
         }
         let seg_seq = self.next_seg;
         if !fresh.is_empty() {
             self.next_seg += 1;
         }
         if casper_obs::enabled() {
-            let dirty = fresh
-                .iter()
-                .filter(|(_, s)| matches!(s, RecordSource::Encode(_)))
-                .count();
             OBS_CP_DIRTY_RATIO.set(if n == 0 { 0.0 } else { dirty as f64 / n as f64 });
-            if full {
+            if reused.is_empty() {
                 OBS_FULL_CHECKPOINTS.inc();
             }
         }
@@ -1713,10 +1574,10 @@ impl DurableTable {
     }
 
     /// Commit (or discard, on error) the capture bookkeeping of a finished
-    /// checkpoint, and keep the failure ledger: consecutive failures
+    /// checkpoint, and keep the failure counters: consecutive failures
     /// escalate to degraded mode once they pass
     /// [`DurableOptions::degrade_after`]. On failure the chunks stay dirty
-    /// relative to the old clean snapshot and the WAL chain keeps growing
+    /// against the ledger's last commit and the WAL chain keeps growing
     /// — recovery replays it, so no acknowledged write is ever lost.
     fn apply_completion(&mut self, completion: Completion) -> Result<(), PersistError> {
         let inflight = self.inflight.take().expect("completion without capture");
@@ -1727,8 +1588,7 @@ impl DurableTable {
                 self.cp_stats.consecutive_failures = 0;
                 self.generation = manifest.generation;
                 self.durable_lsn = manifest.durable_lsn;
-                self.entries = manifest.entries;
-                self.clean_versions = inflight.versions;
+                self.ledger.commit(manifest.entries, &inflight.versions);
                 OBS_CHECKPOINTS_OK.inc();
                 self.sync_obs_gauges();
                 Ok(())
@@ -1763,57 +1623,56 @@ impl DurableTable {
         }
     }
 
-    /// Optimize the layout for a workload sample (Fig. 10 A→B→C), capture
-    /// the per-chunk frequency models, and checkpoint synchronously — the
-    /// re-layout and the FM state that justified it become durable
-    /// together, before this returns.
+    /// Optimize the layout for a workload sample (Fig. 10 A→B→C) and
+    /// checkpoint synchronously — the re-layout and the per-chunk
+    /// frequency models it was solved for become durable together, before
+    /// this returns.
     pub fn optimize(
         &mut self,
         sample: &[HapQuery],
         opts: &OptimizeOptions,
     ) -> Result<OptimizeReport, PersistError> {
-        self.ensure_active()?;
-        // Absorb any in-flight background checkpoint *first*: its
-        // completion overwrites `entries`/`clean_versions`, which would
-        // silently undo the clear below if it landed later.
-        self.finish_inflight()?;
-        self.hydrate_all()?;
-        self.fms = capture_per_chunk(&self.table, sample);
-        let report = optimize_table(&mut self.table, sample, opts);
-        // Every chunk was rewritten, so the old manifest entries are all
-        // stale — drop them to force a full checkpoint. Relying on the
-        // version counters alone would be wrong for the NoOrder
-        // conversion, which *replaces* the column (counters restart at
-        // zero and can collide with the clean snapshot, silently
-        // re-pointing rebuilt chunks at pre-relayout records).
-        self.entries.clear();
-        // The re-layout re-encoded every chunk from hydrated data; any
-        // quarantined record is superseded by the full checkpoint below.
-        self.quarantined.clear();
-        self.checkpoint()?;
-        Ok(report)
+        self.relayout(|table| {
+            let report = optimize_table(table, sample, opts);
+            let fms = report.fms.clone();
+            (report, Some(fms))
+        })
     }
 
     /// Run one adaptive-controller check; when it re-partitions, checkpoint
-    /// so the new layout is durable.
+    /// so the new layout and its frequency models are durable.
     pub fn maybe_reoptimize(
         &mut self,
         ctl: &mut AdaptiveController,
     ) -> Result<AdaptDecision, PersistError> {
+        self.relayout(|table| {
+            let decision = ctl.maybe_reoptimize(table);
+            let relaid = matches!(decision, AdaptDecision::Reoptimized { .. });
+            let report = ctl.last_report.as_ref().filter(|_| relaid);
+            (decision, report.map(|r| r.fms.clone()))
+        })
+    }
+
+    /// The one durable re-layout: hydrate (typed errors, quarantine
+    /// included), let `run` re-lay-out the table, and — when it hands back
+    /// the frequency models of a new layout — keep them and checkpoint. To
+    /// everything else here a re-layout is an ordinary write: the engine
+    /// moved every rebuilt chunk's version counter forward, so the
+    /// checkpoint finds them all dirty and writes them into one fresh
+    /// segment, whatever the chunk count became and whether or not an
+    /// earlier checkpoint is still in flight.
+    fn relayout<R>(
+        &mut self,
+        run: impl FnOnce(&mut Table) -> (R, Option<Vec<FrequencyModel>>),
+    ) -> Result<R, PersistError> {
         self.ensure_active()?;
-        // As in `optimize`: a pending completion must not land after the
-        // re-layout clears the manifest entries.
-        self.finish_inflight()?;
         self.hydrate_all()?;
-        let decision = ctl.maybe_reoptimize(&mut self.table);
-        if matches!(decision, AdaptDecision::Reoptimized { .. }) {
-            // Same contract as `optimize`: a re-layout rewrote every
-            // chunk, so the next checkpoint must be full.
-            self.entries.clear();
-            self.quarantined.clear();
+        let (out, fms) = run(&mut self.table);
+        if let Some(fms) = fms {
+            self.fms = fms;
             self.checkpoint()?;
         }
-        Ok(decision)
+        Ok(out)
     }
 }
 

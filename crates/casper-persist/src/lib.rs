@@ -47,6 +47,7 @@ pub mod crc;
 pub mod durable;
 pub mod fault;
 pub mod incremental;
+mod ledger;
 pub mod mmap;
 mod record;
 pub mod scrub;

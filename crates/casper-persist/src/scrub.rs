@@ -40,16 +40,6 @@ static OBS_SCRUB_BACKUPS_OK: CounterDef =
 static OBS_SCRUB_BACKUPS_ERR: CounterDef =
     CounterDef::new("casper_scrub_backup_verifications_total{result=\"err\"}");
 
-/// Record one backup verification outcome on the registry — shared by
-/// the background scrubber and the synchronous `scrub_now` path.
-pub(crate) fn note_backup_verification(ok: bool) {
-    if ok {
-        OBS_SCRUB_BACKUPS_OK.inc();
-    } else {
-        OBS_SCRUB_BACKUPS_ERR.inc();
-    }
-}
-
 /// One damaged record discovered by a scrub pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubFinding {
@@ -102,6 +92,64 @@ pub struct ScrubStats {
     pub backups_checked: u64,
     /// Watched backup verifications that failed.
     pub backup_failures: u64,
+}
+
+impl ScrubStats {
+    /// What one completed pass contributes to the counters.
+    pub(crate) fn of_pass(report: &ScrubReport) -> Self {
+        Self {
+            passes: 1,
+            records_checked: report.records_checked,
+            corrupt_records: report.findings.len() as u64,
+            archive_files_checked: report.archive_files_checked,
+            archive_corrupt_files: report.archive_findings.len() as u64,
+            ..Self::default()
+        }
+    }
+
+    /// Add `other`'s counters to `self`.
+    pub(crate) fn absorb(&mut self, other: ScrubStats) {
+        self.passes += other.passes;
+        self.records_checked += other.records_checked;
+        self.corrupt_records += other.corrupt_records;
+        self.failed_passes += other.failed_passes;
+        self.archive_files_checked += other.archive_files_checked;
+        self.archive_corrupt_files += other.archive_corrupt_files;
+        self.backups_checked += other.backups_checked;
+        self.backup_failures += other.backup_failures;
+    }
+}
+
+/// Re-verify every watched backup directory end to end and return what the
+/// walk adds to the counters. Failures are counted and logged — a backup
+/// rotting on a shelf must be discovered before the day it is needed, but
+/// it must never block (or degrade) live serving.
+pub(crate) fn verify_watched(
+    vfs: &VfsHandle,
+    watched: &Mutex<Vec<PathBuf>>,
+    pause_per_record: Duration,
+    stop: Option<&AtomicBool>,
+) -> ScrubStats {
+    let dirs: Vec<PathBuf> = watched.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let mut stats = ScrubStats::default();
+    for backup in dirs {
+        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+            break;
+        }
+        stats.backups_checked += 1;
+        match crate::archive::verify_backup(vfs, &backup, pause_per_record, stop) {
+            Ok(_) => OBS_SCRUB_BACKUPS_OK.inc(),
+            Err(e) => {
+                OBS_SCRUB_BACKUPS_ERR.inc();
+                stats.backup_failures += 1;
+                crate::durable::warn_rate_limited(&format!(
+                    "watched backup {} failed verification: {e}",
+                    backup.display()
+                ));
+            }
+        }
+    }
+    stats
 }
 
 /// Run one synchronous scrub pass over `dir`'s current manifest.
@@ -182,15 +230,13 @@ impl ScrubShared {
         std::mem::take(&mut *self.findings.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
+    fn absorb_stats(&self, stats: ScrubStats) {
+        let mut total = self.stats.lock().unwrap_or_else(|e| e.into_inner());
+        total.absorb(stats);
+    }
+
     fn absorb(&self, report: &ScrubReport) {
-        {
-            let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-            stats.passes += 1;
-            stats.records_checked += report.records_checked;
-            stats.corrupt_records += report.findings.len() as u64;
-            stats.archive_files_checked += report.archive_files_checked;
-            stats.archive_corrupt_files += report.archive_findings.len() as u64;
-        }
+        self.absorb_stats(ScrubStats::of_pass(report));
         if report.findings.is_empty() {
             return;
         }
@@ -205,15 +251,6 @@ impl ScrubShared {
             {
                 findings.push(f.clone());
             }
-        }
-    }
-
-    fn note_backup(&self, ok: bool) {
-        note_backup_verification(ok);
-        let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.backups_checked += 1;
-        if !ok {
-            stats.backup_failures += 1;
         }
     }
 
@@ -275,31 +312,9 @@ impl Scrubber {
                     // on.
                     Err(_) => thread_shared.note_failed_pass(),
                 }
-                // Re-verify watched backups at the pass cadence. Failures
-                // are counted and logged — a backup rotting on a shelf
-                // must be discovered before the day it is needed, but it
-                // must never block (or degrade) live serving.
-                let dirs: Vec<PathBuf> = watched.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                for backup in dirs {
-                    if thread_stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    match crate::archive::verify_backup(
-                        &vfs,
-                        &backup,
-                        pause_per_record,
-                        Some(&thread_stop),
-                    ) {
-                        Ok(_) => thread_shared.note_backup(true),
-                        Err(e) => {
-                            thread_shared.note_backup(false);
-                            crate::durable::warn_rate_limited(&format!(
-                                "watched backup {} failed verification: {e}",
-                                backup.display()
-                            ));
-                        }
-                    }
-                }
+                // Re-verify watched backups at the pass cadence.
+                let stop = Some(&*thread_stop);
+                thread_shared.absorb_stats(verify_watched(&vfs, &watched, pause_per_record, stop));
             })?;
         Ok(Self {
             shared,

@@ -21,8 +21,12 @@ const ROWS: u64 = 192;
 /// Keys are even numbers 0, 2, …, 2·(ROWS−1); three chunks of 64.
 const CHUNK_VALUES: usize = 64;
 
+fn test_dir_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
 fn test_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let dir = test_dir_path(name);
     let _ = fs::remove_dir_all(&dir);
     dir
 }
@@ -461,6 +465,12 @@ fn damaged_manifest_fails_open_typed() {
     );
 }
 
+/// Regression guard for a hazard that no longer exists in this form: since
+/// the `NoOrder` conversion rebuilds the column in place, its version
+/// counters never restart (they jump above every earlier value), so the
+/// collision described below cannot happen and `optimize` needs no forced
+/// full checkpoint — every rebuilt chunk is dirty by its counter. The
+/// scenario stays as the check that it is.
 #[test]
 fn noorder_optimize_checkpoints_fully_despite_counter_reset() {
     // The NoOrder -> Casper conversion *replaces* the column, restarting
@@ -505,6 +515,194 @@ fn noorder_optimize_checkpoints_fully_despite_counter_reset() {
         "reopen after NoOrder optimize must see the re-laid-out data, \
          not stale pre-relayout records"
     );
+}
+
+/// The variant the test above had to dodge: inserts first, so the rebuilt
+/// chunk count (4) differs from the manifest's (3), and a watermark
+/// checkpoint still in flight when `optimize` is called, so its completion
+/// lands *after* the re-layout with three records for what are now four
+/// chunks. Crash before and after the post-optimize checkpoint commits.
+#[test]
+fn noorder_optimize_across_a_chunk_count_change_and_an_inflight_checkpoint() {
+    use casper_engine::optimize::OptimizeOptions;
+    let dir = test_dir("incr_noorder_grow");
+    let (vfs, handle) = fault_handle(21);
+    let opts = DurableOptions {
+        group_commit: 64,
+        wal_checkpoint_bytes: 1,
+        background_checkpointer: true,
+        ..DurableOptions::default()
+    };
+    let mut config = engine_config();
+    config.mode = LayoutMode::NoOrder;
+    let load = || {
+        let keys: Vec<u64> = (0..ROWS).map(|i| i * 2).collect();
+        let cols: Vec<Vec<u32>> = (0..2)
+            .map(|c| keys.iter().map(|&k| payload_row(k)[c]).collect())
+            .collect();
+        Table::load(schema(), keys, cols, config)
+    };
+    let n = 12usize; // 192 + 12 rows re-chunk into 4 chunks of <= 64
+    let mut oracle = load();
+    for q in markers(n) {
+        oracle.execute(&q).expect("oracle");
+    }
+    let want = fingerprint_oracle(&mut oracle, n);
+    let sample: Vec<HapQuery> = (0..40u64)
+        .map(|i| HapQuery::Q2 {
+            vs: i * 8,
+            ve: i * 8 + 40,
+        })
+        .collect();
+
+    let mut t = DurableTable::create_from_table_with_vfs(handle.clone(), &dir, load(), opts)
+        .expect("create");
+    for q in markers(n) {
+        t.execute(&q).expect("write");
+    }
+    // The seal crosses the watermark: generation 2 is captured and handed
+    // to the checkpointer, and nothing absorbs its completion yet.
+    t.flush().expect("flush");
+    assert!(t.stats().checkpoint_in_flight);
+    assert_eq!(t.stats().generation, 1);
+
+    // The post-optimize checkpoint (generation 3) cannot write its manifest.
+    vfs.inject(FaultRule::on_path(
+        VfsOp::Write,
+        "manifest-000003",
+        FaultErr::Eio,
+    ));
+    let err = t
+        .optimize(&sample, &OptimizeOptions::default())
+        .expect_err("the post-optimize checkpoint must fail");
+    assert_eq!(raw_os(&err), Some(5), "typed EIO, got {err}");
+    assert_eq!(
+        t.stats().generation,
+        2,
+        "the in-flight checkpoint committed"
+    );
+    assert_eq!(t.table().column().chunk_count(), 4);
+    assert_eq!(t.stats().dirty_chunks, 4, "every rebuilt chunk is dirty");
+    assert_eq!(fingerprint_durable(&mut t, n), want);
+    drop(t);
+    vfs.clear_faults();
+    vfs.simulate_crash()
+        .expect("crash before the re-layout is durable");
+
+    let mut t = DurableTable::open_with_vfs(handle.clone(), &dir, opts).expect("reopen");
+    assert_eq!(t.table().column().config().mode, LayoutMode::NoOrder);
+    assert_eq!(fingerprint_durable(&mut t, n), want, "old layout + WAL");
+    t.optimize(&sample, &OptimizeOptions::default())
+        .expect("optimize");
+    assert_eq!(t.table().column().chunk_count(), 4);
+    assert_eq!(t.stats().dirty_chunks, 0);
+    assert_eq!(t.stats().segments, 1, "one fresh segment, nothing older");
+    drop(t);
+    vfs.simulate_crash()
+        .expect("crash after the re-layout is durable");
+
+    let mut t = DurableTable::open_with_vfs(handle, &dir, opts).expect("reopen");
+    assert_eq!(t.table().column().config().mode, LayoutMode::Casper);
+    assert_eq!(t.table().column().chunk_count(), 4);
+    assert_eq!(fingerprint_durable(&mut t, n), want, "re-laid-out data");
+}
+
+/// A durable table over 4 000 distinct even keys in shuffled load order
+/// (7919 is coprime to 4000), four chunks of 1024.
+fn shuffled_table(tag: &str, mode: LayoutMode) -> DurableTable {
+    let mut config = engine_config();
+    config.mode = mode;
+    config.chunk_values = 1024;
+    let keys: Vec<u64> = (0..4000u64).map(|i| (i * 7919 % 4000) * 2).collect();
+    let cols: Vec<Vec<u32>> = (0..2)
+        .map(|c| keys.iter().map(|&k| payload_row(k)[c]).collect())
+        .collect();
+    let table = Table::load(schema(), keys, cols, config);
+    DurableTable::create_from_table(&test_dir(tag), table, DurableOptions::default())
+        .expect("create")
+}
+
+fn point_reads() -> Vec<HapQuery> {
+    (0..572u64)
+        .map(|i| HapQuery::Q1 { v: i * 14, k: 1 })
+        .collect()
+}
+
+/// Reopen `dir` and check the restored frequency models are exactly what
+/// `sample` captures against the restored chunking, chunk for chunk.
+fn assert_reopened_fms_describe(dir: &Path, sample: &[HapQuery]) {
+    use casper_engine::optimize::capture_per_chunk;
+    let mut t = DurableTable::open(dir, DurableOptions::default()).expect("reopen");
+    t.hydrate_all().expect("hydrate");
+    let fms = t.frequency_models();
+    let point_mass: Vec<f64> = fms.iter().map(|fm| fm.pq.iter().sum()).collect();
+    assert_eq!(
+        fms,
+        capture_per_chunk(t.table(), sample),
+        "point mass per chunk: {point_mass:?}"
+    );
+}
+
+/// `optimize` persists the frequency models the layout was solved for:
+/// captured against the chunking that was re-laid-out, i.e. *after* the
+/// `NoOrder` conversion. On shuffled keys the pre-conversion chunking
+/// routes the same sample completely differently (ascending keys, as in
+/// the fixture above, hide the difference).
+#[test]
+fn optimize_persists_the_frequency_models_the_layout_was_solved_for() {
+    use casper_engine::optimize::OptimizeOptions;
+    let mut t = shuffled_table("incr_fm_optimize", LayoutMode::NoOrder);
+    t.optimize(&point_reads(), &OptimizeOptions::default())
+        .expect("optimize");
+    drop(t);
+    assert_reopened_fms_describe(&test_dir_path("incr_fm_optimize"), &point_reads());
+}
+
+/// `maybe_reoptimize` makes a new layout durable *with* the frequency
+/// models of the window it was solved for, not those of the previous
+/// `optimize`.
+#[test]
+fn maybe_reoptimize_persists_the_frequency_models_of_its_window() {
+    use casper_engine::adapt::{AdaptConfig, AdaptDecision, AdaptiveController};
+    use casper_engine::optimize::OptimizeOptions;
+    let mut t = shuffled_table("incr_fm_adapt", LayoutMode::Casper);
+    t.optimize(&point_reads(), &OptimizeOptions::default())
+        .expect("optimize");
+    let before = t.frequency_models().to_vec();
+
+    // The workload turns from point reads to inserts and range scans.
+    let mut ctl = AdaptiveController::new(AdaptConfig {
+        window: 512,
+        benefit_threshold: 1.05,
+        ..AdaptConfig::default()
+    });
+    let window: Vec<HapQuery> = (0..512u64)
+        .map(|i| match i % 2 {
+            0 => HapQuery::Q4 {
+                key: 1 + (i * 14) % 8000,
+                payload: payload_row(1),
+            },
+            _ => HapQuery::Q2 {
+                vs: (i * 14) % 6000,
+                ve: (i * 14) % 6000 + 2000,
+            },
+        })
+        .collect();
+    for q in &window {
+        ctl.observe(q);
+    }
+    let decision = t.maybe_reoptimize(&mut ctl).expect("adapt");
+    assert!(
+        matches!(decision, AdaptDecision::Reoptimized { .. }),
+        "the shifted window did not re-partition: {decision:?}"
+    );
+    assert_ne!(
+        t.frequency_models(),
+        before,
+        "still the previous optimize's"
+    );
+    drop(t);
+    assert_reopened_fms_describe(&test_dir_path("incr_fm_adapt"), &window);
 }
 
 #[test]

@@ -244,3 +244,155 @@ fn pinned_snapshot_is_stable_while_writer_advances() {
     assert_eq!(count_all(&after), BASE_ROWS as u64 + 1);
     assert!(reader.version() > v0, "publish must tick the version");
 }
+
+// ---------------------------------------------------------------------------
+// A re-layout is an ordinary write
+// ---------------------------------------------------------------------------
+
+use casper::engine::adapt::{AdaptConfig, AdaptDecision, AdaptiveController};
+use casper::engine::optimize::{optimize_table, OptimizeOptions};
+use casper::engine::{TableReader, TxnManager};
+use casper::persist::{DurableOptions, DurableTable};
+use casper::workload::{Mix, MixKind};
+
+const WHOLE_DOMAIN: HapQuery = HapQuery::Q2 {
+    vs: 0,
+    ve: u64::MAX,
+};
+
+fn reader_count(reader: &TableReader) -> u64 {
+    let out = reader.execute(&WHOLE_DOMAIN).expect("reader count");
+    out.result.scalar()
+}
+
+fn insert(key: u64) -> HapQuery {
+    HapQuery::Q4 {
+        key,
+        payload: HapSchema::narrow().payload_row(key),
+    }
+}
+
+/// Check the column's version counters against the last observation and
+/// remember them: no chunk's counter ever decreases, and when a re-layout
+/// changed the chunk count every new counter lies above every old one.
+/// `rebuilt` additionally requires every counter to have moved (a re-layout
+/// rewrites every chunk, so each must read as written-since).
+fn assert_versions_forward(seen: &mut Vec<u64>, table: &Table, rebuilt: bool, what: &str) {
+    let now = table.column().versions();
+    if now.len() == seen.len() {
+        let moved = |(n, s): (&u64, &u64)| if rebuilt { n > s } else { n >= s };
+        assert!(
+            now.iter().zip(seen.iter()).all(moved),
+            "{what}: {seen:?} -> {now:?}"
+        );
+    } else {
+        let top = seen.iter().max().expect("a column has chunks");
+        assert!(now.iter().all(|n| n > top), "{what}: {seen:?} -> {now:?}");
+    }
+    *seen = now.to_vec();
+}
+
+/// A reader handed out before `optimize_table` keeps serving the table's
+/// current state in all six source modes — the `NoOrder` conversion used
+/// to replace the column and strand the reader on the pre-conversion
+/// snapshot (4000 rows against the table's 4001) — and the column's version
+/// counters only ever move forward, whatever the chunk count becomes,
+/// across writes, batches, ghost prefetches, `optimize_table` and
+/// `maybe_reoptimize`.
+#[test]
+fn reader_and_version_counters_outlive_relayout_in_every_mode() {
+    let schema = HapSchema::narrow();
+    let mix = Mix::new(MixKind::HybridPointSkewed, schema, BASE_ROWS as u64);
+    let sample = mix.generate(400, 5);
+    for mode in LayoutMode::all() {
+        let mut table = build_table(mode);
+        let mut mint = KeyMint::new();
+        let reader = table.reader();
+        let mut seen = table.column().versions().to_vec();
+
+        table.execute(&insert(mint.next())).expect("write");
+        assert_versions_forward(&mut seen, &table, false, "single write");
+        let moved = mint.next();
+        let batch = [
+            insert(moved),
+            HapQuery::Q6 {
+                v: 10,
+                vnew: moved + 2,
+            },
+        ];
+        mint.next();
+        table.execute_batch(&batch).expect("batch");
+        assert_versions_forward(&mut seen, &table, false, "batch");
+        let txns = TxnManager::new();
+        let mut txn = txns.begin();
+        let key = mint.next();
+        txns.buffer_insert(&mut txn, &mut table, key, schema.payload_row(key));
+        assert_versions_forward(&mut seen, &table, false, "ghost prefetch");
+        txns.commit(txn, &mut table).expect("commit");
+        assert_versions_forward(&mut seen, &table, false, "txn commit");
+
+        let v0 = reader.version();
+        optimize_table(&mut table, &sample, &OptimizeOptions::default());
+        assert_versions_forward(&mut seen, &table, true, "optimize_table");
+        table
+            .execute(&insert(mint.next()))
+            .expect("write after optimize");
+        let want = table.execute(&WHOLE_DOMAIN).expect("count").result.scalar();
+        assert_eq!(want, BASE_ROWS as u64 + 4, "{mode:?}");
+        assert_eq!(reader_count(&reader), want, "{mode:?}: reader left behind");
+        assert!(reader.version() > v0, "{mode:?}: re-layout must publish");
+
+        // A threshold of 1.0 re-partitions on any full-enough window.
+        let mut ctl = AdaptiveController::new(AdaptConfig {
+            window: 256,
+            benefit_threshold: 1.0,
+            ..AdaptConfig::default()
+        });
+        for q in mix.generate(256, 6).iter().filter(|q| q.is_read()) {
+            ctl.observe(q);
+        }
+        let decision = ctl.maybe_reoptimize(&mut table);
+        assert!(
+            matches!(decision, AdaptDecision::Reoptimized { .. }),
+            "{mode:?}: {decision:?}"
+        );
+        assert_versions_forward(&mut seen, &table, true, "maybe_reoptimize");
+        assert_eq!(
+            reader_count(&reader),
+            want,
+            "{mode:?}: after maybe_reoptimize"
+        );
+    }
+}
+
+/// The same property one layer up: `DurableTable::reader()` outlives
+/// `DurableTable::optimize`.
+#[test]
+fn durable_reader_outlives_optimize_in_every_mode() {
+    let mix = Mix::new(
+        MixKind::HybridPointSkewed,
+        HapSchema::narrow(),
+        BASE_ROWS as u64,
+    );
+    let sample = mix.generate(400, 5);
+    for mode in LayoutMode::all() {
+        let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("reader_outlives_optimize_{mode:?}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut durable =
+            DurableTable::create_from_table(&dir, build_table(mode), DurableOptions::default())
+                .expect("create");
+        let reader = durable.reader();
+        let v0 = reader.version();
+        durable
+            .optimize(&sample, &OptimizeOptions::default())
+            .expect("optimize");
+        durable
+            .execute(&insert(KeyMint::new().next()))
+            .expect("write after optimize");
+        let want = durable.execute(&WHOLE_DOMAIN).expect("count");
+        assert_eq!(want.result.scalar(), BASE_ROWS as u64 + 1, "{mode:?}");
+        assert_eq!(reader_count(&reader), BASE_ROWS as u64 + 1, "{mode:?}");
+        assert!(reader.version() > v0, "{mode:?}: re-layout must publish");
+    }
+}
