@@ -33,22 +33,25 @@ static OBS_COMMITS: CounterDef = CounterDef::new("casper_txn_commits_total");
 static OBS_CONFLICTS: CounterDef = CounterDef::new("casper_txn_conflicts_total");
 static OBS_ABORTS: CounterDef = CounterDef::new("casper_txn_aborts_total");
 
-/// A buffered write.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TxnWrite {
-    Insert(u64, Vec<u32>),
-    Delete(u64),
-    Update(u64, u64),
+/// Keys whose last-writer timestamps `write` must validate against.
+fn keys(write: &HapQuery) -> [Option<u64>; 2] {
+    match *write {
+        HapQuery::Q4 { key, .. } => [Some(key), None],
+        HapQuery::Q5 { v } => [Some(v), None],
+        HapQuery::Q6 { v, vnew } => [Some(v), Some(vnew)],
+        _ => [None, None],
+    }
 }
 
-impl TxnWrite {
-    /// Keys whose last-writer timestamps this write must validate against.
-    fn keys(&self) -> [Option<u64>; 2] {
-        match self {
-            TxnWrite::Insert(k, _) => [Some(*k), None],
-            TxnWrite::Delete(k) => [Some(*k), None],
-            TxnWrite::Update(a, b) => [Some(*a), Some(*b)],
-        }
+/// What `write` adds to the number of rows whose key satisfies `hit` — the
+/// one statement of a write's effect on a point or range count. Read-your-
+/// own-writes adds it; rewinding a later commit subtracts it.
+fn effect(write: &HapQuery, hit: impl Fn(u64) -> bool) -> i64 {
+    match *write {
+        HapQuery::Q4 { key, .. } => i64::from(hit(key)),
+        HapQuery::Q5 { v } => -i64::from(hit(v)),
+        HapQuery::Q6 { v, vnew } => i64::from(hit(vnew)) - i64::from(hit(v)),
+        _ => 0,
     }
 }
 
@@ -56,7 +59,7 @@ impl TxnWrite {
 #[derive(Debug, Clone)]
 struct VersionRecord {
     ts: u64,
-    write: TxnWrite,
+    write: HapQuery,
 }
 
 /// Transaction failure modes.
@@ -89,96 +92,33 @@ impl std::error::Error for TxnError {
     }
 }
 
-/// An open transaction: a snapshot timestamp plus a local write buffer.
+/// An open transaction: a snapshot timestamp plus a local buffer of the
+/// write queries (Q4/Q5/Q6) commit will replay.
 #[derive(Debug)]
 pub struct Transaction {
     /// Snapshot timestamp: the transaction sees exactly the versions with
     /// `ts <= begin_ts`.
     pub begin_ts: u64,
-    writes: Vec<TxnWrite>,
+    writes: Vec<HapQuery>,
 }
 
 impl Transaction {
-    /// Buffer an insert. Ghost prefetching happens through
-    /// [`TxnManager::buffer_insert`], which owns the table access.
-    fn insert(&mut self, key: u64, payload: Vec<u32>) {
-        self.writes.push(TxnWrite::Insert(key, payload));
-    }
-
     /// Buffer a delete.
     pub fn delete(&mut self, key: u64) {
-        self.writes.push(TxnWrite::Delete(key));
+        self.writes.push(HapQuery::Q5 { v: key });
     }
 
     /// Buffer an update.
     pub fn update(&mut self, old: u64, new: u64) {
-        self.writes.push(TxnWrite::Update(old, new));
+        self.writes.push(HapQuery::Q6 { v: old, vnew: new });
     }
 
-    /// The buffered writes as HAP write queries, in buffer order — what a
-    /// write-ahead log must record before the commit applies them.
-    ///
-    /// Invariant (durability depends on it): Q4/Q5/Q6 produced here map
-    /// 1:1 onto the `WriteOp`s [`TxnManager::commit`] applies for the same
-    /// writes, and `Table::execute` turns those queries into those same
-    /// `WriteOp`s — so a log replayed through `execute` reproduces
-    /// exactly the applied state. Any new `TxnWrite` kind must extend
-    /// this mapping and `commit` together.
-    pub fn as_queries(&self) -> Vec<HapQuery> {
-        self.writes
-            .iter()
-            .map(|w| match w {
-                TxnWrite::Insert(k, payload) => HapQuery::Q4 {
-                    key: *k,
-                    payload: payload.clone(),
-                },
-                TxnWrite::Delete(k) => HapQuery::Q5 { v: *k },
-                TxnWrite::Update(a, b) => HapQuery::Q6 { v: *a, vnew: *b },
-            })
-            .collect()
-    }
-
-    /// Read-your-writes adjustment for a point count of `key`.
-    fn own_effect_point(&self, key: u64) -> i64 {
-        let mut d = 0i64;
-        for w in &self.writes {
-            match w {
-                TxnWrite::Insert(k, _) if *k == key => d += 1,
-                TxnWrite::Delete(k) if *k == key => d -= 1,
-                TxnWrite::Update(a, b) => {
-                    if *a == key {
-                        d -= 1;
-                    }
-                    if *b == key {
-                        d += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        d
-    }
-
-    /// Read-your-writes adjustment for a range count over `[lo, hi)`.
-    fn own_effect_range(&self, lo: u64, hi: u64) -> i64 {
-        let in_range = |k: u64| lo <= k && k < hi;
-        let mut d = 0i64;
-        for w in &self.writes {
-            match w {
-                TxnWrite::Insert(k, _) if in_range(*k) => d += 1,
-                TxnWrite::Delete(k) if in_range(*k) => d -= 1,
-                TxnWrite::Update(a, b) => {
-                    if in_range(*a) {
-                        d -= 1;
-                    }
-                    if in_range(*b) {
-                        d += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        d
+    /// The buffered writes, in buffer order — what a write-ahead log must
+    /// record before the commit applies them. [`TxnManager::commit`]
+    /// applies these very queries through `WriteOp::from_query`, as
+    /// `Table::execute` does on replay.
+    pub fn as_queries(&self) -> &[HapQuery] {
+        &self.writes
     }
 }
 
@@ -224,43 +164,41 @@ impl TxnManager {
         // Best effort: only the owning chunk benefits (and is dirtied),
         // and prefetching an already-buffered partition is a no-op.
         table.column_mut().prefetch_ghosts_for_key(key, 1);
-        txn.insert(key, payload);
+        txn.writes.push(HapQuery::Q4 { key, payload });
     }
 
-    /// Snapshot-consistent point count: current state, minus versions
-    /// committed after the snapshot, plus the transaction's own writes.
-    /// Corrupt persisted chunks surface as [`StorageError::Corrupt`].
+    /// Snapshot-consistent count of the rows `q` counts, `hit` being `q`'s
+    /// key predicate: current state, minus versions committed after the
+    /// snapshot, plus the transaction's own writes.
+    fn snapshot_count(
+        &self,
+        txn: &Transaction,
+        table: &Table,
+        q: &HapQuery,
+        hit: impl Fn(u64) -> bool,
+    ) -> Result<u64, StorageError> {
+        let out = table.column().read(q, &QueryCtx::default())?;
+        let now = out.result.scalar() as i64;
+        let inner = self.inner.lock();
+        let committed_later = inner.log.iter().rev();
+        let later: i64 = committed_later
+            .take_while(|rec| rec.ts > txn.begin_ts)
+            .map(|rec| effect(&rec.write, &hit))
+            .sum();
+        drop(inner);
+        let own: i64 = txn.writes.iter().map(|w| effect(w, &hit)).sum();
+        Ok((now - later + own).max(0) as u64)
+    }
+
+    /// Snapshot-consistent point count of `key`. Corrupt persisted chunks
+    /// surface as [`StorageError::Corrupt`].
     pub fn point_count(
         &self,
         txn: &Transaction,
         table: &Table,
         key: u64,
     ) -> Result<u64, StorageError> {
-        let q = HapQuery::Q1 { v: key, k: 0 };
-        let out = table.column().read(&q, &QueryCtx::default())?;
-        let mut n = out.result.scalar() as i64;
-        let inner = self.inner.lock();
-        for rec in inner.log.iter().rev() {
-            if rec.ts <= txn.begin_ts {
-                break;
-            }
-            // Rewind the record's effect on this key.
-            match &rec.write {
-                TxnWrite::Insert(k, _) if *k == key => n -= 1,
-                TxnWrite::Delete(k) if *k == key => n += 1,
-                TxnWrite::Update(a, b) => {
-                    if *b == key {
-                        n -= 1;
-                    }
-                    if *a == key {
-                        n += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        drop(inner);
-        Ok((n + txn.own_effect_point(key)).max(0) as u64)
+        self.snapshot_count(txn, table, &HapQuery::Q1 { v: key, k: 0 }, |k| k == key)
     }
 
     /// Snapshot-consistent range count over `[lo, hi)`.
@@ -272,30 +210,7 @@ impl TxnManager {
         hi: u64,
     ) -> Result<u64, StorageError> {
         let q = HapQuery::Q2 { vs: lo, ve: hi };
-        let out = table.column().read(&q, &QueryCtx::default())?;
-        let mut n = out.result.scalar() as i64;
-        let in_range = |k: u64| lo <= k && k < hi;
-        let inner = self.inner.lock();
-        for rec in inner.log.iter().rev() {
-            if rec.ts <= txn.begin_ts {
-                break;
-            }
-            match &rec.write {
-                TxnWrite::Insert(k, _) if in_range(*k) => n -= 1,
-                TxnWrite::Delete(k) if in_range(*k) => n += 1,
-                TxnWrite::Update(a, b) => {
-                    if in_range(*b) {
-                        n -= 1;
-                    }
-                    if in_range(*a) {
-                        n += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        drop(inner);
-        Ok((n + txn.own_effect_range(lo, hi)).max(0) as u64)
+        self.snapshot_count(txn, table, &q, |k| lo <= k && k < hi)
     }
 
     /// Commit: first-committer-wins validation, then apply the buffered
@@ -306,7 +221,7 @@ impl TxnManager {
         // Validation: any key written by a transaction that committed after
         // our snapshot aborts us.
         for w in &txn.writes {
-            for key in w.keys().into_iter().flatten() {
+            for key in keys(w).into_iter().flatten() {
                 if let Some(&ts) = inner.last_writer.get(&key) {
                     if ts > txn.begin_ts {
                         OBS_CONFLICTS.inc();
@@ -319,19 +234,12 @@ impl TxnManager {
         // Apply while holding the coordinator lock (single-writer apply
         // phase; reads remain concurrent thanks to the version log).
         for w in &txn.writes {
-            let op = match w {
-                TxnWrite::Insert(key, payload) => WriteOp::Insert { key: *key, payload },
-                TxnWrite::Delete(key) => WriteOp::Delete { key: *key },
-                TxnWrite::Update(old, new) => WriteOp::Update {
-                    old: *old,
-                    new: *new,
-                },
-            };
+            let op = WriteOp::from_query(w).expect("a transaction buffers only writes");
             table
                 .column_mut()
                 .apply_write(op)
                 .map_err(TxnError::Storage)?;
-            for key in w.keys().into_iter().flatten() {
+            for key in keys(w).into_iter().flatten() {
                 inner.last_writer.insert(key, commit_ts);
             }
             inner.log.push(VersionRecord {

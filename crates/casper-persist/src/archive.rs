@@ -1,19 +1,24 @@
 //! LSN-indexed archive, point-in-time restore, and online hot backup.
 //!
-//! Checkpoint pruning normally *deletes* superseded files: older manifests,
-//! segments no live entry references, WAL links below the durable
-//! generation. With an [`ArchiveConfig`] on
-//! [`crate::DurableOptions::archive`], pruning instead *retires* them into
-//! `<dir>/archive/`, indexed by a CRC-guarded `archive-index.casper` that
-//! maps every retired file to its LSN coordinates. Because segments are
-//! append-once and manifests are layout-preserving, an archived
-//! `(manifest, segments)` pair plus the archived WAL chain restores any
-//! historical LSN with **zero layout solves and zero codec re-encodes** —
-//! the same restore guarantee the live path has ([`open_at`]).
+//! Once a checkpoint commits, one rule (`stale_files`) says which live
+//! files the new generation no longer needs: older manifests, segments no
+//! live entry references, WAL links below the durable generation — minus
+//! whatever a backup has pinned. Normally they are *deleted*. With an
+//! [`ArchiveConfig`] on [`crate::DurableOptions::archive`] they are
+//! *retired* into `<dir>/archive/` instead, indexed by a CRC-guarded
+//! `archive-index.casper` — one list of one entry shape
+//! ([`ArchivedFile`], keyed by [`FileKind`]) that maps every retired file
+//! to its LSN coordinates. Because segments are append-once and manifests
+//! are layout-preserving, an archived `(manifest, segments)` pair plus
+//! the archived WAL chain restores any historical LSN with **zero layout
+//! solves and zero codec re-encodes** — the same restore guarantee the
+//! live path has ([`open_at`]).
 //!
 //! ## Crash safety of retire
 //!
-//! Retire is two-phase and runs entirely through the [`Vfs`]:
+//! Retire is two-phase. Directory listings, `create_dir_all` and
+//! existence checks use `std::fs`; every read, rename, remove and fsync
+//! goes through the [`Vfs`], which is what fault schedules inject into:
 //!
 //! 1. each stale file is `rename`d into `archive/` (atomic; the bytes are
 //!    read first so the index entry carries a whole-file CRC),
@@ -41,8 +46,8 @@
 use crate::codec::{frame, unframe, ByteReader, ByteWriter};
 use crate::crc::crc32;
 use crate::incremental::{
-    decode_manifest, numbered_file, prune_stale, read_current, read_manifest, restore_table,
-    segment_path, verify_segment_header, Manifest,
+    decode_manifest, list_dir, read_current, read_manifest, restore_table, verify_segment_header,
+    DirListing, FileKind, Manifest,
 };
 use crate::vfs::{Vfs, VfsHandle};
 use crate::wal::{replay_upto, scan, walk_chain};
@@ -103,54 +108,63 @@ pub struct ArchiveConfig {
     pub max_age_secs: u64,
 }
 
-/// One archived manifest: a restorable base generation.
+/// One retired file in `<dir>/archive/`, whatever its kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchivedManifest {
-    /// Checkpoint generation of the archived manifest.
-    pub generation: u64,
-    /// Highest WAL LSN the manifest folded in — the restore base for any
-    /// target at or after it.
-    pub durable_lsn: u64,
-    /// Segments the manifest's entries reference (they may live in the
-    /// archive or still be live, shared with newer generations).
-    pub segments: Vec<u64>,
+pub struct ArchivedFile {
+    /// Manifest, segment or WAL link.
+    pub kind: FileKind,
+    /// The number in the file's name: checkpoint generation, segment
+    /// sequence, or WAL sequence.
+    pub seq: u64,
     /// Whole-file byte length at retire time.
     pub bytes: u64,
     /// Whole-file CRC32 at retire time (the scrubber re-verifies it).
     pub crc: u32,
     /// Unix seconds when the file was retired (age-based retention).
     pub retired_unix: u64,
-}
-
-/// One archived segment file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchivedSegment {
-    /// Segment sequence number.
-    pub seq: u64,
-    /// Whole-file byte length at retire time.
-    pub bytes: u64,
-    /// Whole-file CRC32 at retire time.
-    pub crc: u32,
-    /// Unix seconds when the file was retired.
-    pub retired_unix: u64,
-}
-
-/// One archived WAL link, with the LSN range its sealed batches cover.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchivedWal {
-    /// WAL sequence number (equals the generation whose capture created
-    /// the file).
-    pub seq: u64,
-    /// First LSN of the first sealed batch (0 when the link is empty).
+    /// First LSN the file covers: for a WAL link the first LSN of its
+    /// first sealed batch (0 when the link is empty); 0 for a manifest,
+    /// which folds in everything up to `last_lsn`, and for a segment.
     pub first_lsn: u64,
-    /// Commit LSN of the last sealed batch (0 when the link is empty).
+    /// Last LSN the file covers: a manifest's durable LSN — the restore
+    /// base for any target at or after it — or the commit LSN of a WAL
+    /// link's last sealed batch (0 when empty); 0 for a segment.
     pub last_lsn: u64,
-    /// Whole-file byte length at retire time.
-    pub bytes: u64,
-    /// Whole-file CRC32 at retire time.
-    pub crc: u32,
-    /// Unix seconds when the file was retired.
-    pub retired_unix: u64,
+    /// Manifests only: the segments its entries reference (they may live
+    /// in the archive or still be live, shared with newer generations).
+    pub segments: Vec<u64>,
+}
+
+impl ArchivedFile {
+    /// Describe file number `seq` of `kind` from its bytes. The only error
+    /// is a manifest that does not decode — not usable history.
+    fn describe(kind: FileKind, seq: u64, bytes: &[u8], now: u64) -> Result<Self, StorageError> {
+        let (first_lsn, last_lsn, segments) = match kind {
+            FileKind::Manifest => {
+                let m = decode_manifest(bytes)?;
+                (0, m.durable_lsn, m.referenced_segments())
+            }
+            FileKind::Segment => (0, 0, Vec::new()),
+            FileKind::Wal => {
+                let s = scan(bytes);
+                (s.first_lsn(), s.last_lsn, Vec::new())
+            }
+        };
+        Ok(Self {
+            kind,
+            seq,
+            bytes: bytes.len() as u64,
+            crc: crc32(bytes),
+            retired_unix: now,
+            first_lsn,
+            last_lsn,
+            segments,
+        })
+    }
+
+    fn path(&self, adir: &Path) -> PathBuf {
+        self.kind.path(adir, self.seq)
+    }
 }
 
 /// The LSN index over `<dir>/archive/`: which retired files exist and what
@@ -160,12 +174,8 @@ pub struct ArchivedWal {
 /// never loses history.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArchiveIndex {
-    /// Archived manifests, ascending by generation.
-    pub manifests: Vec<ArchivedManifest>,
-    /// Archived segments, ascending by sequence.
-    pub segments: Vec<ArchivedSegment>,
-    /// Archived WAL links, ascending by sequence.
-    pub wals: Vec<ArchivedWal>,
+    /// Every archived file, ascending by `(kind, seq)`.
+    pub files: Vec<ArchivedFile>,
 }
 
 /// `<dir>/archive`.
@@ -177,18 +187,6 @@ fn index_path(dir: &Path) -> PathBuf {
     archive_dir(dir).join(ARCHIVE_INDEX_NAME)
 }
 
-fn manifest_name(generation: u64) -> String {
-    format!("manifest-{generation:06}.casper")
-}
-
-fn segment_name(seq: u64) -> String {
-    format!("seg-{seq:06}.casper")
-}
-
-fn wal_name(seq: u64) -> String {
-    format!("wal-{seq:06}.log")
-}
-
 fn unix_now() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -196,33 +194,30 @@ fn unix_now() -> u64 {
 }
 
 impl ArchiveIndex {
-    /// Serialize (header + CRC-guarded body, same shape as manifests).
+    /// Serialize (header + CRC-guarded body, same shape as manifests): one
+    /// counted section per kind, each entry its number, the LSN fields its
+    /// kind has, then length, CRC and retire time.
     pub fn encode(&self) -> Vec<u8> {
         let mut body = ByteWriter::new();
-        body.u64(self.manifests.len() as u64);
-        for m in &self.manifests {
-            body.u64(m.generation);
-            body.u64(m.durable_lsn);
-            body.vec_u64(&m.segments);
-            body.u64(m.bytes);
-            body.u32(m.crc);
-            body.u64(m.retired_unix);
-        }
-        body.u64(self.segments.len() as u64);
-        for s in &self.segments {
-            body.u64(s.seq);
-            body.u64(s.bytes);
-            body.u32(s.crc);
-            body.u64(s.retired_unix);
-        }
-        body.u64(self.wals.len() as u64);
-        for w in &self.wals {
-            body.u64(w.seq);
-            body.u64(w.first_lsn);
-            body.u64(w.last_lsn);
-            body.u64(w.bytes);
-            body.u32(w.crc);
-            body.u64(w.retired_unix);
+        for kind in FileKind::ALL {
+            body.u64(self.of_kind(kind).count() as u64);
+            for f in self.of_kind(kind) {
+                body.u64(f.seq);
+                match kind {
+                    FileKind::Manifest => {
+                        body.u64(f.last_lsn);
+                        body.vec_u64(&f.segments);
+                    }
+                    FileKind::Segment => {}
+                    FileKind::Wal => {
+                        body.u64(f.first_lsn);
+                        body.u64(f.last_lsn);
+                    }
+                }
+                body.u64(f.bytes);
+                body.u32(f.crc);
+                body.u64(f.retired_unix);
+            }
         }
         frame(
             ARCHIVE_INDEX_MAGIC,
@@ -241,36 +236,25 @@ impl ArchiveIndex {
         )?;
         let mut r = ByteReader::new(body);
         let mut index = ArchiveIndex::default();
-        let n = r.len_u64()?;
-        for _ in 0..n {
-            index.manifests.push(ArchivedManifest {
-                generation: r.u64()?,
-                durable_lsn: r.u64()?,
-                segments: r.vec_u64()?,
-                bytes: r.u64()?,
-                crc: r.u32()?,
-                retired_unix: r.u64()?,
-            });
-        }
-        let n = r.len_u64()?;
-        for _ in 0..n {
-            index.segments.push(ArchivedSegment {
-                seq: r.u64()?,
-                bytes: r.u64()?,
-                crc: r.u32()?,
-                retired_unix: r.u64()?,
-            });
-        }
-        let n = r.len_u64()?;
-        for _ in 0..n {
-            index.wals.push(ArchivedWal {
-                seq: r.u64()?,
-                first_lsn: r.u64()?,
-                last_lsn: r.u64()?,
-                bytes: r.u64()?,
-                crc: r.u32()?,
-                retired_unix: r.u64()?,
-            });
+        for kind in FileKind::ALL {
+            for _ in 0..r.len_u64()? {
+                let seq = r.u64()?;
+                let (first_lsn, last_lsn, segments) = match kind {
+                    FileKind::Manifest => (0, r.u64()?, r.vec_u64()?),
+                    FileKind::Segment => (0, 0, Vec::new()),
+                    FileKind::Wal => (r.u64()?, r.u64()?, Vec::new()),
+                };
+                index.files.push(ArchivedFile {
+                    kind,
+                    seq,
+                    bytes: r.u64()?,
+                    crc: r.u32()?,
+                    retired_unix: r.u64()?,
+                    first_lsn,
+                    last_lsn,
+                    segments,
+                });
+            }
         }
         r.finish()?;
         Ok(index)
@@ -297,28 +281,30 @@ impl ArchiveIndex {
     /// Total bytes of the indexed files (the retention measure; the index
     /// file itself is not counted).
     pub fn total_bytes(&self) -> u64 {
-        self.manifests.iter().map(|m| m.bytes).sum::<u64>()
-            + self.segments.iter().map(|s| s.bytes).sum::<u64>()
-            + self.wals.iter().map(|w| w.bytes).sum::<u64>()
+        self.files.iter().map(|f| f.bytes).sum()
     }
 
     /// Number of indexed files.
     pub fn file_count(&self) -> u64 {
-        (self.manifests.len() + self.segments.len() + self.wals.len()) as u64
+        self.files.len() as u64
     }
 
-    fn has_segment(&self, seq: u64) -> bool {
-        self.segments.iter().any(|s| s.seq == seq)
+    fn of_kind(&self, kind: FileKind) -> impl Iterator<Item = &ArchivedFile> {
+        self.files.iter().filter(move |f| f.kind == kind)
     }
 
-    fn has_wal(&self, seq: u64) -> bool {
-        self.wals.iter().any(|w| w.seq == seq)
+    fn has(&self, kind: FileKind, seq: u64) -> bool {
+        self.of_kind(kind).any(|f| f.seq == seq)
+    }
+
+    /// Does some archived generation reference segment `seg`?
+    fn references(&self, seg: u64) -> bool {
+        self.of_kind(FileKind::Manifest)
+            .any(|m| m.segments.contains(&seg))
     }
 
     fn normalize(&mut self) {
-        self.manifests.sort_by_key(|m| m.generation);
-        self.segments.sort_by_key(|s| s.seq);
-        self.wals.sort_by_key(|w| w.seq);
+        self.files.sort_by_key(|f| (f.kind, f.seq));
     }
 
     fn publish_gauges(&self) {
@@ -371,16 +357,13 @@ impl SharedPins {
         }
     }
 
-    pub fn keep_manifest(&self, generation: u64) -> bool {
-        self.lock().iter().any(|(_, p)| p.generation == generation)
-    }
-
-    pub fn keep_segment(&self, seq: u64) -> bool {
-        self.lock().iter().any(|(_, p)| p.segments.contains(&seq))
-    }
-
-    pub fn keep_wal(&self, seq: u64) -> bool {
-        self.lock().iter().any(|(_, p)| seq >= p.min_wal)
+    /// Is file number `seq` of `kind` claimed by a backup in progress?
+    pub fn keeps(&self, kind: FileKind, seq: u64) -> bool {
+        self.lock().iter().any(|(_, p)| match kind {
+            FileKind::Manifest => p.generation == seq,
+            FileKind::Segment => p.segments.contains(&seq),
+            FileKind::Wal => seq >= p.min_wal,
+        })
     }
 }
 
@@ -401,11 +384,45 @@ impl Drop for PinGuard {
 // Retire
 // ---------------------------------------------------------------------
 
-/// What `run_checkpoint` (and reopen) calls where plain pruning used to
-/// be: with archiving off, prune — skipping pinned files; with archiving
-/// on, retire stale files into the archive. Best-effort either way: the
-/// checkpoint is already committed (`CURRENT` swung), so a retire failure
-/// only leaves stale files in place for the next checkpoint to move, and
+/// The one stale-file rule. After `manifest` committed, a live file is
+/// still needed iff it is that manifest, a segment it references, or a WAL
+/// link at or above its generation; everything else that no backup pins
+/// is stale. A manifest *above* the committed generation is the leftover
+/// of a checkpoint that died between its manifest write and the `CURRENT`
+/// swing — never referenced, not history — and joins the `.tmp` garbage.
+fn stale_files(dir: &Path, manifest: &Manifest, pins: &SharedPins) -> std::io::Result<DirListing> {
+    let DirListing { files, mut garbage } = list_dir(dir)?;
+    let referenced = manifest.referenced_segments();
+    let mut stale = Vec::new();
+    for (kind, seq, path) in files {
+        let needed = match kind {
+            FileKind::Manifest => seq == manifest.generation,
+            FileKind::Segment => referenced.contains(&seq),
+            FileKind::Wal => seq >= manifest.generation,
+        };
+        if needed || pins.keeps(kind, seq) {
+            continue;
+        }
+        if kind == FileKind::Manifest && seq > manifest.generation {
+            garbage.push(path);
+        } else {
+            stale.push((kind, seq, path));
+        }
+    }
+    Ok(DirListing {
+        files: stale,
+        garbage,
+    })
+}
+
+/// What `run_checkpoint` (and reopen) calls once a generation is
+/// committed: classify the directory with [`stale_files`], then — with
+/// archiving off — remove everything it names, or — with archiving on —
+/// retire the stale files into the archive. Best-effort either way: the
+/// checkpoint is already committed (`CURRENT` and its targets were made
+/// durable by checked directory fsyncs *before* this runs, so no schedule
+/// can take a file the committed generation needs), and a failure only
+/// leaves stale files in place for the next checkpoint. A retire failure
 /// is reported through the obs counter + rate-limited log, never as an
 /// error to the committing caller.
 pub(crate) fn retire_stale(
@@ -415,35 +432,70 @@ pub(crate) fn retire_stale(
     cfg: Option<&ArchiveConfig>,
     pins: &SharedPins,
 ) {
-    match cfg {
-        None => prune_stale(vfs, dir, manifest, pins),
-        Some(cfg) => {
-            if let Err(e) = archive_retire(vfs, dir, manifest, cfg, pins) {
-                OBS_RETIRE_ERRORS.inc();
-                crate::durable::warn_rate_limited(&format!(
-                    "archive retire failed (stale files stay for the next checkpoint): {e}"
-                ));
+    let Some(cfg) = cfg else {
+        if let Ok(stale) = stale_files(dir, manifest, pins) {
+            let files = stale.files.into_iter().map(|(_, _, path)| path);
+            for path in files.chain(stale.garbage) {
+                let _ = vfs.remove(&path);
             }
+            // Bounds how long removed dirents linger, so a crash-reopen
+            // does not re-surface files a prior incarnation pruned.
+            crate::durable::sync_dir(vfs, dir);
         }
+        return;
+    };
+    if let Err(e) = archive_retire(vfs, dir, manifest, cfg, pins) {
+        OBS_RETIRE_ERRORS.inc();
+        crate::durable::warn_rate_limited(&format!(
+            "archive retire failed (stale files stay for the next checkpoint): {e}"
+        ));
     }
 }
 
-/// Read `path` and build its archived-WAL entry (LSN range from a scan of
-/// the sealed batches).
-fn wal_entry(seq: u64, bytes: &[u8], now: u64) -> ArchivedWal {
-    let s = scan(bytes);
-    let first_lsn = s
-        .batches
-        .first()
-        .map_or(0, |b| b.commit_lsn - b.ops.len() as u64);
-    ArchivedWal {
-        seq,
-        first_lsn,
-        last_lsn: s.last_lsn,
-        bytes: bytes.len() as u64,
-        crc: crc32(bytes),
-        retired_unix: now,
+/// Index each of `files`: manifests first (they decide which segments are
+/// history), then WAL links, then segments. Retire passes `move_into` and
+/// each file is renamed into the archive before the index claims it;
+/// reconcile absorbs files already there. Returns the files that are not
+/// history — already indexed (a crash-restored live copy: the archive
+/// copy wins), an undecodable manifest, a segment no archived generation
+/// references — and the first per-file I/O error; a file that hit one is
+/// skipped and stays where it is for the next pass.
+fn absorb(
+    vfs: &VfsHandle,
+    index: &mut ArchiveIndex,
+    files: &[(FileKind, u64, PathBuf)],
+    move_into: Option<&Path>,
+    now: u64,
+) -> (Vec<PathBuf>, Option<PersistError>) {
+    let mut rejected = Vec::new();
+    let mut first_err: Option<PersistError> = None;
+    for kind in [FileKind::Manifest, FileKind::Wal, FileKind::Segment] {
+        for (_, seq, path) in files.iter().filter(|(k, ..)| *k == kind) {
+            if index.has(kind, *seq) || (kind == FileKind::Segment && !index.references(*seq)) {
+                rejected.push(path.clone());
+                continue;
+            }
+            let described = match vfs.read(path) {
+                Ok(bytes) => ArchivedFile::describe(kind, *seq, &bytes, now),
+                Err(e) => {
+                    first_err.get_or_insert(e.into());
+                    continue;
+                }
+            };
+            let Ok(file) = described else {
+                rejected.push(path.clone());
+                continue;
+            };
+            if let Some(adir) = move_into {
+                if let Err(e) = vfs.rename(path, &file.path(adir)) {
+                    first_err.get_or_insert(e.into());
+                    continue;
+                }
+            }
+            index.files.push(file);
+        }
     }
+    (rejected, first_err)
 }
 
 /// One retire pass: reconcile the index with the archive directory,
@@ -462,301 +514,78 @@ fn archive_retire(
     fs::create_dir_all(&adir)?;
     // A damaged index must not block retirement: rebuild from the files.
     let mut index = ArchiveIndex::load(vfs, dir).unwrap_or_default();
-    reconcile(vfs, dir, &mut index);
+    reconcile(vfs, &adir, &mut index);
 
-    let referenced: BTreeSet<u64> = manifest.referenced_segments().into_iter().collect();
+    let stale = stale_files(dir, manifest, pins)?;
     let now = unix_now();
-    let mut stale_manifests: Vec<(u64, PathBuf)> = Vec::new();
-    let mut stale_segments: Vec<(u64, PathBuf)> = Vec::new();
-    let mut stale_wals: Vec<(u64, PathBuf)> = Vec::new();
-    let mut garbage: Vec<PathBuf> = Vec::new();
-    let entries = fs::read_dir(dir)?;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            continue; // the archive directory itself
-        }
-        let name = entry.file_name();
-        let name = name.to_string_lossy().into_owned();
-        if let Some(g) = numbered_file(&name, "manifest-", ".casper") {
-            if g == manifest.generation || pins.keep_manifest(g) {
-                continue;
-            }
-            if g > manifest.generation {
-                // A checkpoint that died after its manifest write but
-                // before the CURRENT swing: never referenced, not history.
-                garbage.push(path);
-            } else {
-                stale_manifests.push((g, path));
-            }
-        } else if let Some(s) = numbered_file(&name, "seg-", ".casper") {
-            if !referenced.contains(&s) && !pins.keep_segment(s) {
-                stale_segments.push((s, path));
-            }
-        } else if let Some(w) = numbered_file(&name, "wal-", ".log") {
-            if w < manifest.generation && !pins.keep_wal(w) {
-                stale_wals.push((w, path));
-            }
-        } else if name.ends_with(".tmp") {
-            garbage.push(path);
-        }
-    }
-    stale_manifests.sort_unstable_by_key(|(g, _)| *g);
-    stale_segments.sort_unstable_by_key(|(s, _)| *s);
-    stale_wals.sort_unstable_by_key(|(w, _)| *w);
-
-    let mut first_err: Option<PersistError> = None;
-    let note = |e: PersistError, err_slot: &mut Option<PersistError>| {
-        if err_slot.is_none() {
-            *err_slot = Some(e);
-        }
-    };
-    let mut retired = 0u64;
-    // Manifests first: they decide which superseded segments are history
-    // (still referenced by some archived generation) vs garbage.
-    for (g, path) in stale_manifests {
-        if index.manifests.iter().any(|m| m.generation == g) {
-            // Duplicate of an already-archived generation (a crash-restored
-            // live copy): the archive copy wins.
-            garbage.push(path);
-            continue;
-        }
-        let bytes = match vfs.read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                note(e.into(), &mut first_err);
-                continue;
-            }
-        };
-        let Ok(m) = decode_manifest(&bytes) else {
-            // Undecodable: not usable history, treat as prune would.
-            garbage.push(path);
-            continue;
-        };
-        if let Err(e) = vfs.rename(&path, &adir.join(manifest_name(g))) {
-            note(e.into(), &mut first_err);
-            continue;
-        }
-        retired += 1;
-        index.manifests.push(ArchivedManifest {
-            generation: g,
-            durable_lsn: m.durable_lsn,
-            segments: m.referenced_segments(),
-            bytes: bytes.len() as u64,
-            crc: crc32(&bytes),
-            retired_unix: now,
-        });
-    }
-    for (w, path) in stale_wals {
-        if index.has_wal(w) {
-            garbage.push(path);
-            continue;
-        }
-        let bytes = match vfs.read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                note(e.into(), &mut first_err);
-                continue;
-            }
-        };
-        if let Err(e) = vfs.rename(&path, &adir.join(wal_name(w))) {
-            note(e.into(), &mut first_err);
-            continue;
-        }
-        retired += 1;
-        index.wals.push(wal_entry(w, &bytes, now));
-    }
-    // A superseded segment is history iff some archived generation still
-    // references it; otherwise it is garbage exactly as under pruning.
-    let archive_refs: BTreeSet<u64> = index
-        .manifests
-        .iter()
-        .flat_map(|m| m.segments.iter().copied())
-        .collect();
-    for (s, path) in stale_segments {
-        if index.has_segment(s) {
-            garbage.push(path);
-            continue;
-        }
-        if !archive_refs.contains(&s) {
-            garbage.push(path);
-            continue;
-        }
-        let bytes = match vfs.read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                note(e.into(), &mut first_err);
-                continue;
-            }
-        };
-        if let Err(e) = vfs.rename(&path, &adir.join(segment_name(s))) {
-            note(e.into(), &mut first_err);
-            continue;
-        }
-        retired += 1;
-        index.segments.push(ArchivedSegment {
-            seq: s,
-            bytes: bytes.len() as u64,
-            crc: crc32(&bytes),
-            retired_unix: now,
-        });
-    }
-    for path in garbage {
+    let indexed = index.files.len();
+    let (rejected, first_err) = absorb(vfs, &mut index, &stale.files, Some(&adir), now);
+    for path in rejected.into_iter().chain(stale.garbage) {
         let _ = vfs.remove(&path);
     }
     // Commit the renames (archive side) and the removals + departures
     // (live side) before the index claims any of it.
     vfs.fsync_dir(&adir)?;
     vfs.fsync_dir(dir)?;
-    OBS_RETIRED_FILES.add(retired);
+    OBS_RETIRED_FILES.add((index.files.len() - indexed) as u64);
 
+    index.normalize();
     let pruned = apply_retention(vfs, &adir, &mut index, cfg, manifest.durable_lsn, now);
     OBS_RETENTION_PRUNED.add(pruned);
-    index.normalize();
     index.store(vfs, dir)?;
     index.publish_gauges();
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    first_err.map_or(Ok(()), Err)
 }
 
-/// Bring the index in line with what is actually on disk: drop entries
+/// Bring the index in line with what is actually in `adir`: drop entries
 /// whose file vanished (crash between retention removals and the index
 /// write) and absorb archived-but-unindexed files (crash between the
 /// retire renames and the index write). Per-file read errors leave the
 /// file unindexed for a later pass. This is what makes the index
 /// rebuildable — even from nothing.
-fn reconcile(vfs: &VfsHandle, dir: &Path, index: &mut ArchiveIndex) {
-    let adir = archive_dir(dir);
-    index
-        .manifests
-        .retain(|m| adir.join(manifest_name(m.generation)).exists());
-    index
-        .segments
-        .retain(|s| adir.join(segment_name(s.seq)).exists());
-    index.wals.retain(|w| adir.join(wal_name(w.seq)).exists());
-
-    let Ok(entries) = fs::read_dir(&adir) else {
+fn reconcile(vfs: &VfsHandle, adir: &Path, index: &mut ArchiveIndex) {
+    index.files.retain(|f| f.path(adir).exists());
+    let Ok(DirListing { mut files, garbage }) = list_dir(adir) else {
         return;
     };
-    let now = unix_now();
-    let mut orphan_segments: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy().into_owned();
-        if name == ARCHIVE_INDEX_NAME {
-            continue;
-        }
-        if name.ends_with(".tmp") {
-            let _ = vfs.remove(&path);
-            continue;
-        }
-        if let Some(g) = numbered_file(&name, "manifest-", ".casper") {
-            if index.manifests.iter().any(|m| m.generation == g) {
-                continue;
-            }
-            let Ok(bytes) = vfs.read(&path) else { continue };
-            match decode_manifest(&bytes) {
-                Ok(m) => index.manifests.push(ArchivedManifest {
-                    generation: g,
-                    durable_lsn: m.durable_lsn,
-                    segments: m.referenced_segments(),
-                    bytes: bytes.len() as u64,
-                    crc: crc32(&bytes),
-                    retired_unix: now,
-                }),
-                // An undecodable archived manifest is not history.
-                Err(_) => {
-                    let _ = vfs.remove(&path);
-                }
-            }
-        } else if let Some(s) = numbered_file(&name, "seg-", ".casper") {
-            if !index.has_segment(s) {
-                orphan_segments.push((s, path));
-            }
-        } else if let Some(w) = numbered_file(&name, "wal-", ".log") {
-            if index.has_wal(w) {
-                continue;
-            }
-            let Ok(bytes) = vfs.read(&path) else { continue };
-            index.wals.push(wal_entry(w, &bytes, now));
-        }
-    }
-    // Orphan segments are kept iff some (possibly just-reconciled)
-    // archived generation references them.
-    let refs: BTreeSet<u64> = index
-        .manifests
-        .iter()
-        .flat_map(|m| m.segments.iter().copied())
-        .collect();
-    for (s, path) in orphan_segments {
-        if !refs.contains(&s) {
-            let _ = vfs.remove(&path);
-            continue;
-        }
-        let Ok(bytes) = vfs.read(&path) else { continue };
-        index.segments.push(ArchivedSegment {
-            seq: s,
-            bytes: bytes.len() as u64,
-            crc: crc32(&bytes),
-            retired_unix: now,
-        });
+    files.retain(|(kind, seq, _)| !index.has(*kind, *seq));
+    let (not_history, _) = absorb(vfs, index, &files, None, unix_now());
+    for path in garbage.into_iter().chain(not_history) {
+        let _ = vfs.remove(&path);
     }
 }
 
-/// Which files survive if `drop_gens` is dropped: remaining manifests,
-/// segments any of them references, WAL links at or above the oldest
-/// remaining generation (none remaining → no WAL links either).
-fn retained_after(
-    index: &ArchiveIndex,
-    drop_gens: &BTreeSet<u64>,
-) -> (BTreeSet<u64>, BTreeSet<u64>, BTreeSet<u64>) {
-    let keep_manifests: BTreeSet<u64> = index
-        .manifests
-        .iter()
-        .map(|m| m.generation)
-        .filter(|g| !drop_gens.contains(g))
-        .collect();
-    let keep_segments: BTreeSet<u64> = index
-        .manifests
-        .iter()
-        .filter(|m| keep_manifests.contains(&m.generation))
-        .flat_map(|m| m.segments.iter().copied())
-        .collect();
-    let keep_wals: BTreeSet<u64> = match keep_manifests.iter().next() {
-        Some(&min_gen) => index
-            .wals
-            .iter()
-            .map(|w| w.seq)
-            .filter(|&s| s >= min_gen)
-            .collect(),
-        None => BTreeSet::new(),
+/// Which indexed files survive if the generations `drop_gens` are dropped:
+/// the remaining manifests, the segments any of them references, and the
+/// WAL links at or above the oldest remaining generation (none remaining
+/// → no WAL links either).
+fn retained_after(index: &ArchiveIndex, drop_gens: &BTreeSet<u64>) -> BTreeSet<(FileKind, u64)> {
+    let kept = || {
+        index
+            .of_kind(FileKind::Manifest)
+            .filter(|m| !drop_gens.contains(&m.seq))
     };
-    (keep_manifests, keep_segments, keep_wals)
+    let oldest = kept().map(|m| m.seq).min();
+    let referenced: BTreeSet<u64> = kept().flat_map(|m| m.segments.iter().copied()).collect();
+    index
+        .files
+        .iter()
+        .filter(|f| match f.kind {
+            FileKind::Manifest => !drop_gens.contains(&f.seq),
+            FileKind::Segment => referenced.contains(&f.seq),
+            FileKind::Wal => oldest.is_some_and(|g| f.seq >= g),
+        })
+        .map(|f| (f.kind, f.seq))
+        .collect()
 }
 
 fn retained_bytes(index: &ArchiveIndex, drop_gens: &BTreeSet<u64>) -> u64 {
-    let (km, ks, kw) = retained_after(index, drop_gens);
-    index
-        .manifests
+    let keep = retained_after(index, drop_gens);
+    let kept = index
+        .files
         .iter()
-        .filter(|m| km.contains(&m.generation))
-        .map(|m| m.bytes)
-        .sum::<u64>()
-        + index
-            .segments
-            .iter()
-            .filter(|s| ks.contains(&s.seq))
-            .map(|s| s.bytes)
-            .sum::<u64>()
-        + index
-            .wals
-            .iter()
-            .filter(|w| kw.contains(&w.seq))
-            .map(|w| w.bytes)
-            .sum::<u64>()
+        .filter(|f| keep.contains(&(f.kind, f.seq)));
+    kept.map(|f| f.bytes).sum()
 }
 
 /// Apply the retention policy: pick the generations to drop (age, LSN
@@ -773,16 +602,16 @@ fn apply_retention(
     now: u64,
 ) -> u64 {
     let mut drop_gens: BTreeSet<u64> = BTreeSet::new();
-    for m in &index.manifests {
+    for m in index.of_kind(FileKind::Manifest) {
         if cfg.max_age_secs > 0 && now.saturating_sub(m.retired_unix) > cfg.max_age_secs {
-            drop_gens.insert(m.generation);
+            drop_gens.insert(m.seq);
         }
-        if cfg.max_lsns > 0 && m.durable_lsn.saturating_add(cfg.max_lsns) < live_lsn {
-            drop_gens.insert(m.generation);
+        if cfg.max_lsns > 0 && m.last_lsn.saturating_add(cfg.max_lsns) < live_lsn {
+            drop_gens.insert(m.seq);
         }
     }
     if cfg.max_bytes > 0 {
-        let mut gens: Vec<u64> = index.manifests.iter().map(|m| m.generation).collect();
+        let mut gens: Vec<u64> = index.of_kind(FileKind::Manifest).map(|m| m.seq).collect();
         gens.sort_unstable();
         let mut oldest = gens.into_iter();
         while retained_bytes(index, &drop_gens) > cfg.max_bytes {
@@ -797,28 +626,19 @@ fn apply_retention(
     if drop_gens.is_empty() {
         return 0;
     }
-    let (keep_manifests, keep_segments, keep_wals) = retained_after(index, &drop_gens);
+    let keep = retained_after(index, &drop_gens);
     let mut removed = 0u64;
-    let mut try_remove = |path: PathBuf| -> bool {
-        match vfs.remove(&path) {
-            Ok(()) => {
-                removed += 1;
-                true
+    index.files.retain(|f| {
+        keep.contains(&(f.kind, f.seq))
+            || match vfs.remove(&f.path(adir)) {
+                Ok(()) => {
+                    removed += 1;
+                    false
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
+                Err(_) => true, // keep the entry; retried next pass
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
-            Err(_) => false, // keep the entry; retried next pass
-        }
-    };
-    index.manifests.retain(|m| {
-        keep_manifests.contains(&m.generation)
-            || !try_remove(adir.join(manifest_name(m.generation)))
     });
-    index
-        .segments
-        .retain(|s| keep_segments.contains(&s.seq) || !try_remove(adir.join(segment_name(s.seq))));
-    index
-        .wals
-        .retain(|w| keep_wals.contains(&w.seq) || !try_remove(adir.join(wal_name(w.seq))));
     removed
 }
 
@@ -860,22 +680,22 @@ pub(crate) fn open_at(vfs: &VfsHandle, dir: &Path, lsn: u64) -> Result<PointInTi
     // checkpoint re-bases the same durable LSN under a new layout) comes
     // back under the layout that was live when the LSN committed.
     let mut best: Option<Manifest> = None;
+    let mut oldest: Option<u64> = None;
     for d in [dir, adir.as_path()] {
-        let Ok(entries) = fs::read_dir(d) else {
+        let Ok(listing) = list_dir(d) else {
             continue;
         };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if numbered_file(&name, "manifest-", ".casper").is_none() {
+        for (kind, _, path) in listing.files {
+            if kind != FileKind::Manifest {
                 continue;
             }
-            let Ok(bytes) = vfs.read(&entry.path()) else {
+            let Ok(bytes) = vfs.read(&path) else {
                 continue;
             };
             let Ok(m) = decode_manifest(&bytes) else {
                 continue;
             };
+            oldest = Some(oldest.map_or(m.durable_lsn, |o| o.min(m.durable_lsn)));
             if m.durable_lsn > lsn {
                 continue;
             }
@@ -889,10 +709,15 @@ pub(crate) fn open_at(vfs: &VfsHandle, dir: &Path, lsn: u64) -> Result<PointInTi
         }
     }
     let Some(manifest) = best else {
-        return Err(corrupt(format!(
-            "no manifest at or before LSN {lsn}: the retention horizon has \
-             passed it (or the directory holds no checkpoint)"
-        )));
+        return Err(corrupt(match oldest {
+            Some(oldest) => format!(
+                "no manifest at or before LSN {lsn}: the retention horizon has \
+                 passed it; the oldest restorable LSN is {oldest}"
+            ),
+            None => {
+                format!("no manifest at or before LSN {lsn}: the directory holds no checkpoint")
+            }
+        }));
     };
     let mut table = restore_table(vfs, &[dir, &adir], &manifest)?;
 
@@ -901,7 +726,7 @@ pub(crate) fn open_at(vfs: &VfsHandle, dir: &Path, lsn: u64) -> Result<PointInTi
     let resolve = |seq: u64| {
         [dir, adir.as_path()]
             .into_iter()
-            .map(|d| d.join(wal_name(seq)))
+            .map(|d| FileKind::Wal.path(d, seq))
             .find(|p| p.exists())
     };
     let mut ops_replayed = 0u64;
@@ -971,6 +796,38 @@ pub struct BackupJob {
     pub(crate) _pin: PinGuard,
 }
 
+/// The one segment-verification walk, shared by the backup copy and
+/// [`verify_backup`]: read every segment `manifest` references under
+/// `dir`, check its header and every record the manifest points at, then
+/// hand the verified bytes to `visit`. `pause` throttles between records
+/// and `stop` aborts with a typed error. Returns the records verified.
+fn verify_segments(
+    vfs: &VfsHandle,
+    dir: &Path,
+    manifest: &Manifest,
+    pause: Duration,
+    stop: Option<&AtomicBool>,
+    mut visit: impl FnMut(u64, &[u8]) -> Result<(), PersistError>,
+) -> Result<u64, PersistError> {
+    let mut records = 0u64;
+    for seg in manifest.referenced_segments() {
+        let sbytes = vfs.read(&FileKind::Segment.path(dir, seg))?;
+        verify_segment_header(&sbytes, seg)?;
+        for e in manifest.entries.iter().filter(|e| e.seg == seg) {
+            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                return Err(corrupt("backup verification interrupted"));
+            }
+            e.verified(&sbytes)?;
+            records += 1;
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
+            }
+        }
+        visit(seg, &sbytes)?;
+    }
+    Ok(records)
+}
+
 fn write_file(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     let mut f = vfs.create(path)?;
     f.write_all(bytes)?;
@@ -1014,27 +871,23 @@ impl BackupJob {
         };
 
         let (manifest, mbytes) = read_manifest(&self.vfs, &self.src, self.generation)?;
-        copy(manifest_name(self.generation), &mbytes)?;
+        copy(FileKind::Manifest.name(self.generation), &mbytes)?;
 
-        // Segments: read whole files, verify the header and every record
-        // the manifest points at against the bytes about to be written
-        // (not the source file — a fault between read and write must be
-        // caught here).
-        let segments = manifest.referenced_segments();
-        for &seg in &segments {
-            let sbytes = self.vfs.read(&segment_path(&self.src, seg))?;
-            verify_segment_header(&sbytes, seg)?;
-            for e in manifest.entries.iter().filter(|e| e.seg == seg) {
-                e.verified(&sbytes)?;
-            }
-            copy(segment_name(seg), &sbytes)?;
-        }
+        // Segments: what is verified is the bytes about to be written (not
+        // the source file — a fault between read and write must be caught
+        // here).
+        let mut segments = 0u64;
+        let each = |seg, sbytes: &[u8]| {
+            segments += 1;
+            copy(FileKind::Segment.name(seg), sbytes)
+        };
+        verify_segments(&self.vfs, &self.src, &manifest, Duration::ZERO, None, each)?;
 
         // The fenced chain: every link but the last is copied whole (the
         // walk proves it sealed); the last is cut at the fence, which must
         // itself fall on a sealed-batch boundary.
         let wal_links = self.last_wal + 1 - self.generation;
-        let resolve = |seq| (seq <= self.last_wal).then(|| self.src.join(wal_name(seq)));
+        let resolve = |seq| (seq <= self.last_wal).then(|| FileKind::Wal.path(&self.src, seq));
         walk_chain(&self.vfs, self.generation, resolve, |link| {
             let slice = if link.seq < self.last_wal {
                 &link.bytes[..]
@@ -1053,7 +906,7 @@ impl BackupJob {
                         ))
                     })?
             };
-            copy(wal_name(link.seq), slice)?;
+            copy(FileKind::Wal.name(link.seq), slice)?;
             Ok(true)
         })?;
 
@@ -1073,7 +926,7 @@ impl BackupJob {
             backup_lsn: self.backup_lsn,
             files,
             bytes: bytes_total,
-            segments: segments.len() as u64,
+            segments,
             wal_links,
         })
     }
@@ -1115,34 +968,22 @@ pub(crate) fn verify_backup(
     pause: Duration,
     stop: Option<&AtomicBool>,
 ) -> Result<BackupVerifyReport, PersistError> {
-    let stopped = || stop.is_some_and(|s| s.load(Ordering::Relaxed));
     let (generation, manifest, mbytes) = read_current(vfs, dir)?;
     let mut bytes_total = mbytes.len() as u64;
-    let mut records = 0u64;
-    let segments = manifest.referenced_segments();
-    for &seg in &segments {
-        let sbytes = vfs.read(&segment_path(dir, seg))?;
-        verify_segment_header(&sbytes, seg)?;
+    let mut segments = 0u64;
+    let records = verify_segments(vfs, dir, &manifest, pause, stop, |_, sbytes| {
+        segments += 1;
         bytes_total += sbytes.len() as u64;
-        for e in manifest.entries.iter().filter(|e| e.seg == seg) {
-            if stopped() {
-                return Err(corrupt("backup verification interrupted"));
-            }
-            e.verified(&sbytes)?;
-            records += 1;
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-        }
-    }
+        Ok(())
+    })?;
 
     let mut wal_links = 0u64;
     let mut batches = 0u64;
     let mut last_lsn = manifest.durable_lsn;
     let mut expected_first = manifest.durable_lsn + 1;
-    let resolve = |seq| Some(dir.join(wal_name(seq))).filter(|p| p.exists());
+    let resolve = |seq| Some(FileKind::Wal.path(dir, seq)).filter(|p| p.exists());
     walk_chain(vfs, generation, resolve, |link| {
-        if stopped() {
+        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
             return Err(corrupt("backup verification interrupted"));
         }
         let (seq, s) = (link.seq, &link.scan);
@@ -1155,8 +996,8 @@ pub(crate) fn verify_backup(
                 link.bytes.len()
             )));
         }
-        if let Some(first) = s.batches.first() {
-            let first_lsn = first.commit_lsn - first.ops.len() as u64;
+        if !s.batches.is_empty() {
+            let first_lsn = s.first_lsn();
             if first_lsn != expected_first {
                 return Err(corrupt(format!(
                     "backup WAL link {seq} starts at LSN {first_lsn}, expected \
@@ -1181,7 +1022,7 @@ pub(crate) fn verify_backup(
         durable_lsn: manifest.durable_lsn,
         last_lsn,
         records,
-        segments: segments.len() as u64,
+        segments,
         wal_links,
         batches,
         bytes: bytes_total,
@@ -1211,22 +1052,25 @@ pub(crate) fn scrub_archive(
     let adir = archive_dir(dir);
     let mut checked = 0u64;
     let mut findings = Vec::new();
-    let mut check = |name: String, want_bytes: u64, want_crc: u32| {
+    for f in &index.files {
+        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+            break;
+        }
+        let name = f.kind.name(f.seq);
         match vfs.read(&adir.join(&name)) {
+            Ok(bytes) if bytes.len() as u64 != f.bytes => findings.push(format!(
+                "archived {name}: {} bytes on disk, index says {}",
+                bytes.len(),
+                f.bytes
+            )),
             Ok(bytes) => {
-                if bytes.len() as u64 != want_bytes {
+                let got = crc32(&bytes);
+                if got != f.crc {
                     findings.push(format!(
-                        "archived {name}: {} bytes on disk, index says {want_bytes}",
-                        bytes.len()
+                        "archived {name} fails its checksum \
+                         (index {:#010x}, computed {got:#010x})",
+                        f.crc
                     ));
-                } else {
-                    let got = crc32(&bytes);
-                    if got != want_crc {
-                        findings.push(format!(
-                            "archived {name} fails its checksum \
-                             (index {want_crc:#010x}, computed {got:#010x})"
-                        ));
-                    }
                 }
             }
             Err(e) => findings.push(format!("archived {name} unreadable: {e}")),
@@ -1235,24 +1079,6 @@ pub(crate) fn scrub_archive(
         if !pause.is_zero() {
             std::thread::sleep(pause);
         }
-    };
-    for m in &index.manifests {
-        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-            return (checked, findings);
-        }
-        check(manifest_name(m.generation), m.bytes, m.crc);
-    }
-    for s in &index.segments {
-        if stop.is_some_and(|st| st.load(Ordering::Relaxed)) {
-            return (checked, findings);
-        }
-        check(segment_name(s.seq), s.bytes, s.crc);
-    }
-    for w in &index.wals {
-        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-            return (checked, findings);
-        }
-        check(wal_name(w.seq), w.bytes, w.crc);
     }
     (checked, findings)
 }
@@ -1261,32 +1087,59 @@ pub(crate) fn scrub_archive(
 mod tests {
     use super::*;
 
-    fn index() -> ArchiveIndex {
-        ArchiveIndex {
-            manifests: vec![ArchivedManifest {
-                generation: 3,
-                durable_lsn: 120,
-                segments: vec![2, 3],
-                bytes: 512,
-                crc: 0xAB12_CD34,
-                retired_unix: 1_700_000_000,
-            }],
-            segments: vec![ArchivedSegment {
-                seq: 2,
-                bytes: 4096,
-                crc: 0x1111_2222,
-                retired_unix: 1_700_000_000,
-            }],
-            wals: vec![ArchivedWal {
-                seq: 3,
-                first_lsn: 121,
-                last_lsn: 200,
-                bytes: 8192,
-                crc: 0x3333_4444,
-                retired_unix: 1_700_000_001,
-            }],
+    fn file(kind: FileKind, seq: u64, bytes: u64) -> ArchivedFile {
+        ArchivedFile {
+            kind,
+            seq,
+            bytes,
+            crc: 0,
+            retired_unix: 0,
+            first_lsn: 0,
+            last_lsn: 0,
+            segments: Vec::new(),
         }
     }
+
+    fn index() -> ArchiveIndex {
+        ArchiveIndex {
+            files: vec![
+                ArchivedFile {
+                    last_lsn: 120,
+                    segments: vec![2, 3],
+                    crc: 0xAB12_CD34,
+                    retired_unix: 1_700_000_000,
+                    ..file(FileKind::Manifest, 3, 512)
+                },
+                ArchivedFile {
+                    crc: 0x1111_2222,
+                    retired_unix: 1_700_000_000,
+                    ..file(FileKind::Segment, 2, 4096)
+                },
+                ArchivedFile {
+                    first_lsn: 121,
+                    last_lsn: 200,
+                    crc: 0x3333_4444,
+                    retired_unix: 1_700_000_001,
+                    ..file(FileKind::Wal, 3, 8192)
+                },
+            ],
+        }
+    }
+
+    /// `index().encode()` as the build before the one-entry index wrote it
+    /// (three per-kind structs, three encode loops).
+    const GOLDEN_V1: &str = "\
+        43535041010000009c00000000000000a94aa5c7\
+        0100000000000000\
+        030000000000000078000000000000000200000000000000\
+        02000000000000000300000000000000\
+        000200000000000034cd12ab00f1536500000000\
+        0100000000000000\
+        0200000000000000\
+        00100000000000002222111100f1536500000000\
+        0100000000000000\
+        03000000000000007900000000000000c800000000000000\
+        00200000000000004444333301f1536500000000";
 
     #[test]
     fn index_round_trips() {
@@ -1296,6 +1149,22 @@ mod tests {
         assert_eq!(d, i);
         assert_eq!(d.total_bytes(), 512 + 4096 + 8192);
         assert_eq!(d.file_count(), 3);
+    }
+
+    #[test]
+    fn index_v1_bytes_are_golden() {
+        let golden: Vec<u8> = (0..GOLDEN_V1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_V1[i..i + 2], 16).expect("hex"))
+            .collect();
+        assert_eq!(golden.len(), 176);
+        let decoded = ArchiveIndex::decode(&golden).expect("an older build's index decodes");
+        assert_eq!(decoded, index());
+        assert_eq!(decoded.encode(), golden, "re-encode is byte-identical");
+        // Entry order in memory does not leak into the bytes' section order.
+        let mut shuffled = index();
+        shuffled.files.reverse();
+        assert_eq!(shuffled.encode(), golden);
     }
 
     #[test]
@@ -1316,65 +1185,31 @@ mod tests {
 
     #[test]
     fn retention_drops_oldest_generation_first() {
+        let manifest = |generation, durable_lsn, seg| ArchivedFile {
+            last_lsn: durable_lsn,
+            segments: vec![seg],
+            ..file(FileKind::Manifest, generation, 100)
+        };
         let mut idx = ArchiveIndex {
-            manifests: vec![
-                ArchivedManifest {
-                    generation: 2,
-                    durable_lsn: 10,
-                    segments: vec![1],
-                    bytes: 100,
-                    crc: 0,
-                    retired_unix: 0,
-                },
-                ArchivedManifest {
-                    generation: 5,
-                    durable_lsn: 50,
-                    segments: vec![4],
-                    bytes: 100,
-                    crc: 0,
-                    retired_unix: 0,
-                },
-            ],
-            segments: vec![
-                ArchivedSegment {
-                    seq: 1,
-                    bytes: 1000,
-                    crc: 0,
-                    retired_unix: 0,
-                },
-                ArchivedSegment {
-                    seq: 4,
-                    bytes: 1000,
-                    crc: 0,
-                    retired_unix: 0,
-                },
-            ],
-            wals: vec![
-                ArchivedWal {
-                    seq: 2,
-                    first_lsn: 11,
-                    last_lsn: 50,
-                    bytes: 10,
-                    crc: 0,
-                    retired_unix: 0,
-                },
-                ArchivedWal {
-                    seq: 5,
-                    first_lsn: 51,
-                    last_lsn: 90,
-                    bytes: 10,
-                    crc: 0,
-                    retired_unix: 0,
-                },
+            files: vec![
+                manifest(2, 10, 1),
+                manifest(5, 50, 4),
+                file(FileKind::Segment, 1, 1000),
+                file(FileKind::Segment, 4, 1000),
+                file(FileKind::Wal, 2, 10),
+                file(FileKind::Wal, 5, 10),
             ],
         };
         // Dropping generation 2 must also drop segment 1 (only gen 2
         // references it) and WAL link 2 (below the oldest survivor).
         let drop: BTreeSet<u64> = [2].into_iter().collect();
-        let (km, ks, kw) = retained_after(&idx, &drop);
-        assert!(km.contains(&5) && !km.contains(&2));
-        assert!(ks.contains(&4) && !ks.contains(&1));
-        assert!(kw.contains(&5) && !kw.contains(&2));
+        let keep = retained_after(&idx, &drop);
+        let want = [
+            (FileKind::Manifest, 5),
+            (FileKind::Segment, 4),
+            (FileKind::Wal, 5),
+        ];
+        assert_eq!(keep, want.into_iter().collect());
         assert_eq!(retained_bytes(&idx, &drop), 100 + 1000 + 10);
         // And with nothing dropped, everything is retained.
         idx.normalize();

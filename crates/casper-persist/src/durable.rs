@@ -69,8 +69,8 @@
 use crate::archive::{BackupJob, BackupReport, BackupVerifyReport, PointInTime};
 use crate::checkpointer::{run_with_retry, Checkpointer, Completion, RetryPolicy};
 use crate::incremental::{
-    numbered_file, read_current, record_loader, restore_table, CheckpointJob, ChunkEntry, Manifest,
-    RecordSource,
+    list_dir, read_current, record_loader, restore_table, CheckpointJob, ChunkEntry, FileKind,
+    Manifest, RecordSource,
 };
 use crate::ledger::Ledger;
 use crate::scrub::{ScrubFinding, ScrubReport, ScrubStats, Scrubber};
@@ -352,10 +352,6 @@ fn implicated_chunk(column: &ChunkedColumn, q: &HapQuery) -> Option<usize> {
     }
 }
 
-pub(crate) fn wal_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{seq:06}.log"))
-}
-
 pub(crate) fn current_path(dir: &Path) -> PathBuf {
     dir.join("CURRENT")
 }
@@ -466,7 +462,7 @@ impl DurableTable {
         // A crash of a previous create between WAL creation and the
         // CURRENT write leaves a stale WAL behind (CURRENT absent, so the
         // directory never became a live table); clear it for the retry.
-        let wp = wal_path(dir, generation);
+        let wp = FileKind::Wal.path(dir, generation);
         if wp.exists() {
             vfs.remove(&wp)?;
         }
@@ -573,12 +569,12 @@ impl DurableTable {
         // Replay the WAL chain wal-<gen> .. wal-<highest>. Only the last
         // link can be torn (rotation seals its predecessor first); it is
         // the one the writer resumes on.
-        let first = wal_path(dir, generation);
+        let first = FileKind::Wal.path(dir, generation);
         if !first.exists() {
             Wal::create(&vfs, &first, manifest.durable_lsn + 1)?;
             sync_dir(&vfs, dir);
         }
-        let resolve = |seq| Some(wal_path(dir, seq)).filter(|p| p.exists());
+        let resolve = |seq| Some(FileKind::Wal.path(dir, seq)).filter(|p| p.exists());
         let mut chain_last = manifest.durable_lsn;
         let last = walk_chain(&vfs, generation, resolve, |link| {
             replay(&link.scan, &mut table, manifest.durable_lsn)?;
@@ -607,16 +603,13 @@ impl DurableTable {
         Self::assemble(vfs, dir, opts, table, &versions, manifest, wal, last.seq)
     }
 
-    /// Highest `seg-*.casper` number present in the directory (0 if none).
+    /// Highest segment number present in the directory (0 if none).
     fn max_segment_on_disk(dir: &Path) -> u64 {
-        let Ok(entries) = fs::read_dir(dir) else {
-            return 0;
-        };
-        entries
-            .flatten()
-            .filter_map(|e| numbered_file(&e.file_name().to_string_lossy(), "seg-", ".casper"))
-            .max()
-            .unwrap_or(0)
+        let files = list_dir(dir)
+            .map(|listing| listing.files)
+            .unwrap_or_default();
+        let segments = files.iter().filter(|(kind, ..)| *kind == FileKind::Segment);
+        segments.map(|(_, seq, _)| *seq).max().unwrap_or(0)
     }
 
     /// The wrapped table (read-only; mutations must flow through
@@ -1131,13 +1124,17 @@ impl DurableTable {
     /// batch. A validation conflict stages nothing.
     pub fn commit_txn(&mut self, mgr: &TxnManager, txn: Transaction) -> Result<u64, PersistError> {
         self.ensure_active()?;
-        let queries = txn.as_queries();
         // The manager applies through the column directly; hydrate the
         // chunks its write set routes to first, so a corrupt chunk fails
         // the commit before any of it applies.
-        for q in &queries {
+        for q in txn.as_queries() {
             self.table.column().hydrate_for_query(q)?;
         }
+        let ops: Vec<WalOp> = txn
+            .as_queries()
+            .iter()
+            .filter_map(WalOp::from_query)
+            .collect();
         let ts = match mgr.commit(txn, &mut self.table) {
             Ok(ts) => ts,
             Err(e @ TxnError::Conflict { .. }) => return Err(e.into()),
@@ -1158,10 +1155,8 @@ impl DurableTable {
                 return Err(e.into());
             }
         };
-        for q in &queries {
-            if let Some(op) = WalOp::from_query(q) {
-                self.wal.stage(&op);
-            }
+        for op in &ops {
+            self.wal.stage(op);
         }
         self.seal_and_maybe_checkpoint()?;
         Ok(ts)
@@ -1455,7 +1450,7 @@ impl DurableTable {
         let new_gen = self.wal_seq + 1;
         // Rotate: the old WAL file stays for recovery until the manifest
         // commits; new writes land in wal-<new_gen> with continuous LSNs.
-        let wp = wal_path(&self.dir, new_gen);
+        let wp = FileKind::Wal.path(&self.dir, new_gen);
         if wp.exists() {
             self.vfs.remove(&wp)?; // garbage of a checkpoint that died pre-commit
         }

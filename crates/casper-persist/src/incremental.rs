@@ -13,6 +13,11 @@
 //!   watermark). A checkpoint re-encodes *only dirty chunks* into a new
 //!   segment and re-points the clean ones at their existing records.
 //!
+//! Those two and the WAL links (`wal-<seq>.log`) are the three kinds of
+//! numbered file a table directory holds; [`FileKind`] is the only place
+//! their names are formatted or parsed, and `list_dir` the one directory
+//! walk over them.
+//!
 //! `CURRENT` swings atomically and holds a bare generation number naming
 //! the live manifest. Every reader of a table directory — open, scrub,
 //! backup verification — resolves it through [`read_current`], and no
@@ -256,25 +261,83 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
 }
 
 // ---------------------------------------------------------------------
-// Paths
+// File kinds: the one namer, parser and lister
 // ---------------------------------------------------------------------
 
-/// `manifest-<gen>.casper` under `dir`.
-pub fn manifest_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("manifest-{generation:06}.casper"))
+/// The three kinds of numbered file a table directory, its `archive/` and
+/// a backup hold. The name patterns live here and nowhere else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FileKind {
+    /// `manifest-<generation>.casper`.
+    Manifest,
+    /// `seg-<seq>.casper`, numbered by a counter of its own.
+    Segment,
+    /// `wal-<seq>.log`, numbered by the generation whose capture created it.
+    Wal,
 }
 
-/// `seg-<seq>.casper` under `dir`.
-pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("seg-{seq:06}.casper"))
+impl FileKind {
+    /// Every kind, in the order the archive index stores them.
+    pub(crate) const ALL: [FileKind; 3] = [FileKind::Manifest, FileKind::Segment, FileKind::Wal];
+
+    fn affixes(self) -> (&'static str, &'static str) {
+        match self {
+            FileKind::Manifest => ("manifest-", ".casper"),
+            FileKind::Segment => ("seg-", ".casper"),
+            FileKind::Wal => ("wal-", ".log"),
+        }
+    }
+
+    /// File name of number `seq` of this kind.
+    pub fn name(self, seq: u64) -> String {
+        let (prefix, suffix) = self.affixes();
+        format!("{prefix}{seq:06}{suffix}")
+    }
+
+    /// [`FileKind::name`] under `dir`.
+    pub fn path(self, dir: &Path, seq: u64) -> PathBuf {
+        dir.join(self.name(seq))
+    }
+
+    /// The kind and number a file name spells, if it is one of ours.
+    pub fn parse(file_name: &str) -> Option<(FileKind, u64)> {
+        Self::ALL.into_iter().find_map(|kind| {
+            let (prefix, suffix) = kind.affixes();
+            let seq = file_name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            Some((kind, seq.parse().ok()?))
+        })
+    }
 }
 
-/// Parse `<stem>-NNNNNN.casper|log` sequence numbers from a file name.
-pub(crate) fn numbered_file(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
+/// What is directly under a directory (sub-directories skipped): the
+/// numbered files, ascending by `(kind, number)`, and the files no reader
+/// will ever want — `.tmp` leftovers of interrupted atomic writes.
+pub(crate) struct DirListing {
+    pub files: Vec<(FileKind, u64, PathBuf)>,
+    pub garbage: Vec<PathBuf>,
+}
+
+/// The one directory walk.
+pub(crate) fn list_dir(dir: &Path) -> std::io::Result<DirListing> {
+    let mut listing = DirListing {
+        files: Vec::new(),
+        garbage: Vec::new(),
+    };
+    for entry in fs::read_dir(dir)?.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            continue; // the archive directory
+        }
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if let Some((kind, seq)) = FileKind::parse(&name) {
+            listing.files.push((kind, seq, path));
+        } else if name.ends_with(".tmp") {
+            listing.garbage.push(path);
+        }
+    }
+    listing.files.sort_unstable();
+    Ok(listing)
 }
 
 // ---------------------------------------------------------------------
@@ -299,7 +362,7 @@ pub(crate) fn read_manifest(
     dir: &Path,
     generation: u64,
 ) -> Result<(Manifest, Vec<u8>), PersistError> {
-    let path = manifest_path(dir, generation);
+    let path = FileKind::Manifest.path(dir, generation);
     let bytes = vfs.read(&path).map_err(|e| match e.kind() {
         std::io::ErrorKind::NotFound => PersistError::from(corrupt(format!(
             "the manifest of generation {generation} is missing: no {}",
@@ -409,7 +472,7 @@ pub(crate) fn run_checkpoint(job: &CheckpointJob) -> Result<Manifest, PersistErr
     }
 
     if !job.fresh.is_empty() {
-        let path = segment_path(&job.dir, job.seg_seq);
+        let path = FileKind::Segment.path(&job.dir, job.seg_seq);
         let mut file = job.vfs.create(&path)?;
         let mut header = ByteWriter::new();
         for b in SEGMENT_MAGIC {
@@ -486,7 +549,7 @@ pub(crate) fn run_checkpoint(job: &CheckpointJob) -> Result<Manifest, PersistErr
     };
     crate::durable::write_atomic(
         &job.vfs,
-        &manifest_path(&job.dir, job.new_gen),
+        &FileKind::Manifest.path(&job.dir, job.new_gen),
         &encode_manifest(&manifest),
     )?;
     // The commit point: readers now resolve to the new generation.
@@ -513,50 +576,8 @@ pub(crate) fn read_record(
     dir: &Path,
     entry: &ChunkEntry,
 ) -> Result<Vec<u8>, PersistError> {
-    let map = vfs.mmap(&segment_path(dir, entry.seg))?;
+    let map = vfs.mmap(&FileKind::Segment.path(dir, entry.seg))?;
     Ok(entry.verified(&map)?.to_vec())
-}
-
-/// Best-effort removal of everything the new manifest no longer needs:
-/// older manifests, unreferenced segments, WAL files below the new
-/// generation, and orphaned temp files. Files pinned by an
-/// in-flight backup are skipped. A crash mid-prune only leaves garbage
-/// for the next prune: `CURRENT` and its targets were made durable (via
-/// checked directory fsyncs in [`crate::durable::write_atomic`]) *before*
-/// any removal starts, so no schedule can delete a file the committed
-/// generation still needs. The trailing directory fsync bounds how long
-/// removed dirents linger, so a crash-reopen does not re-surface files a
-/// prior incarnation already pruned.
-pub(crate) fn prune_stale(
-    vfs: &VfsHandle,
-    dir: &Path,
-    manifest: &Manifest,
-    pins: &crate::archive::SharedPins,
-) {
-    let referenced = manifest.referenced_segments();
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry.path().is_dir() {
-            continue; // the archive directory, if one exists
-        }
-        let name = entry.file_name();
-        let name = name.to_string_lossy().into_owned();
-        let stale = if let Some(g) = numbered_file(&name, "manifest-", ".casper") {
-            g != manifest.generation && !pins.keep_manifest(g)
-        } else if let Some(s) = numbered_file(&name, "seg-", ".casper") {
-            !referenced.contains(&s) && !pins.keep_segment(s)
-        } else if let Some(w) = numbered_file(&name, "wal-", ".log") {
-            w < manifest.generation && !pins.keep_wal(w)
-        } else {
-            name.ends_with(".tmp")
-        };
-        if stale {
-            let _ = vfs.remove(&entry.path());
-        }
-    }
-    crate::durable::sync_dir(vfs, dir);
 }
 
 // ---------------------------------------------------------------------
@@ -580,9 +601,9 @@ pub(crate) fn restore_table(
     for seg in manifest.referenced_segments() {
         let path = dirs
             .iter()
-            .map(|d| segment_path(d, seg))
+            .map(|d| FileKind::Segment.path(d, seg))
             .find(|p| p.exists())
-            .unwrap_or_else(|| segment_path(dirs[0], seg));
+            .unwrap_or_else(|| FileKind::Segment.path(dirs[0], seg));
         let map = Arc::new(vfs.mmap(&path)?);
         verify_segment_header(&map, seg)?;
         maps.insert(seg, map);
@@ -621,7 +642,7 @@ pub(crate) fn record_loader(
     payload_width: usize,
 ) -> casper_engine::column::ChunkLoader {
     Box::new(move || {
-        let path = segment_path(&dir, entry.seg);
+        let path = FileKind::Segment.path(&dir, entry.seg);
         let map = vfs.mmap(&path).map_err(|e| {
             corrupt(format!(
                 "evicted chunk cannot re-map segment {}: {e}",
@@ -783,12 +804,22 @@ mod tests {
 
     #[test]
     fn numbered_file_parses() {
-        assert_eq!(
-            numbered_file("seg-000012.casper", "seg-", ".casper"),
-            Some(12)
-        );
-        assert_eq!(numbered_file("wal-000003.log", "wal-", ".log"), Some(3));
-        assert_eq!(numbered_file("seg-xx.casper", "seg-", ".casper"), None);
-        assert_eq!(numbered_file("CURRENT", "seg-", ".casper"), None);
+        for kind in FileKind::ALL {
+            for seq in [0, 3, 12, 999_999, 1_234_567] {
+                assert_eq!(FileKind::parse(&kind.name(seq)), Some((kind, seq)));
+            }
+        }
+        assert_eq!(FileKind::Segment.name(12), "seg-000012.casper");
+        assert_eq!(FileKind::Wal.name(3), "wal-000003.log");
+        assert_eq!(FileKind::Manifest.name(7), "manifest-000007.casper");
+        for alien in [
+            "CURRENT",
+            "seg-xx.casper",
+            "seg-000001.log",
+            "manifest-000002.tmp",
+            "archive-index.casper",
+        ] {
+            assert_eq!(FileKind::parse(alien), None, "{alien}");
+        }
     }
 }

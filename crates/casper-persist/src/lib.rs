@@ -18,16 +18,18 @@
 //!   chain periodically; restore maps segments ([`mmap`]) and hydrates
 //!   chunks lazily, checksum-verified at first touch, with **zero layout
 //!   solves and zero codec re-encodes** (asserted via the solver/codec
-//!   telemetry counters). It is also the one reader of a table directory:
-//!   `CURRENT` → manifest → CRC-verified records.
+//!   telemetry counters). It is also the one reader of a table directory
+//!   (`CURRENT` → manifest → CRC-verified records) and the one namer of
+//!   its files ([`FileKind`]).
 //! * [`wal`] — an append-only redo log of Q4/Q5/Q6 writes with group-commit
 //!   batching, per-record CRC32, and torn-tail truncation on replay.
 //! * [`checkpointer`] — the background checkpoint thread: the foreground
 //!   seals + rotates the WAL and clones dirty chunk state; serialization
 //!   and fsyncs run off the commit path.
-//! * [`archive`] — point-in-time recovery: with archiving enabled,
-//!   checkpoint pruning *retires* superseded manifests, segments, and WAL
-//!   links into an LSN-indexed `archive/` instead of deleting them, so
+//! * [`archive`] — the stale-file rule every committed checkpoint applies,
+//!   and point-in-time recovery: with archiving enabled the stale
+//!   manifests, segments, and WAL links are *retired* into an LSN-indexed
+//!   `archive/` instead of deleted, so
 //!   [`DurableTable::open_at`] can restore any archived LSN bit-exact
 //!   (zero solves, zero re-encodes). Also home of the online hot-backup
 //!   path ([`DurableTable::begin_backup`]) and backup verification.
@@ -55,12 +57,12 @@ pub mod vfs;
 pub mod wal;
 
 pub use archive::{
-    ArchiveConfig, ArchiveIndex, ArchivedManifest, ArchivedSegment, ArchivedWal, BackupJob,
-    BackupReport, BackupVerifyReport, PointInTime,
+    ArchiveConfig, ArchiveIndex, ArchivedFile, BackupJob, BackupReport, BackupVerifyReport,
+    PointInTime,
 };
 pub use durable::{CheckpointFailure, CheckpointStats, DurableOptions, DurableStats, DurableTable};
 pub use fault::{FaultCounters, FaultErr, FaultRule, FaultVfs, VfsOp};
-pub use incremental::{decode_manifest, encode_manifest, ChunkEntry, Manifest};
+pub use incremental::{decode_manifest, encode_manifest, ChunkEntry, FileKind, Manifest};
 pub use mmap::Mmap;
 pub use scrub::{ScrubFinding, ScrubReport, ScrubStats};
 pub use vfs::{RealVfs, Vfs, VfsFile, VfsHandle};

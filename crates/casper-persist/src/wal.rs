@@ -123,6 +123,16 @@ pub struct WalScan {
     pub last_lsn: u64,
 }
 
+impl WalScan {
+    /// First LSN of the first committed batch (0 when none) — the other
+    /// end of the range `last_lsn` closes.
+    pub fn first_lsn(&self) -> u64 {
+        self.batches
+            .first()
+            .map_or(0, |b| b.commit_lsn - b.ops.len() as u64)
+    }
+}
+
 const KIND_INSERT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_UPDATE: u8 = 3;

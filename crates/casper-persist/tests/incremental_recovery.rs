@@ -407,7 +407,7 @@ fn segment_chain_grows_only_by_dirty_chunks() {
     assert_eq!(durable.stats().generation, g);
     assert_eq!(durable.stats().dirty_chunks, 0);
     assert!(
-        !casper_persist::incremental::segment_path(&dir, 3).exists(),
+        !casper_persist::FileKind::Segment.path(&dir, 3).exists(),
         "a pure WAL fold must not allocate a segment"
     );
 }

@@ -32,11 +32,12 @@
 use casper_engine::optimize::OptimizeOptions;
 use casper_engine::{EngineConfig, LayoutMode, Table};
 use casper_persist::{
-    ArchiveConfig, DurableOptions, DurableTable, FaultErr, FaultRule, FaultVfs, PersistError,
-    VfsHandle, VfsOp,
+    ArchiveConfig, DurableOptions, DurableTable, FaultErr, FaultRule, FaultVfs, FileKind,
+    PersistError, VfsHandle, VfsOp,
 };
 use casper_storage::StorageError;
 use casper_workload::{HapQuery, HapSchema};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -628,6 +629,156 @@ fn retention_horizon_is_a_typed_error() {
     // The newest state is still there.
     let pit = DurableTable::open_at(&dir, last_lsn).expect("open_at newest");
     assert_eq!(pit.restored_lsn, last_lsn);
+
+    // The error names the oldest LSN that *is* restorable — the smallest
+    // durable LSN of any manifest left, live or archived — and `open_at`
+    // exactly there succeeds.
+    let oldest = [dir.clone(), dir.join("archive")]
+        .iter()
+        .flat_map(|d| file_names(d).into_iter().map(move |name| d.join(name)))
+        .filter(|path| {
+            let name = path.file_name().expect("name").to_string_lossy();
+            matches!(FileKind::parse(&name), Some((FileKind::Manifest, _)))
+        })
+        .map(|path| {
+            let bytes = fs::read(path).expect("manifest bytes");
+            casper_persist::decode_manifest(&bytes)
+                .expect("manifest")
+                .durable_lsn
+        })
+        .min()
+        .expect("a manifest survives retention");
+    assert!(oldest > 1, "retention moved the horizon past LSN 1");
+    assert!(
+        err.to_string()
+            .contains(&format!("oldest restorable LSN is {oldest}")),
+        "horizon miss must name LSN {oldest}, got: {err}"
+    );
+    let pit = DurableTable::open_at(&dir, oldest).expect("open_at the named LSN");
+    assert_eq!(pit.restored_lsn, oldest);
+}
+
+// ---------------------------------------------------------------------------
+// One stale-file rule: pruning and retiring take the same files
+// ---------------------------------------------------------------------------
+
+/// Names of the plain files directly under `dir`.
+fn file_names(dir: &Path) -> BTreeSet<String> {
+    fs::read_dir(dir)
+        .expect("read dir")
+        .flatten()
+        .filter(|e| !e.path().is_dir())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// The same directory checkpointed with archiving off and on: generation 1
+/// pinned by a backup, a complete but never-committed `manifest-000002`
+/// (its `CURRENT` swing failed), a `.tmp` (the next manifest write failed)
+/// and the three-link WAL chain those two failures rotated into being.
+/// Which files leave the live directory is one rule's decision; the two
+/// arms differ only in where the files go.
+#[test]
+fn prune_and_retire_take_the_same_files() {
+    let mut departures: Vec<[BTreeSet<String>; 2]> = Vec::new();
+    for (case, archive) in [None, Some(ArchiveConfig::default())]
+        .into_iter()
+        .enumerate()
+    {
+        let (vfs, handle) = fault_handle(11);
+        let dir = test_dir(&format!("pitr_stale_rule_{case}"));
+        let opts = DurableOptions {
+            archive,
+            ..archive_opts()
+        };
+        let mut t = DurableTable::create_from_table_with_vfs(
+            handle,
+            &dir,
+            seed_table(LayoutMode::Casper),
+            opts,
+        )
+        .expect("create");
+        for (i, failing) in ["CURRENT", "manifest-"].into_iter().enumerate() {
+            t.execute(&marker_write(i)).expect("write");
+            vfs.inject(FaultRule::on_path(VfsOp::Write, failing, FaultErr::Eio));
+            t.checkpoint().expect_err("checkpoint fails");
+            vfs.clear_faults();
+        }
+        t.execute(&marker_write(2)).expect("write");
+        let pinned = [
+            "manifest-000001.casper",
+            "seg-000001.casper",
+            "wal-000001.log",
+            "wal-000002.log",
+            "wal-000003.log",
+        ];
+        let before = file_names(&dir);
+        for name in pinned.into_iter().chain(["manifest-000002.casper"]) {
+            assert!(before.contains(name), "{name} missing from {before:?}");
+        }
+        assert!(before.iter().any(|n| n.ends_with(".tmp")), "{before:?}");
+
+        // Round 0 checkpoints with the backup's pin held, round 1 after
+        // dropping it.
+        let dest = test_dir("pitr_stale_rule_dest");
+        let mut job = Some(t.begin_backup(&dest).expect("pin"));
+        let mut rounds: [BTreeSet<String>; 2] = Default::default();
+        for (round, departed) in rounds.iter_mut().enumerate() {
+            let before = file_names(&dir);
+            t.checkpoint().expect("checkpoint");
+            let after = file_names(&dir);
+            *departed = before.difference(&after).cloned().collect();
+            if round == 0 {
+                for name in pinned {
+                    assert!(after.contains(name), "pinned {name} left: {after:?}");
+                }
+                drop(job.take());
+            }
+
+            let adir = dir.join("archive");
+            let index = t.archive_index().expect("index");
+            for name in departed.iter() {
+                let indexed = FileKind::parse(name).is_some_and(|(kind, seq)| {
+                    index.files.iter().any(|f| (f.kind, f.seq) == (kind, seq))
+                });
+                assert_eq!(
+                    indexed,
+                    adir.join(name).exists(),
+                    "{name}: in the archive iff the index says so"
+                );
+                if archive.is_none() {
+                    assert!(!indexed, "{name} must be gone, not archived");
+                }
+            }
+        }
+        let [with_pin, without_pin] = &rounds;
+        assert!(with_pin.contains("manifest-000002.casper"), "{with_pin:?}");
+        assert!(with_pin.iter().any(|n| n.ends_with(".tmp")), "{with_pin:?}");
+        // Unpinned, generation 1 leaves — except its segment, which the
+        // live manifest still points clean chunks at.
+        for name in pinned {
+            assert_eq!(
+                without_pin.contains(name),
+                name != "seg-000001.casper",
+                "{name}: {without_pin:?}"
+            );
+        }
+        if archive.is_some() {
+            // History is kept, garbage is not: the temp file and the
+            // segment of the checkpoint whose manifest never landed (no
+            // generation references it) are simply gone.
+            let archived = file_names(&dir.join("archive"));
+            for name in with_pin.iter().chain(without_pin) {
+                let garbage = name.ends_with(".tmp") || name == "seg-000003.casper";
+                assert_eq!(archived.contains(name), !garbage, "{name}: {archived:?}");
+            }
+        }
+        departures.push(rounds);
+    }
+    assert_eq!(
+        departures[0], departures[1],
+        "pruning and retiring must take the same files"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -733,7 +884,7 @@ fn wal_links(dir: &Path) -> Vec<PathBuf> {
 fn current_manifest(dir: &Path) -> PathBuf {
     let current = fs::read_to_string(dir.join("CURRENT")).expect("CURRENT");
     let generation: u64 = current.trim().parse().expect("generation");
-    casper_persist::incremental::manifest_path(dir, generation)
+    casper_persist::FileKind::Manifest.path(dir, generation)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -758,7 +909,7 @@ fn apply_damage(dir: &Path, damage: Damage) {
             let manifest = fs::read(current_manifest(dir)).expect("manifest bytes");
             let manifest = casper_persist::decode_manifest(&manifest).expect("manifest");
             let entry = manifest.entries.last().expect("a chunk");
-            let seg = casper_persist::incremental::segment_path(dir, entry.seg);
+            let seg = casper_persist::FileKind::Segment.path(dir, entry.seg);
             let mut bytes = fs::read(&seg).expect("segment bytes");
             bytes[(entry.offset + entry.len / 2) as usize] ^= 0x40;
             fs::write(&seg, &bytes).expect("damage");

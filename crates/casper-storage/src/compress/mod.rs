@@ -16,12 +16,10 @@
 //! lets tests *prove* the no-decode property. Chunks opt partitions into a
 //! [`StorageMode`] via [`crate::PartitionedChunk::compress_partition`].
 
-pub mod chunk_codec;
 pub mod dictionary;
 pub mod for_delta;
 pub mod rle;
 
-pub use chunk_codec::CompressedChunk;
 pub use dictionary::Dictionary;
 pub use for_delta::ForBlock;
 pub use rle::Rle;
