@@ -26,10 +26,9 @@
 
 use casper_bench::trajectory::{self, Metric};
 use casper_bench::{Args, TableReport};
-use casper_engine::{
-    EngineConfig, Governor, GovernorConfig, LayoutMode, QueryCtx, QueryError, Table,
-};
+use casper_engine::{EngineConfig, Governor, GovernorConfig, LayoutMode, QueryCtx, Table};
 use casper_persist::{DurableOptions, DurableTable};
+use casper_storage::StorageError;
 use casper_workload::{HapQuery, HapSchema, KeyDist, WorkloadGenerator};
 use rand::prelude::*;
 use std::path::{Path, PathBuf};
@@ -334,7 +333,7 @@ fn main() {
                     // Phase 1: the gate is pinned — every attempt sheds.
                     for _ in 0..per_thread {
                         match handle.execute_with(&storm_q(&mut rng), &ctx) {
-                            Err(QueryError::Overloaded { .. }) => {}
+                            Err(StorageError::Overloaded { .. }) => {}
                             Ok(_) => panic!("admitted through a pinned gate"),
                             Err(e) => panic!("storm error: {e}"),
                         }
@@ -349,7 +348,7 @@ fn main() {
                         let started = Instant::now();
                         match handle.execute_with(&q, &ctx) {
                             Ok(_) => ok.push(started.elapsed().as_secs_f64() * 1e6),
-                            Err(QueryError::Overloaded { .. }) => {}
+                            Err(StorageError::Overloaded { .. }) => {}
                             Err(e) => panic!("storm error: {e}"),
                         }
                     }

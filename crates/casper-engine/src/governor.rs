@@ -13,10 +13,10 @@
 //!    error without poisoning shared state.
 //! 3. **Admission control** — a bounded slot gate with a short wait for
 //!    reads (load shedding) and a longer wait for writes (backpressure);
-//!    exhaustion surfaces as [`QueryError::Overloaded`].
+//!    exhaustion surfaces as [`StorageError::Overloaded`].
 //! 4. **Panic isolation** — [`Governor::run`] wraps governed execution in
 //!    `catch_unwind`, converting a panicking query into
-//!    [`QueryError::Panicked`] carrying the implicated chunk so callers
+//!    [`StorageError::Panicked`] carrying the implicated chunk so callers
 //!    can quarantine it.
 //!
 //! See `docs/resource-governance.md` for the full escalation ladder.
@@ -50,10 +50,10 @@ pub struct GovernorConfig {
     /// Concurrent governed-query slots; `0` disables admission control.
     pub query_slots: usize,
     /// How long a read waits for a slot before it is shed as
-    /// [`QueryError::Overloaded`].
+    /// [`StorageError::Overloaded`].
     pub admit_wait_ms: u64,
     /// How long a write waits for a slot (backpressure) before
-    /// [`QueryError::Overloaded`]. Writes get the longer wait: shedding a
+    /// [`StorageError::Overloaded`]. Writes get the longer wait: shedding a
     /// read costs a retry, shedding a write costs client-visible work.
     pub write_wait_ms: u64,
     /// Governed queries between resident-byte budget checks. Accounting
@@ -155,67 +155,12 @@ impl QueryCtx {
     }
 }
 
-/// Errors surfaced by governed query execution, strictly separating
-/// resource-governance outcomes from storage faults.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryError {
-    /// An underlying storage fault (corruption, quarantine, capacity…).
-    Storage(StorageError),
-    /// The query's deadline expired at a chunk boundary.
-    DeadlineExceeded,
-    /// The query's cancel token was flipped.
-    Cancelled,
-    /// No query slot became available within the bounded wait.
-    Overloaded {
-        /// How long the query waited before being shed.
-        waited_ms: u64,
-    },
-    /// The query panicked; execution was isolated and the serving loop
-    /// stays alive.
-    Panicked {
-        /// The panic payload, stringified.
-        detail: String,
-        /// The chunk the query routed to, when identifiable (point-shaped
-        /// operations) — callers quarantine it.
-        chunk: Option<usize>,
-    },
-}
-
-impl From<StorageError> for QueryError {
-    fn from(e: StorageError) -> Self {
-        match e {
-            StorageError::DeadlineExceeded => QueryError::DeadlineExceeded,
-            StorageError::Cancelled => QueryError::Cancelled,
-            other => QueryError::Storage(other),
-        }
-    }
-}
-
-impl std::fmt::Display for QueryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueryError::Storage(e) => write!(f, "storage error: {e}"),
-            QueryError::DeadlineExceeded => write!(f, "query deadline exceeded"),
-            QueryError::Cancelled => write!(f, "query cancelled"),
-            QueryError::Overloaded { waited_ms } => {
-                write!(f, "overloaded: no query slot after {waited_ms}ms")
-            }
-            QueryError::Panicked { detail, chunk } => match chunk {
-                Some(c) => write!(f, "query panicked in chunk {c}: {detail}"),
-                None => write!(f, "query panicked: {detail}"),
-            },
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
-
 /// Point-in-time governor counters (all monotone except `resident_bytes`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovernorStats {
     /// Governed queries admitted through the slot gate.
     pub admitted: u64,
-    /// Queries shed with [`QueryError::Overloaded`].
+    /// Queries shed with [`StorageError::Overloaded`].
     pub shed: u64,
     /// Queries that hit their deadline.
     pub deadline_exceeded: u64,
@@ -346,8 +291,8 @@ impl Governor {
     }
 
     /// Acquire a query slot (reads wait `admit_wait_ms`, writes
-    /// `write_wait_ms`), or shed with [`QueryError::Overloaded`].
-    pub fn admit(&self, is_write: bool) -> Result<AdmitPermit<'_>, QueryError> {
+    /// `write_wait_ms`), or shed with [`StorageError::Overloaded`].
+    pub fn admit(&self, is_write: bool) -> Result<AdmitPermit<'_>, StorageError> {
         if self.cfg.query_slots == 0 {
             self.admitted.fetch_add(1, Ordering::Relaxed);
             return Ok(AdmitPermit { gate: None });
@@ -368,7 +313,7 @@ impl Governor {
             Err(waited) => {
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 OBS_SHED.inc();
-                Err(QueryError::Overloaded {
+                Err(StorageError::Overloaded {
                     waited_ms: waited.as_millis() as u64,
                 })
             }
@@ -377,7 +322,7 @@ impl Governor {
 
     /// Run one query under governance: admission through the slot gate,
     /// then `f` inside `catch_unwind`, its outcome classified into the
-    /// interrupt counters. A panic surfaces as [`QueryError::Panicked`]
+    /// interrupt counters. A panic surfaces as [`StorageError::Panicked`]
     /// carrying `chunk_hint` — the chunk the query routes to, when the
     /// caller can name one — so the owner can quarantine it; the serving
     /// loop, and the query slot (released by RAII), survive.
@@ -386,15 +331,15 @@ impl Governor {
         is_write: bool,
         chunk_hint: Option<usize>,
         f: impl FnOnce() -> Result<T, StorageError>,
-    ) -> Result<T, QueryError> {
+    ) -> Result<T, StorageError> {
         let _permit = self.admit(is_write)?;
         // AssertUnwindSafe: a panic can leave the routed chunk's in-memory
         // state half-mutated, which is exactly why the caller quarantines
         // the implicated chunk — nothing else is reachable mid-query.
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
             Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => Err(self.note_outcome(e.into())),
-            Err(payload) => Err(self.note_outcome(QueryError::Panicked {
+            Ok(Err(e)) => Err(self.note_outcome(e)),
+            Err(payload) => Err(self.note_outcome(StorageError::Panicked {
                 detail: panic_detail(payload),
                 chunk: chunk_hint,
             })),
@@ -402,21 +347,21 @@ impl Governor {
     }
 
     /// Classify a governed outcome into the interrupt counters.
-    fn note_outcome(&self, e: QueryError) -> QueryError {
+    fn note_outcome(&self, e: StorageError) -> StorageError {
         match &e {
-            QueryError::DeadlineExceeded => {
+            StorageError::DeadlineExceeded => {
                 self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
                 OBS_DEADLINE.inc();
             }
-            QueryError::Cancelled => {
+            StorageError::Cancelled => {
                 self.cancelled.fetch_add(1, Ordering::Relaxed);
                 OBS_CANCELLED.inc();
             }
-            QueryError::Panicked { .. } => {
+            StorageError::Panicked { .. } => {
                 self.panics.fetch_add(1, Ordering::Relaxed);
                 OBS_PANICS.inc();
             }
-            QueryError::Storage(_) | QueryError::Overloaded { .. } => {}
+            _ => {}
         }
         e
     }
@@ -530,7 +475,7 @@ mod tests {
         let p1 = g.admit(false).expect("slot 1");
         let p2 = g.admit(false).expect("slot 2");
         let e = g.admit(false).expect_err("gate full");
-        assert!(matches!(e, QueryError::Overloaded { .. }));
+        assert!(matches!(e, StorageError::Overloaded { .. }));
         drop(p1);
         let _p3 = g.admit(false).expect("released slot re-admits");
         drop(p2);
@@ -556,7 +501,7 @@ mod tests {
     #[test]
     fn ctx_deadline_and_cancel_surface_typed() {
         let ctx = QueryCtx::unbounded().with_timeout(Duration::from_secs(0));
-        assert_eq!(ctx.check(), Err(StorageError::DeadlineExceeded));
+        assert!(matches!(ctx.check(), Err(StorageError::DeadlineExceeded)));
 
         let token = CancelToken::new();
         let ctx = QueryCtx::unbounded()
@@ -564,9 +509,9 @@ mod tests {
             .with_cancel(token.clone());
         token.cancel();
         // Cancel wins over an expired deadline.
-        assert_eq!(ctx.check(), Err(StorageError::Cancelled));
+        assert!(matches!(ctx.check(), Err(StorageError::Cancelled)));
 
-        assert_eq!(QueryCtx::unbounded().check(), Ok(()));
+        assert!(QueryCtx::unbounded().check().is_ok());
     }
 
     #[test]

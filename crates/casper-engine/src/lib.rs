@@ -33,7 +33,7 @@ pub mod txn;
 
 pub use adapt::{AdaptConfig, AdaptiveController};
 pub use column::{ChunkSlot, ChunkedColumn, ColumnSnapshot, SnapshotCell, WriteOp};
-pub use governor::{CancelToken, Governor, GovernorConfig, GovernorStats, QueryCtx, QueryError};
+pub use governor::{CancelToken, Governor, GovernorConfig, GovernorStats, QueryCtx};
 pub use modes::{EngineConfig, LayoutMode};
 pub use table::{QueryOutput, QueryResult, Table, TableReader};
-pub use txn::{Transaction, TxnError, TxnManager};
+pub use txn::{Transaction, TxnManager};

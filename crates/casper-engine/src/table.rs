@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::column::{ChunkedColumn, ColumnSnapshot, SnapshotCell, WriteOp};
-use crate::governor::{Governor, QueryCtx, QueryError};
+use crate::governor::{Governor, QueryCtx};
 use crate::modes::EngineConfig;
 use casper_obs::{CounterDef, HistogramDef, SpanDef};
 use casper_storage::{OpCost, StorageError};
@@ -343,8 +343,8 @@ impl Table {
 /// per query and scans it lock-free while the owning table keeps writing.
 ///
 /// Only read queries (Q1/Q2/Q3) execute here — write queries return
-/// [`StorageError::InvalidSpec`] (inside [`QueryError::Storage`]), since a
-/// snapshot is immutable by construction.
+/// [`StorageError::InvalidSpec`], since a snapshot is immutable by
+/// construction.
 #[derive(Debug, Clone)]
 pub struct TableReader {
     cell: Arc<SnapshotCell>,
@@ -379,18 +379,15 @@ impl TableReader {
 
     /// Execute one read query against the current snapshot with a context
     /// that never interrupts.
-    pub fn execute(&self, q: &HapQuery) -> Result<QueryOutput, QueryError> {
+    pub fn execute(&self, q: &HapQuery) -> Result<QueryOutput, StorageError> {
         self.execute_with(q, &QueryCtx::default())
     }
 
     /// Execute one read query against the current snapshot, `ctx` checked
-    /// at chunk boundaries. With a governor attached the query is admitted
-    /// through its slot gate (shed as [`QueryError::Overloaded`]) and
-    /// panic-isolated; a snapshot read cannot attribute a panic to a chunk
-    /// the live column could quarantine, so [`QueryError::Panicked::chunk`]
-    /// is `None` here. Without one it passes straight through.
-    pub fn execute_with(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, QueryError> {
-        let read = || {
+    /// at chunk boundaries; governed iff a governor is attached (see
+    /// [`TableReader::with_governor`]).
+    pub fn execute_with(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, StorageError> {
+        self.governed(|| {
             // No span here: a snapshot read can be sub-microsecond and the
             // guard's bookkeeping would dominate it — the sampled timer and
             // the routed/pruned counters carry the read-path telemetry.
@@ -398,15 +395,12 @@ impl TableReader {
             let out = self.pin().read(q, ctx)?;
             QueryTimer::finish(timer, &out);
             Ok(out)
-        };
-        match &self.governor {
-            Some(gov) => gov.run(false, None, read),
-            None => read().map_err(QueryError::from),
-        }
+        })
     }
 
     /// Multi-column predicated sum against the current snapshot (see
-    /// [`Table::multi_column_sum`]).
+    /// [`Table::multi_column_sum`]), governed like
+    /// [`TableReader::execute_with`].
     pub fn multi_column_sum(
         &self,
         lo: u64,
@@ -417,8 +411,26 @@ impl TableReader {
         pred_hi: u32,
     ) -> Result<QueryOutput, StorageError> {
         let ctx = QueryCtx::default();
-        self.pin()
-            .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi, &ctx)
+        self.governed(|| {
+            self.pin()
+                .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi, &ctx)
+        })
+    }
+
+    /// The one governed read step: with a governor attached `read` is
+    /// admitted through its slot gate (shed as
+    /// [`StorageError::Overloaded`]) and panic-isolated; a snapshot read
+    /// cannot attribute a panic to a chunk the live column could
+    /// quarantine, so [`StorageError::Panicked`] carries no chunk here.
+    /// Without one it passes straight through.
+    fn governed<T>(
+        &self,
+        read: impl FnOnce() -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        match &self.governor {
+            Some(gov) => gov.run(false, None, read),
+            None => read(),
+        }
     }
 }
 
@@ -656,7 +668,7 @@ mod tests {
         assert_eq!(out.result.scalar(), 1);
         assert!(matches!(
             reader.execute(&HapQuery::Q5 { v: key }),
-            Err(QueryError::Storage(StorageError::InvalidSpec { .. }))
+            Err(StorageError::InvalidSpec { .. })
         ));
     }
 

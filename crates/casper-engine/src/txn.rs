@@ -25,7 +25,6 @@ use casper_storage::StorageError;
 use casper_workload::HapQuery;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static OBS_COMMIT_SPAN: SpanDef = SpanDef::new("txn_commit");
@@ -60,36 +59,6 @@ fn effect(write: &HapQuery, hit: impl Fn(u64) -> bool) -> i64 {
 struct VersionRecord {
     ts: u64,
     write: HapQuery,
-}
-
-/// Transaction failure modes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TxnError {
-    /// First-committer-wins validation failed on this key.
-    Conflict {
-        /// The contended key.
-        key: u64,
-    },
-    /// The underlying storage rejected a write (e.g. a full chunk).
-    Storage(StorageError),
-}
-
-impl fmt::Display for TxnError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TxnError::Conflict { key } => write!(f, "write-write conflict on key {key}"),
-            TxnError::Storage(e) => write!(f, "storage error during commit: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TxnError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TxnError::Conflict { .. } => None,
-            TxnError::Storage(e) => Some(e),
-        }
-    }
 }
 
 /// An open transaction: a snapshot timestamp plus a local buffer of the
@@ -213,9 +182,10 @@ impl TxnManager {
         self.snapshot_count(txn, table, &q, |k| lo <= k && k < hi)
     }
 
-    /// Commit: first-committer-wins validation, then apply the buffered
-    /// writes to the table and publish the versions.
-    pub fn commit(&self, txn: Transaction, table: &mut Table) -> Result<u64, TxnError> {
+    /// Commit: first-committer-wins validation (a lost race is
+    /// [`StorageError::Conflict`]), then apply the buffered writes to the
+    /// table and publish the versions.
+    pub fn commit(&self, txn: Transaction, table: &mut Table) -> Result<u64, StorageError> {
         let _span = OBS_COMMIT_SPAN.start();
         let mut inner = self.inner.lock();
         // Validation: any key written by a transaction that committed after
@@ -225,7 +195,7 @@ impl TxnManager {
                 if let Some(&ts) = inner.last_writer.get(&key) {
                     if ts > txn.begin_ts {
                         OBS_CONFLICTS.inc();
-                        return Err(TxnError::Conflict { key });
+                        return Err(StorageError::Conflict { key });
                     }
                 }
             }
@@ -235,10 +205,7 @@ impl TxnManager {
         // phase; reads remain concurrent thanks to the version log).
         for w in &txn.writes {
             let op = WriteOp::from_query(w).expect("a transaction buffers only writes");
-            table
-                .column_mut()
-                .apply_write(op)
-                .map_err(TxnError::Storage)?;
+            table.column_mut().apply_write(op)?;
             for key in keys(w).into_iter().flatten() {
                 inner.last_writer.insert(key, commit_ts);
             }
@@ -367,7 +334,7 @@ mod tests {
         t2.update(300, 303);
         mgr.commit(t1, &mut t).unwrap();
         let err = mgr.commit(t2, &mut t).unwrap_err();
-        assert_eq!(err, TxnError::Conflict { key: 300 });
+        assert!(matches!(err, StorageError::Conflict { key: 300 }));
         // The loser's write must not be applied.
         let fresh = mgr.begin();
         assert_eq!(mgr.point_count(&fresh, &t, 301).unwrap(), 1);

@@ -51,7 +51,6 @@ use crate::incremental::{
 };
 use crate::vfs::{Vfs, VfsHandle};
 use crate::wal::{replay_upto, scan, walk_chain};
-use crate::PersistError;
 use casper_engine::Table;
 use casper_obs::{CounterDef, GaugeDef, HistogramDef};
 use casper_storage::StorageError;
@@ -81,12 +80,6 @@ static OBS_BACKUP_BYTES: CounterDef = CounterDef::new("casper_backup_bytes_total
 static OBS_BACKUP_NS: HistogramDef = HistogramDef::new("casper_backup_duration_ns");
 static OBS_RESTORES: CounterDef = CounterDef::new("casper_pitr_restores_total");
 static OBS_RESTORE_NS: HistogramDef = HistogramDef::new("casper_pitr_restore_duration_ns");
-
-fn corrupt(reason: impl Into<String>) -> PersistError {
-    PersistError::Storage(StorageError::Corrupt {
-        reason: reason.into(),
-    })
-}
 
 /// Retention policy for the archive. Every limit is a horizon; `0` means
 /// "unbounded on this axis". The default keeps everything.
@@ -263,18 +256,18 @@ impl ArchiveIndex {
     /// Load the index of `dir`'s archive (`dir` is the *table* directory).
     /// A missing index file is an empty archive; a damaged one is a typed
     /// error (retire tolerates it by rebuilding — see the module docs).
-    pub fn load(vfs: &VfsHandle, dir: &Path) -> Result<Self, PersistError> {
+    pub fn load(vfs: &VfsHandle, dir: &Path) -> Result<Self, StorageError> {
         let bytes = match vfs.read(&index_path(dir)) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Self::default()),
             Err(e) => return Err(e.into()),
         };
-        Ok(Self::decode(&bytes)?)
+        Self::decode(&bytes)
     }
 
     /// Persist the index atomically (temp file + rename + checked
     /// directory fsync).
-    pub(crate) fn store(&self, vfs: &VfsHandle, dir: &Path) -> Result<(), PersistError> {
+    pub(crate) fn store(&self, vfs: &VfsHandle, dir: &Path) -> Result<(), StorageError> {
         crate::durable::write_atomic(vfs, &index_path(dir), &self.encode())
     }
 
@@ -466,9 +459,9 @@ fn absorb(
     files: &[(FileKind, u64, PathBuf)],
     move_into: Option<&Path>,
     now: u64,
-) -> (Vec<PathBuf>, Option<PersistError>) {
+) -> (Vec<PathBuf>, Option<StorageError>) {
     let mut rejected = Vec::new();
-    let mut first_err: Option<PersistError> = None;
+    let mut first_err: Option<StorageError> = None;
     for kind in [FileKind::Manifest, FileKind::Wal, FileKind::Segment] {
         for (_, seq, path) in files.iter().filter(|(k, ..)| *k == kind) {
             if index.has(kind, *seq) || (kind == FileKind::Segment && !index.references(*seq)) {
@@ -509,7 +502,7 @@ fn archive_retire(
     manifest: &Manifest,
     cfg: &ArchiveConfig,
     pins: &SharedPins,
-) -> Result<(), PersistError> {
+) -> Result<(), StorageError> {
     let adir = archive_dir(dir);
     fs::create_dir_all(&adir)?;
     // A damaged index must not block retirement: rebuild from the files.
@@ -669,7 +662,7 @@ pub struct PointInTime {
 
 /// Restore the newest state at or before `lsn`. See
 /// [`crate::DurableTable::open_at`] for the full contract.
-pub(crate) fn open_at(vfs: &VfsHandle, dir: &Path, lsn: u64) -> Result<PointInTime, PersistError> {
+pub(crate) fn open_at(vfs: &VfsHandle, dir: &Path, lsn: u64) -> Result<PointInTime, StorageError> {
     let start = Instant::now();
     let adir = archive_dir(dir);
     // Candidate bases: every decodable manifest, archived or live. The
@@ -709,7 +702,7 @@ pub(crate) fn open_at(vfs: &VfsHandle, dir: &Path, lsn: u64) -> Result<PointInTi
         }
     }
     let Some(manifest) = best else {
-        return Err(corrupt(match oldest {
+        return Err(StorageError::corrupt(match oldest {
             Some(oldest) => format!(
                 "no manifest at or before LSN {lsn}: the retention horizon has \
                  passed it; the oldest restorable LSN is {oldest}"
@@ -807,15 +800,15 @@ fn verify_segments(
     manifest: &Manifest,
     pause: Duration,
     stop: Option<&AtomicBool>,
-    mut visit: impl FnMut(u64, &[u8]) -> Result<(), PersistError>,
-) -> Result<u64, PersistError> {
+    mut visit: impl FnMut(u64, &[u8]) -> Result<(), StorageError>,
+) -> Result<u64, StorageError> {
     let mut records = 0u64;
     for seg in manifest.referenced_segments() {
         let sbytes = vfs.read(&FileKind::Segment.path(dir, seg))?;
         verify_segment_header(&sbytes, seg)?;
         for e in manifest.entries.iter().filter(|e| e.seg == seg) {
             if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                return Err(corrupt("backup verification interrupted"));
+                return Err(StorageError::corrupt("backup verification interrupted"));
             }
             e.verified(&sbytes)?;
             records += 1;
@@ -828,7 +821,7 @@ fn verify_segments(
     Ok(records)
 }
 
-fn write_file(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+fn write_file(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     let mut f = vfs.create(path)?;
     f.write_all(bytes)?;
     f.sync_all()?;
@@ -852,18 +845,18 @@ impl BackupJob {
     /// is written last, atomically — until it lands, the destination is
     /// not a table; once it lands, the backup is complete and
     /// self-contained.
-    pub fn run(self) -> Result<BackupReport, PersistError> {
+    pub fn run(self) -> Result<BackupReport, StorageError> {
         let start = Instant::now();
         fs::create_dir_all(&self.dest)?;
         if crate::durable::current_path(&self.dest).exists() {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "backup destination {} already holds a durable table",
                 self.dest.display()
             )));
         }
         let mut files = 0u64;
         let mut bytes_total = 0u64;
-        let mut copy = |name: String, bytes: &[u8]| -> Result<(), PersistError> {
+        let mut copy = |name: String, bytes: &[u8]| -> Result<(), StorageError> {
             write_file(&self.vfs, &self.dest.join(name), bytes)?;
             files += 1;
             bytes_total += bytes.len() as u64;
@@ -897,7 +890,7 @@ impl BackupJob {
                     .and_then(|fence| link.bytes.get(..fence))
                     .filter(|fenced| scan(fenced).valid_len == fenced.len())
                     .ok_or_else(|| {
-                        corrupt(format!(
+                        StorageError::corrupt(format!(
                             "live WAL link {} no longer holds the {} sealed bytes \
                              the backup fenced ({} bytes on disk)",
                             link.seq,
@@ -967,7 +960,7 @@ pub(crate) fn verify_backup(
     dir: &Path,
     pause: Duration,
     stop: Option<&AtomicBool>,
-) -> Result<BackupVerifyReport, PersistError> {
+) -> Result<BackupVerifyReport, StorageError> {
     let (generation, manifest, mbytes) = read_current(vfs, dir)?;
     let mut bytes_total = mbytes.len() as u64;
     let mut segments = 0u64;
@@ -984,12 +977,12 @@ pub(crate) fn verify_backup(
     let resolve = |seq| Some(FileKind::Wal.path(dir, seq)).filter(|p| p.exists());
     walk_chain(vfs, generation, resolve, |link| {
         if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-            return Err(corrupt("backup verification interrupted"));
+            return Err(StorageError::corrupt("backup verification interrupted"));
         }
         let (seq, s) = (link.seq, &link.scan);
         // A backup's last link was cut at the fence: it is sealed too.
         if s.valid_len != link.bytes.len() {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "backup WAL link {seq} is torn: only {} of {} bytes form \
                  sealed batches",
                 s.valid_len,
@@ -999,7 +992,7 @@ pub(crate) fn verify_backup(
         if !s.batches.is_empty() {
             let first_lsn = s.first_lsn();
             if first_lsn != expected_first {
-                return Err(corrupt(format!(
+                return Err(StorageError::corrupt(format!(
                     "backup WAL link {seq} starts at LSN {first_lsn}, expected \
                      {expected_first}: the chain has a gap"
                 )));
@@ -1013,7 +1006,7 @@ pub(crate) fn verify_backup(
         Ok(true)
     })?;
     if wal_links == 0 {
-        return Err(corrupt(format!(
+        return Err(StorageError::corrupt(format!(
             "backup holds no WAL link for generation {generation}"
         )));
     }

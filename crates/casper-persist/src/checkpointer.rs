@@ -39,8 +39,8 @@
 //! direction.
 
 use crate::incremental::{run_checkpoint, CheckpointJob, Manifest};
-use crate::PersistError;
 use casper_obs::HistogramDef;
+use casper_storage::StorageError;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -73,15 +73,9 @@ const BACKOFF_CAP: Duration = Duration::from_secs(1);
 #[derive(Debug)]
 pub(crate) struct Completion {
     /// The final result after retries.
-    pub result: Result<Manifest, PersistError>,
+    pub result: Result<Manifest, StorageError>,
     /// Attempts actually made (≥ 1; > 1 means retries happened).
     pub attempts: u32,
-}
-
-/// True for failures worth retrying: raw I/O errors (ENOSPC, EIO, a failed
-/// fsync) can clear; corruption and transaction errors cannot.
-fn transient(e: &PersistError) -> bool {
-    matches!(e, PersistError::Io(_))
 }
 
 /// Run `job` under `policy`: retry transient failures with doubling,
@@ -108,7 +102,9 @@ fn run_with_retry_inner(job: &CheckpointJob, policy: &RetryPolicy) -> Completion
                     attempts,
                 }
             }
-            Err(e) if transient(&e) && attempts < attempts_allowed => {
+            // Only raw I/O errors (ENOSPC, EIO, a failed fsync) are worth
+            // retrying: they can clear; corruption cannot.
+            Err(StorageError::Io(_)) if attempts < attempts_allowed => {
                 std::thread::sleep(backoff.min(BACKOFF_CAP));
                 backoff = (backoff * 2).min(BACKOFF_CAP);
             }
@@ -130,16 +126,14 @@ pub(crate) struct Checkpointer {
     handle: Option<JoinHandle<()>>,
 }
 
-fn thread_died() -> PersistError {
-    PersistError::Storage(casper_storage::StorageError::Corrupt {
-        reason: "checkpointer thread died (panicked or channel closed)".into(),
-    })
+fn thread_died() -> StorageError {
+    StorageError::corrupt("checkpointer thread died (panicked or channel closed)")
 }
 
 impl Checkpointer {
     /// Spawn the worker thread. Fails (typed, not a panic) if the OS
     /// refuses the thread.
-    pub fn spawn(policy: RetryPolicy) -> Result<Self, PersistError> {
+    pub fn spawn(policy: RetryPolicy) -> Result<Self, StorageError> {
         let (jobs_tx, jobs_rx) = std::sync::mpsc::channel::<CheckpointJob>();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let handle = std::thread::Builder::new()
@@ -160,12 +154,13 @@ impl Checkpointer {
     }
 
     /// Queue a job (the caller tracks that exactly one is in flight).
-    pub fn submit(&self, job: CheckpointJob) -> Result<(), PersistError> {
-        self.jobs
-            .as_ref()
-            .expect("sender lives until drop")
-            .send(job)
-            .map_err(|_| thread_died())
+    /// Infallible by construction: the job channel only closes when the
+    /// thread has ended, which also closes the completion channel, so the
+    /// next `try_recv` / `recv` reports the dropped job as a failed
+    /// completion through the same path as any other.
+    pub fn submit(&self, job: CheckpointJob) {
+        let jobs = self.jobs.as_ref().expect("sender lives until drop");
+        let _ = jobs.send(job);
     }
 
     /// Non-blocking poll for a finished job.

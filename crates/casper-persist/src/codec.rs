@@ -114,12 +114,6 @@ pub struct ByteReader<'a> {
     pos: usize,
 }
 
-fn corrupt(reason: impl Into<String>) -> StorageError {
-    StorageError::Corrupt {
-        reason: reason.into(),
-    }
-}
-
 impl<'a> ByteReader<'a> {
     /// Decode from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
@@ -135,7 +129,7 @@ impl<'a> ByteReader<'a> {
     /// garbage in a section is corruption, not slack).
     pub fn finish(&self) -> Result<(), StorageError> {
         if self.remaining() != 0 {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "{} trailing bytes after the last field",
                 self.remaining()
             )));
@@ -145,7 +139,7 @@ impl<'a> ByteReader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
         if self.remaining() < n {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "truncated: need {n} bytes, {} remain",
                 self.remaining()
             )));
@@ -176,7 +170,7 @@ impl<'a> ByteReader<'a> {
 
     /// A `u64` validated to fit in `usize` (counts, lengths).
     pub fn len_u64(&mut self) -> Result<usize, StorageError> {
-        usize::try_from(self.u64()?).map_err(|_| corrupt("length overflows usize"))
+        usize::try_from(self.u64()?).map_err(|_| StorageError::corrupt("length overflows usize"))
     }
 
     /// An `f64` from its IEEE-754 bits.
@@ -189,7 +183,7 @@ impl<'a> ByteReader<'a> {
     fn array_len(&mut self, width: usize) -> Result<usize, StorageError> {
         let n = self.len_u64()?;
         if n.checked_mul(width).is_none_or(|b| b > self.remaining()) {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "array of {n} x {width}B exceeds the {} remaining bytes",
                 self.remaining()
             )));
@@ -268,18 +262,20 @@ pub(crate) fn unframe<'a>(
     let mut header = ByteReader::new(bytes);
     let got_magic = header.take(4)?;
     if got_magic != magic {
-        return Err(corrupt(format!("bad {what} magic {got_magic:02x?}")));
+        return Err(StorageError::corrupt(format!(
+            "bad {what} magic {got_magic:02x?}"
+        )));
     }
     let got_version = header.u32()?;
     if got_version != version {
-        return Err(corrupt(format!(
+        return Err(StorageError::corrupt(format!(
             "unsupported {what} version {got_version} (this build reads {version})"
         )));
     }
     let body_len = header.len_u64()?;
     let want_crc = header.u32()?;
     if header.remaining() != body_len {
-        return Err(corrupt(format!(
+        return Err(StorageError::corrupt(format!(
             "{what} body length {body_len} but {} bytes follow the header",
             header.remaining()
         )));
@@ -287,7 +283,7 @@ pub(crate) fn unframe<'a>(
     let body = &bytes[bytes.len() - body_len..];
     let got_crc = crc32(body);
     if got_crc != want_crc {
-        return Err(corrupt(format!(
+        return Err(StorageError::corrupt(format!(
             "{what} checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
         )));
     }

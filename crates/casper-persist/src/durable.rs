@@ -56,7 +56,7 @@
 //!   the checkpointer thread; persistent failure (see
 //!   [`DurableOptions::degrade_after`]) escalates to degraded mode.
 //! * **Degraded** mode is explicit read-only: reads keep serving from
-//!   memory, writes return [`PersistError::Degraded`], and
+//!   memory, writes return [`StorageError::Degraded`], and
 //!   [`DurableTable::reactivate`] re-proves the storage with a synchronous
 //!   checkpoint before lifting the mode.
 //! * The optional background **scrubber** re-reads checkpoint records at a
@@ -76,13 +76,12 @@ use crate::ledger::Ledger;
 use crate::scrub::{ScrubFinding, ScrubReport, ScrubStats, Scrubber};
 use crate::vfs::{Vfs, VfsHandle};
 use crate::wal::{replay, walk_chain, Wal, WalOp};
-use crate::PersistError;
 use casper_core::{FrequencyModel, Op};
 use casper_engine::adapt::{AdaptDecision, AdaptiveController};
 use casper_engine::optimize::{optimize_table, OptimizeOptions, OptimizeReport};
 use casper_engine::{
-    ChunkedColumn, Governor, GovernorConfig, GovernorStats, QueryCtx, QueryError, QueryOutput,
-    Table, TableReader, Transaction, TxnError, TxnManager,
+    ChunkedColumn, Governor, GovernorConfig, GovernorStats, QueryCtx, QueryOutput, Table,
+    TableReader, Transaction, TxnManager,
 };
 use casper_obs::{CounterDef, GaugeDef};
 use casper_storage::StorageError;
@@ -317,7 +316,7 @@ pub struct DurableTable {
     /// [`DurableTable::take_checkpoint_error`] or by the next successful
     /// checkpoint; until then the chunks simply stay dirty and the WAL
     /// chain keeps growing (recovery replays it — nothing is lost).
-    background_error: Option<PersistError>,
+    background_error: Option<StorageError>,
     mode: TableMode,
     cp_stats: CheckpointStats,
     scrubber: Option<Scrubber>,
@@ -334,12 +333,6 @@ pub struct DurableTable {
     /// Backup directories registered via [`DurableTable::watch_backup`];
     /// the background scrubber re-verifies them after each pass.
     watched_backups: Arc<Mutex<Vec<PathBuf>>>,
-}
-
-fn corrupt(reason: impl Into<String>) -> PersistError {
-    PersistError::Storage(StorageError::Corrupt {
-        reason: reason.into(),
-    })
 }
 
 /// The chunk a panicking query was operating on, when attributable:
@@ -367,7 +360,7 @@ pub(crate) fn sync_dir(vfs: &VfsHandle, dir: &Path) {
 /// directory fsync is *checked*: `CURRENT` and manifest swings acknowledge
 /// durability to their callers, and a lost dirent would silently roll the
 /// commit back at the next crash.
-pub(crate) fn write_atomic(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+pub(crate) fn write_atomic(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = vfs.create(&tmp)?;
@@ -388,7 +381,7 @@ fn retry_policy(opts: &DurableOptions) -> RetryPolicy {
     }
 }
 
-fn spawn_worker(opts: &DurableOptions) -> Result<Option<Checkpointer>, PersistError> {
+fn spawn_worker(opts: &DurableOptions) -> Result<Option<Checkpointer>, StorageError> {
     if opts.background_checkpointer {
         Ok(Some(Checkpointer::spawn(retry_policy(opts))?))
     } else {
@@ -401,7 +394,7 @@ fn spawn_scrubber(
     vfs: &VfsHandle,
     dir: &Path,
     watched: Arc<Mutex<Vec<PathBuf>>>,
-) -> Result<Option<Scrubber>, PersistError> {
+) -> Result<Option<Scrubber>, StorageError> {
     if opts.scrub_interval_ms > 0 {
         Ok(Some(Scrubber::spawn(
             vfs.clone(),
@@ -426,7 +419,7 @@ impl DurableTable {
         payload_cols: Vec<Vec<u32>>,
         config: casper_engine::EngineConfig,
         opts: DurableOptions,
-    ) -> Result<Self, PersistError> {
+    ) -> Result<Self, StorageError> {
         Self::create_from_table(dir, Table::load(schema, keys, payload_cols, config), opts)
     }
 
@@ -436,7 +429,7 @@ impl DurableTable {
         dir: &Path,
         table: Table,
         opts: DurableOptions,
-    ) -> Result<Self, PersistError> {
+    ) -> Result<Self, StorageError> {
         Self::create_from_table_with_vfs(VfsHandle::default(), dir, table, opts)
     }
 
@@ -448,11 +441,11 @@ impl DurableTable {
         dir: &Path,
         table: Table,
         opts: DurableOptions,
-    ) -> Result<Self, PersistError> {
+    ) -> Result<Self, StorageError> {
         casper_obs::enable_from_env();
         fs::create_dir_all(dir)?;
         if current_path(dir).exists() {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "directory {} already holds a durable table",
                 dir.display()
             )));
@@ -508,7 +501,7 @@ impl DurableTable {
         manifest: Manifest,
         wal: Wal,
         wal_seq: u64,
-    ) -> Result<Self, PersistError> {
+    ) -> Result<Self, StorageError> {
         // Fresh segments must never collide with leftovers of a checkpoint
         // that died before its manifest committed.
         let next_seg = Self::max_segment_on_disk(dir)
@@ -548,7 +541,7 @@ impl DurableTable {
     /// [`DurableTable::hydrate_all`] — then recover the WAL chain
     /// (torn-tail truncation on the last link) and replay its committed
     /// batches.
-    pub fn open(dir: &Path, opts: DurableOptions) -> Result<Self, PersistError> {
+    pub fn open(dir: &Path, opts: DurableOptions) -> Result<Self, StorageError> {
         Self::open_with_vfs(VfsHandle::default(), dir, opts)
     }
 
@@ -557,7 +550,7 @@ impl DurableTable {
         vfs: VfsHandle,
         dir: &Path,
         opts: DurableOptions,
-    ) -> Result<Self, PersistError> {
+    ) -> Result<Self, StorageError> {
         casper_obs::enable_from_env();
         let (generation, manifest, _) = read_current(&vfs, dir)?;
         let mut table = restore_table(&vfs, &[dir], &manifest)?;
@@ -624,17 +617,17 @@ impl DurableTable {
     /// Decode every chunk still awaiting lazy hydration. Fails with a
     /// typed [`StorageError::Quarantined`] if the scrubber found a chunk
     /// whose on-disk record is damaged and which has no in-memory copy.
-    pub fn hydrate_all(&mut self) -> Result<(), PersistError> {
+    pub fn hydrate_all(&mut self) -> Result<(), StorageError> {
         self.ensure_no_quarantine()?;
-        self.table.hydrate_all().map_err(PersistError::from)
+        self.table.hydrate_all()
     }
 
-    fn ensure_no_quarantine(&self) -> Result<(), PersistError> {
+    fn ensure_no_quarantine(&self) -> Result<(), StorageError> {
         match self.ledger.quarantined().next() {
-            Some((chunk, reason)) => Err(PersistError::Storage(StorageError::Quarantined {
+            Some((chunk, reason)) => Err(StorageError::Quarantined {
                 chunk: chunk as u64,
                 reason: reason.to_string(),
-            })),
+            }),
             None => Ok(()),
         }
     }
@@ -645,10 +638,10 @@ impl DurableTable {
         self.ledger.freezing(self.table.column().versions())
     }
 
-    fn ensure_active(&self) -> Result<(), PersistError> {
+    fn ensure_active(&self) -> Result<(), StorageError> {
         match &self.mode {
             TableMode::Active => Ok(()),
-            TableMode::Degraded(reason) => Err(PersistError::Degraded {
+            TableMode::Degraded(reason) => Err(StorageError::Degraded {
                 reason: reason.clone(),
             }),
         }
@@ -671,7 +664,7 @@ impl DurableTable {
     /// health proof (it exercises segment write, fsync, manifest + CURRENT
     /// swing and the directory fsync). On success the table accepts writes
     /// again; on failure it stays degraded with the fresh reason.
-    pub fn reactivate(&mut self) -> Result<u64, PersistError> {
+    pub fn reactivate(&mut self) -> Result<u64, StorageError> {
         if !self.is_degraded() {
             return Ok(self.generation);
         }
@@ -801,7 +794,7 @@ impl DurableTable {
     /// backups registered via [`DurableTable::watch_backup`]; their
     /// damage is counted and reported, never escalated — archive or backup
     /// rot must not block live serving.
-    pub fn scrub_now(&mut self) -> Result<ScrubReport, PersistError> {
+    pub fn scrub_now(&mut self) -> Result<ScrubReport, StorageError> {
         let report = crate::scrub::scrub_pass(&self.vfs, &self.dir, Duration::ZERO, None)?;
         self.manual_scrub.absorb(ScrubStats::of_pass(&report));
         self.apply_scrub_findings(&report.findings);
@@ -852,7 +845,7 @@ impl DurableTable {
 
     /// Execute one query with a context that never interrupts; see
     /// [`DurableTable::execute_with`].
-    pub fn execute(&mut self, q: &HapQuery) -> Result<QueryOutput, PersistError> {
+    pub fn execute(&mut self, q: &HapQuery) -> Result<QueryOutput, StorageError> {
         self.execute_with(q, &QueryCtx::default())
     }
 
@@ -860,7 +853,7 @@ impl DurableTable {
     /// after they apply; the batch seals (one write + fsync) every
     /// `group_commit` records. Reads pass straight through (hydrating any
     /// lazily-restored chunk they route to). On a degraded table reads
-    /// keep working; writes fail with [`PersistError::Degraded`]. `ctx`
+    /// keep working; writes fail with [`StorageError::Degraded`]. `ctx`
     /// deadline/cancel checks happen at chunk boundaries for reads and
     /// before dispatch only for writes (a started point write is cheaper
     /// to finish than to abort half-applied); an interrupted write stages
@@ -881,7 +874,7 @@ impl DurableTable {
         &mut self,
         q: &HapQuery,
         ctx: &QueryCtx,
-    ) -> Result<QueryOutput, PersistError> {
+    ) -> Result<QueryOutput, StorageError> {
         let out = self.apply_logged(q, ctx, self.opts.group_commit as u64)?;
         self.govern_memory();
         Ok(out)
@@ -896,20 +889,20 @@ impl DurableTable {
         q: &HapQuery,
         ctx: &QueryCtx,
         seal_at: u64,
-    ) -> Result<QueryOutput, PersistError> {
+    ) -> Result<QueryOutput, StorageError> {
         let logged = WalOp::from_query(q);
         if logged.is_some() {
             self.ensure_active()?;
         }
         let result = match &self.governor {
-            None => self.table.execute_with(q, ctx).map_err(QueryError::from),
+            None => self.table.execute_with(q, ctx),
             Some(gov) => {
                 let suspect = implicated_chunk(self.table.column(), q);
                 let table = &mut self.table;
                 gov.run(logged.is_some(), suspect, || table.execute_with(q, ctx))
             }
         };
-        if let Err(QueryError::Panicked {
+        if let Err(StorageError::Panicked {
             chunk: Some(i),
             detail,
         }) = &result
@@ -1104,7 +1097,9 @@ impl DurableTable {
     /// `&self`, since hydration goes through the shared `ChunkSlot` fill —
     /// so it works on degraded tables and shared borrows alike. Corrupt
     /// persisted chunks surface as a typed error, same as
-    /// [`DurableTable::execute`].
+    /// [`DurableTable::execute`], and a governor admits and panic-isolates
+    /// it as it does every read there — a range read implicates no single
+    /// chunk, so a panic here has nothing to heal or quarantine.
     pub fn multi_column_sum(
         &self,
         lo: u64,
@@ -1113,16 +1108,21 @@ impl DurableTable {
         pred_col: usize,
         pred_lo: u32,
         pred_hi: u32,
-    ) -> Result<QueryOutput, PersistError> {
-        self.table
-            .multi_column_sum(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)
-            .map_err(PersistError::from)
+    ) -> Result<QueryOutput, StorageError> {
+        let sum = || {
+            self.table
+                .multi_column_sum(lo, hi, sum_cols, pred_col, pred_lo, pred_hi)
+        };
+        match &self.governor {
+            Some(gov) => gov.run(false, None, sum),
+            None => sum(),
+        }
     }
 
     /// Commit a transaction durably: validate + apply through the
     /// [`TxnManager`], then seal the transaction's write set as one WAL
     /// batch. A validation conflict stages nothing.
-    pub fn commit_txn(&mut self, mgr: &TxnManager, txn: Transaction) -> Result<u64, PersistError> {
+    pub fn commit_txn(&mut self, mgr: &TxnManager, txn: Transaction) -> Result<u64, StorageError> {
         self.ensure_active()?;
         // The manager applies through the column directly; hydrate the
         // chunks its write set routes to first, so a corrupt chunk fails
@@ -1137,7 +1137,7 @@ impl DurableTable {
             .collect();
         let ts = match mgr.commit(txn, &mut self.table) {
             Ok(ts) => ts,
-            Err(e @ TxnError::Conflict { .. }) => return Err(e.into()),
+            Err(e @ StorageError::Conflict { .. }) => return Err(e),
             Err(e) => {
                 // A storage failure mid-apply leaves the manager's commit
                 // partially applied — a state the WAL cannot describe op
@@ -1146,13 +1146,13 @@ impl DurableTable {
                 // If even that fails, report both faults: the caller must
                 // know durable state now lags the in-memory table.
                 if let Err(cp) = self.checkpoint() {
-                    return Err(corrupt(format!(
+                    return Err(StorageError::corrupt(format!(
                         "transaction applied partially ({e}) and the recovery \
                          checkpoint failed ({cp}); durable state lags the \
                          in-memory table until a checkpoint succeeds"
                     )));
                 }
-                return Err(e.into());
+                return Err(e);
             }
         };
         for op in &ops {
@@ -1163,14 +1163,14 @@ impl DurableTable {
     }
 
     /// Seal the open WAL batch, making every staged write durable now.
-    pub fn flush(&mut self) -> Result<(), PersistError> {
+    pub fn flush(&mut self) -> Result<(), StorageError> {
         if self.wal.staged_records() > 0 {
             self.ensure_active()?;
         }
         self.seal_and_maybe_checkpoint()
     }
 
-    fn seal_and_maybe_checkpoint(&mut self) -> Result<(), PersistError> {
+    fn seal_and_maybe_checkpoint(&mut self) -> Result<(), StorageError> {
         if let Err(e) = self.wal.seal() {
             if !self.wal.poisoned() {
                 // A failed *write* (ENOSPC before the fsync): the batch
@@ -1202,19 +1202,24 @@ impl DurableTable {
             // still sealed durably, so skipping — not failing — is right.
             && self.frozen_by().is_none()
         {
-            let job = self.capture(false)?;
-            match (&self.worker, self.opts.background_checkpointer) {
-                (Some(worker), true) => worker.submit(job)?,
-                _ => {
-                    let completion = run_with_retry(&job, &retry_policy(&self.opts));
-                    if let Err(e) = self.apply_completion(completion) {
-                        // Same contract as a background failure observed
-                        // by `poll_checkpoint`: this write sealed durably;
-                        // the checkpoint lag is reported out of band and
-                        // recovery replays the growing WAL chain.
-                        self.background_error = Some(e);
-                    }
+            // This write sealed durably whatever the checkpoint does: one
+            // that cannot start is counted and stashed exactly like a job
+            // that fails inline here or on the worker (`poll_checkpoint`),
+            // and recovery replays the growing WAL chain meanwhile.
+            match self.capture(false) {
+                Err(e) => {
+                    let (lsn, gen) = (self.wal.next_lsn() - 1, self.wal_seq + 1);
+                    self.background_error = Some(self.count_failure(lsn, gen, 1, e));
                 }
+                Ok(job) => match &self.worker {
+                    Some(worker) => worker.submit(job),
+                    None => {
+                        let completion = run_with_retry(&job, &retry_policy(&self.opts));
+                        if let Err(e) = self.apply_completion(completion) {
+                            self.background_error = Some(e);
+                        }
+                    }
+                },
             }
         }
         Ok(())
@@ -1224,7 +1229,7 @@ impl DurableTable {
     /// the chunks dirtied since the last checkpoint into a fresh segment,
     /// commit a manifest referencing old records for the clean ones, swing
     /// `CURRENT`, prune. Returns the new generation number.
-    pub fn checkpoint(&mut self) -> Result<u64, PersistError> {
+    pub fn checkpoint(&mut self) -> Result<u64, StorageError> {
         self.ensure_active()?;
         self.checkpoint_sync(false)
     }
@@ -1232,7 +1237,7 @@ impl DurableTable {
     /// Full compaction, waited to completion: rewrite every live chunk
     /// record into one fresh segment (clean records byte-copied, dirty
     /// ones re-encoded) and collapse the segment chain.
-    pub fn compact(&mut self) -> Result<u64, PersistError> {
+    pub fn compact(&mut self) -> Result<u64, StorageError> {
         self.ensure_active()?;
         self.checkpoint_sync(true)
     }
@@ -1251,7 +1256,7 @@ impl DurableTable {
     ///
     /// The result is read-only and detached from the live table, which may
     /// keep serving concurrently (restore never writes to the directory).
-    pub fn open_at(dir: &Path, lsn: u64) -> Result<PointInTime, PersistError> {
+    pub fn open_at(dir: &Path, lsn: u64) -> Result<PointInTime, StorageError> {
         Self::open_at_with_vfs(VfsHandle::default(), dir, lsn)
     }
 
@@ -1262,7 +1267,7 @@ impl DurableTable {
         vfs: VfsHandle,
         dir: &Path,
         lsn: u64,
-    ) -> Result<PointInTime, PersistError> {
+    ) -> Result<PointInTime, StorageError> {
         casper_obs::enable_from_env();
         crate::archive::open_at(&vfs, dir, lsn)
     }
@@ -1273,7 +1278,7 @@ impl DurableTable {
     /// Equivalent to [`DurableTable::begin_backup`] followed immediately
     /// by [`BackupJob::run`] on the calling thread; use `begin_backup` to
     /// run the copy on a worker while this table keeps serving.
-    pub fn backup_to(&mut self, dest: &Path) -> Result<BackupReport, PersistError> {
+    pub fn backup_to(&mut self, dest: &Path) -> Result<BackupReport, StorageError> {
         self.begin_backup(dest)?.run()
     }
 
@@ -1284,7 +1289,7 @@ impl DurableTable {
     /// pin that keeps every source file in place (not pruned, not retired)
     /// until the job is dropped; [`BackupJob::run`] may execute on any
     /// thread while this table serves reads *and writes* concurrently.
-    pub fn begin_backup(&mut self, dest: &Path) -> Result<BackupJob, PersistError> {
+    pub fn begin_backup(&mut self, dest: &Path) -> Result<BackupJob, StorageError> {
         self.ensure_active()?;
         // The fence against the checkpointer's capture/execute split: a
         // job captured before this point has fully committed (or failed)
@@ -1320,7 +1325,7 @@ impl DurableTable {
     /// → every chunk record CRC → every WAL link fully sealed with gapless
     /// LSN continuity across links. Read-only; works on any self-contained
     /// table directory.
-    pub fn verify_backup(dir: &Path) -> Result<BackupVerifyReport, PersistError> {
+    pub fn verify_backup(dir: &Path) -> Result<BackupVerifyReport, StorageError> {
         Self::verify_backup_with_vfs(VfsHandle::default(), dir)
     }
 
@@ -1328,7 +1333,7 @@ impl DurableTable {
     pub fn verify_backup_with_vfs(
         vfs: VfsHandle,
         dir: &Path,
-    ) -> Result<BackupVerifyReport, PersistError> {
+    ) -> Result<BackupVerifyReport, StorageError> {
         crate::archive::verify_backup(&vfs, dir, Duration::ZERO, None)
     }
 
@@ -1349,11 +1354,11 @@ impl DurableTable {
 
     /// The current archive index (empty when archiving is off or nothing
     /// has been retired yet).
-    pub fn archive_index(&self) -> Result<crate::archive::ArchiveIndex, PersistError> {
+    pub fn archive_index(&self) -> Result<crate::archive::ArchiveIndex, StorageError> {
         crate::archive::ArchiveIndex::load(&self.vfs, &self.dir)
     }
 
-    fn checkpoint_sync(&mut self, force_full: bool) -> Result<u64, PersistError> {
+    fn checkpoint_sync(&mut self, force_full: bool) -> Result<u64, StorageError> {
         self.finish_inflight()?;
         self.absorb_scrub_findings();
         if !self.wal.poisoned() {
@@ -1372,7 +1377,7 @@ impl DurableTable {
         let completion = match (&self.worker, self.opts.background_checkpointer, poisoned) {
             // Healthy path: run on the worker, wait for it.
             (Some(worker), true, false) => {
-                worker.submit(job)?;
+                worker.submit(job);
                 worker.recv()
             }
             // Inline (no worker, or a poisoned WAL whose recovery must not
@@ -1396,7 +1401,7 @@ impl DurableTable {
                          recovery checkpoint failed: {e}"
                     );
                     self.enter_degraded(reason.clone());
-                    Err(PersistError::Degraded { reason })
+                    Err(StorageError::Degraded { reason })
                 } else {
                     Err(e)
                 }
@@ -1413,18 +1418,18 @@ impl DurableTable {
     /// Callers seal first (capture never fsyncs the old WAL itself): on
     /// the healthy path the batch is already durable, and on the poisoned
     /// path the watermark below folds the ghost batch in.
-    fn capture(&mut self, force_full: bool) -> Result<CheckpointJob, PersistError> {
+    fn capture(&mut self, force_full: bool) -> Result<CheckpointJob, StorageError> {
         debug_assert!(self.inflight.is_none(), "one checkpoint at a time");
         // Checked before any side effect (notably the WAL rotation): see
         // `Ledger::freezing` for why a checkpoint must not proceed.
         if let Some((chunk, reason)) = self.frozen_by() {
-            return Err(PersistError::Storage(StorageError::Quarantined {
+            return Err(StorageError::Quarantined {
                 chunk: chunk as u64,
                 reason: format!(
                     "{reason}; the chunk holds un-checkpointed writes, so checkpointing \
                      is frozen until a reopen replays them from the WAL"
                 ),
-            }));
+            });
         }
         let poisoned = self.wal.poisoned();
         debug_assert!(
@@ -1550,13 +1555,13 @@ impl DurableTable {
     /// any. Until a checkpoint succeeds, the affected chunks stay dirty
     /// and the WAL chain keeps growing — durability of acknowledged writes
     /// is never at risk, only checkpoint progress.
-    pub fn take_checkpoint_error(&mut self) -> Option<PersistError> {
+    pub fn take_checkpoint_error(&mut self) -> Option<StorageError> {
         self.background_error.take()
     }
 
     /// Block until the in-flight checkpoint (if any) finishes, and apply
     /// it.
-    fn finish_inflight(&mut self) -> Result<(), PersistError> {
+    fn finish_inflight(&mut self) -> Result<(), StorageError> {
         if self.inflight.is_none() {
             return Ok(());
         }
@@ -1574,7 +1579,7 @@ impl DurableTable {
     /// [`DurableOptions::degrade_after`]. On failure the chunks stay dirty
     /// against the ledger's last commit and the WAL chain keeps growing
     /// — recovery replays it, so no acknowledged write is ever lost.
-    fn apply_completion(&mut self, completion: Completion) -> Result<(), PersistError> {
+    fn apply_completion(&mut self, completion: Completion) -> Result<(), StorageError> {
         let inflight = self.inflight.take().expect("completion without capture");
         self.cp_stats.total_retries += u64::from(completion.attempts.saturating_sub(1));
         OBS_CP_RETRIES.add(u64::from(completion.attempts.saturating_sub(1)));
@@ -1588,34 +1593,51 @@ impl DurableTable {
                 self.sync_obs_gauges();
                 Ok(())
             }
-            Err(e) => {
-                OBS_CHECKPOINTS_ERR.inc();
-                self.cp_stats.consecutive_failures += 1;
-                self.cp_stats.total_failures += 1;
-                let mut ring: VecDeque<CheckpointFailure> =
-                    std::mem::take(&mut self.cp_stats.recent_failures).into();
-                if ring.len() >= FAILURE_RING {
-                    ring.pop_front();
-                }
-                ring.push_back(CheckpointFailure {
-                    durable_lsn: inflight.durable_lsn,
-                    generation: inflight.new_gen,
-                    attempts: completion.attempts,
-                    error: e.to_string(),
-                });
-                self.cp_stats.recent_failures = ring.into();
-                if self.opts.degrade_after > 0
-                    && self.cp_stats.consecutive_failures >= u64::from(self.opts.degrade_after)
-                {
-                    self.enter_degraded(format!(
-                        "{} consecutive checkpoint failures (last: {e})",
-                        self.cp_stats.consecutive_failures
-                    ));
-                }
-                self.sync_obs_gauges();
-                Err(e)
-            }
+            Err(e) => Err(self.count_failure(
+                inflight.durable_lsn,
+                inflight.new_gen,
+                completion.attempts,
+                e,
+            )),
         }
+    }
+
+    /// Count one failed checkpoint — the watermark it tried to fold in and
+    /// the generation it would have committed go into the recent-failure
+    /// ring — and degrade once [`DurableOptions::degrade_after`] failures
+    /// ran consecutively. Hands `e` back for the caller to report.
+    fn count_failure(
+        &mut self,
+        durable_lsn: u64,
+        generation: u64,
+        attempts: u32,
+        e: StorageError,
+    ) -> StorageError {
+        OBS_CHECKPOINTS_ERR.inc();
+        self.cp_stats.consecutive_failures += 1;
+        self.cp_stats.total_failures += 1;
+        let mut ring: VecDeque<CheckpointFailure> =
+            std::mem::take(&mut self.cp_stats.recent_failures).into();
+        if ring.len() >= FAILURE_RING {
+            ring.pop_front();
+        }
+        ring.push_back(CheckpointFailure {
+            durable_lsn,
+            generation,
+            attempts,
+            error: e.to_string(),
+        });
+        self.cp_stats.recent_failures = ring.into();
+        if self.opts.degrade_after > 0
+            && self.cp_stats.consecutive_failures >= u64::from(self.opts.degrade_after)
+        {
+            self.enter_degraded(format!(
+                "{} consecutive checkpoint failures (last: {e})",
+                self.cp_stats.consecutive_failures
+            ));
+        }
+        self.sync_obs_gauges();
+        e
     }
 
     /// Optimize the layout for a workload sample (Fig. 10 A→B→C) and
@@ -1626,7 +1648,7 @@ impl DurableTable {
         &mut self,
         sample: &[HapQuery],
         opts: &OptimizeOptions,
-    ) -> Result<OptimizeReport, PersistError> {
+    ) -> Result<OptimizeReport, StorageError> {
         self.relayout(|table| {
             let report = optimize_table(table, sample, opts);
             let fms = report.fms.clone();
@@ -1639,7 +1661,7 @@ impl DurableTable {
     pub fn maybe_reoptimize(
         &mut self,
         ctl: &mut AdaptiveController,
-    ) -> Result<AdaptDecision, PersistError> {
+    ) -> Result<AdaptDecision, StorageError> {
         self.relayout(|table| {
             let decision = ctl.maybe_reoptimize(table);
             let relaid = matches!(decision, AdaptDecision::Reoptimized { .. });
@@ -1659,7 +1681,7 @@ impl DurableTable {
     fn relayout<R>(
         &mut self,
         run: impl FnOnce(&mut Table) -> (R, Option<Vec<FrequencyModel>>),
-    ) -> Result<R, PersistError> {
+    ) -> Result<R, StorageError> {
         self.ensure_active()?;
         self.hydrate_all()?;
         let (out, fms) = run(&mut self.table);

@@ -39,7 +39,6 @@ use crate::crc::crc32;
 use crate::mmap::Mmap;
 use crate::record::{decode_config, decode_store, encode_config, encode_store};
 use crate::vfs::{Vfs, VfsHandle};
-use crate::PersistError;
 use casper_core::FrequencyModel;
 use casper_engine::column::{ChunkSlot, ChunkStore};
 use casper_engine::{ChunkedColumn, EngineConfig, Table};
@@ -66,12 +65,6 @@ static OBS_SEGMENT_BYTES: CounterDef = CounterDef::new("casper_checkpoint_segmen
 /// Subset of segment bytes that were byte-copied from older segments
 /// (compaction traffic, as opposed to re-encoded dirty chunks).
 static OBS_COMPACTION_BYTES: CounterDef = CounterDef::new("casper_compaction_copy_bytes_total");
-
-fn corrupt(reason: impl Into<String>) -> StorageError {
-    StorageError::Corrupt {
-        reason: reason.into(),
-    }
-}
 
 /// Where one chunk's persisted record lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +98,7 @@ impl ChunkEntry {
             .zip(usize::try_from(self.len).ok())
             .and_then(|(start, len)| segment.get(start..start.checked_add(len)?))
             .ok_or_else(|| {
-                corrupt(format!(
+                StorageError::corrupt(format!(
                     "segment {} is {} bytes but a record claims {} bytes at offset {}",
                     self.seg,
                     segment.len(),
@@ -115,7 +108,7 @@ impl ChunkEntry {
             })?;
         let got = crc32(record);
         if got != self.crc {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "chunk record at offset {} of segment {} fails its checksum \
                  (stored {:#010x}, computed {got:#010x})",
                 self.offset, self.seg, self.crc
@@ -202,11 +195,11 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
     let fences = match r.u8()? {
         0 => None,
         1 => Some(r.vec_u64()?),
-        t => return Err(corrupt(format!("bad fence tag {t}"))),
+        t => return Err(StorageError::corrupt(format!("bad fence tag {t}"))),
     };
     let n_chunks = r.len_u64()?;
     if n_chunks == 0 {
-        return Err(corrupt("manifest holds zero chunks"));
+        return Err(StorageError::corrupt("manifest holds zero chunks"));
     }
     let mut entries = Vec::with_capacity(n_chunks.min(1 << 20));
     for _ in 0..n_chunks {
@@ -221,7 +214,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
     }
     if let Some(f) = &fences {
         if f.len() != entries.len() {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "{} fences for {} chunks",
                 f.len(),
                 entries.len()
@@ -245,7 +238,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
         ];
         fms.push(
             FrequencyModel::from_histograms(hists)
-                .map_err(|e| corrupt(format!("frequency model: {e}")))?,
+                .map_err(|e| StorageError::corrupt(format!("frequency model: {e}")))?,
         );
     }
     r.finish()?;
@@ -345,12 +338,12 @@ pub(crate) fn list_dir(dir: &Path) -> std::io::Result<DirListing> {
 // ---------------------------------------------------------------------
 
 /// Parse `CURRENT` (the only place that does).
-fn current_generation(vfs: &VfsHandle, dir: &Path) -> Result<u64, PersistError> {
+fn current_generation(vfs: &VfsHandle, dir: &Path) -> Result<u64, StorageError> {
     let bytes = vfs.read(&crate::durable::current_path(dir))?;
     let text = String::from_utf8_lossy(&bytes);
     text.trim()
         .parse()
-        .map_err(|_| corrupt(format!("CURRENT holds {text:?}, not a generation")).into())
+        .map_err(|_| StorageError::corrupt(format!("CURRENT holds {text:?}, not a generation")))
 }
 
 /// Read and decode `manifest-<generation>`, returning it with its raw
@@ -361,23 +354,22 @@ pub(crate) fn read_manifest(
     vfs: &VfsHandle,
     dir: &Path,
     generation: u64,
-) -> Result<(Manifest, Vec<u8>), PersistError> {
+) -> Result<(Manifest, Vec<u8>), StorageError> {
     let path = FileKind::Manifest.path(dir, generation);
     let bytes = vfs.read(&path).map_err(|e| match e.kind() {
-        std::io::ErrorKind::NotFound => PersistError::from(corrupt(format!(
+        std::io::ErrorKind::NotFound => StorageError::corrupt(format!(
             "the manifest of generation {generation} is missing: no {}",
             path.display()
-        ))),
+        )),
         _ => e.into(),
     })?;
     let manifest = decode_manifest(&bytes)?;
     if manifest.generation != generation {
-        return Err(corrupt(format!(
+        return Err(StorageError::corrupt(format!(
             "{} says it is generation {}",
             path.display(),
             manifest.generation
-        ))
-        .into());
+        )));
     }
     Ok((manifest, bytes))
 }
@@ -394,7 +386,7 @@ pub(crate) fn read_manifest(
 pub(crate) fn read_current(
     vfs: &VfsHandle,
     dir: &Path,
-) -> Result<(u64, Manifest, Vec<u8>), PersistError> {
+) -> Result<(u64, Manifest, Vec<u8>), StorageError> {
     let mut generation = current_generation(vfs, dir)?;
     let mut read = read_manifest(vfs, dir, generation);
     if read.is_err() {
@@ -465,7 +457,7 @@ pub(crate) struct CheckpointJob {
 /// file with a fresh descriptor and rewrites it end to end, so after a
 /// failed fsync no retried sync ever runs against the old descriptor's
 /// possibly-dropped dirty pages.
-pub(crate) fn run_checkpoint(job: &CheckpointJob) -> Result<Manifest, PersistError> {
+pub(crate) fn run_checkpoint(job: &CheckpointJob) -> Result<Manifest, StorageError> {
     let mut entries: Vec<Option<ChunkEntry>> = vec![None; job.n_chunks];
     for (idx, entry) in &job.reused {
         entries[*idx] = Some(entry.clone());
@@ -501,11 +493,10 @@ pub(crate) fn run_checkpoint(job: &CheckpointJob) -> Result<Manifest, PersistErr
                     // must not reach capture; if one does, fail with a
                     // typed error instead of panicking inside the encoder.
                     let Some(store) = slot.store_opt() else {
-                        return Err(corrupt(format!(
+                        return Err(StorageError::corrupt(format!(
                             "chunk {idx} reached the checkpoint writer unhydrated \
                              (quarantined or damaged record)"
-                        ))
-                        .into());
+                        )));
                     };
                     let mut w = ByteWriter::new();
                     encode_store(&mut w, store);
@@ -575,7 +566,7 @@ pub(crate) fn read_record(
     vfs: &VfsHandle,
     dir: &Path,
     entry: &ChunkEntry,
-) -> Result<Vec<u8>, PersistError> {
+) -> Result<Vec<u8>, StorageError> {
     let map = vfs.mmap(&FileKind::Segment.path(dir, entry.seg))?;
     Ok(entry.verified(&map)?.to_vec())
 }
@@ -596,7 +587,7 @@ pub(crate) fn restore_table(
     vfs: &VfsHandle,
     dirs: &[&Path],
     manifest: &Manifest,
-) -> Result<Table, PersistError> {
+) -> Result<Table, StorageError> {
     let mut maps: BTreeMap<u64, Arc<Mmap>> = BTreeMap::new();
     for seg in manifest.referenced_segments() {
         let path = dirs
@@ -613,8 +604,8 @@ pub(crate) fn restore_table(
     let mut chunks = Vec::with_capacity(manifest.entries.len());
     for entry in &manifest.entries {
         let map = Arc::clone(maps.get(&entry.seg).expect("segment mapped above"));
-        let live =
-            usize::try_from(entry.live).map_err(|_| corrupt("live count overflows usize"))?;
+        let live = usize::try_from(entry.live)
+            .map_err(|_| StorageError::corrupt("live count overflows usize"))?;
         let entry = entry.clone();
         let loader = move || decode_record(&map, &entry, &config, payload_width);
         chunks.push(ChunkSlot::new_lazy(live, Box::new(loader)));
@@ -644,7 +635,7 @@ pub(crate) fn record_loader(
     Box::new(move || {
         let path = FileKind::Segment.path(&dir, entry.seg);
         let map = vfs.mmap(&path).map_err(|e| {
-            corrupt(format!(
+            StorageError::corrupt(format!(
                 "evicted chunk cannot re-map segment {}: {e}",
                 entry.seg
             ))
@@ -659,15 +650,19 @@ pub(crate) fn verify_segment_header(bytes: &[u8], seq: u64) -> Result<(), Storag
     let mut r = ByteReader::new(bytes);
     let magic = [r.u8()?, r.u8()?, r.u8()?, r.u8()?];
     if magic != SEGMENT_MAGIC {
-        return Err(corrupt(format!("segment {seq}: bad magic {magic:02x?}")));
+        return Err(StorageError::corrupt(format!(
+            "segment {seq}: bad magic {magic:02x?}"
+        )));
     }
     let version = r.u32()?;
     if version != MANIFEST_VERSION {
-        return Err(corrupt(format!("segment {seq}: bad version {version}")));
+        return Err(StorageError::corrupt(format!(
+            "segment {seq}: bad version {version}"
+        )));
     }
     let recorded = r.u64()?;
     if recorded != seq {
-        return Err(corrupt(format!(
+        return Err(StorageError::corrupt(format!(
             "segment file {seq} says it is segment {recorded}"
         )));
     }

@@ -67,92 +67,3 @@ pub use mmap::Mmap;
 pub use scrub::{ScrubFinding, ScrubReport, ScrubStats};
 pub use vfs::{RealVfs, Vfs, VfsFile, VfsHandle};
 pub use wal::{Wal, WalBatch, WalOp, WalScan};
-
-use casper_engine::{QueryError, TxnError};
-use casper_storage::StorageError;
-use std::fmt;
-
-/// Errors surfaced by the persistence layer.
-#[derive(Debug)]
-pub enum PersistError {
-    /// Filesystem failure (open, write, fsync, rename…).
-    Io(std::io::Error),
-    /// Corrupt or inconsistent persisted state, or a storage-layer failure
-    /// while replaying.
-    Storage(StorageError),
-    /// A transaction failed validation during a durable commit.
-    Txn(TxnError),
-    /// A resource-governance outcome from governed execution: deadline
-    /// expiry, cancellation, load shedding, or an isolated query panic.
-    /// Strictly separated from [`PersistError::Storage`] so callers can
-    /// retry/abandon without treating the table as damaged.
-    Query(QueryError),
-    /// The table is in degraded read-only mode: persistent durability
-    /// failure (a poisoned WAL whose recovery checkpoint also failed, or
-    /// too many consecutive checkpoint failures) means new writes cannot
-    /// be made durable. Reads keep serving from memory; writes are
-    /// rejected with this error until [`durable::DurableTable::reactivate`]
-    /// proves the storage healthy again.
-    Degraded {
-        /// Why the table degraded (the original failure chain).
-        reason: String,
-    },
-}
-
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::Io(e) => write!(f, "io error: {e}"),
-            PersistError::Storage(e) => write!(f, "{e}"),
-            PersistError::Txn(e) => write!(f, "{e}"),
-            PersistError::Query(e) => write!(f, "{e}"),
-            PersistError::Degraded { reason } => write!(
-                f,
-                "durable table is degraded (read-only): {reason}; \
-                 fix the storage and call reactivate()"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PersistError::Io(e) => Some(e),
-            PersistError::Storage(e) => Some(e),
-            PersistError::Txn(e) => Some(e),
-            PersistError::Query(e) => Some(e),
-            PersistError::Degraded { .. } => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
-
-impl From<StorageError> for PersistError {
-    fn from(e: StorageError) -> Self {
-        PersistError::Storage(e)
-    }
-}
-
-impl From<TxnError> for PersistError {
-    fn from(e: TxnError) -> Self {
-        PersistError::Txn(e)
-    }
-}
-
-impl From<QueryError> for PersistError {
-    fn from(e: QueryError) -> Self {
-        match e {
-            // A storage fault inside a governed query is still a storage
-            // fault — callers match on `PersistError::Storage` for those
-            // regardless of which execution path surfaced them.
-            QueryError::Storage(inner) => PersistError::Storage(inner),
-            other => PersistError::Query(other),
-        }
-    }
-}

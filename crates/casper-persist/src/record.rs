@@ -30,12 +30,6 @@ use casper_storage::{
     SortedDelta, StorageError, UpdatePolicy,
 };
 
-fn corrupt(reason: impl Into<String>) -> StorageError {
-    StorageError::Corrupt {
-        reason: reason.into(),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
@@ -213,7 +207,7 @@ pub(crate) fn decode_store(
     // panic on the first payload projection.
     let check_width = |got: usize| -> Result<(), StorageError> {
         if got != payload_width {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "store holds {got} payload columns but the table declares {payload_width}"
             )));
         }
@@ -240,7 +234,7 @@ pub(crate) fn decode_store(
                 keys, cols, vpb, capacity,
             )))
         }
-        t => Err(corrupt(format!("bad chunk store tag {t}"))),
+        t => Err(StorageError::corrupt(format!("bad chunk store tag {t}"))),
     }
 }
 
@@ -251,7 +245,7 @@ fn decode_sorted_parts(r: &mut ByteReader<'_>) -> Result<(Vec<u64>, Vec<Vec<u32>
     for c in 0..n_cols {
         let col = r.vec_u32()?;
         if col.len() != keys.len() {
-            return Err(corrupt(format!(
+            return Err(StorageError::corrupt(format!(
                 "sorted payload column {c} has {} rows, keys have {}",
                 col.len(),
                 keys.len()
@@ -268,7 +262,7 @@ fn decode_chunk_state(r: &mut ByteReader<'_>) -> Result<ChunkState<u64>, Storage
         value_width: r.len_u64()?,
     };
     if layout.block_bytes < layout.value_width || layout.value_width == 0 {
-        return Err(corrupt(format!(
+        return Err(StorageError::corrupt(format!(
             "impossible block geometry: {} byte blocks of {} byte values",
             layout.block_bytes, layout.value_width
         )));
@@ -276,7 +270,7 @@ fn decode_chunk_state(r: &mut ByteReader<'_>) -> Result<ChunkState<u64>, Storage
     let policy = match r.u8()? {
         0 => UpdatePolicy::Dense,
         1 => UpdatePolicy::Ghost,
-        t => return Err(corrupt(format!("bad update policy tag {t}"))),
+        t => return Err(StorageError::corrupt(format!("bad update policy tag {t}"))),
     };
     let config = ChunkConfig {
         policy,
@@ -334,7 +328,7 @@ fn decode_fragment(r: &mut ByteReader<'_>) -> Result<Option<Fragment<u64>>, Stor
                 2 => PackedOffsets::U16(r.vec_u16()?),
                 4 => PackedOffsets::U32(r.vec_u32()?),
                 8 => PackedOffsets::U64(r.vec_u64()?),
-                w => return Err(corrupt(format!("bad FoR offset width {w}"))),
+                w => return Err(StorageError::corrupt(format!("bad FoR offset width {w}"))),
             };
             Ok(Some(Fragment::For(ForBlock::from_raw(base, offsets))))
         }
@@ -344,11 +338,15 @@ fn decode_fragment(r: &mut ByteReader<'_>) -> Result<Option<Fragment<u64>>, Stor
                 1 => PackedCodes::U8(r.vec_u8()?),
                 2 => PackedCodes::U16(r.vec_u16()?),
                 4 => PackedCodes::U32(r.vec_u32()?),
-                w => return Err(corrupt(format!("bad dictionary code width {w}"))),
+                w => {
+                    return Err(StorageError::corrupt(format!(
+                        "bad dictionary code width {w}"
+                    )))
+                }
             };
             Ok(Some(Fragment::Dict(
                 Dictionary::from_raw(dict, codes)
-                    .map_err(|e| corrupt(format!("dictionary fragment: {e}")))?,
+                    .map_err(|e| StorageError::corrupt(format!("dictionary fragment: {e}")))?,
             )))
         }
         3 => {
@@ -357,11 +355,11 @@ fn decode_fragment(r: &mut ByteReader<'_>) -> Result<Option<Fragment<u64>>, Stor
             for _ in 0..n_runs {
                 runs.push((r.u64()?, r.u32()?));
             }
-            Ok(Some(Fragment::Rle(
-                Rle::from_runs(runs).map_err(|e| corrupt(format!("RLE fragment: {e}")))?,
-            )))
+            Ok(Some(Fragment::Rle(Rle::from_runs(runs).map_err(|e| {
+                StorageError::corrupt(format!("RLE fragment: {e}"))
+            })?)))
         }
-        t => Err(corrupt(format!("bad fragment tag {t}"))),
+        t => Err(StorageError::corrupt(format!("bad fragment tag {t}"))),
     }
 }
 
@@ -384,7 +382,7 @@ fn mode_from_tag(tag: u8) -> Result<LayoutMode, StorageError> {
         3 => LayoutMode::Equi,
         4 => LayoutMode::EquiGV,
         5 => LayoutMode::Casper,
-        t => return Err(corrupt(format!("bad layout mode tag {t}"))),
+        t => return Err(StorageError::corrupt(format!("bad layout mode tag {t}"))),
     })
 }
 

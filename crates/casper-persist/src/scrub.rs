@@ -17,8 +17,8 @@
 
 use crate::incremental::{read_current, read_record};
 use crate::vfs::VfsHandle;
-use crate::PersistError;
 use casper_obs::CounterDef;
+use casper_storage::StorageError;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -165,7 +165,7 @@ pub fn scrub_pass(
     dir: &Path,
     pause_per_record: Duration,
     stop: Option<&AtomicBool>,
-) -> Result<ScrubReport, PersistError> {
+) -> Result<ScrubReport, StorageError> {
     let (generation, manifest, _) = read_current(vfs, dir)?;
     let mut report = ScrubReport {
         generation,
@@ -283,7 +283,7 @@ impl Scrubber {
         interval: Duration,
         pause_per_record: Duration,
         watched: Arc<Mutex<Vec<PathBuf>>>,
-    ) -> Result<Self, PersistError> {
+    ) -> Result<Self, StorageError> {
         let shared = Arc::new(ScrubShared::default());
         let stop = Arc::new(AtomicBool::new(false));
         let thread_shared = Arc::clone(&shared);

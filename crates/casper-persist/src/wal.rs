@@ -28,7 +28,6 @@
 use crate::codec::{ByteReader, ByteWriter};
 use crate::crc::crc32;
 use crate::vfs::{Vfs, VfsFile, VfsHandle};
-use crate::PersistError;
 use casper_engine::Table;
 use casper_obs::{CounterDef, HistogramDef};
 use casper_storage::{OpCost, StorageError};
@@ -256,7 +255,7 @@ pub fn replay(
     scan: &WalScan,
     table: &mut Table,
     after_lsn: u64,
-) -> Result<(u64, OpCost), PersistError> {
+) -> Result<(u64, OpCost), StorageError> {
     replay_upto(scan, table, after_lsn, u64::MAX)
 }
 
@@ -270,7 +269,7 @@ pub fn replay_upto(
     table: &mut Table,
     after_lsn: u64,
     upto_lsn: u64,
-) -> Result<(u64, OpCost), PersistError> {
+) -> Result<(u64, OpCost), StorageError> {
     let mut applied = 0u64;
     let mut cost = OpCost::default();
     for batch in &scan.batches {
@@ -313,8 +312,8 @@ pub(crate) fn walk_chain(
     vfs: &VfsHandle,
     first: u64,
     resolve: impl Fn(u64) -> Option<PathBuf>,
-    mut visit: impl FnMut(&ChainLink) -> Result<bool, PersistError>,
-) -> Result<Option<ChainLink>, PersistError> {
+    mut visit: impl FnMut(&ChainLink) -> Result<bool, StorageError>,
+) -> Result<Option<ChainLink>, StorageError> {
     let mut last = None;
     let mut next = resolve(first);
     let mut seq = first;
@@ -323,15 +322,13 @@ pub(crate) fn walk_chain(
         let scanned = scan(&bytes);
         next = resolve(seq + 1);
         if next.is_some() && scanned.valid_len != bytes.len() {
-            return Err(PersistError::Storage(StorageError::Corrupt {
-                reason: format!(
-                    "WAL chain link {} is damaged: only {} of {} bytes form \
-                     sealed batches, yet a successor link exists",
-                    path.display(),
-                    scanned.valid_len,
-                    bytes.len()
-                ),
-            }));
+            return Err(StorageError::corrupt(format!(
+                "WAL chain link {} is damaged: only {} of {} bytes form \
+                 sealed batches, yet a successor link exists",
+                path.display(),
+                scanned.valid_len,
+                bytes.len()
+            )));
         }
         let link = ChainLink {
             seq,
@@ -372,7 +369,7 @@ pub struct Wal {
 
 impl Wal {
     /// Create a fresh, empty log. Fails if the file already exists.
-    pub fn create(vfs: &VfsHandle, path: &Path, next_lsn: u64) -> Result<Self, PersistError> {
+    pub fn create(vfs: &VfsHandle, path: &Path, next_lsn: u64) -> Result<Self, StorageError> {
         let file = vfs.create_new(path)?;
         Ok(Self {
             file,
@@ -388,7 +385,7 @@ impl Wal {
     /// Resume appending to the last link of a recovered chain (already
     /// read and scanned by [`walk_chain`]): truncate its torn tail and
     /// position the writer after the last committed batch.
-    pub(crate) fn resume(vfs: &VfsHandle, link: &ChainLink) -> Result<Self, PersistError> {
+    pub(crate) fn resume(vfs: &VfsHandle, link: &ChainLink) -> Result<Self, StorageError> {
         let valid_len = link.scan.valid_len as u64;
         let mut file = vfs.open_rw(&link.path)?;
         if link.scan.valid_len < link.bytes.len() {
@@ -456,12 +453,12 @@ impl Wal {
     /// corrupt — an acknowledged batch.
     /// The retry exception: a failed **fsync** (as opposed to a failed
     /// write) poisons the log permanently — see [`Wal::poisoned`].
-    pub fn seal(&mut self) -> Result<u64, PersistError> {
+    pub fn seal(&mut self) -> Result<u64, StorageError> {
         if self.staged_records == 0 {
             return Ok(0);
         }
         if self.poisoned {
-            return Err(PersistError::Io(std::io::Error::other(
+            return Err(StorageError::Io(std::io::Error::other(
                 "WAL is poisoned by an earlier fsync failure; rotate before writing",
             )));
         }

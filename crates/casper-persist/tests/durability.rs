@@ -306,7 +306,10 @@ fn txn_commit_is_durable_and_conflicts_stage_nothing() {
     durable.commit_txn(&mgr, winner).expect("winner commits");
     let lsn_after_winner = durable.stats().next_lsn;
     let err = durable.commit_txn(&mgr, loser).expect_err("conflict");
-    assert!(matches!(err, casper_persist::PersistError::Txn(_)));
+    assert!(matches!(
+        err,
+        casper_storage::StorageError::Conflict { key: 301 }
+    ));
     assert_eq!(
         durable.stats().next_lsn,
         lsn_after_winner,

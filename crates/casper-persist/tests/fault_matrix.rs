@@ -14,7 +14,7 @@
 //! * **Typed degradation** — when durability cannot be re-proven (a
 //!   poisoned WAL whose recovery checkpoint also fails, or persistent
 //!   background-checkpoint failure), the table flips to explicit
-//!   read-only: reads serve, writes fail with [`PersistError::Degraded`],
+//!   read-only: reads serve, writes fail with [`StorageError::Degraded`],
 //!   and `reactivate()` is the way back.
 //! * **Scrub** — latent corruption in at-rest records is detected by a
 //!   scrub pass; damaged-but-resident chunks heal on the next checkpoint,
@@ -22,7 +22,7 @@
 
 use casper_engine::{EngineConfig, LayoutMode, Table};
 use casper_persist::{
-    DurableOptions, DurableTable, FaultErr, FaultRule, FaultVfs, PersistError, VfsHandle, VfsOp,
+    DurableOptions, DurableTable, FaultErr, FaultRule, FaultVfs, VfsHandle, VfsOp,
 };
 use casper_storage::StorageError;
 use casper_workload::{HapQuery, HapSchema};
@@ -389,7 +389,7 @@ fn poisoned_wal_with_failed_recovery_checkpoint_degrades() {
     ));
     let err = t.execute(&marker_write(2)).expect_err("must not ack");
     assert!(
-        matches!(err, PersistError::Degraded { .. }),
+        matches!(err, StorageError::Degraded { .. }),
         "typed degradation, got {err}"
     );
     assert!(t.is_degraded());
@@ -411,7 +411,7 @@ fn poisoned_wal_with_failed_recovery_checkpoint_degrades() {
     .expect("reads serve on a degraded table");
     // …while writes stay rejected with the typed error.
     let err = t.execute(&marker_write(3)).expect_err("writes rejected");
-    assert!(matches!(err, PersistError::Degraded { .. }), "got {err}");
+    assert!(matches!(err, StorageError::Degraded { .. }), "got {err}");
     drop(t);
 
     // Crash while degraded: recovery must land on exactly the
@@ -519,7 +519,7 @@ fn background_failures_escalate_to_degraded_then_reactivate() {
             }
             Err(e) => {
                 assert!(
-                    matches!(e, PersistError::Degraded { .. }),
+                    matches!(e, StorageError::Degraded { .. }),
                     "escalation must surface typed, got {e}"
                 );
                 break;
@@ -629,7 +629,7 @@ fn scrub_quarantines_unhydrated_damage() {
     // Hydration is refused typed — not a CRC panic mid-query.
     let err = t.hydrate_all().expect_err("quarantine blocks hydration");
     match err {
-        PersistError::Storage(StorageError::Quarantined { chunk, .. }) => {
+        StorageError::Quarantined { chunk, .. } => {
             assert_eq!(chunk, damaged as u64);
         }
         other => panic!("expected Quarantined, got {other}"),
@@ -655,8 +655,7 @@ fn scrub_quarantines_unhydrated_damage() {
     assert!(
         matches!(
             err,
-            PersistError::Storage(StorageError::Corrupt { .. })
-                | PersistError::Storage(StorageError::Quarantined { .. })
+            StorageError::Corrupt { .. } | StorageError::Quarantined { .. }
         ),
         "got {err}"
     );
@@ -677,7 +676,7 @@ fn scrub_reports_a_missing_manifest_as_damage_not_as_clean() {
     let manifest = format!("manifest-{:06}.casper", t.stats().generation);
     fs::remove_file(dir.join(&manifest)).expect("delete the manifest");
     match t.scrub_now() {
-        Err(PersistError::Storage(StorageError::Corrupt { reason })) => assert!(
+        Err(StorageError::Corrupt { reason }) => assert!(
             reason.contains(&manifest),
             "the error must name {manifest}, got: {reason}"
         ),

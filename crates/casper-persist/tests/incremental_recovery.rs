@@ -12,7 +12,8 @@
 //! compaction, and typed corruption surfacing for damaged segments/manifests.
 
 use casper_engine::{EngineConfig, LayoutMode, Table};
-use casper_persist::{DurableOptions, DurableTable, PersistError};
+use casper_persist::{DurableOptions, DurableTable};
+use casper_storage::StorageError;
 use casper_workload::{HapQuery, HapSchema};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -435,13 +436,7 @@ fn damaged_segment_record_surfaces_typed_corruption_at_first_touch() {
         .map(|i| t.execute(&HapQuery::Q1 { v: i * 2, k: 1 }))
         .find_map(Result::err)
         .expect("some chunk must fail its checksum");
-    assert!(
-        matches!(
-            err,
-            PersistError::Storage(casper_storage::StorageError::Corrupt { .. })
-        ),
-        "got {err}"
-    );
+    assert!(matches!(err, StorageError::Corrupt { .. }), "got {err}");
 }
 
 #[test]
@@ -456,13 +451,7 @@ fn damaged_manifest_fails_open_typed() {
     bytes[mid] ^= 0x08;
     fs::write(&path, &bytes).expect("damage");
     let err = DurableTable::open(&dir, DurableOptions::default()).expect_err("must fail");
-    assert!(
-        matches!(
-            err,
-            PersistError::Storage(casper_storage::StorageError::Corrupt { .. })
-        ),
-        "got {err}"
-    );
+    assert!(matches!(err, StorageError::Corrupt { .. }), "got {err}");
 }
 
 /// Regression guard for a hazard that no longer exists in this form: since
@@ -727,13 +716,7 @@ fn damaged_middle_wal_link_fails_open_typed() {
     bytes[mid] ^= 0x40;
     fs::write(&wal1, &bytes).expect("damage");
     let err = DurableTable::open(&dir, DurableOptions::default()).expect_err("must fail");
-    assert!(
-        matches!(
-            err,
-            PersistError::Storage(casper_storage::StorageError::Corrupt { .. })
-        ),
-        "got {err}"
-    );
+    assert!(matches!(err, StorageError::Corrupt { .. }), "got {err}");
 }
 
 // ---------------------------------------------------------------------------
@@ -753,9 +736,9 @@ fn fault_handle(seed: u64) -> (Arc<FaultVfs>, VfsHandle) {
     (vfs, handle)
 }
 
-fn raw_os(err: &PersistError) -> Option<i32> {
+fn raw_os(err: &StorageError) -> Option<i32> {
     match err {
-        PersistError::Io(e) => e.raw_os_error(),
+        StorageError::Io(e) => e.raw_os_error(),
         _ => None,
     }
 }
@@ -864,6 +847,46 @@ fn fault_fsync_during_wal_rotation() {
     );
     // And the next checkpoint (fault exhausted) completes normally.
     t.checkpoint().expect("checkpoint after fault cleared");
+}
+
+/// A watermark checkpoint that cannot even start (its WAL rotation fails
+/// to create the next link) fails no write: the batch already sealed, so
+/// the failure is counted and reported out of band like any background
+/// checkpoint failure, in both checkpointer modes — a caller retrying the
+/// "failed" write would otherwise insert it twice.
+#[test]
+fn fault_watermark_checkpoint_start_is_reported_out_of_band() {
+    for background_checkpointer in [false, true] {
+        let dir = test_dir(&format!("fault_watermark_start_{background_checkpointer}"));
+        let (vfs, handle) = fault_handle(14);
+        let opts = DurableOptions {
+            group_commit: 1,
+            wal_checkpoint_bytes: 1,
+            background_checkpointer,
+            ..DurableOptions::default()
+        };
+        let mut t =
+            DurableTable::create_from_table_with_vfs(handle.clone(), &dir, seed_table(), opts)
+                .expect("create");
+        vfs.inject(FaultRule::on_path(VfsOp::Open, "wal-", FaultErr::Enospc));
+        let write = &markers(1)[0];
+        t.execute(write)
+            .expect("the write sealed durably before its checkpoint failed to start");
+        assert_eq!(t.len(), ROWS as usize + 1);
+        assert!(t.stats().checkpoint_failed);
+        assert_eq!(t.checkpoint_stats().consecutive_failures, 1);
+        let err = t.take_checkpoint_error().expect("reported out of band");
+        assert_eq!(raw_os(&err), Some(28), "typed ENOSPC, got {err}");
+
+        vfs.clear_faults();
+        t.checkpoint().expect("checkpoint after fault cleared");
+        drop(t);
+        vfs.simulate_crash().expect("crash");
+        let mut t = DurableTable::open_with_vfs(handle, &dir, opts).expect("open");
+        let probe = HapQuery::Q1 { v: marker(0), k: 2 };
+        assert_eq!(t.execute(&probe).expect("probe").result.scalar(), 1);
+        assert_eq!(t.len(), ROWS as usize + 1, "the row is there exactly once");
+    }
 }
 
 #[test]

@@ -33,7 +33,7 @@ use casper_engine::optimize::OptimizeOptions;
 use casper_engine::{EngineConfig, LayoutMode, Table};
 use casper_persist::{
     ArchiveConfig, DurableOptions, DurableTable, FaultErr, FaultRule, FaultVfs, FileKind,
-    PersistError, VfsHandle, VfsOp,
+    VfsHandle, VfsOp,
 };
 use casper_storage::StorageError;
 use casper_workload::{HapQuery, HapSchema};
@@ -547,7 +547,7 @@ fn backup_copy_fault_matrix() {
             .backup_to(&backup_dir)
             .expect_err("faulted backup must fail");
         assert!(
-            matches!(err, PersistError::Io(_) | PersistError::Storage(_)),
+            matches!(err, StorageError::Io(_) | StorageError::Corrupt { .. }),
             "{name}: backup failure must be typed, got {err}"
         );
         assert!(vfs.counters().injected >= 1, "{name}: fault never fired");
@@ -587,7 +587,7 @@ fn verify_backup_rejects_incomplete_directory() {
     fs::write(dir.join("manifest-000001.casper"), b"half").expect("write");
     let err = DurableTable::verify_backup(&dir).expect_err("no CURRENT");
     assert!(
-        matches!(err, PersistError::Io(_) | PersistError::Storage(_)),
+        matches!(err, StorageError::Io(_) | StorageError::Corrupt { .. }),
         "got {err}"
     );
 }
@@ -623,7 +623,7 @@ fn retention_horizon_is_a_typed_error() {
     // LSN 1 (the very first write) is far behind `max_lsns = 4` by now.
     let err = DurableTable::open_at(&dir, 1).expect_err("pre-horizon LSN must be unrestorable");
     assert!(
-        matches!(err, PersistError::Storage(_)),
+        matches!(err, StorageError::Corrupt { .. }),
         "horizon miss must be typed, got {err}"
     );
     // The newest state is still there.
@@ -929,7 +929,7 @@ fn apply_damage(dir: &Path, damage: Damage) {
 /// What a reader must do with a damaged directory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Expect {
-    /// `Err(PersistError::Storage(StorageError::Corrupt))`.
+    /// `Err(StorageError::Corrupt)`.
     Corrupt,
     /// Scrub only: the pass completes and reports the record as a finding
     /// (healing or quarantining it is the table's job, not an error).
@@ -961,11 +961,11 @@ fn expectations(damage: Damage) -> [Expect; 5] {
 
 /// Outcome of one reader, reduced to what the table compares: `Ok` with a
 /// fingerprint where the reader yields a table, plus scrub's findings.
-type Outcome = Result<(Option<Vec<u64>>, usize), PersistError>;
+type Outcome = Result<(Option<Vec<u64>>, usize), StorageError>;
 
 fn check(what: &str, outcome: Outcome, expect: Expect, want: &[u64]) {
     match (expect, outcome) {
-        (Expect::Corrupt, Err(PersistError::Storage(StorageError::Corrupt { .. }))) => {}
+        (Expect::Corrupt, Err(StorageError::Corrupt { .. })) => {}
         (Expect::Finding, Ok((_, findings))) => {
             assert_eq!(findings, 1, "{what}: the damaged record is one finding")
         }

@@ -15,9 +15,9 @@
 
 use casper::engine::{
     CancelToken, ColumnSnapshot, EngineConfig, Governor, GovernorConfig, LayoutMode, QueryCtx,
-    QueryError, QueryOutput, QueryResult, Table,
+    QueryOutput, QueryResult, Table, TxnManager,
 };
-use casper::persist::{DurableOptions, DurableTable, PersistError};
+use casper::persist::{DurableOptions, DurableTable};
 use casper::storage::StorageError;
 use casper::workload::{HapQuery, HapSchema};
 use rand::prelude::*;
@@ -300,55 +300,246 @@ fn slow_chunk_table() -> Table {
     table
 }
 
-/// The interrupt contract, on whichever surface `run` wraps: `deadline`
-/// expires typed, cancellation is equally typed, and neither poisons
-/// anything — the next unbounded query over the same column is exact.
-fn assert_interrupts_are_typed(
-    mut run: impl FnMut(&HapQuery, &QueryCtx) -> Result<QueryOutput, QueryError>,
-    deadline: QueryCtx,
+/// One row of the failure × surface table below: every surface that can
+/// hit `failure` reports it as an error `want` accepts — one
+/// `StorageError` variant, with nothing remapping it on the way out.
+fn assert_one_error(
+    failure: &str,
+    want: fn(&StorageError) -> bool,
+    surfaces: Vec<(&str, Option<StorageError>)>,
 ) {
-    let err = run(&count_all(), &deadline).expect_err("deadline");
-    assert_eq!(err, QueryError::DeadlineExceeded);
-
-    let token = CancelToken::new();
-    token.cancel();
-    let ctx = QueryCtx::unbounded().with_cancel(token);
-    let err = run(&count_all(), &ctx).expect_err("cancel");
-    assert_eq!(err, QueryError::Cancelled);
-
-    let out = run(&count_all(), &QueryCtx::unbounded()).expect("post-interrupt count");
-    assert_eq!(out.result.scalar(), ROWS);
+    for (surface, err) in surfaces {
+        match err {
+            Some(e) if want(&e) => {}
+            other => panic!("{failure} on {surface}: got {other:?}"),
+        }
+    }
 }
 
-/// Deadline expiry mid-scan and cancellation surface typed on all three
-/// surfaces, without poisoning anything. `Table` and `TableReader` scan
-/// over the slow chunk; `DurableTable` owns its chunks, so there the
-/// deadline has already expired at the first chunk boundary.
+/// One failure, one error, every surface: deadline and cancel, a corrupt
+/// lazily loaded chunk, a wrong-arity Q4, a write on a reader, a held
+/// governor slot and a transaction conflict each reach the caller as the
+/// same `StorageError` variant from every surface that can hit them —
+/// `Table`, `TableReader` and `DurableTable` `execute_with` and
+/// `multi_column_sum`, `TxnManager::commit` and `DurableTable::commit_txn`.
+/// Interrupts poison nothing: the next unbounded query on each surface is
+/// exact. `Table` and `TableReader` are interrupted mid-scan over the slow
+/// chunk; `DurableTable` owns its chunks, so there the deadline has
+/// already expired at the first chunk boundary.
 #[test]
 fn interrupts_surface_typed_on_every_surface_without_poisoning() {
     let mid_scan = || QueryCtx::unbounded().with_timeout(Duration::from_millis(10));
-
+    let expired = QueryCtx::unbounded().with_timeout(Duration::ZERO);
+    let cancelled = {
+        let token = CancelToken::new();
+        token.cancel();
+        QueryCtx::unbounded().with_cancel(token)
+    };
     let mut table = slow_chunk_table();
-    assert_interrupts_are_typed(
-        |q, ctx| table.execute_with(q, ctx).map_err(QueryError::from),
-        mid_scan(),
+    let slow = slow_chunk_table();
+    let reader = slow.reader();
+    let governed = GovernorConfig {
+        query_slots: 1,
+        admit_wait_ms: 1,
+        write_wait_ms: 1,
+        ..GovernorConfig::default()
+    };
+    let opts = DurableOptions {
+        governor: Some(governed),
+        ..DurableOptions::default()
+    };
+    let mut durable =
+        DurableTable::create_from_table(&test_dir("gov_interrupts"), seed_table(), opts)
+            .expect("create");
+
+    let q = count_all();
+    assert_one_error(
+        "deadline",
+        |e| matches!(e, StorageError::DeadlineExceeded),
+        vec![
+            ("Table", table.execute_with(&q, &mid_scan()).err()),
+            ("TableReader", reader.execute_with(&q, &mid_scan()).err()),
+            ("DurableTable", durable.execute_with(&q, &expired).err()),
+        ],
+    );
+    assert_one_error(
+        "cancel",
+        |e| matches!(e, StorageError::Cancelled),
+        vec![
+            ("Table", table.execute_with(&q, &cancelled).err()),
+            ("TableReader", reader.execute_with(&q, &cancelled).err()),
+            ("DurableTable", durable.execute_with(&q, &cancelled).err()),
+        ],
+    );
+    for out in [table.execute(&q), reader.execute(&q), durable.execute(&q)] {
+        assert_eq!(out.expect("post-interrupt count").result.scalar(), ROWS);
+    }
+
+    // Chunk 5 (keys 640..768) of an in-memory table fails its lazy load;
+    // on disk, one damaged record of a reopened durable table does.
+    let mut corrupt = seed_table();
+    corrupt.column_mut().repoint_chunk(
+        5,
+        CHUNK_VALUES,
+        Box::new(|| Err(StorageError::corrupt("checksum mismatch (injected)"))),
+    );
+    corrupt.column().publish();
+    let corrupt_reader = corrupt.reader();
+    let dir = test_dir("gov_every_surface_corrupt");
+    drop(DurableTable::create_from_table(
+        &dir,
+        seed_table(),
+        DurableOptions::default(),
+    ));
+    let seg = dir.join("seg-000001.casper");
+    let mut bytes = std::fs::read(&seg).expect("segment");
+    let mid = 16 + (bytes.len() - 16) / 2;
+    bytes[mid] ^= 0x20;
+    std::fs::write(&seg, &bytes).expect("damage");
+    let mut damaged = DurableTable::open(&dir, DurableOptions::default()).expect("lazy open");
+    let mgr = TxnManager::new();
+    let delete_in_every_chunk = || {
+        let mut txn = mgr.begin();
+        (0..CHUNKS as u64).for_each(|c| txn.delete(2 * c * CHUNK_VALUES as u64));
+        txn
+    };
+    assert_one_error(
+        "corrupt chunk",
+        |e| matches!(e, StorageError::Corrupt { .. }),
+        vec![
+            ("Table", corrupt.execute(&q).err()),
+            ("TableReader", corrupt_reader.execute(&q).err()),
+            (
+                "Table::multi_column_sum",
+                corrupt
+                    .multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX)
+                    .err(),
+            ),
+            (
+                "TableReader::multi_column_sum",
+                corrupt_reader
+                    .multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX)
+                    .err(),
+            ),
+            (
+                "TxnManager::commit",
+                mgr.commit(delete_in_every_chunk(), &mut corrupt).err(),
+            ),
+            ("DurableTable", damaged.execute(&q).err()),
+            (
+                "DurableTable::multi_column_sum",
+                damaged
+                    .multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX)
+                    .err(),
+            ),
+            (
+                "DurableTable::commit_txn",
+                damaged.commit_txn(&mgr, delete_in_every_chunk()).err(),
+            ),
+        ],
     );
 
-    let table = slow_chunk_table();
-    let reader = table.reader();
-    assert_interrupts_are_typed(|q, ctx| reader.execute_with(q, ctx), mid_scan());
-
-    let dir = test_dir("gov_interrupts");
-    let mut durable =
-        DurableTable::create_from_table(&dir, seed_table(), DurableOptions::default())
-            .expect("create");
-    assert_interrupts_are_typed(
-        |q, ctx| match durable.execute_with(q, ctx) {
-            Ok(out) => Ok(out),
-            Err(PersistError::Query(e)) => Err(e),
-            Err(other) => panic!("interrupts must surface as PersistError::Query, got {other}"),
+    // The narrow fixture stores two payload columns; this row has one.
+    // `buffer_insert` prefetches ghosts into the table it is given, so the
+    // durable transaction borrows a scratch table for that.
+    let bad_row = HapQuery::Q4 {
+        key: 131,
+        payload: vec![7],
+    };
+    let bad_txn = |table: &mut Table| {
+        let mut txn = mgr.begin();
+        mgr.buffer_insert(&mut txn, table, 131, vec![7]);
+        txn
+    };
+    let mut plain = seed_table();
+    let durable_txn = bad_txn(&mut seed_table());
+    assert_one_error(
+        "wrong-arity Q4",
+        |e| {
+            matches!(
+                e,
+                StorageError::PayloadArity {
+                    expected: 2,
+                    got: 1
+                }
+            )
         },
-        QueryCtx::unbounded().with_timeout(Duration::ZERO),
+        vec![
+            ("Table", plain.execute(&bad_row).err()),
+            ("DurableTable", durable.execute(&bad_row).err()),
+            (
+                "TxnManager::commit",
+                mgr.commit(bad_txn(&mut plain), &mut plain).err(),
+            ),
+            (
+                "DurableTable::commit_txn",
+                durable.commit_txn(&mgr, durable_txn).err(),
+            ),
+        ],
+    );
+
+    assert_one_error(
+        "write on a reader",
+        |e| matches!(e, StorageError::InvalidSpec { .. }),
+        vec![
+            ("TableReader", plain.reader().execute(&bad_row).err()),
+            (
+                "DurableTable::reader",
+                durable.reader().execute(&HapQuery::Q5 { v: 2 }).err(),
+            ),
+        ],
+    );
+
+    let gov = Arc::clone(durable.governor().expect("governed"));
+    let shared = plain.reader().with_governor(Arc::clone(&gov));
+    let permit = gov.admit(false).expect("the only slot");
+    assert_one_error(
+        "held governor slot",
+        |e| matches!(e, StorageError::Overloaded { .. }),
+        vec![
+            ("TableReader", shared.execute(&q).err()),
+            (
+                "TableReader::multi_column_sum",
+                shared
+                    .multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX)
+                    .err(),
+            ),
+            ("DurableTable read", durable.execute(&q).err()),
+            (
+                "DurableTable write",
+                durable.execute(&HapQuery::Q5 { v: 2 }).err(),
+            ),
+            (
+                "DurableTable::multi_column_sum",
+                durable
+                    .multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX)
+                    .err(),
+            ),
+        ],
+    );
+    drop(permit);
+
+    let update = |mgr: &TxnManager| {
+        let mut txn = mgr.begin();
+        txn.update(2, 3);
+        txn
+    };
+    let (mgr, durable_mgr) = (TxnManager::new(), TxnManager::new());
+    let (loser, durable_loser) = (update(&mgr), update(&durable_mgr));
+    mgr.commit(update(&mgr), &mut plain).expect("winner");
+    durable
+        .commit_txn(&durable_mgr, update(&durable_mgr))
+        .expect("durable winner");
+    assert_one_error(
+        "transaction conflict",
+        |e| matches!(e, StorageError::Conflict { key: 2 }),
+        vec![
+            ("TxnManager::commit", mgr.commit(loser, &mut plain).err()),
+            (
+                "DurableTable::commit_txn",
+                durable.commit_txn(&durable_mgr, durable_loser).err(),
+            ),
+        ],
     );
 }
 
@@ -370,10 +561,7 @@ fn expired_deadline_on_a_durable_write_applies_and_stages_nothing() {
 
     let expired = QueryCtx::unbounded().with_timeout(Duration::ZERO);
     let err = t.execute_with(&insert(133), &expired).expect_err("expired");
-    assert!(
-        matches!(err, PersistError::Query(QueryError::DeadlineExceeded)),
-        "got {err}"
-    );
+    assert!(matches!(err, StorageError::DeadlineExceeded), "got {err}");
     assert_eq!((t.len(), t.stats().staged_records), before);
     let out = t.execute(&point(133)).expect("probe");
     assert_eq!(
@@ -539,7 +727,7 @@ fn overload_sheds_with_typed_error() {
     let err = reader
         .execute_with(&count_all(), &ctx)
         .expect_err("full gate");
-    assert!(matches!(err, QueryError::Overloaded { .. }), "got {err}");
+    assert!(matches!(err, StorageError::Overloaded { .. }), "got {err}");
 
     // Storm while the slot stays held: every query from every thread must
     // come back as a typed shed — never a panic, never a wrong result.
@@ -552,7 +740,7 @@ fn overload_sheds_with_typed_error() {
             scope.spawn(move || {
                 for _ in 0..25 {
                     match handle.execute_with(&count_all(), &ctx) {
-                        Err(QueryError::Overloaded { waited_ms }) => {
+                        Err(StorageError::Overloaded { waited_ms }) => {
                             assert!(waited_ms >= 1, "shed must report its wait");
                             sheds.fetch_add(1, Ordering::Relaxed);
                         }
@@ -570,6 +758,58 @@ fn overload_sheds_with_typed_error() {
     drop(permit);
     let out = reader.execute_with(&count_all(), &ctx).expect("slot freed");
     assert_eq!(out.result.scalar(), ROWS);
+}
+
+/// `multi_column_sum` is a query like any other: on a governed
+/// `TableReader` or `DurableTable` it goes through the slot gate — shed
+/// typed while the only slot is held, counted in `GovernorStats.shed` —
+/// and with the slot free, or with no governor at all, it answers exactly
+/// what the ungoverned `Table` does.
+#[test]
+fn multi_column_sum_is_governed_on_governed_surfaces() {
+    let opts = DurableOptions {
+        governor: Some(GovernorConfig {
+            query_slots: 1,
+            admit_wait_ms: 1,
+            ..GovernorConfig::default()
+        }),
+        ..DurableOptions::default()
+    };
+    let durable = DurableTable::create_from_table(&test_dir("gov_multi_sum"), seed_table(), opts)
+        .expect("create");
+    let gov = Arc::clone(durable.governor().expect("governed"));
+    let table = seed_table();
+    let reader = table.reader().with_governor(Arc::clone(&gov));
+    let sum = |r: Result<QueryOutput, StorageError>| r.expect("slot free").result;
+    let want = sum(table.multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX));
+    assert_eq!(
+        sum(table
+            .reader()
+            .multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX)),
+        want
+    );
+    assert_eq!(
+        sum(reader.multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX)),
+        want
+    );
+    assert_eq!(
+        sum(durable.multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX)),
+        want
+    );
+
+    let permit = gov.admit(false).expect("the only slot");
+    let shed = gov.stats().shed;
+    for err in [
+        reader.multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX),
+        durable.multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX),
+    ] {
+        assert!(
+            matches!(err, Err(StorageError::Overloaded { .. })),
+            "a held slot must shed, got {err:?}"
+        );
+    }
+    assert_eq!(gov.stats().shed, shed + 2);
+    drop(permit);
 }
 
 /// Reader-level panic isolation: a chunk whose loader panics takes down
@@ -590,7 +830,7 @@ fn panic_is_isolated_from_the_serving_loop() {
     // Key 130 routes to chunk 1 (keys 128..256 with 64-key chunks).
     let err = reader.execute(&point(130)).expect_err("chunk 1 panics");
     match err {
-        QueryError::Panicked { chunk, ref detail } => {
+        StorageError::Panicked { chunk, ref detail } => {
             assert_eq!(chunk, None, "snapshot reads attribute no chunk");
             assert!(detail.contains("injected"), "payload preserved: {detail}");
         }
@@ -616,7 +856,7 @@ fn durable_panic_on_clean_chunk_heals_from_record() {
     t.inject_chunk_panic(1);
     let err = t.execute_with(&point(130), &ctx).expect_err("panics");
     match err {
-        PersistError::Query(QueryError::Panicked { chunk, .. }) => assert_eq!(chunk, Some(1)),
+        StorageError::Panicked { chunk, .. } => assert_eq!(chunk, Some(1)),
         other => panic!("expected typed panic, got {other}"),
     }
 
@@ -660,10 +900,7 @@ fn durable_panic_on_dirty_chunk_quarantines_and_reopen_recovers() {
 
     t.inject_chunk_panic(1);
     let err = t.execute_with(&point(130), &ctx).expect_err("panics");
-    assert!(matches!(
-        err,
-        PersistError::Query(QueryError::Panicked { chunk: Some(1), .. })
-    ));
+    assert!(matches!(err, StorageError::Panicked { chunk: Some(1), .. }));
     assert_eq!(
         t.quarantined_chunks(),
         vec![1],
@@ -674,10 +911,7 @@ fn durable_panic_on_dirty_chunk_quarantines_and_reopen_recovers() {
     // advance the WAL watermark past a write its pinned record lacks):
     let err = t.checkpoint().expect_err("checkpointing is frozen");
     assert!(
-        matches!(
-            err,
-            PersistError::Storage(StorageError::Quarantined { chunk: 1, .. })
-        ),
+        matches!(err, StorageError::Quarantined { chunk: 1, .. }),
         "expected typed quarantine freeze, got {err}"
     );
 

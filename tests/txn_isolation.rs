@@ -1,7 +1,8 @@
 //! Integration tests for snapshot isolation across the facade: concurrent
 //! logical transactions over a real HAP table (§6.1).
 
-use casper::engine::{EngineConfig, LayoutMode, Table, TxnError, TxnManager};
+use casper::engine::{EngineConfig, LayoutMode, Table, TxnManager};
+use casper::storage::StorageError;
 use casper::workload::{HapSchema, KeyDist, WorkloadGenerator};
 
 fn table() -> Table {
@@ -48,7 +49,7 @@ fn write_conflicts_keep_exactly_one_winner() {
     assert!(mgr.commit(a, &mut t).is_ok());
     assert!(matches!(
         mgr.commit(b, &mut t),
-        Err(TxnError::Conflict { key: 500 })
+        Err(StorageError::Conflict { key: 500 })
     ));
     let fresh = mgr.begin();
     assert_eq!(mgr.point_count(&fresh, &t, 501).unwrap(), 1);
@@ -96,8 +97,6 @@ fn aborted_work_leaves_only_ghost_prefetches() {
 
 #[test]
 fn commit_surfaces_the_storage_error_it_hit_typed() {
-    use casper::storage::StorageError;
-    use std::error::Error;
     let mut t = table();
     let mgr = TxnManager::new();
     let mut w = mgr.begin();
@@ -107,12 +106,11 @@ fn commit_surfaces_the_storage_error_it_hit_typed() {
     assert!(
         matches!(
             err,
-            TxnError::Storage(StorageError::PayloadArity {
+            StorageError::PayloadArity {
                 expected: 15,
                 got: 1
-            })
+            }
         ),
         "commit returned {err:?}"
     );
-    assert!(err.source().is_some_and(|s| s.is::<StorageError>()));
 }
