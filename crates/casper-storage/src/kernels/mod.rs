@@ -1,10 +1,12 @@
 //! Branchless, batch-oriented scan kernels — the tight loops behind every
-//! read path of the partitioned chunk.
+//! partition scan of the partitioned chunk: the read paths and the point
+//! query embedded in delete, update and take-one.
 //!
 //! The paper's performance argument (§3–§4) assumes partition scans run "as
-//! fast as the hardware allows": point queries fully scan exactly one
-//! partition, range queries filter only the first/last overlapping
-//! partitions. These kernels make that true in practice:
+//! fast as the hardware allows": point queries (standalone or inside a
+//! write, §4.4) fully scan exactly one partition, range queries filter only
+//! the first/last overlapping partitions. These kernels make that true in
+//! practice:
 //!
 //! * predicates are evaluated by the **explicit SIMD layer** in
 //!   [`crate::simd`] — AVX-512 / AVX2 intrinsics selected once at startup
@@ -60,7 +62,8 @@ use crate::value::ColumnValue;
 /// Values per lane: one bitmap word (`u64`) describes one lane.
 pub const LANE_WIDTH: usize = 64;
 
-/// Values per count-then-collect sub-chunk in [`select_eq_into`]: large
+/// Values per count-then-collect sub-chunk in [`select_eq_into`] and
+/// [`first_eq`]: large
 /// enough that the vectorized count pass dominates, small enough that the
 /// scalar collect pass over a matching sub-chunk stays cheap.
 pub(crate) const SELECT_SUBCHUNK: usize = 1024;
@@ -132,6 +135,27 @@ pub fn select_eq_into<K: ColumnValue>(lane: &[K], v: K, base: usize, out: &mut V
         out.reserve(scratch.len());
         out.extend(scratch.iter().map(|&p| chunk_base + p as usize));
     }
+}
+
+/// Offset of the first value equal to `v` (`iter().position` semantics).
+///
+/// The same count-then-collect sub-chunks as [`select_eq_into`], with an
+/// early exit: the scan stops at the first sub-chunk holding any match,
+/// and only that sub-chunk pays the collect pass.
+pub fn first_eq<K: ColumnValue>(lane: &[K], v: K) -> Option<usize> {
+    let target = v.to_bits();
+    K::lane_bits(lane)
+        .chunks(SELECT_SUBCHUNK)
+        .enumerate()
+        .find_map(|(ci, chunk)| {
+            let hits = SimdElem::count_eq(chunk, target);
+            if hits == 0 {
+                return None;
+            }
+            let mut scratch = Vec::with_capacity(hits as usize);
+            SimdElem::select_eq_positions(chunk, target, 0, &mut scratch);
+            Some(ci * SELECT_SUBCHUNK + scratch[0] as usize)
+        })
 }
 
 /// Evaluate `[lo, hi)` over the lane, appending one bitmap word per

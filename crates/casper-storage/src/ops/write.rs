@@ -5,7 +5,9 @@
 //!
 //! * **`find_first` → `remove_first`** takes one row out. `find_first` is
 //!   the embedded point query (§4.4): one index probe plus a full scan of
-//!   the covering partition, returning the first live match in slot order.
+//!   the covering partition, charged as such, returning the first live
+//!   match in slot order. The scan runs on the read path's SIMD kernels
+//!   (`kernels::first_eq`, which stops at the first matching sub-chunk).
 //!   `remove_first` *returns the row's full payload*, swap-fills the slot
 //!   with the partition's last live row (one `move_slot`: a random read and
 //!   a random write; a lone random write when the match is already last),
@@ -24,9 +26,11 @@
 //! * **insert** — `acquire_slot` (a local ghost when one exists; otherwise
 //!   ripple a slot in from the nearest donor under the ghost policy, or
 //!   from the column tail under the dense policy) → `place`.
-//! * **delete** — point-query the target partition, swap-fill *every*
-//!   match out of the live region, then either leave the freed slots as
-//!   ghosts (ghost policy) or ripple each hole out to the tail (dense).
+//! * **delete** — point-query the target partition
+//!   (`kernels::select_eq_into` collects the matching slots), swap-fill
+//!   *every* match out of the live region in ascending slot order, then
+//!   either leave the freed slots as ghosts (ghost policy) or ripple each
+//!   hole out to the tail (dense).
 //! * **update** — `find_first(old)`; inside one partition the key is
 //!   overwritten in place, otherwise `remove_first` → a slot from the
 //!   target's own ghosts or a *direct* ripple from source to target,
@@ -37,6 +41,7 @@
 
 use crate::chunk::{DonorSide, PartitionedChunk};
 use crate::error::StorageError;
+use crate::kernels;
 use crate::ops::OpCost;
 use crate::value::ColumnValue;
 use crate::UpdatePolicy;
@@ -217,21 +222,35 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             // inside the covering range also decompresses — the partition
             // is evidently a write target.)
             self.decompress_partition(m);
+            let mut hits = Vec::new();
+            kernels::select_eq_into(
+                &self.data[part.start..part.live_end()],
+                v,
+                part.start,
+                &mut hits,
+            );
             // Swap-fill matches out of the live region (Fig. 4b: deleted
-            // slots move to the end of the partition).
-            let mut pos = part.start;
+            // slots move to the end of the partition). Only the current
+            // hit's slot is ever overwritten, so every later hit below the
+            // shrinking live end still holds `v`; hits at or past it have
+            // already been pulled into an earlier hole.
             let mut live_end = part.live_end();
-            while pos < live_end {
-                if self.data[pos] == v {
+            for pos in hits {
+                if pos >= live_end {
+                    break;
+                }
+                loop {
                     live_end -= 1;
-                    if pos != live_end {
-                        self.move_slot(live_end, pos, &mut cost);
-                    } else {
-                        cost.random_writes += 1;
-                    }
                     removed += 1;
-                } else {
-                    pos += 1;
+                    if pos == live_end {
+                        cost.random_writes += 1;
+                        break;
+                    }
+                    self.move_slot(live_end, pos, &mut cost);
+                    // The row pulled in from the tail may match as well.
+                    if self.data[pos] != v {
+                        break;
+                    }
                 }
             }
         }
@@ -274,10 +293,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let part = self.parts[m];
         let mut found = None;
         if part.len > 0 && part.covers(v) {
-            let live = &self.data[part.start..part.live_end()];
-            found = live
-                .iter()
-                .position(|&x| x == v)
+            found = kernels::first_eq(&self.data[part.start..part.live_end()], v)
                 .map(|off| part.start + off);
         }
         (m, found)
@@ -784,6 +800,295 @@ mod tests {
                 expect.sort_unstable();
                 assert_eq!(all_values(&c), expect);
             }
+        }
+    }
+
+    /// The write path's point query as two per-value scalar loops (the
+    /// delete swap-fill walk and `find_first`'s `position`), kept verbatim
+    /// with the `update` / `take_one` bodies around them: the oracle the
+    /// kernel-backed write path must match slot for slot and charge for
+    /// charge.
+    impl PartitionedChunk<u64> {
+        fn delete_ref(&mut self, v: u64) -> WriteResult {
+            let mut cost = OpCost::default();
+            let m = self.locate(v, &mut cost);
+            self.charge_partition_scan(m, &mut cost);
+            let part = self.parts[m];
+            let mut removed = 0usize;
+            if part.len > 0 && part.covers(v) {
+                self.decompress_partition(m);
+                let mut pos = part.start;
+                let mut live_end = part.live_end();
+                while pos < live_end {
+                    if self.data[pos] == v {
+                        live_end -= 1;
+                        if pos != live_end {
+                            self.move_slot(live_end, pos, &mut cost);
+                        } else {
+                            cost.random_writes += 1;
+                        }
+                        removed += 1;
+                    } else {
+                        pos += 1;
+                    }
+                }
+            }
+            if removed == 0 {
+                return WriteResult {
+                    affected: 0,
+                    cost,
+                    partitions_touched: 1,
+                };
+            }
+            self.parts[m].len -= removed;
+            self.parts[m].ghosts += removed;
+            self.live -= removed;
+            if self.zones[m].on_boundary(v) {
+                self.recompute_zone(m);
+            }
+            let mut partitions_touched = 1u64;
+            if self.config.policy == UpdatePolicy::Dense {
+                for _ in 0..removed {
+                    self.push_slot_to_tail(m, &mut cost);
+                }
+                partitions_touched += (self.parts.len() - 1 - m) as u64;
+            }
+            WriteResult {
+                affected: removed as u64,
+                cost,
+                partitions_touched,
+            }
+        }
+
+        fn find_first_ref(&self, v: u64, cost: &mut OpCost) -> (usize, Option<usize>) {
+            let m = self.locate(v, cost);
+            self.charge_partition_scan(m, cost);
+            let part = self.parts[m];
+            let mut found = None;
+            if part.len > 0 && part.covers(v) {
+                let live = &self.data[part.start..part.live_end()];
+                found = live
+                    .iter()
+                    .position(|&x| x == v)
+                    .map(|off| part.start + off);
+            }
+            (m, found)
+        }
+
+        fn update_ref(&mut self, old: u64, new: u64) -> WriteResult {
+            let mut cost = OpCost::default();
+            let (m, found) = self.find_first_ref(old, &mut cost);
+            let Some(pos) = found else {
+                return WriteResult {
+                    affected: 0,
+                    cost,
+                    partitions_touched: 1,
+                };
+            };
+            let t = self.locate(new, &mut cost);
+            self.decompress_partition(m);
+            self.decompress_partition(t);
+            if t == m {
+                self.data[pos] = new;
+                cost.random_writes += 1;
+                self.widen_bounds(m, new);
+                if self.zones[m].on_boundary(old) {
+                    self.recompute_zone(m);
+                } else {
+                    self.zones[m].include(new);
+                }
+                return WriteResult {
+                    affected: 1,
+                    cost,
+                    partitions_touched: 1,
+                };
+            }
+            let row = self.remove_first(m, pos, old, &mut cost);
+            let slot = match self.config.policy {
+                UpdatePolicy::Ghost if self.parts[t].ghosts > 0 => {
+                    self.parts[t].ghosts -= 1;
+                    self.parts[t].live_end()
+                }
+                _ => {
+                    if t > m {
+                        let hole = self.pull_slot_from_left(t, m, &mut cost);
+                        self.parts[t].start = hole;
+                        hole
+                    } else {
+                        self.pull_slot_from_right(t, Some(m), &mut cost)
+                    }
+                }
+            };
+            self.place(t, slot, new, &row, &mut cost);
+            WriteResult {
+                affected: 1,
+                cost,
+                partitions_touched: (m.abs_diff(t) + 1) as u64,
+            }
+        }
+
+        fn take_one_ref(&mut self, v: u64) -> (Option<Vec<u32>>, WriteResult) {
+            let mut cost = OpCost::default();
+            let (m, found) = self.find_first_ref(v, &mut cost);
+            let Some(pos) = found else {
+                return (
+                    None,
+                    WriteResult {
+                        affected: 0,
+                        cost,
+                        partitions_touched: 1,
+                    },
+                );
+            };
+            let row = self.remove_first(m, pos, v, &mut cost);
+            let mut partitions_touched = 1u64;
+            if self.config.policy == UpdatePolicy::Dense {
+                self.push_slot_to_tail(m, &mut cost);
+                partitions_touched += (self.parts.len() - 1 - m) as u64;
+            }
+            (
+                Some(row),
+                WriteResult {
+                    affected: 1,
+                    cost,
+                    partitions_touched,
+                },
+            )
+        }
+    }
+
+    #[test]
+    fn kernel_write_path_matches_scalar_reference_on_simd_sized_partitions() {
+        use crate::kernels::SELECT_SUBCHUNK;
+        use rand::prelude::*;
+        // 3 sub-chunks + 228 values: both the 64-value lanes and the
+        // sub-chunks end in a ragged tail.
+        const PART: usize = 3 * SELECT_SUBCHUNK + 228;
+        const PARTS: u64 = 4;
+        // Key span per partition.
+        const SPAN: u64 = 100_000;
+        // Odd keys are planted at fixed offsets of every partition; the
+        // filler is random even keys (natural duplicates, never a planted
+        // key).
+        let planted: [(u64, &[usize]); 5] = [
+            (1, &[62, 63, 64, 65]),                     // straddles a 64-value lane
+            (3, &[1022, 1023, 1024, 1025, 2047, 2048]), // straddles sub-chunks
+            (5, &[100, PART - 3, PART - 2, PART - 1]),  // run at the live tail
+            (7, &[PART - 10]),                          // ragged tail only
+            (9, &[0, 5]),                               // first slot
+        ];
+        let layout = BlockLayout {
+            block_bytes: 400,
+            value_width: 8,
+        }; // 50 values per block: 66 blocks per partition
+        for &policy in &[UpdatePolicy::Ghost, UpdatePolicy::Dense] {
+            let mut rng = StdRng::seed_from_u64(27);
+            let mut row_id = 0u32;
+            let mut next_row = |key: u64| {
+                row_id += 1;
+                [row_id, key as u32 ^ 0x5A5A]
+            };
+            let mut slots: Vec<(u64, [u32; 2])> = Vec::new();
+            for p in 0..PARTS {
+                let base = p * SPAN;
+                let mut part: Vec<Option<u64>> = vec![None; PART];
+                for &(key, offsets) in &planted {
+                    for &off in offsets {
+                        part[off] = Some(base + key);
+                    }
+                }
+                for s in part {
+                    let key = s.unwrap_or_else(|| base + 2 * rng.gen_range(6..1500u64));
+                    slots.push((key, next_row(key)));
+                }
+            }
+            let ghosts = match policy {
+                UpdatePolicy::Ghost => vec![4, 0, 7, 2],
+                UpdatePolicy::Dense => vec![0; 4],
+            };
+            let mut config = ChunkConfig::default();
+            config.policy = policy;
+            config.capacity_slack = 0.1;
+            let mut c = PartitionedChunk::build_with_payloads(
+                slots.iter().map(|s| s.0).collect(),
+                (0..2)
+                    .map(|col| slots.iter().map(|s| s.1[col]).collect())
+                    .collect(),
+                &PartitionSpec::from_block_sizes(&[66; PARTS as usize]),
+                layout,
+                &GhostPlan::from_counts(ghosts),
+                config,
+            )
+            .unwrap();
+            // The build sorted every partition; lay each one back out in
+            // the planned slot order (the same multiset, so bounds and
+            // zones stay exact).
+            for (p, rows) in slots.chunks(PART).enumerate() {
+                let start = c.parts[p].start;
+                assert_eq!(c.parts[p].len, PART);
+                for (i, (key, row)) in rows.iter().enumerate() {
+                    c.data[start + i] = *key;
+                    c.payloads.set_row(start + i, row);
+                }
+            }
+            c.validate_invariants().unwrap();
+
+            let mut kern = c.clone();
+            let mut scal = c;
+            // Keys: planted (with duplicates), filler, misses inside a
+            // covering range (odd, never planted), and beyond every
+            // partition.
+            let pick = |rng: &mut StdRng| {
+                let base = rng.gen_range(0..PARTS) * SPAN;
+                match rng.gen_range(0..4) {
+                    0 | 1 => base + planted[rng.gen_range(0..planted.len())].0,
+                    2 => base + 2 * rng.gen_range(6..1500u64),
+                    _ => [base + 11, PARTS * SPAN + 3][rng.gen_range(0..2usize)],
+                }
+            };
+            for step in 0..800 {
+                let ctx = format!("{policy:?} step {step}");
+                let (k, s) = match rng.gen_range(0..8) {
+                    0..=2 => {
+                        let v = pick(&mut rng);
+                        (kern.delete(v), scal.delete_ref(v))
+                    }
+                    3 | 4 => {
+                        let (old, new) = (pick(&mut rng), pick(&mut rng));
+                        (kern.update(old, new).unwrap(), scal.update_ref(old, new))
+                    }
+                    5 | 6 => {
+                        let v = pick(&mut rng);
+                        let (krow, k) = kern.take_one(v);
+                        let (srow, s) = scal.take_one_ref(v);
+                        assert_eq!(krow, srow, "{ctx}: take_one({v}) row");
+                        (k, s)
+                    }
+                    _ => {
+                        let v = pick(&mut rng);
+                        let row = next_row(v);
+                        let k = kern.insert(v, &row);
+                        let s = scal.insert(v, &row);
+                        assert_eq!(k.is_ok(), s.is_ok(), "{ctx}: insert({v})");
+                        match (k, s) {
+                            (Ok(k), Ok(s)) => (k, s),
+                            _ => continue,
+                        }
+                    }
+                };
+                assert_eq!(k.affected, s.affected, "{ctx}: affected");
+                assert_eq!(k.cost, s.cost, "{ctx}: cost");
+                assert_eq!(k.partitions_touched, s.partitions_touched, "{ctx}: touched");
+                assert!(kern.data == scal.data, "{ctx}: slots diverged");
+                assert!(
+                    kern.payloads.columns() == scal.payloads.columns(),
+                    "{ctx}: payload rows diverged"
+                );
+                assert_eq!(kern.parts, scal.parts, "{ctx}: partitions");
+                assert_eq!(kern.zones, scal.zones, "{ctx}: zones");
+                assert_eq!(kern.live, scal.live, "{ctx}: live");
+            }
+            kern.validate_invariants().unwrap();
         }
     }
 }

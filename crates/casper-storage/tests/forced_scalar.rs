@@ -9,6 +9,7 @@
 
 use casper_storage::kernels;
 use casper_storage::simd::{self, SimdLevel};
+use casper_storage::{BlockLayout, ChunkConfig, PartitionedChunk};
 
 #[test]
 fn forced_scalar_env_pins_the_level_and_stays_correct() {
@@ -50,6 +51,10 @@ fn forced_scalar_env_pins_the_level_and_stays_correct() {
         kernels::min_max(&vals),
         Some((*vals.iter().min().unwrap(), *vals.iter().max().unwrap()))
     );
+    assert_eq!(
+        kernels::first_eq(&vals, vals[4321]),
+        vals.iter().position(|&x| x == vals[4321])
+    );
 
     // Compressed lanes ride the same dispatch: a FoR fragment scans
     // scalar too and must agree with a decode + filter.
@@ -63,4 +68,22 @@ fn forced_scalar_env_pins_the_level_and_stays_correct() {
         casper_storage::kernels::compressed::for_count_range(&frag, 1050, 1100),
         want
     );
+
+    // The write path's embedded point query rides the same dispatch
+    // (`first_eq` for update / take-one, `select_eq_into` for delete): a
+    // delete and an update over one sorted partition of three 1024-value
+    // sub-chunks, with each key repeated six times: 499 sits in the last
+    // sub-chunk's ragged tail, 250 in the middle one.
+    let keys: Vec<u64> = (0..3000u64).map(|i| i % 500).collect();
+    let layout = BlockLayout::new::<u64>(4096);
+    let mut chunk =
+        PartitionedChunk::single_partition(keys, layout, ChunkConfig::default()).expect("build");
+    assert_eq!(chunk.delete(499).affected, 6);
+    assert!(chunk.point_query(499).positions.is_empty());
+    assert_eq!(chunk.update(250, 9).expect("update").affected, 1);
+    assert_eq!(chunk.point_query(250).positions.len(), 5);
+    assert_eq!(chunk.point_query(9).positions.len(), 7);
+    assert_eq!(chunk.update(499, 9).expect("update").affected, 0);
+    assert_eq!(chunk.live_len(), 2994);
+    chunk.validate_invariants().expect("invariants");
 }

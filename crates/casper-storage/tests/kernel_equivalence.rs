@@ -6,7 +6,9 @@
 //! scan must charge exactly what the scalar scan charges).
 
 use casper_storage::ghost::GhostPlan;
+use casper_storage::kernels;
 use casper_storage::ops::PositionsConsumer;
+use casper_storage::value::ColumnValue;
 use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, UpdatePolicy};
 use proptest::prelude::*;
 
@@ -140,6 +142,46 @@ fn check_equivalence(chunk: &PartitionedChunk<u64>, probes: &[u64]) -> Result<()
         prop_assert_eq!(sum_k, sum_s, "sum[{}, {})", lo, hi);
     }
     Ok(())
+}
+
+/// `kernels::first_eq` (the write path's find-first) is
+/// `iter().position` with an early exit, on every lane shape the
+/// 64-value words and 1024-value sub-chunks can split: a match at the
+/// first and last slot of a word and of a sub-chunk, only in the ragged
+/// tail, with a later duplicate, none at all, and unaligned slice starts.
+fn check_first_eq<K: ColumnValue>() {
+    const LEN: usize = 2 * 1024 + 100; // two sub-chunks + a ragged tail
+    let (fill, hit) = (K::from_ordered_u64(1), K::from_ordered_u64(7));
+    assert_eq!(kernels::first_eq(&[], hit), None);
+    let mut lanes = vec![vec![fill; LEN]];
+    for off in [0, 63, 64, 1023, 1024, 2047, LEN - 30, LEN - 1] {
+        let mut lane = vec![fill; LEN];
+        lane[off] = hit;
+        lanes.push(lane.clone());
+        lane[LEN - 1] = hit;
+        lane[(off + 1).min(LEN - 1)] = hit;
+        lanes.push(lane);
+    }
+    for lane in &lanes {
+        for start in [0, 1, 3, 7, 64, 1025] {
+            let s = &lane[start..];
+            assert_eq!(
+                kernels::first_eq(s, hit),
+                s.iter().position(|&x| x == hit),
+                "width {} start {start}",
+                K::WIDTH
+            );
+        }
+    }
+}
+
+#[test]
+fn first_eq_matches_position_at_every_width() {
+    check_first_eq::<u16>();
+    check_first_eq::<u32>();
+    check_first_eq::<u64>();
+    check_first_eq::<i32>();
+    check_first_eq::<i64>();
 }
 
 proptest! {

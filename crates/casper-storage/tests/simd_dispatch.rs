@@ -176,6 +176,49 @@ proptest! {
     ) {
         check_plain(&vals, lo, hi, eq)?;
     }
+
+    // `first_eq` over a key domain narrow enough that matches land
+    // anywhere in 0..3 sub-chunks (and sometimes nowhere).
+    #[test]
+    fn first_eq_matches_position_u16(
+        vals in proptest::collection::vec(0u16..3000, 0..2600),
+        offset in 0usize..9,
+        eq in 0u16..3000,
+    ) {
+        check_first_eq(&vals, offset, eq)?;
+    }
+
+    #[test]
+    fn first_eq_matches_position_u32(
+        vals in proptest::collection::vec(0u32..3000, 0..2600),
+        offset in 0usize..9,
+        eq in 0u32..3000,
+    ) {
+        check_first_eq(&vals, offset, eq)?;
+    }
+
+    #[test]
+    fn first_eq_matches_position_u64(
+        vals in proptest::collection::vec(0u64..3000, 0..2600),
+        offset in 0usize..9,
+        eq in 0u64..3000,
+    ) {
+        check_first_eq(&vals, offset, eq)?;
+    }
+}
+
+/// `kernels::first_eq` against `iter().position` on an unaligned slice.
+fn check_first_eq<K: ColumnValue>(
+    vals: &[K],
+    offset: usize,
+    eq: K,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let lane = &vals[offset.min(vals.len())..];
+    prop_assert_eq!(
+        kernels::first_eq(lane, eq),
+        lane.iter().position(|&x| x == eq)
+    );
+    Ok(())
 }
 
 /// The typed plain kernels (routing through raw-bits lanes) against a
@@ -193,6 +236,9 @@ fn check_plain<K: ColumnValue>(
         kernels::count_eq(vals, eq),
         vals.iter().filter(|&&x| x == eq).count() as u64
     );
+    for v in [eq, vals.get(vals.len() / 2).copied().unwrap_or(eq)] {
+        check_first_eq(vals, 0, v)?;
+    }
     let mut mask = Vec::new();
     let matched = kernels::select_range_bitmap(vals, lo, hi, &mut mask);
     prop_assert_eq!(matched, naive_count);
