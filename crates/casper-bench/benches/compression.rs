@@ -133,24 +133,45 @@ fn bench_compressed_kernels(c: &mut Criterion) {
     });
     group.finish();
 
-    let mut group = c.benchmark_group("compressed_sum_payload");
+    // Q3's filtered-partition shape: the bitmap from the encoded (or plain)
+    // key lane, then one masked sum over the slot-aligned payload.
+    let mut group = c.benchmark_group("compressed_sum_payload_masked");
     group.throughput(Throughput::Elements(N as u64));
     for mode in [StorageMode::For, StorageMode::Dict] {
         let frag = Fragment::encode(mode, &data).expect("compressed mode");
         group.bench_function(mode.label(), |b| {
-            b.iter(|| std::hint::black_box(frag.sum_payload_range(&payload, lo, hi)))
+            let mut mask = Vec::with_capacity(N / 64 + 1);
+            b.iter(|| {
+                mask.clear();
+                frag.select_range_bitmap(lo, hi, &mut mask);
+                std::hint::black_box(kernels::sum_payload_masked(&payload, &mask))
+            })
         });
     }
-    group.bench_function("plain_fused", |b| {
-        b.iter(|| std::hint::black_box(kernels::sum_payload_range(&data, &payload, lo, hi)))
+    group.bench_function("plain", |b| {
+        let mut mask = Vec::with_capacity(N / 64 + 1);
+        b.iter(|| {
+            mask.clear();
+            kernels::select_range_bitmap(&data, lo, hi, &mut mask);
+            std::hint::black_box(kernels::sum_payload_masked(&payload, &mask))
+        })
     });
     group.finish();
 
     // Correctness tripwire so smoke runs validate, not just execute.
     let expect = kernels::count_range(&data, lo, hi);
+    let mut mask = Vec::new();
+    kernels::select_range_bitmap(&data, lo, hi, &mut mask);
+    let expect_sum = kernels::sum_payload_masked(&payload, &mask);
     for mode in [StorageMode::For, StorageMode::Dict, StorageMode::Rle] {
         let frag = Fragment::encode(mode, &data).expect("compressed mode");
         assert_eq!(frag.count_range(lo, hi), expect, "{mode:?}");
+        if frag.preserves_slot_order() {
+            mask.clear();
+            frag.select_range_bitmap(lo, hi, &mut mask);
+            let sum = kernels::sum_payload_masked(&payload, &mask);
+            assert_eq!(sum, expect_sum, "{mode:?} masked sum");
+        }
     }
 }
 

@@ -145,8 +145,9 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
     portable::bitmap_window(bits, lo, span, &mut mask_p);
     assert_eq!(mask_d, mask_p, "select_range_bitmap dispatch vs portable");
     assert_eq!(
-        kernels::sum_payload_range(&keys, &payload, lo, hi),
-        portable::sum_window(bits, &payload, lo, span)
+        kernels::sum_payload_masked(&payload, &mask_d),
+        portable::sum_payload_masked(&payload, &mask_p),
+        "sum_payload_masked dispatch vs portable"
     );
     assert_eq!(
         kernels::count_eq(&keys, target),
@@ -179,15 +180,21 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
             portable::bitmap_window(bits, lo, span, &mut mask)
         }),
     ));
+    // Q3's filtered-partition shape: the key predicate once into a bitmap,
+    // then one masked sum over a payload lane.
     out.push(Entry::new(
-        "sum_payload_range",
+        "sum_payload_masked",
         64,
         rows,
         time_per_elem(rows, reps, || {
-            kernels::sum_payload_range(&keys, &payload, lo, hi).1
+            mask.clear();
+            kernels::select_range_bitmap(&keys, lo, hi, &mut mask);
+            kernels::sum_payload_masked(&payload, &mask)
         }),
         time_per_elem(rows, reps, || {
-            portable::sum_window(bits, &payload, lo, span).1
+            mask.clear();
+            portable::bitmap_window(bits, lo, span, &mut mask);
+            portable::sum_payload_masked(&payload, &mask)
         }),
     ));
     out.push(Entry::new(

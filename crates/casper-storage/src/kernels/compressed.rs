@@ -1,5 +1,7 @@
-//! Codec-aware scan kernels: `count / select / sum` directly over encoded
-//! fragments, **without decompression** (§6.2).
+//! Codec-aware scan kernels: `count / select` directly over encoded
+//! fragments, **without decompression** (§6.2). A Q3 payload sum rides on
+//! the select: the encoded bitmap drives
+//! [`crate::kernels::sum_payload_masked`] over the slot-aligned payload.
 //!
 //! Each codec reduces a value-space predicate `[lo, hi)` to a cheaper
 //! predicate over its encoded representation:
@@ -129,17 +131,6 @@ fn bitmap_rebased<T: SimdElem>(lane: &[T], lo: u64, span: u64, out: &mut Vec<u64
     }
 }
 
-/// Fused rebased filter + payload aggregation (the compressed HAP Q3 loop).
-#[inline]
-fn sum_rebased<T: SimdElem>(lane: &[T], payload: &[u32], lo: u64, span: u64) -> (u64, u64) {
-    debug_assert_eq!(lane.len(), payload.len());
-    match clamp_predicate::<T>(lo, span) {
-        LanePredicate::Empty => (0, 0),
-        LanePredicate::All => (lane.len() as u64, crate::simd::sum_u32(payload)),
-        LanePredicate::Window(l, s) => T::sum_window(lane, payload, l, s),
-    }
-}
-
 /// Append positions (offset by `base`) of lane entries equal to `target`.
 ///
 /// Count-then-collect per sub-chunk, like the plain
@@ -241,24 +232,6 @@ pub fn for_select_range_bitmap<K: ColumnValue>(
     }
 }
 
-/// Fused filter + payload sum over a FoR fragment; `payload` is aligned to
-/// the encoded order. Returns `(matched, sum)`.
-pub fn for_sum_payload_range<K: ColumnValue>(
-    frag: &ForBlock<K>,
-    payload: &[u32],
-    lo: K,
-    hi: K,
-) -> (u64, u64) {
-    match for_rebase(frag, lo, hi) {
-        Some((lo_off, span)) => {
-            with_offsets!(frag.offsets(), |lane| sum_rebased(
-                lane, payload, lo_off, span
-            ))
-        }
-        None => (0, 0),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Dictionary kernels (code-space predicate rewriting)
 // ---------------------------------------------------------------------
@@ -309,21 +282,6 @@ pub fn dict_select_range_bitmap<K: ColumnValue>(
     }
 }
 
-/// Fused filter + payload sum over a dictionary fragment.
-pub fn dict_sum_payload_range<K: ColumnValue>(
-    frag: &Dictionary<K>,
-    payload: &[u32],
-    lo: K,
-    hi: K,
-) -> (u64, u64) {
-    match dict_rebase(frag, lo, hi) {
-        Some((lo_c, span)) => {
-            with_codes!(frag.codes(), |lane| sum_rebased(lane, payload, lo_c, span))
-        }
-        None => (0, 0),
-    }
-}
-
 // ---------------------------------------------------------------------
 // RLE kernels (run arithmetic)
 // ---------------------------------------------------------------------
@@ -358,23 +316,6 @@ pub fn rle_select_range_bitmap<K: ColumnValue>(
     bitmap_fill_range(frag.len(), a as usize, b as usize, out)
 }
 
-/// Fused filter + payload sum over an RLE fragment; `payload` is aligned
-/// to the encoded (sorted) order, so the qualifying slice is contiguous.
-pub fn rle_sum_payload_range<K: ColumnValue>(
-    frag: &Rle<K>,
-    payload: &[u32],
-    lo: K,
-    hi: K,
-) -> (u64, u64) {
-    debug_assert_eq!(frag.len(), payload.len());
-    let (a, b) = frag.index_range(lo, hi);
-    let sum = payload[a as usize..b as usize]
-        .iter()
-        .map(|&p| u64::from(p))
-        .sum();
-    (b - a, sum)
-}
-
 // ---------------------------------------------------------------------
 // Fragment: the chunk-facing dispatch point
 // ---------------------------------------------------------------------
@@ -384,9 +325,10 @@ pub fn rle_sum_payload_range<K: ColumnValue>(
 ///
 /// FoR and dictionary fragments preserve the source slice order, so bitmap
 /// bit `i` / encoded position `i` maps 1:1 onto physical slot `start + i`
-/// and position-producing reads (point queries, range selects) run directly
-/// on the encoded lane. RLE re-sorts, so it only accelerates order-free
-/// aggregation (counts); position paths fall back to the plain slots.
+/// and position-producing reads (point queries, range selects, the bitmap
+/// behind Q3's masked payload sums) run directly on the encoded lane. RLE
+/// re-sorts, so it only accelerates order-free aggregation (counts);
+/// position paths fall back to the plain slots.
 #[derive(Debug, Clone)]
 pub enum Fragment<K: ColumnValue> {
     /// Frame-of-reference packed offsets.
@@ -516,16 +458,6 @@ impl<K: ColumnValue> Fragment<K> {
             Fragment::Rle(_) => false,
         }
     }
-
-    /// Fused filter + payload sum over `[lo, hi)`; `payload` must be
-    /// aligned to the encoded order. Returns `(matched, sum)`.
-    pub fn sum_payload_range(&self, payload: &[u32], lo: K, hi: K) -> (u64, u64) {
-        match self {
-            Fragment::For(f) => for_sum_payload_range(f, payload, lo, hi),
-            Fragment::Dict(f) => dict_sum_payload_range(f, payload, lo, hi),
-            Fragment::Rle(f) => rle_sum_payload_range(f, payload, lo, hi),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -587,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_sum_matches_scalar_per_codec() {
+    fn encoded_bitmap_drives_masked_sum_per_codec() {
         let vals = data();
         let payload: Vec<u32> = (0..vals.len() as u32).map(|i| i * 3 + 1).collect();
         for mode in [StorageMode::For, StorageMode::Dict, StorageMode::Rle] {
@@ -602,7 +534,9 @@ mod tests {
                 perm.iter().map(|&i| payload[i as usize]).collect()
             };
             for (lo, hi) in [(0u64, 2000), (1010, 1060), (1060, 1010), (1042, 1043)] {
-                let (m, s) = frag.sum_payload_range(&enc_payload, lo, hi);
+                let mut mask = Vec::new();
+                let m = frag.select_range_bitmap(lo, hi, &mut mask);
+                let s = crate::kernels::sum_payload_masked(&enc_payload, &mask);
                 let want_m = reference_count(&enc, lo, hi);
                 let want_s: u64 = enc
                     .iter()
@@ -663,7 +597,7 @@ mod tests {
             let mut mask = Vec::new();
             assert_eq!(frag.select_range_bitmap(0, 10, &mut mask), 0);
             assert!(mask.is_empty());
-            assert_eq!(frag.sum_payload_range(&[], 0, 10), (0, 0));
+            assert_eq!(crate::kernels::sum_payload_masked(&[], &mask), 0);
         }
     }
 }

@@ -17,9 +17,11 @@
 //!   values, one `u64` bitmap word per lane, instead of per-value
 //!   `Vec::push`;
 //! * qualifying positions are decoded from bitmap words with
-//!   count-trailing-zeros iteration, and masked payload aggregation
-//!   ([`sum_payload_masked`]) consumes the words directly without ever
-//!   materializing a position list.
+//!   count-trailing-zeros iteration, while masked payload aggregation
+//!   ([`sum_payload_masked`]) consumes the words directly through
+//!   branch-free masked vector loads, never materializing a position list.
+//!   HAP Q3 evaluates its key predicate once per filtered partition into
+//!   one bitmap and then runs one masked sum per projected payload column.
 //!
 //! # From typed values to SIMD lanes
 //!
@@ -38,8 +40,8 @@
 //! The [`zone`] submodule provides the per-partition min/max zone maps that
 //! let the read paths in [`crate::ops`] prune partitions before any of
 //! these kernels touch data. The [`compressed`] submodule carries the same
-//! kernel surface (`count_eq` / `count_range` / `select_range_bitmap` /
-//! `sum_payload_range`) over the §6.2 codecs — FoR, dictionary, RLE —
+//! kernel surface (`count_eq` / `count_range` / `select_range_bitmap`)
+//! over the §6.2 codecs — FoR, dictionary, RLE —
 //! operating directly on the encoded representations, no decode step
 //! (their u8/u16 packed lanes are where the SIMD lane density pays most:
 //! 64/32 values per AVX-512 compare).
@@ -175,29 +177,13 @@ pub fn select_range_bitmap<K: ColumnValue>(lane: &[K], lo: K, hi: K, out: &mut V
     SimdElem::bitmap_window(K::lane_bits(lane), lo.to_bits(), K::Bits::narrow(span), out)
 }
 
-/// Fused filter + aggregate: over every `i` where `keys[i] ∈ [lo, hi)`,
-/// count the match and sum `payload[i]` (widened) in one masked pass — no
-/// bitmap materialization, no position list (HAP Q3's hot loop). Returns
-/// `(matched, sum)` so callers need no separate counting pass over the key
-/// lane.
-pub fn sum_payload_range<K: ColumnValue>(keys: &[K], payload: &[u32], lo: K, hi: K) -> (u64, u64) {
-    debug_assert_eq!(keys.len(), payload.len());
-    if hi <= lo {
-        return (0, 0);
-    }
-    let span = hi.to_ordered_u64().wrapping_sub(lo.to_ordered_u64());
-    SimdElem::sum_window(
-        K::lane_bits(keys),
-        payload,
-        lo.to_bits(),
-        K::Bits::narrow(span),
-    )
-}
-
 /// Sum `payload[i]` (widened to `u64`) for every position `i` whose bit is
-/// set in the bitmap produced by [`select_range_bitmap`] over the same
-/// lane. Positions beyond `payload.len()` must be clear in the mask.
-/// Dense words (all 64 bits set) take a vectorized straight-line sum.
+/// set in the bitmap produced by [`select_range_bitmap`] (or a fragment's
+/// order-preserving bitmap) over the slot-aligned key lane — HAP Q3's
+/// per-column pass. Bits at or past `payload.len()` are ignored.
+///
+/// # Panics
+/// If `mask` covers fewer than `payload.len()` positions.
 #[inline]
 pub fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
     simd::sum_payload_masked(payload, mask)
@@ -295,27 +281,48 @@ mod tests {
     fn masked_sum_equals_scalar_sum() {
         let keys = lane();
         let payload: Vec<u32> = (0..keys.len() as u32).map(|i| i * 3 + 1).collect();
-        let mut mask = Vec::new();
-        select_range_bitmap(&keys, 25, 75, &mut mask);
-        let want: u64 = keys
-            .iter()
-            .zip(&payload)
-            .filter(|(&k, _)| (25..75).contains(&k))
-            .map(|(_, &p)| u64::from(p))
-            .sum();
-        assert_eq!(sum_payload_masked(&payload, &mask), want);
+        for (lo, hi) in [(25u64, 75), (0, 100), (99, 99), (80, 10), (0, 1)] {
+            let mut mask = Vec::new();
+            select_range_bitmap(&keys, lo, hi, &mut mask);
+            let want: u64 = keys
+                .iter()
+                .zip(&payload)
+                .filter(|(&k, _)| (lo..hi).contains(&k))
+                .map(|(_, &p)| u64::from(p))
+                .sum();
+            assert_eq!(sum_payload_masked(&payload, &mask), want, "[{lo}, {hi})");
+        }
     }
 
     #[test]
     fn fused_sum_matches_masked_sum_and_count() {
+        // Q3's shape: one bitmap pass over the key lane yields the count,
+        // then each projected column is summed under that same mask.
         let keys = lane();
-        let payload: Vec<u32> = (0..keys.len() as u32).map(|i| i * 7 + 2).collect();
+        let columns: Vec<Vec<u32>> = (0..4u32)
+            .map(|c| {
+                (0..keys.len() as u32)
+                    .map(|i| i * 7 + 2 + c * 1000)
+                    .collect()
+            })
+            .collect();
         for (lo, hi) in [(0u64, 100), (25, 75), (99, 99), (80, 10), (0, 1)] {
             let mut mask = Vec::new();
-            let expected_count = select_range_bitmap(&keys, lo, hi, &mut mask);
-            let (matched, sum) = sum_payload_range(&keys, &payload, lo, hi);
-            assert_eq!(sum, sum_payload_masked(&payload, &mask), "[{lo}, {hi})");
-            assert_eq!(matched, expected_count, "[{lo}, {hi}) count");
+            let matched = select_range_bitmap(&keys, lo, hi, &mut mask);
+            assert_eq!(matched, count_range(&keys, lo, hi), "[{lo}, {hi}) count");
+            for (c, payload) in columns.iter().enumerate() {
+                let want: u64 = keys
+                    .iter()
+                    .zip(payload)
+                    .filter(|(&k, _)| (lo..hi).contains(&k))
+                    .map(|(_, &p)| u64::from(p))
+                    .sum();
+                assert_eq!(
+                    sum_payload_masked(payload, &mask),
+                    want,
+                    "[{lo}, {hi}) column {c}"
+                );
+            }
         }
     }
 

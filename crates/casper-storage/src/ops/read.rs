@@ -15,6 +15,9 @@
 //!   as whole runs (including first/last, which the covering bounds alone
 //!   could not prove); the rest are *filtered* through the bitmap kernel
 //!   [`crate::kernels::select_range_bitmap`].
+//! * A **range sum** (HAP Q3) filters the same way, once per partition,
+//!   then sums each projected payload column under that one bitmap with
+//!   [`crate::kernels::sum_payload_masked`].
 //!
 //! The pure-scalar reference paths live in [`crate::ops::scalar`]; property
 //! tests assert result equivalence and the `scan_ops` bench tracks the
@@ -172,6 +175,32 @@ enum ScanPath {
     Encoded,
 }
 
+/// Evaluate `[lo, hi)` over a filtered partition into `mask` (cleared
+/// first; bit `i` ⇔ slot `start + i`). Returns the match count and the
+/// path scanned. Bits must map onto slots, so only order-preserving
+/// fragments evaluate on the encoded lane; RLE and plain partitions run
+/// the branchless bitmap kernel over the slots.
+fn slot_bitmap<K: ColumnValue>(
+    live: &[K],
+    frag: Option<&Fragment<K>>,
+    lo: K,
+    hi: K,
+    mask: &mut Vec<u64>,
+) -> (u64, ScanPath) {
+    mask.clear();
+    // The kernels push one word at a time; size the buffer once.
+    mask.reserve(live.len().div_ceil(kernels::LANE_WIDTH));
+    match frag {
+        Some(f) if f.preserves_slot_order() => {
+            (f.select_range_bitmap(lo, hi, mask), ScanPath::Encoded)
+        }
+        _ => (
+            kernels::select_range_bitmap(live, lo, hi, mask),
+            ScanPath::Plain,
+        ),
+    }
+}
+
 impl<K: ColumnValue> PartitionedChunk<K> {
     /// Point query: return the positions of all live values equal to `v`
     /// (Fig. 3b).
@@ -239,20 +268,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 ScanPath::Plain
             }
             RangePart::Filtered { meta, live, frag } => {
-                mask.clear();
-                // Positions must map onto slots, so only order-preserving
-                // fragments can evaluate the predicate on the encoded lane.
-                let path = match frag {
-                    Some(f) if f.preserves_slot_order() => {
-                        matched += f.select_range_bitmap(lo, hi, &mut mask);
-                        ScanPath::Encoded
-                    }
-                    _ => {
-                        // Branchless bitmap evaluation over the slots.
-                        matched += kernels::select_range_bitmap(live, lo, hi, &mut mask);
-                        ScanPath::Plain
-                    }
-                };
+                let (m, path) = slot_bitmap(live, frag, lo, hi, &mut mask);
+                matched += m;
                 kernels::for_each_match(live, &mask, meta.start, |pos, val| {
                     consumer.value(pos, val);
                 });
@@ -292,10 +309,12 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// Convenience wrapper: sum the given payload columns over all rows in
-    /// `[lo, hi)` (HAP Q3). Filtered partitions aggregate through the fused
-    /// filter+sum kernel ([`kernels::sum_payload_range`], which also yields
-    /// the qualifying-row count); blind partitions use the contiguous-run
-    /// sum.
+    /// `[lo, hi)` (HAP Q3). A filtered partition evaluates the key
+    /// predicate once, into the same slot bitmap [`Self::range_query`]
+    /// builds, and then sums each projected column under it
+    /// ([`kernels::sum_payload_masked`]) — the paper's "retrieve the
+    /// qualifying positions to evaluate the subsequent" columns (§6.4).
+    /// Blind partitions sum each column's contiguous run.
     pub fn range_sum_payload(&self, lo: K, hi: K, cols: &[usize]) -> (u64, OpCost) {
         let mut cost = OpCost::default();
         if hi <= lo {
@@ -303,6 +322,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         }
         let mut sum = 0u64;
         let mut qualifying = 0usize;
+        let mut mask: Vec<u64> = Vec::new();
         self.scan_range_partitions(lo, hi, &mut cost, |part| match part {
             RangePart::Blind(meta) => {
                 sum += self.payloads.sum_range(cols, meta.start..meta.live_end());
@@ -310,28 +330,15 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 ScanPath::Plain
             }
             RangePart::Filtered { meta, live, frag } => {
-                // Payload lanes are slot-aligned, so only order-preserving
-                // fragments can drive the fused filter+sum from the encoded
-                // key lane.
-                let encoded = frag.filter(|f| f.preserves_slot_order());
-                for (ci, &c) in cols.iter().enumerate() {
-                    let payload = self.payloads.column_slice(c, meta.start..meta.live_end());
-                    let (m, s) = match encoded {
-                        Some(f) => f.sum_payload_range(payload, lo, hi),
-                        None => kernels::sum_payload_range(live, payload, lo, hi),
-                    };
-                    sum += s;
-                    // The fused pass already counted the matches; take the
-                    // count once (every column sees the same key lane).
-                    if ci == 0 {
-                        qualifying += m as usize;
+                let (m, path) = slot_bitmap(live, frag, lo, hi, &mut mask);
+                qualifying += m as usize;
+                if m > 0 {
+                    for &c in cols {
+                        let payload = self.payloads.column_slice(c, meta.start..meta.live_end());
+                        sum += kernels::sum_payload_masked(payload, &mask);
                     }
                 }
-                if encoded.is_some() {
-                    ScanPath::Encoded
-                } else {
-                    ScanPath::Plain
-                }
+                path
             }
         });
         // Payload reads are sequential over the qualifying blocks, one scan

@@ -83,20 +83,13 @@ impl PayloadSet {
     /// Sum the given columns over a contiguous slot range (the blind middle
     /// partitions of a range query, HAP Q3).
     pub fn sum_range(&self, cols: &[usize], range: std::ops::Range<usize>) -> u64 {
-        let mut acc = 0u64;
-        for &c in cols {
-            // Tight per-column loop over the contiguous slice: this is the
-            // vectorizable scan the paper's engine relies on.
-            acc += self.cols[c][range.clone()]
-                .iter()
-                .map(|&v| u64::from(v))
-                .sum::<u64>();
-        }
-        acc
+        cols.iter()
+            .map(|&c| crate::simd::sum_u32(&self.cols[c][range.clone()]))
+            .sum()
     }
 
-    /// Contiguous slice of one payload column (fused filter-aggregate
-    /// kernels consume the key and payload lanes side by side).
+    /// Contiguous slice of one payload column (Q3's masked sums read it
+    /// under the key lane's slot bitmap).
     #[inline]
     pub fn column_slice(&self, col: usize, range: std::ops::Range<usize>) -> &[u32] {
         &self.cols[col][range]

@@ -35,7 +35,7 @@ use std::arch::x86_64::*;
 /// Requires AVX2 and 64 readable `u32`s at `ptr`.
 #[inline]
 #[target_feature(enable = "avx2")]
-pub unsafe fn sum64_u32(ptr: *const u32) -> u64 {
+unsafe fn sum64_u32(ptr: *const u32) -> u64 {
     let mut acc = _mm256_setzero_si256();
     for i in 0..8 {
         let v = _mm256_loadu_si256(ptr.add(i * 8) as *const __m256i);
@@ -61,6 +61,42 @@ pub unsafe fn sum_u32(payload: &[u32]) -> u64 {
         acc += u64::from(p);
     }
     acc
+}
+
+/// Widening sum of `payload[i]` for every set bit `i` of `mask`; bits at
+/// or past `payload.len()` are ignored. Each byte of a word expands into
+/// an 8-lane mask (`set1` & per-lane bit, `cmpeq`) for one
+/// `vpmaskmovd` load — masked-off lanes load as zero and never fault —
+/// widened into `u64` lanes. Zero words are skipped; the ragged tail runs
+/// the portable loop. Bit-exact against
+/// [`super::portable::sum_payload_masked`].
+///
+/// # Safety
+/// Requires AVX2. Every load reads inside a block `chunks_exact(64)` took
+/// from `payload`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
+    let lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    let mut acc = _mm256_setzero_si256();
+    let mut blocks = payload.chunks_exact(64);
+    for (block, &word) in (&mut blocks).zip(mask) {
+        if word == 0 {
+            continue;
+        }
+        let ptr = block.as_ptr() as *const i32;
+        for b in 0..8 {
+            let byte = _mm256_set1_epi32(((word >> (b * 8)) & 0xFF) as i32);
+            let lanes = _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane_bit), lane_bit);
+            let v = _mm256_maskload_epi32(ptr.add(b * 8), lanes);
+            let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v));
+            let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(v, 1));
+            acc = _mm256_add_epi64(acc, _mm256_add_epi64(lo, hi));
+        }
+    }
+    let tail = mask.get(payload.len() / 64).map_or(0, |&w| {
+        super::portable::sum_payload_masked(blocks.remainder(), &[w])
+    });
+    reduce_add_u64(acc) + tail
 }
 
 #[inline]

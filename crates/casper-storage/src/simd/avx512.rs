@@ -28,7 +28,7 @@ use std::arch::x86_64::*;
 /// Requires AVX-512F and 64 readable `u32`s at `ptr`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
-pub unsafe fn sum64_u32(ptr: *const u32) -> u64 {
+unsafe fn sum64_u32(ptr: *const u32) -> u64 {
     let mut acc = _mm512_setzero_si512();
     for i in 0..4 {
         let v = _mm512_loadu_si512(ptr.add(i * 16) as *const _);
@@ -54,6 +54,38 @@ pub unsafe fn sum_u32(payload: &[u32]) -> u64 {
         acc += u64::from(p);
     }
     acc
+}
+
+/// Widening sum of `payload[i]` for every set bit `i` of `mask`; bits at
+/// or past `payload.len()` are ignored. Each full 64-value block is read
+/// as four 16-lane `vmovdqu32` loads under the word's 16-bit quarters —
+/// masked-off lanes load as zero and never fault — widened into `u64`
+/// lanes. Zero words are skipped; the ragged tail runs the portable loop.
+/// Bit-exact against [`super::portable::sum_payload_masked`].
+///
+/// # Safety
+/// Requires AVX-512F/BW. Every load reads inside a block `chunks_exact(64)`
+/// took from `payload`.
+#[target_feature(enable = "avx512f,avx512bw")]
+pub unsafe fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
+    let mut acc = _mm512_setzero_si512();
+    let mut blocks = payload.chunks_exact(64);
+    for (block, &word) in (&mut blocks).zip(mask) {
+        if word == 0 {
+            continue;
+        }
+        let ptr = block.as_ptr() as *const i32;
+        for q in 0..4 {
+            let v = _mm512_maskz_loadu_epi32((word >> (q * 16)) as u16, ptr.add(q * 16));
+            let lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v));
+            let hi = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(v, 1));
+            acc = _mm512_add_epi64(acc, _mm512_add_epi64(lo, hi));
+        }
+    }
+    let tail = mask.get(payload.len() / 64).map_or(0, |&w| {
+        super::portable::sum_payload_masked(blocks.remainder(), &[w])
+    });
+    _mm512_reduce_add_epi64(acc) as u64 + tail
 }
 
 /// Emit the positions of every set bit of `word` as `base + bit`, via

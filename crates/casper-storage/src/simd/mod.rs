@@ -148,11 +148,12 @@ pub fn level() -> SimdLevel {
 
 /// A fixed-width unsigned lane element the SIMD kernels scan.
 ///
-/// The five dispatched kernels cover the full scan surface: equality and
-/// window counting, bitmap selection (one `u64` word per 64 values),
-/// fused filter + `u32`-payload aggregation, and min/max (optionally
-/// through an order-normalizing XOR so signed columns reuse the unsigned
-/// comparators).
+/// The five dispatched kernels cover the key-lane scan surface: equality
+/// and window counting, bitmap selection (one `u64` word per 64 values),
+/// equality position collection, and min/max (optionally through an
+/// order-normalizing XOR so signed columns reuse the unsigned
+/// comparators). Payload aggregation is lane-width independent and lives
+/// beside the trait ([`sum_payload_masked`], [`sum_u32`]).
 pub trait SimdElem:
     Copy + Ord + Eq + Send + Sync + std::fmt::Debug + std::fmt::Display + 'static
 {
@@ -177,10 +178,6 @@ pub trait SimdElem:
     /// word `w` ⇔ `lane[w * 64 + i]` qualifies, final partial word
     /// zero-padded. Returns the match count (dispatched).
     fn bitmap_window(lane: &[Self], lo: Self, span: Self, out: &mut Vec<u64>) -> u64;
-    /// Fused window filter + payload aggregation: returns
-    /// `(matched, sum of payload[i] where keys[i] qualifies)`.
-    /// `keys.len() == payload.len()` required (dispatched).
-    fn sum_window(keys: &[Self], payload: &[u32], lo: Self, span: Self) -> (u64, u64);
     /// Min/max of `x ^ flip` over the lane (`None` when empty). Passing
     /// the sign mask as `flip` turns the unsigned comparators into
     /// order-correct signed ones; pass `0` for plain unsigned (dispatched).
@@ -193,7 +190,7 @@ pub trait SimdElem:
     fn select_eq_positions(lane: &[Self], target: Self, base: u32, out: &mut Vec<u32>) -> u64;
 }
 
-/// Generate the four lane-kernel loop shapes for an arch backend width
+/// Generate the three lane-kernel loop shapes for an arch backend width
 /// module. The module provides the two 64-element primitives `window_word`
 /// / `eq_word` (and a hand-written `min_max_flipped`); this macro wraps
 /// them in the shared full-lane loops: whole 64-element blocks go through
@@ -262,46 +259,6 @@ macro_rules! arch_kernels {
             }
             matched
         }
-
-        /// Fused window filter + payload aggregation: `(matched, sum)`.
-        /// Empty match words skip their payload block entirely; dense words
-        /// take the vectorized straight-line sum; sparse words decode set
-        /// bits with count-trailing-zeros.
-        ///
-        /// # Safety
-        /// The CPU must support the enabled target feature, and
-        /// `keys.len() == payload.len()`.
-        #[target_feature(enable = $feature)]
-        pub unsafe fn sum_window(keys: &[$t], payload: &[u32], lo: $t, span: $t) -> (u64, u64) {
-            debug_assert_eq!(keys.len(), payload.len());
-            let mut matched = 0u64;
-            let mut acc = 0u64;
-            let blocks = keys.len() / 64;
-            for b in 0..blocks {
-                let base = b * 64;
-                let word = window_word(keys.as_ptr().add(base), lo, span);
-                if word == 0 {
-                    continue;
-                }
-                matched += u64::from(word.count_ones());
-                if word == u64::MAX {
-                    acc += super::sum64_u32(payload.as_ptr().add(base));
-                } else {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let bit = bits.trailing_zeros() as usize;
-                        acc += u64::from(*payload.get_unchecked(base + bit));
-                        bits &= bits - 1;
-                    }
-                }
-            }
-            for j in blocks * 64..keys.len() {
-                let m = u64::from(keys[j].wrapping_sub(lo) < span);
-                matched += m;
-                acc += m * u64::from(payload[j]);
-            }
-            (matched, acc)
-        }
     };
 }
 #[cfg(target_arch = "x86_64")]
@@ -363,20 +320,6 @@ macro_rules! impl_simd_elem {
             }
 
             #[inline]
-            fn sum_window(keys: &[Self], payload: &[u32], lo: Self, span: Self) -> (u64, u64) {
-                // Hard assert (not debug): the intrinsic backends index the
-                // payload by key position without bounds checks, so a length
-                // mismatch from a safe caller must panic here rather than
-                // read out of bounds inside the unsafe dispatch.
-                assert_eq!(
-                    keys.len(),
-                    payload.len(),
-                    "sum_window requires keys and payload of equal length"
-                );
-                dispatch!($width, sum_window(keys, payload, lo, span))
-            }
-
-            #[inline]
             fn min_max_flipped(lane: &[Self], flip: Self) -> Option<(Self, Self)> {
                 if lane.is_empty() {
                     return None;
@@ -414,27 +357,36 @@ impl_simd_elem!(u32, w32);
 impl_simd_elem!(u64, w64);
 
 /// Sum `payload[i]` (widened to `u64`) for every position whose bit is set
-/// in `mask` (same word layout as [`SimdElem::bitmap_window`]). Positions
-/// beyond `payload.len()` must be clear. Dense words take a vectorized
-/// straight-line sum; sparse words decode set bits with
-/// count-trailing-zeros.
+/// in `mask` (same word layout as [`SimdElem::bitmap_window`]). Bits at or
+/// past `payload.len()` are ignored, so a bitmap over a longer lane, or a
+/// tail word with stray high bits, sums only the payload it covers.
+///
+/// Dispatched once per call to a branch-free masked-load loop over the
+/// full 64-value words (AVX-512 `maskz_loadu`, AVX2 `maskload`, portable
+/// `bit * payload`); zero words are skipped and the ragged tail runs
+/// scalar.
+///
+/// # Panics
+/// If `mask` covers fewer than `payload.len()` positions.
 pub fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
-    debug_assert!(payload.len() <= mask.len() * 64);
-    let mut acc = 0u64;
-    for (w, &word) in mask.iter().enumerate() {
-        let lane_base = w * 64;
-        if word == u64::MAX {
-            acc += sum_u32(&payload[lane_base..lane_base + 64]);
-        } else {
-            let mut bits = word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                acc += u64::from(payload[lane_base + bit]);
-                bits &= bits - 1;
-            }
-        }
+    // Hard assert (not debug): a short mask from a safe caller must fail
+    // loudly rather than silently drop the uncovered payload.
+    assert!(
+        payload.len() <= mask.len() * 64,
+        "sum_payload_masked: {} mask words cannot cover {} payload values",
+        mask.len(),
+        payload.len()
+    );
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` only returns Avx512/Avx2 when
+        // `is_x86_feature_detected!` proved the features at startup; the
+        // backends load only inside `chunks_exact(64)` blocks of `payload`.
+        SimdLevel::Avx512 => unsafe { avx512::sum_payload_masked(payload, mask) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { avx2::sum_payload_masked(payload, mask) },
+        _ => portable::sum_payload_masked(payload, mask),
     }
-    acc
 }
 
 /// Sum a `u32` slice into `u64` (dispatched widening sum).
@@ -522,8 +474,8 @@ mod tests {
             assert_eq!(a, b);
             let payload: Vec<u32> = (0..vals.len() as u32).collect();
             assert_eq!(
-                T::sum_window(vals, &payload, lo, span),
-                portable::sum_window(vals, &payload, lo, span)
+                sum_payload_masked(&payload, &a),
+                portable::sum_payload_masked(&payload, &b)
             );
             assert_eq!(
                 T::min_max_flipped(vals, T::narrow(0)),
@@ -565,5 +517,105 @@ mod tests {
             .sum();
         assert_eq!(sum_payload_masked(&payload, &mask), want);
         assert_eq!(sum_u32(&[]), 0);
+    }
+
+    /// Every masked-sum backend the host can run, called directly so one
+    /// process covers all levels whatever `level()` latched.
+    fn masked_sum_at_every_level(payload: &[u32], mask: &[u64]) -> Vec<(SimdLevel, u64)> {
+        let mut out = vec![(
+            SimdLevel::Scalar,
+            portable::sum_payload_masked(payload, mask),
+        )];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was just detected on this CPU.
+                let s = unsafe { avx2::sum_payload_masked(payload, mask) };
+                out.push((SimdLevel::Avx2, s));
+            }
+            if detect_host() == SimdLevel::Avx512 {
+                // SAFETY: `detect_host` proved avx512f + avx512bw.
+                let s = unsafe { avx512::sum_payload_masked(payload, mask) };
+                out.push((SimdLevel::Avx512, s));
+            }
+        }
+        out
+    }
+
+    fn naive_masked_sum(payload: &[u32], mask: &[u64]) -> u64 {
+        payload
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| mask.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1))
+            .map(|(_, &p)| u64::from(p))
+            .sum()
+    }
+
+    #[test]
+    fn masked_sum_matches_naive_at_every_level() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let word_shapes: Vec<u64> = vec![0, u64::MAX, 1, 1 << 63, 1 << 17, 0xFF00, next(), next()];
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 191, 200, 256, 321] {
+            let words = len.div_ceil(64);
+            for payload in [
+                (0..len as u32)
+                    .map(|i| i.wrapping_mul(2_654_435_761))
+                    .collect::<Vec<_>>(),
+                vec![u32::MAX; len],
+            ] {
+                // One mask per word shape (every word alike), one of mixed
+                // random words, and each with extra words past the payload.
+                let mut masks: Vec<Vec<u64>> =
+                    word_shapes.iter().map(|&w| vec![w; words]).collect();
+                masks.push((0..words).map(|_| next()).collect());
+                for extra in masks.clone() {
+                    let mut longer = extra;
+                    longer.extend([u64::MAX, next()]);
+                    masks.push(longer);
+                }
+                for mask in &masks {
+                    let want = naive_masked_sum(&payload, mask);
+                    assert_eq!(
+                        sum_payload_masked(&payload, mask),
+                        want,
+                        "dispatched len {len}"
+                    );
+                    for (level, got) in masked_sum_at_every_level(&payload, mask) {
+                        assert_eq!(got, want, "{level:?} len {len} mask {mask:x?}");
+                    }
+                }
+            }
+        }
+        // Widening: 64 x u32::MAX per dense word overflows any 32-bit lane.
+        let payload = vec![u32::MAX; 640];
+        let want = 640 * u64::from(u32::MAX);
+        for (level, got) in masked_sum_at_every_level(&payload, &[u64::MAX; 10]) {
+            assert_eq!(got, want, "{level:?} widening");
+        }
+    }
+
+    #[test]
+    fn masked_sum_ignores_tail_bits_past_the_payload() {
+        // 70 values: one full word, then a tail word whose 58 bits past
+        // the payload are set. They are ignored at every level.
+        let payload: Vec<u32> = (1..=70).collect();
+        let mask = [0, u64::MAX];
+        let want: u64 = (65..=70).sum();
+        assert_eq!(sum_payload_masked(&payload, &mask), want);
+        for (level, got) in masked_sum_at_every_level(&payload, &mask) {
+            assert_eq!(got, want, "{level:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot cover")]
+    fn masked_sum_rejects_a_mask_shorter_than_the_payload() {
+        sum_payload_masked(&[1; 65], &[u64::MAX]);
     }
 }

@@ -53,18 +53,6 @@ pub fn bitmap_window<T: SimdElem>(lane: &[T], lo: T, span: T, out: &mut Vec<u64>
     matched
 }
 
-/// Fused window filter + payload aggregation: `(matched, sum)`.
-pub fn sum_window<T: SimdElem>(keys: &[T], payload: &[u32], lo: T, span: T) -> (u64, u64) {
-    let mut matched = 0u64;
-    let mut acc = 0u64;
-    for (&x, &p) in keys.iter().zip(payload) {
-        let m = u64::from(x.wsub(lo) < span);
-        matched += m;
-        acc += m * u64::from(p);
-    }
-    (matched, acc)
-}
-
 /// Min/max of `x ^ flip` over a non-empty lane.
 pub fn min_max_flipped<T: SimdElem>(lane: &[T], flip: T) -> (T, T) {
     debug_assert!(!lane.is_empty());
@@ -103,6 +91,24 @@ pub fn sum_u32(payload: &[u32]) -> u64 {
     let mut acc = 0u64;
     for &p in payload {
         acc += u64::from(p);
+    }
+    acc
+}
+
+/// Widening sum of `payload[i]` for every set bit `i` of `mask` (bit `i`
+/// of word `w` ⇔ `payload[w * 64 + i]`). Bits at or past `payload.len()`
+/// are ignored, as are words past the payload's last. Branch-free
+/// `bit * payload` per value; zero words are skipped. Also the ragged-tail
+/// loop of the arch backends.
+pub fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
+    let mut acc = 0u64;
+    for (block, &word) in payload.chunks(64).zip(mask) {
+        if word == 0 {
+            continue;
+        }
+        for (bit, &p) in block.iter().enumerate() {
+            acc += ((word >> bit) & 1) * u64::from(p);
+        }
     }
     acc
 }

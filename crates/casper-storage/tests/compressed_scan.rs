@@ -1,13 +1,14 @@
 //! Compressed-execution equivalence suite.
 //!
 //! * Property tests: every codec-aware kernel (`count_eq`, `count_range`,
-//!   `select_range_bitmap`, `sum_payload_range`) is bit-exact against
-//!   `decode()` + the scalar baseline over arbitrary data, partitionings
-//!   and `[lo, hi)` bounds — including empty, inverted and full-domain
-//!   ranges.
+//!   `select_range_bitmap`, and the masked payload sum its bitmap drives)
+//!   is bit-exact against `decode()` + the scalar baseline over arbitrary
+//!   data, partitionings and `[lo, hi)` bounds — including empty, inverted
+//!   and full-domain ranges.
 //! * Chunk-level equivalence: a mixed-mode chunk (every partition under a
 //!   different [`StorageMode`]) answers point/count/sum/select queries
-//!   identically to its all-plain twin.
+//!   identically to its all-plain twin, Q3 over one and several payload
+//!   columns.
 //! * Mode-transition regressions: encode → write (decode-on-write) →
 //!   re-encode round-trips preserve values, zone maps and ghost-value
 //!   accounting; partitions emptied by deletes keep working.
@@ -17,7 +18,7 @@
 
 use casper_storage::compress::telemetry;
 use casper_storage::ghost::GhostPlan;
-use casper_storage::kernels::Fragment;
+use casper_storage::kernels::{self, Fragment};
 use casper_storage::ops::PositionsConsumer;
 use casper_storage::{
     BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, StorageMode, ZoneMap,
@@ -47,11 +48,26 @@ fn sizes_from_seed(n_blocks: usize, seed: &[u8]) -> Vec<usize> {
     sizes
 }
 
+/// Q3 projections: one column, all four, and a reordered subset.
+const COL_SETS: [&[usize]; 3] = [&[0], &[0, 1, 2, 3], &[3, 1]];
+
+/// Four payload lanes with distinct contents, so summing the wrong column
+/// changes the result.
+fn payload_lanes(n: usize) -> Vec<Vec<u32>> {
+    (0..4u32)
+        .map(|c| {
+            (0..n as u32)
+                .map(|i| i.wrapping_mul(2 * c + 3) ^ (c << 20))
+                .collect()
+        })
+        .collect()
+}
+
 /// Build an uncompressed chunk plus a twin whose partitions cycle through
 /// the three codecs.
 fn plain_and_mixed(
     values: &[u64],
-    payload: &[u32],
+    payloads: Vec<Vec<u32>>,
     seed: &[u8],
 ) -> (PartitionedChunk<u64>, PartitionedChunk<u64>) {
     let layout = tiny_layout();
@@ -61,7 +77,7 @@ fn plain_and_mixed(
     let ghosts: Vec<usize> = (0..sizes.len()).map(|p| p % 2).collect();
     let plain = PartitionedChunk::build_with_payloads(
         values.to_vec(),
-        vec![payload.to_vec()],
+        payloads,
         &spec,
         layout,
         &GhostPlan::from_counts(ghosts),
@@ -119,14 +135,15 @@ proptest! {
                 perm.sort_by_key(|&i| vals[i as usize]);
                 perm.iter().map(|&i| payload[i as usize]).collect()
             };
-            let (m, s) = frag.sum_payload_range(&enc_payload, lo, hi);
+            // The encoded bitmap drives the masked payload sum (Q3).
+            let s = kernels::sum_payload_masked(&enc_payload, &mask);
             let want_sum: u64 = decoded
                 .iter()
                 .zip(&enc_payload)
                 .filter(|(&k, _)| lo <= k && k < hi)
                 .map(|(_, &p)| u64::from(p))
                 .sum();
-            prop_assert_eq!((m, s), (want_count, want_sum), "{:?} fused sum", mode);
+            prop_assert_eq!(s, want_sum, "{:?} masked sum", mode);
         }
     }
 
@@ -173,8 +190,7 @@ proptest! {
         hi in 0u64..550,
         probe in 0u64..550,
     ) {
-        let payload: Vec<u32> = (0..vals.len() as u32).map(|i| i * 3 + 1).collect();
-        let (plain, mixed) = plain_and_mixed(&vals, &payload, &seed);
+        let (plain, mixed) = plain_and_mixed(&vals, payload_lanes(vals.len()), &seed);
 
         let a = plain.point_query(probe);
         let b = mixed.point_query(probe);
@@ -185,11 +201,15 @@ proptest! {
             mixed.range_count(lo, hi).0,
             "count [{},{})", lo, hi
         );
-        prop_assert_eq!(
-            plain.range_sum_payload(lo, hi, &[0]).0,
-            mixed.range_sum_payload(lo, hi, &[0]).0,
-            "sum [{},{})", lo, hi
-        );
+        // FoR and Dict partitions build the Q3 bitmap from the encoded
+        // lane; RLE ones fall back to the slots.
+        for cols in COL_SETS {
+            let want = plain.range_sum_payload_scalar(lo, hi, cols).0;
+            prop_assert_eq!(plain.range_sum_payload(lo, hi, cols).0, want,
+                "plain sum {:?} [{},{})", cols, lo, hi);
+            prop_assert_eq!(mixed.range_sum_payload(lo, hi, cols).0, want,
+                "mixed sum {:?} [{},{})", cols, lo, hi);
+        }
 
         let mut pa = PositionsConsumer::default();
         let mut pb = PositionsConsumer::default();

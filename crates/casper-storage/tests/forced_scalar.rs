@@ -37,15 +37,15 @@ fn forced_scalar_env_pins_the_level_and_stays_correct() {
         naive
     );
 
+    // Q3's filtered-partition shape: the bitmap above, then one masked sum.
     let payload: Vec<u32> = (0..vals.len() as u32).collect();
-    let (m, s) = kernels::sum_payload_range(&vals, &payload, lo, hi);
     let want: u64 = vals
         .iter()
         .zip(&payload)
         .filter(|(&x, _)| lo <= x && x < hi)
         .map(|(_, &p)| u64::from(p))
         .sum();
-    assert_eq!((m, s), (naive, want));
+    assert_eq!(kernels::sum_payload_masked(&payload, &mask), want);
 
     assert_eq!(
         kernels::min_max(&vals),

@@ -9,7 +9,9 @@ use casper_storage::ghost::GhostPlan;
 use casper_storage::kernels;
 use casper_storage::ops::PositionsConsumer;
 use casper_storage::value::ColumnValue;
-use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, UpdatePolicy};
+use casper_storage::{
+    BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, StorageMode, UpdatePolicy,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -17,6 +19,27 @@ enum Op {
     Insert(u64),
     Delete(u64),
     Update(u64, u64),
+}
+
+/// Q3 projections: one column, all four, and a reordered subset.
+const COL_SETS: [&[usize]; 3] = [&[0], &[0, 1, 2, 3], &[3, 1]];
+
+/// The payload row stored with key `k`: four lanes with distinct contents,
+/// so summing the wrong column changes the result.
+fn row_of(k: u64) -> Vec<u32> {
+    vec![
+        (k % 251) as u32,
+        (k * 7 + 1) as u32,
+        (k ^ 0x5A5) as u32 + 1000,
+        (k * k % 65_521) as u32,
+    ]
+}
+
+/// Transpose rows into slot-aligned payload lanes.
+fn lanes_of(keys: &[u64]) -> Vec<Vec<u32>> {
+    (0..4)
+        .map(|c| keys.iter().map(|&k| row_of(k)[c]).collect())
+        .collect()
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -65,7 +88,7 @@ fn build_chunk(
             })
             .collect(),
     );
-    let payloads: Vec<Vec<u32>> = vec![initial.iter().map(|&k| (k % 251) as u32).collect()];
+    let payloads = lanes_of(&initial);
     let mut chunk = PartitionedChunk::build_with_payloads(
         initial,
         payloads,
@@ -82,7 +105,7 @@ fn build_chunk(
     for op in ops {
         match op {
             Op::Insert(v) => {
-                let _ = chunk.insert(v, &[(v % 251) as u32]);
+                let _ = chunk.insert(v, &row_of(v));
             }
             Op::Delete(v) => {
                 let _ = chunk.delete(v);
@@ -136,12 +159,132 @@ fn check_equivalence(chunk: &PartitionedChunk<u64>, probes: &[u64]) -> Result<()
         slots_s.sort_unstable();
         prop_assert_eq!(slots_k, slots_s, "select[{}, {})", lo, hi);
 
-        // Payload sum: bitmap-masked aggregation equals scalar gather.
-        let (sum_k, _) = chunk.range_sum_payload(lo, hi, &[0]);
-        let (sum_s, _) = chunk.range_sum_payload_scalar(lo, hi, &[0]);
-        prop_assert_eq!(sum_k, sum_s, "sum[{}, {})", lo, hi);
+        check_sums(chunk, lo, hi, ck == cs)?;
     }
     Ok(())
+}
+
+/// Q3 over every column set: the bitmap-masked sums equal the scalar
+/// gather, and the cost obeys the file's rule — never more block accesses
+/// than scalar, and exactly scalar's when nothing was pruned. Sum and
+/// count walk the same partitions and the sum adds the same payload term
+/// on both sides, so `unpruned` is "the count charged exactly what scalar
+/// did".
+fn check_sums(
+    chunk: &PartitionedChunk<u64>,
+    lo: u64,
+    hi: u64,
+    unpruned: bool,
+) -> Result<(), TestCaseError> {
+    for cols in COL_SETS {
+        let (sum_k, cost_k) = chunk.range_sum_payload(lo, hi, cols);
+        let (sum_s, cost_s) = chunk.range_sum_payload_scalar(lo, hi, cols);
+        prop_assert_eq!(sum_k, sum_s, "sum{:?}[{}, {})", cols, lo, hi);
+        prop_assert!(
+            cost_k.total_block_accesses() <= cost_s.total_block_accesses(),
+            "sum{:?}[{}, {}) kernel cost {:?} > scalar {:?}",
+            cols,
+            lo,
+            hi,
+            cost_k,
+            cost_s
+        );
+        if unpruned {
+            prop_assert_eq!(
+                cost_k,
+                cost_s,
+                "unpruned sum{:?}[{}, {}) cost drifted",
+                cols,
+                lo,
+                hi
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Q3 at the storage layer on partitions of 3 × 64 values plus an 8-value
+/// ragged tail, reshuffled by delete + re-insert so matches scatter: 0 %
+/// (all-zero words, masked sums skipped), ~20 % (sparse SIMD words),
+/// all but the maximum (dense words) and 100 % (blind runs) selectivity,
+/// per partition and across partitions — on plain slots and with each
+/// partition under FoR, Dict (bitmap from the encoded lane) and RLE
+/// (bitmap from the slots).
+#[test]
+fn q3_multi_column_sums_reach_every_word_class() {
+    const PART: u64 = 200; // values per partition: 3 full words + 8
+    let keys: Vec<u64> = (0..3 * PART).map(|i| 2 * i).collect();
+    let layout = BlockLayout {
+        block_bytes: 64,
+        value_width: 8,
+    }; // 8 values per block, 25 blocks per partition
+    let mut chunk = PartitionedChunk::build_with_payloads(
+        keys.clone(),
+        lanes_of(&keys),
+        &PartitionSpec::from_block_sizes(&[25, 25, 25]),
+        layout,
+        &GhostPlan::from_counts(vec![4, 4, 4]),
+        ChunkConfig::default(),
+    )
+    .expect("build");
+    for &k in keys.iter().step_by(7) {
+        assert_eq!(chunk.delete(k).affected, 1);
+        chunk.insert(k, &row_of(k)).expect("re-insert");
+    }
+    chunk.validate_invariants().expect("invariants");
+    // Per partition p (keys base..base + 398, even): the four
+    // selectivities, then one range across all three and the whole chunk.
+    let mut queries = Vec::new();
+    for p in 0..3 {
+        let b = 2 * PART * p;
+        queries.extend([
+            (b + 1, b + 2, 0),               // in-zone gap: no match
+            (b + 100, b + 180, 40),          // ~20 %
+            (b, b + 2 * PART - 2, PART - 1), // all but the maximum
+            (b, b + 2 * PART, PART),         // zone inside: blind
+        ]);
+    }
+    queries.push((100, 4 * PART + 300, 150 + PART + 150));
+    queries.push((0, 6 * PART, 3 * PART));
+
+    // The word classes the masked kernels must handle are all present.
+    for (qi, &(lo, hi, _)) in queries.iter().take(12).enumerate() {
+        let live = chunk.partition_values(qi / 4);
+        assert_eq!(live.len() as u64, PART);
+        let mut mask = Vec::new();
+        kernels::select_range_bitmap(live, lo, hi, &mut mask);
+        assert_eq!(mask.len(), 4);
+        match qi % 4 {
+            0 => assert!(mask.iter().all(|&w| w == 0)),
+            1 => assert!(mask[..3].iter().any(|&w| w != 0 && w != u64::MAX)),
+            2 => assert!(mask[..3].contains(&u64::MAX) && mask[3] != 0),
+            _ => {}
+        }
+    }
+
+    for &(lo, hi, want) in &queries {
+        let (n, ck) = chunk.range_count(lo, hi);
+        assert_eq!(n, want, "count [{lo}, {hi})");
+        let unpruned = ck == chunk.range_count_scalar(lo, hi).1;
+        check_sums(&chunk, lo, hi, unpruned).expect("plain chunk");
+    }
+    // Compressed partitions bill encoded blocks, so they are held to the
+    // sums only.
+    for mode in [StorageMode::For, StorageMode::Dict, StorageMode::Rle] {
+        let mut c = chunk.clone();
+        for p in 0..c.partition_count() {
+            c.compress_partition(p, mode);
+        }
+        for &(lo, hi, _) in &queries {
+            for cols in COL_SETS {
+                assert_eq!(
+                    c.range_sum_payload(lo, hi, cols).0,
+                    c.range_sum_payload_scalar(lo, hi, cols).0,
+                    "{mode:?} sum{cols:?} [{lo}, {hi})"
+                );
+            }
+        }
+    }
 }
 
 /// `kernels::first_eq` (the write path's find-first) is

@@ -42,16 +42,6 @@ fn check_width<T: SimdElem>(vals: &[T], offset: usize, lo: T, span_seed: u64, eq
     assert_eq!(gm, wm, "bitmap_window count u{}", T::BITS);
     assert_eq!(got, want, "bitmap_window words u{}", T::BITS);
 
-    let payload: Vec<u32> = (0..lane.len() as u32)
-        .map(|i| i.wrapping_mul(2_654_435_761))
-        .collect();
-    assert_eq!(
-        T::sum_window(lane, &payload, lo, span),
-        portable::sum_window(lane, &payload, lo, span),
-        "sum_window u{}",
-        T::BITS
-    );
-
     for flip in [T::narrow(0), T::narrow(1u64 << (T::BITS - 1))] {
         let got = T::min_max_flipped(lane, flip);
         let want = if lane.is_empty() {
@@ -62,11 +52,22 @@ fn check_width<T: SimdElem>(vals: &[T], offset: usize, lo: T, span_seed: u64, eq
         assert_eq!(got, want, "min_max_flipped u{} flip={flip}", T::BITS);
     }
 
-    // Masked payload sum consumes the bitmap the kernels produced.
+    // Masked payload sum consumes the bitmap the kernels produced (Q3's
+    // filtered-partition shape): dispatched, portable and naive agree.
+    let payload: Vec<u32> = (0..lane.len() as u32)
+        .map(|i| i.wrapping_mul(2_654_435_761))
+        .collect();
+    let want = reference_masked_sum(lane, &payload, lo, span);
     assert_eq!(
-        simd::sum_payload_masked(&payload, &got_mask_for(lane, lo, span)),
-        reference_masked_sum(lane, &payload, lo, span),
+        simd::sum_payload_masked(&payload, &got),
+        want,
         "sum_payload_masked u{}",
+        T::BITS
+    );
+    assert_eq!(
+        portable::sum_payload_masked(&payload, &got),
+        want,
+        "portable sum_payload_masked u{}",
         T::BITS
     );
 
@@ -84,12 +85,6 @@ fn check_width<T: SimdElem>(vals: &[T], offset: usize, lo: T, span_seed: u64, eq
         .map(|(i, _)| 17 + i as u32)
         .collect();
     assert_eq!(got_pos, naive, "select_eq_positions vs naive u{}", T::BITS);
-}
-
-fn got_mask_for<T: SimdElem>(lane: &[T], lo: T, span: T) -> Vec<u64> {
-    let mut mask = Vec::new();
-    T::bitmap_window(lane, lo, span, &mut mask);
-    mask
 }
 
 fn reference_masked_sum<T: SimdElem>(lane: &[T], payload: &[u32], lo: T, span: T) -> u64 {
@@ -177,6 +172,40 @@ proptest! {
         check_plain(&vals, lo, hi, eq)?;
     }
 
+    // The masked sum on arbitrary words, not only bitmaps the window
+    // kernels produce: random, dense, single-bit and empty words, ragged
+    // payload lengths, masks longer than the payload (their extra words and
+    // the tail word's bits past the payload are ignored), u32::MAX payloads.
+    #[test]
+    fn masked_sum_matches_portable_and_naive(
+        payload in proptest::collection::vec(any::<u32>(), 0..700),
+        words in proptest::collection::vec(any::<u64>(), 0..16),
+        shape in 0usize..4,
+        extra in 0usize..3,
+        saturate in any::<bool>(),
+    ) {
+        let payload = if saturate { vec![u32::MAX; payload.len()] } else { payload };
+        let mask: Vec<u64> = (0..payload.len().div_ceil(64) + extra)
+            .map(|w| {
+                let r = words.get(w).copied().unwrap_or(0);
+                match shape {
+                    0 => r,
+                    1 => u64::MAX,
+                    2 => 1 << (r % 64),
+                    _ => 0,
+                }
+            })
+            .collect();
+        let naive: u64 = payload
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| (mask[i / 64] >> (i % 64)) & 1 == 1)
+            .map(|(_, &p)| u64::from(p))
+            .sum();
+        prop_assert_eq!(simd::sum_payload_masked(&payload, &mask), naive);
+        prop_assert_eq!(portable::sum_payload_masked(&payload, &mask), naive);
+    }
+
     // `first_eq` over a key domain narrow enough that matches land
     // anywhere in 0..3 sub-chunks (and sometimes nowhere).
     #[test]
@@ -248,14 +277,13 @@ fn check_plain<K: ColumnValue>(
         prop_assert_eq!(bit == 1, lo <= x && x < hi, "bit {}", i);
     }
     let payload: Vec<u32> = (0..vals.len() as u32).collect();
-    let (m, s) = kernels::sum_payload_range(vals, &payload, lo, hi);
     let want_s: u64 = vals
         .iter()
         .zip(&payload)
         .filter(|(&x, _)| lo <= x && x < hi)
         .map(|(_, &p)| u64::from(p))
         .sum();
-    prop_assert_eq!((m, s), (naive_count, want_s));
+    prop_assert_eq!(kernels::sum_payload_masked(&payload, &mask), want_s);
     prop_assert_eq!(
         kernels::min_max(vals),
         vals.iter()
