@@ -1,4 +1,4 @@
-//! Minimal `--key=value` argument parsing for the experiment binaries (no
+//! Minimal `--key=value` argument parsing for the benchmark binaries (no
 //! external CLI dependency, per the offline-crate policy).
 
 use std::collections::HashMap;

@@ -1,24 +1,25 @@
 //! # casper-bench
 //!
-//! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index). Each
-//! `src/bin/figNN_*.rs` binary regenerates one figure:
+//! Subsystem benchmarks and the kernel micro-benchmarks. Each
+//! `src/bin/*.rs` binary measures one subsystem and records its numbers in
+//! a `BENCH_*.json` file at the workspace root:
 //!
 //! ```text
-//! cargo run --release -p casper-bench --bin fig12_throughput
+//! cargo run --release -p casper-bench --bin recovery_time [-- --smoke]
 //! ```
 //!
-//! All binaries accept `--rows=N --ops=N --seed=N` style arguments (and
-//! `--help`). Absolute numbers differ from the paper's EC2 testbed; the
-//! binaries print the paper's reported values next to the measured ones so
-//! the *shapes* can be compared directly (EXPERIMENTS.md records both).
+//! All binaries accept `--key=value` arguments (and `--help`). The criterion
+//! benches live under `benches/`; `scan_ops` writes `BENCH_scan.json`
+//! through [`trajectory`].
+//!
+//! The paper's figures are not here: their claims are asserted by the
+//! root package's `tests/paper_claims.rs` (`cargo test --test
+//! paper_claims`), and the end-to-end throughput of each layout mode is
+//! measured by `benchmark/`.
 
 pub mod cli;
-pub mod metrics;
 pub mod report;
-pub mod runner;
 pub mod trajectory;
 
 pub use cli::Args;
 pub use report::TableReport;
-pub use runner::{run_queries, run_queries_batched, RunConfig, RunOutcome};

@@ -1,8 +1,8 @@
-//! Aligned text tables + CSV output for experiment results.
+//! Aligned text tables + CSV output for benchmark results.
 //!
-//! Every experiment binary prints a human-readable table and, when
-//! `--csv=PATH` (or the default under `target/experiments/`) is writable,
-//! a machine-readable CSV used to assemble EXPERIMENTS.md.
+//! Every benchmark binary prints a human-readable table; most also write a
+//! best-effort CSV copy under `target/experiments/`. The numbers that are
+//! tracked PR over PR go to the binary's `BENCH_*.json` instead.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -29,11 +29,6 @@ impl TableReport {
     pub fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience: append a row of displayable values.
-    pub fn rowd<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
     }
 
     /// Render the aligned table.
@@ -104,23 +99,6 @@ impl TableReport {
     }
 }
 
-/// Format nanoseconds as microseconds with sensible precision.
-pub fn us(nanos: f64) -> String {
-    let v = nanos / 1000.0;
-    if v >= 100.0 {
-        format!("{v:.0}")
-    } else if v >= 1.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
-/// Format an ops/second throughput.
-pub fn kops(ops_per_sec: f64) -> String {
-    format!("{:.1}", ops_per_sec / 1000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,8 +106,8 @@ mod tests {
     #[test]
     fn render_aligns_columns() {
         let mut t = TableReport::new("demo", &["name", "value"]);
-        t.rowd(&["a", "1"]);
-        t.rowd(&["longer-name", "22"]);
+        t.row(&["a".into(), "1".into()]);
+        t.row(&["longer-name".into(), "22".into()]);
         let s = t.render();
         assert!(s.contains("demo"));
         assert!(s.contains("longer-name"));
@@ -141,14 +119,6 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn row_arity_checked() {
         let mut t = TableReport::new("demo", &["a", "b"]);
-        t.rowd(&["only-one"]);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(us(1500.0), "1.5");
-        assert_eq!(us(150.0), "0.150");
-        assert_eq!(us(250_000.0), "250");
-        assert_eq!(kops(12_340.0), "12.3");
+        t.row(&["only-one".into()]);
     }
 }

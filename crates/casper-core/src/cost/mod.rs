@@ -15,7 +15,4 @@ pub use model::{
     fwd_read_literal, trail_parts, OpCostBreakdown,
 };
 pub use terms::BlockTerms;
-pub use verify::{
-    predicted_insert_nanos, predicted_point_access, predicted_point_query_nanos,
-    predicted_range_access, predicted_update_nanos, RangePartKind, ScanAccess,
-};
+pub use verify::{predicted_point_access, predicted_range_access, RangePartKind, ScanAccess};

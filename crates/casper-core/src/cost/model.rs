@@ -11,7 +11,8 @@
 //!   chunk; this is what the solver and the engine use.
 //!
 //! Their equality on random inputs is property-tested, which validates the
-//! algebraic rewrite that makes the exact DP solver possible (DESIGN.md §2).
+//! algebraic rewrite that makes the exact DP solver possible (derived in
+//! `solver/dp.rs`).
 
 use super::terms::BlockTerms;
 use crate::layout::Segmentation;

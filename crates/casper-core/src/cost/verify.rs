@@ -1,55 +1,24 @@
-//! Closed-form per-operation latency predictions used by the Fig. 9
-//! cost-model verification experiment (§4.5).
+//! Block-access predictors for the scan kernels (§4.5's model
+//! verification, extended to the zone-map fast paths).
 //!
-//! Fig. 9 validates exactly two predictions, because together they exercise
-//! both partition-dependent cost functions:
+//! The §4 model prices a point query as `RR + SR·(blocks − 1)` (Eq. 7):
+//! one random jump into the target partition, then a sequential scan of
+//! its remaining blocks. The scan kernels add two fast paths the closed
+//! form cannot express. A point probe whose value falls outside the target
+//! partition's zone touches *zero* blocks (a pruned miss). A range scan
+//! classifies every overlapping partition as pruned / blind / filtered:
+//! blind partitions stream sequentially behind a single leading random
+//! jump, while each filtered partition pays its own random jump.
 //!
-//! * **inserts** — linear in the number of *trailing partitions*
-//!   (Eq. 8/9): `cost_in = (RR + RW) · (1 + trail_parts)`;
-//! * **point queries** — linear in the *partition size*
-//!   (Eq. 2/4/7): `cost_pq = RR + SR · (blocks − 1)`.
-//!
-//! The **kernel-aware access model** below extends those closed forms to
-//! the zone-map fast paths the scan kernels actually execute: a point probe
-//! whose value falls outside the target partition's zone touches *zero*
-//! blocks (a pruned miss), and a range scan classifies every overlapping
-//! partition as pruned / blind / filtered — blind partitions stream
-//! sequentially behind a single leading random jump, while each filtered
-//! partition pays its own random jump. These predictions match the engine's
-//! measured [`OpCost`](casper_storage::OpCost) block counts *exactly*
-//! (asserted by the tests here and by the fig09 verification binary), which
-//! is what lets Fig. 9 assert equality on pruned scans too.
+//! [`predicted_point_access`] and [`predicted_range_access`] return the
+//! exact [`OpCost`](casper_storage::OpCost) block counts the engine
+//! measures on those paths, as a [`ScanAccess`]; the tests here assert the
+//! equality. The root package's `tests/paper_claims.rs` checks the same
+//! prediction against the cost model's own charge (Fig. 9b), and checks
+//! the insert side (Fig. 9a) directly against `BlockTerms`.
 
 use super::constants::CostConstants;
 use casper_storage::OpCost;
-
-/// Predicted latency (ns) of one insert into partition `m` (0-based) of a
-/// chunk with `k` partitions (Eq. 9 with `trail_parts = k − m`).
-pub fn predicted_insert_nanos(c: &CostConstants, k: usize, m: usize) -> f64 {
-    assert!(m < k);
-    (c.rr + c.rw) * (1.0 + (k - m) as f64)
-}
-
-/// Predicted latency (ns) of one point query against a partition spanning
-/// `blocks` logical blocks (Eq. 7 with `fwd_read + bck_read = blocks − 1`).
-pub fn predicted_point_query_nanos(c: &CostConstants, blocks: usize) -> f64 {
-    assert!(blocks >= 1);
-    c.rr + c.sr * (blocks as f64 - 1.0)
-}
-
-/// Predicted latency (ns) of one direct-ripple update from partition `m` to
-/// partition `t` of a `k`-partition chunk whose partitions each span
-/// `blocks_per_partition` blocks (Eq. 12/13 plus the embedded point query).
-pub fn predicted_update_nanos(
-    c: &CostConstants,
-    m: usize,
-    t: usize,
-    blocks_per_partition: usize,
-) -> f64 {
-    let pq = predicted_point_query_nanos(c, blocks_per_partition);
-    let ripple_span = m.abs_diff(t) as f64;
-    pq + (c.rr + 2.0 * c.rw) + (c.rr + c.rw) * ripple_span
-}
 
 /// Predicted block-level access pattern of one kernel-path scan — the
 /// read-side projection of an [`OpCost`] (writes and probes are separate
@@ -146,44 +115,6 @@ pub fn predicted_range_access(parts: &[RangePartKind]) -> ScanAccess {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn insert_prediction_linear_in_trailing_partitions() {
-        let c = CostConstants::paper();
-        let base = predicted_insert_nanos(&c, 100, 99);
-        let worst = predicted_insert_nanos(&c, 100, 0);
-        // First partition pays ~100 partition steps vs 1 for the last.
-        assert!((worst / base - 101.0 / 2.0).abs() < 1e-9);
-        // Strictly decreasing in m.
-        for m in 1..100 {
-            assert!(predicted_insert_nanos(&c, 100, m) < predicted_insert_nanos(&c, 100, m - 1));
-        }
-    }
-
-    #[test]
-    fn point_query_prediction_linear_in_partition_size() {
-        let c = CostConstants::paper();
-        let one = predicted_point_query_nanos(&c, 1);
-        assert!((one - c.rr).abs() < 1e-9);
-        let big = predicted_point_query_nanos(&c, 15);
-        assert!((big - (c.rr + 14.0 * c.sr)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn update_prediction_spans_both_directions() {
-        let c = CostConstants::paper();
-        let fwd = predicted_update_nanos(&c, 1, 5, 2);
-        let bwd = predicted_update_nanos(&c, 5, 1, 2);
-        assert!((fwd - bwd).abs() < 1e-9, "ripple cost is symmetric in span");
-        let local = predicted_update_nanos(&c, 3, 3, 2);
-        assert!(local < fwd);
-    }
-
-    // ------------------------------------------------------------------
-    // Kernel-aware access model: exact equality against the engine's
-    // measured OpCost on the zone-map fast paths.
-    // ------------------------------------------------------------------
-
     use casper_storage::ghost::GhostPlan;
     use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk};
 

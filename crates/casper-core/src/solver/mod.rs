@@ -5,8 +5,7 @@
 //! auxiliary `y_{i,j}` variables (Eq. 20), adds SLA bounds (Eq. 21), and
 //! solves with the commercial Mosek solver.
 //!
-//! This reproduction replaces Mosek with three cross-validated solvers
-//! (see DESIGN.md §2 for the substitution argument):
+//! This reproduction replaces Mosek with three cross-validated solvers:
 //!
 //! * [`dp`] — an exact `O(N²)` segmentation dynamic program. Because
 //!   Eq. 16 decomposes additively over partitions, the DP optimum *is* the

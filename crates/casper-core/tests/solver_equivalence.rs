@@ -1,7 +1,8 @@
 //! Cross-solver equivalence: the exact segmentation DP, the literal Eq. 20
 //! branch-and-bound, and exhaustive enumeration must agree on the optimal
 //! cost for arbitrary valid Frequency Models, with and without SLA
-//! constraints — the property that justifies replacing Mosek (DESIGN.md §2).
+//! constraints — the property that justifies replacing Mosek (argued in
+//! `solver/dp.rs`).
 
 use casper_core::cost::{cost_of_boundaries, cost_of_segmentation, BlockTerms, CostConstants};
 use casper_core::fm::FrequencyModel;

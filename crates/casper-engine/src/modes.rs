@@ -78,8 +78,8 @@ pub struct EngineConfig {
     /// Ghost-value budget as a fraction of the data size (0.1% in Fig. 12).
     pub ghost_budget_frac: f64,
     /// Delta-store capacity as a fraction of the chunk size (`StateOfArt`).
-    /// Small enough that merges amortize into short runs (real delta stores
-    /// merge continuously; see DESIGN.md on baseline tuning).
+    /// Small enough that merges amortize into short runs, as in real delta
+    /// stores, which merge continuously.
     pub delta_frac: f64,
     /// Physical slack capacity per chunk beyond live + ghosts.
     pub capacity_slack: f64,

@@ -7,8 +7,8 @@
 //! allocation, bounded memory regardless of sample count. Quantiles are
 //! estimated at snapshot time as the upper bound of the bucket containing
 //! the nearest-rank sample, giving ≤2× relative error — plenty for the
-//! latency trend lines this feeds (exact percentiles still come from the
-//! raw-sample `LatencyRecorder` where the harness wants them).
+//! latency trend lines this feeds (a harness that needs exact percentiles
+//! keeps raw samples and ranks them with the same [`quantile_rank`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -174,6 +174,26 @@ mod tests {
         assert_eq!(quantile_rank(37, 1.0), 37);
         // Tiny q still clamps up to the first sample.
         assert_eq!(quantile_rank(1000, 0.0), 1);
+    }
+
+    #[test]
+    fn quantile_rank_is_float_robust() {
+        // A computed quantile can land a hair above its mathematical value
+        // (0.1 + 0.2 = 0.30000000000000004): with 10 samples a bare
+        // ceil(n*q) selects rank 4, but the nearest rank for q = 0.3 is 3.
+        let q = 0.1 + 0.2;
+        assert_eq!((10f64 * q).ceil() as usize, 4);
+        assert_eq!(quantile_rank(10, q), 3);
+    }
+
+    #[test]
+    fn tiny_sample_counts_select_sane_ranks() {
+        // With n < 100, p99/p999 must select the max, never run past the
+        // end, and never fall to rank 0.
+        for n in 1..=10 {
+            assert_eq!(quantile_rank(n, 0.99), n, "p99 of {n}");
+            assert_eq!(quantile_rank(n, 0.999), n, "p999 of {n}");
+        }
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! * [`Gauge`] — a single `AtomicU64` holding `f64` bits;
 //! * [`Histogram`] — 65 fixed log₂ buckets of `AtomicU64`; recording is two
 //!   relaxed `fetch_add`s, quantiles are estimated from bucket bounds at
-//!   snapshot time with the same nearest-rank rule
-//!   ([`quantile_rank`]) the engine's raw-sample
-//!   `LatencyRecorder` uses.
+//!   snapshot time with the nearest-rank rule [`quantile_rank`], which
+//!   raw-sample percentiles can share.
 //!
 //! Instrumentation sites hold `const`-constructible definition handles
 //! ([`CounterDef`], [`GaugeDef`], [`HistogramDef`], [`SpanDef`]) in

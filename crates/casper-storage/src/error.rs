@@ -10,8 +10,8 @@ use std::fmt;
 pub enum StorageError {
     /// The chunk has no free slot left (live values + ghost slots have
     /// reached physical capacity). Chunk splitting is out of scope for this
-    /// reproduction (see DESIGN.md §7); callers should size chunks with
-    /// slack via [`crate::ChunkConfig::capacity_slack`].
+    /// reproduction; callers should size chunks with slack via
+    /// [`crate::ChunkConfig::capacity_slack`], or grow a full one.
     ChunkFull {
         /// Physical capacity of the chunk in slots.
         capacity: usize,

@@ -1,5 +1,6 @@
 //! Key-access distributions, implemented in-repo (no `rand_distr`
-//! dependency; see DESIGN.md dependency notes).
+//! dependency: the build is offline and `crates/shims/` vendors only
+//! `rand`).
 //!
 //! [`Zipf`] is the classic YCSB-style Zipfian generator (Gray et al.'s
 //! rejection-free inversion), producing ranks in `[0, n)` where rank 0 is

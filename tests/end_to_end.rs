@@ -2,8 +2,6 @@
 //! layout optimization → verification, spanning all five crates through
 //! the facade.
 
-use casper::core::solver::SolverConstraints;
-use casper::core::CostConstants;
 use casper::engine::optimize::{capture_per_chunk, optimize_table, OptimizeOptions};
 use casper::engine::{EngineConfig, LayoutMode, Table};
 use casper::workload::{HapQuery, HapSchema, Mix, MixKind};
@@ -81,6 +79,81 @@ fn every_mode_matches_the_reference_model() {
     }
 }
 
+/// Load `mix` in `mode`; Casper additionally trains on a fresh sample from
+/// the same mix and re-lays out before the measured stream.
+fn build_table(mix: &Mix, mode: LayoutMode) -> Table {
+    let config = small_config(mode);
+    let mut table = Table::load_from_generator(mix.generator(), config);
+    if mode == LayoutMode::Casper {
+        let opts = OptimizeOptions {
+            ghost_budget_frac: config.ghost_budget_frac,
+            threads: config.threads,
+            ..OptimizeOptions::default()
+        };
+        optimize_table(&mut table, &mix.generate(200, 43), &opts);
+    }
+    table
+}
+
+/// Sum of every result scalar, one query at a time.
+fn serial_checksum(table: &mut Table, queries: &[HapQuery]) -> u64 {
+    queries.iter().fold(0u64, |acc, q| {
+        acc.wrapping_add(table.execute(q).expect("execute").result.scalar())
+    })
+}
+
+/// Sum of every result scalar, with each maximal run of writes (Q4/Q5/Q6)
+/// applied through `Table::execute_batch` and reads in stream position.
+fn batched_checksum(table: &mut Table, queries: &[HapQuery]) -> u64 {
+    let is_write = |q: &HapQuery| matches!(q.index(), 3..=5);
+    let mut checksum = 0u64;
+    let mut i = 0;
+    while i < queries.len() {
+        if is_write(&queries[i]) {
+            let j = i + queries[i..].iter().take_while(|q| is_write(q)).count();
+            for out in table.execute_batch(&queries[i..j]).expect("execute_batch") {
+                checksum = checksum.wrapping_add(out.result.scalar());
+            }
+            i = j;
+        } else {
+            let out = table.execute(&queries[i]).expect("execute");
+            checksum = checksum.wrapping_add(out.result.scalar());
+            i += 1;
+        }
+    }
+    checksum
+}
+
+#[test]
+fn checksums_agree_across_modes() {
+    let mix = Mix::new(MixKind::HybridPointSkewed, HapSchema::narrow(), 4096);
+    let queries = mix.generate(200, 42);
+    let reference = serial_checksum(&mut build_table(&mix, LayoutMode::Sorted), &queries);
+    for mode in [
+        LayoutMode::Casper,
+        LayoutMode::EquiGV,
+        LayoutMode::Equi,
+        LayoutMode::StateOfArt,
+        LayoutMode::NoOrder,
+    ] {
+        let got = serial_checksum(&mut build_table(&mix, mode), &queries);
+        assert_eq!(got, reference, "{mode:?} diverged");
+    }
+}
+
+#[test]
+fn batched_writes_preserve_the_checksum() {
+    let mix = Mix::new(MixKind::UpdateOnlyUniform, HapSchema::narrow(), 4096);
+    let queries = mix.generate(200, 42);
+    assert!(
+        queries.iter().any(|q| q.index() == 3),
+        "the stream carries Q4 inserts"
+    );
+    let serial = serial_checksum(&mut build_table(&mix, LayoutMode::Casper), &queries);
+    let batched = batched_checksum(&mut build_table(&mix, LayoutMode::Casper), &queries);
+    assert_eq!(serial, batched);
+}
+
 #[test]
 fn optimized_layout_matches_reference_under_continued_writes() {
     let mix = Mix::new(MixKind::UpdateOnlySkewed, HapSchema::narrow(), 4096);
@@ -119,31 +192,6 @@ fn capture_covers_all_chunks_of_a_real_table() {
         );
         fm.validate().expect("captured model is valid");
     }
-}
-
-#[test]
-fn sla_constrained_optimization_bounds_partitions() {
-    let mix = Mix::new(MixKind::SlaHybrid, HapSchema::narrow(), 4096);
-    let mut table = Table::load_from_generator(mix.generator(), small_config(LayoutMode::Casper));
-    let sample = mix.generate(400, 11);
-    let opts = OptimizeOptions {
-        constants: CostConstants::paper(),
-        constraints: SolverConstraints {
-            max_partitions: Some(3),
-            max_partition_blocks: None,
-        },
-        ghost_budget_frac: 0.01,
-        fairness_cap: false,
-        threads: 2,
-        ..OptimizeOptions::default()
-    };
-    let report = optimize_table(&mut table, &sample, &opts);
-    for c in &report.chunks {
-        assert!(c.partitions <= 3, "chunk {} exceeded the SLA cap", c.chunk);
-    }
-    // The table still answers correctly.
-    let out = table.execute(&HapQuery::Q1 { v: 2048, k: 1 }).unwrap();
-    assert_eq!(out.result.scalar(), 1);
 }
 
 #[test]
