@@ -1,15 +1,16 @@
 //! Concurrency trajectory: mixed read/write throughput on the snapshot
 //! read path, recorded in `BENCH_concurrent.json`.
 //!
-//! One writer applies count-neutral batches at a fixed (open-loop) arrival
-//! rate through the chunk-parallel publish path while 1/2/4/8 reader
-//! threads hammer `TableReader` handles flat-out, each pinning the
-//! published snapshot once per query. Reported per reader level:
+//! One writer commits count-neutral transactions (an insert plus the
+//! delete of the previous tick's row) at a fixed (open-loop) arrival rate,
+//! each one publish, while 1/2/4/8 reader threads hammer `TableReader`
+//! handles flat-out, each pinning the published snapshot once per query.
+//! Reported per reader level:
 //!
 //! - aggregate read throughput (queries/s) and its scaling versus one
 //!   reader,
 //! - read latency p50/p99 in microseconds,
-//! - writer batches actually applied (the paced load stays on).
+//! - writer commits actually applied (the paced load stays on).
 //!
 //! Readers execute a seeded mix of Q1 point lookups, ~1% Q2 range counts,
 //! and Q3 range sums. Because reads run on immutable pinned snapshots,
@@ -27,7 +28,7 @@
 
 use casper_bench::trajectory::{self, Metric};
 use casper_bench::{Args, TableReport};
-use casper_engine::{EngineConfig, LayoutMode, Table, TableReader};
+use casper_engine::{EngineConfig, LayoutMode, Table, TableReader, TxnManager};
 use casper_workload::{HapQuery, HapSchema};
 use rand::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,6 +100,8 @@ struct LevelResult {
     read_qps: f64,
     p50_us: f64,
     p99_us: f64,
+    /// Writer commits applied; the JSON keeps the `writer_batches_*` key
+    /// so the trajectory stays comparable across runs.
     writer_batches: u64,
 }
 
@@ -129,22 +132,21 @@ fn run_level(
                 reader_loop(&handle, domain, seed ^ (r as u64 + 1), stop, done, lat_sink)
             });
         }
-        // Open-loop writer on this thread: one count-neutral batch per
-        // arrival tick, independent of how fast readers drain.
+        // Open-loop writer on this thread: one count-neutral transaction
+        // per arrival tick, independent of how fast readers drain.
+        let txns = TxnManager::new();
         let start = Instant::now();
         let mut live_key = 0u64;
         while start.elapsed() < duration {
             let fresh = *next_key;
             *next_key += 2;
-            let mut batch = vec![HapQuery::Q4 {
-                key: fresh,
-                payload: schema.payload_row(fresh),
-            }];
+            let mut txn = txns.begin();
+            txns.buffer_insert(&mut txn, table, fresh, schema.payload_row(fresh));
             if live_key != 0 {
-                batch.push(HapQuery::Q5 { v: live_key });
+                txn.delete(live_key);
             }
             live_key = fresh;
-            table.execute_batch(&batch).expect("write batch");
+            txns.commit(txn, table).expect("writer commit");
             writer_batches += 1;
             std::thread::sleep(writer_interval);
         }
@@ -171,7 +173,7 @@ fn main() {
         &[
             ("rows=N", "table rows (default 200k)"),
             ("secs=F", "seconds per reader level (default 2.0)"),
-            ("writer-hz=N", "write batches per second (default 200)"),
+            ("writer-hz=N", "writer commits per second (default 200)"),
             ("seed=N", "query-mix seed (default 42)"),
             ("smoke", "CI smoke mode: tiny sizes, no scaling assertions"),
         ],
@@ -191,7 +193,7 @@ fn main() {
 
     let mut report = TableReport::new(
         format!(
-            "Concurrent mixed load — {rows} rows, writer at {writer_hz} batches/s, \
+            "Concurrent mixed load — {rows} rows, writer at {writer_hz} commits/s, \
              {host_parallelism}-way host"
         ),
         &[
@@ -200,7 +202,7 @@ fn main() {
             "scaling",
             "p50 us",
             "p99 us",
-            "writer batches",
+            "writer commits",
         ],
     );
     let mut metrics: Vec<Metric> = Vec::new();
@@ -287,6 +289,6 @@ fn main() {
     }
     println!(
         "\n8-reader scaling {scaling_at_8:.2}x over 1 reader ({host_parallelism}-way host, \
-         writer at {writer_hz} batches/s)"
+         writer at {writer_hz} commits/s)"
     );
 }

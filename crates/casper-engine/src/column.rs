@@ -14,21 +14,24 @@
 //! coordination. Writers keep `&mut` access through [`ChunkedColumn`] —
 //! when a chunk's `Arc` is shared with a published snapshot the writer
 //! clones it first (copy-on-write) and mutates the fresh copy, then
-//! republishes. Readers obtain an [`Arc<ColumnSnapshot>`] from the
-//! column's [`SnapshotCell`] (one pin per query) and run Q1/Q2/Q3/
-//! `q3_sum_where` against it lock-free; reclamation is plain `Arc`
-//! refcounting — the last pin of a superseded snapshot frees it. See
-//! `docs/concurrency.md` for the full protocol.
+//! republishes. Every write goes through one entry point,
+//! [`ChunkedColumn::apply_writes`], which applies a run of writes serially
+//! and publishes once at its end: one write for `Table::execute`, a whole
+//! write set for a transaction commit. Readers obtain an
+//! [`Arc<ColumnSnapshot>`] from the column's [`SnapshotCell`] (one pin per
+//! query) and run Q1/Q2/Q3/`q3_sum_where` against it lock-free;
+//! reclamation is plain `Arc` refcounting — the last pin of a superseded
+//! snapshot frees it. See `docs/concurrency.md` for the full protocol.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::exec::{parallel_for_each_mut, parallel_map};
+use crate::exec::parallel_map;
 use crate::governor::QueryCtx;
 use crate::modes::{EngineConfig, LayoutMode};
 use crate::table::{QueryOutput, QueryResult};
 use casper_core::Segmentation;
-use casper_obs::{CounterDef, HistogramDef};
+use casper_obs::CounterDef;
 use casper_storage::ghost::GhostPlan;
 use casper_storage::{
     BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk, SortedColumn, SortedDelta,
@@ -43,7 +46,6 @@ use parking_lot::Mutex;
 static OBS_HYDRATIONS: CounterDef = CounterDef::new("casper_chunk_hydrations_total");
 static OBS_COW_COPIES: CounterDef = CounterDef::new("casper_write_cow_chunk_copies_total");
 static OBS_PUBLISHES: CounterDef = CounterDef::new("casper_snapshot_publishes_total");
-static OBS_BATCH_OPS: HistogramDef = HistogramDef::new("casper_write_batch_ops");
 static OBS_CHUNKS_ROUTED: CounterDef = CounterDef::new("casper_query_chunks_routed_total");
 static OBS_CHUNKS_PRUNED: CounterDef = CounterDef::new("casper_query_chunks_pruned_total");
 
@@ -59,6 +61,16 @@ fn note_routed(first: usize, routed: usize, total: usize) {
         for c in first..first + routed {
             reg.drift().note_observed(c, 1);
         }
+    }
+}
+
+/// Mark one write routed to `chunk` in the FM drift table: the FM a layout
+/// was solved for counts writes as well as reads, so the observed side
+/// must count both.
+#[inline]
+fn note_written(chunk: usize) {
+    if let Some(reg) = casper_obs::registry() {
+        reg.drift().note_observed(chunk, 1);
     }
 }
 
@@ -278,8 +290,8 @@ impl ChunkStore {
     }
 
     /// Apply one write whose keys all route to this store — the one
-    /// per-chunk applier behind both the serial and the chunk-parallel
-    /// batch path. Returns `(rows_affected, cost)`.
+    /// per-chunk applier behind [`ChunkedColumn::apply_writes`]. Returns
+    /// `(rows_affected, cost)`.
     fn apply(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
         match op {
             WriteOp::Insert { key, payload } => self.insert(key, payload).map(|c| (1, c)),
@@ -618,7 +630,8 @@ impl SnapshotCell {
         self.current.lock().clone()
     }
 
-    /// Monotone publish counter (one tick per published write batch).
+    /// Monotone publish counter (one tick per publish: one per write, one
+    /// per committed transaction).
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -854,7 +867,8 @@ impl ChunkedColumn {
     /// rippling): routes the key, skips unhydrated or non-partitioned
     /// stores, and dirties only the chunk it actually touches — a
     /// transactional insert must not mark the whole table dirty for the
-    /// incremental checkpointer.
+    /// incremental checkpointer. Unpublished: a prefetch moves no row, so
+    /// the commit's one publish covers it.
     pub(crate) fn prefetch_ghosts_for_key(&mut self, key: u64, count: usize) {
         let target = match self.route_for(key) {
             // Ordered column: prefetch only into the owning chunk, and only
@@ -879,7 +893,6 @@ impl ChunkedColumn {
                 // partition, so the chunk is physically dirty.
                 chunk.prefetch_ghosts(key, count);
                 self.touch(i);
-                self.publish();
             }
         }
     }
@@ -892,21 +905,28 @@ impl ChunkedColumn {
         }
     }
 
-    /// Apply one write (Q4/Q5/Q6) and publish it to readers, returning
-    /// `(rows_affected, cost)`. Q6 moves the first row with key `old`:
-    /// cross-chunk updates take exactly one row out of the source chunk
-    /// and re-insert it under the new key, matching the single-chunk
-    /// path's first-match semantics even under duplicate keys.
-    pub(crate) fn apply_write(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
-        let out = self.apply_write_serial(op)?;
+    /// The one write entry point: apply `ops` (Q4/Q5/Q6) in order, calling
+    /// `landed(i, (rows_affected, cost))` as op `i` lands, then publish to
+    /// readers exactly once — after the first error too, since the ops
+    /// before it have landed. Q6 moves the first row with key `old`; a
+    /// cross-chunk Q6 takes exactly one row out of the source chunk, so
+    /// duplicates survive as they do inside one chunk.
+    pub(crate) fn apply_writes<'o>(
+        &mut self,
+        ops: impl IntoIterator<Item = WriteOp<'o>>,
+        mut landed: impl FnMut(usize, (u64, OpCost)),
+    ) -> Result<(), StorageError> {
+        let out = ops.into_iter().enumerate().try_for_each(|(i, op)| {
+            landed(i, self.apply_write_serial(op)?);
+            Ok(())
+        });
         self.publish();
-        Ok(out)
+        out
     }
 
-    /// Apply one write operation, unpublished ([`Self::apply_write`] and
-    /// the batch path publish): route it, then hand it to the owning
-    /// chunk's [`ChunkStore::apply`]. Only what spans chunks is decided
-    /// here — the `NoOrder` broadcast and the cross-chunk Q6.
+    /// Apply one write operation, unpublished: route it, then hand it to
+    /// the owning chunk's [`ChunkStore::apply`]. Only what spans chunks is
+    /// decided here — the `NoOrder` broadcast and the cross-chunk Q6.
     fn apply_write_serial(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
         let (old, new) = match op {
             WriteOp::Insert { key, .. } => {
@@ -938,6 +958,7 @@ impl ChunkedColumn {
                 // once the row has left the source, a target that fails to
                 // decode would lose it.
                 self.state.chunks[to].get()?;
+                note_written(from);
                 let (row, mut cost) = self.chunk_mut(from)?.take_one(old);
                 let Some(row) = row else {
                     return Ok((0, cost));
@@ -969,6 +990,7 @@ impl ChunkedColumn {
     /// [`ChunkStore::apply`]; a chunk whose rows changed is marked dirty
     /// and its fence follows the largest key placed in it.
     fn apply_in_chunk(&mut self, c: usize, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
+        note_written(c);
         let out = self.chunk_mut(c)?.apply(op)?;
         if out.0 > 0 {
             self.touch(c);
@@ -977,178 +999,6 @@ impl ChunkedColumn {
             self.maybe_raise_fence(c, key);
         }
         Ok(out)
-    }
-
-    /// Apply a stream of write operations, chunk-parallel.
-    ///
-    /// Operations are grouped by target chunk (routing is stable during a
-    /// batch: only the last chunk's fence can rise, which never changes
-    /// routing) and each chunk's group is applied **in stream order** under
-    /// [`parallel_for_each_mut`] — chunks are disjoint slot spaces, so
-    /// writes to different chunks commute. Cross-chunk updates act as
-    /// barriers: pending groups flush, the update runs serially, batching
-    /// resumes. `NoOrder` columns (no routing fences) and single-chunk
-    /// columns fall back to serial application.
-    ///
-    /// The batch publishes to readers exactly once, after the last
-    /// operation lands — a pinned snapshot observes either none or all of a
-    /// batch, never an intermediate state.
-    ///
-    /// Returns one `(rows_affected, cost)` per input operation, identical
-    /// to serial execution. On error (chunk at capacity after growth) the
-    /// failing chunk stops at the failing op but *other chunks complete
-    /// their groups* before the first error is returned — a batch is not
-    /// atomic, matching the paper's storage-engine semantics where each
-    /// query is its own operation.
-    pub fn apply_write_batch(
-        &mut self,
-        ops: &[WriteOp<'_>],
-    ) -> Result<Vec<(u64, OpCost)>, StorageError> {
-        OBS_BATCH_OPS.record(ops.len() as u64);
-        let out = self.apply_write_batch_inner(ops);
-        // Publish even on error: completed chunk groups have landed.
-        self.publish();
-        out
-    }
-
-    fn apply_write_batch_inner(
-        &mut self,
-        ops: &[WriteOp<'_>],
-    ) -> Result<Vec<(u64, OpCost)>, StorageError> {
-        let mut results = vec![(0u64, OpCost::default()); ops.len()];
-        if self.state.fences.is_none() || self.state.chunks.len() <= 1 {
-            for (i, &op) in ops.iter().enumerate() {
-                results[i] = self.apply_write_serial(op)?;
-            }
-            return Ok(results);
-        }
-        let mut pending: Vec<Vec<(usize, WriteOp<'_>)>> = vec![Vec::new(); self.state.chunks.len()];
-        let mut pending_count = 0usize;
-        // Routing failure on an ordered column is an internal-invariant
-        // breach (the fence vector covers the whole key domain); surface
-        // it typed rather than panicking — a panic inside a governed batch
-        // would quarantine a chunk that holds perfectly good data.
-        let routed = |col: &Self, key: u64| {
-            col.route_for(key).ok_or(StorageError::Corrupt {
-                reason: format!("ordered column failed to route key {key}"),
-            })
-        };
-        for (i, &op) in ops.iter().enumerate() {
-            let chunk = match op {
-                WriteOp::Insert { key, .. } | WriteOp::Delete { key } => routed(self, key)?,
-                WriteOp::Update { old, new } => {
-                    let from = routed(self, old)?;
-                    let to = routed(self, new)?;
-                    if from != to {
-                        // Barrier: the move touches two chunks.
-                        self.flush_write_groups(&mut pending, &mut pending_count, &mut results)?;
-                        results[i] = self.apply_write_serial(op)?;
-                        continue;
-                    }
-                    from
-                }
-            };
-            pending[chunk].push((i, op));
-            pending_count += 1;
-        }
-        self.flush_write_groups(&mut pending, &mut pending_count, &mut results)?;
-        Ok(results)
-    }
-
-    /// Drain the per-chunk groups through the parallel worker pool and
-    /// scatter per-op results back into stream order.
-    fn flush_write_groups(
-        &mut self,
-        pending: &mut [Vec<(usize, WriteOp<'_>)>],
-        pending_count: &mut usize,
-        results: &mut [(u64, OpCost)],
-    ) -> Result<(), StorageError> {
-        if *pending_count == 0 {
-            return Ok(());
-        }
-        *pending_count = 0;
-        // Hydrate + copy-on-write every routed chunk up front so the
-        // parallel phase below holds plain `&mut ChunkStore`s.
-        for ci in 0..self.state.chunks.len() {
-            if !pending[ci].is_empty() {
-                self.ensure_unique(ci)?;
-            }
-        }
-        struct ChunkJob<'s, 'o> {
-            chunk: usize,
-            store: &'s mut ChunkStore,
-            ops: Vec<(usize, WriteOp<'o>)>,
-            /// `(op index, affected, cost)` per applied op.
-            out: Vec<(usize, u64, OpCost)>,
-            /// Largest key inserted/updated-to (fence raise candidate).
-            max_key: Option<u64>,
-            err: Option<StorageError>,
-        }
-        let mut jobs: Vec<ChunkJob<'_, '_>> = Vec::new();
-        for (ci, slot) in self.state.chunks.iter_mut().enumerate() {
-            let ops = std::mem::take(&mut pending[ci]);
-            if !ops.is_empty() {
-                let cap = ops.len();
-                jobs.push(ChunkJob {
-                    chunk: ci,
-                    store: ChunkSlot::unique_store(slot)?,
-                    ops,
-                    out: Vec::with_capacity(cap),
-                    max_key: None,
-                    err: None,
-                });
-            }
-        }
-        parallel_for_each_mut(&mut jobs, self.state.config.threads, |_, job| {
-            for &(idx, op) in &job.ops {
-                match job.store.apply(op) {
-                    Ok((affected, cost)) => {
-                        job.out.push((idx, affected, cost));
-                        if let WriteOp::Insert { key, .. } | WriteOp::Update { new: key, .. } = op {
-                            job.max_key = Some(job.max_key.map_or(key, |m| m.max(key)));
-                        }
-                    }
-                    Err(e) => {
-                        job.err = Some(e);
-                        break;
-                    }
-                }
-            }
-        });
-        let mut first_err: Option<StorageError> = None;
-        let mut raises: Vec<(usize, u64)> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
-        // Batched writes access their target chunks too: feed the observed
-        // side of the drift gauges (the FM predicts write frequencies).
-        if let Some(reg) = casper_obs::registry() {
-            for job in &jobs {
-                reg.drift().note_observed(job.chunk, job.ops.len() as u64);
-            }
-        }
-        for job in jobs {
-            if job.out.iter().any(|&(_, affected, _)| affected > 0) {
-                touched.push(job.chunk);
-            }
-            for (idx, affected, cost) in job.out {
-                results[idx] = (affected, cost);
-            }
-            if let Some(k) = job.max_key {
-                raises.push((job.chunk, k));
-            }
-            if first_err.is_none() {
-                first_err = job.err;
-            }
-        }
-        for c in touched {
-            self.touch(c);
-        }
-        for (chunk, key) in raises {
-            self.maybe_raise_fence(chunk, key);
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 }
 
@@ -1300,11 +1150,11 @@ impl ColumnSnapshot {
     }
 }
 
-/// One buffered write operation for [`ChunkedColumn::apply_write_batch`]
-/// (the Q4/Q5/Q6 stream element). Payloads are borrowed from the query
-/// stream, so buffering a write run allocates nothing per operation.
+/// One write operation for [`ChunkedColumn::apply_writes`] (the Q4/Q5/Q6
+/// stream element). Payloads are borrowed from the query, so handing a
+/// transaction's write set to the column allocates nothing per operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteOp<'a> {
+pub(crate) enum WriteOp<'a> {
     /// Q4: insert a row.
     Insert {
         /// Key of the new row.
@@ -1329,7 +1179,7 @@ pub enum WriteOp<'a> {
 impl<'a> WriteOp<'a> {
     /// The write a query performs, borrowing its payload; `None` for the
     /// read queries Q1–Q3.
-    pub fn from_query(q: &'a HapQuery) -> Option<Self> {
+    pub(crate) fn from_query(q: &'a HapQuery) -> Option<Self> {
         match q {
             HapQuery::Q4 { key, payload } => Some(WriteOp::Insert { key: *key, payload }),
             HapQuery::Q5 { v } => Some(WriteOp::Delete { key: *v }),
@@ -1466,12 +1316,20 @@ mod tests {
         out.unwrap().result.scalar()
     }
 
+    /// One write through [`ChunkedColumn::apply_writes`]:
+    /// `(rows_affected, cost)`.
+    fn write(col: &mut ChunkedColumn, op: WriteOp<'_>) -> (u64, OpCost) {
+        let mut out = (0, OpCost::default());
+        col.apply_writes([op], |_, r| out = r).unwrap();
+        out
+    }
+
     fn insert(col: &mut ChunkedColumn, key: u64, payload: &[u32]) {
-        col.apply_write(WriteOp::Insert { key, payload }).unwrap();
+        write(col, WriteOp::Insert { key, payload });
     }
 
     fn update(col: &mut ChunkedColumn, old: u64, new: u64) -> u64 {
-        col.apply_write(WriteOp::Update { old, new }).unwrap().0
+        write(col, WriteOp::Update { old, new }).0
     }
 
     fn load(mode: LayoutMode, rows: u64) -> ChunkedColumn {
@@ -1549,7 +1407,7 @@ mod tests {
             insert(&mut col, 101, &[7]);
             let rows = q1(&col, 101);
             assert_eq!(rows, vec![vec![7]], "{mode:?} insert");
-            let (n, _) = col.apply_write(WriteOp::Delete { key: 101 }).unwrap();
+            let (n, _) = write(&mut col, WriteOp::Delete { key: 101 });
             assert_eq!(n, 1, "{mode:?} delete");
             assert!(q1(&col, 101).is_empty(), "{mode:?}");
             let n = update(&mut col, 200, 201);
@@ -1626,33 +1484,6 @@ mod tests {
         }
     }
 
-    /// The same regression through the batched path: a cross-chunk update
-    /// inside `apply_write_batch` is a barrier that calls the Q6 fallback.
-    #[test]
-    fn batched_cross_chunk_update_preserves_duplicate_keys() {
-        for mode in LayoutMode::all() {
-            let mut col = load_with_duplicates(mode, 4000);
-            let before = col.len();
-            // Key 5 is absent from the fixture (even keys only), so the
-            // insert/delete pair is count-neutral.
-            let payload = [33u32];
-            let ops = [
-                WriteOp::Insert {
-                    key: 5,
-                    payload: &payload,
-                },
-                WriteOp::Update { old: 10, new: 7001 },
-                WriteOp::Delete { key: 5 },
-            ];
-            let results = col.apply_write_batch(&ops).unwrap();
-            assert_eq!(results[1].0, 1, "{mode:?} update affected");
-            let survivors = q1(&col, 10);
-            assert_eq!(survivors.len(), 2, "{mode:?} duplicates must survive");
-            assert_eq!(q1(&col, 7001).len(), 1, "{mode:?}");
-            assert_eq!(col.len(), before, "{mode:?} row count conserved");
-        }
-    }
-
     #[test]
     fn inserts_above_all_fences_route_to_last_chunk() {
         for mode in LayoutMode::all() {
@@ -1696,15 +1527,55 @@ mod tests {
         let cell = col.snapshot_cell();
         let v0 = cell.version();
         let payload = [1u32];
-        let ops: Vec<WriteOp<'_>> = (0..10)
-            .map(|i| WriteOp::Insert {
-                key: 100 + i,
-                payload: &payload,
-            })
-            .collect();
-        col.apply_write_batch(&ops).unwrap();
-        assert_eq!(cell.version(), v0 + 1, "one publish per batch");
+        let ops = (0..10).map(|i| WriteOp::Insert {
+            key: 100 + i,
+            payload: &payload,
+        });
+        let mut landed = Vec::new();
+        col.apply_writes(ops, |i, (n, _)| landed.push((i, n)))
+            .unwrap();
+        let want: Vec<(usize, u64)> = (0..10).map(|i| (i, 1)).collect();
+        assert_eq!(landed, want, "one report per op, in order");
+        assert_eq!(cell.version(), v0 + 1, "one publish per run");
         assert_eq!(snap_q2(&cell.pin(), 0, u64::MAX), 4010);
+    }
+
+    /// A run that fails part-way still publishes exactly once, carrying
+    /// the ops that landed before the failure and none after it.
+    #[test]
+    fn failed_run_publishes_the_landed_prefix_once() {
+        let healthy = load(LayoutMode::Casper, 1000); // one chunk, keys 0..=1998
+        let store = healthy.chunks()[0].get().unwrap().clone();
+        let broken = ChunkSlot::new_lazy(
+            10,
+            Box::new(|| {
+                Err(StorageError::Corrupt {
+                    reason: "injected decode failure".to_string(),
+                })
+            }),
+        );
+        let slots = vec![ChunkSlot::new(store), broken];
+        let fences = Some(vec![1998, 5000]);
+        let mut col = ChunkedColumn::from_restored(slots, fences, *healthy.config(), 1);
+        let cell = col.snapshot_cell();
+        let v0 = cell.version();
+        let payload = [1u32];
+        let ops = [101, 3001, 103].map(|key| WriteOp::Insert {
+            key,
+            payload: &payload,
+        });
+        let mut landed = Vec::new();
+        let out = col.apply_writes(ops, |i, _| landed.push(i));
+        assert!(matches!(out, Err(StorageError::Corrupt { .. })), "{out:?}");
+        assert_eq!(landed, vec![0], "only the op before the failure landed");
+        assert_eq!(cell.version(), v0 + 1, "one publish on the error path");
+        let pin = cell.pin();
+        assert_eq!(
+            snap_q2(&pin, 0, 1000),
+            501,
+            "the landed insert is published"
+        );
+        assert_eq!(snap_q2(&pin, 103, 104), 0, "nothing after the failure");
     }
 
     #[test]

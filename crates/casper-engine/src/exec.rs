@@ -2,8 +2,9 @@
 //! multi-threaded execution since the column layouts create regions of the
 //! data that can be processed in parallel without any interference").
 //!
-//! Built on `std::thread::scope`; `crossbeam` channels distribute uneven
-//! work (the per-chunk solver calls of Fig. 11 vary with chunk content).
+//! Built on `std::thread::scope` with no `unsafe`: a shared atomic cursor
+//! distributes uneven work (the per-chunk solver calls of Fig. 11 vary
+//! with chunk content), and results come back through join handles.
 
 /// Run `f(index, &mut item)` over all items, using up to `threads` workers.
 /// Items are split into contiguous stripes — ideal when work per item is
@@ -46,58 +47,31 @@ where
     if threads <= 1 || items.len() <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let slot_ptr = SendPtr(slots.as_mut_ptr());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                // SAFETY: each index is claimed exactly once via the atomic
-                // cursor, so no two threads write the same slot, and the
-                // scope guarantees the buffer outlives the workers.
-                unsafe {
-                    *slot_ptr.get().add(i) = Some(r);
-                }
-            });
-        }
+    // Each worker claims indices from a shared cursor and hands its
+    // `(index, result)` pairs back through its join handle; the caller
+    // puts them in input order.
+    let cursor = &std::sync::atomic::AtomicUsize::new(0);
+    let f = &f;
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(move || {
+                    let claim = || {
+                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        (i < items.len()).then(|| (i, f(i, &items[i])))
+                    };
+                    std::iter::from_fn(claim).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every slot filled by the cursor loop"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
-
-/// Pointer wrapper asserting cross-thread transfer safety for the
-/// disjoint-write pattern in [`parallel_map`]. The accessor keeps closures
-/// capturing the wrapper itself (not the raw field), which is what carries
-/// the `Send` assertion across the spawn boundary.
-struct SendPtr<R>(*mut Option<R>);
-
-// Manual impls: the derive would demand `R: Copy`, but the pointer itself
-// is always trivially copyable.
-impl<R> Clone for SendPtr<R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<R> Copy for SendPtr<R> {}
-
-impl<R> SendPtr<R> {
-    #[inline]
-    fn get(self) -> *mut Option<R> {
-        self.0
-    }
-}
-// SAFETY: see parallel_map — disjoint writes, scope-bounded lifetime.
-unsafe impl<R: Send> Send for SendPtr<R> {}
-unsafe impl<R: Send> Sync for SendPtr<R> {}
 
 #[cfg(test)]
 mod tests {
@@ -138,9 +112,8 @@ mod tests {
 
     #[test]
     fn map_slot_writes_handle_droppable_results() {
-        // Regression for the unsafe SendPtr slot writes: results that own
-        // heap memory (and run Drop) must be written exactly once per slot
-        // and dropped exactly once overall.
+        // Results that own heap memory (and run Drop) must be written
+        // exactly once per slot and dropped exactly once overall.
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
@@ -181,6 +154,28 @@ mod tests {
             "each result dropped exactly once"
         );
         assert_eq!(Arc::strong_count(&shared), 1);
+    }
+
+    #[test]
+    fn map_propagates_a_worker_panic_with_its_payload() {
+        // Callers above (the governor's panic isolation) see the worker's
+        // own message, not a generic scope failure.
+        let items: Vec<u32> = (0..64).collect();
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map(&items, 4, |_, &x| {
+                assert!(x != 37, "injected fault at item {x}");
+                x
+            })
+        });
+        let payload = caught.expect_err("the worker panic must surface");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(
+            msg.contains("injected fault at item 37"),
+            "payload: {msg:?}"
+        );
     }
 
     #[test]

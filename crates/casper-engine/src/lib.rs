@@ -32,7 +32,7 @@ pub mod table;
 pub mod txn;
 
 pub use adapt::{AdaptConfig, AdaptiveController};
-pub use column::{ChunkSlot, ChunkedColumn, ColumnSnapshot, SnapshotCell, WriteOp};
+pub use column::{ChunkSlot, ChunkedColumn, ColumnSnapshot, SnapshotCell};
 pub use governor::{CancelToken, Governor, GovernorConfig, GovernorStats, QueryCtx};
 pub use modes::{EngineConfig, LayoutMode};
 pub use table::{QueryOutput, QueryResult, Table, TableReader};

@@ -213,7 +213,8 @@ impl Table {
     /// the column's published snapshot once per query and scan it
     /// lock-free, while this table keeps executing writes. The handle
     /// stays valid for the table's lifetime; each pin observes the most
-    /// recently published write batch in full (never a torn batch).
+    /// recent write or committed transaction in full (never a torn
+    /// commit).
     pub fn reader(&self) -> TableReader {
         TableReader {
             cell: self.column.snapshot_cell(),
@@ -250,7 +251,9 @@ impl Table {
             None => self.column.read(q, ctx)?,
             Some(op) => {
                 ctx.check()?;
-                let (affected, cost) = self.column.apply_write(op)?;
+                let (mut affected, mut cost) = (0, OpCost::default());
+                self.column
+                    .apply_writes([op], |_, r| (affected, cost) = r)?;
                 QueryOutput {
                     result: QueryResult::Affected(affected),
                     cost,
@@ -282,59 +285,6 @@ impl Table {
         let ctx = QueryCtx::default();
         self.column
             .q3_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi, &ctx)
-    }
-
-    /// Execute a batch with **chunk-parallel write batching**: consecutive
-    /// runs of Q4/Q5/Q6 are grouped by target chunk and applied in parallel
-    /// through [`ChunkedColumn::apply_write_batch`]; reads execute in
-    /// stream position, so every query observes exactly the writes that
-    /// preceded it. Per-query outputs are identical to serial
-    /// [`Table::execute`] on streams that do not hit a capacity error.
-    pub fn execute_batch(
-        &mut self,
-        queries: &[HapQuery],
-    ) -> Result<Vec<QueryOutput>, StorageError> {
-        // Batched streams fan writes out chunk-parallel; hydrate everything
-        // up front rather than threading lazy-decode through the workers.
-        self.column.hydrate_all()?;
-        let mut outputs: Vec<Option<QueryOutput>> = vec![None; queries.len()];
-        // Write ops borrow their payloads straight from the query stream —
-        // buffering a run allocates nothing per operation.
-        let mut run: Vec<(usize, WriteOp<'_>)> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            match WriteOp::from_query(q) {
-                Some(op) => run.push((i, op)),
-                None => {
-                    self.flush_write_run(&mut run, &mut outputs)?;
-                    outputs[i] = Some(self.execute(q)?);
-                }
-            }
-        }
-        self.flush_write_run(&mut run, &mut outputs)?;
-        Ok(outputs
-            .into_iter()
-            .map(|o| o.expect("every query position filled"))
-            .collect())
-    }
-
-    /// Apply a buffered write run through the chunk-parallel batch path.
-    fn flush_write_run(
-        &mut self,
-        run: &mut Vec<(usize, WriteOp<'_>)>,
-        outputs: &mut [Option<QueryOutput>],
-    ) -> Result<(), StorageError> {
-        if run.is_empty() {
-            return Ok(());
-        }
-        let (idxs, ops): (Vec<usize>, Vec<WriteOp<'_>>) = run.drain(..).unzip();
-        let results = self.column.apply_write_batch(&ops)?;
-        for (i, (affected, cost)) in idxs.into_iter().zip(results) {
-            outputs[i] = Some(QueryOutput {
-                result: QueryResult::Affected(affected),
-                cost,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -372,7 +322,8 @@ impl TableReader {
         self.cell.pin()
     }
 
-    /// Monotone publish counter (one tick per published write batch).
+    /// Monotone publish counter (one tick per write, one per committed
+    /// transaction).
     pub fn version(&self) -> u64 {
         self.cell.version()
     }
@@ -549,80 +500,6 @@ mod tests {
                 .unwrap();
             assert_eq!(out.result, QueryResult::Sum(want), "{mode:?}");
         }
-    }
-
-    /// Multi-chunk table (chunk_values 512 → four chunks at 2000 rows) so
-    /// batched writes actually fan out across chunk-parallel groups.
-    fn multi_chunk_table(mode: LayoutMode) -> Table {
-        let gen = WorkloadGenerator::new(HapSchema::narrow(), 2000, KeyDist::Uniform);
-        let mut config = EngineConfig::small(mode);
-        config.chunk_values = 512;
-        Table::load_from_generator(&gen, config)
-    }
-
-    #[test]
-    fn execute_batch_matches_serial_execution() {
-        // Chunk-parallel write batching must be observationally identical
-        // to serial execution: same per-query scalars, same final table
-        // state, for every layout mode and a write-heavy mixed stream.
-        for kind in [MixKind::UpdateOnlySkewed, MixKind::HybridPointSkewed] {
-            let mix = Mix::new(kind, HapSchema::narrow(), 2000);
-            let queries = mix.generate(600, 7);
-            for mode in LayoutMode::all() {
-                let mut serial = multi_chunk_table(mode);
-                let mut batched = multi_chunk_table(mode);
-                let a = execute_serial(&mut serial, &queries);
-                let b = batched.execute_batch(&queries).unwrap();
-                assert_eq!(a.len(), b.len());
-                for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(
-                        x.result.scalar(),
-                        y.result.scalar(),
-                        "{mode:?} {kind:?} query {i} scalar"
-                    );
-                }
-                assert_eq!(serial.len(), batched.len(), "{mode:?} row count");
-                // Final state agrees: probe with reads.
-                for v in (0..4200).step_by(97) {
-                    let qa = serial.execute(&HapQuery::Q2 { vs: v, ve: v + 53 }).unwrap();
-                    let qb = batched
-                        .execute(&HapQuery::Q2 { vs: v, ve: v + 53 })
-                        .unwrap();
-                    assert_eq!(qa.result, qb.result, "{mode:?} count at {v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn execute_batch_pure_write_stream_with_cross_chunk_updates() {
-        let mut serial = multi_chunk_table(LayoutMode::Casper);
-        let mut batched = multi_chunk_table(LayoutMode::Casper);
-        let schema = HapSchema::narrow();
-        let mut queries = Vec::new();
-        // Interleave inserts/deletes across the key domain with updates
-        // that hop between chunks (barrier path).
-        for i in 0..200u64 {
-            queries.push(HapQuery::Q4 {
-                key: 4001 + i * 2,
-                payload: schema.payload_row(4001 + i * 2),
-            });
-            if i % 5 == 0 {
-                queries.push(HapQuery::Q6 {
-                    v: i * 20,
-                    vnew: 3999 - i,
-                });
-            }
-            if i % 7 == 0 {
-                queries.push(HapQuery::Q5 { v: i * 14 });
-            }
-        }
-        let a = execute_serial(&mut serial, &queries);
-        let b = batched.execute_batch(&queries).unwrap();
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x.result, y.result, "query {i}");
-        }
-        assert_eq!(serial.len(), batched.len());
     }
 
     /// Regression: `multi_column_sum` used to `.expect()` on hydration

@@ -13,6 +13,11 @@
 //! *rewind* the effect of versions committed after their snapshot using the
 //! version log — giving exact snapshot semantics for point/range counts.
 //!
+//! A commit is one publish. The write set runs through the column's single
+//! write entry point (`ChunkedColumn::apply_writes`), which publishes once
+//! after the last write lands, so a concurrent `TableReader` observes none
+//! or all of a commit and its version counter ticks once per commit.
+//!
 //! Ghost-value rippling is decoupled from transactions (§6.1): buffering an
 //! insert immediately prefetches ghost slots into the target partition, and
 //! that prefetch persists even when the transaction aborts.
@@ -122,7 +127,8 @@ impl TxnManager {
 
     /// Buffer an insert, immediately prefetching ghost slots for the target
     /// partition (§6.1's decoupled rippling — persists even if `txn`
-    /// aborts).
+    /// aborts). The prefetch moves no row, so it publishes nothing: the
+    /// commit's one publish covers the whole transaction.
     pub fn buffer_insert(
         &self,
         txn: &mut Transaction,
@@ -184,7 +190,7 @@ impl TxnManager {
 
     /// Commit: first-committer-wins validation (a lost race is
     /// [`StorageError::Conflict`]), then apply the buffered writes to the
-    /// table and publish the versions.
+    /// table and publish them to readers once, as a unit.
     pub fn commit(&self, txn: Transaction, table: &mut Table) -> Result<u64, StorageError> {
         let _span = OBS_COMMIT_SPAN.start();
         let mut inner = self.inner.lock();
@@ -202,10 +208,16 @@ impl TxnManager {
         }
         let commit_ts = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
         // Apply while holding the coordinator lock (single-writer apply
-        // phase; reads remain concurrent thanks to the version log).
-        for w in &txn.writes {
-            let op = WriteOp::from_query(w).expect("a transaction buffers only writes");
-            table.column_mut().apply_write(op)?;
+        // phase; reads remain concurrent thanks to the version log). The
+        // write set is one run of the column's write path, so readers see
+        // it through one publish; each write is logged as it lands, so a
+        // failure part-way logs exactly the writes that applied.
+        let ops = txn
+            .writes
+            .iter()
+            .map(|w| WriteOp::from_query(w).expect("a transaction buffers only writes"));
+        table.column_mut().apply_writes(ops, |i, _| {
+            let w = &txn.writes[i];
             for key in keys(w).into_iter().flatten() {
                 inner.last_writer.insert(key, commit_ts);
             }
@@ -213,7 +225,7 @@ impl TxnManager {
                 ts: commit_ts,
                 write: w.clone(),
             });
-        }
+        })?;
         OBS_COMMITS.inc();
         Ok(commit_ts)
     }
@@ -241,7 +253,7 @@ impl TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ChunkStore;
+    use crate::column::{ChunkStore, ColumnSnapshot};
     use crate::modes::{EngineConfig, LayoutMode};
     use casper_workload::{HapSchema, KeyDist, WorkloadGenerator};
 
@@ -378,6 +390,54 @@ mod tests {
         mgr.abort(txn);
         let after = ghosts_for(&t, 100);
         assert_eq!(after, during, "aborting must not undo the ghost fetch");
+    }
+
+    /// A transaction is one publish in every mode: buffering publishes
+    /// nothing, an N-write commit ticks the reader's version once, and a
+    /// fresh pin sees all N writes — the cross-chunk update included —
+    /// while a pin taken before the transaction sees none.
+    #[test]
+    fn a_committed_transaction_is_one_publish() {
+        for mode in LayoutMode::all() {
+            let gen = WorkloadGenerator::new(HapSchema::narrow(), 2000, KeyDist::Uniform);
+            let mut config = EngineConfig::small(mode);
+            config.chunk_values = 512; // four chunks over keys 0..=3998
+            let mut t = Table::load_from_generator(&gen, config);
+            let reader = t.reader();
+            let v0 = reader.version();
+            let before = reader.pin();
+            let mgr = TxnManager::new();
+            let mut txn = mgr.begin();
+            mgr.buffer_insert(&mut txn, &mut t, 101, vec![0; 15]);
+            mgr.buffer_insert(&mut txn, &mut t, 4001, vec![0; 15]);
+            txn.delete(100);
+            txn.update(200, 3001);
+            assert_eq!(
+                reader.version(),
+                v0,
+                "{mode:?}: buffering publishes nothing"
+            );
+            mgr.commit(txn, &mut t).unwrap();
+            assert_eq!(reader.version(), v0 + 1, "{mode:?}: one publish per commit");
+            let count = |snap: &ColumnSnapshot, q: HapQuery| {
+                snap.read(&q, &QueryCtx::default()).unwrap().result.scalar()
+            };
+            let point = |snap: &ColumnSnapshot, v| count(snap, HapQuery::Q1 { v, k: 1 });
+            let after = reader.pin();
+            let whole = HapQuery::Q2 {
+                vs: 0,
+                ve: u64::MAX,
+            };
+            assert_eq!(count(&after, whole.clone()), 2001, "{mode:?}");
+            for (key, want) in [(101, 1), (4001, 1), (100, 0), (200, 0), (3001, 1)] {
+                assert_eq!(point(&after, key), want, "{mode:?}: key {key} after");
+            }
+            // The pin taken before the commit saw none of it.
+            assert_eq!(count(&before, whole), 2000, "{mode:?}");
+            for (key, want) in [(101, 0), (100, 1), (200, 1), (3001, 0)] {
+                assert_eq!(point(&before, key), want, "{mode:?}: key {key} before");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! prediction, the layout is stale and the adaptive controller
 //! (`casper_engine::adapt`) has cause to re-solve. The optimizer writes
 //! `predicted` (and resets `observed`) when it installs a layout; the read
-//! path bumps `observed` once per chunk it routes a query into.
+//! and write paths bump `observed` once per chunk they route a query into.
 //!
 //! Storage is a fixed array of [`DRIFT_SLOTS`] chunk slots so the hot-path
 //! increment is one relaxed `fetch_add` with no locking or growth; chunks

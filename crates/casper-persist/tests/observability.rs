@@ -70,8 +70,8 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
         .expect("q3");
     }
 
-    // Engage snapshot mode so write batches publish to readers (the
-    // publish counter is a no-op until a reader exists), and push a few
+    // Engage snapshot mode so writes publish to readers (the publish
+    // counter is a no-op until a reader exists), and push a few
     // queries through the sampled snapshot-read path.
     let reader = dt.table().reader();
     for v in (0..rows * 2).step_by(257) {
@@ -93,18 +93,6 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
     dt.flush().expect("flush");
     dt.checkpoint().expect("checkpoint");
     dt.scrub_now().expect("scrub");
-
-    // Chunk-parallel batched writes live on the plain engine surface
-    // (`Table::execute_batch`); drive them directly — the registry is
-    // process-global, so their signal lands in the same dump.
-    let mut batch_table = seed_table(1_000);
-    let batch: Vec<HapQuery> = (0..64u64)
-        .map(|i| HapQuery::Q4 {
-            key: 10_000 + i * 2,
-            payload: vec![3u32; payload_arity],
-        })
-        .collect();
-    batch_table.execute_batch(&batch).expect("batched inserts");
 
     // Governed execution: admission through the (roomy) slot gate plus
     // residency accounting on the main table; a second table under a
@@ -147,7 +135,6 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
     assert_nonzero(&text, "casper_query_latency_ns_count{class=\"q4\"}");
     assert_nonzero(&text, "casper_wal_fsyncs_total");
     assert_nonzero(&text, "casper_snapshot_publishes_total");
-    assert_nonzero(&text, "casper_write_batch_ops_count");
 
     // Persistence signal.
     assert_nonzero(&text, "casper_checkpoints_total{result=\"ok\"}");

@@ -1,23 +1,22 @@
 //! Seeded multi-threaded reader/writer stress test for the snapshot read
 //! path.
 //!
-//! One writer thread applies *count-preserving* write batches through the
-//! chunk-parallel batch path (`Table::execute_batch` →
-//! `apply_write_batch`, which publishes exactly once per batch) while N
-//! reader threads hammer `TableReader` handles. Because every batch pairs
-//! one insert with one delete (plus a count-neutral key update), a reader
-//! that pins any *published* snapshot must count exactly the invariant
-//! number of rows. Observing the invariant ±1 would mean a torn batch —
-//! a snapshot published between the insert and the delete — which the
-//! single-publish-per-batch protocol forbids.
+//! One writer thread commits *count-preserving* transactions through
+//! `TxnManager` (a commit publishes exactly once) while N reader threads
+//! hammer `TableReader` handles. Because every commit pairs one insert
+//! with one delete (plus a count-neutral key update), a reader that pins
+//! any *published* snapshot must count exactly the invariant number of
+//! rows. Observing the invariant ±1 would mean a torn commit — a snapshot
+//! published between the insert and the delete — which the
+//! one-publish-per-commit protocol forbids.
 //!
 //! Parameterized by environment for the CI `concurrency-smoke` matrix:
 //!
 //! - `CASPER_STRESS_THREADS` — reader thread count (default 4)
 //! - `CASPER_STRESS_SEEDS`   — comma-separated RNG seeds (default "1,2")
-//! - `CASPER_STRESS_BATCHES` — write batches per seed/mode (default 60)
+//! - `CASPER_STRESS_BATCHES` — writer commits per seed/mode (default 60)
 
-use casper::engine::{ColumnSnapshot, EngineConfig, LayoutMode, QueryCtx, Table};
+use casper::engine::{ColumnSnapshot, EngineConfig, LayoutMode, QueryCtx, Table, TxnManager};
 use casper::workload::{HapQuery, HapSchema};
 use rand::prelude::*;
 use std::collections::VecDeque;
@@ -70,7 +69,7 @@ fn build_table(mode: LayoutMode) -> Table {
         })
         .collect();
     let mut config = EngineConfig::small(mode);
-    config.chunk_values = 512; // many chunks => cross-chunk batches
+    config.chunk_values = 512; // many chunks => cross-chunk commits
     Table::load(schema, keys, payload_cols, config)
 }
 
@@ -91,7 +90,7 @@ impl KeyMint {
 
 /// Run one seeded stress round for one layout mode; panics (failing the
 /// test) if any reader ever observes a row count other than the invariant.
-fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, batches: usize) {
+fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, commits: usize) {
     let mut table = build_table(mode);
     let schema = table.schema();
     let mut mint = KeyMint::new();
@@ -123,7 +122,7 @@ fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, batches: usize) {
             scope.spawn(move || {
                 let mut last_version = handle.version();
                 while !stop.load(Ordering::Relaxed) {
-                    // Each pin must see a fully published batch: the
+                    // Each pin must see a fully published commit: the
                     // paired insert+delete keeps the count invariant.
                     let out = handle
                         .execute(&HapQuery::Q2 {
@@ -134,7 +133,7 @@ fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, batches: usize) {
                     assert_eq!(
                         out.result.scalar(),
                         invariant,
-                        "reader observed a torn write batch ({mode:?}, seed {seed})"
+                        "reader observed a torn commit ({mode:?}, seed {seed})"
                     );
                     // A single pinned snapshot must be internally stable.
                     let snap = handle.pin();
@@ -151,17 +150,18 @@ fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, batches: usize) {
         }
 
         // Don't start writing until every reader has observed at least
-        // one snapshot — otherwise a fast writer drains its batch budget
+        // one snapshot — otherwise a fast writer drains its commit budget
         // before the OS even schedules the reader threads and the test
         // exercises no actual concurrency.
         while observations.load(Ordering::Relaxed) < readers as u64 {
             std::thread::yield_now();
         }
 
-        // Writer: every batch is count-neutral (one insert, one delete,
-        // one key update), so only the never-published mid-batch states
+        // Writer: every commit is count-neutral (one insert, one delete,
+        // one key update), so only the never-published mid-commit states
         // violate the invariant.
-        for _ in 0..batches {
+        let txns = TxnManager::new();
+        for _ in 0..commits {
             let fresh = mint.next();
             let doomed_idx: usize = rng.gen_range(0..extras.len());
             let doomed = extras.remove(doomed_idx).unwrap();
@@ -171,21 +171,17 @@ fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, batches: usize) {
             extras[moved_idx] = moved_to;
             extras.push_back(fresh);
 
-            let batch = [
-                HapQuery::Q4 {
-                    key: fresh,
-                    payload: schema.payload_row(fresh),
-                },
-                HapQuery::Q6 {
-                    v: moved_from,
-                    vnew: moved_to,
-                },
-                HapQuery::Q5 { v: doomed },
-            ];
-            let outs = table.execute_batch(&batch).expect("write batch");
-            assert_eq!(outs[0].result.scalar(), 1, "insert applied");
-            assert_eq!(outs[1].result.scalar(), 1, "update moved one row");
-            assert_eq!(outs[2].result.scalar(), 1, "delete drained one row");
+            let mut txn = txns.begin();
+            txns.buffer_insert(&mut txn, &mut table, fresh, schema.payload_row(fresh));
+            txn.update(moved_from, moved_to);
+            txn.delete(doomed);
+            txns.commit(txn, &mut table).expect("writer commit");
+            let fresh_pin = table.reader().pin();
+            for (key, want) in [(fresh, 1), (moved_to, 1), (moved_from, 0), (doomed, 0)] {
+                let q = HapQuery::Q1 { v: key, k: 1 };
+                let out = fresh_pin.read(&q, &QueryCtx::default()).expect("point");
+                assert_eq!(out.result.scalar(), want, "key {key} after the commit");
+            }
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -205,18 +201,18 @@ fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, batches: usize) {
 }
 
 #[test]
-fn readers_never_observe_torn_batches() {
+fn readers_never_observe_torn_commits() {
     let readers = env_usize("CASPER_STRESS_THREADS", 4);
-    let batches = env_usize("CASPER_STRESS_BATCHES", 60);
+    let commits = env_usize("CASPER_STRESS_BATCHES", 60);
     for seed in env_seeds() {
         for mode in LayoutMode::all() {
-            stress_mode(mode, seed, readers, batches);
+            stress_mode(mode, seed, readers, commits);
         }
     }
 }
 
-/// Readers pinned *before* a batch keep their pre-batch view; a reader
-/// handle re-pinned *after* the batch sees it in full.
+/// Readers pinned *before* a write keep their pre-write view; a reader
+/// handle re-pinned *after* the write sees it in full.
 #[test]
 fn pinned_snapshot_is_stable_while_writer_advances() {
     let mut table = build_table(LayoutMode::Casper);
@@ -227,19 +223,19 @@ fn pinned_snapshot_is_stable_while_writer_advances() {
     let v0 = reader.version();
     let key = 2 * BASE_ROWS as u64 + 1; // odd: absent from the fixture
     table
-        .execute_batch(&[HapQuery::Q4 {
+        .execute(&HapQuery::Q4 {
             key,
             payload: schema.payload_row(key),
-        }])
-        .expect("insert batch");
+        })
+        .expect("insert");
 
-    // The old pin still answers from the pre-batch world...
+    // The old pin still answers from the pre-write world...
     assert_eq!(count_all(&before), BASE_ROWS as u64);
     let point = HapQuery::Q1 { v: key, k: 1 };
     let out = before.read(&point, &QueryCtx::default()).unwrap();
     assert_eq!(out.result.scalar(), 0, "old pin must not see the new row");
 
-    // ...while a fresh pin sees the whole batch, and the version ticked.
+    // ...while a fresh pin sees the write, and the version ticked.
     let after = reader.pin();
     assert_eq!(count_all(&after), BASE_ROWS as u64 + 1);
     assert!(reader.version() > v0, "publish must tick the version");
@@ -251,7 +247,7 @@ fn pinned_snapshot_is_stable_while_writer_advances() {
 
 use casper::engine::adapt::{AdaptConfig, AdaptDecision, AdaptiveController};
 use casper::engine::optimize::{optimize_table, OptimizeOptions};
-use casper::engine::{TableReader, TxnManager};
+use casper::engine::TableReader;
 use casper::persist::{DurableOptions, DurableTable};
 use casper::workload::{Mix, MixKind};
 
@@ -297,8 +293,8 @@ fn assert_versions_forward(seen: &mut Vec<u64>, table: &Table, rebuilt: bool, wh
 /// to replace the column and strand the reader on the pre-conversion
 /// snapshot (4000 rows against the table's 4001) — and the column's version
 /// counters only ever move forward, whatever the chunk count becomes,
-/// across writes, batches, ghost prefetches, `optimize_table` and
-/// `maybe_reoptimize`.
+/// across writes, ghost prefetches, transaction commits (a cross-chunk
+/// update included), `optimize_table` and `maybe_reoptimize`.
 #[test]
 fn reader_and_version_counters_outlive_relayout_in_every_mode() {
     let schema = HapSchema::narrow();
@@ -312,22 +308,14 @@ fn reader_and_version_counters_outlive_relayout_in_every_mode() {
 
         table.execute(&insert(mint.next())).expect("write");
         assert_versions_forward(&mut seen, &table, false, "single write");
-        let moved = mint.next();
-        let batch = [
-            insert(moved),
-            HapQuery::Q6 {
-                v: 10,
-                vnew: moved + 2,
-            },
-        ];
-        mint.next();
-        table.execute_batch(&batch).expect("batch");
-        assert_versions_forward(&mut seen, &table, false, "batch");
         let txns = TxnManager::new();
         let mut txn = txns.begin();
-        let key = mint.next();
-        txns.buffer_insert(&mut txn, &mut table, key, schema.payload_row(key));
+        for key in [mint.next(), mint.next()] {
+            txns.buffer_insert(&mut txn, &mut table, key, schema.payload_row(key));
+        }
         assert_versions_forward(&mut seen, &table, false, "ghost prefetch");
+        // Key 10 lives in the first chunk, the minted key in the last.
+        txn.update(10, mint.next());
         txns.commit(txn, &mut table).expect("commit");
         assert_versions_forward(&mut seen, &table, false, "txn commit");
 

@@ -102,28 +102,6 @@ fn serial_checksum(table: &mut Table, queries: &[HapQuery]) -> u64 {
     })
 }
 
-/// Sum of every result scalar, with each maximal run of writes (Q4/Q5/Q6)
-/// applied through `Table::execute_batch` and reads in stream position.
-fn batched_checksum(table: &mut Table, queries: &[HapQuery]) -> u64 {
-    let is_write = |q: &HapQuery| matches!(q.index(), 3..=5);
-    let mut checksum = 0u64;
-    let mut i = 0;
-    while i < queries.len() {
-        if is_write(&queries[i]) {
-            let j = i + queries[i..].iter().take_while(|q| is_write(q)).count();
-            for out in table.execute_batch(&queries[i..j]).expect("execute_batch") {
-                checksum = checksum.wrapping_add(out.result.scalar());
-            }
-            i = j;
-        } else {
-            let out = table.execute(&queries[i]).expect("execute");
-            checksum = checksum.wrapping_add(out.result.scalar());
-            i += 1;
-        }
-    }
-    checksum
-}
-
 #[test]
 fn checksums_agree_across_modes() {
     let mix = Mix::new(MixKind::HybridPointSkewed, HapSchema::narrow(), 4096);
@@ -139,19 +117,6 @@ fn checksums_agree_across_modes() {
         let got = serial_checksum(&mut build_table(&mix, mode), &queries);
         assert_eq!(got, reference, "{mode:?} diverged");
     }
-}
-
-#[test]
-fn batched_writes_preserve_the_checksum() {
-    let mix = Mix::new(MixKind::UpdateOnlyUniform, HapSchema::narrow(), 4096);
-    let queries = mix.generate(200, 42);
-    assert!(
-        queries.iter().any(|q| q.index() == 3),
-        "the stream carries Q4 inserts"
-    );
-    let serial = serial_checksum(&mut build_table(&mix, LayoutMode::Casper), &queries);
-    let batched = batched_checksum(&mut build_table(&mix, LayoutMode::Casper), &queries);
-    assert_eq!(serial, batched);
 }
 
 #[test]
