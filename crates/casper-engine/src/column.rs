@@ -666,6 +666,11 @@ pub struct ChunkedColumn {
     /// of the column: a re-layout that changes the chunk count starts every
     /// new counter above all old ones ([`Self::convert_to_ordered`]).
     versions: Vec<u64>,
+    /// Per chunk, the version at which its store was last built from rows
+    /// (load, restore, re-layout) rather than written in place. A durable
+    /// record captured at a lower version describes another physical
+    /// layout: it can be replaced, never extended ([`Self::rebuilt_at`]).
+    rebuilt: Vec<u64>,
     /// Engaged lazily by the first [`ChunkedColumn::snapshot_cell`] call;
     /// until then every chunk `Arc` is unique and writes mutate in place
     /// with zero copy-on-write cost (the serial-execution fast path).
@@ -687,6 +692,7 @@ impl ChunkedColumn {
         let state = ColumnSnapshot::build(keys, payload_cols, config);
         Self {
             versions: vec![0; state.chunks.len()],
+            rebuilt: vec![0; state.chunks.len()],
             state,
             snapshots: OnceLock::new(),
         }
@@ -712,6 +718,7 @@ impl ChunkedColumn {
         }
         Self {
             versions: vec![0; chunks.len()],
+            rebuilt: vec![0; chunks.len()],
             state: ColumnSnapshot {
                 chunks: chunks.into_iter().map(Arc::new).collect(),
                 fences,
@@ -749,6 +756,7 @@ impl ChunkedColumn {
         self.state = ColumnSnapshot::build(keys, cols, config);
         let floor = self.versions.iter().max().map_or(0, |v| v + 1);
         self.versions = vec![floor; self.state.chunks.len()];
+        self.rebuilt = self.versions.clone();
         Ok(())
     }
 
@@ -785,6 +793,14 @@ impl ChunkedColumn {
     /// dirty iff its counter differs from the snapshot.
     pub fn versions(&self) -> &[u64] {
         &self.versions
+    }
+
+    /// Per-chunk rebuild versions (parallel to [`Self::versions`]): the
+    /// version each chunk's store was last built at from scratch. A
+    /// persistence layer may extend a chunk's record with the slots written
+    /// since only if the record was captured at or above this version.
+    pub fn rebuilt_at(&self) -> &[u64] {
+        &self.rebuilt
     }
 
     /// Record a modification of chunk `i` (write, ripple, storage-mode
@@ -849,9 +865,9 @@ impl ChunkedColumn {
     }
 
     /// Mutable access to every chunk store (optimizer rebuild).
-    /// Conservatively marks every chunk dirty: the optimizer rewrites
-    /// stores through the returned borrows, which give no way to observe
-    /// which ones it touched.
+    /// Conservatively marks every chunk dirty and rebuilt: the optimizer
+    /// rewrites stores through the returned borrows, which give no way to
+    /// observe which ones it touched.
     pub(crate) fn chunks_mut(&mut self) -> Result<Vec<&mut ChunkStore>, StorageError> {
         for i in 0..self.state.chunks.len() {
             self.ensure_unique(i)?;
@@ -859,6 +875,7 @@ impl ChunkedColumn {
         for v in &mut self.versions {
             *v += 1;
         }
+        self.rebuilt = self.versions.clone();
         let slots = self.state.chunks.iter_mut();
         slots.map(ChunkSlot::unique_store).collect()
     }

@@ -221,10 +221,10 @@ impl ArchiveIndex {
 
     /// Decode, verifying magic, version and checksum.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
-        let body = unframe(
+        let (_, body) = unframe(
             bytes,
             ARCHIVE_INDEX_MAGIC,
-            ARCHIVE_INDEX_VERSION,
+            ARCHIVE_INDEX_VERSION..=ARCHIVE_INDEX_VERSION,
             "archive index",
         )?;
         let mut r = ByteReader::new(body);
@@ -791,9 +791,10 @@ pub struct BackupJob {
 
 /// The one segment-verification walk, shared by the backup copy and
 /// [`verify_backup`]: read every segment `manifest` references under
-/// `dir`, check its header and every record the manifest points at, then
-/// hand the verified bytes to `visit`. `pause` throttles between records
-/// and `stop` aborts with a typed error. Returns the records verified.
+/// `dir`, check its header and every record of every chain that points
+/// into it, then hand the verified bytes to `visit`. `pause` throttles
+/// between records and `stop` aborts with a typed error. Returns the
+/// records verified.
 fn verify_segments(
     vfs: &VfsHandle,
     dir: &Path,
@@ -806,11 +807,12 @@ fn verify_segments(
     for seg in manifest.referenced_segments() {
         let sbytes = vfs.read(&FileKind::Segment.path(dir, seg))?;
         verify_segment_header(&sbytes, seg)?;
-        for e in manifest.entries.iter().filter(|e| e.seg == seg) {
+        let chains = manifest.entries.iter().flat_map(|e| e.records());
+        for record in chains.filter(|r| r.seg == seg) {
             if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
                 return Err(StorageError::corrupt("backup verification interrupted"));
             }
-            e.verified(&sbytes)?;
+            record.verified(&sbytes)?;
             records += 1;
             if !pause.is_zero() {
                 std::thread::sleep(pause);

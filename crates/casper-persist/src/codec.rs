@@ -82,15 +82,26 @@ impl ByteWriter {
     /// `u32` array with a length prefix.
     pub fn vec_u32(&mut self, v: &[u32]) {
         self.u64(v.len() as u64);
+        self.u32s(v);
+    }
+
+    /// `u64` array with a length prefix.
+    pub fn vec_u64(&mut self, v: &[u64]) {
+        self.u64(v.len() as u64);
+        self.u64s(v);
+    }
+
+    /// `u32` values with no length prefix (one run of an array whose
+    /// prefix was written up front).
+    pub fn u32s(&mut self, v: &[u32]) {
         self.buf.reserve(v.len() * 4);
         for &x in v {
             self.buf.extend_from_slice(&x.to_le_bytes());
         }
     }
 
-    /// `u64` array with a length prefix.
-    pub fn vec_u64(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
+    /// `u64` values with no length prefix.
+    pub fn u64s(&mut self, v: &[u64]) {
         self.buf.reserve(v.len() * 8);
         for &x in v {
             self.buf.extend_from_slice(&x.to_le_bytes());
@@ -251,14 +262,15 @@ pub(crate) fn frame(magic: [u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Undo [`frame`]: the body is returned only after magic, version, length
-/// and checksum all hold. `what` names the file kind in the error.
+/// Undo [`frame`]: the version and body are returned only after magic,
+/// version (one of `versions`), length and checksum all hold. `what` names
+/// the file kind in the error.
 pub(crate) fn unframe<'a>(
     bytes: &'a [u8],
     magic: [u8; 4],
-    version: u32,
+    versions: std::ops::RangeInclusive<u32>,
     what: &str,
-) -> Result<&'a [u8], StorageError> {
+) -> Result<(u32, &'a [u8]), StorageError> {
     let mut header = ByteReader::new(bytes);
     let got_magic = header.take(4)?;
     if got_magic != magic {
@@ -267,9 +279,9 @@ pub(crate) fn unframe<'a>(
         )));
     }
     let got_version = header.u32()?;
-    if got_version != version {
+    if !versions.contains(&got_version) {
         return Err(StorageError::corrupt(format!(
-            "unsupported {what} version {got_version} (this build reads {version})"
+            "unsupported {what} version {got_version} (this build reads {versions:?})"
         )));
     }
     let body_len = header.len_u64()?;
@@ -287,7 +299,7 @@ pub(crate) fn unframe<'a>(
             "{what} checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
         )));
     }
-    Ok(body)
+    Ok((got_version, body))
 }
 
 #[cfg(test)]

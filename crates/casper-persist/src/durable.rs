@@ -17,14 +17,18 @@
 //!
 //! A **checkpoint** is *incremental*: the engine's per-chunk modification
 //! counters identify exactly the chunks dirtied since the last checkpoint,
-//! and only those are re-serialized — into a fresh segment — while clean
-//! chunks keep their existing records. With the **background
-//! checkpointer** enabled (default), the foreground only seals + rotates
-//! the WAL and clones dirty chunk state; serialization and fsyncs run on a
-//! dedicated thread, so the commit path keeps nothing but its group-commit
-//! fsync. Once a manifest references more than
+//! and only those are written — into a fresh segment — while clean chunks
+//! keep their existing record chains. A dirty partitioned chunk that
+//! already has a chain gets a *patch record*: the slot granules its write
+//! stamps say changed since the chain's newest record. Any other dirty
+//! chunk, and one whose patches would outgrow its full record (the fold
+//! rule), is re-serialized whole. With the **background checkpointer**
+//! enabled (default), the foreground only seals + rotates the WAL, copies
+//! the patches out and pins the chunks written whole; serialization and
+//! fsyncs run on a dedicated thread, so the commit path keeps nothing but
+//! its group-commit fsync. Once a manifest references more than
 //! [`DurableOptions::max_segments`] segments, the next checkpoint compacts
-//! the chain (clean records are byte-copied, never re-encoded).
+//! the chains (clean records are byte-copied, never re-encoded).
 //! [`DurableTable::optimize`] still checkpoints synchronously after every
 //! re-layout, so adaptive re-partitioning remains durable at return.
 //!
@@ -69,8 +73,8 @@
 use crate::archive::{BackupJob, BackupReport, BackupVerifyReport, PointInTime};
 use crate::checkpointer::{run_with_retry, Checkpointer, Completion, RetryPolicy};
 use crate::incremental::{
-    list_dir, read_current, record_loader, restore_table, CheckpointJob, ChunkEntry, FileKind,
-    Manifest, RecordSource,
+    capture_patch, list_dir, read_current, record_loader, restore_table, segments_to_evacuate,
+    CheckpointJob, ChunkEntry, FileKind, Manifest, RecordSource,
 };
 use crate::ledger::Ledger;
 use crate::scrub::{ScrubFinding, ScrubReport, ScrubStats, Scrubber};
@@ -86,7 +90,7 @@ use casper_engine::{
 use casper_obs::{CounterDef, GaugeDef};
 use casper_storage::StorageError;
 use casper_workload::HapQuery;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -144,8 +148,9 @@ pub struct DurableOptions {
     /// synchronous either way).
     pub background_checkpointer: bool,
     /// Compact once a manifest references more than this many segments:
-    /// the next checkpoint rewrites every live record into one fresh
-    /// segment (clean records byte-copied, not re-encoded).
+    /// the next checkpoint empties the segments holding the fewest live
+    /// record bytes, byte-copying (not re-encoding) the records chains keep
+    /// there into its fresh segment.
     pub max_segments: usize,
     /// Total attempts per checkpoint job (1 = no retry). Transient I/O
     /// failures are retried with doubling backoff; whole-job retry is safe
@@ -479,6 +484,7 @@ impl DurableTable {
             n_chunks: chunks.len(),
             fresh,
             reused: Vec::new(),
+            evacuate: BTreeSet::new(),
             archive: opts.archive,
             // No backup can pin a table that does not exist yet.
             pins: crate::archive::SharedPins::default(),
@@ -1225,18 +1231,21 @@ impl DurableTable {
         Ok(())
     }
 
-    /// Incremental checkpoint, waited to completion: re-serialize exactly
-    /// the chunks dirtied since the last checkpoint into a fresh segment,
-    /// commit a manifest referencing old records for the clean ones, swing
-    /// `CURRENT`, prune. Returns the new generation number.
+    /// Incremental checkpoint, waited to completion: write exactly the
+    /// chunks dirtied since the last checkpoint into a fresh segment — a
+    /// patch record of the written granules where a chunk's chain allows
+    /// one, the chunk whole otherwise — commit a manifest referencing old
+    /// chains for the clean ones, swing `CURRENT`, prune. Returns the new
+    /// generation number.
     pub fn checkpoint(&mut self) -> Result<u64, StorageError> {
         self.ensure_active()?;
         self.checkpoint_sync(false)
     }
 
-    /// Full compaction, waited to completion: rewrite every live chunk
-    /// record into one fresh segment (clean records byte-copied, dirty
-    /// ones re-encoded) and collapse the segment chain.
+    /// Full compaction, waited to completion: rewrite every live record
+    /// chain into one fresh segment (clean chains byte-copied record by
+    /// record, dirty chunks patched or written whole as usual) and collapse
+    /// the segment set.
     pub fn compact(&mut self) -> Result<u64, StorageError> {
         self.ensure_active()?;
         self.checkpoint_sync(true)
@@ -1411,9 +1420,11 @@ impl DurableTable {
 
     /// Capture a checkpoint under the foreground's pause: rotate the WAL
     /// (commits continue against the new file immediately), ask the ledger
-    /// which chunks are dirty at the column's current version counters, and
-    /// clone exactly those. Everything costly — encoding,
-    /// segment/manifest writes, fsyncs — lives in the returned job.
+    /// which chunks are dirty at the column's current version counters,
+    /// copy out a patch for each dirty chunk whose chain it may extend, and
+    /// pin the rest to be written whole. Everything else costly — full
+    /// encodes, segment/manifest writes, fsyncs — lives in the returned
+    /// job.
     ///
     /// Callers seal first (capture never fsyncs the old WAL itself): on
     /// the healthy path the batch is already durable, and on the poisoned
@@ -1471,10 +1482,10 @@ impl DurableTable {
         self.wal_seq = new_gen;
 
         // Past the freeze check a quarantined chunk is clean, so every
-        // chunk is either encoded from memory or keeps its record. Dirty
+        // chunk is either written from memory or keeps its record. Dirty
         // chunks are hydrated by definition (writes hydrate before
         // mutating, and the scrubber only marks resident chunks damaged),
-        // so the clone cannot hit an unloaded store.
+        // so the patch copy or clone cannot hit an unloaded store.
         let column = self.table.column();
         let versions = column.versions().to_vec();
         let n = versions.len();
@@ -1482,22 +1493,40 @@ impl DurableTable {
         let mut reused: Vec<(usize, ChunkEntry)> = Vec::new();
         for (i, &version) in versions.iter().enumerate() {
             if self.ledger.encodable(i, version) {
-                fresh.push((i, RecordSource::Encode(column.chunks()[i].clone())));
+                let slot = &column.chunks()[i];
+                let base = self.ledger.patch_base(i, column.rebuilt_at()[i]);
+                let patch = slot.store_opt().zip(base);
+                let patch = patch.and_then(|(store, base)| capture_patch(store, base));
+                fresh.push((
+                    i,
+                    patch.unwrap_or_else(|| RecordSource::Encode(slot.clone())),
+                ));
             } else {
                 let record = self.ledger.record(i).expect("a clean chunk has a record");
                 reused.push((i, record.clone()));
             }
         }
         let dirty = fresh.len();
-        // Compaction: forced, or the incremental manifest would reference
-        // too many segments. Clean chunks then byte-copy their existing
-        // records — no hydration, no re-encode — into the fresh segment.
-        let mut segments: BTreeSet<u64> = reused.iter().map(|(_, e)| e.seg).collect();
-        if dirty > 0 {
-            segments.insert(self.next_seg);
+        // Compaction: forced, or the manifest would reference too many
+        // segments. The segments holding the fewest live bytes are emptied:
+        // each record a chain keeps there is byte-copied — no hydration, no
+        // re-encode — into the fresh segment, clean chains included.
+        let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+        let patch_bases = fresh.iter().filter_map(|(_, source)| match source {
+            RecordSource::Patch { base, .. } => Some(base),
+            _ => None,
+        });
+        let chains = reused.iter().map(|(_, e)| e).chain(patch_bases);
+        for record in chains.flat_map(ChunkEntry::records) {
+            *live.entry(record.seg).or_default() += record.len;
         }
-        if force_full || segments.len() > self.opts.max_segments {
-            fresh.extend(reused.drain(..).map(|(i, e)| (i, RecordSource::Copy(e))));
+        let evacuate = segments_to_evacuate(&live, dirty > 0, self.opts.max_segments, force_full);
+        if !evacuate.is_empty() {
+            let (moved, kept) = reused
+                .into_iter()
+                .partition(|(_, e)| e.records().any(|r| evacuate.contains(&r.seg)));
+            reused = kept;
+            fresh.extend(moved.into_iter().map(|(i, e)| (i, RecordSource::Copy(e))));
             fresh.sort_unstable_by_key(|&(i, _)| i);
         }
         let seg_seq = self.next_seg;
@@ -1528,6 +1557,7 @@ impl DurableTable {
             n_chunks: n,
             fresh,
             reused,
+            evacuate,
             archive: self.opts.archive,
             pins: self.pins.clone(),
         })

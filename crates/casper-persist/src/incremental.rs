@@ -2,16 +2,25 @@
 //!
 //! A checkpoint is split into two pieces so it writes only what changed:
 //!
-//! * **Segments** (`seg-<seq>.casper`) are append-once files holding one
-//!   encoded chunk record per dirty chunk (the per-store byte layout of
-//!   `record::encode_store`). A segment is written, fsynced and never
-//!   touched again; older segments are retained while any live manifest
-//!   entry still points into them.
+//! * **Segments** (`seg-<seq>.casper`) are append-once files of chunk
+//!   records. A segment is written, fsynced and never touched again; older
+//!   segments are retained while any live manifest entry still points into
+//!   them.
 //! * **Manifests** (`manifest-<gen>.casper`) are small CRC-checksummed
-//!   files mapping every chunk id to `(segment, offset, len, crc, live)`
-//!   plus the table-level metadata (engine config, fences, FM state, WAL
-//!   watermark). A checkpoint re-encodes *only dirty chunks* into a new
-//!   segment and re-points the clean ones at their existing records.
+//!   files mapping every chunk to its **record chain** plus the
+//!   table-level metadata (engine config, fences, FM state, WAL
+//!   watermark). A chain is one full record (`record::encode_store`) and
+//!   an ordered list of patch records (`record::encode_patch`), each with
+//!   its own `(segment, offset, len, crc)`.
+//!
+//! A checkpoint writes a *patch* for a dirty partitioned chunk that has a
+//! chain — the slot granules written since the chain's newest record, plus
+//! the partition metadata — and a *full record* for any other dirty chunk;
+//! clean chunks keep their chains. The **fold rule** bounds a chain: once a
+//! chunk's patch bytes plus the new patch would reach its full record's
+//! size, the chunk is written whole instead, so checkpoint bytes stay
+//! within 2x of what changed and a chunk decodes from at most 2x one full
+//! record.
 //!
 //! Those two and the WAL links (`wal-<seq>.log`) are the three kinds of
 //! numbered file a table directory holds; [`FileKind`] is the only place
@@ -21,23 +30,24 @@
 //! `CURRENT` swings atomically and holds a bare generation number naming
 //! the live manifest. Every reader of a table directory — open, scrub,
 //! backup verification — resolves it through [`read_current`], and no
-//! record byte is believed before [`ChunkEntry::verified`] has checked it
+//! record byte is believed before [`Record::verified`] has checked it
 //! against the manifest's CRC.
 //!
 //! **Compaction**: once a manifest references more than a configured
-//! number of segments, the next checkpoint rewrites every live record into
-//! one fresh segment (clean records are *byte-copied*, CRC-verified, never
-//! re-encoded) and the chain collapses.
+//! number of segments, the next checkpoint empties the segments holding
+//! the fewest live bytes: the records chains keep there are *byte-copied*
+//! into the fresh segment (CRC-verified, never decoded or re-encoded).
+//! A forced compaction empties them all.
 //!
 //! **Restore** maps segments ([`crate::mmap::Mmap`]) and hands each chunk
 //! to the engine as a lazy slot: `DurableTable::open` does metadata work
-//! only, and a chunk verifies its record CRC and decodes on the first
-//! query that routes to it.
+//! only, and a chunk verifies its records' CRCs and decodes its chain on
+//! the first query that routes to it.
 
 use crate::codec::{frame, unframe, ByteReader, ByteWriter};
 use crate::crc::crc32;
 use crate::mmap::Mmap;
-use crate::record::{decode_config, decode_store, encode_config, encode_store};
+use crate::record::{decode_chain, decode_config, encode_config, encode_patch, encode_store};
 use crate::vfs::{Vfs, VfsHandle};
 use casper_core::FrequencyModel;
 use casper_engine::column::{ChunkSlot, ChunkStore};
@@ -45,7 +55,7 @@ use casper_engine::{ChunkedColumn, EngineConfig, Table};
 use casper_obs::CounterDef;
 use casper_storage::StorageError;
 use casper_workload::HapSchema;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -54,21 +64,33 @@ use std::sync::Arc;
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CSPM";
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"CSPS";
-/// Manifest (and segment) format version.
-pub const MANIFEST_VERSION: u32 = 2;
+/// Manifest (and segment) format version this build writes: 3 gives every
+/// chunk entry a patch list and a write mark.
+pub const MANIFEST_VERSION: u32 = 3;
+/// Oldest manifest (and segment) version this build reads: a version-2
+/// entry is a chain of one full record.
+const OLDEST_MANIFEST_VERSION: u32 = 2;
 /// Byte length of a segment file header (`magic | version | seq`).
 pub const SEGMENT_HEADER_LEN: u64 = 16;
 
-/// Record bytes written into fresh segments (headers excluded); retried
-/// jobs count every attempt — the counter tracks bytes actually written.
+/// Record bytes written into fresh segments (headers excluded) — full
+/// records, patch records and compaction copies; retried jobs count every
+/// attempt — the counter tracks bytes actually written.
 static OBS_SEGMENT_BYTES: CounterDef = CounterDef::new("casper_checkpoint_segment_bytes_total");
 /// Subset of segment bytes that were byte-copied from older segments
-/// (compaction traffic, as opposed to re-encoded dirty chunks).
+/// (compaction traffic, as opposed to freshly written records).
 static OBS_COMPACTION_BYTES: CounterDef = CounterDef::new("casper_compaction_copy_bytes_total");
+/// Fresh records written, by kind (compaction copies excluded).
+static OBS_FULL_RECORDS: CounterDef =
+    CounterDef::new("casper_checkpoint_records_total{kind=\"full\"}");
+static OBS_PATCH_RECORDS: CounterDef =
+    CounterDef::new("casper_checkpoint_records_total{kind=\"patch\"}");
+/// Captures where the fold rule wrote a patchable chunk whole.
+static OBS_FOLDS: CounterDef = CounterDef::new("casper_checkpoint_folds_total");
 
-/// Where one chunk's persisted record lives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkEntry {
+/// Where one record lives: a byte range of a segment and its CRC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record {
     /// Segment sequence number the record lives in.
     pub seg: u64,
     /// Byte offset of the record inside the segment file.
@@ -79,19 +101,15 @@ pub struct ChunkEntry {
     /// own checksum protects this value, so per-record integrity holds
     /// end-to-end without reading the segment at open).
     pub crc: u32,
-    /// Live rows in the chunk (serves `len()` before hydration).
-    pub live: u64,
-    /// Checkpoint generation that wrote the record (compaction telemetry).
-    pub written_gen: u64,
 }
 
-impl ChunkEntry {
-    /// The one record check: slice this entry's record out of its
-    /// segment's bytes — bounds-checked — and compare its CRC32 with the
-    /// one the manifest stored. Every consumer of record bytes (lazy
-    /// hydration, compaction copy, scrub, backup copy, backup
-    /// verification) gets them from here, so nothing decodes or copies a
-    /// record the manifest does not vouch for.
+impl Record {
+    /// The one record check: slice this record out of its segment's
+    /// bytes — bounds-checked — and compare its CRC32 with the one the
+    /// manifest stored. Every consumer of record bytes (lazy hydration,
+    /// compaction copy, scrub, backup copy, backup verification) gets them
+    /// from here, so nothing decodes or copies a record the manifest does
+    /// not vouch for.
     pub(crate) fn verified<'a>(&self, segment: &'a [u8]) -> Result<&'a [u8], StorageError> {
         let record = usize::try_from(self.offset)
             .ok()
@@ -116,6 +134,70 @@ impl ChunkEntry {
         }
         Ok(record)
     }
+
+    fn encode(&self, w: &mut ByteWriter) {
+        w.u64(self.seg);
+        w.u64(self.offset);
+        w.u64(self.len);
+        w.u32(self.crc);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StorageError> {
+        Ok(Self {
+            seg: r.u64()?,
+            offset: r.u64()?,
+            len: r.u64()?,
+            crc: r.u32()?,
+        })
+    }
+}
+
+/// One chunk's persisted record chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkEntry {
+    /// The full record.
+    pub base: Record,
+    /// Patch records on top of `base`, oldest first.
+    pub patches: Vec<Record>,
+    /// Live rows in the chunk (serves `len()` before hydration).
+    pub live: u64,
+    /// Checkpoint generation that wrote the chain's newest record
+    /// (compaction telemetry).
+    pub written_gen: u64,
+    /// The chunk's write mark when the newest record was captured: a
+    /// decoded chunk resumes at it, and the next patch carries the
+    /// granules stamped above it.
+    pub mark: u64,
+}
+
+impl ChunkEntry {
+    /// A chain of one full record.
+    pub(crate) fn full(base: Record, live: u64, written_gen: u64, mark: u64) -> Self {
+        Self {
+            base,
+            patches: Vec::new(),
+            live,
+            written_gen,
+            mark,
+        }
+    }
+
+    /// The chain's records in decode order: the full record, then the
+    /// patches.
+    pub fn records(&self) -> impl Iterator<Item = &Record> {
+        std::iter::once(&self.base).chain(&self.patches)
+    }
+
+    /// Bytes the chain's patches take (the fold rule's left-hand side).
+    pub(crate) fn patch_bytes(&self) -> u64 {
+        self.patches.iter().map(|p| p.len).sum()
+    }
+
+    /// Whether this chain is `prev` with zero or more patches appended —
+    /// every record `prev` decodes from is still part of it.
+    pub(crate) fn extends(&self, prev: &ChunkEntry) -> bool {
+        self.base == prev.base && self.patches.starts_with(&prev.patches)
+    }
 }
 
 /// A decoded manifest: everything `DurableTable::open` needs before any
@@ -139,9 +221,10 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Distinct segments referenced by the live entries.
+    /// Distinct segments the live entries' chains reference.
     pub fn referenced_segments(&self) -> Vec<u64> {
-        let mut segs: Vec<u64> = self.entries.iter().map(|e| e.seg).collect();
+        let records = self.entries.iter().flat_map(ChunkEntry::records);
+        let mut segs: Vec<u64> = records.map(|r| r.seg).collect();
         segs.sort_unstable();
         segs.dedup();
         segs
@@ -168,12 +251,14 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     }
     body.u64(m.entries.len() as u64);
     for e in &m.entries {
-        body.u64(e.seg);
-        body.u64(e.offset);
-        body.u64(e.len);
-        body.u32(e.crc);
+        e.base.encode(&mut body);
         body.u64(e.live);
         body.u64(e.written_gen);
+        body.u64(e.mark);
+        body.u64(e.patches.len() as u64);
+        for patch in &e.patches {
+            patch.encode(&mut body);
+        }
     }
     body.u64(m.fms.len() as u64);
     for fm in &m.fms {
@@ -184,9 +269,11 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     frame(MANIFEST_MAGIC, MANIFEST_VERSION, &body.into_bytes())
 }
 
-/// Decode a manifest, verifying magic, version and checksum.
+/// Decode a manifest, verifying magic, version and checksum. A version-2
+/// manifest's entries decode as chains of one full record at mark 0.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
-    let body = unframe(bytes, MANIFEST_MAGIC, MANIFEST_VERSION, "manifest")?;
+    let versions = OLDEST_MANIFEST_VERSION..=MANIFEST_VERSION;
+    let (version, body) = unframe(bytes, MANIFEST_MAGIC, versions, "manifest")?;
     let mut r = ByteReader::new(body);
     let generation = r.u64()?;
     let durable_lsn = r.u64()?;
@@ -203,14 +290,14 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
     }
     let mut entries = Vec::with_capacity(n_chunks.min(1 << 20));
     for _ in 0..n_chunks {
-        entries.push(ChunkEntry {
-            seg: r.u64()?,
-            offset: r.u64()?,
-            len: r.u64()?,
-            crc: r.u32()?,
-            live: r.u64()?,
-            written_gen: r.u64()?,
-        });
+        let mut entry = ChunkEntry::full(Record::decode(&mut r)?, r.u64()?, r.u64()?, 0);
+        if version >= 3 {
+            entry.mark = r.u64()?;
+            for _ in 0..r.len_u64()? {
+                entry.patches.push(Record::decode(&mut r)?);
+            }
+        }
+        entries.push(entry);
     }
     if let Some(f) = &fences {
         if f.len() != entries.len() {
@@ -403,23 +490,33 @@ pub(crate) fn read_current(
 // The checkpoint job: what the (possibly background) writer executes
 // ---------------------------------------------------------------------
 
-/// One chunk record heading into a new segment.
+/// What a checkpoint writes for one chunk into the new segment.
 #[derive(Debug)]
 pub(crate) enum RecordSource {
-    /// Serialize this (hydrated, dirty) chunk. The slot is shared with the
-    /// live column via `Arc` — capture is a refcount bump, and the engine
-    /// copy-on-writes before its next mutation of the chunk, so the store
-    /// serialized here is frozen at capture time.
+    /// Serialize this (hydrated, dirty) chunk whole: a chain of one full
+    /// record. The slot is shared with the live column via `Arc` — capture
+    /// is a refcount bump, and the engine copy-on-writes before its next
+    /// mutation of the chunk, so the store serialized here is frozen at
+    /// capture time.
     Encode(Arc<ChunkSlot>),
-    /// Byte-copy an existing record (compaction of a clean chunk — the
-    /// bytes are CRC-verified in flight but never decoded).
+    /// Append a patch record — already encoded at capture, so the live
+    /// chunk is not pinned — to `base`'s chain.
+    Patch {
+        base: ChunkEntry,
+        bytes: Vec<u8>,
+        live: u64,
+        mark: u64,
+    },
+    /// Move a clean chunk's chain out of the segments compaction empties
+    /// (its records there are byte-copied, CRC-verified in flight but
+    /// never decoded).
     Copy(ChunkEntry),
 }
 
 /// Everything a checkpoint writes, captured under the foreground's short
-/// pause: dirty chunk clones, reused manifest entries, and the table-level
-/// metadata. Serialization + fsync happen wherever the job runs (inline or
-/// on the checkpointer thread).
+/// pause: patches and pinned chunks, reused manifest entries, and the
+/// table-level metadata. Serialization + fsync happen wherever the job
+/// runs (inline or on the checkpointer thread).
 #[derive(Debug)]
 pub(crate) struct CheckpointJob {
     /// The VFS every byte of the job goes through (cloned from the owning
@@ -440,11 +537,135 @@ pub(crate) struct CheckpointJob {
     pub reused: Vec<(usize, ChunkEntry)>,
     /// Total chunk count (`fresh.len() + reused.len()`).
     pub n_chunks: usize,
+    /// Segments this job empties (compaction): every record of a chain it
+    /// writes that lives in one of them is byte-copied into the new
+    /// segment, so the new manifest references none of them.
+    pub evacuate: BTreeSet<u64>,
     /// Archive policy: `Some` retires stale files instead of deleting them.
     pub archive: Option<crate::archive::ArchiveConfig>,
     /// Backup pins shared with the owning table — pinned files survive
     /// both pruning and retiring while a backup copies them.
     pub pins: crate::archive::SharedPins,
+}
+
+/// The segment a checkpoint job is writing: records are appended one at a
+/// time, so a full checkpoint never holds a second serialized copy of the
+/// whole table in memory on top of the captured clones — peak extra memory
+/// is one chunk record. After each record, writeback of the bytes just
+/// written is *initiated* (non-blocking, no journal commit): a concurrent
+/// group-commit WAL fsync on the foreground would otherwise have to flush
+/// the whole accumulated segment inside its own journal transaction,
+/// stalling the commit path.
+struct SegmentWriter<'j> {
+    job: &'j CheckpointJob,
+    file: crate::vfs::VfsFile,
+    offset: u64,
+    copied: u64,
+}
+
+impl<'j> SegmentWriter<'j> {
+    fn create(job: &'j CheckpointJob) -> Result<Self, StorageError> {
+        let mut file = job
+            .vfs
+            .create(&FileKind::Segment.path(&job.dir, job.seg_seq))?;
+        let mut header = ByteWriter::new();
+        for b in SEGMENT_MAGIC {
+            header.u8(b);
+        }
+        header.u32(MANIFEST_VERSION);
+        header.u64(job.seg_seq);
+        let header = header.into_bytes();
+        debug_assert_eq!(header.len() as u64, SEGMENT_HEADER_LEN);
+        file.write_all(&header)?;
+        Ok(Self {
+            job,
+            file,
+            offset: SEGMENT_HEADER_LEN,
+            copied: 0,
+        })
+    }
+
+    /// Append one record's bytes; returns where they landed.
+    fn append(&mut self, bytes: &[u8]) -> Result<Record, StorageError> {
+        self.file.write_all(bytes)?;
+        let len = bytes.len() as u64;
+        crate::mmap::initiate_writeback(self.file.std_file(), self.offset, len);
+        let record = Record {
+            seg: self.job.seg_seq,
+            offset: self.offset,
+            len,
+            crc: crc32(bytes),
+        };
+        self.offset += len;
+        Ok(record)
+    }
+
+    /// `entry` with every record that lives in an evacuated segment
+    /// byte-copied (CRC-verified on the way) into this one.
+    fn relocate(&mut self, entry: &ChunkEntry) -> Result<ChunkEntry, StorageError> {
+        let mut moved = entry.clone();
+        for record in std::iter::once(&mut moved.base).chain(&mut moved.patches) {
+            if self.job.evacuate.contains(&record.seg) {
+                let bytes = read_record(&self.job.vfs, &self.job.dir, record)?;
+                self.copied += bytes.len() as u64;
+                *record = self.append(&bytes)?;
+            }
+        }
+        Ok(moved)
+    }
+
+    /// The chain chunk `idx` has once `source` is written.
+    fn write(&mut self, idx: usize, source: &RecordSource) -> Result<ChunkEntry, StorageError> {
+        let new_gen = self.job.new_gen;
+        match source {
+            RecordSource::Encode(slot) => {
+                // A quarantined (scrub-damaged, never hydrated) chunk must
+                // not reach capture; if one does, fail with a typed error
+                // instead of panicking inside the encoder.
+                let Some(store) = slot.store_opt() else {
+                    return Err(StorageError::corrupt(format!(
+                        "chunk {idx} reached the checkpoint writer unhydrated \
+                         (quarantined or damaged record)"
+                    )));
+                };
+                let mut w = ByteWriter::new();
+                encode_store(&mut w, store);
+                let base = self.append(&w.into_bytes())?;
+                OBS_FULL_RECORDS.inc();
+                let mark = match store {
+                    ChunkStore::Partitioned(chunk) => chunk.write_mark(),
+                    _ => 0,
+                };
+                Ok(ChunkEntry::full(base, store.len() as u64, new_gen, mark))
+            }
+            RecordSource::Patch {
+                base,
+                bytes,
+                live,
+                mark,
+            } => {
+                let mut entry = self.relocate(base)?;
+                entry.patches.push(self.append(bytes)?);
+                OBS_PATCH_RECORDS.inc();
+                entry.live = *live;
+                entry.mark = *mark;
+                entry.written_gen = new_gen;
+                Ok(entry)
+            }
+            RecordSource::Copy(entry) => {
+                let mut moved = self.relocate(entry)?;
+                moved.written_gen = new_gen;
+                Ok(moved)
+            }
+        }
+    }
+
+    fn finish(mut self) -> Result<(), StorageError> {
+        self.file.sync_all()?;
+        OBS_SEGMENT_BYTES.add(self.offset - SEGMENT_HEADER_LEN);
+        OBS_COMPACTION_BYTES.add(self.copied);
+        Ok(())
+    }
 }
 
 /// Run a checkpoint job to completion: write the segment (if any records
@@ -462,67 +683,12 @@ pub(crate) fn run_checkpoint(job: &CheckpointJob) -> Result<Manifest, StorageErr
     for (idx, entry) in &job.reused {
         entries[*idx] = Some(entry.clone());
     }
-
     if !job.fresh.is_empty() {
-        let path = FileKind::Segment.path(&job.dir, job.seg_seq);
-        let mut file = job.vfs.create(&path)?;
-        let mut header = ByteWriter::new();
-        for b in SEGMENT_MAGIC {
-            header.u8(b);
-        }
-        header.u32(MANIFEST_VERSION);
-        header.u64(job.seg_seq);
-        let header = header.into_bytes();
-        debug_assert_eq!(header.len() as u64, SEGMENT_HEADER_LEN);
-        file.write_all(&header)?;
-        // Records are independent: encode (or byte-copy) and write one at
-        // a time, so a full checkpoint never holds a second serialized
-        // copy of the whole table in memory on top of the captured
-        // clones — peak extra memory is one chunk record. After each
-        // record, writeback of the bytes just written is *initiated*
-        // (non-blocking, no journal commit): a concurrent group-commit
-        // WAL fsync on the foreground would otherwise have to flush the
-        // whole accumulated segment inside its own journal transaction,
-        // stalling the commit path.
-        let mut offset = SEGMENT_HEADER_LEN;
-        let mut copied_bytes = 0u64;
+        let mut segment = SegmentWriter::create(job)?;
         for (idx, source) in &job.fresh {
-            let (bytes, live) = match source {
-                RecordSource::Encode(slot) => {
-                    // A quarantined (scrub-damaged, never hydrated) chunk
-                    // must not reach capture; if one does, fail with a
-                    // typed error instead of panicking inside the encoder.
-                    let Some(store) = slot.store_opt() else {
-                        return Err(StorageError::corrupt(format!(
-                            "chunk {idx} reached the checkpoint writer unhydrated \
-                             (quarantined or damaged record)"
-                        )));
-                    };
-                    let mut w = ByteWriter::new();
-                    encode_store(&mut w, store);
-                    (w.into_bytes(), store.len() as u64)
-                }
-                RecordSource::Copy(entry) => {
-                    let bytes = read_record(&job.vfs, &job.dir, entry)?;
-                    copied_bytes += bytes.len() as u64;
-                    (bytes, entry.live)
-                }
-            };
-            file.write_all(&bytes)?;
-            crate::mmap::initiate_writeback(file.std_file(), offset, bytes.len() as u64);
-            entries[*idx] = Some(ChunkEntry {
-                seg: job.seg_seq,
-                offset,
-                len: bytes.len() as u64,
-                crc: crc32(&bytes),
-                live,
-                written_gen: job.new_gen,
-            });
-            offset += bytes.len() as u64;
+            entries[*idx] = Some(segment.write(*idx, source)?);
         }
-        file.sync_all()?;
-        OBS_SEGMENT_BYTES.add(offset - SEGMENT_HEADER_LEN);
-        OBS_COMPACTION_BYTES.add(copied_bytes);
+        segment.finish()?;
     }
 
     let entries: Vec<ChunkEntry> = entries
@@ -559,16 +725,64 @@ pub(crate) fn run_checkpoint(job: &CheckpointJob) -> Result<Manifest, StorageErr
     Ok(manifest)
 }
 
+/// Encode chunk `store`'s patch against `base`, the chain a clean copy of
+/// it decodes from — or `None` when the chunk must be written whole: it is
+/// not a partitioned chunk, or the **fold rule** applies (the chain's
+/// patch bytes plus this patch would reach its full record's size).
+pub(crate) fn capture_patch(store: &ChunkStore, base: &ChunkEntry) -> Option<RecordSource> {
+    let ChunkStore::Partitioned(chunk) = store else {
+        return None;
+    };
+    let mut w = ByteWriter::new();
+    encode_patch(&mut w, chunk, base.mark);
+    let bytes = w.into_bytes();
+    if base.patch_bytes() + bytes.len() as u64 >= base.base.len {
+        OBS_FOLDS.inc();
+        return None;
+    }
+    Some(RecordSource::Patch {
+        base: base.clone(),
+        bytes,
+        live: chunk.live_len() as u64,
+        mark: chunk.write_mark(),
+    })
+}
+
+/// Which segments a checkpoint empties. `live` maps every segment the new
+/// manifest would reference (the fresh one aside) to the record bytes it
+/// holds for it. A forced compaction empties them all. Otherwise, once
+/// they and the fresh segment would exceed `max_segments`, the ones
+/// holding the fewest live bytes are emptied — the `max_segments - 1`
+/// fullest stay, the fresh segment takes the rest — so steady-state
+/// compaction moves the small patch segments, not the full records.
+pub(crate) fn segments_to_evacuate(
+    live: &BTreeMap<u64, u64>,
+    fresh: bool,
+    max_segments: usize,
+    force: bool,
+) -> BTreeSet<u64> {
+    if force {
+        return live.keys().copied().collect();
+    }
+    if live.len() + usize::from(fresh) <= max_segments {
+        return BTreeSet::new();
+    }
+    let mut fullest: Vec<(u64, u64)> = live.iter().map(|(&seg, &bytes)| (bytes, seg)).collect();
+    fullest.sort_unstable_by(|a, b| b.cmp(a));
+    let emptied = fullest.into_iter().skip(max_segments.saturating_sub(1));
+    emptied.map(|(_, seg)| seg).collect()
+}
+
 /// Read and verify one persisted record (compaction byte-copy path and
 /// the scrubber's verification pass). The segment is mapped, not read:
 /// only the record's pages are touched.
 pub(crate) fn read_record(
     vfs: &VfsHandle,
     dir: &Path,
-    entry: &ChunkEntry,
+    record: &Record,
 ) -> Result<Vec<u8>, StorageError> {
-    let map = vfs.mmap(&FileKind::Segment.path(dir, entry.seg))?;
-    Ok(entry.verified(&map)?.to_vec())
+    let map = vfs.mmap(&FileKind::Segment.path(dir, record.seg))?;
+    Ok(record.verified(&map)?.to_vec())
 }
 
 // ---------------------------------------------------------------------
@@ -577,7 +791,7 @@ pub(crate) fn read_record(
 
 /// Build a table from a manifest: map every referenced segment, verify
 /// the segment headers, and hand each chunk to the engine as a lazy slot
-/// that verifies and decodes its record on first touch
+/// that verifies and decodes its record chain on first touch
 /// (`Table::hydrate_all` forces them all). Each segment is taken from the
 /// first of `dirs` that holds it (point-in-time restores mix live and
 /// archived segments — a shared segment may still be live while the base
@@ -603,11 +817,14 @@ pub(crate) fn restore_table(
     let config = manifest.config;
     let mut chunks = Vec::with_capacity(manifest.entries.len());
     for entry in &manifest.entries {
-        let map = Arc::clone(maps.get(&entry.seg).expect("segment mapped above"));
         let live = usize::try_from(entry.live)
             .map_err(|_| StorageError::corrupt("live count overflows usize"))?;
+        let segments: BTreeMap<u64, Arc<Mmap>> = entry
+            .records()
+            .map(|r| (r.seg, Arc::clone(&maps[&r.seg])))
+            .collect();
         let entry = entry.clone();
-        let loader = move || decode_record(&map, &entry, &config, payload_width);
+        let loader = move || decode_entry(&segments, &entry, &config, payload_width);
         chunks.push(ChunkSlot::new_lazy(live, Box::new(loader)));
     }
     let column = ChunkedColumn::from_restored(
@@ -620,11 +837,12 @@ pub(crate) fn restore_table(
 }
 
 /// Build a lazy loader re-pointing an **evicted** chunk at its persisted
-/// record: the segment is mapped on first touch (not held open — an
-/// evicted chunk should cost nothing until someone reads it), its header
-/// and the record CRC are verified, and the store decodes through the
-/// shared decoder — the same integrity path restore-time laziness uses,
-/// so rehydration is bit-exact by construction.
+/// chain: the segments are mapped on first touch (not held open — an
+/// evicted chunk should cost nothing until someone reads it), their
+/// headers and every record CRC are verified, and the store decodes
+/// through the shared chain decoder — the same integrity path
+/// restore-time laziness uses, so rehydration is bit-exact by
+/// construction.
 pub(crate) fn record_loader(
     vfs: VfsHandle,
     dir: PathBuf,
@@ -633,19 +851,23 @@ pub(crate) fn record_loader(
     payload_width: usize,
 ) -> casper_engine::column::ChunkLoader {
     Box::new(move || {
-        let path = FileKind::Segment.path(&dir, entry.seg);
-        let map = vfs.mmap(&path).map_err(|e| {
-            StorageError::corrupt(format!(
-                "evicted chunk cannot re-map segment {}: {e}",
-                entry.seg
-            ))
-        })?;
-        verify_segment_header(&map, entry.seg)?;
-        decode_record(&map, &entry, &config, payload_width)
+        let mut segments = BTreeMap::new();
+        for seg in entry.records().map(|r| r.seg) {
+            if segments.contains_key(&seg) {
+                continue;
+            }
+            let map = vfs.mmap(&FileKind::Segment.path(&dir, seg)).map_err(|e| {
+                StorageError::corrupt(format!("evicted chunk cannot re-map segment {seg}: {e}"))
+            })?;
+            verify_segment_header(&map, seg)?;
+            segments.insert(seg, Arc::new(map));
+        }
+        decode_entry(&segments, &entry, &config, payload_width)
     })
 }
 
-/// Check a segment's header (magic, version, recorded sequence).
+/// Check a segment's header (magic, a readable version, recorded
+/// sequence).
 pub(crate) fn verify_segment_header(bytes: &[u8], seq: u64) -> Result<(), StorageError> {
     let mut r = ByteReader::new(bytes);
     let magic = [r.u8()?, r.u8()?, r.u8()?, r.u8()?];
@@ -655,7 +877,7 @@ pub(crate) fn verify_segment_header(bytes: &[u8], seq: u64) -> Result<(), Storag
         )));
     }
     let version = r.u32()?;
-    if version != MANIFEST_VERSION {
+    if !(OLDEST_MANIFEST_VERSION..=MANIFEST_VERSION).contains(&version) {
         return Err(StorageError::corrupt(format!(
             "segment {seq}: bad version {version}"
         )));
@@ -669,18 +891,24 @@ pub(crate) fn verify_segment_header(bytes: &[u8], seq: u64) -> Result<(), Storag
     Ok(())
 }
 
-/// Decode one chunk record out of its mapped segment — verified at first
-/// touch, then the shared store decoder.
-fn decode_record(
-    map: &Mmap,
+/// Decode one chunk out of its mapped segments: every record of its chain
+/// verified at first touch, then the shared chain decoder.
+fn decode_entry(
+    segments: &BTreeMap<u64, Arc<Mmap>>,
     entry: &ChunkEntry,
     config: &EngineConfig,
     payload_width: usize,
 ) -> Result<ChunkStore, StorageError> {
-    let mut r = ByteReader::new(entry.verified(map)?);
-    let store = decode_store(&mut r, config, payload_width)?;
-    r.finish()?;
-    Ok(store)
+    let records = entry
+        .records()
+        .map(|r| {
+            let segment = segments.get(&r.seg).ok_or_else(|| {
+                StorageError::corrupt(format!("segment {} of a chunk chain is not mapped", r.seg))
+            })?;
+            r.verified(segment)
+        })
+        .collect::<Result<Vec<&[u8]>, StorageError>>()?;
+    decode_chain(&records, entry.mark, config, payload_width)
 }
 
 #[cfg(test)]
@@ -695,25 +923,48 @@ mod tests {
             config: EngineConfig::small(casper_engine::LayoutMode::Casper),
             fences: Some(vec![10, 20]),
             entries: vec![
+                ChunkEntry::full(record(2, 16, 100, 0xDEAD_BEEF), 64, 3, 0),
                 ChunkEntry {
-                    seg: 2,
-                    offset: 16,
-                    len: 100,
-                    crc: 0xDEAD_BEEF,
-                    live: 64,
-                    written_gen: 3,
-                },
-                ChunkEntry {
-                    seg: 5,
-                    offset: 16,
-                    len: 80,
-                    crc: 0x1234_5678,
-                    live: 32,
-                    written_gen: 7,
+                    patches: vec![record(5, 96, 20, 0xAB), record(6, 16, 24, 0xCD)],
+                    ..ChunkEntry::full(record(5, 16, 80, 0x1234_5678), 32, 7, 41)
                 },
             ],
             fms: vec![fm()],
         }
+    }
+
+    fn record(seg: u64, offset: u64, len: u64, crc: u32) -> Record {
+        Record {
+            seg,
+            offset,
+            len,
+            crc,
+        }
+    }
+
+    /// A manifest as the version-2 format wrote it: one record per entry,
+    /// no write mark, no patch list.
+    fn encode_manifest_v2(m: &Manifest) -> Vec<u8> {
+        let mut body = ByteWriter::new();
+        body.u64(m.generation);
+        body.u64(m.durable_lsn);
+        body.u64(m.schema.payload_cols as u64);
+        encode_config(&mut body, &m.config);
+        body.u8(1);
+        body.vec_u64(m.fences.as_deref().expect("fenced fixture"));
+        body.u64(m.entries.len() as u64);
+        for e in &m.entries {
+            e.base.encode(&mut body);
+            body.u64(e.live);
+            body.u64(e.written_gen);
+        }
+        body.u64(m.fms.len() as u64);
+        for fm in &m.fms {
+            for (_, hist) in fm.histograms() {
+                body.vec_f64(hist);
+            }
+        }
+        frame(MANIFEST_MAGIC, 2, &body.into_bytes())
     }
 
     fn fm() -> FrequencyModel {
@@ -733,7 +984,55 @@ mod tests {
         assert_eq!(d.entries, m.entries);
         assert_eq!(d.fences, m.fences);
         assert_eq!(d.fms, vec![fm()]);
+        assert_eq!(d.referenced_segments(), vec![2, 5, 6]);
+    }
+
+    /// A version-2 manifest still opens: each entry is a chain of one
+    /// full record at write mark 0.
+    #[test]
+    fn v2_manifest_decodes_as_chains_of_one_record() {
+        let mut m = manifest();
+        m.entries[1].patches.clear();
+        m.entries[1].mark = 0;
+        let d = decode_manifest(&encode_manifest_v2(&m)).expect("decode v2");
+        assert_eq!(d.entries, m.entries);
         assert_eq!(d.referenced_segments(), vec![2, 5]);
+    }
+
+    #[test]
+    fn chain_extension_is_a_prefix_relation() {
+        let m = manifest();
+        let chain = &m.entries[1];
+        let mut longer = chain.clone();
+        longer.patches.push(record(7, 16, 8, 1));
+        assert!(longer.extends(chain) && chain.extends(chain));
+        assert!(!chain.extends(&longer));
+        assert!(!m.entries[0].extends(chain), "another base");
+        assert_eq!(chain.patch_bytes(), 44);
+        let segs: Vec<u64> = chain.records().map(|r| r.seg).collect();
+        assert_eq!(segs, [5, 5, 6]);
+    }
+
+    /// Automatic compaction empties the emptiest segments until the
+    /// manifest fits; a forced one empties them all.
+    #[test]
+    fn compaction_evacuates_the_emptiest_segments() {
+        let live: BTreeMap<u64, u64> = [(1, 70_000), (2, 900), (3, 4_000), (4, 800), (5, 700)]
+            .into_iter()
+            .collect();
+        let set = |segs: &[u64]| segs.iter().copied().collect::<BTreeSet<u64>>();
+        assert_eq!(segments_to_evacuate(&live, true, 6, false), set(&[]));
+        assert_eq!(segments_to_evacuate(&live, false, 5, false), set(&[]));
+        assert_eq!(segments_to_evacuate(&live, true, 5, false), set(&[5]));
+        assert_eq!(segments_to_evacuate(&live, true, 3, false), set(&[2, 4, 5]));
+        assert_eq!(
+            segments_to_evacuate(&live, false, 1, false),
+            set(&[1, 2, 3, 4, 5])
+        );
+        assert_eq!(
+            segments_to_evacuate(&live, false, 6, true),
+            set(&[1, 2, 3, 4, 5])
+        );
     }
 
     #[test]
@@ -741,13 +1040,11 @@ mod tests {
         let mut segment = vec![0u8; SEGMENT_HEADER_LEN as usize];
         let record = b"a chunk record's bytes";
         segment.extend_from_slice(record);
-        let entry = ChunkEntry {
+        let entry = Record {
             seg: 1,
             offset: SEGMENT_HEADER_LEN,
             len: record.len() as u64,
             crc: crc32(record),
-            live: 0,
-            written_gen: 1,
         };
         assert_eq!(entry.verified(&segment).expect("intact"), record);
         // Any flipped bit inside the record is caught.
@@ -762,7 +1059,7 @@ mod tests {
         // A segment too short for the claim, or a claim that overflows, is
         // typed damage too — never a slice panic.
         assert!(entry.verified(&segment[..segment.len() - 1]).is_err());
-        let wild = ChunkEntry {
+        let wild = Record {
             offset: u64::MAX - 3,
             ..entry
         };

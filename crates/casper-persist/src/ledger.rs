@@ -11,6 +11,10 @@
 //! here; a chunk index past the ledger's end has no record yet and is
 //! simply dirty, so a re-layout that changes the chunk count needs no
 //! case of its own.
+//!
+//! A record is a chain (full record + patches). Whether the next
+//! checkpoint may *extend* a dirty chunk's chain with a patch rather than
+//! replace it is one more predicate here, [`Ledger::patch_base`].
 
 use crate::incremental::ChunkEntry;
 use std::collections::BTreeSet;
@@ -21,8 +25,9 @@ enum Clean {
     /// The record is the chunk exactly as it stood at this value of its
     /// column version counter.
     At(u64),
-    /// A scrub pass found the record damaged while the chunk was resident:
-    /// whatever the counter says, re-encode the chunk from memory.
+    /// A scrub pass found a record of the chain damaged while the chunk
+    /// was resident: whatever the counter says, re-encode the chunk whole
+    /// from memory.
     Damaged,
 }
 
@@ -92,15 +97,29 @@ impl Ledger {
         dirty.count()
     }
 
+    /// The chain the next checkpoint may extend with a patch of chunk `i`
+    /// — `Some` iff its record is intact and was captured at or after
+    /// `rebuilt_at`, the version the chunk's store was last built at from
+    /// scratch (a chain of an older layout cannot be patched, only
+    /// replaced). Whether the chunk is dirty is [`Ledger::encodable`]'s
+    /// question.
+    pub(crate) fn patch_base(&self, i: usize, rebuilt_at: u64) -> Option<&ChunkEntry> {
+        match self.slots.get(i)?.record.as_ref()? {
+            (entry, Clean::At(v)) if *v >= rebuilt_at => Some(entry),
+            _ => None,
+        }
+    }
+
     /// Chunk `i`'s durable record, if a checkpoint has covered it.
     pub(crate) fn record(&self, i: usize) -> Option<&ChunkEntry> {
         self.slots.get(i)?.record.as_ref().map(|(entry, _)| entry)
     }
 
-    /// Distinct segment files the durable records live in.
+    /// Distinct segment files the durable record chains live in.
     pub(crate) fn segments(&self) -> BTreeSet<u64> {
-        let records = self.slots.iter().filter_map(|s| s.record.as_ref());
-        records.map(|(entry, _)| entry.seg).collect()
+        let entries = self.slots.iter().filter_map(|s| s.record.as_ref());
+        let records = entries.flat_map(|(entry, _)| entry.records());
+        records.map(|r| r.seg).collect()
     }
 
     /// Quarantined chunk indexes with their reasons, in chunk order.
@@ -130,17 +149,18 @@ impl Ledger {
     }
 
     /// A checkpoint committed: `entries` are its manifest's records and
-    /// `captured[i]` the column version chunk `i` was captured at. A
-    /// record known damaged stays so while the manifest still points at
-    /// it (the chunk looked clean at capture and was reused); any other
-    /// record was encoded from memory or CRC-verified on copy. Quarantine
+    /// `captured[i]` the column version chunk `i` was captured at. A chain
+    /// known damaged stays so while the manifest's chain still holds every
+    /// record of it (the chunk looked clean at capture and was reused, or a
+    /// patch was appended in flight); any other chain starts from a full
+    /// record encoded from memory or was CRC-verified on copy. Quarantine
     /// outlives checkpoints.
     pub(crate) fn commit(&mut self, entries: Vec<ChunkEntry>, captured: &[u64]) {
         let mut old = std::mem::take(&mut self.slots).into_iter();
         let slots = entries.into_iter().zip(captured).map(|(entry, &version)| {
             let old = old.next().unwrap_or_default();
             let clean = match old.record {
-                Some((prev, Clean::Damaged)) if prev == entry => Clean::Damaged,
+                Some((prev, Clean::Damaged)) if entry.extends(&prev) => Clean::Damaged,
                 _ => Clean::At(version),
             };
             Slot {
@@ -155,16 +175,19 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::Record;
 
-    fn entry(seg: u64) -> ChunkEntry {
-        ChunkEntry {
+    fn record(seg: u64) -> Record {
+        Record {
             seg,
             offset: 16,
             len: 100,
             crc: 7,
-            live: 64,
-            written_gen: seg,
         }
+    }
+
+    fn entry(seg: u64) -> ChunkEntry {
+        ChunkEntry::full(record(seg), 64, seg, 0)
     }
 
     /// Six chunk states × the four per-chunk predicates, with the answers
@@ -239,5 +262,29 @@ mod tests {
         ledger.commit(vec![entry(3), entry(3), entry(3)], &[0, 0, 1]);
         assert_eq!(ledger.quarantined().collect::<Vec<_>>(), [(2, "first")]);
         assert!(!ledger.dirty(1, 0) && ledger.repointable(2, 1).is_none());
+    }
+
+    /// Which chains a patch may extend: an intact record captured at or
+    /// after the chunk's last rebuild. A damage mark survives a patch
+    /// appended in flight (the damaged record is still in the chain) and
+    /// is cleared by a fresh full record.
+    #[test]
+    fn patch_base_needs_an_intact_chain_of_the_current_layout() {
+        let mut ledger = Ledger::default();
+        ledger.commit(vec![entry(1), entry(1)], &[4, 4]);
+        assert!(ledger.patch_base(0, 4).is_some(), "captured at the rebuild");
+        assert!(ledger.patch_base(0, 0).is_some(), "captured after it");
+        assert!(ledger.patch_base(0, 5).is_none(), "rebuilt since capture");
+        assert!(ledger.patch_base(2, 0).is_none(), "no record yet");
+
+        ledger.mark_damaged(0);
+        assert!(ledger.patch_base(0, 0).is_none(), "damaged: write whole");
+        let mut patched = entry(1);
+        patched.patches.push(record(2));
+        ledger.commit(vec![patched, entry(3)], &[5, 5]);
+        assert!(ledger.dirty(0, 5), "the patch kept the damaged record");
+        assert_eq!(ledger.segments().into_iter().collect::<Vec<_>>(), [1, 2, 3]);
+        ledger.commit(vec![entry(4), entry(3)], &[6, 5]);
+        assert!(!ledger.dirty(0, 6) && ledger.patch_base(0, 0).is_some());
     }
 }

@@ -62,7 +62,7 @@ pub use archive::{
 };
 pub use durable::{CheckpointFailure, CheckpointStats, DurableOptions, DurableStats, DurableTable};
 pub use fault::{FaultCounters, FaultErr, FaultRule, FaultVfs, VfsOp};
-pub use incremental::{decode_manifest, encode_manifest, ChunkEntry, FileKind, Manifest};
+pub use incremental::{decode_manifest, encode_manifest, ChunkEntry, FileKind, Manifest, Record};
 pub use mmap::Mmap;
 pub use scrub::{ScrubFinding, ScrubReport, ScrubStats};
 pub use vfs::{RealVfs, Vfs, VfsFile, VfsHandle};

@@ -10,17 +10,25 @@
 //! solver-invocation and codec-encode telemetry counters therefore stay
 //! flat across a restore — the durability tests assert exactly that.
 //!
+//! A **patch record** ([`encode_patch`]) carries only what changed in a
+//! partitioned chunk since its chain's newest record: the slot granules
+//! written since (keys and payload rows), the partition metadata and zone
+//! maps whole, and which partitions dropped their fragment.
+//! [`decode_chain`] decodes a chunk from its base record and its patches
+//! in order — the one decoder every hydration path uses.
+//!
 //! A record carries no framing of its own: its length and CRC live in the
-//! manifest's [`crate::incremental::ChunkEntry`], and
-//! `ChunkEntry::verified` is the only way record bytes reach this decoder.
-//! Any structural violation inside a record surfaces as
-//! [`StorageError::Corrupt`] — never a panic. [`encode_config`] /
-//! [`decode_config`] are the engine-config block the manifest embeds. See
-//! `docs/persist-format.md` for the field-by-field layout.
+//! manifest's [`crate::incremental::ChunkEntry`], and `Record::verified`
+//! is the only way record bytes reach this decoder. Any structural
+//! violation inside a record surfaces as [`StorageError::Corrupt`] — never
+//! a panic. [`encode_config`] / [`decode_config`] are the engine-config
+//! block the manifest embeds. See `docs/persist-format.md` for the
+//! field-by-field layout.
 
 use crate::codec::{ByteReader, ByteWriter};
 use casper_engine::column::ChunkStore;
 use casper_engine::{EngineConfig, LayoutMode};
+use casper_storage::chunk::GRANULE_SLOTS;
 use casper_storage::compress::dictionary::PackedCodes;
 use casper_storage::compress::for_delta::PackedOffsets;
 use casper_storage::compress::{Dictionary, ForBlock, Rle};
@@ -29,6 +37,10 @@ use casper_storage::{
     BlockLayout, ChunkConfig, ChunkState, Fragment, PartitionMeta, PartitionedChunk, SortedColumn,
     SortedDelta, StorageError, UpdatePolicy,
 };
+
+/// Leading byte of a patch record (full records lead with their store
+/// kind: 0 partitioned, 1 sorted, 2 delta).
+const PATCH_TAG: u8 = 3;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -101,6 +113,20 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     w.u64(config.ghost_fetch_block as u64);
     w.u64(chunk.live_len() as u64);
     w.vec_u64(chunk.raw_slots());
+    encode_partition_meta(w, chunk);
+    for p in 0..chunk.partition_count() {
+        encode_fragment(w, chunk.partition_fragment(p));
+    }
+    let cols = chunk.payloads().columns();
+    w.u64(cols.len() as u64);
+    for col in cols {
+        w.vec_u32(col);
+    }
+}
+
+/// Partition count, partition metadata and zone maps — the part of a
+/// chunk both record kinds carry whole.
+fn encode_partition_meta(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     w.u64(chunk.partition_count() as u64);
     for p in chunk.partitions() {
         w.u64(p.start as u64);
@@ -113,13 +139,40 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
         w.u64(z.min);
         w.u64(z.max);
     }
+}
+
+/// The patch record of `chunk` against a chain whose newest record
+/// captured the chunk at write mark `since`: the granules written after
+/// `since` (their keys, then each payload column's values, in granule
+/// order), plus the metadata the write path may change anywhere. A
+/// fragment is never created by a write, only dropped, so each partition
+/// gets one flag: `1` keeps the chain's fragment, `0` drops it.
+pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, since: u64) {
+    w.u8(PATCH_TAG);
+    w.u64(chunk.raw_slots().len() as u64);
+    w.u64(chunk.live_len() as u64);
+    encode_partition_meta(w, chunk);
     for p in 0..chunk.partition_count() {
-        encode_fragment(w, chunk.partition_fragment(p));
+        w.u8(u8::from(chunk.partition_fragment(p).is_some()));
     }
-    let cols = chunk.payloads().columns();
-    w.u64(cols.len() as u64);
-    for col in cols {
-        w.vec_u32(col);
+    let granules: Vec<usize> = chunk.granules_written_since(since).collect();
+    let slots: usize = granules.iter().map(|&g| chunk.granule_slots(g).len()).sum();
+    w.u64(GRANULE_SLOTS as u64);
+    w.u64(granules.len() as u64);
+    for &g in &granules {
+        w.u64(g as u64);
+    }
+    w.u64(slots as u64);
+    for &g in &granules {
+        w.u64s(&chunk.raw_slots()[chunk.granule_slots(g)]);
+    }
+    let width = chunk.payloads().width();
+    w.u64(width as u64);
+    for c in 0..width {
+        w.u64(slots as u64);
+        for &g in &granules {
+            w.u32s(chunk.payloads().column_slice(c, chunk.granule_slots(g)));
+        }
     }
 }
 
@@ -196,11 +249,18 @@ pub(crate) fn decode_config(r: &mut ByteReader<'_>) -> Result<EngineConfig, Stor
     })
 }
 
-pub(crate) fn decode_store(
-    r: &mut ByteReader<'_>,
+/// Decode one chunk from its record chain — a full record, then its patch
+/// records in order — resuming at write mark `mark` (the mark its newest
+/// record was captured at). Only a partitioned record takes patches.
+pub(crate) fn decode_chain(
+    records: &[&[u8]],
+    mark: u64,
     config: &EngineConfig,
     payload_width: usize,
 ) -> Result<ChunkStore, StorageError> {
+    let (base, patches) = records
+        .split_first()
+        .ok_or_else(|| StorageError::corrupt("a chunk entry with no record"))?;
     let vpb = BlockLayout::new::<u64>(config.block_bytes).values_per_block();
     // Every store must carry exactly the table's payload arity — a
     // CRC-valid but inconsistent snapshot must fail typedly here, not
@@ -213,29 +273,146 @@ pub(crate) fn decode_store(
         }
         Ok(())
     };
-    match r.u8()? {
+    let mut r = ByteReader::new(base);
+    let tag = r.u8()?;
+    if tag != 0 && !patches.is_empty() {
+        return Err(StorageError::corrupt(format!(
+            "a record of store kind {tag} carries {} patches",
+            patches.len()
+        )));
+    }
+    let store = match tag {
         0 => {
-            let state = decode_chunk_state(r)?;
+            let mut state = decode_chunk_state(&mut r)?;
+            r.finish()?;
+            for patch in patches {
+                apply_patch(&mut state, patch)?;
+            }
+            state.write_mark = mark;
             check_width(state.payload_cols.len())?;
-            Ok(ChunkStore::Partitioned(PartitionedChunk::from_state(
-                state,
-            )?))
+            ChunkStore::Partitioned(PartitionedChunk::from_state(state)?)
         }
         1 => {
-            let (keys, cols) = decode_sorted_parts(r)?;
+            let (keys, cols) = decode_sorted_parts(&mut r)?;
             check_width(cols.len())?;
-            Ok(ChunkStore::Sorted(SortedColumn::build(keys, cols, vpb)))
+            ChunkStore::Sorted(SortedColumn::build(keys, cols, vpb))
         }
         2 => {
-            let (keys, cols) = decode_sorted_parts(r)?;
+            let (keys, cols) = decode_sorted_parts(&mut r)?;
             check_width(cols.len())?;
             let capacity = r.len_u64()?;
-            Ok(ChunkStore::Delta(SortedDelta::build(
-                keys, cols, vpb, capacity,
-            )))
+            ChunkStore::Delta(SortedDelta::build(keys, cols, vpb, capacity))
         }
-        t => Err(StorageError::corrupt(format!("bad chunk store tag {t}"))),
+        t => return Err(StorageError::corrupt(format!("bad chunk store tag {t}"))),
+    };
+    r.finish()?;
+    Ok(store)
+}
+
+/// Apply one patch record (see [`encode_patch`]) to a decoded chunk state.
+/// Structural checks here catch a patch that cannot belong to this chain;
+/// `PartitionedChunk::from_state` checks the result as a whole.
+fn apply_patch(state: &mut ChunkState<u64>, bytes: &[u8]) -> Result<(), StorageError> {
+    let mut r = ByteReader::new(bytes);
+    let tag = r.u8()?;
+    if tag != PATCH_TAG {
+        return Err(StorageError::corrupt(format!(
+            "a patch position holds a record of kind {tag}"
+        )));
     }
+    let physical = r.len_u64()?;
+    let old = state.data.len();
+    if physical < old {
+        return Err(StorageError::corrupt(format!(
+            "a patch shrinks the chunk from {old} to {physical} slots"
+        )));
+    }
+    let live = r.len_u64()?;
+    let (parts, zones) = decode_partition_meta(&mut r)?;
+    if parts.len() != state.parts.len() {
+        return Err(StorageError::corrupt(format!(
+            "a patch of {} partitions on a chunk of {}",
+            parts.len(),
+            state.parts.len()
+        )));
+    }
+    for (p, frag) in state.frags.iter_mut().enumerate() {
+        match (r.u8()?, frag.is_some()) {
+            (0, _) => *frag = None,
+            (1, true) => {}
+            (flag, _) => {
+                return Err(StorageError::corrupt(format!(
+                    "patch fragment flag {flag} for partition {p}, which has no fragment"
+                )))
+            }
+        }
+    }
+    let granule = r.len_u64()?;
+    let n_granules = r.len_u64()?;
+    let mut ranges = Vec::with_capacity(n_granules.min(1 << 20));
+    for _ in 0..n_granules {
+        let start = r
+            .len_u64()?
+            .checked_mul(granule)
+            .filter(|&start| start < physical && granule > 0)
+            .filter(|&start| {
+                ranges
+                    .last()
+                    .is_none_or(|prev: &std::ops::Range<usize>| start >= prev.end)
+            })
+            .ok_or_else(|| {
+                StorageError::corrupt("patch granules out of order or past the chunk's end")
+            })?;
+        ranges.push(start..start.saturating_add(granule).min(physical));
+    }
+    let slots: usize = ranges.iter().map(|g| g.len()).sum();
+    // Grown slots are always written (`grow` stamps them), so a patch
+    // carries at least as many slots as it adds: that bounds the growth
+    // below by the record's own size.
+    if physical - old > slots {
+        return Err(StorageError::corrupt(format!(
+            "a patch grows the chunk by {} slots but carries {slots}",
+            physical - old
+        )));
+    }
+    let keys = r.vec_u64()?;
+    let n_cols = r.len_u64()?;
+    if n_cols != state.payload_cols.len() {
+        return Err(StorageError::corrupt(format!(
+            "a patch of {n_cols} payload columns on a chunk of {}",
+            state.payload_cols.len()
+        )));
+    }
+    let mut cols = Vec::with_capacity(n_cols);
+    for _ in 0..n_cols {
+        cols.push(r.vec_u32()?);
+    }
+    r.finish()?;
+    if keys.len() != slots || cols.iter().any(|c| c.len() != slots) {
+        return Err(StorageError::corrupt(format!(
+            "a patch of {slots} granule slots carries {} keys",
+            keys.len()
+        )));
+    }
+    state.data.reserve_exact(physical - old);
+    state.data.resize(physical, 0);
+    for col in &mut state.payload_cols {
+        col.reserve_exact(physical - old);
+        col.resize(physical, 0);
+    }
+    let mut at = 0;
+    for range in ranges {
+        let next = at + range.len();
+        state.data[range.clone()].copy_from_slice(&keys[at..next]);
+        for (dst, src) in state.payload_cols.iter_mut().zip(&cols) {
+            dst[range.clone()].copy_from_slice(&src[at..next]);
+        }
+        at = next;
+    }
+    state.parts = parts;
+    state.zones = zones;
+    state.live = live;
+    Ok(())
 }
 
 fn decode_sorted_parts(r: &mut ByteReader<'_>) -> Result<(Vec<u64>, Vec<Vec<u32>>), StorageError> {
@@ -279,6 +456,33 @@ fn decode_chunk_state(r: &mut ByteReader<'_>) -> Result<ChunkState<u64>, Storage
     };
     let live = r.len_u64()?;
     let data = r.vec_u64()?;
+    let (parts, zones) = decode_partition_meta(r)?;
+    let mut frags = Vec::with_capacity(parts.len());
+    for _ in 0..parts.len() {
+        frags.push(decode_fragment(r)?);
+    }
+    let n_cols = r.len_u64()?;
+    let mut payload_cols = Vec::with_capacity(n_cols.min(1 << 16));
+    for _ in 0..n_cols {
+        payload_cols.push(r.vec_u32()?);
+    }
+    Ok(ChunkState {
+        data,
+        parts,
+        zones,
+        frags,
+        payload_cols,
+        layout,
+        config,
+        live,
+        write_mark: 0,
+    })
+}
+
+/// Undo [`encode_partition_meta`].
+fn decode_partition_meta(
+    r: &mut ByteReader<'_>,
+) -> Result<(Vec<PartitionMeta<u64>>, Vec<ZoneMap<u64>>), StorageError> {
     let n_parts = r.len_u64()?;
     let mut parts = Vec::with_capacity(n_parts.min(1 << 20));
     for _ in 0..n_parts {
@@ -297,25 +501,7 @@ fn decode_chunk_state(r: &mut ByteReader<'_>) -> Result<ChunkState<u64>, Storage
             max: r.u64()?,
         });
     }
-    let mut frags = Vec::with_capacity(n_parts.min(1 << 20));
-    for _ in 0..n_parts {
-        frags.push(decode_fragment(r)?);
-    }
-    let n_cols = r.len_u64()?;
-    let mut payload_cols = Vec::with_capacity(n_cols.min(1 << 16));
-    for _ in 0..n_cols {
-        payload_cols.push(r.vec_u32()?);
-    }
-    Ok(ChunkState {
-        data,
-        parts,
-        zones,
-        frags,
-        payload_cols,
-        layout,
-        config,
-        live,
-    })
+    Ok((parts, zones))
 }
 
 fn decode_fragment(r: &mut ByteReader<'_>) -> Result<Option<Fragment<u64>>, StorageError> {
@@ -414,10 +600,7 @@ mod tests {
     }
 
     fn decode(bytes: &[u8], config: &EngineConfig) -> Result<ChunkStore, StorageError> {
-        let mut r = ByteReader::new(bytes);
-        let store = decode_store(&mut r, config, HapSchema::narrow().payload_cols)?;
-        r.finish()?;
-        Ok(store)
+        decode_chain(&[bytes], 0, config, HapSchema::narrow().payload_cols)
     }
 
     #[test]
@@ -452,5 +635,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A patch applied to its chunk's full record decodes to the written
+    /// chunk bit for bit (grown slots included), and every truncation of a
+    /// patch is typed corruption, never a panic.
+    #[test]
+    fn patch_round_trips_and_truncations_are_corrupt() {
+        let (config, _) = records(LayoutMode::Casper);
+        let gen = WorkloadGenerator::new(HapSchema::narrow(), 150, KeyDist::Uniform);
+        let table = Table::load_from_generator(&gen, config);
+        let Some(ChunkStore::Partitioned(mut chunk)) =
+            table.column().chunks()[0].store_opt().cloned()
+        else {
+            panic!("a Casper table holds partitioned chunks");
+        };
+        let mut w = ByteWriter::new();
+        encode_store(&mut w, &ChunkStore::Partitioned(chunk.clone()));
+        let full = w.into_bytes();
+        let since = chunk.write_mark();
+        let row = vec![9u32; HapSchema::narrow().payload_cols];
+        chunk.grow(70);
+        for key in [3, 5, 1_000_000] {
+            chunk.insert(key, &row).expect("insert");
+        }
+        let mut w = ByteWriter::new();
+        encode_patch(&mut w, &chunk, since);
+        let patch = w.into_bytes();
+        let mark = chunk.write_mark();
+        let width = HapSchema::narrow().payload_cols;
+        let Ok(ChunkStore::Partitioned(got)) = decode_chain(&[&full, &patch], mark, &config, width)
+        else {
+            panic!("the chain decodes");
+        };
+        assert_eq!(got.raw_slots(), chunk.raw_slots());
+        assert_eq!(got.payloads().columns(), chunk.payloads().columns());
+        assert_eq!(got.partitions(), chunk.partitions());
+        assert_eq!(got.zones(), chunk.zones());
+        assert_eq!(got.write_mark(), mark);
+        for cut in 0..patch.len() {
+            assert!(
+                matches!(
+                    decode_chain(&[&full, &patch[..cut]], mark, &config, width),
+                    Err(StorageError::Corrupt { .. })
+                ),
+                "patch cut at {cut} of {}",
+                patch.len()
+            );
+        }
+        // A patch cannot follow a full record of a sorted store.
+        let (sorted_config, sorted) = records(LayoutMode::Sorted);
+        assert!(decode_chain(&[&sorted[0].0, &patch], 0, &sorted_config, width).is_err());
     }
 }

@@ -40,12 +40,13 @@ static OBS_SCRUB_BACKUPS_OK: CounterDef =
 static OBS_SCRUB_BACKUPS_ERR: CounterDef =
     CounterDef::new("casper_scrub_backup_verifications_total{result=\"err\"}");
 
-/// One damaged record discovered by a scrub pass.
+/// One damaged record discovered by a scrub pass (the first damaged
+/// record of a chunk's chain).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubFinding {
     /// Manifest generation the damaged record belongs to.
     pub generation: u64,
-    /// Chunk index whose record is damaged.
+    /// Chunk index whose record chain is damaged.
     pub chunk: usize,
     /// Segment the record lives in.
     pub segment: u64,
@@ -60,9 +61,10 @@ pub struct ScrubFinding {
 pub struct ScrubReport {
     /// Manifest generation that was scrubbed.
     pub generation: u64,
-    /// Records whose bytes were read and CRC-verified.
+    /// Chunk record chains whose bytes were read and CRC-verified (a
+    /// chain is one full record plus its patches).
     pub records_checked: u64,
-    /// Damaged records, in chunk order.
+    /// Damaged chains, in chunk order — one finding per chunk.
     pub findings: Vec<ScrubFinding>,
     /// Archived files re-verified against the archive index (whole-file
     /// length + CRC). Zero when archiving is off or nothing is retired.
@@ -156,10 +158,11 @@ pub(crate) fn verify_watched(
 ///
 /// Resolves `CURRENT` to its manifest (a missing or damaged manifest fails
 /// the pass — it is not a clean directory), then re-reads and CRC-verifies
-/// every chunk record, sleeping `pause_per_record` between records (the
-/// throttle) and stopping early when `stop` flips. Damaged records are
-/// *reported*, never touched: healing is the owner's job, where the
-/// in-memory table still has the data.
+/// every record of every chunk's chain, sleeping `pause_per_record`
+/// between chunks (the throttle) and stopping early when `stop` flips. A
+/// chunk's first damaged record is *reported*, never touched: healing is
+/// the owner's job, where the in-memory table still has the data — and
+/// since a chain decodes only whole, one damaged record damages the chunk.
 pub fn scrub_pass(
     vfs: &VfsHandle,
     dir: &Path,
@@ -175,12 +178,15 @@ pub fn scrub_pass(
         if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
             break;
         }
-        if let Err(e) = read_record(vfs, dir, entry) {
+        let damaged = entry
+            .records()
+            .find_map(|record| Some((record, read_record(vfs, dir, record).err()?)));
+        if let Some((record, e)) = damaged {
             report.findings.push(ScrubFinding {
                 generation,
                 chunk,
-                segment: entry.seg,
-                offset: entry.offset,
+                segment: record.seg,
+                offset: record.offset,
                 reason: e.to_string(),
             });
         }

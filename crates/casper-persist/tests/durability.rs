@@ -362,11 +362,21 @@ fn checkpoint_rotates_generations_and_prunes_old_files() {
     );
     assert!(names.contains(&"wal-000002.log".to_string()), "{names:?}");
     // The single chunk was dirtied by the inserts, so the checkpoint wrote
-    // it into a fresh segment and generation 1's files (manifest, WAL and
-    // now-unreferenced segment) must all be pruned.
+    // a patch of it into a fresh segment, and generation 1's manifest and
+    // WAL must be pruned. Its segment stays: it holds the full record the
+    // patch extends.
     assert!(
-        !names.iter().any(|n| n.contains("000001")),
+        names.contains(&"seg-000002.casper".to_string()),
+        "{names:?}"
+    );
+    let stale = ["manifest-000001.casper", "wal-000001.log"];
+    assert!(
+        !names.iter().any(|n| stale.contains(&n.as_str())),
         "old generation must be pruned: {names:?}"
+    );
+    assert!(
+        names.contains(&"seg-000001.casper".to_string()),
+        "the patched chunk's full record is still referenced: {names:?}"
     );
     // Post-checkpoint writes land in the new WAL and survive.
     durable

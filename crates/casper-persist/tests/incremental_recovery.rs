@@ -134,10 +134,12 @@ fn copy_dir(from: &Path, to: &Path) {
 /// batches in the WAL, a directory copy taken *before* the checkpoint, the
 /// checkpoint's in-flight files, and the committed-state oracle.
 struct Fixture {
-    /// Directory state before the checkpoint (manifest-1 + wal-1 chain).
+    /// Directory state before the checkpoint (manifest + WAL chain).
     pre: PathBuf,
     /// Directory state after the committed checkpoint.
     post: PathBuf,
+    /// Generation the checkpoint commits.
+    generation: u64,
     /// Bytes of the segment the checkpoint wrote.
     seg_bytes: Vec<u8>,
     /// Name of that segment file.
@@ -149,21 +151,71 @@ struct Fixture {
     n_markers: usize,
 }
 
+/// Chunk 0's chain in the manifest of `generation` under `dir`.
+fn chunk0_chain(dir: &Path, generation: u64) -> casper_persist::ChunkEntry {
+    let bytes =
+        fs::read(casper_persist::FileKind::Manifest.path(dir, generation)).expect("manifest bytes");
+    let manifest = casper_persist::decode_manifest(&bytes).expect("manifest");
+    manifest.entries[0].clone()
+}
+
+/// The crash fixture around a checkpoint that appends a patch record to
+/// chunk 0's chain (the markers all land in chunk 0, whose full record
+/// the create wrote).
 fn build_fixture(tag: &str) -> Fixture {
+    let fx = build_fixture_at(tag, 6, |_| true);
+    let chain = chunk0_chain(&fx.post, fx.generation);
+    assert_eq!(
+        chain.patches.len(),
+        1,
+        "the fixture checkpoint writes a patch"
+    );
+    fx
+}
+
+/// The crash fixture around a checkpoint that *folds* chunk 0: rounds of
+/// one marker and a checkpoint grow its chain until the next patch would
+/// reach the full record's size, and that checkpoint is the one killed.
+fn build_fold_fixture(tag: &str) -> Fixture {
+    let fx = build_fixture_at(tag, 1, |chain| chain.patches.is_empty());
+    let chain = chunk0_chain(&fx.pre, fx.generation - 1);
+    assert!(!chain.patches.is_empty(), "the folded chain held patches");
+    fx
+}
+
+/// Write `per_round` markers, snapshot the directory, checkpoint; repeat
+/// until `done(chunk 0's new chain)` holds. The last checkpoint is the
+/// fixture's.
+fn build_fixture_at(
+    tag: &str,
+    per_round: usize,
+    done: impl Fn(&casper_persist::ChunkEntry) -> bool,
+) -> Fixture {
     let base = test_dir(&format!("incr_{tag}_base"));
     let pre = test_dir(&format!("incr_{tag}_pre"));
     let post = test_dir(&format!("incr_{tag}_post"));
-    let n_markers = 6usize;
 
     let mut durable =
         DurableTable::create_from_table(&base, seed_table(), DurableOptions::default())
             .expect("create");
-    for q in markers(n_markers) {
-        durable.execute(&q).expect("write");
-    }
-    copy_dir(&base, &pre);
-    let g2 = durable.checkpoint().expect("checkpoint");
-    assert_eq!(g2, 2);
+    let mut n_markers = 0usize;
+    let generation = loop {
+        for i in n_markers..n_markers + per_round {
+            let key = marker(i);
+            let q = HapQuery::Q4 {
+                key,
+                payload: payload_row(key),
+            };
+            durable.execute(&q).expect("write");
+        }
+        n_markers += per_round;
+        copy_dir(&base, &pre);
+        let generation = durable.checkpoint().expect("checkpoint");
+        if done(&chunk0_chain(&base, generation)) {
+            break generation;
+        }
+        assert!(n_markers < 32, "chunk 0's chain never folded");
+    };
     drop(durable);
     copy_dir(&base, &post);
 
@@ -175,7 +227,8 @@ fn build_fixture(tag: &str) -> Fixture {
         .max()
         .expect("checkpoint wrote a segment");
     let seg_bytes = fs::read(post.join(&seg_name)).expect("seg bytes");
-    let manifest_bytes = fs::read(post.join("manifest-000002.casper")).expect("manifest bytes");
+    let manifest_bytes = fs::read(casper_persist::FileKind::Manifest.path(&post, generation))
+        .expect("manifest bytes");
 
     let mut oracle = seed_table();
     for q in markers(n_markers) {
@@ -185,6 +238,7 @@ fn build_fixture(tag: &str) -> Fixture {
     Fixture {
         pre,
         post,
+        generation,
         seg_bytes,
         seg_name,
         manifest_bytes,
@@ -194,30 +248,31 @@ fn build_fixture(tag: &str) -> Fixture {
 }
 
 /// Install a crash state: the pre-checkpoint files, the rotated (empty)
-/// wal-000002 the capture created, plus whatever in-flight files the
-/// "kill" left behind.
+/// WAL link the capture created, plus whatever in-flight files the "kill"
+/// left behind.
 fn install_crash_state(fx: &Fixture, scratch: &Path, extra: &[(&str, &[u8])]) {
     copy_dir(&fx.pre, scratch);
     // The capture rotates the WAL before the checkpoint writes anything.
-    fs::write(scratch.join("wal-000002.log"), b"").expect("rotated wal");
+    let rotated = casper_persist::FileKind::Wal.path(scratch, fx.generation);
+    fs::write(rotated, b"").expect("rotated wal");
     for (name, bytes) in extra {
         fs::write(scratch.join(name), bytes).expect("install extra");
     }
 }
 
-#[test]
-fn kill_during_segment_write_at_every_byte_offset() {
-    let fx = build_fixture("seg");
-    let scratch = test_dir("incr_seg_scratch");
+/// Kill the fixture's checkpoint inside its segment write at every byte
+/// offset: recovery must land on the previous generation plus every
+/// sealed batch.
+fn kill_segment_write_everywhere(fx: &Fixture, scratch: &Path) {
     for cut in 0..=fx.seg_bytes.len() {
-        install_crash_state(
-            &fx,
-            &scratch,
-            &[(fx.seg_name.as_str(), &fx.seg_bytes[..cut])],
-        );
-        let mut t = DurableTable::open(&scratch, DurableOptions::default())
+        install_crash_state(fx, scratch, &[(fx.seg_name.as_str(), &fx.seg_bytes[..cut])]);
+        let mut t = DurableTable::open(scratch, DurableOptions::default())
             .unwrap_or_else(|e| panic!("open with segment cut at {cut}: {e}"));
-        assert_eq!(t.stats().generation, 1, "cut {cut}: CURRENT never swung");
+        assert_eq!(
+            t.stats().generation,
+            fx.generation - 1,
+            "cut {cut}: CURRENT never swung"
+        );
         assert_eq!(
             fingerprint_durable(&mut t, fx.n_markers),
             fx.want,
@@ -226,25 +281,22 @@ fn kill_during_segment_write_at_every_byte_offset() {
     }
 }
 
-#[test]
-fn kill_during_manifest_write_at_every_byte_offset() {
-    let fx = build_fixture("mani");
-    let scratch = test_dir("incr_mani_scratch");
+/// Kill it inside its manifest write at every byte offset (the segment is
+/// whole, `CURRENT` still names the previous generation).
+fn kill_manifest_write_everywhere(fx: &Fixture, scratch: &Path) {
+    let manifest_name = casper_persist::FileKind::Manifest.name(fx.generation);
     for cut in 0..=fx.manifest_bytes.len() {
-        // Full segment on disk, manifest torn at `cut`, CURRENT still 1 —
-        // the torn manifest is dead weight: recovery must resolve gen 1
-        // and replay the whole WAL chain.
         install_crash_state(
-            &fx,
-            &scratch,
+            fx,
+            scratch,
             &[
                 (fx.seg_name.as_str(), &fx.seg_bytes[..]),
-                ("manifest-000002.casper", &fx.manifest_bytes[..cut]),
+                (manifest_name.as_str(), &fx.manifest_bytes[..cut]),
             ],
         );
-        let mut t = DurableTable::open(&scratch, DurableOptions::default())
+        let mut t = DurableTable::open(scratch, DurableOptions::default())
             .unwrap_or_else(|e| panic!("open with manifest cut at {cut}: {e}"));
-        assert_eq!(t.stats().generation, 1, "cut {cut}");
+        assert_eq!(t.stats().generation, fx.generation - 1, "cut {cut}");
         assert_eq!(
             fingerprint_durable(&mut t, fx.n_markers),
             fx.want,
@@ -254,12 +306,40 @@ fn kill_during_manifest_write_at_every_byte_offset() {
 }
 
 #[test]
+fn kill_during_segment_write_at_every_byte_offset() {
+    let fx = build_fixture("seg");
+    kill_segment_write_everywhere(&fx, &test_dir("incr_seg_scratch"));
+}
+
+#[test]
+fn kill_during_manifest_write_at_every_byte_offset() {
+    // Full segment on disk, manifest torn at every offset, CURRENT still
+    // on the previous generation — the torn manifest is dead weight:
+    // recovery must resolve that generation and replay the whole chain.
+    let fx = build_fixture("mani");
+    kill_manifest_write_everywhere(&fx, &test_dir("incr_mani_scratch"));
+}
+
+#[test]
 fn kill_after_current_swing_resolves_the_new_generation() {
     let fx = build_fixture("swing");
     // The committed post state (kill right after the swing, before any
     // pruning finished) must open at generation 2 with identical data.
     let mut t = DurableTable::open(&fx.post, DurableOptions::default()).expect("open post");
     assert_eq!(t.stats().generation, 2);
+    assert_eq!(fingerprint_durable(&mut t, fx.n_markers), fx.want);
+}
+
+/// The same kill-at-every-byte windows around a checkpoint that folds a
+/// patch chain into a fresh full record, and the committed fold.
+#[test]
+fn kill_during_a_folding_checkpoint_at_every_byte_offset() {
+    let fx = build_fold_fixture("fold");
+    let scratch = test_dir("incr_fold_scratch");
+    kill_segment_write_everywhere(&fx, &scratch);
+    kill_manifest_write_everywhere(&fx, &scratch);
+    let mut t = DurableTable::open(&fx.post, DurableOptions::default()).expect("open post");
+    assert_eq!(t.stats().generation, fx.generation);
     assert_eq!(fingerprint_durable(&mut t, fx.n_markers), fx.want);
 }
 

@@ -140,6 +140,10 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
     assert_nonzero(&text, "casper_checkpoints_total{result=\"ok\"}");
     assert_nonzero(&text, "casper_checkpoint_duration_ns_count");
     assert_nonzero(&text, "casper_checkpoint_segment_bytes_total");
+    // The create wrote every chunk whole; the checkpoint after the inserts
+    // appended a patch to the chain of the chunk they landed in.
+    assert_nonzero(&text, "casper_checkpoint_records_total{kind=\"full\"}");
+    assert_nonzero(&text, "casper_checkpoint_records_total{kind=\"patch\"}");
 
     // Scrub signal.
     assert_nonzero(&text, "casper_scrub_passes_total");

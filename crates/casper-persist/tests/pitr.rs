@@ -908,10 +908,10 @@ fn apply_damage(dir: &Path, damage: Damage) {
             // record the current manifest actually references.
             let manifest = fs::read(current_manifest(dir)).expect("manifest bytes");
             let manifest = casper_persist::decode_manifest(&manifest).expect("manifest");
-            let entry = manifest.entries.last().expect("a chunk");
-            let seg = casper_persist::FileKind::Segment.path(dir, entry.seg);
+            let record = manifest.entries.last().expect("a chunk").base;
+            let seg = casper_persist::FileKind::Segment.path(dir, record.seg);
             let mut bytes = fs::read(&seg).expect("segment bytes");
-            bytes[(entry.offset + entry.len / 2) as usize] ^= 0x40;
+            bytes[(record.offset + record.len / 2) as usize] ^= 0x40;
             fs::write(&seg, &bytes).expect("damage");
         }
         Damage::MiddleWalLink => {

@@ -91,6 +91,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         if !self.payloads.is_empty() {
             self.payloads.set_row(slot, row);
         }
+        self.stamp(slot);
         cost.random_writes += 1;
         self.parts[m].len += 1;
         self.live += 1;
@@ -346,6 +347,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         if t == m {
             // Same partition: overwrite in place (unordered internally).
             self.data[pos] = new;
+            self.stamp(pos);
             cost.random_writes += 1;
             self.widen_bounds(m, new);
             if self.zones[m].on_boundary(old) {
@@ -890,6 +892,7 @@ mod tests {
             self.decompress_partition(t);
             if t == m {
                 self.data[pos] = new;
+                self.stamp(pos);
                 cost.random_writes += 1;
                 self.widen_bounds(m, new);
                 if self.zones[m].on_boundary(old) {

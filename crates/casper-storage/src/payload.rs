@@ -121,10 +121,13 @@ impl PayloadSet {
             .sum()
     }
 
-    /// Grow the physical slot count (used when a chunk expands its tail).
+    /// Grow the physical slot count (used when a chunk expands its tail),
+    /// reserving exactly the new slots: an amortized `resize` would double
+    /// each column's allocation for a small grow.
     pub fn grow_to(&mut self, physical: usize) {
         for c in &mut self.cols {
             if c.len() < physical {
+                c.reserve_exact(physical - c.len());
                 c.resize(physical, 0);
             }
         }
