@@ -211,7 +211,7 @@ criterion_group!(
 /// Custom harness entry: run the criterion groups, then emit the
 /// machine-readable kernel trajectory (`BENCH_scan.json` at the workspace
 /// root) — dispatched-SIMD vs forced-scalar ns/elem and GB/s for every
-/// plain and compressed kernel × lane width. Smoke runs (`--test`) shrink
+/// plain, point-probe and compressed kernel × lane width. Smoke runs (`--test`) shrink
 /// the lanes and rep counts but still assert both dispatch paths agree.
 fn main() {
     let mut c = Criterion::default();
@@ -220,6 +220,7 @@ fn main() {
     let smoke = trajectory::smoke_mode();
     let (rows, reps) = if smoke { (1 << 14, 1) } else { (1 << 20, 7) };
     let mut entries = trajectory::plain_entries(rows, reps);
+    entries.extend(trajectory::point_probe_entries(rows, reps));
     entries.extend(trajectory::compressed_entries(rows, reps));
     for e in &entries {
         let gbps = e

@@ -219,6 +219,61 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
     out
 }
 
+/// Measure the point-probe kernels — every delete's `select_eq_into` and
+/// every Q6 / take-one `first_eq` scan one partition with them — over the
+/// plain u64 key lane and over the same keys as a partitioned chunk's
+/// 32-bit offset lane. Each probe scans the whole lane: the
+/// `select_eq_into` target sits a third in, the `first_eq` target last.
+/// Baselines: the portable collect pass over the whole lane, and the
+/// `iter().position` loop `first_eq` replaced.
+pub fn point_probe_entries(rows: usize, reps: usize) -> Vec<Entry> {
+    let keys: Vec<u64> = (0..rows as u64).map(|v| v * 2).collect();
+    // The key lane's image of the same keys: offsets from a base of 0.
+    let offsets: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
+    let mut out = Vec::new();
+    macro_rules! probe_entries {
+        ($label:expr, $bits:expr, $lane:expr, $t:ty) => {{
+            let lane: &[$t] = $lane;
+            let (hit, last) = (lane[rows / 3], lane[rows - 1]);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            kernels::select_eq_into(lane, hit, 0, &mut got);
+            portable::select_eq_positions(lane, hit, 0, &mut want);
+            let want: Vec<usize> = want.iter().map(|&p| p as usize).collect();
+            assert_eq!(got, want, "{} select_eq_into dispatch vs portable", $label);
+            let position = |t: $t| lane.iter().position(|&x| x == t);
+            assert_eq!(kernels::first_eq(lane, last), position(last), "{}", $label);
+            let mut positions: Vec<usize> = Vec::with_capacity(16);
+            let mut scratch: Vec<u32> = Vec::with_capacity(16);
+            out.push(Entry::new(
+                format!("{}select_eq_into", $label),
+                $bits,
+                rows,
+                time_per_elem(rows, reps, || {
+                    positions.clear();
+                    kernels::select_eq_into(lane, hit, 0, &mut positions);
+                    positions.len() as u64
+                }),
+                time_per_elem(rows, reps, || {
+                    scratch.clear();
+                    portable::select_eq_positions(lane, hit, 0, &mut scratch)
+                }),
+            ));
+            out.push(Entry::new(
+                format!("{}first_eq", $label),
+                $bits,
+                rows,
+                time_per_elem(rows, reps, || {
+                    kernels::first_eq(lane, last).map_or(0, |p| p as u64)
+                }),
+                time_per_elem(rows, reps, || position(last).map_or(0, |p| p as u64)),
+            ));
+        }};
+    }
+    probe_entries!("", 64, &keys, u64);
+    probe_entries!("key_lane_u32_", 32, &offsets, u32);
+    out
+}
+
 /// Measure the compressed kernels over FoR lanes at every packed width,
 /// dictionary lanes at u8/u16 code widths, and the (deliberately scalar)
 /// RLE run arithmetic. Baseline is the portable fallback over the same

@@ -94,7 +94,7 @@ pub fn apply_compression_policy<K: ColumnValue>(
         if *advice != CompressionAdvice::Compress {
             continue;
         }
-        let mode = choose_mode(chunk.partition_values(p));
+        let mode = choose_mode(&chunk.partition_values(p));
         if mode == StorageMode::Plain {
             continue;
         }

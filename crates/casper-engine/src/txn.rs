@@ -440,6 +440,59 @@ mod tests {
         }
     }
 
+    /// A buffered insert prefetches ghosts in every partitioned mode, but
+    /// `Equi` and `NoOrder` chunks run the dense update policy: there the
+    /// prefetch must move nothing, or a later dense ripple books the stale
+    /// ghost slot as live and a partition holds keys outside its range.
+    #[test]
+    fn buffered_inserts_then_updates_keep_dense_chunks_valid() {
+        use rand::prelude::*;
+        for mode in [LayoutMode::Equi, LayoutMode::NoOrder] {
+            let gen = WorkloadGenerator::new(HapSchema::narrow(), 2000, KeyDist::Uniform);
+            let mut config = EngineConfig::small(mode);
+            config.block_bytes = 256; // 32 keys per block: 8 partitions
+            let mut t = Table::load_from_generator(&gen, config);
+            let mgr = TxnManager::new();
+            let mut rng = StdRng::seed_from_u64(5050);
+            let mut rows = 2000u64;
+            for round in 0..20 {
+                // An aborted transaction keeps its prefetch (§6.1), so
+                // whatever it booked is still there when the updates run.
+                for commit in [true, false] {
+                    let mut txn = mgr.begin();
+                    for _ in 0..5 {
+                        let key = rng.gen_range(0..4000u64) | 1;
+                        mgr.buffer_insert(&mut txn, &mut t, key, vec![0; 15]);
+                    }
+                    if commit {
+                        mgr.commit(txn, &mut t).unwrap();
+                        rows += 5;
+                    } else {
+                        mgr.abort(txn);
+                    }
+                }
+                for _ in 0..20 {
+                    let v = rng.gen_range(0..2000u64) * 2;
+                    let vnew = rng.gen_range(0..4000u64);
+                    t.execute(&HapQuery::Q6 { v, vnew }).unwrap();
+                }
+                for (i, slot) in t.column().chunks().iter().enumerate() {
+                    if let Some(ChunkStore::Partitioned(c)) = slot.store_opt() {
+                        assert_eq!(c.ghost_total(), 0, "{mode:?} round {round} chunk {i}");
+                        c.validate_invariants()
+                            .unwrap_or_else(|e| panic!("{mode:?} round {round} chunk {i}: {e}"));
+                    }
+                }
+                let all = HapQuery::Q2 {
+                    vs: 0,
+                    ve: u64::MAX,
+                };
+                let count = t.execute(&all).unwrap().result.scalar();
+                assert_eq!(count, rows, "{mode:?} round {round}");
+            }
+        }
+    }
+
     #[test]
     fn gc_trims_version_log() {
         let mut t = table();

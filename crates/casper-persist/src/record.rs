@@ -112,7 +112,10 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     w.f64(config.capacity_slack);
     w.u64(config.ghost_fetch_block as u64);
     w.u64(chunk.live_len() as u64);
-    w.vec_u64(chunk.raw_slots());
+    // Keys stay u64 on disk whatever the key lane's width: the slots are
+    // widened straight into the writer.
+    w.u64(chunk.slot_count() as u64);
+    chunk.read_slots(0..chunk.slot_count(), |run| w.u64s(run));
     encode_partition_meta(w, chunk);
     for p in 0..chunk.partition_count() {
         encode_fragment(w, chunk.partition_fragment(p));
@@ -149,7 +152,7 @@ fn encode_partition_meta(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
 /// gets one flag: `1` keeps the chain's fragment, `0` drops it.
 pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, since: u64) {
     w.u8(PATCH_TAG);
-    w.u64(chunk.raw_slots().len() as u64);
+    w.u64(chunk.slot_count() as u64);
     w.u64(chunk.live_len() as u64);
     encode_partition_meta(w, chunk);
     for p in 0..chunk.partition_count() {
@@ -164,7 +167,7 @@ pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, si
     }
     w.u64(slots as u64);
     for &g in &granules {
-        w.u64s(&chunk.raw_slots()[chunk.granule_slots(g)]);
+        chunk.read_slots(chunk.granule_slots(g), |run| w.u64s(run));
     }
     let width = chunk.payloads().width();
     w.u64(width as u64);
@@ -668,7 +671,10 @@ mod tests {
         else {
             panic!("the chain decodes");
         };
-        assert_eq!(got.raw_slots(), chunk.raw_slots());
+        assert_eq!(
+            got.copy_slots(0..got.slot_count()),
+            chunk.copy_slots(0..chunk.slot_count())
+        );
         assert_eq!(got.payloads().columns(), chunk.payloads().columns());
         assert_eq!(got.partitions(), chunk.partitions());
         assert_eq!(got.zones(), chunk.zones());

@@ -94,7 +94,7 @@ enum Image {
 fn image(store: &ChunkStore) -> Image {
     match store {
         ChunkStore::Partitioned(p) => Image::Partitioned {
-            slots: p.raw_slots().to_vec(),
+            slots: p.copy_slots(0..p.slot_count()),
             payloads: p.payloads().columns().to_vec(),
             parts: p.partitions().to_vec(),
             zones: p.zones().to_vec(),
@@ -210,7 +210,7 @@ fn patch_chain_round(mode: LayoutMode, seed: u64) {
         let chunks = t.table().column().chunks();
         let stores = chunks.iter().filter_map(|slot| slot.store_opt());
         let partitioned = stores.filter_map(|store| match store {
-            ChunkStore::Partitioned(p) => Some(p.raw_slots().len()),
+            ChunkStore::Partitioned(p) => Some(p.slot_count()),
             _ => None,
         });
         partitioned.sum()
@@ -292,6 +292,82 @@ fn patch_chain_round(mode: LayoutMode, seed: u64) {
     let mut eager = DurableTable::open(&dir, sync_opts()).expect("eager open");
     eager.hydrate_all().expect("hydrate");
     assert!(images(eager.table()) == want, "{ctx}: eager reopen differs");
+}
+
+/// The key lane of the chunk owning `key`: whether it stores 32-bit
+/// offsets.
+fn owner_is_narrow(t: &DurableTable, key: u64) -> bool {
+    let column = t.table().column();
+    let owner = column.route_for(key).expect("ordered column");
+    match column.chunks()[owner].store_opt() {
+        Some(ChunkStore::Partitioned(p)) => p.key_lane_is_narrow(),
+        _ => panic!("chunk {owner} is not a hydrated partitioned chunk"),
+    }
+}
+
+/// A chunk whose key lane widens between two checkpoints (a key beyond
+/// its 32-bit frame lands in it) is written as a patch on its narrow-era
+/// chain; lazy and eager reopens both hand it back bit-exact, keys, stale
+/// slots and all, and it keeps taking writes.
+#[test]
+fn a_chunk_that_widens_between_checkpoints_reopens_bit_exact() {
+    for mode in [LayoutMode::Casper, LayoutMode::Equi] {
+        let ctx = format!("{mode:?}");
+        let dir = test_dir(&format!("patch_chain_widen_{mode:?}"));
+        let mut durable =
+            DurableTable::create_from_table(&dir, seed_table(mode), sync_opts()).expect("create");
+        let far = 1u64 << 40;
+        assert!(owner_is_narrow(&durable, far), "{ctx}: loads narrow");
+        for key in [1, 2_001, 4_001, 5_999] {
+            durable.execute(&marker_write(key)).expect("write");
+        }
+        durable.checkpoint().expect("checkpoint");
+        durable.execute(&marker_write(far)).expect("widening write");
+        durable.execute(&marker_write(far + 2)).expect("write");
+        durable
+            .execute(&HapQuery::Q6 {
+                v: 10,
+                vnew: far + 4,
+            })
+            .expect("update");
+        assert!(
+            !owner_is_narrow(&durable, far),
+            "{ctx}: the key widened its chunk"
+        );
+        durable.checkpoint().expect("checkpoint");
+        let owner = durable.table().column().route_for(far).expect("routes");
+        let entry = &current_manifest(&dir).entries[owner];
+        assert!(
+            !entry.patches.is_empty(),
+            "{ctx}: the widened chunk is a patch"
+        );
+        durable.execute(&marker_write(far + 6)).expect("write");
+        durable
+            .execute(&HapQuery::Q5 { v: far + 2 })
+            .expect("delete");
+        durable.checkpoint().expect("checkpoint");
+        let want = images(durable.table());
+        drop(durable);
+
+        let lazy = DurableTable::open(&dir, sync_opts()).expect("lazy open");
+        assert!(images(lazy.table()) == want, "{ctx}: lazy reopen differs");
+        drop(lazy);
+        let mut eager = DurableTable::open(&dir, sync_opts()).expect("eager open");
+        eager.hydrate_all().expect("hydrate");
+        assert!(images(eager.table()) == want, "{ctx}: eager reopen differs");
+        assert!(!owner_is_narrow(&eager, far), "{ctx}: still spans 2^40");
+        for key in [far + 8, 3] {
+            eager
+                .execute(&marker_write(key))
+                .expect("write after reopen");
+        }
+        let found = eager
+            .execute(&HapQuery::Q1 { v: far + 8, k: 1 })
+            .expect("read")
+            .result
+            .scalar();
+        assert_eq!(found, 1, "{ctx}");
+    }
 }
 
 fn marker_write(key: u64) -> HapQuery {

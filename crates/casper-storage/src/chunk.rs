@@ -9,6 +9,11 @@
 //! paper's "(already) available empty slot at the end of the column"
 //! (Fig. 4a).
 //!
+//! The key slots are a `KeyLane` (`lane.rs`): 32-bit offsets from a chunk
+//! base when the keys span less than 2^32, full width otherwise. The
+//! layout geometry and cost accounting do not see the difference; only the
+//! bytes a scan streams do.
+//!
 //! The slot-transfer primitives that implement rippling live here
 //! (`pull_slot_from_right` and friends); the public
 //! operations built on them (point/range queries, insert, delete, update)
@@ -19,6 +24,7 @@ use crate::error::StorageError;
 use crate::ghost::GhostPlan;
 use crate::index::PartitionIndex;
 use crate::kernels::{Fragment, ZoneMap};
+use crate::lane::KeyLane;
 use crate::layout::{BlockLayout, PartitionSpec};
 use crate::ops::OpCost;
 use crate::partition::PartitionMeta;
@@ -70,10 +76,10 @@ impl ChunkConfig {
 /// A range-partitioned, optionally ghost-buffered column chunk.
 #[derive(Debug, Clone)]
 pub struct PartitionedChunk<K: ColumnValue> {
-    /// Physical slots. `data.len()` is the chunk's physical capacity; slots
-    /// outside every partition extent (the tail) and ghost slots hold stale
-    /// values that are never read.
-    pub(crate) data: Vec<K>,
+    /// Physical key slots. `data.len()` is the chunk's physical capacity;
+    /// slots outside every partition extent (the tail) and ghost slots hold
+    /// stale values that are never read.
+    pub(crate) data: KeyLane<K>,
     pub(crate) parts: Vec<PartitionMeta<K>>,
     /// Tight per-partition min/max over live values, kept in lock-step with
     /// `parts` by the write paths; read paths prune on it before scanning.
@@ -201,7 +207,9 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let slack = ((m as f64 * config.capacity_slack).ceil() as usize).max(64);
         let physical = m + ghosts.total() + slack;
 
-        let mut data = vec![K::default(); physical];
+        // Stale slots start at the smallest key, inside the key lane's
+        // frame (see `KeyLane::from_slots`).
+        let mut data = vec![values[0]; physical];
         let mut parts = Vec::with_capacity(k);
         let mut zones = Vec::with_capacity(k);
         let mut bounds = Vec::with_capacity(k);
@@ -255,7 +263,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         }
 
         Ok(Self {
-            data,
+            data: KeyLane::from_slots(data, Some((values[0], values[m - 1]))),
             frags: (0..parts.len()).map(|_| None).collect(),
             parts,
             zones,
@@ -326,8 +334,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     pub fn grow(&mut self, extra: usize) {
         let old_len = self.data.len();
         let new_len = old_len + extra;
-        self.data.reserve_exact(extra);
-        self.data.resize(new_len, K::default());
+        self.data.resize(new_len);
         self.payloads.grow_to(new_len);
         self.stamps.resize(new_len.div_ceil(GRANULE_SLOTS), 0);
         for g in old_len / GRANULE_SLOTS..new_len.div_ceil(GRANULE_SLOTS) {
@@ -347,10 +354,10 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         self.config.policy
     }
 
-    /// Live values of one partition (unordered).
-    pub fn partition_values(&self, p: usize) -> &[K] {
+    /// Live values of one partition (unordered), copied out at full width.
+    pub fn partition_values(&self, p: usize) -> Vec<K> {
         let m = &self.parts[p];
-        &self.data[m.start..m.live_end()]
+        self.data.to_vec(m.start..m.live_end())
     }
 
     /// Access to payload columns (read-only).
@@ -363,7 +370,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// Used by the resource governor's budget accounting; an estimate of
     /// allocator-visible memory, not a byte-exact malloc audit.
     pub fn resident_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<K>()
+        self.data.resident_bytes()
             + self.parts.capacity() * std::mem::size_of::<PartitionMeta<K>>()
             + self.zones.capacity() * std::mem::size_of::<ZoneMap<K>>()
             + self.frags.capacity() * std::mem::size_of::<Option<Fragment<K>>>()
@@ -392,7 +399,10 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     #[inline]
     pub(crate) fn recompute_zone(&mut self, m: usize) {
         let part = self.parts[m];
-        self.zones[m] = ZoneMap::from_values(&self.data[part.start..part.live_end()]);
+        self.zones[m] = self
+            .data
+            .min_max(part.start..part.live_end())
+            .map_or_else(ZoneMap::empty, |(min, max)| ZoneMap { min, max });
     }
 
     // ------------------------------------------------------------------
@@ -425,7 +435,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// are what the ripple machinery moves — but reads over a compressed
     /// partition scan only the encoded fragment.
     pub fn compress_partition(&mut self, p: usize, mode: StorageMode) {
-        self.frags[p] = Fragment::encode(mode, self.partition_values(p));
+        self.frags[p] = Fragment::encode(mode, &self.partition_values(p));
     }
 
     /// Decode-on-write escape hatch: revert partition `p` to
@@ -441,7 +451,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             debug_assert!(
                 !frag.preserves_slot_order() || {
                     let part = self.parts[p];
-                    frag.decode() == self.data[part.start..part.live_end()]
+                    frag.decode() == self.data.to_vec(part.start..part.live_end())
                 },
                 "fragment drifted from partition {p}'s slots"
             );
@@ -479,7 +489,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let mut positions = Vec::with_capacity(self.live);
         for p in &self.parts {
             for pos in p.start..p.live_end() {
-                keys.push(self.data[pos]);
+                keys.push(self.data.get(pos));
                 positions.push(pos);
             }
         }
@@ -500,12 +510,40 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     // Persistence: raw physical state capture/restore
     // ------------------------------------------------------------------
 
-    /// Raw physical slot array, stale ghost/tail contents included — the
-    /// persistence encoder streams this directly so a snapshot needs no
-    /// intermediate deep copy of the chunk.
+    /// Number of physical slots (the chunk's capacity).
     #[inline]
-    pub fn raw_slots(&self) -> &[K] {
-        &self.data
+    pub fn slot_count(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Hand the physical slots in `range` (stale ghost and tail contents
+    /// included) to `sink` at full width, as consecutive runs. The
+    /// persistence encoder streams them straight into its writer, so a
+    /// snapshot needs no intermediate copy of the chunk.
+    pub fn read_slots(&self, range: std::ops::Range<usize>, sink: impl FnMut(&[K])) {
+        self.data.for_each_run(range, sink);
+    }
+
+    /// The physical slots in `range`, copied out at full width.
+    pub fn copy_slots(&self, range: std::ops::Range<usize>) -> Vec<K> {
+        self.data.to_vec(range)
+    }
+
+    /// Whether the key slots are stored as 32-bit offsets from a chunk
+    /// base (the `lane.rs` key lane) rather than at full width.
+    #[inline]
+    pub fn key_lane_is_narrow(&self) -> bool {
+        self.data.is_narrow()
+    }
+
+    /// This chunk with its key lane forced to full width (tests run one
+    /// operation sequence on both forms).
+    #[cfg(test)]
+    pub(crate) fn with_wide_keys(&self) -> Self {
+        Self {
+            data: self.data.widened(),
+            ..self.clone()
+        }
     }
 
     /// The chunk configuration (persistence).
@@ -542,7 +580,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// re-sorting, re-partitioning, or re-encoding anything.
     pub fn to_state(&self) -> ChunkState<K> {
         ChunkState {
-            data: self.data.clone(),
+            data: self.data.to_vec(0..self.data.len()),
             parts: self.parts.clone(),
             zones: self.zones.clone(),
             frags: self.frags.clone(),
@@ -561,7 +599,9 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// full O(M) [`PartitionedChunk::validate_invariants`] sweep over the
     /// recovered chunk, also surfaced as `Corrupt` rather than a panic.
     /// The shallow partition index is the only piece rebuilt (it is derived
-    /// metadata over the partition bounds).
+    /// metadata over the partition bounds), and the key lane works out its
+    /// frame again from the zone maps, so a restored chunk may get another
+    /// base than it had; its slots read back bit-exactly.
     pub fn from_state(state: ChunkState<K>) -> Result<Self, StorageError> {
         let corrupt = |reason: String| StorageError::Corrupt { reason };
         let k = state.parts.len();
@@ -619,8 +659,14 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         }
         let bounds: Vec<K> = state.parts.iter().map(|p| p.max).collect();
         let physical = state.data.len();
+        let live_span = state
+            .zones
+            .iter()
+            .filter(|z| !z.is_empty())
+            .map(|z| (z.min, z.max))
+            .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)));
         let chunk = Self {
-            data: state.data,
+            data: KeyLane::from_slots(state.data, live_span),
             parts: state.parts,
             zones: state.zones,
             frags: state.frags,
@@ -657,7 +703,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// read and one random write (the unit step of every ripple).
     #[inline]
     pub(crate) fn move_slot(&mut self, from: usize, to: usize, cost: &mut OpCost) {
-        self.data[to] = self.data[from];
+        self.data.copy_slot(from, to);
         self.payloads.move_row(from, to);
         self.stamp(to);
         cost.random_reads += 1;
@@ -846,7 +892,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             expected_start = part.extent_end();
             live += part.len;
             for pos in part.start..part.live_end() {
-                let v = self.data[pos];
+                let v = self.data.get(pos);
                 if !part.covers(v) {
                     return Err(format!(
                         "value {v} at slot {pos} outside partition {p} range [{}, {}]",
@@ -866,7 +912,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 }
             } else {
                 for pos in part.start..part.live_end() {
-                    let v = self.data[pos];
+                    let v = self.data.get(pos);
                     if !zone.contains(v) {
                         return Err(format!(
                             "value {v} at slot {pos} outside partition {p} zone [{}, {}]",
@@ -889,7 +935,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                     part.len
                 ));
             }
-            let live_slice = &self.data[part.start..part.live_end()];
+            let live_slice = self.data.to_vec(part.start..part.live_end());
             let decoded = frag.decode();
             if frag.preserves_slot_order() {
                 if decoded != live_slice {
@@ -898,7 +944,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             } else {
                 let mut a = decoded;
                 a.sort_unstable();
-                let mut b = live_slice.to_vec();
+                let mut b = live_slice;
                 b.sort_unstable();
                 if a != b {
                     return Err(format!(
@@ -920,10 +966,10 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             let prev_bound = self.parts[q - 1].max;
             let part = &self.parts[q];
             for pos in part.start..part.live_end() {
-                if self.data[pos] <= prev_bound {
+                let v = self.data.get(pos);
+                if v <= prev_bound {
                     return Err(format!(
-                        "value {} in partition {q} not above previous bound {prev_bound}",
-                        self.data[pos]
+                        "value {v} in partition {q} not above previous bound {prev_bound}"
                     ));
                 }
             }
@@ -1079,7 +1125,7 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, (1..=8).collect::<Vec<u64>>());
         // Write the hole so invariants hold (value within partition 1's range).
-        c.data[hole] = 4;
+        c.data.set(hole, 4);
         c.parts[1].len += 1;
         c.live += 1;
         c.validate_invariants().unwrap();
@@ -1122,7 +1168,7 @@ mod tests {
         let mut c = build_chunk((1..=8).collect(), &[1, 1, 1, 1], &[0, 0, 0, 0]);
         // Fabricate a surplus ghost in partition 1 by removing a value.
         let le = c.parts[1].live_end();
-        c.data.copy_within(le - 1..le, c.parts[1].start); // drop one value
+        c.data.copy_slot(le - 1, c.parts[1].start); // drop one value
         c.parts[1].len -= 1;
         c.parts[1].ghosts += 1;
         c.live -= 1;
@@ -1168,7 +1214,10 @@ mod tests {
         c.compress_partition(0, crate::compress::StorageMode::For);
         let state = c.to_state();
         let r = PartitionedChunk::from_state(state).expect("restore");
-        assert_eq!(r.data, c.data);
+        assert_eq!(
+            r.copy_slots(0..r.slot_count()),
+            c.copy_slots(0..c.slot_count())
+        );
         assert_eq!(r.parts, c.parts);
         assert_eq!(r.zones, c.zones);
         assert_eq!(r.storage_modes(), c.storage_modes());
@@ -1255,14 +1304,11 @@ mod tests {
             .expect("build");
             for round in 0..40 {
                 let since = c.write_mark();
-                let data = c.data.clone();
+                let data = c.copy_slots(0..c.slot_count());
                 let cols = c.payloads.columns().to_vec();
                 for _ in 0..rng.gen_range(1..20) {
                     let v = rng.gen_range(0..21_000u64);
-                    // Ghost prefetch is a ghost-policy mechanism: a dense
-                    // chunk's ripples assume it buffers no ghosts.
-                    let ops = if policy == UpdatePolicy::Ghost { 5 } else { 4 };
-                    match rng.gen_range(0..ops) {
+                    match rng.gen_range(0..5) {
                         0 => {
                             if c.insert(v, &[v as u32]).is_err() {
                                 c.grow(100);
@@ -1284,7 +1330,7 @@ mod tests {
                 }
                 let written: Vec<usize> = c.granules_written_since(since).collect();
                 for slot in 0..c.data.len() {
-                    let changed = data.get(slot) != Some(&c.data[slot])
+                    let changed = data.get(slot) != Some(&c.data.get(slot))
                         || cols[0].get(slot) != Some(&c.payloads.get(0, slot));
                     if changed {
                         assert!(

@@ -99,9 +99,10 @@ fn clamp_predicate<T: SimdElem>(lo: u64, span: u64) -> LanePredicate<T> {
     }
 }
 
-/// Count of lane entries in `[lo, lo + span)` (dispatched SIMD).
+/// Count of lane entries in `[lo, lo + span)` (dispatched SIMD). Shared by
+/// FoR fragments and a chunk's narrow key lane ([`crate::lane`]).
 #[inline]
-fn count_rebased<T: SimdElem>(lane: &[T], lo: u64, span: u64) -> u64 {
+pub(crate) fn count_rebased<T: SimdElem>(lane: &[T], lo: u64, span: u64) -> u64 {
     match clamp_predicate::<T>(lo, span) {
         LanePredicate::Empty => 0,
         LanePredicate::All => lane.len() as u64,
@@ -120,7 +121,12 @@ fn count_eq_lane<T: SimdElem>(lane: &[T], target: u64) -> u64 {
 
 /// Bitmap-evaluate `[lo, lo + span)` over the lane; always emits
 /// `lane.len().div_ceil(64)` words, zeroed when the window misses.
-fn bitmap_rebased<T: SimdElem>(lane: &[T], lo: u64, span: u64, out: &mut Vec<u64>) -> u64 {
+pub(crate) fn bitmap_rebased<T: SimdElem>(
+    lane: &[T],
+    lo: u64,
+    span: u64,
+    out: &mut Vec<u64>,
+) -> u64 {
     match clamp_predicate::<T>(lo, span) {
         LanePredicate::Empty => {
             out.extend(std::iter::repeat_n(0, lane.len().div_ceil(LANE_WIDTH)));
@@ -179,17 +185,18 @@ pub fn bitmap_fill_range(n: usize, a: usize, b: usize, out: &mut Vec<u64>) -> u6
 // Frame-of-reference kernels
 // ---------------------------------------------------------------------
 
-/// Rebase `[lo, hi)` into offset space: `Some((lo_off, span))`, or `None`
-/// when the range is degenerate or entirely below the frame base.
+/// Rebase `[lo, hi)` into the offset space of a frame at `base` (a FoR
+/// fragment's, or a chunk's narrow key lane's): `Some((lo_off, span))`, or
+/// `None` when the range is degenerate or entirely below the base.
 #[inline]
-fn for_rebase<K: ColumnValue>(frag: &ForBlock<K>, lo: K, hi: K) -> Option<(u64, u64)> {
+pub(crate) fn for_rebase<K: ColumnValue>(base: u64, lo: K, hi: K) -> Option<(u64, u64)> {
     let lo = lo.to_ordered_u64();
     let hi = hi.to_ordered_u64();
-    if hi <= lo || hi <= frag.base() {
+    if hi <= lo || hi <= base {
         return None;
     }
-    let lo_off = lo.saturating_sub(frag.base());
-    Some((lo_off, (hi - frag.base()) - lo_off))
+    let lo_off = lo.saturating_sub(base);
+    Some((lo_off, (hi - base) - lo_off))
 }
 
 /// Count FoR-encoded values equal to `v` (rebased equality on the packed
@@ -205,7 +212,7 @@ pub fn for_count_eq<K: ColumnValue>(frag: &ForBlock<K>, v: K) -> u64 {
 
 /// Count FoR-encoded values in `[lo, hi)` without decoding.
 pub fn for_count_range<K: ColumnValue>(frag: &ForBlock<K>, lo: K, hi: K) -> u64 {
-    match for_rebase(frag, lo, hi) {
+    match for_rebase(frag.base(), lo, hi) {
         Some((lo_off, span)) => {
             with_offsets!(frag.offsets(), |lane| count_rebased(lane, lo_off, span))
         }
@@ -222,7 +229,7 @@ pub fn for_select_range_bitmap<K: ColumnValue>(
     hi: K,
     out: &mut Vec<u64>,
 ) -> u64 {
-    match for_rebase(frag, lo, hi) {
+    match for_rebase(frag.base(), lo, hi) {
         Some((lo_off, span)) => {
             with_offsets!(frag.offsets(), |lane| bitmap_rebased(
                 lane, lo_off, span, out

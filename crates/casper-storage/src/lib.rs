@@ -31,6 +31,7 @@ pub mod error;
 pub mod ghost;
 pub mod index;
 pub mod kernels;
+mod lane;
 pub mod layout;
 pub mod ops;
 pub mod partition;

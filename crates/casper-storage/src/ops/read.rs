@@ -25,9 +25,11 @@
 
 use crate::chunk::PartitionedChunk;
 use crate::kernels::{self, Fragment};
+use crate::lane::KeyLane;
 use crate::ops::OpCost;
 use crate::value::ColumnValue;
 use casper_obs::CounterDef;
+use std::ops::Range;
 
 // Fragment-hit and zone-map telemetry: which physical path served each
 // partition touch, and how many partitions metadata pruned away entirely.
@@ -154,14 +156,13 @@ impl<K: ColumnValue> RangeConsumer<K> for PositionsConsumer {
 enum RangePart<'a, K: ColumnValue> {
     /// Zone fully inside `[lo, hi)`: every live value qualifies.
     Blind(&'a crate::partition::PartitionMeta<K>),
-    /// Zone partially overlapping: the live slice must be filtered. When
+    /// Zone partially overlapping: the live slots must be filtered. When
     /// the partition is compressed, its fragment rides along so the
     /// operation can scan the encoded lane instead of the slots (each
     /// operation decides — e.g. RLE fragments accelerate counts but not
     /// position-producing selects).
     Filtered {
         meta: &'a crate::partition::PartitionMeta<K>,
-        live: &'a [K],
         frag: Option<&'a Fragment<K>>,
     },
 }
@@ -179,9 +180,10 @@ enum ScanPath {
 /// first; bit `i` ⇔ slot `start + i`). Returns the match count and the
 /// path scanned. Bits must map onto slots, so only order-preserving
 /// fragments evaluate on the encoded lane; RLE and plain partitions run
-/// the branchless bitmap kernel over the slots.
+/// the branchless bitmap kernel over the key lane's `slots`.
 fn slot_bitmap<K: ColumnValue>(
-    live: &[K],
+    lane: &KeyLane<K>,
+    slots: Range<usize>,
     frag: Option<&Fragment<K>>,
     lo: K,
     hi: K,
@@ -189,13 +191,13 @@ fn slot_bitmap<K: ColumnValue>(
 ) -> (u64, ScanPath) {
     mask.clear();
     // The kernels push one word at a time; size the buffer once.
-    mask.reserve(live.len().div_ceil(kernels::LANE_WIDTH));
+    mask.reserve(slots.len().div_ceil(kernels::LANE_WIDTH));
     match frag {
         Some(f) if f.preserves_slot_order() => {
             (f.select_range_bitmap(lo, hi, mask), ScanPath::Encoded)
         }
         _ => (
-            kernels::select_range_bitmap(live, lo, hi, mask),
+            lane.select_range_bitmap(slots, lo, hi, mask),
             ScanPath::Plain,
         ),
     }
@@ -226,12 +228,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 OBS_COMPRESSED_SCANS.inc();
                 self.charge_compressed_scan(p, &mut cost);
             } else {
-                kernels::select_eq_into(
-                    &self.data[part.start..part.live_end()],
-                    v,
-                    part.start,
-                    &mut positions,
-                );
+                self.data
+                    .select_eq_into(part.start..part.live_end(), v, &mut positions);
                 OBS_PLAIN_SCANS.inc();
                 self.charge_partition_scan(p, &mut cost);
             }
@@ -267,10 +265,11 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 matched += meta.len as u64;
                 ScanPath::Plain
             }
-            RangePart::Filtered { meta, live, frag } => {
-                let (m, path) = slot_bitmap(live, frag, lo, hi, &mut mask);
+            RangePart::Filtered { meta, frag } => {
+                let slots = meta.start..meta.live_end();
+                let (m, path) = slot_bitmap(&self.data, slots.clone(), frag, lo, hi, &mut mask);
                 matched += m;
-                kernels::for_each_match(live, &mask, meta.start, |pos, val| {
+                self.data.for_each_match(slots, &mask, |pos, val| {
                     consumer.value(pos, val);
                 });
                 path
@@ -294,13 +293,13 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             }
             // Pure count: no positions materialized at all. Every codec can
             // count on its encoded form (RLE by pure run arithmetic).
-            RangePart::Filtered { live, frag, .. } => match frag {
+            RangePart::Filtered { meta, frag } => match frag {
                 Some(f) => {
                     count += f.count_range(lo, hi);
                     ScanPath::Encoded
                 }
                 None => {
-                    count += kernels::count_range(live, lo, hi);
+                    count += self.data.count_range(meta.start..meta.live_end(), lo, hi);
                     ScanPath::Plain
                 }
             },
@@ -329,8 +328,9 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 qualifying += meta.len;
                 ScanPath::Plain
             }
-            RangePart::Filtered { meta, live, frag } => {
-                let (m, path) = slot_bitmap(live, frag, lo, hi, &mut mask);
+            RangePart::Filtered { meta, frag } => {
+                let slots = meta.start..meta.live_end();
+                let (m, path) = slot_bitmap(&self.data, slots, frag, lo, hi, &mut mask);
                 qualifying += m as usize;
                 if m > 0 {
                     for &c in cols {
@@ -386,7 +386,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             } else {
                 match visit(RangePart::Filtered {
                     meta: part,
-                    live: &self.data[part.start..part.live_end()],
                     frag: self.frags[p].as_ref(),
                 }) {
                     ScanPath::Plain => {
@@ -503,7 +502,7 @@ mod tests {
         let c = chunk_1_to_16(&[2, 2, 2, 2]);
         let r = c.point_query(7);
         assert_eq!(r.positions.len(), 1);
-        assert_eq!(c.data[r.positions[0]], 7);
+        assert_eq!(c.data.get(r.positions[0]), 7);
         assert_eq!(r.partition, 1); // values 5..8
     }
 

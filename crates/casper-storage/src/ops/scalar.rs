@@ -9,7 +9,8 @@
 //!   kernel speedup against these baselines on the same data.
 //!
 //! They are not wired into the engine; production reads always take the
-//! kernel paths.
+//! kernel paths. They read the key lane one decoded slot at a time, so they
+//! also check the narrow lane's rebased predicates rather than share them.
 
 use crate::chunk::PartitionedChunk;
 use crate::ops::read::{PointQueryResult, PositionsConsumer, RangeConsumer, RangeQueryResult};
@@ -25,10 +26,9 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let part = self.parts[p];
         let mut positions = Vec::new();
         if part.len > 0 && part.covers(v) {
-            let live = &self.data[part.start..part.live_end()];
-            for (i, &x) in live.iter().enumerate() {
-                if x == v {
-                    positions.push(part.start + i);
+            for pos in part.start..part.live_end() {
+                if self.data.get(pos) == v {
+                    positions.push(pos);
                 }
             }
         }
@@ -66,10 +66,10 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 cost.seq_reads += self.live_blocks(p) as u64;
                 cost.values_scanned += part.len as u64;
             } else {
-                let live = &self.data[part.start..part.live_end()];
-                for (i, &x) in live.iter().enumerate() {
+                for pos in part.start..part.live_end() {
+                    let x = self.data.get(pos);
                     if lo <= x && x < hi {
-                        consumer.value(part.start + i, x);
+                        consumer.value(pos, x);
                         matched += 1;
                     }
                 }

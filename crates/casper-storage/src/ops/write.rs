@@ -7,7 +7,8 @@
 //!   the embedded point query (§4.4): one index probe plus a full scan of
 //!   the covering partition, charged as such, returning the first live
 //!   match in slot order. The scan runs on the read path's SIMD kernels
-//!   (`kernels::first_eq`, which stops at the first matching sub-chunk).
+//!   (the key lane's `first_eq`, which stops at the first matching
+//!   sub-chunk).
 //!   `remove_first` *returns the row's full payload*, swap-fills the slot
 //!   with the partition's last live row (one `move_slot`: a random read and
 //!   a random write; a lone random write when the match is already last),
@@ -26,8 +27,8 @@
 //! * **insert** — `acquire_slot` (a local ghost when one exists; otherwise
 //!   ripple a slot in from the nearest donor under the ghost policy, or
 //!   from the column tail under the dense policy) → `place`.
-//! * **delete** — point-query the target partition
-//!   (`kernels::select_eq_into` collects the matching slots), swap-fill
+//! * **delete** — point-query the target partition (the key lane's
+//!   `select_eq_into` collects the matching slots), swap-fill
 //!   *every* match out of the live region in ascending slot order, then
 //!   either leave the freed slots as ghosts (ghost policy) or ripple each
 //!   hole out to the tail (dense).
@@ -41,7 +42,6 @@
 
 use crate::chunk::{DonorSide, PartitionedChunk};
 use crate::error::StorageError;
-use crate::kernels;
 use crate::ops::OpCost;
 use crate::value::ColumnValue;
 use crate::UpdatePolicy;
@@ -87,7 +87,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// book it live: one random write; `m`'s bounds and zone widen to
     /// cover `v`.
     fn place(&mut self, m: usize, slot: usize, v: K, row: &[u32], cost: &mut OpCost) {
-        self.data[slot] = v;
+        self.data.set(slot, v);
         if !self.payloads.is_empty() {
             self.payloads.set_row(slot, row);
         }
@@ -171,8 +171,15 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// value rippling from the transaction since it does not affect
     /// correctness. Hence, even if a transaction is rolled back, the
     /// already completed fetching of ghost values will persist."
+    ///
+    /// Ghosts are the ghost policy's buffer: a [`UpdatePolicy::Dense`]
+    /// chunk keeps none (its ripples assume every partition is dense), so
+    /// there the prefetch is a no-op that moves no slot and costs nothing.
     pub fn prefetch_ghosts(&mut self, v: K, count: usize) -> OpCost {
         let mut cost = OpCost::default();
+        if self.config.policy == UpdatePolicy::Dense {
+            return cost;
+        }
         let m = self.locate(v, &mut cost);
         if self.parts[m].ghosts < count {
             // Left-donor rotations below move `m`'s own live values.
@@ -224,12 +231,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             // is evidently a write target.)
             self.decompress_partition(m);
             let mut hits = Vec::new();
-            kernels::select_eq_into(
-                &self.data[part.start..part.live_end()],
-                v,
-                part.start,
-                &mut hits,
-            );
+            self.data
+                .select_eq_into(part.start..part.live_end(), v, &mut hits);
             // Swap-fill matches out of the live region (Fig. 4b: deleted
             // slots move to the end of the partition). Only the current
             // hit's slot is ever overwritten, so every later hit below the
@@ -249,7 +252,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                     }
                     self.move_slot(live_end, pos, &mut cost);
                     // The row pulled in from the tail may match as well.
-                    if self.data[pos] != v {
+                    if self.data.get(pos) != v {
                         break;
                     }
                 }
@@ -294,8 +297,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let part = self.parts[m];
         let mut found = None;
         if part.len > 0 && part.covers(v) {
-            found = kernels::first_eq(&self.data[part.start..part.live_end()], v)
-                .map(|off| part.start + off);
+            found = self.data.first_eq(part.start..part.live_end(), v);
         }
         (m, found)
     }
@@ -346,7 +348,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         self.decompress_partition(t);
         if t == m {
             // Same partition: overwrite in place (unordered internally).
-            self.data[pos] = new;
+            self.data.set(pos, new);
             self.stamp(pos);
             cost.random_writes += 1;
             self.widen_bounds(m, new);
@@ -805,6 +807,54 @@ mod tests {
         }
     }
 
+    /// Ghost prefetch is the ghost policy's buffer: on a dense chunk it
+    /// moves no slot and books no ghost, so a later dense ripple can never
+    /// book a stale ghost slot as live. Every live slot stays inside its
+    /// partition's covering range through a mixed dense write stream.
+    #[test]
+    fn prefetch_on_a_dense_chunk_moves_nothing() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(5050);
+        let mut c = build(
+            (0..1_000).map(|k| k * 10).collect(),
+            &[100; 5],
+            &[0; 5],
+            ChunkConfig::dense(),
+        );
+        for step in 0..400 {
+            let v = rng.gen_range(0..10_500u64);
+            match rng.gen_range(0..4) {
+                0 => {
+                    let slots = c.copy_slots(0..c.slot_count());
+                    let parts = c.parts.clone();
+                    assert_eq!(c.prefetch_ghosts(v, 2), OpCost::default());
+                    assert_eq!(c.copy_slots(0..c.slot_count()), slots);
+                    assert_eq!(c.parts, parts, "step {step}: prefetch booked ghosts");
+                }
+                1 => {
+                    if c.insert(v, &[]).is_err() {
+                        c.grow(64);
+                    }
+                }
+                2 => {
+                    c.delete(v);
+                }
+                _ => {
+                    // A loaded key, so most updates move a row.
+                    let old = rng.gen_range(0..1_000u64) * 10;
+                    c.update(old, v).expect("update");
+                }
+            }
+            assert_eq!(
+                c.ghost_total(),
+                0,
+                "step {step}: a dense chunk holds ghosts"
+            );
+            c.validate_invariants()
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+        }
+    }
+
     /// The write path's point query as two per-value scalar loops (the
     /// delete swap-fill walk and `find_first`'s `position`), kept verbatim
     /// with the `update` / `take_one` bodies around them: the oracle the
@@ -822,7 +872,7 @@ mod tests {
                 let mut pos = part.start;
                 let mut live_end = part.live_end();
                 while pos < live_end {
-                    if self.data[pos] == v {
+                    if self.data.get(pos) == v {
                         live_end -= 1;
                         if pos != live_end {
                             self.move_slot(live_end, pos, &mut cost);
@@ -868,11 +918,7 @@ mod tests {
             let part = self.parts[m];
             let mut found = None;
             if part.len > 0 && part.covers(v) {
-                let live = &self.data[part.start..part.live_end()];
-                found = live
-                    .iter()
-                    .position(|&x| x == v)
-                    .map(|off| part.start + off);
+                found = (part.start..part.live_end()).find(|&pos| self.data.get(pos) == v);
             }
             (m, found)
         }
@@ -891,7 +937,7 @@ mod tests {
             self.decompress_partition(m);
             self.decompress_partition(t);
             if t == m {
-                self.data[pos] = new;
+                self.data.set(pos, new);
                 self.stamp(pos);
                 cost.random_writes += 1;
                 self.widen_bounds(m, new);
@@ -1030,7 +1076,7 @@ mod tests {
                 let start = c.parts[p].start;
                 assert_eq!(c.parts[p].len, PART);
                 for (i, (key, row)) in rows.iter().enumerate() {
-                    c.data[start + i] = *key;
+                    c.data.set(start + i, *key);
                     c.payloads.set_row(start + i, row);
                 }
             }
@@ -1082,7 +1128,10 @@ mod tests {
                 assert_eq!(k.affected, s.affected, "{ctx}: affected");
                 assert_eq!(k.cost, s.cost, "{ctx}: cost");
                 assert_eq!(k.partitions_touched, s.partitions_touched, "{ctx}: touched");
-                assert!(kern.data == scal.data, "{ctx}: slots diverged");
+                assert!(
+                    kern.copy_slots(0..kern.slot_count()) == scal.copy_slots(0..scal.slot_count()),
+                    "{ctx}: slots diverged"
+                );
                 assert!(
                     kern.payloads.columns() == scal.payloads.columns(),
                     "{ctx}: payload rows diverged"

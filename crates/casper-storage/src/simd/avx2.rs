@@ -35,6 +35,8 @@ use std::arch::x86_64::*;
 /// Requires AVX2 and 64 readable `u32`s at `ptr`.
 #[inline]
 #[target_feature(enable = "avx2")]
+// SAFETY: callers hold AVX2 and pass the start of a `chunks_exact(64)`
+// block, so the eight 8-lane unaligned loads read its 64 `u32`s only.
 unsafe fn sum64_u32(ptr: *const u32) -> u64 {
     let mut acc = _mm256_setzero_si256();
     for i in 0..8 {
@@ -51,6 +53,9 @@ unsafe fn sum64_u32(ptr: *const u32) -> u64 {
 /// # Safety
 /// Requires AVX2.
 #[target_feature(enable = "avx2")]
+// SAFETY: AVX2 is present (the dispatcher reaches this module only after
+// `is_x86_feature_detected!("avx2")`); `sum64_u32` only ever gets a full
+// `chunks_exact(64)` block of `payload`.
 pub unsafe fn sum_u32(payload: &[u32]) -> u64 {
     let mut acc = 0u64;
     let mut chunks = payload.chunks_exact(64);
@@ -75,6 +80,9 @@ pub unsafe fn sum_u32(payload: &[u32]) -> u64 {
 /// Requires AVX2. Every load reads inside a block `chunks_exact(64)` took
 /// from `payload`.
 #[target_feature(enable = "avx2")]
+// SAFETY: AVX2 is present (the dispatcher reaches this module only after
+// `is_x86_feature_detected!("avx2")`); every masked load reads inside a
+// `chunks_exact(64)` block of `payload` (argument at the load below).
 pub unsafe fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
     let lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
     let mut acc = _mm256_setzero_si256();
@@ -87,6 +95,12 @@ pub unsafe fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
         for b in 0..8 {
             let byte = _mm256_set1_epi32(((word >> (b * 8)) & 0xFF) as i32);
             let lanes = _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane_bit), lane_bit);
+            // The masked load reads lanes `b * 8 .. b * 8 + 8` of a full 64-value
+            // block that `payload.chunks_exact(64)` yielded, so even a set lane
+            // reads in bounds; a masked-off lane is neither read nor able to fault,
+            // and loads as zero. The ragged tail (fewer than 64 values) never
+            // reaches this loop: it is summed in scalar code below, its bits at or
+            // past `payload.len()` ignored.
             let v = _mm256_maskload_epi32(ptr.add(b * 8), lanes);
             let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v));
             let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(v, 1));
@@ -101,6 +115,8 @@ pub unsafe fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
 
 #[inline]
 #[target_feature(enable = "avx2")]
+// SAFETY: register arithmetic plus one unaligned store of a 256-bit
+// vector into a 4 × `u64` stack array; callers run under AVX2.
 unsafe fn reduce_add_u64(v: __m256i) -> u64 {
     let mut tmp = [0u64; 4];
     _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, v);
@@ -120,6 +136,9 @@ macro_rules! avx2_min_max {
         /// # Safety
         /// Requires AVX2; `lane` must be non-empty.
         #[target_feature(enable = "avx2")]
+        // SAFETY: AVX2 is present (dispatcher); every load reads a
+        // `chunks_exact($lanes)` block of `lane`, and each store writes one
+        // vector into a `$lanes`-element stack array.
         pub unsafe fn min_max_flipped(lane: &[$t], flip: $t) -> ($t, $t) {
             let flipv = $set1(flip as _);
             let mut vmin = $set1(<$t>::MAX as _);
@@ -156,6 +175,8 @@ pub mod w8 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 is present (dispatcher); `ptr` starts a `chunks_exact(64)`
+    // block (`arch_kernels`), and the two 32-lane loads read its 64 bytes.
     unsafe fn window_word(ptr: *const u8, lo: u8, span: u8) -> u64 {
         let lov = _mm256_set1_epi8(lo as i8);
         let bias = _mm256_set1_epi8(i8::MIN);
@@ -172,6 +193,7 @@ pub mod w8 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: as `window_word`: two 32-lane loads inside one 64-byte block.
     unsafe fn eq_word(ptr: *const u8, target: u8) -> u64 {
         let tv = _mm256_set1_epi8(target as i8);
         let mut word = 0u64;
@@ -202,6 +224,7 @@ pub mod w16 {
     /// interleave, movemask.
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: register-only AVX2 arithmetic; callers run under AVX2.
     unsafe fn pair_mask(c0: __m256i, c1: __m256i) -> u32 {
         let packed = _mm256_packs_epi16(c0, c1);
         let fixed = _mm256_permute4x64_epi64(packed, 0b11_01_10_00);
@@ -210,6 +233,7 @@ pub mod w16 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: register-only AVX2 arithmetic; callers run under AVX2.
     unsafe fn window_cmp(x: __m256i, lov: __m256i, spanb: __m256i, bias: __m256i) -> __m256i {
         let d = _mm256_xor_si256(_mm256_sub_epi16(x, lov), bias);
         _mm256_cmpgt_epi16(spanb, d)
@@ -217,6 +241,9 @@ pub mod w16 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 is present (dispatcher); `ptr` starts a `chunks_exact(64)`
+    // block, and the four 16-lane loads (offsets 0, 16, 32, 48) read its 64
+    // `u16`s.
     unsafe fn window_word(ptr: *const u16, lo: u16, span: u16) -> u64 {
         let lov = _mm256_set1_epi16(lo as i16);
         let bias = _mm256_set1_epi16(i16::MIN);
@@ -236,6 +263,7 @@ pub mod w16 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: as `window_word`: four 16-lane loads inside one 64-element block.
     unsafe fn eq_word(ptr: *const u16, target: u16) -> u64 {
         let tv = _mm256_set1_epi16(target as i16);
         let mut word = 0u64;
@@ -264,6 +292,8 @@ pub mod w32 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 is present (dispatcher); `ptr` starts a `chunks_exact(64)`
+    // block, and the eight 8-lane loads read its 64 `u32`s.
     unsafe fn window_word(ptr: *const u32, lo: u32, span: u32) -> u64 {
         let lov = _mm256_set1_epi32(lo as i32);
         let bias = _mm256_set1_epi32(i32::MIN);
@@ -281,6 +311,7 @@ pub mod w32 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: as `window_word`: eight 8-lane loads inside one 64-element block.
     unsafe fn eq_word(ptr: *const u32, target: u32) -> u64 {
         let tv = _mm256_set1_epi32(target as i32);
         let mut word = 0u64;
@@ -309,6 +340,8 @@ pub mod w64 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 is present (dispatcher); `ptr` starts a `chunks_exact(64)`
+    // block, and the sixteen 4-lane loads read its 64 `u64`s.
     unsafe fn window_word(ptr: *const u64, lo: u64, span: u64) -> u64 {
         let lov = _mm256_set1_epi64x(lo as i64);
         let bias = _mm256_set1_epi64x(i64::MIN);
@@ -326,6 +359,8 @@ pub mod w64 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    // SAFETY: as `window_word`: sixteen 4-lane loads inside one 64-element
+    // block.
     unsafe fn eq_word(ptr: *const u64, target: u64) -> u64 {
         let tv = _mm256_set1_epi64x(target as i64);
         let mut word = 0u64;
@@ -345,6 +380,9 @@ pub mod w64 {
     /// # Safety
     /// Requires AVX2; `lane` must be non-empty.
     #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 is present (dispatcher); every load reads a
+    // `chunks_exact(4)` block of `lane`, and each store writes one vector into
+    // a 4 × `u64` stack array.
     pub unsafe fn min_max_flipped(lane: &[u64], flip: u64) -> (u64, u64) {
         let sign = 1u64 << 63;
         let prev = _mm256_set1_epi64x((flip ^ sign) as i64);

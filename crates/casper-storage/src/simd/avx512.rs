@@ -28,6 +28,9 @@ use std::arch::x86_64::*;
 /// Requires AVX-512F and 64 readable `u32`s at `ptr`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
+// SAFETY: callers hold AVX-512F and pass the start of a
+// `chunks_exact(64)` block, so the four 16-lane unaligned loads read its 64
+// `u32`s only.
 unsafe fn sum64_u32(ptr: *const u32) -> u64 {
     let mut acc = _mm512_setzero_si512();
     for i in 0..4 {
@@ -44,6 +47,9 @@ unsafe fn sum64_u32(ptr: *const u32) -> u64 {
 /// # Safety
 /// Requires AVX-512F/BW.
 #[target_feature(enable = "avx512f,avx512bw")]
+// SAFETY: AVX-512F/BW are present (the dispatcher reaches this module only
+// after `is_x86_feature_detected!` proved both); `sum64_u32` only ever
+// gets a full `chunks_exact(64)` block of `payload`.
 pub unsafe fn sum_u32(payload: &[u32]) -> u64 {
     let mut acc = 0u64;
     let mut chunks = payload.chunks_exact(64);
@@ -67,6 +73,9 @@ pub unsafe fn sum_u32(payload: &[u32]) -> u64 {
 /// Requires AVX-512F/BW. Every load reads inside a block `chunks_exact(64)`
 /// took from `payload`.
 #[target_feature(enable = "avx512f,avx512bw")]
+// SAFETY: AVX-512F/BW are present (dispatcher); every masked load reads
+// inside a `chunks_exact(64)` block of `payload` (argument at the load
+// below).
 pub unsafe fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
     let mut acc = _mm512_setzero_si512();
     let mut blocks = payload.chunks_exact(64);
@@ -76,6 +85,12 @@ pub unsafe fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
         }
         let ptr = block.as_ptr() as *const i32;
         for q in 0..4 {
+            // The masked load reads lanes `q * 16 .. q * 16 + 16` of a full
+            // 64-value block that `payload.chunks_exact(64)` yielded, so even a set
+            // lane reads in bounds; a masked-off lane is neither read nor able to
+            // fault, and loads as zero. The ragged tail (fewer than 64 values) never
+            // reaches this loop: it is summed in scalar code below, its bits at or
+            // past `payload.len()` ignored.
             let v = _mm512_maskz_loadu_epi32((word >> (q * 16)) as u16, ptr.add(q * 16));
             let lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v));
             let hi = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(v, 1));
@@ -98,6 +113,9 @@ pub unsafe fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
 /// past its current length (the caller reserves).
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
+// SAFETY: AVX-512F is present (dispatcher). The caller reserved 64 spare
+// slots; the four compress-stores write `popcount(word)` ≤ 64 `u32`s
+// contiguously past `out.len()`, and `set_len` covers exactly those.
 unsafe fn compress_positions_word(word: u64, base: u32, out: &mut Vec<u32>) {
     const IOTA: [u32; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
     debug_assert!(out.capacity() - out.len() >= 64);
@@ -137,6 +155,9 @@ macro_rules! avx512_select_eq {
         /// # Safety
         /// Requires AVX-512F/BW.
         #[target_feature(enable = "avx512f,avx512bw")]
+        // SAFETY: AVX-512F/BW are present (dispatcher); `eq_word` only gets
+        // `chunks_exact(64)` blocks, and `out.reserve(64)` precedes every
+        // `compress_positions_word`.
         pub unsafe fn select_eq_positions(
             lane: &[$t],
             target: $t,
@@ -174,6 +195,9 @@ macro_rules! avx512_min_max {
         /// # Safety
         /// Requires AVX-512F/BW; `lane` must be non-empty.
         #[target_feature(enable = "avx512f,avx512bw")]
+        // SAFETY: AVX-512F/BW are present (dispatcher); every load reads a
+        // `chunks_exact($lanes)` block of `lane`, and each store writes one
+        // vector into a `$lanes`-element stack array.
         pub unsafe fn min_max_flipped(lane: &[$t], flip: $t) -> ($t, $t) {
             let flipv = $set1(flip as _);
             let mut vmin = $set1(<$t>::MAX as _);
@@ -210,6 +234,9 @@ pub mod w8 {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: AVX-512BW is present (dispatcher); `ptr` starts a
+    // `chunks_exact(64)` block (`arch_kernels`), and the one 64-lane load reads
+    // its 64 bytes.
     unsafe fn window_word(ptr: *const u8, lo: u8, span: u8) -> u64 {
         let lov = _mm512_set1_epi8(lo as i8);
         let spanv = _mm512_set1_epi8(span as i8);
@@ -219,6 +246,7 @@ pub mod w8 {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: as `window_word`: one 64-lane load of one 64-byte block.
     unsafe fn eq_word(ptr: *const u8, target: u8) -> u64 {
         let tv = _mm512_set1_epi8(target as i8);
         _mm512_cmpeq_epi8_mask(_mm512_loadu_si512(ptr as *const _), tv)
@@ -241,6 +269,8 @@ pub mod w16 {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: AVX-512BW is present (dispatcher); `ptr` starts a
+    // `chunks_exact(64)` block, and the two 32-lane loads read its 64 `u16`s.
     unsafe fn window_word(ptr: *const u16, lo: u16, span: u16) -> u64 {
         let lov = _mm512_set1_epi16(lo as i16);
         let spanv = _mm512_set1_epi16(span as i16);
@@ -253,6 +283,7 @@ pub mod w16 {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: as `window_word`: two 32-lane loads inside one 64-element block.
     unsafe fn eq_word(ptr: *const u16, target: u16) -> u64 {
         let tv = _mm512_set1_epi16(target as i16);
         let ma = _mm512_cmpeq_epi16_mask(_mm512_loadu_si512(ptr as *const _), tv);
@@ -277,6 +308,8 @@ pub mod w32 {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: AVX-512F is present (dispatcher); `ptr` starts a
+    // `chunks_exact(64)` block, and the four 16-lane loads read its 64 `u32`s.
     unsafe fn window_word(ptr: *const u32, lo: u32, span: u32) -> u64 {
         let lov = _mm512_set1_epi32(lo as i32);
         let spanv = _mm512_set1_epi32(span as i32);
@@ -291,6 +324,7 @@ pub mod w32 {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: as `window_word`: four 16-lane loads inside one 64-element block.
     unsafe fn eq_word(ptr: *const u32, target: u32) -> u64 {
         let tv = _mm512_set1_epi32(target as i32);
         let mut word = 0u64;
@@ -318,6 +352,8 @@ pub mod w64 {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: AVX-512F is present (dispatcher); `ptr` starts a
+    // `chunks_exact(64)` block, and the eight 8-lane loads read its 64 `u64`s.
     unsafe fn window_word(ptr: *const u64, lo: u64, span: u64) -> u64 {
         let lov = _mm512_set1_epi64(lo as i64);
         let spanv = _mm512_set1_epi64(span as i64);
@@ -332,6 +368,7 @@ pub mod w64 {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: as `window_word`: eight 8-lane loads inside one 64-element block.
     unsafe fn eq_word(ptr: *const u64, target: u64) -> u64 {
         let tv = _mm512_set1_epi64(target as i64);
         let mut word = 0u64;
@@ -348,6 +385,9 @@ pub mod w64 {
     /// # Safety
     /// Requires AVX-512F/BW; `lane` must be non-empty.
     #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: AVX-512F is present (dispatcher); every load reads a
+    // `chunks_exact(8)` block of `lane`, and each store writes one vector into
+    // an 8 × `u64` stack array.
     pub unsafe fn min_max_flipped(lane: &[u64], flip: u64) -> (u64, u64) {
         let flipv = _mm512_set1_epi64(flip as i64);
         let mut vmin = _mm512_set1_epi64(-1i64);

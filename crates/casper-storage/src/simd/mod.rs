@@ -204,6 +204,8 @@ macro_rules! arch_kernels {
         /// The CPU must support the enabled target feature (the dispatcher
         /// verifies this via `is_x86_feature_detected!`).
         #[target_feature(enable = $feature)]
+        // SAFETY: the caller holds `$feature` (dispatch); `eq_word` only gets
+        // the start of a `chunks_exact(64)` block, 64 readable elements.
         pub unsafe fn count_eq(lane: &[$t], target: $t) -> u64 {
             let mut acc = 0u64;
             let mut chunks = lane.chunks_exact(64);
@@ -221,6 +223,8 @@ macro_rules! arch_kernels {
         /// # Safety
         /// The CPU must support the enabled target feature.
         #[target_feature(enable = $feature)]
+        // SAFETY: the caller holds `$feature` (dispatch); `window_word` only
+        // gets the start of a `chunks_exact(64)` block, 64 readable elements.
         pub unsafe fn count_window(lane: &[$t], lo: $t, span: $t) -> u64 {
             let mut acc = 0u64;
             let mut chunks = lane.chunks_exact(64);
@@ -240,6 +244,8 @@ macro_rules! arch_kernels {
         /// # Safety
         /// The CPU must support the enabled target feature.
         #[target_feature(enable = $feature)]
+        // SAFETY: the caller holds `$feature` (dispatch); `window_word` only
+        // gets the start of a `chunks_exact(64)` block, 64 readable elements.
         pub unsafe fn bitmap_window(lane: &[$t], lo: $t, span: $t, out: &mut Vec<u64>) -> u64 {
             let mut matched = 0u64;
             let mut chunks = lane.chunks_exact(64);
@@ -277,6 +283,7 @@ macro_rules! dispatch {
             // `is_x86_feature_detected!` proved the features at startup.
             SimdLevel::Avx512 => unsafe { avx512::$width::$fn($($arg),*) },
             #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above, for `avx2`.
             SimdLevel::Avx2 => unsafe { avx2::$width::$fn($($arg),*) },
             _ => portable::$fn($($arg),*),
         }
@@ -384,6 +391,7 @@ pub fn sum_payload_masked(payload: &[u32], mask: &[u64]) -> u64 {
         // backends load only inside `chunks_exact(64)` blocks of `payload`.
         SimdLevel::Avx512 => unsafe { avx512::sum_payload_masked(payload, mask) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for `avx2`.
         SimdLevel::Avx2 => unsafe { avx2::sum_payload_masked(payload, mask) },
         _ => portable::sum_payload_masked(payload, mask),
     }
@@ -396,6 +404,7 @@ pub fn sum_u32(payload: &[u32]) -> u64 {
         // SAFETY: level() proved the feature set at startup.
         SimdLevel::Avx512 => unsafe { avx512::sum_u32(payload) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for `avx2`.
         SimdLevel::Avx2 => unsafe { avx2::sum_u32(payload) },
         _ => portable::sum_u32(payload),
     }

@@ -252,7 +252,7 @@ fn q3_multi_column_sums_reach_every_word_class() {
         let live = chunk.partition_values(qi / 4);
         assert_eq!(live.len() as u64, PART);
         let mut mask = Vec::new();
-        kernels::select_range_bitmap(live, lo, hi, &mut mask);
+        kernels::select_range_bitmap(&live, lo, hi, &mut mask);
         assert_eq!(mask.len(), 4);
         match qi % 4 {
             0 => assert!(mask.iter().all(|&w| w == 0)),
