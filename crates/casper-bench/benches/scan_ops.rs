@@ -209,10 +209,11 @@ criterion_group!(
 );
 
 /// Custom harness entry: run the criterion groups, then emit the
-/// machine-readable kernel trajectory (`BENCH_scan.json` at the workspace
-/// root) — dispatched-SIMD vs forced-scalar ns/elem and GB/s for every
-/// plain, point-probe and compressed kernel × lane width. Smoke runs (`--test`) shrink
-/// the lanes and rep counts but still assert both dispatch paths agree.
+/// machine-readable kernel trajectory — dispatched-SIMD vs forced-scalar
+/// ns/elem and GB/s for every plain, point-probe and compressed kernel ×
+/// lane width. A full run writes it to `BENCH_scan.json` at the workspace
+/// root. Smoke runs (`--test`) shrink the lanes and rep counts, still
+/// assert both dispatch paths agree, and write nothing.
 fn main() {
     let mut c = Criterion::default();
     benches(&mut c);
@@ -231,5 +232,7 @@ fn main() {
             e.kernel, e.width_bits, e.rows, e.unit, e.ns_per_elem, e.unit, e.speedup
         );
     }
-    trajectory::write_json("BENCH_scan.json", "scan_ops", smoke, &entries);
+    if !smoke {
+        trajectory::write_json("BENCH_scan.json", "scan_ops", &entries);
+    }
 }

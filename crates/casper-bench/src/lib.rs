@@ -1,25 +1,15 @@
 //! # casper-bench
 //!
-//! Subsystem benchmarks and the kernel micro-benchmarks. Each
-//! `src/bin/*.rs` binary measures one subsystem and records its numbers in
-//! a `BENCH_*.json` file at the workspace root:
+//! The kernel and solver micro-benchmarks: four criterion benches under
+//! `benches/` (`scan_ops`, `compression`, `ripple`, `solver`), developer
+//! tools run with `cargo bench -p casper-bench --bench <name>`. A full
+//! `scan_ops` run also records the per-kernel table `BENCH_scan.json`
+//! through [`trajectory`]; a `--test` smoke run checks every kernel against
+//! its portable twin and writes nothing.
 //!
-//! ```text
-//! cargo run --release -p casper-bench --bin recovery_time [-- --smoke]
-//! ```
-//!
-//! All binaries accept `--key=value` arguments (and `--help`). The criterion
-//! benches live under `benches/`; `scan_ops` writes `BENCH_scan.json`
-//! through [`trajectory`].
-//!
-//! The paper's figures are not here: their claims are asserted by the
-//! root package's `tests/paper_claims.rs` (`cargo test --test
-//! paper_claims`), and the end-to-end throughput of each layout mode is
-//! measured by `benchmark/`.
+//! Nothing else is measured here. The paper's figures are asserted by the
+//! root package's `tests/paper_claims.rs`; end-to-end throughput and the
+//! per-layer breakdown (persist, governor, telemetry overhead) are measured
+//! by `benchmark/`; the counts the subsystems guarantee are tier-1 tests.
 
-pub mod cli;
-pub mod report;
 pub mod trajectory;
-
-pub use cli::Args;
-pub use report::TableReport;

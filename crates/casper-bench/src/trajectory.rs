@@ -1,7 +1,7 @@
-//! Machine-readable per-PR performance trajectory.
+//! Machine-readable kernel trajectory.
 //!
-//! The `scan_ops` bench emits `BENCH_scan.json` at the workspace root
-//! after its criterion groups run — the single source of truth for kernel
+//! A full `scan_ops` bench run writes `BENCH_scan.json` at the workspace
+//! root after its criterion groups run — the single record of kernel
 //! perf: one entry per kernel × lane width (plain u64 *and* the packed
 //! compressed lanes) with the dispatched-SIMD and forced-scalar
 //! ns/element, effective GB/s, and the speedup — so per-PR perf can be
@@ -10,8 +10,8 @@
 //! Measurements are best-of-N wall-clock over a closure returning a `u64`
 //! checksum (black-boxed so the work cannot be elided). In `--test` smoke
 //! mode every measurement runs a single reduced-size iteration: CI uses
-//! that to check both dispatch paths build, run, and agree — the JSON is
-//! still written, flagged `"smoke": true` so trend tooling can skip it.
+//! that to check both dispatch paths build, run, and agree. A smoke run
+//! writes no file, so the committed `BENCH_scan.json` is always a full run.
 
 use casper_storage::compress::dictionary::PackedCodes;
 use casper_storage::compress::for_delta::PackedOffsets;
@@ -390,30 +390,17 @@ pub fn compressed_entries(rows: usize, reps: usize) -> Vec<Entry> {
     out
 }
 
-/// Version of the shared `BENCH_*.json` shape: every trajectory file
-/// (`BENCH_scan`, `BENCH_persist`, `BENCH_concurrent`, `BENCH_robust`,
-/// `BENCH_obs`) opens with the same header — `bench`,
-/// `bench_schema_version`, `smoke` — emitted by one helper, so trend
-/// tooling can dispatch on one field instead of sniffing each file's
-/// shape. Bump when the common header or a per-file schema changes
-/// incompatibly.
-pub const BENCH_SCHEMA_VERSION: u32 = 2;
+/// Version of the `BENCH_scan.json` shape: the header (`bench`,
+/// `bench_schema_version`) and the entry fields. Bump when either changes
+/// incompatibly. Version 3 dropped the `smoke` flag: smoke runs write
+/// nothing.
+pub const BENCH_SCHEMA_VERSION: u32 = 3;
 
-/// Open a trajectory JSON object with the shared header fields.
-fn emit_header(out: &mut String, bench: &str, smoke: bool) {
+/// Open a trajectory JSON object with its header fields.
+fn emit_header(out: &mut String, bench: &str) {
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"bench\": \"{bench}\",");
     let _ = writeln!(out, "  \"bench_schema_version\": {BENCH_SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-}
-
-/// Write a finished trajectory document to `<workspace root>/<file>`.
-fn emit_file(file: &str, out: &str) {
-    let path = workspace_rooted(file);
-    match std::fs::write(&path, out) {
-        Ok(()) => eprintln!("[trajectory] wrote {}", path.display()),
-        Err(e) => eprintln!("[trajectory] could not write {}: {e}", path.display()),
-    }
 }
 
 /// Resolve `file` against the workspace root: cargo runs bench binaries
@@ -434,9 +421,9 @@ fn workspace_rooted(file: &str) -> std::path::PathBuf {
 
 /// Serialize entries to `<workspace root>/<file>`. Handwritten JSON — the
 /// workspace is offline, no serde.
-pub fn write_json(file: &str, bench: &str, smoke: bool, entries: &[Entry]) {
+pub fn write_json(file: &str, bench: &str, entries: &[Entry]) {
     let mut out = String::new();
-    emit_header(&mut out, bench, smoke);
+    emit_header(&mut out, bench);
     let _ = writeln!(
         out,
         "  \"simd_level\": \"{}\",",
@@ -472,59 +459,11 @@ pub fn write_json(file: &str, bench: &str, smoke: bool, entries: &[Entry]) {
     }
     let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
-    emit_file(file, &out);
-}
-
-/// One named scalar metric for the durability trajectory
-/// (`BENCH_persist.json`).
-#[derive(Debug, Clone)]
-pub struct Metric {
-    /// Metric name (e.g. `incremental_checkpoint_ms`).
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Unit label (`ms`, `us`, `ratio`, …).
-    pub unit: &'static str,
-}
-
-impl Metric {
-    /// Build a metric row.
-    pub fn new(name: impl Into<String>, value: f64, unit: &'static str) -> Self {
-        Self {
-            name: name.into(),
-            value,
-            unit,
-        }
+    let path = workspace_rooted(file);
+    match std::fs::write(&path, out) {
+        Ok(()) => eprintln!("[trajectory] wrote {}", path.display()),
+        Err(e) => eprintln!("[trajectory] could not write {}: {e}", path.display()),
     }
-}
-
-/// Serialize named metrics to `<workspace root>/<file>` — the durability
-/// counterpart of [`write_json`], emitted by the `recovery_time` bench so
-/// the perf trajectory covers checkpoints and restore, not just scans.
-pub fn write_metrics_json(
-    file: &str,
-    bench: &str,
-    smoke: bool,
-    context: &[(&str, u64)],
-    metrics: &[Metric],
-) {
-    let mut out = String::new();
-    emit_header(&mut out, bench, smoke);
-    for (k, v) in context {
-        let _ = writeln!(out, "  \"{k}\": {v},");
-    }
-    let _ = writeln!(out, "  \"metrics\": [");
-    for (i, m) in metrics.iter().enumerate() {
-        let comma = if i + 1 < metrics.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"value\": {:.4}, \"unit\": \"{}\"}}{comma}",
-            m.name, m.value, m.unit
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    emit_file(file, &out);
 }
 
 #[cfg(test)]
@@ -559,10 +498,10 @@ mod tests {
     #[test]
     fn shared_header_carries_schema_version() {
         let mut out = String::new();
-        emit_header(&mut out, "scan_ops", true);
+        emit_header(&mut out, "scan_ops");
         assert!(out.contains("\"bench\": \"scan_ops\""));
         assert!(out.contains(&format!("\"bench_schema_version\": {BENCH_SCHEMA_VERSION}")));
-        assert!(out.contains("\"smoke\": true"));
+        assert!(!out.contains("smoke"), "smoke runs write no file");
     }
 
     #[test]

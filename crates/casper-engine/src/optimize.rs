@@ -38,10 +38,6 @@ pub struct OptimizeOptions {
     /// cold read-heavy partitions are encoded and served by the
     /// compressed-scan kernels.
     pub compress_cold: bool,
-    /// A partition compresses when its FM write pressure is at most this
-    /// fraction of its read pressure (see
-    /// `casper_core::cost::advise_compression`).
-    pub compress_write_threshold: f64,
 }
 
 impl Default for OptimizeOptions {
@@ -53,7 +49,6 @@ impl Default for OptimizeOptions {
             fairness_cap: true,
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             compress_cold: true,
-            compress_write_threshold: 0.05,
         }
     }
 }
@@ -248,7 +243,10 @@ pub fn optimize_table(
     // chunk (extract → re-sort → re-partition), so they stripe across the
     // same worker budget as the solve. Each rebuilt chunk then receives the
     // §6.2 storage-mode pass: partitions the Frequency Model shows as cold
-    // and read-heavy are encoded for the compressed-scan kernels.
+    // and read-heavy are encoded for the compressed-scan kernels. A
+    // partition compresses when its FM write pressure is at most this
+    // fraction of its read pressure (`casper_core::cost::advise_compression`).
+    const COMPRESS_WRITE_THRESHOLD: f64 = 0.05;
     let compression = Mutex::new(Vec::new());
     let mut stores = table
         .column_mut()
@@ -263,7 +261,7 @@ pub fn optimize_table(
                     chunk,
                     &fms[i],
                     &decision.seg,
-                    opts.compress_write_threshold,
+                    COMPRESS_WRITE_THRESHOLD,
                 );
                 compression.lock().push((i, r));
             }

@@ -50,7 +50,7 @@ struct QueryTimer {
 /// in this many per thread. A snapshot read can be a sub-microsecond
 /// point lookup, and two clock reads plus histogram updates on every one
 /// would cost several percent of the hot path — sampling keeps the
-/// enabled overhead inside the `obs_overhead` bench's ≤2% gate while the
+/// enabled overhead inside the ≤2% budget (`obs.overhead_ratio`) while the
 /// latency quantiles stay statistically faithful. Rows-scanned totals
 /// from sampled queries are scaled back up (an estimate, labelled so in
 /// `docs/observability.md`); the mutable [`Table::execute`] path records

@@ -40,9 +40,9 @@
 //! [`MetricsSnapshot::to_json`], surfaced as
 //! `DurableTable::metrics_text()`), and a `CASPER_OBS_DUMP=path`
 //! background writer that re-renders the registry every
-//! `CASPER_OBS_DUMP_MS` (default 1000) milliseconds. The `obs_overhead`
-//! bench measures the enabled-vs-disabled cost and gates it at ≤2% in
-//! `BENCH_obs.json`.
+//! `CASPER_OBS_DUMP_MS` (default 1000) milliseconds. The repo benchmark
+//! (`benchmark/`) reports the enabled-vs-disabled cost on every workload
+//! as `obs.overhead_ratio` (budget: ≤2%).
 
 pub mod drift;
 pub mod dump;
@@ -75,8 +75,8 @@ pub fn enable() -> &'static Registry {
 }
 
 /// Disengage recording (the registry and its accumulated values survive;
-/// [`snapshot`] still works). Used by the `obs_overhead` bench to A/B the
-/// instrumented hot paths.
+/// [`snapshot`] still works). Used by the repo benchmark's
+/// `obs.overhead_ratio` arm to A/B the instrumented hot paths.
 pub fn disable() {
     ENGAGED.store(false, Ordering::Release);
 }

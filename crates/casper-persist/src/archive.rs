@@ -59,7 +59,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Magic bytes opening the archive index file.
 pub const ARCHIVE_INDEX_MAGIC: [u8; 4] = *b"CSPA";
@@ -799,7 +799,6 @@ fn verify_segments(
     vfs: &VfsHandle,
     dir: &Path,
     manifest: &Manifest,
-    pause: Duration,
     stop: Option<&AtomicBool>,
     mut visit: impl FnMut(u64, &[u8]) -> Result<(), StorageError>,
 ) -> Result<u64, StorageError> {
@@ -814,9 +813,6 @@ fn verify_segments(
             }
             record.verified(&sbytes)?;
             records += 1;
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
         }
         visit(seg, &sbytes)?;
     }
@@ -876,7 +872,7 @@ impl BackupJob {
             segments += 1;
             copy(FileKind::Segment.name(seg), sbytes)
         };
-        verify_segments(&self.vfs, &self.src, &manifest, Duration::ZERO, None, each)?;
+        verify_segments(&self.vfs, &self.src, &manifest, None, each)?;
 
         // The fenced chain: every link but the last is copied whole (the
         // walk proves it sealed); the last is cut at the fence, which must
@@ -955,18 +951,16 @@ pub struct BackupVerifyReport {
 /// Verify a backup (or any self-contained table directory) end to end:
 /// `CURRENT` → manifest checksum → every chunk record CRC → every WAL
 /// link fully sealed with gapless LSN continuity across links. Read-only;
-/// `pause` throttles between records (the scrubber reuses this) and
-/// `stop` aborts early with a typed error.
+/// `stop` aborts early with a typed error (the scrubber reuses this).
 pub(crate) fn verify_backup(
     vfs: &VfsHandle,
     dir: &Path,
-    pause: Duration,
     stop: Option<&AtomicBool>,
 ) -> Result<BackupVerifyReport, StorageError> {
     let (generation, manifest, mbytes) = read_current(vfs, dir)?;
     let mut bytes_total = mbytes.len() as u64;
     let mut segments = 0u64;
-    let records = verify_segments(vfs, dir, &manifest, pause, stop, |_, sbytes| {
+    let records = verify_segments(vfs, dir, &manifest, stop, |_, sbytes| {
         segments += 1;
         bytes_total += sbytes.len() as u64;
         Ok(())
@@ -1035,7 +1029,6 @@ pub(crate) fn verify_backup(
 pub(crate) fn scrub_archive(
     vfs: &VfsHandle,
     dir: &Path,
-    pause: Duration,
     stop: Option<&AtomicBool>,
 ) -> (u64, Vec<String>) {
     let index = match ArchiveIndex::load(vfs, dir) {
@@ -1071,9 +1064,6 @@ pub(crate) fn scrub_archive(
             Err(e) => findings.push(format!("archived {name} unreadable: {e}")),
         }
         checked += 1;
-        if !pause.is_zero() {
-            std::thread::sleep(pause);
-        }
     }
     (checked, findings)
 }

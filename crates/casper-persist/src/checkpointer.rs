@@ -58,15 +58,6 @@ pub(crate) struct RetryPolicy {
     pub backoff: Duration,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            attempts: 1,
-            backoff: Duration::from_millis(10),
-        }
-    }
-}
-
 const BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Outcome of one (possibly retried) checkpoint job.

@@ -153,13 +153,11 @@ pub struct DurableOptions {
     /// there into its fresh segment.
     pub max_segments: usize,
     /// Total attempts per checkpoint job (1 = no retry). Transient I/O
-    /// failures are retried with doubling backoff; whole-job retry is safe
+    /// failures are retried with doubling backoff (10 ms before the first
+    /// retry, capped at 1 s); whole-job retry is safe
     /// because every attempt re-creates the segment with a fresh
     /// descriptor and rewrites it end to end.
     pub checkpoint_retries: u32,
-    /// Backoff before the first checkpoint retry, in milliseconds
-    /// (doubles per retry, capped at 1s).
-    pub checkpoint_backoff_ms: u64,
     /// Enter degraded read-only mode after this many *consecutive* failed
     /// (post-retry) checkpoints (0 disables escalation — the WAL chain
     /// then grows without bound under persistent failure).
@@ -168,9 +166,6 @@ pub struct DurableOptions {
     /// every this many milliseconds (0 disables the scrubber;
     /// [`DurableTable::scrub_now`] always works).
     pub scrub_interval_ms: u64,
-    /// Throttle: microseconds the scrubber sleeps between records so a
-    /// pass never competes with the commit path for I/O bandwidth.
-    pub scrub_pause_per_record_us: u64,
     /// Resource-governor configuration. `Some` governs every query on the
     /// table and on the readers it hands out: admission through the slot
     /// gate, panic isolation with heal-or-quarantine, and the memory
@@ -195,10 +190,8 @@ impl Default for DurableOptions {
             background_checkpointer: true,
             max_segments: 6,
             checkpoint_retries: 3,
-            checkpoint_backoff_ms: 10,
             degrade_after: 8,
             scrub_interval_ms: 0,
-            scrub_pause_per_record_us: 0,
             governor: None,
             archive: None,
         }
@@ -380,9 +373,12 @@ pub(crate) fn write_atomic(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> Result
 }
 
 fn retry_policy(opts: &DurableOptions) -> RetryPolicy {
+    /// Backoff before the first checkpoint retry (doubles per retry,
+    /// capped at 1 s).
+    const CHECKPOINT_BACKOFF: Duration = Duration::from_millis(10);
     RetryPolicy {
         attempts: opts.checkpoint_retries.max(1),
-        backoff: Duration::from_millis(opts.checkpoint_backoff_ms),
+        backoff: CHECKPOINT_BACKOFF,
     }
 }
 
@@ -405,7 +401,6 @@ fn spawn_scrubber(
             vfs.clone(),
             dir.to_path_buf(),
             Duration::from_millis(opts.scrub_interval_ms),
-            Duration::from_micros(opts.scrub_pause_per_record_us),
             watched,
         )?))
     } else {
@@ -801,11 +796,10 @@ impl DurableTable {
     /// damage is counted and reported, never escalated — archive or backup
     /// rot must not block live serving.
     pub fn scrub_now(&mut self) -> Result<ScrubReport, StorageError> {
-        let report = crate::scrub::scrub_pass(&self.vfs, &self.dir, Duration::ZERO, None)?;
+        let report = crate::scrub::scrub_pass(&self.vfs, &self.dir, None)?;
         self.manual_scrub.absorb(ScrubStats::of_pass(&report));
         self.apply_scrub_findings(&report.findings);
-        let backups =
-            crate::scrub::verify_watched(&self.vfs, &self.watched_backups, Duration::ZERO, None);
+        let backups = crate::scrub::verify_watched(&self.vfs, &self.watched_backups, None);
         self.manual_scrub.absorb(backups);
         Ok(report)
     }
@@ -1343,7 +1337,7 @@ impl DurableTable {
         vfs: VfsHandle,
         dir: &Path,
     ) -> Result<BackupVerifyReport, StorageError> {
-        crate::archive::verify_backup(&vfs, dir, Duration::ZERO, None)
+        crate::archive::verify_backup(&vfs, dir, None)
     }
 
     /// Register a backup directory for ongoing re-verification: the

@@ -129,7 +129,6 @@ impl ScrubStats {
 pub(crate) fn verify_watched(
     vfs: &VfsHandle,
     watched: &Mutex<Vec<PathBuf>>,
-    pause_per_record: Duration,
     stop: Option<&AtomicBool>,
 ) -> ScrubStats {
     let dirs: Vec<PathBuf> = watched.lock().unwrap_or_else(|e| e.into_inner()).clone();
@@ -139,7 +138,7 @@ pub(crate) fn verify_watched(
             break;
         }
         stats.backups_checked += 1;
-        match crate::archive::verify_backup(vfs, &backup, pause_per_record, stop) {
+        match crate::archive::verify_backup(vfs, &backup, stop) {
             Ok(_) => OBS_SCRUB_BACKUPS_OK.inc(),
             Err(e) => {
                 OBS_SCRUB_BACKUPS_ERR.inc();
@@ -158,15 +157,13 @@ pub(crate) fn verify_watched(
 ///
 /// Resolves `CURRENT` to its manifest (a missing or damaged manifest fails
 /// the pass — it is not a clean directory), then re-reads and CRC-verifies
-/// every record of every chunk's chain, sleeping `pause_per_record`
-/// between chunks (the throttle) and stopping early when `stop` flips. A
+/// every record of every chunk's chain, stopping early when `stop` flips. A
 /// chunk's first damaged record is *reported*, never touched: healing is
 /// the owner's job, where the in-memory table still has the data — and
 /// since a chain decodes only whole, one damaged record damages the chunk.
 pub fn scrub_pass(
     vfs: &VfsHandle,
     dir: &Path,
-    pause_per_record: Duration,
     stop: Option<&AtomicBool>,
 ) -> Result<ScrubReport, StorageError> {
     let (generation, manifest, _) = read_current(vfs, dir)?;
@@ -191,15 +188,11 @@ pub fn scrub_pass(
             });
         }
         report.records_checked += 1;
-        if !pause_per_record.is_zero() {
-            std::thread::sleep(pause_per_record);
-        }
     }
-    // Walk the archive index behind the live chain at the same throttle.
+    // Walk the archive index behind the live chain.
     // Archive damage never fails the pass: history rot is a finding (and
     // a counter), not an obstacle to serving the live table.
-    let (archive_checked, archive_findings) =
-        crate::archive::scrub_archive(vfs, dir, pause_per_record, stop);
+    let (archive_checked, archive_findings) = crate::archive::scrub_archive(vfs, dir, stop);
     report.archive_files_checked = archive_checked;
     report.archive_findings = archive_findings;
     OBS_SCRUB_PASSES.inc();
@@ -282,12 +275,11 @@ impl Scrubber {
     /// Spawn the thread. Fails (typed) if the OS refuses the thread.
     /// `watched` holds backup directories (shared with the owning table's
     /// `watch_backup`) that each pass re-verifies end to end after the
-    /// live walk, at the same throttle.
+    /// live walk.
     pub fn spawn(
         vfs: VfsHandle,
         dir: PathBuf,
         interval: Duration,
-        pause_per_record: Duration,
         watched: Arc<Mutex<Vec<PathBuf>>>,
     ) -> Result<Self, StorageError> {
         let shared = Arc::new(ScrubShared::default());
@@ -311,7 +303,7 @@ impl Scrubber {
                 if thread_stop.load(Ordering::Relaxed) {
                     return;
                 }
-                match scrub_pass(&vfs, &dir, pause_per_record, Some(&thread_stop)) {
+                match scrub_pass(&vfs, &dir, Some(&thread_stop)) {
                     Ok(report) => thread_shared.absorb(&report),
                     // A pass racing a checkpoint can lose files mid-walk;
                     // the next pass sees a consistent view. Count it, move
@@ -320,7 +312,7 @@ impl Scrubber {
                 }
                 // Re-verify watched backups at the pass cadence.
                 let stop = Some(&*thread_stop);
-                thread_shared.absorb_stats(verify_watched(&vfs, &watched, pause_per_record, stop));
+                thread_shared.absorb_stats(verify_watched(&vfs, &watched, stop));
             })?;
         Ok(Self {
             shared,

@@ -126,6 +126,24 @@ fn reopen_restores_optimized_layout_with_zero_solves_and_zero_encodes() {
     let solves_before = casper_core::solver::telemetry::solve_count();
     let encodes_before = codec_telemetry::encode_count();
     let mut reopened = DurableTable::open(&dir, DurableOptions::default()).expect("open");
+    // The open is metadata-only: no chunk is decoded until a query routes
+    // to it, and a point query decodes exactly the chunk it routes to.
+    let column = reopened.table().column();
+    assert!(column.chunk_count() > 2, "test premise: several chunks");
+    assert!(
+        column.chunks().iter().all(|slot| !slot.is_hydrated()),
+        "open must not hydrate any chunk"
+    );
+    let key = rows; // an even key in the middle of the key space
+    let owner = column.route_for(key).expect("a range-partitioned column");
+    reopened
+        .execute(&HapQuery::Q1 { v: key, k: 1 })
+        .expect("first query");
+    let hydrated: Vec<usize> = (reopened.table().column().chunks().iter())
+        .enumerate()
+        .filter_map(|(i, slot)| slot.is_hydrated().then_some(i))
+        .collect();
+    assert_eq!(hydrated, [owner], "a point query hydrates its chunk only");
     reopened.hydrate_all().expect("hydrate");
     assert_eq!(
         casper_core::solver::telemetry::solve_count(),
@@ -200,6 +218,7 @@ fn writes_survive_reopen_without_checkpoint() {
         oracle.execute(q).expect("oracle write");
     }
     let gen_before = durable.stats().generation;
+    assert_eq!(gen_before, 1, "watermark off: writes never checkpoint");
     drop(durable); // no checkpoint: recovery must come from WAL replay
 
     let mut reopened = DurableTable::open(&dir, DurableOptions::default()).expect("open");
@@ -215,7 +234,7 @@ fn writes_survive_reopen_without_checkpoint() {
 
 #[test]
 fn crash_smoke_torn_wal_tail_recovers_to_committed_prefix() {
-    // The CI recovery-smoke scenario: build a table, stream writes, "kill"
+    // The crash smoke scenario: build a table, stream writes, "kill"
     // the process mid-stream by dropping bytes off the WAL tail, reopen,
     // and assert query equality against an in-memory oracle that only saw
     // the committed prefix.

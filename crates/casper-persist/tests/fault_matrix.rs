@@ -556,6 +556,64 @@ fn background_failures_escalate_to_degraded_then_reactivate() {
     );
 }
 
+/// Transient fsync faults on every other checkpoint's segment are
+/// absorbed by the checkpoint retry policy, on the calling thread and on
+/// the background checkpointer alike: each injected fault costs exactly
+/// one retry, no checkpoint fails, the table never degrades, and every
+/// acknowledged write survives a power cut.
+#[test]
+fn checkpoint_retries_absorb_segment_fsync_faults_without_degrading() {
+    const ROUNDS: usize = 4;
+    let faulted = ROUNDS.div_ceil(2) as u64;
+    for background in [false, true] {
+        let dir = test_dir(&format!("fm_retry_absorb_{background}"));
+        let (vfs, handle) = fault_handle(43);
+        let opts = DurableOptions {
+            background_checkpointer: background,
+            checkpoint_retries: 3,
+            ..DurableOptions::default()
+        };
+        let mut t =
+            DurableTable::create_from_table_with_vfs(handle.clone(), &dir, seed_table(), opts)
+                .expect("create");
+        let mut oracle = seed_table();
+        for i in 0..ROUNDS {
+            t.execute(&marker_write(i)).expect("write");
+            oracle.execute(&marker_write(i)).expect("oracle");
+            if i % 2 == 0 {
+                // A fresh rule counts from here: the first attempt of this
+                // checkpoint fails its segment fsync, the retry does not.
+                vfs.inject(FaultRule::nth_fsync("seg-", 1, FaultErr::Eio));
+            }
+            t.checkpoint()
+                .unwrap_or_else(|e| panic!("background={background}: checkpoint {i}: {e}"));
+        }
+        let cp = t.checkpoint_stats();
+        assert!(!t.is_degraded(), "background={background}: degraded");
+        assert_eq!(cp.total_failures, 0, "background={background}: {cp:?}");
+        assert_eq!(
+            vfs.counters().injected,
+            faulted,
+            "background={background}: {:?}",
+            vfs.injected_faults()
+        );
+        assert_eq!(
+            cp.total_retries, faulted,
+            "background={background}: one retry per injected fault"
+        );
+        drop(t);
+
+        vfs.simulate_crash().expect("crash");
+        let mut t =
+            DurableTable::open_with_vfs(handle, &dir, DurableOptions::default()).expect("reopen");
+        assert_eq!(
+            fingerprint_durable(&mut t, ROUNDS),
+            fingerprint_oracle(&mut oracle, ROUNDS),
+            "background={background}: acknowledged writes lost"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scrubber: detect, heal, quarantine
 // ---------------------------------------------------------------------------

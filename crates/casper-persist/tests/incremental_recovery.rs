@@ -48,7 +48,12 @@ fn payload_row(key: u64) -> Vec<u32> {
 }
 
 fn seed_table() -> Table {
-    let keys: Vec<u64> = (0..ROWS).map(|i| i * 2).collect();
+    seed_table_of(ROWS)
+}
+
+/// Even keys 0, 2, …, 2·(rows−1) in chunks of `CHUNK_VALUES`.
+fn seed_table_of(rows: u64) -> Table {
+    let keys: Vec<u64> = (0..rows).map(|i| i * 2).collect();
     let cols: Vec<Vec<u32>> = (0..2)
         .map(|c| keys.iter().map(|&k| payload_row(k)[c]).collect())
         .collect();
@@ -457,40 +462,49 @@ fn multi_segment_chain_replays_idempotently_and_compacts() {
     );
 }
 
+/// An incremental checkpoint writes only the dirty chunks: its segment is
+/// under half the full one with 1 of 3 chunks dirty, and at most a
+/// quarter of it with 10% of the chunks (2 of 20) dirty.
 #[test]
 fn segment_chain_grows_only_by_dirty_chunks() {
-    let dir = test_dir("incr_dirty_only");
-    let mut durable =
-        DurableTable::create_from_table(&dir, seed_table(), DurableOptions::default())
+    for (chunks, dirty, max_share) in [(3u64, 1u64, 0.5), (20, 2, 0.25)] {
+        let dir = test_dir(&format!("incr_dirty_only_{chunks}"));
+        let table = seed_table_of(chunks * CHUNK_VALUES as u64);
+        let mut durable = DurableTable::create_from_table(&dir, table, DurableOptions::default())
             .expect("create");
-    let full_seg = fs::metadata(dir.join("seg-000001.casper"))
-        .expect("initial segment")
-        .len();
-    // Dirty exactly one of the three chunks.
-    durable
-        .execute(&HapQuery::Q4 {
-            key: 7,
-            payload: payload_row(7),
-        })
-        .expect("write");
-    assert_eq!(durable.stats().dirty_chunks, 1);
-    durable.checkpoint().expect("checkpoint");
-    let inc_seg = fs::metadata(dir.join("seg-000002.casper"))
-        .expect("incremental segment")
-        .len();
-    assert!(
-        inc_seg * 2 < full_seg,
-        "incremental segment ({inc_seg}B) should be well under half the \
-         full one ({full_seg}B) when 1 of 3 chunks is dirty"
-    );
-    // A checkpoint with nothing dirty folds the WAL without any segment.
-    let g = durable.checkpoint().expect("empty checkpoint");
-    assert_eq!(durable.stats().generation, g);
-    assert_eq!(durable.stats().dirty_chunks, 0);
-    assert!(
-        !casper_persist::FileKind::Segment.path(&dir, 3).exists(),
-        "a pure WAL fold must not allocate a segment"
-    );
+        assert_eq!(durable.table().column().chunk_count() as u64, chunks);
+        let full_seg = fs::metadata(dir.join("seg-000001.casper"))
+            .expect("initial segment")
+            .len();
+        // One odd key inside each of the first `dirty` chunks.
+        for c in 0..dirty {
+            let key = c * 2 * CHUNK_VALUES as u64 + 7;
+            durable
+                .execute(&HapQuery::Q4 {
+                    key,
+                    payload: payload_row(key),
+                })
+                .expect("write");
+        }
+        assert_eq!(durable.stats().dirty_chunks, dirty);
+        durable.checkpoint().expect("checkpoint");
+        let inc_seg = fs::metadata(dir.join("seg-000002.casper"))
+            .expect("incremental segment")
+            .len();
+        assert!(
+            inc_seg as f64 <= max_share * full_seg as f64,
+            "incremental segment ({inc_seg}B) should be at most {max_share} of the \
+             full one ({full_seg}B) when {dirty} of {chunks} chunks are dirty"
+        );
+        // A checkpoint with nothing dirty folds the WAL without any segment.
+        let g = durable.checkpoint().expect("empty checkpoint");
+        assert_eq!(durable.stats().generation, g);
+        assert_eq!(durable.stats().dirty_chunks, 0);
+        assert!(
+            !casper_persist::FileKind::Segment.path(&dir, 3).exists(),
+            "a pure WAL fold must not allocate a segment"
+        );
+    }
 }
 
 #[test]

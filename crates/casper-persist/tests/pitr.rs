@@ -198,7 +198,10 @@ fn build_history(handle: VfsHandle, dir: &Path, mode: LayoutMode) -> Vec<Point> 
 
 /// Property: for every layout mode and every acknowledged commit LSN in
 /// an archived history, `open_at(lsn)` equals the in-memory oracle at
-/// that write — even for LSNs whose generation was long superseded.
+/// that write — even for LSNs whose generation was long superseded — and
+/// it replays exactly the writes between the newest checkpoint at or
+/// before the target and the target: none at a checkpoint boundary, the
+/// archived WAL in between.
 #[test]
 fn open_at_matches_oracle_across_modes() {
     for mode in LayoutMode::all() {
@@ -210,6 +213,16 @@ fn open_at_matches_oracle_across_modes() {
             assert_eq!(
                 pit.restored_lsn, p.lsn,
                 "{mode:?}: write {i} targeted a commit boundary"
+            );
+            // Each marker write is one op; the base is the checkpoint taken
+            // after the last `CHECKPOINT_AFTER` write at or before `i` (the
+            // create's checkpoint, before write 0, if there is none).
+            let base = CHECKPOINT_AFTER.iter().rev().find(|&&c| c <= i);
+            let want_replayed = base.map_or(i + 1, |&c| i - c) as u64;
+            assert_eq!(
+                pit.ops_replayed, want_replayed,
+                "{mode:?}: open_at({}) replayed the wrong ops for write {i}",
+                p.lsn
             );
             assert_eq!(
                 fingerprint_oracle(&mut pit.table, WRITES),

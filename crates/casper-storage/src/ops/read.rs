@@ -36,7 +36,8 @@ use std::ops::Range;
 // Range scans touch hundreds of partitions per chunk, so the scan driver
 // accumulates locally and flushes each counter once per chunk — a
 // per-partition `inc()` costs microseconds on a full-table scan and blows
-// the obs_overhead gate. Point queries touch one partition and inc directly.
+// the ≤2% telemetry budget. Point queries touch one partition and inc
+// directly.
 static OBS_PLAIN_SCANS: CounterDef =
     CounterDef::new("casper_scan_partitions_total{path=\"plain\"}");
 static OBS_COMPRESSED_SCANS: CounterDef =

@@ -10,7 +10,7 @@
 //! published between the insert and the delete — which the
 //! one-publish-per-commit protocol forbids.
 //!
-//! Parameterized by environment for the CI `concurrency-smoke` matrix:
+//! Parameterized by environment for the CI `stress` job:
 //!
 //! - `CASPER_STRESS_THREADS` — reader thread count (default 4)
 //! - `CASPER_STRESS_SEEDS`   — comma-separated RNG seeds (default "1,2")

@@ -7,15 +7,15 @@
 //! `execute_with`.
 //!
 //! The concurrency stress follows the `tests/concurrency.rs` pattern and
-//! is parameterized by environment for the CI `governor-smoke` matrix:
+//! is parameterized by environment for the CI `stress` job:
 //!
 //! - `CASPER_STRESS_THREADS` — reader thread count (default 4)
 //! - `CASPER_STRESS_SEEDS`   — comma-separated RNG seeds (default "1,2")
 //! - `CASPER_GOV_ROUNDS`     — governed queries per seed (default 150)
 
 use casper::engine::{
-    CancelToken, ColumnSnapshot, EngineConfig, Governor, GovernorConfig, LayoutMode, QueryCtx,
-    QueryOutput, QueryResult, Table, TxnManager,
+    CancelToken, ColumnSnapshot, EngineConfig, Governor, GovernorConfig, GovernorStats, LayoutMode,
+    QueryCtx, QueryOutput, QueryResult, Table, TxnManager,
 };
 use casper::persist::{DurableOptions, DurableTable};
 use casper::storage::StorageError;
@@ -125,26 +125,19 @@ fn persist_fixture(dir: &std::path::Path) -> usize {
     working_set
 }
 
-/// Tentpole acceptance: with a budget at ~50% of the working set, a full
-/// key sweep (which hydrates every chunk at least once) keeps accounted
-/// resident bytes at or under the budget after every governed query, all
-/// point reads return bit-exact payloads, and both eviction and
-/// rehydration actually happened.
-#[test]
-fn memory_budget_holds_with_bit_exact_rehydration() {
-    let dir = test_dir("gov_budget");
-    let working_set = persist_fixture(&dir);
-    let budget = working_set / 2;
-
-    let mut gov_cfg = GovernorConfig::default();
-    gov_cfg.memory_budget_bytes = budget;
-    gov_cfg.check_interval = 1; // account after every query: tightest gate
+/// Sweep every key with governed point reads (`rounds` of them, each
+/// checked bit-exact) on `dir` opened under `gov_cfg`; returns the peak
+/// accounted resident bytes and the governor's final stats.
+fn governed_sweep(
+    dir: &std::path::Path,
+    gov_cfg: GovernorConfig,
+    rounds: usize,
+) -> (usize, GovernorStats) {
     let mut opts = DurableOptions::default();
     opts.governor = Some(gov_cfg);
-    let mut t = DurableTable::open(&dir, opts).expect("governed open");
+    let mut t = DurableTable::open(dir, opts).expect("governed open");
 
     let ctx = QueryCtx::unbounded();
-    let rounds = env_usize("CASPER_GOV_ROUNDS", 150).max(2 * ROWS as usize);
     let mut max_resident = 0usize;
     for i in 0..rounds {
         let key = (i as u64 % ROWS) * 2;
@@ -154,18 +147,49 @@ fn memory_budget_holds_with_bit_exact_rehydration() {
     }
     let out = t.execute_with(&count_all(), &ctx).expect("count");
     assert_eq!(out.result.scalar(), ROWS, "no rows lost to eviction");
+    let stats = t.governor_stats().expect("governor configured");
+    assert_eq!(stats.resident_bytes as usize, t.resident_bytes());
+    (max_resident, stats)
+}
 
+/// Tentpole acceptance: with a budget at ~50% of the working set, a full
+/// key sweep (which hydrates every chunk at least once) keeps accounted
+/// resident bytes at or under the budget after every governed query, all
+/// point reads return bit-exact payloads, and both eviction and
+/// rehydration actually happened. The same sweep under a roomy governor
+/// (twice the working set, 64 slots) is governed but never binds: it
+/// sheds nothing, evicts nothing and rehydrates nothing.
+#[test]
+fn memory_budget_holds_with_bit_exact_rehydration() {
+    let dir = test_dir("gov_budget");
+    let working_set = persist_fixture(&dir);
+    let budget = working_set / 2;
+    let rounds = env_usize("CASPER_GOV_ROUNDS", 150).max(2 * ROWS as usize);
+
+    let mut gov_cfg = GovernorConfig::default();
+    gov_cfg.memory_budget_bytes = budget;
+    gov_cfg.check_interval = 1; // account after every query: tightest gate
+    let (max_resident, stats) = governed_sweep(&dir, gov_cfg, rounds);
     assert!(
         max_resident <= budget,
         "resident ceiling violated: {max_resident} > budget {budget}"
     );
-    let stats = t.governor_stats().expect("governor configured");
     assert!(stats.evictions > 0, "budget at 50% must force evictions");
     assert!(
         stats.rehydrations > 0,
         "sweeping all keys must rehydrate evicted chunks"
     );
-    assert_eq!(stats.resident_bytes as usize, t.resident_bytes());
+
+    let mut roomy = GovernorConfig::default();
+    roomy.memory_budget_bytes = 2 * working_set;
+    roomy.query_slots = 64;
+    roomy.check_interval = 1;
+    let (max_resident, stats) = governed_sweep(&dir, roomy, rounds);
+    assert_eq!(max_resident, working_set, "the sweep hydrates every chunk");
+    assert_eq!(stats.shed, 0, "a roomy gate must never shed");
+    assert_eq!(stats.evictions, 0, "a roomy budget must never evict");
+    assert_eq!(stats.rehydrations, 0, "nothing evicted, nothing rehydrated");
+    assert_eq!(stats.admitted, rounds as u64 + 1, "every query admitted");
 }
 
 /// Eviction-vs-pinned-snapshot stress: reader threads pin published
