@@ -210,8 +210,8 @@ criterion_group!(
 
 /// Custom harness entry: run the criterion groups, then emit the
 /// machine-readable kernel trajectory — dispatched-SIMD vs forced-scalar
-/// ns/elem and GB/s for every plain, point-probe and compressed kernel ×
-/// lane width. A full run writes it to `BENCH_scan.json` at the workspace
+/// ns/elem and GB/s for every plain, point-probe and key-lane range
+/// kernel × lane width. A full run writes it to `BENCH_scan.json` at the workspace
 /// root. Smoke runs (`--test`) shrink the lanes and rep counts, still
 /// assert both dispatch paths agree, and write nothing.
 fn main() {
@@ -222,14 +222,14 @@ fn main() {
     let (rows, reps) = if smoke { (1 << 14, 1) } else { (1 << 20, 7) };
     let mut entries = trajectory::plain_entries(rows, reps);
     entries.extend(trajectory::point_probe_entries(rows, reps));
-    entries.extend(trajectory::compressed_entries(rows, reps));
+    entries.extend(trajectory::key_lane_range_entries(rows, reps));
     for e in &entries {
         let gbps = e
             .gbps
             .map_or("      -".to_string(), |g| format!("{g:>7.2}"));
         eprintln!(
-            "[trajectory] {:<28} u{:<2} {:>8} {}s  {:>7.3} ns/{}  {gbps} GB/s  {:>5.2}x vs scalar",
-            e.kernel, e.width_bits, e.rows, e.unit, e.ns_per_elem, e.unit, e.speedup
+            "[trajectory] {:<32} u{:<2} {:>8} elems  {:>7.3} ns/elem  {gbps} GB/s  {:>5.2}x vs scalar",
+            e.kernel, e.width_bits, e.rows, e.ns_per_elem, e.speedup
         );
     }
     if !smoke {

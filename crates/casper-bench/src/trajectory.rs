@@ -2,8 +2,8 @@
 //!
 //! A full `scan_ops` bench run writes `BENCH_scan.json` at the workspace
 //! root after its criterion groups run — the single record of kernel
-//! perf: one entry per kernel × lane width (plain u64 *and* the packed
-//! compressed lanes) with the dispatched-SIMD and forced-scalar
+//! perf: one entry per kernel × lane width (plain u64 *and* a partitioned
+//! chunk's 32-bit key lane) with the dispatched-SIMD and forced-scalar
 //! ns/element, effective GB/s, and the speedup — so per-PR perf can be
 //! tracked without parsing bench stdout.
 //!
@@ -13,10 +13,7 @@
 //! that to check both dispatch paths build, run, and agree. A smoke run
 //! writes no file, so the committed `BENCH_scan.json` is always a full run.
 
-use casper_storage::compress::dictionary::PackedCodes;
-use casper_storage::compress::for_delta::PackedOffsets;
-use casper_storage::compress::{Dictionary, ForBlock, Rle};
-use casper_storage::kernels::{self, compressed};
+use casper_storage::kernels;
 use casper_storage::simd::portable;
 use casper_storage::ColumnValue;
 use std::fmt::Write as _;
@@ -25,25 +22,19 @@ use std::time::Instant;
 /// One measured kernel data point.
 #[derive(Debug, Clone)]
 pub struct Entry {
-    /// Kernel name (e.g. `select_range_bitmap`, `for_count_range`).
+    /// Kernel name (e.g. `select_range_bitmap`,
+    /// `key_lane_u32_count_range`).
     pub kernel: String,
-    /// Lane element width in bits (64 for plain u64 lanes, 8/16/32 for
-    /// packed compressed lanes).
+    /// Lane element width in bits (64 for plain u64 lanes, 32 for the key
+    /// lane's offsets).
     pub width_bits: u32,
-    /// Lane length in values (or *runs*, for per-run kernels — see
-    /// [`Entry::unit`]).
+    /// Lane length in values.
     pub rows: usize,
-    /// Dispatched-path nanoseconds per element (or per run).
+    /// Dispatched-path nanoseconds per element.
     pub ns_per_elem: f64,
-    /// What one "element" is: `"elem"` for kernels scanning a decoded or
-    /// packed lane, `"run"` for kernels whose cost is per *run* (RLE
-    /// arithmetic never touches the decoded lane).
-    pub unit: &'static str,
     /// Effective scan bandwidth of the dispatched path in GB/s
-    /// (`rows * width_bits / 8` bytes over the measured time). `None` for
-    /// per-run kernels: they read run metadata, not the lane, so a
-    /// lane-bytes-over-time "bandwidth" is meaningless (the old report
-    /// claimed ~10^5 GB/s here).
+    /// (`rows * width_bits / 8` bytes over the measured time); `None` when
+    /// the measured time rounds to zero.
     pub gbps: Option<f64>,
     /// Baseline nanoseconds per element: the portable fallback of *this*
     /// binary — i.e. the same loops the shipped artifact runs under
@@ -52,8 +43,7 @@ pub struct Entry {
     /// dispatch layer; it is NOT the historical `target-cpu=native`
     /// auto-vectorized build (reproduce that with `cargo native-bench` —
     /// on an AVX-512 host the native-autovec u64 loops land close to the
-    /// dispatched kernels, while the packed u8/u16 compressed-lane wins
-    /// remain).
+    /// dispatched kernels).
     pub scalar_ns_per_elem: f64,
     /// `scalar_ns_per_elem / ns_per_elem`.
     pub speedup: f64,
@@ -75,7 +65,6 @@ impl Entry {
             width_bits,
             rows,
             ns_per_elem,
-            unit: "elem",
             gbps: (total_ns > 0.0).then_some(bytes / total_ns),
             scalar_ns_per_elem,
             speedup: if ns_per_elem > 0.0 {
@@ -83,22 +72,6 @@ impl Entry {
             } else {
                 0.0
             },
-        }
-    }
-
-    /// An entry for a kernel whose work is proportional to *runs*, not
-    /// elements (RLE run arithmetic): reports ns per run and omits the
-    /// bandwidth figure entirely.
-    pub fn per_run(kernel: impl Into<String>, runs: usize, ns_per_run: f64) -> Self {
-        Self {
-            kernel: kernel.into(),
-            width_bits: 64,
-            rows: runs,
-            ns_per_elem: ns_per_run,
-            unit: "run",
-            gbps: None,
-            scalar_ns_per_elem: ns_per_run,
-            speedup: 1.0,
         }
     }
 }
@@ -274,120 +247,46 @@ pub fn point_probe_entries(rows: usize, reps: usize) -> Vec<Entry> {
     out
 }
 
-/// Measure the compressed kernels over FoR lanes at every packed width,
-/// dictionary lanes at u8/u16 code widths, and the (deliberately scalar)
-/// RLE run arithmetic. Baseline is the portable fallback over the same
-/// packed lane with the same rebased window.
-pub fn compressed_entries(rows: usize, reps: usize) -> Vec<Entry> {
-    let mut out = Vec::new();
-
-    // FoR: the data span selects the offset width (§6.2 partitioning
-    // synergy — narrow partitions → narrow offsets).
-    for (label, bits, domain) in [
-        ("for_u8", 8u32, 200u64),
-        ("for_u16", 16, 60_000),
-        ("for_u32", 32, 3_000_000_000),
-    ] {
-        let base = 5_000_000u64;
-        let data: Vec<u64> = (0..rows as u64)
-            .map(|i| base + i.wrapping_mul(2_654_435_761) % domain)
-            .collect();
-        let frag = ForBlock::encode(&data);
-        assert_eq!(frag.width().bytes() as u32 * 8, bits, "{label} width");
-        let lo = base + domain / 4;
-        let hi = lo + domain / 32; // ~3% of the domain
-        let lo_off = lo - base;
-        let span = hi - lo;
-        let want = data.iter().filter(|&&x| lo <= x && x < hi).count() as u64;
-        assert_eq!(compressed::for_count_range(&frag, lo, hi), want, "{label}");
-
-        macro_rules! lane_entries {
-            ($lane:expr, $t:ty) => {{
-                let lane: &[$t] = $lane;
-                let (l, s) = (lo_off as $t, span as $t);
-                assert_eq!(portable::count_window(lane, l, s), want, "{label} portable");
-                out.push(Entry::new(
-                    format!("{label}_count_range"),
-                    bits,
-                    rows,
-                    time_per_elem(rows, reps, || compressed::for_count_range(&frag, lo, hi)),
-                    time_per_elem(rows, reps, || portable::count_window(lane, l, s)),
-                ));
-                let mut mask = Vec::with_capacity(rows / 64 + 1);
-                out.push(Entry::new(
-                    format!("{label}_select_range_bitmap"),
-                    bits,
-                    rows,
-                    time_per_elem(rows, reps, || {
-                        mask.clear();
-                        compressed::for_select_range_bitmap(&frag, lo, hi, &mut mask)
-                    }),
-                    time_per_elem(rows, reps, || {
-                        mask.clear();
-                        portable::bitmap_window(lane, l, s, &mut mask)
-                    }),
-                ));
-            }};
-        }
-        match frag.offsets() {
-            PackedOffsets::U8(v) => lane_entries!(v, u8),
-            PackedOffsets::U16(v) => lane_entries!(v, u16),
-            PackedOffsets::U32(v) => lane_entries!(v, u32),
-            PackedOffsets::U64(v) => lane_entries!(v, u64),
-        }
-    }
-
-    // Dictionary: cardinality selects the code width.
-    for (label, bits, cardinality) in [("dict_u8", 8u32, 200u64), ("dict_u16", 16, 50_000)] {
-        let data: Vec<u64> = (0..rows as u64)
-            .map(|i| i.wrapping_mul(2_654_435_761) % cardinality * 300)
-            .collect();
-        let frag = Dictionary::encode(&data);
-        let lo = cardinality * 300 / 4;
-        let hi = lo + cardinality * 300 / 32;
-        let want = data.iter().filter(|&&x| lo <= x && x < hi).count() as u64;
-        assert_eq!(compressed::dict_count_range(&frag, lo, hi), want, "{label}");
-        let lo_c = u64::from(frag.lower_bound_code(lo));
-        let span_c = u64::from(frag.lower_bound_code(hi)) - lo_c;
-
-        macro_rules! lane_entry {
-            ($lane:expr, $t:ty) => {{
-                let lane: &[$t] = $lane;
-                let (l, s) = (lo_c as $t, span_c as $t);
-                out.push(Entry::new(
-                    format!("{label}_count_range"),
-                    bits,
-                    rows,
-                    time_per_elem(rows, reps, || compressed::dict_count_range(&frag, lo, hi)),
-                    time_per_elem(rows, reps, || portable::count_window(lane, l, s)),
-                ));
-            }};
-        }
-        match frag.codes() {
-            PackedCodes::U8(v) => lane_entry!(v, u8),
-            PackedCodes::U16(v) => lane_entry!(v, u16),
-            PackedCodes::U32(v) => lane_entry!(v, u32),
-        }
-    }
-
-    // RLE stays scalar (two binary searches + prefix-sum subtraction, no
-    // per-value work to vectorize) but is benchmarked so regressions show.
-    // Its cost is per *run*, and it never touches the decoded lane — so
-    // the honest figures are ns/run with no bandwidth (the old per-element
-    // accounting divided a handful of binary-search probes by a million
-    // rows and reported ~10^5 GB/s).
-    {
-        let mut data: Vec<u64> = (0..rows as u64).map(|i| i % 4096 * 300).collect();
-        data.sort_unstable();
-        let frag = Rle::encode(&data);
-        let runs = frag.runs().len();
-        let ns_per_run = time_per_elem(runs, reps, || {
-            compressed::rle_count_range(&frag, 30_000, 600_000)
-        });
-        out.push(Entry::per_run("rle_count_range", runs, ns_per_run));
-    }
-
-    out
+/// Measure the key lane's range filter: the `[lo, hi)` count and bitmap
+/// select a partitioned chunk runs over its 32-bit offsets after rebasing
+/// the predicate, at ~3% selectivity over offsets spanning 3·10^9. The
+/// lane goes through the public kernels at `u32`, as
+/// [`point_probe_entries`] does; the baseline is the portable window loop
+/// over the same lane.
+pub fn key_lane_range_entries(rows: usize, reps: usize) -> Vec<Entry> {
+    let domain = 3_000_000_000u64;
+    let lane: Vec<u32> = (0..rows as u64)
+        .map(|i| (i.wrapping_mul(2_654_435_761) % domain) as u32)
+        .collect();
+    let lo = (domain / 4) as u32;
+    let hi = lo + (domain / 32) as u32;
+    let span = hi - lo;
+    let want = lane.iter().filter(|&&x| lo <= x && x < hi).count() as u64;
+    assert_eq!(kernels::count_range(&lane, lo, hi), want, "count_range");
+    assert_eq!(portable::count_window(&lane, lo, span), want, "portable");
+    let mut mask = Vec::with_capacity(rows / 64 + 1);
+    vec![
+        Entry::new(
+            "key_lane_u32_count_range",
+            32,
+            rows,
+            time_per_elem(rows, reps, || kernels::count_range(&lane, lo, hi)),
+            time_per_elem(rows, reps, || portable::count_window(&lane, lo, span)),
+        ),
+        Entry::new(
+            "key_lane_u32_select_range_bitmap",
+            32,
+            rows,
+            time_per_elem(rows, reps, || {
+                mask.clear();
+                kernels::select_range_bitmap(&lane, lo, hi, &mut mask)
+            }),
+            time_per_elem(rows, reps, || {
+                mask.clear();
+                portable::bitmap_window(&lane, lo, span, &mut mask)
+            }),
+        ),
+    ]
 }
 
 /// Version of the `BENCH_scan.json` shape: the header (`bench`,
@@ -442,19 +341,10 @@ pub fn write_json(file: &str, bench: &str, entries: &[Entry]) {
             .map_or(String::new(), |g| format!("\"gbps\": {g:.3}, "));
         let _ = writeln!(
             out,
-            "    {{\"kernel\": \"{}\", \"width_bits\": {}, \"rows\": {}, \"unit\": \"{}\", \
-             \"ns_per_{}\": {:.4}, {}\
-             \"scalar_ns_per_{}\": {:.4}, \"speedup\": {:.2}}}{comma}",
-            e.kernel,
-            e.width_bits,
-            e.rows,
-            e.unit,
-            e.unit,
-            e.ns_per_elem,
-            gbps,
-            e.unit,
-            e.scalar_ns_per_elem,
-            e.speedup
+            "    {{\"kernel\": \"{}\", \"width_bits\": {}, \"rows\": {}, \"unit\": \"elem\", \
+             \"ns_per_elem\": {:.4}, {}\
+             \"scalar_ns_per_elem\": {:.4}, \"speedup\": {:.2}}}{comma}",
+            e.kernel, e.width_bits, e.rows, e.ns_per_elem, gbps, e.scalar_ns_per_elem, e.speedup
         );
     }
     let _ = writeln!(out, "  ]");
@@ -476,11 +366,6 @@ mod tests {
         let e = Entry::new("count_range", 64, 1 << 20, 1.0, 3.5);
         assert!((e.gbps.expect("lane kernels report bandwidth") - 8.0).abs() < 1e-9);
         assert!((e.speedup - 3.5).abs() < 1e-9);
-        // Per-run kernels report no bandwidth at all.
-        let r = Entry::per_run("rle_count_range", 4096, 2.0);
-        assert_eq!(r.gbps, None);
-        assert_eq!(r.unit, "run");
-        assert_eq!(r.rows, 4096);
     }
 
     #[test]

@@ -1,14 +1,10 @@
 //! The block-access cost model of §4.4 and its verification helpers (§4.5).
 
-mod compression;
 mod constants;
 mod model;
 mod terms;
 mod verify;
 
-pub use compression::{
-    advise_compression, partition_pressure, CompressionAdvice, PartitionPressure,
-};
 pub use constants::CostConstants;
 pub use model::{
     bck_read_closed, bck_read_literal, cost_of_boundaries, cost_of_segmentation, fwd_read_closed,

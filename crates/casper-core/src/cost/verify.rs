@@ -61,8 +61,7 @@ pub enum RangePartKind {
     /// Zone partially overlapping: the partition is scanned through the
     /// filtering kernel and pays its own random jump.
     Filtered {
-        /// Logical blocks the scan streams (live blocks for plain
-        /// partitions, encoded blocks for compressed fragments).
+        /// Logical blocks the partition's live region spans.
         blocks: u64,
     },
 }

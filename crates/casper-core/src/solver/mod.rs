@@ -23,8 +23,7 @@ pub mod sla;
 /// Per-thread solver-invocation instrumentation.
 ///
 /// Every [`dp::solve`] call — the production solver behind
-/// [`LayoutOptimizer::optimize`] — bumps a thread-local counter, mirroring
-/// the codec decode/encode counters in `casper_storage::compress`. The
+/// [`LayoutOptimizer::optimize`] — bumps a thread-local counter. The
 /// durability tests use it to *prove* that restoring a snapshot performs
 /// zero layout solves: the optimized partitioning comes back from disk, not
 /// from re-running the optimizer.

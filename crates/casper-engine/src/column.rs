@@ -100,8 +100,8 @@ impl ChunkStore {
         self.len() == 0
     }
 
-    /// Heap bytes this decoded store keeps resident (slots, fragments,
-    /// indexes, payloads) — the governor's budget unit.
+    /// Heap bytes this decoded store keeps resident (slots, indexes,
+    /// payloads) — the governor's budget unit.
     pub fn resident_bytes(&self) -> usize {
         match self {
             ChunkStore::Partitioned(c) => c.resident_bytes(),
@@ -657,9 +657,8 @@ impl std::fmt::Debug for SnapshotCell {
 #[derive(Debug)]
 pub struct ChunkedColumn {
     state: ColumnSnapshot,
-    /// Per-chunk modification counters: every write, ripple,
-    /// compression-mode change or optimizer re-layout that touches a chunk
-    /// bumps its counter, so a persistence layer can diff two counter
+    /// Per-chunk modification counters: every write, ripple or optimizer
+    /// re-layout that touches a chunk bumps its counter, so a persistence layer can diff two counter
     /// snapshots and enumerate exactly the chunks dirtied in between
     /// (incremental checkpointing). Hydration does **not** bump — decoding
     /// a persisted chunk changes nothing logically. Monotone for the life
@@ -700,8 +699,8 @@ impl ChunkedColumn {
 
     /// Reassemble a column from restored chunk slots (snapshot recovery).
     /// The chunks arrive exactly as they were persisted — already
-    /// partitioned, compressed and ghost-buffered — so no re-sort,
-    /// re-partition or re-encode happens here.
+    /// partitioned and ghost-buffered — so no re-sort or re-partition
+    /// happens here.
     ///
     /// # Panics
     /// Panics when `chunks` is empty or `fences` disagrees with the chunk
@@ -906,8 +905,8 @@ impl ChunkedColumn {
         };
         if let Some(i) = target {
             if let Ok(ChunkStore::Partitioned(chunk)) = self.chunk_mut(i) {
-                // Prefetch may move slots and decompress the target
-                // partition, so the chunk is physically dirty.
+                // Prefetch may move slots, so the chunk is physically
+                // dirty.
                 chunk.prefetch_ghosts(key, count);
                 self.touch(i);
             }

@@ -10,9 +10,6 @@
 //!   and multi-column HAP tables executing Q1–Q6.
 //! * [`optimize`] — the per-chunk Frequency-Model → solver → repartition
 //!   pipeline (the A→B→C loop of Fig. 10), chunk-parallel per §6.3.
-//! * [`compression`] — the §6.2 storage-mode policy: after a re-layout,
-//!   cold read-heavy partitions are encoded (FoR/dictionary/RLE) and served
-//!   by the compressed-scan kernels; writes decode-on-write back to plain.
 //! * [`txn`] — snapshot isolation through MVCC with first-committer-wins
 //!   (§6.1), including the decoupled ghost rippling that survives aborts.
 //! * [`adapt`] — the online re-optimization loop of §1 (A′ in Fig. 10):
@@ -23,7 +20,6 @@
 pub mod adapt;
 pub mod calibrate;
 pub mod column;
-pub mod compression;
 pub mod exec;
 pub mod governor;
 pub mod modes;

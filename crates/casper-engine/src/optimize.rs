@@ -8,7 +8,6 @@
 //! complexity."
 
 use crate::column::{chunk_block_fences, rebuild_partitioned, ChunkStore};
-use crate::compression::apply_compression_policy;
 use crate::exec::{parallel_for_each_mut, parallel_map};
 use crate::modes::LayoutMode;
 use crate::table::Table;
@@ -16,7 +15,6 @@ use casper_core::fm::FmBuilder;
 use casper_core::solver::{LayoutOptimizer, SolverConstraints};
 use casper_core::{CostConstants, FrequencyModel, Op};
 use casper_workload::HapQuery;
-use parking_lot::Mutex;
 use std::time::Instant;
 
 /// Optimization options.
@@ -34,10 +32,6 @@ pub struct OptimizeOptions {
     pub fairness_cap: bool,
     /// Worker threads for the per-chunk solves.
     pub threads: usize,
-    /// Whether to apply the §6.2 storage-mode policy after each rebuild:
-    /// cold read-heavy partitions are encoded and served by the
-    /// compressed-scan kernels.
-    pub compress_cold: bool,
 }
 
 impl Default for OptimizeOptions {
@@ -48,7 +42,6 @@ impl Default for OptimizeOptions {
             ghost_budget_frac: 0.001,
             fairness_cap: true,
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            compress_cold: true,
         }
     }
 }
@@ -68,10 +61,10 @@ pub struct ChunkReport {
     pub est_cost: f64,
     /// Wall time of the solve (ns), excluding the rebuild.
     pub solve_nanos: u64,
-    /// Partitions encoded by the §6.2 storage-mode policy.
+    /// Always 0: a partition keeps one copy of its keys, the chunk's key
+    /// lane, and nothing encodes a second one. Kept because the repo
+    /// benchmark reports it as `core.compressed_partitions`.
     pub compressed_partitions: usize,
-    /// Encoded bytes across those partitions.
-    pub encoded_bytes: usize,
 }
 
 /// Outcome of a whole optimization pass.
@@ -236,18 +229,11 @@ pub fn optimize_table(
             est_cost: decision.est_cost,
             solve_nanos: *solve_nanos,
             compressed_partitions: 0,
-            encoded_bytes: 0,
         });
     }
     // Step C: materialize the new layouts. Rebuilds are independent per
     // chunk (extract → re-sort → re-partition), so they stripe across the
-    // same worker budget as the solve. Each rebuilt chunk then receives the
-    // §6.2 storage-mode pass: partitions the Frequency Model shows as cold
-    // and read-heavy are encoded for the compressed-scan kernels. A
-    // partition compresses when its FM write pressure is at most this
-    // fraction of its read pressure (`casper_core::cost::advise_compression`).
-    const COMPRESS_WRITE_THRESHOLD: f64 = 0.05;
-    let compression = Mutex::new(Vec::new());
+    // same worker budget as the solve.
     let mut stores = table
         .column_mut()
         .chunks_mut()
@@ -255,23 +241,8 @@ pub fn optimize_table(
     parallel_for_each_mut(&mut stores, opts.threads, |i, store| {
         let (decision, _) = &decisions[i];
         **store = rebuild_partitioned(store, &decision.seg, &decision.ghosts, &config);
-        if opts.compress_cold {
-            if let ChunkStore::Partitioned(chunk) = &mut **store {
-                let r = apply_compression_policy(
-                    chunk,
-                    &fms[i],
-                    &decision.seg,
-                    COMPRESS_WRITE_THRESHOLD,
-                );
-                compression.lock().push((i, r));
-            }
-        }
     });
     drop(stores);
-    for (i, r) in compression.into_inner() {
-        report.chunks[i].compressed_partitions = r.compressed_partitions;
-        report.chunks[i].encoded_bytes = r.encoded_bytes;
-    }
     // Re-layout replaced chunk stores wholesale: hand readers the new ones.
     table.column_mut().publish();
     report.fms = fms;
@@ -377,18 +348,13 @@ mod tests {
     }
 
     #[test]
-    fn read_only_workload_compresses_and_stays_correct() {
+    fn read_only_workload_stays_correct() {
         let mut table = test_table(LayoutMode::Casper);
         let mix = Mix::new(MixKind::ReadOnlySkewed, HapSchema::narrow(), 4000);
         let sample = mix.generate(500, 3);
         let report = optimize_table(&mut table, &sample, &OptimizeOptions::default());
-        // A read-only sample leaves every partition cold on the write side:
-        // the policy should encode a substantial share of them.
-        let compressed: usize = report.chunks.iter().map(|c| c.compressed_partitions).sum();
-        assert!(compressed > 0, "no partition compressed: {report:?}");
-        let encoded: usize = report.chunks.iter().map(|c| c.encoded_bytes).sum();
-        assert!(encoded > 0);
-        // Reads over the mixed-mode table are bit-exact.
+        assert!(report.chunks.iter().all(|c| c.compressed_partitions == 0));
+        // Reads over the re-laid-out table are bit-exact.
         let out = table.execute(&HapQuery::Q1 { v: 100, k: 1 }).unwrap();
         assert_eq!(out.result.scalar(), 1);
         let all = HapQuery::Q2 {
@@ -397,36 +363,10 @@ mod tests {
         };
         let n = table.execute(&all).unwrap().result.scalar();
         assert_eq!(n as usize, table.len());
-        // Writes transparently decode-on-write.
-        let mut col_writes = 0usize;
-        for slot in table.column().chunks() {
-            if let Some(ChunkStore::Partitioned(p)) = slot.store_opt() {
-                col_writes += p.compressed_partition_count();
-            }
-        }
-        assert!(col_writes > 0);
         let payload = vec![7u32; table.column().payload_width()];
         table.execute(&HapQuery::Q4 { key: 101, payload }).unwrap();
         let out = table.execute(&HapQuery::Q1 { v: 101, k: 1 }).unwrap();
         assert_eq!(out.result.scalar(), 1);
-    }
-
-    #[test]
-    fn compression_can_be_disabled() {
-        let mut table = test_table(LayoutMode::Casper);
-        let mix = Mix::new(MixKind::ReadOnlySkewed, HapSchema::narrow(), 4000);
-        let sample = mix.generate(300, 4);
-        let opts = OptimizeOptions {
-            compress_cold: false,
-            ..OptimizeOptions::default()
-        };
-        let report = optimize_table(&mut table, &sample, &opts);
-        assert!(report.chunks.iter().all(|c| c.compressed_partitions == 0));
-        for slot in table.column().chunks() {
-            if let Some(ChunkStore::Partitioned(p)) = slot.store_opt() {
-                assert_eq!(p.compressed_partition_count(), 0);
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # casper-persist
 //!
 //! Durable storage for the Casper column-layout engine: everything the
-//! optimizer worked out — workload-optimal partitioning, per-partition
-//! compression modes, ghost-slot placement, frequency-model state — is
+//! optimizer worked out — workload-optimal partitioning, ghost-slot
+//! placement, frequency-model state — is
 //! expensive to recompute, so this crate makes it survive restarts instead
 //! (§6.4 positions Casper as a storage engine "easily integrated into
 //! existing systems"; such systems treat their physical design as durable

@@ -1,19 +1,22 @@
 //! The chunk-record codec: the byte form of one [`ChunkStore`].
 //!
 //! A segment record serializes one chunk — partition boundaries, zone
-//! maps, per-partition storage modes *with their encoded fragment bytes*,
-//! ghost accounting, payload columns — so that [`decode_store`] restores
-//! the exact optimized layout with **no re-solve and no re-compress**:
-//! partitioned chunks come back through `PartitionedChunk::from_state`
-//! (bit-exact raw state) and fragments through the codecs' `from_raw`
-//! constructors, which bypass the encode paths entirely. The
-//! solver-invocation and codec-encode telemetry counters therefore stay
-//! flat across a restore — the durability tests assert exactly that.
+//! maps, ghost accounting, payload columns — so that [`decode_chain`]
+//! restores the exact optimized layout with **no re-solve**: partitioned
+//! chunks come back through `PartitionedChunk::from_state` (bit-exact raw
+//! state). The solver-invocation telemetry counter therefore stays flat
+//! across a restore — the durability tests assert exactly that.
 //!
 //! A **patch record** ([`encode_patch`]) carries only what changed in a
 //! partitioned chunk since its chain's newest record: the slot granules
-//! written since (keys and payload rows), the partition metadata and zone
-//! maps whole, and which partitions dropped their fragment.
+//! written since (keys and payload rows), and the partition metadata and
+//! zone maps whole.
+//!
+//! Older writers could store an encoded key fragment beside a partition's
+//! slots, and a patch flag saying whether the chain's fragment survived.
+//! The slots were always authoritative, so the reader skips those bytes
+//! ([`skip_legacy_fragment`]) and writers emit `0` in both places: the
+//! byte layout is unchanged.
 //! [`decode_chain`] decodes a chunk from its base record and its patches
 //! in order — the one decoder every hydration path uses.
 //!
@@ -29,12 +32,9 @@ use crate::codec::{ByteReader, ByteWriter};
 use casper_engine::column::ChunkStore;
 use casper_engine::{EngineConfig, LayoutMode};
 use casper_storage::chunk::GRANULE_SLOTS;
-use casper_storage::compress::dictionary::PackedCodes;
-use casper_storage::compress::for_delta::PackedOffsets;
-use casper_storage::compress::{Dictionary, ForBlock, Rle};
 use casper_storage::kernels::ZoneMap;
 use casper_storage::{
-    BlockLayout, ChunkConfig, ChunkState, Fragment, PartitionMeta, PartitionedChunk, SortedColumn,
+    BlockLayout, ChunkConfig, ChunkState, PartitionMeta, PartitionedChunk, SortedColumn,
     SortedDelta, StorageError, UpdatePolicy,
 };
 
@@ -100,7 +100,7 @@ pub(crate) fn encode_store(w: &mut ByteWriter, store: &ChunkStore) {
 fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     // Streams straight from the chunk's borrowed state (accessors mirror
     // the `ChunkState` capture field for field) — no intermediate deep
-    // copy of slots, payload columns or fragments per checkpoint.
+    // copy of slots or payload columns per checkpoint.
     let layout = chunk.layout();
     let config = chunk.chunk_config();
     w.u64(layout.block_bytes as u64);
@@ -117,8 +117,9 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     w.u64(chunk.slot_count() as u64);
     chunk.read_slots(0..chunk.slot_count(), |run| w.u64s(run));
     encode_partition_meta(w, chunk);
-    for p in 0..chunk.partition_count() {
-        encode_fragment(w, chunk.partition_fragment(p));
+    // One legacy fragment tag per partition: always 0, "none".
+    for _ in 0..chunk.partition_count() {
+        w.u8(0);
     }
     let cols = chunk.payloads().columns();
     w.u64(cols.len() as u64);
@@ -147,16 +148,15 @@ fn encode_partition_meta(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
 /// The patch record of `chunk` against a chain whose newest record
 /// captured the chunk at write mark `since`: the granules written after
 /// `since` (their keys, then each payload column's values, in granule
-/// order), plus the metadata the write path may change anywhere. A
-/// fragment is never created by a write, only dropped, so each partition
-/// gets one flag: `1` keeps the chain's fragment, `0` drops it.
+/// order), plus the metadata the write path may change anywhere. Each
+/// partition also gets the legacy keep-fragment flag, always `0`.
 pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, since: u64) {
     w.u8(PATCH_TAG);
     w.u64(chunk.slot_count() as u64);
     w.u64(chunk.live_len() as u64);
     encode_partition_meta(w, chunk);
-    for p in 0..chunk.partition_count() {
-        w.u8(u8::from(chunk.partition_fragment(p).is_some()));
+    for _ in 0..chunk.partition_count() {
+        w.u8(0);
     }
     let granules: Vec<usize> = chunk.granules_written_since(since).collect();
     let slots: usize = granules.iter().map(|&g| chunk.granule_slots(g).len()).sum();
@@ -175,60 +175,6 @@ pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, si
         w.u64(slots as u64);
         for &g in &granules {
             w.u32s(chunk.payloads().column_slice(c, chunk.granule_slots(g)));
-        }
-    }
-}
-
-fn encode_fragment(w: &mut ByteWriter, frag: Option<&Fragment<u64>>) {
-    match frag {
-        None => w.u8(0),
-        Some(Fragment::For(f)) => {
-            w.u8(1);
-            w.u64(f.base());
-            match f.offsets() {
-                PackedOffsets::U8(v) => {
-                    w.u8(1);
-                    w.vec_u8(v);
-                }
-                PackedOffsets::U16(v) => {
-                    w.u8(2);
-                    w.vec_u16(v);
-                }
-                PackedOffsets::U32(v) => {
-                    w.u8(4);
-                    w.vec_u32(v);
-                }
-                PackedOffsets::U64(v) => {
-                    w.u8(8);
-                    w.vec_u64(v);
-                }
-            }
-        }
-        Some(Fragment::Dict(d)) => {
-            w.u8(2);
-            w.vec_u64(d.dict());
-            match d.codes() {
-                PackedCodes::U8(v) => {
-                    w.u8(1);
-                    w.vec_u8(v);
-                }
-                PackedCodes::U16(v) => {
-                    w.u8(2);
-                    w.vec_u16(v);
-                }
-                PackedCodes::U32(v) => {
-                    w.u8(4);
-                    w.vec_u32(v);
-                }
-            }
-        }
-        Some(Fragment::Rle(r)) => {
-            w.u8(3);
-            w.u64(r.runs().len() as u64);
-            for &(v, n) in r.runs() {
-                w.u64(v);
-                w.u32(n);
-            }
         }
     }
 }
@@ -286,10 +232,10 @@ pub(crate) fn decode_chain(
     }
     let store = match tag {
         0 => {
-            let mut state = decode_chunk_state(&mut r)?;
+            let (mut state, mut legacy) = decode_chunk_state(&mut r)?;
             r.finish()?;
             for patch in patches {
-                apply_patch(&mut state, patch)?;
+                apply_patch(&mut state, &mut legacy, patch)?;
             }
             state.write_mark = mark;
             check_width(state.payload_cols.len())?;
@@ -313,9 +259,15 @@ pub(crate) fn decode_chain(
 }
 
 /// Apply one patch record (see [`encode_patch`]) to a decoded chunk state.
-/// Structural checks here catch a patch that cannot belong to this chain;
-/// `PartitionedChunk::from_state` checks the result as a whole.
-fn apply_patch(state: &mut ChunkState<u64>, bytes: &[u8]) -> Result<(), StorageError> {
+/// `legacy[p]` says whether the chain still holds a legacy fragment for
+/// partition `p`. Structural checks here catch a patch that cannot belong
+/// to this chain; `PartitionedChunk::from_state` checks the result as a
+/// whole.
+fn apply_patch(
+    state: &mut ChunkState<u64>,
+    legacy: &mut [bool],
+    bytes: &[u8],
+) -> Result<(), StorageError> {
     let mut r = ByteReader::new(bytes);
     let tag = r.u8()?;
     if tag != PATCH_TAG {
@@ -339,9 +291,9 @@ fn apply_patch(state: &mut ChunkState<u64>, bytes: &[u8]) -> Result<(), StorageE
             state.parts.len()
         )));
     }
-    for (p, frag) in state.frags.iter_mut().enumerate() {
-        match (r.u8()?, frag.is_some()) {
-            (0, _) => *frag = None,
+    for (p, has) in legacy.iter_mut().enumerate() {
+        match (r.u8()?, *has) {
+            (0, _) => *has = false,
             (1, true) => {}
             (flag, _) => {
                 return Err(StorageError::corrupt(format!(
@@ -436,7 +388,11 @@ fn decode_sorted_parts(r: &mut ByteReader<'_>) -> Result<(Vec<u64>, Vec<Vec<u32>
     Ok((keys, cols))
 }
 
-fn decode_chunk_state(r: &mut ByteReader<'_>) -> Result<ChunkState<u64>, StorageError> {
+/// Decode a partitioned chunk's full record, and which of its partitions
+/// carried a legacy fragment.
+fn decode_chunk_state(
+    r: &mut ByteReader<'_>,
+) -> Result<(ChunkState<u64>, Vec<bool>), StorageError> {
     let layout = BlockLayout {
         block_bytes: r.len_u64()?,
         value_width: r.len_u64()?,
@@ -460,26 +416,25 @@ fn decode_chunk_state(r: &mut ByteReader<'_>) -> Result<ChunkState<u64>, Storage
     let live = r.len_u64()?;
     let data = r.vec_u64()?;
     let (parts, zones) = decode_partition_meta(r)?;
-    let mut frags = Vec::with_capacity(parts.len());
-    for _ in 0..parts.len() {
-        frags.push(decode_fragment(r)?);
-    }
+    let legacy = (0..parts.len())
+        .map(|_| skip_legacy_fragment(r))
+        .collect::<Result<Vec<bool>, _>>()?;
     let n_cols = r.len_u64()?;
     let mut payload_cols = Vec::with_capacity(n_cols.min(1 << 16));
     for _ in 0..n_cols {
         payload_cols.push(r.vec_u32()?);
     }
-    Ok(ChunkState {
+    let state = ChunkState {
         data,
         parts,
         zones,
-        frags,
         payload_cols,
         layout,
         config,
         live,
         write_mark: 0,
-    })
+    };
+    Ok((state, legacy))
 }
 
 /// Undo [`encode_partition_meta`].
@@ -507,48 +462,43 @@ fn decode_partition_meta(
     Ok((parts, zones))
 }
 
-fn decode_fragment(r: &mut ByteReader<'_>) -> Result<Option<Fragment<u64>>, StorageError> {
+/// Read past one partition's legacy fragment section: tag `0` (none), or
+/// a frame-of-reference (`1`), dictionary (`2`) or run-length (`3`)
+/// encoding of the partition's keys that older writers kept beside the
+/// slots. Returns whether a fragment was present. Every read is bounded
+/// by the record, so truncation, an unknown tag or an unknown packed width
+/// is [`StorageError::Corrupt`].
+fn skip_legacy_fragment(r: &mut ByteReader<'_>) -> Result<bool, StorageError> {
     match r.u8()? {
-        0 => Ok(None),
+        0 => return Ok(false),
         1 => {
-            let base = r.u64()?;
-            let offsets = match r.u8()? {
-                1 => PackedOffsets::U8(r.vec_u8()?),
-                2 => PackedOffsets::U16(r.vec_u16()?),
-                4 => PackedOffsets::U32(r.vec_u32()?),
-                8 => PackedOffsets::U64(r.vec_u64()?),
-                w => return Err(StorageError::corrupt(format!("bad FoR offset width {w}"))),
-            };
-            Ok(Some(Fragment::For(ForBlock::from_raw(base, offsets))))
+            r.u64()?; // frame base
+            skip_packed(r, 8, "FoR offset")?;
         }
         2 => {
-            let dict = r.vec_u64()?;
-            let codes = match r.u8()? {
-                1 => PackedCodes::U8(r.vec_u8()?),
-                2 => PackedCodes::U16(r.vec_u16()?),
-                4 => PackedCodes::U32(r.vec_u32()?),
-                w => {
-                    return Err(StorageError::corrupt(format!(
-                        "bad dictionary code width {w}"
-                    )))
-                }
-            };
-            Ok(Some(Fragment::Dict(
-                Dictionary::from_raw(dict, codes)
-                    .map_err(|e| StorageError::corrupt(format!("dictionary fragment: {e}")))?,
-            )))
+            r.vec_u64()?; // dictionary
+            skip_packed(r, 4, "dictionary code")?;
         }
         3 => {
-            let n_runs = r.len_u64()?;
-            let mut runs = Vec::with_capacity(n_runs.min(1 << 20));
-            for _ in 0..n_runs {
-                runs.push((r.u64()?, r.u32()?));
+            for _ in 0..r.len_u64()? {
+                r.u64()?; // run value
+                r.u32()?; // run length
             }
-            Ok(Some(Fragment::Rle(Rle::from_runs(runs).map_err(|e| {
-                StorageError::corrupt(format!("RLE fragment: {e}"))
-            })?)))
         }
-        t => Err(StorageError::corrupt(format!("bad fragment tag {t}"))),
+        t => return Err(StorageError::corrupt(format!("bad fragment tag {t}"))),
+    }
+    Ok(true)
+}
+
+/// Read past a width byte (1, 2, 4, or 8 up to `max_width`) and a packed
+/// array of that many bytes per entry.
+fn skip_packed(r: &mut ByteReader<'_>, max_width: u8, what: &str) -> Result<(), StorageError> {
+    match r.u8()? {
+        1 => r.bytes().map(|_| ()),
+        2 => r.vec_u16().map(|_| ()),
+        4 => r.vec_u32().map(|_| ()),
+        8 if max_width == 8 => r.vec_u64().map(|_| ()),
+        w => Err(StorageError::corrupt(format!("bad {what} width {w}"))),
     }
 }
 
@@ -614,7 +564,7 @@ mod tests {
                 let store = decode(bytes, &config).expect("decode");
                 assert_eq!(store.len(), *live, "{mode:?}");
                 // Re-encoding the decoded store reproduces the record
-                // byte for byte: nothing was re-solved or re-compressed.
+                // byte for byte: nothing was re-solved.
                 let mut w = ByteWriter::new();
                 encode_store(&mut w, &store);
                 assert_eq!(&w.into_bytes(), bytes, "{mode:?}");
@@ -692,5 +642,181 @@ mod tests {
         // A patch cannot follow a full record of a sorted store.
         let (sorted_config, sorted) = records(LayoutMode::Sorted);
         assert!(decode_chain(&[&sorted[0].0, &patch], 0, &sorted_config, width).is_err());
+    }
+
+    /// One partition's legacy fragment section, as older writers stored
+    /// it: variants 0–3 frame-of-reference at offset widths 1, 2, 4 and 8,
+    /// 4–6 dictionary at code widths 1, 2 and 4, 7 run-length, 8 none.
+    fn legacy_fragment(variant: usize, vals: &[u64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        let mut sorted = vals.to_vec();
+        sorted.sort_unstable();
+        let packed = |w: &mut ByteWriter, width: u8, v: Vec<u64>| {
+            w.u8(width);
+            match width {
+                1 => w.vec_u8(&v.iter().map(|&x| x as u8).collect::<Vec<_>>()),
+                2 => w.vec_u16(&v.iter().map(|&x| x as u16).collect::<Vec<_>>()),
+                4 => w.vec_u32(&v.iter().map(|&x| x as u32).collect::<Vec<_>>()),
+                _ => w.vec_u64(&v),
+            }
+        };
+        match variant {
+            0..=3 => {
+                let base = sorted[0];
+                w.u8(1);
+                w.u64(base);
+                packed(
+                    &mut w,
+                    1 << variant,
+                    vals.iter().map(|v| v - base).collect(),
+                );
+            }
+            4..=6 => {
+                let mut dict = sorted;
+                dict.dedup();
+                w.u8(2);
+                w.vec_u64(&dict);
+                let codes = vals.iter().map(|v| dict.binary_search(v).unwrap() as u64);
+                packed(&mut w, 1 << (variant - 4), codes.collect());
+            }
+            7 => {
+                let mut runs: Vec<(u64, u32)> = Vec::new();
+                for v in sorted {
+                    match runs.last_mut() {
+                        Some((last, n)) if *last == v => *n += 1,
+                        _ => runs.push((v, 1)),
+                    }
+                }
+                w.u8(3);
+                w.u64(runs.len() as u64);
+                for (v, n) in runs {
+                    w.u64(v);
+                    w.u32(n);
+                }
+            }
+            _ => w.u8(0),
+        }
+        w.into_bytes()
+    }
+
+    /// `bytes` with its one-byte-per-partition run at `at` (each byte 0, as
+    /// the writer emits it) replaced by `sections`, one per partition.
+    fn splice(bytes: &[u8], at: usize, sections: &[Vec<u8>]) -> Vec<u8> {
+        let k = sections.len();
+        assert!(bytes[at..at + k].iter().all(|&b| b == 0), "writers emit 0");
+        let mut out = bytes[..at].to_vec();
+        sections.iter().for_each(|s| out.extend_from_slice(s));
+        out.extend_from_slice(&bytes[at + k..]);
+        out
+    }
+
+    /// Records from writers that kept an encoded fragment beside a
+    /// partition's slots still open: each legacy fragment and each
+    /// keep-fragment patch flag is read past, and the chain decodes to
+    /// exactly what the same records with tag 0 decode to. Malformed legacy
+    /// bytes are typed corruption, never a panic.
+    #[test]
+    fn legacy_fragments_and_keep_flags_decode_to_the_plain_chain() {
+        use casper_storage::ghost::GhostPlan;
+        use casper_storage::PartitionSpec;
+
+        let config = EngineConfig::small(LayoutMode::Casper);
+        let keys: Vec<u64> = (0..180).map(|i| 1_000 + 3 * i).collect();
+        let payloads = vec![keys.iter().map(|&k| k as u32 * 7).collect(); 2];
+        let mut chunk = PartitionedChunk::build_with_payloads(
+            keys,
+            payloads,
+            &PartitionSpec::from_block_sizes(&[5; 9]),
+            BlockLayout::new::<u64>(32),
+            &GhostPlan::from_counts(vec![2; 9]),
+            ChunkConfig::default(),
+        )
+        .expect("build");
+        let k = chunk.partition_count();
+        assert_eq!(k, 9);
+        let sections: Vec<Vec<u8>> = (0..k)
+            .map(|p| legacy_fragment(p, &chunk.partition_values(p)))
+            .collect();
+        let encode = |chunk: &PartitionedChunk<u64>| {
+            let mut w = ByteWriter::new();
+            encode_store(&mut w, &ChunkStore::Partitioned(chunk.clone()));
+            w.into_bytes()
+        };
+        let full = encode(&chunk);
+        let tags_at = 58 + 8 * chunk.slot_count() + 56 * k;
+        let legacy_full = splice(&full, tags_at, &sections);
+
+        let since = chunk.write_mark();
+        for key in [1_001, 1_200, 1_500] {
+            chunk.insert(key, &[5, 6]).expect("insert");
+        }
+        let mut w = ByteWriter::new();
+        encode_patch(&mut w, &chunk, since);
+        let patch = w.into_bytes();
+        let mark = chunk.write_mark();
+        let flags_at = 25 + 56 * k;
+        // Keep every legacy fragment but the last partition's (it has none).
+        let keep = |p: usize, flag: u8| vec![if p + 1 < k { 1 } else { flag }];
+        let legacy_patch = splice(
+            &patch,
+            flags_at,
+            &(0..k).map(|p| keep(p, 0)).collect::<Vec<_>>(),
+        );
+
+        let decode = |records: &[&[u8]], mark| decode_chain(records, mark, &config, 2);
+        let reencoded = |records: &[&[u8]], mark| match decode(records, mark) {
+            Ok(ChunkStore::Partitioned(c)) => {
+                assert_eq!(c.write_mark(), mark);
+                encode(&c)
+            }
+            other => panic!("a partitioned chain decodes, got {other:?}"),
+        };
+        assert_eq!(reencoded(&[&legacy_full], since), full);
+        assert_eq!(reencoded(&[&full], since), full);
+        assert_eq!(
+            reencoded(&[&legacy_full, &legacy_patch], mark),
+            encode(&chunk)
+        );
+        assert_eq!(reencoded(&[&full, &patch], mark), encode(&chunk));
+        // A patch after one that dropped every fragment must not keep any.
+        assert!(decode(&[&legacy_full, &patch, &patch], mark).is_ok());
+        assert!(decode(&[&legacy_full, &patch, &legacy_patch], mark).is_err());
+
+        let corrupt = |records: &[&[u8]], what: &str| {
+            assert!(
+                matches!(decode(records, mark), Err(StorageError::Corrupt { .. })),
+                "{what}"
+            );
+        };
+        // Flag 1 on a partition whose chain has no fragment.
+        let bad_flag = splice(
+            &patch,
+            flags_at,
+            &(0..k).map(|p| keep(p, 1)).collect::<Vec<_>>(),
+        );
+        corrupt(&[&legacy_full, &bad_flag], "keep flag without a fragment");
+        corrupt(&[&full, &legacy_patch], "keep flags over a tag-0 chain");
+        // An unknown fragment tag, and unknown packed widths.
+        let with_first = |section: Vec<u8>| {
+            let mut s = sections.clone();
+            s[0] = section;
+            splice(&full, tags_at, &s)
+        };
+        corrupt(&[&with_first(vec![4])], "fragment tag 4");
+        let mut for_w3 = vec![1];
+        for_w3.extend_from_slice(&1_000u64.to_le_bytes());
+        for_w3.push(3);
+        for_w3.extend_from_slice(&0u64.to_le_bytes());
+        corrupt(&[&with_first(for_w3)], "FoR width 3");
+        let mut dict_w8 = vec![2];
+        dict_w8.extend_from_slice(&0u64.to_le_bytes());
+        dict_w8.push(8);
+        dict_w8.extend_from_slice(&0u64.to_le_bytes());
+        corrupt(&[&with_first(dict_w8)], "dictionary width 8");
+        // Every cut inside the legacy sections (mid-vector included).
+        let sections_len: usize = sections.iter().map(Vec::len).sum();
+        for cut in tags_at..tags_at + sections_len {
+            corrupt(&[&legacy_full[..cut]], &format!("cut at {cut}"));
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! chunk exactly as memory held it:
 //!
 //! * a seeded differential run per layout mode — inserts, deletes, in- and
-//!   cross-chunk updates, chunk grows, decode-on-write into compressed
-//!   partitions, re-layouts and checkpoints at random points — reopened
+//!   cross-chunk updates, chunk grows, re-layouts and checkpoints at
+//!   random points — reopened
 //!   lazily and eagerly, compared chunk for chunk with the live table;
 //! * governor eviction and rehydration from a chain, bit-exact;
 //! * scrub over a damaged patch record (heal a resident chunk with a full
@@ -67,8 +67,7 @@ fn optimize_opts() -> OptimizeOptions {
     }
 }
 
-/// A read-heavy sample: the optimizer re-lays the chunks out and the §6.2
-/// policy compresses cold partitions, so later writes decode on write.
+/// A read-heavy sample: the optimizer re-lays the chunks out finely.
 fn read_sample(seed: u64) -> Vec<HapQuery> {
     Mix::new(MixKind::ReadOnlySkewed, schema(), ROWS).generate(300, seed)
 }
@@ -77,14 +76,12 @@ fn read_sample(seed: u64) -> Vec<HapQuery> {
 #[derive(Debug, PartialEq)]
 enum Image {
     /// Bit-exact physical state: every slot (stale ghost and tail slots
-    /// included), every payload value, the metadata, and each fragment's
-    /// decoded contents.
+    /// included), every payload value, and the metadata.
     Partitioned {
         slots: Vec<u64>,
         payloads: Vec<Vec<u32>>,
         parts: Vec<PartitionMeta<u64>>,
         zones: Vec<ZoneMap<u64>>,
-        frags: Vec<Option<Vec<u64>>>,
         live: usize,
     },
     /// Sorted and delta stores persist their merged rows.
@@ -98,9 +95,6 @@ fn image(store: &ChunkStore) -> Image {
             payloads: p.payloads().columns().to_vec(),
             parts: p.partitions().to_vec(),
             zones: p.zones().to_vec(),
-            frags: (0..p.partition_count())
-                .map(|i| p.partition_fragment(i).map(|f| f.decode()))
-                .collect(),
             live: p.live_len(),
         },
         ChunkStore::Sorted(s) => {
@@ -190,21 +184,6 @@ fn patch_chain_round(mode: LayoutMode, seed: u64) {
     durable
         .optimize(&read_sample(seed), &optimize_opts())
         .expect("optimize");
-    if mode == LayoutMode::Casper {
-        let compressed = |t: &DurableTable| -> usize {
-            let chunks = t.table().column().chunks();
-            let stores = chunks.iter().filter_map(|slot| slot.store_opt());
-            let partitioned = stores.filter_map(|store| match store {
-                ChunkStore::Partitioned(p) => Some(p.compressed_partition_count()),
-                _ => None,
-            });
-            partitioned.sum()
-        };
-        assert!(
-            compressed(&durable) > 0,
-            "{ctx}: nothing to decode on write"
-        );
-    }
     // Physical slots across partitioned chunks: a grow raises it.
     let capacity = |t: &DurableTable| -> usize {
         let chunks = t.table().column().chunks();

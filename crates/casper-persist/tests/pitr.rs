@@ -9,7 +9,7 @@
 //!   write. Mid-batch targets round down to their commit boundary.
 //! * **Re-layout boundary** — an LSN strictly before an `optimize()`
 //!   re-layout restores the *old* physical layout with zero layout
-//!   solves and zero codec re-encodes; at the shared boundary LSN the
+//!   solves; at the shared boundary LSN the
 //!   lower generation (the pre-re-layout layout) wins.
 //! * **Retire crash safety** — faults and power cuts at any point of the
 //!   archive retire (rename, index write, directory fsync) never cost an
@@ -253,7 +253,7 @@ fn open_at_mid_batch_rounds_down_to_commit_boundary() {
 // ---------------------------------------------------------------------------
 
 /// An LSN from before an `optimize()` re-layout restores the *old*
-/// layout — with zero layout solves and zero codec re-encodes — and at
+/// layout — with zero layout solves — and at
 /// the boundary LSN shared by the pre- and post-re-layout manifests the
 /// lower generation (the old layout) wins.
 #[test]
@@ -289,22 +289,16 @@ fn open_at_before_relayout_restores_old_layout_without_solving() {
     t.checkpoint().expect("post-relayout checkpoint");
     drop(t);
 
-    // Hydrate every chunk right after open_at — the telemetry deltas then
+    // Hydrate every chunk right after open_at — the solve delta then
     // cover the full restore, not just the chunks the fingerprint happens
     // to touch.
     let solves_before = casper_core::solver::telemetry::solve_count();
-    let encodes_before = casper_storage::compress::telemetry::encode_count();
     let mut pit = DurableTable::open_at(&dir, pre_lsn).expect("open_at before re-layout");
     pit.table.hydrate_all().expect("hydrate the restored table");
     assert_eq!(
         casper_core::solver::telemetry::solve_count(),
         solves_before,
         "restoring an archived layout must not invoke the solver"
-    );
-    assert_eq!(
-        casper_storage::compress::telemetry::encode_count(),
-        encodes_before,
-        "restoring an archived layout must not re-encode any fragment"
     );
     assert_eq!(
         pit.generation, pre_gen,

@@ -19,11 +19,10 @@
 //! operations built on them (point/range queries, insert, delete, update)
 //! are in [`crate::ops`].
 
-use crate::compress::StorageMode;
 use crate::error::StorageError;
 use crate::ghost::GhostPlan;
 use crate::index::PartitionIndex;
-use crate::kernels::{Fragment, ZoneMap};
+use crate::kernels::ZoneMap;
 use crate::lane::KeyLane;
 use crate::layout::{BlockLayout, PartitionSpec};
 use crate::ops::OpCost;
@@ -84,12 +83,6 @@ pub struct PartitionedChunk<K: ColumnValue> {
     /// Tight per-partition min/max over live values, kept in lock-step with
     /// `parts` by the write paths; read paths prune on it before scanning.
     pub(crate) zones: Vec<ZoneMap<K>>,
-    /// Per-partition encoded fragments (§6.2 storage modes): `None` means
-    /// plain slots; `Some` is a scan-optimized encoding of the partition's
-    /// live values that the read paths consume instead of the slots. Any
-    /// write physically touching a partition drops its fragment back to
-    /// plain first (the decode-on-write escape hatch).
-    pub(crate) frags: Vec<Option<Fragment<K>>>,
     pub(crate) index: PartitionIndex<K>,
     pub(crate) payloads: PayloadSet,
     pub(crate) layout: BlockLayout,
@@ -264,7 +257,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 
         Ok(Self {
             data: KeyLane::from_slots(data, Some((values[0], values[m - 1]))),
-            frags: (0..parts.len()).map(|_| None).collect(),
             parts,
             zones,
             index: PartitionIndex::new(bounds),
@@ -366,20 +358,13 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// Heap bytes resident for this chunk: slots, partition metadata,
-    /// zone maps, encoded fragments, the partition index, and payloads.
+    /// zone maps, the partition index, and payloads.
     /// Used by the resource governor's budget accounting; an estimate of
     /// allocator-visible memory, not a byte-exact malloc audit.
     pub fn resident_bytes(&self) -> usize {
         self.data.resident_bytes()
             + self.parts.capacity() * std::mem::size_of::<PartitionMeta<K>>()
             + self.zones.capacity() * std::mem::size_of::<ZoneMap<K>>()
-            + self.frags.capacity() * std::mem::size_of::<Option<Fragment<K>>>()
-            + self
-                .frags
-                .iter()
-                .flatten()
-                .map(Fragment::encoded_bytes)
-                .sum::<usize>()
             + self.index.resident_bytes()
             + self.payloads.resident_bytes()
             + self.stamps.capacity() * std::mem::size_of::<u64>()
@@ -403,83 +388,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             .data
             .min_max(part.start..part.live_end())
             .map_or_else(ZoneMap::empty, |(min, max)| ZoneMap { min, max });
-    }
-
-    // ------------------------------------------------------------------
-    // Per-partition storage modes (§6.2 compressed execution)
-    // ------------------------------------------------------------------
-
-    /// Storage mode of partition `p`.
-    #[inline]
-    pub fn partition_mode(&self, p: usize) -> StorageMode {
-        self.frags[p]
-            .as_ref()
-            .map_or(StorageMode::Plain, Fragment::mode)
-    }
-
-    /// Encoded fragment of partition `p`, if compressed.
-    #[inline]
-    pub fn partition_fragment(&self, p: usize) -> Option<&Fragment<K>> {
-        self.frags[p].as_ref()
-    }
-
-    /// Storage modes of every partition (reports, tests).
-    pub fn storage_modes(&self) -> Vec<StorageMode> {
-        (0..self.parts.len())
-            .map(|p| self.partition_mode(p))
-            .collect()
-    }
-
-    /// Encode partition `p`'s live values under `mode` (`Plain` reverts to
-    /// plain slots). The plain slots remain the physical substrate — they
-    /// are what the ripple machinery moves — but reads over a compressed
-    /// partition scan only the encoded fragment.
-    pub fn compress_partition(&mut self, p: usize, mode: StorageMode) {
-        self.frags[p] = Fragment::encode(mode, &self.partition_values(p));
-    }
-
-    /// Decode-on-write escape hatch: revert partition `p` to
-    /// [`StorageMode::Plain`]. No-op for plain partitions.
-    ///
-    /// Dropping the fragment *is* the decode: the plain slots are the
-    /// physical substrate and every slot-mutating path decompresses or
-    /// invalidates before moving slots, so fragment and slots can never
-    /// drift (debug builds verify; `validate_invariants` checks the same
-    /// property on demand).
-    pub fn decompress_partition(&mut self, p: usize) {
-        if let Some(frag) = self.frags[p].take() {
-            debug_assert!(
-                !frag.preserves_slot_order() || {
-                    let part = self.parts[p];
-                    frag.decode() == self.data.to_vec(part.start..part.live_end())
-                },
-                "fragment drifted from partition {p}'s slots"
-            );
-        }
-    }
-
-    /// Number of partitions currently holding an encoded fragment.
-    pub fn compressed_partition_count(&self) -> usize {
-        self.frags.iter().filter(|f| f.is_some()).count()
-    }
-
-    /// Total encoded bytes across compressed partitions.
-    pub fn encoded_bytes(&self) -> usize {
-        self.frags
-            .iter()
-            .flatten()
-            .map(Fragment::encoded_bytes)
-            .sum()
-    }
-
-    /// Plain bytes of the live values held by compressed partitions — the
-    /// denominator of the chunk's compression ratio.
-    pub fn compressed_plain_bytes(&self) -> usize {
-        self.frags
-            .iter()
-            .flatten()
-            .map(|f| f.len() * K::WIDTH)
-            .sum()
     }
 
     /// Extract all live rows in sorted key order — used when the optimizer
@@ -560,8 +468,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 
     /// Ascending indexes of the [`GRANULE_SLOTS`]-slot granules holding a
     /// slot written after the chunk's write mark was `since`. Every other
-    /// slot is exactly as it was at `since`; partition metadata, zones and
-    /// fragments may have changed anywhere.
+    /// slot is exactly as it was at `since`; partition metadata and zones
+    /// may have changed anywhere.
     pub fn granules_written_since(&self, since: u64) -> impl Iterator<Item = usize> + '_ {
         let stamps = self.stamps.iter().enumerate();
         stamps.filter_map(move |(g, &stamp)| (stamp > since).then_some(g))
@@ -574,16 +482,15 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// Capture the chunk's complete physical state for persistence: slots,
-    /// partition metadata, zone maps, encoded fragments, payload columns
-    /// and configuration. The capture is bit-exact — restoring it with
+    /// partition metadata, zone maps, payload columns and configuration.
+    /// The capture is bit-exact — restoring it with
     /// [`PartitionedChunk::from_state`] reproduces the same layout without
-    /// re-sorting, re-partitioning, or re-encoding anything.
+    /// re-sorting or re-partitioning anything.
     pub fn to_state(&self) -> ChunkState<K> {
         ChunkState {
             data: self.data.to_vec(0..self.data.len()),
             parts: self.parts.clone(),
             zones: self.zones.clone(),
-            frags: self.frags.clone(),
             payload_cols: self.payloads.columns().to_vec(),
             layout: self.layout,
             config: self.config,
@@ -608,11 +515,10 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         if k == 0 {
             return Err(corrupt("chunk state has no partitions".into()));
         }
-        if state.zones.len() != k || state.frags.len() != k {
+        if state.zones.len() != k {
             return Err(corrupt(format!(
-                "parallel arrays disagree: {k} partitions, {} zones, {} fragments",
-                state.zones.len(),
-                state.frags.len()
+                "parallel arrays disagree: {k} partitions, {} zones",
+                state.zones.len()
             )));
         }
         let mut expected_start = state.parts[0].start;
@@ -626,15 +532,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             }
             expected_start = part.extent_end();
             live += part.len;
-            if let Some(frag) = &state.frags[p] {
-                if frag.len() != part.len {
-                    return Err(corrupt(format!(
-                        "partition {p} fragment holds {} values but {} are live",
-                        frag.len(),
-                        part.len
-                    )));
-                }
-            }
         }
         if expected_start > state.data.len() {
             return Err(corrupt(format!(
@@ -669,7 +566,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             data: KeyLane::from_slots(state.data, live_span),
             parts: state.parts,
             zones: state.zones,
-            frags: state.frags,
             index: PartitionIndex::new(bounds),
             payloads: PayloadSet::from_columns(state.payload_cols, physical),
             layout: state.layout,
@@ -742,9 +638,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         // values contiguous) or straight into the traveling hole otherwise.
         let upper = donor.map_or(self.parts.len(), |j| j + 1);
         for t in (m + 1..upper).rev() {
-            // The hole rotates this partition's live region: any encoded
-            // fragment no longer mirrors the slot order. Decode-on-write.
-            self.frags[t] = None;
             let part = self.parts[t];
             if part.len > 0 {
                 let target = if part.ghosts > 0 {
@@ -780,7 +673,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         self.parts[donor].ghosts -= 1;
         let mut hole = self.parts[donor].extent_end(); // post-decrement end
         for t in donor + 1..m {
-            self.frags[t] = None; // slot order rotates; see pull_slot_from_right
             let part = self.parts[t];
             if part.len > 0 {
                 // Last live value moves into the hole at `start - 1`; the
@@ -803,7 +695,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         self.parts[m].ghosts -= 1;
         let mut hole = self.parts[m].extent_end();
         for t in m + 1..self.parts.len() {
-            self.frags[t] = None; // slot order rotates; see pull_slot_from_right
             let part = self.parts[t];
             if part.len > 0 {
                 self.move_slot(part.live_end() - 1, hole, cost);
@@ -922,37 +813,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 }
             }
         }
-        // Encoded fragments must mirror their partition's live values:
-        // exactly (in slot order) for order-preserving codecs, as a sorted
-        // multiset for RLE.
-        for (p, frag) in self.frags.iter().enumerate() {
-            let Some(frag) = frag else { continue };
-            let part = &self.parts[p];
-            if frag.len() != part.len {
-                return Err(format!(
-                    "partition {p} fragment holds {} values but {} are live",
-                    frag.len(),
-                    part.len
-                ));
-            }
-            let live_slice = self.data.to_vec(part.start..part.live_end());
-            let decoded = frag.decode();
-            if frag.preserves_slot_order() {
-                if decoded != live_slice {
-                    return Err(format!("partition {p} fragment out of sync with slots"));
-                }
-            } else {
-                let mut a = decoded;
-                a.sort_unstable();
-                let mut b = live_slice;
-                b.sort_unstable();
-                if a != b {
-                    return Err(format!(
-                        "partition {p} RLE fragment multiset differs from slots"
-                    ));
-                }
-            }
-        }
         if live != self.live {
             return Err(format!("live count {live} != recorded {}", self.live));
         }
@@ -981,9 +841,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 /// Complete physical state of a [`PartitionedChunk`], as captured by
 /// [`PartitionedChunk::to_state`] for persistence and consumed by
 /// [`PartitionedChunk::from_state`] on recovery. Everything is raw
-/// physical state — including stale ghost/tail slot contents and the
-/// encoded fragment bytes — so a round-trip is bit-exact and needs no
-/// re-solve and no re-encode. The shallow partition index is deliberately
+/// physical state — including stale ghost/tail slot contents — so a
+/// round-trip is bit-exact and needs no re-solve. The shallow partition index is deliberately
 /// absent: it is derived metadata rebuilt on restore.
 #[derive(Debug, Clone)]
 pub struct ChunkState<K: ColumnValue> {
@@ -994,9 +853,6 @@ pub struct ChunkState<K: ColumnValue> {
     pub parts: Vec<PartitionMeta<K>>,
     /// Tight per-partition live min/max, parallel to `parts`.
     pub zones: Vec<ZoneMap<K>>,
-    /// Per-partition encoded fragments (§6.2 storage modes), parallel to
-    /// `parts`.
-    pub frags: Vec<Option<Fragment<K>>>,
     /// Slot-aligned payload columns, each exactly `data.len()` long.
     pub payload_cols: Vec<Vec<u32>>,
     /// Block geometry.
@@ -1210,8 +1066,7 @@ mod tests {
 
     #[test]
     fn state_round_trip_is_bit_exact() {
-        let mut c = build_chunk((1..=8).collect(), &[2, 2], &[2, 1]);
-        c.compress_partition(0, crate::compress::StorageMode::For);
+        let c = build_chunk((1..=8).collect(), &[2, 2], &[2, 1]);
         let state = c.to_state();
         let r = PartitionedChunk::from_state(state).expect("restore");
         assert_eq!(
@@ -1220,7 +1075,6 @@ mod tests {
         );
         assert_eq!(r.parts, c.parts);
         assert_eq!(r.zones, c.zones);
-        assert_eq!(r.storage_modes(), c.storage_modes());
         assert_eq!(r.live_len(), c.live_len());
         r.validate_invariants().unwrap();
         // Restored index routes identically.
@@ -1247,11 +1101,9 @@ mod tests {
             PartitionedChunk::from_state(s),
             Err(StorageError::Corrupt { .. })
         ));
-        // Fragment length out of sync with its partition.
+        // Zone maps out of step with the partitions.
         let mut s = c.to_state();
-        s.frags[0] =
-            crate::kernels::Fragment::encode(crate::compress::StorageMode::For, &[1u64, 2, 3]);
-        s.parts[0].len = 4; // still claims 4 live values
+        s.zones.pop();
         assert!(matches!(
             PartitionedChunk::from_state(s),
             Err(StorageError::Corrupt { .. })

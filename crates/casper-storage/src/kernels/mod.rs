@@ -39,12 +39,7 @@
 //!
 //! The [`zone`] submodule provides the per-partition min/max zone maps that
 //! let the read paths in [`crate::ops`] prune partitions before any of
-//! these kernels touch data. The [`compressed`] submodule carries the same
-//! kernel surface (`count_eq` / `count_range` / `select_range_bitmap`)
-//! over the §6.2 codecs — FoR, dictionary, RLE —
-//! operating directly on the encoded representations, no decode step
-//! (their u8/u16 packed lanes are where the SIMD lane density pays most:
-//! 64/32 values per AVX-512 compare).
+//! these kernels touch data.
 //!
 //! Every kernel has a pure-scalar reference twin in
 //! [`crate::ops::scalar`]; property tests assert bit-exact result
@@ -52,10 +47,8 @@
 //! `casper-bench`'s `scan_ops` bench tracks the speedup in
 //! `BENCH_scan.json`.
 
-pub mod compressed;
 pub mod zone;
 
-pub use compressed::Fragment;
 pub use zone::ZoneMap;
 
 use crate::simd::{self, SimdElem};
@@ -178,8 +171,8 @@ pub fn select_range_bitmap<K: ColumnValue>(lane: &[K], lo: K, hi: K, out: &mut V
 }
 
 /// Sum `payload[i]` (widened to `u64`) for every position `i` whose bit is
-/// set in the bitmap produced by [`select_range_bitmap`] (or a fragment's
-/// order-preserving bitmap) over the slot-aligned key lane — HAP Q3's
+/// set in the bitmap produced by [`select_range_bitmap`] over the
+/// slot-aligned key lane — HAP Q3's
 /// per-column pass. Bits at or past `payload.len()` are ignored.
 ///
 /// # Panics

@@ -4,7 +4,7 @@
 //! The paper's §6.2 FOR codec stores a partition's keys as offsets from a
 //! base, and the scan kernels run ~2x faster on a 32-bit offset lane than
 //! on plain 64-bit keys. [`KeyLane`] makes that narrow lane the chunk's
-//! base storage rather than a read-only fragment beside it:
+//! only key storage:
 //!
 //! * [`KeyLane::Narrow`] — a chunk base plus one `u32` offset per slot,
 //!   offsets taken in [`ColumnValue::to_ordered_u64`] space. A chunk is
@@ -19,13 +19,13 @@
 //! next rebuild or decode narrows it again if the span allows.
 //!
 //! This module is the only code that tells the two forms apart. Scans over
-//! a narrow lane rebase their predicate into offset space with the FOR
-//! fragments' own helpers ([`compressed::for_rebase`]) and then run the
-//! generic kernels at `u32`; a wide lane runs them at `K`. The block
-//! geometry and every charged `OpCost` are untouched: only the bytes a
-//! probe streams shrink.
+//! a narrow lane rebase their predicate into offset space ([`for_rebase`])
+//! and then run the generic kernels at `u32`; a wide lane runs them at
+//! `K`. The block geometry and every charged `OpCost` are untouched: only
+//! the bytes a probe streams shrink.
 
-use crate::kernels::{self, compressed};
+use crate::kernels::{self, LANE_WIDTH};
+use crate::simd::SimdElem;
 use crate::value::ColumnValue;
 use casper_obs::CounterDef;
 use std::ops::Range;
@@ -65,6 +65,93 @@ fn offset_of<K: ColumnValue>(base: u64, v: K) -> Option<u32> {
 #[inline]
 fn key_at<K: ColumnValue>(base: u64, off: u32) -> K {
     K::from_ordered_u64(base + u64::from(off))
+}
+
+/// Rebase `[lo, hi)` into the offset space of the frame at `base`:
+/// `Some((lo_off, span))`, or `None` when the range is degenerate or
+/// entirely below the base.
+#[inline]
+fn for_rebase<K: ColumnValue>(base: u64, lo: K, hi: K) -> Option<(u64, u64)> {
+    let lo = lo.to_ordered_u64();
+    let hi = hi.to_ordered_u64();
+    if hi <= lo || hi <= base {
+        return None;
+    }
+    let lo_off = lo.saturating_sub(base);
+    Some((lo_off, (hi - base) - lo_off))
+}
+
+/// A widened `[lo, lo + span)` offset predicate clamped into `u32`.
+///
+/// Clamping before the loop keeps the inner compares at full `u32` SIMD
+/// density, and establishes the SIMD window contract `lo + span <= 2^32`,
+/// which makes the wrapped unsigned compare exact.
+enum LanePredicate {
+    /// The window misses the lane's domain entirely.
+    Empty,
+    /// The window covers the lane's whole domain: everything matches.
+    All,
+    /// Proper window: `x - lo < span` in wrapping `u32` arithmetic.
+    Window(u32, u32),
+}
+
+#[inline]
+fn clamp_predicate(lo: u64, span: u64) -> LanePredicate {
+    if span == 0 || lo > FRAME_MAX {
+        return LanePredicate::Empty;
+    }
+    let hi = lo.saturating_add(span);
+    if hi > FRAME_MAX {
+        // The upper end exceeds the domain: `x >= lo` suffices, expressed
+        // as the in-domain window `[lo, MAX]` of span `MAX - lo + 1`
+        // (degenerating to All when lo is 0).
+        if lo == 0 {
+            LanePredicate::All
+        } else {
+            LanePredicate::Window(lo as u32, (FRAME_MAX - lo + 1) as u32)
+        }
+    } else {
+        LanePredicate::Window(lo as u32, (hi - lo) as u32)
+    }
+}
+
+/// Count of offsets in `[lo, lo + span)` (dispatched SIMD).
+#[inline]
+fn count_rebased(lane: &[u32], lo: u64, span: u64) -> u64 {
+    match clamp_predicate(lo, span) {
+        LanePredicate::Empty => 0,
+        LanePredicate::All => lane.len() as u64,
+        LanePredicate::Window(l, s) => SimdElem::count_window(lane, l, s),
+    }
+}
+
+/// Bitmap-evaluate `[lo, lo + span)` over the offsets; always emits
+/// `lane.len().div_ceil(64)` words, zeroed when the window misses.
+fn bitmap_rebased(lane: &[u32], lo: u64, span: u64, out: &mut Vec<u64>) -> u64 {
+    match clamp_predicate(lo, span) {
+        LanePredicate::Empty => bitmap_fill_range(lane.len(), 0, 0, out),
+        LanePredicate::All => bitmap_fill_range(lane.len(), 0, lane.len(), out),
+        LanePredicate::Window(l, s) => SimdElem::bitmap_window(lane, l, s, out),
+    }
+}
+
+/// Emit `n.div_ceil(64)` bitmap words with exactly bits `[a, b)` set.
+fn bitmap_fill_range(n: usize, a: usize, b: usize, out: &mut Vec<u64>) -> u64 {
+    debug_assert!(a <= b && b <= n);
+    let mask_below = |k: usize| -> u64 {
+        if k >= LANE_WIDTH {
+            u64::MAX
+        } else {
+            (1u64 << k) - 1
+        }
+    };
+    for w in 0..n.div_ceil(LANE_WIDTH) {
+        let word_start = w * LANE_WIDTH;
+        let lo_bit = a.saturating_sub(word_start).min(LANE_WIDTH);
+        let hi_bit = b.saturating_sub(word_start).min(LANE_WIDTH);
+        out.push(mask_below(hi_bit) & !mask_below(lo_bit));
+    }
+    (b - a) as u64
 }
 
 /// A chunk's physical key slots (see the module docs).
@@ -261,11 +348,9 @@ impl<K: ColumnValue> KeyLane<K> {
         out: &mut Vec<u64>,
     ) -> u64 {
         match self {
-            KeyLane::Narrow { base, offsets } => match compressed::for_rebase(*base, lo, hi) {
-                Some((lo_off, span)) => {
-                    compressed::bitmap_rebased(&offsets[range], lo_off, span, out)
-                }
-                None => compressed::bitmap_fill_range(range.len(), 0, 0, out),
+            KeyLane::Narrow { base, offsets } => match for_rebase(*base, lo, hi) {
+                Some((lo_off, span)) => bitmap_rebased(&offsets[range], lo_off, span, out),
+                None => bitmap_fill_range(range.len(), 0, 0, out),
             },
             KeyLane::Wide(keys) => kernels::select_range_bitmap(&keys[range], lo, hi, out),
         }
@@ -274,9 +359,9 @@ impl<K: ColumnValue> KeyLane<K> {
     /// Count the keys in `range` that fall in `[lo, hi)`.
     pub(crate) fn count_range(&self, range: Range<usize>, lo: K, hi: K) -> u64 {
         match self {
-            KeyLane::Narrow { base, offsets } => compressed::for_rebase(*base, lo, hi)
+            KeyLane::Narrow { base, offsets } => for_rebase(*base, lo, hi)
                 .map_or(0, |(lo_off, span)| {
-                    compressed::count_rebased(&offsets[range], lo_off, span)
+                    count_rebased(&offsets[range], lo_off, span)
                 }),
             KeyLane::Wide(keys) => kernels::count_range(&keys[range], lo, hi),
         }
@@ -314,6 +399,22 @@ impl<K: ColumnValue> KeyLane<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bitmap_fill_range_shapes() {
+        let mut out = Vec::new();
+        assert_eq!(bitmap_fill_range(130, 63, 66, &mut out), 3);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[0], 1u64 << 63);
+        assert_eq!(out[1], 0b11);
+        assert_eq!(out[2], 0);
+        out.clear();
+        assert_eq!(bitmap_fill_range(64, 0, 64, &mut out), 64);
+        assert_eq!(out, vec![u64::MAX]);
+        out.clear();
+        assert_eq!(bitmap_fill_range(10, 0, 0, &mut out), 0);
+        assert_eq!(out, vec![0]);
+    }
 
     #[test]
     fn frame_is_centred_and_clamped() {
@@ -419,7 +520,6 @@ mod tests {
     #[test]
     fn narrow_and_wide_chunks_behave_identically() {
         use crate::chunk::{ChunkConfig, PartitionedChunk};
-        use crate::compress::StorageMode;
         use crate::ghost::GhostPlan;
         use crate::layout::{BlockLayout, PartitionSpec};
         use crate::ops::PositionsConsumer;
@@ -430,7 +530,6 @@ mod tests {
             assert_eq!(n.parts, w.parts, "{ctx}: partitions");
             assert_eq!(n.zones, w.zones, "{ctx}: zones");
             assert_eq!(n.live, w.live, "{ctx}: live");
-            assert_eq!(n.storage_modes(), w.storage_modes(), "{ctx}: modes");
             assert!(
                 n.payloads.columns() == w.payloads.columns(),
                 "{ctx}: payloads"
@@ -468,8 +567,6 @@ mod tests {
                 config,
             )
             .expect("build");
-            narrow.compress_partition(1, StorageMode::For);
-            narrow.compress_partition(2, StorageMode::Dict);
             let KeyLane::Narrow { base, .. } = narrow.data else {
                 panic!("{policy:?}: keys spanning 40 k build a narrow lane");
             };

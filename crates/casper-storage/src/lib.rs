@@ -21,11 +21,12 @@
 //!
 //! Also provided: the two classic baselines used in the paper's evaluation —
 //! a fully [`sorted`] column and a sorted column with a [`delta`] store —
-//! plus the [`compress`] codecs of §6.2 (dictionary, frame-of-reference,
-//! RLE) and the shallow k-ary [`index`] of §6.3.
+//! plus the shallow k-ary [`index`] of §6.3. A partitioned chunk keeps one
+//! copy of its keys: a key lane of 32-bit offsets from a chunk base when
+//! the keys span less than 2^32 (the §6.2 frame-of-reference idea as the
+//! storage itself), full width otherwise.
 
 pub mod chunk;
-pub mod compress;
 pub mod delta;
 pub mod error;
 pub mod ghost;
@@ -41,10 +42,9 @@ pub mod sorted;
 pub mod value;
 
 pub use chunk::{ChunkConfig, ChunkState, PartitionedChunk};
-pub use compress::StorageMode;
 pub use delta::SortedDelta;
 pub use error::StorageError;
-pub use kernels::{Fragment, ZoneMap};
+pub use kernels::ZoneMap;
 pub use layout::{BlockLayout, PartitionSpec};
 pub use ops::{OpCost, PointQueryResult, RangeConsumer, WriteResult};
 pub use partition::PartitionMeta;

@@ -24,15 +24,15 @@
 //! speedup.
 
 use crate::chunk::PartitionedChunk;
-use crate::kernels::{self, Fragment};
+use crate::kernels;
 use crate::lane::KeyLane;
 use crate::ops::OpCost;
 use crate::value::ColumnValue;
 use casper_obs::CounterDef;
 use std::ops::Range;
 
-// Fragment-hit and zone-map telemetry: which physical path served each
-// partition touch, and how many partitions metadata pruned away entirely.
+// Scan and zone-map telemetry: how many partitions were scanned, and how
+// many metadata pruned away entirely.
 // Range scans touch hundreds of partitions per chunk, so the scan driver
 // accumulates locally and flushes each counter once per chunk — a
 // per-partition `inc()` costs microseconds on a full-table scan and blows
@@ -40,8 +40,6 @@ use std::ops::Range;
 // directly.
 static OBS_PLAIN_SCANS: CounterDef =
     CounterDef::new("casper_scan_partitions_total{path=\"plain\"}");
-static OBS_COMPRESSED_SCANS: CounterDef =
-    CounterDef::new("casper_scan_partitions_total{path=\"compressed\"}");
 static OBS_ZONE_PRUNED: CounterDef = CounterDef::new("casper_zone_partitions_pruned_total");
 
 /// Result of a point query.
@@ -157,51 +155,24 @@ impl<K: ColumnValue> RangeConsumer<K> for PositionsConsumer {
 enum RangePart<'a, K: ColumnValue> {
     /// Zone fully inside `[lo, hi)`: every live value qualifies.
     Blind(&'a crate::partition::PartitionMeta<K>),
-    /// Zone partially overlapping: the live slots must be filtered. When
-    /// the partition is compressed, its fragment rides along so the
-    /// operation can scan the encoded lane instead of the slots (each
-    /// operation decides — e.g. RLE fragments accelerate counts but not
-    /// position-producing selects).
-    Filtered {
-        meta: &'a crate::partition::PartitionMeta<K>,
-        frag: Option<&'a Fragment<K>>,
-    },
+    /// Zone partially overlapping: the live slots must be filtered.
+    Filtered(&'a crate::partition::PartitionMeta<K>),
 }
 
-/// Which representation a filtered-partition visit actually scanned, so
-/// `scan_range_partitions` charges the bytes truly streamed.
-enum ScanPath {
-    /// Plain slots: whole live blocks.
-    Plain,
-    /// Encoded fragment: `encoded_bytes` worth of blocks.
-    Encoded,
-}
-
-/// Evaluate `[lo, hi)` over a filtered partition into `mask` (cleared
-/// first; bit `i` ⇔ slot `start + i`). Returns the match count and the
-/// path scanned. Bits must map onto slots, so only order-preserving
-/// fragments evaluate on the encoded lane; RLE and plain partitions run
-/// the branchless bitmap kernel over the key lane's `slots`.
+/// Evaluate `[lo, hi)` over a filtered partition's `slots` into `mask`
+/// (cleared first; bit `i` ⇔ slot `start + i`) with the branchless bitmap
+/// kernel over the key lane. Returns the match count.
 fn slot_bitmap<K: ColumnValue>(
     lane: &KeyLane<K>,
     slots: Range<usize>,
-    frag: Option<&Fragment<K>>,
     lo: K,
     hi: K,
     mask: &mut Vec<u64>,
-) -> (u64, ScanPath) {
+) -> u64 {
     mask.clear();
     // The kernels push one word at a time; size the buffer once.
     mask.reserve(slots.len().div_ceil(kernels::LANE_WIDTH));
-    match frag {
-        Some(f) if f.preserves_slot_order() => {
-            (f.select_range_bitmap(lo, hi, mask), ScanPath::Encoded)
-        }
-        _ => (
-            lane.select_range_bitmap(slots, lo, hi, mask),
-            ScanPath::Plain,
-        ),
-    }
+    lane.select_range_bitmap(slots, lo, hi, mask)
 }
 
 impl<K: ColumnValue> PartitionedChunk<K> {
@@ -219,21 +190,10 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let part = self.parts[p];
         let mut positions = Vec::new();
         if part.len > 0 && self.zones[p].contains(v) {
-            // Compressed partitions whose codec preserves slot order answer
-            // from the encoded lane (positions map 1:1 onto slots); RLE and
-            // plain partitions scan the slots.
-            let compressed = self.frags[p]
-                .as_ref()
-                .is_some_and(|frag| frag.select_eq_positions(v, part.start, &mut positions));
-            if compressed {
-                OBS_COMPRESSED_SCANS.inc();
-                self.charge_compressed_scan(p, &mut cost);
-            } else {
-                self.data
-                    .select_eq_into(part.start..part.live_end(), v, &mut positions);
-                OBS_PLAIN_SCANS.inc();
-                self.charge_partition_scan(p, &mut cost);
-            }
+            self.data
+                .select_eq_into(part.start..part.live_end(), v, &mut positions);
+            OBS_PLAIN_SCANS.inc();
+            self.charge_partition_scan(p, &mut cost);
         } else {
             // Out-of-zone probe: answered from the zone map alone.
             OBS_ZONE_PRUNED.inc();
@@ -264,16 +224,13 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 // Every live value qualifies: hand the whole run over.
                 consumer.run(meta.start..meta.live_end());
                 matched += meta.len as u64;
-                ScanPath::Plain
             }
-            RangePart::Filtered { meta, frag } => {
+            RangePart::Filtered(meta) => {
                 let slots = meta.start..meta.live_end();
-                let (m, path) = slot_bitmap(&self.data, slots.clone(), frag, lo, hi, &mut mask);
-                matched += m;
+                matched += slot_bitmap(&self.data, slots.clone(), lo, hi, &mut mask);
                 self.data.for_each_match(slots, &mask, |pos, val| {
                     consumer.value(pos, val);
                 });
-                path
             }
         });
         consumer.flush();
@@ -288,22 +245,11 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             return (count, cost);
         }
         self.scan_range_partitions(lo, hi, &mut cost, |part| match part {
-            RangePart::Blind(meta) => {
-                count += meta.len as u64;
-                ScanPath::Plain
+            RangePart::Blind(meta) => count += meta.len as u64,
+            // Pure count: no positions materialized at all.
+            RangePart::Filtered(meta) => {
+                count += self.data.count_range(meta.start..meta.live_end(), lo, hi);
             }
-            // Pure count: no positions materialized at all. Every codec can
-            // count on its encoded form (RLE by pure run arithmetic).
-            RangePart::Filtered { meta, frag } => match frag {
-                Some(f) => {
-                    count += f.count_range(lo, hi);
-                    ScanPath::Encoded
-                }
-                None => {
-                    count += self.data.count_range(meta.start..meta.live_end(), lo, hi);
-                    ScanPath::Plain
-                }
-            },
         });
         (count, cost)
     }
@@ -327,11 +273,10 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             RangePart::Blind(meta) => {
                 sum += self.payloads.sum_range(cols, meta.start..meta.live_end());
                 qualifying += meta.len;
-                ScanPath::Plain
             }
-            RangePart::Filtered { meta, frag } => {
+            RangePart::Filtered(meta) => {
                 let slots = meta.start..meta.live_end();
-                let (m, path) = slot_bitmap(&self.data, slots, frag, lo, hi, &mut mask);
+                let m = slot_bitmap(&self.data, slots, lo, hi, &mut mask);
                 qualifying += m as usize;
                 if m > 0 {
                     for &c in cols {
@@ -339,7 +284,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                         sum += kernels::sum_payload_masked(payload, &mask);
                     }
                 }
-                path
             }
         });
         // Payload reads are sequential over the qualifying blocks, one scan
@@ -359,13 +303,13 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         lo: K,
         hi: K,
         cost: &mut OpCost,
-        mut visit: impl FnMut(RangePart<'_, K>) -> ScanPath,
+        mut visit: impl FnMut(RangePart<'_, K>),
     ) {
         let (first, last) = self.range_partition_span(lo, hi, cost);
         let mut first_touch = true;
         // Telemetry accumulates in locals and flushes once per chunk scan:
         // a shared-counter add per partition is measurable on a full scan.
-        let (mut plain, mut encoded, mut pruned) = (0u64, 0u64, 0u64);
+        let (mut scanned, mut pruned) = (0u64, 0u64);
         for p in first..=last {
             let part = &self.parts[p];
             let zone = self.zones[p];
@@ -375,7 +319,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             }
             if zone.inside(lo, hi) {
                 visit(RangePart::Blind(part));
-                plain += 1;
                 let blocks = self.live_blocks(p) as u64;
                 if first_touch {
                     cost.random_reads += 1;
@@ -385,27 +328,14 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 }
                 cost.values_scanned += part.len as u64;
             } else {
-                match visit(RangePart::Filtered {
-                    meta: part,
-                    frag: self.frags[p].as_ref(),
-                }) {
-                    ScanPath::Plain => {
-                        plain += 1;
-                        self.charge_partition_scan(p, cost);
-                    }
-                    ScanPath::Encoded => {
-                        encoded += 1;
-                        self.charge_compressed_scan(p, cost);
-                    }
-                }
+                visit(RangePart::Filtered(part));
+                self.charge_partition_scan(p, cost);
             }
+            scanned += 1;
             first_touch = false;
         }
-        if plain > 0 {
-            OBS_PLAIN_SCANS.add(plain);
-        }
-        if encoded > 0 {
-            OBS_COMPRESSED_SCANS.add(encoded);
+        if scanned > 0 {
+            OBS_PLAIN_SCANS.add(scanned);
         }
         if pruned > 0 {
             OBS_ZONE_PRUNED.add(pruned);
@@ -443,20 +373,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             // random read the model predicts for the ideal case.
             cost.random_reads += 1;
         }
-        cost.values_scanned += self.parts[p].len as u64;
-    }
-
-    /// Charge the cost of scanning partition `p`'s *encoded* fragment: one
-    /// random read to reach it, then only as many sequential blocks as the
-    /// encoded bytes actually span — the §6.2 "less overall data movement"
-    /// reflected in the access pattern.
-    pub(crate) fn charge_compressed_scan(&self, p: usize, cost: &mut OpCost) {
-        let bytes = self.frags[p]
-            .as_ref()
-            .map_or(0, crate::kernels::Fragment::encoded_bytes);
-        let blocks = bytes.div_ceil(self.layout.block_bytes).max(1) as u64;
-        cost.random_reads += 1;
-        cost.seq_reads += blocks - 1;
         cost.values_scanned += self.parts[p].len as u64;
     }
 }

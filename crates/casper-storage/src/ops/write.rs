@@ -12,9 +12,8 @@
 //!   `remove_first` *returns the row's full payload*, swap-fills the slot
 //!   with the partition's last live row (one `move_slot`: a random read and
 //!   a random write; a lone random write when the match is already last),
-//!   books the freed slot as a ghost of the source partition, decodes the
-//!   partition's fragment first (decode-on-write) and re-tightens its zone
-//!   map when a boundary value left. Gathering the row is not charged,
+//!   books the freed slot as a ghost of the source partition and
+//!   re-tightens its zone map when a boundary value left. Gathering the row is not charged,
 //!   like the payload half of `move_slot`.
 //! * **`place`** puts one row in: key and payload row are written into an
 //!   already-acquired free slot (one random write), the partition's live
@@ -70,9 +69,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         }
         let mut cost = OpCost::default();
         let m = self.locate(v, &mut cost);
-        // Decode-on-write: a compressed insert target reverts to plain
-        // slots before any slot moves.
-        self.decompress_partition(m);
         let slot = self.acquire_slot(m, &mut cost)?;
         self.place(m, slot, v, payload, &mut cost);
         Ok(WriteResult {
@@ -181,10 +177,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             return cost;
         }
         let m = self.locate(v, &mut cost);
-        if self.parts[m].ghosts < count {
-            // Left-donor rotations below move `m`'s own live values.
-            self.decompress_partition(m);
-        }
         while self.parts[m].ghosts < count {
             match self.nearest_donor(m) {
                 Some(DonorSide::Right(j)) if j != m => {
@@ -226,10 +218,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let part = self.parts[m];
         let mut removed = 0usize;
         if part.len > 0 && part.covers(v) {
-            // Decode-on-write before the swap-fill can move slots. (A miss
-            // inside the covering range also decompresses — the partition
-            // is evidently a write target.)
-            self.decompress_partition(m);
             let mut hits = Vec::new();
             self.data
                 .select_eq_into(part.start..part.live_end(), v, &mut hits);
@@ -311,7 +299,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let row = (0..self.payloads.width())
             .map(|c| self.payloads.get(c, pos))
             .collect();
-        self.decompress_partition(m);
         let last = self.parts[m].live_end() - 1;
         if pos != last {
             self.move_slot(last, pos, cost);
@@ -343,9 +330,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             });
         };
         let t = self.locate(new, &mut cost);
-        // Decode-on-write: both ends of the ripple revert to plain slots.
-        self.decompress_partition(m);
-        self.decompress_partition(t);
         if t == m {
             // Same partition: overwrite in place (unordered internally).
             self.data.set(pos, new);
@@ -615,6 +599,20 @@ mod tests {
         assert_eq!(c.live_len(), 5);
         assert!(c.point_query(5).positions.is_empty());
         c.validate_invariants().unwrap();
+        // Deleting every value of a partition leaves it empty with an empty
+        // zone; it keeps answering reads and takes inserts again.
+        let mut c = build((1..=16).collect(), &[4, 4], &[0, 0], ChunkConfig::default());
+        for v in 1..=8u64 {
+            assert_eq!(c.delete(v).affected, 1);
+        }
+        assert_eq!(c.parts[0].len, 0);
+        assert!(c.zones()[0].is_empty());
+        c.validate_invariants().unwrap();
+        assert_eq!(c.range_count(0, 100).0, 8);
+        assert!(c.point_query(3).positions.is_empty());
+        c.insert(4, &[]).unwrap();
+        assert_eq!(c.point_query(4).positions.len(), 1);
+        c.validate_invariants().unwrap();
     }
 
     #[test]
@@ -868,7 +866,6 @@ mod tests {
             let part = self.parts[m];
             let mut removed = 0usize;
             if part.len > 0 && part.covers(v) {
-                self.decompress_partition(m);
                 let mut pos = part.start;
                 let mut live_end = part.live_end();
                 while pos < live_end {
@@ -934,8 +931,6 @@ mod tests {
                 };
             };
             let t = self.locate(new, &mut cost);
-            self.decompress_partition(m);
-            self.decompress_partition(t);
             if t == m {
                 self.data.set(pos, new);
                 self.stamp(pos);

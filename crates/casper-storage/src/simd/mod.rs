@@ -24,8 +24,8 @@
 //!
 //! Everything is expressed over *unsigned native lanes* ([`SimdElem`]:
 //! `u8`/`u16`/`u32`/`u64`). Plain columns reinterpret their values as raw
-//! bits ([`crate::value::ColumnValue::lane_bits`]); the compressed codecs'
-//! packed offset/code lanes are already native unsigned. Range predicates
+//! bits ([`crate::value::ColumnValue::lane_bits`]); a narrow key lane's
+//! `u32` offsets are already native unsigned. Range predicates
 //! arrive pre-rebased as **modular windows**: `x` matches iff
 //! `(x - lo) mod 2^BITS < span`, one wrapping subtract plus one unsigned
 //! compare. The window test is translation-invariant, so a caller whose

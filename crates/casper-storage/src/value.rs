@@ -5,7 +5,7 @@
 //! contract the storage layer needs: totally ordered, copyable, with a
 //! declared byte width (used to translate block sizes expressed in bytes
 //! into block sizes expressed in values) and a lossless round-trip through
-//! `u64` (used by the workload generators and the compression codecs).
+//! `u64` (used by the workload generators and the key lane's offsets).
 
 /// A value that can be stored in a fixed-width column.
 pub trait ColumnValue:

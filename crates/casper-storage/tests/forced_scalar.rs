@@ -56,18 +56,21 @@ fn forced_scalar_env_pins_the_level_and_stays_correct() {
         vals.iter().position(|&x| x == vals[4321])
     );
 
-    // Compressed lanes ride the same dispatch: a FoR fragment scans
-    // scalar too and must agree with a decode + filter.
+    // A chunk's narrow key lane (u32 offsets from a chunk base) rebases
+    // its predicate and scans scalar too; it must agree with a filter.
     let narrow: Vec<u64> = (0..5000u64).map(|i| 1000 + i % 200).collect();
-    let frag = casper_storage::compress::ForBlock::encode(&narrow);
     let want = narrow
         .iter()
         .filter(|&&x| (1050..1100).contains(&x))
         .count() as u64;
-    assert_eq!(
-        casper_storage::kernels::compressed::for_count_range(&frag, 1050, 1100),
-        want
-    );
+    let lane_chunk = PartitionedChunk::single_partition(
+        narrow,
+        BlockLayout::new::<u64>(4096),
+        ChunkConfig::default(),
+    )
+    .expect("build");
+    assert!(lane_chunk.key_lane_is_narrow());
+    assert_eq!(lane_chunk.range_count(1050, 1100).0, want);
 
     // The write path's embedded point query rides the same dispatch
     // (`first_eq` for update / take-one, `select_eq_into` for delete): a

@@ -9,9 +9,7 @@ use casper_storage::ghost::GhostPlan;
 use casper_storage::kernels;
 use casper_storage::ops::PositionsConsumer;
 use casper_storage::value::ColumnValue;
-use casper_storage::{
-    BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, StorageMode, UpdatePolicy,
-};
+use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, UpdatePolicy};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -207,9 +205,7 @@ fn check_sums(
 /// ragged tail, reshuffled by delete + re-insert so matches scatter: 0 %
 /// (all-zero words, masked sums skipped), ~20 % (sparse SIMD words),
 /// all but the maximum (dense words) and 100 % (blind runs) selectivity,
-/// per partition and across partitions — on plain slots and with each
-/// partition under FoR, Dict (bitmap from the encoded lane) and RLE
-/// (bitmap from the slots).
+/// per partition and across partitions.
 #[test]
 fn q3_multi_column_sums_reach_every_word_class() {
     const PART: u64 = 200; // values per partition: 3 full words + 8
@@ -267,23 +263,6 @@ fn q3_multi_column_sums_reach_every_word_class() {
         assert_eq!(n, want, "count [{lo}, {hi})");
         let unpruned = ck == chunk.range_count_scalar(lo, hi).1;
         check_sums(&chunk, lo, hi, unpruned).expect("plain chunk");
-    }
-    // Compressed partitions bill encoded blocks, so they are held to the
-    // sums only.
-    for mode in [StorageMode::For, StorageMode::Dict, StorageMode::Rle] {
-        let mut c = chunk.clone();
-        for p in 0..c.partition_count() {
-            c.compress_partition(p, mode);
-        }
-        for &(lo, hi, _) in &queries {
-            for cols in COL_SETS {
-                assert_eq!(
-                    c.range_sum_payload(lo, hi, cols).0,
-                    c.range_sum_payload_scalar(lo, hi, cols).0,
-                    "{mode:?} sum{cols:?} [{lo}, {hi})"
-                );
-            }
-        }
     }
 }
 

@@ -56,7 +56,7 @@ pub struct Criterion {
     warm_up: Duration,
     /// Smoke mode (real criterion's `--test` flag): run every bench body
     /// exactly once, untimed — CI uses this to exercise bench-only code
-    /// paths (e.g. the codec kernels) on every push without paying for a
+    /// paths (e.g. the kernel trajectory) on every push without paying for a
     /// measurement run.
     smoke: bool,
 }

@@ -1,5 +1,5 @@
 //! Durability end-to-end: optimize a table, persist it, "restart", and
-//! serve queries from the restored layout — no re-solve, no re-encode.
+//! serve queries from the restored layout — no re-solve.
 //!
 //! ```bash
 //! cargo run --release --example durable_restart
@@ -29,14 +29,9 @@ fn main() {
         .optimize(&sample, &OptimizeOptions::default())
         .expect("optimize");
     println!(
-        "optimized: {} partitions across {} chunks, {} compressed — checkpointed as generation {}",
+        "optimized: {} partitions across {} chunks — checkpointed as generation {}",
         report.total_partitions(),
         report.chunks.len(),
-        report
-            .chunks
-            .iter()
-            .map(|c| c.compressed_partitions)
-            .sum::<usize>(),
         durable.stats().generation,
     );
 
@@ -55,15 +50,13 @@ fn main() {
 
     // Restart: the optimized layout comes back from disk.
     let solves = casper::core::solver::telemetry::solve_count();
-    let encodes = casper::storage::compress::telemetry::encode_count();
     let t = std::time::Instant::now();
     let mut restored = DurableTable::open(dir, DurableOptions::default()).expect("open");
     println!(
-        "reopened {} rows in {:.1} ms — {} solver calls, {} codec re-encodes",
+        "reopened {} rows in {:.1} ms — {} solver calls",
         restored.len(),
         t.elapsed().as_secs_f64() * 1e3,
         casper::core::solver::telemetry::solve_count() - solves,
-        casper::storage::compress::telemetry::encode_count() - encodes,
     );
     assert_eq!(restored.len(), rows_before);
     let out = restored

@@ -14,11 +14,11 @@
 //! | Fig. 1    | Casper beats the five baselines on a hybrid mix     | judge: `engine.mode.*`, `engine.casper_vs_soa` and the surface ladder (`benchmark/README.md`) |
 //! | Fig. 2a   | partitions cheapen reads and make inserts dearer    | row (a) `fig02a_*` |
 //! | Fig. 2b   | ghost values trade memory for write cost            | row (e) `fig14_*` |
-//! | Fig. 2c   | partitioning and compression compound               | `casper-storage/tests/compressed_scan.rs` |
+//! | Fig. 2c   | partitioning and compression compound               | not reproduced: a partition keeps one copy of its keys, a chunk-wide 32-bit offset lane, so finer partitions do not yet narrow it; per-partition frames would (`ROADMAP.md`, one key representation per partition) |
 //! | Figs. 3–8 | diagrams of the layout and the cost model           | no measured claim |
 //! | Fig. 9a   | insert cost is linear in trailing partitions        | row (b) `fig09a_*` |
 //! | Fig. 9b   | point-query cost is linear in partition size        | row (c) `fig09b_*` |
-//! | Fig. 9c   | compressed scans beat decode-then-scan              | `casper-storage/tests/compressed_scan.rs` |
+//! | Fig. 9c   | compressed scans beat decode-then-scan              | not reproduced: no encoded copy is kept beside the slots, so there is no decode to beat; the key lane is scanned in its stored form |
 //! | Fig. 9d   | zone-pruned / blind / filtered scans match the model | `casper-core` `cost::verify` unit tests |
 //! | Fig. 10   | architecture diagram                                | no measured claim |
 //! | Fig. 11   | the solver scales to large chunks                   | `benches/solver.rs` `dp_solve`; judge `core.solve_s` |
@@ -213,7 +213,6 @@ fn fig12_casper_models_no_dearer_than_equi_width_on_every_mix() {
         let opts = OptimizeOptions {
             constants: paper,
             fairness_cap: true,
-            compress_cold: false,
             threads: config.threads,
             ..OptimizeOptions::default()
         };
@@ -293,7 +292,6 @@ fn fig15_partition_caps_meet_every_insert_sla() {
             constants: c,
             constraints: sla::constraints_from_slas(&c, insert_sla, Some(READ_SLA_NS)),
             fairness_cap: false,
-            compress_cold: false,
             threads: config.threads,
             ..OptimizeOptions::default()
         };
@@ -339,7 +337,6 @@ fn table01_each_mode_builds_its_design_space_cell() {
         if mode == LayoutMode::Casper {
             let opts = OptimizeOptions {
                 ghost_budget_frac: config.ghost_budget_frac,
-                compress_cold: false,
                 threads: config.threads,
                 ..OptimizeOptions::default()
             };
