@@ -1,10 +1,10 @@
-//! Criterion micro-benchmarks for the layout solvers: the exact DP's
-//! scaling in the block count (Fig. 11's per-chunk cost) and the B&B on
-//! the literal Eq. 20 model.
+//! Criterion micro-benchmarks for the layout solver: the exact DP's
+//! scaling in the block count (Fig. 11's per-chunk cost), unconstrained and
+//! under a partition-count cap.
 
 use casper_core::cost::{BlockTerms, CostConstants};
 use casper_core::fm::{AccessDistribution, WorkloadSpec};
-use casper_core::solver::{bip, dp, SolverConstraints};
+use casper_core::solver::{dp, SolverConstraints};
 use casper_core::FrequencyModel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -47,16 +47,5 @@ fn bench_dp_constrained(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bnb(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bip_branch_and_bound");
-    for n in [8usize, 12, 16] {
-        let t = terms(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(bip::solve(&t, &SolverConstraints::none()).0.cost))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_dp, bench_dp_constrained, bench_bnb);
+criterion_group!(benches, bench_dp, bench_dp_constrained);
 criterion_main!(benches);

@@ -15,7 +15,6 @@
 
 use casper_storage::kernels;
 use casper_storage::simd::portable;
-use casper_storage::ColumnValue;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -105,17 +104,16 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
     let hi = lo + (rows as u64 * 2) / 64; // ~1.5% of the domain
     let span = hi - lo;
     let target = keys[rows / 3];
-    let bits = u64::lane_bits(&keys);
 
     // Agreement tripwires (run on every invocation, including smoke).
     assert_eq!(
         kernels::count_range(&keys, lo, hi),
-        portable::count_window(bits, lo, span),
+        portable::count_window(&keys, lo, span),
         "count_range dispatch vs portable"
     );
     let (mut mask_d, mut mask_p) = (Vec::new(), Vec::new());
     kernels::select_range_bitmap(&keys, lo, hi, &mut mask_d);
-    portable::bitmap_window(bits, lo, span, &mut mask_p);
+    portable::bitmap_window(&keys, lo, span, &mut mask_p);
     assert_eq!(mask_d, mask_p, "select_range_bitmap dispatch vs portable");
     assert_eq!(
         kernels::sum_payload_masked(&payload, &mask_d),
@@ -124,12 +122,9 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
     );
     assert_eq!(
         kernels::count_eq(&keys, target),
-        portable::count_eq(bits, target)
+        portable::count_eq(&keys, target)
     );
-    assert_eq!(
-        kernels::min_max(&keys),
-        Some(portable::min_max_flipped(bits, 0))
-    );
+    assert_eq!(kernels::min_max(&keys), Some(portable::min_max(&keys)));
 
     let mut out = Vec::new();
     out.push(Entry::new(
@@ -137,7 +132,7 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
         64,
         rows,
         time_per_elem(rows, reps, || kernels::count_range(&keys, lo, hi)),
-        time_per_elem(rows, reps, || portable::count_window(bits, lo, span)),
+        time_per_elem(rows, reps, || portable::count_window(&keys, lo, span)),
     ));
     let mut mask = Vec::with_capacity(rows / 64 + 1);
     out.push(Entry::new(
@@ -150,7 +145,7 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
         }),
         time_per_elem(rows, reps, || {
             mask.clear();
-            portable::bitmap_window(bits, lo, span, &mut mask)
+            portable::bitmap_window(&keys, lo, span, &mut mask)
         }),
     ));
     // Q3's filtered-partition shape: the key predicate once into a bitmap,
@@ -166,7 +161,7 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
         }),
         time_per_elem(rows, reps, || {
             mask.clear();
-            portable::bitmap_window(bits, lo, span, &mut mask);
+            portable::bitmap_window(&keys, lo, span, &mut mask);
             portable::sum_payload_masked(&payload, &mask)
         }),
     ));
@@ -175,7 +170,7 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
         64,
         rows,
         time_per_elem(rows, reps, || kernels::count_eq(&keys, target)),
-        time_per_elem(rows, reps, || portable::count_eq(bits, target)),
+        time_per_elem(rows, reps, || portable::count_eq(&keys, target)),
     ));
     out.push(Entry::new(
         "min_max",
@@ -185,7 +180,7 @@ pub fn plain_entries(rows: usize, reps: usize) -> Vec<Entry> {
             kernels::min_max(&keys).map_or(0, |(a, b)| a ^ b)
         }),
         time_per_elem(rows, reps, || {
-            let (a, b) = portable::min_max_flipped(bits, 0);
+            let (a, b) = portable::min_max(&keys);
             a ^ b
         }),
     ));

@@ -17,9 +17,9 @@
 //!    binary integer program with Mosek; we provide (a) an exact `O(N²)`
 //!    segmentation dynamic program that provably minimizes the same
 //!    objective (Eq. 16) under both SLA constraint families (Eq. 21),
-//!    (b) the *literal* Eq. 20 BIP model plus a branch-and-bound solver,
-//!    and (c) exhaustive enumeration — all cross-validated against each
-//!    other in tests.
+//!    cross-validated in the unit tests against two test-only oracles:
+//!    the *literal* Eq. 20 BIP model with a branch-and-bound solver, and
+//!    exhaustive enumeration.
 //! 4. **[`ghost_alloc`] — Ghost values (§4.6, Eq. 18)**: distribute a slack
 //!    budget proportionally to the data movement each partition receives.
 //! 5. **[`robust`] — Robustness (§7.5)**: evaluate a layout under

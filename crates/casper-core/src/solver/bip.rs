@@ -1,4 +1,5 @@
-//! The literal Eq. 20 binary integer program and a branch-and-bound solver.
+//! The literal Eq. 20 binary integer program and a branch-and-bound solver:
+//! a test oracle for the DP, compiled only into the crate's unit tests.
 //!
 //! The paper linearizes the Eq. 19 products `Π(1−p_k)` with auxiliary
 //! binaries `y_{i,j} = Π_{k=i}^{j} (1−p_k)` and constraints
@@ -63,11 +64,6 @@ impl BipModel {
         }
     }
 
-    /// Number of blocks.
-    pub fn n_blocks(&self) -> usize {
-        self.n
-    }
-
     /// Number of binary variables: `N` boundary bits plus the
     /// upper-triangular `y` matrix.
     pub fn num_variables(&self) -> usize {
@@ -116,18 +112,6 @@ impl BipModel {
             // constraint is slack and minimization sets y = 0.
         }
         total
-    }
-
-    /// Check that an assignment (p plus implied y) satisfies every Eq. 20
-    /// constraint.
-    pub fn check_feasible(&self, p: &[bool]) -> Result<(), String> {
-        if p.len() != self.n {
-            return Err("wrong arity".into());
-        }
-        if !p[self.n - 1] {
-            return Err("p_{N-1} != 1".into());
-        }
-        Ok(())
     }
 }
 

@@ -21,7 +21,7 @@
 //! cap on segment length (restricted inner loop).
 //!
 //! Correctness (DP optimum == literal Eq. 16 optimum == BIP optimum) is
-//! property-tested against [`super::exhaustive`] and [`super::bip`].
+//! property-tested against the test-only oracles `exhaustive` and `bip`.
 
 use super::{Solution, SolverConstraints};
 use crate::cost::BlockTerms;

@@ -4,9 +4,9 @@
 //! constraints — the property that justifies replacing Mosek (argued in
 //! `solver/dp.rs`).
 
-use casper_core::cost::{cost_of_boundaries, cost_of_segmentation, BlockTerms, CostConstants};
-use casper_core::fm::FrequencyModel;
-use casper_core::solver::{bip, dp, exhaustive, SolverConstraints};
+use super::{bip, dp, exhaustive, SolverConstraints};
+use crate::cost::{cost_of_boundaries, cost_of_segmentation, BlockTerms, CostConstants};
+use crate::fm::FrequencyModel;
 use proptest::prelude::*;
 
 /// Strategy producing a valid (update-balanced) Frequency Model.
@@ -116,7 +116,7 @@ proptest! {
         let terms = BlockTerms::from_fm(&fm, &CostConstants::paper());
         let opt = dp::solve(&terms, &SolverConstraints::none());
         for k in 1..=n {
-            let equi = casper_core::Segmentation::equi(n, k);
+            let equi = crate::Segmentation::equi(n, k);
             let c = cost_of_segmentation(&equi, &terms);
             prop_assert!(
                 opt.cost <= c + 1e-6 * (1.0 + c.abs()),

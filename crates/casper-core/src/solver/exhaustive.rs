@@ -1,5 +1,6 @@
 //! Exhaustive enumeration over all `2^(N−1)` boundary vectors — the ground
-//! truth that the DP and branch-and-bound solvers are validated against.
+//! truth that the DP and branch-and-bound solvers are validated against; a
+//! test oracle, compiled only into the crate's unit tests.
 //!
 //! The solution space matches §6.3's observation ("an exponential (2^N)
 //! solution space"); with `p_{N−1}` pinned to 1 there are `2^(N−1)` free

@@ -5,19 +5,26 @@
 //! auxiliary `y_{i,j}` variables (Eq. 20), adds SLA bounds (Eq. 21), and
 //! solves with the commercial Mosek solver.
 //!
-//! This reproduction replaces Mosek with three cross-validated solvers:
+//! This reproduction replaces Mosek with [`dp`], an exact `O(N²)`
+//! segmentation dynamic program. Because Eq. 16 decomposes additively over
+//! partitions, the DP optimum *is* the BIP optimum; both SLA families map
+//! directly to DP constraints. Two test-only oracles check that claim:
 //!
-//! * [`dp`] — an exact `O(N²)` segmentation dynamic program. Because
-//!   Eq. 16 decomposes additively over partitions, the DP optimum *is* the
-//!   BIP optimum; both SLA families map directly to DP constraints.
-//! * [`bip`] — the literal Eq. 20 model (variables, constraints, objective)
+//! * `bip` — the literal Eq. 20 model (variables, constraints, objective)
 //!   plus a branch-and-bound solver with an admissible suffix-DP bound.
-//! * [`exhaustive`] — brute-force enumeration for small `N`, the ground
-//!   truth in tests.
+//! * `exhaustive` — brute-force enumeration for small `N`, the ground
+//!   truth.
+//!
+//! `equivalence` property-tests `dp == bip == exhaustive` on arbitrary
+//! Frequency Models, with and without SLA constraints.
 
-pub mod bip;
+#[cfg(test)]
+mod bip;
 pub mod dp;
-pub mod exhaustive;
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod exhaustive;
 pub mod sla;
 
 /// Per-thread solver-invocation instrumentation.

@@ -100,9 +100,14 @@ enum Inner {
     Owned(Vec<u8>),
 }
 
-// SAFETY: the mapping is PROT_READ/MAP_PRIVATE and never mutated; sharing
-// a raw pointer to immutable memory across threads is sound.
+// SAFETY: `Mapped { ptr, len }` is a PROT_READ/MAP_PRIVATE mapping that is
+// never mutated and is unmapped only in `Drop`, which runs once on
+// whichever thread owns it, so moving the raw pointer to another thread is
+// sound; `Owned` is a plain `Vec<u8>`, which is `Send`.
 unsafe impl Send for Mmap {}
+// SAFETY: `&Mmap` only hands out `&[u8]` views of either variant, and the
+// mapping behind `ptr` is read-only, so any number of threads may read it
+// at once; `Vec<u8>` is `Sync`.
 unsafe impl Sync for Mmap {}
 
 impl Mmap {

@@ -6,7 +6,8 @@
 //!   exactly the state whose last committed LSN is the largest commit
 //!   boundary at or below `lsn`, across all six layout modes, compared
 //!   against an in-memory oracle fingerprinted after every acknowledged
-//!   write. Mid-batch targets round down to their commit boundary.
+//!   write, replaying every WAL link after its base. Mid-batch targets
+//!   round down to their commit boundary.
 //! * **Re-layout boundary** — an LSN strictly before an `optimize()`
 //!   re-layout restores the *old* physical layout with zero layout
 //!   solves; at the shared boundary LSN the
@@ -246,6 +247,68 @@ fn open_at_mid_batch_rounds_down_to_commit_boundary() {
     let mut pit = DurableTable::open_at(&dir, p.lsn + 1).expect("open_at");
     assert_eq!(pit.restored_lsn, p.lsn, "mid-batch target must round down");
     assert_eq!(fingerprint_oracle(&mut pit.table, WRITES), p.fingerprint);
+}
+
+/// One replay from one base across three WAL links counts the ops of
+/// every link. Two checkpoints fail after their capture rotated the WAL
+/// (every manifest write fails, retries included), so the create's
+/// manifest stays the newest base while each rotation opens a new link
+/// that the following writes land in.
+#[test]
+fn open_at_replays_every_wal_link_after_its_base() {
+    const FAILED_CHECKPOINT_AFTER: [usize; 2] = [2, 5];
+    let dir = test_dir("pitr_multi_link");
+    let (vfs, handle) = fault_handle(11);
+    let mut t = DurableTable::create_from_table_with_vfs(
+        handle.clone(),
+        &dir,
+        seed_table(LayoutMode::Casper),
+        archive_opts(),
+    )
+    .expect("create");
+    let base_gen = t.stats().generation;
+    let mut oracle = seed_table(LayoutMode::Casper);
+    let mut points = Vec::new();
+    for i in 0..WRITES {
+        t.execute(&marker_write(i)).expect("write");
+        oracle.execute(&marker_write(i)).expect("oracle");
+        points.push(Point {
+            lsn: t.stats().next_lsn - 1,
+            fingerprint: fingerprint_oracle(&mut oracle, WRITES),
+        });
+        if FAILED_CHECKPOINT_AFTER.contains(&i) {
+            vfs.inject(FaultRule::on_path(VfsOp::Write, "manifest-", FaultErr::Eio));
+            t.checkpoint()
+                .expect_err("a checkpoint whose manifest cannot be written fails");
+            vfs.clear_faults();
+        }
+    }
+    assert_eq!(t.stats().generation, base_gen, "no checkpoint committed");
+    assert!(!t.is_degraded());
+    assert_eq!(
+        wal_links(&dir).len(),
+        3,
+        "each failed capture rotated the WAL"
+    );
+    drop(t);
+
+    for (i, p) in points.iter().enumerate() {
+        let mut pit = DurableTable::open_at_with_vfs(handle.clone(), &dir, p.lsn)
+            .unwrap_or_else(|e| panic!("open_at({}) failed: {e}", p.lsn));
+        assert_eq!(pit.generation, base_gen, "write {i}: the create's base");
+        assert_eq!(pit.restored_lsn, p.lsn, "write {i}");
+        assert_eq!(
+            pit.ops_replayed,
+            i as u64 + 1,
+            "write {i}: every write since the base, across the links"
+        );
+        assert_eq!(
+            fingerprint_oracle(&mut pit.table, WRITES),
+            p.fingerprint,
+            "open_at({}) diverged from the oracle at write {i}",
+            p.lsn
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -23,19 +23,14 @@
 //!   HAP Q3 evaluates its key predicate once per filtered partition into
 //!   one bitmap and then runs one masked sum per projected payload column.
 //!
-//! # From typed values to SIMD lanes
+//! # From a half-open interval to one compare
 //!
-//! The kernels are generic over [`ColumnValue`], but the SIMD layer scans
-//! raw unsigned lanes. The bridge is two exact rewrites:
-//!
-//! 1. the two-sided test `x ∈ [lo, hi)` collapses to one unsigned compare
-//!    through the order-preserving `u64` mapping:
-//!    `ord(x) - ord(lo) < ord(hi) - ord(lo)` in wrapping arithmetic;
-//! 2. because the sign-flip of `to_ordered_u64` is congruent to adding the
-//!    sign bit mod 2^BITS, that wrapped difference is *identical* computed
-//!    on raw bit patterns in native width
-//!    ([`ColumnValue::lane_bits`]) — `i32` lanes scan as `u32` lanes with
-//!    zero per-element conversion work.
+//! Keys are unsigned ([`ColumnValue`] is a [`simd::SimdElem`]), so the
+//! kernels hand the stored slice to the SIMD layer as it is. The two-sided
+//! test `x ∈ [lo, hi)` collapses to one unsigned compare of a wrapping
+//! difference: `x - lo < hi - lo`. At or above `hi` the difference is at
+//! least `hi - lo`; below `lo` it wraps to at least `2^BITS - lo`, which
+//! is larger still.
 //!
 //! The [`zone`] submodule provides the per-partition min/max zone maps that
 //! let the read paths in [`crate::ops`] prune partitions before any of
@@ -51,7 +46,7 @@ pub mod zone;
 
 pub use zone::ZoneMap;
 
-use crate::simd::{self, SimdElem};
+use crate::simd;
 use crate::value::ColumnValue;
 
 /// Values per lane: one bitmap word (`u64`) describes one lane.
@@ -63,45 +58,27 @@ pub const LANE_WIDTH: usize = 64;
 /// scalar collect pass over a matching sub-chunk stays cheap.
 pub(crate) const SELECT_SUBCHUNK: usize = 1024;
 
-/// Count live values equal to `v`.
-///
-/// Dispatched SIMD equality count over the raw-bits lane (equality is
-/// bit-pattern equality for every [`ColumnValue`]).
+/// Count live values equal to `v` (dispatched SIMD equality count).
 #[inline]
 pub fn count_eq<K: ColumnValue>(lane: &[K], v: K) -> u64 {
-    SimdElem::count_eq(K::lane_bits(lane), v.to_bits())
+    K::count_eq(lane, v)
 }
 
-/// Count live values in the half-open interval `[lo, hi)`.
-///
-/// The two-sided test collapses to a *single* unsigned compare through the
-/// order-preserving `u64` mapping: `x ∈ [lo, hi)` ⇔
-/// `ord(x) - ord(lo) < ord(hi) - ord(lo)` in wrapping arithmetic — and that
-/// wrapped difference is identical on raw bits in native lane width, which
-/// is what the SIMD window kernel evaluates.
+/// Count live values in the half-open interval `[lo, hi)`: the SIMD window
+/// kernel's one compare `x - lo < hi - lo`.
 #[inline]
 pub fn count_range<K: ColumnValue>(lane: &[K], lo: K, hi: K) -> u64 {
     if hi <= lo {
         return 0;
     }
-    let span = hi.to_ordered_u64().wrapping_sub(lo.to_ordered_u64());
-    SimdElem::count_window(K::lane_bits(lane), lo.to_bits(), K::Bits::narrow(span))
+    K::count_window(lane, lo, hi.wsub(lo))
 }
 
 /// Find the minimum and maximum of a slice in one vectorized pass.
 /// Returns `None` for an empty slice.
-///
-/// The SIMD layer compares unsigned; XORing with the sign mask (the raw
-/// bits of `K::MIN_VALUE` — zero for unsigned types) normalizes signed
-/// lanes into unsigned order, and the same XOR maps the extrema back.
 #[inline]
 pub fn min_max<K: ColumnValue>(lane: &[K]) -> Option<(K, K)> {
-    let flip = K::MIN_VALUE.to_bits();
-    let (lo, hi) = SimdElem::min_max_flipped(K::lane_bits(lane), flip)?;
-    // Results arrive in the flipped (order-normalized) domain; the same
-    // XOR maps them back to raw bits.
-    let unflip = |v: K::Bits| K::from_bits(K::Bits::narrow(v.widen() ^ flip.widen()));
-    Some((unflip(lo), unflip(hi)))
+    K::min_max(lane)
 }
 
 /// Append the positions (offset by `base`) of every value equal to `v`.
@@ -111,21 +88,19 @@ pub fn min_max<K: ColumnValue>(lane: &[K]) -> Option<(K, K)> {
 /// (rare — point queries touch a handful of duplicates in one partition)
 /// pay the position-materializing collect pass. Misses therefore run at the
 /// full branchless scan rate with zero output work. The collect pass is
-/// itself dispatched ([`crate::simd::SimdElem::select_eq_positions`]): on
+/// itself dispatched ([`simd::SimdElem::select_eq_positions`]): on
 /// AVX-512 matching sub-chunk positions are emitted with `vpcompressd`
 /// compress-stores instead of a per-element branch.
 pub fn select_eq_into<K: ColumnValue>(lane: &[K], v: K, base: usize, out: &mut Vec<usize>) {
-    let bits = K::lane_bits(lane);
-    let target = v.to_bits();
     let mut scratch: Vec<u32> = Vec::new();
-    for (ci, chunk) in bits.chunks(SELECT_SUBCHUNK).enumerate() {
-        let hits = SimdElem::count_eq(chunk, target);
+    for (ci, chunk) in lane.chunks(SELECT_SUBCHUNK).enumerate() {
+        let hits = K::count_eq(chunk, v);
         if hits == 0 {
             continue;
         }
         scratch.clear();
         scratch.reserve(hits as usize);
-        SimdElem::select_eq_positions(chunk, target, 0, &mut scratch);
+        K::select_eq_positions(chunk, v, 0, &mut scratch);
         let chunk_base = base + ci * SELECT_SUBCHUNK;
         out.reserve(scratch.len());
         out.extend(scratch.iter().map(|&p| chunk_base + p as usize));
@@ -138,17 +113,15 @@ pub fn select_eq_into<K: ColumnValue>(lane: &[K], v: K, base: usize, out: &mut V
 /// early exit: the scan stops at the first sub-chunk holding any match,
 /// and only that sub-chunk pays the collect pass.
 pub fn first_eq<K: ColumnValue>(lane: &[K], v: K) -> Option<usize> {
-    let target = v.to_bits();
-    K::lane_bits(lane)
-        .chunks(SELECT_SUBCHUNK)
+    lane.chunks(SELECT_SUBCHUNK)
         .enumerate()
         .find_map(|(ci, chunk)| {
-            let hits = SimdElem::count_eq(chunk, target);
+            let hits = K::count_eq(chunk, v);
             if hits == 0 {
                 return None;
             }
             let mut scratch = Vec::with_capacity(hits as usize);
-            SimdElem::select_eq_positions(chunk, target, 0, &mut scratch);
+            K::select_eq_positions(chunk, v, 0, &mut scratch);
             Some(ci * SELECT_SUBCHUNK + scratch[0] as usize)
         })
 }
@@ -158,16 +131,16 @@ pub fn first_eq<K: ColumnValue>(lane: &[K], v: K) -> Option<usize> {
 /// qualifies; a final partial lane produces a zero-padded word). Returns the
 /// number of qualifying values.
 ///
-/// This is the compare→movemask→word-packing path: on AVX-512 a u8 lane
-/// produces one full word per compare; on AVX2 the movemask bits are packed
-/// into words; the portable fallback shifts bools.
+/// This is the compare→movemask→word-packing path: on AVX-512 the compare
+/// masks are the word's bits (four compares per word on a u32 lane, eight
+/// on a u64 lane); on AVX2 the movemask bits are packed into words; the
+/// portable fallback shifts bools.
 pub fn select_range_bitmap<K: ColumnValue>(lane: &[K], lo: K, hi: K, out: &mut Vec<u64>) -> u64 {
     if hi <= lo {
         out.extend(std::iter::repeat_n(0, lane.len().div_ceil(LANE_WIDTH)));
         return 0;
     }
-    let span = hi.to_ordered_u64().wrapping_sub(lo.to_ordered_u64());
-    SimdElem::bitmap_window(K::lane_bits(lane), lo.to_bits(), K::Bits::narrow(span), out)
+    K::bitmap_window(lane, lo, hi.wsub(lo), out)
 }
 
 /// Sum `payload[i]` (widened to `u64`) for every position `i` whose bit is

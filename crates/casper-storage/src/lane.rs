@@ -434,21 +434,21 @@ mod tests {
         assert_eq!(frame_base(0u64, 1 << 32), None);
         assert_eq!(frame_base(0u64, FRAME_MAX), Some(0));
         assert_eq!(frame_base(0u32, 5), None);
-        // Signed keys frame in ordered space.
-        let base = frame_base(-5i64, 5).expect("narrow");
-        assert!(offset_of(base, -5i64).is_some() && offset_of(base, 5i64).is_some());
     }
 
     #[test]
     fn narrow_lane_scans_match_wide() {
-        let keys: Vec<i64> = (0..300).map(|i| (i * 37) % 200 - 100).collect();
+        // Keys around `o`, far from both ends of the domain, so probes at
+        // 0 and u64::MAX fall outside the narrow frame on either side.
+        let o = 1u64 << 40;
+        let keys: Vec<u64> = (0..300).map(|i| o - 100 + (i * 37) % 200).collect();
         let narrow = KeyLane::from_slots(keys.clone(), kernels::min_max(&keys));
         assert!(narrow.is_narrow());
         let wide = KeyLane::Wide(keys.clone());
         let r = 17..290;
         assert_eq!(narrow.to_vec(0..keys.len()), keys);
         assert_eq!(narrow.min_max(r.clone()), wide.min_max(r.clone()));
-        for v in [-100i64, -1, 0, 42, 99, i64::MIN, i64::MAX] {
+        for v in [o - 100, o - 1, o, o + 42, o + 99, 0, u64::MAX] {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             narrow.select_eq_into(r.clone(), v, &mut a);
             wide.select_eq_into(r.clone(), v, &mut b);
@@ -456,11 +456,11 @@ mod tests {
             assert_eq!(narrow.first_eq(r.clone(), v), wide.first_eq(r.clone(), v));
         }
         for (lo, hi) in [
-            (-50i64, 50),
-            (i64::MIN, i64::MAX),
-            (99, 100),
-            (5, -5),
-            (200, 300),
+            (o - 50, o + 50),
+            (0, u64::MAX),
+            (o + 99, o + 100),
+            (o + 5, o - 5),
+            (o + 200, o + 300),
         ] {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             let ma = narrow.select_range_bitmap(r.clone(), lo, hi, &mut a);

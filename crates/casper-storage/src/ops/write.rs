@@ -694,7 +694,7 @@ mod tests {
     #[test]
     fn insert_with_payload_row() {
         let mut c = PartitionedChunk::build_with_payloads(
-            (1..=8).collect(),
+            (1..=8u64).collect(),
             vec![(1..=8).map(|k| (k * 10) as u32).collect()],
             &PartitionSpec::from_block_sizes(&[2, 2]),
             tiny_layout(),
@@ -716,7 +716,7 @@ mod tests {
     #[test]
     fn payload_arity_checked_on_insert() {
         let mut c = PartitionedChunk::build_with_payloads(
-            (1..=4).collect(),
+            (1..=4u64).collect(),
             vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8]],
             &PartitionSpec::from_block_sizes(&[2]),
             tiny_layout(),

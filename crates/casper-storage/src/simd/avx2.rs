@@ -6,11 +6,6 @@
 //! qualifies) — plus the shared loop shapes in
 //! [`super::arch_kernels`]. Packing strategy per width:
 //!
-//! * `u8` — 32 lanes/vector; `movemask_epi8` yields 32 element bits, two
-//!   vectors per word.
-//! * `u16` — 16 lanes/vector; pairs of compare results are saturating-packed
-//!   to bytes (`packs_epi16` + a `permute4x64` to undo the 128-bit lane
-//!   interleave) so one `movemask_epi8` covers 32 elements.
 //! * `u32` — 8 lanes/vector via `movemask_ps`.
 //! * `u64` — 4 lanes/vector via `movemask_pd`.
 //!
@@ -126,166 +121,6 @@ unsafe fn reduce_add_u64(v: __m256i) -> u64 {
         .wrapping_add(tmp[3])
 }
 
-/// Generate the min/max kernel for one width from its `epu` intrinsics
-/// (mirrors `avx512::avx512_min_max`; AVX2 lacks `epu64` min/max, so the
-/// u64 variant stays hand-written in [`w64`]).
-macro_rules! avx2_min_max {
-    ($t:ty, $lanes:expr, set1 = $set1:ident, min = $min:ident, max = $max:ident) => {
-        /// Min/max of `x ^ flip` over a non-empty lane.
-        ///
-        /// # Safety
-        /// Requires AVX2; `lane` must be non-empty.
-        #[target_feature(enable = "avx2")]
-        // SAFETY: AVX2 is present (dispatcher); every load reads a
-        // `chunks_exact($lanes)` block of `lane`, and each store writes one
-        // vector into a `$lanes`-element stack array.
-        pub unsafe fn min_max_flipped(lane: &[$t], flip: $t) -> ($t, $t) {
-            let flipv = $set1(flip as _);
-            let mut vmin = $set1(<$t>::MAX as _);
-            let mut vmax = _mm256_setzero_si256();
-            let mut chunks = lane.chunks_exact($lanes);
-            for c in &mut chunks {
-                let x = _mm256_xor_si256(_mm256_loadu_si256(c.as_ptr() as *const __m256i), flipv);
-                vmin = $min(vmin, x);
-                vmax = $max(vmax, x);
-            }
-            let mut mins = [<$t>::MAX; $lanes];
-            let mut maxs = [0 as $t; $lanes];
-            _mm256_storeu_si256(mins.as_mut_ptr() as *mut __m256i, vmin);
-            _mm256_storeu_si256(maxs.as_mut_ptr() as *mut __m256i, vmax);
-            let mut lo = <$t>::MAX;
-            let mut hi = 0 as $t;
-            for i in 0..$lanes {
-                lo = lo.min(mins[i]);
-                hi = hi.max(maxs[i]);
-            }
-            for &x in chunks.remainder() {
-                let v = x ^ flip;
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            (lo, hi)
-        }
-    };
-}
-
-/// u8 lanes: 32 per vector, two vectors per bitmap word.
-pub mod w8 {
-    use super::*;
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 is present (dispatcher); `ptr` starts a `chunks_exact(64)`
-    // block (`arch_kernels`), and the two 32-lane loads read its 64 bytes.
-    unsafe fn window_word(ptr: *const u8, lo: u8, span: u8) -> u64 {
-        let lov = _mm256_set1_epi8(lo as i8);
-        let bias = _mm256_set1_epi8(i8::MIN);
-        let spanb = _mm256_xor_si256(_mm256_set1_epi8(span as i8), bias);
-        let mut word = 0u64;
-        for half in 0..2 {
-            let x = _mm256_loadu_si256(ptr.add(half * 32) as *const __m256i);
-            let d = _mm256_xor_si256(_mm256_sub_epi8(x, lov), bias);
-            let m = _mm256_movemask_epi8(_mm256_cmpgt_epi8(spanb, d)) as u32;
-            word |= u64::from(m) << (half * 32);
-        }
-        word
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: as `window_word`: two 32-lane loads inside one 64-byte block.
-    unsafe fn eq_word(ptr: *const u8, target: u8) -> u64 {
-        let tv = _mm256_set1_epi8(target as i8);
-        let mut word = 0u64;
-        for half in 0..2 {
-            let x = _mm256_loadu_si256(ptr.add(half * 32) as *const __m256i);
-            let m = _mm256_movemask_epi8(_mm256_cmpeq_epi8(x, tv)) as u32;
-            word |= u64::from(m) << (half * 32);
-        }
-        word
-    }
-
-    avx2_min_max!(
-        u8,
-        32,
-        set1 = _mm256_set1_epi8,
-        min = _mm256_min_epu8,
-        max = _mm256_max_epu8
-    );
-    arch_kernels!("avx2", u8);
-}
-
-/// u16 lanes: 16 per vector, compare pairs packed to one 32-bit mask.
-pub mod w16 {
-    use super::*;
-
-    /// Pack two 16-bit compare results (lanes of `0x0000`/`0xFFFF`) into a
-    /// 32-bit element mask: saturating-pack to bytes, fix the 128-bit lane
-    /// interleave, movemask.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: register-only AVX2 arithmetic; callers run under AVX2.
-    unsafe fn pair_mask(c0: __m256i, c1: __m256i) -> u32 {
-        let packed = _mm256_packs_epi16(c0, c1);
-        let fixed = _mm256_permute4x64_epi64(packed, 0b11_01_10_00);
-        _mm256_movemask_epi8(fixed) as u32
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: register-only AVX2 arithmetic; callers run under AVX2.
-    unsafe fn window_cmp(x: __m256i, lov: __m256i, spanb: __m256i, bias: __m256i) -> __m256i {
-        let d = _mm256_xor_si256(_mm256_sub_epi16(x, lov), bias);
-        _mm256_cmpgt_epi16(spanb, d)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 is present (dispatcher); `ptr` starts a `chunks_exact(64)`
-    // block, and the four 16-lane loads (offsets 0, 16, 32, 48) read its 64
-    // `u16`s.
-    unsafe fn window_word(ptr: *const u16, lo: u16, span: u16) -> u64 {
-        let lov = _mm256_set1_epi16(lo as i16);
-        let bias = _mm256_set1_epi16(i16::MIN);
-        let spanb = _mm256_xor_si256(_mm256_set1_epi16(span as i16), bias);
-        let mut word = 0u64;
-        for half in 0..2 {
-            let a = _mm256_loadu_si256(ptr.add(half * 32) as *const __m256i);
-            let b = _mm256_loadu_si256(ptr.add(half * 32 + 16) as *const __m256i);
-            let m = pair_mask(
-                window_cmp(a, lov, spanb, bias),
-                window_cmp(b, lov, spanb, bias),
-            );
-            word |= u64::from(m) << (half * 32);
-        }
-        word
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: as `window_word`: four 16-lane loads inside one 64-element block.
-    unsafe fn eq_word(ptr: *const u16, target: u16) -> u64 {
-        let tv = _mm256_set1_epi16(target as i16);
-        let mut word = 0u64;
-        for half in 0..2 {
-            let a = _mm256_loadu_si256(ptr.add(half * 32) as *const __m256i);
-            let b = _mm256_loadu_si256(ptr.add(half * 32 + 16) as *const __m256i);
-            let m = pair_mask(_mm256_cmpeq_epi16(a, tv), _mm256_cmpeq_epi16(b, tv));
-            word |= u64::from(m) << (half * 32);
-        }
-        word
-    }
-
-    avx2_min_max!(
-        u16,
-        16,
-        set1 = _mm256_set1_epi16,
-        min = _mm256_min_epu16,
-        max = _mm256_max_epu16
-    );
-    arch_kernels!("avx2", u16);
-}
-
 /// u32 lanes: 8 per vector via `movemask_ps`.
 pub mod w32 {
     use super::*;
@@ -323,13 +158,40 @@ pub mod w32 {
         word
     }
 
-    avx2_min_max!(
-        u32,
-        8,
-        set1 = _mm256_set1_epi32,
-        min = _mm256_min_epu32,
-        max = _mm256_max_epu32
-    );
+    /// Min/max over a non-empty lane.
+    ///
+    /// # Safety
+    /// Requires AVX2; `lane` must be non-empty.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 is present (dispatcher); every load reads a
+    // `chunks_exact(8)` block of `lane`, and each store writes one vector into
+    // an 8 × `u32` stack array.
+    pub unsafe fn min_max(lane: &[u32]) -> (u32, u32) {
+        let mut vmin = _mm256_set1_epi32(-1);
+        let mut vmax = _mm256_setzero_si256();
+        let mut chunks = lane.chunks_exact(8);
+        for c in &mut chunks {
+            let x = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
+            vmin = _mm256_min_epu32(vmin, x);
+            vmax = _mm256_max_epu32(vmax, x);
+        }
+        let mut mins = [u32::MAX; 8];
+        let mut maxs = [0u32; 8];
+        _mm256_storeu_si256(mins.as_mut_ptr() as *mut __m256i, vmin);
+        _mm256_storeu_si256(maxs.as_mut_ptr() as *mut __m256i, vmax);
+        let mut lo = u32::MAX;
+        let mut hi = 0u32;
+        for i in 0..8 {
+            lo = lo.min(mins[i]);
+            hi = hi.max(maxs[i]);
+        }
+        for &x in chunks.remainder() {
+            lo = lo.min(x);
+            hi = hi.max(x);
+        }
+        (lo, hi)
+    }
+
     arch_kernels!("avx2", u32);
 }
 
@@ -372,9 +234,9 @@ pub mod w64 {
         word
     }
 
-    /// Min/max of `x ^ flip` over a non-empty lane.
+    /// Min/max over a non-empty lane.
     ///
-    /// Tracks extrema in the sign-biased domain (`x ^ flip ^ 1<<63`) where
+    /// Tracks extrema in the sign-biased domain (`x ^ 1<<63`) where
     /// `cmpgt_epi64` orders correctly, un-biasing on reduction.
     ///
     /// # Safety
@@ -383,14 +245,14 @@ pub mod w64 {
     // SAFETY: AVX2 is present (dispatcher); every load reads a
     // `chunks_exact(4)` block of `lane`, and each store writes one vector into
     // a 4 × `u64` stack array.
-    pub unsafe fn min_max_flipped(lane: &[u64], flip: u64) -> (u64, u64) {
+    pub unsafe fn min_max(lane: &[u64]) -> (u64, u64) {
         let sign = 1u64 << 63;
-        let prev = _mm256_set1_epi64x((flip ^ sign) as i64);
+        let bias = _mm256_set1_epi64x(i64::MIN);
         let mut vmin = _mm256_set1_epi64x(i64::MAX);
         let mut vmax = _mm256_set1_epi64x(i64::MIN);
         let mut chunks = lane.chunks_exact(4);
         for c in &mut chunks {
-            let x = _mm256_xor_si256(_mm256_loadu_si256(c.as_ptr() as *const __m256i), prev);
+            let x = _mm256_xor_si256(_mm256_loadu_si256(c.as_ptr() as *const __m256i), bias);
             vmin = _mm256_blendv_epi8(vmin, x, _mm256_cmpgt_epi64(vmin, x));
             vmax = _mm256_blendv_epi8(vmax, x, _mm256_cmpgt_epi64(x, vmax));
         }
@@ -398,7 +260,7 @@ pub mod w64 {
         let mut maxs = [0u64; 4];
         _mm256_storeu_si256(mins.as_mut_ptr() as *mut __m256i, vmin);
         _mm256_storeu_si256(maxs.as_mut_ptr() as *mut __m256i, vmax);
-        // Un-bias back to the flipped (order-normalized unsigned) domain.
+        // Un-bias back to the unsigned domain.
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         for i in 0..4 {
@@ -406,9 +268,8 @@ pub mod w64 {
             hi = hi.max(maxs[i] ^ sign);
         }
         for &x in chunks.remainder() {
-            let v = x ^ flip;
-            lo = lo.min(v);
-            hi = hi.max(v);
+            lo = lo.min(x);
+            hi = hi.max(x);
         }
         (lo, hi)
     }

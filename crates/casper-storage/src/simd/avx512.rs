@@ -3,13 +3,11 @@
 //! Where AVX2 needs compare → movemask → shift/or per vector, AVX-512's
 //! mask-register compares hand back the bitmap bits directly — and they
 //! come in *unsigned* flavours, so the window test `x - lo <u span` is a
-//! single `vpsubb` + `vpcmpub` with no sign-bias trick. Lanes per 512-bit
-//! vector: 64×u8 (one compare = one whole bitmap word), 32×u16, 16×u32,
-//! 8×u64.
+//! single `vpsubd` + `vpcmpud` with no sign-bias trick. Lanes per 512-bit
+//! vector: 16×u32 (four compares per bitmap word), 8×u64.
 //!
-//! Requires `avx512f` (32/64-bit element ops) and `avx512bw` (8/16-bit
-//! element ops); the dispatcher treats the pair as one level since every
-//! width must be available.
+//! The kernels use `avx512f` instructions only; the level is detected and
+//! enabled as `avx512f` + `avx512bw`, one level for both.
 //!
 //! # Safety
 //!
@@ -187,10 +185,11 @@ macro_rules! avx512_select_eq {
     };
 }
 
-/// Generate the min/max kernel for one width from its `epu` intrinsics.
+/// Generate the min/max kernel for one width from its `epu` intrinsics
+/// (AVX-512F has native unsigned min/max at both widths, unlike AVX2).
 macro_rules! avx512_min_max {
     ($t:ty, $lanes:expr, set1 = $set1:ident, min = $min:ident, max = $max:ident) => {
-        /// Min/max of `x ^ flip` over a non-empty lane.
+        /// Min/max over a non-empty lane.
         ///
         /// # Safety
         /// Requires AVX-512F/BW; `lane` must be non-empty.
@@ -198,13 +197,12 @@ macro_rules! avx512_min_max {
         // SAFETY: AVX-512F/BW are present (dispatcher); every load reads a
         // `chunks_exact($lanes)` block of `lane`, and each store writes one
         // vector into a `$lanes`-element stack array.
-        pub unsafe fn min_max_flipped(lane: &[$t], flip: $t) -> ($t, $t) {
-            let flipv = $set1(flip as _);
+        pub unsafe fn min_max(lane: &[$t]) -> ($t, $t) {
             let mut vmin = $set1(<$t>::MAX as _);
             let mut vmax = _mm512_setzero_si512();
             let mut chunks = lane.chunks_exact($lanes);
             for c in &mut chunks {
-                let x = _mm512_xor_si512(_mm512_loadu_si512(c.as_ptr() as *const _), flipv);
+                let x = _mm512_loadu_si512(c.as_ptr() as *const _);
                 vmin = $min(vmin, x);
                 vmax = $max(vmax, x);
             }
@@ -219,87 +217,12 @@ macro_rules! avx512_min_max {
                 hi = hi.max(maxs[i]);
             }
             for &x in chunks.remainder() {
-                let v = x ^ flip;
-                lo = lo.min(v);
-                hi = hi.max(v);
+                lo = lo.min(x);
+                hi = hi.max(x);
             }
             (lo, hi)
         }
     };
-}
-
-/// u8 lanes: one 512-bit compare yields a full 64-bit bitmap word.
-pub mod w8 {
-    use super::*;
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    // SAFETY: AVX-512BW is present (dispatcher); `ptr` starts a
-    // `chunks_exact(64)` block (`arch_kernels`), and the one 64-lane load reads
-    // its 64 bytes.
-    unsafe fn window_word(ptr: *const u8, lo: u8, span: u8) -> u64 {
-        let lov = _mm512_set1_epi8(lo as i8);
-        let spanv = _mm512_set1_epi8(span as i8);
-        let x = _mm512_loadu_si512(ptr as *const _);
-        _mm512_cmplt_epu8_mask(_mm512_sub_epi8(x, lov), spanv)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    // SAFETY: as `window_word`: one 64-lane load of one 64-byte block.
-    unsafe fn eq_word(ptr: *const u8, target: u8) -> u64 {
-        let tv = _mm512_set1_epi8(target as i8);
-        _mm512_cmpeq_epi8_mask(_mm512_loadu_si512(ptr as *const _), tv)
-    }
-
-    avx512_min_max!(
-        u8,
-        64,
-        set1 = _mm512_set1_epi8,
-        min = _mm512_min_epu8,
-        max = _mm512_max_epu8
-    );
-    avx512_select_eq!(u8);
-    arch_kernels!("avx512f,avx512bw", u8);
-}
-
-/// u16 lanes: 32 per vector, two compares per bitmap word.
-pub mod w16 {
-    use super::*;
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    // SAFETY: AVX-512BW is present (dispatcher); `ptr` starts a
-    // `chunks_exact(64)` block, and the two 32-lane loads read its 64 `u16`s.
-    unsafe fn window_word(ptr: *const u16, lo: u16, span: u16) -> u64 {
-        let lov = _mm512_set1_epi16(lo as i16);
-        let spanv = _mm512_set1_epi16(span as i16);
-        let a = _mm512_loadu_si512(ptr as *const _);
-        let b = _mm512_loadu_si512(ptr.add(32) as *const _);
-        let ma = _mm512_cmplt_epu16_mask(_mm512_sub_epi16(a, lov), spanv);
-        let mb = _mm512_cmplt_epu16_mask(_mm512_sub_epi16(b, lov), spanv);
-        u64::from(ma) | (u64::from(mb) << 32)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    // SAFETY: as `window_word`: two 32-lane loads inside one 64-element block.
-    unsafe fn eq_word(ptr: *const u16, target: u16) -> u64 {
-        let tv = _mm512_set1_epi16(target as i16);
-        let ma = _mm512_cmpeq_epi16_mask(_mm512_loadu_si512(ptr as *const _), tv);
-        let mb = _mm512_cmpeq_epi16_mask(_mm512_loadu_si512(ptr.add(32) as *const _), tv);
-        u64::from(ma) | (u64::from(mb) << 32)
-    }
-
-    avx512_min_max!(
-        u16,
-        32,
-        set1 = _mm512_set1_epi16,
-        min = _mm512_min_epu16,
-        max = _mm512_max_epu16
-    );
-    avx512_select_eq!(u16);
-    arch_kernels!("avx512f,avx512bw", u16);
 }
 
 /// u32 lanes: 16 per vector, four compares per bitmap word.
@@ -379,43 +302,13 @@ pub mod w64 {
         word
     }
 
-    /// Min/max of `x ^ flip` over a non-empty lane (AVX-512F has native
-    /// `epu64` min/max, unlike AVX2).
-    ///
-    /// # Safety
-    /// Requires AVX-512F/BW; `lane` must be non-empty.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    // SAFETY: AVX-512F is present (dispatcher); every load reads a
-    // `chunks_exact(8)` block of `lane`, and each store writes one vector into
-    // an 8 × `u64` stack array.
-    pub unsafe fn min_max_flipped(lane: &[u64], flip: u64) -> (u64, u64) {
-        let flipv = _mm512_set1_epi64(flip as i64);
-        let mut vmin = _mm512_set1_epi64(-1i64);
-        let mut vmax = _mm512_setzero_si512();
-        let mut chunks = lane.chunks_exact(8);
-        for c in &mut chunks {
-            let x = _mm512_xor_si512(_mm512_loadu_si512(c.as_ptr() as *const _), flipv);
-            vmin = _mm512_min_epu64(vmin, x);
-            vmax = _mm512_max_epu64(vmax, x);
-        }
-        let mut mins = [u64::MAX; 8];
-        let mut maxs = [0u64; 8];
-        _mm512_storeu_si512(mins.as_mut_ptr() as *mut _, vmin);
-        _mm512_storeu_si512(maxs.as_mut_ptr() as *mut _, vmax);
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for i in 0..8 {
-            lo = lo.min(mins[i]);
-            hi = hi.max(maxs[i]);
-        }
-        for &x in chunks.remainder() {
-            let v = x ^ flip;
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        (lo, hi)
-    }
-
+    avx512_min_max!(
+        u64,
+        8,
+        set1 = _mm512_set1_epi64,
+        min = _mm512_min_epu64,
+        max = _mm512_max_epu64
+    );
     avx512_select_eq!(u64);
     arch_kernels!("avx512f,avx512bw", u64);
 }

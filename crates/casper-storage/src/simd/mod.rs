@@ -6,8 +6,8 @@
 //! selected **once at startup**:
 //!
 //! * [`SimdLevel::Avx512`] — 512-bit compares producing `__mmask` registers
-//!   directly (one `vpcmpub` yields a whole 64-bit bitmap word for a u8
-//!   lane). Requires `avx512f` + `avx512bw`.
+//!   directly (four `vpcmpud` yield a whole 64-bit bitmap word for a u32
+//!   lane). Detected as `avx512f` + `avx512bw`.
 //! * [`SimdLevel::Avx2`] — 256-bit compares + `movemask` word packing.
 //! * [`SimdLevel::Scalar`] — the portable chunked-scalar fallback in
 //!   [`portable`]; branchless accumulation loops that auto-vectorize on
@@ -22,21 +22,15 @@
 //!
 //! # Kernel surface
 //!
-//! Everything is expressed over *unsigned native lanes* ([`SimdElem`]:
-//! `u8`/`u16`/`u32`/`u64`). Plain columns reinterpret their values as raw
-//! bits ([`crate::value::ColumnValue::lane_bits`]); a narrow key lane's
-//! `u32` offsets are already native unsigned. Range predicates
-//! arrive pre-rebased as **modular windows**: `x` matches iff
-//! `(x - lo) mod 2^BITS < span`, one wrapping subtract plus one unsigned
-//! compare. The window test is translation-invariant, so a caller whose
-//! interval `[lo, hi)` lives in any order-congruent domain (ordered-u64
-//! space, raw-bits space, rebased offset space) passes its own `lo` and
-//! `span = hi - lo` and gets exact half-open-interval semantics — even
-//! when the raw-bits window wraps, as it does for signed intervals
-//! straddling zero (see `kernels/mod.rs` for the derivation).
+//! Everything is expressed over two *unsigned native lanes* ([`SimdElem`]:
+//! `u32`/`u64`). Keys are `u64` lanes and a narrow key lane's offsets are
+//! `u32` lanes, so the kernels scan the stored slice as it is. Range
+//! predicates arrive pre-rebased as **windows**: `x` matches iff
+//! `x - lo < span` in wrapping lane arithmetic, one subtract plus one
+//! unsigned compare (see `kernels/mod.rs` for the derivation).
 //!
 //! Every dispatched kernel is bit-exact against its [`portable`] twin —
-//! property-tested across widths, unaligned offsets and ragged tails in
+//! property-tested at both widths, unaligned offsets and ragged tails in
 //! `tests/simd_dispatch.rs`.
 
 #[cfg(target_arch = "x86_64")]
@@ -146,42 +140,31 @@ pub fn level() -> SimdLevel {
     level
 }
 
-/// A fixed-width unsigned lane element the SIMD kernels scan.
+/// A fixed-width unsigned lane element the SIMD kernels scan (`u32` or
+/// `u64`).
 ///
 /// The five dispatched kernels cover the key-lane scan surface: equality
 /// and window counting, bitmap selection (one `u64` word per 64 values),
-/// equality position collection, and min/max (optionally through an
-/// order-normalizing XOR so signed columns reuse the unsigned
-/// comparators). Payload aggregation is lane-width independent and lives
-/// beside the trait ([`sum_payload_masked`], [`sum_u32`]).
+/// equality position collection, and min/max. Payload aggregation is
+/// lane-width independent and lives beside the trait
+/// ([`sum_payload_masked`], [`sum_u32`]).
 pub trait SimdElem:
     Copy + Ord + Eq + Send + Sync + std::fmt::Debug + std::fmt::Display + 'static
 {
-    /// Lane width in bits.
-    const BITS: u32;
-    /// The lane's maximum value, widened to `u64`.
-    const MAX_WIDE: u64;
-
-    /// Narrow a widened value (callers guarantee `v <= MAX_WIDE`).
-    fn narrow(v: u64) -> Self;
-    /// Widen to `u64`.
-    fn widen(self) -> u64;
     /// Wrapping subtraction in lane width.
     fn wsub(self, rhs: Self) -> Self;
 
     /// Count lane entries equal to `target` (dispatched).
     fn count_eq(lane: &[Self], target: Self) -> u64;
-    /// Count lane entries in the modular window — `x` matches iff
-    /// `(x - lo) mod 2^BITS < span` (dispatched).
+    /// Count lane entries in the window — `x` matches iff `x - lo < span`
+    /// in wrapping lane arithmetic (dispatched).
     fn count_window(lane: &[Self], lo: Self, span: Self) -> u64;
     /// Evaluate the window over the lane into bitmap words — bit `i` of
     /// word `w` ⇔ `lane[w * 64 + i]` qualifies, final partial word
     /// zero-padded. Returns the match count (dispatched).
     fn bitmap_window(lane: &[Self], lo: Self, span: Self, out: &mut Vec<u64>) -> u64;
-    /// Min/max of `x ^ flip` over the lane (`None` when empty). Passing
-    /// the sign mask as `flip` turns the unsigned comparators into
-    /// order-correct signed ones; pass `0` for plain unsigned (dispatched).
-    fn min_max_flipped(lane: &[Self], flip: Self) -> Option<(Self, Self)>;
+    /// Min/max over the lane (`None` when empty) (dispatched).
+    fn min_max(lane: &[Self]) -> Option<(Self, Self)>;
     /// Append `base + i` for every `i` with `lane[i] == target` (ascending;
     /// `base + lane.len()` must fit in `u32`); returns the match count. On
     /// AVX-512 this is the `vpcompressd` compress-store collect pass; AVX2
@@ -192,7 +175,7 @@ pub trait SimdElem:
 
 /// Generate the three lane-kernel loop shapes for an arch backend width
 /// module. The module provides the two 64-element primitives `window_word`
-/// / `eq_word` (and a hand-written `min_max_flipped`); this macro wraps
+/// / `eq_word` (and its own `min_max`); this macro wraps
 /// them in the shared full-lane loops: whole 64-element blocks go through
 /// the SIMD word primitive, the ragged tail runs scalar.
 #[cfg(target_arch = "x86_64")]
@@ -293,19 +276,6 @@ macro_rules! dispatch {
 macro_rules! impl_simd_elem {
     ($t:ty, $width:ident) => {
         impl SimdElem for $t {
-            const BITS: u32 = <$t>::BITS;
-            const MAX_WIDE: u64 = <$t>::MAX as u64;
-
-            #[inline]
-            fn narrow(v: u64) -> Self {
-                v as $t
-            }
-
-            #[inline]
-            fn widen(self) -> u64 {
-                self as u64
-            }
-
             #[inline]
             fn wsub(self, rhs: Self) -> Self {
                 self.wrapping_sub(rhs)
@@ -327,11 +297,11 @@ macro_rules! impl_simd_elem {
             }
 
             #[inline]
-            fn min_max_flipped(lane: &[Self], flip: Self) -> Option<(Self, Self)> {
+            fn min_max(lane: &[Self]) -> Option<(Self, Self)> {
                 if lane.is_empty() {
                     return None;
                 }
-                Some(dispatch!($width, min_max_flipped(lane, flip)))
+                Some(dispatch!($width, min_max(lane)))
             }
 
             #[inline]
@@ -358,8 +328,6 @@ macro_rules! impl_simd_elem {
     };
 }
 
-impl_simd_elem!(u8, w8);
-impl_simd_elem!(u16, w16);
 impl_simd_elem!(u32, w32);
 impl_simd_elem!(u64, w64);
 
@@ -456,19 +424,18 @@ mod tests {
 
     #[test]
     fn wrapping_windows_are_exact() {
-        // A raw-bits window that wraps (signed interval straddling zero):
-        // [-2, 3) over i8 bit patterns = lo 0xFE, span 5.
-        let lane: Vec<u8> = vec![0xFD, 0xFE, 0xFF, 0x00, 0x01, 0x02, 0x03, 0x80, 0x7F];
-        let inside = |x: i8| (-2..3).contains(&x);
-        let want = lane.iter().filter(|&&b| inside(b as i8)).count() as u64;
-        assert_eq!(u8::count_window(&lane, 0xFE, 5), want);
-        assert_eq!(portable::count_window(&lane, 0xFEu8, 5), want);
+        // The window compare is modular: a window running past the top of
+        // the domain wraps to its bottom, here [MAX - 1, MAX + 3) over u32.
+        let lane: Vec<u32> = vec![u32::MAX - 2, u32::MAX - 1, u32::MAX, 0, 1, 2, 3, 1 << 31];
+        let want = 5;
+        assert_eq!(u32::count_window(&lane, u32::MAX - 1, 5), want);
+        assert_eq!(portable::count_window(&lane, u32::MAX - 1, 5), want);
     }
 
     #[test]
     fn dispatched_kernels_match_portable_smoke() {
         // The exhaustive property tests live in tests/simd_dispatch.rs;
-        // this is a quick in-crate tripwire across all four widths.
+        // this is a quick in-crate tripwire at both widths.
         fn check<T: SimdElem>(vals: &[T], lo: T, span: T, eq: T) {
             assert_eq!(
                 T::count_window(vals, lo, span),
@@ -486,26 +453,12 @@ mod tests {
                 sum_payload_masked(&payload, &a),
                 portable::sum_payload_masked(&payload, &b)
             );
-            assert_eq!(
-                T::min_max_flipped(vals, T::narrow(0)),
-                portable_min_max(vals)
-            );
+            assert_eq!(T::min_max(vals), Some(portable::min_max(vals)));
         }
-        fn portable_min_max<T: SimdElem>(vals: &[T]) -> Option<(T, T)> {
-            if vals.is_empty() {
-                None
-            } else {
-                Some(portable::min_max_flipped(vals, T::narrow(0)))
-            }
-        }
-        let v8: Vec<u8> = (0..331u32).map(|i| (i * 97 % 251) as u8).collect();
-        let v16: Vec<u16> = (0..331u32).map(|i| (i * 977 % 60013) as u16).collect();
         let v32: Vec<u32> = (0..331u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         let v64: Vec<u64> = (0..331u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        check(&v8, 30u8, 90, 42);
-        check(&v16, 1000u16, 30000, 977);
         check(&v32, 1 << 20, 1 << 30, v32[7]);
         check(&v64, 1 << 40, 1 << 62, v64[11]);
     }

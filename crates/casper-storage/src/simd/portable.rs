@@ -53,18 +53,16 @@ pub fn bitmap_window<T: SimdElem>(lane: &[T], lo: T, span: T, out: &mut Vec<u64>
     matched
 }
 
-/// Min/max of `x ^ flip` over a non-empty lane.
-pub fn min_max_flipped<T: SimdElem>(lane: &[T], flip: T) -> (T, T) {
+/// Min/max over a non-empty lane.
+pub fn min_max<T: SimdElem>(lane: &[T]) -> (T, T) {
     debug_assert!(!lane.is_empty());
-    let f = flip.widen();
-    let mut lo = lane[0].widen() ^ f;
+    let mut lo = lane[0];
     let mut hi = lo;
     for &x in &lane[1..] {
-        let v = x.widen() ^ f;
-        lo = if v < lo { v } else { lo };
-        hi = if v > hi { v } else { hi };
+        lo = if x < lo { x } else { lo };
+        hi = if x > hi { x } else { hi };
     }
-    (T::narrow(lo), T::narrow(hi))
+    (lo, hi)
 }
 
 /// Append `base + i` for every `i` with `lane[i] == target`; returns the
@@ -119,30 +117,21 @@ mod tests {
 
     #[test]
     fn window_is_half_open_and_wrap_safe() {
-        let lane: Vec<u8> = vec![0, 9, 10, 11, 250, 255];
+        let lane: Vec<u32> = vec![0, 9, 10, 11, u32::MAX - 5, u32::MAX];
         // [10, 12): matches 10, 11.
-        assert_eq!(count_window(&lane, 10u8, 2), 2);
-        // [250, 256) expressed as lo=250, span=6: matches 250, 255.
-        assert_eq!(count_window(&lane, 250u8, 6), 2);
+        assert_eq!(count_window(&lane, 10u32, 2), 2);
+        // [MAX - 5, 2^32) expressed as lo = MAX - 5, span = 6: matches
+        // MAX - 5 and MAX.
+        assert_eq!(count_window(&lane, u32::MAX - 5, 6), 2);
         // Values below lo wrap to huge differences and never match.
-        assert_eq!(count_window(&lane, 200u8, 10), 0);
-    }
-
-    #[test]
-    fn min_max_flip_reorders_signed_bit_patterns() {
-        // Raw bit patterns of i8 [-2, 3] are [0xFE, 0x03]; flipping the
-        // sign bit makes the unsigned comparator order them correctly.
-        let lane: Vec<u8> = vec![0xFE, 0x03];
-        let (lo, hi) = min_max_flipped(&lane, 0x80u8);
-        // Results stay in the flipped (order-normalized) domain.
-        assert_eq!((lo, hi), (0xFE ^ 0x80, 0x03 ^ 0x80));
+        assert_eq!(count_window(&lane, 200u32, 10), 0);
     }
 
     #[test]
     fn bitmap_words_pad_the_tail() {
-        let lane: Vec<u16> = (0..70).collect();
+        let lane: Vec<u32> = (0..70).collect();
         let mut out = Vec::new();
-        let m = bitmap_window(&lane, 0u16, 70, &mut out);
+        let m = bitmap_window(&lane, 0u32, 70, &mut out);
         assert_eq!(m, 70);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], u64::MAX);

@@ -1,6 +1,6 @@
 //! SIMD-vs-scalar bit-exactness: every dispatched kernel × lane width
-//! (u8/u16/u32/u64) must agree with the portable fallback on arbitrary
-//! data, arbitrary windows, unaligned lane starts, and ragged tails.
+//! (u32/u64) must agree with the portable fallback on arbitrary data,
+//! arbitrary windows, unaligned lane starts, and ragged tails.
 //!
 //! On an AVX-512/AVX2 host this pits the intrinsic backends against the
 //! portable loops; on anything else both sides run portable and the tests
@@ -17,40 +17,32 @@ use proptest::prelude::*;
 /// Compare every dispatched kernel against portable on one (lane, window)
 /// case. `offset` shifts the lane start so vector loads hit unaligned
 /// addresses; tail raggedness comes from the arbitrary length.
-fn check_width<T: SimdElem>(vals: &[T], offset: usize, lo: T, span_seed: u64, eq: T) {
+fn check_width<T: ColumnValue>(vals: &[T], offset: usize, lo: T, span_seed: u64, eq: T) {
     let lane = &vals[offset.min(vals.len())..];
+    let bits = T::WIDTH * 8;
     // Clamp the window into the SIMD contract: span >= 1, lo + span <= 2^BITS.
-    let max_span = (1u128 << T::BITS) - u128::from(lo.widen());
-    let span = T::narrow(((u128::from(span_seed) % max_span) as u64).max(1));
+    let max_span = (1u128 << bits) - u128::from(lo.to_ordered_u64());
+    let span = T::from_ordered_u64(((u128::from(span_seed) % max_span) as u64).max(1));
 
     assert_eq!(
         T::count_window(lane, lo, span),
         portable::count_window(lane, lo, span),
-        "count_window u{} len={} off={offset} lo={lo} span={span}",
-        T::BITS,
+        "count_window u{bits} len={} off={offset} lo={lo} span={span}",
         lane.len(),
     );
     assert_eq!(
         T::count_eq(lane, eq),
         portable::count_eq(lane, eq),
-        "count_eq u{}",
-        T::BITS
+        "count_eq u{bits}"
     );
     let (mut got, mut want) = (Vec::new(), Vec::new());
     let gm = T::bitmap_window(lane, lo, span, &mut got);
     let wm = portable::bitmap_window(lane, lo, span, &mut want);
-    assert_eq!(gm, wm, "bitmap_window count u{}", T::BITS);
-    assert_eq!(got, want, "bitmap_window words u{}", T::BITS);
+    assert_eq!(gm, wm, "bitmap_window count u{bits}");
+    assert_eq!(got, want, "bitmap_window words u{bits}");
 
-    for flip in [T::narrow(0), T::narrow(1u64 << (T::BITS - 1))] {
-        let got = T::min_max_flipped(lane, flip);
-        let want = if lane.is_empty() {
-            None
-        } else {
-            Some(portable::min_max_flipped(lane, flip))
-        };
-        assert_eq!(got, want, "min_max_flipped u{} flip={flip}", T::BITS);
-    }
+    let want = (!lane.is_empty()).then(|| portable::min_max(lane));
+    assert_eq!(T::min_max(lane), want, "min_max u{bits}");
 
     // Masked payload sum consumes the bitmap the kernels produced (Q3's
     // filtered-partition shape): dispatched, portable and naive agree.
@@ -61,14 +53,12 @@ fn check_width<T: SimdElem>(vals: &[T], offset: usize, lo: T, span_seed: u64, eq
     assert_eq!(
         simd::sum_payload_masked(&payload, &got),
         want,
-        "sum_payload_masked u{}",
-        T::BITS
+        "sum_payload_masked u{bits}"
     );
     assert_eq!(
         portable::sum_payload_masked(&payload, &got),
         want,
-        "portable sum_payload_masked u{}",
-        T::BITS
+        "portable sum_payload_masked u{bits}"
     );
 
     // Compress-store equality collect: positions, order and count must all
@@ -76,18 +66,18 @@ fn check_width<T: SimdElem>(vals: &[T], offset: usize, lo: T, span_seed: u64, eq
     let (mut got_pos, mut want_pos) = (Vec::new(), Vec::new());
     let gm = T::select_eq_positions(lane, eq, 17, &mut got_pos);
     let wm = portable::select_eq_positions(lane, eq, 17, &mut want_pos);
-    assert_eq!(gm, wm, "select_eq_positions count u{}", T::BITS);
-    assert_eq!(got_pos, want_pos, "select_eq_positions u{}", T::BITS);
+    assert_eq!(gm, wm, "select_eq_positions count u{bits}");
+    assert_eq!(got_pos, want_pos, "select_eq_positions u{bits}");
     let naive: Vec<u32> = lane
         .iter()
         .enumerate()
         .filter(|(_, &x)| x == eq)
         .map(|(i, _)| 17 + i as u32)
         .collect();
-    assert_eq!(got_pos, naive, "select_eq_positions vs naive u{}", T::BITS);
+    assert_eq!(got_pos, naive, "select_eq_positions vs naive u{bits}");
 }
 
-fn reference_masked_sum<T: SimdElem>(lane: &[T], payload: &[u32], lo: T, span: T) -> u64 {
+fn reference_masked_sum<T: ColumnValue>(lane: &[T], payload: &[u32], lo: T, span: T) -> u64 {
     lane.iter()
         .zip(payload)
         .filter(|(&x, _)| x.wsub(lo) < span)
@@ -97,28 +87,6 @@ fn reference_masked_sum<T: SimdElem>(lane: &[T], payload: &[u32], lo: T, span: T
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn u8_kernels_bit_exact(
-        vals in proptest::collection::vec(any::<u8>(), 0..700),
-        offset in 0usize..9,
-        lo in any::<u8>(),
-        span_seed in any::<u64>(),
-        eq in any::<u8>(),
-    ) {
-        check_width::<u8>(&vals, offset, lo, span_seed, eq);
-    }
-
-    #[test]
-    fn u16_kernels_bit_exact(
-        vals in proptest::collection::vec(any::<u16>(), 0..700),
-        offset in 0usize..9,
-        lo in any::<u16>(),
-        span_seed in any::<u64>(),
-        eq in any::<u16>(),
-    ) {
-        check_width::<u16>(&vals, offset, lo, span_seed, eq);
-    }
 
     #[test]
     fn u32_kernels_bit_exact(
@@ -143,31 +111,21 @@ proptest! {
     }
 
     #[test]
-    fn plain_kernels_match_naive_reference_i64(
-        vals in proptest::collection::vec(any::<i64>(), 0..600),
-        lo in any::<i64>(),
-        hi in any::<i64>(),
-        eq in any::<i64>(),
+    fn plain_kernels_match_naive_reference_u64(
+        vals in proptest::collection::vec(any::<u64>(), 0..600),
+        lo in any::<u64>(),
+        hi in any::<u64>(),
+        eq in any::<u64>(),
     ) {
         check_plain(&vals, lo, hi, eq)?;
     }
 
     #[test]
-    fn plain_kernels_match_naive_reference_i32(
-        vals in proptest::collection::vec(any::<i32>(), 0..600),
-        lo in any::<i32>(),
-        hi in any::<i32>(),
-        eq in any::<i32>(),
-    ) {
-        check_plain(&vals, lo, hi, eq)?;
-    }
-
-    #[test]
-    fn plain_kernels_match_naive_reference_u16(
-        vals in proptest::collection::vec(any::<u16>(), 0..600),
-        lo in any::<u16>(),
-        hi in any::<u16>(),
-        eq in any::<u16>(),
+    fn plain_kernels_match_naive_reference_u32(
+        vals in proptest::collection::vec(any::<u32>(), 0..600),
+        lo in any::<u32>(),
+        hi in any::<u32>(),
+        eq in any::<u32>(),
     ) {
         check_plain(&vals, lo, hi, eq)?;
     }
@@ -209,15 +167,6 @@ proptest! {
     // `first_eq` over a key domain narrow enough that matches land
     // anywhere in 0..3 sub-chunks (and sometimes nowhere).
     #[test]
-    fn first_eq_matches_position_u16(
-        vals in proptest::collection::vec(0u16..3000, 0..2600),
-        offset in 0usize..9,
-        eq in 0u16..3000,
-    ) {
-        check_first_eq(&vals, offset, eq)?;
-    }
-
-    #[test]
     fn first_eq_matches_position_u32(
         vals in proptest::collection::vec(0u32..3000, 0..2600),
         offset in 0usize..9,
@@ -250,9 +199,8 @@ fn check_first_eq<K: ColumnValue>(
     Ok(())
 }
 
-/// The typed plain kernels (routing through raw-bits lanes) against a
-/// naive per-element reference — the signed/unsigned ordered-mapping
-/// bridge is what's under test here.
+/// The typed kernels against a naive per-element reference: the interval
+/// `[lo, hi)` (empty when `hi <= lo`) becomes one window compare.
 fn check_plain<K: ColumnValue>(
     vals: &[K],
     lo: K,
@@ -310,9 +258,9 @@ fn boundary_values_and_exact_lane_multiples() {
             .collect();
         check_width::<u64>(&vals, 0, u64::MAX - 5, u64::MAX, u64::MAX);
         check_width::<u64>(&vals, 0, 0, 1, 0);
-        let signed: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
-        check_plain(&signed, i64::MIN, i64::MAX, -1).unwrap();
-        check_plain(&signed, -5, 5, 0).unwrap();
+        check_plain(&vals, u64::MIN, u64::MAX, u64::MAX).unwrap();
+        check_plain(&vals, u64::MAX - 5, u64::MAX, 0).unwrap();
+        check_plain(&vals, 1, 64, 1).unwrap();
     }
 }
 
@@ -323,29 +271,36 @@ fn select_eq_dense_and_sparse_words() {
     // exactly the cases where a miscounted store cursor would corrupt
     // neighbouring positions.
     for len in [64usize, 65, 128, 200] {
-        let vals = vec![42u8; len];
+        let vals = vec![42u32; len];
         let mut out = Vec::new();
-        let n = u8::select_eq_positions(&vals, 42, 0, &mut out);
+        let n = u32::select_eq_positions(&vals, 42, 0, &mut out);
         assert_eq!(n as usize, len);
         assert_eq!(out, (0..len as u32).collect::<Vec<_>>(), "dense len {len}");
     }
-    let mut vals = vec![0u16; 300];
+    let mut vals = vec![0u64; 300];
     vals[63] = 7;
     vals[64] = 7;
     vals[299] = 7;
     let mut out = Vec::new();
-    assert_eq!(u16::select_eq_positions(&vals, 7, 100, &mut out), 3);
+    assert_eq!(u64::select_eq_positions(&vals, 7, 100, &mut out), 3);
     assert_eq!(out, vec![163, 164, 399]);
 }
 
 #[test]
 fn full_domain_window_on_narrow_lanes() {
-    // lo = 0, span = 2^BITS - 1 (the widest window the plain kernels can
-    // express): everything except MAX matches.
-    let vals: Vec<u8> = (0..=255u16).map(|v| v as u8).collect();
+    // lo = 0, span = 2^32 - 1 (the widest window a narrow key lane's
+    // offsets can express): everything except MAX matches.
+    let vals: Vec<u32> = (0..300u32)
+        .map(|i| match i % 4 {
+            0 => u32::MAX,
+            1 => 0,
+            2 => u32::MAX - 1,
+            _ => i.wrapping_mul(2_654_435_761) >> 1,
+        })
+        .collect();
     assert_eq!(
-        portable::count_window(&vals, 0u8, u8::MAX),
-        u8::count_window(&vals, 0u8, u8::MAX)
+        portable::count_window(&vals, 0u32, u32::MAX),
+        u32::count_window(&vals, 0u32, u32::MAX)
     );
-    assert_eq!(u8::count_window(&vals, 0u8, u8::MAX), 255);
+    assert_eq!(u32::count_window(&vals, 0u32, u32::MAX), 225);
 }
