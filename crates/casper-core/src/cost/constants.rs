@@ -9,17 +9,24 @@
 //! memory block ≈ 100 ns, sequential access amortized to **14× lower** cost
 //! per block. Those are the defaults here; `casper-engine::calibrate`
 //! re-measures them on the host.
+//!
+//! The paper's "block" in those numbers is a 64-byte cache line: 100 ns is
+//! one random DRAM line. The solver therefore reads each constant as the
+//! cost of one line and scales it to a logical block (`L` lines) or a row
+//! (`R` lines) with [`BlockGeometry`](super::BlockGeometry); at the unit
+//! geometry (`L = R = 1`) the model is the paper's as written.
 
-/// Per-block access costs in nanoseconds.
+/// Access costs in nanoseconds, per 64-byte line when the solver prices a
+/// chunk (see [`BlockGeometry`](super::BlockGeometry)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConstants {
-    /// Random read of one block.
+    /// Random read of one line.
     pub rr: f64,
-    /// Random write of one block.
+    /// Random write of one line.
     pub rw: f64,
-    /// Sequential read of one block.
+    /// Sequential read of one line.
     pub sr: f64,
-    /// Sequential write of one block.
+    /// Sequential write of one line.
     pub sw: f64,
 }
 
@@ -56,7 +63,8 @@ impl CostConstants {
     }
 
     /// Evaluate an [`casper_storage::OpCost`] access pattern under these
-    /// constants, in nanoseconds.
+    /// constants, in nanoseconds: each count is charged one constant, at
+    /// whatever unit the constants were measured in.
     pub fn nanos_of(&self, cost: &casper_storage::OpCost) -> f64 {
         cost.nanos(self.rr, self.rw, self.sr, self.sw)
     }

@@ -13,8 +13,26 @@
 //! multiplied respectively by 1, `bck_read(i)`, `fwd_read(i)` and
 //! `trail_parts(i)`. Note `parts_term` may be **negative** (the `−utf`,
 //! `−udb` contributions) — the solver handles signed boundary costs.
+//!
+//! The paper's constants price one cache line, so the terms are charged
+//! at the chunk's [`BlockGeometry`] (`L` lines per block, `R` per row):
+//!
+//! ```text
+//! fixed_term_i = RR·(rs+pq+in+de+2udf+2udb) + L·SR·(re+sc) + R·RW·(in+de+2udf+2udb)
+//!              + (L−1)·SR·(rs+pq+de+udf+udb) + (R−1)·RR·(in+udf+udb)
+//! bck_term_i   = L·SR·(rs+pq+de+udf+udb)
+//! fwd_term_i   = L·SR·(re+pq+de+udf+udb)
+//! parts_term_i = R·(RR+RW)·(in+de+udf−utf−udb+utb)
+//! ```
+//!
+//! Each random access pays `RR` for its first line. A scan's first block
+//! (`rs`, `pq`, `de` and an update's search) then streams its other `L−1`
+//! lines; a slot read (`in` and an update's placement) touches the other
+//! `R−1` lines of its row at random. At `L = R = 1` the added terms are
+//! exactly zero and the rest is the paper's Eq. 17, bit for bit.
 
 use super::constants::CostConstants;
+use super::geometry::BlockGeometry;
 use crate::fm::FrequencyModel;
 
 /// Per-block cost coefficients (Eq. 17), precomputed from a
@@ -32,9 +50,17 @@ pub struct BlockTerms {
 }
 
 impl BlockTerms {
-    /// Compute Eq. 17 for every block.
+    /// Compute Eq. 17 for every block at [`BlockGeometry::UNIT`]: the
+    /// paper's terms, with a block and a row priced as one line each.
     pub fn from_fm(fm: &FrequencyModel, c: &CostConstants) -> Self {
+        Self::with_geometry(fm, c, &BlockGeometry::UNIT)
+    }
+
+    /// Compute Eq. 17 for every block of a chunk of geometry `g`.
+    pub fn with_geometry(fm: &FrequencyModel, c: &CostConstants, g: &BlockGeometry) -> Self {
         let n = fm.n_blocks();
+        let (lines, row) = (g.lines_per_block, g.lines_per_row);
+        let (seq_r, row_w, row_move) = (g.seq_block(c), c.rw * row, g.row_move(c));
         let mut fixed = Vec::with_capacity(n);
         let mut bck = Vec::with_capacity(n);
         let mut fwd = Vec::with_capacity(n);
@@ -45,12 +71,14 @@ impl BlockTerms {
             let (udf, utf, udb, utb) = (fm.udf[i], fm.utf[i], fm.udb[i], fm.utb[i]);
             fixed.push(
                 c.rr * (rs + pq + ins + de + 2.0 * udf + 2.0 * udb)
-                    + c.sr * (re + sc)
-                    + c.rw * (ins + de + 2.0 * udf + 2.0 * udb),
+                    + seq_r * (re + sc)
+                    + row_w * (ins + de + 2.0 * udf + 2.0 * udb)
+                    + (lines - 1.0) * c.sr * (rs + pq + de + udf + udb)
+                    + (row - 1.0) * c.rr * (ins + udf + udb),
             );
-            bck.push(c.sr * (rs + pq + de + udf + udb));
-            fwd.push(c.sr * (re + pq + de + udf + udb));
-            parts.push((c.rr + c.rw) * (ins + de + udf - utf - udb + utb));
+            bck.push(seq_r * (rs + pq + de + udf + udb));
+            fwd.push(seq_r * (re + pq + de + udf + udb));
+            parts.push(row_move * (ins + de + udf - utf - udb + utb));
         }
         Self {
             fixed,
@@ -70,6 +98,86 @@ impl BlockTerms {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The paper's Eq. 17 as written, one line per block and per row.
+    fn paper_eq17(fm: &FrequencyModel, c: &CostConstants) -> BlockTerms {
+        let n = fm.n_blocks();
+        let mut t = BlockTerms {
+            fixed: Vec::with_capacity(n),
+            bck: Vec::with_capacity(n),
+            fwd: Vec::with_capacity(n),
+            parts: Vec::with_capacity(n),
+        };
+        for i in 0..n {
+            let (pq, rs, sc, re) = (fm.pq[i], fm.rs[i], fm.sc[i], fm.re[i]);
+            let (ins, de) = (fm.ins[i], fm.de[i]);
+            let (udf, utf, udb, utb) = (fm.udf[i], fm.utf[i], fm.udb[i], fm.utb[i]);
+            t.fixed.push(
+                c.rr * (rs + pq + ins + de + 2.0 * udf + 2.0 * udb)
+                    + c.sr * (re + sc)
+                    + c.rw * (ins + de + 2.0 * udf + 2.0 * udb),
+            );
+            t.bck.push(c.sr * (rs + pq + de + udf + udb));
+            t.fwd.push(c.sr * (re + pq + de + udf + udb));
+            t.parts
+                .push((c.rr + c.rw) * (ins + de + udf - utf - udb + utb));
+        }
+        t
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// At `L = R = 1` the geometry-aware terms are the paper's Eq. 17
+        /// bit for bit, on random Frequency Models and constants.
+        #[test]
+        fn unit_geometry_is_eq17_bit_for_bit(
+            hist in proptest::collection::vec(proptest::collection::vec(0.0f64..50.0, 10), 1..24),
+            k in (1.0f64..500.0, 1.0f64..500.0, 0.01f64..50.0, 0.01f64..50.0),
+        ) {
+            let n = hist.len();
+            let mut fm = FrequencyModel::new(n);
+            for (i, h) in hist.iter().enumerate() {
+                (fm.pq[i], fm.rs[i], fm.sc[i], fm.re[i], fm.ins[i]) = (h[0], h[1], h[2], h[3], h[4]);
+                (fm.de[i], fm.udf[i], fm.utf[i], fm.udb[i], fm.utb[i]) = (h[5], h[6], h[7], h[8], h[9]);
+            }
+            let c = CostConstants::new(k.0, k.1, k.2, k.3);
+            let want = paper_eq17(&fm, &c);
+            for got in [
+                BlockTerms::from_fm(&fm, &c),
+                BlockTerms::with_geometry(&fm, &c, &BlockGeometry::UNIT),
+            ] {
+                prop_assert_eq!(bits(&got.fixed), bits(&want.fixed));
+                prop_assert_eq!(bits(&got.bck), bits(&want.bck));
+                prop_assert_eq!(bits(&got.fwd), bits(&want.fwd));
+                prop_assert_eq!(bits(&got.parts), bits(&want.parts));
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_prices_lines() {
+        // L = 256 lines per block, R = 16 lines per row.
+        let g = BlockGeometry::of_chunk(16 * 1024, 15);
+        let c = CostConstants::new(100.0, 50.0, 2.0, 3.0);
+        let mut fm = FrequencyModel::new(3);
+        fm.pq[0] = 1.0; // seek + 255 streamed lines
+        fm.sc[1] = 1.0; // one streamed block
+        fm.ins[2] = 1.0; // a slot read and a slot write of 16 lines each
+        let t = BlockTerms::with_geometry(&fm, &c, &g);
+        assert_eq!(
+            t.fixed,
+            vec![100.0 + 255.0 * 2.0, 256.0 * 2.0, 16.0 * 150.0]
+        );
+        assert_eq!(t.bck, vec![512.0, 0.0, 0.0]);
+        assert_eq!(t.fwd, vec![512.0, 0.0, 0.0]);
+        assert_eq!(t.parts, vec![0.0, 0.0, 16.0 * 150.0]);
+    }
 
     #[test]
     fn pure_point_queries() {

@@ -14,6 +14,11 @@
 //! We aggregate `dm` per partition (inserts plus incoming updates, both
 //! ripple directions) and round with the largest-remainder method so the
 //! plan sums to exactly the budget.
+//!
+//! The budget is the column's: [`split_column_budget`] applies the same
+//! rule across a column's chunks first, so the chunks that take the
+//! inserts hold the empty slots, and [`allocate_ghosts`] then splits each
+//! chunk's share across its partitions.
 
 use crate::fm::FrequencyModel;
 use crate::layout::Segmentation;
@@ -27,6 +32,27 @@ pub fn data_movement_per_partition(fm: &FrequencyModel, seg: &Segmentation) -> V
     seg.ranges()
         .map(|r| r.map(|i| fm.ins[i] + fm.utf[i] + fm.utb[i]).sum())
         .collect()
+}
+
+/// Total data movement a chunk's Frequency Model records: Σ over its
+/// blocks of `in + utf + utb`.
+fn data_movement(fm: &FrequencyModel) -> f64 {
+    (0..fm.n_blocks())
+        .map(|i| fm.ins[i] + fm.utf[i] + fm.utb[i])
+        .sum()
+}
+
+/// Eq. 18 at column scope: split a column's `budget` of empty slots across
+/// its chunks in proportion to each chunk's [`data_movement`]. A sample
+/// with no data movement anywhere splits by chunk size (`sizes`, live rows
+/// per chunk), so every chunk keeps its share of the reserve.
+pub fn split_column_budget(fms: &[FrequencyModel], sizes: &[usize], budget: usize) -> Vec<usize> {
+    assert_eq!(fms.len(), sizes.len(), "one size per chunk");
+    let mut weights: Vec<f64> = fms.iter().map(data_movement).collect();
+    if weights.iter().sum::<f64>() <= 0.0 {
+        weights = sizes.iter().map(|&n| n as f64).collect();
+    }
+    GhostPlan::proportional(&weights, budget).counts().to_vec()
 }
 
 /// Distribute `budget` ghost slots over the partitions of `seg`
@@ -82,6 +108,47 @@ mod tests {
         let seg = Segmentation::new(vec![4, 8]);
         let plan = allocate_ghosts(&fm, &seg, 10);
         assert_eq!(plan.counts(), &[0, 10]);
+    }
+
+    #[test]
+    fn column_budget_follows_data_movement() {
+        // Chunk 1 takes three times chunk 0's inserts and updates in; chunk
+        // 2 takes none.
+        let mut fms = vec![
+            FrequencyModel::new(4),
+            FrequencyModel::new(4),
+            FrequencyModel::new(2),
+        ];
+        fms[0].ins = vec![1.0, 0.0, 0.0, 1.0];
+        fms[1].ins = vec![2.0, 0.0, 0.0, 0.0];
+        fms[1].utf = vec![0.0, 1.0, 0.0, 0.0];
+        fms[1].utb = vec![0.0, 0.0, 3.0, 0.0];
+        fms[2].pq = vec![9.0, 9.0];
+        let split = split_column_budget(&fms, &[4000, 4000, 2000], 1000);
+        assert_eq!(split, vec![250, 750, 0]);
+        assert_eq!(split.iter().sum::<usize>(), 1000);
+        // Each chunk's share then follows Eq. 18 inside the chunk.
+        let seg = Segmentation::new(vec![1, 4]);
+        assert_eq!(
+            allocate_ghosts(&fms[1], &seg, split[1]).counts(),
+            &[250, 500]
+        );
+        // Rounding still sums to the column's budget exactly.
+        let split = split_column_budget(&fms, &[4000, 4000, 2000], 1001);
+        assert_eq!(split.iter().sum::<usize>(), 1001);
+        assert_eq!(split[2], 0);
+    }
+
+    #[test]
+    fn column_budget_without_movement_splits_by_size() {
+        let mut fms = vec![FrequencyModel::new(4), FrequencyModel::new(2)];
+        fms[0].pq = vec![1.0; 4];
+        fms[1].sc = vec![3.0; 2];
+        assert_eq!(
+            split_column_budget(&fms, &[6000, 2000], 800),
+            vec![600, 200]
+        );
+        assert_eq!(split_column_budget(&fms, &[6000, 2000], 0), vec![0, 0]);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod telemetry {
     }
 }
 
-use crate::cost::{BlockTerms, CostConstants};
+use crate::cost::{BlockGeometry, BlockTerms, CostConstants};
 use crate::fm::FrequencyModel;
 use crate::ghost_alloc::allocate_ghosts;
 use crate::layout::Segmentation;
@@ -105,8 +105,11 @@ pub struct Solution {
 /// (the "B" box of Fig. 10).
 #[derive(Debug, Clone)]
 pub struct LayoutOptimizer {
-    /// Cost constants used for Eq. 17.
+    /// Cost constants used for Eq. 17, per cache line.
     pub constants: CostConstants,
+    /// Lines per block and per row of the chunks being laid out: derived
+    /// from the chunk, not tuned ([`BlockGeometry::of_chunk`]).
+    pub geometry: BlockGeometry,
     /// SLA-derived structural constraints.
     pub constraints: SolverConstraints,
 }
@@ -123,12 +126,21 @@ pub struct LayoutDecision {
 }
 
 impl LayoutOptimizer {
-    /// Optimizer with the given constants and no constraints.
+    /// Optimizer with the given constants, at [`BlockGeometry::UNIT`], and
+    /// no constraints.
     pub fn new(constants: CostConstants) -> Self {
         Self {
             constants,
+            geometry: BlockGeometry::UNIT,
             constraints: SolverConstraints::none(),
         }
+    }
+
+    /// Price blocks and rows at `geometry` (builder style). Set it before
+    /// [`LayoutOptimizer::with_slas`], which prices the SLAs with it.
+    pub fn with_geometry(mut self, geometry: BlockGeometry) -> Self {
+        self.geometry = geometry;
+        self
     }
 
     /// Attach constraints (builder style).
@@ -139,14 +151,15 @@ impl LayoutOptimizer {
 
     /// Derive constraints from latency SLAs (Eq. 21).
     pub fn with_slas(mut self, update_sla_ns: Option<f64>, read_sla_ns: Option<f64>) -> Self {
-        self.constraints = sla::constraints_from_slas(&self.constants, update_sla_ns, read_sla_ns);
+        self.constraints =
+            sla::constraints_from_slas(&self.constants, &self.geometry, update_sla_ns, read_sla_ns);
         self
     }
 
     /// Compute the optimal layout for a Frequency Model and a total ghost
     /// budget (in slots).
     pub fn optimize(&self, fm: &FrequencyModel, ghost_budget: usize) -> LayoutDecision {
-        let terms = BlockTerms::from_fm(fm, &self.constants);
+        let terms = BlockTerms::with_geometry(fm, &self.constants, &self.geometry);
         let sol = dp::solve(&terms, &self.constraints);
         let ghosts = allocate_ghosts(fm, &sol.seg, ghost_budget);
         LayoutDecision {

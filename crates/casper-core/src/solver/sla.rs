@@ -8,14 +8,23 @@
 //!   width; the paper enforces it with sliding-window constraints
 //!   `Σ_{i=j}^{j+MPS−1} p_i ≥ 1`, which is equivalent to the DP's
 //!   segment-length cap.
+//!
+//! Both are priced at the chunk's [`BlockGeometry`], as Eq. 17 is: a
+//! ripple step moves a row of `R` lines, `R·(RR + RW)`, and the point query
+//! seeks one block and streams the rest, `RR + (L−1)·SR + L·SR·MPS`. At
+//! [`BlockGeometry::UNIT`] these are the formulas above.
 
 use super::SolverConstraints;
-use crate::cost::CostConstants;
+use crate::cost::{BlockGeometry, CostConstants};
 
 /// Maximum partition count allowed by an update SLA (ns), per Eq. 21.
 /// Clamped to at least 1.
-pub fn max_partitions_for_update_sla(c: &CostConstants, update_sla_ns: f64) -> usize {
-    let k = (update_sla_ns / (c.rr + c.rw) - 1.0).floor();
+pub fn max_partitions_for_update_sla(
+    c: &CostConstants,
+    g: &BlockGeometry,
+    update_sla_ns: f64,
+) -> usize {
+    let k = (update_sla_ns / g.row_move(c) - 1.0).floor();
     if k < 1.0 {
         1
     } else {
@@ -25,8 +34,12 @@ pub fn max_partitions_for_update_sla(c: &CostConstants, update_sla_ns: f64) -> u
 
 /// Maximum partition width in blocks (`MPS`) allowed by a read SLA (ns),
 /// per Eq. 21. Clamped to at least 1.
-pub fn max_partition_blocks_for_read_sla(c: &CostConstants, read_sla_ns: f64) -> usize {
-    let w = ((read_sla_ns - c.rr) / c.sr - 1.0).floor();
+pub fn max_partition_blocks_for_read_sla(
+    c: &CostConstants,
+    g: &BlockGeometry,
+    read_sla_ns: f64,
+) -> usize {
+    let w = ((read_sla_ns - g.seek_block(c)) / g.seq_block(c) - 1.0).floor();
     if w < 1.0 {
         1
     } else {
@@ -37,61 +50,64 @@ pub fn max_partition_blocks_for_read_sla(c: &CostConstants, read_sla_ns: f64) ->
 /// Bundle both SLA families into [`SolverConstraints`].
 pub fn constraints_from_slas(
     c: &CostConstants,
+    g: &BlockGeometry,
     update_sla_ns: Option<f64>,
     read_sla_ns: Option<f64>,
 ) -> SolverConstraints {
     SolverConstraints {
-        max_partitions: update_sla_ns.map(|s| max_partitions_for_update_sla(c, s)),
-        max_partition_blocks: read_sla_ns.map(|s| max_partition_blocks_for_read_sla(c, s)),
+        max_partitions: update_sla_ns.map(|s| max_partitions_for_update_sla(c, g, s)),
+        max_partition_blocks: read_sla_ns.map(|s| max_partition_blocks_for_read_sla(c, g, s)),
     }
 }
 
 /// The worst-case insert latency (ns) implied by a partition count — the
 /// inverse of [`max_partitions_for_update_sla`], used to report achieved
 /// bounds in the Fig. 15 experiment.
-pub fn worst_insert_nanos(c: &CostConstants, partitions: usize) -> f64 {
-    (c.rr + c.rw) * (1.0 + partitions as f64)
+pub fn worst_insert_nanos(c: &CostConstants, g: &BlockGeometry, partitions: usize) -> f64 {
+    g.row_move(c) * (1.0 + partitions as f64)
 }
 
 /// The worst-case point-query latency (ns) implied by a maximum partition
 /// width in blocks.
-pub fn worst_point_query_nanos(c: &CostConstants, mps_blocks: usize) -> f64 {
-    c.rr + c.sr * mps_blocks as f64
+pub fn worst_point_query_nanos(c: &CostConstants, g: &BlockGeometry, mps_blocks: usize) -> f64 {
+    g.seek_block(c) + g.seq_block(c) * mps_blocks as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const U: BlockGeometry = BlockGeometry::UNIT;
+
     #[test]
     fn update_sla_caps_partitions() {
         let c = CostConstants::new(100.0, 100.0, 10.0, 10.0);
         // SLA 1000ns / (200ns per partition step) − 1 = 4.
-        assert_eq!(max_partitions_for_update_sla(&c, 1000.0), 4);
+        assert_eq!(max_partitions_for_update_sla(&c, &U, 1000.0), 4);
         // Tight SLA clamps to one partition.
-        assert_eq!(max_partitions_for_update_sla(&c, 100.0), 1);
+        assert_eq!(max_partitions_for_update_sla(&c, &U, 100.0), 1);
     }
 
     #[test]
     fn read_sla_caps_partition_width() {
         let c = CostConstants::new(100.0, 100.0, 10.0, 10.0);
         // (600 − 100)/10 − 1 = 49 blocks.
-        assert_eq!(max_partition_blocks_for_read_sla(&c, 600.0), 49);
-        assert_eq!(max_partition_blocks_for_read_sla(&c, 50.0), 1);
+        assert_eq!(max_partition_blocks_for_read_sla(&c, &U, 600.0), 49);
+        assert_eq!(max_partition_blocks_for_read_sla(&c, &U, 50.0), 1);
     }
 
     #[test]
     fn sla_round_trip_within_bounds() {
         let c = CostConstants::paper();
         for sla in [500.0, 1000.0, 5000.0, 12_500.0] {
-            let k = max_partitions_for_update_sla(&c, sla);
+            let k = max_partitions_for_update_sla(&c, &U, sla);
             assert!(
-                worst_insert_nanos(&c, k) <= sla,
+                worst_insert_nanos(&c, &U, k) <= sla,
                 "k={k} violates its own SLA {sla}"
             );
             // One more partition would break the SLA (unless clamped).
             if k > 1 {
-                assert!(worst_insert_nanos(&c, k + 1) > sla);
+                assert!(worst_insert_nanos(&c, &U, k + 1) > sla);
             }
         }
     }
@@ -99,10 +115,29 @@ mod tests {
     #[test]
     fn bundle_builds_constraints() {
         let c = CostConstants::paper();
-        let sc = constraints_from_slas(&c, Some(2000.0), Some(800.0));
+        let sc = constraints_from_slas(&c, &U, Some(2000.0), Some(800.0));
         assert!(sc.max_partitions.is_some());
         assert!(sc.max_partition_blocks.is_some());
-        let none = constraints_from_slas(&c, None, None);
+        let none = constraints_from_slas(&c, &U, None, None);
         assert_eq!(none, SolverConstraints::none());
+    }
+
+    #[test]
+    fn geometry_prices_lines_and_rows() {
+        let c = CostConstants::new(100.0, 100.0, 10.0, 10.0);
+        // L = 4 lines per block, R = 2 lines per row.
+        let g = BlockGeometry::of_chunk(256, 1);
+        // One ripple step moves 2 lines: 400 ns. 2000 / 400 − 1 = 4.
+        assert_eq!(max_partitions_for_update_sla(&c, &g, 2000.0), 4);
+        assert_eq!(worst_insert_nanos(&c, &g, 4), 2000.0);
+        // Seek 100 + 3·10; each block streams 40. (530 − 130) / 40 − 1 = 9.
+        assert_eq!(max_partition_blocks_for_read_sla(&c, &g, 530.0), 9);
+        assert_eq!(worst_point_query_nanos(&c, &g, 9), 490.0);
+        for sla in [1200.0, 3000.0, 9000.0] {
+            let k = max_partitions_for_update_sla(&c, &g, sla);
+            assert!(worst_insert_nanos(&c, &g, k) <= sla);
+            let w = max_partition_blocks_for_read_sla(&c, &g, sla);
+            assert!(worst_point_query_nanos(&c, &g, w) <= sla);
+        }
     }
 }

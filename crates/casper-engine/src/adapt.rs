@@ -12,7 +12,9 @@
 //! predicted speedup exceeds the configured threshold, it re-partitions.
 
 use crate::column::ChunkStore;
-use crate::optimize::{capture_per_chunk, optimize_table, OptimizeOptions, OptimizeReport};
+use crate::optimize::{
+    capture_per_chunk, layout_optimizer, optimize_table, OptimizeOptions, OptimizeReport,
+};
 use crate::table::Table;
 use casper_core::cost::{cost_of_segmentation, BlockTerms};
 use casper_core::solver::dp;
@@ -106,14 +108,17 @@ impl AdaptiveController {
         let fms = capture_per_chunk(table, &sample);
         let mut current_cost = 0.0f64;
         let mut best_cost = 0.0f64;
+        // Price both layouts as `optimize_table` would, and compare with
+        // the best layout it may build (fairness cap included).
+        let opt = layout_optimizer(table, &self.config.optimize);
         for (slot, fm) in table.column().chunks().iter().zip(&fms) {
             // Capture above already required hydration; bail out rather
             // than decode here if a slot is somehow still pending.
             let store = slot.store_opt()?;
-            let terms = BlockTerms::from_fm(fm, &self.config.optimize.constants);
+            let terms = BlockTerms::with_geometry(fm, &opt.constants, &opt.geometry);
             let current_seg = current_segmentation(store, fm.n_blocks());
             current_cost += cost_of_segmentation(&current_seg, &terms);
-            best_cost += dp::solve(&terms, &self.config.optimize.constraints).cost;
+            best_cost += dp::solve(&terms, &opt.constraints).cost;
         }
         if best_cost <= 0.0 {
             return Some(1.0);

@@ -10,8 +10,14 @@
 //! The micro-benchmark measures exactly those quantities on the host:
 //! dependent random single-element reads/writes for `RR`/`RW`, streaming
 //! scans for per-block `SR`/`SW`.
+//!
+//! The solver prices every constant per 64-byte line and scales it to a
+//! block with `BlockGeometry`; a single-element access touches one line,
+//! but a per-block `SR`/`SW` is `L` lines' worth. [`calibrate_per_line`]
+//! restates them per line for the solver; [`calibrate`] keeps the per-block
+//! figures, which is what an `OpCost`'s block counts are priced in.
 
-use casper_core::CostConstants;
+use casper_core::{BlockGeometry, CostConstants};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -45,6 +51,15 @@ impl CalibrationConfig {
             repetitions: 1,
         }
     }
+}
+
+/// [`calibrate`] with `SR`/`SW` divided by the lines per block: the
+/// constants [`LayoutOptimizer`](casper_core::LayoutOptimizer) and
+/// `OptimizeOptions` expect.
+pub fn calibrate_per_line(config: &CalibrationConfig) -> CostConstants {
+    let c = calibrate(config);
+    let lines = BlockGeometry::of_chunk(config.block_bytes, 0).lines_per_block;
+    CostConstants::new(c.rr, c.rw, c.sr / lines, c.sw / lines)
 }
 
 /// Run the micro-benchmark and fit the four constants.

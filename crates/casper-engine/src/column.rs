@@ -35,7 +35,7 @@ use casper_obs::CounterDef;
 use casper_storage::ghost::GhostPlan;
 use casper_storage::{
     BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk, SortedColumn, SortedDelta,
-    StorageError, UpdatePolicy,
+    StorageError, UpdatePolicy, MIN_TAIL_SLOTS,
 };
 use casper_workload::HapQuery;
 use parking_lot::Mutex;
@@ -222,14 +222,15 @@ impl ChunkStore {
     }
 
     /// Q4: insert a row, growing a full partitioned chunk once ("if no
-    /// empty slots are available, the column is expanded", §3).
-    fn insert(&mut self, key: u64, payload: &[u32]) -> Result<OpCost, StorageError> {
+    /// empty slots are available, the column is expanded", §3) by one
+    /// reserve: `slack` × its live rows, at least [`MIN_TAIL_SLOTS`].
+    fn insert(&mut self, key: u64, payload: &[u32], slack: f64) -> Result<OpCost, StorageError> {
         match self {
             ChunkStore::Partitioned(p) => match p.insert(key, payload) {
                 Ok(r) => Ok(r.cost),
-                Err(StorageError::ChunkFull { capacity }) => {
-                    // Grow by ~10% and retry once.
-                    p.grow((capacity / 10).max(64));
+                Err(StorageError::ChunkFull { .. }) => {
+                    let extra = (p.live_len() as f64 * slack).ceil() as usize;
+                    p.grow(extra.max(MIN_TAIL_SLOTS));
                     Ok(p.insert(key, payload)?.cost)
                 }
                 Err(e) => Err(e),
@@ -276,7 +277,7 @@ impl ChunkStore {
     /// inside this store, payload included. A partitioned chunk ripples
     /// directly between the two partitions (§3); every other store takes
     /// the row out and places it back under the new key.
-    fn update(&mut self, old: u64, new: u64) -> Result<(u64, OpCost), StorageError> {
+    fn update(&mut self, old: u64, new: u64, slack: f64) -> Result<(u64, OpCost), StorageError> {
         if let ChunkStore::Partitioned(p) = self {
             let r = p.update(old, new)?;
             return Ok((r.affected, r.cost));
@@ -285,18 +286,19 @@ impl ChunkStore {
         let Some(row) = row else {
             return Ok((0, cost));
         };
-        cost.absorb(self.insert(new, &row)?);
+        cost.absorb(self.insert(new, &row, slack)?);
         Ok((1, cost))
     }
 
     /// Apply one write whose keys all route to this store — the one
-    /// per-chunk applier behind [`ChunkedColumn::apply_writes`]. Returns
+    /// per-chunk applier behind [`ChunkedColumn::apply_writes`]. A full
+    /// partitioned chunk grows by `slack` × its live rows. Returns
     /// `(rows_affected, cost)`.
-    fn apply(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
+    fn apply(&mut self, op: WriteOp<'_>, slack: f64) -> Result<(u64, OpCost), StorageError> {
         match op {
-            WriteOp::Insert { key, payload } => self.insert(key, payload).map(|c| (1, c)),
+            WriteOp::Insert { key, payload } => self.insert(key, payload, slack).map(|c| (1, c)),
             WriteOp::Delete { key } => Ok(self.delete(key)),
-            WriteOp::Update { old, new } => self.update(old, new),
+            WriteOp::Update { old, new } => self.update(old, new, slack),
         }
     }
 }
@@ -1007,7 +1009,8 @@ impl ChunkedColumn {
     /// and its fence follows the largest key placed in it.
     fn apply_in_chunk(&mut self, c: usize, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
         note_written(c);
-        let out = self.chunk_mut(c)?.apply(op)?;
+        let slack = self.state.config.capacity_slack;
+        let out = self.chunk_mut(c)?.apply(op, slack)?;
         if out.0 > 0 {
             self.touch(c);
         }
@@ -1224,9 +1227,8 @@ fn build_chunk(keys: Vec<u64>, payloads: Vec<Vec<u32>>, config: &EngineConfig) -
         )),
         LayoutMode::NoOrder => {
             let chunk_config = ChunkConfig {
-                policy: UpdatePolicy::Dense,
-                capacity_slack: config.capacity_slack,
                 ghost_fetch_block: 1,
+                ..dense_config(config)
             };
             ChunkStore::Partitioned(
                 PartitionedChunk::build_with_payloads(
@@ -1243,16 +1245,14 @@ fn build_chunk(keys: Vec<u64>, payloads: Vec<Vec<u32>>, config: &EngineConfig) -
         LayoutMode::Equi | LayoutMode::EquiGV | LayoutMode::Casper => {
             let k = config.equi_partitions.min(n_blocks).max(1);
             let spec = PartitionSpec::equi_width(n_blocks, k);
-            let (policy, ghosts) = if config.mode == LayoutMode::Equi {
-                (UpdatePolicy::Dense, GhostPlan::none(k))
+            // Equi is dense and keeps its slack as a tail; the ghost modes
+            // spread the whole reserve evenly as ghosts (the paper's
+            // Equi-GV) until the optimizer places it by Eq. 18.
+            let (ghosts, chunk_config) = if config.mode == LayoutMode::Equi {
+                (GhostPlan::none(k), dense_config(config))
             } else {
-                let budget = (len as f64 * config.ghost_budget_frac).ceil() as usize;
-                (UpdatePolicy::Ghost, GhostPlan::even(k, budget))
-            };
-            let chunk_config = ChunkConfig {
-                policy,
-                capacity_slack: config.capacity_slack,
-                ghost_fetch_block: config.ghost_fetch_block,
+                let reserve = reserve_slots(len, config.ghost_budget_frac, config);
+                (GhostPlan::even(k, reserve), ghost_config(config))
             };
             ChunkStore::Partitioned(
                 PartitionedChunk::build_with_payloads(
@@ -1269,8 +1269,39 @@ fn build_chunk(keys: Vec<u64>, payloads: Vec<Vec<u32>>, config: &EngineConfig) -
     }
 }
 
+/// A dense chunk's build configuration: no ghosts, a `capacity_slack` tail.
+fn dense_config(config: &EngineConfig) -> ChunkConfig {
+    ChunkConfig {
+        policy: UpdatePolicy::Dense,
+        capacity_slack: config.capacity_slack,
+        ghost_fetch_block: config.ghost_fetch_block,
+    }
+}
+
+/// A ghost-policy chunk's build configuration: its reserve is placed as
+/// ghosts, so the tail keeps only [`MIN_TAIL_SLOTS`].
+fn ghost_config(config: &EngineConfig) -> ChunkConfig {
+    ChunkConfig {
+        policy: UpdatePolicy::Ghost,
+        capacity_slack: 0.0,
+        ghost_fetch_block: config.ghost_fetch_block,
+    }
+}
+
+/// The empty slots a ghost-policy chunk of `len` live rows holds as ghosts:
+/// the `ghost_frac` ghost budget plus the `capacity_slack` reserve a dense
+/// chunk would park in its tail, less the [`MIN_TAIL_SLOTS`] tail every
+/// chunk keeps. A chunk therefore has as many physical slots whether its
+/// reserve sits in the tail or among its partitions.
+pub(crate) fn reserve_slots(len: usize, ghost_frac: f64, config: &EngineConfig) -> usize {
+    let ghosts = (len as f64 * ghost_frac).ceil() as usize;
+    let slack = ((len as f64 * config.capacity_slack).ceil() as usize).max(MIN_TAIL_SLOTS);
+    ghosts + slack - MIN_TAIL_SLOTS
+}
+
 /// Rebuild a partitioned chunk with a new layout decision (used by the
-/// optimizer). Requires a hydrated store.
+/// optimizer): `ghosts` is the chunk's whole empty-slot reserve, and the
+/// tail keeps [`MIN_TAIL_SLOTS`]. Requires a hydrated store.
 pub(crate) fn rebuild_partitioned(
     store: &ChunkStore,
     seg: &Segmentation,
@@ -1279,11 +1310,6 @@ pub(crate) fn rebuild_partitioned(
 ) -> ChunkStore {
     let layout = BlockLayout::new::<u64>(config.block_bytes);
     let (keys, payloads) = store.live_sorted();
-    let chunk_config = ChunkConfig {
-        policy: UpdatePolicy::Ghost,
-        capacity_slack: config.capacity_slack,
-        ghost_fetch_block: config.ghost_fetch_block,
-    };
     ChunkStore::Partitioned(
         PartitionedChunk::build_with_payloads(
             keys,
@@ -1291,7 +1317,7 @@ pub(crate) fn rebuild_partitioned(
             &seg.to_spec(),
             layout,
             ghosts,
-            chunk_config,
+            ghost_config(config),
         )
         .expect("rebuild with solver output cannot fail"),
     )
@@ -1366,6 +1392,29 @@ mod tests {
         let mut config = EngineConfig::small(mode);
         config.chunk_values = 1024;
         ChunkedColumn::load(keys, vec![payload], config)
+    }
+
+    #[test]
+    fn a_full_chunk_grows_by_one_reserve() {
+        // One Equi-GV chunk of 8,192 rows: 82 + 410 − 64 = 428 ghosts and
+        // a 64-slot tail, so the 493rd fresh key finds it full.
+        let keys: Vec<u64> = (0..8192).map(|i| i * 2).collect();
+        let mut config = EngineConfig::small(LayoutMode::EquiGV);
+        config.chunk_values = 8192;
+        let mut col = ChunkedColumn::load(keys, Vec::new(), config);
+        let slots = |col: &ChunkedColumn| match col.chunks()[0].store_opt() {
+            Some(ChunkStore::Partitioned(p)) => p.slot_count(),
+            _ => panic!("Equi-GV chunks are partitioned"),
+        };
+        assert_eq!(slots(&col), 8192 + 428 + 64);
+        for i in 0..492 {
+            insert(&mut col, 2 * i + 1, &[]);
+        }
+        assert_eq!(slots(&col), 8684);
+        // Full: grow by 5 % of the 8,684 live rows, not 10 % of capacity.
+        insert(&mut col, 985, &[]);
+        assert_eq!(slots(&col), 8684 + 435);
+        assert_eq!(col.len(), 8685);
     }
 
     #[test]

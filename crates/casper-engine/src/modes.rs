@@ -76,12 +76,20 @@ pub struct EngineConfig {
     /// block-granular reads.
     pub equi_partitions: usize,
     /// Ghost-value budget as a fraction of the data size (0.1% in Fig. 12).
+    /// `EquiGV` (and `Casper` before its first optimization) spreads it
+    /// evenly, together with `capacity_slack`, as one reserve of ghosts.
     pub ghost_budget_frac: f64,
     /// Delta-store capacity as a fraction of the chunk size (`StateOfArt`).
     /// Small enough that merges amortize into short runs, as in real delta
     /// stores, which merge continuously.
     pub delta_frac: f64,
-    /// Physical slack capacity per chunk beyond live + ghosts.
+    /// Empty-slot reserve per chunk beyond live rows and the ghost budget,
+    /// as a fraction of its live rows. `Equi` and `NoOrder` keep it as a
+    /// tail after the last partition. The ghost-policy modes place it as
+    /// ghosts with the ghost budget, one reserve, keeping only a
+    /// `MIN_TAIL_SLOTS` tail: `EquiGV` evenly, Casper by Eq. 18 across the
+    /// whole column (`OptimizeOptions::ghost_budget_frac`). A full chunk
+    /// grows by this fraction of its live rows.
     pub capacity_slack: f64,
     /// Worker threads for chunk-parallel operations.
     pub threads: usize,

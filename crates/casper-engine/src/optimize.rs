@@ -7,24 +7,30 @@
 //! chunks. This allows us to arbitrarily reduce the partitioning
 //! complexity."
 
-use crate::column::{chunk_block_fences, rebuild_partitioned, ChunkStore};
+use crate::column::{chunk_block_fences, rebuild_partitioned, reserve_slots, ChunkStore};
 use crate::exec::{parallel_for_each_mut, parallel_map};
 use crate::modes::LayoutMode;
 use crate::table::Table;
 use casper_core::fm::FmBuilder;
+use casper_core::ghost_alloc::split_column_budget;
 use casper_core::solver::{LayoutOptimizer, SolverConstraints};
-use casper_core::{CostConstants, FrequencyModel, Op};
+use casper_core::{BlockGeometry, CostConstants, FrequencyModel, Op};
 use casper_workload::HapQuery;
 use std::time::Instant;
 
 /// Optimization options.
 #[derive(Debug, Clone)]
 pub struct OptimizeOptions {
-    /// Calibrated cost constants.
+    /// Cost constants, per 64-byte line. The solver scales them to the
+    /// table's blocks and rows ([`table_geometry`]). `calibrate()` measures
+    /// `sr`/`sw` per block; `calibrate_per_line()` restates them for here.
     pub constants: CostConstants,
     /// SLA-derived structural constraints.
     pub constraints: SolverConstraints,
-    /// Ghost budget as a fraction of each chunk's live size.
+    /// Ghost budget as a fraction of the column's live rows. Together with
+    /// `EngineConfig.capacity_slack` it forms one column-scope reserve of
+    /// empty slots, placed as ghosts by Eq. 18: split across chunks, then
+    /// across partitions, by the data movement the sample sends each.
     pub ghost_budget_frac: f64,
     /// Cap Casper's partition count at the Equi baseline's (§7 fairness:
     /// "we allow Casper to have as many partitions as the equi-width
@@ -88,6 +94,35 @@ impl OptimizeReport {
     /// Total partitions across chunks.
     pub fn total_partitions(&self) -> usize {
         self.chunks.iter().map(|c| c.partitions).sum()
+    }
+}
+
+/// The lines per block and per row the solver prices `table`'s chunks at:
+/// its block size, and its key plus one line per column-major payload
+/// attribute.
+pub fn table_geometry(table: &Table) -> BlockGeometry {
+    let column = table.column();
+    BlockGeometry::of_chunk(column.config().block_bytes, column.payload_width())
+}
+
+/// The optimizer `optimize_table` solves `table`'s chunks with: `opts`'
+/// constants at the table's geometry, under `opts.constraints` and, when
+/// `opts.fairness_cap` is set, at most `equi_partitions` partitions.
+pub(crate) fn layout_optimizer(table: &Table, opts: &OptimizeOptions) -> LayoutOptimizer {
+    let fairness = opts
+        .fairness_cap
+        .then_some(table.column().config().equi_partitions);
+    let constraints = SolverConstraints {
+        max_partitions: match (opts.constraints.max_partitions, fairness) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        },
+        max_partition_blocks: opts.constraints.max_partition_blocks,
+    };
+    LayoutOptimizer {
+        constants: opts.constants,
+        geometry: table_geometry(table),
+        constraints,
     }
 }
 
@@ -196,26 +231,22 @@ pub fn optimize_table(
         }
     }
     let config = *table.column().config();
-    let fairness = opts.fairness_cap.then_some(config.equi_partitions);
-    let constraints = SolverConstraints {
-        max_partitions: match (opts.constraints.max_partitions, fairness) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        },
-        max_partition_blocks: opts.constraints.max_partition_blocks,
-    };
+    // The column's empty-slot reserve (ghost budget plus the slack a dense
+    // chunk would keep in its tail) goes where the sample's inserts and
+    // incoming updates land: Eq. 18 across chunks here, then across each
+    // chunk's partitions in `optimize`. Physical slots stay the same.
+    let sizes: Vec<usize> = table.column().chunks().iter().map(|s| s.len()).collect();
+    let reserve = sizes
+        .iter()
+        .map(|&n| reserve_slots(n, opts.ghost_budget_frac, &config));
+    let budgets = split_column_budget(&fms, &sizes, reserve.sum());
+    let optimizer = layout_optimizer(table, opts);
 
     // Solve every chunk in parallel (§6.3's embarrassingly parallel
     // decomposition), then apply the layouts.
-    let sizes: Vec<usize> = table.column().chunks().iter().map(|s| s.len()).collect();
     let decisions = parallel_map(&fms, opts.threads, |i, fm| {
-        let budget = (sizes[i] as f64 * opts.ghost_budget_frac).ceil() as usize;
-        let optimizer = LayoutOptimizer {
-            constants: opts.constants,
-            constraints,
-        };
         let t = Instant::now();
-        let d = optimizer.optimize(fm, budget);
+        let d = optimizer.optimize(fm, budgets[i]);
         (d, t.elapsed().as_nanos() as u64)
     });
 

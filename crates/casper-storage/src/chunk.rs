@@ -36,13 +36,19 @@ use crate::UpdatePolicy;
 /// unit of change).
 pub const GRANULE_SLOTS: usize = 64;
 
+/// Free slots a chunk always keeps after its last partition at build time,
+/// whatever its [`ChunkConfig::capacity_slack`]: the tail that feeds a
+/// ripple-insert once no ghost donor is left.
+pub const MIN_TAIL_SLOTS: usize = 64;
+
 /// Build- and run-time configuration of a chunk.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkConfig {
     /// How deletes/inserts maintain density (see [`UpdatePolicy`]).
     pub policy: UpdatePolicy,
-    /// Extra physical slots reserved at build time, as a fraction of the
-    /// initial value count. The tail feeds ripple-inserts when no ghost
+    /// Extra physical slots reserved after the last partition at build
+    /// time, as a fraction of the initial value count (at least
+    /// [`MIN_TAIL_SLOTS`]). The tail feeds ripple-inserts when no ghost
     /// donor exists.
     pub capacity_slack: f64,
     /// How many ghost slots to pull per ripple (§6.1: "Casper moves a block
@@ -197,7 +203,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 Some(s)
             })
             .collect();
-        let slack = ((m as f64 * config.capacity_slack).ceil() as usize).max(64);
+        let slack = ((m as f64 * config.capacity_slack).ceil() as usize).max(MIN_TAIL_SLOTS);
         let physical = m + ghosts.total() + slack;
 
         // Stale slots start at the smallest key, inside the key lane's

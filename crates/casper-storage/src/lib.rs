@@ -41,7 +41,7 @@ pub mod simd;
 pub mod sorted;
 pub mod value;
 
-pub use chunk::{ChunkConfig, ChunkState, PartitionedChunk};
+pub use chunk::{ChunkConfig, ChunkState, PartitionedChunk, MIN_TAIL_SLOTS};
 pub use delta::SortedDelta;
 pub use error::StorageError;
 pub use kernels::ZoneMap;

@@ -6,7 +6,7 @@
 //! cargo run --release --example hap_hybrid
 //! ```
 
-use casper::engine::calibrate::{calibrate, CalibrationConfig};
+use casper::engine::calibrate::{calibrate_per_line, CalibrationConfig};
 use casper::engine::optimize::{optimize_table, OptimizeOptions};
 use casper::engine::{EngineConfig, LayoutMode, Table};
 use casper::workload::{HapSchema, Mix, MixKind};
@@ -37,9 +37,10 @@ fn main() {
         let mut table = Table::load_from_generator(mix.generator(), config);
         if mode == LayoutMode::Casper {
             // Casper trains on a sample before serving (Fig. 10 A→B→C),
-            // with cost constants calibrated on this machine (§4.5).
+            // with cost constants calibrated on this machine (§4.5), per
+            // cache line as the solver prices them.
             let mut opts = OptimizeOptions::default();
-            opts.constants = calibrate(&CalibrationConfig {
+            opts.constants = calibrate_per_line(&CalibrationConfig {
                 block_bytes: config.block_bytes,
                 ..CalibrationConfig::quick()
             });

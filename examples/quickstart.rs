@@ -7,8 +7,8 @@
 
 use casper::core::fm::FmBuilder;
 use casper::core::solver::LayoutOptimizer;
-use casper::core::Op;
-use casper::engine::calibrate::{calibrate, CalibrationConfig};
+use casper::core::{BlockGeometry, Op};
+use casper::engine::calibrate::{calibrate_per_line, CalibrationConfig};
 use casper::storage::ghost::GhostPlan;
 use casper::storage::{BlockLayout, ChunkConfig, PartitionedChunk};
 
@@ -33,16 +33,18 @@ fn main() {
     }
     let model = fm.finish();
 
-    // 3. Calibrate the cost model on this machine (§4.5), then solve for
-    //    the optimal layout and a 1% ghost budget.
+    // 3. Calibrate the cost model on this machine (§4.5), per cache line,
+    //    then solve for the optimal layout of 64-line blocks of one-line
+    //    (key-only) rows and a 1% ghost budget.
     let mut cal = CalibrationConfig::quick();
     cal.block_bytes = 4096;
-    let constants = calibrate(&cal);
+    let constants = calibrate_per_line(&cal);
     println!(
-        "calibrated: RR={:.0}ns RW={:.0}ns SR={:.0}ns/blk SW={:.0}ns/blk",
+        "calibrated: RR={:.0}ns RW={:.0}ns SR={:.1}ns/line SW={:.1}ns/line",
         constants.rr, constants.rw, constants.sr, constants.sw
     );
-    let optimizer = LayoutOptimizer::new(constants);
+    let geometry = BlockGeometry::of_chunk(cal.block_bytes, 0);
+    let optimizer = LayoutOptimizer::new(constants).with_geometry(geometry);
     let decision = optimizer.optimize(&model, values.len() / 100);
     println!("optimal layout: {}", decision.seg);
     println!(

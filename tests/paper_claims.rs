@@ -2,7 +2,9 @@
 //!
 //! Each row states one figure's qualitative claim as a deterministic
 //! assertion: over exact storage `OpCost` block counts, or over the §4 cost
-//! model's modeled cost under `CostConstants::paper()`. No row times
+//! model's modeled cost under `CostConstants::paper()` (one cache line per
+//! constant, scaled to a table's blocks and rows by `BlockGeometry` where a
+//! row re-lays out a table). No row times
 //! anything, so a noisy host cannot turn one red. Whether the host *delivers*
 //! what the model promises is the judge's business (`benchmark/`), and the
 //! gap between the two is the model residual it reports.
@@ -13,7 +15,7 @@
 //! |-----------|----------------------------------------------------|------------|
 //! | Fig. 1    | Casper beats the five baselines on a hybrid mix     | judge: `engine.mode.*`, `engine.casper_vs_soa` and the surface ladder (`benchmark/README.md`) |
 //! | Fig. 2a   | partitions cheapen reads and make inserts dearer    | row (a) `fig02a_*` |
-//! | Fig. 2b   | ghost values trade memory for write cost            | row (e) `fig14_*` |
+//! | Fig. 2b   | ghost values trade memory for write cost            | rows (e) `fig14_*` and (h) `fig02b_*` |
 //! | Fig. 2c   | partitioning and compression compound               | not reproduced: a partition keeps one copy of its keys, a chunk-wide 32-bit offset lane, so finer partitions do not yet narrow it; per-partition frames would (`ROADMAP.md`, one key representation per partition) |
 //! | Figs. 3–8 | diagrams of the layout and the cost model           | no measured claim |
 //! | Fig. 9a   | insert cost is linear in trailing partitions        | row (b) `fig09a_*` |
@@ -24,7 +26,7 @@
 //! | Fig. 11   | the solver scales to large chunks                   | `benches/solver.rs` `dp_solve`; judge `core.solve_s` |
 //! | Fig. 12   | Casper's layout beats the baselines on six mixes    | row (d) `fig12_*` for Equi / Equi-GV; judge `engine.casper_vs_soa` for SoA / Sorted / No Order |
 //! | Fig. 13   | where each mode's latency goes                      | judge: `engine.mode.*` and the surface ladder |
-//! | Fig. 14   | ghost values cut insert cost; 1 % halves it         | row (e) `fig14_*` |
+//! | Fig. 14   | ghost values cut insert cost; 1 % halves it         | row (e) `fig14_*`; row (h) `fig02b_*` places the reserve by Eq. 18 |
 //! | Fig. 15   | an insert SLA is met by capping partitions (Eq. 21) | row (f) `fig15_*` |
 //! | Fig. 16   | robustness to workload drift                        | `casper-core` `robust::tests::{large_rotation_degrades_small_rotation_absorbed, minmax_layout_bounds_worst_case}` |
 //! | Table 1   | the six modes span the layout design space          | row (g) `table01_*` |
@@ -32,13 +34,15 @@
 //! Run with `cargo test --test paper_claims`.
 
 use casper::core::cost::{cost_of_segmentation, predicted_point_access, BlockTerms};
+use casper::core::fm::FmBuilder;
+use casper::core::ghost_alloc::allocate_ghosts;
 use casper::core::solver::sla;
-use casper::core::{CostConstants, FrequencyModel, Segmentation};
+use casper::core::{BlockGeometry, CostConstants, FrequencyModel, Op, Segmentation};
 use casper::engine::column::ChunkStore;
-use casper::engine::optimize::{optimize_table, OptimizeOptions, OptimizeReport};
+use casper::engine::optimize::{optimize_table, table_geometry, OptimizeOptions, OptimizeReport};
 use casper::engine::{EngineConfig, LayoutMode, Table};
 use casper::storage::ghost::GhostPlan;
-use casper::storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk};
+use casper::storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, MIN_TAIL_SLOTS};
 use casper::workload::{HapSchema, Mix, MixKind};
 
 /// Unit constants that turn a modeled cost into a block count of one
@@ -63,9 +67,20 @@ const SR_ONLY: CostConstants = CostConstants {
     sw: 0.0,
 };
 
-/// Modeled cost (Eq. 16) of `seg` for the workload `fm` under `c`.
+/// Modeled cost (Eq. 16) of `seg` for the workload `fm` under `c`, at the
+/// unit geometry (a block and a row are one line each).
 fn modeled(fm: &FrequencyModel, seg: &Segmentation, c: &CostConstants) -> f64 {
-    cost_of_segmentation(seg, &BlockTerms::from_fm(fm, c))
+    modeled_at(fm, seg, c, &BlockGeometry::UNIT)
+}
+
+/// As [`modeled`], at geometry `g`.
+fn modeled_at(
+    fm: &FrequencyModel,
+    seg: &Segmentation,
+    c: &CostConstants,
+    g: &BlockGeometry,
+) -> f64 {
+    cost_of_segmentation(seg, &BlockTerms::with_geometry(fm, c, g))
 }
 
 /// Even keys `0, 2, 4, …` filling `n_blocks` blocks exactly, so every odd
@@ -193,21 +208,24 @@ fn fig09b_point_query_cost_is_one_jump_plus_the_partition_scan() {
 }
 
 /// (d) Fig. 12 in model units: on each of the six mixes, Casper's modeled
-/// cost is at most equi-width's. The paper reports Casper at 1.75 / 2.14 /
+/// cost is below equi-width's. The paper reports Casper at 1.75 / 2.14 /
 /// 1.16 / 0.95 / 2.28 / 2.32 × the state of the art's throughput (hybrid
 /// point, hybrid range, read-only skewed and uniform, UDI1, UDI2). Equi and
 /// Equi-GV share one segmentation, because the model does not price ghost
-/// values. Under the fairness cap equi-width is one of the layouts the DP
-/// searches, so a failure here is a solver bug; the win is strict on the two
-/// hybrid and the two update-only mixes (Casper ÷ Equi ≈ 0.76 / 0.75 / 0.91 /
-/// 1.00 / 0.63 / 0.41).
+/// values. Both layouts are priced at the table's geometry (4 KB blocks of
+/// 64 lines, rows of 16 lines). Under the fairness cap equi-width is one of
+/// the layouts the DP searches, so a ratio above 1 is a solver bug; the win
+/// is strict on every mix, Casper ÷ Equi = 0.881 / 0.878 / 0.640 / 0.998 /
+/// 0.698 / 0.502, and a change to the model, the solver or the capture
+/// moves one of those.
 #[test]
 fn fig12_casper_models_no_dearer_than_equi_width_on_every_mix() {
+    const RATIOS: [f64; 6] = [0.881, 0.878, 0.640, 0.998, 0.698, 0.502];
     let paper = CostConstants::paper();
     let mut config = EngineConfig::small(LayoutMode::Casper);
     config.chunk_values = 16 * 1024;
     config.equi_partitions = 8;
-    for kind in MixKind::fig12() {
+    for (kind, want) in MixKind::fig12().into_iter().zip(RATIOS) {
         let mix = Mix::new(kind, HapSchema::narrow(), 65_536);
         let mut table = Table::load_from_generator(mix.generator(), config);
         let opts = OptimizeOptions {
@@ -218,17 +236,16 @@ fn fig12_casper_models_no_dearer_than_equi_width_on_every_mix() {
         };
         let report = optimize_table(&mut table, &mix.generate(2000, 12), &opts);
         let casper = total_est_cost(&report);
+        let geometry = table_geometry(&table);
         let equi = report.fms.iter().map(|fm| {
             let seg = Segmentation::equi(fm.n_blocks(), config.equi_partitions);
-            modeled(fm, &seg, &paper)
+            modeled_at(fm, &seg, &paper, &geometry)
         });
         let equi: f64 = equi.sum();
         let ratio = casper / equi;
-        eprintln!("{}: Casper / Equi = {ratio:.3}", kind.label());
-        assert!(casper <= equi * (1.0 + 1e-12), "{}: {ratio}", kind.label());
-        if !matches!(kind, MixKind::ReadOnlySkewed | MixKind::ReadOnlyUniform) {
-            assert!(ratio < 1.0, "{}: no strict win ({ratio})", kind.label());
-        }
+        eprintln!("{}: Casper / Equi = {ratio:.6}", kind.label());
+        assert!(ratio < 1.0, "{}: no strict win ({ratio})", kind.label());
+        assert_eq!((ratio * 1e3).round(), want * 1e3, "{}", kind.label());
     }
 }
 
@@ -274,6 +291,10 @@ fn fig14_ghost_slots_absorb_the_insert_ripple() {
 fn fig15_partition_caps_meet_every_insert_sla() {
     const READ_SLA_NS: f64 = 600.0;
     let c = CostConstants::paper();
+    // The SLAs are priced as the paper's Eq. 21 prices them, one line per
+    // block and per row; the caps they give are structural, whatever
+    // geometry the solver then prices the table at.
+    let unit = BlockGeometry::UNIT;
     let mut config = EngineConfig::small(LayoutMode::Casper);
     config.block_bytes = 1024;
     config.chunk_values = 32 * 1024;
@@ -290,7 +311,7 @@ fn fig15_partition_caps_meet_every_insert_sla() {
         let insert_sla = sla_us.map(|us| us * 1000.0);
         let opts = OptimizeOptions {
             constants: c,
-            constraints: sla::constraints_from_slas(&c, insert_sla, Some(READ_SLA_NS)),
+            constraints: sla::constraints_from_slas(&c, &unit, insert_sla, Some(READ_SLA_NS)),
             fairness_cap: false,
             threads: config.threads,
             ..OptimizeOptions::default()
@@ -305,10 +326,13 @@ fn fig15_partition_caps_meet_every_insert_sla() {
             assert_eq!(parts, chunk.partitions);
             let widest = p.partitions().iter().map(|m| m.len.div_ceil(vpb));
             let widest = widest.max().unwrap();
-            assert!(sla::worst_point_query_nanos(&c, widest) <= READ_SLA_NS);
+            assert!(sla::worst_point_query_nanos(&c, &unit, widest) <= READ_SLA_NS);
             if let (Some(cap), Some(ns)) = (cap, insert_sla) {
                 assert!(parts <= cap, "SLA {ns} ns: {parts} > cap {cap}");
-                assert!(sla::worst_insert_nanos(&c, parts) <= ns, "SLA {ns} ns");
+                assert!(
+                    sla::worst_insert_nanos(&c, &unit, parts) <= ns,
+                    "SLA {ns} ns"
+                );
             }
         }
         let most = report.chunks.iter().map(|ch| ch.partitions).max().unwrap();
@@ -325,15 +349,24 @@ fn fig15_partition_caps_meet_every_insert_sla() {
 
 /// (g) Table 1: the six modes are six cells of the layout design space
 /// (data organization × update policy × buffering). Every mode loads the
-/// same hybrid mix, and its chunks are the cell it claims.
+/// same hybrid mix, and its chunks are the cell it claims. A chunk of 8,192
+/// rows reserves 82 ghost-budget slots (1 %) and a 410-slot slack (5 %):
+/// Equi keeps the slack as its tail, while Equi-GV spreads all 428 slots
+/// beyond the 64-slot minimum tail evenly as ghosts, and Casper places the
+/// column's 856 by Eq. 18, most of them in the chunk the inserts land in.
 #[test]
 fn table01_each_mode_builds_its_design_space_cell() {
     let mix = Mix::new(MixKind::HybridPointSkewed, HapSchema::narrow(), 16_384);
+    let ceil = |len: usize, frac: f64| (len as f64 * frac).ceil() as usize;
     for mode in LayoutMode::all() {
         let mut config = EngineConfig::small(mode);
         config.chunk_values = 8192;
         let mut table = Table::load_from_generator(mix.generator(), config);
-        let budget = |len: usize| (len as f64 * config.ghost_budget_frac).ceil() as usize;
+        // A dense chunk's tail, and the reserve a ghost-policy chunk holds
+        // as ghosts instead of all but the minimum of that tail.
+        let tail = |len| ceil(len, config.capacity_slack).max(MIN_TAIL_SLOTS);
+        let reserve = |len| ceil(len, config.ghost_budget_frac) + tail(len) - MIN_TAIL_SLOTS;
+        assert_eq!((tail(8192), reserve(8192)), (410, 428));
         if mode == LayoutMode::Casper {
             let opts = OptimizeOptions {
                 ghost_budget_frac: config.ghost_budget_frac,
@@ -344,11 +377,13 @@ fn table01_each_mode_builds_its_design_space_cell() {
         }
         let stores = stores(&table);
         assert_eq!(stores.len(), 2, "{mode:?}");
+        let mut casper_ghosts = Vec::new();
         for store in stores {
             match (mode, store) {
                 // Insertion order, in place, no buffer: one partition.
                 (LayoutMode::NoOrder, ChunkStore::Partitioned(p)) => {
                     assert_eq!(p.partition_count(), 1);
+                    assert_eq!(p.tail_free(), tail(p.live_len()));
                 }
                 // Sorted, in place, no buffer.
                 (LayoutMode::Sorted, ChunkStore::Sorted(_)) => {}
@@ -358,19 +393,90 @@ fn table01_each_mode_builds_its_design_space_cell() {
                 (LayoutMode::Equi, ChunkStore::Partitioned(p)) => {
                     assert_eq!(p.partition_count(), config.equi_partitions);
                     assert_eq!(p.ghost_total(), 0);
+                    assert_eq!(p.tail_free(), tail(p.live_len()));
                 }
-                // Partitioned, hybrid, per-partition ghost buffers.
+                // Partitioned, hybrid, per-partition ghost buffers: the
+                // reserve spread evenly.
                 (LayoutMode::EquiGV, ChunkStore::Partitioned(p)) => {
                     assert_eq!(p.partition_count(), config.equi_partitions);
-                    assert!(p.partitions().iter().all(|m| m.ghosts > 0));
-                    assert_eq!(p.ghost_total(), budget(p.live_len()));
+                    let ghosts = p.partitions().iter().map(|m| m.ghosts);
+                    let (lo, hi) = (ghosts.clone().min(), ghosts.max());
+                    assert_eq!((lo, hi), (Some(53), Some(54)));
+                    assert_eq!(p.ghost_total(), reserve(p.live_len()));
+                    assert_eq!(p.tail_free(), MIN_TAIL_SLOTS);
                 }
-                // Optimal partitions; the Eq. 18 ghost total.
+                // Optimal partitions; the column's reserve split by Eq. 18.
                 (LayoutMode::Casper, ChunkStore::Partitioned(p)) => {
-                    assert_eq!(p.ghost_total(), budget(p.live_len()));
+                    assert_eq!(p.tail_free(), MIN_TAIL_SLOTS);
+                    let physical = p.live_len() + p.ghost_total() + MIN_TAIL_SLOTS;
+                    assert_eq!(p.slot_count(), physical);
+                    casper_ghosts.push(p.ghost_total());
                 }
                 (mode, _) => panic!("{mode:?} built the wrong store kind"),
             }
         }
+        if mode == LayoutMode::Casper {
+            // Same physical slots as an Equi-GV column of the same rows.
+            assert_eq!(casper_ghosts.iter().sum::<usize>(), 2 * reserve(8192));
+            assert!(casper_ghosts[1] > casper_ghosts[0], "{casper_ghosts:?}");
+        }
     }
+}
+
+/// (h) Figs. 2b and 14, for the reserve: the same empty slots cut more
+/// ripple writes where the inserts land than parked at the chunk's tail.
+/// A 64-partition chunk of 64 Ki values reserves 5.1 % of its rows (a 0.1 %
+/// ghost budget plus 5 % slack) and takes 3,277 fresh keys (5 %), four in
+/// five of them in the top eighth of the key domain. Parked, the 5 % is the
+/// tail and the 0.1 % is spread by Eq. 18; placed, the whole reserve is
+/// spread by Eq. 18 over the stream's own Frequency Model and the tail
+/// keeps its 64-slot minimum. Both chunks have the same physical slots,
+/// and placing the reserve cuts the stream's random writes about tenfold
+/// (32,540 → 3,282, one per insert); the row asserts at least fourfold.
+#[test]
+fn fig02b_reserve_placed_by_eq18_cuts_ripple_writes() {
+    const VALUES: usize = 64 * 1024;
+    const K: usize = 64;
+    const INSERTS: u64 = 3_277;
+    let layout = BlockLayout::new::<u64>(4096);
+    let vpb = layout.values_per_block();
+    let n_blocks = layout.num_blocks(VALUES);
+    let spec = PartitionSpec::equi_width(n_blocks, K);
+    let seg = Segmentation::from_boundaries(spec.boundaries());
+    let domain = 2 * VALUES as u64;
+    let keys: Vec<u64> = (0..INSERTS)
+        .map(|i| {
+            let r = (i * 48271) % domain;
+            let v = if i % 5 == 0 {
+                r
+            } else {
+                domain - 1 - r % (domain / 8)
+            };
+            v | 1
+        })
+        .collect();
+    let mut fm = FmBuilder::from_data(&(0..VALUES as u64).map(|v| 2 * v).collect::<Vec<_>>(), vpb);
+    keys.iter().for_each(|&v| fm.record(Op::Insert(v)));
+    let fm = fm.finish();
+    let ceil = |frac: f64| (VALUES as f64 * frac).ceil() as usize;
+    let (ghost_budget, slack) = (ceil(0.001), ceil(0.05));
+    let run = |ghosts: usize, capacity_slack: f64| {
+        let plan = allocate_ghosts(&fm, &seg, ghosts);
+        let config = ChunkConfig {
+            capacity_slack,
+            ..ChunkConfig::default()
+        };
+        let mut chunk = even_chunk(layout, &spec, &plan, config);
+        let slots = chunk.slot_count();
+        let writes: u64 = keys
+            .iter()
+            .map(|&v| chunk.insert(v, &[]).unwrap().cost.random_writes)
+            .sum();
+        (slots, writes)
+    };
+    let parked = run(ghost_budget, 0.05);
+    let placed = run(ghost_budget + slack - MIN_TAIL_SLOTS, 0.0);
+    eprintln!("(slots, random writes) parked {parked:?}, placed {placed:?}");
+    assert_eq!(parked.0, placed.0);
+    assert!(4 * placed.1 <= parked.1, "{placed:?} vs {parked:?}");
 }
