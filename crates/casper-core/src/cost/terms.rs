@@ -28,7 +28,8 @@
 //! Each random access pays `RR` for its first line. A scan's first block
 //! (`rs`, `pq`, `de` and an update's search) then streams its other `L−1`
 //! lines; a slot read (`in` and an update's placement) touches the other
-//! `R−1` lines of its row at random. At `L = R = 1` the added terms are
+//! `R−1` lines of its row at random. `R` follows the chunk's payload
+//! orientation: `1 + w` lines column-major, `1 + ⌈4w/64⌉` row-major. At `L = R = 1` the added terms are
 //! exactly zero and the rest is the paper's Eq. 17, bit for bit.
 
 use super::constants::CostConstants;
@@ -98,6 +99,7 @@ impl BlockTerms {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casper_storage::PayloadOrientation;
     use proptest::prelude::*;
 
     /// The paper's Eq. 17 as written, one line per block and per row.
@@ -163,7 +165,7 @@ mod tests {
     #[test]
     fn geometry_prices_lines() {
         // L = 256 lines per block, R = 16 lines per row.
-        let g = BlockGeometry::of_chunk(16 * 1024, 15);
+        let g = BlockGeometry::of_chunk(16 * 1024, 15, PayloadOrientation::Columns);
         let c = CostConstants::new(100.0, 50.0, 2.0, 3.0);
         let mut fm = FrequencyModel::new(3);
         fm.pq[0] = 1.0; // seek + 255 streamed lines

@@ -18,7 +18,7 @@
 //! the insert side (Fig. 9a) directly against `BlockTerms`.
 
 use super::constants::CostConstants;
-use casper_storage::OpCost;
+use casper_storage::{OpCost, PayloadOrientation};
 
 /// Predicted block-level access pattern of one kernel-path scan — the
 /// read-side projection of an [`OpCost`] (writes and probes are separate
@@ -109,6 +109,27 @@ pub fn predicted_range_access(parts: &[RangePartKind]) -> ScanAccess {
         }
     }
     acc
+}
+
+/// Sequential blocks a range sum's payload pass streams for `rows`
+/// qualifying rows projecting `k` of `width` attributes, in blocks of
+/// `block_bytes` that hold `values_per_block` keys. Column-major, one scan
+/// of the rows per projected attribute (`k · ⌈rows / values_per_block⌉`);
+/// row-major, the rows' own bytes (`⌈rows · 4·width / block_bytes⌉`), and
+/// nothing when no attribute is projected.
+pub fn predicted_payload_blocks(
+    orientation: PayloadOrientation,
+    k: usize,
+    width: usize,
+    rows: usize,
+    block_bytes: usize,
+    values_per_block: usize,
+) -> u64 {
+    match orientation {
+        PayloadOrientation::Columns => (k * rows.div_ceil(values_per_block)) as u64,
+        PayloadOrientation::Rows if k == 0 => 0,
+        PayloadOrientation::Rows => (rows * width * 4).div_ceil(block_bytes) as u64,
+    }
 }
 
 #[cfg(test)]
@@ -215,6 +236,63 @@ mod tests {
         assert!(
             pred.matches(&cost),
             "predicted {pred:?} != measured {cost:?}"
+        );
+    }
+
+    /// Q3's measured cost is the key scan of [`predicted_range_access`]
+    /// plus the payload blocks its orientation streams
+    /// ([`predicted_payload_blocks`]), exactly, in both orientations.
+    #[test]
+    fn range_sum_matches_measured_cost_exactly_per_orientation() {
+        let keys: Vec<u64> = (1..=64u64).map(|x| x * 2).collect();
+        let width = 15usize;
+        let cols: Vec<Vec<u32>> = (0..width)
+            .map(|c| keys.iter().map(|&k| k as u32 ^ c as u32).collect())
+            .collect();
+        // 64-byte blocks: 8 keys per block, a 60-byte row per slot.
+        let layout = BlockLayout::new::<u64>(64);
+        let chunk = PartitionedChunk::build_with_payloads(
+            keys,
+            cols,
+            &PartitionSpec::from_block_sizes(&[2, 2, 2, 2]),
+            layout,
+            &GhostPlan::none(4),
+            ChunkConfig::default(),
+        )
+        .expect("build");
+        // [10, 101) over zones [2,32], [34,64], [66,96], [98,128]: the
+        // first and last straddle the bounds (filtered), the middle two lie
+        // inside (blind).
+        let (rows, _) = chunk.range_count(10, 101);
+        assert_eq!(rows, 46); // 10..=100 even
+        let parts = [
+            RangePartKind::Filtered { blocks: 2 },
+            RangePartKind::Blind { blocks: 2 },
+            RangePartKind::Blind { blocks: 2 },
+            RangePartKind::Filtered { blocks: 2 },
+        ];
+        for o in [PayloadOrientation::Columns, PayloadOrientation::Rows] {
+            let c = chunk.clone().into_orientation(o);
+            for k in [0usize, 1, 4, 15] {
+                let proj: Vec<usize> = (0..k).collect();
+                let (_, cost) = c.range_sum_payload(10, 101, &proj);
+                let mut pred = predicted_range_access(&parts);
+                pred.seq_reads += predicted_payload_blocks(o, k, width, 46, 64, 8);
+                assert!(
+                    pred.matches(&cost),
+                    "{o:?} k={k}: predicted {pred:?} != measured {cost:?}"
+                );
+            }
+        }
+        // 46 rows of 60 bytes = 2760 bytes = 44 blocks row-major, against
+        // 6 blocks per projected attribute column-major.
+        assert_eq!(
+            predicted_payload_blocks(PayloadOrientation::Rows, 4, 15, 46, 64, 8),
+            44
+        );
+        assert_eq!(
+            predicted_payload_blocks(PayloadOrientation::Columns, 4, 15, 46, 64, 8),
+            24
         );
     }
 

@@ -32,7 +32,7 @@ pub mod layout;
 pub mod robust;
 pub mod solver;
 
-pub use cost::{BlockGeometry, BlockTerms, CostConstants};
+pub use cost::{BlockGeometry, BlockTerms, CostConstants, Projectivity};
 pub use fm::{FrequencyModel, Op};
 pub use layout::Segmentation;
 pub use solver::{LayoutOptimizer, SolverConstraints};

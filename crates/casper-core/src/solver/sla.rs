@@ -77,6 +77,8 @@ pub fn worst_point_query_nanos(c: &CostConstants, g: &BlockGeometry, mps_blocks:
 mod tests {
     use super::*;
 
+    use casper_storage::PayloadOrientation;
+
     const U: BlockGeometry = BlockGeometry::UNIT;
 
     #[test]
@@ -126,7 +128,7 @@ mod tests {
     fn geometry_prices_lines_and_rows() {
         let c = CostConstants::new(100.0, 100.0, 10.0, 10.0);
         // L = 4 lines per block, R = 2 lines per row.
-        let g = BlockGeometry::of_chunk(256, 1);
+        let g = BlockGeometry::of_chunk(256, 1, PayloadOrientation::Columns);
         // One ripple step moves 2 lines: 400 ns. 2000 / 400 − 1 = 4.
         assert_eq!(max_partitions_for_update_sla(&c, &g, 2000.0), 4);
         assert_eq!(worst_insert_nanos(&c, &g, 4), 2000.0);

@@ -13,7 +13,8 @@
 
 use crate::column::ChunkStore;
 use crate::optimize::{
-    capture_per_chunk, layout_optimizer, optimize_table, OptimizeOptions, OptimizeReport,
+    capture_per_chunk, chunk_geometry, chunk_orientations, layout_optimizer, optimize_table,
+    OptimizeOptions, OptimizeReport,
 };
 use crate::table::Table;
 use casper_core::cost::{cost_of_segmentation, BlockTerms};
@@ -99,7 +100,9 @@ impl AdaptiveController {
 
     /// Modeled speedup of re-optimizing `table` for the current window:
     /// `cost(current layout) / cost(optimal layout)`, both under the
-    /// window's Frequency Model.
+    /// window's Frequency Model. The current layout is priced at its
+    /// chunk's own geometry (its payload orientation as stored), the
+    /// optimum at the orientation `optimize_table` would choose.
     pub fn predicted_speedup(&self, table: &Table) -> Option<f64> {
         if self.recent.len() < self.config.window / 4 {
             return None;
@@ -110,15 +113,20 @@ impl AdaptiveController {
         let mut best_cost = 0.0f64;
         // Price both layouts as `optimize_table` would, and compare with
         // the best layout it may build (fairness cap included).
-        let opt = layout_optimizer(table, &self.config.optimize);
-        for (slot, fm) in table.column().chunks().iter().zip(&fms) {
+        let opts = &self.config.optimize;
+        let chosen = chunk_orientations(table, &fms, &sample, &opts.constants);
+        let chunks = table.column().chunks().iter().zip(&fms).zip(chosen);
+        for ((slot, fm), orientation) in chunks {
             // Capture above already required hydration; bail out rather
             // than decode here if a slot is somehow still pending.
             let store = slot.store_opt()?;
-            let terms = BlockTerms::with_geometry(fm, &opt.constants, &opt.geometry);
+            let now = chunk_geometry(table, store.payload_orientation());
+            let terms = BlockTerms::with_geometry(fm, &opts.constants, &now);
             let current_seg = current_segmentation(store, fm.n_blocks());
             current_cost += cost_of_segmentation(&current_seg, &terms);
-            best_cost += dp::solve(&terms, &opt.constraints).cost;
+            let best = layout_optimizer(table, opts, chunk_geometry(table, orientation));
+            let terms = BlockTerms::with_geometry(fm, &best.constants, &best.geometry);
+            best_cost += dp::solve(&terms, &best.constraints).cost;
         }
         if best_cost <= 0.0 {
             return Some(1.0);

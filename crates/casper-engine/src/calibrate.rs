@@ -18,6 +18,7 @@
 //! figures, which is what an `OpCost`'s block counts are priced in.
 
 use casper_core::{BlockGeometry, CostConstants};
+use casper_storage::PayloadOrientation;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -58,7 +59,8 @@ impl CalibrationConfig {
 /// `OptimizeOptions` expect.
 pub fn calibrate_per_line(config: &CalibrationConfig) -> CostConstants {
     let c = calibrate(config);
-    let lines = BlockGeometry::of_chunk(config.block_bytes, 0).lines_per_block;
+    let lines =
+        BlockGeometry::of_chunk(config.block_bytes, 0, PayloadOrientation::Columns).lines_per_block;
     CostConstants::new(c.rr, c.rw, c.sr / lines, c.sw / lines)
 }
 

@@ -34,8 +34,8 @@ use casper_core::Segmentation;
 use casper_obs::CounterDef;
 use casper_storage::ghost::GhostPlan;
 use casper_storage::{
-    BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk, SortedColumn, SortedDelta,
-    StorageError, UpdatePolicy, MIN_TAIL_SLOTS,
+    BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk, PayloadOrientation,
+    SortedColumn, SortedDelta, StorageError, UpdatePolicy, MIN_TAIL_SLOTS,
 };
 use casper_workload::HapQuery;
 use parking_lot::Mutex;
@@ -107,6 +107,15 @@ impl ChunkStore {
             ChunkStore::Partitioned(c) => c.resident_bytes(),
             ChunkStore::Sorted(c) => c.resident_bytes(),
             ChunkStore::Delta(c) => c.resident_bytes(),
+        }
+    }
+
+    /// How the store lays out its payload rows: a partitioned chunk's own
+    /// orientation; the sorted designs keep theirs column-major.
+    pub(crate) fn payload_orientation(&self) -> PayloadOrientation {
+        match self {
+            ChunkStore::Partitioned(p) => p.payload_orientation(),
+            ChunkStore::Sorted(_) | ChunkStore::Delta(_) => PayloadOrientation::Columns,
         }
     }
 
@@ -1300,27 +1309,36 @@ pub(crate) fn reserve_slots(len: usize, ghost_frac: f64, config: &EngineConfig) 
 }
 
 /// Rebuild a partitioned chunk with a new layout decision (used by the
-/// optimizer): `ghosts` is the chunk's whole empty-slot reserve, and the
-/// tail keeps [`MIN_TAIL_SLOTS`]. Requires a hydrated store.
+/// optimizer): `ghosts` is the chunk's whole empty-slot reserve, the tail
+/// keeps [`MIN_TAIL_SLOTS`], and the payload is laid out in
+/// `orientation`. A partitioned chunk's rows move straight from their old
+/// slots to their new ones ([`PartitionedChunk::relayout`]). Requires a
+/// hydrated store.
 pub(crate) fn rebuild_partitioned(
     store: &ChunkStore,
     seg: &Segmentation,
     ghosts: &GhostPlan,
     config: &EngineConfig,
+    orientation: PayloadOrientation,
 ) -> ChunkStore {
-    let layout = BlockLayout::new::<u64>(config.block_bytes);
-    let (keys, payloads) = store.live_sorted();
-    ChunkStore::Partitioned(
-        PartitionedChunk::build_with_payloads(
-            keys,
-            payloads,
-            &seg.to_spec(),
-            layout,
-            ghosts,
-            ghost_config(config),
-        )
-        .expect("rebuild with solver output cannot fail"),
-    )
+    let spec = seg.to_spec();
+    let chunk = match store {
+        ChunkStore::Partitioned(p) => p.relayout(&spec, ghosts, ghost_config(config), orientation),
+        ChunkStore::Sorted(_) | ChunkStore::Delta(_) => {
+            let layout = BlockLayout::new::<u64>(config.block_bytes);
+            let (keys, payloads) = store.live_sorted();
+            PartitionedChunk::build_with_payloads(
+                keys,
+                payloads,
+                &spec,
+                layout,
+                ghosts,
+                ghost_config(config),
+            )
+            .map(|c| c.into_orientation(orientation))
+        }
+    };
+    ChunkStore::Partitioned(chunk.expect("rebuild with solver output cannot fail"))
 }
 
 /// Expose a chunk's block fences for Frequency-Model capture: the first key
@@ -1329,7 +1347,11 @@ pub(crate) fn rebuild_partitioned(
 pub(crate) fn chunk_block_fences(store: &ChunkStore, block_bytes: usize) -> Vec<u64> {
     let layout = BlockLayout::new::<u64>(block_bytes);
     let vpb = layout.values_per_block();
-    let (keys, _) = store.live_sorted();
+    let keys = match store {
+        ChunkStore::Partitioned(p) => p.live_keys_sorted(),
+        ChunkStore::Sorted(s) => s.values().to_vec(),
+        ChunkStore::Delta(_) => store.live_sorted().0,
+    };
     keys.chunks(vpb).map(|c| c[0]).collect()
 }
 

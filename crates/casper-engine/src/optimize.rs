@@ -11,18 +11,20 @@ use crate::column::{chunk_block_fences, rebuild_partitioned, reserve_slots, Chun
 use crate::exec::{parallel_for_each_mut, parallel_map};
 use crate::modes::LayoutMode;
 use crate::table::Table;
+use casper_core::cost::choose_orientation;
 use casper_core::fm::FmBuilder;
 use casper_core::ghost_alloc::split_column_budget;
 use casper_core::solver::{LayoutOptimizer, SolverConstraints};
-use casper_core::{BlockGeometry, CostConstants, FrequencyModel, Op};
+use casper_core::{BlockGeometry, CostConstants, FrequencyModel, Op, Projectivity};
+use casper_storage::{BlockLayout, PayloadOrientation};
 use casper_workload::HapQuery;
 use std::time::Instant;
 
 /// Optimization options.
 #[derive(Debug, Clone)]
 pub struct OptimizeOptions {
-    /// Cost constants, per 64-byte line. The solver scales them to the
-    /// table's blocks and rows ([`table_geometry`]). `calibrate()` measures
+    /// Cost constants, per 64-byte line. The solver scales them to each
+    /// chunk's blocks and rows ([`chunk_geometry`]). `calibrate()` measures
     /// `sr`/`sw` per block; `calibrate_per_line()` restates them for here.
     pub constants: CostConstants,
     /// SLA-derived structural constraints.
@@ -71,6 +73,9 @@ pub struct ChunkReport {
     /// lane, and nothing encodes a second one. Kept because the repo
     /// benchmark reports it as `core.compressed_partitions`.
     pub compressed_partitions: usize,
+    /// Payload orientation the chunk was laid out with (chosen from its
+    /// Frequency Model before the solve, [`chunk_orientations`]).
+    pub orientation: PayloadOrientation,
 }
 
 /// Outcome of a whole optimization pass.
@@ -97,18 +102,60 @@ impl OptimizeReport {
     }
 }
 
-/// The lines per block and per row the solver prices `table`'s chunks at:
-/// its block size, and its key plus one line per column-major payload
-/// attribute.
-pub fn table_geometry(table: &Table) -> BlockGeometry {
+/// The lines per block and per row the solver prices one of `table`'s
+/// chunks at: its block size, and its key plus the payload lines a slot
+/// write touches in `orientation`.
+pub fn chunk_geometry(table: &Table, orientation: PayloadOrientation) -> BlockGeometry {
     let column = table.column();
-    BlockGeometry::of_chunk(column.config().block_bytes, column.payload_width())
+    BlockGeometry::of_chunk(
+        column.config().block_bytes,
+        column.payload_width(),
+        orientation,
+    )
 }
 
-/// The optimizer `optimize_table` solves `table`'s chunks with: `opts`'
-/// constants at the table's geometry, under `opts.constraints` and, when
-/// `opts.fairness_cap` is set, at most `equi_partitions` partitions.
-pub(crate) fn layout_optimizer(table: &Table, opts: &OptimizeOptions) -> LayoutOptimizer {
+/// The payload attributes `sample`'s reads project, each at most `width`:
+/// the largest Q1 `k` and the largest Q3 `k` (0 without such a read).
+fn sample_projectivity(sample: &[HapQuery], width: usize) -> Projectivity {
+    let mut proj = Projectivity::default();
+    for q in sample {
+        match *q {
+            HapQuery::Q1 { k, .. } => proj.point = proj.point.max(k.min(width)),
+            HapQuery::Q3 { k, .. } => proj.range = proj.range.max(k.min(width)),
+            _ => {}
+        }
+    }
+    proj
+}
+
+/// The payload orientation of each chunk whose Frequency Model for
+/// `sample` is in `fms`: the one whose payload lines cost the chunk's
+/// operations less under `constants`, at the projectivity of `sample`'s
+/// reads ([`choose_orientation`]; ties stay column-major).
+pub(crate) fn chunk_orientations(
+    table: &Table,
+    fms: &[FrequencyModel],
+    sample: &[HapQuery],
+    constants: &CostConstants,
+) -> Vec<PayloadOrientation> {
+    let column = table.column();
+    let vpb = BlockLayout::new::<u64>(column.config().block_bytes).values_per_block();
+    let width = column.payload_width();
+    let proj = sample_projectivity(sample, width);
+    fms.iter()
+        .map(|fm| choose_orientation(fm, constants, width, vpb, proj))
+        .collect()
+}
+
+/// The optimizer `optimize_table` solves one of `table`'s chunks with:
+/// `opts`' constants at `geometry` (the chunk's, [`chunk_geometry`]),
+/// under `opts.constraints` and, when `opts.fairness_cap` is set, at most
+/// `equi_partitions` partitions.
+pub(crate) fn layout_optimizer(
+    table: &Table,
+    opts: &OptimizeOptions,
+    geometry: BlockGeometry,
+) -> LayoutOptimizer {
     let fairness = opts
         .fairness_cap
         .then_some(table.column().config().equi_partitions);
@@ -121,7 +168,7 @@ pub(crate) fn layout_optimizer(table: &Table, opts: &OptimizeOptions) -> LayoutO
     };
     LayoutOptimizer {
         constants: opts.constants,
-        geometry: table_geometry(table),
+        geometry,
         constraints,
     }
 }
@@ -240,13 +287,20 @@ pub fn optimize_table(
         .iter()
         .map(|&n| reserve_slots(n, opts.ghost_budget_frac, &config));
     let budgets = split_column_budget(&fms, &sizes, reserve.sum());
-    let optimizer = layout_optimizer(table, opts);
+    // Each chunk's payload orientation is chosen from its own Frequency
+    // Model, and its layout is then solved once, at that orientation's
+    // geometry.
+    let orientations = chunk_orientations(table, &fms, sample, &opts.constants);
+    let optimizers: Vec<LayoutOptimizer> = orientations
+        .iter()
+        .map(|&o| layout_optimizer(table, opts, chunk_geometry(table, o)))
+        .collect();
 
     // Solve every chunk in parallel (§6.3's embarrassingly parallel
     // decomposition), then apply the layouts.
     let decisions = parallel_map(&fms, opts.threads, |i, fm| {
         let t = Instant::now();
-        let d = optimizer.optimize(fm, budgets[i]);
+        let d = optimizers[i].optimize(fm, budgets[i]);
         (d, t.elapsed().as_nanos() as u64)
     });
 
@@ -260,6 +314,7 @@ pub fn optimize_table(
             est_cost: decision.est_cost,
             solve_nanos: *solve_nanos,
             compressed_partitions: 0,
+            orientation: orientations[i],
         });
     }
     // Step C: materialize the new layouts. Rebuilds are independent per
@@ -271,7 +326,8 @@ pub fn optimize_table(
         .expect("optimize hydrated the column, so chunk access cannot fail");
     parallel_for_each_mut(&mut stores, opts.threads, |i, store| {
         let (decision, _) = &decisions[i];
-        **store = rebuild_partitioned(store, &decision.seg, &decision.ghosts, &config);
+        let (seg, ghosts) = (&decision.seg, &decision.ghosts);
+        **store = rebuild_partitioned(store, seg, ghosts, &config, orientations[i]);
     });
     drop(stores);
     // Re-layout replaced chunk stores wholesale: hand readers the new ones.
@@ -398,6 +454,97 @@ mod tests {
         table.execute(&HapQuery::Q4 { key: 101, payload }).unwrap();
         let out = table.execute(&HapQuery::Q1 { v: 101, k: 1 }).unwrap();
         assert_eq!(out.result.scalar(), 1);
+    }
+
+    /// The orientations the chooser picks for `kind`'s sample on a
+    /// four-chunk narrow table, with each chunk's write mass.
+    fn chosen(kind: MixKind) -> Vec<(PayloadOrientation, f64)> {
+        let mix = Mix::new(kind, HapSchema::narrow(), 65_536);
+        let mut config = EngineConfig::small(LayoutMode::Casper);
+        config.chunk_values = 16 * 1024;
+        let table = Table::load_from_generator(mix.generator(), config);
+        let sample = mix.generate(2000, 21);
+        oriented(&table, &sample)
+    }
+
+    fn oriented(table: &Table, sample: &[HapQuery]) -> Vec<(PayloadOrientation, f64)> {
+        let fms = capture_per_chunk(table, sample);
+        let paper = CostConstants::paper();
+        let writes = fms.iter().map(|fm| {
+            let sum = |h: &[f64]| h.iter().sum::<f64>();
+            sum(&fm.ins) + sum(&fm.de) + sum(&fm.udf) + sum(&fm.udb)
+        });
+        chunk_orientations(table, &fms, sample, &paper)
+            .into_iter()
+            .zip(writes)
+            .collect()
+    }
+
+    #[test]
+    fn range_sums_keep_every_chunk_column_major() {
+        let chunks = chosen(MixKind::HybridRangeSkewed);
+        assert_eq!(chunks.len(), 4);
+        assert!(chunks.iter().any(|&(_, w)| w > 0.0), "{chunks:?}");
+        for (o, _) in chunks {
+            assert_eq!(o, PayloadOrientation::Columns);
+        }
+    }
+
+    #[test]
+    fn written_chunks_turn_row_major() {
+        for kind in [MixKind::UpdateOnlyUniform, MixKind::HybridPointSkewed] {
+            let chunks = chosen(kind);
+            assert!(chunks.iter().any(|&(_, w)| w > 0.0), "{kind:?}");
+            for (o, writes) in chunks {
+                let want = if writes > 0.0 {
+                    PayloadOrientation::Rows
+                } else {
+                    PayloadOrientation::Columns
+                };
+                assert_eq!(o, want, "{kind:?}: a chunk of {writes} writes");
+            }
+        }
+    }
+
+    #[test]
+    fn counts_alone_tie_and_stay_column_major() {
+        let table = test_table(LayoutMode::Casper);
+        let sample: Vec<HapQuery> = (0..500u64)
+            .map(|i| HapQuery::Q2 {
+                vs: i * 13,
+                ve: i * 13 + 400,
+            })
+            .collect();
+        assert_eq!(
+            sample_projectivity(&sample, table.column().payload_width()),
+            Projectivity::default()
+        );
+        for (o, _) in oriented(&table, &sample) {
+            assert_eq!(o, PayloadOrientation::Columns);
+        }
+    }
+
+    #[test]
+    fn optimize_reports_and_builds_the_chosen_orientation() {
+        let mix = Mix::new(MixKind::UpdateOnlyUniform, HapSchema::narrow(), 4000);
+        let mut table = test_table(LayoutMode::Casper);
+        let report = optimize_table(
+            &mut table,
+            &mix.generate(800, 4),
+            &OptimizeOptions::default(),
+        );
+        let stores = table
+            .column()
+            .chunks()
+            .iter()
+            .map(|s| s.store_opt().unwrap());
+        for (chunk, store) in report.chunks.iter().zip(stores) {
+            assert_eq!(store.payload_orientation(), chunk.orientation);
+        }
+        assert!(report
+            .chunks
+            .iter()
+            .any(|c| c.orientation == PayloadOrientation::Rows));
     }
 
     #[test]

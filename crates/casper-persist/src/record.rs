@@ -1,7 +1,9 @@
 //! The chunk-record codec: the byte form of one [`ChunkStore`].
 //!
 //! A segment record serializes one chunk — partition boundaries, zone
-//! maps, ghost accounting, payload columns — so that [`decode_chain`]
+//! maps, ghost accounting, payload rows in the chunk's own orientation
+//! (tagged: [`ROWS_TAG`], or the historical column-major tag 0) — so that
+//! [`decode_chain`]
 //! restores the exact optimized layout with **no re-solve**: partitioned
 //! chunks come back through `PartitionedChunk::from_state` (bit-exact raw
 //! state). The solver-invocation telemetry counter therefore stays flat
@@ -34,13 +36,30 @@ use casper_engine::{EngineConfig, LayoutMode};
 use casper_storage::chunk::GRANULE_SLOTS;
 use casper_storage::kernels::ZoneMap;
 use casper_storage::{
-    BlockLayout, ChunkConfig, ChunkState, PartitionMeta, PartitionedChunk, SortedColumn,
-    SortedDelta, StorageError, UpdatePolicy,
+    BlockLayout, ChunkConfig, ChunkState, PartitionMeta, PartitionedChunk, PayloadOrientation,
+    PayloadSet, SortedColumn, SortedDelta, StorageError, UpdatePolicy,
 };
 
-/// Leading byte of a patch record (full records lead with their store
-/// kind: 0 partitioned, 1 sorted, 2 delta).
+/// Leading byte of a patch record of a column-major chunk (full records
+/// lead with their store kind: 0 partitioned with column-major payload,
+/// 1 sorted, 2 delta, [`ROWS_TAG`] partitioned with row-major payload).
 const PATCH_TAG: u8 = 3;
+
+/// Leading byte of a full record of a partitioned chunk whose payload is
+/// row-major. Writers before row-major payload existed never emit it, so
+/// their tag-0 records decode column-major, as they were written.
+const ROWS_TAG: u8 = 4;
+
+/// Leading byte of a patch record of a row-major chunk.
+const ROWS_PATCH_TAG: u8 = 5;
+
+/// The full-record and patch tags of a partitioned chunk in `orientation`.
+fn partitioned_tags(orientation: PayloadOrientation) -> (u8, u8) {
+    match orientation {
+        PayloadOrientation::Columns => (0, PATCH_TAG),
+        PayloadOrientation::Rows => (ROWS_TAG, ROWS_PATCH_TAG),
+    }
+}
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -61,7 +80,7 @@ pub(crate) fn encode_config(w: &mut ByteWriter, c: &EngineConfig) {
 pub(crate) fn encode_store(w: &mut ByteWriter, store: &ChunkStore) {
     match store {
         ChunkStore::Partitioned(chunk) => {
-            w.u8(0);
+            w.u8(partitioned_tags(chunk.payload_orientation()).0);
             encode_chunk(w, chunk);
         }
         ChunkStore::Sorted(s) => {
@@ -121,10 +140,12 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     for _ in 0..chunk.partition_count() {
         w.u8(0);
     }
-    let cols = chunk.payloads().columns();
-    w.u64(cols.len() as u64);
-    for col in cols {
-        w.vec_u32(col);
+    // The payload in its own order: one vector per attribute
+    // column-major, one vector of whole rows row-major.
+    let payloads = chunk.payloads();
+    w.u64(payloads.width() as u64);
+    for g in 0..payloads.word_groups() {
+        w.vec_u32(payloads.stored_words(g, 0..chunk.slot_count()));
     }
 }
 
@@ -147,11 +168,12 @@ fn encode_partition_meta(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
 
 /// The patch record of `chunk` against a chain whose newest record
 /// captured the chunk at write mark `since`: the granules written after
-/// `since` (their keys, then each payload column's values, in granule
+/// `since` (their keys, then the payload's words in its own order —
+/// each attribute's values column-major, whole rows row-major — in granule
 /// order), plus the metadata the write path may change anywhere. Each
 /// partition also gets the legacy keep-fragment flag, always `0`.
 pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, since: u64) {
-    w.u8(PATCH_TAG);
+    w.u8(partitioned_tags(chunk.payload_orientation()).1);
     w.u64(chunk.slot_count() as u64);
     w.u64(chunk.live_len() as u64);
     encode_partition_meta(w, chunk);
@@ -169,12 +191,12 @@ pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, si
     for &g in &granules {
         chunk.read_slots(chunk.granule_slots(g), |run| w.u64s(run));
     }
-    let width = chunk.payloads().width();
-    w.u64(width as u64);
-    for c in 0..width {
-        w.u64(slots as u64);
+    let payloads = chunk.payloads();
+    w.u64(payloads.width() as u64);
+    for group in 0..payloads.word_groups() {
+        w.u64((slots * payloads.words_per_slot()) as u64);
         for &g in &granules {
-            w.u32s(chunk.payloads().column_slice(c, chunk.granule_slots(g)));
+            w.u32s(payloads.stored_words(group, chunk.granule_slots(g)));
         }
     }
 }
@@ -224,21 +246,25 @@ pub(crate) fn decode_chain(
     };
     let mut r = ByteReader::new(base);
     let tag = r.u8()?;
-    if tag != 0 && !patches.is_empty() {
+    if tag != 0 && tag != ROWS_TAG && !patches.is_empty() {
         return Err(StorageError::corrupt(format!(
             "a record of store kind {tag} carries {} patches",
             patches.len()
         )));
     }
     let store = match tag {
-        0 => {
-            let (mut state, mut legacy) = decode_chunk_state(&mut r)?;
+        0 | ROWS_TAG => {
+            let orientation = match tag {
+                0 => PayloadOrientation::Columns,
+                _ => PayloadOrientation::Rows,
+            };
+            let (mut state, mut legacy) = decode_chunk_state(&mut r, orientation)?;
             r.finish()?;
             for patch in patches {
                 apply_patch(&mut state, &mut legacy, patch)?;
             }
             state.write_mark = mark;
-            check_width(state.payload_cols.len())?;
+            check_width(state.payloads.width())?;
             ChunkStore::Partitioned(PartitionedChunk::from_state(state)?)
         }
         1 => {
@@ -270,9 +296,10 @@ fn apply_patch(
 ) -> Result<(), StorageError> {
     let mut r = ByteReader::new(bytes);
     let tag = r.u8()?;
-    if tag != PATCH_TAG {
+    if tag != partitioned_tags(state.payloads.orientation()).1 {
         return Err(StorageError::corrupt(format!(
-            "a patch position holds a record of kind {tag}"
+            "a patch position of a {:?} chain holds a record of kind {tag}",
+            state.payloads.orientation()
         )));
     }
     let physical = r.len_u64()?;
@@ -332,18 +359,19 @@ fn apply_patch(
     }
     let keys = r.vec_u64()?;
     let n_cols = r.len_u64()?;
-    if n_cols != state.payload_cols.len() {
+    if n_cols != state.payloads.width() {
         return Err(StorageError::corrupt(format!(
             "a patch of {n_cols} payload columns on a chunk of {}",
-            state.payload_cols.len()
+            state.payloads.width()
         )));
     }
-    let mut cols = Vec::with_capacity(n_cols);
-    for _ in 0..n_cols {
-        cols.push(r.vec_u32()?);
+    let per_slot = state.payloads.words_per_slot();
+    let mut groups = Vec::with_capacity(state.payloads.word_groups());
+    for _ in 0..state.payloads.word_groups() {
+        groups.push(r.vec_u32()?);
     }
     r.finish()?;
-    if keys.len() != slots || cols.iter().any(|c| c.len() != slots) {
+    if keys.len() != slots || groups.iter().any(|g| g.len() != slots * per_slot) {
         return Err(StorageError::corrupt(format!(
             "a patch of {slots} granule slots carries {} keys",
             keys.len()
@@ -351,16 +379,16 @@ fn apply_patch(
     }
     state.data.reserve_exact(physical - old);
     state.data.resize(physical, 0);
-    for col in &mut state.payload_cols {
-        col.reserve_exact(physical - old);
-        col.resize(physical, 0);
-    }
+    state.payloads.grow_to(physical);
     let mut at = 0;
     for range in ranges {
         let next = at + range.len();
         state.data[range.clone()].copy_from_slice(&keys[at..next]);
-        for (dst, src) in state.payload_cols.iter_mut().zip(&cols) {
-            dst[range.clone()].copy_from_slice(&src[at..next]);
+        for (g, src) in groups.iter().enumerate() {
+            state
+                .payloads
+                .stored_words_mut(g, range.clone())
+                .copy_from_slice(&src[at * per_slot..next * per_slot]);
         }
         at = next;
     }
@@ -388,10 +416,11 @@ fn decode_sorted_parts(r: &mut ByteReader<'_>) -> Result<(Vec<u64>, Vec<Vec<u32>
     Ok((keys, cols))
 }
 
-/// Decode a partitioned chunk's full record, and which of its partitions
-/// carried a legacy fragment.
+/// Decode a partitioned chunk's full record, whose payload is stored in
+/// `orientation`, and which of its partitions carried a legacy fragment.
 fn decode_chunk_state(
     r: &mut ByteReader<'_>,
+    orientation: PayloadOrientation,
 ) -> Result<(ChunkState<u64>, Vec<bool>), StorageError> {
     let layout = BlockLayout {
         block_bytes: r.len_u64()?,
@@ -419,22 +448,55 @@ fn decode_chunk_state(
     let legacy = (0..parts.len())
         .map(|_| skip_legacy_fragment(r))
         .collect::<Result<Vec<bool>, _>>()?;
-    let n_cols = r.len_u64()?;
-    let mut payload_cols = Vec::with_capacity(n_cols.min(1 << 16));
-    for _ in 0..n_cols {
-        payload_cols.push(r.vec_u32()?);
-    }
+    let payloads = decode_payloads(r, orientation, data.len())?;
     let state = ChunkState {
         data,
         parts,
         zones,
-        payload_cols,
+        payloads,
         layout,
         config,
         live,
         write_mark: 0,
     };
     Ok((state, legacy))
+}
+
+/// A full record's payload section: its width, then one vector per
+/// attribute column-major, or one vector of `physical` whole rows
+/// row-major. Every length is checked against `physical`.
+fn decode_payloads(
+    r: &mut ByteReader<'_>,
+    orientation: PayloadOrientation,
+    physical: usize,
+) -> Result<PayloadSet, StorageError> {
+    let n_cols = r.len_u64()?;
+    match orientation {
+        PayloadOrientation::Columns => {
+            let mut cols = Vec::with_capacity(n_cols.min(1 << 16));
+            for c in 0..n_cols {
+                let col = r.vec_u32()?;
+                if col.len() != physical {
+                    return Err(StorageError::corrupt(format!(
+                        "payload column {c} has {} slots, key column has {physical}",
+                        col.len()
+                    )));
+                }
+                cols.push(col);
+            }
+            Ok(PayloadSet::from_columns(cols, physical))
+        }
+        PayloadOrientation::Rows => {
+            let rows = r.vec_u32()?;
+            if n_cols == 0 || Some(rows.len()) != physical.checked_mul(n_cols) {
+                return Err(StorageError::corrupt(format!(
+                    "{} row-major payload words for {physical} slots of {n_cols}",
+                    rows.len()
+                )));
+            }
+            Ok(PayloadSet::from_rows(n_cols, rows, physical))
+        }
+    }
 }
 
 /// Undo [`encode_partition_meta`].
@@ -625,7 +687,7 @@ mod tests {
             got.copy_slots(0..got.slot_count()),
             chunk.copy_slots(0..chunk.slot_count())
         );
-        assert_eq!(got.payloads().columns(), chunk.payloads().columns());
+        assert_eq!(got.payloads(), chunk.payloads());
         assert_eq!(got.partitions(), chunk.partitions());
         assert_eq!(got.zones(), chunk.zones());
         assert_eq!(got.write_mark(), mark);
@@ -642,6 +704,149 @@ mod tests {
         // A patch cannot follow a full record of a sorted store.
         let (sorted_config, sorted) = records(LayoutMode::Sorted);
         assert!(decode_chain(&[&sorted[0].0, &patch], 0, &sorted_config, width).is_err());
+    }
+
+    /// A partitioned chunk of `width` payload attributes in `orientation`,
+    /// with ghosts and a few writes behind it.
+    fn oriented_chunk(orientation: PayloadOrientation) -> PartitionedChunk<u64> {
+        use casper_storage::ghost::GhostPlan;
+        use casper_storage::PartitionSpec;
+        let keys: Vec<u64> = (0..200).map(|i| 10 + 3 * i).collect();
+        let cols = (0..3u32)
+            .map(|c| keys.iter().map(|&k| k as u32 * 7 + c).collect())
+            .collect();
+        let mut chunk = PartitionedChunk::build_with_payloads(
+            keys,
+            cols,
+            &PartitionSpec::from_block_sizes(&[10, 15]),
+            BlockLayout::new::<u64>(64),
+            &GhostPlan::from_counts(vec![3, 5]),
+            ChunkConfig::default(),
+        )
+        .expect("build")
+        .into_orientation(orientation);
+        chunk.insert(11, &[1, 2, 3]).expect("insert");
+        chunk.delete(13);
+        chunk
+    }
+
+    /// A row-major chunk's full record and patch carry its rows as rows
+    /// under their own tags and decode back to the row-major chunk, bit
+    /// for bit; a patch of the other orientation's tag is corruption.
+    #[test]
+    fn row_major_records_round_trip_under_their_own_tags() {
+        let config = EngineConfig::small(LayoutMode::Casper);
+        let mut chunk = oriented_chunk(PayloadOrientation::Rows);
+        let mut w = ByteWriter::new();
+        encode_store(&mut w, &ChunkStore::Partitioned(chunk.clone()));
+        let full = w.into_bytes();
+        assert_eq!(full[0], ROWS_TAG);
+        let since = chunk.write_mark();
+        chunk.grow(70);
+        for key in [12, 300, 1_000] {
+            chunk.insert(key, &[key as u32, 0, 9]).expect("insert");
+        }
+        let mut w = ByteWriter::new();
+        encode_patch(&mut w, &chunk, since);
+        let patch = w.into_bytes();
+        assert_eq!(patch[0], ROWS_PATCH_TAG);
+        let mark = chunk.write_mark();
+        let Ok(ChunkStore::Partitioned(got)) = decode_chain(&[&full, &patch], mark, &config, 3)
+        else {
+            panic!("the row-major chain decodes");
+        };
+        assert_eq!(got.payload_orientation(), PayloadOrientation::Rows);
+        assert_eq!(got.payloads(), chunk.payloads());
+        assert_eq!(
+            got.copy_slots(0..got.slot_count()),
+            chunk.copy_slots(0..chunk.slot_count())
+        );
+        assert_eq!(got.partitions(), chunk.partitions());
+        for cut in 0..patch.len() {
+            assert!(decode_chain(&[&full, &patch[..cut]], mark, &config, 3).is_err());
+        }
+        for cut in 0..full.len() {
+            assert!(decode_chain(&[&full[..cut]], mark, &config, 3).is_err());
+        }
+        let mut wrong = patch.clone();
+        wrong[0] = PATCH_TAG;
+        assert!(matches!(
+            decode_chain(&[&full, &wrong], mark, &config, 3),
+            Err(StorageError::Corrupt { .. })
+        ));
+    }
+
+    /// The bytes a writer from before row-major payload emitted for a
+    /// partitioned chunk — tag 0, one vector per payload column, and a
+    /// tag-3 patch of per-column runs — written out here field by field,
+    /// decode column-major to exactly the chunk they were written from.
+    #[test]
+    fn records_written_before_row_major_decode_column_major() {
+        let config = EngineConfig::small(LayoutMode::Casper);
+        let mut chunk = oriented_chunk(PayloadOrientation::Columns);
+        let width = chunk.payloads().width();
+        let slots = chunk.slot_count();
+        let mut w = ByteWriter::new();
+        w.u8(0);
+        w.u64(64);
+        w.u64(8);
+        w.u8(1);
+        w.f64(chunk.chunk_config().capacity_slack);
+        w.u64(chunk.chunk_config().ghost_fetch_block as u64);
+        w.u64(chunk.live_len() as u64);
+        w.vec_u64(&chunk.copy_slots(0..slots));
+        encode_partition_meta(&mut w, &chunk);
+        (0..chunk.partition_count()).for_each(|_| w.u8(0));
+        w.u64(width as u64);
+        for c in 0..width {
+            let col: Vec<u32> = (0..slots).map(|s| chunk.payloads().get(c, s)).collect();
+            w.vec_u32(&col);
+        }
+        let full = w.into_bytes();
+
+        let since = chunk.write_mark();
+        chunk.insert(50, &[5, 6, 7]).expect("insert");
+        let granules: Vec<usize> = chunk.granules_written_since(since).collect();
+        let ranges: Vec<_> = granules.iter().map(|&g| chunk.granule_slots(g)).collect();
+        let n: usize = ranges.iter().map(|r| r.len()).sum();
+        let mut w = ByteWriter::new();
+        w.u8(3);
+        w.u64(chunk.slot_count() as u64);
+        w.u64(chunk.live_len() as u64);
+        encode_partition_meta(&mut w, &chunk);
+        (0..chunk.partition_count()).for_each(|_| w.u8(0));
+        w.u64(GRANULE_SLOTS as u64);
+        w.u64(granules.len() as u64);
+        granules.iter().for_each(|&g| w.u64(g as u64));
+        let keys: Vec<u64> = ranges
+            .iter()
+            .flat_map(|r| chunk.copy_slots(r.clone()))
+            .collect();
+        w.vec_u64(&keys);
+        w.u64(width as u64);
+        for c in 0..width {
+            w.u64(n as u64);
+            for r in &ranges {
+                let run: Vec<u32> = r.clone().map(|s| chunk.payloads().get(c, s)).collect();
+                w.u32s(&run);
+            }
+        }
+        let patch = w.into_bytes();
+        let mark = chunk.write_mark();
+        let Ok(ChunkStore::Partitioned(got)) = decode_chain(&[&full, &patch], mark, &config, width)
+        else {
+            panic!("the old chain decodes");
+        };
+        assert_eq!(got.payload_orientation(), PayloadOrientation::Columns);
+        assert_eq!(got.payloads(), chunk.payloads());
+        assert_eq!(
+            got.copy_slots(0..got.slot_count()),
+            chunk.copy_slots(0..chunk.slot_count())
+        );
+        // Today's writer emits those same bytes for a column-major chunk.
+        let mut w = ByteWriter::new();
+        encode_patch(&mut w, &chunk, since);
+        assert_eq!(w.into_bytes(), patch);
     }
 
     /// One partition's legacy fragment section, as older writers stored

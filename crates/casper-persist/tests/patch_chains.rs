@@ -18,7 +18,7 @@ use casper_engine::optimize::OptimizeOptions;
 use casper_engine::{EngineConfig, GovernorConfig, LayoutMode, Table};
 use casper_persist::{decode_manifest, ArchiveConfig, DurableOptions, DurableTable, FileKind};
 use casper_persist::{ChunkEntry, Manifest};
-use casper_storage::{PartitionMeta, StorageError, ZoneMap};
+use casper_storage::{PartitionMeta, PayloadSet, StorageError, ZoneMap};
 use casper_workload::{HapQuery, HapSchema, Mix, MixKind};
 use rand::prelude::*;
 use std::fs;
@@ -79,7 +79,7 @@ enum Image {
     /// included), every payload value, and the metadata.
     Partitioned {
         slots: Vec<u64>,
-        payloads: Vec<Vec<u32>>,
+        payloads: PayloadSet,
         parts: Vec<PartitionMeta<u64>>,
         zones: Vec<ZoneMap<u64>>,
         live: usize,
@@ -92,7 +92,7 @@ fn image(store: &ChunkStore) -> Image {
     match store {
         ChunkStore::Partitioned(p) => Image::Partitioned {
             slots: p.copy_slots(0..p.slot_count()),
-            payloads: p.payloads().columns().to_vec(),
+            payloads: p.payloads().clone(),
             parts: p.partitions().to_vec(),
             zones: p.zones().to_vec(),
             live: p.live_len(),

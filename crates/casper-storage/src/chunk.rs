@@ -27,7 +27,7 @@ use crate::lane::KeyLane;
 use crate::layout::{BlockLayout, PartitionSpec};
 use crate::ops::OpCost;
 use crate::partition::PartitionMeta;
-use crate::payload::PayloadSet;
+use crate::payload::{PayloadOrientation, PayloadSet};
 use crate::value::ColumnValue;
 use crate::UpdatePolicy;
 
@@ -119,14 +119,89 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// As [`PartitionedChunk::build`], with slot-aligned payload columns
-    /// (each exactly as long as `values`). Rows are co-sorted by key.
+    /// (each exactly as long as `values`), stored column-major. Rows are
+    /// co-sorted by key.
     pub fn build_with_payloads(
-        mut values: Vec<K>,
-        mut payload_cols: Vec<Vec<u32>>,
+        values: Vec<K>,
+        payload_cols: Vec<Vec<u32>>,
         spec: &PartitionSpec,
         layout: BlockLayout,
         ghosts: &GhostPlan,
         config: ChunkConfig,
+    ) -> Result<Self, StorageError> {
+        for col in &payload_cols {
+            if col.len() != values.len() {
+                return Err(StorageError::PayloadArity {
+                    expected: values.len(),
+                    got: col.len(),
+                });
+            }
+        }
+        // Co-sort rows by key. Duplicate keys stay adjacent, which keeps
+        // them in the same partition as §4.1 requires (partition boundaries
+        // are at block granularity and blocks are assigned by rank).
+        if payload_cols.is_empty() {
+            let mut values = values;
+            values.sort_unstable();
+            return Self::from_sorted(values, spec, layout, ghosts, config, |_, _| {
+                PayloadSet::empty()
+            });
+        }
+        let mut perm: Vec<usize> = (0..values.len()).collect();
+        perm.sort_by_key(|&i| values[i]);
+        let sorted: Vec<K> = perm.iter().map(|&i| values[i]).collect();
+        let src = PayloadSet::from_columns(payload_cols, values.len());
+        Self::from_sorted(sorted, spec, layout, ghosts, config, |parts, physical| {
+            PayloadSet::gathered(
+                &src,
+                PayloadOrientation::Columns,
+                physical,
+                &row_moves(parts, &perm),
+            )
+        })
+    }
+
+    /// This chunk's live rows laid out afresh under `spec` and `ghosts`,
+    /// with its payload in `orientation` (the optimizer's rebuild, Fig. 10
+    /// step C). Rows are ordered by key, ties in slot order, exactly as
+    /// [`PartitionedChunk::extract_live_sorted`] lists them, and each row is
+    /// written once, straight from its current slot into its new one.
+    pub fn relayout(
+        &self,
+        spec: &PartitionSpec,
+        ghosts: &GhostPlan,
+        config: ChunkConfig,
+        orientation: PayloadOrientation,
+    ) -> Result<Self, StorageError> {
+        let positions = self.live_positions_sorted();
+        let sorted: Vec<K> = positions.iter().map(|&p| self.data.get(p)).collect();
+        Self::from_sorted(
+            sorted,
+            spec,
+            self.layout,
+            ghosts,
+            config,
+            |parts, physical| {
+                PayloadSet::gathered(
+                    &self.payloads,
+                    orientation,
+                    physical,
+                    &row_moves(parts, &positions),
+                )
+            },
+        )
+    }
+
+    /// Build from key-sorted `values`; `payloads(parts, physical)` lays the
+    /// payload rows out for the partitions built (sorted row `i` belongs at
+    /// the `i`-th live slot, partition by partition).
+    fn from_sorted(
+        values: Vec<K>,
+        spec: &PartitionSpec,
+        layout: BlockLayout,
+        ghosts: &GhostPlan,
+        config: ChunkConfig,
+        payloads: impl FnOnce(&[PartitionMeta<K>], usize) -> PayloadSet,
     ) -> Result<Self, StorageError> {
         if values.is_empty() {
             return Err(StorageError::InvalidSpec {
@@ -151,28 +226,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 partitions: k,
                 plan_entries: ghosts.partitions(),
             });
-        }
-        for col in &payload_cols {
-            if col.len() != values.len() {
-                return Err(StorageError::PayloadArity {
-                    expected: values.len(),
-                    got: col.len(),
-                });
-            }
-        }
-
-        // Co-sort rows by key. Duplicate keys stay adjacent, which keeps
-        // them in the same partition as §4.1 requires (partition boundaries
-        // are at block granularity and blocks are assigned by rank).
-        if payload_cols.is_empty() {
-            values.sort_unstable();
-        } else {
-            let mut perm: Vec<u32> = (0..values.len() as u32).collect();
-            perm.sort_by_key(|&i| values[i as usize]);
-            values = perm.iter().map(|&i| values[i as usize]).collect();
-            for col in &mut payload_cols {
-                *col = perm.iter().map(|&i| col[i as usize]).collect();
-            }
         }
 
         let m = values.len();
@@ -244,22 +297,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             consumed += len;
         }
 
-        let mut payloads = PayloadSet::from_columns(Vec::new(), physical);
-        if !payload_cols.is_empty() {
-            // Scatter each payload column into the ghost-interleaved
-            // physical layout.
-            let mut scattered: Vec<Vec<u32>> =
-                payload_cols.iter().map(|_| vec![0u32; physical]).collect();
-            for (ci, col) in payload_cols.iter().enumerate() {
-                let mut consumed = 0usize;
-                for part in &parts {
-                    scattered[ci][part.start..part.start + part.len]
-                        .copy_from_slice(&col[consumed..consumed + part.len]);
-                    consumed += part.len;
-                }
-            }
-            payloads = PayloadSet::from_columns(scattered, physical);
-        }
+        let payloads = payloads(&parts, physical);
 
         Ok(Self {
             data: KeyLane::from_slots(data, Some((values[0], values[m - 1]))),
@@ -396,28 +434,52 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             .map_or_else(ZoneMap::empty, |(min, max)| ZoneMap { min, max });
     }
 
-    /// Extract all live rows in sorted key order — used when the optimizer
-    /// re-partitions a chunk (Fig. 10, step C).
+    /// Extract all live rows in sorted key order, payloads column-major —
+    /// used when a column is re-chunked in key order; a re-partition of
+    /// the chunk itself moves rows directly ([`PartitionedChunk::relayout`]).
     pub fn extract_live_sorted(&self) -> (Vec<K>, Vec<Vec<u32>>) {
-        let mut keys = Vec::with_capacity(self.live);
-        let mut positions = Vec::with_capacity(self.live);
-        for p in &self.parts {
-            for pos in p.start..p.live_end() {
-                keys.push(self.data.get(pos));
-                positions.push(pos);
-            }
-        }
-        let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
-        perm.sort_by_key(|&i| keys[i as usize]);
-        let sorted_keys: Vec<K> = perm.iter().map(|&i| keys[i as usize]).collect();
+        let positions = self.live_positions_sorted();
+        let keys = positions.iter().map(|&p| self.data.get(p)).collect();
         let cols = (0..self.payloads.width())
-            .map(|c| {
-                perm.iter()
-                    .map(|&i| self.payloads.get(c, positions[i as usize]))
-                    .collect()
-            })
+            .map(|c| positions.iter().map(|&p| self.payloads.get(c, p)).collect())
             .collect();
-        (sorted_keys, cols)
+        (keys, cols)
+    }
+
+    /// All live keys in sorted order (the key half of
+    /// [`PartitionedChunk::extract_live_sorted`], reading no payload).
+    pub fn live_keys_sorted(&self) -> Vec<K> {
+        let mut keys = Vec::with_capacity(self.live);
+        for p in &self.parts {
+            keys.extend(self.data.to_vec(p.start..p.live_end()));
+        }
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The live slots ordered by key, ties in slot order.
+    fn live_positions_sorted(&self) -> Vec<usize> {
+        let mut keyed: Vec<(K, usize)> = Vec::with_capacity(self.live);
+        for p in &self.parts {
+            keyed.extend((p.start..p.live_end()).map(|pos| (self.data.get(pos), pos)));
+        }
+        // Slots are distinct, so the unstable sort on (key, slot) is the
+        // stable sort by key.
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, pos)| pos).collect()
+    }
+
+    /// How the chunk's payload rows are laid out.
+    #[inline]
+    pub fn payload_orientation(&self) -> PayloadOrientation {
+        self.payloads.orientation()
+    }
+
+    /// This chunk with its payload stored in `orientation` (slots, layout
+    /// and write stamps unchanged).
+    pub fn into_orientation(mut self, orientation: PayloadOrientation) -> Self {
+        self.payloads = self.payloads.to_orientation(orientation);
+        self
     }
 
     // ------------------------------------------------------------------
@@ -488,7 +550,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// Capture the chunk's complete physical state for persistence: slots,
-    /// partition metadata, zone maps, payload columns and configuration.
+    /// partition metadata, zone maps, payload rows and configuration.
     /// The capture is bit-exact — restoring it with
     /// [`PartitionedChunk::from_state`] reproduces the same layout without
     /// re-sorting or re-partitioning anything.
@@ -497,7 +559,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             data: self.data.to_vec(0..self.data.len()),
             parts: self.parts.clone(),
             zones: self.zones.clone(),
-            payload_cols: self.payloads.columns().to_vec(),
+            payloads: self.payloads.clone(),
             layout: self.layout,
             config: self.config,
             live: self.live,
@@ -551,15 +613,10 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 state.live
             )));
         }
-        for (c, col) in state.payload_cols.iter().enumerate() {
-            if col.len() != state.data.len() {
-                return Err(corrupt(format!(
-                    "payload column {c} has {} slots, key column has {}",
-                    col.len(),
-                    state.data.len()
-                )));
-            }
-        }
+        state
+            .payloads
+            .check_slots(state.data.len())
+            .map_err(corrupt)?;
         let bounds: Vec<K> = state.parts.iter().map(|p| p.max).collect();
         let physical = state.data.len();
         let live_span = state
@@ -573,7 +630,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             parts: state.parts,
             zones: state.zones,
             index: PartitionIndex::new(bounds),
-            payloads: PayloadSet::from_columns(state.payload_cols, physical),
+            payloads: state.payloads,
             layout: state.layout,
             config: state.config,
             live: state.live,
@@ -859,8 +916,8 @@ pub struct ChunkState<K: ColumnValue> {
     pub parts: Vec<PartitionMeta<K>>,
     /// Tight per-partition live min/max, parallel to `parts`.
     pub zones: Vec<ZoneMap<K>>,
-    /// Slot-aligned payload columns, each exactly `data.len()` long.
-    pub payload_cols: Vec<Vec<u32>>,
+    /// Slot-aligned payload, `data.len()` slots in its own orientation.
+    pub payloads: PayloadSet,
     /// Block geometry.
     pub layout: BlockLayout,
     /// Chunk configuration (update policy, slack, ghost fetch block).
@@ -870,6 +927,20 @@ pub struct ChunkState<K: ColumnValue> {
     /// The chunk's write mark when the state was captured; a restored
     /// chunk resumes at it with no granule stamped above it.
     pub write_mark: u64,
+}
+
+/// The `(from, to)` slot moves that lay sorted rows out over `parts`: row
+/// `i` of the sorted order comes from slot `sources[i]` and goes to the
+/// `i`-th live slot, partition by partition.
+fn row_moves<K: ColumnValue>(parts: &[PartitionMeta<K>], sources: &[usize]) -> Vec<(usize, usize)> {
+    let mut moves = Vec::with_capacity(sources.len());
+    let mut consumed = 0usize;
+    for part in parts {
+        let src = &sources[consumed..consumed + part.len];
+        moves.extend(src.iter().zip(part.start..).map(|(&from, to)| (from, to)));
+        consumed += part.len;
+    }
+    moves
 }
 
 /// Which side a ghost donor was found on.
@@ -1062,6 +1133,53 @@ mod tests {
         assert!(cols.is_empty());
     }
 
+    /// A re-layout writes the rows a rebuild from `extract_live_sorted`
+    /// would, in either orientation, and reads no payload for the keys.
+    #[test]
+    fn relayout_matches_extract_and_build() {
+        let keys: Vec<u64> = vec![9, 3, 3, 7, 1, 8, 2, 6, 5, 4, 3, 0];
+        let cols = vec![
+            (0..12).map(|i| i * 10).collect::<Vec<u32>>(),
+            (0..12).map(|i| 100 + i).collect(),
+        ];
+        let mut c = PartitionedChunk::build_with_payloads(
+            keys,
+            cols,
+            &PartitionSpec::from_block_sizes(&[2, 2, 2]),
+            tiny_layout(),
+            &GhostPlan::from_counts(vec![1, 0, 2]),
+            ChunkConfig::default(),
+        )
+        .unwrap();
+        c.delete(7);
+        c.insert(3, &[77, 777]).unwrap();
+        let (keys, cols) = c.extract_live_sorted();
+        assert_eq!(c.live_keys_sorted(), keys);
+        let spec = PartitionSpec::from_block_sizes(&[3, 3]);
+        let ghosts = GhostPlan::from_counts(vec![2, 1]);
+        let want = PartitionedChunk::build_with_payloads(
+            keys,
+            cols,
+            &spec,
+            tiny_layout(),
+            &ghosts,
+            ChunkConfig::dense(),
+        )
+        .unwrap();
+        for o in [PayloadOrientation::Columns, PayloadOrientation::Rows] {
+            let got = c.relayout(&spec, &ghosts, ChunkConfig::dense(), o).unwrap();
+            got.validate_invariants().unwrap();
+            assert_eq!(got.payload_orientation(), o);
+            assert_eq!(
+                got.copy_slots(0..got.slot_count()),
+                want.copy_slots(0..want.slot_count())
+            );
+            assert_eq!(got.parts, want.parts);
+            assert_eq!(got.payloads, want.payloads.to_orientation(o));
+            assert_eq!(got.resident_bytes(), want.resident_bytes());
+        }
+    }
+
     #[test]
     fn live_blocks_counts_block_span() {
         let c = build_chunk((1..=8).collect(), &[2, 2], &[0, 0]);
@@ -1163,7 +1281,7 @@ mod tests {
             for round in 0..40 {
                 let since = c.write_mark();
                 let data = c.copy_slots(0..c.slot_count());
-                let cols = c.payloads.columns().to_vec();
+                let payloads = c.payloads.clone();
                 for _ in 0..rng.gen_range(1..20) {
                     let v = rng.gen_range(0..21_000u64);
                     match rng.gen_range(0..5) {
@@ -1189,7 +1307,8 @@ mod tests {
                 let written: Vec<usize> = c.granules_written_since(since).collect();
                 for slot in 0..c.data.len() {
                     let changed = data.get(slot) != Some(&c.data.get(slot))
-                        || cols[0].get(slot) != Some(&c.payloads.get(0, slot));
+                        || slot >= payloads.slot_count()
+                        || payloads.get(0, slot) != c.payloads.get(0, slot);
                     if changed {
                         assert!(
                             written.contains(&(slot / GRANULE_SLOTS)),

@@ -530,10 +530,7 @@ mod tests {
             assert_eq!(n.parts, w.parts, "{ctx}: partitions");
             assert_eq!(n.zones, w.zones, "{ctx}: zones");
             assert_eq!(n.live, w.live, "{ctx}: live");
-            assert!(
-                n.payloads.columns() == w.payloads.columns(),
-                "{ctx}: payloads"
-            );
+            assert!(n.payloads == w.payloads, "{ctx}: payloads");
             for p in 0..n.partition_count() {
                 assert_eq!(
                     n.partition_values(p),

@@ -48,7 +48,7 @@ pub use kernels::ZoneMap;
 pub use layout::{BlockLayout, PartitionSpec};
 pub use ops::{OpCost, PointQueryResult, RangeConsumer, WriteResult};
 pub use partition::PartitionMeta;
-pub use payload::PayloadSet;
+pub use payload::{PayloadOrientation, PayloadSet};
 pub use sorted::SortedColumn;
 pub use value::ColumnValue;
 

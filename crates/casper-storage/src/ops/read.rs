@@ -16,8 +16,10 @@
 //!   could not prove); the rest are *filtered* through the bitmap kernel
 //!   [`crate::kernels::select_range_bitmap`].
 //! * A **range sum** (HAP Q3) filters the same way, once per partition,
-//!   then sums each projected payload column under that one bitmap with
-//!   [`crate::kernels::sum_payload_masked`].
+//!   then sums the projected payload attributes under that one bitmap
+//!   ([`crate::PayloadSet::sum_masked`]: one
+//!   [`crate::kernels::sum_payload_masked`] per attribute column-major,
+//!   one read per selected row row-major).
 //!
 //! The pure-scalar reference paths live in [`crate::ops::scalar`]; property
 //! tests assert result equivalence and the `scan_ops` bench tracks the
@@ -254,13 +256,13 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         (count, cost)
     }
 
-    /// Convenience wrapper: sum the given payload columns over all rows in
-    /// `[lo, hi)` (HAP Q3). A filtered partition evaluates the key
+    /// Convenience wrapper: sum the given payload attributes over all rows
+    /// in `[lo, hi)` (HAP Q3). A filtered partition evaluates the key
     /// predicate once, into the same slot bitmap [`Self::range_query`]
-    /// builds, and then sums each projected column under it
-    /// ([`kernels::sum_payload_masked`]) — the paper's "retrieve the
+    /// builds, and then sums the projected attributes under it
+    /// ([`crate::PayloadSet::sum_masked`]) — the paper's "retrieve the
     /// qualifying positions to evaluate the subsequent" columns (§6.4).
-    /// Blind partitions sum each column's contiguous run.
+    /// Blind partitions sum their contiguous run of rows.
     pub fn range_sum_payload(&self, lo: K, hi: K, cols: &[usize]) -> (u64, OpCost) {
         let mut cost = OpCost::default();
         if hi <= lo {
@@ -279,17 +281,17 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 let m = slot_bitmap(&self.data, slots, lo, hi, &mut mask);
                 qualifying += m as usize;
                 if m > 0 {
-                    for &c in cols {
-                        let payload = self.payloads.column_slice(c, meta.start..meta.live_end());
-                        sum += kernels::sum_payload_masked(payload, &mask);
-                    }
+                    sum += self
+                        .payloads
+                        .sum_masked(cols, meta.start..meta.live_end(), &mask);
                 }
             }
         });
-        // Payload reads are sequential over the qualifying blocks, one scan
-        // per projected column.
-        let vpb = self.layout.values_per_block().max(1);
-        cost.seq_reads += (cols.len() * qualifying.div_ceil(vpb)) as u64;
+        // Payload reads stream the qualifying rows' blocks: one scan per
+        // projected attribute column-major, the whole rows row-major.
+        cost.seq_reads += self
+            .payloads
+            .scan_blocks(cols.len(), qualifying, &self.layout);
         (sum, cost)
     }
 
@@ -346,19 +348,13 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// two shallow-index probes on `cost`.
     pub(crate) fn range_partition_span(&self, lo: K, hi: K, cost: &mut OpCost) -> (usize, usize) {
         let first = self.locate(lo, cost);
-        // Last partition overlapping [lo, hi): the one responsible for the
-        // largest value < hi.
+        // Last partition overlapping [lo, hi): the last whose covering min
+        // is below `hi`. Covering mins are monotone (a partition's range
+        // only ever widens, and never past its neighbours' bounds), so a
+        // binary search finds it.
         cost.index_probes += 1;
-        let last = self
-            .parts
-            .iter()
-            .enumerate()
-            .take_while(|(_, p)| p.min < hi)
-            .map(|(i, _)| i)
-            .last()
-            .unwrap_or(first)
-            .max(first);
-        (first, last)
+        let below = self.parts.partition_point(|p| p.min < hi);
+        (first, below.saturating_sub(1).max(first))
     }
 
     /// Charge the cost of fully scanning partition `p`'s live region: one
@@ -573,6 +569,45 @@ mod tests {
         let c = chunk_1_to_16(&[4, 4]);
         let (n, _) = c.range_count(10, 5);
         assert_eq!(n, 0);
+    }
+
+    /// The binary-searched span equals the linear definition (the last
+    /// partition whose covering min is below `hi`, never before `first`)
+    /// with emptied partitions, and with `hi` below, inside and above the
+    /// chunk.
+    #[test]
+    fn range_partition_span_matches_linear_definition() {
+        let linear = |c: &PartitionedChunk<u64>, lo: u64, hi: u64| {
+            let first = c.index.locate(lo);
+            let last = c
+                .parts
+                .iter()
+                .enumerate()
+                .take_while(|(_, p)| p.min < hi)
+                .map(|(i, _)| i)
+                .last()
+                .unwrap_or(first)
+                .max(first);
+            (first, last)
+        };
+        let mut c = chunk_even_2_to_32(&[1, 1, 2, 1, 1, 1, 1]);
+        // Empty partitions 1 and 4 (keys 6, 8 and 22, 24) out.
+        for v in [6, 8, 22, 24] {
+            assert_eq!(c.delete(v).affected, 1);
+        }
+        assert_eq!(c.parts[1].len, 0);
+        assert_eq!(c.parts[4].len, 0);
+        for lo in 0..40u64 {
+            for hi in 0..45u64 {
+                let mut cost = OpCost::default();
+                assert_eq!(
+                    c.range_partition_span(lo, hi, &mut cost),
+                    linear(&c, lo, hi),
+                    "[{lo}, {hi})"
+                );
+                assert_eq!(cost.index_probes, 2);
+            }
+        }
     }
 
     #[test]

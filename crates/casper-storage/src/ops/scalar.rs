@@ -97,9 +97,9 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         for run in &pc.runs {
             sum += self.payloads.sum_range(cols, run.clone());
         }
-        let vpb = self.layout.values_per_block().max(1);
-        let qualifying: usize = pc.total();
-        cost.seq_reads += (cols.len() * qualifying.div_ceil(vpb)) as u64;
+        cost.seq_reads += self
+            .payloads
+            .scan_blocks(cols.len(), pc.total(), &self.layout);
         (sum, cost)
     }
 }

@@ -296,9 +296,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// Eq. 12), the freed slot at the live boundary becomes a ghost of
     /// `m`, and the zone re-tightens if `v` sat on its boundary.
     fn remove_first(&mut self, m: usize, pos: usize, v: K, cost: &mut OpCost) -> Vec<u32> {
-        let row = (0..self.payloads.width())
-            .map(|c| self.payloads.get(c, pos))
-            .collect();
+        let row = self.payloads.row(pos);
         let last = self.parts[m].live_end() - 1;
         if pos != last {
             self.move_slot(last, pos, cost);
@@ -1128,7 +1126,7 @@ mod tests {
                     "{ctx}: slots diverged"
                 );
                 assert!(
-                    kern.payloads.columns() == scal.payloads.columns(),
+                    kern.payloads == scal.payloads,
                     "{ctx}: payload rows diverged"
                 );
                 assert_eq!(kern.parts, scal.parts, "{ctx}: partitions");

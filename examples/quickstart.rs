@@ -10,7 +10,7 @@ use casper::core::solver::LayoutOptimizer;
 use casper::core::{BlockGeometry, Op};
 use casper::engine::calibrate::{calibrate_per_line, CalibrationConfig};
 use casper::storage::ghost::GhostPlan;
-use casper::storage::{BlockLayout, ChunkConfig, PartitionedChunk};
+use casper::storage::{BlockLayout, ChunkConfig, PartitionedChunk, PayloadOrientation};
 
 fn main() {
     // 1. A column of 64K values (even keys, so inserts can pick odd ones).
@@ -43,7 +43,7 @@ fn main() {
         "calibrated: RR={:.0}ns RW={:.0}ns SR={:.1}ns/line SW={:.1}ns/line",
         constants.rr, constants.rw, constants.sr, constants.sw
     );
-    let geometry = BlockGeometry::of_chunk(cal.block_bytes, 0);
+    let geometry = BlockGeometry::of_chunk(cal.block_bytes, 0, PayloadOrientation::Columns);
     let optimizer = LayoutOptimizer::new(constants).with_geometry(geometry);
     let decision = optimizer.optimize(&model, values.len() / 100);
     println!("optimal layout: {}", decision.seg);
