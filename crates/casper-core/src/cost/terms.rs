@@ -31,6 +31,30 @@
 //! `R−1` lines of its row at random. `R` follows the chunk's payload
 //! orientation: `1 + w` lines column-major, `1 + ⌈4w/64⌉` row-major. At `L = R = 1` the added terms are
 //! exactly zero and the rest is the paper's Eq. 17, bit for bit.
+//!
+//! Eq. 17's `parts` term charges every insert and delete a ripple past
+//! every trailing boundary: what a dense column pays. A chunk under the
+//! ghost policy pays less. A delete books its freed slot as a ghost of its
+//! own partition and never ripples; an insert or an incoming
+//! cross-partition update ripples only once its partition's ghosts are
+//! used up. Eq. 18 gives every partition the same share `G/D` of its own
+//! slot demand (`D = Σ(in + utf + utb)`, `G` the chunk's ghost budget), so
+//! the share `ρ = max(0, 1 − G/D)` that still ripples is the same in every
+//! partition ([`crate::ghost_alloc::uncovered_share`]) and the term stays
+//! linear per block:
+//!
+//! ```text
+//! parts_term_i = R·(RR+RW)·ρ·(in+udf−utf−udb+utb)
+//! ```
+//!
+//! [`BlockTerms::with_ripple_share`] builds these terms. The optimizer
+//! charges them on row-major chunks only. Column-major chunks keep Eq. 17:
+//! consecutive appends into one column-major partition share the `w + 1`
+//! lines they dirty, and the trailing-boundary charge is the only thing in
+//! the model that keeps such an insert stream in few partitions. Spreading
+//! it over more receiving partitions measurably slows those inserts, so
+//! the full charge stands in for the append locality the model does not
+//! price.
 
 use super::constants::CostConstants;
 use super::geometry::BlockGeometry;
@@ -87,6 +111,25 @@ impl BlockTerms {
             fwd,
             parts,
         }
+    }
+
+    /// Compute the terms for a chunk of geometry `g` under the ghost
+    /// policy, whose reserve leaves the share `rho` of its inserts and
+    /// incoming updates uncovered: Eq. 17 at `g`, except that deletes
+    /// ripple nowhere and the rest ripple `rho` of the time,
+    /// `parts_i = R·(RR+RW)·ρ·(in + udf − utf − udb + utb)`.
+    pub fn with_ripple_share(
+        fm: &FrequencyModel,
+        c: &CostConstants,
+        g: &BlockGeometry,
+        rho: f64,
+    ) -> Self {
+        let mut terms = Self::with_geometry(fm, c, g);
+        let charge = g.row_move(c) * rho;
+        for (i, parts) in terms.parts.iter_mut().enumerate() {
+            *parts = charge * (fm.ins[i] + fm.udf[i] - fm.utf[i] - fm.udb[i] + fm.utb[i]);
+        }
+        terms
     }
 
     /// Number of blocks.
@@ -218,6 +261,34 @@ mod tests {
         assert!(t.parts[1] < 0.0);
         // Forward update fixed cost: 2RR + 2RW at the source block.
         assert!((t.fixed[0] - (2.0 * c.rr + 2.0 * c.rw)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ripple_share_scales_the_slot_demand_and_drops_deletes() {
+        let g = BlockGeometry::of_chunk(16 * 1024, 15, PayloadOrientation::Rows);
+        let c = CostConstants::new(100.0, 50.0, 2.0, 3.0);
+        let mut fm = FrequencyModel::new(3);
+        fm.pq[0] = 4.0;
+        fm.ins = vec![2.0, 0.0, 1.0];
+        fm.de = vec![0.0, 5.0, 0.0];
+        fm.udf[0] = 1.0;
+        fm.utf[2] = 1.0;
+        let eq17 = BlockTerms::with_geometry(&fm, &c, &g);
+        let move_ = 2.0 * 150.0; // R = 2 lines per row-major row
+        for rho in [0.0, 0.25, 1.0] {
+            let t = BlockTerms::with_ripple_share(&fm, &c, &g, rho);
+            // Only the ripple charge moves.
+            assert_eq!(
+                (&t.fixed, &t.bck, &t.fwd),
+                (&eq17.fixed, &eq17.bck, &eq17.fwd)
+            );
+            let want = [3.0, 0.0, 0.0].map(|d| move_ * rho * d);
+            assert_eq!(t.parts, want.to_vec(), "rho {rho}");
+        }
+        // At ρ = 1 and without deletes the charge is Eq. 17's.
+        fm.de = vec![0.0; 3];
+        let t = BlockTerms::with_ripple_share(&fm, &c, &g, 1.0);
+        assert_eq!(t, BlockTerms::with_geometry(&fm, &c, &g));
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! The budget is the column's: [`split_column_budget`] applies the same
 //! rule across a column's chunks first, so the chunks that take the
 //! inserts hold the empty slots, and [`allocate_ghosts`] then splits each
-//! chunk's share across its partitions.
+//! chunk's share across its partitions. Because both splits follow the
+//! same demand, every partition's reserve covers the same share `G/D` of
+//! its own inserts and incoming updates, and [`uncovered_share`] is the
+//! rest: the share of them that still ripple.
 
 use crate::fm::FrequencyModel;
 use crate::layout::Segmentation;
@@ -60,6 +63,19 @@ pub fn split_column_budget(fms: &[FrequencyModel], sizes: &[usize], budget: usiz
 pub fn allocate_ghosts(fm: &FrequencyModel, seg: &Segmentation, budget: usize) -> GhostPlan {
     let dm = data_movement_per_partition(fm, seg);
     GhostPlan::proportional(&dm, budget)
+}
+
+/// The share of `fm`'s slot demand `D = Σ(in + utf + utb)` that a budget
+/// of `G` ghost slots placed by [`allocate_ghosts`] leaves uncovered:
+/// `ρ = max(0, 1 − G/D)`, and 0 when `D = 0`. Each partition receives the
+/// same share `G/D` of its own demand, whatever the boundaries, so `ρ` is
+/// the same in every partition.
+pub fn uncovered_share(fm: &FrequencyModel, budget: usize) -> f64 {
+    let demand = data_movement(fm);
+    if demand <= 0.0 {
+        return 0.0;
+    }
+    (1.0 - budget as f64 / demand).max(0.0)
 }
 
 #[cfg(test)]
@@ -149,6 +165,21 @@ mod tests {
             vec![600, 200]
         );
         assert_eq!(split_column_budget(&fms, &[6000, 2000], 0), vec![0, 0]);
+    }
+
+    #[test]
+    fn uncovered_share_is_the_demand_the_budget_leaves() {
+        let mut fm = FrequencyModel::new(4);
+        fm.ins = vec![10.0, 0.0, 0.0, 20.0];
+        fm.utf = vec![0.0, 6.0, 0.0, 0.0];
+        fm.utb = vec![0.0, 0.0, 4.0, 0.0];
+        fm.de = vec![50.0; 4]; // deletes demand no slot
+        assert_eq!(uncovered_share(&fm, 0), 1.0);
+        assert_eq!(uncovered_share(&fm, 10), 0.75);
+        assert_eq!(uncovered_share(&fm, 40), 0.0);
+        assert_eq!(uncovered_share(&fm, 400), 0.0);
+        // No demand: nothing to ripple, whatever the budget.
+        assert_eq!(uncovered_share(&FrequencyModel::new(4), 0), 0.0);
     }
 
     #[test]

@@ -2,12 +2,97 @@
 //! branch-and-bound, and exhaustive enumeration must agree on the optimal
 //! cost for arbitrary valid Frequency Models, with and without SLA
 //! constraints — the property that justifies replacing Mosek (argued in
-//! `solver/dp.rs`).
+//! `solver/dp.rs`). The same holds for the terms a row-major chunk is
+//! solved with, whose ripple charge is scaled by the share `ρ` of its slot
+//! demand the reserve leaves uncovered: all zero, mixed in sign, or
+//! Eq. 17's.
+//!
+//! `CASPER_STRESS_SEEDS` (comma-separated, default "1,2") adds seeded
+//! rounds of the row-major property on top of the proptest cases.
 
 use super::{bip, dp, exhaustive, SolverConstraints};
-use crate::cost::{cost_of_boundaries, cost_of_segmentation, BlockTerms, CostConstants};
+use crate::cost::{
+    cost_of_boundaries, cost_of_segmentation, BlockGeometry, BlockTerms, CostConstants,
+};
 use crate::fm::FrequencyModel;
+use casper_storage::PayloadOrientation;
 use proptest::prelude::*;
+use rand::prelude::*;
+
+/// Cases per stress seed.
+const STRESS_CASES: u64 = 64;
+
+fn env_seeds() -> Vec<u64> {
+    std::env::var("CASPER_STRESS_SEEDS")
+        .ok()
+        .map(|v| {
+            v.split(',')
+                .filter_map(|s| s.trim().parse().ok())
+                .collect::<Vec<u64>>()
+        })
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| vec![1, 2])
+}
+
+/// The terms a row-major chunk of the narrow table (16 KB blocks, 15
+/// payload words) is solved with when its reserve leaves the share `rho`
+/// of its slot demand uncovered.
+fn row_major_terms(fm: &FrequencyModel, rho: f64) -> BlockTerms {
+    let g = BlockGeometry::of_chunk(16 * 1024, 15, PayloadOrientation::Rows);
+    BlockTerms::with_ripple_share(fm, &CostConstants::paper(), &g, rho)
+}
+
+/// The DP, branch-and-bound and exhaustive enumeration reach the same
+/// optimum of `terms` under `constraints`, each with an admissible layout.
+fn solvers_agree(terms: &BlockTerms, constraints: &SolverConstraints) -> Result<(), String> {
+    let ex = exhaustive::solve(terms, constraints);
+    let d = dp::solve(terms, constraints);
+    let (b, _) = bip::solve(terms, constraints);
+    if !(constraints.admits(&d.seg) && constraints.admits(&b.seg)) {
+        return Err(format!("inadmissible layout: dp {} bnb {}", d.seg, b.seg));
+    }
+    let tol = 1e-6 * (1.0 + ex.cost.abs());
+    let eval = cost_of_segmentation(&d.seg, terms);
+    for (name, cost) in [("dp", d.cost), ("bnb", b.cost), ("dp re-evaluated", eval)] {
+        if (cost - ex.cost).abs() >= tol {
+            return Err(format!("{name} {cost} vs exhaustive {}", ex.cost));
+        }
+    }
+    Ok(())
+}
+
+/// A valid (update-balanced) Frequency Model of up to `max_blocks` blocks
+/// drawn from `rng`, shaped as [`fm_strategy`]'s.
+fn random_fm(rng: &mut StdRng, max_blocks: usize) -> FrequencyModel {
+    let n = rng.gen_range(2..=max_blocks);
+    let mut fm = FrequencyModel::new(n);
+    for h in [
+        &mut fm.pq,
+        &mut fm.rs,
+        &mut fm.sc,
+        &mut fm.re,
+        &mut fm.de,
+        &mut fm.ins,
+    ] {
+        h.iter_mut().for_each(|x| *x = rng.gen_range(0.0..20.0));
+    }
+    for _ in 0..rng.gen_range(0..3 * n) {
+        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if j > i {
+            fm.udf[i] += 1.0;
+            fm.utf[j] += 1.0;
+        } else {
+            fm.udb[i] += 1.0;
+            fm.utb[j] += 1.0;
+        }
+    }
+    fm
+}
+
+/// A share of the slot demand left uncovered: none, all, or any between.
+fn rho_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0]
+}
 
 /// Strategy producing a valid (update-balanced) Frequency Model.
 fn fm_strategy(max_blocks: usize) -> impl Strategy<Value = FrequencyModel> {
@@ -92,6 +177,24 @@ proptest! {
     }
 
     #[test]
+    fn row_major_reserve_terms_agree(
+        fm in fm_strategy(10),
+        rho in rho_strategy(),
+        kcap in 1usize..5,
+        mps in 2usize..6,
+    ) {
+        let terms = row_major_terms(&fm, rho);
+        solvers_agree(&terms, &SolverConstraints::none()).map_err(TestCaseError::fail)?;
+        let constraints = SolverConstraints {
+            max_partitions: Some(kcap),
+            max_partition_blocks: Some(mps),
+        };
+        if constraints.feasible(fm.n_blocks()) {
+            solvers_agree(&terms, &constraints).map_err(TestCaseError::fail)?;
+        }
+    }
+
+    #[test]
     fn linearized_objective_matches_eq16_for_any_boundaries(
         fm in fm_strategy(9),
         bits in proptest::collection::vec(any::<bool>(), 9),
@@ -122,6 +225,33 @@ proptest! {
                 opt.cost <= c + 1e-6 * (1.0 + c.abs()),
                 "optimal {} beaten by equi-{k} {}", opt.cost, c
             );
+        }
+    }
+}
+
+#[test]
+fn row_major_reserve_terms_agree_over_stress_seeds() {
+    for seed in env_seeds() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..STRESS_CASES {
+            let fm = random_fm(&mut rng, 10);
+            let rho = match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.gen_range(0.0..1.0),
+            };
+            let constraints = SolverConstraints {
+                max_partitions: Some(rng.gen_range(1..5)),
+                max_partition_blocks: Some(rng.gen_range(2..6)),
+            };
+            let terms = row_major_terms(&fm, rho);
+            let mut checks = vec![SolverConstraints::none()];
+            checks.extend(constraints.feasible(fm.n_blocks()).then_some(constraints));
+            for c in checks {
+                if let Err(e) = solvers_agree(&terms, &c) {
+                    panic!("seed {seed} case {case} (rho {rho}, {c:?}): {e}");
+                }
+            }
         }
     }
 }

@@ -54,9 +54,10 @@ pub mod telemetry {
 
 use crate::cost::{BlockGeometry, BlockTerms, CostConstants};
 use crate::fm::FrequencyModel;
-use crate::ghost_alloc::allocate_ghosts;
+use crate::ghost_alloc::{allocate_ghosts, uncovered_share};
 use crate::layout::Segmentation;
 use casper_storage::ghost::GhostPlan;
+use casper_storage::PayloadOrientation;
 
 /// Constraints on admissible partitionings (the Eq. 21 bounds, expressed
 /// structurally).
@@ -110,6 +111,10 @@ pub struct LayoutOptimizer {
     /// Lines per block and per row of the chunks being laid out: derived
     /// from the chunk, not tuned ([`BlockGeometry::of_chunk`]).
     pub geometry: BlockGeometry,
+    /// Payload orientation of the chunks being laid out: a row-major
+    /// chunk is charged only the ripple its reserve cannot absorb, a
+    /// column-major one Eq. 17's ([`LayoutOptimizer::terms`]).
+    pub orientation: PayloadOrientation,
     /// SLA-derived structural constraints.
     pub constraints: SolverConstraints,
 }
@@ -126,12 +131,13 @@ pub struct LayoutDecision {
 }
 
 impl LayoutOptimizer {
-    /// Optimizer with the given constants, at [`BlockGeometry::UNIT`], and
-    /// no constraints.
+    /// Optimizer with the given constants, at [`BlockGeometry::UNIT`], for
+    /// column-major chunks (the paper's Eq. 17), and no constraints.
     pub fn new(constants: CostConstants) -> Self {
         Self {
             constants,
             geometry: BlockGeometry::UNIT,
+            orientation: PayloadOrientation::Columns,
             constraints: SolverConstraints::none(),
         }
     }
@@ -156,10 +162,26 @@ impl LayoutOptimizer {
         self
     }
 
+    /// The terms a chunk with Frequency Model `fm` and a reserve of
+    /// `ghost_budget` ghost slots is solved and priced with, at the
+    /// optimizer's geometry. Row-major: the ripple charge covers only the
+    /// share of the slot demand the reserve leaves uncovered
+    /// ([`BlockTerms::with_ripple_share`]). Column-major: Eq. 17, which
+    /// charges every insert and delete a ripple (`cost::terms` says why).
+    pub fn terms(&self, fm: &FrequencyModel, ghost_budget: usize) -> BlockTerms {
+        let (c, g) = (&self.constants, &self.geometry);
+        match self.orientation {
+            PayloadOrientation::Columns => BlockTerms::with_geometry(fm, c, g),
+            PayloadOrientation::Rows => {
+                BlockTerms::with_ripple_share(fm, c, g, uncovered_share(fm, ghost_budget))
+            }
+        }
+    }
+
     /// Compute the optimal layout for a Frequency Model and a total ghost
     /// budget (in slots).
     pub fn optimize(&self, fm: &FrequencyModel, ghost_budget: usize) -> LayoutDecision {
-        let terms = BlockTerms::with_geometry(fm, &self.constants, &self.geometry);
+        let terms = self.terms(fm, ghost_budget);
         let sol = dp::solve(&terms, &self.constraints);
         let ghosts = allocate_ghosts(fm, &sol.seg, ghost_budget);
         LayoutDecision {
@@ -209,6 +231,30 @@ mod tests {
         assert_eq!(d.ghosts.total(), 16);
         assert_eq!(d.ghosts.partitions(), d.seg.partition_count());
         assert!(d.est_cost > 0.0);
+    }
+
+    #[test]
+    fn row_major_ripple_follows_the_reserve() {
+        // Inserts spread over 16 blocks, point queries on every block.
+        let mut fm = FrequencyModel::new(16);
+        fm.pq = vec![2.0; 16];
+        fm.ins = vec![4.0; 16];
+        let g = BlockGeometry::of_chunk(4096, 15, PayloadOrientation::Rows);
+        let cols = LayoutOptimizer::new(CostConstants::paper()).with_geometry(g);
+        let rows = LayoutOptimizer {
+            orientation: PayloadOrientation::Rows,
+            ..cols.clone()
+        };
+        // Column-major is Eq. 17 whatever the reserve.
+        let eq17 = BlockTerms::with_geometry(&fm, &cols.constants, &g);
+        assert_eq!(cols.terms(&fm, 64), eq17);
+        // Row-major without a reserve charges Eq. 17's ripple; a reserve
+        // covering the 64 inserts charges none, and buys more partitions.
+        assert_eq!(rows.terms(&fm, 0), eq17);
+        assert!(rows.terms(&fm, 64).parts.iter().all(|&p| p == 0.0));
+        let (dense, covered) = (rows.optimize(&fm, 0), rows.optimize(&fm, 64));
+        assert!(covered.seg.partition_count() > dense.seg.partition_count());
+        assert!(covered.est_cost < dense.est_cost);
     }
 
     #[test]

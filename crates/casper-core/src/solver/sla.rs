@@ -13,6 +13,11 @@
 //! ripple step moves a row of `R` lines, `R·(RR + RW)`, and the point query
 //! seeks one block and streams the rest, `RR + (L−1)·SR + L·SR·MPS`. At
 //! [`BlockGeometry::UNIT`] these are the formulas above.
+//!
+//! The update SLA keeps the worst case on every chunk, row-major ones
+//! included: once a partition's reserve is used up, an insert does ripple
+//! past every trailing boundary, whatever share of the inserts the solver's
+//! terms expect the reserve to absorb.
 
 use super::SolverConstraints;
 use crate::cost::{BlockGeometry, CostConstants};

@@ -13,11 +13,11 @@
 
 use crate::column::ChunkStore;
 use crate::optimize::{
-    capture_per_chunk, chunk_geometry, chunk_orientations, layout_optimizer, optimize_table,
+    capture_per_chunk, chunk_budgets, chunk_orientations, layout_optimizer, optimize_table,
     OptimizeOptions, OptimizeReport,
 };
 use crate::table::Table;
-use casper_core::cost::{cost_of_segmentation, BlockTerms};
+use casper_core::cost::cost_of_segmentation;
 use casper_core::solver::dp;
 use casper_core::Segmentation;
 use casper_workload::HapQuery;
@@ -100,9 +100,11 @@ impl AdaptiveController {
 
     /// Modeled speedup of re-optimizing `table` for the current window:
     /// `cost(current layout) / cost(optimal layout)`, both under the
-    /// window's Frequency Model. The current layout is priced at its
-    /// chunk's own geometry (its payload orientation as stored), the
-    /// optimum at the orientation `optimize_table` would choose.
+    /// window's Frequency Model and the chunk's share of the column's
+    /// reserve, as `optimize_table` solves them. The current layout is
+    /// priced at its chunk's payload orientation as stored, the optimum at
+    /// the orientation `optimize_table` would choose. A table just laid out
+    /// for this window therefore predicts exactly 1.
     pub fn predicted_speedup(&self, table: &Table) -> Option<f64> {
         if self.recent.len() < self.config.window / 4 {
             return None;
@@ -115,18 +117,20 @@ impl AdaptiveController {
         // the best layout it may build (fairness cap included).
         let opts = &self.config.optimize;
         let chosen = chunk_orientations(table, &fms, &sample, &opts.constants);
+        let budgets = chunk_budgets(table, &fms, opts);
         let chunks = table.column().chunks().iter().zip(&fms).zip(chosen);
-        for ((slot, fm), orientation) in chunks {
+        for (((slot, fm), orientation), &budget) in chunks.zip(&budgets) {
             // Capture above already required hydration; bail out rather
             // than decode here if a slot is somehow still pending.
             let store = slot.store_opt()?;
-            let now = chunk_geometry(table, store.payload_orientation());
-            let terms = BlockTerms::with_geometry(fm, &opts.constants, &now);
+            let now = layout_optimizer(table, opts, store.payload_orientation());
             let current_seg = current_segmentation(store, fm.n_blocks());
-            current_cost += cost_of_segmentation(&current_seg, &terms);
-            let best = layout_optimizer(table, opts, chunk_geometry(table, orientation));
-            let terms = BlockTerms::with_geometry(fm, &best.constants, &best.geometry);
-            best_cost += dp::solve(&terms, &best.constraints).cost;
+            current_cost += cost_of_segmentation(&current_seg, &now.terms(fm, budget));
+            // The optimum is priced the same way as the current layout, so
+            // the two compare exactly when they coincide.
+            let best = layout_optimizer(table, opts, orientation);
+            let terms = best.terms(fm, budget);
+            best_cost += cost_of_segmentation(&dp::solve(&terms, &best.constraints).seg, &terms);
         }
         if best_cost <= 0.0 {
             return Some(1.0);
@@ -243,6 +247,37 @@ mod tests {
             }
             other => panic!("expected to keep the new layout, got {other:?}"),
         }
+    }
+
+    /// A re-layout for a window is a fixed point of the controller: on an
+    /// update-only window that turns chunks row-major, the second check
+    /// prices the layout the first one built exactly as `optimize_table`
+    /// solved it, and predicts no speedup at all.
+    #[test]
+    fn relayout_is_a_fixed_point_for_its_window() {
+        let mut table = table();
+        let mut ctl = controller(1.1);
+        let mix = Mix::new(MixKind::UpdateOnlyUniform, HapSchema::narrow(), 8192);
+        for q in mix.generate(512, 8) {
+            table.execute(&q).expect("execute");
+            ctl.observe(&q);
+        }
+        assert!(matches!(
+            ctl.maybe_reoptimize(&mut table),
+            AdaptDecision::Reoptimized { .. }
+        ));
+        let report = ctl.last_report.as_ref().expect("a re-layout");
+        assert!(report
+            .chunks
+            .iter()
+            .any(|c| c.orientation == casper_storage::PayloadOrientation::Rows));
+        assert_eq!(
+            ctl.maybe_reoptimize(&mut table),
+            AdaptDecision::KeepLayout {
+                predicted_speedup: 1.0
+            }
+        );
+        assert_eq!(ctl.reoptimizations, 1);
     }
 
     #[test]

@@ -169,16 +169,17 @@ impl ChunkStore {
         pred_hi: u32,
         block_bytes: usize,
     ) -> (u64, OpCost) {
-        // A row's contribution, read through an attribute accessor: the
-        // sum of its `sum_cols` when its predicate attribute passes.
-        let qualifying = |attr: &dyn Fn(usize) -> u32| {
-            (pred_lo..pred_hi)
-                .contains(&attr(pred_col))
-                .then(|| sum_cols.iter().map(|&c| u64::from(attr(c))).sum::<u64>())
-        };
+        // A sorted store's rows in `range`: the sum of their `sum_cols`
+        // where the predicate attribute passes.
         let sorted_sum = |s: &SortedColumn<u64>, range: std::ops::Range<usize>| -> u64 {
-            let rows = range.filter_map(|pos| qualifying(&|c| s.payload(c, pos)));
-            rows.sum()
+            let rows = range.filter(|&pos| (pred_lo..pred_hi).contains(&s.payload(pred_col, pos)));
+            let row = |pos| {
+                sum_cols
+                    .iter()
+                    .map(|&c| u64::from(s.payload(c, pos)))
+                    .sum::<u64>()
+            };
+            rows.map(row).sum()
         };
         match self {
             ChunkStore::Partitioned(p) => {
@@ -188,16 +189,14 @@ impl ChunkStore {
                 let payloads = p.payloads();
                 let positions = pc.positions.iter().copied();
                 let positions = positions.chain(pc.runs.iter().flat_map(|r| r.clone()));
-                let mut passed = 0usize;
-                let mut sum = 0u64;
-                for row in positions.filter_map(|pos| qualifying(&|c| payloads.get(c, pos))) {
-                    passed += 1;
-                    sum += row;
-                }
-                // One sequential pass over the predicate column plus the
-                // summed columns for the qualifying rows.
-                let vpb = (block_bytes / 4).max(1);
-                cost.seq_reads += ((1 + sum_cols.len()) * passed.div_ceil(vpb)) as u64;
+                let (sum, passed) =
+                    payloads.sum_where(positions, sum_cols, pred_col, pred_lo..pred_hi);
+                // One sequential pass over the predicate attribute plus the
+                // summed ones for the qualifying rows, in blocks of 4-byte
+                // words: one column per attribute column-major, the
+                // qualifying rows whole row-major.
+                let words = BlockLayout::new::<u32>(block_bytes);
+                cost.seq_reads += payloads.scan_blocks(1 + sum_cols.len(), passed, &words);
                 (sum, cost)
             }
             ChunkStore::Sorted(s) => {

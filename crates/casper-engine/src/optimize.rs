@@ -147,14 +147,15 @@ pub(crate) fn chunk_orientations(
         .collect()
 }
 
-/// The optimizer `optimize_table` solves one of `table`'s chunks with:
-/// `opts`' constants at `geometry` (the chunk's, [`chunk_geometry`]),
-/// under `opts.constraints` and, when `opts.fairness_cap` is set, at most
-/// `equi_partitions` partitions.
-pub(crate) fn layout_optimizer(
+/// The optimizer `optimize_table` solves one of `table`'s chunks with
+/// when its payload is laid out in `orientation`: `opts`' constants at
+/// that orientation's [`chunk_geometry`], under `opts.constraints` and,
+/// when `opts.fairness_cap` is set, at most `equi_partitions` partitions.
+/// [`LayoutOptimizer::terms`] then prices the chunk at its reserve.
+pub fn layout_optimizer(
     table: &Table,
     opts: &OptimizeOptions,
-    geometry: BlockGeometry,
+    orientation: PayloadOrientation,
 ) -> LayoutOptimizer {
     let fairness = opts
         .fairness_cap
@@ -168,9 +169,27 @@ pub(crate) fn layout_optimizer(
     };
     LayoutOptimizer {
         constants: opts.constants,
-        geometry,
+        geometry: chunk_geometry(table, orientation),
+        orientation,
         constraints,
     }
+}
+
+/// Each chunk's share of the column's empty-slot reserve (ghost budget
+/// plus the slack a dense chunk would keep in its tail), split by Eq. 18
+/// across the chunks whose Frequency Models are `fms`: the ghost budget
+/// each chunk is solved and priced with.
+pub(crate) fn chunk_budgets(
+    table: &Table,
+    fms: &[FrequencyModel],
+    opts: &OptimizeOptions,
+) -> Vec<usize> {
+    let config = table.column().config();
+    let sizes: Vec<usize> = table.column().chunks().iter().map(|s| s.len()).collect();
+    let reserve = sizes
+        .iter()
+        .map(|&n| reserve_slots(n, opts.ghost_budget_frac, config));
+    split_column_budget(fms, &sizes, reserve.sum())
 }
 
 /// Build the per-chunk Frequency Models from a workload sample: each
@@ -278,22 +297,17 @@ pub fn optimize_table(
         }
     }
     let config = *table.column().config();
-    // The column's empty-slot reserve (ghost budget plus the slack a dense
-    // chunk would keep in its tail) goes where the sample's inserts and
+    // The column's empty-slot reserve goes where the sample's inserts and
     // incoming updates land: Eq. 18 across chunks here, then across each
     // chunk's partitions in `optimize`. Physical slots stay the same.
-    let sizes: Vec<usize> = table.column().chunks().iter().map(|s| s.len()).collect();
-    let reserve = sizes
-        .iter()
-        .map(|&n| reserve_slots(n, opts.ghost_budget_frac, &config));
-    let budgets = split_column_budget(&fms, &sizes, reserve.sum());
+    let budgets = chunk_budgets(table, &fms, opts);
     // Each chunk's payload orientation is chosen from its own Frequency
     // Model, and its layout is then solved once, at that orientation's
-    // geometry.
+    // geometry and with the ripple charge its reserve leaves.
     let orientations = chunk_orientations(table, &fms, sample, &opts.constants);
     let optimizers: Vec<LayoutOptimizer> = orientations
         .iter()
-        .map(|&o| layout_optimizer(table, opts, chunk_geometry(table, o)))
+        .map(|&o| layout_optimizer(table, opts, o))
         .collect();
 
     // Solve every chunk in parallel (§6.3's embarrassingly parallel

@@ -502,6 +502,43 @@ mod tests {
         }
     }
 
+    /// The §6.4 multi-column scan reads each chunk's payload in its own
+    /// orientation: a row-major table and its column-major twin return the
+    /// same sum, the same key-side cost, and each the payload blocks of its
+    /// orientation: three 4 KB columns of the qualifying rows column-major,
+    /// their 60-byte rows row-major.
+    #[test]
+    fn multi_column_sum_is_charged_per_orientation() {
+        use crate::column::ChunkStore;
+        use casper_storage::PayloadOrientation;
+        let schema = HapSchema::narrow();
+        let (pred, words_per_block) = (100..60000, 4096 / 4);
+        let passed = (0..2000u64)
+            .map(|i| schema.payload_row(i * 2)[2])
+            .filter(|p| pred.contains(p))
+            .count();
+        let cols = table(LayoutMode::Casper);
+        let mut rows = table(LayoutMode::Casper);
+        for store in rows.column_mut().chunks_mut().unwrap() {
+            let ChunkStore::Partitioned(p) = store else {
+                panic!("Casper chunks are partitioned");
+            };
+            *p = p.clone().into_orientation(PayloadOrientation::Rows);
+        }
+        rows.column_mut().publish();
+        let sum = |t: &Table| t.multi_column_sum(0, 4000, &[0, 1], 2, pred.start, pred.end);
+        let (c, r) = (sum(&cols).unwrap(), sum(&rows).unwrap());
+        assert_eq!(c.result, r.result);
+        let col_blocks = 3 * passed.div_ceil(words_per_block);
+        let row_blocks = (passed * 15 * 4).div_ceil(4096);
+        assert!(passed > 0 && col_blocks != row_blocks, "{passed} rows");
+        let key_side = |cost: OpCost, payload: usize| OpCost {
+            seq_reads: cost.seq_reads - payload as u64,
+            ..cost
+        };
+        assert_eq!(key_side(c.cost, col_blocks), key_side(r.cost, row_blocks));
+    }
+
     /// Regression: `multi_column_sum` used to `.expect()` on hydration
     /// failure, panicking the process on a corrupt persisted chunk. It now
     /// propagates the typed error like `execute`.

@@ -351,6 +351,33 @@ impl PayloadSet {
         }
     }
 
+    /// Sum the `cols` attributes of the rows at `positions` whose `pred_col`
+    /// attribute lies in `pred` (the §6.4 multi-column scan), with the
+    /// count of rows that passed. Row-major reads each row once for the
+    /// predicate and the sum.
+    pub fn sum_where(
+        &self,
+        positions: impl IntoIterator<Item = usize>,
+        cols: &[usize],
+        pred_col: usize,
+        pred: Range<u32>,
+    ) -> (u64, usize) {
+        let tally = |(sum, n): (u64, usize), row_sum: u64| (sum + row_sum, n + 1);
+        match &self.repr {
+            Repr::Columns(c) => positions
+                .into_iter()
+                .filter(|&pos| pred.contains(&c[pred_col][pos]))
+                .map(|pos| cols.iter().map(|&i| u64::from(c[i][pos])).sum())
+                .fold((0, 0), tally),
+            Repr::Rows { width, data } => positions
+                .into_iter()
+                .map(|pos| &data[pos * width..(pos + 1) * width])
+                .filter(|row| pred.contains(&row[pred_col]))
+                .map(|row| row_sum(row, cols))
+                .fold((0, 0), tally),
+        }
+    }
+
     /// Blocks of `layout` a sum of `k` attributes over `rows` rows streams
     /// (Q3's payload reads): column-major, one scan of `rows` values per
     /// projected attribute; row-major, the `rows · 4·width` bytes of the
@@ -604,6 +631,31 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn filtered_sums_match_naive_reference() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (width, physical) = (15, 300);
+        let cols: Vec<Vec<u32>> = (0..width)
+            .map(|_| (0..physical).map(|_| rng.gen_range(0..1000)).collect())
+            .collect();
+        let colmajor = PayloadSet::from_columns(cols.clone(), physical);
+        let rows = colmajor.to_orientation(PayloadOrientation::Rows);
+        let positions: Vec<usize> = (0..physical).filter(|_| rng.gen_bool(0.5)).collect();
+        for (pred_col, pred) in [(0, 0..1000), (3, 200..700), (14, 5..5)] {
+            let passing = positions
+                .iter()
+                .filter(|&&p| pred.contains(&cols[pred_col][p]));
+            let want = passing
+                .clone()
+                .map(|&p| u64::from(cols[1][p] + cols[14][p]));
+            let want = (want.sum::<u64>(), passing.count());
+            for p in [&colmajor, &rows] {
+                let got = p.sum_where(positions.iter().copied(), &[1, 14], pred_col, pred.clone());
+                assert_eq!(got, want, "{:?} pred {pred_col} {pred:?}", p.orientation());
             }
         }
     }
