@@ -25,8 +25,8 @@ fn build_1m(partitions: usize) -> PartitionedChunk<u64> {
     let keys: Vec<u64> = (0..KERNEL_VALUES as u64).map(|v| v * 2).collect();
     let payload: Vec<u32> = keys.iter().map(|&k| (k % 997) as u32).collect();
     PartitionedChunk::build_with_payloads(
-        keys,
-        vec![payload],
+        &keys,
+        &[payload],
         &spec,
         layout,
         &GhostPlan::none(spec.partition_count()),

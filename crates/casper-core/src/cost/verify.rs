@@ -112,21 +112,20 @@ pub fn predicted_range_access(parts: &[RangePartKind]) -> ScanAccess {
 }
 
 /// Sequential blocks a range sum's payload pass streams for `rows`
-/// qualifying rows projecting `k` of `width` attributes, in blocks of
-/// `block_bytes` that hold `values_per_block` keys. Column-major, one scan
-/// of the rows per projected attribute (`k · ⌈rows / values_per_block⌉`);
-/// row-major, the rows' own bytes (`⌈rows · 4·width / block_bytes⌉`), and
-/// nothing when no attribute is projected.
+/// qualifying rows projecting `k` of `width` 4-byte attributes, in blocks
+/// of `block_bytes`. Column-major, one scan of the rows' words per
+/// projected attribute (`k · ⌈rows / (block_bytes / 4)⌉`); row-major, the
+/// rows' own bytes (`⌈rows · 4·width / block_bytes⌉`), and nothing when no
+/// attribute is projected.
 pub fn predicted_payload_blocks(
     orientation: PayloadOrientation,
     k: usize,
     width: usize,
     rows: usize,
     block_bytes: usize,
-    values_per_block: usize,
 ) -> u64 {
     match orientation {
-        PayloadOrientation::Columns => (k * rows.div_ceil(values_per_block)) as u64,
+        PayloadOrientation::Columns => (k * rows.div_ceil(block_bytes / 4)) as u64,
         PayloadOrientation::Rows if k == 0 => 0,
         PayloadOrientation::Rows => (rows * width * 4).div_ceil(block_bytes) as u64,
     }
@@ -252,8 +251,8 @@ mod tests {
         // 64-byte blocks: 8 keys per block, a 60-byte row per slot.
         let layout = BlockLayout::new::<u64>(64);
         let chunk = PartitionedChunk::build_with_payloads(
-            keys,
-            cols,
+            &keys,
+            &cols,
             &PartitionSpec::from_block_sizes(&[2, 2, 2, 2]),
             layout,
             &GhostPlan::none(4),
@@ -277,7 +276,7 @@ mod tests {
                 let proj: Vec<usize> = (0..k).collect();
                 let (_, cost) = c.range_sum_payload(10, 101, &proj);
                 let mut pred = predicted_range_access(&parts);
-                pred.seq_reads += predicted_payload_blocks(o, k, width, 46, 64, 8);
+                pred.seq_reads += predicted_payload_blocks(o, k, width, 46, 64);
                 assert!(
                     pred.matches(&cost),
                     "{o:?} k={k}: predicted {pred:?} != measured {cost:?}"
@@ -285,14 +284,14 @@ mod tests {
             }
         }
         // 46 rows of 60 bytes = 2760 bytes = 44 blocks row-major, against
-        // 6 blocks per projected attribute column-major.
+        // 3 blocks of 16 words per projected attribute column-major.
         assert_eq!(
-            predicted_payload_blocks(PayloadOrientation::Rows, 4, 15, 46, 64, 8),
+            predicted_payload_blocks(PayloadOrientation::Rows, 4, 15, 46, 64),
             44
         );
         assert_eq!(
-            predicted_payload_blocks(PayloadOrientation::Columns, 4, 15, 46, 64, 8),
-            24
+            predicted_payload_blocks(PayloadOrientation::Columns, 4, 15, 46, 64),
+            12
         );
     }
 

@@ -20,6 +20,16 @@
 //! bounds map to a cap on the number of segments (extra DP dimension) and a
 //! cap on segment length (restricted inner loop).
 //!
+//! A cap `K` on the segment count costs `O(K · N²)` only when it binds. The
+//! unconstrained optimum is solved first (`O(N²)`, about 1 ms at N = 512);
+//! when it has at most `K` segments it is admissible and nothing under the
+//! cap is cheaper, so it is the answer. The capped program runs end block
+//! by end block: the costs of the segments ending there are computed once
+//! (in [`SegmentCosts::segment_cost`]'s operation order) and shared by
+//! every partition count, so a candidate costs one addition and one
+//! comparison. Every reported cost is bit-identical to summing
+//! `segment_cost` directly.
+//!
 //! Correctness (DP optimum == literal Eq. 16 optimum == BIP optimum) is
 //! property-tested against the test-only oracles `exhaustive` and `bip`.
 
@@ -93,12 +103,42 @@ impl SegmentCosts {
         let fwd = b as f64 * (self.fw[b + 1] - self.fw[a]) - (self.fwi[b + 1] - self.fwi[a]);
         fixed + bck + fwd + self.pp[b + 1]
     }
+
+    /// `out[i] = segment_cost(lo + i, e − 1)` for every start in `lo..e`,
+    /// bit for bit: the end block's prefix terms are read once and each
+    /// start evaluates `segment_cost`'s expression in its operation order
+    /// (a loop without branches or bounds checks, which vectorizes).
+    fn costs_ending_at(&self, lo: usize, e: usize, out: &mut Vec<f64>) {
+        let Self {
+            f,
+            bw,
+            bwi,
+            fw,
+            fwi,
+            pp,
+        } = self;
+        let (f_e, bw_e, bwi_e, fw_e, fwi_e, pp_e) = (f[e], bw[e], bwi[e], fw[e], fwi[e], pp[e]);
+        let b = (e - 1) as f64;
+        let (f, bw, bwi, fw, fwi) = (&f[lo..e], &bw[lo..e], &bwi[lo..e], &fw[lo..e], &fwi[lo..e]);
+        out.clear();
+        out.extend((0..e - lo).map(|i| {
+            let a = (lo + i) as f64;
+            let fixed = f_e - f[i];
+            let bck = (bwi_e - bwi[i]) - a * (bw_e - bw[i]);
+            let fwd = b * (fw_e - fw[i]) - (fwi_e - fwi[i]);
+            fixed + bck + fwd + pp_e
+        }));
+    }
 }
 
 /// Exact optimal segmentation under the given constraints.
 ///
 /// Unconstrained (or length-capped): `O(N · min(N, MPS))`. With a
-/// partition-count cap `K`: `O(N · min(N, MPS) · K)`.
+/// partition-count cap `K`, the unconstrained optimum is solved first and
+/// returned when it has at most `K` partitions (nothing under the cap can
+/// be cheaper, and it is admissible); only a binding cap pays the capped
+/// program, `O(N · min(N, MPS) · K)`. Either way the cost is the exact
+/// optimum, bit for bit what the capped program alone would report.
 ///
 /// # Panics
 /// Panics when the constraints are infeasible for this block count
@@ -119,11 +159,26 @@ pub fn solve_with_costs(costs: &SegmentCosts, constraints: &SolverConstraints) -
         "infeasible constraints for {n} blocks: {constraints:?}"
     );
     let mps = constraints.max_partition_blocks.unwrap_or(n).min(n).max(1);
+    let free = solve_unbounded(costs, mps);
     match constraints.max_partitions {
-        None => solve_unbounded(costs, mps),
-        Some(k) if k >= n => solve_unbounded(costs, mps),
-        Some(k) => solve_bounded(costs, mps, k),
+        Some(k) if free.seg.partition_count() > k => solve_bounded(costs, mps, k),
+        _ => free,
     }
+}
+
+/// The first strict minimum of `prev[i] + w[i]` over `i` (the DP's
+/// candidate, a prefix optimum plus the last segment's cost) with its
+/// index, or `(INFINITY, 0)` when no candidate is finite.
+#[inline]
+fn cheapest(prev: &[f64], w: &[f64]) -> (f64, usize) {
+    let mut best = (f64::INFINITY, 0);
+    for (i, (&p, &w)) in prev.iter().zip(w).enumerate() {
+        let c = p + w;
+        if c < best.0 {
+            best = (c, i);
+        }
+    }
+    best
 }
 
 fn solve_unbounded(costs: &SegmentCosts, mps: usize) -> Solution {
@@ -132,16 +187,13 @@ fn solve_unbounded(costs: &SegmentCosts, mps: usize) -> Solution {
     // of the last segment in that optimum.
     let mut best = vec![f64::INFINITY; n + 1];
     let mut parent = vec![0usize; n + 1];
+    let mut w = Vec::with_capacity(mps);
     best[0] = 0.0;
     for e in 1..=n {
         let lo = e.saturating_sub(mps);
-        for s in lo..e {
-            let c = best[s] + costs.segment_cost(s, e - 1);
-            if c < best[e] {
-                best[e] = c;
-                parent[e] = s;
-            }
-        }
+        costs.costs_ending_at(lo, e, &mut w);
+        let (c, i) = cheapest(&best[lo..e], &w);
+        (best[e], parent[e]) = (c, lo + i);
     }
     let mut ends = Vec::new();
     let mut e = n;
@@ -160,24 +212,33 @@ fn solve_bounded(costs: &SegmentCosts, mps: usize, k_cap: usize) -> Solution {
     let n = costs.n_blocks();
     let k_cap = k_cap.min(n);
     // best[k][e]: optimal cost of segmenting [0, e) into exactly k parts.
+    // Row k at e reads row k − 1 before e only, so the program runs e by e:
+    // the costs of every last segment ending at e are computed once and
+    // shared by all k. Row k reads row k − 1 at s ≥ k − 1 only (fewer
+    // blocks than parts is infeasible); a prefix that is infeasible for
+    // other reasons stays INFINITY and never wins the strict comparison.
     let mut best = vec![vec![f64::INFINITY; n + 1]; k_cap + 1];
     let mut parent = vec![vec![0usize; n + 1]; k_cap + 1];
+    let mut w = Vec::with_capacity(mps);
     best[0][0] = 0.0;
-    for k in 1..=k_cap {
-        for e in k..=n {
-            let lo = e.saturating_sub(mps);
-            for s in lo..e {
-                if best[k - 1][s].is_finite() {
-                    let c = best[k - 1][s] + costs.segment_cost(s, e - 1);
-                    if c < best[k][e] {
-                        best[k][e] = c;
-                        parent[k][e] = s;
-                    }
-                }
+    for e in 1..=n {
+        let lo = e.saturating_sub(mps);
+        costs.costs_ending_at(lo, e, &mut w);
+        for k in 1..=k_cap.min(e) {
+            let from = lo.max(k - 1);
+            let (c, i) = cheapest(&best[k - 1][from..e], &w[from - lo..]);
+            if c < best[k][e] {
+                best[k][e] = c;
+                parent[k][e] = from + i;
             }
         }
     }
-    // Any partition count up to the cap is admissible; take the best.
+    trace_bounded(&best, &parent, n)
+}
+
+/// The cheapest of `best[k][n]` over every admissible `k` (the first on a
+/// tie), traced back through `parent`.
+fn trace_bounded(best: &[Vec<f64>], parent: &[Vec<usize>], n: usize) -> Solution {
     let (k_best, &cost) = best
         .iter()
         .enumerate()
@@ -202,6 +263,34 @@ fn solve_bounded(costs: &SegmentCosts, mps: usize, k_cap: usize) -> Solution {
         seg: Segmentation::new(ends),
         cost,
     }
+}
+
+/// The capped program as it ran before the shared segment costs and the
+/// unconstrained-first skip: every candidate through
+/// [`SegmentCosts::segment_cost`], every infeasible prefix tested. The
+/// oracle `solver::equivalence` holds [`solve`] to.
+#[cfg(test)]
+pub(crate) fn solve_bounded_reference(costs: &SegmentCosts, mps: usize, k_cap: usize) -> Solution {
+    let n = costs.n_blocks();
+    let k_cap = k_cap.min(n);
+    let mut best = vec![vec![f64::INFINITY; n + 1]; k_cap + 1];
+    let mut parent = vec![vec![0usize; n + 1]; k_cap + 1];
+    best[0][0] = 0.0;
+    for k in 1..=k_cap {
+        for e in k..=n {
+            let lo = e.saturating_sub(mps);
+            for s in lo..e {
+                if best[k - 1][s].is_finite() {
+                    let c = best[k - 1][s] + costs.segment_cost(s, e - 1);
+                    if c < best[k][e] {
+                        best[k][e] = c;
+                        parent[k][e] = s;
+                    }
+                }
+            }
+        }
+    }
+    trace_bounded(&best, &parent, n)
 }
 
 #[cfg(test)]

@@ -7,14 +7,22 @@
 //! demand the reserve leaves uncovered: all zero, mixed in sign, or
 //! Eq. 17's.
 //!
+//! The capped DP that ships (the unconstrained optimum first, each last
+//! segment's cost shared by every partition count) is held to the capped
+//! program it replaced,
+//! `dp::solve_bounded_reference`, on random terms: the same cost bit for
+//! bit, and the same layout unless the reference's optimum is an exact tie.
+//!
 //! `CASPER_STRESS_SEEDS` (comma-separated, default "1,2") adds seeded
-//! rounds of the row-major property on top of the proptest cases.
+//! rounds of the row-major and capped-DP properties on top of the proptest
+//! cases.
 
 use super::{bip, dp, exhaustive, SolverConstraints};
 use crate::cost::{
     cost_of_boundaries, cost_of_segmentation, BlockGeometry, BlockTerms, CostConstants,
 };
 use crate::fm::FrequencyModel;
+use crate::layout::Segmentation;
 use casper_storage::PayloadOrientation;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -59,6 +67,76 @@ fn solvers_agree(terms: &BlockTerms, constraints: &SolverConstraints) -> Result<
         }
     }
     Ok(())
+}
+
+/// `seg`'s cost as the DP sums it: segment costs left to right.
+fn dp_cost_of(costs: &dp::SegmentCosts, seg: &Segmentation) -> f64 {
+    seg.ranges()
+        .fold(0.0, |acc, r| acc + costs.segment_cost(r.start, r.end - 1))
+}
+
+/// [`dp::solve`] under a cap of `k` partitions of at most `mps` blocks
+/// agrees with the capped reference program: the same cost bit for bit,
+/// and the same layout unless the two are an exact tie. When the
+/// unconstrained optimum fits the cap, it is the layout returned.
+fn capped_dp_matches_reference(terms: &BlockTerms, k: usize, mps: usize) -> Result<(), String> {
+    let n = terms.n_blocks();
+    let capped = SolverConstraints {
+        max_partitions: Some(k),
+        max_partition_blocks: Some(mps),
+    };
+    if !capped.feasible(n) {
+        return Ok(());
+    }
+    let costs = dp::SegmentCosts::new(terms);
+    let got = dp::solve(terms, &capped);
+    let want = dp::solve_bounded_reference(&costs, mps.min(n), k);
+    if !capped.admits(&got.seg) {
+        return Err(format!("inadmissible layout {} under {capped:?}", got.seg));
+    }
+    if got.cost.to_bits() != want.cost.to_bits() {
+        return Err(format!("cost {} vs reference {}", got.cost, want.cost));
+    }
+    if got.seg != want.seg && dp_cost_of(&costs, &got.seg).to_bits() != want.cost.to_bits() {
+        return Err(format!(
+            "layout {} vs reference {} without a tie",
+            got.seg, want.seg
+        ));
+    }
+    let free = dp::solve(
+        terms,
+        &SolverConstraints {
+            max_partitions: None,
+            max_partition_blocks: Some(mps),
+        },
+    );
+    if free.seg.partition_count() <= k && got.seg != free.seg {
+        return Err(format!(
+            "cap {k} does not bind, yet {} differs from the free optimum {}",
+            got.seg, free.seg
+        ));
+    }
+    Ok(())
+}
+
+/// Random per-block terms over `n` blocks: fractional or small whole
+/// values (whole ones make exact ties likely), `parts` of either sign.
+fn random_terms(rng: &mut StdRng, n: usize) -> BlockTerms {
+    let whole = rng.gen_bool(0.5);
+    let mut draw = |lo: f64, hi: f64| {
+        let x = rng.gen_range(lo..hi);
+        if whole {
+            x.round()
+        } else {
+            x
+        }
+    };
+    BlockTerms {
+        fixed: (0..n).map(|_| draw(0.0, 50.0)).collect(),
+        bck: (0..n).map(|_| draw(0.0, 8.0)).collect(),
+        fwd: (0..n).map(|_| draw(0.0, 8.0)).collect(),
+        parts: (0..n).map(|_| draw(-10.0, 10.0)).collect(),
+    }
 }
 
 /// A valid (update-balanced) Frequency Model of up to `max_blocks` blocks
@@ -195,6 +273,17 @@ proptest! {
     }
 
     #[test]
+    fn capped_dp_equals_reference_program(
+        seed in any::<u64>(),
+        n in 1usize..40,
+        k in 1usize..40,
+        mps in 1usize..40,
+    ) {
+        let terms = random_terms(&mut StdRng::seed_from_u64(seed), n);
+        capped_dp_matches_reference(&terms, k, mps).map_err(TestCaseError::fail)?;
+    }
+
+    #[test]
     fn linearized_objective_matches_eq16_for_any_boundaries(
         fm in fm_strategy(9),
         bits in proptest::collection::vec(any::<bool>(), 9),
@@ -251,6 +340,21 @@ fn row_major_reserve_terms_agree_over_stress_seeds() {
                 if let Err(e) = solvers_agree(&terms, &c) {
                     panic!("seed {seed} case {case} (rho {rho}, {c:?}): {e}");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn capped_dp_equals_reference_program_over_stress_seeds() {
+    for seed in env_seeds() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..STRESS_CASES {
+            let n = rng.gen_range(1..=96);
+            let terms = random_terms(&mut rng, n);
+            let (k, mps) = (rng.gen_range(1..=n), rng.gen_range(1..=n));
+            if let Err(e) = capped_dp_matches_reference(&terms, k, mps) {
+                panic!("seed {seed} case {case} (n {n}, k {k}, mps {mps}): {e}");
             }
         }
     }

@@ -23,6 +23,7 @@
 //! reclamation is plain `Arc` refcounting — the last pin of a superseded
 //! snapshot frees it. See `docs/concurrency.md` for the full protocol.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -34,8 +35,8 @@ use casper_core::Segmentation;
 use casper_obs::CounterDef;
 use casper_storage::ghost::GhostPlan;
 use casper_storage::{
-    BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk, PayloadOrientation,
-    SortedColumn, SortedDelta, StorageError, UpdatePolicy, MIN_TAIL_SLOTS,
+    sort_rows_by_key, BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk,
+    PayloadOrientation, SortedColumn, SortedDelta, StorageError, UpdatePolicy, MIN_TAIL_SLOTS,
 };
 use casper_workload::HapQuery;
 use parking_lot::Mutex;
@@ -195,8 +196,7 @@ impl ChunkStore {
                 // summed ones for the qualifying rows, in blocks of 4-byte
                 // words: one column per attribute column-major, the
                 // qualifying rows whole row-major.
-                let words = BlockLayout::new::<u32>(block_bytes);
-                cost.seq_reads += payloads.scan_blocks(1 + sum_cols.len(), passed, &words);
+                cost.seq_reads += payloads.scan_blocks(1 + sum_cols.len(), passed, block_bytes);
                 (sum, cost)
             }
             ChunkStore::Sorted(s) => {
@@ -477,8 +477,10 @@ pub struct ColumnSnapshot {
 
 impl ColumnSnapshot {
     /// Split rows into `config.chunk_values`-sized stores of the
-    /// configured mode. Ordered modes co-sort globally first, so chunks
-    /// partition the key domain behind one fence each.
+    /// configured mode. Ordered modes co-sort globally first (a no-op for
+    /// rows that arrive sorted), so chunks partition the key domain behind
+    /// one fence each. Each chunk is built from its slice of the rows, the
+    /// chunks in parallel on `config.threads`.
     fn build(mut keys: Vec<u64>, mut payload_cols: Vec<Vec<u32>>, config: EngineConfig) -> Self {
         assert!(!keys.is_empty(), "cannot load an empty column");
         for c in &payload_cols {
@@ -486,33 +488,24 @@ impl ColumnSnapshot {
         }
         let ordered = config.mode != LayoutMode::NoOrder;
         if ordered {
-            let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
-            perm.sort_by_key(|&i| keys[i as usize]);
-            keys = perm.iter().map(|&i| keys[i as usize]).collect();
-            for col in &mut payload_cols {
-                *col = perm.iter().map(|&i| col[i as usize]).collect();
+            if let Some((sorted, cols)) = sort_rows_by_key(&keys, &payload_cols) {
+                (keys, payload_cols) = (sorted, cols);
             }
         }
-        let mut chunks = Vec::new();
-        let mut fences = Vec::new();
-        let n = keys.len();
         let per = config.chunk_values.max(1);
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + per).min(n);
-            let chunk_keys = keys[start..end].to_vec();
-            let chunk_payloads: Vec<Vec<u32>> = payload_cols
-                .iter()
-                .map(|c| c[start..end].to_vec())
-                .collect();
-            fences.push(chunk_keys.last().copied().expect("non-empty chunk"));
-            chunks.push(Arc::new(ChunkSlot::new(build_chunk(
-                chunk_keys,
-                chunk_payloads,
+        let rows: Vec<Range<usize>> = (0..keys.len())
+            .step_by(per)
+            .map(|start| start..(start + per).min(keys.len()))
+            .collect();
+        let fences = rows.iter().map(|r| keys[r.end - 1]).collect();
+        let chunks = parallel_map(&rows, config.threads, |_, range| {
+            let payloads: Vec<&[u32]> = payload_cols.iter().map(|c| &c[range.clone()]).collect();
+            Arc::new(ChunkSlot::new(build_chunk(
+                &keys[range.clone()],
+                &payloads,
                 &config,
-            ))));
-            start = end;
-        }
+            )))
+        });
         Self {
             chunks,
             fences: ordered.then_some(fences),
@@ -1220,19 +1213,26 @@ impl<'a> WriteOp<'a> {
 }
 
 /// Build one chunk's store for the configured mode.
-fn build_chunk(keys: Vec<u64>, payloads: Vec<Vec<u32>>, config: &EngineConfig) -> ChunkStore {
+fn build_chunk(keys: &[u64], payloads: &[&[u32]], config: &EngineConfig) -> ChunkStore {
     let layout = BlockLayout::new::<u64>(config.block_bytes);
     let vpb = layout.values_per_block();
     let len = keys.len();
     let n_blocks = layout.num_blocks(len);
+    let owned = || (keys.to_vec(), payloads.iter().map(|c| c.to_vec()).collect());
     match config.mode {
-        LayoutMode::Sorted => ChunkStore::Sorted(SortedColumn::build(keys, payloads, vpb)),
-        LayoutMode::StateOfArt => ChunkStore::Delta(SortedDelta::build(
-            keys,
-            payloads,
-            vpb,
-            ((len as f64 * config.delta_frac) as usize).max(16),
-        )),
+        LayoutMode::Sorted => {
+            let (keys, payloads) = owned();
+            ChunkStore::Sorted(SortedColumn::build(keys, payloads, vpb))
+        }
+        LayoutMode::StateOfArt => {
+            let (keys, payloads) = owned();
+            ChunkStore::Delta(SortedDelta::build(
+                keys,
+                payloads,
+                vpb,
+                ((len as f64 * config.delta_frac) as usize).max(16),
+            ))
+        }
         LayoutMode::NoOrder => {
             let chunk_config = ChunkConfig {
                 ghost_fetch_block: 1,
@@ -1327,8 +1327,8 @@ pub(crate) fn rebuild_partitioned(
             let layout = BlockLayout::new::<u64>(config.block_bytes);
             let (keys, payloads) = store.live_sorted();
             PartitionedChunk::build_with_payloads(
-                keys,
-                payloads,
+                &keys,
+                &payloads,
                 &spec,
                 layout,
                 ghosts,

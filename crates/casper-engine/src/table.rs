@@ -388,12 +388,71 @@ impl TableReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ChunkStore;
     use crate::modes::LayoutMode;
+    use casper_storage::PartitionedChunk;
     use casper_workload::{KeyDist, Mix, MixKind};
 
     fn table(mode: LayoutMode) -> Table {
         let gen = WorkloadGenerator::new(HapSchema::narrow(), 2000, KeyDist::Uniform);
         Table::load_from_generator(&gen, EngineConfig::small(mode))
+    }
+
+    /// Loading rows that arrive sorted skips the co-sort; loading the same
+    /// rows shuffled sorts them. Both must build the same table in every
+    /// mode: chunk for chunk the same physical state (slots, stale ones
+    /// included, partitions, zones, payload words, key lane form, write
+    /// stamps), the same fences, and the same resident bytes, which is what
+    /// the reserved capacity of every vector adds up to.
+    #[test]
+    fn sorted_and_shuffled_loads_build_the_same_table() {
+        use rand::prelude::*;
+        let gen = WorkloadGenerator::new(HapSchema::narrow(), 5000, KeyDist::Uniform);
+        let (keys, cols) = (gen.initial_keys(), gen.initial_payload_columns());
+        let shuffled = |rng: &mut StdRng, window: usize| {
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            for w in order.chunks_mut(window) {
+                for i in (1..w.len()).rev() {
+                    w.swap(i, rng.gen_range(0..=i));
+                }
+            }
+            let cols: Vec<Vec<u32>> = cols
+                .iter()
+                .map(|c| order.iter().map(|&i| c[i]).collect())
+                .collect();
+            (order.iter().map(|&i| keys[i]).collect::<Vec<u64>>(), cols)
+        };
+        let mut rng = StdRng::seed_from_u64(7);
+        for mode in LayoutMode::all() {
+            let mut config = EngineConfig::small(mode);
+            config.chunk_values = 1024;
+            let load =
+                |(k, c): (Vec<u64>, Vec<Vec<u32>>)| Table::load(HapSchema::narrow(), k, c, config);
+            let sorted = load((keys.clone(), cols.clone()));
+            // Shuffled within each chunk's rows (every mode sees the same
+            // row set per chunk) and, where chunks are cut in key order,
+            // across the whole table.
+            let mut inputs = vec![shuffled(&mut rng, config.chunk_values)];
+            if mode != LayoutMode::NoOrder {
+                inputs.push(shuffled(&mut rng, keys.len()));
+            }
+            for input in inputs {
+                let (a, b) = (sorted.column(), load(input));
+                let b = b.column();
+                assert_eq!(a.chunk_count(), 5, "{mode:?}");
+                assert_eq!(a.chunk_count(), b.chunk_count(), "{mode:?}");
+                assert_eq!(a.fences(), b.fences(), "{mode:?}");
+                assert_eq!(a.resident_bytes(), b.resident_bytes(), "{mode:?}");
+                for (i, (x, y)) in a.chunks().iter().zip(b.chunks()).enumerate() {
+                    let (x, y) = (x.get().unwrap(), y.get().unwrap());
+                    if let (ChunkStore::Partitioned(x), ChunkStore::Partitioned(y)) = (x, y) {
+                        let state = |c: &PartitionedChunk<u64>| format!("{:?}", c.to_state());
+                        assert_eq!(state(x), state(y), "{mode:?} chunk {i}");
+                    }
+                    assert_eq!(format!("{x:?}"), format!("{y:?}"), "{mode:?} chunk {i}");
+                }
+            }
+        }
     }
 
     fn execute_serial(t: &mut Table, queries: &[HapQuery]) -> Vec<QueryOutput> {

@@ -712,12 +712,12 @@ mod tests {
         use casper_storage::ghost::GhostPlan;
         use casper_storage::PartitionSpec;
         let keys: Vec<u64> = (0..200).map(|i| 10 + 3 * i).collect();
-        let cols = (0..3u32)
+        let cols: Vec<Vec<u32>> = (0..3u32)
             .map(|c| keys.iter().map(|&k| k as u32 * 7 + c).collect())
             .collect();
         let mut chunk = PartitionedChunk::build_with_payloads(
-            keys,
-            cols,
+            &keys,
+            &cols,
             &PartitionSpec::from_block_sizes(&[10, 15]),
             BlockLayout::new::<u64>(64),
             &GhostPlan::from_counts(vec![3, 5]),
@@ -927,10 +927,10 @@ mod tests {
 
         let config = EngineConfig::small(LayoutMode::Casper);
         let keys: Vec<u64> = (0..180).map(|i| 1_000 + 3 * i).collect();
-        let payloads = vec![keys.iter().map(|&k| k as u32 * 7).collect(); 2];
+        let payloads: Vec<Vec<u32>> = vec![keys.iter().map(|&k| k as u32 * 7).collect(); 2];
         let mut chunk = PartitionedChunk::build_with_payloads(
-            keys,
-            payloads,
+            &keys,
+            &payloads,
             &PartitionSpec::from_block_sizes(&[5; 9]),
             BlockLayout::new::<u64>(32),
             &GhostPlan::from_counts(vec![2; 9]),

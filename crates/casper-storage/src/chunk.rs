@@ -28,6 +28,7 @@ use crate::layout::{BlockLayout, PartitionSpec};
 use crate::ops::OpCost;
 use crate::partition::PartitionMeta;
 use crate::payload::{PayloadOrientation, PayloadSet};
+use crate::sorted::sort_rows_by_key;
 use crate::value::ColumnValue;
 use crate::UpdatePolicy;
 
@@ -115,49 +116,39 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         ghosts: &GhostPlan,
         config: ChunkConfig,
     ) -> Result<Self, StorageError> {
-        Self::build_with_payloads(values, Vec::new(), spec, layout, ghosts, config)
+        Self::build_with_payloads(&values, &[] as &[&[u32]], spec, layout, ghosts, config)
     }
 
-    /// As [`PartitionedChunk::build`], with slot-aligned payload columns
+    /// As [`PartitionedChunk::build`], with row-aligned payload columns
     /// (each exactly as long as `values`), stored column-major. Rows are
-    /// co-sorted by key.
+    /// co-sorted by key, stably ([`sort_rows_by_key`]); rows that arrive
+    /// sorted are copied once, straight into their slots.
     pub fn build_with_payloads(
-        values: Vec<K>,
-        payload_cols: Vec<Vec<u32>>,
+        values: &[K],
+        payload_cols: &[impl AsRef<[u32]>],
         spec: &PartitionSpec,
         layout: BlockLayout,
         ghosts: &GhostPlan,
         config: ChunkConfig,
     ) -> Result<Self, StorageError> {
-        for col in &payload_cols {
-            if col.len() != values.len() {
+        for col in payload_cols {
+            if col.as_ref().len() != values.len() {
                 return Err(StorageError::PayloadArity {
                     expected: values.len(),
-                    got: col.len(),
+                    got: col.as_ref().len(),
                 });
             }
         }
-        // Co-sort rows by key. Duplicate keys stay adjacent, which keeps
-        // them in the same partition as §4.1 requires (partition boundaries
-        // are at block granularity and blocks are assigned by rank).
-        if payload_cols.is_empty() {
-            let mut values = values;
-            values.sort_unstable();
-            return Self::from_sorted(values, spec, layout, ghosts, config, |_, _| {
-                PayloadSet::empty()
-            });
-        }
-        let mut perm: Vec<usize> = (0..values.len()).collect();
-        perm.sort_by_key(|&i| values[i]);
-        let sorted: Vec<K> = perm.iter().map(|&i| values[i]).collect();
-        let src = PayloadSet::from_columns(payload_cols, values.len());
-        Self::from_sorted(sorted, spec, layout, ghosts, config, |parts, physical| {
-            PayloadSet::gathered(
-                &src,
-                PayloadOrientation::Columns,
-                physical,
-                &row_moves(parts, &perm),
-            )
+        // Duplicate keys end up adjacent, which keeps them in the same
+        // partition as §4.1 requires (partition boundaries are at block
+        // granularity and blocks are assigned by rank).
+        let sorted = sort_rows_by_key(values, payload_cols);
+        let (values, cols): (&[K], Vec<&[u32]>) = match &sorted {
+            Some((keys, cols)) => (keys, cols.iter().map(Vec::as_slice).collect()),
+            None => (values, payload_cols.iter().map(AsRef::as_ref).collect()),
+        };
+        Self::from_sorted(values, spec, layout, ghosts, config, |parts, physical| {
+            PayloadSet::placed(&cols, physical, live_runs(parts))
         })
     }
 
@@ -176,7 +167,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let positions = self.live_positions_sorted();
         let sorted: Vec<K> = positions.iter().map(|&p| self.data.get(p)).collect();
         Self::from_sorted(
-            sorted,
+            &sorted,
             spec,
             self.layout,
             ghosts,
@@ -186,7 +177,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                     &self.payloads,
                     orientation,
                     physical,
-                    &row_moves(parts, &positions),
+                    &positions,
+                    live_runs(parts),
                 )
             },
         )
@@ -196,7 +188,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// payload rows out for the partitions built (sorted row `i` belongs at
     /// the `i`-th live slot, partition by partition).
     fn from_sorted(
-        values: Vec<K>,
+        values: &[K],
         spec: &PartitionSpec,
         layout: BlockLayout,
         ghosts: &GhostPlan,
@@ -259,9 +251,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let slack = ((m as f64 * config.capacity_slack).ceil() as usize).max(MIN_TAIL_SLOTS);
         let physical = m + ghosts.total() + slack;
 
-        // Stale slots start at the smallest key, inside the key lane's
-        // frame (see `KeyLane::from_slots`).
-        let mut data = vec![values[0]; physical];
         let mut parts = Vec::with_capacity(k);
         let mut zones = Vec::with_capacity(k);
         let mut bounds = Vec::with_capacity(k);
@@ -269,7 +258,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let mut consumed = 0usize; // values consumed
         for (p, &len) in sizes.iter().enumerate() {
             let src = &values[consumed..consumed + len];
-            data[cursor..cursor + len].copy_from_slice(src);
             let (min, max) = if len > 0 {
                 (src[0], src[len - 1])
             } else {
@@ -297,10 +285,12 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             consumed += len;
         }
 
+        // Stale slots hold the smallest key, inside the key lane's frame.
+        let data = KeyLane::from_sorted_runs(values, physical, live_runs(&parts));
         let payloads = payloads(&parts, physical);
 
         Ok(Self {
-            data: KeyLane::from_slots(data, Some((values[0], values[m - 1]))),
+            data,
             parts,
             zones,
             index: PartitionIndex::new(bounds),
@@ -457,15 +447,20 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         keys
     }
 
-    /// The live slots ordered by key, ties in slot order.
+    /// The live slots ordered by key, ties in slot order. Partition `q`'s
+    /// live keys all lie above partition `q − 1`'s bound (the separation
+    /// [`PartitionedChunk::validate_invariants`] checks) and its slots all
+    /// follow, so sorting each partition alone sorts the whole.
     fn live_positions_sorted(&self) -> Vec<usize> {
         let mut keyed: Vec<(K, usize)> = Vec::with_capacity(self.live);
         for p in &self.parts {
+            let start = keyed.len();
             keyed.extend((p.start..p.live_end()).map(|pos| (self.data.get(pos), pos)));
+            // Slots are distinct, so the unstable sort on (key, slot) is
+            // the stable sort by key.
+            keyed[start..].sort_unstable();
         }
-        // Slots are distinct, so the unstable sort on (key, slot) is the
-        // stable sort by key.
-        keyed.sort_unstable();
+        debug_assert!(keyed.is_sorted(), "partitions overlap in key order");
         keyed.into_iter().map(|(_, pos)| pos).collect()
     }
 
@@ -929,18 +924,11 @@ pub struct ChunkState<K: ColumnValue> {
     pub write_mark: u64,
 }
 
-/// The `(from, to)` slot moves that lay sorted rows out over `parts`: row
-/// `i` of the sorted order comes from slot `sources[i]` and goes to the
-/// `i`-th live slot, partition by partition.
-fn row_moves<K: ColumnValue>(parts: &[PartitionMeta<K>], sources: &[usize]) -> Vec<(usize, usize)> {
-    let mut moves = Vec::with_capacity(sources.len());
-    let mut consumed = 0usize;
-    for part in parts {
-        let src = &sources[consumed..consumed + part.len];
-        moves.extend(src.iter().zip(part.start..).map(|(&from, to)| (from, to)));
-        consumed += part.len;
-    }
-    moves
+/// The slot ranges holding `parts`' live rows, in slot order.
+fn live_runs<K: ColumnValue>(
+    parts: &[PartitionMeta<K>],
+) -> impl Iterator<Item = std::ops::Range<usize>> + Clone + '_ {
+    parts.iter().map(|p| p.start..p.live_end())
 }
 
 /// Which side a ghost donor was found on.
@@ -996,6 +984,40 @@ mod tests {
         c.validate_invariants().unwrap();
     }
 
+    /// Every physical slot of a fresh chunk: live rows co-sorted by key,
+    /// equal keys in input order, and every ghost and tail slot holding
+    /// the smallest key and zero payload words, whether the rows arrive
+    /// shuffled or already sorted.
+    #[test]
+    fn build_fills_every_slot() {
+        let build = |keys: &[u64], col: &[u32]| {
+            PartitionedChunk::build_with_payloads(
+                keys,
+                &[col],
+                &PartitionSpec::from_block_sizes(&[1, 2]),
+                tiny_layout(),
+                &GhostPlan::from_counts(vec![1, 2]),
+                ChunkConfig::default(),
+            )
+            .unwrap()
+        };
+        let shuffled = build(&[30, 10, 30, 20, 10], &[3, 1, 33, 2, 11]);
+        let sorted = build(&[10, 10, 20, 30, 30], &[1, 11, 2, 3, 33]);
+        // 5 live rows, 3 ghosts, a 64-slot tail.
+        let mut keys = vec![10u64, 10, 10, 20, 30, 30];
+        keys.resize(72, 10);
+        let mut words = vec![1u32, 11, 0, 2, 3, 33];
+        words.resize(72, 0);
+        for c in [&shuffled, &sorted] {
+            assert_eq!(c.copy_slots(0..c.slot_count()), keys);
+            let got: Vec<u32> = (0..c.slot_count())
+                .map(|s| c.payloads().get(0, s))
+                .collect();
+            assert_eq!(got, words);
+            assert_eq!(c.resident_bytes(), shuffled.resident_bytes());
+        }
+    }
+
     #[test]
     fn build_rejects_wrong_spec_width() {
         let spec = PartitionSpec::from_block_sizes(&[1]); // 1 block for 8 values
@@ -1028,8 +1050,8 @@ mod tests {
     fn build_with_payloads_cosorts() {
         let spec = PartitionSpec::from_block_sizes(&[1, 1]);
         let c = PartitionedChunk::build_with_payloads(
-            vec![40u64, 10, 30, 20],
-            vec![vec![4, 1, 3, 2]],
+            &[40u64, 10, 30, 20],
+            &[vec![4, 1, 3, 2]],
             &spec,
             tiny_layout(),
             &GhostPlan::none(2),
@@ -1143,8 +1165,8 @@ mod tests {
             (0..12).map(|i| 100 + i).collect(),
         ];
         let mut c = PartitionedChunk::build_with_payloads(
-            keys,
-            cols,
+            &keys,
+            &cols,
             &PartitionSpec::from_block_sizes(&[2, 2, 2]),
             tiny_layout(),
             &GhostPlan::from_counts(vec![1, 0, 2]),
@@ -1158,8 +1180,8 @@ mod tests {
         let spec = PartitionSpec::from_block_sizes(&[3, 3]);
         let ghosts = GhostPlan::from_counts(vec![2, 1]);
         let want = PartitionedChunk::build_with_payloads(
-            keys,
-            cols,
+            &keys,
+            &cols,
             &spec,
             tiny_layout(),
             &ghosts,
@@ -1177,6 +1199,42 @@ mod tests {
             assert_eq!(got.parts, want.parts);
             assert_eq!(got.payloads, want.payloads.to_orientation(o));
             assert_eq!(got.resident_bytes(), want.resident_bytes());
+        }
+    }
+
+    /// The live slots by key, ties in slot order, sorted partition by
+    /// partition, through inserts, deletes and updates with duplicate keys.
+    #[test]
+    fn live_positions_sorted_matches_a_global_sort() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(11);
+        let keys: Vec<u64> = (0..400).map(|i| i / 3 * 2).collect();
+        let mut c = PartitionedChunk::build(
+            keys,
+            &PartitionSpec::from_block_sizes(&[40, 60, 50, 50]),
+            tiny_layout(),
+            &GhostPlan::from_counts(vec![8, 8, 8, 8]),
+            ChunkConfig::default(),
+        )
+        .unwrap();
+        let naive = |c: &PartitionedChunk<u64>| {
+            let mut keyed: Vec<(u64, usize)> = c
+                .parts
+                .iter()
+                .flat_map(|p| p.start..p.live_end())
+                .map(|pos| (c.data.get(pos), pos))
+                .collect();
+            keyed.sort();
+            keyed.into_iter().map(|(_, pos)| pos).collect::<Vec<_>>()
+        };
+        for step in 0..300 {
+            let v = rng.gen_range(0..300u64);
+            match step % 3 {
+                0 => drop(c.insert(v, &[])),
+                1 => drop(c.delete(v)),
+                _ => drop(c.update(v, rng.gen_range(0..300))),
+            }
+            assert_eq!(c.live_positions_sorted(), naive(&c), "step {step}");
         }
     }
 
@@ -1239,8 +1297,8 @@ mod tests {
     fn grow_reserves_exactly() {
         let n = 100_000usize;
         let mut c = PartitionedChunk::build_with_payloads(
-            (0..n as u64).collect(),
-            vec![vec![7u32; n], vec![9u32; n]],
+            &(0..n as u64).collect::<Vec<_>>(),
+            &[vec![7u32; n], vec![9u32; n]],
             &PartitionSpec::from_block_sizes(&[n / 4, n / 4]),
             tiny_layout(),
             &GhostPlan::none(2),
@@ -1270,8 +1328,8 @@ mod tests {
             config.policy = policy;
             let keys: Vec<u64> = (0..2_000).map(|k| k * 10).collect();
             let mut c = PartitionedChunk::build_with_payloads(
-                keys.clone(),
-                vec![keys.iter().map(|&k| k as u32 ^ 5).collect()],
+                &keys,
+                &[keys.iter().map(|&k| k as u32 ^ 5).collect::<Vec<u32>>()],
                 &PartitionSpec::from_block_sizes(&[250, 250, 250, 250]),
                 tiny_layout(),
                 &GhostPlan::from_counts(vec![3, 0, 5, 1]),

@@ -25,6 +25,7 @@
 //! the bytes a probe streams shrink.
 
 use crate::kernels::{self, LANE_WIDTH};
+use crate::layout::lay_out_runs;
 use crate::simd::SimdElem;
 use crate::value::ColumnValue;
 use casper_obs::CounterDef;
@@ -190,6 +191,36 @@ impl<K: ColumnValue> KeyLane<K> {
                     .collect(),
             },
             None => KeyLane::Wide(slots),
+        }
+    }
+
+    /// `physical` slots holding the key-sorted `values`, in order, in the
+    /// slot ranges `runs` (ascending and disjoint, as many slots as
+    /// `values`), every other slot holding the smallest key: what
+    /// [`KeyLane::from_slots`] stores for those slots, each written once.
+    /// Every slot lies in the live span, so the lane is narrow exactly when
+    /// that span has a frame.
+    ///
+    /// # Panics
+    /// Panics if `values` is empty, or `runs` holds more slots than it or
+    /// ends past `physical`.
+    pub(crate) fn from_sorted_runs(
+        values: &[K],
+        physical: usize,
+        runs: impl Iterator<Item = Range<usize>>,
+    ) -> Self {
+        let (min, max) = (values[0], values[values.len() - 1]);
+        match frame_base(min, max) {
+            Some(base) => {
+                let off = |k: K| (k.to_ordered_u64() - base) as u32;
+                let offsets = lay_out_runs(physical, 1, off(min), runs, |rows, out| {
+                    out.extend(values[rows].iter().map(|&k| off(k)))
+                });
+                KeyLane::Narrow { base, offsets }
+            }
+            None => KeyLane::Wide(lay_out_runs(physical, 1, min, runs, |rows, out| {
+                out.extend_from_slice(&values[rows])
+            })),
         }
     }
 
@@ -556,8 +587,11 @@ mod tests {
             let mut config = ChunkConfig::default();
             config.policy = policy;
             let mut narrow = PartitionedChunk::build_with_payloads(
-                keys.clone(),
-                vec![keys.iter().map(|&k| k as u32 ^ 0x5A5A).collect()],
+                &keys,
+                &[keys
+                    .iter()
+                    .map(|&k| k as u32 ^ 0x5A5A)
+                    .collect::<Vec<u32>>()],
                 &PartitionSpec::from_block_sizes(&[20; 4]),
                 layout,
                 &GhostPlan::from_counts(ghosts),

@@ -215,6 +215,34 @@ impl PartitionSpec {
     }
 }
 
+/// `physical` slots of `width` words each, built in one pass: the rows in
+/// sorted order go, in order, to the slots of `runs` (ascending, disjoint
+/// slot ranges), and every other slot holds `fill`. `rows(r, out)` appends
+/// rows `r` of the sorted order to `out`, `width` words each. The vector
+/// holds exactly `physical · width` words of capacity.
+///
+/// # Panics
+/// Panics if `runs` ends past `physical`.
+pub(crate) fn lay_out_runs<T: Copy>(
+    physical: usize,
+    width: usize,
+    fill: T,
+    runs: impl Iterator<Item = std::ops::Range<usize>>,
+    mut rows: impl FnMut(std::ops::Range<usize>, &mut Vec<T>),
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(physical * width);
+    let mut next = 0;
+    for run in runs {
+        debug_assert!(out.len() <= run.start * width, "runs overlap");
+        out.resize(run.start * width, fill);
+        rows(next..next + run.len(), &mut out);
+        next += run.len();
+    }
+    assert!(out.len() <= physical * width, "rows past the chunk");
+    out.resize(physical * width, fill);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

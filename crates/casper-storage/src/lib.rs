@@ -49,7 +49,7 @@ pub use layout::{BlockLayout, PartitionSpec};
 pub use ops::{OpCost, PointQueryResult, RangeConsumer, WriteResult};
 pub use partition::PartitionMeta;
 pub use payload::{PayloadOrientation, PayloadSet};
-pub use sorted::SortedColumn;
+pub use sorted::{sort_rows_by_key, SortedColumn};
 pub use value::ColumnValue;
 
 /// Policy deciding how a chunk maintains density under deletes and how

@@ -289,9 +289,9 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         });
         // Payload reads stream the qualifying rows' blocks: one scan per
         // projected attribute column-major, the whole rows row-major.
-        cost.seq_reads += self
-            .payloads
-            .scan_blocks(cols.len(), qualifying, &self.layout);
+        cost.seq_reads +=
+            self.payloads
+                .scan_blocks(cols.len(), qualifying, self.layout.block_bytes);
         (sum, cost)
     }
 
@@ -552,8 +552,8 @@ mod tests {
         let keys: Vec<u64> = (1..=8).collect();
         let pay: Vec<u32> = keys.iter().map(|&k| (k * 10) as u32).collect();
         let c = PartitionedChunk::build_with_payloads(
-            keys,
-            vec![pay],
+            &keys,
+            &[pay],
             &PartitionSpec::from_block_sizes(&[1, 1, 1, 1]),
             tiny_layout(),
             &GhostPlan::none(4),

@@ -97,9 +97,9 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         for run in &pc.runs {
             sum += self.payloads.sum_range(cols, run.clone());
         }
-        cost.seq_reads += self
-            .payloads
-            .scan_blocks(cols.len(), pc.total(), &self.layout);
+        cost.seq_reads +=
+            self.payloads
+                .scan_blocks(cols.len(), pc.total(), self.layout.block_bytes);
         (sum, cost)
     }
 }
@@ -113,8 +113,8 @@ mod tests {
 
     fn chunk() -> PartitionedChunk<u64> {
         PartitionedChunk::build_with_payloads(
-            (1..=32).map(|x| x * 3).collect(),
-            vec![(0..32u32).map(|i| i + 100).collect()],
+            &(1..=32).map(|x| x * 3).collect::<Vec<_>>(),
+            &[(0..32u32).map(|i| i + 100).collect::<Vec<u32>>()],
             &PartitionSpec::from_block_sizes(&[2, 3, 2, 1]),
             BlockLayout {
                 block_bytes: 32,

@@ -692,8 +692,8 @@ mod tests {
     #[test]
     fn insert_with_payload_row() {
         let mut c = PartitionedChunk::build_with_payloads(
-            (1..=8u64).collect(),
-            vec![(1..=8).map(|k| (k * 10) as u32).collect()],
+            &(1..=8u64).collect::<Vec<_>>(),
+            &[(1..=8).map(|k| (k * 10) as u32).collect::<Vec<u32>>()],
             &PartitionSpec::from_block_sizes(&[2, 2]),
             tiny_layout(),
             &GhostPlan::from_counts(vec![1, 1]),
@@ -714,8 +714,8 @@ mod tests {
     #[test]
     fn payload_arity_checked_on_insert() {
         let mut c = PartitionedChunk::build_with_payloads(
-            (1..=4u64).collect(),
-            vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8]],
+            &(1..=4u64).collect::<Vec<_>>(),
+            &[vec![1, 2, 3, 4], vec![5, 6, 7, 8]],
             &PartitionSpec::from_block_sizes(&[2]),
             tiny_layout(),
             &GhostPlan::from_counts(vec![1]),
@@ -1052,10 +1052,10 @@ mod tests {
             config.policy = policy;
             config.capacity_slack = 0.1;
             let mut c = PartitionedChunk::build_with_payloads(
-                slots.iter().map(|s| s.0).collect(),
-                (0..2)
-                    .map(|col| slots.iter().map(|s| s.1[col]).collect())
-                    .collect(),
+                &slots.iter().map(|s| s.0).collect::<Vec<_>>(),
+                &(0..2)
+                    .map(|col| slots.iter().map(|s| s.1[col]).collect::<Vec<u32>>())
+                    .collect::<Vec<_>>(),
                 &PartitionSpec::from_block_sizes(&[66; PARTS as usize]),
                 layout,
                 &GhostPlan::from_counts(ghosts),

@@ -21,7 +21,7 @@
 //! ([`PayloadSet::stored_words`]) without transposing them.
 
 use crate::kernels;
-use crate::layout::BlockLayout;
+use crate::layout::lay_out_runs;
 use std::ops::Range;
 
 /// Bytes of one payload attribute.
@@ -78,6 +78,29 @@ impl PayloadSet {
         }
     }
 
+    /// A column-major set of `physical` slots holding the rows of `cols`,
+    /// in order, in the slot ranges `runs` (ascending and disjoint, as many
+    /// slots as `cols` has rows), and zeros elsewhere. Each word is written
+    /// once, straight from its source (a chunk's build from sorted rows).
+    ///
+    /// # Panics
+    /// Panics if `runs` holds more slots than `cols` has rows, or ends past
+    /// `physical`.
+    pub(crate) fn placed(
+        cols: &[impl AsRef<[u32]>],
+        physical: usize,
+        runs: impl Iterator<Item = Range<usize>> + Clone,
+    ) -> Self {
+        let place = |col: &[u32]| {
+            lay_out_runs(physical, 1, 0, runs.clone(), |rows, out| {
+                out.extend_from_slice(&col[rows])
+            })
+        };
+        Self {
+            repr: Repr::Columns(cols.iter().map(|c| place(c.as_ref())).collect()),
+        }
+    }
+
     /// Build from slot-aligned rows of `width` words each, padded to
     /// `physical` slots. A zero-width set has no rows to orient and is
     /// stored as the empty column-major set.
@@ -100,14 +123,6 @@ impl PayloadSet {
         }
     }
 
-    /// `physical` zeroed slots of `width` attributes in `orientation`.
-    fn zeroed(orientation: PayloadOrientation, width: usize, physical: usize) -> Self {
-        match orientation {
-            PayloadOrientation::Columns => Self::from_columns(vec![Vec::new(); width], physical),
-            PayloadOrientation::Rows => Self::from_rows(width, Vec::new(), physical),
-        }
-    }
-
     /// The same slots and words in `orientation` (a copy; no-op in kind
     /// when the orientation already matches).
     pub(crate) fn to_orientation(&self, orientation: PayloadOrientation) -> Self {
@@ -115,53 +130,76 @@ impl PayloadSet {
             return self.clone();
         }
         let physical = self.slot_count();
-        let moves: Vec<(usize, usize)> = (0..physical).map(|s| (s, s)).collect();
-        Self::gathered(self, orientation, physical, &moves)
+        let slots: Vec<usize> = (0..physical).collect();
+        Self::gathered(
+            self,
+            orientation,
+            physical,
+            &slots,
+            std::iter::once(0..physical),
+        )
     }
 
     /// A set of `physical` slots in `orientation`, of `src`'s width, holding
-    /// at slot `to` the row `src` holds at slot `from`, for every
-    /// `(from, to)` in `moves`, and zeros elsewhere. Each row is written
-    /// once, straight from its source slot (the optimizer's rebuild).
+    /// the rows `src` holds at slots `sources`, in order, in the slot ranges
+    /// `runs` (ascending and disjoint, as many slots as `sources`), and
+    /// zeros elsewhere. Each row is written once, straight from its source
+    /// slot (the optimizer's rebuild).
     pub(crate) fn gathered(
         src: &PayloadSet,
         orientation: PayloadOrientation,
         physical: usize,
-        moves: &[(usize, usize)],
+        sources: &[usize],
+        runs: impl Iterator<Item = Range<usize>> + Clone,
     ) -> Self {
         let width = src.width();
-        let mut dst = Self::zeroed(orientation, width, physical);
-        match (&mut dst.repr, &src.repr) {
-            (Repr::Columns(d), Repr::Columns(s)) => {
-                for (d, s) in d.iter_mut().zip(s) {
-                    for &(from, to) in moves {
-                        d[to] = s[from];
-                    }
-                }
-            }
-            (Repr::Columns(d), Repr::Rows { data, .. }) => {
-                for (c, d) in d.iter_mut().enumerate() {
-                    for &(from, to) in moves {
-                        d[to] = data[from * width + c];
-                    }
-                }
-            }
-            (Repr::Rows { data: d, .. }, Repr::Columns(s)) => {
-                for &(from, to) in moves {
-                    let row = &mut d[to * width..(to + 1) * width];
-                    for (v, col) in row.iter_mut().zip(s) {
-                        *v = col[from];
-                    }
-                }
-            }
-            (Repr::Rows { data: d, .. }, Repr::Rows { data: s, .. }) => {
-                for &(from, to) in moves {
-                    d[to * width..(to + 1) * width]
-                        .copy_from_slice(&s[from * width..(from + 1) * width]);
-                }
-            }
+        if width == 0 {
+            return Self::empty();
         }
-        dst
+        // One column-major attribute, `word(slot)` being its source word.
+        fn column(
+            physical: usize,
+            sources: &[usize],
+            runs: impl Iterator<Item = Range<usize>>,
+            word: impl Fn(usize) -> u32,
+        ) -> Vec<u32> {
+            lay_out_runs(physical, 1, 0, runs, |rows, out| {
+                out.extend(sources[rows].iter().map(|&from| word(from)))
+            })
+        }
+        let repr = match (orientation, &src.repr) {
+            (PayloadOrientation::Columns, Repr::Columns(s)) => Repr::Columns(
+                s.iter()
+                    .map(|s| column(physical, sources, runs.clone(), |from| s[from]))
+                    .collect(),
+            ),
+            (PayloadOrientation::Columns, Repr::Rows { data, .. }) => Repr::Columns(
+                (0..width)
+                    .map(|c| {
+                        column(physical, sources, runs.clone(), |from| {
+                            data[from * width + c]
+                        })
+                    })
+                    .collect(),
+            ),
+            (PayloadOrientation::Rows, Repr::Columns(s)) => Repr::Rows {
+                width,
+                data: lay_out_runs(physical, width, 0, runs, |rows, out| {
+                    for &from in &sources[rows] {
+                        out.extend(s.iter().map(|col| col[from]));
+                    }
+                }),
+            },
+            (PayloadOrientation::Rows, Repr::Rows { data, .. }) => Repr::Rows {
+                width,
+                data: lay_out_runs(physical, width, 0, runs, |rows, out| {
+                    for &from in &sources[rows] {
+                        out.extend_from_slice(&data[from * width..(from + 1) * width]);
+                    }
+                }),
+            },
+        };
+        Self { repr }
     }
 
     /// How the words are laid out.
@@ -378,15 +416,18 @@ impl PayloadSet {
         }
     }
 
-    /// Blocks of `layout` a sum of `k` attributes over `rows` rows streams
-    /// (Q3's payload reads): column-major, one scan of `rows` values per
-    /// projected attribute; row-major, the `rows · 4·width` bytes of the
-    /// rows themselves, whatever `k` is.
-    pub fn scan_blocks(&self, k: usize, rows: usize, layout: &BlockLayout) -> u64 {
+    /// Blocks of `block_bytes` a sum of `k` attributes over `rows` rows
+    /// streams (Q3's payload reads): column-major, one scan of `rows`
+    /// 4-byte words per projected attribute; row-major, the
+    /// `rows · 4·width` bytes of the rows themselves, whatever `k` is.
+    pub fn scan_blocks(&self, k: usize, rows: usize, block_bytes: usize) -> u64 {
         match &self.repr {
-            Repr::Columns(_) => (k * rows.div_ceil(layout.values_per_block().max(1))) as u64,
+            Repr::Columns(_) => {
+                let words_per_block = (block_bytes / WORD_BYTES).max(1);
+                (k * rows.div_ceil(words_per_block)) as u64
+            }
             Repr::Rows { width, .. } if k > 0 => {
-                (rows * width * WORD_BYTES).div_ceil(layout.block_bytes.max(1)) as u64
+                (rows * width * WORD_BYTES).div_ceil(block_bytes.max(1)) as u64
             }
             Repr::Rows { .. } => 0,
         }
@@ -557,17 +598,19 @@ mod tests {
         assert_eq!(cols.stored_words(1, 1..3), &[20, 30]);
         assert_eq!(rows.stored_words(0, 1..3), &[2, 20, 3, 30]);
         // Same bytes per row: the row-major set carries no padding.
-        let zeroed = |o| PayloadSet::zeroed(o, 2, 6).resident_bytes();
+        let zeroed =
+            |o| PayloadSet::gathered(&cols, o, 6, &[], std::iter::empty()).resident_bytes();
         assert_eq!(zeroed(PayloadOrientation::Columns), 2 * 6 * WORD_BYTES);
         assert_eq!(zeroed(PayloadOrientation::Rows), 2 * 6 * WORD_BYTES);
     }
 
     #[test]
     fn gathered_writes_each_row_to_its_new_slot() {
-        let moves = [(3, 0), (0, 2), (2, 4)];
+        // Slot 3 → 0, 0 → 2, 2 → 4.
+        let (sources, runs) = ([3, 0, 2], [0..1, 2..3, 4..5]);
         for src in both() {
             for o in [PayloadOrientation::Columns, PayloadOrientation::Rows] {
-                let g = PayloadSet::gathered(&src, o, 5, &moves);
+                let g = PayloadSet::gathered(&src, o, 5, &sources, runs.iter().cloned());
                 assert_eq!(g.orientation(), o);
                 assert_eq!(g.slot_count(), 5);
                 assert_eq!(g.row(0), vec![4, 40]);
@@ -669,15 +712,15 @@ mod tests {
 
     #[test]
     fn scan_blocks_per_orientation() {
-        // 16 KB blocks of 8-byte keys: 2048 values per block.
-        let layout = BlockLayout::new::<u64>(16 * 1024);
+        // 16 KB blocks of 4-byte payload words: 4096 words per block.
+        let block_bytes = 16 * 1024;
         let [cols, _] = both();
         let rows = PayloadSet::from_rows(15, Vec::new(), 10);
-        assert_eq!(cols.scan_blocks(2, 4096, &layout), 4);
-        assert_eq!(cols.scan_blocks(2, 4097, &layout), 6);
+        assert_eq!(cols.scan_blocks(2, 4096, block_bytes), 2);
+        assert_eq!(cols.scan_blocks(2, 4097, block_bytes), 4);
         // 1000 rows of 60 bytes = 60 000 bytes: 4 blocks of 16 KB.
-        assert_eq!(rows.scan_blocks(4, 1000, &layout), 4);
-        assert_eq!(rows.scan_blocks(1, 1000, &layout), 4);
-        assert_eq!(rows.scan_blocks(0, 1000, &layout), 0);
+        assert_eq!(rows.scan_blocks(4, 1000, block_bytes), 4);
+        assert_eq!(rows.scan_blocks(1, 1000, block_bytes), 4);
+        assert_eq!(rows.scan_blocks(0, 1000, block_bytes), 0);
     }
 }

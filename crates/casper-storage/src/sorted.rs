@@ -10,6 +10,25 @@
 use crate::ops::OpCost;
 use crate::value::ColumnValue;
 
+/// `keys` and their row-aligned payload `cols` co-sorted by key, stably
+/// (rows with equal keys keep their input order); `None` when the keys are
+/// already sorted, which one pass decides, so sorted input is never copied.
+pub fn sort_rows_by_key<K: Ord + Copy>(
+    keys: &[K],
+    cols: &[impl AsRef<[u32]>],
+) -> Option<(Vec<K>, Vec<Vec<u32>>)> {
+    if keys.is_sorted() {
+        return None;
+    }
+    let mut perm: Vec<usize> = (0..keys.len()).collect();
+    perm.sort_by_key(|&i| keys[i]);
+    let gather = |src: &[u32]| perm.iter().map(|&i| src[i]).collect();
+    Some((
+        perm.iter().map(|&i| keys[i]).collect(),
+        cols.iter().map(|c| gather(c.as_ref())).collect(),
+    ))
+}
+
 /// A dense, fully sorted column with slot-aligned payload columns.
 #[derive(Debug, Clone)]
 pub struct SortedColumn<K: ColumnValue> {
@@ -21,7 +40,7 @@ pub struct SortedColumn<K: ColumnValue> {
 
 impl<K: ColumnValue> SortedColumn<K> {
     /// Build from raw values (sorted internally) and optional payload
-    /// columns, co-sorted by key.
+    /// columns, co-sorted by key ([`sort_rows_by_key`]).
     pub fn build(
         mut values: Vec<K>,
         mut payload_cols: Vec<Vec<u32>>,
@@ -31,15 +50,8 @@ impl<K: ColumnValue> SortedColumn<K> {
         for c in &payload_cols {
             assert_eq!(c.len(), values.len(), "payload column length mismatch");
         }
-        if payload_cols.is_empty() {
-            values.sort_unstable();
-        } else {
-            let mut perm: Vec<u32> = (0..values.len() as u32).collect();
-            perm.sort_by_key(|&i| values[i as usize]);
-            values = perm.iter().map(|&i| values[i as usize]).collect();
-            for col in &mut payload_cols {
-                *col = perm.iter().map(|&i| col[i as usize]).collect();
-            }
+        if let Some((keys, cols)) = sort_rows_by_key(&values, &payload_cols) {
+            (values, payload_cols) = (keys, cols);
         }
         Self {
             data: values,
@@ -285,6 +297,20 @@ mod tests {
     fn build_sorts() {
         let c = col();
         assert_eq!(c.values(), &[1, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn rows_co_sort_stably_and_sorted_rows_stay_put() {
+        // 256 rows over 4 keys, the row number as payload: equal keys
+        // must keep their rows in input order.
+        let keys: Vec<u64> = (0..256).map(|i| (i * 7 + i / 5) % 4).collect();
+        let rows: Vec<u32> = (0..256).collect();
+        let (sorted, cols) = sort_rows_by_key(&keys, &[&rows]).unwrap();
+        let mut want: Vec<(u64, u32)> = keys.iter().copied().zip(rows).collect();
+        want.sort();
+        assert_eq!(sorted, want.iter().map(|w| w.0).collect::<Vec<_>>());
+        assert_eq!(cols, [want.iter().map(|w| w.1).collect::<Vec<_>>()]);
+        assert!(sort_rows_by_key(&[1u64, 1, 2], &[[5u32, 4, 3]]).is_none());
     }
 
     #[test]

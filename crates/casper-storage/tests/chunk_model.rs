@@ -68,8 +68,8 @@ fn run_model(
     };
     let ids: Vec<u32> = (0..initial.len() as u32).collect();
     let mut chunk = PartitionedChunk::build_with_payloads(
-        initial.clone(),
-        vec![ids.clone()],
+        &initial,
+        &[&ids],
         &spec,
         layout,
         &ghost_plan,

@@ -88,8 +88,8 @@ fn build_chunk(
     );
     let payloads = lanes_of(&initial);
     let mut chunk = PartitionedChunk::build_with_payloads(
-        initial,
-        payloads,
+        &initial,
+        &payloads,
         &spec,
         layout,
         &plan,
@@ -215,8 +215,8 @@ fn q3_multi_column_sums_reach_every_word_class() {
         value_width: 8,
     }; // 8 values per block, 25 blocks per partition
     let mut chunk = PartitionedChunk::build_with_payloads(
-        keys.clone(),
-        lanes_of(&keys),
+        &keys,
+        &lanes_of(&keys),
         &PartitionSpec::from_block_sizes(&[25, 25, 25]),
         layout,
         &GhostPlan::from_counts(vec![4, 4, 4]),

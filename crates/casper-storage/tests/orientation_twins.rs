@@ -118,7 +118,7 @@ fn run_twins(seed: u64) -> Result<(), String> {
         ghost_fetch_block: rng.gen_range(1..4),
     };
     let spec = PartitionSpec::from_block_sizes(&sizes);
-    let mut col = Chunk::build_with_payloads(keys, cols, &spec, layout, &ghosts, config)
+    let mut col = Chunk::build_with_payloads(&keys, &cols, &spec, layout, &ghosts, config)
         .map_err(|e| format!("build: {e}"))?;
     let mut row = col.clone().into_orientation(PayloadOrientation::Rows);
     if col.payload_orientation() != PayloadOrientation::Columns
@@ -227,9 +227,11 @@ fn run_twins(seed: u64) -> Result<(), String> {
                 }
                 // Strip each side's own payload charge; the rest is shared.
                 for (c, cost) in [(&col, &mut ca), (&row, &mut cb)] {
-                    let payload =
-                        c.payloads()
-                            .scan_blocks(proj.len(), qualifying as usize, &layout);
+                    let payload = c.payloads().scan_blocks(
+                        proj.len(),
+                        qualifying as usize,
+                        layout.block_bytes,
+                    );
                     cost.seq_reads = cost.seq_reads.checked_sub(payload).ok_or_else(|| {
                         format!("{what} sum[{lo}, {hi}): payload charge above seq_reads")
                     })?;

@@ -499,16 +499,12 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
         .map(|v| 2 * v)
         .collect();
     let chunk = |ghosts: &GhostPlan| {
-        let cols = (0..WIDTH as u32).map(|c| keys.iter().map(|&k| k as u32 ^ c).collect());
+        let cols: Vec<Vec<u32>> = (0..WIDTH as u32)
+            .map(|c| keys.iter().map(|&k| k as u32 ^ c).collect())
+            .collect();
         let config = ChunkConfig::default();
-        let built = PartitionedChunk::build_with_payloads(
-            keys.clone(),
-            cols.collect(),
-            &spec,
-            layout,
-            ghosts,
-            config,
-        );
+        let built =
+            PartitionedChunk::build_with_payloads(&keys, &cols, &spec, layout, ghosts, config);
         built
             .expect("build")
             .into_orientation(PayloadOrientation::Rows)
