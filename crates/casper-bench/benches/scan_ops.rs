@@ -64,7 +64,7 @@ fn bench_point_scalar_vs_kernel(c: &mut Criterion) {
             },
         );
     }
-    // Out-of-zone misses: the zone map resolves these from metadata alone.
+    // Misses outside every partition's bounds resolve from metadata alone.
     let chunk = build_1m(128);
     let mut i = 0u64;
     group.bench_function("kernel/miss_pruned", |b| {

@@ -1,12 +1,14 @@
 //! Block-access predictors for the scan kernels (§4.5's model
-//! verification, extended to the zone-map fast paths).
+//! verification, extended to the fast paths of the partition bounds).
 //!
 //! The §4 model prices a point query as `RR + SR·(blocks − 1)` (Eq. 7):
 //! one random jump into the target partition, then a sequential scan of
-//! its remaining blocks. The scan kernels add two fast paths the closed
-//! form cannot express. A point probe whose value falls outside the target
-//! partition's zone touches *zero* blocks (a pruned miss). A range scan
-//! classifies every overlapping partition as pruned / blind / filtered:
+//! its remaining blocks. The scan kernels consult each partition's
+//! covering bounds first (the paper's Zonemaps, §6.3), which adds two fast
+//! paths the closed form cannot express. A point probe of an empty
+//! partition, or of a value outside the target partition's bounds,
+//! touches *zero* blocks (a pruned miss). A range scan classifies every
+//! overlapping partition as pruned / blind / filtered:
 //! blind partitions stream sequentially behind a single leading random
 //! jump, while each filtered partition pays its own random jump.
 //!
@@ -45,20 +47,20 @@ impl ScanAccess {
 }
 
 /// How the scan kernels treat one partition overlapping a range predicate,
-/// after consulting its zone map.
+/// after consulting its covering bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RangePartKind {
-    /// Zone disjoint from the predicate (or no live values): no block of
+    /// Bounds disjoint from the predicate (or no live values): no block of
     /// the partition is read.
     Pruned,
-    /// Zone fully inside the predicate: every live value qualifies and the
-    /// partition streams blindly — including first/last partitions, which
-    /// the covering bounds alone could not prove.
+    /// Bounds fully inside the predicate: every live value qualifies and
+    /// the partition streams blindly — the first and last partitions too,
+    /// when their bounds prove it.
     Blind {
         /// Logical blocks the partition's live region spans.
         blocks: u64,
     },
-    /// Zone partially overlapping: the partition is scanned through the
+    /// Bounds partially overlapping: the partition is scanned through the
     /// filtering kernel and pays its own random jump.
     Filtered {
         /// Logical blocks the partition's live region spans.
@@ -67,11 +69,12 @@ pub enum RangePartKind {
 }
 
 /// Predicted access pattern of a point query against a partition spanning
-/// `blocks` live blocks. A zone-pruned miss (`in_zone == false`) resolves
-/// from metadata alone: zero blocks touched — the fast path the plain
-/// Eq. 7 closed form cannot express.
-pub fn predicted_point_access(in_zone: bool, blocks: u64) -> ScanAccess {
-    if !in_zone {
+/// `blocks` live blocks. A probe the partition's bounds prune
+/// (`in_bounds == false`: no live values, or the value outside its
+/// covering range) resolves from metadata alone: zero blocks touched — the
+/// fast path the plain Eq. 7 closed form cannot express.
+pub fn predicted_point_access(in_bounds: bool, blocks: u64) -> ScanAccess {
+    if !in_bounds {
         return ScanAccess::default();
     }
     ScanAccess {
@@ -138,7 +141,7 @@ mod tests {
     use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk};
 
     /// Even keys 2..=32 over 4 two-block partitions (2 values per block):
-    /// zones [2,8], [10,16], [18,24], [26,32] with gaps in between.
+    /// bounds [2,8], [10,16], [18,24], [26,32] with gaps in between.
     fn even_chunk() -> PartitionedChunk<u64> {
         PartitionedChunk::build(
             (1..=16u64).map(|x| x * 2).collect(),
@@ -156,8 +159,8 @@ mod tests {
     #[test]
     fn pruned_point_miss_matches_measured_cost_exactly() {
         let chunk = even_chunk();
-        // 9 falls between partition 0's zone [2,8] and partition 1's zone
-        // [10,16]: the probe routes to partition 1, the zone prunes it.
+        // 9 falls between partition 0's bounds [2,8] and partition 1's
+        // [10,16]: the probe routes to partition 1, its bounds prune it.
         let r = chunk.point_query(9);
         assert!(r.positions.is_empty());
         assert!(predicted_point_access(false, 2).matches(&r.cost));
@@ -177,10 +180,40 @@ mod tests {
         }
     }
 
+    /// Bounds only widen, so deleting a partition's minimum leaves it
+    /// covering the deleted key: a probe for that key scans the partition
+    /// and finds nothing, and a range starting between the old and the new
+    /// minimum filters the partition instead of streaming it blindly. Both
+    /// costs are the predicted ones.
+    #[test]
+    fn deleted_minimum_stays_inside_the_bounds() {
+        let mut chunk = even_chunk();
+        assert_eq!(chunk.delete(10).affected, 1);
+        assert_eq!(chunk.partitions()[1].min, 10);
+        let r = chunk.point_query(10);
+        assert!(r.positions.is_empty());
+        assert_eq!(r.partition, 1);
+        assert!(
+            predicted_point_access(true, 2).matches(&r.cost),
+            "predicted != measured {:?}",
+            r.cost
+        );
+        assert_eq!(r.cost.values_scanned, 3);
+        // [11, 17): partition 1 now holds 12, 14, 16, all inside, but its
+        // bounds [10, 16] straddle lo.
+        let (n, cost) = chunk.range_count(11, 17);
+        assert_eq!(n, 3);
+        let pred = predicted_range_access(&[RangePartKind::Filtered { blocks: 2 }]);
+        assert!(
+            pred.matches(&cost),
+            "predicted {pred:?} != measured {cost:?}"
+        );
+    }
+
     #[test]
     fn blind_first_last_range_matches_measured_cost_exactly() {
         let chunk = even_chunk();
-        // [2, 33) covers every zone entirely: all four partitions stream
+        // [2, 33) covers every partition entirely: all four stream
         // blindly behind one random jump.
         let (n, cost) = chunk.range_count(2, 33);
         assert_eq!(n, 16);
@@ -206,8 +239,8 @@ mod tests {
             pred.matches(&cost),
             "predicted {pred:?} != measured {cost:?}"
         );
-        // [9, 10): routes into partition 1's covering range but misses its
-        // zone — the whole scan is pruned, zero blocks.
+        // [9, 10): routes to partition 1 but lies below its bounds — the
+        // whole scan is pruned, zero blocks.
         let (n, cost) = chunk.range_count(9, 10);
         assert_eq!(n, 0);
         let pred = predicted_range_access(&[RangePartKind::Pruned]);
@@ -221,9 +254,9 @@ mod tests {
     #[test]
     fn mixed_blind_and_filtered_range_matches_measured_cost_exactly() {
         let chunk = even_chunk();
-        // [4, 25): partition 0 filtered (zone [2,8] straddles lo), 1 blind,
-        // 2 blind (zone [18,24] fully inside since 24 < 25), 3 pruned
-        // (zone [26,32] disjoint).
+        // [4, 25): partition 0 filtered (bounds [2,8] straddle lo), 1
+        // blind, 2 blind ([18,24] fully inside since 24 < 25), 3 pruned
+        // ([26,32] disjoint).
         let (n, cost) = chunk.range_count(4, 25);
         assert_eq!(n, 11); // 4..=24 even
         let pred = predicted_range_access(&[
@@ -259,7 +292,7 @@ mod tests {
             ChunkConfig::default(),
         )
         .expect("build");
-        // [10, 101) over zones [2,32], [34,64], [66,96], [98,128]: the
+        // [10, 101) over bounds [2,32], [34,64], [66,96], [98,128]: the
         // first and last straddle the bounds (filtered), the middle two lie
         // inside (blind).
         let (rows, _) = chunk.range_count(10, 101);

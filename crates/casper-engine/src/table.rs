@@ -401,7 +401,7 @@ mod tests {
     /// Loading rows that arrive sorted skips the co-sort; loading the same
     /// rows shuffled sorts them. Both must build the same table in every
     /// mode: chunk for chunk the same physical state (slots, stale ones
-    /// included, partitions, zones, payload words, key lane form, write
+    /// included, partitions, payload words, key lane form, write
     /// stamps), the same fences, and the same resident bytes, which is what
     /// the reserved capacity of every vector adds up to.
     #[test]

@@ -1,7 +1,7 @@
 //! The chunk-record codec: the byte form of one [`ChunkStore`].
 //!
-//! A segment record serializes one chunk — partition boundaries, zone
-//! maps, ghost accounting, payload rows in the chunk's own orientation
+//! A segment record serializes one chunk — partition boundaries, ghost
+//! accounting, payload rows in the chunk's own orientation
 //! (tagged: [`ROWS_TAG`], or the historical column-major tag 0) — so that
 //! [`decode_chain`]
 //! restores the exact optimized layout with **no re-solve**: partitioned
@@ -11,8 +11,15 @@
 //!
 //! A **patch record** ([`encode_patch`]) carries only what changed in a
 //! partitioned chunk since its chain's newest record: the slot granules
-//! written since (keys and payload rows), and the partition metadata and
-//! zone maps whole.
+//! written since (keys and payload rows), and the partition metadata whole.
+//!
+//! Both record kinds also carry a zone section: one `[min, max]` pair per
+//! partition, which older writers kept as a tight live range beside the
+//! covering bounds. A partition's covering bounds are now its only range,
+//! so writers fill the section from them (`[u64::MAX, 0]` for a partition
+//! with no live rows) and the reader reads past it. The byte layout is
+//! unchanged; a record's layout cannot follow its segment's version,
+//! because compaction copies records into fresh segments byte for byte.
 //!
 //! Older writers could store an encoded key fragment beside a partition's
 //! slots, and a patch flag saying whether the chain's fragment survived.
@@ -34,7 +41,6 @@ use crate::codec::{ByteReader, ByteWriter};
 use casper_engine::column::ChunkStore;
 use casper_engine::{EngineConfig, LayoutMode};
 use casper_storage::chunk::GRANULE_SLOTS;
-use casper_storage::kernels::ZoneMap;
 use casper_storage::{
     BlockLayout, ChunkConfig, ChunkState, PartitionMeta, PartitionedChunk, PayloadOrientation,
     PayloadSet, SortedColumn, SortedDelta, StorageError, UpdatePolicy,
@@ -149,8 +155,9 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     }
 }
 
-/// Partition count, partition metadata and zone maps — the part of a
-/// chunk both record kinds carry whole.
+/// Partition count, partition metadata and the zone section — the part
+/// of a chunk both record kinds carry whole. The zone section repeats each
+/// partition's covering bounds, `[u64::MAX, 0]` when it has no live rows.
 fn encode_partition_meta(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     w.u64(chunk.partition_count() as u64);
     for p in chunk.partitions() {
@@ -160,9 +167,14 @@ fn encode_partition_meta(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
         w.u64(p.min);
         w.u64(p.max);
     }
-    for z in chunk.zones() {
-        w.u64(z.min);
-        w.u64(z.max);
+    for p in chunk.partitions() {
+        let (min, max) = if p.len > 0 {
+            (p.min, p.max)
+        } else {
+            (u64::MAX, 0)
+        };
+        w.u64(min);
+        w.u64(max);
     }
 }
 
@@ -310,7 +322,7 @@ fn apply_patch(
         )));
     }
     let live = r.len_u64()?;
-    let (parts, zones) = decode_partition_meta(&mut r)?;
+    let parts = decode_partition_meta(&mut r)?;
     if parts.len() != state.parts.len() {
         return Err(StorageError::corrupt(format!(
             "a patch of {} partitions on a chunk of {}",
@@ -393,7 +405,6 @@ fn apply_patch(
         at = next;
     }
     state.parts = parts;
-    state.zones = zones;
     state.live = live;
     Ok(())
 }
@@ -444,7 +455,7 @@ fn decode_chunk_state(
     };
     let live = r.len_u64()?;
     let data = r.vec_u64()?;
-    let (parts, zones) = decode_partition_meta(r)?;
+    let parts = decode_partition_meta(r)?;
     let legacy = (0..parts.len())
         .map(|_| skip_legacy_fragment(r))
         .collect::<Result<Vec<bool>, _>>()?;
@@ -452,7 +463,6 @@ fn decode_chunk_state(
     let state = ChunkState {
         data,
         parts,
-        zones,
         payloads,
         layout,
         config,
@@ -499,10 +509,8 @@ fn decode_payloads(
     }
 }
 
-/// Undo [`encode_partition_meta`].
-fn decode_partition_meta(
-    r: &mut ByteReader<'_>,
-) -> Result<(Vec<PartitionMeta<u64>>, Vec<ZoneMap<u64>>), StorageError> {
+/// Undo [`encode_partition_meta`], reading past the zone section.
+fn decode_partition_meta(r: &mut ByteReader<'_>) -> Result<Vec<PartitionMeta<u64>>, StorageError> {
     let n_parts = r.len_u64()?;
     let mut parts = Vec::with_capacity(n_parts.min(1 << 20));
     for _ in 0..n_parts {
@@ -514,14 +522,11 @@ fn decode_partition_meta(
             max: r.u64()?,
         });
     }
-    let mut zones = Vec::with_capacity(n_parts.min(1 << 20));
     for _ in 0..n_parts {
-        zones.push(ZoneMap {
-            min: r.u64()?,
-            max: r.u64()?,
-        });
+        r.u64()?;
+        r.u64()?;
     }
-    Ok((parts, zones))
+    Ok(parts)
 }
 
 /// Read past one partition's legacy fragment section: tag `0` (none), or
@@ -689,7 +694,6 @@ mod tests {
         );
         assert_eq!(got.payloads(), chunk.payloads());
         assert_eq!(got.partitions(), chunk.partitions());
-        assert_eq!(got.zones(), chunk.zones());
         assert_eq!(got.write_mark(), mark);
         for cut in 0..patch.len() {
             assert!(
@@ -728,6 +732,39 @@ mod tests {
         chunk.insert(11, &[1, 2, 3]).expect("insert");
         chunk.delete(13);
         chunk
+    }
+
+    /// The zone section is written from the covering bounds and read past.
+    /// Older writers stored a tight live range there, re-scanned after a
+    /// boundary delete: a record whose section holds one decodes to the
+    /// same chunk, which writes its bounds back.
+    #[test]
+    fn zone_section_is_written_from_the_bounds_and_read_past() {
+        let config = EngineConfig::small(LayoutMode::Casper);
+        let mut chunk = oriented_chunk(PayloadOrientation::Columns);
+        assert_eq!(chunk.delete(10).affected, 1); // partition 0's minimum
+        let p0 = chunk.partitions()[0];
+        assert_eq!((p0.min, p0.len), (10, 79));
+        let mut w = ByteWriter::new();
+        encode_store(&mut w, &ChunkStore::Partitioned(chunk.clone()));
+        let ours = w.into_bytes();
+        // Tag, geometry, config and live count; the slots; the partitions.
+        let zone_at = 42 + 8 + 8 * chunk.slot_count() + 8 + 40 * chunk.partition_count();
+        assert_eq!(ours[zone_at..zone_at + 8], 10u64.to_le_bytes());
+        let mut older = ours.clone();
+        older[zone_at..zone_at + 8].copy_from_slice(&11u64.to_le_bytes());
+        let Ok(ChunkStore::Partitioned(got)) = decode_chain(&[&older], 0, &config, 3) else {
+            panic!("a record with a tight zone section decodes");
+        };
+        assert_eq!(got.partitions(), chunk.partitions());
+        assert_eq!(
+            got.copy_slots(0..got.slot_count()),
+            chunk.copy_slots(0..chunk.slot_count())
+        );
+        assert_eq!(got.payloads(), chunk.payloads());
+        let mut w = ByteWriter::new();
+        encode_store(&mut w, &ChunkStore::Partitioned(got));
+        assert_eq!(w.into_bytes(), ours);
     }
 
     /// A row-major chunk's full record and patch carry its rows as rows

@@ -51,7 +51,7 @@ fn fingerprint(table: &mut Table, qs: &[HapQuery]) -> Vec<u64> {
 }
 
 /// Assert two tables implement the *same physical design*: chunk for
-/// chunk, partition metadata, zone maps and storage modes are bit-exact,
+/// chunk, partition metadata and storage modes are bit-exact,
 /// and every recovered chunk passes `validate_invariants`.
 fn assert_same_layout(a: &Table, b: &Table) {
     assert_eq!(a.column().chunk_count(), b.column().chunk_count());
@@ -66,7 +66,6 @@ fn assert_same_layout(a: &Table, b: &Table) {
         match (ca.store_opt(), cb.store_opt()) {
             (Some(ChunkStore::Partitioned(pa)), Some(ChunkStore::Partitioned(pb))) => {
                 assert_eq!(pa.partitions(), pb.partitions(), "chunk {i} partitions");
-                assert_eq!(pa.zones(), pb.zones(), "chunk {i} zones");
                 assert_eq!(pa.ghost_total(), pb.ghost_total(), "chunk {i} ghosts");
                 assert_eq!(pa.live_len(), pb.live_len(), "chunk {i} live");
                 pb.validate_invariants()

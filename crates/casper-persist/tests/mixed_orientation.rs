@@ -13,7 +13,7 @@ use casper_engine::column::ChunkStore;
 use casper_engine::optimize::OptimizeOptions;
 use casper_engine::{EngineConfig, GovernorConfig, LayoutMode, Table};
 use casper_persist::{decode_manifest, ArchiveConfig, DurableOptions, DurableTable, FileKind};
-use casper_storage::{PartitionMeta, PayloadOrientation, PayloadSet, ZoneMap};
+use casper_storage::{PartitionMeta, PayloadOrientation, PayloadSet};
 use casper_workload::{HapQuery, HapSchema};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -69,7 +69,6 @@ struct Image {
     slots: Vec<u64>,
     payloads: PayloadSet,
     parts: Vec<PartitionMeta<u64>>,
-    zones: Vec<ZoneMap<u64>>,
     live: usize,
 }
 
@@ -81,7 +80,6 @@ fn images(table: &Table) -> Vec<Image> {
                 slots: p.copy_slots(0..p.slot_count()),
                 payloads: p.payloads().clone(),
                 parts: p.partitions().to_vec(),
-                zones: p.zones().to_vec(),
                 live: p.live_len(),
             },
             other => panic!("a Casper table holds partitioned chunks, got {other:?}"),

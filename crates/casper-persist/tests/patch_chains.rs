@@ -18,7 +18,7 @@ use casper_engine::optimize::OptimizeOptions;
 use casper_engine::{EngineConfig, GovernorConfig, LayoutMode, Table};
 use casper_persist::{decode_manifest, ArchiveConfig, DurableOptions, DurableTable, FileKind};
 use casper_persist::{ChunkEntry, Manifest};
-use casper_storage::{PartitionMeta, PayloadSet, StorageError, ZoneMap};
+use casper_storage::{PartitionMeta, PayloadSet, StorageError};
 use casper_workload::{HapQuery, HapSchema, Mix, MixKind};
 use rand::prelude::*;
 use std::fs;
@@ -81,7 +81,6 @@ enum Image {
         slots: Vec<u64>,
         payloads: PayloadSet,
         parts: Vec<PartitionMeta<u64>>,
-        zones: Vec<ZoneMap<u64>>,
         live: usize,
     },
     /// Sorted and delta stores persist their merged rows.
@@ -94,7 +93,6 @@ fn image(store: &ChunkStore) -> Image {
             slots: p.copy_slots(0..p.slot_count()),
             payloads: p.payloads().clone(),
             parts: p.partitions().to_vec(),
-            zones: p.zones().to_vec(),
             live: p.live_len(),
         },
         ChunkStore::Sorted(s) => {

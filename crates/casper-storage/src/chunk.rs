@@ -21,8 +21,6 @@
 
 use crate::error::StorageError;
 use crate::ghost::GhostPlan;
-use crate::index::PartitionIndex;
-use crate::kernels::ZoneMap;
 use crate::lane::KeyLane;
 use crate::layout::{BlockLayout, PartitionSpec};
 use crate::ops::OpCost;
@@ -86,11 +84,10 @@ pub struct PartitionedChunk<K: ColumnValue> {
     /// slots outside every partition extent (the tail) and ghost slots hold
     /// stale values that are never read.
     pub(crate) data: KeyLane<K>,
+    /// Partitions in slot and key order. Their covering bounds are the
+    /// only copy of each partition's range: `locate` binary-searches them
+    /// and the read paths prune on them (the paper's Zonemaps, §6.3).
     pub(crate) parts: Vec<PartitionMeta<K>>,
-    /// Tight per-partition min/max over live values, kept in lock-step with
-    /// `parts` by the write paths; read paths prune on it before scanning.
-    pub(crate) zones: Vec<ZoneMap<K>>,
-    pub(crate) index: PartitionIndex<K>,
     pub(crate) payloads: PayloadSet,
     pub(crate) layout: BlockLayout,
     pub(crate) config: ChunkConfig,
@@ -251,9 +248,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let slack = ((m as f64 * config.capacity_slack).ceil() as usize).max(MIN_TAIL_SLOTS);
         let physical = m + ghosts.total() + slack;
 
-        let mut parts = Vec::with_capacity(k);
-        let mut zones = Vec::with_capacity(k);
-        let mut bounds = Vec::with_capacity(k);
+        let mut parts: Vec<PartitionMeta<K>> = Vec::with_capacity(k);
         let mut cursor = 0usize; // physical write position
         let mut consumed = 0usize; // values consumed
         for (p, &len) in sizes.iter().enumerate() {
@@ -264,7 +259,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 // Degenerate (only possible for a trailing empty partition):
                 // inherit the previous bound so the covering ranges stay
                 // monotone.
-                let prev = bounds.last().copied().unwrap_or(K::MIN_VALUE);
+                let prev = parts.last().map_or(K::MIN_VALUE, |p| p.max);
                 (prev, prev)
             };
             let g = ghosts.counts()[p];
@@ -275,12 +270,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 min,
                 max,
             });
-            zones.push(if len > 0 {
-                ZoneMap { min, max }
-            } else {
-                ZoneMap::empty()
-            });
-            bounds.push(max);
             cursor += len + g;
             consumed += len;
         }
@@ -292,8 +281,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         Ok(Self {
             data,
             parts,
-            zones,
-            index: PartitionIndex::new(bounds),
             payloads,
             layout,
             config,
@@ -391,37 +378,15 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         &self.payloads
     }
 
-    /// Heap bytes resident for this chunk: slots, partition metadata,
-    /// zone maps, the partition index, and payloads.
+    /// Heap bytes resident for this chunk: slots, partition metadata and
+    /// payloads.
     /// Used by the resource governor's budget accounting; an estimate of
     /// allocator-visible memory, not a byte-exact malloc audit.
     pub fn resident_bytes(&self) -> usize {
         self.data.resident_bytes()
             + self.parts.capacity() * std::mem::size_of::<PartitionMeta<K>>()
-            + self.zones.capacity() * std::mem::size_of::<ZoneMap<K>>()
-            + self.index.resident_bytes()
             + self.payloads.resident_bytes()
             + self.stamps.capacity() * std::mem::size_of::<u64>()
-    }
-
-    /// Per-partition zone maps (tight live min/max), parallel to
-    /// [`PartitionedChunk::partitions`].
-    #[inline]
-    pub fn zones(&self) -> &[ZoneMap<K>] {
-        &self.zones
-    }
-
-    /// Recompute partition `m`'s zone map from its live values. Called by
-    /// write paths only when a boundary value was removed — in which case
-    /// the caller has already paid a full partition scan, so this keeps
-    /// zone maintenance within the operation's existing cost envelope.
-    #[inline]
-    pub(crate) fn recompute_zone(&mut self, m: usize) {
-        let part = self.parts[m];
-        self.zones[m] = self
-            .data
-            .min_max(part.start..part.live_end())
-            .map_or_else(ZoneMap::empty, |(min, max)| ZoneMap { min, max });
     }
 
     /// Extract all live rows in sorted key order, payloads column-major —
@@ -531,8 +496,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 
     /// Ascending indexes of the [`GRANULE_SLOTS`]-slot granules holding a
     /// slot written after the chunk's write mark was `since`. Every other
-    /// slot is exactly as it was at `since`; partition metadata and zones
-    /// may have changed anywhere.
+    /// slot is exactly as it was at `since`; partition metadata may have
+    /// changed anywhere.
     pub fn granules_written_since(&self, since: u64) -> impl Iterator<Item = usize> + '_ {
         let stamps = self.stamps.iter().enumerate();
         stamps.filter_map(move |(g, &stamp)| (stamp > since).then_some(g))
@@ -545,7 +510,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// Capture the chunk's complete physical state for persistence: slots,
-    /// partition metadata, zone maps, payload rows and configuration.
+    /// partition metadata, payload rows and configuration.
     /// The capture is bit-exact — restoring it with
     /// [`PartitionedChunk::from_state`] reproduces the same layout without
     /// re-sorting or re-partitioning anything.
@@ -553,7 +518,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         ChunkState {
             data: self.data.to_vec(0..self.data.len()),
             parts: self.parts.clone(),
-            zones: self.zones.clone(),
             payloads: self.payloads.clone(),
             layout: self.layout,
             config: self.config,
@@ -568,21 +532,14 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// surface [`StorageError::Corrupt`]; debug builds additionally run the
     /// full O(M) [`PartitionedChunk::validate_invariants`] sweep over the
     /// recovered chunk, also surfaced as `Corrupt` rather than a panic.
-    /// The shallow partition index is the only piece rebuilt (it is derived
-    /// metadata over the partition bounds), and the key lane works out its
-    /// frame again from the zone maps, so a restored chunk may get another
-    /// base than it had; its slots read back bit-exactly.
+    /// The key lane works out its frame again from the covering bounds of
+    /// the non-empty partitions, so a restored chunk may get another base
+    /// than it had; its slots read back bit-exactly.
     pub fn from_state(state: ChunkState<K>) -> Result<Self, StorageError> {
         let corrupt = |reason: String| StorageError::Corrupt { reason };
         let k = state.parts.len();
         if k == 0 {
             return Err(corrupt("chunk state has no partitions".into()));
-        }
-        if state.zones.len() != k {
-            return Err(corrupt(format!(
-                "parallel arrays disagree: {k} partitions, {} zones",
-                state.zones.len()
-            )));
         }
         let mut expected_start = state.parts[0].start;
         let mut live = 0usize;
@@ -612,19 +569,16 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             .payloads
             .check_slots(state.data.len())
             .map_err(corrupt)?;
-        let bounds: Vec<K> = state.parts.iter().map(|p| p.max).collect();
         let physical = state.data.len();
         let live_span = state
-            .zones
+            .parts
             .iter()
-            .filter(|z| !z.is_empty())
-            .map(|z| (z.min, z.max))
+            .filter(|p| p.len > 0)
+            .map(|p| (p.min, p.max))
             .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)));
         let chunk = Self {
             data: KeyLane::from_slots(state.data, live_span),
             parts: state.parts,
-            zones: state.zones,
-            index: PartitionIndex::new(bounds),
             payloads: state.payloads,
             layout: state.layout,
             config: state.config,
@@ -762,12 +716,17 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         }
     }
 
-    /// Locate the partition responsible for value `v` (shallow-index probe,
-    /// §3). Charges one probe on `cost`.
+    /// Locate the partition responsible for value `v` (§3, §6.3): the
+    /// first partition whose upper bound is `>= v`, clamped to the last
+    /// one (a value above every bound goes to the final partition, which
+    /// then widens its bound). The bounds are monotone
+    /// ([`PartitionedChunk::validate_invariants`]), so a binary search of
+    /// the partition metadata finds it ([`crate::index::locate`]).
+    /// Charges one probe on `cost`.
     #[inline]
     pub(crate) fn locate(&self, v: K, cost: &mut OpCost) -> usize {
         cost.index_probes += 1;
-        self.index.locate(v)
+        crate::index::locate(&self.parts, v)
     }
 
     /// Find the nearest ghost donor for partition `m`: first scanning right
@@ -793,18 +752,12 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         }
     }
 
-    /// Widen partition `m`'s covering range to include `v`, updating the
-    /// index when the upper bound grows.
+    /// Widen partition `m`'s covering range to include `v`.
     #[inline]
     pub(crate) fn widen_bounds(&mut self, m: usize, v: K) {
         let part = &mut self.parts[m];
-        if v < part.min {
-            part.min = v;
-        }
-        if v > part.max {
-            part.max = v;
-            self.index.update_bound(m, v);
-        }
+        part.min = part.min.min(v);
+        part.max = part.max.max(v);
     }
 
     /// Number of logical blocks a partition's live region spans (cost unit
@@ -852,24 +805,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             if p > 0 && self.parts[p - 1].max > part.max {
                 return Err(format!("partition bounds not monotone at {p}"));
             }
-            // Zone maps must cover every live value (tightness is a
-            // performance property; covering is the correctness one).
-            let zone = self.zones[p];
-            if part.len == 0 {
-                if !zone.is_empty() {
-                    return Err(format!("partition {p} is empty but its zone is {zone:?}"));
-                }
-            } else {
-                for pos in part.start..part.live_end() {
-                    let v = self.data.get(pos);
-                    if !zone.contains(v) {
-                        return Err(format!(
-                            "value {v} at slot {pos} outside partition {p} zone [{}, {}]",
-                            zone.min, zone.max
-                        ));
-                    }
-                }
-            }
         }
         if live != self.live {
             return Err(format!("live count {live} != recorded {}", self.live));
@@ -900,8 +835,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 /// [`PartitionedChunk::to_state`] for persistence and consumed by
 /// [`PartitionedChunk::from_state`] on recovery. Everything is raw
 /// physical state — including stale ghost/tail slot contents — so a
-/// round-trip is bit-exact and needs no re-solve. The shallow partition index is deliberately
-/// absent: it is derived metadata rebuilt on restore.
+/// round-trip is bit-exact and needs no re-solve.
 #[derive(Debug, Clone)]
 pub struct ChunkState<K: ColumnValue> {
     /// Physical slots (capacity included; tail/ghost slots hold stale
@@ -909,8 +843,6 @@ pub struct ChunkState<K: ColumnValue> {
     pub data: Vec<K>,
     /// Partition metadata, physically contiguous.
     pub parts: Vec<PartitionMeta<K>>,
-    /// Tight per-partition live min/max, parallel to `parts`.
-    pub zones: Vec<ZoneMap<K>>,
     /// Slot-aligned payload, `data.len()` slots in its own orientation.
     pub payloads: PayloadSet,
     /// Block geometry.
@@ -1246,6 +1178,50 @@ mod tests {
         assert_eq!(c.live_blocks(1), 2);
     }
 
+    /// `locate` is the linear definition (the first partition whose max is
+    /// at least `v`, else the last) and charges one probe: on partitions
+    /// emptied at build (a duplicate run moved across a boundary leaves
+    /// degenerate bounds) or by deletes, and after inserts above the
+    /// chunk's maximum.
+    #[test]
+    fn locate_matches_linear_definition() {
+        use proptest::prelude::*;
+        proptest!(|(mut values in proptest::collection::vec(0u64..40, 4..64),
+                    cuts in proptest::collection::vec(1usize..4, 1..12),
+                    writes in proptest::collection::vec((any::<bool>(), 0u64..60), 0..40),
+                    probes in proptest::collection::vec(0u64..70, 1..30))| {
+            values.sort_unstable();
+            // Block sizes from `cuts`, the last partition taking the rest.
+            let mut left = tiny_layout().num_blocks(values.len());
+            let mut sizes = Vec::new();
+            for c in cuts {
+                if c >= left {
+                    break;
+                }
+                sizes.push(c);
+                left -= c;
+            }
+            sizes.push(left);
+            let mut c = build_chunk(values, &sizes, &vec![1; sizes.len()]);
+            let linear = |c: &PartitionedChunk<u64>, v: u64| {
+                let k = c.parts.len();
+                c.parts.iter().position(|p| p.max >= v).unwrap_or(k - 1)
+            };
+            for (insert, v) in writes {
+                if insert {
+                    c.insert(v, &[]).expect("insert");
+                } else {
+                    c.delete(v);
+                }
+                for &v in &probes {
+                    let mut cost = OpCost::default();
+                    prop_assert_eq!(c.locate(v, &mut cost), linear(&c, v), "locate({})", v);
+                    prop_assert_eq!(cost.index_probes, 1);
+                }
+            }
+        });
+    }
+
     #[test]
     fn state_round_trip_is_bit_exact() {
         let c = build_chunk((1..=8).collect(), &[2, 2], &[2, 1]);
@@ -1256,10 +1232,9 @@ mod tests {
             c.copy_slots(0..c.slot_count())
         );
         assert_eq!(r.parts, c.parts);
-        assert_eq!(r.zones, c.zones);
         assert_eq!(r.live_len(), c.live_len());
         r.validate_invariants().unwrap();
-        // Restored index routes identically.
+        // The restored chunk routes identically.
         for v in 0..=10u64 {
             let mut cost = OpCost::default();
             assert_eq!(r.locate(v, &mut cost), c.locate(v, &mut cost));
@@ -1279,13 +1254,6 @@ mod tests {
         // Live-count mismatch.
         let mut s = c.to_state();
         s.live += 1;
-        assert!(matches!(
-            PartitionedChunk::from_state(s),
-            Err(StorageError::Corrupt { .. })
-        ));
-        // Zone maps out of step with the partitions.
-        let mut s = c.to_state();
-        s.zones.pop();
         assert!(matches!(
             PartitionedChunk::from_state(s),
             Err(StorageError::Corrupt { .. })

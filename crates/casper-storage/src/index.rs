@@ -1,282 +1,84 @@
-//! Shallow partition index (§3, §6.3).
+//! Partition lookup (§6.3 "Locating Partitions").
 //!
-//! The paper keeps a "fixed-cost light-weight partition index ... in the
-//! form of a shallow k-ary tree" over the per-partition metadata, falling
-//! back to a Zonemap-style linear scan when the number of partitions is
-//! small enough to live in cache.
-//!
-//! [`PartitionIndex`] implements both: a flattened k-ary search tree
-//! ([`KAryTree`]) probed level by level, and a linear scan used below a
-//! configurable threshold. The index answers *rank* queries over the
-//! partitions' upper bounds: `locate(v)` returns the first partition whose
-//! upper bound is `>= v`, which is the partition a point query must scan
-//! and the partition an insert targets.
+//! A chunk's partitions are range partitions with monotone upper bounds
+//! ([`crate::PartitionedChunk::validate_invariants`]), so the partition
+//! metadata itself is the index: a binary search of the bounds finds the
+//! partition responsible for a value. Widening a bound is a plain store
+//! into [`PartitionMeta::max`]; there is no separate structure to rebuild.
 
+use crate::partition::PartitionMeta;
 use crate::value::ColumnValue;
 
-/// Default fan-out of the k-ary tree (the paper's "shallow k-ary tree").
-pub const DEFAULT_FANOUT: usize = 16;
-
-/// Below this many partitions a plain linear scan of the upper bounds is
-/// used (the metadata "can be treated as Zonemaps", §6.3).
-pub const LINEAR_THRESHOLD: usize = 16;
-
-/// A flattened static k-ary search tree over a sorted slice of keys.
-///
-/// Probing visits one node per level; with fan-out `F` and `k` keys the
-/// depth is `ceil(log_F(k))`, matching the "shallow" index of the paper.
-#[derive(Debug, Clone)]
-pub struct KAryTree<K: ColumnValue> {
-    /// Separator keys per level, from root (coarsest) to leaves; the last
-    /// level is the full sorted key array.
-    levels: Vec<Vec<K>>,
-    fanout: usize,
-}
-
-impl<K: ColumnValue> KAryTree<K> {
-    /// Build a tree with the given fan-out over `keys` (must be sorted
-    /// ascending; duplicates allowed).
-    pub fn build(keys: &[K], fanout: usize) -> Self {
-        assert!(fanout >= 2, "fan-out must be at least 2");
-        debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
-        let mut levels = vec![keys.to_vec()];
-        while levels.last().map_or(0, Vec::len) > fanout {
-            let below = levels.last().expect("non-empty");
-            // Every `fanout`-th key becomes a separator one level up.
-            let up: Vec<K> = below.iter().step_by(fanout).copied().collect();
-            levels.push(up);
-        }
-        levels.reverse();
-        Self { levels, fanout }
-    }
-
-    /// First index `i` such that `keys[i] >= v`, or `keys.len()` when `v`
-    /// exceeds every key — the classic `lower_bound` rank.
-    pub fn lower_bound(&self, v: K) -> usize {
-        let mut lo = 0usize; // index within the current level
-        for (depth, level) in self.levels.iter().enumerate() {
-            let hi = (lo + self.fanout).min(level.len());
-            let mut pos = hi; // first key >= v within [lo, hi)
-            for (i, &k) in level[lo..hi].iter().enumerate() {
-                if k >= v {
-                    pos = lo + i;
-                    break;
-                }
-            }
-            if depth + 1 == self.levels.len() {
-                return pos;
-            }
-            // Descend: child group of separator `pos` starts at pos*fanout,
-            // but v may be <= the separator *before* the matching one, so
-            // descend into the group of the last separator < v.
-            lo = pos.saturating_sub(1).min(level.len().saturating_sub(1)) * self.fanout;
-            if level.is_empty() {
-                lo = 0;
-            }
-            // If every separator at this level is >= v, the target can only
-            // be in the very first group.
-            if pos == 0 {
-                lo = 0;
-            }
-        }
-        0
-    }
-
-    /// Number of levels probed per lookup.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-}
-
-/// Partition locator: k-ary tree above [`LINEAR_THRESHOLD`] partitions,
-/// Zonemap-style linear scan below it.
-///
-/// Bound updates rebuild the tree eagerly (`O(k)`, and they are rare: only
-/// inserts above the current chunk maximum widen a bound), which keeps
-/// [`PartitionIndex::locate`] a `&self` operation so concurrent readers can
-/// share the index.
-#[derive(Debug, Clone)]
-pub struct PartitionIndex<K: ColumnValue> {
-    /// Upper bounds (inclusive) of each partition, ascending.
-    bounds: Vec<K>,
-    tree: Option<KAryTree<K>>,
-    fanout: usize,
-}
-
-impl<K: ColumnValue> PartitionIndex<K> {
-    /// Build an index over the partitions' inclusive upper bounds.
-    pub fn new(bounds: Vec<K>) -> Self {
-        Self::with_fanout(bounds, DEFAULT_FANOUT)
-    }
-
-    /// As [`PartitionIndex::new`] with an explicit tree fan-out.
-    pub fn with_fanout(bounds: Vec<K>, fanout: usize) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        let mut idx = Self {
-            bounds,
-            tree: None,
-            fanout,
-        };
-        idx.rebuild();
-        idx
-    }
-
-    fn rebuild(&mut self) {
-        self.tree = if self.bounds.len() > LINEAR_THRESHOLD {
-            Some(KAryTree::build(&self.bounds, self.fanout))
-        } else {
-            None
-        };
-    }
-
-    /// Heap bytes resident for the bounds array and the k-ary tree levels.
-    pub fn resident_bytes(&self) -> usize {
-        let tree: usize = self
-            .tree
-            .as_ref()
-            .map(|t| {
-                t.levels
-                    .iter()
-                    .map(|l| l.capacity() * std::mem::size_of::<K>())
-                    .sum()
-            })
-            .unwrap_or(0);
-        self.bounds.capacity() * std::mem::size_of::<K>() + tree
-    }
-
-    /// Partition that a value `v` maps to: the first partition whose upper
-    /// bound is `>= v`, clamped to the last partition (values above every
-    /// bound route to the final partition, which then widens its bound).
-    pub fn locate(&self, v: K) -> usize {
-        let k = self.bounds.len();
-        if k == 0 {
-            return 0;
-        }
-        let rank = match &self.tree {
-            Some(t) => t.lower_bound(v),
-            None => self.bounds.iter().position(|&b| b >= v).unwrap_or(k),
-        };
-        rank.min(k - 1)
-    }
-
-    /// Update the upper bound of partition `p` (e.g. after an insert above
-    /// the previous maximum), rebuilding the shallow tree.
-    pub fn update_bound(&mut self, p: usize, bound: K) {
-        self.bounds[p] = bound;
-        self.rebuild();
-    }
-
-    /// Number of partitions indexed.
-    pub fn len(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
-    }
-
-    /// The indexed upper bounds.
-    pub fn bounds(&self) -> &[K] {
-        &self.bounds
-    }
+/// The first partition whose upper bound is `>= v`, clamped to the last
+/// one (a value above every bound goes to the final partition, which then
+/// widens its bound). `parts` must be non-empty.
+#[inline]
+pub(crate) fn locate<K: ColumnValue>(parts: &[PartitionMeta<K>], v: K) -> usize {
+    parts.partition_point(|p| p.max < v).min(parts.len() - 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parts(bounds: &[u64]) -> Vec<PartitionMeta<u64>> {
+        let mut lo = 0;
+        bounds
+            .iter()
+            .enumerate()
+            .map(|(i, &max)| {
+                let p = PartitionMeta {
+                    start: i,
+                    len: 1,
+                    ghosts: 0,
+                    min: lo,
+                    max,
+                };
+                lo = max + 1;
+                p
+            })
+            .collect()
+    }
+
     fn ref_lower_bound(keys: &[u64], v: u64) -> usize {
-        keys.partition_point(|&k| k < v)
-    }
-
-    #[test]
-    fn kary_matches_binary_search_small() {
-        let keys: Vec<u64> = (0..10).map(|i| i * 10).collect();
-        let t = KAryTree::build(&keys, 4);
-        for v in 0..120 {
-            assert_eq!(
-                t.lower_bound(v),
-                ref_lower_bound(&keys, v),
-                "mismatch at v={v}"
-            );
-        }
-    }
-
-    #[test]
-    fn kary_matches_binary_search_large_multiple_levels() {
-        let keys: Vec<u64> = (0..1000).map(|i| i * 3 + 7).collect();
-        let t = KAryTree::build(&keys, 8);
-        assert!(t.depth() >= 3, "expected a multi-level tree");
-        for v in (0..3100).step_by(13) {
-            assert_eq!(
-                t.lower_bound(v),
-                ref_lower_bound(&keys, v),
-                "mismatch at v={v}"
-            );
-        }
-    }
-
-    #[test]
-    fn kary_handles_duplicates() {
-        let keys: Vec<u64> = vec![5, 5, 5, 10, 10, 20, 20, 20, 20, 30];
-        let t = KAryTree::build(&keys, 3);
-        for v in [0, 5, 6, 10, 11, 20, 21, 30, 31] {
-            assert_eq!(t.lower_bound(v), ref_lower_bound(&keys, v), "v={v}");
-        }
-    }
-
-    #[test]
-    fn kary_single_key() {
-        let t = KAryTree::build(&[42u64], 16);
-        assert_eq!(t.lower_bound(1), 0);
-        assert_eq!(t.lower_bound(42), 0);
-        assert_eq!(t.lower_bound(43), 1);
+        keys.iter().position(|&k| k >= v).unwrap_or(keys.len())
     }
 
     #[test]
     fn index_locates_covering_partition() {
         // Partitions with upper bounds 10, 20, 30.
-        let idx = PartitionIndex::new(vec![10u64, 20, 30]);
-        assert_eq!(idx.locate(0), 0);
-        assert_eq!(idx.locate(10), 0);
-        assert_eq!(idx.locate(11), 1);
-        assert_eq!(idx.locate(20), 1);
-        assert_eq!(idx.locate(30), 2);
+        let p = parts(&[10, 20, 30]);
+        assert_eq!(locate(&p, 0), 0);
+        assert_eq!(locate(&p, 10), 0);
+        assert_eq!(locate(&p, 11), 1);
+        assert_eq!(locate(&p, 20), 1);
+        assert_eq!(locate(&p, 30), 2);
         // Above every bound → last partition.
-        assert_eq!(idx.locate(99), 2);
+        assert_eq!(locate(&p, 99), 2);
     }
 
+    /// Many partitions (well past where a search tree would pay off over a
+    /// linear scan): the binary search still returns the reference lower
+    /// bound, clamped to the last partition.
     #[test]
     fn index_switches_to_tree_and_stays_correct() {
         let bounds: Vec<u64> = (1..=200).map(|i| i * 5).collect();
-        let idx = PartitionIndex::new(bounds.clone());
+        let p = parts(&bounds);
         for v in (0..1100).step_by(7) {
             let expected = ref_lower_bound(&bounds, v).min(bounds.len() - 1);
-            assert_eq!(idx.locate(v), expected, "v={v}");
+            assert_eq!(locate(&p, v), expected, "v={v}");
         }
     }
 
+    /// Widening a bound rebuilds nothing: the next lookup sees it.
     #[test]
     fn index_bound_update_is_visible_after_lazy_rebuild() {
-        let mut idx = PartitionIndex::new((1..=100u64).map(|i| i * 10).collect());
-        assert_eq!(idx.locate(1005), 99);
-        idx.update_bound(99, 2000);
-        assert_eq!(idx.locate(1500), 99);
-        assert_eq!(idx.bounds()[99], 2000);
-    }
-
-    #[test]
-    fn proptest_kary_lower_bound() {
-        use proptest::prelude::*;
-        proptest!(|(mut keys in proptest::collection::vec(0u64..10_000, 1..300),
-                    probes in proptest::collection::vec(0u64..10_500, 1..50),
-                    fanout in 2usize..20)| {
-            keys.sort_unstable();
-            let t = KAryTree::build(&keys, fanout);
-            for v in probes {
-                prop_assert_eq!(t.lower_bound(v), ref_lower_bound(&keys, v));
-            }
-        });
+        let mut p = parts(&(1..=100u64).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(locate(&p, 1005), 99);
+        p[99].max = 2000;
+        assert_eq!(locate(&p, 1500), 99);
+        assert_eq!(locate(&p, 2000), 99);
+        // The widened bound does not capture values below its neighbour's.
+        assert_eq!(locate(&p, 990), 98);
     }
 }

@@ -32,19 +32,11 @@
 //! least `hi - lo`; below `lo` it wraps to at least `2^BITS - lo`, which
 //! is larger still.
 //!
-//! The [`zone`] submodule provides the per-partition min/max zone maps that
-//! let the read paths in [`crate::ops`] prune partitions before any of
-//! these kernels touch data.
-//!
 //! Every kernel has a pure-scalar reference twin in
 //! [`crate::ops::scalar`]; property tests assert bit-exact result
 //! equivalence (including against the forced-scalar dispatch level) and
 //! `casper-bench`'s `scan_ops` bench tracks the speedup in
 //! `BENCH_scan.json`.
-
-pub mod zone;
-
-pub use zone::ZoneMap;
 
 use crate::simd;
 use crate::value::ColumnValue;

@@ -398,15 +398,6 @@ impl<K: ColumnValue> KeyLane<K> {
         }
     }
 
-    /// Smallest and largest key in `range` (`None` when it is empty).
-    pub(crate) fn min_max(&self, range: Range<usize>) -> Option<(K, K)> {
-        match self {
-            KeyLane::Narrow { base, offsets } => kernels::min_max(&offsets[range])
-                .map(|(min, max)| (key_at(*base, min), key_at(*base, max))),
-            KeyLane::Wide(keys) => kernels::min_max(&keys[range]),
-        }
-    }
-
     /// Invoke `f(slot, key)` for every set bit of `mask`, bit `i` being
     /// slot `range.start + i`.
     pub(crate) fn for_each_match(
@@ -478,7 +469,6 @@ mod tests {
         let wide = KeyLane::Wide(keys.clone());
         let r = 17..290;
         assert_eq!(narrow.to_vec(0..keys.len()), keys);
-        assert_eq!(narrow.min_max(r.clone()), wide.min_max(r.clone()));
         for v in [o - 100, o - 1, o, o + 42, o + 99, 0, u64::MAX] {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             narrow.select_eq_into(r.clone(), v, &mut a);
@@ -545,7 +535,7 @@ mod tests {
     /// One seeded operation sequence on a narrow chunk and on the same
     /// chunk forced wide, under both update policies: after every
     /// operation both return the same result and `OpCost` and hold the
-    /// same partition metadata, zone maps, payload rows and decoded keys in
+    /// same partition metadata, payload rows and decoded keys in
     /// every live region. Keys are drawn at the frame's edges and, after a
     /// while, outside it, so the narrow chunk widens partway through.
     #[test]
@@ -559,7 +549,6 @@ mod tests {
 
         fn same(n: &PartitionedChunk<u64>, w: &PartitionedChunk<u64>, ctx: &str) {
             assert_eq!(n.parts, w.parts, "{ctx}: partitions");
-            assert_eq!(n.zones, w.zones, "{ctx}: zones");
             assert_eq!(n.live, w.live, "{ctx}: live");
             assert!(n.payloads == w.payloads, "{ctx}: payloads");
             for p in 0..n.partition_count() {

@@ -10,7 +10,8 @@
 //! buffer, §2 of the paper). The chunk supports the paper's five access
 //! patterns (§3):
 //!
-//! * **point queries** — partition-index probe + tight-loop partition scan,
+//! * **point queries** — a binary search of the partition bounds + a
+//!   tight-loop partition scan,
 //! * **range queries** — filtered first/last partition, blind middle scans,
 //! * **inserts** — the ripple-insert algorithm (Fig. 4a),
 //! * **deletes** — swap-fill plus hole ripple (Fig. 4b) or ghost creation,
@@ -20,8 +21,10 @@
 //! it performed, which is what the cost model of `casper-core` predicts.
 //!
 //! Also provided: the two classic baselines used in the paper's evaluation —
-//! a fully [`sorted`] column and a sorted column with a [`delta`] store —
-//! plus the shallow k-ary [`index`] of §6.3. A partitioned chunk keeps one
+//! a fully [`sorted`] column and a sorted column with a [`delta`] store.
+//! Each partition's bounds are stored once, in its [`PartitionMeta`]: they
+//! route a value to its partition and, as the paper's Zonemaps (§6.3), let
+//! a scan skip a partition before touching it. A partitioned chunk keeps one
 //! copy of its keys: a key lane of 32-bit offsets from a chunk base when
 //! the keys span less than 2^32 (the §6.2 frame-of-reference idea as the
 //! storage itself), full width otherwise.
@@ -30,7 +33,7 @@ pub mod chunk;
 pub mod delta;
 pub mod error;
 pub mod ghost;
-pub mod index;
+mod index;
 pub mod kernels;
 mod lane;
 pub mod layout;
@@ -44,7 +47,6 @@ pub mod value;
 pub use chunk::{ChunkConfig, ChunkState, PartitionedChunk, MIN_TAIL_SLOTS};
 pub use delta::SortedDelta;
 pub use error::StorageError;
-pub use kernels::ZoneMap;
 pub use layout::{BlockLayout, PartitionSpec};
 pub use ops::{OpCost, PointQueryResult, RangeConsumer, WriteResult};
 pub use partition::PartitionMeta;

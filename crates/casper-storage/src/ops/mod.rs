@@ -26,8 +26,8 @@ pub struct OpCost {
     pub seq_reads: u64,
     /// Sequential block writes (bulk shifts in the sorted baseline).
     pub seq_writes: u64,
-    /// Shallow partition-index probes (shared cost, excluded from the
-    /// layout optimization per §4.2).
+    /// Probes of the partition bounds, one binary search each (shared
+    /// cost, excluded from the layout optimization per §4.2).
     pub index_probes: u64,
     /// Individual values examined by tight-loop scans.
     pub values_scanned: u64,

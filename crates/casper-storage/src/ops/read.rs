@@ -1,20 +1,24 @@
 //! Read operations: point and range queries over a partitioned chunk (§3,
 //! Fig. 3), executed through the branchless batch kernels of
-//! [`crate::kernels`] with zone-map pruning.
+//! [`crate::kernels`], pruned on the partitions' covering bounds.
 //!
-//! * A **point query** probes the shallow index for the one partition whose
-//!   range may contain the value. The partition's zone map (tight live
-//!   min/max) is consulted *before* any block is touched: a value outside
-//!   the zone resolves from metadata alone. Otherwise the partition is
-//!   scanned with the branchless [`crate::kernels::select_eq_into`] kernel
-//!   (values are unordered within a partition, so the whole live region is
-//!   examined — §4.4).
-//! * A **range query** probes the index for the first and last overlapping
-//!   partitions. Partitions whose zone does not intersect `[lo, hi)` are
-//!   pruned; partitions whose zone lies fully inside are *blindly consumed*
-//!   as whole runs (including first/last, which the covering bounds alone
-//!   could not prove); the rest are *filtered* through the bitmap kernel
-//!   [`crate::kernels::select_range_bitmap`].
+//! A partition's `min`/`max` ([`crate::PartitionMeta`]) are the only copy
+//! of its range. They route a value to its partition, and the paper treats
+//! them as Zonemaps (§6.3): a scan consults them *before* any block is
+//! touched.
+//!
+//! * A **point query** binary-searches the bounds for the one partition
+//!   whose range may contain the value. An empty partition, or a value
+//!   outside its bounds, resolves from metadata alone. Otherwise the
+//!   partition is scanned with the branchless
+//!   [`crate::kernels::select_eq_into`] kernel (values are unordered
+//!   within a partition, so the whole live region is examined — §4.4).
+//! * A **range query** binary-searches the bounds for the first and last
+//!   overlapping partitions. Empty partitions and partitions whose bounds
+//!   do not intersect `[lo, hi)` are pruned; partitions whose bounds lie
+//!   fully inside are *blindly consumed* as whole runs (the first and last
+//!   too, when their bounds prove it); the rest are *filtered* through the
+//!   bitmap kernel [`crate::kernels::select_range_bitmap`].
 //! * A **range sum** (HAP Q3) filters the same way, once per partition,
 //!   then sums the projected payload attributes under that one bitmap
 //!   ([`crate::PayloadSet::sum_masked`]: one
@@ -33,8 +37,8 @@ use crate::value::ColumnValue;
 use casper_obs::CounterDef;
 use std::ops::Range;
 
-// Scan and zone-map telemetry: how many partitions were scanned, and how
-// many metadata pruned away entirely.
+// Scan telemetry: how many partitions were scanned, and how many their
+// bounds pruned away entirely.
 // Range scans touch hundreds of partitions per chunk, so the scan driver
 // accumulates locally and flushes each counter once per chunk — a
 // per-partition `inc()` costs microseconds on a full-table scan and blows
@@ -152,12 +156,12 @@ impl<K: ColumnValue> RangeConsumer<K> for PositionsConsumer {
     }
 }
 
-/// One partition surviving zone pruning in a range scan, as presented to
-/// the visitor of `scan_range_partitions`.
+/// One partition surviving pruning in a range scan, as presented to the
+/// visitor of `scan_range_partitions`.
 enum RangePart<'a, K: ColumnValue> {
-    /// Zone fully inside `[lo, hi)`: every live value qualifies.
+    /// Bounds fully inside `[lo, hi)`: every live value qualifies.
     Blind(&'a crate::partition::PartitionMeta<K>),
-    /// Zone partially overlapping: the live slots must be filtered.
+    /// Bounds partially overlapping: the live slots must be filtered.
     Filtered(&'a crate::partition::PartitionMeta<K>),
 }
 
@@ -181,23 +185,23 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// Point query: return the positions of all live values equal to `v`
     /// (Fig. 3b).
     ///
-    /// Cost: the zone map answers out-of-zone probes from metadata alone
-    /// (index probe only, no block access). In-zone probes pay the full
-    /// partition scan — one random read for the first block, sequential
-    /// reads for the rest — because there is "no further navigation
-    /// structure within a block" (§4.4).
+    /// Cost: a probe of an empty partition, or outside its bounds, is
+    /// answered from metadata alone (one bounds probe, no block access).
+    /// A probe inside the bounds pays the full partition scan — one random
+    /// read for the first block, sequential reads for the rest — because
+    /// there is "no further navigation structure within a block" (§4.4).
     pub fn point_query(&self, v: K) -> PointQueryResult {
         let mut cost = OpCost::default();
         let p = self.locate(v, &mut cost);
         let part = self.parts[p];
         let mut positions = Vec::new();
-        if part.len > 0 && self.zones[p].contains(v) {
+        if part.len > 0 && part.covers(v) {
             self.data
                 .select_eq_into(part.start..part.live_end(), v, &mut positions);
             OBS_PLAIN_SCANS.inc();
             self.charge_partition_scan(p, &mut cost);
         } else {
-            // Out-of-zone probe: answered from the zone map alone.
+            // Answered from the partition's bounds alone.
             OBS_ZONE_PRUNED.inc();
         }
         PointQueryResult {
@@ -296,7 +300,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// Shared driver for the range read paths: computes the partition span,
-    /// prunes on zone maps, classifies each surviving partition blind vs
+    /// prunes on the bounds, classifies each surviving partition blind vs
     /// filtered, and performs all block-cost accounting. The first
     /// partition actually read pays the random jump; everything after
     /// streams sequentially.
@@ -314,12 +318,11 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let (mut scanned, mut pruned) = (0u64, 0u64);
         for p in first..=last {
             let part = &self.parts[p];
-            let zone = self.zones[p];
-            if part.len == 0 || !zone.intersects(lo, hi) {
+            if part.len == 0 || !(part.min < hi && lo <= part.max) {
                 pruned += 1;
-                continue; // zone-map pruning: no block of `p` is read
+                continue; // pruned on its bounds: no block of `p` is read
             }
-            if zone.inside(lo, hi) {
+            if lo <= part.min && part.max < hi {
                 visit(RangePart::Blind(part));
                 let blocks = self.live_blocks(p) as u64;
                 if first_touch {
@@ -345,7 +348,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// First and last partition indices overlapping `[lo, hi)`. Charges the
-    /// two shallow-index probes on `cost`.
+    /// two bounds probes on `cost`.
     pub(crate) fn range_partition_span(&self, lo: K, hi: K, cost: &mut OpCost) -> (usize, usize) {
         let first = self.locate(lo, cost);
         // Last partition overlapping [lo, hi): the last whose covering min
@@ -398,7 +401,8 @@ mod tests {
         .unwrap()
     }
 
-    /// Even keys 2..=32 so the domain has gaps inside every zone.
+    /// Even keys 2..=32 so the domain has gaps inside every partition's
+    /// bounds.
     fn chunk_even_2_to_32(sizes: &[usize]) -> PartitionedChunk<u64> {
         PartitionedChunk::build(
             (1..=16).map(|x| x * 2).collect(),
@@ -422,9 +426,9 @@ mod tests {
     #[test]
     fn point_query_out_of_zone_is_pruned() {
         let c = chunk_1_to_16(&[2, 2, 2, 2]);
-        let r = c.point_query(100); // beyond every zone
+        let r = c.point_query(100); // beyond every partition's bounds
         assert!(r.positions.is_empty());
-        // The zone map resolved the miss from metadata: no blocks touched.
+        // The bounds resolved the miss from metadata: no blocks touched.
         assert_eq!(r.cost.values_scanned, 0);
         assert_eq!(r.cost.random_reads + r.cost.seq_reads, 0);
         assert_eq!(r.cost.index_probes, 1);
@@ -433,11 +437,11 @@ mod tests {
     #[test]
     fn point_query_in_zone_miss_still_scans() {
         let c = chunk_even_2_to_32(&[2, 2, 2, 2]);
-        // 9 is inside partition 1's zone [10..16]? No: zones are [2,8],
-        // [10,16], [18,24], [26,32]. Query 11: in-zone gap value.
+        // Bounds are [2,8], [10,16], [18,24], [26,32]. 11 is a gap value
+        // inside partition 1's bounds.
         let r = c.point_query(11);
         assert!(r.positions.is_empty());
-        // Empty point queries inside the zone cost the same as hits (§4.4).
+        // Empty point queries inside the bounds cost the same as hits (§4.4).
         assert!(r.cost.values_scanned > 0);
         assert!(r.cost.random_reads >= 1);
     }
@@ -521,7 +525,7 @@ mod tests {
     #[test]
     fn range_cost_zone_blind_boundaries() {
         let c = chunk_1_to_16(&[2, 2, 2, 2]);
-        // Covers all four partitions exactly. The zone maps prove even the
+        // Covers all four partitions exactly. The bounds prove even the
         // first and last partitions are fully inside, so all 8 blocks are
         // consumed blindly: one random jump, then sequential streaming.
         let (_, cost) = c.range_count(1, 17);
@@ -537,10 +541,10 @@ mod tests {
 
     #[test]
     fn range_query_prunes_disjoint_zones() {
-        // Partition zones: [2,8], [10,16], [18,24], [26,32].
+        // Partition bounds: [2,8], [10,16], [18,24], [26,32].
         let c = chunk_even_2_to_32(&[2, 2, 2, 2]);
-        // [9, 10): inside partition 1's covering range but outside its
-        // zone — pruned without scanning.
+        // [9, 10): routes to partition 1 but lies below its bounds —
+        // pruned without scanning.
         let (n, cost) = c.range_count(9, 10);
         assert_eq!(n, 0);
         assert_eq!(cost.values_scanned, 0);
@@ -571,14 +575,16 @@ mod tests {
         assert_eq!(n, 0);
     }
 
-    /// The binary-searched span equals the linear definition (the last
-    /// partition whose covering min is below `hi`, never before `first`)
-    /// with emptied partitions, and with `hi` below, inside and above the
-    /// chunk.
+    /// The binary-searched span equals the linear definition (`first` the
+    /// first partition whose max is at least `lo`, else the last; `last`
+    /// the last partition whose covering min is below `hi`, never before
+    /// `first`) with emptied partitions, and with `hi` below, inside and
+    /// above the chunk.
     #[test]
     fn range_partition_span_matches_linear_definition() {
         let linear = |c: &PartitionedChunk<u64>, lo: u64, hi: u64| {
-            let first = c.index.locate(lo);
+            let k = c.parts.len();
+            let first = c.parts.iter().position(|p| p.max >= lo).unwrap_or(k - 1);
             let last = c
                 .parts
                 .iter()

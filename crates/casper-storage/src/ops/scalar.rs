@@ -1,7 +1,8 @@
 //! Scalar reference implementations of the read paths.
 //!
 //! These are the original branchy, one-value-at-a-time loops, retained
-//! verbatim (no zone-map pruning, no batch kernels) for two purposes:
+//! verbatim (no pruning on partition bounds, no batch kernels) for two
+//! purposes:
 //!
 //! * **equivalence testing** — property tests assert the kernel paths in
 //!   [`crate::ops::read`] return bit-identical results;
@@ -19,7 +20,8 @@ use crate::value::ColumnValue;
 
 impl<K: ColumnValue> PartitionedChunk<K> {
     /// Scalar twin of [`PartitionedChunk::point_query`]: branchy per-value
-    /// loop, covering-bound check only (no zone pruning).
+    /// loop that always pays the partition scan, also when the bounds
+    /// exclude `v`.
     pub fn point_query_scalar(&self, v: K) -> PointQueryResult {
         let mut cost = OpCost::default();
         let p = self.locate(v, &mut cost);

@@ -4,7 +4,7 @@
 //! primitives, both built on the chunk's slot-transfer ripples:
 //!
 //! * **`find_first` → `remove_first`** takes one row out. `find_first` is
-//!   the embedded point query (§4.4): one index probe plus a full scan of
+//!   the embedded point query (§4.4): one bounds probe plus a full scan of
 //!   the covering partition, charged as such, returning the first live
 //!   match in slot order. The scan runs on the read path's SIMD kernels
 //!   (the key lane's `first_eq`, which stops at the first matching
@@ -12,12 +12,12 @@
 //!   `remove_first` *returns the row's full payload*, swap-fills the slot
 //!   with the partition's last live row (one `move_slot`: a random read and
 //!   a random write; a lone random write when the match is already last),
-//!   books the freed slot as a ghost of the source partition and
-//!   re-tightens its zone map when a boundary value left. Gathering the row is not charged,
-//!   like the payload half of `move_slot`.
+//!   and books the freed slot as a ghost of the source partition. Its
+//!   covering bounds stay as they were: they only ever widen. Gathering
+//!   the row is not charged, like the payload half of `move_slot`.
 //! * **`place`** puts one row in: key and payload row are written into an
 //!   already-acquired free slot (one random write), the partition's live
-//!   length, covering bounds and zone map grow to include it. It is the
+//!   length grows and its covering bounds widen to include it. It is the
 //!   only write-path code that stores a payload row, so a row that
 //!   `remove_first` handed out cannot reach a slot without its payload.
 //!
@@ -80,8 +80,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 
     /// Write key `v` and its payload `row` into the free slot `slot`, which
     /// the caller acquired adjacent to partition `m`'s live region, and
-    /// book it live: one random write; `m`'s bounds and zone widen to
-    /// cover `v`.
+    /// book it live: one random write; `m`'s bounds widen to cover `v`.
     fn place(&mut self, m: usize, slot: usize, v: K, row: &[u32], cost: &mut OpCost) {
         self.data.set(slot, v);
         if !self.payloads.is_empty() {
@@ -92,7 +91,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         self.parts[m].len += 1;
         self.live += 1;
         self.widen_bounds(m, v);
-        self.zones[m].include(v);
     }
 
     /// Acquire a free slot at the end of partition `m`'s live region,
@@ -256,11 +254,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         self.parts[m].len -= removed;
         self.parts[m].ghosts += removed;
         self.live -= removed;
-        if self.zones[m].on_boundary(v) {
-            // A boundary value left the partition; the scan above already
-            // paid for the pass, so re-tighten the zone now.
-            self.recompute_zone(m);
-        }
         let mut partitions_touched = 1u64;
         if self.config.policy == UpdatePolicy::Dense {
             // Ripple every hole out to the column tail to restore density.
@@ -277,7 +270,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     }
 
     /// The point query embedded in Q6 and in a single-row take (§4.4):
-    /// probe the index for `v`'s partition, scan it, and return it with the
+    /// probe the bounds for `v`'s partition, scan it, and return it with the
     /// slot of the first live match.
     fn find_first(&self, v: K, cost: &mut OpCost) -> (usize, Option<usize>) {
         let m = self.locate(v, cost);
@@ -294,8 +287,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// of the live region and return its full payload row: the last live
     /// row is swapped into its place (the (RR + 2RW) fixed term of
     /// Eq. 12), the freed slot at the live boundary becomes a ghost of
-    /// `m`, and the zone re-tightens if `v` sat on its boundary.
-    fn remove_first(&mut self, m: usize, pos: usize, v: K, cost: &mut OpCost) -> Vec<u32> {
+    /// `m`.
+    fn remove_first(&mut self, m: usize, pos: usize, cost: &mut OpCost) -> Vec<u32> {
         let row = self.payloads.row(pos);
         let last = self.parts[m].live_end() - 1;
         if pos != last {
@@ -306,9 +299,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         self.parts[m].len -= 1;
         self.parts[m].ghosts += 1;
         self.live -= 1;
-        if self.zones[m].on_boundary(v) {
-            self.recompute_zone(m);
-        }
         row
     }
 
@@ -334,18 +324,13 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             self.stamp(pos);
             cost.random_writes += 1;
             self.widen_bounds(m, new);
-            if self.zones[m].on_boundary(old) {
-                self.recompute_zone(m);
-            } else {
-                self.zones[m].include(new);
-            }
             return Ok(WriteResult {
                 affected: 1,
                 cost,
                 partitions_touched: 1,
             });
         }
-        let row = self.remove_first(m, pos, old, &mut cost);
+        let row = self.remove_first(m, pos, &mut cost);
         let slot = match self.config.policy {
             UpdatePolicy::Ghost if self.parts[t].ghosts > 0 => {
                 // Both sides buffered: no ripple at all (the contention
@@ -390,7 +375,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 },
             );
         };
-        let row = self.remove_first(m, pos, v, &mut cost);
+        let row = self.remove_first(m, pos, &mut cost);
         let mut partitions_touched = 1u64;
         if self.config.policy == UpdatePolicy::Dense {
             self.push_slot_to_tail(m, &mut cost);
@@ -597,14 +582,14 @@ mod tests {
         assert_eq!(c.live_len(), 5);
         assert!(c.point_query(5).positions.is_empty());
         c.validate_invariants().unwrap();
-        // Deleting every value of a partition leaves it empty with an empty
-        // zone; it keeps answering reads and takes inserts again.
+        // Deleting every value of a partition leaves it empty with its
+        // bounds kept; it keeps answering reads and takes inserts again.
         let mut c = build((1..=16).collect(), &[4, 4], &[0, 0], ChunkConfig::default());
         for v in 1..=8u64 {
             assert_eq!(c.delete(v).affected, 1);
         }
         assert_eq!(c.parts[0].len, 0);
-        assert!(c.zones()[0].is_empty());
+        assert_eq!((c.parts[0].min, c.parts[0].max), (1, 8));
         c.validate_invariants().unwrap();
         assert_eq!(c.range_count(0, 100).0, 8);
         assert!(c.point_query(3).positions.is_empty());
@@ -890,9 +875,6 @@ mod tests {
             self.parts[m].len -= removed;
             self.parts[m].ghosts += removed;
             self.live -= removed;
-            if self.zones[m].on_boundary(v) {
-                self.recompute_zone(m);
-            }
             let mut partitions_touched = 1u64;
             if self.config.policy == UpdatePolicy::Dense {
                 for _ in 0..removed {
@@ -934,18 +916,13 @@ mod tests {
                 self.stamp(pos);
                 cost.random_writes += 1;
                 self.widen_bounds(m, new);
-                if self.zones[m].on_boundary(old) {
-                    self.recompute_zone(m);
-                } else {
-                    self.zones[m].include(new);
-                }
                 return WriteResult {
                     affected: 1,
                     cost,
                     partitions_touched: 1,
                 };
             }
-            let row = self.remove_first(m, pos, old, &mut cost);
+            let row = self.remove_first(m, pos, &mut cost);
             let slot = match self.config.policy {
                 UpdatePolicy::Ghost if self.parts[t].ghosts > 0 => {
                     self.parts[t].ghosts -= 1;
@@ -982,7 +959,7 @@ mod tests {
                     },
                 );
             };
-            let row = self.remove_first(m, pos, v, &mut cost);
+            let row = self.remove_first(m, pos, &mut cost);
             let mut partitions_touched = 1u64;
             if self.config.policy == UpdatePolicy::Dense {
                 self.push_slot_to_tail(m, &mut cost);
@@ -1063,8 +1040,8 @@ mod tests {
             )
             .unwrap();
             // The build sorted every partition; lay each one back out in
-            // the planned slot order (the same multiset, so bounds and
-            // zones stay exact).
+            // the planned slot order (the same multiset, so the bounds stay
+            // exact).
             for (p, rows) in slots.chunks(PART).enumerate() {
                 let start = c.parts[p].start;
                 assert_eq!(c.parts[p].len, PART);
@@ -1130,7 +1107,6 @@ mod tests {
                     "{ctx}: payload rows diverged"
                 );
                 assert_eq!(kern.parts, scal.parts, "{ctx}: partitions");
-                assert_eq!(kern.zones, scal.zones, "{ctx}: zones");
                 assert_eq!(kern.live, scal.live, "{ctx}: live");
             }
             kern.validate_invariants().unwrap();

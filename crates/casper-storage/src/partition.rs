@@ -2,7 +2,9 @@
 //!
 //! For every partition Casper stores the value range it covers and its
 //! positional extent within the chunk, which is exactly the Zonemap-style
-//! metadata the paper describes. Partitions are physically contiguous:
+//! metadata the paper describes. The covering range is the partition's
+//! only range: the chunk binary-searches it to locate a value's partition,
+//! and the read paths prune on it. Partitions are physically contiguous:
 //! partition `i` occupies slots `[start, start + len + ghosts)` where the
 //! first `len` slots hold live values (unordered) and the trailing `ghosts`
 //! slots are empty buffer space (Fig. 5).

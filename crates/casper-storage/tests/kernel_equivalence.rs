@@ -1,5 +1,5 @@
-//! Property tests: the branchless kernel read paths (with zone-map
-//! pruning) must return results identical to the retained scalar reference
+//! Property tests: the branchless kernel read paths (pruning on partition
+//! bounds) must return results identical to the retained scalar reference
 //! paths, over arbitrary partitionings, ghost plans and write histories —
 //! and their `OpCost` must stay within the scalar path's block-access
 //! envelope (pruning may only ever remove block accesses, and an unpruned
@@ -115,23 +115,24 @@ fn build_chunk(
     }
     chunk
         .validate_invariants()
-        .expect("invariants (incl. zone covering) after the write history");
+        .expect("invariants (incl. bounds covering) after the write history");
     chunk
 }
 
 fn check_equivalence(chunk: &PartitionedChunk<u64>, probes: &[u64]) -> Result<(), TestCaseError> {
     for &v in probes {
-        // Point query: identical positions; cost never exceeds scalar, and
-        // matches scalar exactly when the zone could not prune.
+        // Point query: identical positions; cost matches scalar exactly
+        // when the partition's bounds could not prune, and touches no
+        // block when they could.
         let kern = chunk.point_query(v);
         let scal = chunk.point_query_scalar(v);
         prop_assert_eq!(&kern.positions, &scal.positions, "point({})", v);
         prop_assert_eq!(kern.partition, scal.partition);
-        let kb = kern.cost.total_block_accesses();
-        let sb = scal.cost.total_block_accesses();
-        prop_assert!(kb <= sb, "point({}) kernel cost {} > scalar {}", v, kb, sb);
-        if chunk.zones()[kern.partition].contains(v) && chunk.partitions()[kern.partition].len > 0 {
+        let part = chunk.partitions()[kern.partition];
+        if part.len > 0 && part.covers(v) {
             prop_assert_eq!(kern.cost, scal.cost, "unpruned point({}) cost drifted", v);
+        } else {
+            prop_assert_eq!(kern.cost.total_block_accesses(), 0, "pruned point({})", v);
         }
     }
     for w in probes.windows(2) {
@@ -234,10 +235,10 @@ fn q3_multi_column_sums_reach_every_word_class() {
     for p in 0..3 {
         let b = 2 * PART * p;
         queries.extend([
-            (b + 1, b + 2, 0),               // in-zone gap: no match
+            (b + 1, b + 2, 0),               // gap in the bounds: no match
             (b + 100, b + 180, 40),          // ~20 %
             (b, b + 2 * PART - 2, PART - 1), // all but the maximum
-            (b, b + 2 * PART, PART),         // zone inside: blind
+            (b, b + 2 * PART, PART),         // bounds inside: blind
         ]);
     }
     queries.push((100, 4 * PART + 300, 150 + PART + 150));
@@ -327,29 +328,5 @@ proptest! {
     ) {
         let chunk = build_chunk(initial, sizes, vec![], UpdatePolicy::Dense, ops);
         check_equivalence(&chunk, &probes)?;
-    }
-
-    #[test]
-    fn zone_maps_stay_tight_under_boundary_deletes(
-        initial in proptest::collection::vec(0u64..200, 16..80),
-        deletes in proptest::collection::vec(0u64..200, 1..40),
-    ) {
-        let mut chunk = build_chunk(initial, vec![2, 2], vec![1, 1], UpdatePolicy::Ghost, vec![]);
-        for v in deletes {
-            chunk.delete(v);
-            // After every delete, each zone must be exactly the min/max of
-            // the partition's live values (tightness, not just covering —
-            // this is what makes pruning effective).
-            for (p, zone) in chunk.zones().iter().enumerate() {
-                let live = chunk.partition_values(p);
-                if live.is_empty() {
-                    prop_assert!(zone.is_empty(), "partition {} empty but zone {:?}", p, zone);
-                } else {
-                    prop_assert_eq!(zone.min, *live.iter().min().expect("non-empty"));
-                    prop_assert_eq!(zone.max, *live.iter().max().expect("non-empty"));
-                }
-            }
-        }
-        chunk.validate_invariants().expect("invariants");
     }
 }

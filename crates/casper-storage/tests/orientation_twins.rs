@@ -37,7 +37,7 @@ fn env_seeds() -> Vec<u64> {
         .unwrap_or_else(|| vec![1, 2])
 }
 
-/// The twins after `what`: same slots, partitions, zones, payload words
+/// The twins after `what`: same slots, partitions, payload words
 /// and write mark, and both structurally valid.
 fn assert_twins(col: &Chunk, row: &Chunk, what: &str) -> Result<(), String> {
     for (c, name) in [(col, "column-major"), (row, "row-major")] {
@@ -46,7 +46,6 @@ fn assert_twins(col: &Chunk, row: &Chunk, what: &str) -> Result<(), String> {
     }
     let same = col.copy_slots(0..col.slot_count()) == row.copy_slots(0..row.slot_count())
         && col.partitions() == row.partitions()
-        && col.zones() == row.zones()
         && col.live_len() == row.live_len()
         && col.write_mark() == row.write_mark();
     if !same {

@@ -99,13 +99,15 @@ impl WorkloadGenerator {
         (0..self.rows).map(|i| i * 2).collect()
     }
 
-    /// Payload columns for the initial load (column-major).
+    /// Payload columns for the initial load (column-major): column `c` of
+    /// the row with key `k` holds the low 16 bits of
+    /// `k · 2654435761 + c`. Each word is computed from its row index `i`
+    /// (key `2i`), without materializing the keys.
     pub fn initial_payload_columns(&self) -> Vec<Vec<u32>> {
-        let keys = self.initial_keys();
-        (0..self.schema.payload_cols)
+        (0..self.schema.payload_cols as u64)
             .map(|c| {
-                keys.iter()
-                    .map(|&k| (k.wrapping_mul(2654435761).wrapping_add(c as u64) & 0xFFFF) as u32)
+                (0..self.rows)
+                    .map(|i| ((2 * i).wrapping_mul(2654435761).wrapping_add(c) & 0xFFFF) as u32)
                     .collect()
             })
             .collect()
@@ -207,6 +209,15 @@ mod tests {
         let cols = g.initial_payload_columns();
         assert_eq!(cols.len(), 15);
         assert!(cols.iter().all(|c| c.len() == 1000));
+        // Column c of row i holds the low 16 bits of 2i · 2654435761 + c.
+        for c in [0usize, 14] {
+            for i in [0usize, 1, 537, 999] {
+                let k = 2 * i as u64;
+                assert_eq!(keys[i], k);
+                let want = (k.wrapping_mul(2654435761).wrapping_add(c as u64) & 0xFFFF) as u32;
+                assert_eq!(cols[c][i], want, "column {c}, row {i}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | Fig. 9a   | insert cost is linear in trailing partitions        | row (b) `fig09a_*` |
 //! | Fig. 9b   | point-query cost is linear in partition size        | row (c) `fig09b_*` |
 //! | Fig. 9c   | compressed scans beat decode-then-scan              | not reproduced: no encoded copy is kept beside the slots, so there is no decode to beat; the key lane is scanned in its stored form |
-//! | Fig. 9d   | zone-pruned / blind / filtered scans match the model | `casper-core` `cost::verify` unit tests |
+//! | Fig. 9d   | bounds-pruned / blind / filtered scans match the model | `casper-core` `cost::verify` unit tests |
 //! | Fig. 10   | architecture diagram                                | no measured claim |
 //! | Fig. 11   | the solver scales to large chunks                   | `benches/solver.rs` `dp_solve`; judge `core.solve_s` |
 //! | Fig. 12   | Casper's layout beats the baselines on six mixes    | row (d) `fig12_*` for Equi / Equi-GV; judge `engine.casper_vs_soa` for SoA / Sorted / No Order |
@@ -155,7 +155,10 @@ fn fig09a_insert_cost_is_the_models_charge_less_a_constant() {
     let base = even_chunk(layout, &spec, &GhostPlan::none(K), ChunkConfig::dense());
     for (m, range) in seg.ranges().enumerate() {
         let mut chunk = base.clone();
-        let cost = chunk.insert(base.zones()[m].min + 1, &[]).unwrap().cost;
+        let cost = chunk
+            .insert(base.partitions()[m].min + 1, &[])
+            .unwrap()
+            .cost;
         assert_eq!(cost.random_reads, (K - 1 - m) as u64, "partition {m}");
         assert_eq!(cost.random_writes, (K - m) as u64, "partition {m}");
         let mut fm = FrequencyModel::new(n_blocks);
@@ -170,7 +173,7 @@ fn fig09a_insert_cost_is_the_models_charge_less_a_constant() {
 /// (c) Fig. 9b: point-query cost grows linearly with the partition's size.
 /// The paper uses partitions of 2⁹ … 2²² values and Eq. 7's
 /// `RR + SR·(blocks − 1)`. Here partitions of 2⁹ … 2¹⁵ values (1 … 64
-/// blocks of 4 KB, no ghosts) answer in-zone point queries whose measured
+/// blocks of 4 KB, no ghosts) answer in-bounds point queries whose measured
 /// `OpCost` equals both the kernel-aware prediction and the model's own
 /// charge: one random read and `blocks − 1` sequential reads.
 #[test]
@@ -523,7 +526,7 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
     let base = chunk(&GhostPlan::none(K));
     let fresh: Vec<u64> = (0..K)
         .flat_map(|m| (0..4).map(move |j| (m, j)))
-        .map(|(m, j)| base.zones()[m].min + 1 + 2 * j)
+        .map(|(m, j)| base.partitions()[m].min + 1 + 2 * j)
         .collect();
     let mut fm = FmBuilder::from_data(&keys, layout.values_per_block());
     fresh.iter().for_each(|&v| fm.record(Op::Insert(v)));
@@ -543,7 +546,10 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
     // Uncovered: no reserve, so every insert ripples in from the tail.
     for (m, range) in seg.ranges().enumerate() {
         let mut bare = base.clone();
-        let cost = bare.insert(base.zones()[m].min + 1, &row).unwrap().cost;
+        let cost = bare
+            .insert(base.partitions()[m].min + 1, &row)
+            .unwrap()
+            .cost;
         assert_eq!(cost.random_reads, (K - 1 - m) as u64, "partition {m}");
         assert_eq!(cost.random_writes, (K - m) as u64, "partition {m}");
         let mut fm = FrequencyModel::new(n_blocks);
