@@ -316,13 +316,15 @@ impl ChunkStore {
 /// comparing stamps orders accesses table-wide.
 static ACCESS_CLOCK: AtomicU64 = AtomicU64::new(1);
 
-/// Deferred chunk loader: decodes (and checksum-verifies) the store from
-/// its persisted segment on first touch.
-pub type ChunkLoader = Box<dyn FnOnce() -> Result<ChunkStore, StorageError> + Send + Sync>;
+/// Deferred chunk loader: reads, checksum-verifies and decodes the store
+/// from its persisted segment on first touch. A `Fn`, so a failed load
+/// (a transient read error) can be retried by the next touch.
+pub type ChunkLoader = Box<dyn Fn() -> Result<ChunkStore, StorageError> + Send + Sync>;
 
 /// One chunk position of a column: either an already-decoded [`ChunkStore`]
-/// or a pending loader from a persisted snapshot segment (mmap restore),
-/// which hydrates in place on first access.
+/// or a pending loader over a persisted segment (lazy restore: the
+/// segments are open, and each record is read and verified at first
+/// touch), which hydrates in place on first access.
 ///
 /// Hydration works through `&self` — a `OnceLock` fill — so every holder of
 /// the same `Arc<ChunkSlot>` (the writer column *and* any published
@@ -365,9 +367,9 @@ impl ChunkSlot {
     }
 
     /// The decoded store, hydrating from the persisted segment on first
-    /// call. Checksum/decoding damage surfaces as [`StorageError::Corrupt`];
-    /// once a load fails the slot stays failed (the loader is consumed) and
-    /// every later access reports the re-entry.
+    /// call. Checksum/decoding damage surfaces as [`StorageError::Corrupt`],
+    /// a failed read as [`StorageError::Io`]. The loader is kept until a
+    /// load succeeds, so every touch after a failure tries again.
     pub fn get(&self) -> Result<&ChunkStore, StorageError> {
         if let Some(s) = self.store.get() {
             self.stamp.store(
@@ -380,9 +382,9 @@ impl ChunkSlot {
         if let Some(s) = self.store.get() {
             return Ok(s);
         }
-        let loader = lazy.take().ok_or_else(|| StorageError::Corrupt {
-            reason: "hydration re-entered after a failed load".to_string(),
-        })?;
+        // Only `new_lazy` builds an unhydrated slot, and its loader is
+        // dropped only once the store is set.
+        let loader = lazy.as_ref().expect("an unhydrated slot keeps its loader");
         let store = loader()?;
         OBS_HYDRATIONS.inc();
         if store.len() != self.live {
@@ -398,6 +400,8 @@ impl ChunkSlot {
             ACCESS_CLOCK.fetch_add(1, Ordering::Relaxed),
             Ordering::Relaxed,
         );
+        // The loader may hold open segment handles; they go with it.
+        *lazy = None;
         Ok(self.store.get_or_init(move || store))
     }
 
@@ -1679,11 +1683,11 @@ mod tests {
             slot.get(),
             Err(StorageError::Corrupt { ref reason }) if reason.contains("injected")
         ));
-        // The loader is consumed: later touches report the re-entry
-        // instead of panicking.
+        // The loader is kept: the next touch tries again, and fails the
+        // same way.
         assert!(matches!(
             slot.get(),
-            Err(StorageError::Corrupt { ref reason }) if reason.contains("re-entered")
+            Err(StorageError::Corrupt { ref reason }) if reason.contains("injected")
         ));
     }
 
@@ -1691,7 +1695,7 @@ mod tests {
     fn lazy_hydration_validates_live_count() {
         let col = load(LayoutMode::Casper, 100);
         let store = col.chunks()[0].get().unwrap().clone();
-        let slot = ChunkSlot::new_lazy(55, Box::new(move || Ok(store)));
+        let slot = ChunkSlot::new_lazy(55, Box::new(move || Ok(store.clone())));
         assert!(matches!(
             slot.get(),
             Err(StorageError::Corrupt { ref reason }) if reason.contains("manifest says 55")

@@ -223,9 +223,10 @@ impl Table {
     }
 
     /// Execute one HAP query with a context that never interrupts. On a
-    /// lazily-restored table (mmap recovery) restore-time laziness is
-    /// invisible here: a chunk pays its decode exactly once, on the first
-    /// query that touches it.
+    /// lazily-restored table (segments open, each record read and verified
+    /// at first touch) restore-time laziness is invisible here: a chunk
+    /// pays its read and decode once, on the first query that touches it
+    /// and succeeds.
     pub fn execute(&mut self, q: &HapQuery) -> Result<QueryOutput, StorageError> {
         self.execute_with(q, &QueryCtx::default())
     }

@@ -11,8 +11,8 @@
 //!
 //! Writes flow WAL-first in the group-commit sense: an executed write is
 //! staged into the open WAL batch and becomes durable (write + fsync) when
-//! the batch seals. Recovery loads the manifest (metadata only — chunks
-//! hydrate lazily from mapped segments, checksum-verified at first touch),
+//! the batch seals. Recovery loads the manifest (metadata only — segments
+//! are opened, and each record is read and verified at first touch),
 //! truncates the WAL chain's torn tail, and replays the committed batches.
 //!
 //! A **checkpoint** is *incremental*: the engine's per-chunk modification
@@ -536,9 +536,9 @@ impl DurableTable {
         })
     }
 
-    /// Reopen a durable table: resolve `CURRENT` to its manifest, restore
-    /// through mapped segments — metadata-only work; chunks hydrate
-    /// (checksum-verified) on first touch, or all at once with
+    /// Reopen a durable table: resolve `CURRENT` to its manifest, open its
+    /// segments — metadata-only work; each chunk reads and verifies its
+    /// records on first touch, or all at once with
     /// [`DurableTable::hydrate_all`] — then recover the WAL chain
     /// (torn-tail truncation on the last link) and replay its committed
     /// batches.
@@ -946,8 +946,8 @@ impl DurableTable {
         }
     }
 
-    /// Build the rehydration loader for an evicted or healed chunk: maps
-    /// the record's segment on first touch and decodes through the same
+    /// Build the rehydration loader for an evicted or healed chunk: opens
+    /// the record's segments on first touch and decodes through the same
     /// CRC-verified path restore-time laziness uses, counting the
     /// rehydration in the governor (when one is configured).
     fn governed_loader(&self, entry: ChunkEntry) -> casper_engine::column::ChunkLoader {

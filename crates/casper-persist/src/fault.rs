@@ -25,12 +25,9 @@
 //!
 //! With an empty schedule the harness performs byte-for-byte the same
 //! filesystem operations as [`crate::vfs::RealVfs`] (the zero-drift CI
-//! check relies on this); the only intentional difference is that `mmap`
-//! returns an owned copy of the file, because a later `simulate_crash`
-//! rewrites files in place and a live real mapping would alias them.
+//! check relies on this).
 
-use crate::mmap::Mmap;
-use crate::vfs::{Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile, VfsReader};
 use casper_obs::CounterDef;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -62,7 +59,7 @@ impl FaultErr {
 /// Operation kinds a [`FaultRule`] can match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VfsOp {
-    /// Whole-file reads and mmap.
+    /// Whole-file reads and each positional read of a [`VfsReader`].
     Read,
     /// File writes.
     Write,
@@ -70,7 +67,8 @@ pub enum VfsOp {
     Fsync,
     /// Directory fsync.
     FsyncDir,
-    /// File creation (`create` / `create_new`) and opens.
+    /// File creation (`create` / `create_new`) and opens (`open_rw`,
+    /// `open_read`).
     Open,
     /// Rename.
     Rename,
@@ -389,6 +387,13 @@ impl FaultVfs {
         }
     }
 
+    pub(crate) fn file_read(&self, path: &Path) -> io::Result<()> {
+        match self.state.lock().unwrap().arm(VfsOp::Read, path) {
+            Some((err, _)) => Err(err.to_io()),
+            None => Ok(()),
+        }
+    }
+
     pub(crate) fn file_sync(&self, path: &Path, _file: &File) -> io::Result<()> {
         let mut st = self.state.lock().unwrap();
         st.counters.fsyncs += 1;
@@ -410,9 +415,7 @@ impl FaultVfs {
 /// to the harness for its per-operation hooks.
 impl Vfs for Arc<FaultVfs> {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        if let Some((err, _)) = self.state.lock().unwrap().arm(VfsOp::Read, path) {
-            return Err(err.to_io());
-        }
+        self.file_read(path)?;
         std::fs::read(path)
     }
 
@@ -538,13 +541,11 @@ impl Vfs for Arc<FaultVfs> {
         File::open(dir)?.sync_all()
     }
 
-    fn mmap(&self, path: &Path) -> io::Result<Mmap> {
-        if let Some((err, _)) = self.state.lock().unwrap().arm(VfsOp::Read, path) {
+    fn open_read(&self, path: &Path) -> io::Result<VfsReader> {
+        if let Some((err, _)) = self.state.lock().unwrap().arm(VfsOp::Open, path) {
             return Err(err.to_io());
         }
-        // Owned, not mapped: simulate_crash rewrites files in place, which
-        // would alias (and UB) a live real mapping of the same file.
-        Ok(Mmap::from_owned(std::fs::read(path)?))
+        VfsReader::open(path, Some(Arc::clone(self)))
     }
 }
 
@@ -568,6 +569,42 @@ mod tests {
         assert_eq!(err.raw_os_error(), Some(5));
         f.sync_data().unwrap(); // rule exhausted
         assert_eq!(vfs.counters().injected, 1);
+    }
+
+    #[test]
+    fn positional_reads_arm_open_and_read_rules() {
+        let vfs = Arc::new(FaultVfs::new());
+        let rule = |op, nth| FaultRule {
+            op,
+            path_substr: Some("probe.seg".into()),
+            nth: Some(nth),
+            short_bytes: None,
+            err: FaultErr::Eio,
+            times: 1,
+        };
+        vfs.inject(rule(VfsOp::Open, 1));
+        vfs.inject(rule(VfsOp::Read, 2));
+        let dir = std::env::temp_dir().join("casper_faultvfs_reads");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("probe.seg");
+        std::fs::write(&path, b"0123456789").unwrap();
+
+        let err = vfs.open_read(&path).unwrap_err(); // open #1 injected
+        assert_eq!(err.raw_os_error(), Some(5));
+        let reader = vfs.open_read(&path).unwrap();
+        assert_eq!(reader.size(), 10);
+        let mut buf = [0u8; 4];
+        reader.read_exact_at(3, &mut buf).unwrap(); // read #1 passes
+        assert_eq!(&buf, b"3456");
+        let err = reader.read_exact_at(0, &mut buf).unwrap_err(); // read #2 injected
+        assert_eq!(err.raw_os_error(), Some(5));
+        // The open handle outlives the name; a read past the end fails.
+        std::fs::remove_file(&path).unwrap();
+        reader.read_exact_at(6, &mut buf).unwrap();
+        assert_eq!(&buf, b"6789");
+        let err = reader.read_exact_at(7, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(vfs.counters().injected, 2);
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! `CURRENT` swings atomically and holds a bare generation number naming
 //! the live manifest. Every reader of a table directory — open, scrub,
 //! backup verification — resolves it through [`read_current`], and no
-//! record byte is believed before [`Record::verified`] has checked it
-//! against the manifest's CRC.
+//! record byte is believed before [`Record::read`] or [`Record::verified`]
+//! has checked it against the manifest's CRC.
 //!
 //! **Compaction**: once a manifest references more than a configured
 //! number of segments, the next checkpoint empties the segments holding
@@ -39,22 +39,23 @@
 //! into the fresh segment (CRC-verified, never decoded or re-encoded).
 //! A forced compaction empties them all.
 //!
-//! **Restore** maps segments ([`crate::mmap::Mmap`]) and hands each chunk
-//! to the engine as a lazy slot: `DurableTable::open` does metadata work
-//! only, and a chunk verifies its records' CRCs and decodes its chain on
-//! the first query that routes to it.
+//! **Restore** opens each referenced segment once ([`VfsReader`]), checks
+//! its header, and hands each chunk to the engine as a lazy slot:
+//! `DurableTable::open` does metadata work only, and a chunk reads and
+//! verifies each record of its chain, then decodes it, on the first query
+//! that routes to it.
 
 use crate::codec::{frame, unframe, ByteReader, ByteWriter};
 use crate::crc::crc32;
-use crate::mmap::Mmap;
 use crate::record::{decode_chain, decode_config, encode_config, encode_patch, encode_store};
-use crate::vfs::{Vfs, VfsHandle};
+use crate::vfs::{Vfs, VfsHandle, VfsReader};
 use casper_core::FrequencyModel;
 use casper_engine::column::{ChunkSlot, ChunkStore};
 use casper_engine::{ChunkedColumn, EngineConfig, Table};
 use casper_obs::CounterDef;
 use casper_storage::StorageError;
 use casper_workload::HapSchema;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -99,31 +100,51 @@ pub struct Record {
     pub len: u64,
     /// CRC32 of the record bytes, verified at first touch (the manifest's
     /// own checksum protects this value, so per-record integrity holds
-    /// end-to-end without reading the segment at open).
+    /// end-to-end without reading the records at open).
     pub crc: u32,
 }
 
 impl Record {
-    /// The one record check: slice this record out of its segment's
-    /// bytes — bounds-checked — and compare its CRC32 with the one the
-    /// manifest stored. Every consumer of record bytes (lazy hydration,
+    /// The one record check on a segment held whole in memory (backup):
+    /// slice this record out — bounds-checked — and compare its CRC32 with
+    /// the one the manifest stored. [`Record::read`] is the same check on
+    /// an open segment. Every consumer of record bytes (lazy hydration,
     /// compaction copy, scrub, backup copy, backup verification) gets them
-    /// from here, so nothing decodes or copies a record the manifest does
-    /// not vouch for.
+    /// from one of the two, so nothing decodes or copies a record the
+    /// manifest does not vouch for.
     pub(crate) fn verified<'a>(&self, segment: &'a [u8]) -> Result<&'a [u8], StorageError> {
-        let record = usize::try_from(self.offset)
-            .ok()
-            .zip(usize::try_from(self.len).ok())
-            .and_then(|(start, len)| segment.get(start..start.checked_add(len)?))
-            .ok_or_else(|| {
-                StorageError::corrupt(format!(
-                    "segment {} is {} bytes but a record claims {} bytes at offset {}",
-                    self.seg,
-                    segment.len(),
-                    self.len,
-                    self.offset
-                ))
-            })?;
+        let range = self.range(segment.len() as u64)?;
+        let record = &segment[range];
+        self.check_crc(record)?;
+        Ok(record)
+    }
+
+    /// Read this record out of its open segment and verify it: a claim
+    /// past the segment's end is `Corrupt`, a failed read `Io`, a CRC
+    /// mismatch `Corrupt`.
+    pub(crate) fn read(&self, segment: &VfsReader) -> Result<Vec<u8>, StorageError> {
+        let range = self.range(segment.size())?;
+        let mut record = vec![0; range.len()];
+        segment.read_exact_at(self.offset, &mut record)?;
+        self.check_crc(&record)?;
+        Ok(record)
+    }
+
+    /// The record's byte range, if it lies inside a segment of
+    /// `segment_len` bytes.
+    fn range(&self, segment_len: u64) -> Result<std::ops::Range<usize>, StorageError> {
+        match self.offset.checked_add(self.len) {
+            // `end` is within the segment, so both ends fit in usize on
+            // the 64-bit targets this crate builds for.
+            Some(end) if end <= segment_len => Ok(self.offset as usize..end as usize),
+            _ => Err(StorageError::corrupt(format!(
+                "segment {} is {segment_len} bytes but a record claims {} bytes at offset {}",
+                self.seg, self.len, self.offset
+            ))),
+        }
+    }
+
+    fn check_crc(&self, record: &[u8]) -> Result<(), StorageError> {
         let got = crc32(record);
         if got != self.crc {
             return Err(StorageError::corrupt(format!(
@@ -132,7 +153,7 @@ impl Record {
                 self.offset, self.seg, self.crc
             )));
         }
-        Ok(record)
+        Ok(())
     }
 
     fn encode(&self, w: &mut ByteWriter) {
@@ -589,7 +610,7 @@ impl<'j> SegmentWriter<'j> {
     fn append(&mut self, bytes: &[u8]) -> Result<Record, StorageError> {
         self.file.write_all(bytes)?;
         let len = bytes.len() as u64;
-        crate::mmap::initiate_writeback(self.file.std_file(), self.offset, len);
+        self.file.start_writeback(self.offset, len);
         let record = Record {
             seg: self.job.seg_seq,
             offset: self.offset,
@@ -774,44 +795,42 @@ pub(crate) fn segments_to_evacuate(
 }
 
 /// Read and verify one persisted record (compaction byte-copy path and
-/// the scrubber's verification pass). The segment is mapped, not read:
-/// only the record's pages are touched.
+/// the scrubber's verification pass): only the record's bytes are read.
 pub(crate) fn read_record(
     vfs: &VfsHandle,
     dir: &Path,
     record: &Record,
 ) -> Result<Vec<u8>, StorageError> {
-    let map = vfs.mmap(&FileKind::Segment.path(dir, record.seg))?;
-    Ok(record.verified(&map)?.to_vec())
+    record.read(&vfs.open_read(&FileKind::Segment.path(dir, record.seg))?)
 }
 
 // ---------------------------------------------------------------------
 // Restore
 // ---------------------------------------------------------------------
 
-/// Build a table from a manifest: map every referenced segment, verify
-/// the segment headers, and hand each chunk to the engine as a lazy slot
-/// that verifies and decodes its record chain on first touch
-/// (`Table::hydrate_all` forces them all). Each segment is taken from the
+/// Build a table from a manifest: open every referenced segment once,
+/// verify its header, and hand each chunk to the engine as a lazy slot
+/// that reads, verifies and decodes its record chain on first touch
+/// (`Table::hydrate_all` forces them all). The loaders share the open
+/// handles, so a segment a later compaction unlinks stays readable until
+/// the last chunk reading it has hydrated. Each segment is taken from the
 /// first of `dirs` that holds it (point-in-time restores mix live and
 /// archived segments — a shared segment may still be live while the base
 /// manifest is archived). A segment found nowhere resolves to the primary
-/// directory so the mmap produces the usual typed error.
+/// directory so the open produces the usual typed error.
 pub(crate) fn restore_table(
     vfs: &VfsHandle,
     dirs: &[&Path],
     manifest: &Manifest,
 ) -> Result<Table, StorageError> {
-    let mut maps: BTreeMap<u64, Arc<Mmap>> = BTreeMap::new();
+    let mut open: BTreeMap<u64, Arc<VfsReader>> = BTreeMap::new();
     for seg in manifest.referenced_segments() {
         let path = dirs
             .iter()
             .map(|d| FileKind::Segment.path(d, seg))
             .find(|p| p.exists())
             .unwrap_or_else(|| FileKind::Segment.path(dirs[0], seg));
-        let map = Arc::new(vfs.mmap(&path)?);
-        verify_segment_header(&map, seg)?;
-        maps.insert(seg, map);
+        open.insert(seg, Arc::new(open_segment(vfs, &path, seg)?));
     }
     let payload_width = manifest.schema.payload_cols;
     let config = manifest.config;
@@ -819,9 +838,9 @@ pub(crate) fn restore_table(
     for entry in &manifest.entries {
         let live = usize::try_from(entry.live)
             .map_err(|_| StorageError::corrupt("live count overflows usize"))?;
-        let segments: BTreeMap<u64, Arc<Mmap>> = entry
+        let segments: BTreeMap<u64, Arc<VfsReader>> = entry
             .records()
-            .map(|r| (r.seg, Arc::clone(&maps[&r.seg])))
+            .map(|r| (r.seg, Arc::clone(&open[&r.seg])))
             .collect();
         let entry = entry.clone();
         let loader = move || decode_entry(&segments, &entry, &config, payload_width);
@@ -837,12 +856,13 @@ pub(crate) fn restore_table(
 }
 
 /// Build a lazy loader re-pointing an **evicted** chunk at its persisted
-/// chain: the segments are mapped on first touch (not held open — an
+/// chain: the segments are opened on first touch (not held open — an
 /// evicted chunk should cost nothing until someone reads it), their
 /// headers and every record CRC are verified, and the store decodes
 /// through the shared chain decoder — the same integrity path
 /// restore-time laziness uses, so rehydration is bit-exact by
-/// construction.
+/// construction. A failed open or read is `Io`, and the next touch tries
+/// again.
 pub(crate) fn record_loader(
     vfs: VfsHandle,
     dir: PathBuf,
@@ -853,17 +873,22 @@ pub(crate) fn record_loader(
     Box::new(move || {
         let mut segments = BTreeMap::new();
         for seg in entry.records().map(|r| r.seg) {
-            if segments.contains_key(&seg) {
-                continue;
+            if let Entry::Vacant(slot) = segments.entry(seg) {
+                let path = FileKind::Segment.path(&dir, seg);
+                slot.insert(Arc::new(open_segment(&vfs, &path, seg)?));
             }
-            let map = vfs.mmap(&FileKind::Segment.path(&dir, seg)).map_err(|e| {
-                StorageError::corrupt(format!("evicted chunk cannot re-map segment {seg}: {e}"))
-            })?;
-            verify_segment_header(&map, seg)?;
-            segments.insert(seg, Arc::new(map));
         }
         decode_entry(&segments, &entry, &config, payload_width)
     })
+}
+
+/// Open segment `seq` at `path` and verify its header.
+fn open_segment(vfs: &VfsHandle, path: &Path, seq: u64) -> Result<VfsReader, StorageError> {
+    let segment = vfs.open_read(path)?;
+    let mut header = vec![0; SEGMENT_HEADER_LEN.min(segment.size()) as usize];
+    segment.read_exact_at(0, &mut header)?;
+    verify_segment_header(&header, seq)?;
+    Ok(segment)
 }
 
 /// Check a segment's header (magic, a readable version, recorded
@@ -891,10 +916,10 @@ pub(crate) fn verify_segment_header(bytes: &[u8], seq: u64) -> Result<(), Storag
     Ok(())
 }
 
-/// Decode one chunk out of its mapped segments: every record of its chain
-/// verified at first touch, then the shared chain decoder.
+/// Decode one chunk out of its open segments: every record of its chain
+/// read and verified at first touch, then the shared chain decoder.
 fn decode_entry(
-    segments: &BTreeMap<u64, Arc<Mmap>>,
+    segments: &BTreeMap<u64, Arc<VfsReader>>,
     entry: &ChunkEntry,
     config: &EngineConfig,
     payload_width: usize,
@@ -903,11 +928,12 @@ fn decode_entry(
         .records()
         .map(|r| {
             let segment = segments.get(&r.seg).ok_or_else(|| {
-                StorageError::corrupt(format!("segment {} of a chunk chain is not mapped", r.seg))
+                StorageError::corrupt(format!("segment {} of a chunk chain is not open", r.seg))
             })?;
-            r.verified(segment)
+            r.read(segment)
         })
-        .collect::<Result<Vec<&[u8]>, StorageError>>()?;
+        .collect::<Result<Vec<Vec<u8>>, StorageError>>()?;
+    let records: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
     decode_chain(&records, entry.mark, config, payload_width)
 }
 

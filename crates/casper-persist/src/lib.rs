@@ -15,8 +15,8 @@
 //!   chunk id → (segment, offset, len, crc). Checkpoints re-serialize
 //!   **only the chunks dirtied since the last one** (the engine's
 //!   per-chunk version counters enumerate them) and compact the segment
-//!   chain periodically; restore maps segments ([`mmap`]) and hydrates
-//!   chunks lazily, checksum-verified at first touch, with **zero layout
+//!   chain periodically; restore opens segments and reads and verifies
+//!   each record at first touch, with **zero layout
 //!   solves and zero codec re-encodes** (asserted via the solver/codec
 //!   telemetry counters). It is also the one reader of a table directory
 //!   (`CURRENT` → manifest → CRC-verified records) and the one namer of
@@ -38,9 +38,16 @@
 //!   checkpoints, synchronous checkpoints after every optimizer re-layout,
 //!   lazy restore.
 //!
-//! Formats are hand-rolled in-repo (CRC32 and mmap included) following the
+//! Formats are hand-rolled in-repo (CRC32 included) following the
 //! workspace's offline `crates/shims/` discipline; the byte layouts are
 //! documented in `docs/persist-format.md`.
+//!
+//! The crate is unix-only: segments are read by position through std's
+//! `std::os::unix::fs::FileExt`, and the writeback hint
+//! ([`VfsFile::start_writeback`]) is Linux's `sync_file_range`, the
+//! crate's one `unsafe`.
+
+#![deny(unsafe_code)]
 
 pub mod archive;
 pub mod checkpointer;
@@ -50,7 +57,6 @@ pub mod durable;
 pub mod fault;
 pub mod incremental;
 mod ledger;
-pub mod mmap;
 mod record;
 pub mod scrub;
 pub mod vfs;
@@ -63,7 +69,6 @@ pub use archive::{
 pub use durable::{CheckpointFailure, CheckpointStats, DurableOptions, DurableStats, DurableTable};
 pub use fault::{FaultCounters, FaultErr, FaultRule, FaultVfs, VfsOp};
 pub use incremental::{decode_manifest, encode_manifest, ChunkEntry, FileKind, Manifest, Record};
-pub use mmap::Mmap;
 pub use scrub::{ScrubFinding, ScrubReport, ScrubStats};
 pub use vfs::{RealVfs, Vfs, VfsFile, VfsHandle};
 pub use wal::{Wal, WalBatch, WalOp, WalScan};

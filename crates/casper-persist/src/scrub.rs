@@ -157,8 +157,9 @@ pub(crate) fn verify_watched(
 ///
 /// Resolves `CURRENT` to its manifest (a missing or damaged manifest fails
 /// the pass — it is not a clean directory), then re-reads and CRC-verifies
-/// every record of every chunk's chain, stopping early when `stop` flips. A
-/// chunk's first damaged record is *reported*, never touched: healing is
+/// every record of every chunk's chain, stopping early when `stop` flips.
+/// A read that fails (`Io`) fails the pass too: it proves nothing about
+/// the record. A chunk's first damaged record is *reported*, never touched: healing is
 /// the owner's job, where the in-memory table still has the data — and
 /// since a chain decodes only whole, one damaged record damages the chunk.
 pub fn scrub_pass(
@@ -175,17 +176,22 @@ pub fn scrub_pass(
         if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
             break;
         }
-        let damaged = entry
-            .records()
-            .find_map(|record| Some((record, read_record(vfs, dir, record).err()?)));
-        if let Some((record, e)) = damaged {
+        for record in entry.records() {
+            let reason = match read_record(vfs, dir, record) {
+                Ok(_) => continue,
+                Err(e @ StorageError::Corrupt { .. }) => e.to_string(),
+                // A read that failed says nothing about the bytes: fail
+                // the pass rather than quarantine a healthy chunk.
+                Err(e) => return Err(e),
+            };
             report.findings.push(ScrubFinding {
                 generation,
                 chunk,
                 segment: record.seg,
                 offset: record.offset,
-                reason: e.to_string(),
+                reason,
             });
+            break;
         }
         report.records_checked += 1;
     }

@@ -11,16 +11,17 @@
 //! tests (one branch per operation, no allocation, no dynamic dispatch).
 //!
 //! Operations are deliberately the crate's *actual* I/O vocabulary rather
-//! than a general filesystem API: whole-file read, create/open, rename,
-//! remove, directory fsync, mmap. Anything the persistence layer does not
-//! do (hard links, permissions, partial-file mmap) is not modeled, which
-//! keeps the fault harness honest — it intercepts every operation the
-//! production code can perform.
+//! than a general filesystem API: whole-file read, create/open, open for
+//! positional reads ([`VfsReader`], how segments are read), rename,
+//! remove, directory fsync. Anything the persistence layer does not do
+//! (hard links, permissions, memory maps) is not modeled, which keeps the
+//! fault harness honest — it intercepts every operation the production
+//! code can perform, and production and harness run the same read path.
 
 use crate::fault::FaultVfs;
-use crate::mmap::Mmap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -44,12 +45,12 @@ pub trait Vfs {
     /// Fsync a directory, making its entries (created, renamed and removed
     /// names) durable.
     fn fsync_dir(&self, dir: &Path) -> io::Result<()>;
-    /// Map a whole file read-only.
-    fn mmap(&self, path: &Path) -> io::Result<Mmap>;
+    /// Open an existing file for positional reads.
+    fn open_read(&self, path: &Path) -> io::Result<VfsReader>;
 }
 
-/// The production VFS: plain `std::fs` plus the in-repo mmap FFI. Zero
-/// overhead over calling `std::fs` directly.
+/// The production VFS: plain `std::fs`. Zero overhead over calling
+/// `std::fs` directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RealVfs;
 
@@ -84,8 +85,8 @@ impl Vfs for RealVfs {
         File::open(dir)?.sync_all()
     }
 
-    fn mmap(&self, path: &Path) -> io::Result<Mmap> {
-        Mmap::map(&File::open(path)?)
+    fn open_read(&self, path: &Path) -> io::Result<VfsReader> {
+        VfsReader::open(path, None)
     }
 }
 
@@ -159,10 +160,10 @@ impl Vfs for VfsHandle {
         }
     }
 
-    fn mmap(&self, path: &Path) -> io::Result<Mmap> {
+    fn open_read(&self, path: &Path) -> io::Result<VfsReader> {
         match self {
-            VfsHandle::Real => RealVfs.mmap(path),
-            VfsHandle::Fault(f) => f.mmap(path),
+            VfsHandle::Real => RealVfs.open_read(path),
+            VfsHandle::Fault(f) => f.open_read(path),
         }
     }
 }
@@ -201,13 +202,6 @@ impl VfsFile {
         &self.path
     }
 
-    /// The underlying [`File`] (for FFI that needs a raw descriptor, e.g.
-    /// `sync_file_range` writeback hints — advisory calls that carry no
-    /// durability semantics and therefore bypass the fault schedule).
-    pub fn std_file(&self) -> &File {
-        &self.file
-    }
-
     /// Write all of `buf`, honoring short-write and error injections.
     pub fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         match &self.fault {
@@ -241,5 +235,74 @@ impl VfsFile {
     /// Reposition the file cursor.
     pub fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
         self.file.seek(pos)
+    }
+
+    /// Ask the kernel to *start* writing back `len` bytes at `offset`
+    /// (`sync_file_range(SYNC_FILE_RANGE_WRITE)`): it does not block and
+    /// forces no journal commit. The checkpoint's segment writer calls it
+    /// after each record so dirty pages drain as they are produced;
+    /// otherwise a journal commit forced by a concurrent WAL fsync on
+    /// `data=ordered` filesystems must flush the whole accumulated
+    /// segment at once (RocksDB's `bytes_per_sync` discipline). The hint
+    /// carries no durability, so it ignores errors and the fault schedule.
+    #[allow(unsafe_code)]
+    pub fn start_writeback(&self, offset: u64, len: u64) {
+        use std::os::raw::{c_int, c_uint};
+        use std::os::unix::io::AsRawFd;
+        extern "C" {
+            fn sync_file_range(fd: c_int, offset: i64, nbytes: i64, flags: c_uint) -> c_int;
+        }
+        const SYNC_FILE_RANGE_WRITE: c_uint = 2;
+        // SAFETY: the descriptor is open for the lifetime of `self.file`,
+        // and sync_file_range reads no caller memory; its result is unused.
+        unsafe {
+            sync_file_range(
+                self.file.as_raw_fd(),
+                offset as i64,
+                len as i64,
+                SYNC_FILE_RANGE_WRITE,
+            )
+        };
+    }
+}
+
+/// A read-only handle obtained through [`Vfs::open_read`]: a real
+/// [`File`] read by position, plus the fault hook of the [`FaultVfs`] it
+/// was opened through (`None` on the real filesystem). Segments are read
+/// this way — restore's header check, first-touch hydration, rehydration,
+/// the compaction copy and the scrub — so every one of those reads can
+/// fail, and fails as an [`io::Error`], never as a signal.
+#[derive(Debug)]
+pub struct VfsReader {
+    file: File,
+    path: PathBuf,
+    size: u64,
+    fault: Option<Arc<FaultVfs>>,
+}
+
+impl VfsReader {
+    pub(crate) fn open(path: &Path, fault: Option<Arc<FaultVfs>>) -> io::Result<Self> {
+        let file = File::open(path)?;
+        let size = file.metadata()?.len();
+        Ok(Self {
+            file,
+            path: path.to_path_buf(),
+            size,
+            fault,
+        })
+    }
+
+    /// The file's length in bytes when it was opened.
+    pub fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// Fill `buf` from the bytes at `offset`; a read past the end fails
+    /// with [`io::ErrorKind::UnexpectedEof`].
+    pub fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        if let Some(f) = &self.fault {
+            f.file_read(&self.path)?;
+        }
+        self.file.read_exact_at(buf, offset)
     }
 }

@@ -107,7 +107,7 @@ fn reopen_restores_optimized_layout_with_zero_solves_and_zero_encodes() {
     drop(durable);
 
     // Recovery path: the solve counter must stay flat — the layout comes
-    // back from disk, not from re-running the solver. Under mmap restore
+    // back from disk, not from re-running the solver. Under lazy restore
     // chunks decode lazily, so hydrate everything explicitly before
     // comparing layouts: hydration is part of the recovery path and must
     // itself be solve-free.

@@ -19,8 +19,13 @@
 //! * **Scrub** — latent corruption in at-rest records is detected by a
 //!   scrub pass; damaged-but-resident chunks heal on the next checkpoint,
 //!   damaged never-hydrated chunks are quarantined behind a typed error.
+//!   A read that fails is not damage: it fails the pass, typed.
+//! * **Segment reads are faultable** — a failed read while a chunk
+//!   hydrates (first touch after `open`, or again after an eviction) is a
+//!   typed `Io` error from the query that touched it; the table stays
+//!   active, and the same query succeeds on retry.
 
-use casper_engine::{EngineConfig, LayoutMode, Table};
+use casper_engine::{EngineConfig, GovernorConfig, LayoutMode, Table};
 use casper_persist::{
     DurableOptions, DurableTable, FaultErr, FaultRule, FaultVfs, VfsHandle, VfsOp,
 };
@@ -675,7 +680,7 @@ fn scrub_quarantines_unhydrated_damage() {
     drop(DurableTable::create_from_table(&dir, seed_table(), sync_opts()).expect("create"));
     damage_newest_segment(&dir);
 
-    // Lazy (mmap) reopen: no chunk is hydrated, so the damaged record has
+    // Lazy reopen: no chunk is hydrated, so the damaged record has
     // no in-memory copy to heal from.
     let mut t = DurableTable::open(&dir, DurableOptions::default()).expect("open");
     let report = t.scrub_now().expect("scrub pass");
@@ -803,5 +808,166 @@ fn background_scrubber_finds_damage_and_the_next_write_absorbs_it() {
         Arc::strong_count(&vfs),
         held,
         "drop joins the scrubber, releasing the thread's handle on the vfs"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Read faults on segments
+// ---------------------------------------------------------------------------
+
+/// A rule failing the first read of a segment after it is armed.
+fn first_segment_read(err: FaultErr) -> FaultRule {
+    FaultRule {
+        op: VfsOp::Read,
+        path_substr: Some("seg-".into()),
+        nth: Some(1),
+        short_bytes: None,
+        err,
+        times: 1,
+    }
+}
+
+/// Point probe into chunk 1 (keys 128..=254).
+fn chunk_one_probe() -> HapQuery {
+    HapQuery::Q1 { v: 130, k: 2 }
+}
+
+fn assert_eio(err: &StorageError) {
+    assert!(
+        matches!(err, StorageError::Io(e) if e.raw_os_error() == Some(5)),
+        "expected a typed EIO, got {err}"
+    );
+}
+
+/// A read fault during a scrub pass says nothing about the record's
+/// bytes: the pass fails `Io`, nothing is quarantined or counted corrupt,
+/// the next pass is clean and every chunk still hydrates.
+#[test]
+fn scrub_read_fault_fails_the_pass_and_quarantines_nothing() {
+    let dir = test_dir("fm_scrub_read_fault");
+    drop(DurableTable::create_from_table(&dir, seed_table(), sync_opts()).expect("create"));
+    let (vfs, handle) = fault_handle(43);
+    let mut t = DurableTable::open_with_vfs(handle, &dir, sync_opts()).expect("lazy open");
+    vfs.inject(first_segment_read(FaultErr::Eio));
+
+    match t.scrub_now() {
+        Err(e) => assert_eio(&e),
+        Ok(report) => panic!("a failed read scrubbed as a pass: {report:?}"),
+    }
+    assert_eq!(vfs.counters().injected, 1);
+    assert!(
+        t.quarantined_chunks().is_empty(),
+        "a read fault is not damage"
+    );
+    assert_eq!(t.stats().scrub_corrupt_records, 0);
+    assert_eq!(t.stats().quarantined_chunks, 0);
+
+    let clean = t.scrub_now().expect("the next pass");
+    assert!(clean.findings.is_empty(), "{clean:?}");
+    assert_eq!(clean.records_checked, 3);
+    t.hydrate_all().expect("every chunk hydrates");
+    assert_eq!(
+        fingerprint_durable(&mut t, 0),
+        fingerprint_oracle(&mut seed_table(), 0)
+    );
+}
+
+/// A read fault while a lazily restored chunk hydrates on first touch:
+/// the touching query fails `Io`, the other chunks serve, and the chunk
+/// hydrates when the same query is retried.
+#[test]
+fn read_fault_at_first_touch_hydration_is_retried() {
+    let dir = test_dir("fm_hydrate_read_fault");
+    let mut oracle = seed_table();
+    {
+        let mut t =
+            DurableTable::create_from_table(&dir, seed_table(), sync_opts()).expect("create");
+        for i in 0..4 {
+            t.execute(&marker_write(i)).expect("write");
+            oracle.execute(&marker_write(i)).expect("oracle");
+        }
+        t.checkpoint().expect("checkpoint: nothing left to replay");
+    }
+    let (vfs, handle) = fault_handle(44);
+    let mut t = DurableTable::open_with_vfs(handle, &dir, sync_opts()).expect("lazy open");
+    assert!(!t.table().column().chunks()[1].is_hydrated());
+    vfs.inject(first_segment_read(FaultErr::Eio));
+
+    let err = t
+        .execute(&chunk_one_probe())
+        .expect_err("hydration read fails");
+    assert_eio(&err);
+    assert_eq!(vfs.counters().injected, 1);
+    let hit = t
+        .execute(&HapQuery::Q1 { v: 2, k: 2 })
+        .expect("chunk 0 serves");
+    assert_eq!(hit.result.scalar(), 1);
+    assert!(t.quarantined_chunks().is_empty());
+    assert!(!t.is_degraded());
+
+    let hit = t.execute(&chunk_one_probe()).expect("the retry hydrates");
+    assert_eq!(hit.result.scalar(), 1);
+    assert_eq!(
+        fingerprint_durable(&mut t, 4),
+        fingerprint_oracle(&mut oracle, 4)
+    );
+}
+
+/// A read fault while an evicted chunk rehydrates: under a one-byte
+/// budget checked after every query, the governor evicts every clean
+/// chunk, so each query rehydrates what it touches. The faulted query
+/// fails `Io` and is no rehydration; the other chunks serve; the retry
+/// rehydrates bit-exact.
+#[test]
+fn read_fault_at_rehydration_after_eviction_is_retried() {
+    let dir = test_dir("fm_rehydrate_read_fault");
+    let (vfs, handle) = fault_handle(45);
+    let opts = DurableOptions {
+        governor: Some(GovernorConfig {
+            memory_budget_bytes: 1,
+            check_interval: 1,
+            ..GovernorConfig::default()
+        }),
+        ..sync_opts()
+    };
+    let mut t =
+        DurableTable::create_from_table_with_vfs(handle, &dir, seed_table(), opts).expect("create");
+    let mut oracle = seed_table();
+    for i in 0..4 {
+        t.execute(&marker_write(i)).expect("write");
+        oracle.execute(&marker_write(i)).expect("oracle");
+    }
+    let hit = t.execute(&chunk_one_probe()).expect("rehydrates");
+    assert_eq!(hit.result.scalar(), 1);
+    let before = t.governor_stats().expect("governed");
+    assert!(
+        before.evictions > 0 && before.rehydrations > 0,
+        "{before:?}"
+    );
+    assert!(
+        !t.table().column().chunks()[1].is_hydrated(),
+        "evicted again"
+    );
+    vfs.inject(first_segment_read(FaultErr::Eio));
+
+    let err = t
+        .execute(&chunk_one_probe())
+        .expect_err("rehydration read fails");
+    assert_eio(&err);
+    assert_eq!(vfs.counters().injected, 1);
+    let after = t.governor_stats().expect("governed");
+    assert_eq!(after.rehydrations, before.rehydrations, "a failed load");
+    let hit = t
+        .execute(&HapQuery::Q1 { v: 2, k: 2 })
+        .expect("chunk 0 serves");
+    assert_eq!(hit.result.scalar(), 1);
+    assert!(t.quarantined_chunks().is_empty());
+    assert!(!t.is_degraded());
+
+    let hit = t.execute(&chunk_one_probe()).expect("the retry rehydrates");
+    assert_eq!(hit.result.scalar(), 1);
+    assert_eq!(
+        fingerprint_durable(&mut t, 4),
+        fingerprint_oracle(&mut oracle, 4)
     );
 }

@@ -317,7 +317,7 @@ fn slow_chunk_table() -> Table {
         .clone();
     let slow = Box::new(move || {
         std::thread::sleep(Duration::from_millis(30));
-        Ok(store)
+        Ok(store.clone())
     });
     assert!(table.column_mut().evict_chunk(1, slow), "chunk 1 evictable");
     table.column().publish();
