@@ -952,7 +952,17 @@ impl ChunkedColumn {
     /// decided here — the `NoOrder` broadcast and the cross-chunk Q6.
     fn apply_write_serial(&mut self, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
         let (old, new) = match op {
-            WriteOp::Insert { key, .. } => {
+            WriteOp::Insert { key, payload } => {
+                // Refused here for every store kind, before any store sees
+                // the row: a sorted store would panic on it, and a delta
+                // buffer would keep it until a read of the row panicked.
+                let expected = self.state.payload_width;
+                if payload.len() != expected {
+                    return Err(StorageError::PayloadArity {
+                        expected,
+                        got: payload.len(),
+                    });
+                }
                 let chunk = self.route_for(key).unwrap_or_else(|| {
                     // NoOrder: append to the last chunk with capacity.
                     self.state
@@ -1104,6 +1114,9 @@ impl ColumnSnapshot {
     /// "Casper evaluates the first (typically the most selective) filter
     /// and retrieves the qualifying positions to evaluate the subsequent
     /// filters."
+    ///
+    /// A `pred_col` or `sum_cols` entry past the payload's width is
+    /// [`StorageError::InvalidSpec`], before any chunk is routed.
     pub(crate) fn q3_sum_where(
         &self,
         lo: u64,
@@ -1114,6 +1127,15 @@ impl ColumnSnapshot {
         pred_hi: u32,
         ctx: &QueryCtx,
     ) -> Result<QueryOutput, StorageError> {
+        let width = self.payload_width;
+        if let Some(c) = std::iter::once(&pred_col)
+            .chain(sum_cols)
+            .find(|&&c| c >= width)
+        {
+            return Err(StorageError::InvalidSpec {
+                reason: format!("payload attribute {c} of a table of {width}"),
+            });
+        }
         let block_bytes = self.config.block_bytes;
         let (sum, cost) = self.scan_chunks(lo, hi, ctx, |store| {
             store.range_sum_where(lo, hi, sum_cols, pred_col, pred_lo, pred_hi, block_bytes)

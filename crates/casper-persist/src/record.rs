@@ -146,8 +146,8 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     for _ in 0..chunk.partition_count() {
         w.u8(0);
     }
-    // The payload in its own order: one vector per attribute
-    // column-major, one vector of whole rows row-major.
+    // The payload in its own order: one vector per word group (per
+    // attribute column-major, of whole rows row-major).
     let payloads = chunk.payloads();
     w.u64(payloads.width() as u64);
     for g in 0..payloads.word_groups() {
@@ -206,7 +206,7 @@ pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, si
     let payloads = chunk.payloads();
     w.u64(payloads.width() as u64);
     for group in 0..payloads.word_groups() {
-        w.u64((slots * payloads.words_per_slot()) as u64);
+        w.u64((slots * payloads.words_per_slot(group)) as u64);
         for &g in &granules {
             w.u32s(payloads.stored_words(group, chunk.granule_slots(g)));
         }
@@ -273,7 +273,7 @@ pub(crate) fn decode_chain(
             let (mut state, mut legacy) = decode_chunk_state(&mut r, orientation)?;
             r.finish()?;
             for patch in patches {
-                apply_patch(&mut state, &mut legacy, patch)?;
+                apply_patch(&mut state, &mut legacy, orientation, patch)?;
             }
             state.write_mark = mark;
             check_width(state.payloads.width())?;
@@ -296,22 +296,22 @@ pub(crate) fn decode_chain(
     Ok(store)
 }
 
-/// Apply one patch record (see [`encode_patch`]) to a decoded chunk state.
-/// `legacy[p]` says whether the chain still holds a legacy fragment for
-/// partition `p`. Structural checks here catch a patch that cannot belong
-/// to this chain; `PartitionedChunk::from_state` checks the result as a
-/// whole.
+/// Apply one patch record (see [`encode_patch`]) to a decoded chunk state
+/// whose chain's full record was written in `orientation`. `legacy[p]`
+/// says whether the chain still holds a legacy fragment for partition `p`.
+/// Structural checks here catch a patch that cannot belong to this chain;
+/// `PartitionedChunk::from_state` checks the result as a whole.
 fn apply_patch(
     state: &mut ChunkState<u64>,
     legacy: &mut [bool],
+    orientation: PayloadOrientation,
     bytes: &[u8],
 ) -> Result<(), StorageError> {
     let mut r = ByteReader::new(bytes);
     let tag = r.u8()?;
-    if tag != partitioned_tags(state.payloads.orientation()).1 {
+    if tag != partitioned_tags(orientation).1 {
         return Err(StorageError::corrupt(format!(
-            "a patch position of a {:?} chain holds a record of kind {tag}",
-            state.payloads.orientation()
+            "a patch position of a {orientation:?} chain holds a record of kind {tag}"
         )));
     }
     let physical = r.len_u64()?;
@@ -377,13 +377,16 @@ fn apply_patch(
             state.payloads.width()
         )));
     }
-    let per_slot = state.payloads.words_per_slot();
     let mut groups = Vec::with_capacity(state.payloads.word_groups());
-    for _ in 0..state.payloads.word_groups() {
-        groups.push(r.vec_u32()?);
+    for g in 0..state.payloads.word_groups() {
+        groups.push((state.payloads.words_per_slot(g), r.vec_u32()?));
     }
     r.finish()?;
-    if keys.len() != slots || groups.iter().any(|g| g.len() != slots * per_slot) {
+    if keys.len() != slots
+        || groups
+            .iter()
+            .any(|(per_slot, g)| g.len() != slots * per_slot)
+    {
         return Err(StorageError::corrupt(format!(
             "a patch of {slots} granule slots carries {} keys",
             keys.len()
@@ -396,7 +399,7 @@ fn apply_patch(
     for range in ranges {
         let next = at + range.len();
         state.data[range.clone()].copy_from_slice(&keys[at..next]);
-        for (g, src) in groups.iter().enumerate() {
+        for (g, (per_slot, src)) in groups.iter().enumerate() {
             state
                 .payloads
                 .stored_words_mut(g, range.clone())
@@ -472,41 +475,38 @@ fn decode_chunk_state(
     Ok((state, legacy))
 }
 
-/// A full record's payload section: its width, then one vector per
-/// attribute column-major, or one vector of `physical` whole rows
-/// row-major. Every length is checked against `physical`.
+/// A full record's payload section: its width, then one vector per word
+/// group the record's `orientation` implies (one per attribute
+/// column-major, one of `physical` whole rows row-major), each checked
+/// against `physical` slots of its group's width.
 fn decode_payloads(
     r: &mut ByteReader<'_>,
     orientation: PayloadOrientation,
     physical: usize,
 ) -> Result<PayloadSet, StorageError> {
-    let n_cols = r.len_u64()?;
-    match orientation {
-        PayloadOrientation::Columns => {
-            let mut cols = Vec::with_capacity(n_cols.min(1 << 16));
-            for c in 0..n_cols {
-                let col = r.vec_u32()?;
-                if col.len() != physical {
-                    return Err(StorageError::corrupt(format!(
-                        "payload column {c} has {} slots, key column has {physical}",
-                        col.len()
-                    )));
-                }
-                cols.push(col);
-            }
-            Ok(PayloadSet::from_columns(cols, physical))
+    let width = r.len_u64()?;
+    let (n_groups, group_width) = match orientation {
+        PayloadOrientation::Columns => (width, 1),
+        PayloadOrientation::Rows => (1, width),
+    };
+    let mut groups = Vec::with_capacity(n_groups.min(1 << 16));
+    for g in 0..n_groups {
+        let words = r.vec_u32()?;
+        if group_width == 0 || Some(words.len()) != physical.checked_mul(group_width) {
+            return Err(StorageError::corrupt(match orientation {
+                PayloadOrientation::Columns => format!(
+                    "payload column {g} has {} slots, key column has {physical}",
+                    words.len()
+                ),
+                PayloadOrientation::Rows => format!(
+                    "{} row-major payload words for {physical} slots of {width}",
+                    words.len()
+                ),
+            }));
         }
-        PayloadOrientation::Rows => {
-            let rows = r.vec_u32()?;
-            if n_cols == 0 || Some(rows.len()) != physical.checked_mul(n_cols) {
-                return Err(StorageError::corrupt(format!(
-                    "{} row-major payload words for {physical} slots of {n_cols}",
-                    rows.len()
-                )));
-            }
-            Ok(PayloadSet::from_rows(n_cols, rows, physical))
-        }
+        groups.push((group_width, words));
     }
+    Ok(PayloadSet::from_groups(groups, physical))
 }
 
 /// Undo [`encode_partition_meta`], reading past the zone section.
@@ -813,77 +813,129 @@ mod tests {
         ));
     }
 
-    /// The bytes a writer from before row-major payload emitted for a
-    /// partitioned chunk — tag 0, one vector per payload column, and a
-    /// tag-3 patch of per-column runs — written out here field by field,
-    /// decode column-major to exactly the chunk they were written from.
+    /// The bytes of a partitioned chunk's full record and patch, written
+    /// out here field by field: column-major, what a writer from before
+    /// row-major payload emitted (tag 0, one vector per payload column, and
+    /// a tag-3 patch of per-column runs); row-major, tag 4 with one vector
+    /// of whole rows and a tag-5 patch of row runs. Each decodes to exactly
+    /// the chunk it was written from, and today's writer emits the same
+    /// bytes. A width-1 chain under tags 4/5 (one word per row either way)
+    /// still decodes, to the column-major chunk.
     #[test]
     fn records_written_before_row_major_decode_column_major() {
+        use casper_storage::ghost::GhostPlan;
+        use casper_storage::PartitionSpec;
         let config = EngineConfig::small(LayoutMode::Casper);
-        let mut chunk = oriented_chunk(PayloadOrientation::Columns);
-        let width = chunk.payloads().width();
-        let slots = chunk.slot_count();
-        let mut w = ByteWriter::new();
-        w.u8(0);
-        w.u64(64);
-        w.u64(8);
-        w.u8(1);
-        w.f64(chunk.chunk_config().capacity_slack);
-        w.u64(chunk.chunk_config().ghost_fetch_block as u64);
-        w.u64(chunk.live_len() as u64);
-        w.vec_u64(&chunk.copy_slots(0..slots));
-        encode_partition_meta(&mut w, &chunk);
-        (0..chunk.partition_count()).for_each(|_| w.u8(0));
-        w.u64(width as u64);
-        for c in 0..width {
-            let col: Vec<u32> = (0..slots).map(|s| chunk.payloads().get(c, s)).collect();
-            w.vec_u32(&col);
-        }
-        let full = w.into_bytes();
-
-        let since = chunk.write_mark();
-        chunk.insert(50, &[5, 6, 7]).expect("insert");
-        let granules: Vec<usize> = chunk.granules_written_since(since).collect();
-        let ranges: Vec<_> = granules.iter().map(|&g| chunk.granule_slots(g)).collect();
-        let n: usize = ranges.iter().map(|r| r.len()).sum();
-        let mut w = ByteWriter::new();
-        w.u8(3);
-        w.u64(chunk.slot_count() as u64);
-        w.u64(chunk.live_len() as u64);
-        encode_partition_meta(&mut w, &chunk);
-        (0..chunk.partition_count()).for_each(|_| w.u8(0));
-        w.u64(GRANULE_SLOTS as u64);
-        w.u64(granules.len() as u64);
-        granules.iter().for_each(|&g| w.u64(g as u64));
-        let keys: Vec<u64> = ranges
-            .iter()
-            .flat_map(|r| chunk.copy_slots(r.clone()))
-            .collect();
-        w.vec_u64(&keys);
-        w.u64(width as u64);
-        for c in 0..width {
-            w.u64(n as u64);
-            for r in &ranges {
-                let run: Vec<u32> = r.clone().map(|s| chunk.payloads().get(c, s)).collect();
-                w.u32s(&run);
+        for (orientation, tags) in [
+            (PayloadOrientation::Columns, (0, 3)),
+            (PayloadOrientation::Rows, (4, 5)),
+        ] {
+            let mut chunk = oriented_chunk(orientation);
+            let width = chunk.payloads().width();
+            // The payload words of `slots`, in the orientation's groups:
+            // per attribute column-major, one group of rows row-major.
+            let groups = |chunk: &PartitionedChunk<u64>, slots: &[std::ops::Range<usize>]| {
+                let p = chunk.payloads();
+                let words = |attrs: std::ops::Range<usize>| -> Vec<u32> {
+                    let slots = slots.iter().flat_map(|r| r.clone());
+                    slots
+                        .flat_map(|s| attrs.clone().map(move |c| p.get(c, s)))
+                        .collect()
+                };
+                match orientation {
+                    PayloadOrientation::Columns => (0..width).map(|c| words(c..c + 1)).collect(),
+                    PayloadOrientation::Rows => vec![words(0..width)],
+                }
+            };
+            let slots = chunk.slot_count();
+            let mut w = ByteWriter::new();
+            w.u8(tags.0);
+            w.u64(64);
+            w.u64(8);
+            w.u8(1);
+            w.f64(chunk.chunk_config().capacity_slack);
+            w.u64(chunk.chunk_config().ghost_fetch_block as u64);
+            w.u64(chunk.live_len() as u64);
+            w.vec_u64(&chunk.copy_slots(0..slots));
+            encode_partition_meta(&mut w, &chunk);
+            (0..chunk.partition_count()).for_each(|_| w.u8(0));
+            w.u64(width as u64);
+            for group in groups(&chunk, std::slice::from_ref(&(0..slots))) {
+                w.vec_u32(&group);
             }
+            let full = w.into_bytes();
+            let mut w = ByteWriter::new();
+            encode_store(&mut w, &ChunkStore::Partitioned(chunk.clone()));
+            assert_eq!(w.into_bytes(), full, "{orientation:?} full record");
+
+            let since = chunk.write_mark();
+            chunk.insert(50, &[5, 6, 7]).expect("insert");
+            let granules: Vec<usize> = chunk.granules_written_since(since).collect();
+            let ranges: Vec<_> = granules.iter().map(|&g| chunk.granule_slots(g)).collect();
+            let mut w = ByteWriter::new();
+            w.u8(tags.1);
+            w.u64(chunk.slot_count() as u64);
+            w.u64(chunk.live_len() as u64);
+            encode_partition_meta(&mut w, &chunk);
+            (0..chunk.partition_count()).for_each(|_| w.u8(0));
+            w.u64(GRANULE_SLOTS as u64);
+            w.u64(granules.len() as u64);
+            granules.iter().for_each(|&g| w.u64(g as u64));
+            let keys: Vec<u64> = ranges
+                .iter()
+                .flat_map(|r| chunk.copy_slots(r.clone()))
+                .collect();
+            w.vec_u64(&keys);
+            w.u64(width as u64);
+            for group in groups(&chunk, &ranges) {
+                w.vec_u32(&group);
+            }
+            let patch = w.into_bytes();
+            let mut w = ByteWriter::new();
+            encode_patch(&mut w, &chunk, since);
+            assert_eq!(w.into_bytes(), patch, "{orientation:?} patch");
+
+            let mark = chunk.write_mark();
+            let Ok(ChunkStore::Partitioned(got)) =
+                decode_chain(&[&full, &patch], mark, &config, width)
+            else {
+                panic!("the {orientation:?} chain decodes");
+            };
+            assert_eq!(got.payload_orientation(), orientation);
+            assert_eq!(got.payloads(), chunk.payloads());
+            assert_eq!(
+                got.copy_slots(0..got.slot_count()),
+                chunk.copy_slots(0..chunk.slot_count())
+            );
         }
-        let patch = w.into_bytes();
+
+        let keys: Vec<u64> = (0..100).map(|i| 2 * i).collect();
+        let mut chunk = PartitionedChunk::build_with_payloads(
+            &keys,
+            &[keys.iter().map(|&k| k as u32).collect::<Vec<u32>>()],
+            &PartitionSpec::from_block_sizes(&[5, 8]),
+            BlockLayout::new::<u64>(64),
+            &GhostPlan::from_counts(vec![2, 2]),
+            ChunkConfig::default(),
+        )
+        .expect("build");
+        let mut w = ByteWriter::new();
+        encode_store(&mut w, &ChunkStore::Partitioned(chunk.clone()));
+        let mut full = w.into_bytes();
+        let since = chunk.write_mark();
+        chunk.insert(51, &[9]).expect("insert");
+        let mut w = ByteWriter::new();
+        encode_patch(&mut w, &chunk, since);
+        let mut patch = w.into_bytes();
+        assert_eq!((full[0], patch[0]), (0, 3));
+        (full[0], patch[0]) = (4, 5);
         let mark = chunk.write_mark();
-        let Ok(ChunkStore::Partitioned(got)) = decode_chain(&[&full, &patch], mark, &config, width)
+        let Ok(ChunkStore::Partitioned(got)) = decode_chain(&[&full, &patch], mark, &config, 1)
         else {
-            panic!("the old chain decodes");
+            panic!("a width-1 row-major chain decodes");
         };
         assert_eq!(got.payload_orientation(), PayloadOrientation::Columns);
         assert_eq!(got.payloads(), chunk.payloads());
-        assert_eq!(
-            got.copy_slots(0..got.slot_count()),
-            chunk.copy_slots(0..chunk.slot_count())
-        );
-        // Today's writer emits those same bytes for a column-major chunk.
-        let mut w = ByteWriter::new();
-        encode_patch(&mut w, &chunk, since);
-        assert_eq!(w.into_bytes(), patch);
     }
 
     /// One partition's legacy fragment section, as older writers stored

@@ -120,8 +120,13 @@ fn run_twins(seed: u64) -> Result<(), String> {
     let mut col = Chunk::build_with_payloads(&keys, &cols, &spec, layout, &ghosts, config)
         .map_err(|e| format!("build: {e}"))?;
     let mut row = col.clone().into_orientation(PayloadOrientation::Rows);
+    // One attribute has one layout, which reports column-major.
+    let row_orientation = match width {
+        1 => PayloadOrientation::Columns,
+        _ => PayloadOrientation::Rows,
+    };
     if col.payload_orientation() != PayloadOrientation::Columns
-        || row.payload_orientation() != PayloadOrientation::Rows
+        || row.payload_orientation() != row_orientation
     {
         return Err("twins not in their orientations".into());
     }

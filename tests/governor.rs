@@ -567,6 +567,115 @@ fn interrupts_surface_typed_on_every_surface_without_poisoning() {
     );
 }
 
+/// A wrong-arity Q4 is refused in every layout mode, before any store
+/// sees the row: each returns the typed error and keeps serving (the rows
+/// around it, the refused key's absence, a correct insert of that key).
+/// A durable table over a delta store stages nothing for it, so nothing
+/// replays on reopen.
+#[test]
+fn wrong_arity_insert_is_refused_in_every_layout_mode() {
+    let bad_row = HapQuery::Q4 {
+        key: 131,
+        payload: vec![7],
+    };
+    let good_row = HapQuery::Q4 {
+        key: 131,
+        payload: payload_row(131),
+    };
+    let arity = |e: &StorageError| {
+        matches!(
+            e,
+            StorageError::PayloadArity {
+                expected: 2,
+                got: 1
+            }
+        )
+    };
+    for mode in LayoutMode::all() {
+        let mut table = seed_table_in(mode);
+        assert_one_error(
+            "wrong-arity Q4",
+            arity,
+            vec![(mode.label(), table.execute(&bad_row).err())],
+        );
+        let out = table
+            .execute(&point(131))
+            .expect("a probe of the refused key");
+        assert_eq!(out.result, QueryResult::Rows(Vec::new()), "{mode:?}");
+        expect_rows(&table.execute(&point(130)).expect("a neighbor"), 130);
+        table.execute(&good_row).expect("a correct insert");
+        expect_rows(&table.execute(&point(131)).expect("the inserted row"), 131);
+        let count = table.execute(&count_all()).expect("count").result.scalar();
+        assert_eq!(count, ROWS + 1, "{mode:?}");
+    }
+
+    let dir = test_dir("gov_wrong_arity_delta");
+    let mut opts = DurableOptions::default();
+    opts.group_commit = 8; // keep staged writes unsealed
+    let mut durable =
+        DurableTable::create_from_table(&dir, seed_table_in(LayoutMode::StateOfArt), opts)
+            .expect("create");
+    assert_one_error(
+        "wrong-arity Q4",
+        arity,
+        vec![("DurableTable", durable.execute(&bad_row).err())],
+    );
+    assert_eq!(durable.stats().staged_records, 0);
+    durable.execute(&good_row).expect("a correct insert");
+    assert_eq!(durable.stats().staged_records, 1);
+    durable.flush().expect("seal");
+    drop(durable);
+    let mut reopened = DurableTable::open(&dir, DurableOptions::default()).expect("reopen");
+    expect_rows(&reopened.execute(&point(131)).expect("replayed"), 131);
+    assert_eq!(reopened.len(), ROWS as usize + 1);
+}
+
+/// `multi_column_sum` over an attribute past the payload's width is
+/// `InvalidSpec` on every surface, as the predicate or as a summed
+/// attribute; a governor counts no panic for it.
+#[test]
+fn multi_column_sum_refuses_attributes_past_the_payload() {
+    let opts = DurableOptions {
+        governor: Some(GovernorConfig::default()),
+        ..DurableOptions::default()
+    };
+    let durable = DurableTable::create_from_table(&test_dir("gov_sum_attrs"), seed_table(), opts)
+        .expect("create");
+    let gov = Arc::clone(durable.governor().expect("governed"));
+    let table = seed_table();
+    let reader = table.reader().with_governor(Arc::clone(&gov));
+    for (sum_cols, pred_col) in [(&[0usize, 1][..], 2usize), (&[2][..], 0), (&[1, 99][..], 1)] {
+        let (lo, hi) = (0, u64::MAX);
+        assert_one_error(
+            "out-of-range attribute",
+            |e| matches!(e, StorageError::InvalidSpec { .. }),
+            vec![
+                (
+                    "Table",
+                    table
+                        .multi_column_sum(lo, hi, sum_cols, pred_col, 0, u32::MAX)
+                        .err(),
+                ),
+                (
+                    "TableReader",
+                    reader
+                        .multi_column_sum(lo, hi, sum_cols, pred_col, 0, u32::MAX)
+                        .err(),
+                ),
+                (
+                    "DurableTable",
+                    durable
+                        .multi_column_sum(lo, hi, sum_cols, pred_col, 0, u32::MAX)
+                        .err(),
+                ),
+            ],
+        );
+    }
+    assert_eq!(gov.stats().panics, 0);
+    let all = table.multi_column_sum(0, u64::MAX, &[0, 1], 1, 0, u32::MAX);
+    assert!(all.is_ok(), "in-range attributes still sum: {all:?}");
+}
+
 /// A write is checked before dispatch: an already-expired deadline on a
 /// Q4 applies nothing and stages nothing.
 #[test]
