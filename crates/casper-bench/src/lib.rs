@@ -1,7 +1,7 @@
 //! # casper-bench
 //!
-//! The kernel and solver micro-benchmarks: three criterion benches under
-//! `benches/` (`scan_ops`, `ripple`, `solver`), developer
+//! The kernel, solver and WAL-staging micro-benchmarks: four criterion
+//! benches under `benches/` (`scan_ops`, `ripple`, `solver`, `wal`), developer
 //! tools run with `cargo bench -p casper-bench --bench <name>`. A full
 //! `scan_ops` run also records the per-kernel table `BENCH_scan.json`
 //! through [`trajectory`]; a `--test` smoke run checks every kernel against

@@ -47,8 +47,9 @@
 //! ([`crate::fault::FaultVfs`]).
 //!
 //! * A failed WAL **write** (e.g. ENOSPC before the fsync) leaves the
-//!   batch staged; the seal retries on the next commit after truncating
-//!   back to the durable boundary.
+//!   batch staged; the seal retries on the next commit, writing the batch
+//!   again from the durable boundary. The retry is never shorter than the
+//!   failed attempt, so it overwrites whatever bytes that attempt landed.
 //! * A failed WAL **fsync** *poisons* the log (fsyncgate: a retried fsync
 //!   can falsely succeed after the kernel dropped the dirty pages). The
 //!   table immediately rotates to a fresh WAL and takes a synchronous
@@ -890,8 +891,8 @@ impl DurableTable {
         ctx: &QueryCtx,
         seal_at: u64,
     ) -> Result<QueryOutput, StorageError> {
-        let logged = WalOp::from_query(q);
-        if logged.is_some() {
+        let write = !q.is_read();
+        if write {
             self.ensure_active()?;
         }
         let result = match &self.governor {
@@ -899,7 +900,7 @@ impl DurableTable {
             Some(gov) => {
                 let suspect = implicated_chunk(self.table.column(), q);
                 let table = &mut self.table;
-                gov.run(logged.is_some(), suspect, || table.execute_with(q, ctx))
+                gov.run(write, suspect, || table.execute_with(q, ctx))
             }
         };
         if let Err(StorageError::Panicked {
@@ -910,11 +911,8 @@ impl DurableTable {
             self.contain_panic(*i, detail);
         }
         let out = result?;
-        if let Some(op) = logged {
-            self.wal.stage(&op);
-            if self.wal.staged_records() >= seal_at {
-                self.seal_and_maybe_checkpoint()?;
-            }
+        if self.wal.stage_query(q) && self.wal.staged_records() >= seal_at {
+            self.seal_and_maybe_checkpoint()?;
         }
         Ok(out)
     }

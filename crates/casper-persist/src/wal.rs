@@ -24,8 +24,19 @@
 //! LSNs are strictly increasing across the whole log. The snapshot records
 //! the highest LSN it folded in (`durable_lsn`); replay skips batches at or
 //! below it, which is what makes replaying the same WAL twice a no-op.
+//!
+//! ## Staging and sealing
+//!
+//! [`Wal::stage`] (from a [`WalOp`]) and [`Wal::stage_query`] (from the
+//! write query itself) share one encoder: it appends each frame straight
+//! into the open batch's buffer — the 8-byte header reserved, the body
+//! written behind it from a borrowed view of the write, then the length
+//! and the body's CRC filled in. A sealed buffer keeps its capacity, so
+//! staging into it allocates nothing. [`Wal::seal`] appends the commit
+//! frame to the same buffer and makes the batch durable with one write at
+//! the durable boundary and one `fdatasync`.
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::ByteReader;
 use crate::crc::crc32;
 use crate::vfs::{Vfs, VfsFile, VfsHandle};
 use casper_engine::Table;
@@ -137,40 +148,81 @@ const KIND_DELETE: u8 = 2;
 const KIND_UPDATE: u8 = 3;
 const KIND_COMMIT: u8 = 4;
 
-fn encode_frame(out: &mut Vec<u8>, body: &[u8]) {
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
+/// Bytes of a frame's `len | crc` header.
+const FRAME_HEADER: usize = 8;
+
+/// One frame's body after its LSN, borrowed from the write it logs (a
+/// [`HapQuery`] or a [`WalOp`]), or a batch's commit marker.
+#[derive(Debug, Clone, Copy)]
+enum Body<'a> {
+    Insert { key: u64, payload: &'a [u32] },
+    Delete { key: u64 },
+    Update { old: u64, new: u64 },
+    Commit { n_records: u64 },
 }
 
-fn encode_op_body(lsn: u64, op: &WalOp) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(lsn);
-    match op {
-        WalOp::Insert { key, payload } => {
-            w.u8(KIND_INSERT);
-            w.u64(*key);
-            w.vec_u32(payload);
-        }
-        WalOp::Delete { key } => {
-            w.u8(KIND_DELETE);
-            w.u64(*key);
-        }
-        WalOp::Update { old, new } => {
-            w.u8(KIND_UPDATE);
-            w.u64(*old);
-            w.u64(*new);
+impl<'a> Body<'a> {
+    fn of_op(op: &'a WalOp) -> Self {
+        match op {
+            WalOp::Insert { key, payload } => Body::Insert { key: *key, payload },
+            WalOp::Delete { key } => Body::Delete { key: *key },
+            WalOp::Update { old, new } => Body::Update {
+                old: *old,
+                new: *new,
+            },
         }
     }
-    w.into_bytes()
+
+    /// The body logging a write query; `None` for reads.
+    fn of_query(q: &'a HapQuery) -> Option<Self> {
+        match q {
+            HapQuery::Q4 { key, payload } => Some(Body::Insert { key: *key, payload }),
+            HapQuery::Q5 { v } => Some(Body::Delete { key: *v }),
+            HapQuery::Q6 { v, vnew } => Some(Body::Update {
+                old: *v,
+                new: *vnew,
+            }),
+            _ => None,
+        }
+    }
 }
 
-fn encode_commit_body(lsn: u64, n_records: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(lsn);
-    w.u8(KIND_COMMIT);
-    w.u64(n_records);
-    w.into_bytes()
+/// The one frame encoder: append the frame of `body` at `lsn` to `out`
+/// in place. It reserves the header, writes the body behind it, then fills
+/// in the body's length and CRC — no intermediate buffer, and no
+/// allocation when `out` has the room.
+fn append_frame(out: &mut Vec<u8>, lsn: u64, body: Body<'_>) {
+    let start = out.len();
+    let body_start = start + FRAME_HEADER;
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    out.extend_from_slice(&lsn.to_le_bytes());
+    match body {
+        Body::Insert { key, payload } => {
+            out.push(KIND_INSERT);
+            out.extend_from_slice(&key.to_le_bytes());
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            for &w in payload {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        Body::Delete { key } => {
+            out.push(KIND_DELETE);
+            out.extend_from_slice(&key.to_le_bytes());
+        }
+        Body::Update { old, new } => {
+            out.push(KIND_UPDATE);
+            out.extend_from_slice(&old.to_le_bytes());
+            out.extend_from_slice(&new.to_le_bytes());
+        }
+        Body::Commit { n_records } => {
+            out.push(KIND_COMMIT);
+            out.extend_from_slice(&n_records.to_le_bytes());
+        }
+    }
+    let body_len = (out.len() - body_start) as u32;
+    let crc = crc32(&out[body_start..]);
+    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+    out[start + 4..body_start].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Parsed frame: `(lsn, Commit(n) | Op)`.
@@ -435,9 +487,26 @@ impl Wal {
 
     /// Stage one operation into the open batch (not yet durable).
     pub fn stage(&mut self, op: &WalOp) {
-        let body = encode_op_body(self.next_lsn, op);
+        self.append(Body::of_op(op));
+    }
+
+    /// Stage a write query into the open batch, encoded straight from the
+    /// query (no [`WalOp`] copy of its payload). Returns whether `q` was a
+    /// write; a read stages nothing. The frame is the one [`Wal::stage`]
+    /// writes for `WalOp::from_query(q)`, byte for byte.
+    pub fn stage_query(&mut self, q: &HapQuery) -> bool {
+        match Body::of_query(q) {
+            Some(body) => {
+                self.append(body);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn append(&mut self, body: Body<'_>) {
+        append_frame(&mut self.staged, self.next_lsn, body);
         self.next_lsn += 1;
-        encode_frame(&mut self.staged, &body);
         self.staged_records += 1;
     }
 
@@ -445,12 +514,15 @@ impl Wal {
     /// durable with one write + fsync. No-op when nothing is staged.
     /// Returns the commit LSN (0 when empty).
     ///
-    /// Failure-retry safe: the commit frame is assembled outside `staged`
-    /// and all writer state advances only after the fsync, so a failed
-    /// seal (e.g. ENOSPC mid-write) leaves the batch intact for a retry;
-    /// the retry first truncates back to the last durable offset, so bytes
-    /// a failed attempt may have landed can never precede — and thereby
-    /// corrupt — an acknowledged batch.
+    /// The commit frame is appended to the staged batch, and the batch is
+    /// written at the durable boundary with one `write_all`, then synced
+    /// with one `sync_data`. Failure-retry safe: a failed write or fsync
+    /// pops the commit frame again and advances no writer state, so the
+    /// batch stays intact for a retry. A retry writes the same records,
+    /// plus any staged since, plus a commit frame of the same size, from
+    /// the same offset: it is never shorter than a failed attempt, so it
+    /// overwrites every byte that attempt may have landed, and nothing
+    /// needs truncating first.
     /// The retry exception: a failed **fsync** (as opposed to a failed
     /// write) poisons the log permanently — see [`Wal::poisoned`].
     pub fn seal(&mut self) -> Result<u64, StorageError> {
@@ -464,15 +536,30 @@ impl Wal {
         }
         let commit_lsn = self.next_lsn;
         OBS_BATCH_RECORDS.record(self.staged_records);
-        let body = encode_commit_body(commit_lsn, self.staged_records);
-        let mut commit_frame = Vec::new();
-        encode_frame(&mut commit_frame, &body);
-        // Discard any partial garbage from a previously failed seal and
-        // re-position at the durable boundary (cheap next to the fsync).
-        self.file.set_len(self.bytes_on_disk)?;
+        let records_len = self.staged.len();
+        append_frame(
+            &mut self.staged,
+            commit_lsn,
+            Body::Commit {
+                n_records: self.staged_records,
+            },
+        );
+        if let Err(e) = self.write_and_sync() {
+            self.staged.truncate(records_len);
+            return Err(e);
+        }
+        self.next_lsn = commit_lsn + 1;
+        self.bytes_on_disk += self.staged.len() as u64;
+        self.staged.clear();
+        self.staged_records = 0;
+        Ok(commit_lsn)
+    }
+
+    /// Write the staged bytes at the durable boundary and fsync them.
+    fn write_and_sync(&mut self) -> Result<(), StorageError> {
+        // A failed attempt may have moved the cursor past the boundary.
         self.file.seek(SeekFrom::Start(self.bytes_on_disk))?;
         self.file.write_all(&self.staged)?;
-        self.file.write_all(&commit_frame)?;
         let fsync_start = casper_obs::enabled().then(std::time::Instant::now);
         let synced = self.file.sync_data();
         if let Some(t) = fsync_start {
@@ -491,11 +578,7 @@ impl Wal {
             self.poisoned = true;
             return Err(e.into());
         }
-        self.next_lsn = commit_lsn + 1;
-        self.bytes_on_disk += (self.staged.len() + commit_frame.len()) as u64;
-        self.staged.clear();
-        self.staged_records = 0;
-        Ok(commit_lsn)
+        Ok(())
     }
 
     /// True when an earlier seal's fsync failed, leaving the log tail with
@@ -522,6 +605,11 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ByteWriter;
+    use crate::fault::{FaultErr, FaultRule, FaultVfs};
+    use crate::vfs::Vfs;
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn ops() -> Vec<WalOp> {
         vec![
@@ -538,16 +626,251 @@ mod tests {
         let mut bytes = Vec::new();
         let mut lsn = 1u64;
         for batch in batches {
-            let mut n = 0u64;
             for op in batch {
-                encode_frame(&mut bytes, &encode_op_body(lsn, op));
+                append_frame(&mut bytes, lsn, Body::of_op(op));
                 lsn += 1;
-                n += 1;
             }
-            encode_frame(&mut bytes, &encode_commit_body(lsn, n));
+            let n_records = batch.len() as u64;
+            append_frame(&mut bytes, lsn, Body::Commit { n_records });
             lsn += 1;
         }
         bytes
+    }
+
+    /// The frame encoder as it was before frames were staged in place: a
+    /// body built in its own buffer, then copied behind its header. The
+    /// shared encoder must match it byte for byte.
+    fn reference_frame(out: &mut Vec<u8>, body: &[u8]) {
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+    }
+
+    fn reference_op_body(lsn: u64, op: &WalOp) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u64(lsn);
+        match op {
+            WalOp::Insert { key, payload } => {
+                w.u8(KIND_INSERT);
+                w.u64(*key);
+                w.vec_u32(payload);
+            }
+            WalOp::Delete { key } => {
+                w.u8(KIND_DELETE);
+                w.u64(*key);
+            }
+            WalOp::Update { old, new } => {
+                w.u8(KIND_UPDATE);
+                w.u64(*old);
+                w.u64(*new);
+            }
+        }
+        w.into_bytes()
+    }
+
+    fn reference_commit_body(lsn: u64, n_records: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u64(lsn);
+        w.u8(KIND_COMMIT);
+        w.u64(n_records);
+        w.into_bytes()
+    }
+
+    /// A fresh log named `name` in this module's scratch directory.
+    fn fresh_wal(vfs: &VfsHandle, name: &str) -> Wal {
+        let dir = std::env::temp_dir().join("casper_wal_unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        let wal = Wal::create(vfs, &path, 1).unwrap();
+        vfs.fsync_dir(&dir).unwrap();
+        wal
+    }
+
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// One write of each kind at LSNs 1..=5, and the frames they log
+    /// (CRCs computed independently, with zlib's CRC-32).
+    fn golden() -> (Vec<WalOp>, Vec<Vec<u8>>) {
+        let ops = vec![
+            WalOp::Insert {
+                key: 11,
+                payload: vec![],
+            },
+            WalOp::Insert {
+                key: 0x0102_0304_0506_0708,
+                payload: vec![0xA1B2_C3D4],
+            },
+            WalOp::Insert {
+                key: 12,
+                payload: (1..=15).collect(),
+            },
+            WalOp::Delete { key: 40 },
+            WalOp::Update { old: 7, new: 9 },
+        ];
+        let frames = [
+            "190000007f7e39910100000000000000010b000000000000000000000000000000",
+            "1d0000002ad75a5002000000000000000108070605040302010100000000000000d4c3b2a1",
+            "5500000078831ca00300000000000000010c000000000000000f00000000000000\
+             0100000002000000030000000400000005000000060000000700000008000000\
+             090000000a0000000b0000000c0000000d0000000e0000000f000000",
+            "11000000178782be0400000000000000022800000000000000",
+            "19000000a06cd50605000000000000000307000000000000000900000000000000",
+            // The commit marker sealing the five (LSN 6).
+            "11000000dd19d77b0600000000000000040500000000000000",
+        ];
+        (ops, frames.iter().map(|f| hex(f)).collect())
+    }
+
+    #[test]
+    fn frames_of_each_kind_match_their_golden_bytes() {
+        let (ops, frames) = golden();
+        for (lsn, (op, want)) in (1u64..).zip(ops.iter().zip(&frames)) {
+            let mut got = Vec::new();
+            append_frame(&mut got, lsn, Body::of_op(op));
+            assert_eq!(&got, want, "{op:?}");
+        }
+        let mut commit = Vec::new();
+        append_frame(&mut commit, 6, Body::Commit { n_records: 5 });
+        assert_eq!(&commit, frames.last().unwrap());
+
+        // Both staging entry points, sealed: the log is the six frames.
+        let all: Vec<u8> = frames.concat();
+        let mut by_op = fresh_wal(&VfsHandle::Real, "golden-op.log");
+        let mut by_query = fresh_wal(&VfsHandle::Real, "golden-query.log");
+        for op in &ops {
+            by_op.stage(op);
+            assert!(by_query.stage_query(&op.to_query()));
+        }
+        assert!(!by_query.stage_query(&HapQuery::Q1 { v: 11, k: 1 }));
+        assert_eq!(by_query.staged_records(), 5, "a read stages nothing");
+        for wal in [&mut by_op, &mut by_query] {
+            assert_eq!(wal.seal().unwrap(), 6);
+            assert_eq!(std::fs::read(wal.path()).unwrap(), all);
+            assert_eq!(wal.durable_bytes(), all.len() as u64);
+            assert_eq!(wal.next_lsn(), 7);
+        }
+    }
+
+    fn op_strategy() -> impl Strategy<Value = WalOp> {
+        prop_oneof![
+            (any::<u64>(), proptest::collection::vec(any::<u32>(), 0..20))
+                .prop_map(|(key, payload)| WalOp::Insert { key, payload }),
+            any::<u64>().prop_map(|key| WalOp::Delete { key }),
+            (any::<u64>(), any::<u64>()).prop_map(|(old, new)| WalOp::Update { old, new }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// Generated batches, staged through both entry points: the open
+        /// batch and the sealed log equal the reference encoder's bytes,
+        /// and `scan` reads the batches back.
+        #[test]
+        fn staged_batches_match_the_reference_encoder(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(op_strategy(), 1..12),
+                1..5,
+            ),
+        ) {
+            let mut by_op = fresh_wal(&VfsHandle::Real, "prop-op.log");
+            let mut by_query = fresh_wal(&VfsHandle::Real, "prop-query.log");
+            let mut reference = Vec::new();
+            let mut lsn = 1u64;
+            for batch in &batches {
+                let sealed = reference.len();
+                for op in batch {
+                    by_op.stage(op);
+                    prop_assert!(by_query.stage_query(&op.to_query()));
+                    reference_frame(&mut reference, &reference_op_body(lsn, op));
+                    lsn += 1;
+                }
+                prop_assert_eq!(&by_op.staged, &reference[sealed..]);
+                prop_assert_eq!(&by_query.staged, &reference[sealed..]);
+                reference_frame(
+                    &mut reference,
+                    &reference_commit_body(lsn, batch.len() as u64),
+                );
+                prop_assert_eq!(by_op.seal().unwrap(), lsn);
+                prop_assert_eq!(by_query.seal().unwrap(), lsn);
+                lsn += 1;
+            }
+            for wal in [&by_op, &by_query] {
+                let on_disk = std::fs::read(wal.path()).unwrap();
+                prop_assert_eq!(&on_disk, &reference);
+                let s = scan(&on_disk);
+                prop_assert_eq!(s.valid_len, on_disk.len());
+                prop_assert_eq!(s.last_lsn, lsn - 1);
+                let got: Vec<Vec<WalOp>> = s.batches.into_iter().map(|b| b.ops).collect();
+                prop_assert_eq!(&got, &batches);
+            }
+        }
+    }
+
+    /// A seal whose write lands only `short` bytes and fails, retried
+    /// (with or without more records staged in between), leaves exactly
+    /// the bytes of a log that never failed: no truncation is needed,
+    /// because the retry is never shorter than the failed attempt.
+    #[test]
+    fn a_retried_seal_after_a_short_write_leaves_a_clean_seals_bytes() {
+        let first = [WalOp::Delete { key: 3 }];
+        let more = WalOp::Insert {
+            key: 77,
+            payload: vec![5, 6],
+        };
+        for short in [0, 5, 40, 1000] {
+            for stage_more in [false, true] {
+                let name = format!("short-{short}-{stage_more}.log");
+                let fault = Arc::new(FaultVfs::new());
+                // Write #1 seals the first batch; #2 is the torn seal.
+                fault.inject(FaultRule::short_write(&name, 2, short, FaultErr::Enospc));
+                let mut wal = fresh_wal(&VfsHandle::fault(Arc::clone(&fault)), &name);
+                let mut clean = fresh_wal(&VfsHandle::Real, &format!("clean-{name}"));
+                for w in [&mut wal, &mut clean] {
+                    w.stage(&first[0]);
+                    w.seal().unwrap();
+                    for op in ops() {
+                        w.stage(&op);
+                    }
+                }
+                let boundary = wal.durable_bytes();
+                let state = |w: &Wal| (w.next_lsn(), w.staged_records(), w.staged.clone());
+                let before = state(&wal);
+                let err = wal.seal().unwrap_err();
+                assert!(matches!(err, StorageError::Io(_)), "{err}");
+                assert_eq!(state(&wal), before, "a failed seal advances nothing");
+                assert_eq!(wal.durable_bytes(), boundary);
+                let torn = std::fs::read(wal.path()).unwrap().len() as u64;
+                let commit_frame = FRAME_HEADER + 8 + 1 + 8; // header | lsn | kind | n
+                let batch = (before.2.len() + commit_frame) as u64;
+                assert_eq!(torn, boundary + (short as u64).min(batch));
+                if stage_more {
+                    wal.stage(&more);
+                    clean.stage(&more);
+                }
+                let commit = wal.seal().expect("the retry seals");
+                assert_eq!(clean.seal().unwrap(), commit);
+                assert!(!wal.poisoned());
+                assert_eq!(
+                    std::fs::read(wal.path()).unwrap(),
+                    std::fs::read(clean.path()).unwrap(),
+                    "short {short}, more staged {stage_more}"
+                );
+                // And that is what a power cut leaves.
+                fault.simulate_crash().unwrap();
+                assert_eq!(
+                    VfsHandle::fault(Arc::clone(&fault))
+                        .read(wal.path())
+                        .unwrap(),
+                    std::fs::read(clean.path()).unwrap()
+                );
+            }
+        }
     }
 
     #[test]
@@ -567,8 +890,8 @@ mod tests {
         let mut bytes = encode_batches(&[ops()]);
         let sealed = bytes.len();
         // Stage two more records without a commit marker.
-        encode_frame(&mut bytes, &encode_op_body(5, &WalOp::Delete { key: 1 }));
-        encode_frame(&mut bytes, &encode_op_body(6, &WalOp::Delete { key: 2 }));
+        append_frame(&mut bytes, 5, Body::Delete { key: 1 });
+        append_frame(&mut bytes, 6, Body::Delete { key: 2 });
         let s = scan(&bytes);
         assert_eq!(s.batches.len(), 1);
         assert_eq!(s.valid_len, sealed);
@@ -593,8 +916,8 @@ mod tests {
     #[test]
     fn commit_count_mismatch_rejected() {
         let mut bytes = Vec::new();
-        encode_frame(&mut bytes, &encode_op_body(1, &WalOp::Delete { key: 5 }));
-        encode_frame(&mut bytes, &encode_commit_body(2, 7)); // claims 7 records
+        append_frame(&mut bytes, 1, Body::Delete { key: 5 });
+        append_frame(&mut bytes, 2, Body::Commit { n_records: 7 }); // claims 7 records
         let s = scan(&bytes);
         assert!(s.batches.is_empty());
         assert_eq!(s.valid_len, 0);

@@ -34,6 +34,7 @@ use casper_workload::{HapQuery, HapSchema};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const ROWS: u64 = 192;
 /// Keys are even numbers 0, 2, …, 2·(ROWS−1); three chunks of 64.
@@ -321,6 +322,61 @@ fn crash_drops_staged_but_never_sealed_writes() {
     );
 }
 
+/// A seal whose WAL write tears (`short` bytes land, then ENOSPC) makes
+/// nothing durable: the write that triggered it fails, stays applied and
+/// staged, and the next writes stage behind it. The next seal writes the
+/// grown batch again from the durable boundary; a power cut after it
+/// keeps every write it sealed, and the torn bytes never surface.
+#[test]
+fn torn_wal_seal_is_retried_from_the_durable_boundary() {
+    for short in [0usize, 13, 150, 1000] {
+        let dir = test_dir(&format!("fm_torn_seal_{short}"));
+        let (vfs, handle) = fault_handle(51);
+        let opts = DurableOptions {
+            group_commit: 4,
+            ..sync_opts()
+        };
+        let mut t =
+            DurableTable::create_from_table_with_vfs(handle.clone(), &dir, seed_table(), opts)
+                .expect("create");
+        let mut oracle = seed_table();
+        for i in 0..4 {
+            t.execute(&marker_write(i)).expect("first batch seals");
+            oracle.execute(&marker_write(i)).expect("oracle");
+        }
+        // The next WAL write is the second batch's seal.
+        vfs.inject(FaultRule::short_write("wal-", 1, short, FaultErr::Enospc));
+        for i in 4..7 {
+            t.execute(&marker_write(i)).expect("staged");
+        }
+        let err = t.execute(&marker_write(7)).expect_err("the seal tears");
+        assert!(matches!(err, StorageError::Io(_)), "short {short}: {err}");
+        assert_eq!(t.stats().staged_records, 4, "the batch stays staged");
+        // The next write grows the batch past the threshold: the retry.
+        t.execute(&marker_write(8)).expect("the retried seal");
+        assert_eq!(t.stats().staged_records, 0);
+        for i in 4..9 {
+            oracle.execute(&marker_write(i)).expect("oracle");
+        }
+        for i in 9..11 {
+            t.execute(&marker_write(i)).expect("staged, never sealed");
+        }
+        assert!(!t.is_degraded());
+        assert_eq!(vfs.counters().injected, 1);
+        // Process kill: the open batch never seals.
+        std::mem::forget(t);
+
+        vfs.simulate_crash().expect("crash");
+        let mut t = DurableTable::open_with_vfs(handle.clone(), &dir, DurableOptions::default())
+            .expect("open");
+        assert_eq!(
+            fingerprint_durable(&mut t, 11),
+            fingerprint_oracle(&mut oracle, 11),
+            "short {short}: the crash must land on the sealed writes 0..=8"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Poisoned WAL: recovery checkpoint, and degradation when it fails too
 // ---------------------------------------------------------------------------
@@ -514,12 +570,17 @@ fn background_failures_escalate_to_degraded_then_reactivate() {
         "manifest-",
         FaultErr::Enospc,
     ));
+    // Write until the escalation surfaces. The failures happen on the
+    // checkpointer thread, each after its retry backoff, so how many
+    // writes that takes depends on how fast a write is: bound the loop by
+    // the clock, not by a write count.
+    let deadline = Instant::now() + Duration::from_secs(10);
     let mut oracle = seed_table();
     let mut acked = 0usize;
-    for i in 0..200 {
-        match t.execute(&marker_write(i)) {
+    while Instant::now() < deadline {
+        match t.execute(&marker_write(acked)) {
             Ok(_) => {
-                oracle.execute(&marker_write(i)).expect("oracle");
+                oracle.execute(&marker_write(acked)).expect("oracle");
                 acked += 1;
             }
             Err(e) => {

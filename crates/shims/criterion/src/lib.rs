@@ -1,7 +1,8 @@
 //! Minimal offline shim for the subset of the `criterion` API this
 //! workspace's benches use: `criterion_group!` / `criterion_main!`,
 //! `Criterion::benchmark_group`, `bench_function` / `bench_with_input`,
-//! `BenchmarkId`, `Throughput::Elements` and `Bencher::iter`.
+//! `BenchmarkId`, `Throughput::Elements`, `Bencher::iter` and
+//! `Bencher::iter_custom`.
 //!
 //! Measurement model: after a short warm-up, the harness calibrates a batch
 //! size so one batch lasts ≥ ~10 ms, times `sample_count` batches, and
@@ -204,16 +205,47 @@ impl Bencher {
             }
         }
         let est_per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
+        self.sample(est_per_iter, |batch| {
+            let start = Instant::now();
+            for _ in 0..batch {
+                std::hint::black_box(routine());
+            }
+            start.elapsed()
+        });
+    }
+
+    /// Measure a routine that times itself: `routine(iters)` performs the
+    /// measured work `iters` times and returns how long that took, so the
+    /// setup it needs between runs stays off the clock.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut routine: F) {
+        if self.smoke {
+            std::hint::black_box(routine(1));
+            return;
+        }
+        // Warm up in doubling batches until the timed work fills the
+        // warm-up window.
+        let mut spent = Duration::ZERO;
+        let mut warm_iters = 0u64;
+        while spent < self.config.warm_up || warm_iters < 10 {
+            let n = warm_iters.clamp(1, 1_000_000_000);
+            spent += routine(n);
+            warm_iters += n;
+            if warm_iters >= 1_000_000_000 {
+                break;
+            }
+        }
+        self.sample(spent.as_secs_f64() / warm_iters as f64, routine);
+    }
+
+    /// Time `sample_count` batches sized to last about `min_batch` each;
+    /// `run(batch)` performs and times one batch.
+    fn sample(&mut self, est_per_iter: f64, mut run: impl FnMut(u64) -> Duration) {
         let batch = ((self.config.min_batch.as_secs_f64() / est_per_iter.max(1e-9)) as u64)
             .clamp(1, 1_000_000_000);
 
         let mut samples_ns: Vec<f64> = Vec::with_capacity(self.config.sample_count as usize);
         for _ in 0..self.config.sample_count {
-            let start = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(routine());
-            }
-            samples_ns.push(start.elapsed().as_nanos() as f64 / batch as f64);
+            samples_ns.push(run(batch).as_nanos() as f64 / batch as f64);
         }
         samples_ns.sort_by(|a, b| a.total_cmp(b));
         self.result = Some(Measurement {
