@@ -191,7 +191,7 @@ impl TxnManager {
     /// Commit: first-committer-wins validation (a lost race is
     /// [`StorageError::Conflict`]), then apply the buffered writes to the
     /// table and publish them to readers once, as a unit.
-    pub fn commit(&self, txn: Transaction, table: &mut Table) -> Result<u64, StorageError> {
+    pub fn commit(&self, txn: &Transaction, table: &mut Table) -> Result<u64, StorageError> {
         let _span = OBS_COMMIT_SPAN.start();
         let mut inner = self.inner.lock();
         // Validation: any key written by a transaction that committed after
@@ -268,7 +268,7 @@ mod tests {
         let mgr = TxnManager::new();
         let mut txn = mgr.begin();
         mgr.buffer_insert(&mut txn, &mut t, 4001, vec![0; 15]);
-        mgr.commit(txn, &mut t).unwrap();
+        mgr.commit(&txn, &mut t).unwrap();
         let fresh = mgr.begin();
         assert_eq!(mgr.point_count(&fresh, &t, 4001).unwrap(), 1);
     }
@@ -280,7 +280,7 @@ mod tests {
         let reader = mgr.begin(); // snapshot before the write
         let mut writer = mgr.begin();
         mgr.buffer_insert(&mut writer, &mut t, 4001, vec![0; 15]);
-        mgr.commit(writer, &mut t).unwrap();
+        mgr.commit(&writer, &mut t).unwrap();
         // The reader's snapshot predates the commit. Loaded keys are the
         // even values 0..3998, so [3900, 4100) holds 50 of them and must
         // not include the concurrently inserted 4001.
@@ -299,7 +299,7 @@ mod tests {
         let mut w = mgr.begin();
         w.delete(100);
         w.update(200, 201);
-        mgr.commit(w, &mut t).unwrap();
+        mgr.commit(&w, &mut t).unwrap();
         assert_eq!(
             mgr.point_count(&reader, &t, 100).unwrap(),
             1,
@@ -344,8 +344,8 @@ mod tests {
         let mut t2 = mgr.begin();
         t1.update(300, 301);
         t2.update(300, 303);
-        mgr.commit(t1, &mut t).unwrap();
-        let err = mgr.commit(t2, &mut t).unwrap_err();
+        mgr.commit(&t1, &mut t).unwrap();
+        let err = mgr.commit(&t2, &mut t).unwrap_err();
         assert!(matches!(err, StorageError::Conflict { key: 300 }));
         // The loser's write must not be applied.
         let fresh = mgr.begin();
@@ -361,8 +361,8 @@ mod tests {
         let mut t2 = mgr.begin();
         t1.update(300, 301);
         t2.update(500, 501);
-        mgr.commit(t1, &mut t).unwrap();
-        mgr.commit(t2, &mut t).unwrap();
+        mgr.commit(&t1, &mut t).unwrap();
+        mgr.commit(&t2, &mut t).unwrap();
         let fresh = mgr.begin();
         assert_eq!(mgr.point_count(&fresh, &t, 301).unwrap(), 1);
         assert_eq!(mgr.point_count(&fresh, &t, 501).unwrap(), 1);
@@ -417,7 +417,7 @@ mod tests {
                 v0,
                 "{mode:?}: buffering publishes nothing"
             );
-            mgr.commit(txn, &mut t).unwrap();
+            mgr.commit(&txn, &mut t).unwrap();
             assert_eq!(reader.version(), v0 + 1, "{mode:?}: one publish per commit");
             let count = |snap: &ColumnSnapshot, q: HapQuery| {
                 snap.read(&q, &QueryCtx::default()).unwrap().result.scalar()
@@ -465,7 +465,7 @@ mod tests {
                         mgr.buffer_insert(&mut txn, &mut t, key, vec![0; 15]);
                     }
                     if commit {
-                        mgr.commit(txn, &mut t).unwrap();
+                        mgr.commit(&txn, &mut t).unwrap();
                         rows += 5;
                     } else {
                         mgr.abort(txn);
@@ -500,7 +500,7 @@ mod tests {
         for i in 0..5 {
             let mut txn = mgr.begin();
             txn.delete(i * 2);
-            mgr.commit(txn, &mut t).unwrap();
+            mgr.commit(&txn, &mut t).unwrap();
         }
         assert_eq!(mgr.log_len(), 5);
         mgr.gc_versions(4);

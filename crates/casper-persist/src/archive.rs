@@ -221,10 +221,10 @@ impl ArchiveIndex {
 
     /// Decode, verifying magic, version and checksum.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
-        let (_, body) = unframe(
+        let body = unframe(
             bytes,
             ARCHIVE_INDEX_MAGIC,
-            ARCHIVE_INDEX_VERSION..=ARCHIVE_INDEX_VERSION,
+            ARCHIVE_INDEX_VERSION,
             "archive index",
         )?;
         let mut r = ByteReader::new(body);

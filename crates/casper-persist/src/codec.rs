@@ -59,26 +59,6 @@ impl ByteWriter {
         self.u64(v.to_bits());
     }
 
-    /// Raw bytes with a `u64` length prefix.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// `u8` array with a length prefix.
-    pub fn vec_u8(&mut self, v: &[u8]) {
-        self.bytes(v);
-    }
-
-    /// `u16` array with a length prefix.
-    pub fn vec_u16(&mut self, v: &[u16]) {
-        self.u64(v.len() as u64);
-        self.buf.reserve(v.len() * 2);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
     /// `u32` array with a length prefix.
     pub fn vec_u32(&mut self, v: &[u32]) {
         self.u64(v.len() as u64);
@@ -202,27 +182,6 @@ impl<'a> ByteReader<'a> {
         Ok(n)
     }
 
-    /// Raw bytes with a length prefix.
-    pub fn bytes(&mut self) -> Result<&'a [u8], StorageError> {
-        let n = self.array_len(1)?;
-        self.take(n)
-    }
-
-    /// `u8` array with a length prefix.
-    pub fn vec_u8(&mut self) -> Result<Vec<u8>, StorageError> {
-        Ok(self.bytes()?.to_vec())
-    }
-
-    /// `u16` array with a length prefix.
-    pub fn vec_u16(&mut self) -> Result<Vec<u16>, StorageError> {
-        let n = self.array_len(2)?;
-        let raw = self.take(n * 2)?;
-        Ok(raw
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes(c.try_into().expect("2 bytes")))
-            .collect())
-    }
-
     /// `u32` array with a length prefix.
     pub fn vec_u32(&mut self) -> Result<Vec<u32>, StorageError> {
         let n = self.array_len(4)?;
@@ -262,15 +221,14 @@ pub(crate) fn frame(magic: [u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Undo [`frame`]: the version and body are returned only after magic,
-/// version (one of `versions`), length and checksum all hold. `what` names
-/// the file kind in the error.
+/// Undo [`frame`]: the body is returned only after magic, `version`,
+/// length and checksum all hold. `what` names the file kind in the error.
 pub(crate) fn unframe<'a>(
     bytes: &'a [u8],
     magic: [u8; 4],
-    versions: std::ops::RangeInclusive<u32>,
+    version: u32,
     what: &str,
-) -> Result<(u32, &'a [u8]), StorageError> {
+) -> Result<&'a [u8], StorageError> {
     let mut header = ByteReader::new(bytes);
     let got_magic = header.take(4)?;
     if got_magic != magic {
@@ -279,9 +237,9 @@ pub(crate) fn unframe<'a>(
         )));
     }
     let got_version = header.u32()?;
-    if !versions.contains(&got_version) {
+    if got_version != version {
         return Err(StorageError::corrupt(format!(
-            "unsupported {what} version {got_version} (this build reads {versions:?})"
+            "unsupported {what} version {got_version} (this build reads {version})"
         )));
     }
     let body_len = header.len_u64()?;
@@ -299,7 +257,7 @@ pub(crate) fn unframe<'a>(
             "{what} checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
         )));
     }
-    Ok((got_version, body))
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -313,8 +271,6 @@ mod tests {
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
         w.f64(0.125);
-        w.bytes(b"abc");
-        w.vec_u16(&[1, 2, 65535]);
         w.vec_u32(&[9, 8]);
         w.vec_u64(&[u64::MAX]);
         w.vec_f64(&[1.5, -0.0]);
@@ -324,8 +280,6 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.f64().unwrap(), 0.125);
-        assert_eq!(r.bytes().unwrap(), b"abc");
-        assert_eq!(r.vec_u16().unwrap(), vec![1, 2, 65535]);
         assert_eq!(r.vec_u32().unwrap(), vec![9, 8]);
         assert_eq!(r.vec_u64().unwrap(), vec![u64::MAX]);
         let f = r.vec_f64().unwrap();

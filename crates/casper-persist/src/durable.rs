@@ -80,7 +80,7 @@ use crate::incremental::{
 use crate::ledger::Ledger;
 use crate::scrub::{ScrubFinding, ScrubReport, ScrubStats, Scrubber};
 use crate::vfs::{Vfs, VfsHandle};
-use crate::wal::{replay, walk_chain, Wal, WalOp};
+use crate::wal::{replay, walk_chain, Wal};
 use casper_core::{FrequencyModel, Op};
 use casper_engine::adapt::{AdaptDecision, AdaptiveController};
 use casper_engine::optimize::{optimize_table, OptimizeOptions, OptimizeReport};
@@ -1128,12 +1128,7 @@ impl DurableTable {
         for q in txn.as_queries() {
             self.table.column().hydrate_for_query(q)?;
         }
-        let ops: Vec<WalOp> = txn
-            .as_queries()
-            .iter()
-            .filter_map(WalOp::from_query)
-            .collect();
-        let ts = match mgr.commit(txn, &mut self.table) {
+        let ts = match mgr.commit(&txn, &mut self.table) {
             Ok(ts) => ts,
             Err(e @ StorageError::Conflict { .. }) => return Err(e),
             Err(e) => {
@@ -1153,8 +1148,8 @@ impl DurableTable {
                 return Err(e);
             }
         };
-        for op in &ops {
-            self.wal.stage(op);
+        for q in txn.as_queries() {
+            self.wal.stage_query(q);
         }
         self.seal_and_maybe_checkpoint()?;
         Ok(ts)

@@ -65,12 +65,10 @@ use std::sync::Arc;
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CSPM";
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"CSPS";
-/// Manifest (and segment) format version this build writes: 3 gives every
-/// chunk entry a patch list and a write mark.
-pub const MANIFEST_VERSION: u32 = 3;
-/// Oldest manifest (and segment) version this build reads: a version-2
-/// entry is a chain of one full record.
-const OLDEST_MANIFEST_VERSION: u32 = 2;
+/// Manifest (and segment) format version, the only one this build writes
+/// or reads: a directory written under another version is refused at open,
+/// before anything in it is modified.
+pub const MANIFEST_VERSION: u32 = 4;
 /// Byte length of a segment file header (`magic | version | seq`).
 pub const SEGMENT_HEADER_LEN: u64 = 16;
 
@@ -290,11 +288,9 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     frame(MANIFEST_MAGIC, MANIFEST_VERSION, &body.into_bytes())
 }
 
-/// Decode a manifest, verifying magic, version and checksum. A version-2
-/// manifest's entries decode as chains of one full record at mark 0.
+/// Decode a manifest, verifying magic, version and checksum.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
-    let versions = OLDEST_MANIFEST_VERSION..=MANIFEST_VERSION;
-    let (version, body) = unframe(bytes, MANIFEST_MAGIC, versions, "manifest")?;
+    let body = unframe(bytes, MANIFEST_MAGIC, MANIFEST_VERSION, "manifest")?;
     let mut r = ByteReader::new(body);
     let generation = r.u64()?;
     let durable_lsn = r.u64()?;
@@ -311,12 +307,9 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
     }
     let mut entries = Vec::with_capacity(n_chunks.min(1 << 20));
     for _ in 0..n_chunks {
-        let mut entry = ChunkEntry::full(Record::decode(&mut r)?, r.u64()?, r.u64()?, 0);
-        if version >= 3 {
-            entry.mark = r.u64()?;
-            for _ in 0..r.len_u64()? {
-                entry.patches.push(Record::decode(&mut r)?);
-            }
+        let mut entry = ChunkEntry::full(Record::decode(&mut r)?, r.u64()?, r.u64()?, r.u64()?);
+        for _ in 0..r.len_u64()? {
+            entry.patches.push(Record::decode(&mut r)?);
         }
         entries.push(entry);
     }
@@ -891,7 +884,7 @@ fn open_segment(vfs: &VfsHandle, path: &Path, seq: u64) -> Result<VfsReader, Sto
     Ok(segment)
 }
 
-/// Check a segment's header (magic, a readable version, recorded
+/// Check a segment's header (magic, this build's version, recorded
 /// sequence).
 pub(crate) fn verify_segment_header(bytes: &[u8], seq: u64) -> Result<(), StorageError> {
     let mut r = ByteReader::new(bytes);
@@ -902,9 +895,9 @@ pub(crate) fn verify_segment_header(bytes: &[u8], seq: u64) -> Result<(), Storag
         )));
     }
     let version = r.u32()?;
-    if !(OLDEST_MANIFEST_VERSION..=MANIFEST_VERSION).contains(&version) {
+    if version != MANIFEST_VERSION {
         return Err(StorageError::corrupt(format!(
-            "segment {seq}: bad version {version}"
+            "segment {seq}: unsupported version {version} (this build reads {MANIFEST_VERSION})"
         )));
     }
     let recorded = r.u64()?;
@@ -968,31 +961,6 @@ mod tests {
         }
     }
 
-    /// A manifest as the version-2 format wrote it: one record per entry,
-    /// no write mark, no patch list.
-    fn encode_manifest_v2(m: &Manifest) -> Vec<u8> {
-        let mut body = ByteWriter::new();
-        body.u64(m.generation);
-        body.u64(m.durable_lsn);
-        body.u64(m.schema.payload_cols as u64);
-        encode_config(&mut body, &m.config);
-        body.u8(1);
-        body.vec_u64(m.fences.as_deref().expect("fenced fixture"));
-        body.u64(m.entries.len() as u64);
-        for e in &m.entries {
-            e.base.encode(&mut body);
-            body.u64(e.live);
-            body.u64(e.written_gen);
-        }
-        body.u64(m.fms.len() as u64);
-        for fm in &m.fms {
-            for (_, hist) in fm.histograms() {
-                body.vec_f64(hist);
-            }
-        }
-        frame(MANIFEST_MAGIC, 2, &body.into_bytes())
-    }
-
     fn fm() -> FrequencyModel {
         let mut fm = FrequencyModel::new(4);
         fm.pq = vec![1.0, 2.5, 0.0, 4.0];
@@ -1011,18 +979,6 @@ mod tests {
         assert_eq!(d.fences, m.fences);
         assert_eq!(d.fms, vec![fm()]);
         assert_eq!(d.referenced_segments(), vec![2, 5, 6]);
-    }
-
-    /// A version-2 manifest still opens: each entry is a chain of one
-    /// full record at write mark 0.
-    #[test]
-    fn v2_manifest_decodes_as_chains_of_one_record() {
-        let mut m = manifest();
-        m.entries[1].patches.clear();
-        m.entries[1].mark = 0;
-        let d = decode_manifest(&encode_manifest_v2(&m)).expect("decode v2");
-        assert_eq!(d.entries, m.entries);
-        assert_eq!(d.referenced_segments(), vec![2, 5]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A segment record serializes one chunk — partition boundaries, ghost
 //! accounting, payload rows in the chunk's own orientation
-//! (tagged: [`ROWS_TAG`], or the historical column-major tag 0) — so that
+//! (tagged: [`ROWS_TAG`], or tag 0 column-major) — so that
 //! [`decode_chain`]
 //! restores the exact optimized layout with **no re-solve**: partitioned
 //! chunks come back through `PartitionedChunk::from_state` (bit-exact raw
@@ -13,19 +13,6 @@
 //! partitioned chunk since its chain's newest record: the slot granules
 //! written since (keys and payload rows), and the partition metadata whole.
 //!
-//! Both record kinds also carry a zone section: one `[min, max]` pair per
-//! partition, which older writers kept as a tight live range beside the
-//! covering bounds. A partition's covering bounds are now its only range,
-//! so writers fill the section from them (`[u64::MAX, 0]` for a partition
-//! with no live rows) and the reader reads past it. The byte layout is
-//! unchanged; a record's layout cannot follow its segment's version,
-//! because compaction copies records into fresh segments byte for byte.
-//!
-//! Older writers could store an encoded key fragment beside a partition's
-//! slots, and a patch flag saying whether the chain's fragment survived.
-//! The slots were always authoritative, so the reader skips those bytes
-//! ([`skip_legacy_fragment`]) and writers emit `0` in both places: the
-//! byte layout is unchanged.
 //! [`decode_chain`] decodes a chunk from its base record and its patches
 //! in order — the one decoder every hydration path uses.
 //!
@@ -52,8 +39,7 @@ use casper_storage::{
 const PATCH_TAG: u8 = 3;
 
 /// Leading byte of a full record of a partitioned chunk whose payload is
-/// row-major. Writers before row-major payload existed never emit it, so
-/// their tag-0 records decode column-major, as they were written.
+/// row-major.
 const ROWS_TAG: u8 = 4;
 
 /// Leading byte of a patch record of a row-major chunk.
@@ -142,10 +128,6 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     w.u64(chunk.slot_count() as u64);
     chunk.read_slots(0..chunk.slot_count(), |run| w.u64s(run));
     encode_partition_meta(w, chunk);
-    // One legacy fragment tag per partition: always 0, "none".
-    for _ in 0..chunk.partition_count() {
-        w.u8(0);
-    }
     // The payload in its own order: one vector per word group (per
     // attribute column-major, of whole rows row-major).
     let payloads = chunk.payloads();
@@ -155,9 +137,8 @@ fn encode_chunk(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     }
 }
 
-/// Partition count, partition metadata and the zone section — the part
-/// of a chunk both record kinds carry whole. The zone section repeats each
-/// partition's covering bounds, `[u64::MAX, 0]` when it has no live rows.
+/// Partition count and partition metadata — the part of a chunk both
+/// record kinds carry whole.
 fn encode_partition_meta(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
     w.u64(chunk.partition_count() as u64);
     for p in chunk.partitions() {
@@ -167,31 +148,18 @@ fn encode_partition_meta(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>) {
         w.u64(p.min);
         w.u64(p.max);
     }
-    for p in chunk.partitions() {
-        let (min, max) = if p.len > 0 {
-            (p.min, p.max)
-        } else {
-            (u64::MAX, 0)
-        };
-        w.u64(min);
-        w.u64(max);
-    }
 }
 
 /// The patch record of `chunk` against a chain whose newest record
 /// captured the chunk at write mark `since`: the granules written after
 /// `since` (their keys, then the payload's words in its own order —
 /// each attribute's values column-major, whole rows row-major — in granule
-/// order), plus the metadata the write path may change anywhere. Each
-/// partition also gets the legacy keep-fragment flag, always `0`.
+/// order), plus the metadata the write path may change anywhere.
 pub(crate) fn encode_patch(w: &mut ByteWriter, chunk: &PartitionedChunk<u64>, since: u64) {
     w.u8(partitioned_tags(chunk.payload_orientation()).1);
     w.u64(chunk.slot_count() as u64);
     w.u64(chunk.live_len() as u64);
     encode_partition_meta(w, chunk);
-    for _ in 0..chunk.partition_count() {
-        w.u8(0);
-    }
     let granules: Vec<usize> = chunk.granules_written_since(since).collect();
     let slots: usize = granules.iter().map(|&g| chunk.granule_slots(g).len()).sum();
     w.u64(GRANULE_SLOTS as u64);
@@ -270,10 +238,10 @@ pub(crate) fn decode_chain(
                 0 => PayloadOrientation::Columns,
                 _ => PayloadOrientation::Rows,
             };
-            let (mut state, mut legacy) = decode_chunk_state(&mut r, orientation)?;
+            let mut state = decode_chunk_state(&mut r, orientation)?;
             r.finish()?;
             for patch in patches {
-                apply_patch(&mut state, &mut legacy, orientation, patch)?;
+                apply_patch(&mut state, orientation, patch)?;
             }
             state.write_mark = mark;
             check_width(state.payloads.width())?;
@@ -297,13 +265,10 @@ pub(crate) fn decode_chain(
 }
 
 /// Apply one patch record (see [`encode_patch`]) to a decoded chunk state
-/// whose chain's full record was written in `orientation`. `legacy[p]`
-/// says whether the chain still holds a legacy fragment for partition `p`.
-/// Structural checks here catch a patch that cannot belong to this chain;
+/// whose chain's full record was written in `orientation`. Structural checks here catch a patch that cannot belong to this chain;
 /// `PartitionedChunk::from_state` checks the result as a whole.
 fn apply_patch(
     state: &mut ChunkState<u64>,
-    legacy: &mut [bool],
     orientation: PayloadOrientation,
     bytes: &[u8],
 ) -> Result<(), StorageError> {
@@ -329,17 +294,6 @@ fn apply_patch(
             parts.len(),
             state.parts.len()
         )));
-    }
-    for (p, has) in legacy.iter_mut().enumerate() {
-        match (r.u8()?, *has) {
-            (0, _) => *has = false,
-            (1, true) => {}
-            (flag, _) => {
-                return Err(StorageError::corrupt(format!(
-                    "patch fragment flag {flag} for partition {p}, which has no fragment"
-                )))
-            }
-        }
     }
     let granule = r.len_u64()?;
     let n_granules = r.len_u64()?;
@@ -431,11 +385,11 @@ fn decode_sorted_parts(r: &mut ByteReader<'_>) -> Result<(Vec<u64>, Vec<Vec<u32>
 }
 
 /// Decode a partitioned chunk's full record, whose payload is stored in
-/// `orientation`, and which of its partitions carried a legacy fragment.
+/// `orientation`.
 fn decode_chunk_state(
     r: &mut ByteReader<'_>,
     orientation: PayloadOrientation,
-) -> Result<(ChunkState<u64>, Vec<bool>), StorageError> {
+) -> Result<ChunkState<u64>, StorageError> {
     let layout = BlockLayout {
         block_bytes: r.len_u64()?,
         value_width: r.len_u64()?,
@@ -459,11 +413,8 @@ fn decode_chunk_state(
     let live = r.len_u64()?;
     let data = r.vec_u64()?;
     let parts = decode_partition_meta(r)?;
-    let legacy = (0..parts.len())
-        .map(|_| skip_legacy_fragment(r))
-        .collect::<Result<Vec<bool>, _>>()?;
     let payloads = decode_payloads(r, orientation, data.len())?;
-    let state = ChunkState {
+    Ok(ChunkState {
         data,
         parts,
         payloads,
@@ -471,8 +422,7 @@ fn decode_chunk_state(
         config,
         live,
         write_mark: 0,
-    };
-    Ok((state, legacy))
+    })
 }
 
 /// A full record's payload section: its width, then one vector per word
@@ -509,7 +459,7 @@ fn decode_payloads(
     Ok(PayloadSet::from_groups(groups, physical))
 }
 
-/// Undo [`encode_partition_meta`], reading past the zone section.
+/// Undo [`encode_partition_meta`].
 fn decode_partition_meta(r: &mut ByteReader<'_>) -> Result<Vec<PartitionMeta<u64>>, StorageError> {
     let n_parts = r.len_u64()?;
     let mut parts = Vec::with_capacity(n_parts.min(1 << 20));
@@ -522,51 +472,7 @@ fn decode_partition_meta(r: &mut ByteReader<'_>) -> Result<Vec<PartitionMeta<u64
             max: r.u64()?,
         });
     }
-    for _ in 0..n_parts {
-        r.u64()?;
-        r.u64()?;
-    }
     Ok(parts)
-}
-
-/// Read past one partition's legacy fragment section: tag `0` (none), or
-/// a frame-of-reference (`1`), dictionary (`2`) or run-length (`3`)
-/// encoding of the partition's keys that older writers kept beside the
-/// slots. Returns whether a fragment was present. Every read is bounded
-/// by the record, so truncation, an unknown tag or an unknown packed width
-/// is [`StorageError::Corrupt`].
-fn skip_legacy_fragment(r: &mut ByteReader<'_>) -> Result<bool, StorageError> {
-    match r.u8()? {
-        0 => return Ok(false),
-        1 => {
-            r.u64()?; // frame base
-            skip_packed(r, 8, "FoR offset")?;
-        }
-        2 => {
-            r.vec_u64()?; // dictionary
-            skip_packed(r, 4, "dictionary code")?;
-        }
-        3 => {
-            for _ in 0..r.len_u64()? {
-                r.u64()?; // run value
-                r.u32()?; // run length
-            }
-        }
-        t => return Err(StorageError::corrupt(format!("bad fragment tag {t}"))),
-    }
-    Ok(true)
-}
-
-/// Read past a width byte (1, 2, 4, or 8 up to `max_width`) and a packed
-/// array of that many bytes per entry.
-fn skip_packed(r: &mut ByteReader<'_>, max_width: u8, what: &str) -> Result<(), StorageError> {
-    match r.u8()? {
-        1 => r.bytes().map(|_| ()),
-        2 => r.vec_u16().map(|_| ()),
-        4 => r.vec_u32().map(|_| ()),
-        8 if max_width == 8 => r.vec_u64().map(|_| ()),
-        w => Err(StorageError::corrupt(format!("bad {what} width {w}"))),
-    }
 }
 
 fn mode_tag(mode: LayoutMode) -> u8 {
@@ -734,39 +640,6 @@ mod tests {
         chunk
     }
 
-    /// The zone section is written from the covering bounds and read past.
-    /// Older writers stored a tight live range there, re-scanned after a
-    /// boundary delete: a record whose section holds one decodes to the
-    /// same chunk, which writes its bounds back.
-    #[test]
-    fn zone_section_is_written_from_the_bounds_and_read_past() {
-        let config = EngineConfig::small(LayoutMode::Casper);
-        let mut chunk = oriented_chunk(PayloadOrientation::Columns);
-        assert_eq!(chunk.delete(10).affected, 1); // partition 0's minimum
-        let p0 = chunk.partitions()[0];
-        assert_eq!((p0.min, p0.len), (10, 79));
-        let mut w = ByteWriter::new();
-        encode_store(&mut w, &ChunkStore::Partitioned(chunk.clone()));
-        let ours = w.into_bytes();
-        // Tag, geometry, config and live count; the slots; the partitions.
-        let zone_at = 42 + 8 + 8 * chunk.slot_count() + 8 + 40 * chunk.partition_count();
-        assert_eq!(ours[zone_at..zone_at + 8], 10u64.to_le_bytes());
-        let mut older = ours.clone();
-        older[zone_at..zone_at + 8].copy_from_slice(&11u64.to_le_bytes());
-        let Ok(ChunkStore::Partitioned(got)) = decode_chain(&[&older], 0, &config, 3) else {
-            panic!("a record with a tight zone section decodes");
-        };
-        assert_eq!(got.partitions(), chunk.partitions());
-        assert_eq!(
-            got.copy_slots(0..got.slot_count()),
-            chunk.copy_slots(0..chunk.slot_count())
-        );
-        assert_eq!(got.payloads(), chunk.payloads());
-        let mut w = ByteWriter::new();
-        encode_store(&mut w, &ChunkStore::Partitioned(got));
-        assert_eq!(w.into_bytes(), ours);
-    }
-
     /// A row-major chunk's full record and patch carry its rows as rows
     /// under their own tags and decode back to the row-major chunk, bit
     /// for bit; a patch of the other orientation's tag is corruption.
@@ -814,15 +687,15 @@ mod tests {
     }
 
     /// The bytes of a partitioned chunk's full record and patch, written
-    /// out here field by field: column-major, what a writer from before
-    /// row-major payload emitted (tag 0, one vector per payload column, and
-    /// a tag-3 patch of per-column runs); row-major, tag 4 with one vector
-    /// of whole rows and a tag-5 patch of row runs. Each decodes to exactly
-    /// the chunk it was written from, and today's writer emits the same
-    /// bytes. A width-1 chain under tags 4/5 (one word per row either way)
-    /// still decodes, to the column-major chunk.
+    /// out here field by field as `docs/persist-format.md` lays them out:
+    /// column-major, tag 0 with one vector per payload column and a tag-3
+    /// patch of per-column runs; row-major, tag 4 with one vector of whole
+    /// rows and a tag-5 patch of row runs. The writer emits exactly these
+    /// bytes, and each decodes to the chunk it was written from. A width-1
+    /// chain under tags 4/5 (one word per row either way) decodes to the
+    /// column-major chunk.
     #[test]
-    fn records_written_before_row_major_decode_column_major() {
+    fn partitioned_records_match_their_field_by_field_bytes() {
         use casper_storage::ghost::GhostPlan;
         use casper_storage::PartitionSpec;
         let config = EngineConfig::small(LayoutMode::Casper);
@@ -847,6 +720,16 @@ mod tests {
                     PayloadOrientation::Rows => vec![words(0..width)],
                 }
             };
+            // Partition count, then per partition start, length, ghosts
+            // and the covering bounds.
+            let meta = |w: &mut ByteWriter, chunk: &PartitionedChunk<u64>| {
+                w.u64(chunk.partition_count() as u64);
+                for p in chunk.partitions() {
+                    for field in [p.start as u64, p.len as u64, p.ghosts as u64, p.min, p.max] {
+                        w.u64(field);
+                    }
+                }
+            };
             let slots = chunk.slot_count();
             let mut w = ByteWriter::new();
             w.u8(tags.0);
@@ -857,8 +740,7 @@ mod tests {
             w.u64(chunk.chunk_config().ghost_fetch_block as u64);
             w.u64(chunk.live_len() as u64);
             w.vec_u64(&chunk.copy_slots(0..slots));
-            encode_partition_meta(&mut w, &chunk);
-            (0..chunk.partition_count()).for_each(|_| w.u8(0));
+            meta(&mut w, &chunk);
             w.u64(width as u64);
             for group in groups(&chunk, std::slice::from_ref(&(0..slots))) {
                 w.vec_u32(&group);
@@ -876,8 +758,7 @@ mod tests {
             w.u8(tags.1);
             w.u64(chunk.slot_count() as u64);
             w.u64(chunk.live_len() as u64);
-            encode_partition_meta(&mut w, &chunk);
-            (0..chunk.partition_count()).for_each(|_| w.u8(0));
+            meta(&mut w, &chunk);
             w.u64(GRANULE_SLOTS as u64);
             w.u64(granules.len() as u64);
             granules.iter().for_each(|&g| w.u64(g as u64));
@@ -936,181 +817,5 @@ mod tests {
         };
         assert_eq!(got.payload_orientation(), PayloadOrientation::Columns);
         assert_eq!(got.payloads(), chunk.payloads());
-    }
-
-    /// One partition's legacy fragment section, as older writers stored
-    /// it: variants 0–3 frame-of-reference at offset widths 1, 2, 4 and 8,
-    /// 4–6 dictionary at code widths 1, 2 and 4, 7 run-length, 8 none.
-    fn legacy_fragment(variant: usize, vals: &[u64]) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        let mut sorted = vals.to_vec();
-        sorted.sort_unstable();
-        let packed = |w: &mut ByteWriter, width: u8, v: Vec<u64>| {
-            w.u8(width);
-            match width {
-                1 => w.vec_u8(&v.iter().map(|&x| x as u8).collect::<Vec<_>>()),
-                2 => w.vec_u16(&v.iter().map(|&x| x as u16).collect::<Vec<_>>()),
-                4 => w.vec_u32(&v.iter().map(|&x| x as u32).collect::<Vec<_>>()),
-                _ => w.vec_u64(&v),
-            }
-        };
-        match variant {
-            0..=3 => {
-                let base = sorted[0];
-                w.u8(1);
-                w.u64(base);
-                packed(
-                    &mut w,
-                    1 << variant,
-                    vals.iter().map(|v| v - base).collect(),
-                );
-            }
-            4..=6 => {
-                let mut dict = sorted;
-                dict.dedup();
-                w.u8(2);
-                w.vec_u64(&dict);
-                let codes = vals.iter().map(|v| dict.binary_search(v).unwrap() as u64);
-                packed(&mut w, 1 << (variant - 4), codes.collect());
-            }
-            7 => {
-                let mut runs: Vec<(u64, u32)> = Vec::new();
-                for v in sorted {
-                    match runs.last_mut() {
-                        Some((last, n)) if *last == v => *n += 1,
-                        _ => runs.push((v, 1)),
-                    }
-                }
-                w.u8(3);
-                w.u64(runs.len() as u64);
-                for (v, n) in runs {
-                    w.u64(v);
-                    w.u32(n);
-                }
-            }
-            _ => w.u8(0),
-        }
-        w.into_bytes()
-    }
-
-    /// `bytes` with its one-byte-per-partition run at `at` (each byte 0, as
-    /// the writer emits it) replaced by `sections`, one per partition.
-    fn splice(bytes: &[u8], at: usize, sections: &[Vec<u8>]) -> Vec<u8> {
-        let k = sections.len();
-        assert!(bytes[at..at + k].iter().all(|&b| b == 0), "writers emit 0");
-        let mut out = bytes[..at].to_vec();
-        sections.iter().for_each(|s| out.extend_from_slice(s));
-        out.extend_from_slice(&bytes[at + k..]);
-        out
-    }
-
-    /// Records from writers that kept an encoded fragment beside a
-    /// partition's slots still open: each legacy fragment and each
-    /// keep-fragment patch flag is read past, and the chain decodes to
-    /// exactly what the same records with tag 0 decode to. Malformed legacy
-    /// bytes are typed corruption, never a panic.
-    #[test]
-    fn legacy_fragments_and_keep_flags_decode_to_the_plain_chain() {
-        use casper_storage::ghost::GhostPlan;
-        use casper_storage::PartitionSpec;
-
-        let config = EngineConfig::small(LayoutMode::Casper);
-        let keys: Vec<u64> = (0..180).map(|i| 1_000 + 3 * i).collect();
-        let payloads: Vec<Vec<u32>> = vec![keys.iter().map(|&k| k as u32 * 7).collect(); 2];
-        let mut chunk = PartitionedChunk::build_with_payloads(
-            &keys,
-            &payloads,
-            &PartitionSpec::from_block_sizes(&[5; 9]),
-            BlockLayout::new::<u64>(32),
-            &GhostPlan::from_counts(vec![2; 9]),
-            ChunkConfig::default(),
-        )
-        .expect("build");
-        let k = chunk.partition_count();
-        assert_eq!(k, 9);
-        let sections: Vec<Vec<u8>> = (0..k)
-            .map(|p| legacy_fragment(p, &chunk.partition_values(p)))
-            .collect();
-        let encode = |chunk: &PartitionedChunk<u64>| {
-            let mut w = ByteWriter::new();
-            encode_store(&mut w, &ChunkStore::Partitioned(chunk.clone()));
-            w.into_bytes()
-        };
-        let full = encode(&chunk);
-        let tags_at = 58 + 8 * chunk.slot_count() + 56 * k;
-        let legacy_full = splice(&full, tags_at, &sections);
-
-        let since = chunk.write_mark();
-        for key in [1_001, 1_200, 1_500] {
-            chunk.insert(key, &[5, 6]).expect("insert");
-        }
-        let mut w = ByteWriter::new();
-        encode_patch(&mut w, &chunk, since);
-        let patch = w.into_bytes();
-        let mark = chunk.write_mark();
-        let flags_at = 25 + 56 * k;
-        // Keep every legacy fragment but the last partition's (it has none).
-        let keep = |p: usize, flag: u8| vec![if p + 1 < k { 1 } else { flag }];
-        let legacy_patch = splice(
-            &patch,
-            flags_at,
-            &(0..k).map(|p| keep(p, 0)).collect::<Vec<_>>(),
-        );
-
-        let decode = |records: &[&[u8]], mark| decode_chain(records, mark, &config, 2);
-        let reencoded = |records: &[&[u8]], mark| match decode(records, mark) {
-            Ok(ChunkStore::Partitioned(c)) => {
-                assert_eq!(c.write_mark(), mark);
-                encode(&c)
-            }
-            other => panic!("a partitioned chain decodes, got {other:?}"),
-        };
-        assert_eq!(reencoded(&[&legacy_full], since), full);
-        assert_eq!(reencoded(&[&full], since), full);
-        assert_eq!(
-            reencoded(&[&legacy_full, &legacy_patch], mark),
-            encode(&chunk)
-        );
-        assert_eq!(reencoded(&[&full, &patch], mark), encode(&chunk));
-        // A patch after one that dropped every fragment must not keep any.
-        assert!(decode(&[&legacy_full, &patch, &patch], mark).is_ok());
-        assert!(decode(&[&legacy_full, &patch, &legacy_patch], mark).is_err());
-
-        let corrupt = |records: &[&[u8]], what: &str| {
-            assert!(
-                matches!(decode(records, mark), Err(StorageError::Corrupt { .. })),
-                "{what}"
-            );
-        };
-        // Flag 1 on a partition whose chain has no fragment.
-        let bad_flag = splice(
-            &patch,
-            flags_at,
-            &(0..k).map(|p| keep(p, 1)).collect::<Vec<_>>(),
-        );
-        corrupt(&[&legacy_full, &bad_flag], "keep flag without a fragment");
-        corrupt(&[&full, &legacy_patch], "keep flags over a tag-0 chain");
-        // An unknown fragment tag, and unknown packed widths.
-        let with_first = |section: Vec<u8>| {
-            let mut s = sections.clone();
-            s[0] = section;
-            splice(&full, tags_at, &s)
-        };
-        corrupt(&[&with_first(vec![4])], "fragment tag 4");
-        let mut for_w3 = vec![1];
-        for_w3.extend_from_slice(&1_000u64.to_le_bytes());
-        for_w3.push(3);
-        for_w3.extend_from_slice(&0u64.to_le_bytes());
-        corrupt(&[&with_first(for_w3)], "FoR width 3");
-        let mut dict_w8 = vec![2];
-        dict_w8.extend_from_slice(&0u64.to_le_bytes());
-        dict_w8.push(8);
-        dict_w8.extend_from_slice(&0u64.to_le_bytes());
-        corrupt(&[&with_first(dict_w8)], "dictionary width 8");
-        // Every cut inside the legacy sections (mid-vector included).
-        let sections_len: usize = sections.iter().map(Vec::len).sum();
-        for cut in tags_at..tags_at + sections_len {
-            corrupt(&[&legacy_full[..cut]], &format!("cut at {cut}"));
-        }
     }
 }

@@ -32,13 +32,14 @@
 
 use casper_engine::optimize::OptimizeOptions;
 use casper_engine::{EngineConfig, LayoutMode, Table};
+use casper_persist::incremental::{MANIFEST_MAGIC, MANIFEST_VERSION, SEGMENT_MAGIC};
 use casper_persist::{
     ArchiveConfig, DurableOptions, DurableTable, FaultErr, FaultRule, FaultVfs, FileKind,
     VfsHandle, VfsOp,
 };
 use casper_storage::StorageError;
 use casper_workload::{HapQuery, HapSchema};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -968,6 +969,24 @@ enum Damage {
     Manifest,
     /// `CURRENT` = "x\n".
     Current,
+    /// Every manifest and segment header, live and archived, says the
+    /// format version before this build's. The checksum covers only the
+    /// body, so only the version check can refuse it.
+    OlderVersion,
+}
+
+/// Every file under `dir` (archive included) by path, with its bytes.
+fn dir_files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in fs::read_dir(dir).expect("read dir").flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            files.extend(dir_files(&path));
+        } else {
+            files.insert(path.clone(), fs::read(&path).expect("file bytes"));
+        }
+    }
+    files
 }
 
 fn apply_damage(dir: &Path, damage: Damage) {
@@ -993,6 +1012,20 @@ fn apply_damage(dir: &Path, damage: Damage) {
         }
         Damage::Manifest => fs::remove_file(current_manifest(dir)).expect("delete manifest"),
         Damage::Current => fs::write(dir.join("CURRENT"), "x\n").expect("scribble CURRENT"),
+        Damage::OlderVersion => {
+            let mut rewritten = 0;
+            for (path, mut bytes) in dir_files(dir) {
+                if [MANIFEST_MAGIC, SEGMENT_MAGIC]
+                    .iter()
+                    .any(|m| bytes.starts_with(m))
+                {
+                    bytes[4..8].copy_from_slice(&(MANIFEST_VERSION - 1).to_le_bytes());
+                    fs::write(&path, &bytes).expect("rewrite version");
+                    rewritten += 1;
+                }
+            }
+            assert!(rewritten >= 4, "live and archived manifests and segments");
+        }
     }
 }
 
@@ -1026,6 +1059,11 @@ fn expectations(damage: Damage) -> [Expect; 5] {
         // open_at never consults CURRENT, and a backup copies the
         // generation its live table pinned, not the one CURRENT names.
         Damage::Current => [Corrupt, Unaffected, Corrupt, Unaffected, Corrupt],
+        // Every reader decodes a manifest before it trusts a segment, so the
+        // one version check refuses them all: the scrubber rereads the
+        // manifest `CURRENT` names, and a backup rereads the one its live
+        // table pinned, before it copies a byte.
+        Damage::OlderVersion => [Corrupt; 5],
     }
 }
 
@@ -1094,6 +1132,7 @@ fn every_reader_rejects_the_same_damage_the_same_way() {
             Damage::MiddleWalLink,
             Damage::Manifest,
             Damage::Current,
+            Damage::OlderVersion,
         ] {
             let case = format!("{mode:?}/{damage:?}");
             // `cold` is only ever read; `live` has a table opened on it
@@ -1107,6 +1146,7 @@ fn every_reader_rejects_the_same_damage_the_same_way() {
             apply_damage(&cold, damage);
             apply_damage(&live, damage);
             let [open, open_at, scrub, backup, verify] = expectations(damage);
+            let cold_before = dir_files(&cold);
 
             let outcome = DurableTable::open(&cold, archive_opts()).and_then(|mut t| {
                 t.hydrate_all()?;
@@ -1138,6 +1178,10 @@ fn every_reader_rejects_the_same_damage_the_same_way() {
                 (None, 0)
             });
             check(&format!("{case}: verify_backup"), outcome, verify, &want);
+            if damage == Damage::OlderVersion {
+                // A refused open prunes, retires and creates nothing.
+                assert!(dir_files(&cold) == cold_before, "{case}: cold dir changed");
+            }
         }
     }
 }

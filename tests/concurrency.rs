@@ -175,7 +175,7 @@ fn stress_mode(mode: LayoutMode, seed: u64, readers: usize, commits: usize) {
             txns.buffer_insert(&mut txn, &mut table, fresh, schema.payload_row(fresh));
             txn.update(moved_from, moved_to);
             txn.delete(doomed);
-            txns.commit(txn, &mut table).expect("writer commit");
+            txns.commit(&txn, &mut table).expect("writer commit");
             let fresh_pin = table.reader().pin();
             for (key, want) in [(fresh, 1), (moved_to, 1), (moved_from, 0), (doomed, 0)] {
                 let q = HapQuery::Q1 { v: key, k: 1 };
@@ -316,7 +316,7 @@ fn reader_and_version_counters_outlive_relayout_in_every_mode() {
         assert_versions_forward(&mut seen, &table, false, "ghost prefetch");
         // Key 10 lives in the first chunk, the minted key in the last.
         txn.update(10, mint.next());
-        txns.commit(txn, &mut table).expect("commit");
+        txns.commit(&txn, &mut table).expect("commit");
         assert_versions_forward(&mut seen, &table, false, "txn commit");
 
         let v0 = reader.version();

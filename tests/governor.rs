@@ -447,7 +447,7 @@ fn interrupts_surface_typed_on_every_surface_without_poisoning() {
             ),
             (
                 "TxnManager::commit",
-                mgr.commit(delete_in_every_chunk(), &mut corrupt).err(),
+                mgr.commit(&delete_in_every_chunk(), &mut corrupt).err(),
             ),
             ("DurableTable", damaged.execute(&q).err()),
             (
@@ -493,7 +493,7 @@ fn interrupts_surface_typed_on_every_surface_without_poisoning() {
             ("DurableTable", durable.execute(&bad_row).err()),
             (
                 "TxnManager::commit",
-                mgr.commit(bad_txn(&mut plain), &mut plain).err(),
+                mgr.commit(&bad_txn(&mut plain), &mut plain).err(),
             ),
             (
                 "DurableTable::commit_txn",
@@ -550,7 +550,7 @@ fn interrupts_surface_typed_on_every_surface_without_poisoning() {
     };
     let (mgr, durable_mgr) = (TxnManager::new(), TxnManager::new());
     let (loser, durable_loser) = (update(&mgr), update(&durable_mgr));
-    mgr.commit(update(&mgr), &mut plain).expect("winner");
+    mgr.commit(&update(&mgr), &mut plain).expect("winner");
     durable
         .commit_txn(&durable_mgr, update(&durable_mgr))
         .expect("durable winner");
@@ -558,7 +558,7 @@ fn interrupts_surface_typed_on_every_surface_without_poisoning() {
         "transaction conflict",
         |e| matches!(e, StorageError::Conflict { key: 2 }),
         vec![
-            ("TxnManager::commit", mgr.commit(loser, &mut plain).err()),
+            ("TxnManager::commit", mgr.commit(&loser, &mut plain).err()),
             (
                 "DurableTable::commit_txn",
                 durable.commit_txn(&durable_mgr, durable_loser).err(),

@@ -25,7 +25,7 @@ fn long_running_analytics_see_a_stable_snapshot() {
         let mut w = mgr.begin();
         mgr.buffer_insert(&mut w, &mut t, 100_001 + i * 2, vec![0; 15]);
         w.delete(i * 2);
-        mgr.commit(w, &mut t).expect("short txn");
+        mgr.commit(&w, &mut t).expect("short txn");
     }
     // The analyst's counts are unchanged at its snapshot...
     assert_eq!(mgr.range_count(&analyst, &t, 0, u64::MAX).unwrap(), before);
@@ -46,9 +46,9 @@ fn write_conflicts_keep_exactly_one_winner() {
     let mut b = mgr.begin();
     a.update(500, 501);
     b.update(500, 503);
-    assert!(mgr.commit(a, &mut t).is_ok());
+    assert!(mgr.commit(&a, &mut t).is_ok());
     assert!(matches!(
-        mgr.commit(b, &mut t),
+        mgr.commit(&b, &mut t),
         Err(StorageError::Conflict { key: 500 })
     ));
     let fresh = mgr.begin();
@@ -68,7 +68,7 @@ fn serial_commit_chain_is_linearizable() {
         let next = 700_001 + step * 2;
         let mut w = mgr.begin();
         w.update(key, next);
-        mgr.commit(w, &mut t).expect("chain txn");
+        mgr.commit(&w, &mut t).expect("chain txn");
         key = next;
     }
     let fresh = mgr.begin();
@@ -102,7 +102,7 @@ fn commit_surfaces_the_storage_error_it_hit_typed() {
     let mut w = mgr.begin();
     // The narrow schema carries 15 payload attributes; this row has one.
     mgr.buffer_insert(&mut w, &mut t, 4001, vec![7]);
-    let err = mgr.commit(w, &mut t).expect_err("wrong payload arity");
+    let err = mgr.commit(&w, &mut t).expect_err("wrong payload arity");
     assert!(
         matches!(
             err,
