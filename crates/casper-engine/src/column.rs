@@ -31,7 +31,7 @@ use crate::exec::parallel_map;
 use crate::governor::QueryCtx;
 use crate::modes::{EngineConfig, LayoutMode};
 use crate::table::{QueryOutput, QueryResult};
-use casper_core::Segmentation;
+use casper_core::{FrequencyModel, Segmentation};
 use casper_obs::CounterDef;
 use casper_storage::ghost::GhostPlan;
 use casper_storage::{
@@ -50,28 +50,12 @@ static OBS_PUBLISHES: CounterDef = CounterDef::new("casper_snapshot_publishes_to
 static OBS_CHUNKS_ROUTED: CounterDef = CounterDef::new("casper_query_chunks_routed_total");
 static OBS_CHUNKS_PRUNED: CounterDef = CounterDef::new("casper_query_chunks_pruned_total");
 
-/// Record one read's chunk routing — `routed` chunks starting at `first`
-/// were scanned out of `total` — and mark each scanned chunk in the FM
-/// drift table (the observed side of the predicted-vs-observed gauges).
-fn note_routed(first: usize, routed: usize, total: usize) {
-    if let Some(reg) = casper_obs::registry() {
-        OBS_CHUNKS_ROUTED.add(routed as u64);
-        if routed < total {
-            OBS_CHUNKS_PRUNED.add((total - routed) as u64);
-        }
-        for c in first..first + routed {
-            reg.drift().note_observed(c, 1);
-        }
-    }
-}
-
-/// Mark one write routed to `chunk` in the FM drift table: the FM a layout
-/// was solved for counts writes as well as reads, so the observed side
-/// must count both.
-#[inline]
-fn note_written(chunk: usize) {
-    if let Some(reg) = casper_obs::registry() {
-        reg.drift().note_observed(chunk, 1);
+/// Record one read's chunk routing: `routed` chunks were scanned out of
+/// `total`.
+fn note_routed(routed: usize, total: usize) {
+    OBS_CHUNKS_ROUTED.add(routed as u64);
+    if routed < total {
+        OBS_CHUNKS_PRUNED.add((total - routed) as u64);
     }
 }
 
@@ -311,10 +295,26 @@ impl ChunkStore {
     }
 }
 
-/// Global coarse access clock for LRU victim selection: each hydrated-store
-/// access stamps its slot with the next tick. Monotone and cross-column —
-/// comparing stamps orders accesses table-wide.
-static ACCESS_CLOCK: AtomicU64 = AtomicU64::new(1);
+/// One chunk position's access record, the one count of how much traffic
+/// the chunk gets: the FM drift gauges and the governor's victim order
+/// both read it. Every slot standing for the same position shares the
+/// record — its copy-on-write successors, the lazy slot an eviction or a
+/// re-point leaves, every published snapshot — so a reader of an older
+/// snapshot counts where the writer does. Padded to a cache line:
+/// neighbouring chunks are hit by different reader threads in the same
+/// instant.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct ChunkAccess {
+    /// Reads and writes routed to the chunk since its layout was installed.
+    observed: AtomicU64,
+    /// The installed layout's Frequency Model `total_mass()`, as `f64`
+    /// bits: the access count the layout was solved for.
+    predicted: AtomicU64,
+    /// `observed` at the governor's last budget check; written only by
+    /// [`ChunkSlot::take_recent_accesses`].
+    seen: AtomicU64,
+}
 
 /// Deferred chunk loader: reads, checksum-verifies and decodes the store
 /// from its persisted segment on first touch. A `Fn`, so a failed load
@@ -335,10 +335,7 @@ pub struct ChunkSlot {
     store: OnceLock<ChunkStore>,
     lazy: Mutex<Option<ChunkLoader>>,
     live: usize,
-    /// Last [`ACCESS_CLOCK`] tick that touched this slot's store — the
-    /// governor's LRU signal. Relaxed: an approximate ordering is all
-    /// victim selection needs.
-    stamp: AtomicU64,
+    access: Arc<ChunkAccess>,
 }
 
 impl ChunkSlot {
@@ -351,7 +348,7 @@ impl ChunkSlot {
             store: cell,
             lazy: Mutex::new(None),
             live,
-            stamp: AtomicU64::new(ACCESS_CLOCK.fetch_add(1, Ordering::Relaxed)),
+            access: Arc::default(),
         }
     }
 
@@ -362,7 +359,7 @@ impl ChunkSlot {
             store: OnceLock::new(),
             lazy: Mutex::new(Some(loader)),
             live,
-            stamp: AtomicU64::new(0),
+            access: Arc::default(),
         }
     }
 
@@ -372,10 +369,6 @@ impl ChunkSlot {
     /// load succeeds, so every touch after a failure tries again.
     pub fn get(&self) -> Result<&ChunkStore, StorageError> {
         if let Some(s) = self.store.get() {
-            self.stamp.store(
-                ACCESS_CLOCK.fetch_add(1, Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
             return Ok(s);
         }
         let mut lazy = self.lazy.lock();
@@ -396,10 +389,6 @@ impl ChunkSlot {
                 ),
             });
         }
-        self.stamp.store(
-            ACCESS_CLOCK.fetch_add(1, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
         // The loader may hold open segment handles; they go with it.
         *lazy = None;
         Ok(self.store.get_or_init(move || store))
@@ -410,10 +399,32 @@ impl ChunkSlot {
         self.store.get()
     }
 
-    /// The [`ACCESS_CLOCK`] tick of the last store access (0 = never
-    /// touched since restore/eviction). Lower = colder.
-    pub fn last_access(&self) -> u64 {
-        self.stamp.load(Ordering::Relaxed)
+    /// Count one read or write routed to this chunk.
+    #[inline]
+    fn note_access(&self) {
+        self.access.observed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Reads and writes routed to this chunk position since its layout
+    /// was installed (by load, restore or re-layout).
+    pub fn accesses(&self) -> u64 {
+        self.access.observed.load(Ordering::Relaxed)
+    }
+
+    /// The access count the installed layout's Frequency Model predicted;
+    /// 0 until a layout is solved for the chunk.
+    pub fn predicted_accesses(&self) -> f64 {
+        f64::from_bits(self.access.predicted.load(Ordering::Relaxed))
+    }
+
+    /// Accesses since the previous call, which starts a new interval: the
+    /// recent access mass the governor's eviction pass orders victims by.
+    /// Called once per budget check, by that check only.
+    pub fn take_recent_accesses(&self) -> u64 {
+        let now = self.accesses();
+        let seen = self.access.seen.load(Ordering::Relaxed);
+        self.access.seen.store(now, Ordering::Relaxed);
+        now.saturating_sub(seen)
     }
 
     /// Resident heap bytes of the decoded store; 0 while unhydrated (a
@@ -572,6 +583,23 @@ impl ColumnSnapshot {
             .map(|f| f.partition_point(|&b| b < key).min(f.len() - 1))
     }
 
+    /// Start each chunk's access window for a layout solved against `fms`,
+    /// one model per chunk: `observed` and `seen` go to 0 and `predicted`
+    /// to the model's total mass. Models for another chunk count describe
+    /// another chunking and seed nothing.
+    pub(crate) fn start_access_windows(&self, fms: &[FrequencyModel]) {
+        if fms.len() != self.chunks.len() {
+            return;
+        }
+        for (slot, fm) in self.chunks.iter().zip(fms) {
+            let access = &slot.access;
+            access.observed.store(0, Ordering::Relaxed);
+            access.seen.store(0, Ordering::Relaxed);
+            let predicted = fm.total_mass().to_bits();
+            access.predicted.store(predicted, Ordering::Relaxed);
+        }
+    }
+
     /// Decode chunk `i` from its segment if it has not hydrated yet.
     /// Checksum/decoding damage surfaces as [`StorageError::Corrupt`];
     /// hydration does not mark the chunk dirty.
@@ -707,7 +735,9 @@ impl ChunkedColumn {
     /// Reassemble a column from restored chunk slots (snapshot recovery).
     /// The chunks arrive exactly as they were persisted — already
     /// partitioned and ghost-buffered — so no re-sort or re-partition
-    /// happens here.
+    /// happens here. `fms` are the Frequency Models the persisted layout
+    /// was solved for; one per chunk seeds each chunk's predicted
+    /// accesses ([`ChunkSlot::predicted_accesses`]).
     ///
     /// # Panics
     /// Panics when `chunks` is empty or `fences` disagrees with the chunk
@@ -717,20 +747,23 @@ impl ChunkedColumn {
         fences: Option<Vec<u64>>,
         config: EngineConfig,
         payload_width: usize,
+        fms: &[FrequencyModel],
     ) -> Self {
         assert!(!chunks.is_empty(), "a column needs at least one chunk");
         if let Some(f) = &fences {
             assert_eq!(f.len(), chunks.len(), "one fence per chunk");
         }
+        let state = ColumnSnapshot {
+            chunks: chunks.into_iter().map(Arc::new).collect(),
+            fences,
+            config,
+            payload_width,
+        };
+        state.start_access_windows(fms);
         Self {
-            versions: vec![0; chunks.len()],
-            rebuilt: vec![0; chunks.len()],
-            state: ColumnSnapshot {
-                chunks: chunks.into_iter().map(Arc::new).collect(),
-                fences,
-                config,
-                payload_width,
-            },
+            versions: vec![0; state.chunks.len()],
+            rebuilt: vec![0; state.chunks.len()],
+            state,
             snapshots: OnceLock::new(),
         }
     }
@@ -834,7 +867,7 @@ impl ChunkedColumn {
             return false;
         }
         let live = self.state.chunks[i].len();
-        self.state.chunks[i] = Arc::new(ChunkSlot::new_lazy(live, loader));
+        self.replace_slot(i, ChunkSlot::new_lazy(live, loader));
         true
     }
 
@@ -846,7 +879,14 @@ impl ChunkedColumn {
     /// record. Same version / publish contract as
     /// [`ChunkedColumn::evict_chunk`].
     pub fn repoint_chunk(&mut self, i: usize, live: usize, loader: ChunkLoader) {
-        self.state.chunks[i] = Arc::new(ChunkSlot::new_lazy(live, loader));
+        self.replace_slot(i, ChunkSlot::new_lazy(live, loader));
+    }
+
+    /// Put `slot` at chunk position `i`, where it takes over the
+    /// position's access record.
+    fn replace_slot(&mut self, i: usize, mut slot: ChunkSlot) {
+        slot.access = Arc::clone(&self.state.chunks[i].access);
+        self.state.chunks[i] = Arc::new(slot);
     }
 
     /// Make chunk `i` uniquely owned and hydrated: when its `Arc` is shared
@@ -856,7 +896,7 @@ impl ChunkedColumn {
         self.state.chunks[i].get()?;
         if Arc::get_mut(&mut self.state.chunks[i]).is_none() {
             let cloned = self.state.chunks[i].get()?.clone();
-            self.state.chunks[i] = Arc::new(ChunkSlot::new(cloned));
+            self.replace_slot(i, ChunkSlot::new(cloned));
             OBS_COW_COPIES.inc();
         }
         Ok(())
@@ -991,7 +1031,7 @@ impl ChunkedColumn {
                 // once the row has left the source, a target that fails to
                 // decode would lose it.
                 self.state.chunks[to].get()?;
-                note_written(from);
+                self.state.chunks[from].note_access();
                 let (row, mut cost) = self.chunk_mut(from)?.take_one(old);
                 let Some(row) = row else {
                     return Ok((0, cost));
@@ -1023,7 +1063,7 @@ impl ChunkedColumn {
     /// [`ChunkStore::apply`]; a chunk whose rows changed is marked dirty
     /// and its fence follows the largest key placed in it.
     fn apply_in_chunk(&mut self, c: usize, op: WriteOp<'_>) -> Result<(u64, OpCost), StorageError> {
-        note_written(c);
+        self.state.chunks[c].note_access();
         let slack = self.state.config.capacity_slack;
         let out = self.chunk_mut(c)?.apply(op, slack)?;
         if out.0 > 0 {
@@ -1082,14 +1122,16 @@ impl ColumnSnapshot {
         let targets: Vec<&ChunkStore> = match self.route_for(v) {
             Some(c) => {
                 ctx.check()?;
-                note_routed(c, 1, self.chunks.len());
+                note_routed(1, self.chunks.len());
+                self.chunks[c].note_access();
                 vec![self.chunks[c].get()?]
             }
             None => {
-                note_routed(0, self.chunks.len(), self.chunks.len());
+                note_routed(self.chunks.len(), self.chunks.len());
                 let mut t = Vec::with_capacity(self.chunks.len());
                 for s in &self.chunks {
                     ctx.check()?;
+                    s.note_access();
                     t.push(s.get()?);
                 }
                 t
@@ -1169,16 +1211,18 @@ impl ColumnSnapshot {
                         break;
                     }
                     ctx.check()?;
+                    self.chunks[c].note_access();
                     targets.push(self.chunks[c].get()?);
                 }
-                note_routed(first, targets.len(), self.chunks.len());
+                note_routed(targets.len(), self.chunks.len());
             }
             _ => {
                 for s in &self.chunks {
                     ctx.check()?;
+                    s.note_access();
                     targets.push(s.get()?);
                 }
-                note_routed(0, self.chunks.len(), self.chunks.len());
+                note_routed(self.chunks.len(), self.chunks.len());
             }
         }
         // Expiry and cancellation are sticky, so once one worker observes
@@ -1668,7 +1712,7 @@ mod tests {
         );
         let slots = vec![ChunkSlot::new(store), broken];
         let fences = Some(vec![1998, 5000]);
-        let mut col = ChunkedColumn::from_restored(slots, fences, *healthy.config(), 1);
+        let mut col = ChunkedColumn::from_restored(slots, fences, *healthy.config(), 1, &[]);
         let cell = col.snapshot_cell();
         let v0 = cell.version();
         let payload = [1u32];
@@ -1722,5 +1766,163 @@ mod tests {
             slot.get(),
             Err(StorageError::Corrupt { ref reason }) if reason.contains("manifest says 55")
         ));
+    }
+
+    /// FM drift sees writes: a chunk's access record counts every write
+    /// routed to it, as it counts every read. The FM a layout is solved
+    /// for records writes too (its total mass is the predicted side), so
+    /// a write-only stream must move the observed count.
+    #[test]
+    fn serial_writes_feed_fm_drift() {
+        use crate::optimize::{optimize_table, OptimizeOptions};
+        use casper_workload::{HapSchema, Mix, MixKind};
+        let schema = HapSchema::narrow();
+        let mix = Mix::new(MixKind::HybridPointSkewed, schema, 4096);
+        let mut config = EngineConfig::small(LayoutMode::Casper);
+        config.chunk_values = 1024; // four chunks over keys 0..=8190
+        let mut table = crate::Table::load_from_generator(mix.generator(), config);
+        let sample = mix.generate(400, 1);
+        optimize_table(&mut table, &sample, &OptimizeOptions::default());
+        let observed =
+            |table: &crate::Table, chunk: usize| table.column().chunks()[chunk].accesses();
+        let target = table.column().route_for(5001).expect("ordered column");
+        assert_eq!(
+            observed(&table, target),
+            0,
+            "the re-layout starts a new window"
+        );
+
+        // A write-only stream inside one chunk: inserts of odd keys, one
+        // in-chunk update and one delete — no read touches the column.
+        let mut writes: Vec<HapQuery> = (0..20u64)
+            .map(|i| {
+                let key = 5001 + 2 * i;
+                HapQuery::Q4 {
+                    key,
+                    payload: schema.payload_row(key),
+                }
+            })
+            .collect();
+        writes.push(HapQuery::Q6 {
+            v: 5001,
+            vnew: 5003 + 2 * 20,
+        });
+        writes.push(HapQuery::Q5 { v: 5003 });
+        for q in &writes {
+            let key = match *q {
+                HapQuery::Q4 { key, .. } => key,
+                HapQuery::Q5 { v } | HapQuery::Q6 { v, .. } => v,
+                _ => unreachable!("write-only stream"),
+            };
+            assert_eq!(table.column().route_for(key), Some(target), "{q:?}");
+            assert_eq!(table.execute(q).expect("write").result.scalar(), 1, "{q:?}");
+        }
+        assert_eq!(
+            observed(&table, target),
+            writes.len() as u64,
+            "one observed access per write routed to the chunk"
+        );
+        for chunk in (0..table.column().chunk_count()).filter(|&c| c != target) {
+            assert_eq!(observed(&table, chunk), 0, "chunk {chunk} saw no traffic");
+        }
+    }
+
+    /// A chunk's access record accumulates one count per routed query
+    /// until a re-layout starts a new window, which zeroes it and installs
+    /// the chunk's predicted count from the Frequency Model it solved.
+    #[test]
+    fn observed_accumulates_and_predictions_reset_the_window() {
+        use crate::optimize::{optimize_table, OptimizeOptions};
+        let keys: Vec<u64> = (0..4000).map(|i| i * 2).collect();
+        let mut config = EngineConfig::small(LayoutMode::Casper);
+        config.chunk_values = 1024;
+        let schema = casper_workload::HapSchema { payload_cols: 0 };
+        let mut table = crate::Table::load(schema, keys, Vec::new(), config);
+        let point = |v| HapQuery::Q1 { v, k: 0 };
+        for _ in 0..15 {
+            table.execute(&point(10)).unwrap();
+        }
+        let chunk = |t: &crate::Table, i: usize| {
+            let slot = &t.column().chunks()[i];
+            (slot.accesses(), slot.predicted_accesses())
+        };
+        assert_eq!(chunk(&table, 0), (15, 0.0));
+        assert_eq!(chunk(&table, 3), (0, 0.0));
+        let sample: Vec<HapQuery> = (0..40).map(|i| point(7000 + i)).collect();
+        let report = optimize_table(&mut table, &sample, &OptimizeOptions::default());
+        for (i, fm) in report.fms.iter().enumerate() {
+            assert_eq!(chunk(&table, i), (0, fm.total_mass()), "chunk {i}");
+        }
+        assert!(
+            chunk(&table, 3).1 > 0.0,
+            "the sample's traffic is predicted"
+        );
+        table.execute(&point(10)).unwrap();
+        assert_eq!(chunk(&table, 0).0, 1);
+    }
+
+    /// Each table owns its chunks' access records: traffic on one table's
+    /// chunk 0 never shows in another's.
+    #[test]
+    fn two_tables_keep_separate_access_records() {
+        let mut a = load(LayoutMode::Casper, 4000);
+        let mut b = load(LayoutMode::Casper, 4000);
+        for _ in 0..3 {
+            q1(&a, 10);
+        }
+        insert(&mut a, 11, &[1]);
+        for _ in 0..5 {
+            q1(&b, 12);
+        }
+        assert_eq!(a.chunks()[0].accesses(), 4);
+        assert_eq!(b.chunks()[0].accesses(), 5);
+        // The records follow the chunk through copy-on-write and publish.
+        let pin = b.snapshot_cell().pin();
+        insert(&mut b, 13, &[1]);
+        snap_q2(&pin, 0, 100);
+        assert_eq!(b.chunks()[0].accesses(), 7);
+        assert_eq!(a.chunks()[0].accesses(), 4);
+    }
+
+    /// Every query class counts exactly one access per chunk it routes to
+    /// (4 chunks: keys 0..=2046, 2048..=4094, 4096..=6142, 6144..=7998).
+    #[test]
+    fn each_routed_chunk_counts_one_access_per_query() {
+        let payload = vec![7u32];
+        let rows: [(HapQuery, [u64; 4]); 8] = [
+            (HapQuery::Q1 { v: 10, k: 1 }, [1, 0, 0, 0]),
+            (HapQuery::Q2 { vs: 100, ve: 200 }, [1, 0, 0, 0]),
+            (
+                HapQuery::Q3 {
+                    vs: 2100,
+                    ve: 2200,
+                    k: 1,
+                },
+                [0, 1, 0, 0],
+            ),
+            (HapQuery::Q2 { vs: 1000, ve: 5000 }, [1, 1, 1, 0]),
+            (HapQuery::Q4 { key: 4101, payload }, [0, 0, 1, 0]),
+            (HapQuery::Q5 { v: 6200 }, [0, 0, 0, 1]),
+            (
+                HapQuery::Q6 {
+                    v: 4100,
+                    vnew: 4103,
+                },
+                [0, 0, 1, 0],
+            ),
+            (HapQuery::Q6 { v: 10, vnew: 7001 }, [1, 0, 0, 1]),
+        ];
+        for (q, want) in rows {
+            let keys: Vec<u64> = (0..4000).map(|i| i * 2).collect();
+            let payload: Vec<u32> = keys.iter().map(|&k| (k % 1000) as u32).collect();
+            let mut config = EngineConfig::small(LayoutMode::Casper);
+            config.chunk_values = 1024;
+            let schema = casper_workload::HapSchema { payload_cols: 1 };
+            let mut table = crate::Table::load(schema, keys, vec![payload], config);
+            table.execute(&q).expect("query");
+            let chunks = table.column().chunks();
+            let got: Vec<u64> = chunks.iter().map(|s| s.accesses()).collect();
+            assert_eq!(got, want, "{q:?}");
+        }
     }
 }

@@ -287,15 +287,6 @@ pub fn optimize_table(
     }
 
     let fms = capture_per_chunk(table, sample);
-    // Publish the predicted side of the per-chunk drift gauges: the FM's
-    // total recorded mass is the access count the layout was solved for.
-    // `set_predicted` also resets each chunk's observed window, so drift is
-    // always measured against the layout currently in force.
-    if let Some(reg) = casper_obs::registry() {
-        for (i, fm) in fms.iter().enumerate() {
-            reg.drift().set_predicted(i, fm.total_mass());
-        }
-    }
     let config = *table.column().config();
     // The column's empty-slot reserve goes where the sample's inserts and
     // incoming updates land: Eq. 18 across chunks here, then across each
@@ -344,6 +335,8 @@ pub fn optimize_table(
         **store = rebuild_partitioned(store, seg, ghosts, &config, orientations[i]);
     });
     drop(stores);
+    // Each chunk's access window starts with the layout now in force.
+    table.column().start_access_windows(&fms);
     // Re-layout replaced chunk stores wholesale: hand readers the new ones.
     table.column_mut().publish();
     report.fms = fms;

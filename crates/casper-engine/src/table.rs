@@ -619,6 +619,7 @@ mod tests {
             None,
             EngineConfig::small(LayoutMode::NoOrder),
             schema.payload_cols,
+            &[],
         );
         let t = Table::from_restored(schema, column);
         let out = t.multi_column_sum(0, 1000, &[0, 1], 2, 0, u32::MAX);

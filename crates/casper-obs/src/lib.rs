@@ -44,14 +44,12 @@
 //! (`benchmark/`) reports the enabled-vs-disabled cost on every workload
 //! as `obs.overhead_ratio` (budget: ≤2%).
 
-pub mod drift;
 pub mod dump;
 pub mod hist;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
 
-pub use drift::{DriftEntry, DriftTable, DRIFT_SLOTS};
 pub use hist::{quantile_rank, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, CounterDef, Gauge, GaugeDef, HistogramDef, Registry};
 pub use snapshot::MetricsSnapshot;

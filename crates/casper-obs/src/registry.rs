@@ -7,7 +7,6 @@
 //! atomics. Metric objects are leaked into `'static` — they live for the
 //! process, like the registry itself.
 
-use crate::drift::DriftTable;
 use crate::hist::Histogram;
 use crate::span::SlowSpan;
 use std::collections::BTreeMap;
@@ -109,7 +108,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
-    drift: DriftTable,
     pub(crate) slow_spans: Mutex<VecDeque<SlowSpan>>,
     pub(crate) slow_threshold_ns: AtomicU64,
 }
@@ -128,7 +126,6 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            drift: DriftTable::new(),
             slow_spans: Mutex::new(VecDeque::with_capacity(SLOW_RING)),
             slow_threshold_ns: AtomicU64::new(slow_ns),
         }
@@ -168,11 +165,6 @@ impl Registry {
         let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
         map.insert(intern(name), h);
         h
-    }
-
-    /// The per-chunk FM drift table.
-    pub fn drift(&self) -> &DriftTable {
-        &self.drift
     }
 
     /// Record a completed slow span into the ring (called by the span

@@ -1,7 +1,6 @@
 //! Point-in-time snapshots of the registry and their Prometheus-text /
 //! JSON renderings.
 
-use crate::drift::DriftEntry;
 use crate::hist::HistogramSnapshot;
 use crate::registry::Registry;
 use crate::span::SlowSpan;
@@ -20,10 +19,6 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, f64)>,
     /// `(name, snapshot)` in name order.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Per-chunk FM drift readings (chunks with any signal).
-    pub drift: Vec<DriftEntry>,
-    /// Accesses to chunks beyond the drift table's capacity.
-    pub drift_dropped: u64,
     /// Recent slow spans, oldest first.
     pub slow_spans: Vec<SlowSpan>,
 }
@@ -35,8 +30,6 @@ impl MetricsSnapshot {
         reg.for_each_counter(|name, c| snap.counters.push((name.to_owned(), c.get())));
         reg.for_each_gauge(|name, g| snap.gauges.push((name.to_owned(), g.get())));
         reg.for_each_histogram(|name, h| snap.histograms.push((name.to_owned(), h.snapshot())));
-        snap.drift = reg.drift().entries();
-        snap.drift_dropped = reg.drift().dropped();
         snap.slow_spans = reg
             .slow_spans
             .lock()
@@ -80,8 +73,7 @@ impl MetricsSnapshot {
 
     /// Prometheus text exposition. Histograms are rendered as summary-style
     /// series (`_count`, `_sum`, and `{quantile=…}` gauges from the
-    /// log₂-bucket estimate); drift readings become two labeled gauge
-    /// families plus a `casper_fm_drift_max_ratio` scalar.
+    /// log₂-bucket estimate).
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         let mut last_base = String::new();
@@ -127,32 +119,6 @@ impl MetricsSnapshot {
                 }
             }
         }
-        if !self.drift.is_empty() || self.drift_dropped > 0 {
-            let _ = writeln!(out, "# TYPE casper_fm_observed_accesses gauge");
-            for e in &self.drift {
-                let _ = writeln!(
-                    out,
-                    "casper_fm_observed_accesses{{chunk=\"{}\"}} {}",
-                    e.chunk, e.observed
-                );
-            }
-            let _ = writeln!(out, "# TYPE casper_fm_predicted_accesses gauge");
-            for e in &self.drift {
-                let _ = writeln!(
-                    out,
-                    "casper_fm_predicted_accesses{{chunk=\"{}\"}} {}",
-                    e.chunk, e.predicted
-                );
-            }
-            let _ = writeln!(out, "# TYPE casper_fm_drift_max_ratio gauge");
-            let _ = writeln!(
-                out,
-                "casper_fm_drift_max_ratio {}",
-                drift_max_ratio(&self.drift)
-            );
-            let _ = writeln!(out, "# TYPE casper_fm_drift_dropped_total counter");
-            let _ = writeln!(out, "casper_fm_drift_dropped_total {}", self.drift_dropped);
-        }
         out
     }
 
@@ -193,16 +159,6 @@ impl MetricsSnapshot {
             );
         }
         let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"fm_drift\": [");
-        for (i, e) in self.drift.iter().enumerate() {
-            let comma = if i + 1 < self.drift.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"chunk\": {}, \"observed\": {}, \"predicted\": {}}}{comma}",
-                e.chunk, e.observed, e.predicted
-            );
-        }
-        let _ = writeln!(out, "  ],");
         let _ = writeln!(out, "  \"slow_spans\": [");
         for (i, s) in self.slow_spans.iter().enumerate() {
             let comma = if i + 1 < self.slow_spans.len() {
@@ -221,19 +177,6 @@ impl MetricsSnapshot {
         let _ = writeln!(out, "}}");
         out
     }
-}
-
-/// Max drift ratio over already-captured entries (mirrors
-/// [`crate::DriftTable::max_ratio`] for snapshot rendering).
-fn drift_max_ratio(entries: &[DriftEntry]) -> f64 {
-    entries
-        .iter()
-        .map(|e| {
-            let obs = e.observed as f64;
-            let pred = e.predicted.max(0.0);
-            obs.max(pred) / obs.min(pred).max(1.0)
-        })
-        .fold(1.0f64, f64::max)
 }
 
 /// Split `name{labels}` into `(name, labels)`; labels are empty for plain
@@ -260,8 +203,6 @@ mod tests {
         reg.counter("casper_test_events_total{class=\"q1\"}").add(3);
         reg.gauge("casper_test_level").set(2.0);
         reg.histogram("casper_test_ns").record(1000);
-        reg.drift().set_predicted(0, 8.0);
-        reg.drift().note_observed(0, 12);
         let snap = MetricsSnapshot::capture(&reg);
         let text = snap.to_prometheus_text();
         assert!(text.contains("# TYPE casper_test_events_total counter"));
@@ -269,12 +210,8 @@ mod tests {
         assert!(text.contains("# TYPE casper_test_level gauge"));
         assert!(text.contains("casper_test_ns_count 1"));
         assert!(text.contains("quantile=\"0.99\""));
-        assert!(text.contains("casper_fm_observed_accesses{chunk=\"0\"} 12"));
-        assert!(text.contains("casper_fm_predicted_accesses{chunk=\"0\"} 8"));
-        assert!(text.contains("casper_fm_drift_max_ratio 1.5"));
         let json = snap.to_json();
         assert!(json.contains("\"casper_test_events_total{class=\\\"q1\\\"}\": 3"));
-        assert!(json.contains("\"chunk\": 0, \"observed\": 12, \"predicted\": 8"));
     }
 
     #[test]

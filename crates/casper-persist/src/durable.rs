@@ -111,6 +111,7 @@ static OBS_FULL_CHECKPOINTS: CounterDef = CounterDef::new("casper_full_checkpoin
 static OBS_SEGMENT_CHAIN: GaugeDef = GaugeDef::new("casper_segment_chain_length");
 static OBS_QUARANTINED: GaugeDef = GaugeDef::new("casper_quarantined_chunks");
 static OBS_DEGRADED_MODE: GaugeDef = GaugeDef::new("casper_degraded_mode");
+static OBS_DRIFT_MAX_RATIO: GaugeDef = GaugeDef::new("casper_fm_drift_max_ratio");
 static OBS_DEGRADED_ENTER: CounterDef =
     CounterDef::new("casper_degraded_transitions_total{edge=\"enter\"}");
 static OBS_DEGRADED_EXIT: CounterDef =
@@ -701,11 +702,13 @@ impl DurableTable {
     /// Mirror the health state the accessors report into the registry
     /// gauges. Called wherever that state changes, so a metrics dump and
     /// [`DurableTable::stats`] / [`DurableTable::checkpoint_stats`] always
-    /// tell the same story.
+    /// tell the same story. The FM drift gauges are read off each chunk's
+    /// access record: observed and predicted accesses per chunk, and
+    /// their [`max_drift_ratio`].
     fn sync_obs_gauges(&self) {
-        if !casper_obs::enabled() {
+        let Some(reg) = casper_obs::registry() else {
             return;
-        }
+        };
         OBS_CP_CONSECUTIVE.set(self.cp_stats.consecutive_failures as f64);
         OBS_SEGMENT_CHAIN.set(self.ledger.segments().len() as f64);
         OBS_QUARANTINED.set(self.ledger.quarantined().count() as f64);
@@ -715,6 +718,16 @@ impl DurableTable {
             // checks still reports current residency.
             g.set_resident_bytes(self.table.column().resident_bytes() as u64);
         }
+        let chunks = self.table.column().chunks().iter();
+        let drift: Vec<(f64, f64)> = chunks
+            .map(|slot| (slot.accesses() as f64, slot.predicted_accesses()))
+            .collect();
+        for (i, &(observed, predicted)) in drift.iter().enumerate() {
+            let series = |family: &str| format!("casper_fm_{family}_accesses{{chunk=\"{i}\"}}");
+            reg.gauge(&series("observed")).set(observed);
+            reg.gauge(&series("predicted")).set(predicted);
+        }
+        OBS_DRIFT_MAX_RATIO.set(max_drift_ratio(&drift));
     }
 
     /// Render the process-wide telemetry registry as Prometheus text
@@ -985,7 +998,10 @@ impl DurableTable {
         if budget == 0 || !gov.budget_check_due() {
             return;
         }
-        let mut resident = self.evict_pass(&gov, budget);
+        // Each budget check starts a new recency interval on every chunk.
+        let chunks = self.table.column().chunks().iter();
+        let recent: Vec<u64> = chunks.map(|slot| slot.take_recent_accesses()).collect();
+        let mut resident = self.evict_pass(&gov, budget, &recent);
         if resident > budget
             && gov.config().governor_checkpoint
             && !self.is_degraded()
@@ -995,7 +1011,7 @@ impl DurableTable {
             // stale); a checkpoint refreshes the records and a second
             // sweep can then demote them.
             match self.checkpoint_sync(false) {
-                Ok(_) => resident = self.evict_pass(&gov, budget),
+                Ok(_) => resident = self.evict_pass(&gov, budget, &recent),
                 Err(e) => self.background_error = Some(e),
             }
         }
@@ -1008,28 +1024,30 @@ impl DurableTable {
         }
     }
 
-    /// One eviction sweep: account resident bytes and demote the coldest
-    /// clean, persisted, unquarantined chunks back to lazy slots until
-    /// the budget holds (or candidates run out). Publishes once per
-    /// sweep; in-flight snapshot pins keep the hydrated copies alive
-    /// until their readers finish. Returns resident bytes after.
-    fn evict_pass(&mut self, gov: &Arc<Governor>, budget: usize) -> usize {
+    /// One eviction sweep: account resident bytes and demote clean,
+    /// persisted, unquarantined chunks back to lazy slots, least `recent`
+    /// access mass first (then by chunk index), until the budget holds
+    /// (or candidates run out). A sweep's current chunk has mass since the
+    /// last check and the chunks behind it none, so it is never the
+    /// victim. Publishes once per sweep; in-flight snapshot pins keep the
+    /// hydrated copies alive until their readers finish. Returns resident
+    /// bytes after.
+    fn evict_pass(&mut self, gov: &Arc<Governor>, budget: usize, recent: &[u64]) -> usize {
         let resident = self.table.column().resident_bytes();
         gov.set_resident_bytes(resident as u64);
         if resident <= budget {
             return resident;
         }
-        // Coldest-first victim order from the per-slot access stamps.
         let column = self.table.column();
         let slots = column.chunks().iter().zip(column.versions()).enumerate();
         let mut victims: Vec<(u64, usize, usize, ChunkEntry)> = slots
             .filter(|(_, (slot, _))| slot.is_hydrated())
             .filter_map(|(i, (slot, &version))| {
                 let record = self.ledger.repointable(i, version)?.clone();
-                Some((slot.last_access(), i, slot.resident_bytes(), record))
+                Some((recent[i], i, slot.resident_bytes(), record))
             })
             .collect();
-        victims.sort_unstable_by_key(|&(stamp, i, ..)| (stamp, i));
+        victims.sort_unstable_by_key(|&(mass, i, ..)| (mass, i));
         let need = resident - budget;
         let mut freed = 0usize;
         let mut evicted = 0u64;
@@ -1725,5 +1743,32 @@ impl Drop for DurableTable {
                 let _ = self.apply_completion(completion);
             }
         }
+    }
+}
+
+/// The largest per-chunk FM drift over `(observed, predicted)` access
+/// counts: `max(observed, predicted) / max(min(observed, predicted), 1)`,
+/// 1.0 when every chunk is on model (or there is no signal) and growing as
+/// traffic leaves the prediction in either direction.
+fn max_drift_ratio(chunks: &[(f64, f64)]) -> f64 {
+    let ratio = |&(observed, predicted): &(f64, f64)| {
+        let predicted = predicted.max(0.0);
+        observed.max(predicted) / observed.min(predicted).max(1.0)
+    };
+    chunks.iter().map(ratio).fold(1.0, f64::max)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::max_drift_ratio;
+
+    #[test]
+    fn max_ratio_flags_divergence() {
+        assert_eq!(max_drift_ratio(&[]), 1.0);
+        assert_eq!(max_drift_ratio(&[(0.0, 0.0)]), 1.0);
+        assert!((max_drift_ratio(&[(100.0, 100.0)]) - 1.0).abs() < 1e-9);
+        assert!((max_drift_ratio(&[(100.0, 100.0), (50.0, 10.0)]) - 5.0).abs() < 1e-9);
+        // Too little traffic diverges as much as too much.
+        assert!((max_drift_ratio(&[(12.0, 8.0), (2.0, 8.0)]) - 4.0).abs() < 1e-9);
     }
 }

@@ -844,6 +844,7 @@ pub(crate) fn restore_table(
         manifest.fences.clone(),
         manifest.config,
         payload_width,
+        &manifest.fms,
     );
     Ok(Table::from_restored(manifest.schema, column))
 }

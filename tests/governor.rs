@@ -192,6 +192,46 @@ fn memory_budget_holds_with_bit_exact_rehydration() {
     assert_eq!(stats.admitted, rounds as u64 + 1, "every query admitted");
 }
 
+/// The victim order is recent access mass (accesses since the previous
+/// budget check), then chunk index: on a key-order sweep the chunk being
+/// read has mass and the chunks behind it none, so the sweep never evicts
+/// the chunk it is reading, and each pass rehydrates each chunk at most
+/// once. (A lifetime count would instead evict the chunk the sweep just
+/// entered, the one with the fewest reads so far.)
+#[test]
+fn a_sweep_never_evicts_the_chunk_it_is_reading() {
+    let dir = test_dir("gov_sweep_order");
+    let working_set = persist_fixture(&dir);
+    let mut gov_cfg = GovernorConfig::default();
+    gov_cfg.memory_budget_bytes = working_set / 2;
+    gov_cfg.check_interval = 1;
+    let mut opts = DurableOptions::default();
+    opts.governor = Some(gov_cfg);
+    let mut t = DurableTable::open(&dir, opts).expect("governed open");
+
+    let passes = 2;
+    let ctx = QueryCtx::unbounded();
+    for _ in 0..passes {
+        for key in (0..ROWS).map(|i| i * 2) {
+            let out = t.execute_with(&point(key), &ctx).expect("point read");
+            expect_rows(&out, key);
+            let chunk = t.table().column().route_for(key).expect("ordered");
+            let slot = &t.table().column().chunks()[chunk];
+            assert!(
+                slot.is_hydrated(),
+                "key {key}: chunk {chunk} evicted mid-read"
+            );
+        }
+    }
+    let stats = t.governor_stats().expect("governor configured");
+    assert!(stats.evictions > 0, "budget at 50% must force evictions");
+    assert!(
+        stats.rehydrations <= (CHUNKS * passes) as u64,
+        "{} rehydrations over {passes} passes of {CHUNKS} chunks",
+        stats.rehydrations
+    );
+}
+
 /// Eviction-vs-pinned-snapshot stress: reader threads pin published
 /// snapshots and must observe the exact row-count invariant while the
 /// owner thread drives hydration/eviction churn with governed point reads
