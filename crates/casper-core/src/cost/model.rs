@@ -15,7 +15,7 @@
 //! `solver/dp.rs`).
 
 use super::terms::BlockTerms;
-use crate::layout::Segmentation;
+use casper_storage::PartitionSpec;
 
 /// `bck_read(i)` per Eq. 2: Σ_{j=0}^{i−1} Π_{k=j}^{i−1} (1 − p_k).
 pub fn bck_read_literal(p: &[bool], i: usize) -> f64 {
@@ -58,13 +58,13 @@ pub fn trail_parts(p: &[bool], i: usize) -> f64 {
 
 /// Closed form of `bck_read(i)`: distance from `i` to the start of its
 /// partition.
-pub fn bck_read_closed(seg: &Segmentation, i: usize) -> f64 {
+pub fn bck_read_closed(seg: &PartitionSpec, i: usize) -> f64 {
     (i - seg.partition_start(i)) as f64
 }
 
 /// Closed form of `fwd_read(i)`: distance from `i` to the end of its
 /// partition.
-pub fn fwd_read_closed(seg: &Segmentation, i: usize) -> f64 {
+pub fn fwd_read_closed(seg: &PartitionSpec, i: usize) -> f64 {
     (seg.partition_end(i) - 1 - i) as f64
 }
 
@@ -106,16 +106,16 @@ pub fn cost_of_boundaries(p: &[bool], terms: &BlockTerms) -> f64 {
 
 /// Total workload cost (Eq. 16) of a segmentation, evaluated with the
 /// closed forms — `O(N)`.
-pub fn cost_of_segmentation(seg: &Segmentation, terms: &BlockTerms) -> f64 {
+pub fn cost_of_segmentation(seg: &PartitionSpec, terms: &BlockTerms) -> f64 {
     cost_breakdown(seg, terms).total()
 }
 
 /// As [`cost_of_segmentation`], broken down by term class.
-pub fn cost_breakdown(seg: &Segmentation, terms: &BlockTerms) -> OpCostBreakdown {
+pub fn cost_breakdown(seg: &PartitionSpec, terms: &BlockTerms) -> OpCostBreakdown {
     assert_eq!(seg.n_blocks(), terms.n_blocks());
     let mut out = OpCostBreakdown::default();
     let k = seg.partition_count();
-    for (rank, range) in seg.ranges().enumerate() {
+    for (rank, range) in seg.block_ranges().enumerate() {
         let trail = (k - rank) as f64;
         for i in range.clone() {
             out.fixed += terms.fixed[i];
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn closed_forms_match_literal_on_example() {
         let bounds = p(&[0, 1, 0, 0, 1, 1, 0, 1]);
-        let seg = Segmentation::from_boundaries(&bounds);
+        let seg = PartitionSpec::from_boundaries(&bounds);
         for i in 0..bounds.len() {
             assert_eq!(
                 bck_read_literal(&bounds, i),
@@ -232,7 +232,7 @@ mod tests {
             let terms = BlockTerms::from_fm(&fm, &CostConstants::paper());
             let mut bounds: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
             bounds[n - 1] = true;
-            let seg = Segmentation::from_boundaries(&bounds);
+            let seg = PartitionSpec::from_boundaries(&bounds);
             let lit = cost_of_boundaries(&bounds, &terms);
             let closed = cost_of_segmentation(&seg, &terms);
             assert!(
@@ -253,8 +253,8 @@ mod tests {
         let c = CostConstants::paper();
         let read_terms = BlockTerms::from_fm(&read_fm, &c);
         let write_terms = BlockTerms::from_fm(&write_fm, &c);
-        let coarse = Segmentation::equi(n, 2);
-        let fine = Segmentation::equi(n, 8);
+        let coarse = PartitionSpec::equi_width(n, 2);
+        let fine = PartitionSpec::equi_width(n, 8);
         assert!(
             cost_of_segmentation(&fine, &read_terms) < cost_of_segmentation(&coarse, &read_terms),
             "reads favor more partitions"
@@ -269,7 +269,7 @@ mod tests {
     fn breakdown_sums_to_total() {
         let fm = random_fm(10, 3);
         let terms = BlockTerms::from_fm(&fm, &CostConstants::paper());
-        let seg = Segmentation::equi(10, 3);
+        let seg = PartitionSpec::equi_width(10, 3);
         let b = cost_breakdown(&seg, &terms);
         assert!((b.total() - cost_of_segmentation(&seg, &terms)).abs() < 1e-9);
         assert!(b.fixed > 0.0);

@@ -24,15 +24,15 @@
 //! rest: the share of them that still ripple.
 
 use crate::fm::FrequencyModel;
-use crate::layout::Segmentation;
 use casper_storage::ghost::GhostPlan;
+use casper_storage::PartitionSpec;
 
 /// Data movement attracted by each partition: Σ over its blocks of
 /// `in + utf + utb` (every insert and every incoming update needs a slot in
 /// the worst case, §4.6).
-pub fn data_movement_per_partition(fm: &FrequencyModel, seg: &Segmentation) -> Vec<f64> {
+pub fn data_movement_per_partition(fm: &FrequencyModel, seg: &PartitionSpec) -> Vec<f64> {
     assert_eq!(fm.n_blocks(), seg.n_blocks(), "block count mismatch");
-    seg.ranges()
+    seg.block_ranges()
         .map(|r| r.map(|i| fm.ins[i] + fm.utf[i] + fm.utb[i]).sum())
         .collect()
 }
@@ -60,7 +60,7 @@ pub fn split_column_budget(fms: &[FrequencyModel], sizes: &[usize], budget: usiz
 
 /// Distribute `budget` ghost slots over the partitions of `seg`
 /// proportionally to the data movement they receive (Eq. 18).
-pub fn allocate_ghosts(fm: &FrequencyModel, seg: &Segmentation, budget: usize) -> GhostPlan {
+pub fn allocate_ghosts(fm: &FrequencyModel, seg: &PartitionSpec, budget: usize) -> GhostPlan {
     let dm = data_movement_per_partition(fm, seg);
     GhostPlan::proportional(&dm, budget)
 }
@@ -88,7 +88,7 @@ mod tests {
         fm.ins = vec![1.0, 0.0, 0.0, 3.0];
         fm.utf = vec![0.0, 2.0, 0.0, 0.0];
         fm.utb = vec![0.0, 0.0, 4.0, 0.0];
-        let seg = Segmentation::new(vec![2, 4]);
+        let seg = PartitionSpec::new(vec![2, 4]);
         let dm = data_movement_per_partition(&fm, &seg);
         assert_eq!(dm, vec![3.0, 7.0]);
     }
@@ -97,7 +97,7 @@ mod tests {
     fn allocation_is_proportional_and_exact() {
         let mut fm = FrequencyModel::new(4);
         fm.ins = vec![1.0, 0.0, 0.0, 3.0];
-        let seg = Segmentation::new(vec![2, 4]);
+        let seg = PartitionSpec::new(vec![2, 4]);
         let plan = allocate_ghosts(&fm, &seg, 100);
         assert_eq!(plan.total(), 100);
         assert_eq!(plan.counts(), &[25, 75]);
@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn no_movement_spreads_evenly() {
         let fm = FrequencyModel::new(6);
-        let seg = Segmentation::new(vec![2, 4, 6]);
+        let seg = PartitionSpec::new(vec![2, 4, 6]);
         let plan = allocate_ghosts(&fm, &seg, 9);
         assert_eq!(plan.total(), 9);
         assert_eq!(plan.counts(), &[3, 3, 3]);
@@ -121,7 +121,7 @@ mod tests {
         fm.udb[0] = 10.0;
         fm.utb = vec![0.0; 8];
         fm.utb[7] = 10.0;
-        let seg = Segmentation::new(vec![4, 8]);
+        let seg = PartitionSpec::new(vec![4, 8]);
         let plan = allocate_ghosts(&fm, &seg, 10);
         assert_eq!(plan.counts(), &[0, 10]);
     }
@@ -144,7 +144,7 @@ mod tests {
         assert_eq!(split, vec![250, 750, 0]);
         assert_eq!(split.iter().sum::<usize>(), 1000);
         // Each chunk's share then follows Eq. 18 inside the chunk.
-        let seg = Segmentation::new(vec![1, 4]);
+        let seg = PartitionSpec::new(vec![1, 4]);
         assert_eq!(
             allocate_ghosts(&fms[1], &seg, split[1]).counts(),
             &[250, 500]
@@ -186,7 +186,7 @@ mod tests {
     fn zero_budget_zero_plan() {
         let mut fm = FrequencyModel::new(2);
         fm.ins = vec![5.0, 5.0];
-        let seg = Segmentation::new(vec![1, 2]);
+        let seg = PartitionSpec::new(vec![1, 2]);
         let plan = allocate_ghosts(&fm, &seg, 0);
         assert_eq!(plan.total(), 0);
     }

@@ -28,11 +28,9 @@
 pub mod cost;
 pub mod fm;
 pub mod ghost_alloc;
-pub mod layout;
 pub mod robust;
 pub mod solver;
 
 pub use cost::{BlockGeometry, BlockTerms, CostConstants, Projectivity};
 pub use fm::{FrequencyModel, Op};
-pub use layout::Segmentation;
 pub use solver::{LayoutOptimizer, SolverConstraints};

@@ -16,8 +16,8 @@
 
 use crate::cost::{cost_of_segmentation, BlockTerms, CostConstants};
 use crate::fm::FrequencyModel;
-use crate::layout::Segmentation;
 use crate::solver::{dp, SolverConstraints};
+use casper_storage::PartitionSpec;
 
 /// Rotate every histogram of the model by `frac` of the domain
 /// (cyclically). `frac` in `[0, 1)`; Fig. 16b sweeps 0–50%.
@@ -98,7 +98,7 @@ impl RobustnessPoint {
 
 /// Evaluate a trained layout against a shifted workload.
 pub fn evaluate_robustness(
-    trained: &Segmentation,
+    trained: &PartitionSpec,
     shifted_fm: &FrequencyModel,
     constants: &CostConstants,
     constraints: &SolverConstraints,
@@ -180,18 +180,18 @@ pub fn optimize_minmax(
     set: &UncertaintySet,
     constants: &CostConstants,
     constraints: &SolverConstraints,
-) -> (Segmentation, f64) {
+) -> (PartitionSpec, f64) {
     let scenarios = set.scenarios(nominal);
     let all_terms: Vec<BlockTerms> = scenarios
         .iter()
         .map(|s| BlockTerms::from_fm(s, constants))
         .collect();
-    let mut candidates: Vec<Segmentation> = all_terms
+    let mut candidates: Vec<PartitionSpec> = all_terms
         .iter()
         .map(|t| dp::solve(t, constraints).seg)
         .collect();
     candidates.push(optimize_expected(nominal, set, constants, constraints).seg);
-    let worst = |seg: &Segmentation| -> f64 {
+    let worst = |seg: &PartitionSpec| -> f64 {
         all_terms
             .iter()
             .map(|t| cost_of_segmentation(seg, t))
@@ -311,7 +311,7 @@ mod tests {
         let nominal = dp::solve(&BlockTerms::from_fm(&fm, &constants), &constraints).seg;
         let robust = optimize_expected(&fm, &set, &constants, &constraints).seg;
         let scenarios = set.scenarios(&fm);
-        let avg = |seg: &Segmentation| -> f64 {
+        let avg = |seg: &PartitionSpec| -> f64 {
             scenarios
                 .iter()
                 .map(|s| cost_of_segmentation(seg, &BlockTerms::from_fm(s, &constants)))
@@ -337,7 +337,7 @@ mod tests {
         };
         let nominal = dp::solve(&BlockTerms::from_fm(&fm, &constants), &constraints).seg;
         let (robust, robust_worst) = optimize_minmax(&fm, &set, &constants, &constraints);
-        let worst = |seg: &Segmentation| -> f64 {
+        let worst = |seg: &PartitionSpec| -> f64 {
             set.scenarios(&fm)
                 .iter()
                 .map(|s| cost_of_segmentation(seg, &BlockTerms::from_fm(s, &constants)))

@@ -19,7 +19,7 @@
 
 use super::{dp, Solution, SolverConstraints};
 use crate::cost::BlockTerms;
-use crate::layout::Segmentation;
+use casper_storage::PartitionSpec;
 
 /// The Eq. 20 model, materialized.
 #[derive(Debug, Clone)]
@@ -227,7 +227,7 @@ pub fn solve(terms: &BlockTerms, constraints: &SolverConstraints) -> (Solution, 
     assert!(best_cost.is_finite(), "no feasible assignment found");
     (
         Solution {
-            seg: Segmentation::new(best_ends),
+            seg: PartitionSpec::new(best_ends),
             cost: best_cost,
         },
         stats,

@@ -30,12 +30,18 @@
 //! comparison. Every reported cost is bit-identical to summing
 //! `segment_cost` directly.
 //!
+//! The DP traces its optimum back as partition end offsets, which is the
+//! [`PartitionSpec`] it returns; the `p_i` vector above is that spec's
+//! boundary view, never materialized here.
+//!
 //! Correctness (DP optimum == literal Eq. 16 optimum == BIP optimum) is
 //! property-tested against the test-only oracles `exhaustive` and `bip`.
+//! A property test also checks that `w` satisfies the quadrangle
+//! inequality, the precondition of a monotone-split speed-up.
 
 use super::{Solution, SolverConstraints};
 use crate::cost::BlockTerms;
-use crate::layout::Segmentation;
+use casper_storage::PartitionSpec;
 
 /// Precomputed prefix sums enabling `O(1)` per-segment cost evaluation.
 #[derive(Debug, Clone)]
@@ -145,13 +151,8 @@ impl SegmentCosts {
 /// (`max_partitions · max_partition_blocks < N`), mirroring a solver
 /// infeasibility result.
 pub fn solve(terms: &BlockTerms, constraints: &SolverConstraints) -> Solution {
-    let costs = SegmentCosts::new(terms);
-    solve_with_costs(&costs, constraints)
-}
-
-/// As [`solve`], reusing precomputed prefix sums.
-pub fn solve_with_costs(costs: &SegmentCosts, constraints: &SolverConstraints) -> Solution {
     super::telemetry::note_solve();
+    let costs = SegmentCosts::new(terms);
     let n = costs.n_blocks();
     assert!(n > 0, "no blocks to partition");
     assert!(
@@ -159,9 +160,9 @@ pub fn solve_with_costs(costs: &SegmentCosts, constraints: &SolverConstraints) -
         "infeasible constraints for {n} blocks: {constraints:?}"
     );
     let mps = constraints.max_partition_blocks.unwrap_or(n).min(n).max(1);
-    let free = solve_unbounded(costs, mps);
+    let free = solve_unbounded(&costs, mps);
     match constraints.max_partitions {
-        Some(k) if free.seg.partition_count() > k => solve_bounded(costs, mps, k),
+        Some(k) if free.seg.partition_count() > k => solve_bounded(&costs, mps, k),
         _ => free,
     }
 }
@@ -203,7 +204,7 @@ fn solve_unbounded(costs: &SegmentCosts, mps: usize) -> Solution {
     }
     ends.reverse();
     Solution {
-        seg: Segmentation::new(ends),
+        seg: PartitionSpec::new(ends),
         cost: best[n],
     }
 }
@@ -260,7 +261,7 @@ fn trace_bounded(best: &[Vec<f64>], parent: &[Vec<usize>], n: usize) -> Solution
     }
     ends.reverse();
     Solution {
-        seg: Segmentation::new(ends),
+        seg: PartitionSpec::new(ends),
         cost,
     }
 }
@@ -298,6 +299,9 @@ mod tests {
     use super::*;
     use crate::cost::{cost_of_segmentation, CostConstants};
     use crate::fm::FrequencyModel;
+    use crate::solver::equivalence::{random_fm, random_terms, rho_strategy, row_major_terms};
+    use proptest::prelude::*;
+    use rand::prelude::*;
 
     fn terms_for(fm: &FrequencyModel) -> BlockTerms {
         BlockTerms::from_fm(fm, &CostConstants::paper())
@@ -331,7 +335,7 @@ mod tests {
             fm.ins[i] = 50.0;
         }
         let sol = solve(&terms_for(&fm), &SolverConstraints::none());
-        let sizes = sol.seg.sizes();
+        let sizes: Vec<usize> = sol.seg.block_ranges().map(|r| r.len()).collect();
         // First partitions (read region) must be narrower than the last
         // (insert region).
         assert!(
@@ -426,6 +430,49 @@ mod tests {
         let sol = solve(&terms_for(&fm), &SolverConstraints::none());
         assert_eq!(sol.seg.partition_count(), 1);
         assert_eq!(sol.seg.n_blocks(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Eq. 16's segment cost satisfies the quadrangle inequality
+        /// `w(a, b') + w(a', b) ≥ w(a, b) + w(a', b')` for every
+        /// `a ≤ a' ≤ b ≤ b'`, the property a monotone-split DP relies on:
+        /// the difference is `(a' − a)·Σ_(b, b'] bck + (b' − b)·Σ_[a, a') fwd`,
+        /// never negative while `bck` and `fwd` are not, whatever the sign
+        /// of `fixed` and `parts`. The terms are drawn directly (whole or fractional values) or
+        /// built from a generated Frequency Model by
+        /// [`BlockTerms::with_ripple_share`], whose `parts` mix signs.
+        #[test]
+        fn segment_cost_satisfies_the_quadrangle_inequality(
+            seed in any::<u64>(),
+            direct in any::<bool>(),
+            rho in rho_strategy(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let terms = if direct {
+                let n = rng.gen_range(1..24);
+                random_terms(&mut rng, n)
+            } else {
+                row_major_terms(&random_fm(&mut rng, 23), rho)
+            };
+            let costs = SegmentCosts::new(&terms);
+            let (n, w) = (costs.n_blocks(), |a, b| costs.segment_cost(a, b));
+            for a in 0..n {
+                for a2 in a..n {
+                    for b in a2..n {
+                        for b2 in b..n {
+                            let (lhs, rhs) = (w(a, b2) + w(a2, b), w(a, b) + w(a2, b2));
+                            let tol = 1e-9 * lhs.abs().max(rhs.abs()).max(1.0);
+                            prop_assert!(
+                                lhs >= rhs - tol,
+                                "a={a} a'={a2} b={b} b'={b2}: {lhs} < {rhs}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

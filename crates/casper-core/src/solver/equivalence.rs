@@ -22,7 +22,7 @@ use crate::cost::{
     cost_of_boundaries, cost_of_segmentation, BlockGeometry, BlockTerms, CostConstants,
 };
 use crate::fm::FrequencyModel;
-use crate::layout::Segmentation;
+use casper_storage::PartitionSpec;
 use casper_storage::PayloadOrientation;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -45,7 +45,7 @@ fn env_seeds() -> Vec<u64> {
 /// The terms a row-major chunk of the narrow table (16 KB blocks, 15
 /// payload words) is solved with when its reserve leaves the share `rho`
 /// of its slot demand uncovered.
-fn row_major_terms(fm: &FrequencyModel, rho: f64) -> BlockTerms {
+pub(super) fn row_major_terms(fm: &FrequencyModel, rho: f64) -> BlockTerms {
     let g = BlockGeometry::of_chunk(16 * 1024, 15, PayloadOrientation::Rows);
     BlockTerms::with_ripple_share(fm, &CostConstants::paper(), &g, rho)
 }
@@ -70,8 +70,8 @@ fn solvers_agree(terms: &BlockTerms, constraints: &SolverConstraints) -> Result<
 }
 
 /// `seg`'s cost as the DP sums it: segment costs left to right.
-fn dp_cost_of(costs: &dp::SegmentCosts, seg: &Segmentation) -> f64 {
-    seg.ranges()
+fn dp_cost_of(costs: &dp::SegmentCosts, seg: &PartitionSpec) -> f64 {
+    seg.block_ranges()
         .fold(0.0, |acc, r| acc + costs.segment_cost(r.start, r.end - 1))
 }
 
@@ -121,7 +121,7 @@ fn capped_dp_matches_reference(terms: &BlockTerms, k: usize, mps: usize) -> Resu
 
 /// Random per-block terms over `n` blocks: fractional or small whole
 /// values (whole ones make exact ties likely), `parts` of either sign.
-fn random_terms(rng: &mut StdRng, n: usize) -> BlockTerms {
+pub(super) fn random_terms(rng: &mut StdRng, n: usize) -> BlockTerms {
     let whole = rng.gen_bool(0.5);
     let mut draw = |lo: f64, hi: f64| {
         let x = rng.gen_range(lo..hi);
@@ -141,7 +141,7 @@ fn random_terms(rng: &mut StdRng, n: usize) -> BlockTerms {
 
 /// A valid (update-balanced) Frequency Model of up to `max_blocks` blocks
 /// drawn from `rng`, shaped as [`fm_strategy`]'s.
-fn random_fm(rng: &mut StdRng, max_blocks: usize) -> FrequencyModel {
+pub(super) fn random_fm(rng: &mut StdRng, max_blocks: usize) -> FrequencyModel {
     let n = rng.gen_range(2..=max_blocks);
     let mut fm = FrequencyModel::new(n);
     for h in [
@@ -168,7 +168,7 @@ fn random_fm(rng: &mut StdRng, max_blocks: usize) -> FrequencyModel {
 }
 
 /// A share of the slot demand left uncovered: none, all, or any between.
-fn rho_strategy() -> impl Strategy<Value = f64> {
+pub(super) fn rho_strategy() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0]
 }
 
@@ -308,7 +308,7 @@ proptest! {
         let terms = BlockTerms::from_fm(&fm, &CostConstants::paper());
         let opt = dp::solve(&terms, &SolverConstraints::none());
         for k in 1..=n {
-            let equi = crate::Segmentation::equi(n, k);
+            let equi = PartitionSpec::equi_width(n, k);
             let c = cost_of_segmentation(&equi, &terms);
             prop_assert!(
                 opt.cost <= c + 1e-6 * (1.0 + c.abs()),

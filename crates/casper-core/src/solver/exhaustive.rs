@@ -8,7 +8,7 @@
 
 use super::{Solution, SolverConstraints};
 use crate::cost::{cost_of_segmentation, BlockTerms};
-use crate::layout::Segmentation;
+use casper_storage::PartitionSpec;
 
 /// Largest `N` the exhaustive solver accepts.
 pub const MAX_BLOCKS: usize = 22;
@@ -27,7 +27,7 @@ pub fn solve(terms: &BlockTerms, constraints: &SolverConstraints) -> Solution {
     for mask in 0u32..(1u32 << (n - 1)) {
         let mut p: Vec<bool> = (0..n - 1).map(|i| mask & (1 << i) != 0).collect();
         p.push(true);
-        let seg = Segmentation::from_boundaries(&p);
+        let seg = PartitionSpec::from_boundaries(&p);
         if !constraints.admits(&seg) {
             continue;
         }
@@ -46,7 +46,7 @@ pub fn admissible_count(n: usize, constraints: &SolverConstraints) -> u64 {
     for mask in 0u32..(1u32 << (n - 1)) {
         let mut p: Vec<bool> = (0..n - 1).map(|i| mask & (1 << i) != 0).collect();
         p.push(true);
-        let seg = Segmentation::from_boundaries(&p);
+        let seg = PartitionSpec::from_boundaries(&p);
         if constraints.admits(&seg) {
             count += 1;
         }

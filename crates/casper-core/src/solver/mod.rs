@@ -17,6 +17,12 @@
 //!
 //! `equivalence` property-tests `dp == bip == exhaustive` on arbitrary
 //! Frequency Models, with and without SLA constraints.
+//!
+//! Every solver returns the layout as a [`PartitionSpec`], the value the
+//! engine builds or re-lays out the chunk from, with no conversion: each
+//! partition's exclusive block end. The boundary vector `p_i` of Eq. 19 is
+//! a view of it (`PartitionSpec::{from_boundaries, to_boundaries}`), which
+//! the two oracles enumerate and model.
 
 #[cfg(test)]
 mod bip;
@@ -55,8 +61,8 @@ pub mod telemetry {
 use crate::cost::{BlockGeometry, BlockTerms, CostConstants};
 use crate::fm::FrequencyModel;
 use crate::ghost_alloc::{allocate_ghosts, uncovered_share};
-use crate::layout::Segmentation;
 use casper_storage::ghost::GhostPlan;
+use casper_storage::PartitionSpec;
 use casper_storage::PayloadOrientation;
 
 /// Constraints on admissible partitionings (the Eq. 21 bounds, expressed
@@ -75,8 +81,8 @@ impl SolverConstraints {
         Self::default()
     }
 
-    /// Whether a segmentation satisfies the constraints.
-    pub fn admits(&self, seg: &Segmentation) -> bool {
+    /// Whether a partitioning satisfies the constraints.
+    pub fn admits(&self, seg: &PartitionSpec) -> bool {
         self.max_partitions
             .is_none_or(|k| seg.partition_count() <= k)
             && self
@@ -84,7 +90,7 @@ impl SolverConstraints {
                 .is_none_or(|w| seg.max_partition_blocks() <= w)
     }
 
-    /// Whether any segmentation of `n` blocks can satisfy the constraints
+    /// Whether any partitioning of `n` blocks can satisfy the constraints
     /// (`max_partitions · MPS ≥ N`).
     pub fn feasible(&self, n_blocks: usize) -> bool {
         let k = self.max_partitions.unwrap_or(n_blocks).max(1);
@@ -97,7 +103,7 @@ impl SolverConstraints {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// The chosen partitioning.
-    pub seg: Segmentation,
+    pub seg: PartitionSpec,
     /// Modeled workload cost (Eq. 16) in nanoseconds.
     pub cost: f64,
 }
@@ -123,7 +129,7 @@ pub struct LayoutOptimizer {
 #[derive(Debug, Clone)]
 pub struct LayoutDecision {
     /// The partitioning.
-    pub seg: Segmentation,
+    pub seg: PartitionSpec,
     /// Ghost slots per partition (Eq. 18).
     pub ghosts: GhostPlan,
     /// Modeled workload cost of the chosen layout.
@@ -146,12 +152,6 @@ impl LayoutOptimizer {
     /// [`LayoutOptimizer::with_slas`], which prices the SLAs with it.
     pub fn with_geometry(mut self, geometry: BlockGeometry) -> Self {
         self.geometry = geometry;
-        self
-    }
-
-    /// Attach constraints (builder style).
-    pub fn with_constraints(mut self, constraints: SolverConstraints) -> Self {
-        self.constraints = constraints;
         self
     }
 
@@ -203,10 +203,10 @@ mod tests {
             max_partitions: Some(2),
             max_partition_blocks: Some(3),
         };
-        assert!(c.admits(&Segmentation::new(vec![3, 6])));
-        assert!(!c.admits(&Segmentation::new(vec![1, 2, 6]))); // 3 partitions
-        assert!(!c.admits(&Segmentation::new(vec![4, 6]))); // width 4
-        assert!(SolverConstraints::none().admits(&Segmentation::single(100)));
+        assert!(c.admits(&PartitionSpec::new(vec![3, 6])));
+        assert!(!c.admits(&PartitionSpec::new(vec![1, 2, 6]))); // 3 partitions
+        assert!(!c.admits(&PartitionSpec::new(vec![4, 6]))); // width 4
+        assert!(SolverConstraints::none().admits(&PartitionSpec::single(100)));
     }
 
     #[test]
@@ -261,11 +261,13 @@ mod tests {
     fn optimizer_respects_constraints() {
         let mut fm = FrequencyModel::new(10);
         fm.pq = vec![10.0; 10];
-        let opt =
-            LayoutOptimizer::new(CostConstants::paper()).with_constraints(SolverConstraints {
+        let opt = LayoutOptimizer {
+            constraints: SolverConstraints {
                 max_partitions: Some(3),
                 max_partition_blocks: None,
-            });
+            },
+            ..LayoutOptimizer::new(CostConstants::paper())
+        };
         let d = opt.optimize(&fm, 0);
         assert!(d.seg.partition_count() <= 3);
     }

@@ -19,7 +19,7 @@ use crate::optimize::{
 use crate::table::Table;
 use casper_core::cost::cost_of_segmentation;
 use casper_core::solver::dp;
-use casper_core::Segmentation;
+use casper_storage::PartitionSpec;
 use casper_workload::HapQuery;
 use std::collections::VecDeque;
 
@@ -160,7 +160,7 @@ impl AdaptiveController {
 /// The block-granularity segmentation a chunk currently implements
 /// (approximated by live sizes for partitioned stores; sorted stores are
 /// block-granular by construction).
-fn current_segmentation(store: &ChunkStore, n_blocks: usize) -> Segmentation {
+fn current_segmentation(store: &ChunkStore, n_blocks: usize) -> PartitionSpec {
     match store {
         ChunkStore::Partitioned(chunk) => {
             let vpb = chunk.layout().values_per_block().max(1);
@@ -182,10 +182,10 @@ fn current_segmentation(store: &ChunkStore, n_blocks: usize) -> Segmentation {
                 }
                 ends.push(n_blocks);
             }
-            Segmentation::new(ends)
+            PartitionSpec::new(ends)
         }
         // Sorted designs read at block granularity.
-        _ => Segmentation::equi(n_blocks, n_blocks),
+        _ => PartitionSpec::equi_width(n_blocks, n_blocks),
     }
 }
 

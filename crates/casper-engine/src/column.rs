@@ -31,7 +31,7 @@ use crate::exec::parallel_map;
 use crate::governor::QueryCtx;
 use crate::modes::{EngineConfig, LayoutMode};
 use crate::table::{QueryOutput, QueryResult};
-use casper_core::{FrequencyModel, Segmentation};
+use casper_core::FrequencyModel;
 use casper_obs::CounterDef;
 use casper_storage::ghost::GhostPlan;
 use casper_storage::{
@@ -1385,21 +1385,20 @@ pub(crate) fn reserve_slots(len: usize, ghost_frac: f64, config: &EngineConfig) 
 /// hydrated store.
 pub(crate) fn rebuild_partitioned(
     store: &ChunkStore,
-    seg: &Segmentation,
+    seg: &PartitionSpec,
     ghosts: &GhostPlan,
     config: &EngineConfig,
     orientation: PayloadOrientation,
 ) -> ChunkStore {
-    let spec = seg.to_spec();
     let chunk = match store {
-        ChunkStore::Partitioned(p) => p.relayout(&spec, ghosts, ghost_config(config), orientation),
+        ChunkStore::Partitioned(p) => p.relayout(seg, ghosts, ghost_config(config), orientation),
         ChunkStore::Sorted(_) | ChunkStore::Delta(_) => {
             let layout = BlockLayout::new::<u64>(config.block_bytes);
             let (keys, payloads) = store.live_sorted();
             PartitionedChunk::build_with_payloads(
                 &keys,
                 &payloads,
-                &spec,
+                seg,
                 layout,
                 ghosts,
                 ghost_config(config),

@@ -59,7 +59,10 @@ impl LayoutMode {
 }
 
 /// Engine configuration (defaults follow the paper's experimental setup:
-/// 1M-value chunks, 16 KB blocks, 0.1% ghost values).
+/// 1M-value chunks, 16 KB blocks, a 0.1% ghost budget). A ghost-policy
+/// chunk places its ghost budget and its `capacity_slack` as one reserve
+/// of empty slots, about 5.1% of its live rows by default
+/// (`column::reserve_slots`).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Layout strategy.
@@ -76,8 +79,10 @@ pub struct EngineConfig {
     /// block-granular reads.
     pub equi_partitions: usize,
     /// Ghost-value budget as a fraction of the data size (0.1% in Fig. 12).
-    /// `EquiGV` (and `Casper` before its first optimization) spreads it
-    /// evenly, together with `capacity_slack`, as one reserve of ghosts.
+    /// It is not the whole placed reserve: `EquiGV` (and `Casper` before
+    /// its first optimization) spreads it evenly together with
+    /// `capacity_slack`, as one reserve of ghosts of about 5.1% of live
+    /// rows at the defaults (`column::reserve_slots`).
     pub ghost_budget_frac: f64,
     /// Delta-store capacity as a fraction of the chunk size (`StateOfArt`).
     /// Small enough that merges amortize into short runs, as in real delta

@@ -197,8 +197,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 reason: "cannot build a chunk from zero values".into(),
             });
         }
-        spec.validate()
-            .map_err(|reason| StorageError::InvalidSpec { reason })?;
         if spec.n_blocks() != layout.num_blocks(values.len()) {
             return Err(StorageError::InvalidSpec {
                 reason: format!(
@@ -218,17 +216,14 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         }
 
         let m = values.len();
-        let sizes = spec.value_sizes(m, &layout);
-        // "Duplicate values should be in the same partition" (§4.1): advance
-        // every internal boundary past any run of equal values straddling
-        // it. Partitions emptied by the adjustment keep an inherited bound
-        // and simply never receive values.
-        let mut ends: Vec<usize> = Vec::with_capacity(sizes.len());
-        let mut cum = 0usize;
-        for &s in &sizes {
-            cum += s;
-            ends.push(cum);
-        }
+        // Each partition's value end is its block end, the last partition
+        // absorbing the remainder. "Duplicate values should be in the same
+        // partition" (§4.1): advance every internal boundary past any run
+        // of equal values straddling it. Partitions emptied by the
+        // adjustment keep an inherited bound and simply never receive
+        // values.
+        let vpb = layout.values_per_block();
+        let mut ends: Vec<usize> = spec.ends().iter().map(|&e| (e * vpb).min(m)).collect();
         for i in 0..ends.len().saturating_sub(1) {
             let floor = if i == 0 { 0 } else { ends[i - 1] };
             let mut e = ends[i].max(floor);
@@ -237,22 +232,15 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             }
             ends[i] = e.min(m);
         }
-        let sizes: Vec<usize> = ends
-            .iter()
-            .scan(0usize, |prev, &e| {
-                let s = e - *prev;
-                *prev = e;
-                Some(s)
-            })
-            .collect();
         let slack = ((m as f64 * config.capacity_slack).ceil() as usize).max(MIN_TAIL_SLOTS);
         let physical = m + ghosts.total() + slack;
 
         let mut parts: Vec<PartitionMeta<K>> = Vec::with_capacity(k);
         let mut cursor = 0usize; // physical write position
         let mut consumed = 0usize; // values consumed
-        for (p, &len) in sizes.iter().enumerate() {
-            let src = &values[consumed..consumed + len];
+        for (p, &end) in ends.iter().enumerate() {
+            let len = end - consumed;
+            let src = &values[consumed..end];
             let (min, max) = if len > 0 {
                 (src[0], src[len - 1])
             } else {

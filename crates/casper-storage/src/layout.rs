@@ -1,10 +1,13 @@
 //! Block layout and partitioning-scheme representation (§4.1 of the paper).
 //!
 //! A column chunk of `M` values is organized into `N = ceil(M / B)` logical
-//! blocks of `B` values each. A *partitioning scheme* is represented by `N`
-//! Boolean variables `p_i`; `p_i = 1` means a partition ends at the end of
-//! block `i` (Fig. 6). The last block always carries a boundary
-//! (`p_{N-1} = 1`), guaranteeing at least one partition.
+//! blocks of `B` values each. The paper writes a *partitioning scheme* as
+//! `N` Boolean variables `p_i`, `p_i = 1` meaning a partition ends at the
+//! end of block `i` (Fig. 6), with `p_{N-1} = 1` so there is at least one
+//! partition. [`PartitionSpec`] stores the same scheme as its partitions'
+//! exclusive block ends; the bit vector is a view of it, read by the
+//! solver's test oracles. The solver returns a `PartitionSpec` and the
+//! chunk is built from that value.
 
 use crate::value::ColumnValue;
 
@@ -38,11 +41,6 @@ impl BlockLayout {
         }
     }
 
-    /// The paper's default geometry: 16 KB blocks.
-    pub fn default_for<K: ColumnValue>() -> Self {
-        Self::new::<K>(16 * 1024)
-    }
-
     /// Number of values per logical block.
     #[inline]
     pub fn values_per_block(&self) -> usize {
@@ -63,137 +61,112 @@ impl BlockLayout {
     }
 }
 
-/// A partitioning scheme over `N` logical blocks: the boundary bit-vector of
-/// §4.1 (`boundaries[i] == true` iff `p_i = 1`).
+/// A partitioning of `N` logical blocks: the exclusive block end of each
+/// partition, ascending, the last one `N`. The §4.1 boundary vector is a
+/// view of it: `p_i = 1` iff some partition ends at `i + 1`
+/// ([`PartitionSpec::from_boundaries`], [`PartitionSpec::to_boundaries`]).
 ///
-/// Invariants (checked by [`PartitionSpec::validate`]):
-/// * non-empty,
-/// * the last block is always a boundary.
+/// Every constructor enforces the invariants: at least one partition,
+/// ends strictly increasing, the first end positive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpec {
-    boundaries: Vec<bool>,
+    ends: Vec<usize>,
 }
 
 impl PartitionSpec {
-    /// Build a spec from an explicit boundary vector, forcing the trailing
-    /// boundary (`p_{N-1} = 1`, the constraint of Eq. 19).
-    pub fn from_boundaries(mut boundaries: Vec<bool>) -> Self {
-        assert!(!boundaries.is_empty(), "a spec needs at least one block");
-        *boundaries.last_mut().expect("non-empty") = true;
-        Self { boundaries }
+    /// Build from exclusive partition end offsets (in blocks).
+    ///
+    /// # Panics
+    /// Panics if `ends` is empty, not strictly increasing, or starts at 0.
+    pub fn new(ends: Vec<usize>) -> Self {
+        assert!(!ends.is_empty(), "need at least one partition");
+        assert!(ends[0] > 0, "first end must be positive");
+        assert!(
+            ends.windows(2).all(|w| w[0] < w[1]),
+            "ends must be strictly increasing"
+        );
+        Self { ends }
     }
 
     /// A single partition spanning all `n_blocks` blocks (the "no structure"
     /// layout of a vanilla column store).
     pub fn single(n_blocks: usize) -> Self {
-        assert!(n_blocks > 0);
-        let mut boundaries = vec![false; n_blocks];
-        boundaries[n_blocks - 1] = true;
-        Self { boundaries }
+        Self::new(vec![n_blocks])
     }
 
     /// Equi-width partitioning: `k` partitions of (nearly) equal block
-    /// count, the `Equi` baseline of §7. When `k > n_blocks` every block
+    /// count, the `Equi` baseline of §7; the first `n_blocks % k`
+    /// partitions get one extra block. When `k > n_blocks` every block
     /// becomes its own partition.
     pub fn equi_width(n_blocks: usize, k: usize) -> Self {
         assert!(n_blocks > 0 && k > 0);
         let k = k.min(n_blocks);
-        let mut boundaries = vec![false; n_blocks];
-        // Distribute blocks as evenly as possible: the first `rem`
-        // partitions get one extra block.
-        let base = n_blocks / k;
-        let rem = n_blocks % k;
-        let mut end = 0usize;
-        for p in 0..k {
-            end += base + usize::from(p < rem);
-            boundaries[end - 1] = true;
-        }
-        Self { boundaries }
+        let (base, rem) = (n_blocks / k, n_blocks % k);
+        let sizes: Vec<usize> = (0..k).map(|p| base + usize::from(p < rem)).collect();
+        Self::from_block_sizes(&sizes)
     }
 
-    /// Build a spec from partition sizes expressed in blocks.
+    /// Build from partition sizes expressed in blocks.
     ///
     /// # Panics
-    /// Panics if any size is zero or the sizes do not sum to a positive
-    /// total.
+    /// Panics if `sizes` is empty or any size is zero.
     pub fn from_block_sizes(sizes: &[usize]) -> Self {
-        assert!(!sizes.is_empty(), "need at least one partition");
-        let total: usize = sizes.iter().sum();
-        assert!(total > 0, "total block count must be positive");
-        let mut boundaries = vec![false; total];
-        let mut end = 0usize;
-        for &s in sizes {
-            assert!(s > 0, "partition sizes must be positive");
-            end += s;
-            boundaries[end - 1] = true;
-        }
-        Self { boundaries }
+        let mut end = 0;
+        Self::new(
+            sizes
+                .iter()
+                .map(|&s| {
+                    end += s;
+                    end
+                })
+                .collect(),
+        )
     }
 
-    /// Build a spec from exclusive partition end offsets (in blocks). The
-    /// last end must equal the total block count.
-    pub fn from_block_ends(ends: &[usize], n_blocks: usize) -> Self {
-        assert_eq!(
-            ends.last().copied(),
-            Some(n_blocks),
-            "last end must equal the block count"
-        );
-        let mut boundaries = vec![false; n_blocks];
-        for &e in ends {
-            assert!(e > 0 && e <= n_blocks);
-            boundaries[e - 1] = true;
+    /// Build from the boundary vector (`p_i` variables, Eq. 19).
+    ///
+    /// # Panics
+    /// Panics unless the last block is a boundary (`p_{N-1} = 1`).
+    pub fn from_boundaries(p: &[bool]) -> Self {
+        assert!(p.last().copied().unwrap_or(false), "p_{{N-1}} must be set");
+        Self::new((1..=p.len()).filter(|&e| p[e - 1]).collect())
+    }
+
+    /// The boundary vector (`p_i` variables).
+    pub fn to_boundaries(&self) -> Vec<bool> {
+        let mut p = vec![false; self.n_blocks()];
+        for &e in &self.ends {
+            p[e - 1] = true;
         }
-        Self { boundaries }
+        p
     }
 
     /// Number of logical blocks covered by this spec.
     #[inline]
     pub fn n_blocks(&self) -> usize {
-        self.boundaries.len()
+        *self.ends.last().expect("non-empty")
     }
 
     /// Number of partitions (`k` in the paper's notation).
+    #[inline]
     pub fn partition_count(&self) -> usize {
-        self.boundaries.iter().filter(|&&b| b).count()
+        self.ends.len()
     }
 
-    /// The raw boundary vector (`p_i` variables).
+    /// Exclusive end offsets, in blocks.
     #[inline]
-    pub fn boundaries(&self) -> &[bool] {
-        &self.boundaries
+    pub fn ends(&self) -> &[usize] {
+        &self.ends
     }
 
     /// Iterate over partitions as half-open block ranges `[start, end)`.
     pub fn block_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        let mut start = 0usize;
-        self.boundaries
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(move |(i, _)| {
-                let r = start..i + 1;
-                start = i + 1;
-                r
-            })
-    }
-
-    /// Translate the block-granularity spec into value-granularity partition
-    /// sizes for a chunk of `num_values` values: every partition gets
-    /// `blocks * values_per_block` values except the last, which absorbs the
-    /// remainder.
-    pub fn value_sizes(&self, num_values: usize, layout: &BlockLayout) -> Vec<usize> {
-        let vpb = layout.values_per_block();
-        debug_assert_eq!(layout.num_blocks(num_values.max(1)), self.n_blocks());
-        let mut sizes: Vec<usize> = Vec::with_capacity(self.partition_count());
-        let mut consumed = 0usize;
-        for r in self.block_ranges() {
-            let want = r.len() * vpb;
-            let take = want.min(num_values - consumed);
-            consumed += take;
-            sizes.push(take);
-        }
-        debug_assert_eq!(consumed, num_values);
-        sizes
+        let mut start = 0;
+        self.ends.iter().map(move |&e| {
+            let r = start..e;
+            start = e;
+            r
+        })
     }
 
     /// Largest partition size in blocks (used to check read-SLA feasibility,
@@ -202,16 +175,40 @@ impl PartitionSpec {
         self.block_ranges().map(|r| r.len()).max().unwrap_or(0)
     }
 
-    /// Check structural invariants, returning a description of the first
-    /// violation.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.boundaries.is_empty() {
-            return Err("empty boundary vector".into());
+    /// Index of the partition containing block `i`.
+    fn partition_of(&self, i: usize) -> usize {
+        self.ends.partition_point(|&e| e <= i)
+    }
+
+    /// First block of the partition containing block `i`.
+    pub fn partition_start(&self, i: usize) -> usize {
+        match self.partition_of(i) {
+            0 => 0,
+            p => self.ends[p - 1],
         }
-        if !self.boundaries.last().copied().unwrap_or(false) {
-            return Err("last block must be a partition boundary".into());
+    }
+
+    /// One-past-the-last block of the partition containing block `i`.
+    pub fn partition_end(&self, i: usize) -> usize {
+        self.ends[self.partition_of(i)]
+    }
+}
+
+impl std::fmt::Display for PartitionSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "[")?;
+        for (i, r) in self.block_ranges().enumerate() {
+            if i > 0 {
+                write!(f, " | ")?;
+            }
+            write!(f, "{}", r.len())?;
         }
-        Ok(())
+        write!(
+            f,
+            "] ({} parts / {} blocks)",
+            self.partition_count(),
+            self.n_blocks()
+        )
     }
 }
 
@@ -262,7 +259,7 @@ mod tests {
     #[test]
     fn block_layout_u32_paper_default() {
         // Paper: 16KB blocks with 4-byte values → 4096 values per block.
-        let l = BlockLayout::default_for::<u32>();
+        let l = BlockLayout::new::<u32>(16 * 1024);
         assert_eq!(l.values_per_block(), 4096);
     }
 
@@ -302,27 +299,31 @@ mod tests {
     }
 
     #[test]
-    fn from_boundaries_forces_trailing_boundary() {
-        let s = PartitionSpec::from_boundaries(vec![false, true, false, false]);
-        assert!(s.boundaries()[3]);
-        assert_eq!(s.partition_count(), 2);
-        assert!(s.validate().is_ok());
+    #[should_panic(expected = "p_{N-1} must be set")]
+    fn from_boundaries_requires_trailing_boundary() {
+        let _ = PartitionSpec::from_boundaries(&[false, true, false, false]);
+    }
+
+    #[test]
+    fn boundary_round_trip() {
+        let p = vec![false, true, false, false, true, true];
+        let s = PartitionSpec::from_boundaries(&p);
+        assert_eq!(s.ends(), &[2, 5, 6]);
+        assert_eq!(s.to_boundaries(), p);
     }
 
     #[test]
     fn fig6_examples() {
         // Fig. 6b: boundaries after blocks 2, 4, 5, 7 (0-indexed) —
         // partitions of 3, 2, 1, 2 blocks.
-        let s = PartitionSpec::from_boundaries(vec![
-            false, false, true, false, true, true, false, true,
-        ]);
+        let s =
+            PartitionSpec::from_boundaries(&[false, false, true, false, true, true, false, true]);
         let sizes: Vec<_> = s.block_ranges().map(|r| r.len()).collect();
         assert_eq!(sizes, vec![3, 2, 1, 2]);
 
         // Fig. 6c: four partitions, each two blocks wide.
-        let s = PartitionSpec::from_boundaries(vec![
-            false, true, false, true, false, true, false, true,
-        ]);
+        let s =
+            PartitionSpec::from_boundaries(&[false, true, false, true, false, true, false, true]);
         let sizes: Vec<_> = s.block_ranges().map(|r| r.len()).collect();
         assert_eq!(sizes, vec![2, 2, 2, 2]);
     }
@@ -336,27 +337,55 @@ mod tests {
     }
 
     #[test]
-    fn from_block_ends_matches_sizes() {
-        let a = PartitionSpec::from_block_ends(&[2, 5, 8], 8);
-        let b = PartitionSpec::from_block_sizes(&[2, 3, 3]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn value_sizes_last_partition_absorbs_remainder() {
+        use crate::{chunk::PartitionedChunk, ghost::GhostPlan, ChunkConfig};
         let layout = BlockLayout {
             block_bytes: 16,
             value_width: 8,
         }; // 2 values per block
         let s = PartitionSpec::from_block_sizes(&[2, 2]);
         // 7 values over 4 blocks of 2: partition sizes 4 and 3.
-        assert_eq!(s.value_sizes(7, &layout), vec![4, 3]);
-        assert_eq!(s.value_sizes(8, &layout), vec![4, 4]);
+        for (m, want) in [(7u64, [4, 3]), (8, [4, 4])] {
+            let c = PartitionedChunk::build(
+                (0..m).collect(),
+                &s,
+                layout,
+                &GhostPlan::none(2),
+                ChunkConfig::default(),
+            )
+            .unwrap();
+            let lens: Vec<usize> = c.partitions().iter().map(|p| p.len).collect();
+            assert_eq!(lens, want, "{m} values");
+        }
     }
 
     #[test]
     fn max_partition_blocks_reports_widest() {
         let s = PartitionSpec::from_block_sizes(&[1, 5, 2]);
         assert_eq!(s.max_partition_blocks(), 5);
+    }
+
+    #[test]
+    fn partition_lookup() {
+        let s = PartitionSpec::new(vec![2, 5, 8]);
+        assert_eq!(s.partition_of(0), 0);
+        assert_eq!(s.partition_of(1), 0);
+        assert_eq!(s.partition_of(2), 1);
+        assert_eq!(s.partition_of(4), 1);
+        assert_eq!(s.partition_of(7), 2);
+        assert_eq!(s.partition_start(4), 2);
+        assert_eq!(s.partition_end(4), 5);
+    }
+
+    #[test]
+    fn display_is_compact() {
+        let s = format!("{}", PartitionSpec::new(vec![2, 3, 8]));
+        assert!(s.contains("[2 | 1 | 5]"));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn rejects_non_monotone_ends() {
+        let _ = PartitionSpec::new(vec![3, 3]);
     }
 }

@@ -57,7 +57,7 @@ fn main() {
     // 4. Materialize the chunk and run some operations.
     let mut chunk = PartitionedChunk::build(
         values,
-        &decision.seg.to_spec(),
+        &decision.seg,
         layout,
         &decision.ghosts,
         ChunkConfig::default(),

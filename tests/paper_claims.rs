@@ -38,7 +38,7 @@ use casper::core::cost::{cost_of_segmentation, predicted_point_access, trail_par
 use casper::core::fm::FmBuilder;
 use casper::core::ghost_alloc::{allocate_ghosts, uncovered_share};
 use casper::core::solver::{sla, LayoutOptimizer};
-use casper::core::{BlockGeometry, CostConstants, FrequencyModel, Op, Segmentation};
+use casper::core::{BlockGeometry, CostConstants, FrequencyModel, Op};
 use casper::engine::column::ChunkStore;
 use casper::engine::optimize::{layout_optimizer, optimize_table, OptimizeOptions, OptimizeReport};
 use casper::engine::{EngineConfig, LayoutMode, Table};
@@ -73,7 +73,7 @@ const SR_ONLY: CostConstants = CostConstants {
 
 /// Modeled cost (Eq. 16) of `seg` for the workload `fm` under `c`, at the
 /// unit geometry (a block and a row are one line each).
-fn modeled(fm: &FrequencyModel, seg: &Segmentation, c: &CostConstants) -> f64 {
+fn modeled(fm: &FrequencyModel, seg: &PartitionSpec, c: &CostConstants) -> f64 {
     cost_of_segmentation(seg, &BlockTerms::from_fm(fm, c))
 }
 
@@ -115,7 +115,7 @@ fn fig02a_partitions_trade_read_cost_for_write_cost() {
     writes.ins = vec![1.0; N];
     let ks: Vec<usize> = (0..=10).map(|e| 1 << e).collect();
     let curve = |fm: &FrequencyModel| -> Vec<f64> {
-        let seg = |&k: &usize| Segmentation::equi(N, k);
+        let seg = |&k: &usize| PartitionSpec::equi_width(N, k);
         ks.iter().map(|k| modeled(fm, &seg(k), &c)).collect()
     };
     let (read, write) = (curve(&reads), curve(&writes));
@@ -151,9 +151,8 @@ fn fig09a_insert_cost_is_the_models_charge_less_a_constant() {
     let layout = BlockLayout::new::<u64>(4096);
     let n_blocks = 2 * K;
     let spec = PartitionSpec::equi_width(n_blocks, K);
-    let seg = Segmentation::equi(n_blocks, K);
     let base = even_chunk(layout, &spec, &GhostPlan::none(K), ChunkConfig::dense());
-    for (m, range) in seg.ranges().enumerate() {
+    for (m, range) in spec.block_ranges().enumerate() {
         let mut chunk = base.clone();
         let cost = chunk
             .insert(base.partitions()[m].min + 1, &[])
@@ -163,8 +162,8 @@ fn fig09a_insert_cost_is_the_models_charge_less_a_constant() {
         assert_eq!(cost.random_writes, (K - m) as u64, "partition {m}");
         let mut fm = FrequencyModel::new(n_blocks);
         fm.ins[range.start] = 1.0;
-        let model_rr = modeled(&fm, &seg, &RR_ONLY);
-        let model_rw = modeled(&fm, &seg, &RW_ONLY);
+        let model_rr = modeled(&fm, &spec, &RR_ONLY);
+        let model_rw = modeled(&fm, &spec, &RW_ONLY);
         assert_eq!(model_rr - cost.random_reads as f64, 2.0, "partition {m}");
         assert_eq!(model_rw - cost.random_writes as f64, 1.0, "partition {m}");
     }
@@ -182,10 +181,9 @@ fn fig09b_point_query_cost_is_one_jump_plus_the_partition_scan() {
     let vpb = layout.values_per_block();
     let sizes: Vec<usize> = (9..=15).map(|e| (1 << e) / vpb).collect();
     let spec = PartitionSpec::from_block_sizes(&sizes);
-    let seg = Segmentation::from_boundaries(spec.boundaries());
     let ghosts = GhostPlan::none(sizes.len());
     let chunk = even_chunk(layout, &spec, &ghosts, ChunkConfig::default());
-    for range in seg.ranges() {
+    for range in spec.block_ranges() {
         let blocks = range.len() as u64;
         for block in [range.start, range.end - 1] {
             let key = 2 * (block * vpb + vpb / 2) as u64;
@@ -196,10 +194,10 @@ fn fig09b_point_query_cost_is_one_jump_plus_the_partition_scan() {
                 "{blocks}-block partition: {:?}",
                 r.cost
             );
-            let mut fm = FrequencyModel::new(seg.n_blocks());
+            let mut fm = FrequencyModel::new(spec.n_blocks());
             fm.pq[block] = 1.0;
-            assert_eq!(modeled(&fm, &seg, &RR_ONLY), r.cost.random_reads as f64);
-            assert_eq!(modeled(&fm, &seg, &SR_ONLY), r.cost.seq_reads as f64);
+            assert_eq!(modeled(&fm, &spec, &RR_ONLY), r.cost.random_reads as f64);
+            assert_eq!(modeled(&fm, &spec, &SR_ONLY), r.cost.seq_reads as f64);
         }
     }
 }
@@ -237,7 +235,7 @@ fn fig12_casper_models_no_dearer_than_equi_width_on_every_mix() {
         let report = optimize_table(&mut table, &mix.generate(2000, 12), &opts);
         let casper = total_est_cost(&report);
         let equi = report.fms.iter().zip(&report.chunks).map(|(fm, chunk)| {
-            let seg = Segmentation::equi(fm.n_blocks(), config.equi_partitions);
+            let seg = PartitionSpec::equi_width(fm.n_blocks(), config.equi_partitions);
             let solved = layout_optimizer(&table, &opts, chunk.orientation);
             cost_of_segmentation(&seg, &solved.terms(fm, chunk.ghosts))
         });
@@ -442,7 +440,6 @@ fn fig02b_reserve_placed_by_eq18_cuts_ripple_writes() {
     let vpb = layout.values_per_block();
     let n_blocks = layout.num_blocks(VALUES);
     let spec = PartitionSpec::equi_width(n_blocks, K);
-    let seg = Segmentation::from_boundaries(spec.boundaries());
     let domain = 2 * VALUES as u64;
     let keys: Vec<u64> = (0..INSERTS)
         .map(|i| {
@@ -461,7 +458,7 @@ fn fig02b_reserve_placed_by_eq18_cuts_ripple_writes() {
     let ceil = |frac: f64| (VALUES as f64 * frac).ceil() as usize;
     let (ghost_budget, slack) = (ceil(0.001), ceil(0.05));
     let run = |ghosts: usize, capacity_slack: f64| {
-        let plan = allocate_ghosts(&fm, &seg, ghosts);
+        let plan = allocate_ghosts(&fm, &spec, ghosts);
         let config = ChunkConfig {
             capacity_slack,
             ..ChunkConfig::default()
@@ -497,7 +494,6 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
     let layout = BlockLayout::new::<u64>(4096);
     let n_blocks = 2 * K;
     let spec = PartitionSpec::equi_width(n_blocks, K);
-    let seg = Segmentation::equi(n_blocks, K);
     let keys: Vec<u64> = (0..(n_blocks * layout.values_per_block()) as u64)
         .map(|v| 2 * v)
         .collect();
@@ -517,7 +513,7 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
         ..LayoutOptimizer::new(c)
     };
     // A model's ripple charge: Σ parts_i · trail_parts(i).
-    let p = seg.to_boundaries();
+    let p = spec.to_boundaries();
     let ripple =
         |t: BlockTerms| -> f64 { (0..n_blocks).map(|i| t.parts[i] * trail_parts(&p, i)).sum() };
     let row = vec![7u32; WIDTH];
@@ -533,7 +529,7 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
     let fm = fm.finish();
     let budget = fresh.len();
     assert_eq!(uncovered_share(&fm, budget), 0.0);
-    let mut covered = chunk(&allocate_ghosts(&fm, &seg, budget));
+    let mut covered = chunk(&allocate_ghosts(&fm, &spec, budget));
     let mut cost = OpCost::default();
     for &v in &fresh {
         cost.absorb(covered.insert(v, &row).unwrap().cost);
@@ -544,7 +540,7 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
     }
 
     // Uncovered: no reserve, so every insert ripples in from the tail.
-    for (m, range) in seg.ranges().enumerate() {
+    for (m, range) in spec.block_ranges().enumerate() {
         let mut bare = base.clone();
         let cost = bare
             .insert(base.partitions()[m].min + 1, &row)
@@ -565,7 +561,7 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
             );
             assert_eq!(charge, (K - m) as f64, "partition {m}");
         }
-        let model = |c| cost_of_segmentation(&seg, &rows(c).terms(&fm, 0));
+        let model = |c| cost_of_segmentation(&spec, &rows(c).terms(&fm, 0));
         assert_eq!(
             model(RR_ONLY) - cost.random_reads as f64,
             2.0,
