@@ -12,13 +12,12 @@ use std::time::Instant;
 use crate::column::{ChunkedColumn, ColumnSnapshot, SnapshotCell, WriteOp};
 use crate::governor::{Governor, QueryCtx};
 use crate::modes::EngineConfig;
-use casper_obs::{CounterDef, HistogramDef, SpanDef};
+use casper_obs::{CounterDef, HistogramDef};
 use casper_storage::{OpCost, StorageError};
 use casper_workload::{HapQuery, HapSchema, WorkloadGenerator};
 
 // Per-query-class telemetry families, indexed by `HapQuery::index`. Inert
 // (one relaxed load) while telemetry is disengaged.
-static OBS_TABLE_SPAN: SpanDef = SpanDef::new("table_execute");
 static OBS_QUERY_LATENCY: [HistogramDef; 6] = [
     HistogramDef::new("casper_query_latency_ns{class=\"q1\"}"),
     HistogramDef::new("casper_query_latency_ns{class=\"q2\"}"),
@@ -246,7 +245,6 @@ impl Table {
         q: &HapQuery,
         ctx: &QueryCtx,
     ) -> Result<QueryOutput, StorageError> {
-        let _span = OBS_TABLE_SPAN.start();
         let timer = QueryTimer::start(q);
         let out = match WriteOp::from_query(q) {
             None => self.column.read(q, ctx)?,
@@ -340,8 +338,8 @@ impl TableReader {
     /// [`TableReader::with_governor`]).
     pub fn execute_with(&self, q: &HapQuery, ctx: &QueryCtx) -> Result<QueryOutput, StorageError> {
         self.governed(|| {
-            // No span here: a snapshot read can be sub-microsecond and the
-            // guard's bookkeeping would dominate it — the sampled timer and
+            // Sampled: a snapshot read can be sub-microsecond, and a clock
+            // pair on every one would dominate it — the sampled timer and
             // the routed/pruned counters carry the read-path telemetry.
             let timer = QueryTimer::start_sampled(q);
             let out = self.pin().read(q, ctx)?;

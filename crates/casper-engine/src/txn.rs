@@ -25,14 +25,15 @@
 use crate::column::WriteOp;
 use crate::governor::QueryCtx;
 use crate::table::Table;
-use casper_obs::{CounterDef, SpanDef};
+use casper_obs::{CounterDef, HistogramDef};
 use casper_storage::StorageError;
 use casper_workload::HapQuery;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
-static OBS_COMMIT_SPAN: SpanDef = SpanDef::new("txn_commit");
+static OBS_COMMIT_NS: HistogramDef = HistogramDef::new("casper_txn_commit_duration_ns");
 static OBS_COMMITS: CounterDef = CounterDef::new("casper_txn_commits_total");
 static OBS_CONFLICTS: CounterDef = CounterDef::new("casper_txn_conflicts_total");
 static OBS_ABORTS: CounterDef = CounterDef::new("casper_txn_aborts_total");
@@ -190,9 +191,11 @@ impl TxnManager {
 
     /// Commit: first-committer-wins validation (a lost race is
     /// [`StorageError::Conflict`]), then apply the buffered writes to the
-    /// table and publish them to readers once, as a unit.
+    /// table and publish them to readers once, as a unit. A successful
+    /// commit's validate-and-apply time goes into
+    /// `casper_txn_commit_duration_ns`.
     pub fn commit(&self, txn: &Transaction, table: &mut Table) -> Result<u64, StorageError> {
-        let _span = OBS_COMMIT_SPAN.start();
+        let started = casper_obs::enabled().then(Instant::now);
         let mut inner = self.inner.lock();
         // Validation: any key written by a transaction that committed after
         // our snapshot aborts us.
@@ -227,6 +230,9 @@ impl TxnManager {
             });
         })?;
         OBS_COMMITS.inc();
+        if let Some(t) = started {
+            OBS_COMMIT_NS.record(t.elapsed().as_nanos() as u64);
+        }
         Ok(commit_ts)
     }
 

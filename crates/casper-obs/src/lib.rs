@@ -1,9 +1,9 @@
 //! # casper-obs
 //!
 //! Unified low-overhead telemetry for the Casper column-layout engine: a
-//! process-wide metrics registry (sharded atomic counters, gauges,
-//! fixed-bucket log₂-scale histograms) plus lightweight hierarchical span
-//! tracing with a ring buffer of recent slow spans.
+//! process-wide metrics registry of sharded atomic counters, gauges and
+//! fixed-bucket log₂-scale histograms. An operation is timed by recording
+//! its elapsed nanoseconds into a [`HistogramDef`].
 //!
 //! ## Design
 //!
@@ -23,7 +23,7 @@
 //!   raw-sample percentiles can share.
 //!
 //! Instrumentation sites hold `const`-constructible definition handles
-//! ([`CounterDef`], [`GaugeDef`], [`HistogramDef`], [`SpanDef`]) in
+//! ([`CounterDef`], [`GaugeDef`], [`HistogramDef`]) in
 //! `static`s; the first recording after engagement resolves the handle
 //! against the registry through a `OnceLock`, so steady-state recording
 //! never touches a map or a lock.
@@ -48,12 +48,10 @@ pub mod dump;
 pub mod hist;
 pub mod registry;
 pub mod snapshot;
-pub mod span;
 
 pub use hist::{quantile_rank, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, CounterDef, Gauge, GaugeDef, HistogramDef, Registry};
 pub use snapshot::MetricsSnapshot;
-pub use span::{SlowSpan, SpanDef, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

@@ -8,21 +8,13 @@
 //! process, like the registry itself.
 
 use crate::hist::Histogram;
-use crate::span::SlowSpan;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Shards per counter — enough to keep 8–16 hot threads off each other's
 /// cache lines without bloating the (few dozen) registered counters.
 const SHARDS: usize = 16;
-
-/// Capacity of the slow-span ring buffer.
-const SLOW_RING: usize = 64;
-
-/// Default slow-span threshold: 1 ms.
-const DEFAULT_SLOW_NS: u64 = 1_000_000;
 
 /// One cache line per shard so concurrent increments do not false-share.
 #[repr(align(64))]
@@ -108,8 +100,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
-    pub(crate) slow_spans: Mutex<VecDeque<SlowSpan>>,
-    pub(crate) slow_threshold_ns: AtomicU64,
 }
 
 fn intern(name: &str) -> &'static str {
@@ -118,16 +108,10 @@ fn intern(name: &str) -> &'static str {
 
 impl Registry {
     pub(crate) fn new() -> Self {
-        let slow_ns = std::env::var("CASPER_OBS_SLOW_NS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_SLOW_NS);
         Self {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            slow_spans: Mutex::new(VecDeque::with_capacity(SLOW_RING)),
-            slow_threshold_ns: AtomicU64::new(slow_ns),
         }
     }
 
@@ -165,16 +149,6 @@ impl Registry {
         let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
         map.insert(intern(name), h);
         h
-    }
-
-    /// Record a completed slow span into the ring (called by the span
-    /// layer only for spans over the threshold, so the lock is cold).
-    pub(crate) fn push_slow(&self, span: SlowSpan) {
-        let mut ring = self.slow_spans.lock().expect("slow-span ring");
-        if ring.len() == SLOW_RING {
-            ring.pop_front();
-        }
-        ring.push_back(span);
     }
 
     /// Visit every registered counter in name order.

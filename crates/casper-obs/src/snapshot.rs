@@ -3,7 +3,6 @@
 
 use crate::hist::HistogramSnapshot;
 use crate::registry::Registry;
-use crate::span::SlowSpan;
 use std::fmt::Write as _;
 
 /// A consistent point-in-time view of every registered metric.
@@ -19,8 +18,6 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, f64)>,
     /// `(name, snapshot)` in name order.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Recent slow spans, oldest first.
-    pub slow_spans: Vec<SlowSpan>,
 }
 
 impl MetricsSnapshot {
@@ -30,13 +27,6 @@ impl MetricsSnapshot {
         reg.for_each_counter(|name, c| snap.counters.push((name.to_owned(), c.get())));
         reg.for_each_gauge(|name, g| snap.gauges.push((name.to_owned(), g.get())));
         reg.for_each_histogram(|name, h| snap.histograms.push((name.to_owned(), h.snapshot())));
-        snap.slow_spans = reg
-            .slow_spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect();
         snap
     }
 
@@ -158,22 +148,7 @@ impl MetricsSnapshot {
                 h.max_bound().unwrap_or(0),
             );
         }
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"slow_spans\": [");
-        for (i, s) in self.slow_spans.iter().enumerate() {
-            let comma = if i + 1 < self.slow_spans.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"path\": \"{}\", \"nanos\": {}}}{comma}",
-                escape(&s.path),
-                s.nanos
-            );
-        }
-        let _ = writeln!(out, "  ]");
+        let _ = writeln!(out, "  }}");
         let _ = writeln!(out, "}}");
         out
     }

@@ -94,6 +94,7 @@ use casper_workload::HapQuery;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -333,6 +334,9 @@ pub struct DurableTable {
     /// Backup directories registered via [`DurableTable::watch_backup`];
     /// the background scrubber re-verifies them after each pass.
     watched_backups: Arc<Mutex<Vec<PathBuf>>>,
+    /// How many chunks' drift gauges the last [`Self::sync_obs_gauges`]
+    /// wrote, so a re-layout to fewer chunks zeroes the indices it left.
+    drift_series: AtomicUsize,
 }
 
 /// The chunk a panicking query was operating on, when attributable:
@@ -533,6 +537,7 @@ impl DurableTable {
             governor: opts.governor.map(|cfg| Arc::new(Governor::new(cfg))),
             pins: crate::archive::SharedPins::default(),
             watched_backups: watched,
+            drift_series: AtomicUsize::new(0),
             vfs,
             opts,
         })
@@ -722,7 +727,10 @@ impl DurableTable {
         let drift: Vec<(f64, f64)> = chunks
             .map(|slot| (slot.accesses() as f64, slot.predicted_accesses()))
             .collect();
-        for (i, &(observed, predicted)) in drift.iter().enumerate() {
+        // Indices this table wrote last time and no longer has read 0.
+        let written = self.drift_series.swap(drift.len(), Ordering::Relaxed);
+        for i in 0..drift.len().max(written) {
+            let (observed, predicted) = drift.get(i).copied().unwrap_or_default();
             let series = |family: &str| format!("casper_fm_{family}_accesses{{chunk=\"{i}\"}}");
             reg.gauge(&series("observed")).set(observed);
             reg.gauge(&series("predicted")).set(predicted);

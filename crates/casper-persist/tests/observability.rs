@@ -1,10 +1,11 @@
-//! End-to-end telemetry: one full engine cycle — reads, writes, WAL
-//! flush, checkpoint, scrub — must leave a metrics dump with non-zero
-//! signal from every instrumented subsystem, and the dump must be
-//! structurally parseable Prometheus text.
+//! End-to-end telemetry: one full engine cycle — reads, writes,
+//! transactions, WAL flush, checkpoint, scrub — must leave a metrics dump
+//! with non-zero signal from every instrumented subsystem, and the dump
+//! must be structurally parseable Prometheus text.
 
-use casper_engine::{EngineConfig, GovernorConfig, LayoutMode, QueryCtx, Table};
+use casper_engine::{EngineConfig, GovernorConfig, LayoutMode, QueryCtx, Table, TxnManager};
 use casper_persist::{DurableOptions, DurableTable};
+use casper_storage::StorageError;
 use casper_workload::{HapQuery, HapSchema, KeyDist, WorkloadGenerator};
 use std::fs;
 use std::path::PathBuf;
@@ -90,6 +91,21 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
         })
         .expect("q4 insert");
     }
+    // Transactions: one commit, a second writer of the same key that
+    // loses first-committer-wins, and an abort.
+    let mgr = TxnManager::new();
+    let (mut winner, mut loser) = (mgr.begin(), mgr.begin());
+    winner.update(100, 101);
+    loser.update(100, 103);
+    dt.commit_txn(&mgr, winner).expect("commit");
+    let lost = dt.commit_txn(&mgr, loser);
+    assert!(
+        matches!(lost, Err(StorageError::Conflict { key: 100 })),
+        "{lost:?}"
+    );
+    let mut dropped = mgr.begin();
+    dropped.delete(200);
+    mgr.abort(dropped);
     dt.flush().expect("flush");
     dt.checkpoint().expect("checkpoint");
     dt.scrub_now().expect("scrub");
@@ -136,6 +152,12 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
     assert_nonzero(&text, "casper_wal_fsyncs_total");
     assert_nonzero(&text, "casper_snapshot_publishes_total");
 
+    // Transaction signal.
+    assert_nonzero(&text, "casper_txn_commits_total");
+    assert_nonzero(&text, "casper_txn_conflicts_total");
+    assert_nonzero(&text, "casper_txn_aborts_total");
+    assert_nonzero(&text, "casper_txn_commit_duration_ns_count");
+
     // Persistence signal.
     assert_nonzero(&text, "casper_checkpoints_total{result=\"ok\"}");
     assert_nonzero(&text, "casper_checkpoint_duration_ns_count");
@@ -181,6 +203,16 @@ fn full_cycle_dump_has_signal_from_every_subsystem() {
     let json = dt.metrics_json();
     assert!(json.starts_with('{'), "metrics_json: {json}");
     assert!(json.contains("casper_checkpoints_total"));
+
+    // An operation is timed in one histogram of its own: no span series
+    // is rendered, and the JSON object holds the three metric kinds only.
+    assert!(!text.contains("casper_span_"), "{text}");
+    let top_level: Vec<&str> = json
+        .lines()
+        .filter_map(|l| l.strip_prefix("  \""))
+        .filter_map(|l| l.split_once('"').map(|(key, _)| key))
+        .collect();
+    assert_eq!(top_level, ["counters", "gauges", "histograms"], "{json}");
 }
 
 /// A full PITR cycle — archiving checkpoints, a hot backup, a watched
