@@ -2,8 +2,9 @@
 //! partition count (Fig. 2a's right axis) and the ghost-value fast path
 //! (Fig. 2b).
 
-use casper_storage::ghost::GhostPlan;
-use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, UpdatePolicy};
+use casper_storage::{
+    BlockLayout, ChunkConfig, ChunkLayout, PartitionSpec, PartitionedChunk, UpdatePolicy,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const VALUES: usize = 1 << 16;
@@ -12,12 +13,10 @@ fn build(partitions: usize, ghost_budget: usize, policy: UpdatePolicy) -> Partit
     let layout = BlockLayout::new::<u64>(4096);
     let n_blocks = layout.num_blocks(VALUES);
     let spec = PartitionSpec::equi_width(n_blocks, partitions);
-    let k = spec.partition_count();
     PartitionedChunk::build(
         (0..VALUES as u64).map(|v| v * 2).collect(),
-        &spec,
+        &ChunkLayout::even(spec, ghost_budget),
         layout,
-        &GhostPlan::even(k, ghost_budget),
         ChunkConfig {
             policy,
             capacity_slack: 2.0, // plenty of tail for sustained inserts

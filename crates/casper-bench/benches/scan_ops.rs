@@ -9,8 +9,7 @@
 //! 1M-value chunk — the acceptance gate for the kernel subsystem.
 
 use casper_bench::trajectory;
-use casper_storage::ghost::GhostPlan;
-use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk};
+use casper_storage::{BlockLayout, ChunkConfig, ChunkLayout, PartitionSpec, PartitionedChunk};
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 
 const VALUES: usize = 1 << 18;
@@ -27,9 +26,8 @@ fn build_1m(partitions: usize) -> PartitionedChunk<u64> {
     PartitionedChunk::build_with_payloads(
         &keys,
         &[payload],
-        &spec,
+        &ChunkLayout::dense(spec),
         layout,
-        &GhostPlan::none(spec.partition_count()),
         ChunkConfig::default(),
     )
     .expect("build")
@@ -150,9 +148,8 @@ fn build(partitions: usize) -> PartitionedChunk<u64> {
     let spec = PartitionSpec::equi_width(n_blocks, partitions);
     PartitionedChunk::build(
         (0..VALUES as u64).map(|v| v * 2).collect(),
-        &spec,
+        &ChunkLayout::dense(spec),
         layout,
-        &GhostPlan::none(spec.partition_count()),
         ChunkConfig::default(),
     )
     .expect("build")

@@ -137,20 +137,18 @@ pub fn predicted_payload_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casper_storage::ghost::GhostPlan;
-    use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk};
+    use casper_storage::{BlockLayout, ChunkConfig, ChunkLayout, PartitionSpec, PartitionedChunk};
 
     /// Even keys 2..=32 over 4 two-block partitions (2 values per block):
     /// bounds [2,8], [10,16], [18,24], [26,32] with gaps in between.
     fn even_chunk() -> PartitionedChunk<u64> {
         PartitionedChunk::build(
             (1..=16u64).map(|x| x * 2).collect(),
-            &PartitionSpec::from_block_sizes(&[2, 2, 2, 2]),
+            &ChunkLayout::dense(PartitionSpec::from_block_sizes(&[2, 2, 2, 2])),
             BlockLayout {
                 block_bytes: 16,
                 value_width: 8,
             },
-            &GhostPlan::none(4),
             ChunkConfig::default(),
         )
         .expect("build")
@@ -286,9 +284,8 @@ mod tests {
         let chunk = PartitionedChunk::build_with_payloads(
             &keys,
             &cols,
-            &PartitionSpec::from_block_sizes(&[2, 2, 2, 2]),
+            &ChunkLayout::dense(PartitionSpec::from_block_sizes(&[2, 2, 2, 2])),
             layout,
-            &GhostPlan::none(4),
             ChunkConfig::default(),
         )
         .expect("build");

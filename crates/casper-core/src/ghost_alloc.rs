@@ -13,7 +13,7 @@
 //!
 //! We aggregate `dm` per partition (inserts plus incoming updates, both
 //! ripple directions) and round with the largest-remainder method so the
-//! plan sums to exactly the budget.
+//! counts sum to exactly the budget.
 //!
 //! The budget is the column's: [`split_column_budget`] applies the same
 //! rule across a column's chunks first, so the chunks that take the
@@ -24,13 +24,45 @@
 //! rest: the share of them that still ripple.
 
 use crate::fm::FrequencyModel;
-use casper_storage::ghost::GhostPlan;
 use casper_storage::PartitionSpec;
+
+/// Distribute `total` slots proportionally to non-negative `weights`
+/// using the largest-remainder method, so the counts sum to exactly
+/// `total`: Eq. 18's `GValloc(i) = dm_part(i) / dm_tot · GVtot`, rounded.
+/// A zero weight vector spreads `total` evenly, the first `total % n`
+/// entries getting one extra slot.
+fn largest_remainder(weights: &[f64], total: usize) -> Vec<usize> {
+    assert!(!weights.is_empty());
+    debug_assert!(weights.iter().all(|&w| w >= 0.0));
+    let n = weights.len();
+    let sum: f64 = weights.iter().sum();
+    if sum <= 0.0 {
+        return (0..n)
+            .map(|i| total / n + usize::from(i < total % n))
+            .collect();
+    }
+    let mut counts = Vec::with_capacity(n);
+    let mut remainders: Vec<(usize, f64)> = Vec::with_capacity(n);
+    let mut assigned = 0usize;
+    for (i, &w) in weights.iter().enumerate() {
+        let exact = w / sum * total as f64;
+        let floor = exact.floor() as usize;
+        assigned += floor;
+        counts.push(floor);
+        remainders.push((i, exact - floor as f64));
+    }
+    // Hand the leftover slots to the largest fractional remainders.
+    remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    for &(i, _) in remainders.iter().take(total - assigned) {
+        counts[i] += 1;
+    }
+    counts
+}
 
 /// Data movement attracted by each partition: Σ over its blocks of
 /// `in + utf + utb` (every insert and every incoming update needs a slot in
 /// the worst case, §4.6).
-pub fn data_movement_per_partition(fm: &FrequencyModel, seg: &PartitionSpec) -> Vec<f64> {
+fn data_movement_per_partition(fm: &FrequencyModel, seg: &PartitionSpec) -> Vec<f64> {
     assert_eq!(fm.n_blocks(), seg.n_blocks(), "block count mismatch");
     seg.block_ranges()
         .map(|r| r.map(|i| fm.ins[i] + fm.utf[i] + fm.utb[i]).sum())
@@ -46,7 +78,7 @@ fn data_movement(fm: &FrequencyModel) -> f64 {
 }
 
 /// Eq. 18 at column scope: split a column's `budget` of empty slots across
-/// its chunks in proportion to each chunk's [`data_movement`]. A sample
+/// its chunks in proportion to each chunk's `data_movement`. A sample
 /// with no data movement anywhere splits by chunk size (`sizes`, live rows
 /// per chunk), so every chunk keeps its share of the reserve.
 pub fn split_column_budget(fms: &[FrequencyModel], sizes: &[usize], budget: usize) -> Vec<usize> {
@@ -55,14 +87,14 @@ pub fn split_column_budget(fms: &[FrequencyModel], sizes: &[usize], budget: usiz
     if weights.iter().sum::<f64>() <= 0.0 {
         weights = sizes.iter().map(|&n| n as f64).collect();
     }
-    GhostPlan::proportional(&weights, budget).counts().to_vec()
+    largest_remainder(&weights, budget)
 }
 
 /// Distribute `budget` ghost slots over the partitions of `seg`
-/// proportionally to the data movement they receive (Eq. 18).
-pub fn allocate_ghosts(fm: &FrequencyModel, seg: &PartitionSpec, budget: usize) -> GhostPlan {
-    let dm = data_movement_per_partition(fm, seg);
-    GhostPlan::proportional(&dm, budget)
+/// proportionally to the data movement they receive (Eq. 18): one count
+/// per partition.
+pub fn allocate_ghosts(fm: &FrequencyModel, seg: &PartitionSpec, budget: usize) -> Vec<usize> {
+    largest_remainder(&data_movement_per_partition(fm, seg), budget)
 }
 
 /// The share of `fm`'s slot demand `D = Σ(in + utf + utb)` that a budget
@@ -98,18 +130,14 @@ mod tests {
         let mut fm = FrequencyModel::new(4);
         fm.ins = vec![1.0, 0.0, 0.0, 3.0];
         let seg = PartitionSpec::new(vec![2, 4]);
-        let plan = allocate_ghosts(&fm, &seg, 100);
-        assert_eq!(plan.total(), 100);
-        assert_eq!(plan.counts(), &[25, 75]);
+        assert_eq!(allocate_ghosts(&fm, &seg, 100), vec![25, 75]);
     }
 
     #[test]
     fn no_movement_spreads_evenly() {
         let fm = FrequencyModel::new(6);
         let seg = PartitionSpec::new(vec![2, 4, 6]);
-        let plan = allocate_ghosts(&fm, &seg, 9);
-        assert_eq!(plan.total(), 9);
-        assert_eq!(plan.counts(), &[3, 3, 3]);
+        assert_eq!(allocate_ghosts(&fm, &seg, 9), vec![3, 3, 3]);
     }
 
     #[test]
@@ -122,8 +150,7 @@ mod tests {
         fm.utb = vec![0.0; 8];
         fm.utb[7] = 10.0;
         let seg = PartitionSpec::new(vec![4, 8]);
-        let plan = allocate_ghosts(&fm, &seg, 10);
-        assert_eq!(plan.counts(), &[0, 10]);
+        assert_eq!(allocate_ghosts(&fm, &seg, 10), vec![0, 10]);
     }
 
     #[test]
@@ -145,10 +172,7 @@ mod tests {
         assert_eq!(split.iter().sum::<usize>(), 1000);
         // Each chunk's share then follows Eq. 18 inside the chunk.
         let seg = PartitionSpec::new(vec![1, 4]);
-        assert_eq!(
-            allocate_ghosts(&fms[1], &seg, split[1]).counts(),
-            &[250, 500]
-        );
+        assert_eq!(allocate_ghosts(&fms[1], &seg, split[1]), vec![250, 500]);
         // Rounding still sums to the column's budget exactly.
         let split = split_column_budget(&fms, &[4000, 4000, 2000], 1001);
         assert_eq!(split.iter().sum::<usize>(), 1001);
@@ -187,7 +211,36 @@ mod tests {
         let mut fm = FrequencyModel::new(2);
         fm.ins = vec![5.0, 5.0];
         let seg = PartitionSpec::new(vec![1, 2]);
-        let plan = allocate_ghosts(&fm, &seg, 0);
-        assert_eq!(plan.total(), 0);
+        assert_eq!(allocate_ghosts(&fm, &seg, 0), vec![0, 0]);
+    }
+
+    #[test]
+    fn proportional_sums_to_total() {
+        assert_eq!(largest_remainder(&[1.0, 2.0, 1.0], 8), vec![2, 4, 2]);
+    }
+
+    #[test]
+    fn proportional_largest_remainder() {
+        // Exact shares: 3.33, 3.33, 3.33 → floors 3,3,3, one leftover goes
+        // to the largest remainder (ties broken by sort stability).
+        let counts = largest_remainder(&[1.0, 1.0, 1.0], 10);
+        assert_eq!(counts.iter().sum::<usize>(), 10);
+        assert!(counts.iter().all(|&c| c == 3 || c == 4));
+    }
+
+    #[test]
+    fn proportional_zero_weights_falls_back_to_even() {
+        assert_eq!(largest_remainder(&[0.0, 0.0], 5), vec![3, 2]);
+    }
+
+    #[test]
+    fn proptest_proportional_invariants() {
+        use proptest::prelude::*;
+        proptest!(|(weights in proptest::collection::vec(0.0f64..100.0, 1..40),
+                    total in 0usize..500)| {
+            let counts = largest_remainder(&weights, total);
+            prop_assert_eq!(counts.iter().sum::<usize>(), total);
+            prop_assert_eq!(counts.len(), weights.len());
+        });
     }
 }

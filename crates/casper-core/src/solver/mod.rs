@@ -61,9 +61,7 @@ pub mod telemetry {
 use crate::cost::{BlockGeometry, BlockTerms, CostConstants};
 use crate::fm::FrequencyModel;
 use crate::ghost_alloc::{allocate_ghosts, uncovered_share};
-use casper_storage::ghost::GhostPlan;
-use casper_storage::PartitionSpec;
-use casper_storage::PayloadOrientation;
+use casper_storage::{ChunkLayout, PartitionSpec, PayloadOrientation};
 
 /// Constraints on admissible partitionings (the Eq. 21 bounds, expressed
 /// structurally).
@@ -108,8 +106,8 @@ pub struct Solution {
     pub cost: f64,
 }
 
-/// End-to-end optimizer: Frequency Model in, partitioning + ghost plan out
-/// (the "B" box of Fig. 10).
+/// End-to-end optimizer: Frequency Model in, one [`ChunkLayout`] out (the
+/// "B" box of Fig. 10).
 #[derive(Debug, Clone)]
 pub struct LayoutOptimizer {
     /// Cost constants used for Eq. 17, per cache line.
@@ -128,10 +126,9 @@ pub struct LayoutOptimizer {
 /// A complete per-chunk layout decision.
 #[derive(Debug, Clone)]
 pub struct LayoutDecision {
-    /// The partitioning.
-    pub seg: PartitionSpec,
-    /// Ghost slots per partition (Eq. 18).
-    pub ghosts: GhostPlan,
+    /// The partitioning (Eq. 16), its ghost slots per partition (Eq. 18)
+    /// and the optimizer's payload orientation.
+    pub layout: ChunkLayout,
     /// Modeled workload cost of the chosen layout.
     pub est_cost: f64,
 }
@@ -179,15 +176,14 @@ impl LayoutOptimizer {
     }
 
     /// Compute the optimal layout for a Frequency Model and a total ghost
-    /// budget (in slots).
+    /// budget (in slots), its payload in the optimizer's orientation.
     pub fn optimize(&self, fm: &FrequencyModel, ghost_budget: usize) -> LayoutDecision {
         let terms = self.terms(fm, ghost_budget);
         let sol = dp::solve(&terms, &self.constraints);
         let ghosts = allocate_ghosts(fm, &sol.seg, ghost_budget);
         LayoutDecision {
+            layout: ChunkLayout::with_ghosts(sol.seg, ghosts).with_payload(self.orientation),
             est_cost: sol.cost,
-            seg: sol.seg,
-            ghosts,
         }
     }
 }
@@ -227,9 +223,9 @@ mod tests {
         fm.ins[0] = 3.0;
         let opt = LayoutOptimizer::new(CostConstants::paper());
         let d = opt.optimize(&fm, 16);
-        assert_eq!(d.seg.n_blocks(), 8);
-        assert_eq!(d.ghosts.total(), 16);
-        assert_eq!(d.ghosts.partitions(), d.seg.partition_count());
+        assert_eq!(d.layout.spec().n_blocks(), 8);
+        assert_eq!(d.layout.ghost_total(), 16);
+        assert_eq!(d.layout.payload(), PayloadOrientation::Columns);
         assert!(d.est_cost > 0.0);
     }
 
@@ -253,7 +249,9 @@ mod tests {
         assert_eq!(rows.terms(&fm, 0), eq17);
         assert!(rows.terms(&fm, 64).parts.iter().all(|&p| p == 0.0));
         let (dense, covered) = (rows.optimize(&fm, 0), rows.optimize(&fm, 64));
-        assert!(covered.seg.partition_count() > dense.seg.partition_count());
+        let parts = |d: &LayoutDecision| d.layout.spec().partition_count();
+        assert!(parts(&covered) > parts(&dense));
+        assert_eq!(covered.layout.payload(), PayloadOrientation::Rows);
         assert!(covered.est_cost < dense.est_cost);
     }
 
@@ -269,6 +267,6 @@ mod tests {
             ..LayoutOptimizer::new(CostConstants::paper())
         };
         let d = opt.optimize(&fm, 0);
-        assert!(d.seg.partition_count() <= 3);
+        assert!(d.layout.spec().partition_count() <= 3);
     }
 }

@@ -13,8 +13,8 @@
 
 use crate::column::ChunkStore;
 use crate::optimize::{
-    capture_per_chunk, chunk_budgets, chunk_orientations, layout_optimizer, optimize_table,
-    OptimizeOptions, OptimizeReport,
+    capture_per_chunk, chunk_optimizers, layout_optimizer, optimize_table, OptimizeOptions,
+    OptimizeReport,
 };
 use crate::table::Table;
 use casper_core::cost::cost_of_segmentation;
@@ -116,10 +116,9 @@ impl AdaptiveController {
         // Price both layouts as `optimize_table` would, and compare with
         // the best layout it may build (fairness cap included).
         let opts = &self.config.optimize;
-        let chosen = chunk_orientations(table, &fms, &sample, &opts.constants);
-        let budgets = chunk_budgets(table, &fms, opts);
-        let chunks = table.column().chunks().iter().zip(&fms).zip(chosen);
-        for (((slot, fm), orientation), &budget) in chunks.zip(&budgets) {
+        let optimizers = chunk_optimizers(table, &fms, &sample, opts);
+        let chunks = table.column().chunks().iter().zip(&fms);
+        for ((slot, fm), (best, budget)) in chunks.zip(optimizers) {
             // Capture above already required hydration; bail out rather
             // than decode here if a slot is somehow still pending.
             let store = slot.store_opt()?;
@@ -128,7 +127,6 @@ impl AdaptiveController {
             current_cost += cost_of_segmentation(&current_seg, &now.terms(fm, budget));
             // The optimum is priced the same way as the current layout, so
             // the two compare exactly when they coincide.
-            let best = layout_optimizer(table, opts, orientation);
             let terms = best.terms(fm, budget);
             best_cost += cost_of_segmentation(&dp::solve(&terms, &best.constraints).seg, &terms);
         }
@@ -270,7 +268,7 @@ mod tests {
         assert!(report
             .chunks
             .iter()
-            .any(|c| c.orientation == casper_storage::PayloadOrientation::Rows));
+            .any(|c| c.layout.payload() == casper_storage::PayloadOrientation::Rows));
         assert_eq!(
             ctl.maybe_reoptimize(&mut table),
             AdaptDecision::KeepLayout {

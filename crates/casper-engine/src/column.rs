@@ -15,7 +15,7 @@
 //! when a chunk's `Arc` is shared with a published snapshot the writer
 //! clones it first (copy-on-write) and mutates the fresh copy, then
 //! republishes. Every write goes through one entry point,
-//! [`ChunkedColumn::apply_writes`], which applies a run of writes serially
+//! `ChunkedColumn::apply_writes`, which applies a run of writes serially
 //! and publishes once at its end: one write for `Table::execute`, a whole
 //! write set for a transaction commit. Readers obtain an
 //! [`Arc<ColumnSnapshot>`] from the column's [`SnapshotCell`] (one pin per
@@ -33,10 +33,10 @@ use crate::modes::{EngineConfig, LayoutMode};
 use crate::table::{QueryOutput, QueryResult};
 use casper_core::FrequencyModel;
 use casper_obs::CounterDef;
-use casper_storage::ghost::GhostPlan;
 use casper_storage::{
-    sort_rows_by_key, BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk,
-    PayloadOrientation, SortedColumn, SortedDelta, StorageError, UpdatePolicy, MIN_TAIL_SLOTS,
+    sort_rows_by_key, BlockLayout, ChunkConfig, ChunkLayout, OpCost, PartitionSpec,
+    PartitionedChunk, PayloadOrientation, SortedColumn, SortedDelta, StorageError, UpdatePolicy,
+    MIN_TAIL_SLOTS,
 };
 use casper_workload::HapQuery;
 use parking_lot::Mutex;
@@ -827,7 +827,7 @@ impl ChunkedColumn {
     // Dirty tracking + lazy hydration
     // ------------------------------------------------------------------
 
-    /// Per-chunk modification counters (parallel to [`Self::chunks`]).
+    /// Per-chunk modification counters (parallel to [`ColumnSnapshot::chunks`]).
     /// A persistence layer snapshots this at checkpoint time; a chunk is
     /// dirty iff its counter differs from the snapshot.
     pub fn versions(&self) -> &[u64] {
@@ -1312,9 +1312,8 @@ fn build_chunk(keys: &[u64], payloads: &[&[u32]], config: &EngineConfig) -> Chun
                 PartitionedChunk::build_with_payloads(
                     keys,
                     payloads,
-                    &PartitionSpec::single(n_blocks),
+                    &ChunkLayout::dense(PartitionSpec::single(n_blocks)),
                     layout,
-                    &GhostPlan::none(1),
                     chunk_config,
                 )
                 .expect("single-partition build cannot fail"),
@@ -1326,19 +1325,18 @@ fn build_chunk(keys: &[u64], payloads: &[&[u32]], config: &EngineConfig) -> Chun
             // Equi is dense and keeps its slack as a tail; the ghost modes
             // spread the whole reserve evenly as ghosts (the paper's
             // Equi-GV) until the optimizer places it by Eq. 18.
-            let (ghosts, chunk_config) = if config.mode == LayoutMode::Equi {
-                (GhostPlan::none(k), dense_config(config))
+            let (chunk_layout, chunk_config) = if config.mode == LayoutMode::Equi {
+                (ChunkLayout::dense(spec), dense_config(config))
             } else {
                 let reserve = reserve_slots(len, config.ghost_budget_frac, config);
-                (GhostPlan::even(k, reserve), ghost_config(config))
+                (ChunkLayout::even(spec, reserve), ghost_config(config))
             };
             ChunkStore::Partitioned(
                 PartitionedChunk::build_with_payloads(
                     keys,
                     payloads,
-                    &spec,
+                    &chunk_layout,
                     layout,
-                    &ghosts,
                     chunk_config,
                 )
                 .expect("equi build cannot fail"),
@@ -1377,33 +1375,29 @@ pub(crate) fn reserve_slots(len: usize, ghost_frac: f64, config: &EngineConfig) 
     ghosts + slack - MIN_TAIL_SLOTS
 }
 
-/// Rebuild a partitioned chunk with a new layout decision (used by the
-/// optimizer): `ghosts` is the chunk's whole empty-slot reserve, the tail
-/// keeps [`MIN_TAIL_SLOTS`], and the payload is laid out in
-/// `orientation`. A partitioned chunk's rows move straight from their old
-/// slots to their new ones ([`PartitionedChunk::relayout`]). Requires a
-/// hydrated store.
+/// Rebuild a chunk as a partitioned chunk laid out as `layout` says (the
+/// optimizer's decision): its ghost counts are the chunk's whole
+/// empty-slot reserve, the tail keeps [`MIN_TAIL_SLOTS`], and the payload
+/// is stored in `layout.payload()`. A partitioned chunk's rows move
+/// straight from their old slots to their new ones
+/// ([`PartitionedChunk::relayout`]). Requires a hydrated store.
 pub(crate) fn rebuild_partitioned(
     store: &ChunkStore,
-    seg: &PartitionSpec,
-    ghosts: &GhostPlan,
+    layout: &ChunkLayout,
     config: &EngineConfig,
-    orientation: PayloadOrientation,
 ) -> ChunkStore {
     let chunk = match store {
-        ChunkStore::Partitioned(p) => p.relayout(seg, ghosts, ghost_config(config), orientation),
+        ChunkStore::Partitioned(p) => p.relayout(layout, ghost_config(config)),
         ChunkStore::Sorted(_) | ChunkStore::Delta(_) => {
-            let layout = BlockLayout::new::<u64>(config.block_bytes);
+            let blocks = BlockLayout::new::<u64>(config.block_bytes);
             let (keys, payloads) = store.live_sorted();
             PartitionedChunk::build_with_payloads(
                 &keys,
                 &payloads,
-                seg,
                 layout,
-                ghosts,
+                blocks,
                 ghost_config(config),
             )
-            .map(|c| c.into_orientation(orientation))
         }
     };
     ChunkStore::Partitioned(chunk.expect("rebuild with solver output cannot fail"))

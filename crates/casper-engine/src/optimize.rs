@@ -16,7 +16,7 @@ use casper_core::fm::FmBuilder;
 use casper_core::ghost_alloc::split_column_budget;
 use casper_core::solver::{LayoutOptimizer, SolverConstraints};
 use casper_core::{BlockGeometry, CostConstants, FrequencyModel, Op, Projectivity};
-use casper_storage::{BlockLayout, PayloadOrientation};
+use casper_storage::{BlockLayout, ChunkLayout, PayloadOrientation};
 use casper_workload::HapQuery;
 use std::time::Instant;
 
@@ -24,7 +24,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct OptimizeOptions {
     /// Cost constants, per 64-byte line. The solver scales them to each
-    /// chunk's blocks and rows ([`chunk_geometry`]). `calibrate()` measures
+    /// chunk's blocks and rows ([`layout_optimizer`]). `calibrate()` measures
     /// `sr`/`sw` per block; `calibrate_per_line()` restates them for here.
     pub constants: CostConstants,
     /// SLA-derived structural constraints.
@@ -59,10 +59,10 @@ impl Default for OptimizeOptions {
 pub struct ChunkReport {
     /// Chunk index.
     pub chunk: usize,
-    /// Logical blocks in the chunk.
-    pub blocks: usize,
-    /// Partitions chosen by the solver.
-    pub partitions: usize,
+    /// The layout the chunk was rebuilt with: the solver's partitions,
+    /// their ghost slots, and the payload orientation chosen from the
+    /// chunk's Frequency Model before the solve.
+    pub layout: ChunkLayout,
     /// Ghost slots allocated.
     pub ghosts: usize,
     /// Modeled workload cost of the chosen layout (ns).
@@ -73,9 +73,6 @@ pub struct ChunkReport {
     /// lane, and nothing encodes a second one. Kept because the repo
     /// benchmark reports it as `core.compressed_partitions`.
     pub compressed_partitions: usize,
-    /// Payload orientation the chunk was laid out with (chosen from its
-    /// Frequency Model before the solve, [`chunk_orientations`]).
-    pub orientation: PayloadOrientation,
 }
 
 /// Outcome of a whole optimization pass.
@@ -98,20 +95,11 @@ impl OptimizeReport {
 
     /// Total partitions across chunks.
     pub fn total_partitions(&self) -> usize {
-        self.chunks.iter().map(|c| c.partitions).sum()
+        self.chunks
+            .iter()
+            .map(|c| c.layout.spec().partition_count())
+            .sum()
     }
-}
-
-/// The lines per block and per row the solver prices one of `table`'s
-/// chunks at: its block size, and its key plus the payload lines a slot
-/// write touches in `orientation`.
-pub fn chunk_geometry(table: &Table, orientation: PayloadOrientation) -> BlockGeometry {
-    let column = table.column();
-    BlockGeometry::of_chunk(
-        column.config().block_bytes,
-        column.payload_width(),
-        orientation,
-    )
 }
 
 /// The payload attributes `sample`'s reads project, each at most `width`:
@@ -128,38 +116,20 @@ fn sample_projectivity(sample: &[HapQuery], width: usize) -> Projectivity {
     proj
 }
 
-/// The payload orientation of each chunk whose Frequency Model for
-/// `sample` is in `fms`: the one whose payload lines cost the chunk's
-/// operations less under `constants`, at the projectivity of `sample`'s
-/// reads ([`choose_orientation`]; ties stay column-major).
-pub(crate) fn chunk_orientations(
-    table: &Table,
-    fms: &[FrequencyModel],
-    sample: &[HapQuery],
-    constants: &CostConstants,
-) -> Vec<PayloadOrientation> {
-    let column = table.column();
-    let vpb = BlockLayout::new::<u64>(column.config().block_bytes).values_per_block();
-    let width = column.payload_width();
-    let proj = sample_projectivity(sample, width);
-    fms.iter()
-        .map(|fm| choose_orientation(fm, constants, width, vpb, proj))
-        .collect()
-}
-
 /// The optimizer `optimize_table` solves one of `table`'s chunks with
 /// when its payload is laid out in `orientation`: `opts`' constants at
-/// that orientation's [`chunk_geometry`], under `opts.constraints` and,
-/// when `opts.fairness_cap` is set, at most `equi_partitions` partitions.
+/// the lines per block and per row of the chunk's block size and of its
+/// key plus the payload lines a slot write touches in `orientation`
+/// ([`BlockGeometry::of_chunk`]), under `opts.constraints` and, when
+/// `opts.fairness_cap` is set, at most `equi_partitions` partitions.
 /// [`LayoutOptimizer::terms`] then prices the chunk at its reserve.
 pub fn layout_optimizer(
     table: &Table,
     opts: &OptimizeOptions,
     orientation: PayloadOrientation,
 ) -> LayoutOptimizer {
-    let fairness = opts
-        .fairness_cap
-        .then_some(table.column().config().equi_partitions);
+    let column = table.column();
+    let fairness = opts.fairness_cap.then_some(column.config().equi_partitions);
     let constraints = SolverConstraints {
         max_partitions: match (opts.constraints.max_partitions, fairness) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -169,27 +139,49 @@ pub fn layout_optimizer(
     };
     LayoutOptimizer {
         constants: opts.constants,
-        geometry: chunk_geometry(table, orientation),
+        geometry: BlockGeometry::of_chunk(
+            column.config().block_bytes,
+            column.payload_width(),
+            orientation,
+        ),
         orientation,
         constraints,
     }
 }
 
-/// Each chunk's share of the column's empty-slot reserve (ghost budget
-/// plus the slack a dense chunk would keep in its tail), split by Eq. 18
-/// across the chunks whose Frequency Models are `fms`: the ghost budget
-/// each chunk is solved and priced with.
-pub(crate) fn chunk_budgets(
+/// The optimizer and the ghost budget each of `table`'s chunks is solved
+/// with, for its Frequency Model in `fms` (captured from `sample`).
+///
+/// - The budget is the chunk's share of the column's empty-slot reserve
+///   (ghost budget plus the slack a dense chunk would keep in its tail),
+///   split across the chunks by Eq. 18.
+/// - The optimizer is [`layout_optimizer`]'s at the payload orientation
+///   whose lines cost the chunk's operations less under `opts.constants`,
+///   at the projectivity of `sample`'s reads ([`choose_orientation`]; ties
+///   stay column-major).
+pub(crate) fn chunk_optimizers(
     table: &Table,
     fms: &[FrequencyModel],
+    sample: &[HapQuery],
     opts: &OptimizeOptions,
-) -> Vec<usize> {
-    let config = table.column().config();
-    let sizes: Vec<usize> = table.column().chunks().iter().map(|s| s.len()).collect();
+) -> Vec<(LayoutOptimizer, usize)> {
+    let column = table.column();
+    let config = column.config();
+    let sizes: Vec<usize> = column.chunks().iter().map(|s| s.len()).collect();
     let reserve = sizes
         .iter()
         .map(|&n| reserve_slots(n, opts.ghost_budget_frac, config));
-    split_column_budget(fms, &sizes, reserve.sum())
+    let budgets = split_column_budget(fms, &sizes, reserve.sum());
+    let vpb = BlockLayout::new::<u64>(config.block_bytes).values_per_block();
+    let width = column.payload_width();
+    let proj = sample_projectivity(sample, width);
+    fms.iter()
+        .zip(budgets)
+        .map(|(fm, budget)| {
+            let orientation = choose_orientation(fm, &opts.constants, width, vpb, proj);
+            (layout_optimizer(table, opts, orientation), budget)
+        })
+        .collect()
 }
 
 /// Build the per-chunk Frequency Models from a workload sample: each
@@ -290,36 +282,29 @@ pub fn optimize_table(
     let config = *table.column().config();
     // The column's empty-slot reserve goes where the sample's inserts and
     // incoming updates land: Eq. 18 across chunks here, then across each
-    // chunk's partitions in `optimize`. Physical slots stay the same.
-    let budgets = chunk_budgets(table, &fms, opts);
-    // Each chunk's payload orientation is chosen from its own Frequency
-    // Model, and its layout is then solved once, at that orientation's
-    // geometry and with the ripple charge its reserve leaves.
-    let orientations = chunk_orientations(table, &fms, sample, &opts.constants);
-    let optimizers: Vec<LayoutOptimizer> = orientations
-        .iter()
-        .map(|&o| layout_optimizer(table, opts, o))
-        .collect();
+    // chunk's partitions in `optimize`. Physical slots stay the same. Each
+    // chunk's payload orientation is chosen from its own Frequency Model,
+    // and its layout is then solved once, at that orientation's geometry
+    // and with the ripple charge its reserve leaves.
+    let optimizers = chunk_optimizers(table, &fms, sample, opts);
 
     // Solve every chunk in parallel (§6.3's embarrassingly parallel
     // decomposition), then apply the layouts.
-    let decisions = parallel_map(&fms, opts.threads, |i, fm| {
+    let decisions = parallel_map(&optimizers, opts.threads, |i, (optimizer, budget)| {
         let t = Instant::now();
-        let d = optimizers[i].optimize(fm, budgets[i]);
+        let d = optimizer.optimize(&fms[i], *budget);
         (d, t.elapsed().as_nanos() as u64)
     });
 
     let mut report = OptimizeReport::default();
-    for (i, (decision, solve_nanos)) in decisions.iter().enumerate() {
+    for (i, (decision, solve_nanos)) in decisions.into_iter().enumerate() {
         report.chunks.push(ChunkReport {
             chunk: i,
-            blocks: decision.seg.n_blocks(),
-            partitions: decision.seg.partition_count(),
-            ghosts: decision.ghosts.total(),
+            ghosts: decision.layout.ghost_total(),
+            layout: decision.layout,
             est_cost: decision.est_cost,
-            solve_nanos: *solve_nanos,
+            solve_nanos,
             compressed_partitions: 0,
-            orientation: orientations[i],
         });
     }
     // Step C: materialize the new layouts. Rebuilds are independent per
@@ -330,9 +315,7 @@ pub fn optimize_table(
         .chunks_mut()
         .expect("optimize hydrated the column, so chunk access cannot fail");
     parallel_for_each_mut(&mut stores, opts.threads, |i, store| {
-        let (decision, _) = &decisions[i];
-        let (seg, ghosts) = (&decision.seg, &decision.ghosts);
-        **store = rebuild_partitioned(store, seg, ghosts, &config, orientations[i]);
+        **store = rebuild_partitioned(store, &report.chunks[i].layout, &config);
     });
     drop(stores);
     // Each chunk's access window starts with the layout now in force.
@@ -476,13 +459,14 @@ mod tests {
 
     fn oriented(table: &Table, sample: &[HapQuery]) -> Vec<(PayloadOrientation, f64)> {
         let fms = capture_per_chunk(table, sample);
-        let paper = CostConstants::paper();
         let writes = fms.iter().map(|fm| {
             let sum = |h: &[f64]| h.iter().sum::<f64>();
             sum(&fm.ins) + sum(&fm.de) + sum(&fm.udf) + sum(&fm.udb)
         });
-        chunk_orientations(table, &fms, sample, &paper)
+        // The default options price at the paper's constants.
+        chunk_optimizers(table, &fms, sample, &OptimizeOptions::default())
             .into_iter()
+            .map(|(o, _)| o.orientation)
             .zip(writes)
             .collect()
     }
@@ -546,12 +530,12 @@ mod tests {
             .iter()
             .map(|s| s.store_opt().unwrap());
         for (chunk, store) in report.chunks.iter().zip(stores) {
-            assert_eq!(store.payload_orientation(), chunk.orientation);
+            assert_eq!(store.payload_orientation(), chunk.layout.payload());
         }
         assert!(report
             .chunks
             .iter()
-            .any(|c| c.orientation == PayloadOrientation::Rows));
+            .any(|c| c.layout.payload() == PayloadOrientation::Rows));
     }
 
     #[test]
@@ -563,12 +547,8 @@ mod tests {
         let report = optimize_table(&mut table, &sample, &opts);
         let cap = table.column().config().equi_partitions;
         for c in &report.chunks {
-            assert!(
-                c.partitions <= cap,
-                "chunk {} has {} partitions",
-                c.chunk,
-                c.partitions
-            );
+            let parts = c.layout.spec().partition_count();
+            assert!(parts <= cap, "chunk {} has {parts} partitions", c.chunk);
         }
     }
 }

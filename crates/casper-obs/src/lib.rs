@@ -71,7 +71,7 @@ pub fn enable() -> &'static Registry {
 }
 
 /// Disengage recording (the registry and its accumulated values survive;
-/// [`snapshot`] still works). Used by the repo benchmark's
+/// [`snapshot()`] still works). Used by the repo benchmark's
 /// `obs.overhead_ratio` arm to A/B the instrumented hot paths.
 pub fn disable() {
     ENGAGED.store(false, Ordering::Release);

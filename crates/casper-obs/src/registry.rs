@@ -94,7 +94,7 @@ impl Gauge {
 }
 
 /// The process-wide registry. Obtain it through [`crate::enable`] /
-/// [`crate::registry`].
+/// [`crate::registry()`].
 #[derive(Debug)]
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,

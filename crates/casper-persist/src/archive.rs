@@ -12,7 +12,7 @@
 //! are layout-preserving, an archived `(manifest, segments)` pair plus
 //! the archived WAL chain restores any historical LSN with **zero layout
 //! solves and zero codec re-encodes** — the same restore guarantee the
-//! live path has ([`open_at`]).
+//! live path has ([`crate::DurableTable::open_at`]).
 //!
 //! ## Crash safety of retire
 //!
@@ -24,7 +24,7 @@
 //!    read first so the index entry carries a whole-file CRC),
 //! 2. `fsync_dir(archive/)` then `fsync_dir(dir)` commit the dirents,
 //! 3. the index is rewritten via the temp-file + rename + checked
-//!    directory-fsync path ([`crate::durable::write_atomic`]).
+//!    directory-fsync path (`durable::write_atomic`).
 //!
 //! A crash anywhere in between leaves either the live copy (rename not
 //! yet durable — the next retire redoes it) or an archived-but-unindexed
@@ -41,7 +41,7 @@
 //! referenced segment, and the sealed WAL prefix — CRC-verifying every
 //! record on the way out — and writes the backup's `CURRENT` last, as the
 //! commit point. The result is itself a valid durable-table directory
-//! ([`verify_backup`] checks it end to end).
+//! ([`crate::DurableTable::verify_backup`] checks it end to end).
 
 use crate::codec::{frame, unframe, ByteReader, ByteWriter};
 use crate::crc::crc32;

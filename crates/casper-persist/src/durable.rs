@@ -34,7 +34,7 @@
 //!
 //! Per-chunk durable state — each chunk's record, the column version that
 //! record is clean at, its quarantine reason — lives in one
-//! [`crate::ledger::Ledger`], which owns the only definitions of *dirty*,
+//! `Ledger` (`ledger.rs`), which owns the only definitions of *dirty*,
 //! *encodable*, *repointable* (evictable / healable) and
 //! *checkpoint-freezing*. Nothing here compares version counters itself,
 //! and a re-layout is not a special case: the engine moves every rebuilt

@@ -29,8 +29,8 @@
 //!
 //! `CURRENT` swings atomically and holds a bare generation number naming
 //! the live manifest. Every reader of a table directory — open, scrub,
-//! backup verification — resolves it through [`read_current`], and no
-//! record byte is believed before [`Record::read`] or [`Record::verified`]
+//! backup verification — resolves it through `read_current`, and no
+//! record byte is believed before `Record::read` or `Record::verified`
 //! has checked it against the manifest's CRC.
 //!
 //! **Compaction**: once a manifest references more than a configured

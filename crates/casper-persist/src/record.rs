@@ -619,22 +619,21 @@ mod tests {
     /// A partitioned chunk of `width` payload attributes in `orientation`,
     /// with ghosts and a few writes behind it.
     fn oriented_chunk(orientation: PayloadOrientation) -> PartitionedChunk<u64> {
-        use casper_storage::ghost::GhostPlan;
-        use casper_storage::PartitionSpec;
+        use casper_storage::{ChunkLayout, PartitionSpec};
         let keys: Vec<u64> = (0..200).map(|i| 10 + 3 * i).collect();
         let cols: Vec<Vec<u32>> = (0..3u32)
             .map(|c| keys.iter().map(|&k| k as u32 * 7 + c).collect())
             .collect();
+        let layout =
+            ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&[10, 15]), vec![3, 5]);
         let mut chunk = PartitionedChunk::build_with_payloads(
             &keys,
             &cols,
-            &PartitionSpec::from_block_sizes(&[10, 15]),
+            &layout.with_payload(orientation),
             BlockLayout::new::<u64>(64),
-            &GhostPlan::from_counts(vec![3, 5]),
             ChunkConfig::default(),
         )
-        .expect("build")
-        .into_orientation(orientation);
+        .expect("build");
         chunk.insert(11, &[1, 2, 3]).expect("insert");
         chunk.delete(13);
         chunk
@@ -696,8 +695,7 @@ mod tests {
     /// column-major chunk.
     #[test]
     fn partitioned_records_match_their_field_by_field_bytes() {
-        use casper_storage::ghost::GhostPlan;
-        use casper_storage::PartitionSpec;
+        use casper_storage::{ChunkLayout, PartitionSpec};
         let config = EngineConfig::small(LayoutMode::Casper);
         for (orientation, tags) in [
             (PayloadOrientation::Columns, (0, 3)),
@@ -794,9 +792,8 @@ mod tests {
         let mut chunk = PartitionedChunk::build_with_payloads(
             &keys,
             &[keys.iter().map(|&k| k as u32).collect::<Vec<u32>>()],
-            &PartitionSpec::from_block_sizes(&[5, 8]),
+            &ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&[5, 8]), vec![2, 2]),
             BlockLayout::new::<u64>(64),
-            &GhostPlan::from_counts(vec![2, 2]),
             ChunkConfig::default(),
         )
         .expect("build");

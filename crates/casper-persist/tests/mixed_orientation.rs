@@ -134,7 +134,8 @@ fn mixed_orientations_survive_every_durable_path() {
         ..OptimizeOptions::default()
     };
     let report = t.optimize(&mixed_sample(), &optimize).expect("optimize");
-    let chosen: Vec<PayloadOrientation> = report.chunks.iter().map(|c| c.orientation).collect();
+    let chosen: Vec<PayloadOrientation> =
+        report.chunks.iter().map(|c| c.layout.payload()).collect();
     assert_eq!(chosen, [Columns, Columns, Rows]);
     assert_eq!(orientations(&images(t.table())), chosen);
 

@@ -20,9 +20,8 @@
 //! are in [`crate::ops`].
 
 use crate::error::StorageError;
-use crate::ghost::GhostPlan;
 use crate::lane::KeyLane;
-use crate::layout::{BlockLayout, PartitionSpec};
+use crate::layout::{BlockLayout, ChunkLayout, PartitionSpec};
 use crate::ops::OpCost;
 use crate::partition::PartitionMeta;
 use crate::payload::{PayloadOrientation, PayloadSet};
@@ -104,28 +103,27 @@ pub struct PartitionedChunk<K: ColumnValue> {
 }
 
 impl<K: ColumnValue> PartitionedChunk<K> {
-    /// Build a chunk from raw (unsorted) values, a block-granularity
-    /// partition spec, and a ghost plan.
+    /// Build a chunk from raw (unsorted) values laid out as `layout`
+    /// says: its block-granularity partitions, each with its ghost slots.
     pub fn build(
         values: Vec<K>,
-        spec: &PartitionSpec,
-        layout: BlockLayout,
-        ghosts: &GhostPlan,
+        layout: &ChunkLayout,
+        blocks: BlockLayout,
         config: ChunkConfig,
     ) -> Result<Self, StorageError> {
-        Self::build_with_payloads(&values, &[] as &[&[u32]], spec, layout, ghosts, config)
+        Self::build_with_payloads(&values, &[] as &[&[u32]], layout, blocks, config)
     }
 
     /// As [`PartitionedChunk::build`], with row-aligned payload columns
-    /// (each exactly as long as `values`), stored column-major. Rows are
-    /// co-sorted by key, stably ([`sort_rows_by_key`]); rows that arrive
-    /// sorted are copied once, straight into their slots.
+    /// (each exactly as long as `values`), stored in `layout.payload()`'s
+    /// orientation. Rows are co-sorted by key, stably
+    /// ([`sort_rows_by_key`]); rows that arrive sorted are copied once,
+    /// straight into their slots.
     pub fn build_with_payloads(
         values: &[K],
         payload_cols: &[impl AsRef<[u32]>],
-        spec: &PartitionSpec,
-        layout: BlockLayout,
-        ghosts: &GhostPlan,
+        layout: &ChunkLayout,
+        blocks: BlockLayout,
         config: ChunkConfig,
     ) -> Result<Self, StorageError> {
         for col in payload_cols {
@@ -144,41 +142,32 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             Some((keys, cols)) => (keys, cols.iter().map(Vec::as_slice).collect()),
             None => (values, payload_cols.iter().map(AsRef::as_ref).collect()),
         };
-        Self::from_sorted(values, spec, layout, ghosts, config, |parts, physical| {
-            PayloadSet::placed(&cols, physical, live_runs(parts))
+        Self::from_sorted(values, layout, blocks, config, |parts, physical| {
+            PayloadSet::placed(&cols, layout.payload(), physical, live_runs(parts))
         })
     }
 
-    /// This chunk's live rows laid out afresh under `spec` and `ghosts`,
-    /// with its payload in `orientation` (the optimizer's rebuild, Fig. 10
-    /// step C). Rows are ordered by key, ties in slot order, exactly as
-    /// [`PartitionedChunk::extract_live_sorted`] lists them, and each row is
-    /// written once, straight from its current slot into its new one.
+    /// This chunk's live rows laid out afresh as `layout` says (the
+    /// optimizer's rebuild, Fig. 10 step C). Rows are ordered by key, ties
+    /// in slot order, exactly as [`PartitionedChunk::extract_live_sorted`]
+    /// lists them, and each row is written once, straight from its current
+    /// slot into its new one.
     pub fn relayout(
         &self,
-        spec: &PartitionSpec,
-        ghosts: &GhostPlan,
+        layout: &ChunkLayout,
         config: ChunkConfig,
-        orientation: PayloadOrientation,
     ) -> Result<Self, StorageError> {
         let positions = self.live_positions_sorted();
         let sorted: Vec<K> = positions.iter().map(|&p| self.data.get(p)).collect();
-        Self::from_sorted(
-            &sorted,
-            spec,
-            self.layout,
-            ghosts,
-            config,
-            |parts, physical| {
-                PayloadSet::gathered(
-                    &self.payloads,
-                    orientation,
-                    physical,
-                    &positions,
-                    live_runs(parts),
-                )
-            },
-        )
+        Self::from_sorted(&sorted, layout, self.layout, config, |parts, physical| {
+            PayloadSet::gathered(
+                &self.payloads,
+                layout.payload(),
+                physical,
+                &positions,
+                live_runs(parts),
+            )
+        })
     }
 
     /// Build from key-sorted `values`; `payloads(parts, physical)` lays the
@@ -186,9 +175,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// the `i`-th live slot, partition by partition).
     fn from_sorted(
         values: &[K],
-        spec: &PartitionSpec,
-        layout: BlockLayout,
-        ghosts: &GhostPlan,
+        layout: &ChunkLayout,
+        blocks: BlockLayout,
         config: ChunkConfig,
         payloads: impl FnOnce(&[PartitionMeta<K>], usize) -> PayloadSet,
     ) -> Result<Self, StorageError> {
@@ -197,21 +185,15 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 reason: "cannot build a chunk from zero values".into(),
             });
         }
-        if spec.n_blocks() != layout.num_blocks(values.len()) {
+        let spec = layout.spec();
+        if spec.n_blocks() != blocks.num_blocks(values.len()) {
             return Err(StorageError::InvalidSpec {
                 reason: format!(
                     "spec covers {} blocks but {} values need {}",
                     spec.n_blocks(),
                     values.len(),
-                    layout.num_blocks(values.len())
+                    blocks.num_blocks(values.len())
                 ),
-            });
-        }
-        let k = spec.partition_count();
-        if ghosts.partitions() != k {
-            return Err(StorageError::GhostPlanMismatch {
-                partitions: k,
-                plan_entries: ghosts.partitions(),
             });
         }
 
@@ -222,7 +204,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         // of equal values straddling it. Partitions emptied by the
         // adjustment keep an inherited bound and simply never receive
         // values.
-        let vpb = layout.values_per_block();
+        let vpb = blocks.values_per_block();
         let mut ends: Vec<usize> = spec.ends().iter().map(|&e| (e * vpb).min(m)).collect();
         for i in 0..ends.len().saturating_sub(1) {
             let floor = if i == 0 { 0 } else { ends[i - 1] };
@@ -233,12 +215,12 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             ends[i] = e.min(m);
         }
         let slack = ((m as f64 * config.capacity_slack).ceil() as usize).max(MIN_TAIL_SLOTS);
-        let physical = m + ghosts.total() + slack;
+        let physical = m + layout.ghost_total() + slack;
 
-        let mut parts: Vec<PartitionMeta<K>> = Vec::with_capacity(k);
+        let mut parts: Vec<PartitionMeta<K>> = Vec::with_capacity(ends.len());
         let mut cursor = 0usize; // physical write position
         let mut consumed = 0usize; // values consumed
-        for (p, &end) in ends.iter().enumerate() {
+        for (&end, &g) in ends.iter().zip(layout.ghosts()) {
             let len = end - consumed;
             let src = &values[consumed..end];
             let (min, max) = if len > 0 {
@@ -250,7 +232,6 @@ impl<K: ColumnValue> PartitionedChunk<K> {
                 let prev = parts.last().map_or(K::MIN_VALUE, |p| p.max);
                 (prev, prev)
             };
-            let g = ghosts.counts()[p];
             parts.push(PartitionMeta {
                 start: cursor,
                 len,
@@ -270,7 +251,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
             data,
             parts,
             payloads,
-            layout,
+            layout: blocks,
             config,
             live: m,
             stamps: vec![0; physical.div_ceil(GRANULE_SLOTS)],
@@ -288,9 +269,8 @@ impl<K: ColumnValue> PartitionedChunk<K> {
         let n = layout.num_blocks(values.len().max(1));
         Self::build(
             values,
-            &PartitionSpec::single(n),
+            &ChunkLayout::dense(PartitionSpec::single(n)),
             layout,
-            &GhostPlan::none(1),
             config,
         )
     }
@@ -872,16 +852,11 @@ mod tests {
         }
     }
 
-    fn build_chunk(values: Vec<u64>, sizes: &[usize], ghosts: &[usize]) -> PartitionedChunk<u64> {
-        let spec = PartitionSpec::from_block_sizes(sizes);
-        PartitionedChunk::build(
-            values,
-            &spec,
-            tiny_layout(),
-            &GhostPlan::from_counts(ghosts.to_vec()),
-            ChunkConfig::default(),
-        )
-        .expect("build")
+    fn build_chunk(values: Vec<u64>, sizes: &[usize], counts: &[usize]) -> PartitionedChunk<u64> {
+        let layout =
+            ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(sizes), counts.to_vec());
+        PartitionedChunk::build(values, &layout, tiny_layout(), ChunkConfig::default())
+            .expect("build")
     }
 
     #[test]
@@ -914,9 +889,8 @@ mod tests {
             PartitionedChunk::build_with_payloads(
                 keys,
                 &[col],
-                &PartitionSpec::from_block_sizes(&[1, 2]),
+                &ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&[1, 2]), vec![1, 2]),
                 tiny_layout(),
-                &GhostPlan::from_counts(vec![1, 2]),
                 ChunkConfig::default(),
             )
             .unwrap()
@@ -940,12 +914,12 @@ mod tests {
 
     #[test]
     fn build_rejects_wrong_spec_width() {
-        let spec = PartitionSpec::from_block_sizes(&[1]); // 1 block for 8 values
+        // 1 block for 8 values.
+        let layout = ChunkLayout::dense(PartitionSpec::from_block_sizes(&[1]));
         let err = PartitionedChunk::build(
             (1u64..=8).collect(),
-            &spec,
+            &layout,
             tiny_layout(),
-            &GhostPlan::none(1),
             ChunkConfig::default(),
         )
         .unwrap_err();
@@ -953,28 +927,12 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_ghost_plan_mismatch() {
-        let spec = PartitionSpec::from_block_sizes(&[2, 2]);
-        let err = PartitionedChunk::build(
-            (1u64..=8).collect(),
-            &spec,
-            tiny_layout(),
-            &GhostPlan::none(3),
-            ChunkConfig::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, StorageError::GhostPlanMismatch { .. }));
-    }
-
-    #[test]
     fn build_with_payloads_cosorts() {
-        let spec = PartitionSpec::from_block_sizes(&[1, 1]);
         let c = PartitionedChunk::build_with_payloads(
             &[40u64, 10, 30, 20],
             &[vec![4, 1, 3, 2]],
-            &spec,
+            &ChunkLayout::dense(PartitionSpec::from_block_sizes(&[1, 1])),
             tiny_layout(),
-            &GhostPlan::none(2),
             ChunkConfig::default(),
         )
         .unwrap();
@@ -1084,41 +1042,49 @@ mod tests {
             (0..12).map(|i| i * 10).collect::<Vec<u32>>(),
             (0..12).map(|i| 100 + i).collect(),
         ];
-        let mut c = PartitionedChunk::build_with_payloads(
-            &keys,
-            &cols,
-            &PartitionSpec::from_block_sizes(&[2, 2, 2]),
-            tiny_layout(),
-            &GhostPlan::from_counts(vec![1, 0, 2]),
-            ChunkConfig::default(),
-        )
-        .unwrap();
-        c.delete(7);
-        c.insert(3, &[77, 777]).unwrap();
-        let (keys, cols) = c.extract_live_sorted();
-        assert_eq!(c.live_keys_sorted(), keys);
-        let spec = PartitionSpec::from_block_sizes(&[3, 3]);
-        let ghosts = GhostPlan::from_counts(vec![2, 1]);
-        let want = PartitionedChunk::build_with_payloads(
-            &keys,
-            &cols,
-            &spec,
-            tiny_layout(),
-            &ghosts,
-            ChunkConfig::dense(),
-        )
-        .unwrap();
-        for o in [PayloadOrientation::Columns, PayloadOrientation::Rows] {
-            let got = c.relayout(&spec, &ghosts, ChunkConfig::dense(), o).unwrap();
+        let build = |keys: &[u64], cols: &[Vec<u32>], layout: &ChunkLayout, config| {
+            PartitionedChunk::build_with_payloads(keys, cols, layout, tiny_layout(), config)
+                .unwrap()
+        };
+        // Slot for slot, bound for bound and word for word.
+        let same = |got: &PartitionedChunk<u64>, want: &PartitionedChunk<u64>| {
             got.validate_invariants().unwrap();
-            assert_eq!(got.payload_orientation(), o);
             assert_eq!(
                 got.copy_slots(0..got.slot_count()),
                 want.copy_slots(0..want.slot_count())
             );
             assert_eq!(got.parts, want.parts);
-            assert_eq!(got.payloads, want.payloads.to_orientation(o));
+            assert_eq!(got.payloads, want.payloads);
             assert_eq!(got.resident_bytes(), want.resident_bytes());
+        };
+        let rows = PayloadOrientation::Rows;
+        let first =
+            ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&[2, 2, 2]), vec![1, 0, 2]);
+        let mut c = build(&keys, &cols, &first, ChunkConfig::default());
+        // A row-major build from shuffled rows is the column-major build
+        // turned row-major.
+        let direct = build(
+            &keys,
+            &cols,
+            &first.clone().with_payload(rows),
+            ChunkConfig::default(),
+        );
+        assert_eq!(direct.payload_orientation(), rows);
+        same(&direct, &c.clone().into_orientation(rows));
+        c.delete(7);
+        c.insert(3, &[77, 777]).unwrap();
+        let (keys, cols) = c.extract_live_sorted();
+        assert_eq!(c.live_keys_sorted(), keys);
+        let layout = ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&[3, 3]), vec![2, 1]);
+        let want = build(&keys, &cols, &layout, ChunkConfig::dense());
+        for o in [PayloadOrientation::Columns, rows] {
+            let layout = layout.clone().with_payload(o);
+            let got = c.relayout(&layout, ChunkConfig::dense()).unwrap();
+            assert_eq!(got.payload_orientation(), o);
+            let want = want.clone().into_orientation(o);
+            same(&got, &want);
+            // So is one from sorted rows.
+            same(&build(&keys, &cols, &layout, ChunkConfig::dense()), &want);
         }
     }
 
@@ -1131,9 +1097,8 @@ mod tests {
         let keys: Vec<u64> = (0..400).map(|i| i / 3 * 2).collect();
         let mut c = PartitionedChunk::build(
             keys,
-            &PartitionSpec::from_block_sizes(&[40, 60, 50, 50]),
+            &ChunkLayout::even(PartitionSpec::from_block_sizes(&[40, 60, 50, 50]), 32),
             tiny_layout(),
-            &GhostPlan::from_counts(vec![8, 8, 8, 8]),
             ChunkConfig::default(),
         )
         .unwrap();
@@ -1255,9 +1220,8 @@ mod tests {
         let mut c = PartitionedChunk::build_with_payloads(
             &(0..n as u64).collect::<Vec<_>>(),
             &[vec![7u32; n], vec![9u32; n]],
-            &PartitionSpec::from_block_sizes(&[n / 4, n / 4]),
+            &ChunkLayout::dense(PartitionSpec::from_block_sizes(&[n / 4, n / 4])),
             tiny_layout(),
-            &GhostPlan::none(2),
             ChunkConfig::default(),
         )
         .expect("build");
@@ -1286,9 +1250,11 @@ mod tests {
             let mut c = PartitionedChunk::build_with_payloads(
                 &keys,
                 &[keys.iter().map(|&k| k as u32 ^ 5).collect::<Vec<u32>>()],
-                &PartitionSpec::from_block_sizes(&[250, 250, 250, 250]),
+                &ChunkLayout::with_ghosts(
+                    PartitionSpec::from_block_sizes(&[250, 250, 250, 250]),
+                    vec![3, 0, 5, 1],
+                ),
                 tiny_layout(),
-                &GhostPlan::from_counts(vec![3, 0, 5, 1]),
                 config,
             )
             .expect("build");

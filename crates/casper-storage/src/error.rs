@@ -21,13 +21,6 @@ pub enum StorageError {
         /// Human-readable description of the violation.
         reason: String,
     },
-    /// A ghost-value plan referenced more partitions than the spec defines.
-    GhostPlanMismatch {
-        /// Partitions in the spec.
-        partitions: usize,
-        /// Entries in the ghost plan.
-        plan_entries: usize,
-    },
     /// A payload row had the wrong number of columns.
     PayloadArity {
         /// Columns the chunk stores.
@@ -109,13 +102,6 @@ impl fmt::Display for StorageError {
             StorageError::InvalidSpec { reason } => {
                 write!(f, "invalid partition spec: {reason}")
             }
-            StorageError::GhostPlanMismatch {
-                partitions,
-                plan_entries,
-            } => write!(
-                f,
-                "ghost plan has {plan_entries} entries but spec has {partitions} partitions"
-            ),
             StorageError::PayloadArity { expected, got } => {
                 write!(f, "payload row has {got} columns, chunk stores {expected}")
             }
@@ -172,11 +158,6 @@ mod tests {
     fn display_messages_are_informative() {
         let e = StorageError::ChunkFull { capacity: 128 };
         assert!(e.to_string().contains("128"));
-        let e = StorageError::GhostPlanMismatch {
-            partitions: 4,
-            plan_entries: 7,
-        };
-        assert!(e.to_string().contains('4') && e.to_string().contains('7'));
         let e = StorageError::Overloaded { waited_ms: 17 };
         assert!(e.to_string().contains("17ms"));
         let e = StorageError::Panicked {

@@ -541,8 +541,7 @@ mod tests {
     #[test]
     fn narrow_and_wide_chunks_behave_identically() {
         use crate::chunk::{ChunkConfig, PartitionedChunk};
-        use crate::ghost::GhostPlan;
-        use crate::layout::{BlockLayout, PartitionSpec};
+        use crate::layout::{BlockLayout, ChunkLayout, PartitionSpec};
         use crate::ops::PositionsConsumer;
         use crate::UpdatePolicy;
         use rand::prelude::*;
@@ -581,9 +580,8 @@ mod tests {
                     .iter()
                     .map(|&k| k as u32 ^ 0x5A5A)
                     .collect::<Vec<u32>>()],
-                &PartitionSpec::from_block_sizes(&[20; 4]),
+                &ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&[20; 4]), ghosts),
                 layout,
-                &GhostPlan::from_counts(ghosts),
                 config,
             )
             .expect("build");

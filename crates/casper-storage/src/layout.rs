@@ -6,9 +6,11 @@
 //! end of block `i` (Fig. 6), with `p_{N-1} = 1` so there is at least one
 //! partition. [`PartitionSpec`] stores the same scheme as its partitions'
 //! exclusive block ends; the bit vector is a view of it, read by the
-//! solver's test oracles. The solver returns a `PartitionSpec` and the
-//! chunk is built from that value.
+//! solver's test oracles. [`ChunkLayout`] is a chunk's whole layout: a
+//! `PartitionSpec`, the ghost slots of each partition and the payload
+//! orientation. The solver returns one and the chunk is built from it.
 
+use crate::payload::PayloadOrientation;
 use crate::value::ColumnValue;
 
 /// Physical block geometry: how many values form one logical block.
@@ -212,6 +214,90 @@ impl std::fmt::Display for PartitionSpec {
     }
 }
 
+/// One chunk's layout, decided once (Fig. 10 step B) and applied whole:
+/// its partitioning (Eq. 16), the ghost slots of each partition (Eq. 18)
+/// and the orientation its payload rows are stored in.
+///
+/// Ghost values (§2, §4.6) are empty slots interspersed at the end of each
+/// partition. They trade memory amplification for update performance: an
+/// insert that finds a ghost slot in its target partition avoids the ripple
+/// entirely, and a delete simply turns a live slot into a ghost. The
+/// optimizer in `casper-core` places them by Eq. 18; the baselines have
+/// none (`Equi`) or an even spread (`Equi-GV`).
+///
+/// Every constructor gives each partition exactly one ghost count. The
+/// payload is column-major unless [`ChunkLayout::with_payload`] sets it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkLayout {
+    spec: PartitionSpec,
+    ghosts: Vec<usize>,
+    payload: PayloadOrientation,
+}
+
+impl ChunkLayout {
+    /// No ghost slots anywhere (the dense layouts of the paper's baselines).
+    pub fn dense(spec: PartitionSpec) -> Self {
+        let ghosts = vec![0; spec.partition_count()];
+        Self::with_ghosts(spec, ghosts)
+    }
+
+    /// Spread `total` ghost slots as evenly as possible (the `Equi-GV`
+    /// baseline of §7): the first `total % partitions` partitions get one
+    /// extra slot.
+    pub fn even(spec: PartitionSpec, total: usize) -> Self {
+        let k = spec.partition_count();
+        let (base, rem) = (total / k, total % k);
+        let ghosts = (0..k).map(|p| base + usize::from(p < rem)).collect();
+        Self::with_ghosts(spec, ghosts)
+    }
+
+    /// Explicit ghost slots per partition, in partition order.
+    ///
+    /// # Panics
+    /// Panics if `counts` does not hold one count per partition of `spec`.
+    pub fn with_ghosts(spec: PartitionSpec, counts: Vec<usize>) -> Self {
+        assert_eq!(
+            counts.len(),
+            spec.partition_count(),
+            "one ghost count per partition"
+        );
+        Self {
+            spec,
+            ghosts: counts,
+            payload: PayloadOrientation::Columns,
+        }
+    }
+
+    /// The same layout with its payload stored in `payload`.
+    pub fn with_payload(mut self, payload: PayloadOrientation) -> Self {
+        self.payload = payload;
+        self
+    }
+
+    /// The partitioning.
+    #[inline]
+    pub fn spec(&self) -> &PartitionSpec {
+        &self.spec
+    }
+
+    /// Ghost slots per partition.
+    #[inline]
+    pub fn ghosts(&self) -> &[usize] {
+        &self.ghosts
+    }
+
+    /// Ghost slots across all partitions.
+    pub fn ghost_total(&self) -> usize {
+        self.ghosts.iter().sum()
+    }
+
+    /// How the payload rows are stored.
+    #[inline]
+    pub fn payload(&self) -> PayloadOrientation {
+        self.payload
+    }
+}
+
 /// `physical` slots of `width` words each, built in one pass: the rows in
 /// sorted order go, in order, to the slots of `runs` (ascending, disjoint
 /// slot ranges), and every other slot holds `fill`. `rows(r, out)` appends
@@ -338,25 +424,41 @@ mod tests {
 
     #[test]
     fn value_sizes_last_partition_absorbs_remainder() {
-        use crate::{chunk::PartitionedChunk, ghost::GhostPlan, ChunkConfig};
-        let layout = BlockLayout {
+        use crate::{chunk::PartitionedChunk, ChunkConfig};
+        let blocks = BlockLayout {
             block_bytes: 16,
             value_width: 8,
         }; // 2 values per block
-        let s = PartitionSpec::from_block_sizes(&[2, 2]);
+        let layout = ChunkLayout::dense(PartitionSpec::from_block_sizes(&[2, 2]));
         // 7 values over 4 blocks of 2: partition sizes 4 and 3.
         for (m, want) in [(7u64, [4, 3]), (8, [4, 4])] {
-            let c = PartitionedChunk::build(
-                (0..m).collect(),
-                &s,
-                layout,
-                &GhostPlan::none(2),
-                ChunkConfig::default(),
-            )
-            .unwrap();
+            let c =
+                PartitionedChunk::build((0..m).collect(), &layout, blocks, ChunkConfig::default())
+                    .unwrap();
             let lens: Vec<usize> = c.partitions().iter().map(|p| p.len).collect();
             assert_eq!(lens, want, "{m} values");
         }
+    }
+
+    #[test]
+    fn dense_is_all_zero() {
+        let l = ChunkLayout::dense(PartitionSpec::equi_width(8, 4));
+        assert_eq!(l.ghosts(), &[0, 0, 0, 0]);
+        assert_eq!(l.ghost_total(), 0);
+        assert_eq!(l.payload(), PayloadOrientation::Columns);
+    }
+
+    #[test]
+    fn even_distributes_remainder_to_front() {
+        let l = ChunkLayout::even(PartitionSpec::equi_width(8, 4), 10);
+        assert_eq!(l.ghosts(), &[3, 3, 2, 2]);
+        assert_eq!(l.ghost_total(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "one ghost count per partition")]
+    fn with_ghosts_panics_on_a_wrong_count_list() {
+        let _ = ChunkLayout::with_ghosts(PartitionSpec::new(vec![2, 4]), vec![0, 0, 0]);
     }
 
     #[test]

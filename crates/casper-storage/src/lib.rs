@@ -32,7 +32,6 @@
 pub mod chunk;
 pub mod delta;
 pub mod error;
-pub mod ghost;
 mod index;
 pub mod kernels;
 mod lane;
@@ -47,7 +46,7 @@ pub mod value;
 pub use chunk::{ChunkConfig, ChunkState, PartitionedChunk, MIN_TAIL_SLOTS};
 pub use delta::SortedDelta;
 pub use error::StorageError;
-pub use layout::{BlockLayout, PartitionSpec};
+pub use layout::{BlockLayout, ChunkLayout, PartitionSpec};
 pub use ops::{OpCost, PointQueryResult, RangeConsumer, WriteResult};
 pub use partition::PartitionMeta;
 pub use payload::{PayloadOrientation, PayloadSet};

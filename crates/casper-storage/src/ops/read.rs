@@ -264,7 +264,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
     /// in `[lo, hi)` (HAP Q3). A filtered partition evaluates the key
     /// predicate once, into the same slot bitmap [`Self::range_query`]
     /// builds, and then sums the projected attributes under it
-    /// ([`crate::PayloadSet::sum_masked`]) — the paper's "retrieve the
+    /// (`PayloadSet::sum_masked`) — the paper's "retrieve the
     /// qualifying positions to evaluate the subsequent" columns (§6.4).
     /// Blind partitions sum their contiguous run of rows.
     pub fn range_sum_payload(&self, lo: K, hi: K, cols: &[usize]) -> (u64, OpCost) {
@@ -380,8 +380,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 mod tests {
     use super::*;
     use crate::chunk::ChunkConfig;
-    use crate::ghost::GhostPlan;
-    use crate::layout::{BlockLayout, PartitionSpec};
+    use crate::layout::{BlockLayout, ChunkLayout, PartitionSpec};
 
     fn tiny_layout() -> BlockLayout {
         BlockLayout {
@@ -393,9 +392,8 @@ mod tests {
     fn chunk_1_to_16(sizes: &[usize]) -> PartitionedChunk<u64> {
         PartitionedChunk::build(
             (1..=16).collect(),
-            &PartitionSpec::from_block_sizes(sizes),
+            &ChunkLayout::dense(PartitionSpec::from_block_sizes(sizes)),
             tiny_layout(),
-            &GhostPlan::none(sizes.len()),
             ChunkConfig::default(),
         )
         .unwrap()
@@ -406,9 +404,8 @@ mod tests {
     fn chunk_even_2_to_32(sizes: &[usize]) -> PartitionedChunk<u64> {
         PartitionedChunk::build(
             (1..=16).map(|x| x * 2).collect(),
-            &PartitionSpec::from_block_sizes(sizes),
+            &ChunkLayout::dense(PartitionSpec::from_block_sizes(sizes)),
             tiny_layout(),
-            &GhostPlan::none(sizes.len()),
             ChunkConfig::default(),
         )
         .unwrap()
@@ -463,9 +460,8 @@ mod tests {
     fn point_query_duplicates_all_found() {
         let c = PartitionedChunk::build(
             vec![5u64, 5, 5, 1, 2, 3, 9, 9],
-            &PartitionSpec::from_block_sizes(&[2, 2]),
+            &ChunkLayout::dense(PartitionSpec::from_block_sizes(&[2, 2])),
             tiny_layout(),
-            &GhostPlan::none(2),
             ChunkConfig::default(),
         )
         .unwrap();
@@ -558,9 +554,8 @@ mod tests {
         let c = PartitionedChunk::build_with_payloads(
             &keys,
             &[pay],
-            &PartitionSpec::from_block_sizes(&[1, 1, 1, 1]),
+            &ChunkLayout::dense(PartitionSpec::from_block_sizes(&[1, 1, 1, 1])),
             tiny_layout(),
-            &GhostPlan::none(4),
             ChunkConfig::default(),
         )
         .unwrap();

@@ -5,7 +5,7 @@
 //! purposes:
 //!
 //! * **equivalence testing** — property tests assert the kernel paths in
-//!   [`crate::ops::read`] return bit-identical results;
+//!   `ops::read` return bit-identical results;
 //! * **benchmarking** — `casper-bench`'s `scan_ops` bench measures the
 //!   kernel speedup against these baselines on the same data.
 //!
@@ -110,19 +110,20 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 mod tests {
     use super::*;
     use crate::chunk::ChunkConfig;
-    use crate::ghost::GhostPlan;
-    use crate::layout::{BlockLayout, PartitionSpec};
+    use crate::layout::{BlockLayout, ChunkLayout, PartitionSpec};
 
     fn chunk() -> PartitionedChunk<u64> {
         PartitionedChunk::build_with_payloads(
             &(1..=32).map(|x| x * 3).collect::<Vec<_>>(),
             &[(0..32u32).map(|i| i + 100).collect::<Vec<u32>>()],
-            &PartitionSpec::from_block_sizes(&[2, 3, 2, 1]),
+            &ChunkLayout::with_ghosts(
+                PartitionSpec::from_block_sizes(&[2, 3, 2, 1]),
+                vec![1, 0, 2, 0],
+            ),
             BlockLayout {
                 block_bytes: 32,
                 value_width: 8,
             },
-            &GhostPlan::from_counts(vec![1, 0, 2, 0]),
             ChunkConfig::default(),
         )
         .unwrap()

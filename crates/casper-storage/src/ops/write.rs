@@ -396,8 +396,7 @@ impl<K: ColumnValue> PartitionedChunk<K> {
 mod tests {
     use super::*;
     use crate::chunk::ChunkConfig;
-    use crate::ghost::GhostPlan;
-    use crate::layout::{BlockLayout, PartitionSpec};
+    use crate::layout::{BlockLayout, ChunkLayout, PartitionSpec};
 
     fn tiny_layout() -> BlockLayout {
         BlockLayout {
@@ -414,9 +413,8 @@ mod tests {
     ) -> PartitionedChunk<u64> {
         PartitionedChunk::build(
             values,
-            &PartitionSpec::from_block_sizes(sizes),
+            &ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(sizes), ghosts.to_vec()),
             tiny_layout(),
-            &GhostPlan::from_counts(ghosts.to_vec()),
             config,
         )
         .unwrap()
@@ -679,9 +677,8 @@ mod tests {
         let mut c = PartitionedChunk::build_with_payloads(
             &(1..=8u64).collect::<Vec<_>>(),
             &[(1..=8).map(|k| (k * 10) as u32).collect::<Vec<u32>>()],
-            &PartitionSpec::from_block_sizes(&[2, 2]),
+            &ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&[2, 2]), vec![1, 1]),
             tiny_layout(),
-            &GhostPlan::from_counts(vec![1, 1]),
             ChunkConfig::default(),
         )
         .unwrap();
@@ -701,9 +698,8 @@ mod tests {
         let mut c = PartitionedChunk::build_with_payloads(
             &(1..=4u64).collect::<Vec<_>>(),
             &[vec![1, 2, 3, 4], vec![5, 6, 7, 8]],
-            &PartitionSpec::from_block_sizes(&[2]),
+            &ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&[2]), vec![1]),
             tiny_layout(),
-            &GhostPlan::from_counts(vec![1]),
             ChunkConfig::default(),
         )
         .unwrap();
@@ -1033,9 +1029,11 @@ mod tests {
                 &(0..2)
                     .map(|col| slots.iter().map(|s| s.1[col]).collect::<Vec<u32>>())
                     .collect::<Vec<_>>(),
-                &PartitionSpec::from_block_sizes(&[66; PARTS as usize]),
+                &ChunkLayout::with_ghosts(
+                    PartitionSpec::from_block_sizes(&[66; PARTS as usize]),
+                    ghosts,
+                ),
                 layout,
-                &GhostPlan::from_counts(ghosts),
                 config,
             )
             .unwrap();

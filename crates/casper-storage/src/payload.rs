@@ -145,25 +145,32 @@ impl PayloadSet {
         Self { groups }
     }
 
-    /// A column-major set of `physical` slots holding the rows of `cols`,
-    /// in order, in the slot ranges `runs` (ascending and disjoint, as many
-    /// slots as `cols` has rows), and zeros elsewhere. Each word is written
-    /// once, straight from its source (a chunk's build from sorted rows).
+    /// A set of `physical` slots in `orientation` holding the rows of
+    /// `cols` (one slice per attribute), in order, in the slot ranges
+    /// `runs` (ascending and disjoint, as many slots as `cols` has rows),
+    /// and zeros elsewhere. Each word is written once, straight from its
+    /// source (a chunk's build from sorted rows).
     ///
     /// # Panics
     /// Panics if `runs` holds more slots than `cols` has rows, or ends past
     /// `physical`.
     pub(crate) fn placed(
         cols: &[impl AsRef<[u32]>],
+        orientation: PayloadOrientation,
         physical: usize,
         runs: impl Iterator<Item = Range<usize>> + Clone,
     ) -> Self {
-        let groups = cols.iter().enumerate().map(|(first, col)| Group {
-            first,
-            width: 1,
-            words: lay_out_runs(physical, 1, 0, runs.clone(), |rows, out| {
-                out.extend_from_slice(&col.as_ref()[rows])
-            }),
+        let (n, width) = shape(orientation, cols.len());
+        let groups = (0..n).map(|k| {
+            let attrs = &cols[k * width..(k + 1) * width];
+            Group {
+                first: k * width,
+                width,
+                words: lay_out_runs(physical, width, 0, runs.clone(), |rows, out| match attrs {
+                    [col] => out.extend_from_slice(&col.as_ref()[rows]),
+                    _ => rows.for_each(|r| out.extend(attrs.iter().map(|c| c.as_ref()[r]))),
+                }),
+            }
         });
         Self {
             groups: groups.collect(),

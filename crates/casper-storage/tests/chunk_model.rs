@@ -1,12 +1,13 @@
 //! Model-based property test: a `PartitionedChunk` under arbitrary
 //! interleavings of the five operations must behave exactly like a plain
 //! multiset of rows, for both update policies, arbitrary partitionings and
-//! ghost plans, while never violating its structural invariants. Every row
+//! ghost counts, while never violating its structural invariants. Every row
 //! carries a unique id in its one payload column, so a ripple that moves a
 //! key without its payload shows up as a `(key, id)` mismatch.
 
-use casper_storage::ghost::GhostPlan;
-use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, UpdatePolicy};
+use casper_storage::{
+    BlockLayout, ChunkConfig, ChunkLayout, PartitionSpec, PartitionedChunk, UpdatePolicy,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -56,7 +57,8 @@ fn run_model(
     }
     let spec = PartitionSpec::from_block_sizes(&block_sizes);
     let k = spec.partition_count();
-    let ghost_plan = GhostPlan::from_counts(
+    let chunk_layout = ChunkLayout::with_ghosts(
+        spec,
         (0..k)
             .map(|i| ghosts.get(i).copied().unwrap_or(0) % 4)
             .collect(),
@@ -67,15 +69,9 @@ fn run_model(
         ghost_fetch_block: 2,
     };
     let ids: Vec<u32> = (0..initial.len() as u32).collect();
-    let mut chunk = PartitionedChunk::build_with_payloads(
-        &initial,
-        &[&ids],
-        &spec,
-        layout,
-        &ghost_plan,
-        config,
-    )
-    .expect("build");
+    let mut chunk =
+        PartitionedChunk::build_with_payloads(&initial, &[&ids], &chunk_layout, layout, config)
+            .expect("build");
     let mut model: Vec<(u64, u32)> = initial.into_iter().zip(ids).collect();
     let mut next_id = model.len() as u32;
 
@@ -172,9 +168,8 @@ proptest! {
         let spec = PartitionSpec::equi_width(n, 4.min(n));
         let mut chunk = PartitionedChunk::build(
             initial,
-            &spec,
+            &ChunkLayout::dense(spec),
             layout,
-            &GhostPlan::none(spec.partition_count()),
             ChunkConfig::dense(),
         ).expect("build");
         for a in actions {

@@ -1,15 +1,16 @@
 //! Property tests: the branchless kernel read paths (pruning on partition
 //! bounds) must return results identical to the retained scalar reference
-//! paths, over arbitrary partitionings, ghost plans and write histories —
+//! paths, over arbitrary partitionings, ghost counts and write histories —
 //! and their `OpCost` must stay within the scalar path's block-access
 //! envelope (pruning may only ever remove block accesses, and an unpruned
 //! scan must charge exactly what the scalar scan charges).
 
-use casper_storage::ghost::GhostPlan;
 use casper_storage::kernels;
 use casper_storage::ops::PositionsConsumer;
 use casper_storage::value::ColumnValue;
-use casper_storage::{BlockLayout, ChunkConfig, PartitionSpec, PartitionedChunk, UpdatePolicy};
+use casper_storage::{
+    BlockLayout, ChunkConfig, ChunkLayout, PartitionSpec, PartitionedChunk, UpdatePolicy,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -75,7 +76,8 @@ fn build_chunk(
     }
     let spec = PartitionSpec::from_block_sizes(&block_sizes);
     let k = spec.partition_count();
-    let plan = GhostPlan::from_counts(
+    let plan = ChunkLayout::with_ghosts(
+        spec,
         (0..k)
             .map(|i| {
                 if policy == UpdatePolicy::Ghost {
@@ -90,9 +92,8 @@ fn build_chunk(
     let mut chunk = PartitionedChunk::build_with_payloads(
         &initial,
         &payloads,
-        &spec,
-        layout,
         &plan,
+        layout,
         ChunkConfig {
             policy,
             capacity_slack: 1.0,
@@ -218,9 +219,11 @@ fn q3_multi_column_sums_reach_every_word_class() {
     let mut chunk = PartitionedChunk::build_with_payloads(
         &keys,
         &lanes_of(&keys),
-        &PartitionSpec::from_block_sizes(&[25, 25, 25]),
+        &ChunkLayout::with_ghosts(
+            PartitionSpec::from_block_sizes(&[25, 25, 25]),
+            vec![4, 4, 4],
+        ),
         layout,
-        &GhostPlan::from_counts(vec![4, 4, 4]),
         ChunkConfig::default(),
     )
     .expect("build");

@@ -12,10 +12,9 @@
 //! `CASPER_STRESS_SEEDS` (comma-separated, default "1,2") adds seeded
 //! rounds on top of the proptest cases.
 
-use casper_storage::ghost::GhostPlan;
 use casper_storage::{
-    BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk, PayloadOrientation,
-    StorageError, UpdatePolicy,
+    BlockLayout, ChunkConfig, ChunkLayout, OpCost, PartitionSpec, PartitionedChunk,
+    PayloadOrientation, StorageError, UpdatePolicy,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -103,21 +102,19 @@ fn run_twins(seed: u64) -> Result<(), String> {
         sizes.push(take);
         left -= take;
     }
-    let ghosts = GhostPlan::from_counts(
-        (0..sizes.len())
-            .map(|_| match policy {
-                UpdatePolicy::Ghost => rng.gen_range(0..4),
-                UpdatePolicy::Dense => 0,
-            })
-            .collect(),
-    );
+    let ghosts: Vec<usize> = (0..sizes.len())
+        .map(|_| match policy {
+            UpdatePolicy::Ghost => rng.gen_range(0..4),
+            UpdatePolicy::Dense => 0,
+        })
+        .collect();
     let config = ChunkConfig {
         policy,
         capacity_slack: rng.gen_range(0.0..0.5),
         ghost_fetch_block: rng.gen_range(1..4),
     };
-    let spec = PartitionSpec::from_block_sizes(&sizes);
-    let mut col = Chunk::build_with_payloads(&keys, &cols, &spec, layout, &ghosts, config)
+    let chunk_layout = ChunkLayout::with_ghosts(PartitionSpec::from_block_sizes(&sizes), ghosts);
+    let mut col = Chunk::build_with_payloads(&keys, &cols, &chunk_layout, layout, config)
         .map_err(|e| format!("build: {e}"))?;
     let mut row = col.clone().into_orientation(PayloadOrientation::Rows);
     // One attribute has one layout, which reports column-major.

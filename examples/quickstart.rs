@@ -9,8 +9,9 @@ use casper::core::fm::FmBuilder;
 use casper::core::solver::LayoutOptimizer;
 use casper::core::{BlockGeometry, Op};
 use casper::engine::calibrate::{calibrate_per_line, CalibrationConfig};
-use casper::storage::ghost::GhostPlan;
-use casper::storage::{BlockLayout, ChunkConfig, PartitionedChunk, PayloadOrientation};
+use casper::storage::{
+    BlockLayout, ChunkConfig, ChunkLayout, PartitionedChunk, PayloadOrientation,
+};
 
 fn main() {
     // 1. A column of 64K values (even keys, so inserts can pick odd ones).
@@ -46,23 +47,18 @@ fn main() {
     let geometry = BlockGeometry::of_chunk(cal.block_bytes, 0, PayloadOrientation::Columns);
     let optimizer = LayoutOptimizer::new(constants).with_geometry(geometry);
     let decision = optimizer.optimize(&model, values.len() / 100);
-    println!("optimal layout: {}", decision.seg);
+    let chunk_layout = &decision.layout;
+    println!("optimal layout: {}", chunk_layout.spec());
     println!(
         "ghost slots: {} total, hottest partition gets {}",
-        decision.ghosts.total(),
-        decision.ghosts.counts().iter().max().unwrap()
+        chunk_layout.ghost_total(),
+        chunk_layout.ghosts().iter().max().unwrap()
     );
     println!("modeled workload cost: {:.1} ms", decision.est_cost / 1e6);
 
     // 4. Materialize the chunk and run some operations.
-    let mut chunk = PartitionedChunk::build(
-        values,
-        &decision.seg,
-        layout,
-        &decision.ghosts,
-        ChunkConfig::default(),
-    )
-    .expect("build chunk");
+    let mut chunk = PartitionedChunk::build(values, chunk_layout, layout, ChunkConfig::default())
+        .expect("build chunk");
     let r = chunk.point_query(120_000);
     println!(
         "point query for 120000: {} match(es), scanned {} values",
@@ -92,9 +88,9 @@ fn main() {
         "same point query on an unpartitioned column scans {naive_scan} values — {}x more",
         naive_scan / r.cost.values_scanned.max(1)
     );
-    let ghost_plan_even = GhostPlan::even(decision.seg.partition_count(), 655);
+    let even = ChunkLayout::even(chunk_layout.spec().clone(), 655);
     println!(
         "(for contrast, an even ghost spread would give the hot partition only {} slots)",
-        ghost_plan_even.counts()[0]
+        even.ghosts()[0]
     );
 }

@@ -34,20 +34,22 @@ fn main() {
     let free = LayoutOptimizer::new(constants).optimize(&fm, 0);
     println!(
         "  {} → modeled cost {:.2} ms, worst-case insert {:.1} us",
-        free.seg,
+        free.layout.spec(),
         free.est_cost / 1e6,
-        sla::worst_insert_nanos(&constants, &geometry, free.seg.partition_count()) / 1000.0
+        sla::worst_insert_nanos(&constants, &geometry, free.layout.spec().partition_count())
+            / 1000.0
     );
 
     for sla_us in [25.0f64, 10.0, 5.0, 2.5] {
         let opt = LayoutOptimizer::new(constants).with_slas(Some(sla_us * 1000.0), None);
         let d = opt.optimize(&fm, 0);
         let worst =
-            sla::worst_insert_nanos(&constants, &geometry, d.seg.partition_count()) / 1000.0;
+            sla::worst_insert_nanos(&constants, &geometry, d.layout.spec().partition_count())
+                / 1000.0;
         println!("insert SLA {sla_us:>5.1} us:");
         println!(
             "  {} partitions → worst-case insert {:.1} us (≤ SLA: {}), modeled cost {:.2} ms (+{:.1}%)",
-            d.seg.partition_count(),
+            d.layout.spec().partition_count(),
             worst,
             worst <= sla_us,
             d.est_cost / 1e6,
@@ -58,7 +60,7 @@ fn main() {
     for read_sla_us in [3.0f64, 1.5, 0.5] {
         let opt = LayoutOptimizer::new(constants).with_slas(None, Some(read_sla_us * 1000.0));
         let d = opt.optimize(&fm, 0);
-        let mps = d.seg.max_partition_blocks();
+        let mps = d.layout.spec().max_partition_blocks();
         let worst = sla::worst_point_query_nanos(&constants, &geometry, mps) / 1000.0;
         println!("read SLA {read_sla_us:>4.1} us:");
         println!(

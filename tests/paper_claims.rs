@@ -42,10 +42,9 @@ use casper::core::{BlockGeometry, CostConstants, FrequencyModel, Op};
 use casper::engine::column::ChunkStore;
 use casper::engine::optimize::{layout_optimizer, optimize_table, OptimizeOptions, OptimizeReport};
 use casper::engine::{EngineConfig, LayoutMode, Table};
-use casper::storage::ghost::GhostPlan;
 use casper::storage::{
-    BlockLayout, ChunkConfig, OpCost, PartitionSpec, PartitionedChunk, PayloadOrientation,
-    MIN_TAIL_SLOTS,
+    BlockLayout, ChunkConfig, ChunkLayout, OpCost, PartitionSpec, PartitionedChunk,
+    PayloadOrientation, MIN_TAIL_SLOTS,
 };
 use casper::workload::{HapSchema, Mix, MixKind};
 
@@ -80,14 +79,13 @@ fn modeled(fm: &FrequencyModel, seg: &PartitionSpec, c: &CostConstants) -> f64 {
 /// Even keys `0, 2, 4, …` filling `n_blocks` blocks exactly, so every odd
 /// key is a fresh insert and the value of rank `r` is `2r`.
 fn even_chunk(
-    layout: BlockLayout,
-    spec: &PartitionSpec,
-    ghosts: &GhostPlan,
+    blocks: BlockLayout,
+    layout: &ChunkLayout,
     config: ChunkConfig,
 ) -> PartitionedChunk<u64> {
-    let values = spec.n_blocks() * layout.values_per_block();
+    let values = layout.spec().n_blocks() * blocks.values_per_block();
     let keys = (0..values as u64).map(|v| 2 * v).collect();
-    PartitionedChunk::build(keys, spec, layout, ghosts, config).expect("build")
+    PartitionedChunk::build(keys, layout, blocks, config).expect("build")
 }
 
 /// The hydrated stores of a table's chunks.
@@ -151,7 +149,11 @@ fn fig09a_insert_cost_is_the_models_charge_less_a_constant() {
     let layout = BlockLayout::new::<u64>(4096);
     let n_blocks = 2 * K;
     let spec = PartitionSpec::equi_width(n_blocks, K);
-    let base = even_chunk(layout, &spec, &GhostPlan::none(K), ChunkConfig::dense());
+    let base = even_chunk(
+        layout,
+        &ChunkLayout::dense(spec.clone()),
+        ChunkConfig::dense(),
+    );
     for (m, range) in spec.block_ranges().enumerate() {
         let mut chunk = base.clone();
         let cost = chunk
@@ -181,8 +183,8 @@ fn fig09b_point_query_cost_is_one_jump_plus_the_partition_scan() {
     let vpb = layout.values_per_block();
     let sizes: Vec<usize> = (9..=15).map(|e| (1 << e) / vpb).collect();
     let spec = PartitionSpec::from_block_sizes(&sizes);
-    let ghosts = GhostPlan::none(sizes.len());
-    let chunk = even_chunk(layout, &spec, &ghosts, ChunkConfig::default());
+    let dense = ChunkLayout::dense(spec.clone());
+    let chunk = even_chunk(layout, &dense, ChunkConfig::default());
     for range in spec.block_ranges() {
         let blocks = range.len() as u64;
         for block in [range.start, range.end - 1] {
@@ -236,7 +238,7 @@ fn fig12_casper_models_no_dearer_than_equi_width_on_every_mix() {
         let casper = total_est_cost(&report);
         let equi = report.fms.iter().zip(&report.chunks).map(|(fm, chunk)| {
             let seg = PartitionSpec::equi_width(fm.n_blocks(), config.equi_partitions);
-            let solved = layout_optimizer(&table, &opts, chunk.orientation);
+            let solved = layout_optimizer(&table, &opts, chunk.layout.payload());
             cost_of_segmentation(&seg, &solved.terms(fm, chunk.ghosts))
         });
         let equi: f64 = equi.sum();
@@ -265,8 +267,9 @@ fn fig14_ghost_slots_absorb_the_insert_ripple() {
     let writes: Vec<u64> = budgets
         .iter()
         .map(|&frac| {
-            let ghosts = GhostPlan::even(K, (VALUES as f64 * frac).ceil() as usize);
-            let mut chunk = even_chunk(layout, &spec, &ghosts, ChunkConfig::default());
+            let ghosts = (VALUES as f64 * frac).ceil() as usize;
+            let even = ChunkLayout::even(spec.clone(), ghosts);
+            let mut chunk = even_chunk(layout, &even, ChunkConfig::default());
             let keys = (0..INSERTS).map(|i| ((i * 48271) % (2 * VALUES as u64)) | 1);
             let mut insert = |v| chunk.insert(v, &[]).unwrap().cost.random_writes;
             keys.map(&mut insert).sum()
@@ -321,7 +324,7 @@ fn fig15_partition_caps_meet_every_insert_sla() {
                 panic!("Casper chunks are partitioned");
             };
             let parts = p.partition_count();
-            assert_eq!(parts, chunk.partitions);
+            assert_eq!(parts, chunk.layout.spec().partition_count());
             let widest = p.partitions().iter().map(|m| m.len.div_ceil(vpb));
             let widest = widest.max().unwrap();
             assert!(sla::worst_point_query_nanos(&c, &unit, widest) <= READ_SLA_NS);
@@ -333,7 +336,11 @@ fn fig15_partition_caps_meet_every_insert_sla() {
                 );
             }
         }
-        let most = report.chunks.iter().map(|ch| ch.partitions).max().unwrap();
+        let most = report
+            .chunks
+            .iter()
+            .map(|ch| ch.layout.spec().partition_count());
+        let most = most.max().unwrap();
         match cap {
             None => unconstrained = most,
             Some(cap) => binding += usize::from(unconstrained > cap),
@@ -458,12 +465,12 @@ fn fig02b_reserve_placed_by_eq18_cuts_ripple_writes() {
     let ceil = |frac: f64| (VALUES as f64 * frac).ceil() as usize;
     let (ghost_budget, slack) = (ceil(0.001), ceil(0.05));
     let run = |ghosts: usize, capacity_slack: f64| {
-        let plan = allocate_ghosts(&fm, &spec, ghosts);
+        let plan = ChunkLayout::with_ghosts(spec.clone(), allocate_ghosts(&fm, &spec, ghosts));
         let config = ChunkConfig {
             capacity_slack,
             ..ChunkConfig::default()
         };
-        let mut chunk = even_chunk(layout, &spec, &plan, config);
+        let mut chunk = even_chunk(layout, &plan, config);
         let slots = chunk.slot_count();
         let writes: u64 = keys
             .iter()
@@ -497,16 +504,14 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
     let keys: Vec<u64> = (0..(n_blocks * layout.values_per_block()) as u64)
         .map(|v| 2 * v)
         .collect();
-    let chunk = |ghosts: &GhostPlan| {
+    let chunk = |ghosts: Vec<usize>| {
         let cols: Vec<Vec<u32>> = (0..WIDTH as u32)
             .map(|c| keys.iter().map(|&k| k as u32 ^ c).collect())
             .collect();
+        let rows =
+            ChunkLayout::with_ghosts(spec.clone(), ghosts).with_payload(PayloadOrientation::Rows);
         let config = ChunkConfig::default();
-        let built =
-            PartitionedChunk::build_with_payloads(&keys, &cols, &spec, layout, ghosts, config);
-        built
-            .expect("build")
-            .into_orientation(PayloadOrientation::Rows)
+        PartitionedChunk::build_with_payloads(&keys, &cols, &rows, layout, config).expect("build")
     };
     let rows = |c: CostConstants| LayoutOptimizer {
         orientation: PayloadOrientation::Rows,
@@ -519,7 +524,7 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
     let row = vec![7u32; WIDTH];
 
     // Covered: the sample's own reserve, placed by Eq. 18.
-    let base = chunk(&GhostPlan::none(K));
+    let base = chunk(vec![0; K]);
     let fresh: Vec<u64> = (0..K)
         .flat_map(|m| (0..4).map(move |j| (m, j)))
         .map(|(m, j)| base.partitions()[m].min + 1 + 2 * j)
@@ -529,7 +534,7 @@ fn sec46_row_major_ripple_charge_follows_the_reserve() {
     let fm = fm.finish();
     let budget = fresh.len();
     assert_eq!(uncovered_share(&fm, budget), 0.0);
-    let mut covered = chunk(&allocate_ghosts(&fm, &spec, budget));
+    let mut covered = chunk(allocate_ghosts(&fm, &spec, budget));
     let mut cost = OpCost::default();
     for &v in &fresh {
         cost.absorb(covered.insert(v, &row).unwrap().cost);
